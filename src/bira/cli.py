@@ -40,6 +40,7 @@ from .core import (
     AbnormalTermination,
     ConfigurationError,
     ContractError,
+    InvariantError,
     ProblemConstants,
     SchemaError,
 )
@@ -199,10 +200,12 @@ def _sweep_one(task):
         totals = report.ledger_totals
         status = report.status
         iters = report.iterations
-    except AbnormalTermination as exc:
+    except (AbnormalTermination, InvariantError) as exc:
+        # bira_run adds the outer iteration to an AbnormalTermination's
+        # summary; an InvariantError carries no summary
         totals = problem.ledger.snapshot()
-        status = "AbnormalTermination"
-        iters = 0 if exc.summary is None else exc.summary.get("iteration", 0)
+        status = type(exc).__name__
+        iters = getattr(exc, "summary", {}).get("iteration", 0)
     return {
         "eps_opt": repr(eps_opt),
         "f_evals": totals["f_evals"],

@@ -23,6 +23,7 @@ from .core import (
     DEFAULT_KAPPAS,
     AbnormalTermination,
     PrecisionLevel,
+    SchemaError,
     constraint_ssq,
     infeasibility,
 )
@@ -31,6 +32,18 @@ from .geometry import project_box
 from .qp import build_B, solve_restoration_qp
 
 _SIGMA_RUNAWAY = 1e9
+
+#: The measured fields of a restoration QP certificate.  The restoration
+#: QP has no affine part, so its tangent violation and projection residual
+#: are always zero and are not recorded.
+CERT_FIELDS = (
+    "model_decrease",
+    "stationarity_residual",
+    "step_norm",
+    "kappa_ratio",
+    "kappa_phi_ratio",
+    "flagged",
+)
 
 
 @dataclass(frozen=True)
@@ -68,7 +81,10 @@ class RestorationOutcome:
             "z_steps": self.z_steps,
             "inner_desc_tests": self.inner_desc_tests,
             "sigma_history": list(self.sigma_history),
-            "certificates": [dict(c) for c in self.certificates],
+            "certificates": {
+                name: [c[name] for c in self.certificates]
+                for name in CERT_FIELDS
+            },
             "max_step_over_h": self.max_step_over_h,
             "ledger_delta": dict(self.ledger_delta),
         }
@@ -85,10 +101,25 @@ class RestorationOutcome:
             z_steps=d["z_steps"],
             inner_desc_tests=d["inner_desc_tests"],
             sigma_history=tuple(d["sigma_history"]),
-            certificates=tuple(d["certificates"]),
+            certificates=_cert_rows(d["certificates"]),
             max_step_over_h=d["max_step_over_h"],
             ledger_delta=dict(d["ledger_delta"]),
         )
+
+
+def _cert_rows(columns):
+    """Transpose certificate columns back into one dict per descent test."""
+    if not isinstance(columns, dict) or set(columns) != set(CERT_FIELDS):
+        raise SchemaError(
+            f"restoration certificates must be columns {list(CERT_FIELDS)}"
+        )
+    lengths = {len(columns[name]) for name in CERT_FIELDS}
+    if len(lengths) > 1:
+        raise SchemaError("restoration certificate columns differ in length")
+    return tuple(
+        dict(zip(CERT_FIELDS, row))
+        for row in zip(*(columns[name] for name in CERT_FIELDS))
+    )
 
 
 def _step_ratio(step, denom):
@@ -127,7 +158,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
 
     def finish(status, x_R, y_R, h_xR, h_xk_ref):
         return RestorationOutcome(
-            x_R=np.asarray(x_R, dtype=float),
+            x_R=np.array(x_R, dtype=float),
             y_R=y_R,
             status=status,
             h_xR_yR=float(h_xR),
@@ -148,15 +179,17 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
         hit = problem.pdp(x_k, y_k)
         if hit is not None:
             z_P, w_P = hit
-            # the shortcut must refine at least as hard as the schedule would
-            if w_P.gf <= params.r * y_k.gf and w_P.gh <= params.r * y_k.gh:
+            step = float(np.linalg.norm(np.asarray(z_P, float) - x_k))
+            close_enough = step <= params.beta_PDP * infeasibility(
+                h_xk_yk_norm, y_k.g
+            )
+            # the shortcut must refine at least as hard as the schedule
+            # would; the distance test needs no evaluation, so it goes first
+            if (close_enough and w_P.gf <= params.r * y_k.gf
+                    and w_P.gh <= params.r * y_k.gh):
                 h_zP = float(np.linalg.norm(problem.eval_h(z_P, w_P)))
                 h_xk_wP = float(np.linalg.norm(problem.eval_h(x_k, w_P)))
-                step = float(np.linalg.norm(np.asarray(z_P, float) - x_k))
-                close_enough = step <= params.beta_PDP * infeasibility(
-                    h_xk_yk_norm, y_k.g
-                )
-                if h_zP <= params.r * h_xk_wP and close_enough:
+                if h_zP <= params.r * h_xk_wP:
                     max_ratio = _step_ratio(step, h_xk_wP)
                     return finish("pdp", z_P, w_P, h_zP, h_xk_wP)
 
@@ -207,7 +240,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
                 z_trial, cert = solve_restoration_qp(
                     grad_c, B, sigma, z, box, kappas
                 )
-                certs.append(cert.to_dict())
+                certs.append({name: getattr(cert, name)
+                              for name in CERT_FIELDS})
                 h_trial_vec = problem.eval_h(z_trial, w)
                 c_trial = constraint_ssq(h_trial_vec)
                 desc_tests += 1

@@ -23,10 +23,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_KAPPAS,
+    AbnormalTermination,
     AlgorithmParams,
+    ConfigurationError,
     InvariantError,
     PenaltyState,
     PrecisionLevel,
+    SchemaError,
     merit_phi,
 )
 from .diagnostics import constants as derived_constants
@@ -35,7 +38,7 @@ from .geometry import TangentSet, project_tangent
 from .qp import build_H, solve_tangent_qp
 from .restoration import RestorationOutcome, resta
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -92,11 +95,15 @@ def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Everything one outer iteration measured, decided, and spent."""
+    """Everything one outer iteration measured, decided, and spent.
+
+    Fields hold measured facts only; values that follow from them
+    (``x_R``, the ``g_*`` precision measures, the ``*_xk_ynext``
+    selections and ``step_norm``) are read-only properties.
+    """
 
     k: int
     x_k: np.ndarray
-    x_R: np.ndarray
     x_next: np.ndarray
     y_k: tuple
     y_R: tuple
@@ -108,17 +115,11 @@ class IterationRecord:
     h_xk_yk: float
     h_xk_yR: float
     h_xR_yR: float
-    h_xk_ynext: float
     h_xnext_ynext: float
-    g_yk: float
-    g_yR: float
-    g_ynext: float
     f_xk_yk: float
     f_xk_yR: float
     f_xR_yR: float
-    f_xk_ynext: float
     f_xnext_ynext: float
-    step_norm: float
     stationarity_residual: float
     resta: RestorationOutcome
     tangent_cert: dict
@@ -126,6 +127,35 @@ class IterationRecord:
     oracle_h_error: float | None
     ledger_delta: dict
     ledger_after: dict
+
+    @property
+    def x_R(self):
+        return self.resta.x_R
+
+    @property
+    def g_yk(self):
+        return max(self.y_k)
+
+    @property
+    def g_yR(self):
+        return max(self.y_R)
+
+    @property
+    def g_ynext(self):
+        return max(self.y_next)
+
+    @property
+    def f_xk_ynext(self):
+        # the merit reference the tangent step was accepted against
+        return self.f_xk_yR if self.y_next == self.y_R else self.f_xk_yk
+
+    @property
+    def h_xk_ynext(self):
+        return self.h_xk_yR if self.y_next == self.y_R else self.h_xk_yk
+
+    @property
+    def step_norm(self):
+        return self.tangent_cert["step_norm"]
 
     def to_dict(self):
         d = {}
@@ -144,8 +174,14 @@ class IterationRecord:
 
     @classmethod
     def from_dict(cls, d):
+        if set(d) != set(cls.__dataclass_fields__):
+            raise SchemaError(
+                "iteration record fields differ from the schema:"
+                f" missing {sorted(set(cls.__dataclass_fields__) - set(d))},"
+                f" unknown {sorted(set(d) - set(cls.__dataclass_fields__))}"
+            )
         kw = dict(d)
-        for name in ("x_k", "x_R", "x_next"):
+        for name in ("x_k", "x_next"):
             kw[name] = np.asarray(kw[name], dtype=float)
         for name in ("y_k", "y_R", "y_next"):
             kw[name] = tuple(kw[name])
@@ -195,8 +231,6 @@ class RunReport:
     @classmethod
     def from_dict(cls, d):
         if d.get("trace_version") != TRACE_VERSION:
-            from .core import SchemaError
-
             raise SchemaError(
                 f"trace version {d.get('trace_version')!r} not supported"
             )
@@ -241,13 +275,20 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     tolerance.  ``RestorationFailure`` reports likely local
     infeasibility (or a restoration outcome failing its contraction
     tests); ``BudgetExceeded`` reports running out of iterations.
+
+    A non-positive tolerance or a negative budget raises
+    :class:`ConfigurationError`.  An :class:`AbnormalTermination` from the
+    restoration phase propagates with the outer iteration index added to
+    its summary as ``iteration``.
     """
     params = params or AlgorithmParams.defaults()
     kappas = {**DEFAULT_KAPPAS, **(kappas or {})}
     for name, val in (("eps_feas", eps_feas), ("eps_prec", eps_prec),
                       ("eps_opt", eps_opt)):
         if not val > 0.0:
-            raise InvariantError(f"{name} must be positive")
+            raise ConfigurationError(f"{name} must be positive, got {val}")
+    if budget < 0:
+        raise ConfigurationError(f"budget must be nonnegative, got {budget}")
 
     pc = problem.constants()
     extras = dict(getattr(problem, "extras", dict)() or {})
@@ -293,11 +334,15 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
         if k > 0:
             led_iter = problem.ledger.snapshot()
 
-        out = resta(
-            problem, x, y, params,
-            h_xk_yk_norm=h_norm, use_pdp=use_pdp, inner_cap=inner_cap,
-            kappas=kappas,
-        )
+        try:
+            out = resta(
+                problem, x, y, params,
+                h_xk_yk_norm=h_norm, use_pdp=use_pdp, inner_cap=inner_cap,
+                kappas=kappas,
+            )
+        except AbnormalTermination as exc:
+            exc.summary["iteration"] = k
+            raise
         if out.status == "possible_infeasibility":
             return finish(
                 "RestorationFailure", out.x_R, out.y_R,
@@ -385,7 +430,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             )
             if desc_ok and merit_ok:
                 accepted = (x_trial, y_next, f_trial, h_trial_vec, h_trial,
-                            cert, grad_f, region, f_ref, h_ref)
+                            cert, grad_f, region)
             else:
                 mu *= 2.0
                 if mu > 1e2 * max(tc.mu_cap, params.mu_max):
@@ -393,8 +438,8 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                         f"regularization runaway at iteration {k}"
                     )
 
-        (x_next, y_next, f_next, h_next_vec, h_next, cert, grad_f, region,
-         f_ref, h_ref) = accepted
+        (x_next, y_next, f_next, h_next_vec, h_next, cert, grad_f,
+         region) = accepted
 
         proj, _ = project_tangent(x_R - grad_f, region)
         residual = float(np.linalg.norm(proj - x_R))
@@ -405,7 +450,6 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
         records.append(IterationRecord(
             k=k,
             x_k=x.copy(),
-            x_R=np.asarray(x_R, dtype=float).copy(),
             x_next=np.asarray(x_next, dtype=float).copy(),
             y_k=y.as_tuple(),
             y_R=y_R.as_tuple(),
@@ -417,17 +461,11 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             h_xk_yk=h_norm,
             h_xk_yR=out.h_xk_yR,
             h_xR_yR=out.h_xR_yR,
-            h_xk_ynext=h_ref,
             h_xnext_ynext=h_next,
-            g_yk=g_k,
-            g_yR=g_R,
-            g_ynext=y_next.g,
             f_xk_yk=f_val,
             f_xk_yR=f_xk_yR,
             f_xR_yR=f_xR_yR,
-            f_xk_ynext=f_ref,
             f_xnext_ynext=f_next,
-            step_norm=cert.step_norm,
             stationarity_residual=residual,
             resta=out,
             tangent_cert=cert.to_dict(),

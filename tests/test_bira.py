@@ -3,9 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from bira.core import AlgorithmParams, InvariantError, SchemaError, merit_phi
+from bira.core import (
+    AlgorithmParams,
+    ConfigurationError,
+    InvariantError,
+    PrecisionLevel,
+    SchemaError,
+    merit_phi,
+)
 from bira.diagnostics import audit
 from bira.oracle import make_p1, make_p3, make_p4
+from bira.restoration import RestorationOutcome
 from bira.solver import (
     RunReport,
     bira_run,
@@ -144,10 +152,63 @@ def test_trace_round_trip_and_version_guard():
     assert back.final_y == rep.final_y
     assert back.ledger_totals == rep.ledger_totals
 
-    bad = json.loads(json.dumps(payload))
-    bad["trace_version"] = 999
-    with pytest.raises(SchemaError):
-        RunReport.from_dict(bad)
+    for version in (1, 999):
+        bad = json.loads(json.dumps(payload))
+        bad["trace_version"] = version
+        with pytest.raises(SchemaError):
+            RunReport.from_dict(bad)
+
+
+def test_restoration_certificates_are_stored_as_columns():
+    rec = bira_run(make_p1()).to_dict()["records"][0]["resta"]
+    columns = rec["certificates"]
+    assert list(columns) == [
+        "model_decrease", "stationarity_residual", "step_norm",
+        "kappa_ratio", "kappa_phi_ratio", "flagged",
+    ]
+    assert rec["inner_desc_tests"] == len(rec["sigma_history"]) > 0
+    for column in columns.values():
+        assert len(column) == rec["inner_desc_tests"]
+
+    missing = {k: v for k, v in columns.items() if k != "flagged"}
+    ragged = {**columns, "flagged": columns["flagged"][:-1]}
+    for bad in (missing, ragged, [dict(zip(columns, row))
+                                  for row in zip(*columns.values())]):
+        with pytest.raises(SchemaError):
+            RestorationOutcome.from_dict({**rec, "certificates": bad})
+
+
+def test_failure_report_round_trips_byte_identical():
+    rep = bira_run(make_p3(), budget=50)
+    assert rep.failure_info["resta"]["certificates"]["step_norm"]
+    text = json.dumps(rep.to_dict())
+    back = RunReport.from_dict(json.loads(text))
+    assert json.dumps(back.to_dict()) == text
+
+
+def test_derived_record_fields_match_the_solver():
+    rep = bira_run(make_p1())
+    fresh = make_p1()
+    for rec in rep.records:
+        y_next = PrecisionLevel(*rec.y_next)
+        assert rec.x_R is rec.resta.x_R
+        assert rec.g_yk == PrecisionLevel(*rec.y_k).g
+        assert rec.g_yR == rec.resta.y_R.g
+        assert rec.g_ynext == y_next.g
+        # deterministic oracles: re-measuring reproduces the solver's values
+        assert rec.f_xk_ynext == fresh.eval_f(rec.x_k, y_next)
+        assert rec.h_xk_ynext == float(
+            np.linalg.norm(fresh.eval_h(rec.x_k, y_next)))
+        assert rec.step_norm == float(np.linalg.norm(rec.x_next - rec.x_R))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eps_feas": 0.0}, {"eps_prec": -1e-6}, {"eps_opt": float("nan")},
+    {"budget": -1},
+])
+def test_bad_run_inputs_are_configuration_errors(kwargs):
+    with pytest.raises(ConfigurationError):
+        bira_run(make_p4(), **kwargs)
 
 
 def test_repeated_runs_are_bitwise_identical():

@@ -1,8 +1,11 @@
+import csv
 import json
 
 import pytest
 
+import bira.solver
 from bira.cli import CSV_HEADER, main
+from bira.core import AbnormalTermination, InvariantError
 
 
 def test_run_writes_a_trace_and_exits_clean(tmp_path, capsys):
@@ -76,6 +79,21 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     assert "theta_monotone" in got
 
 
+@pytest.mark.parametrize("edit", [
+    lambda rec: rec.update(g_yk=0.0),
+    lambda rec: rec.pop("theta_after"),
+], ids=["unknown_field", "missing_field"])
+def test_audit_rejects_records_off_the_schema(tmp_path, capsys, edit):
+    trace = tmp_path / "t.json"
+    main(["run", "--problem", "p4", "--out", str(trace)])
+    payload = json.loads(trace.read_text())
+    edit(payload["records"][0])
+    trace.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_audit_missing_file_is_an_io_error(tmp_path):
     assert main(["audit", str(tmp_path / "absent.json")]) == 1
 
@@ -100,3 +118,38 @@ def test_complexity_sweep_writes_the_csv(tmp_path, capsys):
     for line in lines[1:]:
         assert line.endswith("Converged")
     assert "fitted slope" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--eps-feas", "0"], ["--eps-opt=-1e-4"], ["--budget", "-1"],
+])
+def test_bad_run_inputs_are_usage_errors(argv, capsys):
+    assert main(["run", "--problem", "p4", *argv]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("exc", [
+    AbnormalTermination("restoration descent-test cap exceeded"),
+    InvariantError("penalty update left no positive weight"),
+])
+def test_complexity_sweep_reports_abnormal_runs(tmp_path, monkeypatch, exc):
+    real_resta = bira.solver.resta
+    calls = []
+
+    def resta_failing_on_the_third_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise exc
+        return real_resta(*args, **kwargs)
+
+    monkeypatch.setattr(bira.solver, "resta", resta_failing_on_the_third_call)
+    out = tmp_path / "cx.csv"
+    assert main(["complexity", "--problem", "p1", "--out", str(out),
+                 "--eps-opt-grid", "1e-1,3e-2,1e-2", "--jobs", "1"]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert rows[0]["status"] == type(exc).__name__
+    assert int(rows[0]["h_evals"]) > 0
+    if isinstance(exc, AbnormalTermination):
+        # two iterations finished before the third restoration call failed
+        assert rows[0]["iterations"] == "2"
+    assert [row["status"] for row in rows[1:]] == ["Converged"] * 2

@@ -149,8 +149,10 @@ def test_pdp_shortcut_rejected_at_default_radius():
     h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
     out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0)
     assert out.status == "restored"
-    # the probe pair was still measured and charged
-    assert out.ledger_delta["h_evals"] > 2
+    # the shortcut point is too far away, so its probe pair is never paid for
+    plain = resta(make_p1_pdp(params), p.x0, p.y0, params, h_xk_yk_norm=h0,
+                  use_pdp=False)
+    assert out.ledger_delta == plain.ledger_delta
 
 
 def test_use_pdp_false_skips_the_shortcut_entirely():
