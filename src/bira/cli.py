@@ -201,11 +201,9 @@ def _sweep_one(task):
         status = report.status
         iters = report.iterations
     except (AbnormalTermination, InvariantError) as exc:
-        # bira_run adds the outer iteration to an AbnormalTermination's
-        # summary; an InvariantError carries no summary
         totals = problem.ledger.snapshot()
         status = type(exc).__name__
-        iters = getattr(exc, "summary", {}).get("iteration", 0)
+        iters = exc.summary["iteration"]
     return {
         "eps_opt": repr(eps_opt),
         "f_evals": totals["f_evals"],

@@ -25,16 +25,20 @@ class DomainError(ValueError):
     """A point lies outside the problem's box domain."""
 
 
-class InvariantError(RuntimeError):
-    """An internal guarantee failed; indicates a broken assumption."""
-
-
-class AbnormalTermination(RuntimeError):
-    """An algorithm phase hit a safety cap without reaching an exit test."""
+class _AbortedRun(RuntimeError):
+    """A run stopped by an exception; ``summary`` says where and why."""
 
     def __init__(self, message, summary=None):
         super().__init__(message)
         self.summary = summary or {}
+
+
+class InvariantError(_AbortedRun):
+    """An internal guarantee failed; indicates a broken assumption."""
+
+
+class AbnormalTermination(_AbortedRun):
+    """An algorithm phase hit a safety cap without reaching an exit test."""
 
 
 class InsufficientDataError(ValueError):
@@ -43,6 +47,18 @@ class InsufficientDataError(ValueError):
 
 class SchemaError(ValueError):
     """A serialized trace or config does not match the expected schema."""
+
+
+def check_fields(payload, fields, what):
+    """Raise :class:`SchemaError` unless ``payload`` has exactly ``fields``."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    if set(payload) != set(fields):
+        raise SchemaError(
+            f"{what} fields differ from the schema:"
+            f" missing {sorted(set(fields) - set(payload))},"
+            f" unknown {sorted(set(payload) - set(fields))}"
+        )
 
 
 #: Acceptance targets for the subproblem-solver certificates.  The inner
@@ -157,6 +173,12 @@ def merit_phi(f_val, h_norm, g_val, theta):
     if h_norm < 0.0 or g_val < 0.0:
         raise ContractError("h_norm and g_val must be nonnegative")
     return theta * float(f_val) + (1.0 - theta) * (float(h_norm) + float(g_val))
+
+
+def merit_allowance(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
+    """Merit slack earned by restoration: ``(1-r)/2`` times its change in
+    violation plus precision measure."""
+    return 0.5 * (1.0 - r) * (h_xR_yR - h_xk_yR + g_yR - g_yk)
 
 
 def constraint_ssq(h_vec):

@@ -21,6 +21,7 @@ from .core import (
     AlgorithmParams,
     InsufficientDataError,
     ProblemConstants,
+    merit_allowance,
     merit_phi,
 )
 
@@ -242,6 +243,11 @@ def restoration_inner_cap(tc: TheoreticalConstants | None):
     return FALLBACK_INNER_CAP
 
 
+def restoration_refine_cap(params: AlgorithmParams):
+    """Cap on the precision refinements of one restoration call."""
+    return 10 * (params.N_prec + 2) + 100
+
+
 def leq(lhs, rhs):
     """Tolerant comparison used by every audit inequality."""
     return lhs <= rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs))
@@ -343,8 +349,8 @@ def audit(report, tc=None):
                 rec.f_xnext_ynext, rec.h_xnext_ynext, rec.g_ynext,
                 rec.theta_after,
             )
-            allowance = 0.5 * (1.0 - params.r) * (
-                rec.h_xR_yR - rec.h_xk_yR + rec.g_yR - rec.g_yk
+            allowance = merit_allowance(
+                rec.h_xk_yR, rec.h_xR_yR, rec.g_yk, rec.g_yR, params.r
             )
             rhs = merit_phi(
                 rec.f_xk_ynext, rec.h_xk_ynext, rec.g_ynext, rec.theta_after
@@ -586,12 +592,12 @@ def audit(report, tc=None):
 
     def check_resta_inner():
         cap = restoration_inner_cap(tc if analytic else None)
+        ref_cap = restoration_refine_cap(params)
         for rec in records:
             if rec.resta is None:
                 continue
             if rec.resta.inner_desc_tests > cap:
                 return False, f"iteration {rec.k}: {rec.resta.inner_desc_tests}"
-            ref_cap = 10 * (params.N_prec + 2) + 100
             if rec.resta.refinements > ref_cap:
                 return False, f"iteration {rec.k}: {rec.resta.refinements} refinements"
         return True, f"cap {cap}"

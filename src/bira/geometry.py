@@ -2,21 +2,18 @@
 
 The optimization phase works inside a moving region: the box intersected
 with the affine set tangent to the linearized constraints at the restored
-point.  Projection onto that intersection is computed by alternating
-projections with Dykstra's correction terms, which converges to the true
-projection for intersections of convex sets.  The box projection is applied
-last in each sweep so the returned point always satisfies the bounds
-exactly.
+point.  Projection onto that intersection is a small convex quadratic
+program, solved exactly by a primal active-set method started at the
+region's center: each pass is one affine projection on the coordinates
+not held at a bound, and the returned point satisfies the box exactly
+and the affine rows up to rounding.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxPolytope, ContractError, as_point
-
-_DYKSTRA_TOL = 1e-10
-_DYKSTRA_MAX_SWEEPS = 10_000
+from .core import BoxPolytope, ContractError, InvariantError, as_point
 
 
 def project_box(x, box: BoxPolytope):
@@ -60,10 +57,6 @@ class TangentSet:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "center", center)
 
-    @property
-    def rhs(self):
-        return self.A @ self.center
-
     def contains(self, x, tol=1e-8):
         x = as_point(x, self.box.dim)
         if not self.box.contains(x, tol=tol):
@@ -72,33 +65,56 @@ class TangentSet:
         return resid <= tol * (1.0 + float(np.linalg.norm(x)))
 
 
-def project_tangent(z, region: TangentSet, tol=_DYKSTRA_TOL,
-                    max_sweeps=_DYKSTRA_MAX_SWEEPS):
-    """Project ``z`` onto ``region`` by Dykstra's alternating scheme.
+def project_tangent(z, region: TangentSet):
+    """Euclidean projection of ``z`` onto ``region``, exact up to rounding.
 
-    The affine rows need no correction term, only the box does; carrying
-    one for the affine part accumulates rounding error without bound.
-    Returns ``(x, residual)``: the point satisfies the box exactly and
-    the affine rows up to ``residual``, and iteration stops only once
-    that violation is below ``tol`` (scaled) and the sweep has settled.
+    Primal active-set method (Nocedal & Wright, *Numerical Optimization*,
+    16.5) from the feasible center: each pass projects ``z`` onto the affine
+    set with the held bounds fixed.  A step that would cross a bound stops
+    at the first one and holds it; a full step releases the held bound whose
+    multiplier has the wrong sign, or returns if none has.  More than
+    ``10 (n + 1)`` passes raise :class:`InvariantError`.
     """
     z = as_point(z, region.box.dim)
-    rhs = region.rhs
-    rhs_scale = 1.0 + float(np.linalg.norm(rhs))
-    x = z.copy()
-    q = np.zeros_like(x)  # box correction
-    residual = np.inf
-    for _ in range(max_sweeps):
-        y = project_affine(x, region.A, rhs)
-        x_new = project_box(y + q, region.box)
-        q = y + q - x_new
-        moved = float(np.linalg.norm(x_new - x))
-        x = x_new
-        residual = float(np.linalg.norm(region.A @ x - rhs))
-        if (residual <= tol * rhs_scale
-                and moved <= tol * (1.0 + float(np.linalg.norm(x)))):
-            break
-    return x, residual
+    lower, upper, A = region.box.lower, region.box.upper, region.A
+    x = region.center.copy()
+    held = np.zeros(z.size, dtype=bool)
+    released = None
+    for _ in range(10 * (z.size + 1)):
+        free = ~held
+        A_free = A[:, free]
+        y = x.copy()
+        # with no more free coordinates than independent rows, the held
+        # bounds pin the point and a projection would only add rounding
+        if free.sum() > A.shape[0] or free.sum() > np.linalg.matrix_rank(A):
+            y[free] = project_affine(z[free], A_free, A_free @ x[free])
+        p = y - x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(y < lower, (lower - x) / p,
+                         np.where(y > upper, (upper - x) / p, np.inf))
+        j = int(np.argmin(t))
+        if t[j] < np.inf:
+            if released is not None and t[released] == 0.0:
+                # releasing it bought no step: its multiplier was rounding
+                return x
+            x = region.box.clip(x + t[j] * p)
+            x[j] = lower[j] if y[j] < lower[j] else upper[j]
+            held[j] = True
+            released = None
+            continue
+        x = y
+        if not held.any():
+            return x
+        lam, *_ = np.linalg.lstsq(A_free @ A_free.T, A_free @ (z - x)[free],
+                                  rcond=None)
+        nu = (x - z + A.T @ lam) * np.where(x == lower, 1.0, -1.0)
+        nu[free] = np.inf
+        i = int(np.argmin(nu))
+        if nu[i] >= 0.0:
+            return x
+        held[i] = False
+        released = i
+    raise InvariantError("tangent projection did not settle")
 
 
 def stationarity_residual(x, grad, region):
@@ -116,7 +132,7 @@ def stationarity_residual(x, grad, region):
     elif isinstance(region, TangentSet):
         if not region.contains(x):
             raise ContractError("stationarity test point outside the region")
-        proj, _ = project_tangent(x - grad, region)
+        proj = project_tangent(x - grad, region)
     else:
         raise ContractError(f"unsupported region type {type(region).__name__}")
     return float(np.linalg.norm(proj - x))

@@ -1,18 +1,20 @@
 """Regularized quadratic subproblems for the restoration and tangent phases.
 
 Both phases minimize a strongly convex quadratic model over a convex region
-(a box, or a box cut by the tangent affine set).  The solves are projected
-gradient iterations driven well below the accuracy the outer algorithm
-needs; each returns a :class:`SolveCertificate` recording the realized
-model decrease, stationarity residual, and the ratios the outer theory
-budgets for, so audits can verify the subproblem contracts after the fact.
+(a box, or a box cut by the tangent affine set) by projected gradient
+iterations driven well below the accuracy the outer algorithm needs.  Both
+projections are exact, so each iterate is feasible and the only error in a
+solve is that of stopping the iteration.  Each solve returns a
+:class:`SolveCertificate` recording the realized model decrease,
+stationarity residual, and the ratios the outer theory budgets for, so
+audits can verify the subproblem contracts after the fact.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, InvariantError, as_point
+from .core import ConfigurationError, as_point
 from .geometry import BoxPolytope, TangentSet, project_box, project_tangent
 
 _RESID_TOL = 1e-11
@@ -47,19 +49,9 @@ class SolveCertificate:
     kappa_ratio: float
     kappa_phi_ratio: float
     flagged: bool
-    dykstra_residual: float
 
     def to_dict(self):
-        return {
-            "model_decrease": self.model_decrease,
-            "stationarity_residual": self.stationarity_residual,
-            "step_norm": self.step_norm,
-            "tangent_violation": self.tangent_violation,
-            "kappa_ratio": self.kappa_ratio,
-            "kappa_phi_ratio": self.kappa_phi_ratio,
-            "flagged": self.flagged,
-            "dykstra_residual": self.dykstra_residual,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -118,9 +110,9 @@ def build_H(problem, x_R, y, M, ledger=None, mode="zero"):
 def _projected_quadratic_min(g0, Q, center, project, max_iter, lip):
     """Projected gradient on ``m(x) = g0.(x-c) + 0.5 (x-c).Q.(x-c)``.
 
-    ``project`` maps a point to ``(projected_point, projection_residual)``.
+    ``project`` maps a point onto a region that contains the center.
     Returns the best iterate by model value together with the model
-    stationarity residual there and the worst projection residual seen.
+    value and stationarity residual there.
     """
 
     def model(x):
@@ -131,17 +123,9 @@ def _projected_quadratic_min(g0, Q, center, project, max_iter, lip):
         return g0 + Q @ (x - center)
 
     t = 1.0 / lip
-    x, proj_res = project(center)
-    worst_proj = proj_res
-    best_x, best_val = x, model(x)
-    if best_val > 0.0:
-        # projection of the center moved it uphill; the center itself
-        # must be feasible for the calling phase, so fall back to it
-        best_x, best_val = center, 0.0
-        x = center
+    x, best_x, best_val = center, center, 0.0
     for _ in range(max_iter):
-        x_next, proj_res = project(x - t * grad(x))
-        worst_proj = max(worst_proj, proj_res)
+        x_next = project(x - t * grad(x))
         val = model(x_next)
         if val < best_val:
             best_x, best_val = x_next, val
@@ -149,15 +133,13 @@ def _projected_quadratic_min(g0, Q, center, project, max_iter, lip):
         x = x_next
         if move <= _RESID_TOL * (1.0 + float(np.linalg.norm(g0))):
             break
-    unit, proj_res = project(best_x - grad(best_x))
-    worst_proj = max(worst_proj, proj_res)
-    resid = float(np.linalg.norm(unit - best_x))
-    return best_x, best_val, resid, worst_proj
+    resid = float(np.linalg.norm(project(best_x - grad(best_x)) - best_x))
+    return best_x, best_val, resid
 
 
 def _cauchy_decrease(g0, Q, center, project):
     """Best model value along the projected steepest-descent ray."""
-    target, _ = project(center - g0)
+    target = project(center - g0)
     d = target - center
     gd = float(g0 @ d)
     dQd = float(d @ (Q @ d))
@@ -187,13 +169,11 @@ def solve_restoration_qp(grad_c, B, sigma, z_center, box: BoxPolytope,
     lip = float(np.linalg.norm(Q, 2))
 
     def project(p):
-        return project_box(p, box), 0.0
+        return project_box(p, box)
 
-    z, val, resid, _ = _projected_quadratic_min(
+    z, val, resid = _projected_quadratic_min(
         g0, Q, z_center, project, max_iter, lip
     )
-    if val > 0.0:
-        raise InvariantError("restoration model increased at the returned point")
     step = float(np.linalg.norm(z - z_center))
     floor = _CERT_FLOOR * (1.0 + float(np.linalg.norm(g0)))
     ratio = 0.0 if resid <= floor else (resid / step if step > 0.0 else float("inf"))
@@ -207,7 +187,6 @@ def solve_restoration_qp(grad_c, B, sigma, z_center, box: BoxPolytope,
         kappa_ratio=ratio,
         kappa_phi_ratio=phi,
         flagged=bool(flagged),
-        dykstra_residual=0.0,
     )
     return z, cert
 
@@ -229,11 +208,9 @@ def solve_tangent_qp(grad_f, H, mu, x_R, region: TangentSet, kappas,
     def project(p):
         return project_tangent(p, region)
 
-    x, val, resid, worst_proj = _projected_quadratic_min(
+    x, val, resid = _projected_quadratic_min(
         g0, Q, x_R, project, max_iter, lip
     )
-    if val > 0.0:
-        raise InvariantError("tangent model increased at the returned point")
     s = x - x_R
     step = float(np.linalg.norm(s))
     if step <= _SNAP_REL * (1.0 + float(np.linalg.norm(x_R))):
@@ -245,7 +222,6 @@ def solve_tangent_qp(grad_f, H, mu, x_R, region: TangentSet, kappas,
             kappa_ratio=0.0,
             kappa_phi_ratio=1.0,
             flagged=False,
-            dykstra_residual=worst_proj,
         )
         return x_R.copy(), cert
 
@@ -269,6 +245,5 @@ def solve_tangent_qp(grad_f, H, mu, x_R, region: TangentSet, kappas,
         kappa_ratio=ratio,
         kappa_phi_ratio=phi,
         flagged=bool(flagged),
-        dykstra_residual=worst_proj,
     )
     return x, cert

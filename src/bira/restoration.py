@@ -24,18 +24,19 @@ from .core import (
     AbnormalTermination,
     PrecisionLevel,
     SchemaError,
+    check_fields,
     constraint_ssq,
     infeasibility,
 )
-from .diagnostics import FALLBACK_INNER_CAP
+from .diagnostics import restoration_inner_cap, restoration_refine_cap
 from .geometry import project_box
 from .qp import build_B, solve_restoration_qp
 
 _SIGMA_RUNAWAY = 1e9
 
 #: The measured fields of a restoration QP certificate.  The restoration
-#: QP has no affine part, so its tangent violation and projection residual
-#: are always zero and are not recorded.
+#: QP has no affine part, so its tangent violation is always zero and is
+#: not recorded.
 CERT_FIELDS = (
     "model_decrease",
     "stationarity_residual",
@@ -91,28 +92,19 @@ class RestorationOutcome:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            x_R=np.asarray(d["x_R"], dtype=float),
-            y_R=PrecisionLevel(*d["y_R"]),
-            status=d["status"],
-            h_xR_yR=d["h_xR_yR"],
-            h_xk_yR=d["h_xk_yR"],
-            refinements=d["refinements"],
-            z_steps=d["z_steps"],
-            inner_desc_tests=d["inner_desc_tests"],
-            sigma_history=tuple(d["sigma_history"]),
-            certificates=_cert_rows(d["certificates"]),
-            max_step_over_h=d["max_step_over_h"],
-            ledger_delta=dict(d["ledger_delta"]),
-        )
+        check_fields(d, cls.__dataclass_fields__, "restoration outcome")
+        kw = dict(d)
+        kw["x_R"] = np.asarray(d["x_R"], dtype=float)
+        kw["y_R"] = PrecisionLevel(*d["y_R"])
+        kw["sigma_history"] = tuple(d["sigma_history"])
+        kw["certificates"] = _cert_rows(d["certificates"])
+        kw["ledger_delta"] = dict(d["ledger_delta"])
+        return cls(**kw)
 
 
 def _cert_rows(columns):
     """Transpose certificate columns back into one dict per descent test."""
-    if not isinstance(columns, dict) or set(columns) != set(CERT_FIELDS):
-        raise SchemaError(
-            f"restoration certificates must be columns {list(CERT_FIELDS)}"
-        )
+    check_fields(columns, CERT_FIELDS, "restoration certificate columns")
     lengths = {len(columns[name]) for name in CERT_FIELDS}
     if len(lengths) > 1:
         raise SchemaError("restoration certificate columns differ in length")
@@ -140,8 +132,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
     The phase never evaluates the objective or its gradient.
     """
     kappas = {**DEFAULT_KAPPAS, **(kappas or {})}
-    cap = FALLBACK_INNER_CAP if inner_cap is None else int(inner_cap)
-    refine_cap = 10 * (params.N_prec + 2) + 100
+    cap = restoration_inner_cap(None) if inner_cap is None else int(inner_cap)
+    refine_cap = restoration_refine_cap(params)
     box = problem.box
     x_k = np.asarray(x_k, dtype=float)
     led0 = problem.ledger.snapshot()

@@ -30,6 +30,8 @@ from .core import (
     PenaltyState,
     PrecisionLevel,
     SchemaError,
+    check_fields,
+    merit_allowance,
     merit_phi,
 )
 from .diagnostics import constants as derived_constants
@@ -38,7 +40,7 @@ from .geometry import TangentSet, project_tangent
 from .qp import build_H, solve_tangent_qp
 from .restoration import RestorationOutcome, resta
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 
 def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -64,9 +66,8 @@ def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     let through.
     """
     dh = h_xR_yR - h_xk_yR
-    dg = g_yR - g_yk
     df = f_xR_yR - f_xk_yR
-    allowance = 0.5 * (1.0 - r) * (dh + dg)
+    allowance = merit_allowance(h_xk_yR, h_xR_yR, g_yk, g_yR, r)
 
     def holds(th):
         lhs = merit_phi(f_xR_yR, h_xR_yR, g_yR, th)
@@ -174,12 +175,7 @@ class IterationRecord:
 
     @classmethod
     def from_dict(cls, d):
-        if set(d) != set(cls.__dataclass_fields__):
-            raise SchemaError(
-                "iteration record fields differ from the schema:"
-                f" missing {sorted(set(cls.__dataclass_fields__) - set(d))},"
-                f" unknown {sorted(set(d) - set(cls.__dataclass_fields__))}"
-            )
+        check_fields(d, cls.__dataclass_fields__, "iteration record")
         kw = dict(d)
         for name in ("x_k", "x_next"):
             kw[name] = np.asarray(kw[name], dtype=float)
@@ -230,25 +226,19 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d):
-        if d.get("trace_version") != TRACE_VERSION:
+        check_fields(d, cls.__dataclass_fields__, "trace")
+        if d["trace_version"] != TRACE_VERSION:
             raise SchemaError(
-                f"trace version {d.get('trace_version')!r} not supported"
+                f"trace version {d['trace_version']!r} not supported"
             )
-        return cls(
-            status=d["status"],
-            problem_name=d["problem_name"],
-            records=[IterationRecord.from_dict(r) for r in d["records"]],
-            failure_info=d["failure_info"],
-            final_x=np.asarray(d["final_x"], dtype=float),
-            final_y=tuple(d["final_y"]),
-            params=AlgorithmParams.from_dict(d["params"]),
-            tolerances=dict(d["tolerances"]),
-            constants_basis=d["constants_basis"],
-            ledger_totals=dict(d["ledger_totals"]),
-            budget=d["budget"],
-            curvature_mode=d.get("curvature_mode", "zero"),
-            trace_version=d["trace_version"],
-        )
+        kw = dict(d)
+        kw["records"] = [IterationRecord.from_dict(r) for r in d["records"]]
+        kw["final_x"] = np.asarray(d["final_x"], dtype=float)
+        kw["final_y"] = tuple(d["final_y"])
+        kw["params"] = AlgorithmParams.from_dict(d["params"])
+        kw["tolerances"] = dict(d["tolerances"])
+        kw["ledger_totals"] = dict(d["ledger_totals"])
+        return cls(**kw)
 
 
 def _oracle_errors(problem, x, y, f_meas, h_vec_meas):
@@ -277,9 +267,9 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     tests); ``BudgetExceeded`` reports running out of iterations.
 
     A non-positive tolerance or a negative budget raises
-    :class:`ConfigurationError`.  An :class:`AbnormalTermination` from the
-    restoration phase propagates with the outer iteration index added to
-    its summary as ``iteration``.
+    :class:`ConfigurationError`.  An :class:`AbnormalTermination` or
+    :class:`InvariantError` raised inside an iteration propagates with the
+    outer iteration index added to its summary as ``iteration``.
     """
     params = params or AlgorithmParams.defaults()
     kappas = {**DEFAULT_KAPPAS, **(kappas or {})}
@@ -330,161 +320,162 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     f_val = problem.eval_f(x, y)
     h_norm = float(np.linalg.norm(h_vec))
 
-    for k in range(budget):
-        if k > 0:
-            led_iter = problem.ledger.snapshot()
+    try:
+        for k in range(budget):
+            if k > 0:
+                led_iter = problem.ledger.snapshot()
 
-        try:
             out = resta(
                 problem, x, y, params,
                 h_xk_yk_norm=h_norm, use_pdp=use_pdp, inner_cap=inner_cap,
                 kappas=kappas,
             )
-        except AbnormalTermination as exc:
-            exc.summary["iteration"] = k
-            raise
-        if out.status == "possible_infeasibility":
-            return finish(
-                "RestorationFailure", out.x_R, out.y_R,
-                failure={
-                    "kind": "possible_infeasibility",
-                    "iteration": k,
-                    "resta": out.to_dict(),
-                },
-            )
-
-        y_R = out.y_R
-        g_k, g_R = y.g, y_R.g
-        failed, kind = restoration_failure(
-            out.h_xk_yR, out.h_xR_yR, g_k, g_R, params.r
-        )
-        if failed:
-            return finish(
-                "RestorationFailure", x, y,
-                failure={"kind": kind, "iteration": k, "resta": out.to_dict()},
-            )
-
-        x_R = out.x_R
-        same_point = bool(np.array_equal(x_R, x))
-        same_prec = y_R == y
-        if same_prec:
-            f_xk_yR = f_val
-        else:
-            f_xk_yR = problem.eval_f(x, y_R)
-        if same_point:
-            f_xR_yR = f_xk_yR
-        else:
-            f_xR_yR = problem.eval_f(x_R, y_R)
-
-        theta_next = update_penalty(
-            theta.theta, f_xR_yR, f_xk_yR, out.h_xk_yR, out.h_xR_yR,
-            g_k, g_R, params.r,
-        )
-
-        allowance = 0.5 * (1.0 - params.r) * (
-            out.h_xR_yR - out.h_xk_yR + g_R - g_k
-        )
-
-        mu = mu_start
-        grad_f_cache = {}
-        region_cache = {}
-        accepted = None
-        attempts = 0
-        while accepted is None:
-            attempts += 1
-            if attempts > attempt_cap:
-                raise InvariantError(
-                    f"tangent phase exhausted {attempt_cap} attempts at"
-                    f" iteration {k}"
+            if out.status == "possible_infeasibility":
+                return finish(
+                    "RestorationFailure", out.x_R, out.y_R,
+                    failure={
+                        "kind": "possible_infeasibility",
+                        "iteration": k,
+                        "resta": out.to_dict(),
+                    },
                 )
-            y_next = y if (attempts - 1) < params.N_acce else y_R
-            key = y_next.as_tuple()
-            if key not in grad_f_cache:
-                grad_f_cache[key] = problem.eval_grad_f(x_R, y_next)
-                J_next = problem.eval_grad_h(x_R, y_next)
-                region_cache[key] = TangentSet(problem.box, J_next, x_R)
-            grad_f = grad_f_cache[key]
-            region = region_cache[key]
-            Hmodel = build_H(problem, x_R, y_next, params.M,
-                             ledger=problem.ledger, mode=curvature_mode)
-            x_trial, cert = solve_tangent_qp(
-                grad_f, Hmodel.matrix, mu, x_R, region, kappas
-            )
-            s_norm = cert.step_norm
 
-            if s_norm == 0.0 and y_next == y_R:
-                f_trial = f_xR_yR
-            else:
-                f_trial = problem.eval_f(x_trial, y_next)
-            h_trial_vec = problem.eval_h(x_trial, y_next)
-            h_trial = float(np.linalg.norm(h_trial_vec))
-
-            desc_ok = f_trial <= f_xR_yR - params.alpha * s_norm**2
-            if y_next == y_R:
-                f_ref, h_ref = f_xk_yR, out.h_xk_yR
-            else:
-                f_ref, h_ref = f_val, h_norm
-            merit_ok = (
-                merit_phi(f_trial, h_trial, y_next.g, theta_next)
-                <= merit_phi(f_ref, h_ref, y_next.g, theta_next) + allowance
+            y_R = out.y_R
+            g_k, g_R = y.g, y_R.g
+            failed, kind = restoration_failure(
+                out.h_xk_yR, out.h_xR_yR, g_k, g_R, params.r
             )
-            if desc_ok and merit_ok:
-                accepted = (x_trial, y_next, f_trial, h_trial_vec, h_trial,
-                            cert, grad_f, region)
+            if failed:
+                return finish(
+                    "RestorationFailure", x, y,
+                    failure={"kind": kind, "iteration": k,
+                             "resta": out.to_dict()},
+                )
+
+            x_R = out.x_R
+            same_point = bool(np.array_equal(x_R, x))
+            same_prec = y_R == y
+            if same_prec:
+                f_xk_yR = f_val
             else:
-                mu *= 2.0
-                if mu > 1e2 * max(tc.mu_cap, params.mu_max):
+                f_xk_yR = problem.eval_f(x, y_R)
+            if same_point:
+                f_xR_yR = f_xk_yR
+            else:
+                f_xR_yR = problem.eval_f(x_R, y_R)
+
+            theta_next = update_penalty(
+                theta.theta, f_xR_yR, f_xk_yR, out.h_xk_yR, out.h_xR_yR,
+                g_k, g_R, params.r,
+            )
+
+            allowance = merit_allowance(
+                out.h_xk_yR, out.h_xR_yR, g_k, g_R, params.r
+            )
+
+            mu = mu_start
+            grad_f_cache = {}
+            region_cache = {}
+            accepted = None
+            attempts = 0
+            while accepted is None:
+                attempts += 1
+                if attempts > attempt_cap:
                     raise InvariantError(
-                        f"regularization runaway at iteration {k}"
+                        f"tangent phase exhausted {attempt_cap} attempts at"
+                        f" iteration {k}"
                     )
+                y_next = y if (attempts - 1) < params.N_acce else y_R
+                key = y_next.as_tuple()
+                if key not in grad_f_cache:
+                    grad_f_cache[key] = problem.eval_grad_f(x_R, y_next)
+                    J_next = problem.eval_grad_h(x_R, y_next)
+                    region_cache[key] = TangentSet(problem.box, J_next, x_R)
+                grad_f = grad_f_cache[key]
+                region = region_cache[key]
+                Hmodel = build_H(problem, x_R, y_next, params.M,
+                                 ledger=problem.ledger, mode=curvature_mode)
+                x_trial, cert = solve_tangent_qp(
+                    grad_f, Hmodel.matrix, mu, x_R, region, kappas
+                )
+                s_norm = cert.step_norm
 
-        (x_next, y_next, f_next, h_next_vec, h_next, cert, grad_f,
-         region) = accepted
+                if s_norm == 0.0 and y_next == y_R:
+                    f_trial = f_xR_yR
+                else:
+                    f_trial = problem.eval_f(x_trial, y_next)
+                h_trial_vec = problem.eval_h(x_trial, y_next)
+                h_trial = float(np.linalg.norm(h_trial_vec))
 
-        proj, _ = project_tangent(x_R - grad_f, region)
-        residual = float(np.linalg.norm(proj - x_R))
+                desc_ok = f_trial <= f_xR_yR - params.alpha * s_norm**2
+                if y_next == y_R:
+                    f_ref, h_ref = f_xk_yR, out.h_xk_yR
+                else:
+                    f_ref, h_ref = f_val, h_norm
+                merit_ref = merit_phi(f_ref, h_ref, y_next.g, theta_next)
+                merit_ok = (merit_phi(f_trial, h_trial, y_next.g, theta_next)
+                            <= merit_ref + allowance)
+                if desc_ok and merit_ok:
+                    accepted = (x_trial, y_next, f_trial, h_trial_vec, h_trial,
+                                cert, grad_f, region)
+                else:
+                    mu *= 2.0
+                    if mu > 1e2 * max(tc.mu_cap, params.mu_max):
+                        raise InvariantError(
+                            f"regularization runaway at iteration {k}"
+                        )
 
-        oracle_f_err, oracle_h_err = _oracle_errors(problem, x, y, f_val, h_vec)
+            (x_next, y_next, f_next, h_next_vec, h_next, cert, grad_f,
+             region) = accepted
 
-        ledger_after = problem.ledger.snapshot()
-        records.append(IterationRecord(
-            k=k,
-            x_k=x.copy(),
-            x_next=np.asarray(x_next, dtype=float).copy(),
-            y_k=y.as_tuple(),
-            y_R=y_R.as_tuple(),
-            y_next=y_next.as_tuple(),
-            theta_before=theta.theta,
-            theta_after=theta_next,
-            mu_k=mu,
-            ell_count=attempts,
-            h_xk_yk=h_norm,
-            h_xk_yR=out.h_xk_yR,
-            h_xR_yR=out.h_xR_yR,
-            h_xnext_ynext=h_next,
-            f_xk_yk=f_val,
-            f_xk_yR=f_xk_yR,
-            f_xR_yR=f_xR_yR,
-            f_xnext_ynext=f_next,
-            stationarity_residual=residual,
-            resta=out,
-            tangent_cert=cert.to_dict(),
-            oracle_f_error=oracle_f_err,
-            oracle_h_error=oracle_h_err,
-            ledger_delta=problem.ledger.delta(led_iter),
-            ledger_after=ledger_after,
-        ))
-        theta.push(theta_next)
+            proj = project_tangent(x_R - grad_f, region)
+            residual = float(np.linalg.norm(proj - x_R))
 
-        if (out.h_xR_yR <= eps_feas and g_R <= eps_prec
-                and y_next.g <= eps_prec and residual <= eps_opt):
-            return finish("Converged", x_R, y_next)
+            oracle_f_err, oracle_h_err = _oracle_errors(
+                problem, x, y, f_val, h_vec)
 
-        x = np.asarray(x_next, dtype=float)
-        y = y_next
-        f_val = f_next
-        h_vec = h_next_vec
-        h_norm = h_next
-        mu_start = min(max(mu / 2.0, params.mu_min), params.mu_max)
+            ledger_after = problem.ledger.snapshot()
+            records.append(IterationRecord(
+                k=k,
+                x_k=x.copy(),
+                x_next=np.asarray(x_next, dtype=float).copy(),
+                y_k=y.as_tuple(),
+                y_R=y_R.as_tuple(),
+                y_next=y_next.as_tuple(),
+                theta_before=theta.theta,
+                theta_after=theta_next,
+                mu_k=mu,
+                ell_count=attempts,
+                h_xk_yk=h_norm,
+                h_xk_yR=out.h_xk_yR,
+                h_xR_yR=out.h_xR_yR,
+                h_xnext_ynext=h_next,
+                f_xk_yk=f_val,
+                f_xk_yR=f_xk_yR,
+                f_xR_yR=f_xR_yR,
+                f_xnext_ynext=f_next,
+                stationarity_residual=residual,
+                resta=out,
+                tangent_cert=cert.to_dict(),
+                oracle_f_error=oracle_f_err,
+                oracle_h_error=oracle_h_err,
+                ledger_delta=problem.ledger.delta(led_iter),
+                ledger_after=ledger_after,
+            ))
+            theta.push(theta_next)
+
+            if (out.h_xR_yR <= eps_feas and g_R <= eps_prec
+                    and y_next.g <= eps_prec and residual <= eps_opt):
+                return finish("Converged", x_R, y_next)
+
+            x = np.asarray(x_next, dtype=float)
+            y = y_next
+            f_val = f_next
+            h_vec = h_next_vec
+            h_norm = h_next
+            mu_start = min(max(mu / 2.0, params.mu_min), params.mu_max)
+    except (AbnormalTermination, InvariantError) as exc:
+        exc.summary["iteration"] = k
+        raise
 
     return finish("BudgetExceeded", x, y)

@@ -294,7 +294,7 @@ def test_criterion_10_qp_layer_matches_dense_grids():
             CERT_RECOMPUTE_TOL)
         assert float(np.linalg.norm(u @ s)) <= 1e-10
         gz = grad + q_mat @ s
-        proj, _ = project_tangent(x - gz, region)
+        proj = project_tangent(x - gz, region)
         resid = float(np.linalg.norm(proj - x))
         assert abs(resid - cert.stationarity_residual) <= CERT_RECOMPUTE_TOL
         if cert.step_norm > 1e-9:

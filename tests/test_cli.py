@@ -80,15 +80,27 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda rec: rec.update(g_yk=0.0),
-    lambda rec: rec.pop("theta_after"),
-], ids=["unknown_field", "missing_field"])
+    lambda trace: trace["records"][0].update(g_yk=0.0),
+    lambda trace: trace["records"][0].pop("theta_after"),
+    lambda trace: trace.pop("status"),
+    lambda trace: trace["records"][0]["resta"].pop("z_steps"),
+], ids=["unknown_field", "missing_field", "missing_status",
+        "resta_missing_z_steps"])
 def test_audit_rejects_records_off_the_schema(tmp_path, capsys, edit):
     trace = tmp_path / "t.json"
     main(["run", "--problem", "p4", "--out", str(trace)])
     payload = json.loads(trace.read_text())
-    edit(payload["records"][0])
+    edit(payload)
     trace.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
+    trace = tmp_path / "t.json"
+    main(["run", "--problem", "p4", "--out", str(trace)])
+    trace.write_text(json.dumps([json.loads(trace.read_text())]))
     capsys.readouterr()
     assert main(["audit", str(trace)]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -149,7 +161,6 @@ def test_complexity_sweep_reports_abnormal_runs(tmp_path, monkeypatch, exc):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert rows[0]["status"] == type(exc).__name__
     assert int(rows[0]["h_evals"]) > 0
-    if isinstance(exc, AbnormalTermination):
-        # two iterations finished before the third restoration call failed
-        assert rows[0]["iterations"] == "2"
+    # two iterations finished before the third restoration call failed
+    assert rows[0]["iterations"] == "2"
     assert [row["status"] for row in rows[1:]] == ["Converged"] * 2

@@ -66,6 +66,24 @@ def test_tangent_qp_closed_form_on_a_line():
     assert not cert.flagged
 
 
+def test_tangent_qp_small_step_against_an_active_bound():
+    # the gradient holds x_0 at its upper bound while the step slides
+    # about 1e-7 along the plane; an inexact projection leaves a residual
+    # far above kappa_T * ||s||^2 there
+    box = BoxPolytope(-np.ones(3), np.ones(3))
+    center = np.array([1.0, 0.2, -0.5])
+    region = TangentSet(box, np.array([[1.0, 1.0, 1.0]]), center)
+    x, cert = solve_tangent_qp(
+        np.array([-1.0, 3e-7, 0.0]), np.zeros((3, 3)), 1.0, center, region,
+        DEFAULT_KAPPAS,
+    )
+    np.testing.assert_allclose(x - center, [0.0, -7.5e-8, 7.5e-8],
+                               rtol=0, atol=1e-15)
+    assert cert.step_norm == pytest.approx(7.5e-8 * np.sqrt(2.0))
+    assert cert.kappa_ratio <= DEFAULT_KAPPAS["kappa_T"]
+    assert not cert.flagged
+
+
 def test_tangent_qp_snaps_tiny_steps_to_center():
     box = BoxPolytope(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     center = np.array([0.1, -0.1])
@@ -92,7 +110,7 @@ def test_tiny_kappas_raise_the_flag():
 
 
 def test_certificate_round_trip():
-    cert = SolveCertificate(-1.0, 1e-11, 0.5, 0.0, 2e-11, 1.0, False, 1e-12)
+    cert = SolveCertificate(-1.0, 1e-11, 0.5, 0.0, 2e-11, 1.0, False)
     back = SolveCertificate.from_dict(cert.to_dict())
     assert back == cert
 
