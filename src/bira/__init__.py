@@ -59,7 +59,6 @@ from .oracle import (
     problem_by_name,
 )
 from .qp import (
-    HessianModel,
     SolveCertificate,
     build_B,
     build_H,
@@ -88,7 +87,6 @@ __all__ = [
     "DEFAULT_KAPPAS",
     "DomainError",
     "EvaluationLedger",
-    "HessianModel",
     "InexactProblem",
     "InsufficientDataError",
     "InvariantError",

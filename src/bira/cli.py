@@ -5,7 +5,8 @@ Subcommands:
 ``run``
     Solve one named problem, optionally writing a replayable JSON trace.
     Exit code 0 on convergence, 2 on restoration failure, 3 on budget
-    exhaustion.
+    exhaustion, 5 on an abnormal termination (a safety cap or a broken
+    internal guarantee; ``run`` and ``suite`` print its summary).
 
 ``audit``
     Re-check a saved trace against every recorded invariant and the
@@ -53,6 +54,7 @@ EXIT_USAGE = 1
 EXIT_RESTORATION = 2
 EXIT_BUDGET = 3
 EXIT_AUDIT = 4
+EXIT_ABNORMAL = 5
 
 _STATUS_EXIT = {
     "Converged": EXIT_OK,
@@ -312,6 +314,10 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (AbnormalTermination, InvariantError) as exc:
+        where = ", ".join(f"{k}={v}" for k, v in exc.summary.items())
+        print(f"error: {type(exc).__name__}: {exc} ({where})", file=sys.stderr)
+        return EXIT_ABNORMAL
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ def check_fields(payload, fields, what):
 
 
 #: Acceptance targets for the subproblem-solver certificates.  The inner
-#: solvers iterate well past these; the targets only gate the certificates.
+#: solves are exact up to rounding; the targets only gate the certificates.
 DEFAULT_KAPPAS = {
     "kappa_R": 10.0,
     "kappa_T": 10.0,

@@ -462,9 +462,9 @@ def audit(report, tc=None):
             extra_f = 1 if rec.k == 0 else 0
             gradf_cap = tc.gradf_evals_per_iter
             if mode == "fd":
-                # central differences spend 2n gradient calls per attempt
+                # central differences: 2n gradient calls per level tried
                 n = len(np.asarray(rec.x_k))
-                gradf_cap += 2 * n * rec.ell_count
+                gradf_cap += 2 * n * min(rec.ell_count, 2)
             caps = {
                 "h_evals": tc.h_evals_per_iter + extra_h,
                 "gradh_evals": tc.gradh_evals_per_iter,

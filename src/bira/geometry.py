@@ -2,11 +2,11 @@
 
 The optimization phase works inside a moving region: the box intersected
 with the affine set tangent to the linearized constraints at the restored
-point.  Projection onto that intersection is a small convex quadratic
-program, solved exactly by a primal active-set method started at the
-region's center: each pass is one affine projection on the coordinates
-not held at a bound, and the returned point satisfies the box exactly
-and the affine rows up to rounding.
+point.  Projection onto a box (bounds may be infinite) cut by an affine set
+through a known feasible point is a small convex quadratic program, solved
+exactly by a primal active-set method started at that point: each pass is
+one affine projection on the coordinates not held at a bound.  The QP layer
+solves both of its subproblems with the same routine.
 """
 
 from dataclasses import dataclass
@@ -65,19 +65,19 @@ class TangentSet:
         return resid <= tol * (1.0 + float(np.linalg.norm(x)))
 
 
-def project_tangent(z, region: TangentSet):
-    """Euclidean projection of ``z`` onto ``region``, exact up to rounding.
+def project_polyhedron(z, lower, upper, A, center):
+    """Euclidean projection of ``z`` onto ``{x : lower <= x <= upper,
+    A (x - center) = 0}``, exact up to rounding.
 
-    Primal active-set method (Nocedal & Wright, *Numerical Optimization*,
-    16.5) from the feasible center: each pass projects ``z`` onto the affine
-    set with the held bounds fixed.  A step that would cross a bound stops
-    at the first one and holds it; a full step releases the held bound whose
-    multiplier has the wrong sign, or returns if none has.  More than
-    ``10 (n + 1)`` passes raise :class:`InvariantError`.
+    Bounds may be infinite; ``center`` must belong to the set.  Primal
+    active-set method (Nocedal & Wright, *Numerical Optimization*, 16.5)
+    from the center: each pass projects ``z`` onto the affine set with the
+    held bounds fixed.  A step that would cross a bound stops at the first
+    one and holds it; a full step releases the held bound whose multiplier
+    has the wrong sign, or returns if none has.  More than ``10 (n + 1)``
+    passes raise :class:`InvariantError`.
     """
-    z = as_point(z, region.box.dim)
-    lower, upper, A = region.box.lower, region.box.upper, region.A
-    x = region.center.copy()
+    x = np.array(center, dtype=float)
     held = np.zeros(z.size, dtype=bool)
     released = None
     for _ in range(10 * (z.size + 1)):
@@ -97,7 +97,7 @@ def project_tangent(z, region: TangentSet):
             if released is not None and t[released] == 0.0:
                 # releasing it bought no step: its multiplier was rounding
                 return x
-            x = region.box.clip(x + t[j] * p)
+            x = np.clip(x + t[j] * p, lower, upper)
             x[j] = lower[j] if y[j] < lower[j] else upper[j]
             held[j] = True
             released = None
@@ -114,7 +114,14 @@ def project_tangent(z, region: TangentSet):
             return x
         held[i] = False
         released = i
-    raise InvariantError("tangent projection did not settle")
+    raise InvariantError("polyhedral projection did not settle")
+
+
+def project_tangent(z, region: TangentSet):
+    """Euclidean projection of ``z`` onto ``region``, exact up to rounding."""
+    box = region.box
+    return project_polyhedron(as_point(z, box.dim), box.lower, box.upper,
+                              region.A, region.center)
 
 
 def stationarity_residual(x, grad, region):

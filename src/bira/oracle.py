@@ -62,9 +62,10 @@ class InexactProblem(ABC):
     """Base class for problems evaluated through a precision-controlled oracle.
 
     Subclasses implement the underscore hooks; the public ``eval_*``
-    wrappers validate the point, charge the ledger, and dispatch.  The
-    wrappers are the only sanctioned way to evaluate: everything that goes
-    through them is counted.
+    wrappers validate the point, charge the ledger, dispatch, and raise
+    :class:`ContractError` on a result of the wrong shape or with a
+    non-finite entry.  The wrappers are the only sanctioned way to
+    evaluate: everything that goes through them is counted.
     """
 
     def __init__(self, name, box: BoxPolytope, m):
@@ -83,31 +84,38 @@ class InexactProblem(ABC):
             raise DomainError(f"point outside the box domain of {self.name}")
         return x
 
+    def _result(self, oracle, out, shape):
+        out = np.asarray(out, dtype=float)
+        if out.shape != shape:
+            raise ContractError(
+                f"{oracle} of {self.name} returned shape {out.shape}"
+            )
+        if not np.isfinite(out).all():
+            raise ContractError(
+                f"{oracle} of {self.name} returned a non-finite value"
+            )
+        return out
+
     def eval_f(self, x, y: PrecisionLevel):
         x = self._check(x)
         self.ledger.f_evals += 1
-        return float(self._f(x, y))
+        return float(self._result("eval_f", self._f(x, y), ()))
 
     def eval_grad_f(self, x, y: PrecisionLevel):
         x = self._check(x)
         self.ledger.gradf_evals += 1
-        return np.asarray(self._grad_f(x, y), dtype=float)
+        return self._result("eval_grad_f", self._grad_f(x, y), (self.dim,))
 
     def eval_h(self, x, y: PrecisionLevel):
         x = self._check(x)
         self.ledger.h_evals += 1
-        out = np.asarray(self._h(x, y), dtype=float)
-        if out.shape != (self.m,):
-            raise ContractError(f"constraint oracle returned shape {out.shape}")
-        return out
+        return self._result("eval_h", self._h(x, y), (self.m,))
 
     def eval_grad_h(self, x, y: PrecisionLevel):
         x = self._check(x)
         self.ledger.gradh_evals += 1
-        out = np.atleast_2d(np.asarray(self._grad_h(x, y), dtype=float))
-        if out.shape != (self.m, self.dim):
-            raise ContractError(f"constraint jacobian has shape {out.shape}")
-        return out
+        return self._result("eval_grad_h", np.atleast_2d(self._grad_h(x, y)),
+                            (self.m, self.dim))
 
     def refine(self, y: PrecisionLevel, gf_target, gh_target):
         """Return a precision level meeting both targets.

@@ -1,33 +1,32 @@
 """Regularized quadratic subproblems for the restoration and tangent phases.
 
-Both phases minimize a strongly convex quadratic model over a convex region
-(a box, or a box cut by the tangent affine set) by projected gradient
-iterations driven well below the accuracy the outer algorithm needs.  Both
-projections are exact, so each iterate is feasible and the only error in a
-solve is that of stopping the iteration.  Each solve returns a
+Both phases minimize ``g.d + (tau/2) ||d||^2 + 0.5 ||G d||^2`` over the box,
+or over the box cut by the tangent set ``{A d = 0}``.  The minimizer is the
+projection of ``(center - g/tau, 0)`` onto the lifted set ``{(z, v) : z in
+box, A (z - center) = 0, v = G (z - center) / sqrt(tau)}``, which
+:func:`~bira.geometry.project_polyhedron` computes exactly, so a solve has
+no iteration, tolerance or cap.  Each solve returns a
 :class:`SolveCertificate` recording the realized model decrease,
 stationarity residual, and the ratios the outer theory budgets for, so
 audits can verify the subproblem contracts after the fact.
 """
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, as_point
-from .geometry import BoxPolytope, TangentSet, project_box, project_tangent
+from .core import ConfigurationError, ContractError, as_point
+from .geometry import (
+    BoxPolytope,
+    TangentSet,
+    project_box,
+    project_polyhedron,
+    project_tangent,
+)
 
-_RESID_TOL = 1e-11
 _SNAP_REL = 1e-8
 _CERT_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class HessianModel:
-    """Curvature matrix for the tangent model plus its norm-bound status."""
-
-    matrix: np.ndarray
-    norm_bound_ok: bool
 
 
 @dataclass(frozen=True)
@@ -59,36 +58,40 @@ class SolveCertificate:
 
 
 def build_B(J, M, sigma_min):
-    """Gauss-Newton curvature ``J^T J`` scaled so its 2-norm is at most M.
+    """Factor ``G`` of the Gauss-Newton curvature ``B = G^T G``: the
+    Jacobian scaled so that ``||B||_2 = ||J J^T||_2`` is at most M.
 
-    The restoration analysis needs ``M * sigma_min >= 1``; violating that
-    is a configuration error, not a runtime condition.
+    The norm comes from the m-by-m Gram matrix, so no n-by-n matrix is
+    formed.  The restoration analysis needs ``M * sigma_min >= 1``;
+    violating that is a configuration error, not a runtime condition.
     """
     if M * sigma_min < 1.0:
         raise ConfigurationError(
             f"M * sigma_min must be >= 1, got {M} * {sigma_min}"
         )
     J = np.atleast_2d(np.asarray(J, dtype=float))
-    B = J.T @ J
-    nrm = float(np.linalg.norm(B, 2)) if B.size else 0.0
+    nrm = float(np.linalg.eigvalsh(J @ J.T)[-1])
     if nrm > M:
-        B = B * (M / nrm)
-    return B
+        J = J * math.sqrt(M / nrm)
+    return J
 
 
 def build_H(problem, x_R, y, M, ledger=None, mode="zero"):
-    """Curvature model for the tangent phase at the restored point.
+    """Curvature matrix for the tangent phase at the restored point.
 
     ``mode="zero"`` returns the zero matrix (the default in the outer
     solver: it keeps the per-iteration gradient budget intact).
     ``mode="fd"`` builds a central-difference Hessian of the inexact
-    objective; the extra gradient evaluations are charged to ``ledger``
-    like any other, so budget audits will see them.
+    objective and keeps only its nonnegative eigenvalues, scaled so the
+    norm is at most M; the result is positive semidefinite, so the tangent
+    model is strongly convex for every ``mu > 0``.  The extra gradient
+    evaluations are charged to the problem's ledger like any other, so
+    budget audits will see them.
     """
     x_R = as_point(x_R)
     n = x_R.size
     if mode == "zero":
-        return HessianModel(np.zeros((n, n)), True)
+        return np.zeros((n, n))
     if mode != "fd":
         raise ConfigurationError(f"unknown curvature mode {mode!r}")
     step = 1e-5 * (1.0 + float(np.linalg.norm(x_R)))
@@ -99,50 +102,46 @@ def build_H(problem, x_R, y, M, ledger=None, mode="zero"):
         gp = problem.eval_grad_f(x_R + e, y)
         gm = problem.eval_grad_f(x_R - e, y)
         H[:, j] = (gp - gm) / (2.0 * step)
-    H = 0.5 * (H + H.T)
-    nrm = float(np.linalg.norm(H, 2))
-    ok = nrm <= M
-    if not ok:
-        H = H * (M / nrm)
-    return HessianModel(H, ok)
+    lam, V = np.linalg.eigh(0.5 * (H + H.T))
+    lam = np.maximum(lam, 0.0)
+    if lam[-1] > M:
+        lam *= M / lam[-1]
+    return (V * lam) @ V.T
 
 
-def _projected_quadratic_min(g0, Q, center, project, max_iter, lip):
-    """Projected gradient on ``m(x) = g0.(x-c) + 0.5 (x-c).Q.(x-c)``.
+def _solve(g0, G, tau, center, lower, upper, A, project):
+    """Exact minimizer of ``g0.d + (tau/2)||d||^2 + 0.5||G d||^2`` over
+    ``{center + d in [lower, upper], A d = 0}``, with its model value,
+    stationarity residual, step norm, residual floor and Cauchy ratio.
+    ``project`` maps onto the feasible set."""
 
-    ``project`` maps a point onto a region that contains the center.
-    Returns the best iterate by model value together with the model
-    value and stationarity residual there.
-    """
+    def curv(d):
+        return tau * d + G.T @ (G @ d)
 
-    def model(x):
-        d = x - center
-        return float(g0 @ d + 0.5 * d @ (Q @ d))
-
-    def grad(x):
-        return g0 + Q @ (x - center)
-
-    t = 1.0 / lip
-    x, best_x, best_val = center, center, 0.0
-    for _ in range(max_iter):
-        x_next = project(x - t * grad(x))
-        val = model(x_next)
-        if val < best_val:
-            best_x, best_val = x_next, val
-        move = float(np.linalg.norm(x_next - x))
-        x = x_next
-        if move <= _RESID_TOL * (1.0 + float(np.linalg.norm(g0))):
-            break
-    resid = float(np.linalg.norm(project(best_x - grad(best_x)) - best_x))
-    return best_x, best_val, resid
+    k = G.shape[0]
+    lifted = np.vstack([np.hstack([A, np.zeros((A.shape[0], k))]),
+                        np.hstack([G / math.sqrt(tau), -np.eye(k)])])
+    pad = np.full(k, np.inf)
+    x = project_polyhedron(
+        np.concatenate([center - g0 / tau, np.zeros(k)]),
+        np.concatenate([lower, -pad]), np.concatenate([upper, pad]),
+        lifted, np.concatenate([center, np.zeros(k)]),
+    )[:center.size]
+    d = x - center
+    Qd = curv(d)
+    val = float(g0 @ d + 0.5 * d @ Qd)
+    resid = float(np.linalg.norm(project(x - (g0 + Qd)) - x))
+    floor = _CERT_FLOOR * (1.0 + float(np.linalg.norm(g0)))
+    phi = _phi_ratio(_cauchy_decrease(g0, curv, center, project), val)
+    return x, val, resid, float(np.linalg.norm(d)), floor, phi
 
 
-def _cauchy_decrease(g0, Q, center, project):
+def _cauchy_decrease(g0, curv, center, project):
     """Best model value along the projected steepest-descent ray."""
     target = project(center - g0)
     d = target - center
     gd = float(g0 @ d)
-    dQd = float(d @ (Q @ d))
+    dQd = float(d @ curv(d))
     if gd >= 0.0 or np.linalg.norm(d) == 0.0:
         return 0.0
     t = 1.0 if dQd <= 0.0 else min(1.0, -gd / dQd)
@@ -156,28 +155,26 @@ def _phi_ratio(cauchy_val, achieved_val):
     return cauchy_val / achieved_val
 
 
-def solve_restoration_qp(grad_c, B, sigma, z_center, box: BoxPolytope,
-                         kappas, max_iter=500):
-    """Minimize the regularized Gauss-Newton model over the box.
+def solve_restoration_qp(grad_c, G, sigma, z_center, box: BoxPolytope,
+                         kappas):
+    """Minimize the regularized Gauss-Newton model
+    ``g.d + 0.5 d.(G^T G + 2 sigma I).d`` over the box.
 
-    Returns ``(z_trial, certificate)``.  The model decrease is guaranteed
-    nonpositive: the center is always a fallback iterate.
+    ``G`` is the factor returned by :func:`build_B`.  Returns
+    ``(z_trial, certificate)``.
     """
     z_center = as_point(z_center, box.dim)
     g0 = as_point(grad_c, box.dim)
-    Q = B + 2.0 * sigma * np.eye(box.dim)
-    lip = float(np.linalg.norm(Q, 2))
+    G = np.atleast_2d(np.asarray(G, dtype=float))
 
     def project(p):
         return project_box(p, box)
 
-    z, val, resid = _projected_quadratic_min(
-        g0, Q, z_center, project, max_iter, lip
+    z, val, resid, step, floor, phi = _solve(
+        g0, G, 2.0 * sigma, z_center, box.lower, box.upper,
+        np.zeros((0, box.dim)), project,
     )
-    step = float(np.linalg.norm(z - z_center))
-    floor = _CERT_FLOOR * (1.0 + float(np.linalg.norm(g0)))
     ratio = 0.0 if resid <= floor else (resid / step if step > 0.0 else float("inf"))
-    phi = _phi_ratio(_cauchy_decrease(g0, Q, z_center, project), val)
     flagged = ratio > kappas["kappa_R"] or phi > kappas["kappa_phi"]
     cert = SolveCertificate(
         model_decrease=val,
@@ -191,48 +188,37 @@ def solve_restoration_qp(grad_c, B, sigma, z_center, box: BoxPolytope,
     return z, cert
 
 
-def solve_tangent_qp(grad_f, H, mu, x_R, region: TangentSet, kappas,
-                     max_iter=500):
-    """Minimize the regularized objective model over the tangent region.
+def solve_tangent_qp(grad_f, H, mu, x_R, region: TangentSet, kappas):
+    """Minimize ``g.s + 0.5 s.(H + 2 mu I).s`` over the tangent region.
 
-    Returns ``(x_new, certificate)`` with ``x_new = x_R + s``.  Steps
-    smaller than a resolution threshold are snapped to zero: such a step
-    carries no usable certificate ratio and the outer stopping test is the
-    authority on whether the point is good enough.
+    ``H + 2 mu I`` is split into ``tau I + G^T G`` by ``eigh`` (zero
+    curvature leaves ``G`` empty: one projection); if it is not positive
+    definite, :class:`ContractError` is raised.  Returns ``(x_R + s,
+    certificate)``.  Steps below a resolution threshold are snapped to
+    zero: they carry no usable certificate ratio, and the outer stopping
+    test is the authority on whether the point is good enough.
     """
     x_R = as_point(x_R, region.box.dim)
     g0 = as_point(grad_f, region.box.dim)
-    Q = H + 2.0 * mu * np.eye(region.box.dim)
-    lip = float(np.linalg.norm(Q, 2))
+    H = np.asarray(H, dtype=float)
+    lam, V = np.linalg.eigh(H) if H.any() else (np.zeros(0), H[:, :0])
+    shift = float(lam.min(initial=0.0))
+    tau = 2.0 * mu + shift
+    if not tau > 0.0:
+        raise ContractError("tangent model H + 2 mu I is not positive definite")
+    G = np.sqrt(lam - shift)[:, None] * V.T
 
     def project(p):
         return project_tangent(p, region)
 
-    x, val, resid = _projected_quadratic_min(
-        g0, Q, x_R, project, max_iter, lip
+    x, val, resid, step, floor, phi = _solve(
+        g0, G, tau, x_R, region.box.lower, region.box.upper, region.A,
+        project,
     )
-    s = x - x_R
-    step = float(np.linalg.norm(s))
     if step <= _SNAP_REL * (1.0 + float(np.linalg.norm(x_R))):
-        cert = SolveCertificate(
-            model_decrease=0.0,
-            stationarity_residual=resid,
-            step_norm=0.0,
-            tangent_violation=0.0,
-            kappa_ratio=0.0,
-            kappa_phi_ratio=1.0,
-            flagged=False,
-        )
-        return x_R.copy(), cert
-
-    floor = _CERT_FLOOR * (1.0 + float(np.linalg.norm(g0)))
-    if resid <= floor:
-        ratio = 0.0
-    else:
-        ratio = resid / step**2
-    phi = _phi_ratio(_cauchy_decrease(g0, Q, x_R, project), val)
-    tangent_violation = float(np.linalg.norm(region.A @ s))
-    flagged = (
+        x, val, step, phi = x_R.copy(), 0.0, 0.0, 1.0
+    ratio = resid / step**2 if step > 0.0 and resid > floor else 0.0
+    flagged = step > 0.0 and (
         ratio > kappas["kappa_T"]
         or (resid > floor and resid > kappas["kappa"] * step)
         or phi > kappas["kappa_phi"]
@@ -241,7 +227,7 @@ def solve_tangent_qp(grad_f, H, mu, x_R, region: TangentSet, kappas,
         model_decrease=val,
         stationarity_residual=resid,
         step_norm=step,
-        tangent_violation=tangent_violation,
+        tangent_violation=float(np.linalg.norm(region.A @ (x - x_R))),
         kappa_ratio=ratio,
         kappa_phi_ratio=phi,
         flagged=bool(flagged),

@@ -219,7 +219,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
                     return finish("possible_infeasibility", z, w, h_z, h_ref)
                 break  # refine precision and restart from the outer point
 
-            B = build_B(J, params.M, params.sigma_min)
+            G = build_B(J, params.M, params.sigma_min)
             sigma = params.sigma_min
             c_z = constraint_ssq(h_z_vec)
             while True:
@@ -230,7 +230,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
                     )
                 sigma_hist.append(sigma)
                 z_trial, cert = solve_restoration_qp(
-                    grad_c, B, sigma, z, box, kappas
+                    grad_c, G, sigma, z, box, kappas
                 )
                 certs.append({name: getattr(cert, name)
                               for name in CERT_FIELDS})

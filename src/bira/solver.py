@@ -374,11 +374,10 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             )
 
             mu = mu_start
-            grad_f_cache = {}
-            region_cache = {}
-            accepted = None
+            # gradient, tangent region and curvature per precision level
+            level_cache = {}
             attempts = 0
-            while accepted is None:
+            while True:
                 attempts += 1
                 if attempts > attempt_cap:
                     raise InvariantError(
@@ -387,46 +386,42 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                     )
                 y_next = y if (attempts - 1) < params.N_acce else y_R
                 key = y_next.as_tuple()
-                if key not in grad_f_cache:
-                    grad_f_cache[key] = problem.eval_grad_f(x_R, y_next)
-                    J_next = problem.eval_grad_h(x_R, y_next)
-                    region_cache[key] = TangentSet(problem.box, J_next, x_R)
-                grad_f = grad_f_cache[key]
-                region = region_cache[key]
-                Hmodel = build_H(problem, x_R, y_next, params.M,
-                                 ledger=problem.ledger, mode=curvature_mode)
-                x_trial, cert = solve_tangent_qp(
-                    grad_f, Hmodel.matrix, mu, x_R, region, kappas
+                if key not in level_cache:
+                    level_cache[key] = (
+                        problem.eval_grad_f(x_R, y_next),
+                        TangentSet(problem.box,
+                                   problem.eval_grad_h(x_R, y_next), x_R),
+                        build_H(problem, x_R, y_next, params.M,
+                                ledger=problem.ledger, mode=curvature_mode),
+                    )
+                grad_f, region, H = level_cache[key]
+                x_next, cert = solve_tangent_qp(
+                    grad_f, H, mu, x_R, region, kappas
                 )
                 s_norm = cert.step_norm
 
                 if s_norm == 0.0 and y_next == y_R:
-                    f_trial = f_xR_yR
+                    f_next = f_xR_yR
                 else:
-                    f_trial = problem.eval_f(x_trial, y_next)
-                h_trial_vec = problem.eval_h(x_trial, y_next)
-                h_trial = float(np.linalg.norm(h_trial_vec))
+                    f_next = problem.eval_f(x_next, y_next)
+                h_next_vec = problem.eval_h(x_next, y_next)
+                h_next = float(np.linalg.norm(h_next_vec))
 
-                desc_ok = f_trial <= f_xR_yR - params.alpha * s_norm**2
+                desc_ok = f_next <= f_xR_yR - params.alpha * s_norm**2
                 if y_next == y_R:
                     f_ref, h_ref = f_xk_yR, out.h_xk_yR
                 else:
                     f_ref, h_ref = f_val, h_norm
                 merit_ref = merit_phi(f_ref, h_ref, y_next.g, theta_next)
-                merit_ok = (merit_phi(f_trial, h_trial, y_next.g, theta_next)
+                merit_ok = (merit_phi(f_next, h_next, y_next.g, theta_next)
                             <= merit_ref + allowance)
                 if desc_ok and merit_ok:
-                    accepted = (x_trial, y_next, f_trial, h_trial_vec, h_trial,
-                                cert, grad_f, region)
-                else:
-                    mu *= 2.0
-                    if mu > 1e2 * max(tc.mu_cap, params.mu_max):
-                        raise InvariantError(
-                            f"regularization runaway at iteration {k}"
-                        )
-
-            (x_next, y_next, f_next, h_next_vec, h_next, cert, grad_f,
-             region) = accepted
+                    break
+                mu *= 2.0
+                if mu > 1e2 * max(tc.mu_cap, params.mu_max):
+                    raise InvariantError(
+                        f"regularization runaway at iteration {k}"
+                    )
 
             proj = project_tangent(x_R - grad_f, region)
             residual = float(np.linalg.norm(proj - x_R))

@@ -227,13 +227,13 @@ def test_criterion_10_qp_layer_matches_dense_grids():
 
     for _ in range(10):
         raw = rng.standard_normal((2, 2))
-        b_mat = raw @ raw.T
-        b_mat *= min(1.0, 4.0 / np.linalg.norm(b_mat, 2))
+        g_mat = raw.T * math.sqrt(min(1.0, 4.0 / np.linalg.norm(raw @ raw.T, 2)))
+        b_mat = g_mat.T @ g_mat
         sigma = float(rng.uniform(4.0, 8.0))
         center = box.clip(rng.uniform(-0.5, 0.5, 2))
         grad = 2.0 * rng.standard_normal(2)
 
-        z, cert = solve_restoration_qp(grad, b_mat, sigma, center, box,
+        z, cert = solve_restoration_qp(grad, g_mat, sigma, center, box,
                                        DEFAULT_KAPPAS)
         assert not cert.flagged
         q_mat = b_mat + 2.0 * sigma * np.eye(2)

@@ -12,7 +12,7 @@ from bira.core import (
     merit_phi,
 )
 from bira.diagnostics import audit
-from bira.oracle import make_p1, make_p3, make_p4
+from bira.oracle import make_p1, make_p2, make_p3, make_p4
 from bira.restoration import RestorationOutcome
 from bira.solver import (
     RunReport,
@@ -137,10 +137,16 @@ def test_infeasible_problem_reports_the_restoration_verdict():
 
 
 def test_finite_difference_curvature_converges():
-    rep = bira_run(make_p1(), curvature_mode="fd")
-    assert rep.status == "Converged"
-    res = audit(rep)
-    assert res.ok, [c for c in res.checks if c.status == "fail"]
+    for factory in (make_p1, make_p2):
+        rep = bira_run(factory(), curvature_mode="fd")
+        assert rep.status == "Converged"
+        res = audit(rep)
+        assert res.ok, [c for c in res.checks if c.status == "fail"]
+        # the curvature is built once per precision level an iteration tries
+        n = len(rep.final_x)
+        for rec in rep.records:
+            levels = len({rec.y_k, rec.y_next})
+            assert rec.ledger_delta["gradf_evals"] <= 2 + 2 * n * levels
 
 
 def test_trace_round_trip_and_version_guard():

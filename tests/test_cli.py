@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import bira.oracle
 import bira.solver
 from bira.cli import CSV_HEADER, main
 from bira.core import AbnormalTermination, InvariantError
@@ -140,11 +141,8 @@ def test_bad_run_inputs_are_usage_errors(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("exc", [
-    AbnormalTermination("restoration descent-test cap exceeded"),
-    InvariantError("penalty update left no positive weight"),
-])
-def test_complexity_sweep_reports_abnormal_runs(tmp_path, monkeypatch, exc):
+def _fail_third_resta(monkeypatch, exc):
+    """Make the solver's third restoration call raise ``exc``."""
     real_resta = bira.solver.resta
     calls = []
 
@@ -155,6 +153,14 @@ def test_complexity_sweep_reports_abnormal_runs(tmp_path, monkeypatch, exc):
         return real_resta(*args, **kwargs)
 
     monkeypatch.setattr(bira.solver, "resta", resta_failing_on_the_third_call)
+
+
+@pytest.mark.parametrize("exc", [
+    AbnormalTermination("restoration descent-test cap exceeded"),
+    InvariantError("penalty update left no positive weight"),
+])
+def test_complexity_sweep_reports_abnormal_runs(tmp_path, monkeypatch, exc):
+    _fail_third_resta(monkeypatch, exc)
     out = tmp_path / "cx.csv"
     assert main(["complexity", "--problem", "p1", "--out", str(out),
                  "--eps-opt-grid", "1e-1,3e-2,1e-2", "--jobs", "1"]) == 0
@@ -164,3 +170,25 @@ def test_complexity_sweep_reports_abnormal_runs(tmp_path, monkeypatch, exc):
     # two iterations finished before the third restoration call failed
     assert rows[0]["iterations"] == "2"
     assert [row["status"] for row in rows[1:]] == ["Converged"] * 2
+
+
+def test_non_finite_oracle_output_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(bira.oracle.SyntheticProblem, "_f",
+                        lambda self, x, y: float("nan"))
+    assert main(["run", "--problem", "p4"]) == 1
+    assert "eval_f of p4 returned a non-finite value" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["run", "--problem", "p1"], ["suite"]])
+@pytest.mark.parametrize("exc", [
+    AbnormalTermination("restoration descent-test cap exceeded",
+                        {"desc_tests": 7}),
+    InvariantError("penalty update left no positive weight"),
+])
+def test_run_and_suite_report_abnormal_runs(monkeypatch, capsys, exc, argv):
+    _fail_third_resta(monkeypatch, exc)
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {type(exc).__name__}: {exc} (")
+    assert "iteration=2" in err

@@ -21,6 +21,7 @@ from bira.oracle import (
     make_suite,
     problem_by_name,
 )
+from bira.solver import bira_run
 
 # independently enumerated constrained minimizer of the offset-slice problem
 P1_SOLUTION = np.array([
@@ -178,6 +179,38 @@ def test_constraint_shape_contract():
     )
     with pytest.raises(ContractError):
         bad.eval_h(np.zeros(2), PrecisionLevel(0.0, 0.0))
+
+
+NON_FINITE = {
+    "objective": lambda x: float("nan"),
+    "objective_grad": lambda x: np.array([0.0, np.nan]),
+    "constraint": lambda x: np.array([np.inf]),
+    "constraint_jac": lambda x: np.array([[-np.inf, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("hook, oracle", [
+    ("objective", "eval_f"), ("objective_grad", "eval_grad_f"),
+    ("constraint", "eval_h"), ("constraint_jac", "eval_grad_h"),
+])
+def test_non_finite_oracle_output_is_a_contract_error(hook, oracle):
+    box = BoxPolytope(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    pc = ProblemConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    hooks = {
+        "objective": lambda x: 0.0,
+        "objective_grad": lambda x: np.zeros(2),
+        "constraint": lambda x: np.zeros(1),
+        "constraint_jac": lambda x: np.zeros((1, 2)),
+        hook: NON_FINITE[hook],
+    }
+    bad = SyntheticProblem(
+        "bad", box, **hooks, m=1, x0=np.zeros(2),
+        y0=PrecisionLevel(0.0, 0.0), problem_constants=pc,
+    )
+    with pytest.raises(ContractError, match=f"{oracle} of bad"):
+        getattr(bad, oracle)(np.zeros(2), PrecisionLevel(0.0, 0.0))
+    with pytest.raises(ContractError, match=f"{oracle} of bad"):
+        bira_run(bad)
 
 
 def test_calibrated_noise_stays_within_budget():

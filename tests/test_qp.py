@@ -1,7 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from bira.core import BoxPolytope, ConfigurationError, DEFAULT_KAPPAS
+from bira.core import (
+    AlgorithmParams,
+    BoxPolytope,
+    ConfigurationError,
+    ContractError,
+    DEFAULT_KAPPAS,
+)
 from bira.geometry import TangentSet, project_box
 from bira.qp import (
     SolveCertificate,
@@ -14,12 +22,14 @@ from bira.qp import (
 
 def test_build_B_scales_to_norm_cap():
     J = np.array([[2.0, 0.0]])
-    B = build_B(J, 1.0, 4.0)
+    G = build_B(J, 1.0, 4.0)
+    B = G.T @ G
     assert np.linalg.norm(B, 2) == pytest.approx(1.0)
     np.testing.assert_allclose(B, [[1.0, 0.0], [0.0, 0.0]])
     # already under the cap: left alone
     J2 = np.array([[0.5, 0.0]])
-    np.testing.assert_allclose(build_B(J2, 1.0, 4.0), J2.T @ J2)
+    G2 = build_B(J2, 1.0, 4.0)
+    np.testing.assert_allclose(G2.T @ G2, J2.T @ J2)
 
 
 def test_build_B_rejects_uncovered_regularization():
@@ -124,10 +134,11 @@ def test_restoration_certificates_recompute_exactly_seeded():
         box = BoxPolytope(lo, hi)
         g = rng.standard_normal(n)
         R = rng.standard_normal((n, n))
-        B = R @ R.T / n
+        G = R.T / np.sqrt(n)
+        B = G.T @ G
         sigma = float(rng.uniform(0.2, 4.0))
         center = box.clip(rng.uniform(lo, hi))
-        z, cert = solve_restoration_qp(g, B, sigma, center, box,
+        z, cert = solve_restoration_qp(g, G, sigma, center, box,
                                        DEFAULT_KAPPAS)
         s = z - center
         Q = B + 2.0 * sigma * np.eye(n)
@@ -187,10 +198,9 @@ def test_build_H_zero_mode_is_free():
 
     p = make_p1()
     before = p.ledger.snapshot()
-    model = build_H(p, p.x0, p.y0, 1.0, ledger=p.ledger, mode="zero")
+    H = build_H(p, p.x0, p.y0, 1.0, ledger=p.ledger, mode="zero")
     assert p.ledger.snapshot() == before
-    np.testing.assert_array_equal(model.matrix, np.zeros((p.dim, p.dim)))
-    assert model.norm_bound_ok
+    np.testing.assert_array_equal(H, np.zeros((p.dim, p.dim)))
 
 
 def test_build_H_fd_mode_charges_the_ledger():
@@ -198,10 +208,72 @@ def test_build_H_fd_mode_charges_the_ledger():
 
     p = make_p1()
     before = p.ledger.snapshot()
-    model = build_H(p, p.x0, p.y0, 1.0, ledger=p.ledger, mode="fd")
+    H = build_H(p, p.x0, p.y0, 1.0, ledger=p.ledger, mode="fd")
     after = p.ledger.snapshot()
     assert after["gradf_evals"] > before["gradf_evals"]
     # curvature of ||x - x_f||^2 / 20 is I/10, inside the norm cap
-    np.testing.assert_allclose(model.matrix, np.eye(p.dim) / 10.0,
-                               atol=1e-6)
-    assert model.norm_bound_ok
+    np.testing.assert_allclose(H, np.eye(p.dim) / 10.0, atol=1e-6)
+    assert np.linalg.norm(H, 2) <= 1.0
+
+
+def _box_qp_by_enumeration(g, Q, center, lower, upper):
+    """Minimizer of ``g.d + 0.5 d.Q.d`` over ``lower <= center + d <= upper``
+    by solving the KKT system of every lower/free/upper pattern and keeping
+    the best feasible candidate.  Independent of the package on purpose."""
+    n = g.size
+    best_val, best_z = np.inf, None
+    for pattern in itertools.product((-1, 0, 1), repeat=n):
+        d = np.zeros(n)
+        fixed = np.array(pattern) != 0
+        d[fixed] = np.where(np.array(pattern) < 0, lower, upper)[fixed] - (
+            center[fixed])
+        free = ~fixed
+        if free.any():
+            rhs = -(g[free] + Q[np.ix_(free, fixed)] @ d[fixed])
+            d[free] = np.linalg.solve(Q[np.ix_(free, free)], rhs)
+        z = center + d
+        if np.any(z < lower - 1e-12) or np.any(z > upper + 1e-12):
+            continue
+        val = float(g @ d + 0.5 * d @ Q @ d)
+        if val < best_val:
+            best_val, best_z = val, z
+    return best_z
+
+
+def test_restoration_qp_matches_exhaustive_kkt_reference():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            lo = -1.0 - rng.random(n)
+            hi = 1.0 + rng.random(n)
+            box = BoxPolytope(lo, hi)
+            G = 2.0 * rng.standard_normal((2, n))
+            sigma = float(rng.uniform(0.1, 2.0))
+            center = rng.uniform(lo, hi)
+            g = 4.0 * rng.standard_normal(n)
+            z, cert = solve_restoration_qp(g, G, sigma, center, box,
+                                           DEFAULT_KAPPAS)
+            Q = G.T @ G + 2.0 * sigma * np.eye(n)
+            ref = _box_qp_by_enumeration(g, Q, center, lo, hi)
+            np.testing.assert_allclose(z, ref, rtol=0, atol=1e-12)
+            assert not cert.flagged
+
+
+def test_tangent_qp_rejects_a_model_that_is_not_convex():
+    box = BoxPolytope(-np.ones(2), np.ones(2))
+    region = TangentSet(box, np.array([[1.0, 1.0]]), np.zeros(2))
+    with pytest.raises(ContractError):
+        solve_tangent_qp(np.ones(2), -3.0 * np.eye(2), 1.0, np.zeros(2),
+                         region, DEFAULT_KAPPAS)
+
+
+def test_build_H_fd_mode_keeps_the_nonnegative_curvature():
+    from bira import make_p2
+
+    p = make_p2()
+    M = AlgorithmParams.defaults().M
+    # the valley's Hessian at (0, 1) is diag(-0.398, 0.2)
+    H = build_H(p, [0.0, 1.0], p.y0, M, ledger=p.ledger, mode="fd")
+    assert np.linalg.eigvalsh(H)[0] >= -1e-12
+    assert np.linalg.norm(H, 2) <= M
+    np.testing.assert_allclose(H, np.diag([0.0, 0.2]), atol=1e-6)
