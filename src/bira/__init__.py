@@ -26,7 +26,6 @@ from .core import (
     constraint_ssq,
     infeasibility,
     merit_phi,
-    precision_g,
 )
 from .diagnostics import (
     AuditReport,
@@ -44,7 +43,6 @@ from .geometry import (
     project_affine,
     project_box,
     project_tangent,
-    stationarity_residual,
 )
 from .oracle import (
     EvaluationLedger,
@@ -118,7 +116,6 @@ __all__ = [
     "make_p4",
     "make_suite",
     "merit_phi",
-    "precision_g",
     "problem_by_name",
     "project_affine",
     "project_box",
@@ -128,7 +125,6 @@ __all__ = [
     "restoration_inner_cap",
     "solve_restoration_qp",
     "solve_tangent_qp",
-    "stationarity_residual",
     "update_penalty",
     "__version__",
 ]

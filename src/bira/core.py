@@ -7,7 +7,7 @@ and ``gh`` the constraint one, and the scalar precision measure is their max.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -154,11 +154,6 @@ class PrecisionLevel:
 
     def as_tuple(self):
         return (self.gf, self.gh)
-
-
-def precision_g(y: PrecisionLevel) -> float:
-    """Scalar precision measure: max of the two components."""
-    return y.g
 
 
 def merit_phi(f_val, h_norm, g_val, theta):
@@ -338,21 +333,13 @@ class ProblemConstants:
 
 
 class PenaltyState:
-    """Penalty weight with its history; pushes must be nonincreasing."""
+    """Penalty weight ``theta``; pushes must be nonincreasing."""
 
     def __init__(self, theta_0):
         theta_0 = float(theta_0)
         if not 0.0 < theta_0 < 1.0:
             raise ConfigurationError("theta_0 must lie in (0, 1)")
-        self._history = [theta_0]
-
-    @property
-    def theta(self):
-        return self._history[-1]
-
-    @property
-    def history(self):
-        return list(self._history)
+        self.theta = theta_0
 
     def push(self, theta_new):
         theta_new = float(theta_new)
@@ -360,5 +347,5 @@ class PenaltyState:
             raise InvariantError(
                 f"penalty update must stay in (0, {self.theta}], got {theta_new}"
             )
-        self._history.append(theta_new)
+        self.theta = theta_new
         return theta_new

@@ -249,7 +249,8 @@ def restoration_refine_cap(params: AlgorithmParams):
 
 
 def leq(lhs, rhs):
-    """Tolerant comparison used by every audit inequality."""
+    """Comparison with a 1e-9 relative slack, for audit bounds that carry
+    rounding."""
     return lhs <= rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -283,339 +284,182 @@ class AuditReport:
         return out
 
 
-def _params_of(report):
-    p = report.params
-    if isinstance(p, AlgorithmParams):
-        return p
-    return AlgorithmParams.from_dict(p)
+#: Gates: a check is skipped, never passed, when its gate holds (``None``
+#: never does).  ANALYTIC bounds are certified only for analytic problem
+#: constants; an EXACT check with no rows had no exact values to compare.
+ANALYTIC = "problem constants are estimates"
+EXACT = "no exact values recorded"
+_CERT_FLOOR = 1e-12  # rounding floor of the certificate checks
+
+
+def _tol(k, observed, bound):
+    """Row for ``observed <= bound`` with the relative slack of :func:`leq`."""
+    return k, leq(observed, bound), observed, bound
+
+
+def _exact(k, observed, bound):
+    """Row for ``observed <= bound`` compared exactly."""
+    return k, observed <= bound, observed, bound
+
+
+def _summed(terms, bound):
+    """The one whole-run row (iteration ``None``) of a summability check."""
+    yield _tol(None, sum(terms), bound)
+
+
+def _verdict(name, gate, rows, analytic):
+    """Decide one check from its rows ``(iteration, ok, observed, bound)``.
+
+    The first failing row fails the check and is its detail; otherwise the
+    check passes with the row closest to its bound as the detail.  A check
+    with no rows passes, unless its gate is EXACT.
+    """
+    def text(row, verb):
+        where = "whole run" if row[0] is None else f"iteration {row[0]}"
+        return f"{where}: {row[2]:.3e} {verb} {row[3]:.3e}"
+
+    if gate == ANALYTIC and not analytic:
+        return CheckResult(name, "skipped", gate)
+    closest = None
+    for row in rows:
+        if not row[1]:
+            return CheckResult(name, "fail", text(row, "exceeds"))
+        if closest is None or row[3] - row[2] < closest[3] - closest[2]:
+            closest = row
+    if closest is not None:
+        return CheckResult(name, "pass", text(closest, "within"))
+    if gate == EXACT:
+        return CheckResult(name, "skipped", gate)
+    return CheckResult(name, "pass")
+
+
+def _merit_row(rec, r):
+    # the accepted step keeps the merit within the restoration's allowance
+    lhs = merit_phi(rec.f_xnext_ynext, rec.h_xnext_ynext, rec.g_ynext,
+                    rec.theta_after)
+    allowance = merit_allowance(rec.h_xk_yR, rec.h_xR_yR, rec.g_yk,
+                                rec.g_yR, r)
+    rhs = merit_phi(rec.f_xk_ynext, rec.h_xk_ynext, rec.g_ynext,
+                    rec.theta_after) + allowance
+    return _tol(rec.k, lhs, rhs)
+
+
+def _ledger_rows(rec, tc, mode):
+    # startup measurements are charged to the first iteration; fd curvature
+    # takes 2n central-difference gradients per level tried
+    first = 1 if rec.k == 0 else 0
+    fd = 2 * rec.x_k.size * min(rec.ell_count, 2) if mode == "fd" else 0
+    caps = {"h_evals": tc.h_evals_per_iter + first,
+            "gradh_evals": tc.gradh_evals_per_iter,
+            "f_evals": tc.f_evals_per_iter + first,
+            "gradf_evals": tc.gradf_evals_per_iter + fd}
+    return [_exact(rec.k, rec.ledger_delta[key], cap)
+            for key, cap in caps.items()]
 
 
 def audit(report, tc=None):
     """Check a recorded run against every auditable invariant.
 
-    ``report`` is duck-typed: it needs ``records``, ``params``, and
-    ``constants_basis``.  ``tc`` defaults to the chain recomputed from the
-    report's own constants basis.
+    ``report`` needs ``records``, ``params``, ``constants_basis`` and
+    ``curvature_mode``.  ``tc`` defaults to the chain recomputed from the
+    report's own constants basis.  Each check is a name, a gate and a lazy
+    stream of rows ``(iteration, ok, observed, bound)``; :func:`_verdict`
+    decides every one of them.
     """
-    params = _params_of(report)
-    basis = report.constants_basis
-    pc = ProblemConstants.from_dict(basis["problem_constants"])
+    params = report.params
     if tc is None:
-        extras = dict(basis.get("extras", {}))
-        extras.setdefault("r", params.r)
-        tc = constants(pc, params, kappas=basis.get("kappas"), extras=extras)
+        basis = report.constants_basis
+        tc = constants(ProblemConstants.from_dict(basis["problem_constants"]),
+                       params, kappas=basis["kappas"], extras=basis["extras"])
     kap = tc.kappas
-    analytic = tc.analytic
-    records = list(report.records)
-    checks = []
-
-    def add(name, ok, detail=""):
-        checks.append(CheckResult(name, "pass" if ok else "fail", detail))
-
-    def add_gated(name, fn):
-        # bound checks against the chain are only certified for analytic
-        # problem constants; otherwise report skipped, never a hollow pass
-        if not analytic:
-            checks.append(
-                CheckResult(name, "skipped", "problem constants are estimates")
-            )
-            return
-        ok, detail = fn()
-        add(name, ok, detail)
-
-    thetas = [rec.theta_after for rec in records]
-
-    def check_theta_monotone():
-        ok = all(
-            0.0 < rec.theta_after <= rec.theta_before + 1e-15
-            for rec in records
-        )
-        return ok, ""
-
-    add("theta_monotone", *check_theta_monotone())
-
-    add_gated(
-        "theta_lower_bound",
-        lambda: (
-            all(leq(tc.penalty_floor, t) for t in thetas),
-            f"floor {tc.penalty_floor:.3e}",
-        ),
-    )
-
-    def check_merit():
-        worst = -math.inf
-        for rec in records:
-            lhs = merit_phi(
-                rec.f_xnext_ynext, rec.h_xnext_ynext, rec.g_ynext,
-                rec.theta_after,
-            )
-            allowance = merit_allowance(
-                rec.h_xk_yR, rec.h_xR_yR, rec.g_yk, rec.g_yR, params.r
-            )
-            rhs = merit_phi(
-                rec.f_xk_ynext, rec.h_xk_ynext, rec.g_ynext, rec.theta_after
-            ) + allowance
-            worst = max(worst, lhs - rhs)
-            if not leq(lhs, rhs):
-                return False, f"iteration {rec.k}: excess {lhs - rhs:.3e}"
-        return True, f"worst excess {worst:.3e}" if records else ""
-
-    add("penalty_merit_decrease", *check_merit())
-
-    def all_sigmas():
-        for rec in records:
-            if rec.resta is not None:
-                for s in rec.resta.sigma_history:
-                    yield rec.k, s
-
-    def check_sigma():
-        for k, s in all_sigmas():
-            if not leq(s, tc.sigma_cap):
-                return False, f"iteration {k}: sigma {s:.3e} > cap"
-        return True, f"cap {tc.sigma_cap:.3e}"
-
-    add_gated("sigma_cap", check_sigma)
-
-    def check_mu():
-        for rec in records:
-            if not leq(rec.mu_k, tc.mu_cap):
-                return False, f"iteration {rec.k}: mu {rec.mu_k:.3e} > cap"
-        return True, f"cap {tc.mu_cap:.3e}"
-
-    add_gated("mu_cap", check_mu)
-
-    def check_restored_distance():
-        for rec in records:
-            dist = float(np.linalg.norm(np.asarray(rec.x_R) - np.asarray(rec.x_k)))
-            bound = tc.restored_distance_factor * (rec.h_xk_yk + rec.g_yk)
-            if not leq(dist, bound):
-                return False, f"iteration {rec.k}: {dist:.3e} > {bound:.3e}"
-        return True, ""
-
-    add_gated("restored_distance", check_restored_distance)
-
-    def check_restored_value():
-        for rec in records:
-            drift = abs(rec.f_xR_yR - rec.f_xk_yR)
-            bound = tc.restored_value_factor * (rec.h_xk_yk + rec.g_yk)
-            if not leq(drift, bound):
-                return False, f"iteration {rec.k}: {drift:.3e} > {bound:.3e}"
-        return True, ""
-
-    add_gated("restored_value_drift", check_restored_value)
-
-    def check_infeas_sum():
+    recs = report.records
+    rcerts = [(rec.k, c) for rec in recs for c in rec.resta.certificates]
+    tcerts = [(rec.k, rec.tangent_cert) for rec in recs
+              if rec.tangent_cert is not None]
+    ns_f = tc.extras.get("noise_scale_f")
+    ns_h = tc.extras.get("noise_scale_h")
+    inner_cap = restoration_inner_cap(tc)
+    refine_cap = restoration_refine_cap(params)
+    # a lower bound is a row with the floor as observed and the value as bound
+    table = [
+        ("theta_monotone", None, (row for rec in recs for row in (
+            _exact(rec.k, rec.theta_after, rec.theta_before + 1e-15),
+            (rec.k, 0.0 < rec.theta_after, 0.0, rec.theta_after)))),
+        ("theta_lower_bound", ANALYTIC, (
+            _tol(rec.k, tc.penalty_floor, rec.theta_after) for rec in recs)),
+        ("penalty_merit_decrease", None, (
+            _merit_row(rec, params.r) for rec in recs)),
+        ("sigma_cap", ANALYTIC, (
+            _tol(rec.k, s, tc.sigma_cap)
+            for rec in recs for s in rec.resta.sigma_history)),
+        ("mu_cap", ANALYTIC, (
+            _tol(rec.k, rec.mu_k, tc.mu_cap) for rec in recs)),
+        ("restored_distance", ANALYTIC, (
+            _tol(rec.k, float(np.linalg.norm(rec.x_R - rec.x_k)),
+                 tc.restored_distance_factor * (rec.h_xk_yk + rec.g_yk))
+            for rec in recs)),
+        ("restored_value_drift", ANALYTIC, (
+            _tol(rec.k, abs(rec.f_xR_yR - rec.f_xk_yR),
+                 tc.restored_value_factor * (rec.h_xk_yk + rec.g_yk))
+            for rec in recs)),
         # violation at the current point measured at restored precision
-        total = sum(rec.h_xk_yR + rec.g_yk for rec in records)
-        return (
-            leq(total, tc.infeasibility_sum_bound),
-            f"sum {total:.3e} vs {tc.infeasibility_sum_bound:.3e}",
-        )
-
-    add_gated("infeasibility_summability", check_infeas_sum)
-
-    def check_step_sum():
-        total = sum(rec.step_norm**2 for rec in records)
-        return (
-            leq(total, tc.step_square_sum_bound),
-            f"sum {total:.3e} vs {tc.step_square_sum_bound:.3e}",
-        )
-
-    add_gated("step_summability", check_step_sum)
-
-    def check_resid_vs_step():
+        ("infeasibility_summability", ANALYTIC, _summed(
+            (rec.h_xk_yR + rec.g_yk for rec in recs),
+            tc.infeasibility_sum_bound)),
+        ("step_summability", ANALYTIC, _summed(
+            (rec.step_norm**2 for rec in recs), tc.step_square_sum_bound)),
         # zero steps are snapped; the outer stopping test covers them
-        for rec in records:
-            if rec.step_norm == 0.0 or rec.stationarity_residual is None:
-                continue
-            bound = tc.residual_step_factor * rec.step_norm
-            if not leq(rec.stationarity_residual, bound):
-                return (
-                    False,
-                    f"iteration {rec.k}: {rec.stationarity_residual:.3e}"
-                    f" > {bound:.3e}",
-                )
-        return True, ""
-
-    add_gated("residual_vs_step", check_resid_vs_step)
-
-    def check_resid_sum():
-        total = sum(
-            rec.stationarity_residual**2
-            for rec in records
-            if rec.stationarity_residual is not None
-        )
-        return (
-            leq(total, tc.residual_square_sum_bound),
-            f"sum {total:.3e} vs {tc.residual_square_sum_bound:.3e}",
-        )
-
-    add_gated("residual_summability", check_resid_sum)
-
-    mode = getattr(report, "curvature_mode", "zero")
-
-    def check_ledger_caps():
-        for rec in records:
-            d = rec.ledger_delta
-            # startup measurements are charged to the first iteration
-            extra_h = 1 if rec.k == 0 else 0
-            extra_f = 1 if rec.k == 0 else 0
-            gradf_cap = tc.gradf_evals_per_iter
-            if mode == "fd":
-                # central differences: 2n gradient calls per level tried
-                n = len(np.asarray(rec.x_k))
-                gradf_cap += 2 * n * min(rec.ell_count, 2)
-            caps = {
-                "h_evals": tc.h_evals_per_iter + extra_h,
-                "gradh_evals": tc.gradh_evals_per_iter,
-                "f_evals": tc.f_evals_per_iter + extra_f,
-                "gradf_evals": gradf_cap,
-            }
-            for key, cap in caps.items():
-                if d[key] > cap:
-                    return False, f"iteration {rec.k}: {d[key]} {key} > {cap}"
-        return True, ""
-
-    add_gated("ledger_caps", check_ledger_caps)
-
-    def check_resta_f_free():
-        for rec in records:
-            if rec.resta is None:
-                continue
-            d = rec.resta.ledger_delta
-            if d["f_evals"] != 0 or d["gradf_evals"] != 0:
-                return False, f"iteration {rec.k}: restoration touched f"
-        return True, ""
-
-    add("restoration_f_free", *check_resta_f_free())
-
-    def restoration_certs():
-        for rec in records:
-            if rec.resta is None:
-                continue
-            for cert in rec.resta.certificates:
-                yield rec.k, cert
-
-    def check_a2():
-        for k, cert in restoration_certs():
-            if cert["model_decrease"] > 1e-12:
-                return False, f"iteration {k}: model increased"
-        return True, ""
-
-    add("restoration_model_decrease", *check_a2())
-
-    def check_a3():
-        for k, cert in restoration_certs():
-            if cert["kappa_ratio"] > kap["kappa_R"]:
-                return False, f"iteration {k}: ratio {cert['kappa_ratio']:.3e}"
-        return True, ""
-
-    add("restoration_solve_accuracy", *check_a3())
-
-    def tangent_certs():
-        for rec in records:
-            if rec.tangent_cert is not None:
-                yield rec.k, rec.tangent_cert
-
-    def check_a7():
-        for k, cert in tangent_certs():
-            if cert["model_decrease"] > 1e-12:
-                return False, f"iteration {k}: model increased"
-        return True, ""
-
-    add("tangent_model_decrease", *check_a7())
-
-    def check_a9():
-        floor = 1e-12
-        for k, cert in tangent_certs():
-            if cert["step_norm"] == 0.0:
-                continue
-            resid = cert["stationarity_residual"]
-            if resid <= floor:
-                continue
-            if resid > kap["kappa_T"] * cert["step_norm"] ** 2 + floor:
-                return False, f"iteration {k}: residual {resid:.3e}"
-            if resid > kap["kappa"] * cert["step_norm"] + floor:
-                return False, f"iteration {k}: residual {resid:.3e}"
-            if cert["kappa_phi_ratio"] > kap["kappa_phi"]:
-                return False, f"iteration {k}: ray ratio"
-        return True, ""
-
-    add("tangent_solve_accuracy", *check_a9())
-
-    def check_oracle_f():
-        ns = tc.extras.get("noise_scale_f")
-        seen = False
-        for rec in records:
-            if rec.oracle_f_error is None or ns is None:
-                continue
-            seen = True
-            gf = rec.y_k[0]
-            bound = ns * gf + 1e-15 * (1.0 + abs(rec.f_xk_yk))
-            if rec.oracle_f_error > bound:
-                return "fail", f"iteration {rec.k}: error {rec.oracle_f_error:.3e}"
-        if not seen:
-            return "skipped", "no exact values recorded"
-        return "pass", ""
-
-    status, detail = check_oracle_f()
-    checks.append(CheckResult("oracle_f_error_bound", status, detail))
-
-    def check_oracle_h():
-        ns = tc.extras.get("noise_scale_h")
-        seen = False
-        for rec in records:
-            if rec.oracle_h_error is None or ns is None:
-                continue
-            seen = True
-            gh = rec.y_k[1]
-            bound = ns * gh + 1e-15 * (1.0 + rec.h_xk_yk)
-            if rec.oracle_h_error > bound:
-                return "fail", f"iteration {rec.k}: error {rec.oracle_h_error:.3e}"
-        if not seen:
-            return "skipped", "no exact values recorded"
-        return "pass", ""
-
-    status, detail = check_oracle_h()
-    checks.append(CheckResult("oracle_h_error_bound", status, detail))
-
-    def check_noise_budget():
-        beta = tc.extras.get("beta")
-        if beta is None:
-            return False, "no oracle error scale recorded"
-        return (
-            leq(beta, tc.beta_bar),
-            f"beta {beta:.3e} vs budget {tc.beta_bar:.3e}",
-        )
-
-    add_gated("noise_within_budget", check_noise_budget)
-
-    def check_resta_inner():
-        cap = restoration_inner_cap(tc if analytic else None)
-        ref_cap = restoration_refine_cap(params)
-        for rec in records:
-            if rec.resta is None:
-                continue
-            if rec.resta.inner_desc_tests > cap:
-                return False, f"iteration {rec.k}: {rec.resta.inner_desc_tests}"
-            if rec.resta.refinements > ref_cap:
-                return False, f"iteration {rec.k}: {rec.resta.refinements} refinements"
-        return True, f"cap {cap}"
-
-    add("restoration_inner_caps", *check_resta_inner())
-
-    def check_step_per_h():
-        for rec in records:
-            if rec.resta is None:
-                continue
-            ratio = rec.resta.max_step_over_h
-            if ratio is not None and not leq(ratio, tc.step_per_infeasibility):
-                return False, f"iteration {rec.k}: ratio {ratio:.3e}"
-        return True, f"bound {tc.step_per_infeasibility:.3e}"
-
-    add_gated("step_per_infeasibility", check_step_per_h)
-
-    return AuditReport(tuple(checks))
+        ("residual_vs_step", ANALYTIC, (
+            _tol(rec.k, rec.stationarity_residual,
+                 tc.residual_step_factor * rec.step_norm) for rec in recs
+            if rec.step_norm != 0.0 and rec.stationarity_residual is not None)),
+        ("residual_summability", ANALYTIC, _summed(
+            (rec.stationarity_residual**2 for rec in recs
+             if rec.stationarity_residual is not None),
+            tc.residual_square_sum_bound)),
+        ("ledger_caps", ANALYTIC, (
+            row for rec in recs
+            for row in _ledger_rows(rec, tc, report.curvature_mode))),
+        ("restoration_f_free", None, (
+            _exact(rec.k, abs(rec.resta.ledger_delta[key]), 0)
+            for rec in recs for key in ("f_evals", "gradf_evals"))),
+        ("restoration_model_decrease", None, (
+            _exact(k, c["model_decrease"], _CERT_FLOOR) for k, c in rcerts)),
+        ("restoration_solve_accuracy", None, (
+            _exact(k, c["kappa_ratio"], kap["kappa_R"]) for k, c in rcerts)),
+        ("tangent_model_decrease", None, (
+            _exact(k, c["model_decrease"], _CERT_FLOOR) for k, c in tcerts)),
+        # the residual within both step budgets, and the ray ratio; zero
+        # steps and residuals at the floor are exempt
+        ("tangent_solve_accuracy", None, (
+            row for k, c in tcerts if c["step_norm"] != 0.0
+            and c["stationarity_residual"] > _CERT_FLOOR for row in (
+                _exact(k, c["stationarity_residual"],
+                       kap["kappa_T"] * c["step_norm"] ** 2 + _CERT_FLOOR),
+                _exact(k, c["stationarity_residual"],
+                       kap["kappa"] * c["step_norm"] + _CERT_FLOOR),
+                _exact(k, c["kappa_phi_ratio"], kap["kappa_phi"])))),
+        ("oracle_f_error_bound", EXACT, (
+            _exact(rec.k, rec.oracle_f_error,
+                   ns_f * rec.y_k[0] + 1e-15 * (1.0 + abs(rec.f_xk_yk)))
+            for rec in recs
+            if rec.oracle_f_error is not None and ns_f is not None)),
+        ("oracle_h_error_bound", EXACT, (
+            _exact(rec.k, rec.oracle_h_error,
+                   ns_h * rec.y_k[1] + 1e-15 * (1.0 + rec.h_xk_yk))
+            for rec in recs
+            if rec.oracle_h_error is not None and ns_h is not None)),
+        ("noise_within_budget", ANALYTIC, [
+            _tol(None, tc.extras["beta"], tc.beta_bar)]),
+        ("restoration_inner_caps", None, (row for rec in recs for row in (
+            _exact(rec.k, rec.resta.inner_desc_tests, inner_cap),
+            _exact(rec.k, rec.resta.refinements, refine_cap)))),
+        ("step_per_infeasibility", ANALYTIC, (
+            _tol(rec.k, rec.resta.max_step_over_h, tc.step_per_infeasibility)
+            for rec in recs if rec.resta.max_step_over_h is not None)),
+    ]
+    return AuditReport(tuple(_verdict(name, gate, rows, tc.analytic)
+                             for name, gate, rows in table))
 
 
 def complexity_fit(eps_values, work_counts):

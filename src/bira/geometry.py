@@ -123,23 +123,3 @@ def project_tangent(z, region: TangentSet):
     return project_polyhedron(as_point(z, box.dim), box.lower, box.upper,
                               region.A, region.center)
 
-
-def stationarity_residual(x, grad, region):
-    """Norm of ``P(x - grad) - x`` for a region with a projection.
-
-    ``region`` is either a :class:`~bira.core.BoxPolytope` or a
-    :class:`TangentSet`; ``x`` must belong to it.
-    """
-    x = as_point(x)
-    grad = as_point(grad, x.size)
-    if isinstance(region, BoxPolytope):
-        if not region.contains(x):
-            raise ContractError("stationarity test point outside the box")
-        proj = project_box(x - grad, region)
-    elif isinstance(region, TangentSet):
-        if not region.contains(x):
-            raise ContractError("stationarity test point outside the region")
-        proj = project_tangent(x - grad, region)
-    else:
-        raise ContractError(f"unsupported region type {type(region).__name__}")
-    return float(np.linalg.norm(proj - x))

@@ -49,10 +49,6 @@ class EvaluationLedger:
     def delta(self, since):
         return {name: getattr(self, name) - since[name] for name in self.FIELDS}
 
-    @property
-    def total(self):
-        return sum(getattr(self, name) for name in self.FIELDS)
-
     def reset(self):
         for name in self.FIELDS:
             setattr(self, name, 0)

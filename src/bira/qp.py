@@ -52,10 +52,6 @@ class SolveCertificate:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def build_B(J, M, sigma_min):
     """Factor ``G`` of the Gauss-Newton curvature ``B = G^T G``: the
@@ -76,7 +72,7 @@ def build_B(J, M, sigma_min):
     return J
 
 
-def build_H(problem, x_R, y, M, ledger=None, mode="zero"):
+def build_H(problem, x_R, y, M, mode="zero"):
     """Curvature matrix for the tangent phase at the restored point.
 
     ``mode="zero"`` returns the zero matrix (the default in the outer
@@ -85,8 +81,8 @@ def build_H(problem, x_R, y, M, ledger=None, mode="zero"):
     objective and keeps only its nonnegative eigenvalues, scaled so the
     norm is at most M; the result is positive semidefinite, so the tangent
     model is strongly convex for every ``mu > 0``.  The extra gradient
-    evaluations are charged to the problem's ledger like any other, so
-    budget audits will see them.
+    evaluations go through ``problem.eval_grad_f``, so they are charged to
+    the problem's ledger and budget audits see them.
     """
     x_R = as_point(x_R)
     n = x_R.size

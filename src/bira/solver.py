@@ -16,8 +16,7 @@ tangent model is the one the stopping test projects.  The per-iteration
 ledger deltas in the records are the proof.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .core import (
     ConfigurationError,
     InvariantError,
     PenaltyState,
-    PrecisionLevel,
+    ProblemConstants,
     SchemaError,
     check_fields,
     merit_allowance,
@@ -231,6 +230,13 @@ class RunReport:
             raise SchemaError(
                 f"trace version {d['trace_version']!r} not supported"
             )
+        basis = d["constants_basis"]
+        check_fields(basis, ("problem_constants", "kappas", "extras"),
+                     "constants basis")
+        check_fields(basis["problem_constants"],
+                     ProblemConstants.__dataclass_fields__, "problem constants")
+        check_fields(d["params"], AlgorithmParams.__dataclass_fields__,
+                     "params")
         kw = dict(d)
         kw["records"] = [IterationRecord.from_dict(r) for r in d["records"]]
         kw["final_x"] = np.asarray(d["final_x"], dtype=float)
@@ -392,7 +398,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                         TangentSet(problem.box,
                                    problem.eval_grad_h(x_R, y_next), x_R),
                         build_H(problem, x_R, y_next, params.M,
-                                ledger=problem.ledger, mode=curvature_mode),
+                                mode=curvature_mode),
                     )
                 grad_f, region, H = level_cache[key]
                 x_next, cert = solve_tangent_qp(

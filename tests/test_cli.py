@@ -85,8 +85,15 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     lambda trace: trace["records"][0].pop("theta_after"),
     lambda trace: trace.pop("status"),
     lambda trace: trace["records"][0]["resta"].pop("z_steps"),
+    lambda trace: trace["constants_basis"].pop("kappas"),
+    lambda trace: trace["constants_basis"]["problem_constants"].pop("L_f"),
+    lambda trace: trace["constants_basis"]["problem_constants"].update(
+        L_g=1.0),
+    lambda trace: trace["params"].update(bogus=1.0),
 ], ids=["unknown_field", "missing_field", "missing_status",
-        "resta_missing_z_steps"])
+        "resta_missing_z_steps", "basis_missing_kappas",
+        "constants_missing_L_f", "constants_unknown_field",
+        "params_unknown_field"])
 def test_audit_rejects_records_off_the_schema(tmp_path, capsys, edit):
     trace = tmp_path / "t.json"
     main(["run", "--problem", "p4", "--out", str(trace)])

@@ -14,7 +14,6 @@ from bira.core import (
     constraint_ssq,
     infeasibility,
     merit_phi,
-    precision_g,
 )
 
 
@@ -54,7 +53,6 @@ def test_box_rejects_inverted_bounds():
 def test_precision_level_basic():
     y = PrecisionLevel(0.25, 0.5)
     assert y.g == 0.5
-    assert precision_g(y) == 0.5
     assert y.as_tuple() == (0.25, 0.5)
     assert PrecisionLevel(0.0, 0.0).g == 0.0
     with pytest.raises(ContractError):
@@ -129,9 +127,9 @@ def test_penalty_state_only_shrinks():
     st = PenaltyState(0.5)
     assert st.theta == 0.5
     st.push(0.5)
+    assert st.theta == 0.5
     st.push(0.3)
     assert st.theta == 0.3
-    assert st.history == [0.5, 0.5, 0.3]
     with pytest.raises(InvariantError):
         st.push(0.31)
     with pytest.raises(InvariantError):

@@ -1,6 +1,6 @@
+import json
 import math
 
-import numpy as np
 import pytest
 
 from bira.core import AlgorithmParams, InsufficientDataError, ProblemConstants
@@ -13,7 +13,7 @@ from bira.diagnostics import (
     leq,
     restoration_inner_cap,
 )
-from bira.oracle import make_p4
+from bira.oracle import make_p4, problem_by_name
 from bira.solver import RunReport, bira_run
 
 
@@ -196,3 +196,148 @@ def test_audit_skips_bound_checks_on_estimated_constants():
     assert by_name["infeasibility_summability"] == "skipped"
     assert by_name["theta_monotone"] == "pass"
     assert by_name["restoration_f_free"] == "pass"
+
+
+#: The audit's checks, in report order, and those it skips on estimated
+#: problem constants.
+CHECKS = (
+    "theta_monotone", "theta_lower_bound", "penalty_merit_decrease",
+    "sigma_cap", "mu_cap", "restored_distance", "restored_value_drift",
+    "infeasibility_summability", "step_summability", "residual_vs_step",
+    "residual_summability", "ledger_caps", "restoration_f_free",
+    "restoration_model_decrease", "restoration_solve_accuracy",
+    "tangent_model_decrease", "tangent_solve_accuracy",
+    "oracle_f_error_bound", "oracle_h_error_bound", "noise_within_budget",
+    "restoration_inner_caps", "step_per_infeasibility",
+)
+ANALYTIC_ONLY = {
+    "theta_lower_bound", "sigma_cap", "mu_cap", "restored_distance",
+    "restored_value_drift", "infeasibility_summability", "step_summability",
+    "residual_vs_step", "residual_summability", "ledger_caps",
+    "noise_within_budget", "step_per_infeasibility",
+}
+# p3 stops in its first restoration, before any oracle error is recorded
+NO_EXACT_VALUES = {"p3": {"oracle_f_error_bound", "oracle_h_error_bound"}}
+
+
+@pytest.fixture(scope="module")
+def suite_runs():
+    runs = {name: bira_run(problem_by_name(name))
+            for name in ("p1", "p1_pdp", "p2", "p3", "p4")}
+    for name in ("p1", "p2", "p4"):
+        runs[f"{name}_fd"] = bira_run(problem_by_name(name),
+                                      curvature_mode="fd")
+    return runs
+
+
+def _trace(report):
+    # a trace as saved: to_dict shares the constants basis with the report
+    return json.loads(json.dumps(report.to_dict()))
+
+
+def _verdicts(report):
+    return [(c.name, c.status) for c in audit(report).checks]
+
+
+def _expected(name, skipped=frozenset()):
+    skipped = skipped | NO_EXACT_VALUES.get(name, set())
+    return [(c, "skipped" if c in skipped else "pass") for c in CHECKS]
+
+
+@pytest.mark.parametrize("name", ["p1", "p1_pdp", "p2", "p3", "p4"])
+def test_audit_verdicts_of_the_suite_runs(suite_runs, name):
+    assert _verdicts(suite_runs[name]) == _expected(name)
+
+
+@pytest.mark.parametrize("name", ["p1_fd", "p2_fd", "p4_fd"])
+def test_audit_verdicts_of_the_fd_runs(suite_runs, name):
+    assert _verdicts(suite_runs[name]) == _expected(name)
+
+
+@pytest.mark.parametrize("name", ["p1", "p1_pdp", "p2", "p3", "p4"])
+def test_audit_verdicts_on_estimated_constants(suite_runs, name):
+    d = _trace(suite_runs[name])
+    d["constants_basis"]["problem_constants"]["provenance"] = "estimated"
+    assert _verdicts(RunReport.from_dict(d)) == _expected(name, ANALYTIC_ONLY)
+
+
+#: One edit per check to a value recorded in a p1 trace: ``(check, path,
+#: new value as a function of the first record and the derived
+#: constants)``.  Most edits go ten times past their bound; the chain's
+#: bounds on p1 reach 1e8 to 1e42, so some edits are that large.
+TAMPERS = [
+    ("theta_monotone", ("records", 0, "theta_after"),
+     lambda rec, tc: rec["theta_before"] + 1e-3),
+    # below the floor by more than leq's absolute slack of 1e-9
+    ("theta_lower_bound", ("records", 0, "theta_after"),
+     lambda rec, tc: tc.penalty_floor / 100.0),
+    # the first step lowered the merit by about 1.8 at theta = 0.5
+    ("penalty_merit_decrease", ("records", 0, "f_xnext_ynext"),
+     lambda rec, tc: rec["f_xnext_ynext"] + 10.0),
+    ("sigma_cap", ("records", 0, "resta", "sigma_history", 0),
+     lambda rec, tc: 10.0 * tc.sigma_cap),
+    ("mu_cap", ("records", 0, "mu_k"), lambda rec, tc: 10.0 * tc.mu_cap),
+    ("restored_distance", ("records", 0, "resta", "x_R", 0),
+     lambda rec, tc: rec["resta"]["x_R"][0] + 10.0
+     * tc.restored_distance_factor * (rec["h_xk_yk"] + max(rec["y_k"]))),
+    ("restored_value_drift", ("records", 0, "f_xR_yR"),
+     lambda rec, tc: rec["f_xk_yR"] + 10.0
+     * tc.restored_value_factor * (rec["h_xk_yk"] + max(rec["y_k"]))),
+    ("infeasibility_summability", ("records", 0, "h_xk_yR"),
+     lambda rec, tc: 10.0 * tc.infeasibility_sum_bound),
+    ("step_summability", ("records", 0, "tangent_cert", "step_norm"),
+     lambda rec, tc: 10.0 * math.sqrt(tc.step_square_sum_bound)),
+    ("residual_vs_step", ("records", 0, "stationarity_residual"),
+     lambda rec, tc: 10.0 * tc.residual_step_factor
+     * rec["tangent_cert"]["step_norm"]),
+    ("residual_summability", ("records", 0, "stationarity_residual"),
+     lambda rec, tc: 10.0 * math.sqrt(tc.residual_square_sum_bound)),
+    ("ledger_caps", ("records", 0, "ledger_delta", "gradh_evals"),
+     lambda rec, tc: math.floor(tc.gradh_evals_per_iter) + 1),
+    ("restoration_f_free", ("records", 0, "resta", "ledger_delta", "f_evals"),
+     lambda rec, tc: 1),
+    ("restoration_model_decrease",
+     ("records", 0, "resta", "certificates", "model_decrease", 0),
+     lambda rec, tc: 1e-9),
+    ("restoration_solve_accuracy",
+     ("records", 0, "resta", "certificates", "kappa_ratio", 0),
+     lambda rec, tc: 10.0 * tc.kappas["kappa_R"]),
+    ("tangent_model_decrease", ("records", 0, "tangent_cert", "model_decrease"),
+     lambda rec, tc: 1e-9),
+    ("tangent_solve_accuracy",
+     ("records", 0, "tangent_cert", "stationarity_residual"),
+     lambda rec, tc: 10.0 * tc.kappas["kappa"]
+     * rec["tangent_cert"]["step_norm"]),
+    ("oracle_f_error_bound", ("records", 0, "oracle_f_error"),
+     lambda rec, tc: 10.0 * tc.extras["noise_scale_f"] * rec["y_k"][0]),
+    ("oracle_h_error_bound", ("records", 0, "oracle_h_error"),
+     lambda rec, tc: 10.0 * tc.extras["noise_scale_h"] * rec["y_k"][1]),
+    # past the budget by more than leq's absolute slack of 1e-9
+    ("noise_within_budget", ("constants_basis", "extras", "beta"),
+     lambda rec, tc: tc.beta_bar + 1e-8),
+    ("restoration_inner_caps",
+     ("records", 0, "resta", "inner_desc_tests"),
+     lambda rec, tc: restoration_inner_cap(tc) + 1),
+    ("step_per_infeasibility", ("records", 0, "resta", "max_step_over_h"),
+     lambda rec, tc: 10.0 * tc.step_per_infeasibility),
+]
+
+
+def test_every_check_has_a_tampering_case():
+    assert sorted(name for name, _, _ in TAMPERS) == sorted(CHECKS)
+
+
+@pytest.mark.parametrize("check,path,value", TAMPERS,
+                         ids=[name for name, _, _ in TAMPERS])
+def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
+    rep = suite_runs["p1"]
+    assert audit(rep).ok
+    d = _trace(rep)
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value(d["records"][0], _tc_of(rep))
+    bad = RunReport.from_dict(d)
+    failed = {c.name: c.detail for c in audit(bad).failures}
+    assert check in failed
+    assert failed[check].split(":")[0] in ("iteration 0", "whole run")

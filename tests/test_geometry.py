@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from bira.core import BoxPolytope, ContractError
+from bira.core import BoxPolytope
 from bira.geometry import (
     TangentSet,
     project_affine,
     project_box,
     project_tangent,
-    stationarity_residual,
 )
 
 
@@ -85,18 +84,6 @@ def test_tangent_membership():
     assert region.contains(np.array([0.5, 0.5]))
     assert not region.contains(np.array([0.5, 0.0]))
     assert not region.contains(np.array([2.0, 2.0]))
-
-
-def test_stationarity_residual_box_hand_case():
-    box = BoxPolytope(np.array([0.0]), np.array([1.0]))
-    # interior point, small gradient: residual equals |grad|
-    r = stationarity_residual(np.array([0.5]), np.array([0.2]), box)
-    assert r == pytest.approx(0.2)
-    # gradient pushing against an active bound projects to zero movement
-    r2 = stationarity_residual(np.array([0.0]), np.array([3.0]), box)
-    assert r2 == pytest.approx(0.0)
-    with pytest.raises(ContractError):
-        stationarity_residual(np.array([5.0]), np.array([0.0]), box)
 
 
 def _random_instance(rng, n):
