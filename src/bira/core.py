@@ -61,6 +61,38 @@ def check_fields(payload, fields, what):
         )
 
 
+def check_numbers(payload, what, names=None, optional=()):
+    """Raise :class:`SchemaError` unless ``payload`` is a JSON object whose
+    ``names`` fields (all by default) hold numbers; a field in ``optional``
+    may also be ``None``."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    for name in payload if names is None else names:
+        val = payload[name]
+        if not (isinstance(val, (int, float))
+                or (val is None and name in optional)):
+            raise SchemaError(f"{what} field {name!r} must be a number,"
+                              f" got {type(val).__name__}")
+
+
+def number_fields(cls):
+    """``(names, optional)`` of the fields of dataclass ``cls`` annotated
+    as numbers, for :func:`check_numbers`."""
+    types = {name: f.type for name, f in cls.__dataclass_fields__.items()}
+    return ([name for name, t in types.items()
+             if t in (int, float, float | None)],
+            [name for name, t in types.items() if t == float | None])
+
+
+def number_list(values, what):
+    """Return ``values`` unchanged; :class:`SchemaError` unless it is a
+    JSON list of numbers."""
+    if not (isinstance(values, list)
+            and all(isinstance(v, (int, float)) for v in values)):
+        raise SchemaError(f"{what} must be a list of numbers")
+    return values
+
+
 #: Acceptance targets for the subproblem-solver certificates.  The inner
 #: solves are exact up to rounding; the targets only gate the certificates.
 DEFAULT_KAPPAS = {
@@ -204,6 +236,12 @@ class AlgorithmParams:
     """Solver parameters; validated once at construction.
 
     The attribute names double as the flat keys of the CLI config format.
+    ``sigma_min`` is the floor of the restoration regularization weight.
+    Its default, 1, is ``1/M`` at the default ``M = 1``: the smallest value
+    that the ``M * sigma_min >= 1`` guard of :func:`bira.qp.build_B`
+    admits.  A z-step at weight sigma contracts a linear violation by
+    ``2 sigma / (2 sigma + ||J||^2)`` (``||J J^T|| <= M``), so on ``p1``,
+    with ``||J||^2 = 1/16``, one restoration call takes 23 z-steps.
     """
 
     r: float = 0.5
@@ -211,7 +249,7 @@ class AlgorithmParams:
     alpha: float = 0.1
     alpha_R: float = 0.5
     M: float = 1.0
-    sigma_min: float = 4.0
+    sigma_min: float = 1.0
     sigma_max: float = 40.0
     mu_min: float = 1e-3
     mu_max: float = 1e3

@@ -249,9 +249,10 @@ def restoration_refine_cap(params: AlgorithmParams):
 
 
 def leq(lhs, rhs):
-    """Comparison with a 1e-9 relative slack, for audit bounds that carry
-    rounding."""
-    return lhs <= rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs))
+    """Comparison with a 1e-9 slack relative to the operands, for audit
+    bounds that carry rounding.  There is no absolute floor: bounds such as
+    the noise budget or the penalty floor are far below 1e-9."""
+    return lhs <= rhs + 1e-9 * max(abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)

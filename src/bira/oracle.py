@@ -298,8 +298,7 @@ class SyntheticProblem(InexactProblem):
 
     def extras(self):
         out = {
-            "beta": max(2.0 * max(self.noise_scale_f, self.noise_scale_h),
-                        1e-12),
+            "beta": 2.0 * max(self.noise_scale_f, self.noise_scale_h),
             "gamma": 0.5,
             "k_R": 0.0,
             "n_pdp": 2,
@@ -324,7 +323,7 @@ def _calibrate_noise(pc_for, params, base_extras):
     ns = 0.0
     for _ in range(60):
         ext = dict(base_extras)
-        ext["beta"] = max(2.0 * ns, 1e-12)
+        ext["beta"] = 2.0 * ns
         tc = derived_constants(pc_for(ns), params, extras=ext)
         ns_new = tc.beta_bar / 2.0
         if ns > 0.0 and abs(ns_new - ns) <= 1e-12 * ns:

@@ -59,7 +59,11 @@ def build_B(J, M, sigma_min):
 
     The norm comes from the m-by-m Gram matrix, so no n-by-n matrix is
     formed.  The restoration analysis needs ``M * sigma_min >= 1``;
-    violating that is a configuration error, not a runtime condition.
+    violating that is a configuration error, not a runtime condition.  The
+    default ``sigma_min = 1`` is ``1/M`` at the default ``M = 1``, the
+    smallest floor this guard admits: a z-step at weight sigma contracts a
+    linear violation by ``2 sigma / (2 sigma + ||J||^2)``, so the floor
+    sets how fast restoration can go.
     """
     if M * sigma_min < 1.0:
         raise ConfigurationError(

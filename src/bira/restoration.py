@@ -25,8 +25,11 @@ from .core import (
     PrecisionLevel,
     SchemaError,
     check_fields,
+    check_numbers,
     constraint_ssq,
     infeasibility,
+    number_fields,
+    number_list,
 )
 from .diagnostics import restoration_inner_cap, restoration_refine_cap
 from .geometry import project_box
@@ -92,11 +95,15 @@ class RestorationOutcome:
 
     @classmethod
     def from_dict(cls, d):
-        check_fields(d, cls.__dataclass_fields__, "restoration outcome")
+        what = "restoration outcome"
+        check_fields(d, cls.__dataclass_fields__, what)
+        check_numbers(d, what, *number_fields(cls))
+        check_numbers(d["ledger_delta"], "restoration ledger")
         kw = dict(d)
-        kw["x_R"] = np.asarray(d["x_R"], dtype=float)
-        kw["y_R"] = PrecisionLevel(*d["y_R"])
-        kw["sigma_history"] = tuple(d["sigma_history"])
+        kw["x_R"] = np.asarray(number_list(d["x_R"], "x_R"), dtype=float)
+        kw["y_R"] = PrecisionLevel(*number_list(d["y_R"], "y_R"))
+        kw["sigma_history"] = tuple(number_list(d["sigma_history"],
+                                                "sigma_history"))
         kw["certificates"] = _cert_rows(d["certificates"])
         kw["ledger_delta"] = dict(d["ledger_delta"])
         return cls(**kw)
@@ -105,6 +112,8 @@ class RestorationOutcome:
 def _cert_rows(columns):
     """Transpose certificate columns back into one dict per descent test."""
     check_fields(columns, CERT_FIELDS, "restoration certificate columns")
+    for name in CERT_FIELDS:
+        number_list(columns[name], f"certificate column {name}")
     lengths = {len(columns[name]) for name in CERT_FIELDS}
     if len(lengths) > 1:
         raise SchemaError("restoration certificate columns differ in length")

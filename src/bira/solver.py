@@ -16,6 +16,7 @@ tangent model is the one the stopping test projects.  The per-iteration
 ledger deltas in the records are the proof.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,11 @@ from .core import (
     ProblemConstants,
     SchemaError,
     check_fields,
+    check_numbers,
     merit_allowance,
     merit_phi,
+    number_fields,
+    number_list,
 )
 from .diagnostics import constants as derived_constants
 from .diagnostics import restoration_inner_cap
@@ -174,12 +178,16 @@ class IterationRecord:
 
     @classmethod
     def from_dict(cls, d):
-        check_fields(d, cls.__dataclass_fields__, "iteration record")
+        what = "iteration record"
+        check_fields(d, cls.__dataclass_fields__, what)
+        check_numbers(d, what, *number_fields(cls))
+        for name in ("tangent_cert", "ledger_delta", "ledger_after"):
+            check_numbers(d[name], name)
         kw = dict(d)
         for name in ("x_k", "x_next"):
-            kw[name] = np.asarray(kw[name], dtype=float)
+            kw[name] = np.asarray(number_list(kw[name], name), dtype=float)
         for name in ("y_k", "y_R", "y_next"):
-            kw[name] = tuple(kw[name])
+            kw[name] = tuple(number_list(kw[name], name))
         kw["resta"] = RestorationOutcome.from_dict(kw["resta"])
         return cls(**kw)
 
@@ -216,7 +224,7 @@ class RunReport:
             "final_y": list(self.final_y),
             "params": self.params.to_dict(),
             "tolerances": dict(self.tolerances),
-            "constants_basis": self.constants_basis,
+            "constants_basis": copy.deepcopy(self.constants_basis),
             "ledger_totals": dict(self.ledger_totals),
             "budget": self.budget,
             "curvature_mode": self.curvature_mode,
@@ -235,12 +243,23 @@ class RunReport:
                      "constants basis")
         check_fields(basis["problem_constants"],
                      ProblemConstants.__dataclass_fields__, "problem constants")
+        check_numbers(basis["problem_constants"], "problem constants",
+                      *number_fields(ProblemConstants))
+        check_numbers(basis["kappas"], "kappas")
+        check_numbers(basis["extras"], "extras")
         check_fields(d["params"], AlgorithmParams.__dataclass_fields__,
                      "params")
+        check_numbers(d["params"], "params")
+        check_numbers(d, "trace", ("budget",))
+        check_numbers(d["tolerances"], "tolerances")
+        check_numbers(d["ledger_totals"], "ledger totals")
+        if not isinstance(d["records"], list):
+            raise SchemaError("trace records must be a JSON list")
         kw = dict(d)
         kw["records"] = [IterationRecord.from_dict(r) for r in d["records"]]
-        kw["final_x"] = np.asarray(d["final_x"], dtype=float)
-        kw["final_y"] = tuple(d["final_y"])
+        kw["final_x"] = np.asarray(number_list(d["final_x"], "final_x"),
+                                   dtype=float)
+        kw["final_y"] = tuple(number_list(d["final_y"], "final_y"))
         kw["params"] = AlgorithmParams.from_dict(d["params"])
         kw["tolerances"] = dict(d["tolerances"])
         kw["ledger_totals"] = dict(d["ledger_totals"])

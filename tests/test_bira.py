@@ -89,6 +89,20 @@ def test_p1_converges_and_the_audit_agrees():
     assert all(b <= a for a, b in zip(thetas, thetas[1:]))
 
 
+@pytest.mark.parametrize("factory,ledger", [
+    (make_p1, {"f_evals": 81, "gradf_evals": 21,
+               "h_evals": 543, "gradh_evals": 504}),
+    (make_p2, {"f_evals": 78, "gradf_evals": 20,
+               "h_evals": 168, "gradh_evals": 130}),
+], ids=["p1", "p2"])
+def test_suite_ledgers_at_the_default_parameters(factory, ledger):
+    # restoration takes almost all h and grad-h evaluations; at
+    # sigma_min = 1 a p1 restoration call takes 23 z-steps
+    rep = bira_run(factory())
+    assert rep.status == "Converged"
+    assert rep.ledger_totals == ledger
+
+
 def test_lookahead_pins_precision_until_the_safeguard_fires():
     # reusing the coarse precision keeps passing the merit test here, so the
     # start-of-iteration precision never improves; the failure check must then
@@ -163,6 +177,16 @@ def test_trace_round_trip_and_version_guard():
         bad["trace_version"] = version
         with pytest.raises(SchemaError):
             RunReport.from_dict(bad)
+
+
+def test_to_dict_copies_the_constants_basis():
+    rep = bira_run(make_p4())
+    before = audit(rep).checks
+    d = rep.to_dict()
+    d["constants_basis"]["problem_constants"]["provenance"] = "estimated"
+    d["constants_basis"]["extras"]["beta"] = 1.0
+    assert audit(rep).checks == before
+    assert rep.constants_basis["extras"]["beta"] < 1.0
 
 
 def test_restoration_certificates_are_stored_as_columns():

@@ -90,10 +90,16 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     lambda trace: trace["constants_basis"]["problem_constants"].update(
         L_g=1.0),
     lambda trace: trace["params"].update(bogus=1.0),
+    lambda trace: trace["constants_basis"]["problem_constants"].update(
+        L_f="abc"),
+    lambda trace: trace["records"][0].update(x_k="abc"),
+    lambda trace: trace["records"][0].update(h_xk_yk="abc"),
+    lambda trace: trace.update(records=3),
 ], ids=["unknown_field", "missing_field", "missing_status",
         "resta_missing_z_steps", "basis_missing_kappas",
         "constants_missing_L_f", "constants_unknown_field",
-        "params_unknown_field"])
+        "params_unknown_field", "constants_L_f_is_a_string",
+        "x_k_is_a_string", "h_xk_yk_is_a_string", "records_is_a_number"])
 def test_audit_rejects_records_off_the_schema(tmp_path, capsys, edit):
     trace = tmp_path / "t.json"
     main(["run", "--problem", "p4", "--out", str(trace)])

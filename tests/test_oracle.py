@@ -11,7 +11,7 @@ from bira.core import (
     PrecisionLevel,
     ProblemConstants,
 )
-from bira.diagnostics import constants
+from bira.diagnostics import audit, constants
 from bira.oracle import (
     SyntheticProblem,
     make_p1,
@@ -220,6 +220,50 @@ def test_calibrated_noise_stays_within_budget():
         tc = constants(p.constants(), params, extras=extras)
         assert extras["beta"] <= tc.beta_bar * (1.0 + 1e-9)
         assert extras["beta"] > 0.0
+
+
+def test_recorded_error_scale_is_twice_the_noise_scale():
+    # no floor: an exact problem records zero
+    for name in ("p1", "p1_pdp", "p2", "p3", "p4"):
+        p = problem_by_name(name)
+        assert p.extras()["beta"] == 2.0 * max(p.noise_scale_f,
+                                                p.noise_scale_h)
+    assert problem_by_name("p3").extras()["beta"] == 0.0
+
+
+def _tiny_budget_problem(noise_scale):
+    """A 2-d problem whose declared constants (valid, but loose) put the
+    noise budget below 5e-13."""
+    x_f = np.array([0.5, -0.25])
+    a = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    pc = ProblemConstants(L_f=10.0, L_h=1.0, L_c=1.0, C_f=1.0, C_h=100.0,
+                          C_g=1.0)
+    return SyntheticProblem(
+        "tiny_budget", BoxPolytope(-np.ones(2), np.ones(2)),
+        lambda x: float((x - x_f) @ (x - x_f)) / 20.0,
+        lambda x: (x - x_f) / 10.0,
+        lambda x: np.array([0.25 * (float(a @ x) - 0.5)]),
+        lambda x: (0.25 * a)[None, :],
+        1, np.array([-0.5, -0.5]), PrecisionLevel(0.05, 0.05), pc,
+        noise_scale_f=noise_scale, noise_scale_h=noise_scale,
+        extra_overrides={"gamma": 0.5, "k_R": 0.0, "n_pdp": 2},
+    )
+
+
+def _noise_verdict(problem):
+    rep = bira_run(problem)
+    assert rep.status == "Converged"
+    return {c.name: c.status for c in audit(rep).checks}["noise_within_budget"]
+
+
+def test_noise_within_budget_on_a_budget_below_1e_12():
+    params = AlgorithmParams.defaults()
+    p = _tiny_budget_problem(0.0)
+    budget = constants(p.constants(), params, extras=p.extras()).beta_bar
+    assert budget < 5e-13
+    # beta = budget / 2 is recorded as it is, although below 1e-12
+    assert _noise_verdict(_tiny_budget_problem(budget / 4.0)) == "pass"
+    assert _noise_verdict(_tiny_budget_problem(budget)) == "fail"
 
 
 def test_pdp_map_contract():

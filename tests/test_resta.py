@@ -48,7 +48,7 @@ def test_p1_z_steps_follow_the_closed_form_contraction():
     norm_J_sq = 0.0625
     factor = (2 * params.sigma_min) / (2 * params.sigma_min + norm_J_sq)
     expected_steps = int(np.ceil(np.log(params.r) / np.log(factor)))
-    assert expected_steps == 90
+    assert expected_steps == 23
     assert out.z_steps == expected_steps
     assert out.inner_desc_tests == expected_steps
     assert all(s == params.sigma_min for s in out.sigma_history)
