@@ -236,20 +236,25 @@ class AlgorithmParams:
     """Solver parameters; validated once at construction.
 
     The attribute names double as the flat keys of the CLI config format.
-    ``sigma_min`` is the floor of the restoration regularization weight.
-    Its default, 1, is ``1/M`` at the default ``M = 1``: the smallest value
-    that the ``M * sigma_min >= 1`` guard of :func:`bira.qp.build_B`
-    admits.  A z-step at weight sigma contracts a linear violation by
-    ``2 sigma / (2 sigma + ||J||^2)`` (``||J J^T|| <= M``), so on ``p1``,
-    with ``||J||^2 = 1/16``, one restoration call takes 23 z-steps.
+    ``sigma_min`` is the floor of the restoration regularization weight and
+    ``M`` the cap on the Gauss-Newton curvature ``||J J^T||``; the
+    restoration analysis needs ``M * sigma_min >= 1``, checked here.  The
+    defaults ``(M, sigma_min) = (4, 0.25)`` sit on that edge.  A z-step at
+    weight sigma contracts a linear violation by
+    ``2 sigma / (2 sigma + ||J||^2)``, and on a linear row the restoration
+    descent test accepts that step iff ``||J||^2 + 4 sigma >= 2 alpha_R``.
+    On ``p1`` (``||J||^2 = 1/16``) that is sigma >= 0.234, so 0.25 is the
+    smallest power-of-two floor whose first trial passes, and a restoration
+    call takes 6 z-steps (23 at sigma_min = 1).  A floor of 1/8 fails the
+    test and pays a second trial per z-step.
     """
 
     r: float = 0.5
     r_feas: float = 0.05
     alpha: float = 0.1
     alpha_R: float = 0.5
-    M: float = 1.0
-    sigma_min: float = 1.0
+    M: float = 4.0
+    sigma_min: float = 0.25
     sigma_max: float = 40.0
     mu_min: float = 1e-3
     mu_max: float = 1e3
@@ -271,6 +276,10 @@ class AlgorithmParams:
             raise ConfigurationError("r_feas must lie in (0, r)")
         if self.M < 1.0:
             raise ConfigurationError("M must be >= 1")
+        if self.M * self.sigma_min < 1.0:
+            raise ConfigurationError(
+                f"M * sigma_min must be >= 1, got {self.M} * {self.sigma_min}"
+            )
         if self.sigma_max < self.sigma_min:
             raise ConfigurationError("sigma_max must be >= sigma_min")
         if self.mu_max < self.mu_min:

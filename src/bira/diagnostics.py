@@ -458,6 +458,12 @@ def audit(report, tc=None):
         ("step_per_infeasibility", ANALYTIC, (
             _tol(rec.k, rec.resta.max_step_over_h, tc.step_per_infeasibility)
             for rec in recs if rec.resta.max_step_over_h is not None)),
+        # a call that restored refined both precision components by at
+        # least r; the contraction it refined at may only be smaller
+        ("precision_refinement", None, (
+            _exact(rec.k, rec.y_R[i], params.r * rec.y_k[i])
+            for rec in recs if rec.resta.status in ("restored", "pdp")
+            for i in (0, 1))),
     ]
     return AuditReport(tuple(_verdict(name, gate, rows, tc.analytic)
                              for name, gate, rows in table))

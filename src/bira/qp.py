@@ -53,22 +53,15 @@ class SolveCertificate:
         return asdict(self)
 
 
-def build_B(J, M, sigma_min):
+def build_B(J, M):
     """Factor ``G`` of the Gauss-Newton curvature ``B = G^T G``: the
     Jacobian scaled so that ``||B||_2 = ||J J^T||_2`` is at most M.
 
     The norm comes from the m-by-m Gram matrix, so no n-by-n matrix is
-    formed.  The restoration analysis needs ``M * sigma_min >= 1``;
-    violating that is a configuration error, not a runtime condition.  The
-    default ``sigma_min = 1`` is ``1/M`` at the default ``M = 1``, the
-    smallest floor this guard admits: a z-step at weight sigma contracts a
-    linear violation by ``2 sigma / (2 sigma + ||J||^2)``, so the floor
-    sets how fast restoration can go.
+    formed.  The pairing ``M * sigma_min >= 1`` that the restoration
+    analysis needs is checked once, when :class:`~bira.core.AlgorithmParams`
+    is built.
     """
-    if M * sigma_min < 1.0:
-        raise ConfigurationError(
-            f"M * sigma_min must be >= 1, got {M} * {sigma_min}"
-        )
     J = np.atleast_2d(np.asarray(J, dtype=float))
     nrm = float(np.linalg.eigvalsh(J @ J.T)[-1])
     if nrm > M:

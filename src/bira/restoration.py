@@ -2,10 +2,11 @@
 
 Given the current point and precision, this phase returns a point whose
 measured violation has contracted by the ratio ``r`` and a precision level
-refined by at least the same ratio, or else declares that the problem
-looks locally infeasible: the projected gradient of the violation measure
-is small relative to the violation itself even at the tightest precision
-the schedule allows.
+refined by ``min(r, c)``, where ``c`` is the contraction the previous
+restored call achieved (r on the first call), or else declares that the
+problem looks locally infeasible: the projected gradient of the violation
+measure is small relative to the violation itself even at the tightest
+precision the schedule allows.
 
 The inner loop is a regularized Gauss-Newton descent on half the squared
 violation norm, restarted from the outer point at each precision level.
@@ -74,6 +75,12 @@ class RestorationOutcome:
     max_step_over_h: float | None
     ledger_delta: dict
 
+    @property
+    def contraction(self):
+        """Achieved ratio ``h_xR_yR / h_xk_yR``; 0 when there was no
+        violation to contract."""
+        return self.h_xR_yR / self.h_xk_yR if self.h_xk_yR > 0.0 else 0.0
+
     def to_dict(self):
         return {
             "x_R": np.asarray(self.x_R).tolist(),
@@ -130,13 +137,21 @@ def _step_ratio(step, denom):
 
 
 def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
-          use_pdp=True, inner_cap=None, kappas=None):
+          use_pdp=True, inner_cap=None, kappas=None, contraction=None):
     """Run the restoration phase from ``(x_k, y_k)``.
 
     ``h_xk_yk_norm`` is the already-measured violation at the outer point
     (evaluated here, and charged, when missing).  ``inner_cap`` bounds the
     number of descent tests across all precision levels; exceeding it, or
     the refinement cap, raises :class:`AbnormalTermination`.
+
+    ``contraction`` is :attr:`RestorationOutcome.contraction` of the
+    previous restored call (``None`` on the first).  Every refinement of
+    this call, and the shortcut's precision, uses the ratio
+    ``min(r, contraction)``, so g shrinks as fast as the violation did and
+    the ratio of the two that the outer failure test reads holds steady
+    (see :func:`bira.solver.restoration_failure`).  A contraction of 0 asks
+    for exact evaluations: both targets are 0.
 
     The phase never evaluates the objective or its gradient.
     """
@@ -176,6 +191,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
     if infeasibility(h_xk_yk_norm, y_k.g) == 0.0:
         return finish("trivial", x_k, y_k, h_xk_yk_norm, h_xk_yk_norm)
 
+    rho = params.r if contraction is None else min(params.r, contraction)
     if use_pdp:
         hit = problem.pdp(x_k, y_k)
         if hit is not None:
@@ -186,8 +202,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
             )
             # the shortcut must refine at least as hard as the schedule
             # would; the distance test needs no evaluation, so it goes first
-            if (close_enough and w_P.gf <= params.r * y_k.gf
-                    and w_P.gh <= params.r * y_k.gh):
+            if (close_enough and w_P.gf <= rho * y_k.gf
+                    and w_P.gh <= rho * y_k.gh):
                 h_zP = float(np.linalg.norm(problem.eval_h(z_P, w_P)))
                 h_xk_wP = float(np.linalg.norm(problem.eval_h(x_k, w_P)))
                 if h_zP <= params.r * h_xk_wP:
@@ -202,11 +218,11 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
                 "restoration refinement cap exceeded",
                 {"refinements": refinements, "desc_tests": desc_tests},
             )
-        gf_t = params.r * y_k.gf
+        gf_t = rho * y_k.gf
         if refinements <= params.N_prec:
-            gh_t = params.r * w.gh
+            gh_t = rho * w.gh
         else:
-            gh_t = min(params.eps_prec_bar, params.r * w.gh)
+            gh_t = min(params.eps_prec_bar, rho * w.gh)
         w = problem.refine(w, gf_t, gh_t)
 
         h_ref_vec = problem.eval_h(x_k, w)
@@ -228,7 +244,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
                     return finish("possible_infeasibility", z, w, h_z, h_ref)
                 break  # refine precision and restart from the outer point
 
-            G = build_B(J, params.M, params.sigma_min)
+            G = build_B(J, params.M)
             sigma = params.sigma_min
             c_z = constraint_ssq(h_z_vec)
             while True:

@@ -52,6 +52,41 @@ def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     Returns ``(failed, kind)``.  The first test rejects insufficient
     contraction of the violation; the second rejects a precision gain
     that outpaces the feasibility gain by more than the fixed ratio.
+
+    What the second test protects.  Write ``dh = h_xk_yR - h_xR_yR`` and
+    ``dg = g_yk - g_yR``.  :func:`update_penalty` needs a weight theta with
+    ``theta (f_xR_yR - f_xk_yR) <= (1 - theta) dh - ((1 - r)/2)(dh + dg)``.
+    When ``dh >= ((1 - r)/(2 r)) dg`` the right side is at least
+    ``((1 - r)/2 - theta) dh``, so every theta up to
+    ``((1 - r)/2) dh / (|f_xR_yR - f_xk_yR| + dh)`` works.  The first test
+    makes ``dh >= (1 - r) h_xk_yR``, the restored distance bounds the change
+    in f by a multiple of ``h_xk_yk + g_yk``, and this test bounds
+    ``g_yk = dg / (1 - rho)`` by a multiple of ``dh``, where
+    ``rho = g_yR / g_yk <= r``.  So the weight stays above a floor fixed by
+    the constants chain (``penalty_floor``, audited by
+    ``theta_lower_bound``).  Without the test a call that refines precision
+    but barely moves the violation would drive theta to zero.
+
+    Why the tied precision ratio cannot trip it.  With ``q = h_xk_yR /
+    g_yk`` and ``c = h_xR_yR / h_xk_yR`` the test reads
+    ``(1 - c) q >= ((1 - r)/(2 r)) (1 - rho)``.  The tangent step stays on
+    the linearized constraints, so the next call starts near ``h = c
+    h_xk_yR`` at ``g = rho g_yk``: each call multiplies q by ``c / rho``.
+    At a fixed ``rho = r`` a restoration faster than r shrinks q every call
+    until the test trips (``p2`` at ``(M, sigma_min) = (4, 0.25)``: q
+    from 1.84 to 0.46 in nine iterations at c near 0.44; tied, it settles
+    at 1.73).  :func:`~bira.restoration.resta` refines at
+    ``rho = min(r, c_prev)``, the contraction the previous restored call
+    achieved, so the factors telescope: after call k, q is ``q_0 c_k / r``.
+    It depends on the latest contraction only, and at a steady contraction c
+    the test holds at every call once ``q_0 >= (1 - r)/(2 c)``, which at
+    ``c = r`` is the test of the first call.  A contraction of 0 asks the
+    next call for exact evaluations (both targets 0, ``rho = 0``); that test
+    then needs ``dh >= ((1 - r)/(2 r)) g_yk`` from a point restored
+    exactly, which holds only if the tangent step reopened that much
+    violation.  On a linear row a damped z-step contracts the violation by
+    ``2 sigma / (2 sigma + ||J||^2) > 0``, so there only a box bound or a
+    shortcut projection restores exactly.
     """
     if h_xR_yR > r * h_xk_yR:
         return True, "insufficient_contraction"
@@ -85,16 +120,20 @@ def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
             "penalty update has nonpositive curvature; restoration tests"
             " should have rejected this outcome"
         )
-    theta_new = (allowance - dh) / denom
-    theta_new = min(theta_new, theta_k)
-    if not theta_new > 0.0:
+    theta_eq = min((allowance - dh) / denom, theta_k)
+    if not theta_eq > 0.0:
         raise InvariantError("penalty update left no positive weight")
-    # float rounding can leave the equality solution a hair over the line
-    for _ in range(8):
+    # the rounding of merit_phi scales with |f| + ||h|| + g, not with the
+    # gap denom * theta that a shrink of theta opens, so a few ULPs may not
+    # clear it: shrink by a doubling relative step, up to 1e-9
+    shrink = 0.0
+    while shrink <= 1e-9:
+        theta_new = theta_eq * (1.0 - shrink)
         if holds(theta_new):
             return theta_new
-        theta_new = float(np.nextafter(theta_new, 0.0))
-    raise InvariantError("penalty update failed to verify after nudging")
+        shrink = max(2.0 * shrink, 2.0**-52)
+    raise InvariantError("penalty update failed to verify within a relative"
+                         " shrink of 1e-9")
 
 
 @dataclass(frozen=True)
@@ -338,6 +377,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     x = np.asarray(problem.x0, dtype=float).copy()
     y = problem.y0
     mu_start = params.mu_init
+    contraction = None
     attempt_cap = max(200, tc.tangent_attempt_cap + 5)
 
     led_iter = problem.ledger.snapshot()
@@ -353,7 +393,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             out = resta(
                 problem, x, y, params,
                 h_xk_yk_norm=h_norm, use_pdp=use_pdp, inner_cap=inner_cap,
-                kappas=kappas,
+                kappas=kappas, contraction=contraction,
             )
             if out.status == "possible_infeasibility":
                 return finish(
@@ -377,6 +417,8 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                              "resta": out.to_dict()},
                 )
 
+            if out.status != "trivial":  # a trivial call contracted nothing
+                contraction = out.contraction
             x_R = out.x_R
             same_point = bool(np.array_equal(x_R, x))
             same_prec = y_R == y

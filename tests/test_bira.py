@@ -9,6 +9,7 @@ from bira.core import (
     InvariantError,
     PrecisionLevel,
     SchemaError,
+    merit_allowance,
     merit_phi,
 )
 from bira.diagnostics import audit
@@ -35,6 +36,23 @@ def test_penalty_moves_to_the_largest_workable_weight():
     assert lhs <= rhs
     # the old weight genuinely failed the same inequality
     assert merit_phi(5.0, 0.0, 0.25, 0.5) > merit_phi(0.0, 6.0, 0.25, 0.5) - allowance
+
+
+def test_penalty_update_clears_the_rounding_of_a_dominant_objective():
+    # f = 0.524 dominates the merit, so its rounding exceeds the gap that
+    # eight ULPs of theta open; a relative shrink clears it
+    args = (0.4358628680963604, 0.523991184127489, 0.5239908205927833,
+            4.580903257891855e-06, 1.9785941962742685e-06,
+            6.103515625e-06, 3.0517578125e-06, 0.5)
+    theta_k, f_R, f_k, h_k, h_R, g_k, g_R, r = args
+    got = update_penalty(*args)
+    allowance = merit_allowance(h_k, h_R, g_k, g_R, r)
+    assert merit_phi(f_R, h_R, g_R, got) <= merit_phi(f_k, h_k, g_R, got) + (
+        allowance)
+    dh, df = h_R - h_k, f_R - f_k
+    theta_eq = (allowance - dh) / (df - dh)
+    assert got <= theta_eq
+    assert theta_eq - got <= 1e-9 * theta_eq
 
 
 def test_penalty_kept_when_the_decrease_already_suffices():
@@ -91,16 +109,34 @@ def test_p1_converges_and_the_audit_agrees():
 
 @pytest.mark.parametrize("factory,ledger", [
     (make_p1, {"f_evals": 81, "gradf_evals": 21,
-               "h_evals": 543, "gradh_evals": 504}),
-    (make_p2, {"f_evals": 78, "gradf_evals": 20,
-               "h_evals": 168, "gradh_evals": 130}),
+               "h_evals": 186, "gradh_evals": 147}),
+    (make_p2, {"f_evals": 66, "gradf_evals": 17,
+               "h_evals": 81, "gradh_evals": 49}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # restoration takes almost all h and grad-h evaluations; at
-    # sigma_min = 1 a p1 restoration call takes 23 z-steps
+    # sigma_min = 0.25 a p1 restoration call takes 6 z-steps
     rep = bira_run(factory())
     assert rep.status == "Converged"
     assert rep.ledger_totals == ledger
+
+
+@pytest.mark.parametrize("M,sigma_min", [(2.0, 0.5), (4.0, 0.25)])
+def test_p2_converges_when_restoration_outpaces_r(M, sigma_min):
+    # p2's restoration contracts by about 0.44 per call; refined by r alone,
+    # g fell behind the violation and the run was declared infeasible
+    params = AlgorithmParams.from_dict({
+        **AlgorithmParams.defaults().to_dict(), "M": M, "sigma_min": sigma_min,
+    })
+    rep = bira_run(make_p2(params), params)
+    assert rep.status == "Converged"
+    res = audit(rep)
+    assert res.ok, res.failures
+    assert any(rec.resta.contraction < params.r for rec in rep.records)
+    # each call refines at the contraction the previous call achieved
+    for prev, rec in zip(rep.records, rep.records[1:]):
+        rho = min(params.r, prev.resta.contraction)
+        assert rec.y_R == (rho * rec.y_k[0], rho * rec.y_k[1])
 
 
 def test_lookahead_pins_precision_until_the_safeguard_fires():

@@ -47,6 +47,25 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_uncovered_regularization_exits_before_any_evaluation(
+        tmp_path, monkeypatch, capsys):
+    # p4's only restoration is trivial, so no curvature factor is ever
+    # built: the pairing must be refused at configuration time
+    evals = []
+    real_h = bira.oracle.InexactProblem.eval_h
+
+    def counting_eval_h(self, x, y):
+        evals.append(None)
+        return real_h(self, x, y)
+
+    monkeypatch.setattr(bira.oracle.InexactProblem, "eval_h", counting_eval_h)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"M": 1}))
+    assert main(["run", "--problem", "p4", "--config", str(cfg)]) == 1
+    assert "M * sigma_min must be >= 1" in capsys.readouterr().err
+    assert evals == []
+
+
 def test_malformed_config_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

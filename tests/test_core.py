@@ -105,6 +105,25 @@ def test_params_validation():
             AlgorithmParams.from_dict(cfg)
 
 
+@pytest.mark.parametrize("M,sigma_min", [(1.0, 0.25), (2.0, 0.25),
+                                         (8.0, 0.1)])
+def test_params_reject_uncovered_regularization(M, sigma_min):
+    # the restoration analysis needs M * sigma_min >= 1; checked once, at
+    # construction, whether or not a run ever builds the curvature factor
+    cfg = {**AlgorithmParams.defaults().to_dict(), "M": M,
+           "sigma_min": sigma_min}
+    with pytest.raises(ConfigurationError, match="M \\* sigma_min"):
+        AlgorithmParams.from_dict(cfg)
+
+
+@pytest.mark.parametrize("M,sigma_min", [(1.0, 1.0), (2.0, 0.5),
+                                         (4.0, 0.25), (8.0, 0.125)])
+def test_params_accept_the_edge_of_the_guard(M, sigma_min):
+    p = AlgorithmParams.from_dict({**AlgorithmParams.defaults().to_dict(),
+                                   "M": M, "sigma_min": sigma_min})
+    assert p.M * p.sigma_min == 1.0
+
+
 def test_problem_constants_provenance():
     pc = ProblemConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     assert pc.analytic

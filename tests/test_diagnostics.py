@@ -27,6 +27,7 @@ def test_sigma_sufficient_worked_example():
     # twice (curvature bound + half the scaled-model cap + descent margin)
     params = AlgorithmParams.from_dict({
         **AlgorithmParams.defaults().to_dict(), "M": 1.0, "alpha_R": 0.5,
+        "sigma_min": 1.0,
     })
     tc = constants(_pc(L_c=1.0), params)
     assert tc.sigma_sufficient == pytest.approx(4.0)
@@ -214,6 +215,7 @@ CHECKS = (
     "tangent_model_decrease", "tangent_solve_accuracy",
     "oracle_f_error_bound", "oracle_h_error_bound", "noise_within_budget",
     "restoration_inner_caps", "step_per_infeasibility",
+    "precision_refinement",
 )
 ANALYTIC_ONLY = {
     "theta_lower_bound", "sigma_cap", "mu_cap", "restored_distance",
@@ -324,6 +326,9 @@ TAMPERS = [
      lambda rec, tc: restoration_inner_cap(tc) + 1),
     ("step_per_infeasibility", ("records", 0, "resta", "max_step_over_h"),
      lambda rec, tc: 10.0 * tc.step_per_infeasibility),
+    # a restored call that claims to have left the precision unrefined
+    ("precision_refinement", ("records", 0, "y_R", 0),
+     lambda rec, tc: rec["y_k"][0]),
 ]
 
 

@@ -6,7 +6,6 @@ import pytest
 from bira.core import (
     AlgorithmParams,
     BoxPolytope,
-    ConfigurationError,
     ContractError,
     DEFAULT_KAPPAS,
 )
@@ -21,19 +20,14 @@ from bira.qp import (
 
 def test_build_B_scales_to_norm_cap():
     J = np.array([[2.0, 0.0]])
-    G = build_B(J, 1.0, 4.0)
+    G = build_B(J, 1.0)
     B = G.T @ G
     assert np.linalg.norm(B, 2) == pytest.approx(1.0)
     np.testing.assert_allclose(B, [[1.0, 0.0], [0.0, 0.0]])
     # already under the cap: left alone
     J2 = np.array([[0.5, 0.0]])
-    G2 = build_B(J2, 1.0, 4.0)
+    G2 = build_B(J2, 1.0)
     np.testing.assert_allclose(G2.T @ G2, J2.T @ J2)
-
-
-def test_build_B_rejects_uncovered_regularization():
-    with pytest.raises(ConfigurationError):
-        build_B(np.array([[1.0, 0.0]]), 2.0, 0.25)
 
 
 def test_restoration_qp_closed_form_1d():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,11 +46,15 @@ def test_p1_z_steps_follow_the_closed_form_contraction():
     assert out.y_R == PrecisionLevel(0.25, 0.25)
 
     # one gradient step per z-step at the floor regularization weight:
-    # measured violation contracts by 2*sigma/(2*sigma + |J|^2) each step
+    # measured violation contracts by 2*sigma/(2*sigma + |J|^2) each step,
+    # and on a linear row the descent test accepts weight sigma iff
+    # |J|^2 + 4*sigma >= 2*alpha_R, so the first trial at 0.25 passes
     norm_J_sq = 0.0625
+    assert params.sigma_min == 0.25
+    assert norm_J_sq + 4 * params.sigma_min >= 2 * params.alpha_R
     factor = (2 * params.sigma_min) / (2 * params.sigma_min + norm_J_sq)
     expected_steps = int(np.ceil(np.log(params.r) / np.log(factor)))
-    assert expected_steps == 23
+    assert expected_steps == 6
     assert out.z_steps == expected_steps
     assert out.inner_desc_tests == expected_steps
     assert all(s == params.sigma_min for s in out.sigma_history)
@@ -62,6 +68,60 @@ def test_p1_z_steps_follow_the_closed_form_contraction():
         out.h_xk_yR, out.h_xR_yR, p.y0.g, out.y_R.g, params.r
     )
     assert not failed and kind is None
+
+
+def test_p1_floor_of_one_eighth_rejects_first_trials():
+    # |J|^2 + 4/8 < 2*alpha_R: every z-step pays a rejected trial at 1/8
+    # before the doubled weight 1/4 passes, and then contracts as above
+    params = AlgorithmParams.from_dict({
+        **AlgorithmParams.defaults().to_dict(), "M": 8.0, "sigma_min": 0.125,
+    })
+    assert 0.0625 + 4 * params.sigma_min < 2 * params.alpha_R
+    p = make_p1(params)
+    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
+    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0)
+    assert out.status == "restored"
+    assert out.z_steps == 6
+    assert out.inner_desc_tests == 2 * out.z_steps
+    assert out.sigma_history == (0.125, 0.25) * out.z_steps
+    assert out.ledger_delta["h_evals"] == 1 + out.inner_desc_tests
+
+
+def _refine_targets(p):
+    targets = []
+    inner_refine = p.refine
+
+    def spying_refine(y, gf_target, gh_target):
+        targets.append((gf_target, gh_target))
+        return inner_refine(y, gf_target, gh_target)
+
+    p.refine = spying_refine
+    return targets
+
+
+@pytest.mark.parametrize("contraction,ratio", [
+    (None, 0.5), (0.75, 0.5), (0.3, 0.3), (0.0, 0.0),
+])
+def test_precision_is_refined_at_the_previous_contraction(contraction, ratio):
+    # min(r, c): r caps the ratio, a faster contraction tightens it, and a
+    # contraction of 0 asks for exact evaluations
+    p = make_p1()
+    params = AlgorithmParams.defaults()
+    targets = _refine_targets(p)
+    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
+    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0,
+                contraction=contraction)
+    assert out.status == "restored"
+    assert targets == [(ratio * 0.5, ratio * 0.5)]
+    assert out.y_R == PrecisionLevel(ratio * 0.5, ratio * 0.5)
+    assert out.contraction == out.h_xR_yR / out.h_xk_yR <= params.r
+
+
+def test_contraction_of_nothing_to_contract_is_zero():
+    p = make_p1()
+    out = resta(p, p.x0, p.y0, AlgorithmParams.defaults())
+    assert out.contraction > 0.0
+    assert replace(out, h_xk_yR=0.0, h_xR_yR=0.0).contraction == 0.0
 
 
 def test_restoration_never_touches_the_objective():
@@ -105,18 +165,13 @@ def _p3_like_with_coarse_start():
 
 def test_refinement_cascade_honors_the_level_schedule():
     p = _p3_like_with_coarse_start()
+    # at (M, sigma_min) = (1, 1) restoration stalls slowly enough to reach
+    # the eps_prec_bar clamp on its third level
     params = AlgorithmParams.from_dict({
         **AlgorithmParams.defaults().to_dict(),
-        "eps_prec_bar": 0.05, "N_prec": 2,
+        "eps_prec_bar": 0.05, "N_prec": 2, "M": 1.0, "sigma_min": 1.0,
     })
-    targets = []
-    inner_refine = p.refine
-
-    def spying_refine(y, gf_target, gh_target):
-        targets.append((gf_target, gh_target))
-        return inner_refine(y, gf_target, gh_target)
-
-    p.refine = spying_refine
+    targets = _refine_targets(p)
     h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
     out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0)
     assert out.status == "possible_infeasibility"
@@ -185,3 +240,19 @@ def test_outcome_round_trip():
     assert back.sigma_history == out.sigma_history
     assert back.certificates == out.certificates
     assert back.ledger_delta == out.ledger_delta
+
+
+def test_refinement_cascade_keeps_the_tied_ratio():
+    # every level of one call refines by min(r, contraction), not only the
+    # first
+    p = _p3_like_with_coarse_start()
+    params = AlgorithmParams.from_dict({
+        **AlgorithmParams.defaults().to_dict(),
+        "eps_prec_bar": 0.05, "N_prec": 2, "M": 1.0, "sigma_min": 1.0,
+    })
+    targets = _refine_targets(p)
+    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
+    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0, contraction=0.25)
+    assert out.status == "possible_infeasibility"
+    assert targets == [(0.075, 0.075), (0.075, 0.01875)]
+    assert out.y_R == PrecisionLevel(0.075, 0.01875)
