@@ -38,12 +38,7 @@ from .diagnostics import (
     iteration_bounds,
     restoration_inner_cap,
 )
-from .geometry import (
-    TangentSet,
-    project_affine,
-    project_box,
-    project_tangent,
-)
+from .geometry import TangentSet
 from .oracle import (
     EvaluationLedger,
     InexactProblem,
@@ -56,21 +51,9 @@ from .oracle import (
     make_suite,
     problem_by_name,
 )
-from .qp import (
-    SolveCertificate,
-    build_B,
-    build_H,
-    solve_restoration_qp,
-    solve_tangent_qp,
-)
+from .qp import SolveCertificate
 from .restoration import RestorationOutcome, resta
-from .solver import (
-    IterationRecord,
-    RunReport,
-    bira_run,
-    restoration_failure,
-    update_penalty,
-)
+from .solver import IterationRecord, RunReport, bira_run
 
 __version__ = "0.1.0"
 
@@ -102,8 +85,6 @@ __all__ = [
     "TheoreticalConstants",
     "audit",
     "bira_run",
-    "build_B",
-    "build_H",
     "complexity_fit",
     "constants",
     "constraint_ssq",
@@ -117,14 +98,7 @@ __all__ = [
     "make_suite",
     "merit_phi",
     "problem_by_name",
-    "project_affine",
-    "project_box",
-    "project_tangent",
     "resta",
-    "restoration_failure",
     "restoration_inner_cap",
-    "solve_restoration_qp",
-    "solve_tangent_qp",
-    "update_penalty",
     "__version__",
 ]

@@ -147,8 +147,7 @@ def cmd_run(args):
 def _tc_from_report(report):
     basis = report.constants_basis
     pc = ProblemConstants.from_dict(basis["problem_constants"])
-    return derived_constants(pc, report.params, kappas=basis["kappas"],
-                             extras=basis["extras"])
+    return derived_constants(pc, report.params, extras=basis["extras"])
 
 
 def audit_report_of(report):

@@ -7,7 +7,7 @@ and ``gh`` the constraint one, and the scalar precision measure is their max.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -93,8 +93,9 @@ def number_list(values, what):
     return values
 
 
-#: Acceptance targets for the subproblem-solver certificates.  The inner
-#: solves are exact up to rounding; the targets only gate the certificates.
+#: Accuracy targets of the two subproblem solves: constants of the
+#: analysis, read by the constants chain and by the audit.  The solves are
+#: exact up to rounding, so their certificates sit far inside them.
 DEFAULT_KAPPAS = {
     "kappa_R": 10.0,
     "kappa_T": 10.0,
@@ -294,29 +295,20 @@ class AlgorithmParams:
             raise ConfigurationError("N_prec must be a nonnegative integer")
         if not (isinstance(self.N_acce, int) and self.N_acce >= 0):
             raise ConfigurationError("N_acce must be a nonnegative integer")
-        for name in ("r", "r_feas", "alpha", "alpha_R", "M", "sigma_min",
-                     "sigma_max", "mu_min", "mu_max", "mu_init", "beta_c",
-                     "beta_PDP", "theta_0", "eps_prec_bar"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val):
-                raise ConfigurationError(f"parameter {name} must be finite")
-            object.__setattr__(self, name, val)
+        for f in fields(self):
+            if f.type is float:
+                val = float(getattr(self, f.name))
+                if not math.isfinite(val):
+                    raise ConfigurationError(
+                        f"parameter {f.name} must be finite")
+                object.__setattr__(self, f.name, val)
 
     @classmethod
     def defaults(cls):
         return cls()
 
     def to_dict(self):
-        return {
-            "r": self.r, "r_feas": self.r_feas, "alpha": self.alpha,
-            "alpha_R": self.alpha_R, "M": self.M,
-            "sigma_min": self.sigma_min, "sigma_max": self.sigma_max,
-            "mu_min": self.mu_min, "mu_max": self.mu_max,
-            "mu_init": self.mu_init, "beta_c": self.beta_c,
-            "beta_PDP": self.beta_PDP, "theta_0": self.theta_0,
-            "eps_prec_bar": self.eps_prec_bar, "N_prec": self.N_prec,
-            "N_acce": self.N_acce,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

@@ -58,7 +58,6 @@ class TheoreticalConstants:
     residual_square_sum_bound: float
     beta_bar: float
     analytic: bool
-    kappas: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
     @property
@@ -77,19 +76,11 @@ class TheoreticalConstants:
     def gradf_evals_per_iter(self):
         return 2
 
-    def to_dict(self):
-        d = {
-            name: getattr(self, name)
-            for name in self.__dataclass_fields__
-        }
-        d["kappas"] = dict(self.kappas)
-        d["extras"] = dict(self.extras)
-        return d
-
 
 def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
-              kappas=None, extras=None):
-    """Compute the full derived-constant chain.
+              *, extras=None):
+    """Compute the full derived-constant chain, at the solve targets
+    :data:`~bira.core.DEFAULT_KAPPAS`.
 
     ``extras`` may override ``beta`` (oracle error scale), ``gamma``
     (merit decrease fraction), ``k_R`` (projection-map drift bound), and
@@ -97,8 +88,7 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     """
     pc = problem_constants
     p = params
-    kap = dict(DEFAULT_KAPPAS)
-    kap.update(kappas or {})
+    kap = DEFAULT_KAPPAS
     ext = dict(DEFAULT_EXTRAS)
     ext.update(extras or {})
     ext["r"] = p.r
@@ -180,7 +170,6 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
         residual_square_sum_bound=residual_square_sum_bound,
         beta_bar=beta_bar,
         analytic=pc.analytic,
-        kappas=kap,
         extras=ext,
     )
 
@@ -198,9 +187,6 @@ class IterationBounds:
     max_gradh_evals: float
     max_f_evals: float
     max_gradf_evals: float
-
-    def to_dict(self):
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 def iteration_bounds(tc: TheoreticalConstants, eps_feas, eps_prec, eps_opt):
@@ -345,15 +331,13 @@ def _merit_row(rec, r):
     return _tol(rec.k, lhs, rhs)
 
 
-def _ledger_rows(rec, tc, mode):
-    # startup measurements are charged to the first iteration; fd curvature
-    # takes 2n central-difference gradients per level tried
+def _ledger_rows(rec, tc):
+    # startup measurements are charged to the first iteration
     first = 1 if rec.k == 0 else 0
-    fd = 2 * rec.x_k.size * min(rec.ell_count, 2) if mode == "fd" else 0
     caps = {"h_evals": tc.h_evals_per_iter + first,
             "gradh_evals": tc.gradh_evals_per_iter,
             "f_evals": tc.f_evals_per_iter + first,
-            "gradf_evals": tc.gradf_evals_per_iter + fd}
+            "gradf_evals": tc.gradf_evals_per_iter}
     return [_exact(rec.k, rec.ledger_delta[key], cap)
             for key, cap in caps.items()]
 
@@ -361,18 +345,18 @@ def _ledger_rows(rec, tc, mode):
 def audit(report, tc=None):
     """Check a recorded run against every auditable invariant.
 
-    ``report`` needs ``records``, ``params``, ``constants_basis`` and
-    ``curvature_mode``.  ``tc`` defaults to the chain recomputed from the
-    report's own constants basis.  Each check is a name, a gate and a lazy
-    stream of rows ``(iteration, ok, observed, bound)``; :func:`_verdict`
-    decides every one of them.
+    ``report`` needs ``records``, ``params`` and ``constants_basis``.
+    ``tc`` defaults to the chain recomputed from the report's own constants
+    basis; the solve targets are always :data:`~bira.core.DEFAULT_KAPPAS`.
+    Each check is a name, a gate and a lazy stream of rows ``(iteration,
+    ok, observed, bound)``; :func:`_verdict` decides every one of them.
     """
     params = report.params
     if tc is None:
         basis = report.constants_basis
         tc = constants(ProblemConstants.from_dict(basis["problem_constants"]),
-                       params, kappas=basis["kappas"], extras=basis["extras"])
-    kap = tc.kappas
+                       params, extras=basis["extras"])
+    kap = DEFAULT_KAPPAS
     recs = report.records
     rcerts = [(rec.k, c) for rec in recs for c in rec.resta.certificates]
     tcerts = [(rec.k, rec.tangent_cert) for rec in recs
@@ -420,14 +404,17 @@ def audit(report, tc=None):
             tc.residual_square_sum_bound)),
         ("ledger_caps", ANALYTIC, (
             row for rec in recs
-            for row in _ledger_rows(rec, tc, report.curvature_mode))),
+            for row in _ledger_rows(rec, tc))),
         ("restoration_f_free", None, (
             _exact(rec.k, abs(rec.resta.ledger_delta[key]), 0)
             for rec in recs for key in ("f_evals", "gradf_evals"))),
         ("restoration_model_decrease", None, (
             _exact(k, c["model_decrease"], _CERT_FLOOR) for k, c in rcerts)),
+        # the residual within its step budget, and the ray ratio
         ("restoration_solve_accuracy", None, (
-            _exact(k, c["kappa_ratio"], kap["kappa_R"]) for k, c in rcerts)),
+            row for k, c in rcerts for row in (
+                _exact(k, c["kappa_ratio"], kap["kappa_R"]),
+                _exact(k, c["kappa_phi_ratio"], kap["kappa_phi"])))),
         ("tangent_model_decrease", None, (
             _exact(k, c["model_decrease"], _CERT_FLOOR) for k, c in tcerts)),
         # the residual within both step budgets, and the ray ratio; zero

@@ -200,14 +200,6 @@ class _SineNoise:
             + self.w2 * math.sin(a1) * math.cos(a2) * self.v
         ) / self.div
 
-    @property
-    def grad_bound(self):
-        return (self.w1 + self.w2) / self.div
-
-    @property
-    def hess_bound(self):
-        return (self.w1 + self.w2) ** 2 / self.div
-
 
 class SyntheticProblem(InexactProblem):
     """Closed-form problem with a calibrated sine perturbation.

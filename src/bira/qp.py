@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, ContractError, as_point
+from .core import as_point
 from .geometry import (
     BoxPolytope,
     TangentSet,
@@ -36,9 +36,9 @@ class SolveCertificate:
     ``kappa_ratio`` is the stationarity residual divided by its budgeted
     reference (step norm for restoration solves, squared step norm for
     tangent solves); ``kappa_phi_ratio`` compares the best single-ray
-    decrease against the achieved one.  ``flagged`` means some target was
-    missed.  Zero steps carry a zero ratio; the outer stopping test covers
-    them.
+    decrease against the achieved one.  The audit compares both with the
+    fixed targets :data:`~bira.core.DEFAULT_KAPPAS`.  Zero steps carry a
+    zero ratio; the outer stopping test covers them.
     """
 
     model_decrease: float
@@ -47,7 +47,6 @@ class SolveCertificate:
     tangent_violation: float
     kappa_ratio: float
     kappa_phi_ratio: float
-    flagged: bool
 
     def to_dict(self):
         return asdict(self)
@@ -69,37 +68,14 @@ def build_B(J, M):
     return J
 
 
-def build_H(problem, x_R, y, M, mode="zero"):
-    """Curvature matrix for the tangent phase at the restored point.
+def build_H(x_R):
+    """Factor ``G`` of the tangent curvature ``H = G^T G``: the empty
+    factor, so ``H = 0``.
 
-    ``mode="zero"`` returns the zero matrix (the default in the outer
-    solver: it keeps the per-iteration gradient budget intact).
-    ``mode="fd"`` builds a central-difference Hessian of the inexact
-    objective and keeps only its nonnegative eigenvalues, scaled so the
-    norm is at most M; the result is positive semidefinite, so the tangent
-    model is strongly convex for every ``mu > 0``.  The extra gradient
-    evaluations go through ``problem.eval_grad_f``, so they are charged to
-    the problem's ledger and budget audits see them.
+    The analysis asks only ``||H|| <= M``, and zero curvature keeps the
+    per-iteration gradient budget intact.
     """
-    x_R = as_point(x_R)
-    n = x_R.size
-    if mode == "zero":
-        return np.zeros((n, n))
-    if mode != "fd":
-        raise ConfigurationError(f"unknown curvature mode {mode!r}")
-    step = 1e-5 * (1.0 + float(np.linalg.norm(x_R)))
-    H = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        gp = problem.eval_grad_f(x_R + e, y)
-        gm = problem.eval_grad_f(x_R - e, y)
-        H[:, j] = (gp - gm) / (2.0 * step)
-    lam, V = np.linalg.eigh(0.5 * (H + H.T))
-    lam = np.maximum(lam, 0.0)
-    if lam[-1] > M:
-        lam *= M / lam[-1]
-    return (V * lam) @ V.T
+    return np.zeros((0, np.asarray(x_R).size))
 
 
 def _solve(g0, G, tau, center, lower, upper, A, project):
@@ -148,8 +124,7 @@ def _phi_ratio(cauchy_val, achieved_val):
     return cauchy_val / achieved_val
 
 
-def solve_restoration_qp(grad_c, G, sigma, z_center, box: BoxPolytope,
-                         kappas):
+def solve_restoration_qp(grad_c, G, sigma, z_center, box: BoxPolytope):
     """Minimize the regularized Gauss-Newton model
     ``g.d + 0.5 d.(G^T G + 2 sigma I).d`` over the box.
 
@@ -168,7 +143,6 @@ def solve_restoration_qp(grad_c, G, sigma, z_center, box: BoxPolytope,
         np.zeros((0, box.dim)), project,
     )
     ratio = 0.0 if resid <= floor else (resid / step if step > 0.0 else float("inf"))
-    flagged = ratio > kappas["kappa_R"] or phi > kappas["kappa_phi"]
     cert = SolveCertificate(
         model_decrease=val,
         stationarity_residual=resid,
@@ -176,46 +150,32 @@ def solve_restoration_qp(grad_c, G, sigma, z_center, box: BoxPolytope,
         tangent_violation=0.0,
         kappa_ratio=ratio,
         kappa_phi_ratio=phi,
-        flagged=bool(flagged),
     )
     return z, cert
 
 
-def solve_tangent_qp(grad_f, H, mu, x_R, region: TangentSet, kappas):
-    """Minimize ``g.s + 0.5 s.(H + 2 mu I).s`` over the tangent region.
+def solve_tangent_qp(grad_f, G, mu, x_R, region: TangentSet):
+    """Minimize ``g.s + 0.5 s.(G^T G + 2 mu I).s`` over the tangent region.
 
-    ``H + 2 mu I`` is split into ``tau I + G^T G`` by ``eigh`` (zero
-    curvature leaves ``G`` empty: one projection); if it is not positive
-    definite, :class:`ContractError` is raised.  Returns ``(x_R + s,
+    ``G`` is the factor returned by :func:`build_H`.  Returns ``(x_R + s,
     certificate)``.  Steps below a resolution threshold are snapped to
     zero: they carry no usable certificate ratio, and the outer stopping
     test is the authority on whether the point is good enough.
     """
     x_R = as_point(x_R, region.box.dim)
     g0 = as_point(grad_f, region.box.dim)
-    H = np.asarray(H, dtype=float)
-    lam, V = np.linalg.eigh(H) if H.any() else (np.zeros(0), H[:, :0])
-    shift = float(lam.min(initial=0.0))
-    tau = 2.0 * mu + shift
-    if not tau > 0.0:
-        raise ContractError("tangent model H + 2 mu I is not positive definite")
-    G = np.sqrt(lam - shift)[:, None] * V.T
+    G = np.atleast_2d(np.asarray(G, dtype=float))
 
     def project(p):
         return project_tangent(p, region)
 
     x, val, resid, step, floor, phi = _solve(
-        g0, G, tau, x_R, region.box.lower, region.box.upper, region.A,
+        g0, G, 2.0 * mu, x_R, region.box.lower, region.box.upper, region.A,
         project,
     )
     if step <= _SNAP_REL * (1.0 + float(np.linalg.norm(x_R))):
         x, val, step, phi = x_R.copy(), 0.0, 0.0, 1.0
     ratio = resid / step**2 if step > 0.0 and resid > floor else 0.0
-    flagged = step > 0.0 and (
-        ratio > kappas["kappa_T"]
-        or (resid > floor and resid > kappas["kappa"] * step)
-        or phi > kappas["kappa_phi"]
-    )
     cert = SolveCertificate(
         model_decrease=val,
         stationarity_residual=resid,
@@ -223,6 +183,5 @@ def solve_tangent_qp(grad_f, H, mu, x_R, region: TangentSet, kappas):
         tangent_violation=float(np.linalg.norm(region.A @ (x - x_R))),
         kappa_ratio=ratio,
         kappa_phi_ratio=phi,
-        flagged=bool(flagged),
     )
     return x, cert

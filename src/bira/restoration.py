@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_KAPPAS,
     AbnormalTermination,
     PrecisionLevel,
     SchemaError,
@@ -47,7 +46,6 @@ CERT_FIELDS = (
     "step_norm",
     "kappa_ratio",
     "kappa_phi_ratio",
-    "flagged",
 )
 
 
@@ -136,12 +134,12 @@ def _step_ratio(step, denom):
     return 0.0 if step <= 1e-15 else float("inf")
 
 
-def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
-          use_pdp=True, inner_cap=None, kappas=None, contraction=None):
+def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm,
+          inner_cap=None, contraction=None):
     """Run the restoration phase from ``(x_k, y_k)``.
 
-    ``h_xk_yk_norm`` is the already-measured violation at the outer point
-    (evaluated here, and charged, when missing).  ``inner_cap`` bounds the
+    ``h_xk_yk_norm`` is the already-measured violation at the outer point;
+    the phase does not re-evaluate it.  ``inner_cap`` bounds the
     number of descent tests across all precision levels; exceeding it, or
     the refinement cap, raises :class:`AbnormalTermination`.
 
@@ -155,15 +153,11 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
 
     The phase never evaluates the objective or its gradient.
     """
-    kappas = {**DEFAULT_KAPPAS, **(kappas or {})}
     cap = restoration_inner_cap(None) if inner_cap is None else int(inner_cap)
     refine_cap = restoration_refine_cap(params)
     box = problem.box
     x_k = np.asarray(x_k, dtype=float)
     led0 = problem.ledger.snapshot()
-
-    if h_xk_yk_norm is None:
-        h_xk_yk_norm = float(np.linalg.norm(problem.eval_h(x_k, y_k)))
 
     sigma_hist = []
     certs = []
@@ -192,23 +186,22 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
         return finish("trivial", x_k, y_k, h_xk_yk_norm, h_xk_yk_norm)
 
     rho = params.r if contraction is None else min(params.r, contraction)
-    if use_pdp:
-        hit = problem.pdp(x_k, y_k)
-        if hit is not None:
-            z_P, w_P = hit
-            step = float(np.linalg.norm(np.asarray(z_P, float) - x_k))
-            close_enough = step <= params.beta_PDP * infeasibility(
-                h_xk_yk_norm, y_k.g
-            )
-            # the shortcut must refine at least as hard as the schedule
-            # would; the distance test needs no evaluation, so it goes first
-            if (close_enough and w_P.gf <= rho * y_k.gf
-                    and w_P.gh <= rho * y_k.gh):
-                h_zP = float(np.linalg.norm(problem.eval_h(z_P, w_P)))
-                h_xk_wP = float(np.linalg.norm(problem.eval_h(x_k, w_P)))
-                if h_zP <= params.r * h_xk_wP:
-                    max_ratio = _step_ratio(step, h_xk_wP)
-                    return finish("pdp", z_P, w_P, h_zP, h_xk_wP)
+    hit = problem.pdp(x_k, y_k)
+    if hit is not None:
+        z_P, w_P = hit
+        step = float(np.linalg.norm(np.asarray(z_P, float) - x_k))
+        close_enough = step <= params.beta_PDP * infeasibility(
+            h_xk_yk_norm, y_k.g
+        )
+        # the shortcut must refine at least as hard as the schedule
+        # would; the distance test needs no evaluation, so it goes first
+        if (close_enough and w_P.gf <= rho * y_k.gf
+                and w_P.gh <= rho * y_k.gh):
+            h_zP = float(np.linalg.norm(problem.eval_h(z_P, w_P)))
+            h_xk_wP = float(np.linalg.norm(problem.eval_h(x_k, w_P)))
+            if h_zP <= params.r * h_xk_wP:
+                max_ratio = _step_ratio(step, h_xk_wP)
+                return finish("pdp", z_P, w_P, h_zP, h_xk_wP)
 
     w = y_k
     while True:
@@ -254,9 +247,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm=None,
                         {"refinements": refinements, "desc_tests": desc_tests},
                     )
                 sigma_hist.append(sigma)
-                z_trial, cert = solve_restoration_qp(
-                    grad_c, G, sigma, z, box, kappas
-                )
+                z_trial, cert = solve_restoration_qp(grad_c, G, sigma, z, box)
                 certs.append({name: getattr(cert, name)
                               for name in CERT_FIELDS})
                 h_trial_vec = problem.eval_h(z_trial, w)

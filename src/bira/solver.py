@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_KAPPAS,
     AbnormalTermination,
     AlgorithmParams,
     ConfigurationError,
@@ -43,7 +42,7 @@ from .geometry import TangentSet, project_tangent
 from .qp import build_H, solve_tangent_qp
 from .restoration import RestorationOutcome, resta
 
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 
 
 def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -246,7 +245,6 @@ class RunReport:
     constants_basis: dict
     ledger_totals: dict
     budget: int
-    curvature_mode: str = "zero"
     trace_version: int = TRACE_VERSION
 
     @property
@@ -266,25 +264,25 @@ class RunReport:
             "constants_basis": copy.deepcopy(self.constants_basis),
             "ledger_totals": dict(self.ledger_totals),
             "budget": self.budget,
-            "curvature_mode": self.curvature_mode,
             "trace_version": self.trace_version,
         }
 
     @classmethod
     def from_dict(cls, d):
+        # the version decides the schema, so it is read before the fields
+        if not isinstance(d, dict):
+            raise SchemaError("trace must be a JSON object")
+        version = d.get("trace_version")
+        if version != TRACE_VERSION:
+            raise SchemaError(f"trace version {version!r} not supported")
         check_fields(d, cls.__dataclass_fields__, "trace")
-        if d["trace_version"] != TRACE_VERSION:
-            raise SchemaError(
-                f"trace version {d['trace_version']!r} not supported"
-            )
         basis = d["constants_basis"]
-        check_fields(basis, ("problem_constants", "kappas", "extras"),
+        check_fields(basis, ("problem_constants", "extras"),
                      "constants basis")
         check_fields(basis["problem_constants"],
                      ProblemConstants.__dataclass_fields__, "problem constants")
         check_numbers(basis["problem_constants"], "problem constants",
                       *number_fields(ProblemConstants))
-        check_numbers(basis["kappas"], "kappas")
         check_numbers(basis["extras"], "extras")
         check_fields(d["params"], AlgorithmParams.__dataclass_fields__,
                      "params")
@@ -319,8 +317,7 @@ def _oracle_errors(problem, x, y, f_meas, h_vec_meas):
 
 
 def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
-             eps_opt=1e-4, budget=500, kappas=None, use_pdp=True,
-             curvature_mode="zero"):
+             eps_opt=1e-4, budget=500):
     """Solve ``problem`` to the given tolerances.
 
     Stops with status ``Converged`` when, at an accepted iteration, the
@@ -336,7 +333,6 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     outer iteration index added to its summary as ``iteration``.
     """
     params = params or AlgorithmParams.defaults()
-    kappas = {**DEFAULT_KAPPAS, **(kappas or {})}
     for name, val in (("eps_feas", eps_feas), ("eps_prec", eps_prec),
                       ("eps_opt", eps_opt)):
         if not val > 0.0:
@@ -346,13 +342,9 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
 
     pc = problem.constants()
     extras = dict(getattr(problem, "extras", dict)() or {})
-    tc = derived_constants(pc, params, kappas=kappas, extras=extras)
+    tc = derived_constants(pc, params, extras=extras)
     inner_cap = restoration_inner_cap(tc)
-    basis = {
-        "problem_constants": pc.to_dict(),
-        "kappas": dict(kappas),
-        "extras": tc.extras,
-    }
+    basis = {"problem_constants": pc.to_dict(), "extras": tc.extras}
     tolerances = {"eps_feas": eps_feas, "eps_prec": eps_prec,
                   "eps_opt": eps_opt}
 
@@ -369,7 +361,6 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             constants_basis=basis,
             ledger_totals=problem.ledger.snapshot(),
             budget=budget,
-            curvature_mode=curvature_mode,
         )
 
     records = []
@@ -390,11 +381,8 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             if k > 0:
                 led_iter = problem.ledger.snapshot()
 
-            out = resta(
-                problem, x, y, params,
-                h_xk_yk_norm=h_norm, use_pdp=use_pdp, inner_cap=inner_cap,
-                kappas=kappas, contraction=contraction,
-            )
+            out = resta(problem, x, y, params, h_xk_yk_norm=h_norm,
+                        inner_cap=inner_cap, contraction=contraction)
             if out.status == "possible_infeasibility":
                 return finish(
                     "RestorationFailure", out.x_R, out.y_R,
@@ -441,7 +429,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             )
 
             mu = mu_start
-            # gradient, tangent region and curvature per precision level
+            # gradient, tangent region and curvature factor per level
             level_cache = {}
             attempts = 0
             while True:
@@ -458,13 +446,10 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                         problem.eval_grad_f(x_R, y_next),
                         TangentSet(problem.box,
                                    problem.eval_grad_h(x_R, y_next), x_R),
-                        build_H(problem, x_R, y_next, params.M,
-                                mode=curvature_mode),
+                        build_H(x_R),
                     )
-                grad_f, region, H = level_cache[key]
-                x_next, cert = solve_tangent_qp(
-                    grad_f, H, mu, x_R, region, kappas
-                )
+                grad_f, region, G = level_cache[key]
+                x_next, cert = solve_tangent_qp(grad_f, G, mu, x_R, region)
                 s_norm = cert.step_norm
 
                 if s_norm == 0.0 and y_next == y_R:

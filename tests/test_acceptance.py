@@ -51,8 +51,7 @@ def feasible_runs():
         problem = factory()
         report = bira_run(problem, eps_feas=FEAS_TOL, eps_prec=PREC_TOL,
                           eps_opt=OPT_TOL, budget=BUDGET)
-        tc = constants(factory().constants(), AlgorithmParams.defaults(),
-                       DEFAULT_KAPPAS)
+        tc = constants(factory().constants(), AlgorithmParams.defaults())
         runs[problem.name] = (report, tc)
     return runs
 
@@ -116,8 +115,7 @@ def test_criterion_04_regularization_caps(feasible_runs, infeasible_run):
                 violations += 1
             if rec.mu_k > tc.mu_cap:
                 violations += 1
-    p3_tc = constants(make_p3().constants(), AlgorithmParams.defaults(),
-                      DEFAULT_KAPPAS)
+    p3_tc = constants(make_p3().constants(), AlgorithmParams.defaults())
     for s in infeasible_run.failure_info["resta"]["sigma_history"]:
         if s > p3_tc.sigma_cap:
             violations += 1
@@ -137,8 +135,7 @@ def test_criterion_06_iteration_count_bounds():
     report = bira_run(problem, eps_feas=COUNT_EPS, eps_prec=COUNT_EPS,
                       eps_opt=COUNT_EPS, budget=BUDGET)
     assert report.status == "Converged"
-    tc = constants(make_p1().constants(), AlgorithmParams.defaults(),
-                   DEFAULT_KAPPAS)
+    tc = constants(make_p1().constants(), AlgorithmParams.defaults())
     nb = iteration_bounds(tc, COUNT_EPS, COUNT_EPS, COUNT_EPS)
 
     recs = report.records
@@ -238,9 +235,10 @@ def test_criterion_10_qp_layer_matches_dense_grids():
         center = box.clip(rng.uniform(-0.5, 0.5, 2))
         grad = 2.0 * rng.standard_normal(2)
 
-        z, cert = solve_restoration_qp(grad, g_mat, sigma, center, box,
-                                       DEFAULT_KAPPAS)
-        assert not cert.flagged
+        z, cert = solve_restoration_qp(grad, g_mat, sigma, center, box)
+        # the comparisons of the audit's restoration_solve_accuracy
+        assert cert.kappa_ratio <= DEFAULT_KAPPAS["kappa_R"]
+        assert cert.kappa_phi_ratio <= DEFAULT_KAPPAS["kappa_phi"]
         q_mat = b_mat + 2.0 * sigma * np.eye(2)
         axes = [np.linspace(box.lower[i], box.upper[i], side)
                 for i in range(2)]
@@ -259,8 +257,6 @@ def test_criterion_10_qp_layer_matches_dense_grids():
         gz = grad + q_mat @ s
         resid = float(np.linalg.norm(project_box(z - gz, box) - z))
         assert abs(resid - cert.stationarity_residual) <= CERT_RECOMPUTE_TOL
-        if cert.step_norm > 0:
-            assert cert.kappa_ratio <= DEFAULT_KAPPAS["kappa_R"]
 
     for _ in range(10):
         u = rng.standard_normal(2)
@@ -270,12 +266,16 @@ def test_criterion_10_qp_layer_matches_dense_grids():
         grad = rng.standard_normal(2)
         mu = float(rng.uniform(0.5, 2.0))
         raw = rng.standard_normal((2, 2))
-        h_mat = raw + raw.T
-        h_mat *= min(1.0, 1.0 / np.linalg.norm(h_mat, 2))
+        g_mat = raw.T * math.sqrt(min(1.0, 1.0 / np.linalg.norm(raw @ raw.T, 2)))
+        h_mat = g_mat.T @ g_mat
 
-        x, cert = solve_tangent_qp(grad, h_mat, mu, center, region,
-                                   DEFAULT_KAPPAS)
-        assert not cert.flagged
+        x, cert = solve_tangent_qp(grad, g_mat, mu, center, region)
+        # the comparisons of the audit's tangent_solve_accuracy, with its
+        # 1e-12 rounding floor
+        resid, step = cert.stationarity_residual, cert.step_norm
+        assert resid <= DEFAULT_KAPPAS["kappa_T"] * step**2 + 1e-12
+        assert resid <= DEFAULT_KAPPAS["kappa"] * step + 1e-12
+        assert cert.kappa_phi_ratio <= DEFAULT_KAPPAS["kappa_phi"]
         q_mat = h_mat + 2.0 * mu * np.eye(2)
 
         v = np.array([-u[1], u[0]])
@@ -302,5 +302,3 @@ def test_criterion_10_qp_layer_matches_dense_grids():
         proj = project_tangent(x - gz, region)
         resid = float(np.linalg.norm(proj - x))
         assert abs(resid - cert.stationarity_residual) <= CERT_RECOMPUTE_TOL
-        if cert.step_norm > 1e-9:
-            assert cert.kappa_ratio <= DEFAULT_KAPPAS["kappa_T"]

@@ -104,7 +104,8 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     lambda trace: trace["records"][0].pop("theta_after"),
     lambda trace: trace.pop("status"),
     lambda trace: trace["records"][0]["resta"].pop("z_steps"),
-    lambda trace: trace["constants_basis"].pop("kappas"),
+    lambda trace: trace["constants_basis"].update(
+        kappas={"kappa": 1e3, "kappa_T": 1e9}),
     lambda trace: trace["constants_basis"]["problem_constants"].pop("L_f"),
     lambda trace: trace["constants_basis"]["problem_constants"].update(
         L_g=1.0),
@@ -115,7 +116,7 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     lambda trace: trace["records"][0].update(h_xk_yk="abc"),
     lambda trace: trace.update(records=3),
 ], ids=["unknown_field", "missing_field", "missing_status",
-        "resta_missing_z_steps", "basis_missing_kappas",
+        "resta_missing_z_steps", "basis_with_kappas",
         "constants_missing_L_f", "constants_unknown_field",
         "params_unknown_field", "constants_L_f_is_a_string",
         "x_k_is_a_string", "h_xk_yk_is_a_string", "records_is_a_number"])
@@ -137,6 +138,24 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     capsys.readouterr()
     assert main(["audit", str(trace)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("edit,message", [
+    # a schema-v3 trace still carries the dropped curvature_mode field
+    (lambda trace: trace.update(trace_version=3, curvature_mode="zero"),
+     "trace version 3 not supported"),
+    (lambda trace: trace.clear(), "trace version None not supported"),
+], ids=["version_3", "empty_object"])
+def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
+                                                     message):
+    trace = tmp_path / "t.json"
+    main(["run", "--problem", "p4", "--out", str(trace)])
+    payload = json.loads(trace.read_text())
+    edit(payload)
+    trace.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_audit_missing_file_is_an_io_error(tmp_path):

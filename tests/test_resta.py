@@ -119,7 +119,8 @@ def test_precision_is_refined_at_the_previous_contraction(contraction, ratio):
 
 def test_contraction_of_nothing_to_contract_is_zero():
     p = make_p1()
-    out = resta(p, p.x0, p.y0, AlgorithmParams.defaults())
+    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
+    out = resta(p, p.x0, p.y0, AlgorithmParams.defaults(), h_xk_yk_norm=h0)
     assert out.contraction > 0.0
     assert replace(out, h_xk_yR=0.0, h_xR_yR=0.0).contraction == 0.0
 
@@ -204,20 +205,14 @@ def test_pdp_shortcut_rejected_at_default_radius():
     h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
     out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0)
     assert out.status == "restored"
-    # the shortcut point is too far away, so its probe pair is never paid for
-    plain = resta(make_p1_pdp(params), p.x0, p.y0, params, h_xk_yk_norm=h0,
-                  use_pdp=False)
+    # the shortcut point is too far away, so its probe pair is never paid
+    # for: the call costs what it costs on p1, the same problem and noise
+    # without a shortcut
+    p1 = make_p1(params)
+    assert (p1.noise_scale_f, p1.noise_scale_h) == (p.noise_scale_f,
+                                                    p.noise_scale_h)
+    plain = resta(p1, p.x0, p.y0, params, h_xk_yk_norm=h0)
     assert out.ledger_delta == plain.ledger_delta
-
-
-def test_use_pdp_false_skips_the_shortcut_entirely():
-    params = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(), "beta_PDP": 8.0,
-    })
-    p = make_p1_pdp(params)
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
-    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0, use_pdp=False)
-    assert out.status == "restored"
 
 
 def test_tiny_inner_cap_terminates_abnormally():
