@@ -49,6 +49,11 @@ class SchemaError(ValueError):
     """A serialized trace or config does not match the expected schema."""
 
 
+#: The evaluation kinds an :class:`~bira.oracle.EvaluationLedger` counts:
+#: the keys of every ledger snapshot, delta and total in a trace.
+LEDGER_FIELDS = ("f_evals", "gradf_evals", "h_evals", "gradh_evals")
+
+
 def check_fields(payload, fields, what):
     """Raise :class:`SchemaError` unless ``payload`` has exactly ``fields``."""
     if not isinstance(payload, dict):
@@ -73,6 +78,13 @@ def check_numbers(payload, what, names=None, optional=()):
                 or (val is None and name in optional)):
             raise SchemaError(f"{what} field {name!r} must be a number,"
                               f" got {type(val).__name__}")
+
+
+def check_ledger(payload, what):
+    """Raise :class:`SchemaError` unless ``payload`` counts every
+    evaluation kind of :data:`LEDGER_FIELDS`, and only those, as numbers."""
+    check_fields(payload, LEDGER_FIELDS, what)
+    check_numbers(payload, what)
 
 
 def number_fields(cls):

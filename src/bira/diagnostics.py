@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_KAPPAS,
+    LEDGER_FIELDS,
     AlgorithmParams,
     InsufficientDataError,
     ProblemConstants,
@@ -342,10 +343,29 @@ def _ledger_rows(rec, tc):
             for key, cap in caps.items()]
 
 
+def _ledger_total_rows(report):
+    # the records' deltas and the failing restoration call's add up to the
+    # run's totals; the start-up f and h are charged to record 0, and to
+    # no record when the run stopped before finishing one
+    deltas = [rec.ledger_delta for rec in report.records]
+    if not report.records:
+        deltas.append({"f_evals": 1, "gradf_evals": 0, "h_evals": 1,
+                       "gradh_evals": 0})
+    if report.failure_info is not None:
+        deltas.append(report.failure_info["resta"]["ledger_delta"])
+    for key in LEDGER_FIELDS:
+        spent = sum(d[key] for d in deltas)
+        total = report.ledger_totals[key]
+        # equal: neither side exceeds the other
+        yield _exact(None, spent, total)
+        yield _exact(None, total, spent)
+
+
 def audit(report, tc=None):
     """Check a recorded run against every auditable invariant.
 
-    ``report`` needs ``records``, ``params`` and ``constants_basis``.
+    ``report`` needs ``status``, ``records``, ``failure_info``, ``params``,
+    ``constants_basis`` and ``ledger_totals``.
     ``tc`` defaults to the chain recomputed from the report's own constants
     basis; the solve targets are always :data:`~bira.core.DEFAULT_KAPPAS`.
     Each check is a name, a gate and a lazy stream of rows ``(iteration,
@@ -451,6 +471,7 @@ def audit(report, tc=None):
             _exact(rec.k, rec.y_R[i], params.r * rec.y_k[i])
             for rec in recs if rec.resta.status in ("restored", "pdp")
             for i in (0, 1))),
+        ("ledger_totals", None, _ledger_total_rows(report)),
     ]
     return AuditReport(tuple(_verdict(name, gate, rows, tc.analytic)
                              for name, gate, rows in table))

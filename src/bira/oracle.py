@@ -21,6 +21,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .core import (
+    LEDGER_FIELDS,
     AlgorithmParams,
     BoxPolytope,
     ContractError,
@@ -35,7 +36,7 @@ from .diagnostics import constants as derived_constants
 class EvaluationLedger:
     """Counts of oracle evaluations by kind."""
 
-    FIELDS = ("f_evals", "gradf_evals", "h_evals", "gradh_evals")
+    FIELDS = LEDGER_FIELDS
 
     def __init__(self):
         self.f_evals = 0

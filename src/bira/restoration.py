@@ -25,6 +25,7 @@ from .core import (
     PrecisionLevel,
     SchemaError,
     check_fields,
+    check_ledger,
     check_numbers,
     constraint_ssq,
     infeasibility,
@@ -57,7 +58,9 @@ class RestorationOutcome:
     ``pdp`` (the problem's shortcut projection was accepted), or
     ``possible_infeasibility``.  ``h_xk_yR`` is the violation at the
     outer point re-measured at the returned precision; the outer failure
-    tests consume it directly instead of re-evaluating.
+    tests consume it directly instead of re-evaluating.  The outcome is the
+    only place a trace writes ``y_R``, ``h_xk_yR`` and ``h_xR_yR``; an
+    iteration record reads them from here.
     """
 
     x_R: np.ndarray
@@ -103,7 +106,7 @@ class RestorationOutcome:
         what = "restoration outcome"
         check_fields(d, cls.__dataclass_fields__, what)
         check_numbers(d, what, *number_fields(cls))
-        check_numbers(d["ledger_delta"], "restoration ledger")
+        check_ledger(d["ledger_delta"], "restoration ledger")
         kw = dict(d)
         kw["x_R"] = np.asarray(number_list(d["x_R"], "x_R"), dtype=float)
         kw["y_R"] = PrecisionLevel(*number_list(d["y_R"], "y_R"))

@@ -30,6 +30,7 @@ from .core import (
     ProblemConstants,
     SchemaError,
     check_fields,
+    check_ledger,
     check_numbers,
     merit_allowance,
     merit_phi,
@@ -42,7 +43,7 @@ from .geometry import TangentSet, project_tangent
 from .qp import build_H, solve_tangent_qp
 from .restoration import RestorationOutcome, resta
 
-TRACE_VERSION = 4
+TRACE_VERSION = 5
 
 
 def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -135,28 +136,42 @@ def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
                          " shrink of 1e-9")
 
 
+#: Fields of record k + 1 that repeat the hand-off of record k, each with
+#: the field it repeats: iteration k + 1 starts from the point, precision,
+#: values and weight that iteration k accepted.  A trace does not write
+#: them; :meth:`RunReport.from_dict` rebuilds them from the previous
+#: record, or from the run's ``start`` block for record 0.
+CHAIN = {
+    "x_k": "x_next",
+    "y_k": "y_next",
+    "f_xk_yk": "f_xnext_ynext",
+    "h_xk_yk": "h_xnext_ynext",
+    "theta_before": "theta_after",
+}
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """Everything one outer iteration measured, decided, and spent.
 
     Fields hold measured facts only; values that follow from them
-    (``x_R``, the ``g_*`` precision measures, the ``*_xk_ynext``
-    selections and ``step_norm``) are read-only properties.
+    (``x_R``, ``y_R`` and the violations of the restoration outcome, the
+    ``g_*`` precision measures, the ``*_xk_ynext`` selections and
+    ``step_norm``) are read-only properties.  The :data:`CHAIN` fields are
+    kept in memory but written once, by the record or start block they
+    repeat.
     """
 
     k: int
     x_k: np.ndarray
     x_next: np.ndarray
     y_k: tuple
-    y_R: tuple
     y_next: tuple
     theta_before: float
     theta_after: float
     mu_k: float
     ell_count: int
     h_xk_yk: float
-    h_xk_yR: float
-    h_xR_yR: float
     h_xnext_ynext: float
     f_xk_yk: float
     f_xk_yR: float
@@ -168,11 +183,22 @@ class IterationRecord:
     oracle_f_error: float | None
     oracle_h_error: float | None
     ledger_delta: dict
-    ledger_after: dict
 
     @property
     def x_R(self):
         return self.resta.x_R
+
+    @property
+    def y_R(self):
+        return self.resta.y_R.as_tuple()
+
+    @property
+    def h_xk_yR(self):
+        return self.resta.h_xk_yR
+
+    @property
+    def h_xR_yR(self):
+        return self.resta.h_xR_yR
 
     @property
     def g_yk(self):
@@ -201,7 +227,7 @@ class IterationRecord:
 
     def to_dict(self):
         d = {}
-        for name in self.__dataclass_fields__:
+        for name in _WRITTEN:
             val = getattr(self, name)
             if isinstance(val, np.ndarray):
                 val = val.tolist()
@@ -215,31 +241,41 @@ class IterationRecord:
         return d
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, chain):
+        """Rebuild a record from its written fields and the :data:`CHAIN`
+        fields ``chain`` handed to it."""
         what = "iteration record"
-        check_fields(d, cls.__dataclass_fields__, what)
-        check_numbers(d, what, *number_fields(cls))
-        for name in ("tangent_cert", "ledger_delta", "ledger_after"):
-            check_numbers(d[name], name)
-        kw = dict(d)
-        for name in ("x_k", "x_next"):
-            kw[name] = np.asarray(number_list(kw[name], name), dtype=float)
-        for name in ("y_k", "y_R", "y_next"):
-            kw[name] = tuple(number_list(kw[name], name))
-        kw["resta"] = RestorationOutcome.from_dict(kw["resta"])
+        check_fields(d, _WRITTEN, what)
+        names, optional = number_fields(cls)
+        check_numbers(d, what, [n for n in names if n in _WRITTEN], optional)
+        check_numbers(d["tangent_cert"], "tangent_cert")
+        check_ledger(d["ledger_delta"], "ledger_delta")
+        kw = dict(d, **chain)
+        kw["x_next"] = np.asarray(number_list(d["x_next"], "x_next"),
+                                  dtype=float)
+        kw["y_next"] = tuple(number_list(d["y_next"], "y_next"))
+        kw["resta"] = RestorationOutcome.from_dict(d["resta"])
         return cls(**kw)
+
+
+_WRITTEN = tuple(name for name in IterationRecord.__dataclass_fields__
+                 if name not in CHAIN)
 
 
 @dataclass
 class RunReport:
-    """Complete, replayable account of one solver run."""
+    """Complete, replayable account of one solver run.
+
+    ``start`` holds the point, precision, objective value and violation
+    norm measured before the first iteration; the final point is chosen
+    from the records by the status.
+    """
 
     status: str
     problem_name: str
     records: list
     failure_info: dict | None
-    final_x: np.ndarray
-    final_y: tuple
+    start: dict
     params: AlgorithmParams
     tolerances: dict
     constants_basis: dict
@@ -251,14 +287,37 @@ class RunReport:
     def iterations(self):
         return len(self.records)
 
+    def _final(self):
+        if (self.failure_info is not None
+                and self.failure_info["kind"] == "possible_infeasibility"):
+            out = self.failure_info["resta"]
+            return np.asarray(out["x_R"], dtype=float), tuple(out["y_R"])
+        if not self.records:
+            return self.start["x"], self.start["y"]
+        last = self.records[-1]
+        if self.status == "Converged":
+            return last.x_R, last.y_next
+        # out of budget, or a restoration outcome failed its tests: the
+        # run stops at the point the last iteration accepted
+        return last.x_next, last.y_next
+
+    @property
+    def final_x(self):
+        return self._final()[0]
+
+    @property
+    def final_y(self):
+        return self._final()[1]
+
     def to_dict(self):
         return {
             "status": self.status,
             "problem_name": self.problem_name,
             "records": [rec.to_dict() for rec in self.records],
-            "failure_info": self.failure_info,
-            "final_x": np.asarray(self.final_x).tolist(),
-            "final_y": list(self.final_y),
+            "failure_info": copy.deepcopy(self.failure_info),
+            "start": {"x": self.start["x"].tolist(),
+                      "y": list(self.start["y"]),
+                      "f": self.start["f"], "h": self.start["h"]},
             "params": self.params.to_dict(),
             "tolerances": dict(self.tolerances),
             "constants_basis": copy.deepcopy(self.constants_basis),
@@ -289,15 +348,32 @@ class RunReport:
         check_numbers(d["params"], "params")
         check_numbers(d, "trace", ("budget",))
         check_numbers(d["tolerances"], "tolerances")
-        check_numbers(d["ledger_totals"], "ledger totals")
+        check_ledger(d["ledger_totals"], "ledger totals")
+        failure = d["failure_info"]
+        if failure is not None:
+            check_fields(failure, ("kind", "iteration", "resta"),
+                         "failure info")
+            RestorationOutcome.from_dict(failure["resta"])
+        start = d["start"]
+        check_fields(start, ("x", "y", "f", "h"), "start")
+        check_numbers(start, "start", ("f", "h"))
         if not isinstance(d["records"], list):
             raise SchemaError("trace records must be a JSON list")
         kw = dict(d)
-        kw["records"] = [IterationRecord.from_dict(r) for r in d["records"]]
-        kw["final_x"] = np.asarray(number_list(d["final_x"], "final_x"),
-                                   dtype=float)
-        kw["final_y"] = tuple(number_list(d["final_y"], "final_y"))
+        kw["start"] = {
+            "x": np.asarray(number_list(start["x"], "start x"), dtype=float),
+            "y": tuple(number_list(start["y"], "start y")),
+            "f": start["f"], "h": start["h"],
+        }
         kw["params"] = AlgorithmParams.from_dict(d["params"])
+        chain = {"x_k": kw["start"]["x"], "y_k": kw["start"]["y"],
+                 "f_xk_yk": start["f"], "h_xk_yk": start["h"],
+                 "theta_before": float(kw["params"].theta_0)}
+        kw["records"] = []
+        for rec in d["records"]:
+            rec = IterationRecord.from_dict(rec, chain)
+            kw["records"].append(rec)
+            chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
         kw["tolerances"] = dict(d["tolerances"])
         kw["ledger_totals"] = dict(d["ledger_totals"])
         return cls(**kw)
@@ -340,6 +416,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     if budget < 0:
         raise ConfigurationError(f"budget must be nonnegative, got {budget}")
 
+    led_run = problem.ledger.snapshot()
     pc = problem.constants()
     extras = dict(getattr(problem, "extras", dict)() or {})
     tc = derived_constants(pc, params, extras=extras)
@@ -348,18 +425,17 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     tolerances = {"eps_feas": eps_feas, "eps_prec": eps_prec,
                   "eps_opt": eps_opt}
 
-    def finish(status, final_x, final_y, failure=None):
+    def finish(status, failure=None):
         return RunReport(
             status=status,
             problem_name=getattr(problem, "name", "unnamed"),
             records=records,
             failure_info=failure,
-            final_x=np.asarray(final_x, dtype=float),
-            final_y=final_y.as_tuple(),
+            start=start,
             params=params,
             tolerances=tolerances,
             constants_basis=basis,
-            ledger_totals=problem.ledger.snapshot(),
+            ledger_totals=problem.ledger.delta(led_run),
             budget=budget,
         )
 
@@ -375,6 +451,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     h_vec = problem.eval_h(x, y)
     f_val = problem.eval_f(x, y)
     h_norm = float(np.linalg.norm(h_vec))
+    start = {"x": x.copy(), "y": y.as_tuple(), "f": f_val, "h": h_norm}
 
     try:
         for k in range(budget):
@@ -385,7 +462,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                         inner_cap=inner_cap, contraction=contraction)
             if out.status == "possible_infeasibility":
                 return finish(
-                    "RestorationFailure", out.x_R, out.y_R,
+                    "RestorationFailure",
                     failure={
                         "kind": "possible_infeasibility",
                         "iteration": k,
@@ -400,7 +477,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             )
             if failed:
                 return finish(
-                    "RestorationFailure", x, y,
+                    "RestorationFailure",
                     failure={"kind": kind, "iteration": k,
                              "resta": out.to_dict()},
                 )
@@ -456,19 +533,19 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                     f_next = f_xR_yR
                 else:
                     f_next = problem.eval_f(x_next, y_next)
-                h_next_vec = problem.eval_h(x_next, y_next)
-                h_next = float(np.linalg.norm(h_next_vec))
-
-                desc_ok = f_next <= f_xR_yR - params.alpha * s_norm**2
-                if y_next == y_R:
-                    f_ref, h_ref = f_xk_yR, out.h_xk_yR
-                else:
-                    f_ref, h_ref = f_val, h_norm
-                merit_ref = merit_phi(f_ref, h_ref, y_next.g, theta_next)
-                merit_ok = (merit_phi(f_next, h_next, y_next.g, theta_next)
-                            <= merit_ref + allowance)
-                if desc_ok and merit_ok:
-                    break
+                # h decides only the merit test, so a trial that fails the
+                # descent test is not measured
+                if f_next <= f_xR_yR - params.alpha * s_norm**2:
+                    h_next_vec = problem.eval_h(x_next, y_next)
+                    h_next = float(np.linalg.norm(h_next_vec))
+                    if y_next == y_R:
+                        f_ref, h_ref = f_xk_yR, out.h_xk_yR
+                    else:
+                        f_ref, h_ref = f_val, h_norm
+                    merit_ref = merit_phi(f_ref, h_ref, y_next.g, theta_next)
+                    if (merit_phi(f_next, h_next, y_next.g, theta_next)
+                            <= merit_ref + allowance):
+                        break
                 mu *= 2.0
                 if mu > 1e2 * max(tc.mu_cap, params.mu_max):
                     raise InvariantError(
@@ -481,21 +558,17 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             oracle_f_err, oracle_h_err = _oracle_errors(
                 problem, x, y, f_val, h_vec)
 
-            ledger_after = problem.ledger.snapshot()
             records.append(IterationRecord(
                 k=k,
                 x_k=x.copy(),
                 x_next=np.asarray(x_next, dtype=float).copy(),
                 y_k=y.as_tuple(),
-                y_R=y_R.as_tuple(),
                 y_next=y_next.as_tuple(),
                 theta_before=theta.theta,
                 theta_after=theta_next,
                 mu_k=mu,
                 ell_count=attempts,
                 h_xk_yk=h_norm,
-                h_xk_yR=out.h_xk_yR,
-                h_xR_yR=out.h_xR_yR,
                 h_xnext_ynext=h_next,
                 f_xk_yk=f_val,
                 f_xk_yR=f_xk_yR,
@@ -507,13 +580,12 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 oracle_f_error=oracle_f_err,
                 oracle_h_error=oracle_h_err,
                 ledger_delta=problem.ledger.delta(led_iter),
-                ledger_after=ledger_after,
             ))
             theta.push(theta_next)
 
             if (out.h_xR_yR <= eps_feas and g_R <= eps_prec
                     and y_next.g <= eps_prec and residual <= eps_opt):
-                return finish("Converged", x_R, y_next)
+                return finish("Converged")
 
             x = np.asarray(x_next, dtype=float)
             y = y_next
@@ -525,4 +597,4 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
         exc.summary["iteration"] = k
         raise
 
-    return finish("BudgetExceeded", x, y)
+    return finish("BudgetExceeded")

@@ -109,16 +109,26 @@ def test_p1_converges_and_the_audit_agrees():
 
 @pytest.mark.parametrize("factory,ledger", [
     (make_p1, {"f_evals": 81, "gradf_evals": 21,
-               "h_evals": 186, "gradh_evals": 147}),
+               "h_evals": 169, "gradh_evals": 147}),
     (make_p2, {"f_evals": 66, "gradf_evals": 17,
-               "h_evals": 81, "gradh_evals": 49}),
+               "h_evals": 67, "gradh_evals": 49}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # restoration takes almost all h and grad-h evaluations; at
-    # sigma_min = 0.25 a p1 restoration call takes 6 z-steps
+    # sigma_min = 0.25 a p1 restoration call takes 6 z-steps, and a
+    # tangent trial that fails its descent test is not measured for h
     rep = bira_run(factory())
     assert rep.status == "Converged"
     assert rep.ledger_totals == ledger
+
+
+def test_a_run_counts_only_its_own_evaluations():
+    problem = make_p1()
+    first = bira_run(problem)
+    second = bira_run(problem)
+    assert problem.ledger.snapshot() == {
+        key: 2 * n for key, n in first.ledger_totals.items()}
+    assert second.ledger_totals == first.ledger_totals
 
 
 @pytest.mark.parametrize("M,sigma_min", [(2.0, 0.5), (4.0, 0.25)])
@@ -195,7 +205,7 @@ def test_trace_round_trip_and_version_guard():
     assert back.final_y == rep.final_y
     assert back.ledger_totals == rep.ledger_totals
 
-    for version in (1, 2, 3, 999):
+    for version in (1, 2, 3, 4, 999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):
@@ -239,12 +249,59 @@ def test_failure_report_round_trips_byte_identical():
     assert json.dumps(back.to_dict()) == text
 
 
+@pytest.mark.parametrize("run", [
+    lambda: bira_run(make_p1()),
+    lambda: bira_run(make_p1(), budget=3),
+    lambda: bira_run(make_p4(), budget=0),
+], ids=["converged", "budget_exceeded", "budget_zero"])
+def test_trace_round_trips_byte_identical(run):
+    rep = run()
+    text = json.dumps(rep.to_dict())
+    back = RunReport.from_dict(json.loads(text))
+    assert json.dumps(back.to_dict()) == text
+    assert back.start["f"] == rep.start["f"]
+    np.testing.assert_array_equal(back.final_x, rep.final_x)
+    assert back.final_y == rep.final_y
+
+
+def test_a_run_without_records_keeps_its_start():
+    rep = bira_run(make_p4(), budget=0)
+    assert rep.status == "BudgetExceeded"
+    assert rep.records == []
+    d = rep.to_dict()
+    assert d["start"] == {"x": list(make_p4().x0),
+                          "y": list(make_p4().y0.as_tuple()),
+                          "f": rep.start["f"], "h": rep.start["h"]}
+    assert rep.final_x.tolist() == d["start"]["x"]
+    assert rep.final_y == tuple(d["start"]["y"])
+    assert rep.ledger_totals == {
+        "f_evals": 1, "gradf_evals": 0, "h_evals": 1, "gradh_evals": 0}
+    assert audit(rep).ok
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["records"][6].update(x_k=d["records"][5]["x_next"]),
+    lambda d: d["records"][0].update(ledger_after=d["ledger_totals"]),
+    lambda d: d.update(final_x=d["start"]["x"]),
+], ids=["x_k", "ledger_after", "final_x"])
+def test_a_trace_writes_each_value_once(edit):
+    d = json.loads(json.dumps(bira_run(make_p1()).to_dict()))
+    edit(d)
+    with pytest.raises(SchemaError, match="unknown"):
+        RunReport.from_dict(d)
+
+
 def test_derived_record_fields_match_the_solver():
     rep = bira_run(make_p1())
+    back = RunReport.from_dict(json.loads(json.dumps(rep.to_dict())))
     fresh = make_p1()
-    for rec in rep.records:
+    assert len(back.records) == len(rep.records)
+    for rec, got in zip(rep.records, back.records):
         y_next = PrecisionLevel(*rec.y_next)
         assert rec.x_R is rec.resta.x_R
+        assert rec.y_R == rec.resta.y_R.as_tuple()
+        assert (rec.h_xk_yR, rec.h_xR_yR) == (rec.resta.h_xk_yR,
+                                              rec.resta.h_xR_yR)
         assert rec.g_yk == PrecisionLevel(*rec.y_k).g
         assert rec.g_yR == rec.resta.y_R.g
         assert rec.g_ynext == y_next.g
@@ -253,6 +310,12 @@ def test_derived_record_fields_match_the_solver():
         assert rec.h_xk_ynext == float(
             np.linalg.norm(fresh.eval_h(rec.x_k, y_next)))
         assert rec.step_norm == float(np.linalg.norm(rec.x_next - rec.x_R))
+        # the reloaded chain fields are the solver's, bit for bit
+        assert got.x_k.tobytes() == rec.x_k.tobytes()
+        assert (got.y_k, got.f_xk_yk, got.h_xk_yk, got.theta_before) == (
+            rec.y_k, rec.f_xk_yk, rec.h_xk_yk, rec.theta_before)
+    assert back.final_x.tobytes() == rep.final_x.tobytes()
+    assert back.final_y == rep.final_y
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -112,14 +112,18 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     lambda trace: trace["params"].update(bogus=1.0),
     lambda trace: trace["constants_basis"]["problem_constants"].update(
         L_f="abc"),
-    lambda trace: trace["records"][0].update(x_k="abc"),
-    lambda trace: trace["records"][0].update(h_xk_yk="abc"),
+    # record 0's x_k and h_xk_yk are written once, in the start block
+    lambda trace: trace["start"].update(x="abc"),
+    lambda trace: trace["start"].update(h="abc"),
     lambda trace: trace.update(records=3),
+    lambda trace: trace["ledger_totals"].pop("h_evals"),
+    lambda trace: trace["start"].pop("f"),
 ], ids=["unknown_field", "missing_field", "missing_status",
         "resta_missing_z_steps", "basis_with_kappas",
         "constants_missing_L_f", "constants_unknown_field",
         "params_unknown_field", "constants_L_f_is_a_string",
-        "x_k_is_a_string", "h_xk_yk_is_a_string", "records_is_a_number"])
+        "x_k_is_a_string", "h_xk_yk_is_a_string", "records_is_a_number",
+        "ledger_totals_missing_h_evals", "start_missing_f"])
 def test_audit_rejects_records_off_the_schema(tmp_path, capsys, edit):
     trace = tmp_path / "t.json"
     main(["run", "--problem", "p4", "--out", str(trace)])
@@ -144,8 +148,11 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     # a schema-v3 trace still carries the dropped curvature_mode field
     (lambda trace: trace.update(trace_version=3, curvature_mode="zero"),
      "trace version 3 not supported"),
+    # a schema-v4 trace still writes the chain fields and the final point
+    (lambda trace: trace.update(trace_version=4, final_x=[0.0, 0.0]),
+     "trace version 4 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
-], ids=["version_3", "empty_object"])
+], ids=["version_3", "version_4", "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

@@ -220,7 +220,7 @@ CHECKS = (
     "tangent_model_decrease", "tangent_solve_accuracy",
     "oracle_f_error_bound", "oracle_h_error_bound", "noise_within_budget",
     "restoration_inner_caps", "step_per_infeasibility",
-    "precision_refinement",
+    "precision_refinement", "ledger_totals",
 )
 ANALYTIC_ONLY = {
     "theta_lower_bound", "sigma_cap", "mu_cap", "restored_distance",
@@ -265,66 +265,70 @@ def test_audit_verdicts_on_estimated_constants(suite_runs, name):
 
 
 #: One edit per check to a value recorded in a p1 trace: ``(check, path,
-#: new value as a function of the first record and the derived
-#: constants)``.  Most edits go ten times past their bound; the chain's
-#: bounds on p1 reach 1e8 to 1e42, so some edits are that large.
+#: new value as a function of the trace and the derived constants)``.
+#: Record 0 starts from the trace's ``start`` block and ``theta_0``.  Most
+#: edits go ten times past their bound; the chain's bounds on p1 reach 1e8
+#: to 1e42, so some edits are that large.
 TAMPERS = [
     ("theta_monotone", ("records", 0, "theta_after"),
-     lambda rec, tc: rec["theta_before"] + 1e-3),
+     lambda t, tc: t["params"]["theta_0"] + 1e-3),
     ("theta_lower_bound", ("records", 0, "theta_after"),
-     lambda rec, tc: tc.penalty_floor / 100.0),
+     lambda t, tc: tc.penalty_floor / 100.0),
     # the first step lowered the merit by about 1.8 at theta = 0.5
     ("penalty_merit_decrease", ("records", 0, "f_xnext_ynext"),
-     lambda rec, tc: rec["f_xnext_ynext"] + 10.0),
+     lambda t, tc: t["records"][0]["f_xnext_ynext"] + 10.0),
     ("sigma_cap", ("records", 0, "resta", "sigma_history", 0),
-     lambda rec, tc: 10.0 * tc.sigma_cap),
-    ("mu_cap", ("records", 0, "mu_k"), lambda rec, tc: 10.0 * tc.mu_cap),
+     lambda t, tc: 10.0 * tc.sigma_cap),
+    ("mu_cap", ("records", 0, "mu_k"), lambda t, tc: 10.0 * tc.mu_cap),
     ("restored_distance", ("records", 0, "resta", "x_R", 0),
-     lambda rec, tc: rec["resta"]["x_R"][0] + 10.0
-     * tc.restored_distance_factor * (rec["h_xk_yk"] + max(rec["y_k"]))),
+     lambda t, tc: t["records"][0]["resta"]["x_R"][0] + 10.0
+     * tc.restored_distance_factor * (t["start"]["h"] + max(t["start"]["y"]))),
     ("restored_value_drift", ("records", 0, "f_xR_yR"),
-     lambda rec, tc: rec["f_xk_yR"] + 10.0
-     * tc.restored_value_factor * (rec["h_xk_yk"] + max(rec["y_k"]))),
-    ("infeasibility_summability", ("records", 0, "h_xk_yR"),
-     lambda rec, tc: 10.0 * tc.infeasibility_sum_bound),
+     lambda t, tc: t["records"][0]["f_xk_yR"] + 10.0
+     * tc.restored_value_factor * (t["start"]["h"] + max(t["start"]["y"]))),
+    ("infeasibility_summability", ("records", 0, "resta", "h_xk_yR"),
+     lambda t, tc: 10.0 * tc.infeasibility_sum_bound),
     ("step_summability", ("records", 0, "tangent_cert", "step_norm"),
-     lambda rec, tc: 10.0 * math.sqrt(tc.step_square_sum_bound)),
+     lambda t, tc: 10.0 * math.sqrt(tc.step_square_sum_bound)),
     ("residual_vs_step", ("records", 0, "stationarity_residual"),
-     lambda rec, tc: 10.0 * tc.residual_step_factor
-     * rec["tangent_cert"]["step_norm"]),
+     lambda t, tc: 10.0 * tc.residual_step_factor
+     * t["records"][0]["tangent_cert"]["step_norm"]),
     ("residual_summability", ("records", 0, "stationarity_residual"),
-     lambda rec, tc: 10.0 * math.sqrt(tc.residual_square_sum_bound)),
+     lambda t, tc: 10.0 * math.sqrt(tc.residual_square_sum_bound)),
     ("ledger_caps", ("records", 0, "ledger_delta", "gradh_evals"),
-     lambda rec, tc: math.floor(tc.gradh_evals_per_iter) + 1),
+     lambda t, tc: math.floor(tc.gradh_evals_per_iter) + 1),
     ("restoration_f_free", ("records", 0, "resta", "ledger_delta", "f_evals"),
-     lambda rec, tc: 1),
+     lambda t, tc: 1),
     ("restoration_model_decrease",
      ("records", 0, "resta", "certificates", "model_decrease", 0),
-     lambda rec, tc: 1e-9),
+     lambda t, tc: 1e-9),
     ("restoration_solve_accuracy",
      ("records", 0, "resta", "certificates", "kappa_ratio", 0),
-     lambda rec, tc: 10.0 * DEFAULT_KAPPAS["kappa_R"]),
+     lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa_R"]),
     ("tangent_model_decrease", ("records", 0, "tangent_cert", "model_decrease"),
-     lambda rec, tc: 1e-9),
+     lambda t, tc: 1e-9),
     ("tangent_solve_accuracy",
      ("records", 0, "tangent_cert", "stationarity_residual"),
-     lambda rec, tc: 10.0 * DEFAULT_KAPPAS["kappa"]
-     * rec["tangent_cert"]["step_norm"]),
+     lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa"]
+     * t["records"][0]["tangent_cert"]["step_norm"]),
     ("oracle_f_error_bound", ("records", 0, "oracle_f_error"),
-     lambda rec, tc: 10.0 * tc.extras["noise_scale_f"] * rec["y_k"][0]),
+     lambda t, tc: 10.0 * tc.extras["noise_scale_f"] * t["start"]["y"][0]),
     ("oracle_h_error_bound", ("records", 0, "oracle_h_error"),
-     lambda rec, tc: 10.0 * tc.extras["noise_scale_h"] * rec["y_k"][1]),
+     lambda t, tc: 10.0 * tc.extras["noise_scale_h"] * t["start"]["y"][1]),
     # ten percent past the budget, far beyond leq's 1e-9 relative slack
     ("noise_within_budget", ("constants_basis", "extras", "beta"),
-     lambda rec, tc: 1.1 * tc.beta_bar),
+     lambda t, tc: 1.1 * tc.beta_bar),
     ("restoration_inner_caps",
      ("records", 0, "resta", "inner_desc_tests"),
-     lambda rec, tc: restoration_inner_cap(tc) + 1),
+     lambda t, tc: restoration_inner_cap(tc) + 1),
     ("step_per_infeasibility", ("records", 0, "resta", "max_step_over_h"),
-     lambda rec, tc: 10.0 * tc.step_per_infeasibility),
+     lambda t, tc: 10.0 * tc.step_per_infeasibility),
     # a restored call that claims to have left the precision unrefined
-    ("precision_refinement", ("records", 0, "y_R", 0),
-     lambda rec, tc: rec["y_k"][0]),
+    ("precision_refinement", ("records", 0, "resta", "y_R", 0),
+     lambda t, tc: t["start"]["y"][0]),
+    # a run that claims to have evaluated nothing
+    ("ledger_totals", ("ledger_totals",),
+     lambda t, tc: dict.fromkeys(t["ledger_totals"], 0)),
 ]
 
 
@@ -341,7 +345,7 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
     node = d
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value(d["records"][0], _tc_of(rep))
+    node[path[-1]] = value(d, _tc_of(rep))
     bad = RunReport.from_dict(d)
     failed = {c.name: c.detail for c in audit(bad).failures}
     assert check in failed
@@ -351,6 +355,15 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
 def _failures(trace):
     return {c.name: c.detail
             for c in audit(RunReport.from_dict(trace)).failures}
+
+
+def test_a_truncated_trace_fails_the_ledger_totals(suite_runs):
+    # the ten dropped iterations are still in the totals
+    d = _trace(suite_runs["p1"])
+    d["records"] = d["records"][:-10]
+    failed = _failures(d)
+    assert list(failed) == ["ledger_totals"]
+    assert failed["ledger_totals"].startswith("whole run: ")
 
 
 def test_restoration_ray_ratio_is_audited(suite_runs):
