@@ -361,11 +361,46 @@ def _ledger_total_rows(report):
         yield _exact(None, total, spent)
 
 
+def _stopping_rows(report):
+    """Replay the stopping test of ``bira_run`` against the status.
+
+    A converged run meets the test at its last record and nowhere before;
+    a run out of budget wrote ``budget`` records, and a restoration failure
+    stopped in the iteration after its last record, neither meeting the
+    test.  A record that must meet it is the row (largest ratio of a
+    stopping measure to its tolerance, 1); one that must not is the lower
+    bound (1, that ratio).  The verdict is the exact comparison the solver
+    made.
+    """
+    tol = report.tolerances
+    recs = report.records
+    n = len(recs)
+    if report.status == "Converged":
+        yield _exact(None, 1, n)
+    else:
+        stop = (report.budget if report.status == "BudgetExceeded"
+                else report.failure_info["iteration"])
+        # equal: neither side exceeds the other
+        yield _exact(None, n, stop)
+        yield _exact(None, stop, n)
+    for i, rec in enumerate(recs):
+        measures = ((rec.h_xR_yR, tol["eps_feas"]),
+                    (rec.g_yR, tol["eps_prec"]),
+                    (rec.g_ynext, tol["eps_prec"]),
+                    (rec.stationarity_residual, tol["eps_opt"]))
+        met = all(val <= eps for val, eps in measures)
+        ratio = max(val / eps for val, eps in measures)
+        if report.status == "Converged" and i == n - 1:
+            yield rec.k, met, ratio, 1.0
+        else:
+            yield rec.k, not met, 1.0, ratio
+
+
 def audit(report, tc=None):
     """Check a recorded run against every auditable invariant.
 
     ``report`` needs ``status``, ``records``, ``failure_info``, ``params``,
-    ``constants_basis`` and ``ledger_totals``.
+    ``constants_basis``, ``ledger_totals``, ``tolerances`` and ``budget``.
     ``tc`` defaults to the chain recomputed from the report's own constants
     basis; the solve targets are always :data:`~bira.core.DEFAULT_KAPPAS`.
     Each check is a name, a gate and a lazy stream of rows ``(iteration,
@@ -472,6 +507,7 @@ def audit(report, tc=None):
             for rec in recs if rec.resta.status in ("restored", "pdp")
             for i in (0, 1))),
         ("ledger_totals", None, _ledger_total_rows(report)),
+        ("stopping_test", None, _stopping_rows(report)),
     ]
     return AuditReport(tuple(_verdict(name, gate, rows, tc.analytic)
                              for name, gate, rows in table))

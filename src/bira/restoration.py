@@ -16,7 +16,7 @@ same float expression the outer test uses, so success here can never be
 contradicted there by rounding.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +60,9 @@ class RestorationOutcome:
     outer point re-measured at the returned precision; the outer failure
     tests consume it directly instead of re-evaluating.  The outcome is the
     only place a trace writes ``y_R``, ``h_xk_yR`` and ``h_xR_yR``; an
-    iteration record reads them from here.
+    iteration record reads them from here.  ``h_vec`` is the violation
+    vector whose norm is ``h_xR_yR``, kept in memory so a zero tangent step
+    need not measure it again; a trace does not write it.
     """
 
     x_R: np.ndarray
@@ -75,6 +77,7 @@ class RestorationOutcome:
     certificates: tuple
     max_step_over_h: float | None
     ledger_delta: dict
+    h_vec: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def contraction(self):
@@ -104,7 +107,7 @@ class RestorationOutcome:
     @classmethod
     def from_dict(cls, d):
         what = "restoration outcome"
-        check_fields(d, cls.__dataclass_fields__, what)
+        check_fields(d, _WRITTEN, what)
         check_numbers(d, what, *number_fields(cls))
         check_ledger(d["ledger_delta"], "restoration ledger")
         kw = dict(d)
@@ -115,6 +118,10 @@ class RestorationOutcome:
         kw["certificates"] = _cert_rows(d["certificates"])
         kw["ledger_delta"] = dict(d["ledger_delta"])
         return cls(**kw)
+
+
+_WRITTEN = tuple(name for name in RestorationOutcome.__dataclass_fields__
+                 if name != "h_vec")
 
 
 def _cert_rows(columns):
@@ -137,14 +144,15 @@ def _step_ratio(step, denom):
     return 0.0 if step <= 1e-15 else float("inf")
 
 
-def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm,
+def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
           inner_cap=None, contraction=None):
     """Run the restoration phase from ``(x_k, y_k)``.
 
-    ``h_xk_yk_norm`` is the already-measured violation at the outer point;
-    the phase does not re-evaluate it.  ``inner_cap`` bounds the
-    number of descent tests across all precision levels; exceeding it, or
-    the refinement cap, raises :class:`AbnormalTermination`.
+    ``h_xk_yk`` is the already-measured violation vector at the outer
+    point; the phase does not re-evaluate it, neither on a trivial call nor
+    when a refinement returns the level it was given.  ``inner_cap`` bounds
+    the number of descent tests across all precision levels; exceeding it,
+    or the refinement cap, raises :class:`AbnormalTermination`.
 
     ``contraction`` is :attr:`RestorationOutcome.contraction` of the
     previous restored call (``None`` on the first).  Every refinement of
@@ -169,12 +177,12 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm,
     refinements = 0
     max_ratio = None
 
-    def finish(status, x_R, y_R, h_xR, h_xk_ref):
+    def finish(status, x_R, y_R, h_xR_vec, h_xk_ref):
         return RestorationOutcome(
             x_R=np.array(x_R, dtype=float),
             y_R=y_R,
             status=status,
-            h_xR_yR=float(h_xR),
+            h_xR_yR=float(np.linalg.norm(h_xR_vec)),
             h_xk_yR=float(h_xk_ref),
             refinements=refinements,
             z_steps=z_steps,
@@ -183,10 +191,12 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm,
             certificates=tuple(certs),
             max_step_over_h=max_ratio,
             ledger_delta=problem.ledger.delta(led0),
+            h_vec=h_xR_vec,
         )
 
+    h_xk_yk_norm = float(np.linalg.norm(h_xk_yk))
     if infeasibility(h_xk_yk_norm, y_k.g) == 0.0:
-        return finish("trivial", x_k, y_k, h_xk_yk_norm, h_xk_yk_norm)
+        return finish("trivial", x_k, y_k, h_xk_yk, h_xk_yk_norm)
 
     rho = params.r if contraction is None else min(params.r, contraction)
     hit = problem.pdp(x_k, y_k)
@@ -200,13 +210,15 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm,
         # would; the distance test needs no evaluation, so it goes first
         if (close_enough and w_P.gf <= rho * y_k.gf
                 and w_P.gh <= rho * y_k.gh):
-            h_zP = float(np.linalg.norm(problem.eval_h(z_P, w_P)))
+            h_zP_vec = problem.eval_h(z_P, w_P)
+            h_zP = float(np.linalg.norm(h_zP_vec))
             h_xk_wP = float(np.linalg.norm(problem.eval_h(x_k, w_P)))
             if h_zP <= params.r * h_xk_wP:
                 max_ratio = _step_ratio(step, h_xk_wP)
-                return finish("pdp", z_P, w_P, h_zP, h_xk_wP)
+                return finish("pdp", z_P, w_P, h_zP_vec, h_xk_wP)
 
     w = y_k
+    h_ref_vec = h_xk_yk
     while True:
         refinements += 1
         if refinements > refine_cap:
@@ -219,9 +231,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm,
             gh_t = rho * w.gh
         else:
             gh_t = min(params.eps_prec_bar, rho * w.gh)
-        w = problem.refine(w, gf_t, gh_t)
-
-        h_ref_vec = problem.eval_h(x_k, w)
+        w_prev, w = w, problem.refine(w, gf_t, gh_t)
+        if w != w_prev:  # an unchanged level keeps its measurement at x_k
+            h_ref_vec = problem.eval_h(x_k, w)
         h_ref = float(np.linalg.norm(h_ref_vec))
         z = x_k.copy()
         h_z_vec = h_ref_vec
@@ -229,7 +241,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm,
 
         while True:
             if h_z <= params.r * h_ref:
-                return finish("restored", z, w, h_z, h_ref)
+                return finish("restored", z, w, h_z_vec, h_ref)
             J = problem.eval_grad_h(z, w)
             grad_c = J.T @ h_z_vec
             pg_resid = float(
@@ -237,7 +249,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk_norm,
             )
             if pg_resid <= params.r_feas * h_ref:
                 if w.gh <= params.eps_prec_bar:
-                    return finish("possible_infeasibility", z, w, h_z, h_ref)
+                    return finish("possible_infeasibility", z, w, h_z_vec,
+                                  h_ref)
                 break  # refine precision and restart from the outer point
 
             G = build_B(J, params.M)

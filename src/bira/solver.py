@@ -9,11 +9,24 @@ written into an :class:`IterationRecord`; a finished run returns a
 :class:`RunReport` that serializes losslessly, so audits can replay it
 without touching the problem again.
 
-Evaluations are cached aggressively across phase boundaries: the value
-and violation measured for the accepted point of one iteration are the
-current-point measurements of the next, and the gradient used by the
-tangent model is the one the stopping test projects.  The per-iteration
-ledger deltas in the records are the proof.
+The search doubles the weight mu from a start that the previous accepted
+step chose: half its weight if that step predicts the half will pass the
+descent test, its weight otherwise.  With no tangent curvature the trial
+at mu is ``s = -Pg/(2 mu)``, so ``g.s = -2 mu |s|^2`` and the trial at
+mu/2 is 2s; if f is quadratic along that ray, the decrease at mu/2 is
+``4 D - 4 mu |s|^2`` with ``D = f_xR_yR - f_next`` the decrease at mu, and
+it meets ``alpha |2s|^2`` iff ``D >= (mu + alpha) |s|^2``.  Like
+Levenberg-Marquardt damping, the weight falls only when the accepted step
+earns it; halving it unconditionally paid a rejected first trial on most
+iterations of ``p1`` and ``p2``.
+
+No oracle value is measured twice.  The value and violation measured for
+the accepted point of one iteration are the current-point measurements of
+the next (restoration takes the violation vector, not only its norm); a
+zero tangent step at the restored precision takes f from the penalty
+update and the violation vector from the restoration outcome; and the
+gradient used by the tangent model is the one the stopping test projects.
+The per-iteration ledger deltas in the records are the proof.
 """
 
 import copy
@@ -347,12 +360,32 @@ class RunReport:
                      "params")
         check_numbers(d["params"], "params")
         check_numbers(d, "trace", ("budget",))
+        check_fields(d["tolerances"], ("eps_feas", "eps_prec", "eps_opt"),
+                     "tolerances")
         check_numbers(d["tolerances"], "tolerances")
+        if not all(tol > 0.0 for tol in d["tolerances"].values()):
+            raise SchemaError("tolerances must be positive")
         check_ledger(d["ledger_totals"], "ledger totals")
+        status = d["status"]
+        if status not in ("Converged", "BudgetExceeded", "RestorationFailure"):
+            raise SchemaError(f"unknown status {status!r}")
         failure = d["failure_info"]
+        if (failure is None) == (status == "RestorationFailure"):
+            raise SchemaError("failure info must be written exactly when the"
+                              " status is RestorationFailure")
         if failure is not None:
             check_fields(failure, ("kind", "iteration", "resta"),
                          "failure info")
+            # the resta status and the two kinds of restoration_failure
+            if failure["kind"] not in ("possible_infeasibility",
+                                       "insufficient_contraction",
+                                       "precision_outpaced_feasibility"):
+                raise SchemaError(
+                    f"unknown failure kind {failure['kind']!r}")
+            iteration = failure["iteration"]
+            if not (type(iteration) is int and iteration >= 0):
+                raise SchemaError("failure iteration must be a nonnegative"
+                                  f" integer, got {iteration!r}")
             RestorationOutcome.from_dict(failure["resta"])
         start = d["start"]
         check_fields(start, ("x", "y", "f", "h"), "start")
@@ -458,7 +491,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             if k > 0:
                 led_iter = problem.ledger.snapshot()
 
-            out = resta(problem, x, y, params, h_xk_yk_norm=h_norm,
+            out = resta(problem, x, y, params, h_xk_yk=h_vec,
                         inner_cap=inner_cap, contraction=contraction)
             if out.status == "possible_infeasibility":
                 return finish(
@@ -529,14 +562,15 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 x_next, cert = solve_tangent_qp(grad_f, G, mu, x_R, region)
                 s_norm = cert.step_norm
 
-                if s_norm == 0.0 and y_next == y_R:
-                    f_next = f_xR_yR
-                else:
-                    f_next = problem.eval_f(x_next, y_next)
+                # a zero step at the restored level stays at (x_R, y_R),
+                # which restoration and the penalty update already measured
+                stayed = s_norm == 0.0 and y_next == y_R
+                f_next = f_xR_yR if stayed else problem.eval_f(x_next, y_next)
                 # h decides only the merit test, so a trial that fails the
                 # descent test is not measured
                 if f_next <= f_xR_yR - params.alpha * s_norm**2:
-                    h_next_vec = problem.eval_h(x_next, y_next)
+                    h_next_vec = (out.h_vec if stayed
+                                  else problem.eval_h(x_next, y_next))
                     h_next = float(np.linalg.norm(h_next_vec))
                     if y_next == y_R:
                         f_ref, h_ref = f_xk_yR, out.h_xk_yR
@@ -592,7 +626,11 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             f_val = f_next
             h_vec = h_next_vec
             h_norm = h_next
-            mu_start = min(max(mu / 2.0, params.mu_min), params.mu_max)
+            # start at mu/2 only if the accepted step predicts it passes
+            # the descent test (derived in the module docstring)
+            halve = f_xR_yR - f_next >= (mu + params.alpha) * s_norm**2
+            mu_start = min(max(mu / 2.0 if halve else mu, params.mu_min),
+                           params.mu_max)
     except (AbnormalTermination, InvariantError) as exc:
         exc.summary["iteration"] = k
         raise

@@ -99,6 +99,11 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     assert "theta_monotone" in got
 
 
+def _failure(trace, kind="insufficient_contraction", iteration=1):
+    return {"kind": kind, "iteration": iteration,
+            "resta": trace["records"][0]["resta"]}
+
+
 @pytest.mark.parametrize("edit", [
     lambda trace: trace["records"][0].update(g_yk=0.0),
     lambda trace: trace["records"][0].pop("theta_after"),
@@ -118,12 +123,31 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     lambda trace: trace.update(records=3),
     lambda trace: trace["ledger_totals"].pop("h_evals"),
     lambda trace: trace["start"].pop("f"),
+    lambda trace: trace.update(status="Bogus"),
+    lambda trace: trace.update(status="RestorationFailure"),
+    # p4 converges, so a failure record needs a restoration outcome copied
+    # from its one iteration
+    lambda trace: trace.update(failure_info=_failure(trace)),
+    lambda trace: trace.update(status="RestorationFailure",
+                               failure_info=_failure(trace, kind=7)),
+    lambda trace: trace.update(status="RestorationFailure",
+                               failure_info=_failure(trace, iteration="x")),
+    lambda trace: trace.update(status="RestorationFailure",
+                               failure_info=_failure(trace, iteration=-1)),
+    lambda trace: trace.update(status="RestorationFailure",
+                               failure_info=_failure(trace, iteration=1.0)),
+    lambda trace: trace["tolerances"].update(eps_opt=0.0),
+    lambda trace: trace["tolerances"].pop("eps_feas"),
 ], ids=["unknown_field", "missing_field", "missing_status",
         "resta_missing_z_steps", "basis_with_kappas",
         "constants_missing_L_f", "constants_unknown_field",
         "params_unknown_field", "constants_L_f_is_a_string",
         "x_k_is_a_string", "h_xk_yk_is_a_string", "records_is_a_number",
-        "ledger_totals_missing_h_evals", "start_missing_f"])
+        "ledger_totals_missing_h_evals", "start_missing_f", "unknown_status",
+        "failure_without_info", "info_without_failure",
+        "unknown_failure_kind", "failure_iteration_is_a_string",
+        "negative_failure_iteration", "failure_iteration_is_a_float",
+        "zero_tolerance", "tolerances_missing_eps_feas"])
 def test_audit_rejects_records_off_the_schema(tmp_path, capsys, edit):
     trace = tmp_path / "t.json"
     main(["run", "--problem", "p4", "--out", str(trace)])

@@ -220,7 +220,7 @@ CHECKS = (
     "tangent_model_decrease", "tangent_solve_accuracy",
     "oracle_f_error_bound", "oracle_h_error_bound", "noise_within_budget",
     "restoration_inner_caps", "step_per_infeasibility",
-    "precision_refinement", "ledger_totals",
+    "precision_refinement", "ledger_totals", "stopping_test",
 )
 ANALYTIC_ONLY = {
     "theta_lower_bound", "sigma_cap", "mu_cap", "restored_distance",
@@ -329,6 +329,8 @@ TAMPERS = [
     # a run that claims to have evaluated nothing
     ("ledger_totals", ("ledger_totals",),
      lambda t, tc: dict.fromkeys(t["ledger_totals"], 0)),
+    # a converged run relabelled as out of budget, far short of its budget
+    ("stopping_test", ("status",), lambda t, tc: "BudgetExceeded"),
 ]
 
 
@@ -358,12 +360,55 @@ def _failures(trace):
 
 
 def test_a_truncated_trace_fails_the_ledger_totals(suite_runs):
-    # the ten dropped iterations are still in the totals
+    # the ten dropped iterations are still in the totals, and the last
+    # record left does not meet the stopping test the status claims
     d = _trace(suite_runs["p1"])
     d["records"] = d["records"][:-10]
     failed = _failures(d)
-    assert list(failed) == ["ledger_totals"]
+    assert list(failed) == ["ledger_totals", "stopping_test"]
     assert failed["ledger_totals"].startswith("whole run: ")
+    last = len(d["records"]) - 1
+    assert failed["stopping_test"].startswith(f"iteration {last}: ")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: bira_run(problem_by_name("p1"), budget=3),
+    lambda: bira_run(problem_by_name("p4"), budget=0),
+    lambda: bira_run(problem_by_name("p3")),
+], ids=["budget_exceeded", "budget_zero", "restoration_failure"])
+def test_the_stopping_test_agrees_with_every_status(run):
+    rep = run()
+    assert {c.name: c.status for c in audit(rep).checks}["stopping_test"] == (
+        "pass")
+
+
+@pytest.mark.parametrize("edit,where", [
+    # the last iteration's residual no longer meets the tolerance
+    (lambda d: d["tolerances"].update(eps_opt=1e-9), "iteration 20"),
+    # a run that met the test at record 20 cannot have run out of budget
+    (lambda d: d.update(status="BudgetExceeded", budget=21), "iteration 20"),
+    # a converged run stopped at the first record that met the test
+    (lambda d: d["records"].append(d["records"][-1]), "iteration 20"),
+    (lambda d: d.update(records=[]), "whole run"),
+], ids=["eps_opt", "budget_exceeded_at_its_budget", "record_after_stopping",
+        "converged_without_records"])
+def test_the_status_is_replayed(suite_runs, edit, where):
+    d = _trace(suite_runs["p1"])
+    assert len(d["records"]) == 21
+    edit(d)
+    failed = _failures(d)
+    assert failed["stopping_test"].startswith(where + ":")
+
+
+@pytest.mark.parametrize("edit", [
+    # restoration failed in the iteration after the last record
+    lambda d: d["failure_info"].update(iteration=1),
+    lambda d: d.update(status="BudgetExceeded", failure_info=None),
+], ids=["failure_iteration", "relabelled_budget_exceeded"])
+def test_a_relabelled_restoration_failure_is_caught(suite_runs, edit):
+    d = _trace(suite_runs["p3"])
+    edit(d)
+    assert "stopping_test" in _failures(d)
 
 
 def test_restoration_ray_ratio_is_audited(suite_runs):

@@ -24,10 +24,10 @@ def test_trivial_when_already_feasible_and_exact():
     p = make_p1()
     x = p.known_solution
     y = PrecisionLevel(0.0, 0.0)
-    h0 = float(np.linalg.norm(p.eval_h(x, y)))
-    assert h0 == 0.0
+    h0 = p.eval_h(x, y)
+    assert not h0.any()
     before = p.ledger.snapshot()
-    out = resta(p, x, y, AlgorithmParams.defaults(), h_xk_yk_norm=h0)
+    out = resta(p, x, y, AlgorithmParams.defaults(), h_xk_yk=h0)
     assert out.status == "trivial"
     np.testing.assert_array_equal(out.x_R, x)
     assert out.y_R == y
@@ -39,8 +39,8 @@ def test_trivial_when_already_feasible_and_exact():
 def test_p1_z_steps_follow_the_closed_form_contraction():
     p = make_p1()
     params = AlgorithmParams.defaults()
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
-    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0)
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.status == "restored"
     assert out.refinements == 1
     assert out.y_R == PrecisionLevel(0.25, 0.25)
@@ -78,8 +78,8 @@ def test_p1_floor_of_one_eighth_rejects_first_trials():
     })
     assert 0.0625 + 4 * params.sigma_min < 2 * params.alpha_R
     p = make_p1(params)
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
-    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0)
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.status == "restored"
     assert out.z_steps == 6
     assert out.inner_desc_tests == 2 * out.z_steps
@@ -108,8 +108,8 @@ def test_precision_is_refined_at_the_previous_contraction(contraction, ratio):
     p = make_p1()
     params = AlgorithmParams.defaults()
     targets = _refine_targets(p)
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
-    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0,
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0,
                 contraction=contraction)
     assert out.status == "restored"
     assert targets == [(ratio * 0.5, ratio * 0.5)]
@@ -119,8 +119,8 @@ def test_precision_is_refined_at_the_previous_contraction(contraction, ratio):
 
 def test_contraction_of_nothing_to_contract_is_zero():
     p = make_p1()
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
-    out = resta(p, p.x0, p.y0, AlgorithmParams.defaults(), h_xk_yk_norm=h0)
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, AlgorithmParams.defaults(), h_xk_yk=h0)
     assert out.contraction > 0.0
     assert replace(out, h_xk_yR=0.0, h_xR_yR=0.0).contraction == 0.0
 
@@ -128,9 +128,9 @@ def test_contraction_of_nothing_to_contract_is_zero():
 def test_restoration_never_touches_the_objective():
     params = AlgorithmParams.defaults()
     for p in make_suite():
-        h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
+        h0 = p.eval_h(p.x0, p.y0)
         try:
-            out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0)
+            out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
         except AbnormalTermination:
             continue
         assert out.ledger_delta["f_evals"] == 0
@@ -140,8 +140,8 @@ def test_restoration_never_touches_the_objective():
 def test_p3_detects_likely_infeasibility():
     p = make_p3()
     params = AlgorithmParams.defaults()
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
-    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0)
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.status == "possible_infeasibility"
     assert out.refinements == 1
     # descent drove the first coordinate toward the infeasible stall
@@ -173,8 +173,8 @@ def test_refinement_cascade_honors_the_level_schedule():
         "eps_prec_bar": 0.05, "N_prec": 2, "M": 1.0, "sigma_min": 1.0,
     })
     targets = _refine_targets(p)
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
-    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0)
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.status == "possible_infeasibility"
     assert out.refinements == 3
     # objective-precision target stays anchored at the outer level while
@@ -188,8 +188,8 @@ def test_pdp_shortcut_accepted_when_its_radius_allows():
         **AlgorithmParams.defaults().to_dict(), "beta_PDP": 8.0,
     })
     p = make_p1_pdp(params)
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
-    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0)
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.status == "pdp"
     assert out.y_R == PrecisionLevel(0.25, 0.25)
     assert out.z_steps == 0
@@ -202,8 +202,8 @@ def test_pdp_shortcut_accepted_when_its_radius_allows():
 def test_pdp_shortcut_rejected_at_default_radius():
     params = AlgorithmParams.defaults()
     p = make_p1_pdp(params)
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
-    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0)
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.status == "restored"
     # the shortcut point is too far away, so its probe pair is never paid
     # for: the call costs what it costs on p1, the same problem and noise
@@ -211,23 +211,23 @@ def test_pdp_shortcut_rejected_at_default_radius():
     p1 = make_p1(params)
     assert (p1.noise_scale_f, p1.noise_scale_h) == (p.noise_scale_f,
                                                     p.noise_scale_h)
-    plain = resta(p1, p.x0, p.y0, params, h_xk_yk_norm=h0)
+    plain = resta(p1, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.ledger_delta == plain.ledger_delta
 
 
 def test_tiny_inner_cap_terminates_abnormally():
     p = make_p1()
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
+    h0 = p.eval_h(p.x0, p.y0)
     with pytest.raises(AbnormalTermination) as err:
         resta(p, p.x0, p.y0, AlgorithmParams.defaults(),
-              h_xk_yk_norm=h0, inner_cap=3)
+              h_xk_yk=h0, inner_cap=3)
     assert err.value.summary["desc_tests"] == 3
 
 
 def test_outcome_round_trip():
     p = make_p1()
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
-    out = resta(p, p.x0, p.y0, AlgorithmParams.defaults(), h_xk_yk_norm=h0)
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, AlgorithmParams.defaults(), h_xk_yk=h0)
     back = RestorationOutcome.from_dict(out.to_dict())
     np.testing.assert_array_equal(back.x_R, out.x_R)
     assert back.y_R == out.y_R
@@ -246,8 +246,8 @@ def test_refinement_cascade_keeps_the_tied_ratio():
         "eps_prec_bar": 0.05, "N_prec": 2, "M": 1.0, "sigma_min": 1.0,
     })
     targets = _refine_targets(p)
-    h0 = float(np.linalg.norm(p.eval_h(p.x0, p.y0)))
-    out = resta(p, p.x0, p.y0, params, h_xk_yk_norm=h0, contraction=0.25)
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, contraction=0.25)
     assert out.status == "possible_infeasibility"
     assert targets == [(0.075, 0.075), (0.075, 0.01875)]
     assert out.y_R == PrecisionLevel(0.075, 0.01875)
