@@ -44,7 +44,6 @@ from .oracle import (
     InexactProblem,
     SyntheticProblem,
     make_p1,
-    make_p1_pdp,
     make_p2,
     make_p3,
     make_p4,
@@ -91,7 +90,6 @@ __all__ = [
     "infeasibility",
     "iteration_bounds",
     "make_p1",
-    "make_p1_pdp",
     "make_p2",
     "make_p3",
     "make_p4",

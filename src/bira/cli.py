@@ -267,7 +267,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="solve one problem")
-    p_run.add_argument("--problem", help="problem name (p1..p4, p1_pdp)")
+    p_run.add_argument("--problem",
+                       help="problem name (p1..p4; p1_pdp is p1 renamed)")
     p_run.add_argument("--config", help="flat JSON config file")
     p_run.add_argument("--out", help="write a JSON trace here")
     p_run.add_argument("--eps-feas", dest="eps_feas", type=float)

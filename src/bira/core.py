@@ -240,7 +240,6 @@ _PARAM_POSITIVE = (
     "sigma_min",
     "mu_min",
     "beta_c",
-    "beta_PDP",
 )
 
 
@@ -273,11 +272,9 @@ class AlgorithmParams:
     mu_max: float = 1e3
     mu_init: float = 1.0
     beta_c: float = 1.0
-    beta_PDP: float = 1.0
     theta_0: float = 0.5
     eps_prec_bar: float = 0.0
     N_prec: int = 2
-    N_acce: int = 0
 
     def __post_init__(self):
         for name in _PARAM_POSITIVE:
@@ -305,8 +302,6 @@ class AlgorithmParams:
             raise ConfigurationError("eps_prec_bar must be nonnegative")
         if not (isinstance(self.N_prec, int) and self.N_prec >= 0):
             raise ConfigurationError("N_prec must be a nonnegative integer")
-        if not (isinstance(self.N_acce, int) and self.N_acce >= 0):
-            raise ConfigurationError("N_acce must be a nonnegative integer")
         for f in fields(self):
             if f.type is float:
                 val = float(getattr(self, f.name))
@@ -324,6 +319,12 @@ class AlgorithmParams:
 
     @classmethod
     def from_dict(cls, d):
+        """Build from a flat dict; :class:`ConfigurationError` names every
+        key that is not a parameter."""
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown algorithm parameters: {sorted(unknown)}")
         return cls(**d)
 
 

@@ -26,7 +26,7 @@ from .core import (
     merit_phi,
 )
 
-DEFAULT_EXTRAS = {"beta": 0.0, "gamma": 0.5, "k_R": 0.0, "n_pdp": 2}
+DEFAULT_EXTRAS = {"beta": 0.0, "gamma": 0.5, "k_R": 0.0}
 
 #: Fallback cap on restoration descent tests when no certified bound exists.
 FALLBACK_INNER_CAP = 100_000
@@ -44,7 +44,6 @@ class TheoreticalConstants:
     step_per_infeasibility: float
     sigma_trials_per_step: int
     restoration_iter_cap: float
-    restoration_eval_cap: float
     restored_distance_factor: float
     restored_value_factor: float
     penalty_floor: float
@@ -63,11 +62,11 @@ class TheoreticalConstants:
 
     @property
     def h_evals_per_iter(self):
-        return self.restoration_eval_cap + self.tangent_attempt_cap + 1
+        return self.restoration_iter_cap + self.tangent_attempt_cap + 1
 
     @property
     def gradh_evals_per_iter(self):
-        return self.restoration_eval_cap + 2
+        return self.restoration_iter_cap + 2
 
     @property
     def f_evals_per_iter(self):
@@ -84,8 +83,9 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     :data:`~bira.core.DEFAULT_KAPPAS`.
 
     ``extras`` may override ``beta`` (oracle error scale), ``gamma``
-    (merit decrease fraction), ``k_R`` (projection-map drift bound), and
-    ``n_pdp`` (evaluations charged to the shortcut feasibility test).
+    (merit decrease fraction) and ``k_R`` (projection-map drift bound).
+    Other keys are not read; they are kept in ``extras`` of the result
+    with the contraction ratio ``r``.
     """
     pc = problem_constants
     p = params
@@ -96,7 +96,6 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     beta = float(ext["beta"])
     gamma = float(ext["gamma"])
     k_R = float(ext["k_R"])
-    n_pdp = float(ext["n_pdp"])
 
     sigma_sufficient = 2.0 * (pc.L_c + p.M / 2.0 + p.alpha_R)
     sigma_cap = max(10.0 * sigma_sufficient, p.sigma_max)
@@ -113,9 +112,8 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     restoration_iter_cap = (
         restoration_steps_per_level * sigma_trials_per_step + 1.0
     ) * p.N_prec
-    restoration_eval_cap = restoration_iter_cap + n_pdp
-    restored_distance_factor = max(
-        p.beta_PDP, p.beta_c + restoration_iter_cap * step_per_infeasibility
+    restored_distance_factor = (
+        p.beta_c + restoration_iter_cap * step_per_infeasibility
     )
     restored_value_factor = pc.L_f * restored_distance_factor + beta
     penalty_floor = min(
@@ -132,11 +130,10 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     )
     mu_sufficient = p.M + alpha_effective + pc.L_f
     tangent_attempt_cap = (
-        max(math.floor(math.log2(mu_sufficient) - math.log2(p.mu_min)),
-            p.N_acce)
+        max(math.floor(math.log2(mu_sufficient) - math.log2(p.mu_min)), 0)
         + 1
     )
-    mu_cap = max(10.0 * mu_sufficient, 10.0**p.N_acce * p.mu_max)
+    mu_cap = max(10.0 * mu_sufficient, p.mu_max)
     penalty_ratio_bound = pc.C_h / penalty_floor
     infeasibility_sum_bound = (
         2.0 / (gamma * (1.0 - p.r) ** 2)
@@ -156,7 +153,6 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
         step_per_infeasibility=step_per_infeasibility,
         sigma_trials_per_step=sigma_trials_per_step,
         restoration_iter_cap=restoration_iter_cap,
-        restoration_eval_cap=restoration_eval_cap,
         restored_distance_factor=restored_distance_factor,
         restored_value_factor=restored_value_factor,
         penalty_floor=penalty_floor,
@@ -323,13 +319,25 @@ def _verdict(name, gate, rows, analytic):
 
 def _merit_row(rec, r):
     # the accepted step keeps the merit within the restoration's allowance
-    lhs = merit_phi(rec.f_xnext_ynext, rec.h_xnext_ynext, rec.g_ynext,
+    lhs = merit_phi(rec.f_xnext_ynext, rec.h_xnext_ynext, rec.g_yR,
                     rec.theta_after)
     allowance = merit_allowance(rec.h_xk_yR, rec.h_xR_yR, rec.g_yk,
                                 rec.g_yR, r)
-    rhs = merit_phi(rec.f_xk_ynext, rec.h_xk_ynext, rec.g_ynext,
+    rhs = merit_phi(rec.f_xk_yR, rec.h_xk_yR, rec.g_yR,
                     rec.theta_after) + allowance
     return _tol(rec.k, lhs, rhs)
+
+
+def _refinement_rows(rec, r):
+    if rec.resta.status != "trivial":
+        return [_exact(rec.k, rec.y_R[i], r * rec.y_k[i]) for i in (0, 1)]
+
+    def moved(new, old):
+        return float(np.max(np.abs(np.subtract(new, old)), initial=0.0))
+
+    return [_exact(rec.k, rec.h_xk_yk + rec.g_yk, 0.0),
+            _exact(rec.k, moved(rec.x_R, rec.x_k), 0.0),
+            _exact(rec.k, moved(rec.y_R, rec.y_k), 0.0)]
 
 
 def _ledger_rows(rec, tc):
@@ -386,7 +394,6 @@ def _stopping_rows(report):
     for i, rec in enumerate(recs):
         measures = ((rec.h_xR_yR, tol["eps_feas"]),
                     (rec.g_yR, tol["eps_prec"]),
-                    (rec.g_ynext, tol["eps_prec"]),
                     (rec.stationarity_residual, tol["eps_opt"]))
         met = all(val <= eps for val, eps in measures)
         ratio = max(val / eps for val, eps in measures)
@@ -501,11 +508,10 @@ def audit(report, tc=None):
             _tol(rec.k, rec.resta.max_step_over_h, tc.step_per_infeasibility)
             for rec in recs if rec.resta.max_step_over_h is not None)),
         # a call that restored refined both precision components by at
-        # least r; the contraction it refined at may only be smaller
+        # least r (the contraction it refined at may only be smaller); a
+        # trivial call had nothing to restore and returned its input
         ("precision_refinement", None, (
-            _exact(rec.k, rec.y_R[i], params.r * rec.y_k[i])
-            for rec in recs if rec.resta.status in ("restored", "pdp")
-            for i in (0, 1))),
+            row for rec in recs for row in _refinement_rows(rec, params.r))),
         ("ledger_totals", None, _ledger_total_rows(report)),
         ("stopping_test", None, _stopping_rows(report)),
     ]

@@ -38,6 +38,9 @@ from .qp import build_B, solve_restoration_qp
 
 _SIGMA_RUNAWAY = 1e9
 
+#: The ways a restoration call ends.
+STATUSES = ("trivial", "restored", "possible_infeasibility")
+
 #: The measured fields of a restoration QP certificate.  The restoration
 #: QP has no affine part, so its tangent violation is always zero and is
 #: not recorded.
@@ -54,8 +57,8 @@ CERT_FIELDS = (
 class RestorationOutcome:
     """What one restoration call did and produced.
 
-    ``status`` is one of ``trivial`` (nothing to do), ``restored``,
-    ``pdp`` (the problem's shortcut projection was accepted), or
+    ``status`` is one of :data:`STATUSES`: ``trivial`` (nothing to do:
+    the returned point and precision are the given ones), ``restored``, or
     ``possible_infeasibility``.  ``h_xk_yR`` is the violation at the
     outer point re-measured at the returned precision; the outer failure
     tests consume it directly instead of re-evaluating.  The outcome is the
@@ -109,6 +112,8 @@ class RestorationOutcome:
         what = "restoration outcome"
         check_fields(d, _WRITTEN, what)
         check_numbers(d, what, *number_fields(cls))
+        if d["status"] not in STATUSES:
+            raise SchemaError(f"unknown restoration status {d['status']!r}")
         check_ledger(d["ledger_delta"], "restoration ledger")
         kw = dict(d)
         kw["x_R"] = np.asarray(number_list(d["x_R"], "x_R"), dtype=float)
@@ -156,7 +161,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
 
     ``contraction`` is :attr:`RestorationOutcome.contraction` of the
     previous restored call (``None`` on the first).  Every refinement of
-    this call, and the shortcut's precision, uses the ratio
+    this call uses the ratio
     ``min(r, contraction)``, so g shrinks as fast as the violation did and
     the ratio of the two that the outer failure test reads holds steady
     (see :func:`bira.solver.restoration_failure`).  A contraction of 0 asks
@@ -199,24 +204,6 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         return finish("trivial", x_k, y_k, h_xk_yk, h_xk_yk_norm)
 
     rho = params.r if contraction is None else min(params.r, contraction)
-    hit = problem.pdp(x_k, y_k)
-    if hit is not None:
-        z_P, w_P = hit
-        step = float(np.linalg.norm(np.asarray(z_P, float) - x_k))
-        close_enough = step <= params.beta_PDP * infeasibility(
-            h_xk_yk_norm, y_k.g
-        )
-        # the shortcut must refine at least as hard as the schedule
-        # would; the distance test needs no evaluation, so it goes first
-        if (close_enough and w_P.gf <= rho * y_k.gf
-                and w_P.gh <= rho * y_k.gh):
-            h_zP_vec = problem.eval_h(z_P, w_P)
-            h_zP = float(np.linalg.norm(h_zP_vec))
-            h_xk_wP = float(np.linalg.norm(problem.eval_h(x_k, w_P)))
-            if h_zP <= params.r * h_xk_wP:
-                max_ratio = _step_ratio(step, h_xk_wP)
-                return finish("pdp", z_P, w_P, h_zP_vec, h_xk_wP)
-
     w = y_k
     h_ref_vec = h_xk_yk
     while True:

@@ -4,7 +4,10 @@ Each iteration runs the restoration phase, applies the two restoration
 failure tests, rebalances the penalty weight so the merit function is
 guaranteed to decrease by a fixed fraction of the restoration gain, and
 then searches over the regularization weight for a tangent step passing
-both acceptance tests.  Everything measurable about the iteration is
+both acceptance tests.  The tangent phase works at the restored precision
+``y_R`` throughout: its gradient, tangent region and merit reference are
+measured there once, and the accepted point hands ``y_R`` on as the next
+iteration's precision.  Everything measurable about the iteration is
 written into an :class:`IterationRecord`; a finished run returns a
 :class:`RunReport` that serializes losslessly, so audits can replay it
 without touching the problem again.
@@ -23,10 +26,10 @@ iterations of ``p1`` and ``p2``.
 No oracle value is measured twice.  The value and violation measured for
 the accepted point of one iteration are the current-point measurements of
 the next (restoration takes the violation vector, not only its norm); a
-zero tangent step at the restored precision takes f from the penalty
-update and the violation vector from the restoration outcome; and the
-gradient used by the tangent model is the one the stopping test projects.
-The per-iteration ledger deltas in the records are the proof.
+zero tangent step takes f from the penalty update and the violation
+vector from the restoration outcome; and the gradient used by the tangent
+model is the one the stopping test projects.  The per-iteration ledger
+deltas in the records are the proof.
 """
 
 import copy
@@ -56,7 +59,7 @@ from .geometry import TangentSet, project_tangent
 from .qp import build_H, solve_tangent_qp
 from .restoration import RestorationOutcome, resta
 
-TRACE_VERSION = 5
+TRACE_VERSION = 6
 
 
 def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -98,8 +101,8 @@ def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     then needs ``dh >= ((1 - r)/(2 r)) g_yk`` from a point restored
     exactly, which holds only if the tangent step reopened that much
     violation.  On a linear row a damped z-step contracts the violation by
-    ``2 sigma / (2 sigma + ||J||^2) > 0``, so there only a box bound or a
-    shortcut projection restores exactly.
+    ``2 sigma / (2 sigma + ||J||^2) > 0``, so there only a box bound
+    restores exactly.
     """
     if h_xR_yR > r * h_xk_yR:
         return True, "insufficient_contraction"
@@ -156,7 +159,7 @@ def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
 #: record, or from the run's ``start`` block for record 0.
 CHAIN = {
     "x_k": "x_next",
-    "y_k": "y_next",
+    "y_k": "y_R",
     "f_xk_yk": "f_xnext_ynext",
     "h_xk_yk": "h_xnext_ynext",
     "theta_before": "theta_after",
@@ -169,8 +172,10 @@ class IterationRecord:
 
     Fields hold measured facts only; values that follow from them
     (``x_R``, ``y_R`` and the violations of the restoration outcome, the
-    ``g_*`` precision measures, the ``*_xk_ynext`` selections and
-    ``step_norm``) are read-only properties.  The :data:`CHAIN` fields are
+    ``g_*`` precision measures and ``step_norm``) are read-only
+    properties.  The tangent phase works at the restored precision, so
+    the ``*_xnext_ynext`` values are measured at ``y_R``, the precision the
+    next iteration starts from.  The :data:`CHAIN` fields are
     kept in memory but written once, by the record or start block they
     repeat.
     """
@@ -179,7 +184,6 @@ class IterationRecord:
     x_k: np.ndarray
     x_next: np.ndarray
     y_k: tuple
-    y_next: tuple
     theta_before: float
     theta_after: float
     mu_k: float
@@ -222,19 +226,6 @@ class IterationRecord:
         return max(self.y_R)
 
     @property
-    def g_ynext(self):
-        return max(self.y_next)
-
-    @property
-    def f_xk_ynext(self):
-        # the merit reference the tangent step was accepted against
-        return self.f_xk_yR if self.y_next == self.y_R else self.f_xk_yk
-
-    @property
-    def h_xk_ynext(self):
-        return self.h_xk_yR if self.y_next == self.y_R else self.h_xk_yk
-
-    @property
     def step_norm(self):
         return self.tangent_cert["step_norm"]
 
@@ -246,8 +237,6 @@ class IterationRecord:
                 val = val.tolist()
             elif isinstance(val, RestorationOutcome):
                 val = val.to_dict()
-            elif isinstance(val, tuple):
-                val = list(val)
             elif isinstance(val, dict):
                 val = dict(val)
             d[name] = val
@@ -266,8 +255,11 @@ class IterationRecord:
         kw = dict(d, **chain)
         kw["x_next"] = np.asarray(number_list(d["x_next"], "x_next"),
                                   dtype=float)
-        kw["y_next"] = tuple(number_list(d["y_next"], "y_next"))
         kw["resta"] = RestorationOutcome.from_dict(d["resta"])
+        # a call that found possible infeasibility ends the run unrecorded
+        if kw["resta"].status not in ("trivial", "restored"):
+            raise SchemaError("an iteration record cannot hold restoration"
+                              f" status {kw['resta'].status!r}")
         return cls(**kw)
 
 
@@ -309,10 +301,10 @@ class RunReport:
             return self.start["x"], self.start["y"]
         last = self.records[-1]
         if self.status == "Converged":
-            return last.x_R, last.y_next
+            return last.x_R, last.y_R
         # out of budget, or a restoration outcome failed its tests: the
         # run stops at the point the last iteration accepted
-        return last.x_next, last.y_next
+        return last.x_next, last.y_R
 
     @property
     def final_x(self):
@@ -386,7 +378,12 @@ class RunReport:
             if not (type(iteration) is int and iteration >= 0):
                 raise SchemaError("failure iteration must be a nonnegative"
                                   f" integer, got {iteration!r}")
-            RestorationOutcome.from_dict(failure["resta"])
+            out = RestorationOutcome.from_dict(failure["resta"])
+            if ((out.status == "possible_infeasibility")
+                    != (failure["kind"] == "possible_infeasibility")):
+                raise SchemaError(
+                    f"failure kind {failure['kind']!r} does not match"
+                    f" restoration status {out.status!r}")
         start = d["start"]
         check_fields(start, ("x", "y", "f", "h"), "start")
         check_numbers(start, "start", ("f", "h"))
@@ -538,9 +535,13 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 out.h_xk_yR, out.h_xR_yR, g_k, g_R, params.r
             )
 
+            # the tangent model, region and merit reference, all at y_R
+            grad_f = problem.eval_grad_f(x_R, y_R)
+            region = TangentSet(problem.box, problem.eval_grad_h(x_R, y_R),
+                                x_R)
+            G = build_H(x_R)
+            merit_ref = merit_phi(f_xk_yR, out.h_xk_yR, g_R, theta_next)
             mu = mu_start
-            # gradient, tangent region and curvature factor per level
-            level_cache = {}
             attempts = 0
             while True:
                 attempts += 1
@@ -549,35 +550,20 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                         f"tangent phase exhausted {attempt_cap} attempts at"
                         f" iteration {k}"
                     )
-                y_next = y if (attempts - 1) < params.N_acce else y_R
-                key = y_next.as_tuple()
-                if key not in level_cache:
-                    level_cache[key] = (
-                        problem.eval_grad_f(x_R, y_next),
-                        TangentSet(problem.box,
-                                   problem.eval_grad_h(x_R, y_next), x_R),
-                        build_H(x_R),
-                    )
-                grad_f, region, G = level_cache[key]
                 x_next, cert = solve_tangent_qp(grad_f, G, mu, x_R, region)
                 s_norm = cert.step_norm
 
-                # a zero step at the restored level stays at (x_R, y_R),
-                # which restoration and the penalty update already measured
-                stayed = s_norm == 0.0 and y_next == y_R
-                f_next = f_xR_yR if stayed else problem.eval_f(x_next, y_next)
+                # a zero step stays at (x_R, y_R), which restoration and
+                # the penalty update already measured
+                stayed = s_norm == 0.0
+                f_next = f_xR_yR if stayed else problem.eval_f(x_next, y_R)
                 # h decides only the merit test, so a trial that fails the
                 # descent test is not measured
                 if f_next <= f_xR_yR - params.alpha * s_norm**2:
                     h_next_vec = (out.h_vec if stayed
-                                  else problem.eval_h(x_next, y_next))
+                                  else problem.eval_h(x_next, y_R))
                     h_next = float(np.linalg.norm(h_next_vec))
-                    if y_next == y_R:
-                        f_ref, h_ref = f_xk_yR, out.h_xk_yR
-                    else:
-                        f_ref, h_ref = f_val, h_norm
-                    merit_ref = merit_phi(f_ref, h_ref, y_next.g, theta_next)
-                    if (merit_phi(f_next, h_next, y_next.g, theta_next)
+                    if (merit_phi(f_next, h_next, g_R, theta_next)
                             <= merit_ref + allowance):
                         break
                 mu *= 2.0
@@ -597,7 +583,6 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 x_k=x.copy(),
                 x_next=np.asarray(x_next, dtype=float).copy(),
                 y_k=y.as_tuple(),
-                y_next=y_next.as_tuple(),
                 theta_before=theta.theta,
                 theta_after=theta_next,
                 mu_k=mu,
@@ -618,11 +603,11 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             theta.push(theta_next)
 
             if (out.h_xR_yR <= eps_feas and g_R <= eps_prec
-                    and y_next.g <= eps_prec and residual <= eps_opt):
+                    and residual <= eps_opt):
                 return finish("Converged")
 
             x = np.asarray(x_next, dtype=float)
-            y = y_next
+            y = y_R
             f_val = f_next
             h_vec = h_next_vec
             h_norm = h_next

@@ -166,7 +166,7 @@ def test_criterion_07_work_grows_at_most_quadratically():
 
 def test_criterion_08_per_iteration_evaluation_caps(feasible_runs):
     for name, (report, tc) in feasible_runs.items():
-        n_rest = tc.restoration_eval_cap
+        n_rest = tc.restoration_iter_cap
         n_reg = tc.tangent_attempt_cap
         for rec in report.records:
             d = rec.ledger_delta

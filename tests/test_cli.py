@@ -47,6 +47,15 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg", [{"N_acce": 2}, {"beta_PDP": 8}],
+                         ids=["N_acce", "beta_PDP"])
+def test_a_deleted_parameter_is_a_usage_error(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--problem", "p1", "--config", str(path)]) == 1
+    assert next(iter(cfg)) in capsys.readouterr().err
+
+
 def test_uncovered_regularization_exits_before_any_evaluation(
         tmp_path, monkeypatch, capsys):
     # p4's only restoration is trivial, so no curvature factor is ever
@@ -138,6 +147,17 @@ def _failure(trace, kind="insufficient_contraction", iteration=1):
                                failure_info=_failure(trace, iteration=1.0)),
     lambda trace: trace["tolerances"].update(eps_opt=0.0),
     lambda trace: trace["tolerances"].pop("eps_feas"),
+    # p4's one record holds a trivial restoration call
+    lambda trace: trace["records"][0]["resta"].update(status="pdp"),
+    lambda trace: trace["records"][0]["resta"].update(status="bogus"),
+    lambda trace: trace["records"][0]["resta"].update(
+        status="possible_infeasibility"),
+    lambda trace: trace.update(status="RestorationFailure",
+                               failure_info=_failure(
+                                   trace, kind="possible_infeasibility")),
+    lambda trace: trace.update(status="RestorationFailure", failure_info={
+        **_failure(trace), "resta": {**trace["records"][0]["resta"],
+                                     "status": "possible_infeasibility"}}),
 ], ids=["unknown_field", "missing_field", "missing_status",
         "resta_missing_z_steps", "basis_with_kappas",
         "constants_missing_L_f", "constants_unknown_field",
@@ -147,7 +167,10 @@ def _failure(trace, kind="insufficient_contraction", iteration=1):
         "failure_without_info", "info_without_failure",
         "unknown_failure_kind", "failure_iteration_is_a_string",
         "negative_failure_iteration", "failure_iteration_is_a_float",
-        "zero_tolerance", "tolerances_missing_eps_feas"])
+        "zero_tolerance", "tolerances_missing_eps_feas", "resta_status_pdp",
+        "unknown_resta_status", "record_resta_possible_infeasibility",
+        "infeasibility_kind_without_infeasible_resta",
+        "infeasible_resta_with_another_kind"])
 def test_audit_rejects_records_off_the_schema(tmp_path, capsys, edit):
     trace = tmp_path / "t.json"
     main(["run", "--problem", "p4", "--out", str(trace)])
@@ -175,8 +198,12 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     # a schema-v4 trace still writes the chain fields and the final point
     (lambda trace: trace.update(trace_version=4, final_x=[0.0, 0.0]),
      "trace version 4 not supported"),
+    # a schema-v5 trace still writes each record's y_next
+    (lambda trace: [trace.update(trace_version=5),
+                    trace["records"][0].update(y_next=[0.0, 0.0])],
+     "trace version 5 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
-], ids=["version_3", "version_4", "empty_object"])
+], ids=["version_3", "version_4", "version_5", "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

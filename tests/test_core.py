@@ -105,6 +105,17 @@ def test_params_validation():
             AlgorithmParams.from_dict(cfg)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"N_acce": 2},
+    {**AlgorithmParams.defaults().to_dict(), "beta_PDP": 8.0},
+], ids=["N_acce", "beta_PDP"])
+def test_params_refuse_unknown_keys(cfg):
+    # the keys of the deleted lookahead and shortcut paths are unknown now
+    unknown = (set(cfg) - set(AlgorithmParams.defaults().to_dict())).pop()
+    with pytest.raises(ConfigurationError, match=unknown):
+        AlgorithmParams.from_dict(cfg)
+
+
 @pytest.mark.parametrize("M,sigma_min", [(1.0, 0.25), (2.0, 0.25),
                                          (8.0, 0.1)])
 def test_params_reject_uncovered_regularization(M, sigma_min):

@@ -83,11 +83,6 @@ def test_mu_cap_grows_with_precision_carry_allowance():
     base = AlgorithmParams.defaults()
     tc = constants(_pc(), base)
     assert tc.mu_cap == max(10.0 * tc.mu_sufficient, base.mu_max)
-    carry = AlgorithmParams.from_dict({
-        **base.to_dict(), "N_acce": 2,
-    })
-    tc2 = constants(_pc(), carry)
-    assert tc2.mu_cap == max(10.0 * tc2.mu_sufficient, 100.0 * base.mu_max)
 
 
 def test_beta_bar_formula():
@@ -326,6 +321,9 @@ TAMPERS = [
     # a restored call that claims to have left the precision unrefined
     ("precision_refinement", ("records", 0, "resta", "y_R", 0),
      lambda t, tc: t["start"]["y"][0]),
+    # a restored call relabelled as one that had nothing to restore
+    ("precision_refinement", ("records", 0, "resta", "status"),
+     lambda t, tc: "trivial"),
     # a run that claims to have evaluated nothing
     ("ledger_totals", ("ledger_totals",),
      lambda t, tc: dict.fromkeys(t["ledger_totals"], 0)),
@@ -334,12 +332,19 @@ TAMPERS = [
 ]
 
 
+#: A case's id is its check, suffixed with the edited field for a check's
+#: second case.
+TAMPER_IDS = []
+for _name, _path, _ in TAMPERS:
+    TAMPER_IDS.append(_name if _name not in TAMPER_IDS
+                      else f"{_name}_{_path[-1]}")
+
+
 def test_every_check_has_a_tampering_case():
-    assert sorted(name for name, _, _ in TAMPERS) == sorted(CHECKS)
+    assert {name for name, _, _ in TAMPERS} == set(CHECKS)
 
 
-@pytest.mark.parametrize("check,path,value", TAMPERS,
-                         ids=[name for name, _, _ in TAMPERS])
+@pytest.mark.parametrize("check,path,value", TAMPERS, ids=TAMPER_IDS)
 def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
     rep = suite_runs["p1"]
     assert audit(rep).ok
@@ -409,6 +414,27 @@ def test_a_relabelled_restoration_failure_is_caught(suite_runs, edit):
     d = _trace(suite_runs["p3"])
     edit(d)
     assert "stopping_test" in _failures(d)
+
+
+def test_a_restored_call_relabelled_trivial_is_caught(suite_runs):
+    # a trivial call returns its input, so setting y_R back to the
+    # unrefined y_k does not excuse the label
+    d = _trace(suite_runs["p1"])
+    rec = d["records"][3]["resta"]
+    rec["status"] = "trivial"
+    rec["y_R"] = d["records"][2]["resta"]["y_R"]
+    assert _failures(d) == {"precision_refinement":
+                            "iteration 3: 3.009e-01 exceeds 0.000e+00"}
+
+
+def test_a_trivial_call_passes_the_refinement_check(suite_runs):
+    # p4 starts feasible at exact precision: its one call is trivial
+    rep = suite_runs["p4"]
+    assert [rec.resta.status for rec in rep.records] == ["trivial"]
+    by_name = {c.name: c for c in audit(rep).checks}
+    assert by_name["precision_refinement"].status == "pass"
+    assert by_name["precision_refinement"].detail == (
+        "iteration 0: 0.000e+00 within 0.000e+00")
 
 
 def test_restoration_ray_ratio_is_audited(suite_runs):

@@ -15,7 +15,6 @@ from bira.diagnostics import audit, constants
 from bira.oracle import (
     SyntheticProblem,
     make_p1,
-    make_p1_pdp,
     make_p2,
     make_p4,
     make_suite,
@@ -246,7 +245,7 @@ def _tiny_budget_problem(noise_scale):
         lambda x: (0.25 * a)[None, :],
         1, np.array([-0.5, -0.5]), PrecisionLevel(0.05, 0.05), pc,
         noise_scale_f=noise_scale, noise_scale_h=noise_scale,
-        extra_overrides={"gamma": 0.5, "k_R": 0.0, "n_pdp": 2},
+        extra_overrides={"gamma": 0.5, "k_R": 0.0},
     )
 
 
@@ -266,14 +265,10 @@ def test_noise_within_budget_on_a_budget_below_1e_12():
     assert _noise_verdict(_tiny_budget_problem(budget)) == "fail"
 
 
-def test_pdp_map_contract():
-    assert make_p1().pdp(make_p1().x0, PrecisionLevel(0.5, 0.5)) is None
-    p = make_p1_pdp()
-    y = PrecisionLevel(0.5, 0.5)
-    hit = p.pdp(p.x0, y)
-    assert hit is not None
-    z, w = hit
-    assert w == PrecisionLevel(0.25, 0.25)
-    assert p.box.contains(z)
-    # the shortcut lands on the exact slice
-    np.testing.assert_allclose(p.exact_h(z), [0.0], atol=1e-12)
+def test_p1_pdp_is_p1_under_a_second_name():
+    twin, p1 = bira_run(problem_by_name("p1_pdp")), bira_run(make_p1())
+    assert twin.problem_name == "p1_pdp"
+    assert twin.status == p1.status
+    assert twin.ledger_totals == p1.ledger_totals
+    assert np.array_equal(twin.final_x, p1.final_x)
+    assert twin.constants_basis == p1.constants_basis

@@ -12,9 +12,9 @@ from bira.core import (
 from bira.oracle import (
     SyntheticProblem,
     make_p1,
-    make_p1_pdp,
     make_p3,
     make_suite,
+    problem_by_name,
 )
 from bira.restoration import RestorationOutcome, resta
 from bira.solver import restoration_failure
@@ -183,36 +183,20 @@ def test_refinement_cascade_honors_the_level_schedule():
     assert out.y_R == PrecisionLevel(0.15, 0.0375)
 
 
-def test_pdp_shortcut_accepted_when_its_radius_allows():
-    params = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(), "beta_PDP": 8.0,
-    })
-    p = make_p1_pdp(params)
-    h0 = p.eval_h(p.x0, p.y0)
-    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
-    assert out.status == "pdp"
-    assert out.y_R == PrecisionLevel(0.25, 0.25)
-    assert out.z_steps == 0
-    assert out.ledger_delta["h_evals"] == 2
-    assert out.ledger_delta["gradh_evals"] == 0
-    assert out.h_xR_yR <= params.r * out.h_xk_yR
-    assert out.max_step_over_h is not None
-
-
 def test_pdp_shortcut_rejected_at_default_radius():
+    # the shortcut is gone: p1_pdp is p1 under a second name, so its call
+    # restores and costs what the call on p1 costs
     params = AlgorithmParams.defaults()
-    p = make_p1_pdp(params)
+    p = problem_by_name("p1_pdp", params)
     h0 = p.eval_h(p.x0, p.y0)
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.status == "restored"
-    # the shortcut point is too far away, so its probe pair is never paid
-    # for: the call costs what it costs on p1, the same problem and noise
-    # without a shortcut
     p1 = make_p1(params)
     assert (p1.noise_scale_f, p1.noise_scale_h) == (p.noise_scale_f,
                                                     p.noise_scale_h)
     plain = resta(p1, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.ledger_delta == plain.ledger_delta
+    assert np.array_equal(out.x_R, plain.x_R) and out.y_R == plain.y_R
 
 
 def test_tiny_inner_cap_terminates_abnormally():
