@@ -221,6 +221,34 @@ def merit_allowance(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     return 0.5 * (1.0 - r) * (h_xR_yR - h_xk_yR + g_yR - g_yk)
 
 
+def restoration_target(r, met_opt):
+    """Fraction of its reference violation a restoration call restores to:
+    ``r``, or ``r**2`` once the previous record met the optimality test."""
+    return r * r if met_opt else r
+
+
+def precision_ratio(r, contraction, target):
+    """Ratio a restoration call refines both precision components by:
+    ``min(r, contraction, target)``, where ``contraction`` is the previous
+    restored call's (``None`` on the first call) and ``target`` this call's
+    :func:`restoration_target`."""
+    if contraction is None:
+        return min(r, target)
+    return min(r, contraction, target)
+
+
+def restoration_tests(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
+    """The two comparisons a restoration outcome must pass, each as
+    ``(kind, lhs, rhs)`` that holds iff ``lhs <= rhs``: the violation
+    contracted by ``r``, and the precision gain did not outpace the
+    feasibility gain (see :func:`bira.solver.restoration_failure`)."""
+    return (
+        ("insufficient_contraction", h_xR_yR, r * h_xk_yR),
+        ("precision_outpaced_feasibility",
+         ((1.0 - r) / (2.0 * r)) * (g_yk - g_yR), h_xk_yR - h_xR_yR),
+    )
+
+
 def constraint_ssq(h_vec):
     """Half squared norm of the constraint residual vector."""
     h = np.asarray(h_vec, dtype=float)
@@ -300,8 +328,10 @@ class AlgorithmParams:
             raise ConfigurationError("theta_0 must lie in (0, 1)")
         if self.eps_prec_bar < 0.0:
             raise ConfigurationError("eps_prec_bar must be nonnegative")
-        if not (isinstance(self.N_prec, int) and self.N_prec >= 0):
-            raise ConfigurationError("N_prec must be a nonnegative integer")
+        # restoration_iter_cap is a multiple of N_prec, so 0 would leave a
+        # restoration call no descent test at all
+        if not (isinstance(self.N_prec, int) and self.N_prec >= 1):
+            raise ConfigurationError("N_prec must be a positive integer")
         for f in fields(self):
             if f.type is float:
                 val = float(getattr(self, f.name))

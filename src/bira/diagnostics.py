@@ -24,6 +24,9 @@ from .core import (
     ProblemConstants,
     merit_allowance,
     merit_phi,
+    precision_ratio,
+    restoration_target,
+    restoration_tests,
 )
 
 DEFAULT_EXTRAS = {"beta": 0.0, "gamma": 0.5, "k_R": 0.0}
@@ -101,7 +104,7 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     sigma_cap = max(10.0 * sigma_sufficient, p.sigma_max)
     restoration_grad_bound = pc.L_c + p.M + kap["kappa_R"] + sigma_cap
     restoration_steps_per_level = (
-        restoration_grad_bound**2 * (1.0 - p.r**2)
+        restoration_grad_bound**2 * (1.0 - p.r**4)
         / (2.0 * p.alpha_R * p.r_feas**2)
         + 1.0
     )
@@ -328,16 +331,57 @@ def _merit_row(rec, r):
     return _tol(rec.k, lhs, rhs)
 
 
-def _refinement_rows(rec, r):
-    if rec.resta.status != "trivial":
-        return [_exact(rec.k, rec.y_R[i], r * rec.y_k[i]) for i in (0, 1)]
+def _refinement_rows(report):
+    """A call that restored refined both precision components by at least
+    the ratio ``bira_run`` asked for, replayed from the records: r, the
+    previous restored call's contraction, and r**2 after a record that met
+    the optimality test.  A trivial call had nothing to restore and
+    returned its input."""
+    r = report.params.r
+    contraction = None
+    met_opt = False
+    for rec in report.records:
+        if rec.resta.status != "trivial":
+            rho = precision_ratio(r, contraction,
+                                  restoration_target(r, met_opt))
+            yield from (_exact(rec.k, rec.y_R[i], rho * rec.y_k[i])
+                        for i in (0, 1))
+            contraction = rec.resta.contraction
+        else:
+            yield from (
+                _exact(rec.k, rec.h_xk_yk + rec.g_yk, 0.0),
+                _exact(rec.k, _moved(rec.x_R, rec.x_k), 0.0),
+                _exact(rec.k, _moved(rec.y_R, rec.y_k), 0.0))
+        met_opt = rec.stationarity_residual <= report.tolerances["eps_opt"]
 
-    def moved(new, old):
-        return float(np.max(np.abs(np.subtract(new, old)), initial=0.0))
 
-    return [_exact(rec.k, rec.h_xk_yk + rec.g_yk, 0.0),
-            _exact(rec.k, moved(rec.x_R, rec.x_k), 0.0),
-            _exact(rec.k, moved(rec.y_R, rec.y_k), 0.0)]
+def _moved(new, old):
+    return float(np.max(np.abs(np.subtract(new, old)), initial=0.0))
+
+
+def _restoration_test_rows(report):
+    """Both restoration failure tests, recomputed from each record's
+    outcome: every recorded call passed them, and a call that ended the run
+    with one of their kinds failed that test and passed the ones before
+    it."""
+    r = report.params.r
+    y_k = report.start["y"]
+    for rec in report.records:
+        for _, lhs, rhs in restoration_tests(rec.h_xk_yR, rec.h_xR_yR,
+                                             rec.g_yk, rec.g_yR, r):
+            yield _exact(rec.k, lhs, rhs)
+        y_k = rec.y_R
+    failure = report.failure_info
+    if failure is None or failure["kind"] == "possible_infeasibility":
+        return
+    out = failure["resta"]
+    for kind, lhs, rhs in restoration_tests(out["h_xk_yR"], out["h_xR_yR"],
+                                            max(y_k), max(out["y_R"]), r):
+        if kind == failure["kind"]:
+            # a lower bound: the test failed
+            yield failure["iteration"], not lhs <= rhs, rhs, lhs
+            return
+        yield _exact(failure["iteration"], lhs, rhs)
 
 
 def _ledger_rows(rec, tc):
@@ -507,11 +551,8 @@ def audit(report, tc=None):
         ("step_per_infeasibility", ANALYTIC, (
             _tol(rec.k, rec.resta.max_step_over_h, tc.step_per_infeasibility)
             for rec in recs if rec.resta.max_step_over_h is not None)),
-        # a call that restored refined both precision components by at
-        # least r (the contraction it refined at may only be smaller); a
-        # trivial call had nothing to restore and returned its input
-        ("precision_refinement", None, (
-            row for rec in recs for row in _refinement_rows(rec, params.r))),
+        ("precision_refinement", None, _refinement_rows(report)),
+        ("restoration_tests", None, _restoration_test_rows(report)),
         ("ledger_totals", None, _ledger_total_rows(report)),
         ("stopping_test", None, _stopping_rows(report)),
     ]

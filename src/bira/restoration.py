@@ -1,8 +1,9 @@
 """Restoration: drive constraint violation and imprecision down together.
 
 Given the current point and precision, this phase returns a point whose
-measured violation has contracted by the ratio ``r`` and a precision level
-refined by ``min(r, c)``, where ``c`` is the contraction the previous
+measured violation has contracted by the ratio ``r`` (toward ``r**2`` on a
+deep call, see :func:`resta`) and a precision level refined by
+``min(r, c, target)``, where ``c`` is the contraction the previous
 restored call achieved (r on the first call), or else declares that the
 problem looks locally infeasible: the projected gradient of the violation
 measure is small relative to the violation itself even at the tightest
@@ -31,6 +32,7 @@ from .core import (
     infeasibility,
     number_fields,
     number_list,
+    precision_ratio,
 )
 from .diagnostics import restoration_inner_cap, restoration_refine_cap
 from .geometry import project_box
@@ -150,7 +152,7 @@ def _step_ratio(step, denom):
 
 
 def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
-          inner_cap=None, contraction=None):
+          inner_cap=None, contraction=None, target=None):
     """Run the restoration phase from ``(x_k, y_k)``.
 
     ``h_xk_yk`` is the already-measured violation vector at the outer
@@ -161,11 +163,29 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
 
     ``contraction`` is :attr:`RestorationOutcome.contraction` of the
     previous restored call (``None`` on the first).  Every refinement of
-    this call uses the ratio
-    ``min(r, contraction)``, so g shrinks as fast as the violation did and
-    the ratio of the two that the outer failure test reads holds steady
+    this call uses the ratio ``min(r, contraction, target)``, so g shrinks
+    at least as fast as the violation did and the ratio ``q = ||h|| / g``
+    that the outer failure test reads holds steady
     (see :func:`bira.solver.restoration_failure`).  A contraction of 0 asks
     for exact evaluations: both targets are 0.
+
+    ``target`` is the fraction of the reference violation ``h_ref`` the
+    call restores to: ``r`` by default, ``r**2`` on a deep call, which
+    ``bira_run`` asks for once a record met the optimality test.  A deep
+    call refines at a ratio of at most ``r**2`` and then keeps taking
+    z-steps past ``r h_ref``; it returns ``restored`` (``r`` is met) as
+    soon as either guard fires:
+
+    - the stall test (projected gradient at most ``r_feas h_ref``), which
+      past ``r`` neither refines nor restarts;
+    - the floor: the next z-step, predicted to contract by as much as the
+      last one did, would take ``||h||`` below ``g_R / (2 r)``.
+
+    The floor is what keeps q balanced.  A deep call that contracts by
+    ``c`` below its refinement ratio lowers q by ``c / rho``, and the next
+    call needs ``(1 - c') q >= ((1 - r) / (2 r)) (1 - rho')``.  For every
+    contraction ``c' <= r`` that holds once ``q >= 1 / (2 r)``, which is
+    ``||h|| >= g_R / (2 r)``.
 
     The phase never evaluates the objective or its gradient.
     """
@@ -203,7 +223,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     if infeasibility(h_xk_yk_norm, y_k.g) == 0.0:
         return finish("trivial", x_k, y_k, h_xk_yk, h_xk_yk_norm)
 
-    rho = params.r if contraction is None else min(params.r, contraction)
+    r = params.r
+    target = r if target is None else target
+    rho = precision_ratio(r, contraction, target)
     w = y_k
     h_ref_vec = h_xk_yk
     while True:
@@ -225,9 +247,15 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         z = x_k.copy()
         h_z_vec = h_ref_vec
         h_z = h_ref
+        h_last = None  # the violation before the level's latest z-step
 
         while True:
-            if h_z <= params.r * h_ref:
+            if h_z <= target * h_ref:
+                return finish("restored", z, w, h_z_vec, h_ref)
+            # past r only on a deep call: stop where the next z-step is
+            # predicted to cross the floor g/(2r)
+            past_r = h_z <= r * h_ref
+            if past_r and (h_z / h_last) * h_z < w.g / (2.0 * r):
                 return finish("restored", z, w, h_z_vec, h_ref)
             J = problem.eval_grad_h(z, w)
             grad_c = J.T @ h_z_vec
@@ -235,6 +263,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                 np.linalg.norm(project_box(z - grad_c, box) - z)
             )
             if pg_resid <= params.r_feas * h_ref:
+                if past_r:  # stalled past r: r is met, so keep it
+                    return finish("restored", z, w, h_z_vec, h_ref)
                 if w.gh <= params.eps_prec_bar:
                     return finish("possible_infeasibility", z, w, h_z_vec,
                                   h_ref)
@@ -268,6 +298,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             z_steps += 1
             ratio = _step_ratio(step, h_ref)
             max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)
+            h_last = h_z
             z = z_trial
             h_z_vec = h_trial_vec
             h_z = float(np.linalg.norm(h_z_vec))

@@ -52,6 +52,8 @@ from .core import (
     merit_phi,
     number_fields,
     number_list,
+    restoration_target,
+    restoration_tests,
 )
 from .diagnostics import constants as derived_constants
 from .diagnostics import restoration_inner_cap
@@ -59,7 +61,7 @@ from .geometry import TangentSet, project_tangent
 from .qp import build_H, solve_tangent_qp
 from .restoration import RestorationOutcome, resta
 
-TRACE_VERSION = 6
+TRACE_VERSION = 7
 
 
 def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -103,11 +105,22 @@ def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     violation.  On a linear row a damped z-step contracts the violation by
     ``2 sigma / (2 sigma + ||J||^2) > 0``, so there only a box bound
     restores exactly.
+
+    The balance at a deep call.  Once a record met the optimality test the
+    next call restores toward ``r**2`` and refines at
+    ``rho = min(r, c_prev, r**2)``, which may be below ``c_prev``: q then
+    grows by ``c_prev / rho`` and only the call's own contraction c can
+    lower it, by ``c / rho``.  The call stops before a z-step predicted to
+    take ``||h||`` below ``g_yR / (2 r)``, so it hands on
+    ``q >= 1 / (2 r)``, and from there the next call passes this test for
+    every contraction ``c' <= r``: ``(1 - c') q >= (1 - r)/(2 r)
+    >= ((1 - r)/(2 r)) (1 - rho')``.  Restored past that floor, the
+    zero-step problem of the tests at ``(M, sigma_min) = (2, 0.5)`` fails
+    the test at the next call.
     """
-    if h_xR_yR > r * h_xk_yR:
-        return True, "insufficient_contraction"
-    if (h_xk_yR - h_xR_yR) < ((1.0 - r) / (2.0 * r)) * (g_yk - g_yR):
-        return True, "precision_outpaced_feasibility"
+    for kind, lhs, rhs in restoration_tests(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
+        if not lhs <= rhs:
+            return True, kind
     return False, None
 
 
@@ -177,7 +190,8 @@ class IterationRecord:
     the ``*_xnext_ynext`` values are measured at ``y_R``, the precision the
     next iteration starts from.  The :data:`CHAIN` fields are
     kept in memory but written once, by the record or start block they
-    repeat.
+    repeat, and ``x_next`` is written only when it differs bitwise from
+    ``x_R`` (a tangent step that snapped to zero repeats it).
     """
 
     k: int
@@ -233,6 +247,8 @@ class IterationRecord:
         d = {}
         for name in _WRITTEN:
             val = getattr(self, name)
+            if name == "x_next" and val.tobytes() == self.x_R.tobytes():
+                continue  # a zero step: from_dict reads x_next as x_R
             if isinstance(val, np.ndarray):
                 val = val.tolist()
             elif isinstance(val, RestorationOutcome):
@@ -247,15 +263,16 @@ class IterationRecord:
         """Rebuild a record from its written fields and the :data:`CHAIN`
         fields ``chain`` handed to it."""
         what = "iteration record"
-        check_fields(d, _WRITTEN, what)
+        check_fields(d, _WRITTEN if "x_next" in d else _WRITTEN_AT_X_R, what)
         names, optional = number_fields(cls)
         check_numbers(d, what, [n for n in names if n in _WRITTEN], optional)
         check_numbers(d["tangent_cert"], "tangent_cert")
         check_ledger(d["ledger_delta"], "ledger_delta")
         kw = dict(d, **chain)
-        kw["x_next"] = np.asarray(number_list(d["x_next"], "x_next"),
-                                  dtype=float)
         kw["resta"] = RestorationOutcome.from_dict(d["resta"])
+        kw["x_next"] = (np.asarray(number_list(d["x_next"], "x_next"),
+                                   dtype=float)
+                        if "x_next" in d else kw["resta"].x_R)
         # a call that found possible infeasibility ends the run unrecorded
         if kw["resta"].status not in ("trivial", "restored"):
             raise SchemaError("an iteration record cannot hold restoration"
@@ -265,6 +282,8 @@ class IterationRecord:
 
 _WRITTEN = tuple(name for name in IterationRecord.__dataclass_fields__
                  if name not in CHAIN)
+# the fields of a record whose tangent step stayed at x_R
+_WRITTEN_AT_X_R = tuple(name for name in _WRITTEN if name != "x_next")
 
 
 @dataclass
@@ -488,8 +507,13 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             if k > 0:
                 led_iter = problem.ledger.snapshot()
 
+            # restore deeper once the optimality comparison has held
+            target = restoration_target(
+                params.r,
+                bool(records) and records[-1].stationarity_residual <= eps_opt)
             out = resta(problem, x, y, params, h_xk_yk=h_vec,
-                        inner_cap=inner_cap, contraction=contraction)
+                        inner_cap=inner_cap, contraction=contraction,
+                        target=target)
             if out.status == "possible_infeasibility":
                 return finish(
                     "RestorationFailure",

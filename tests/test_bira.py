@@ -1,8 +1,11 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bira.solver
 from bira.core import (
     AlgorithmParams,
     BoxPolytope,
@@ -110,10 +113,10 @@ def test_p1_converges_and_the_audit_agrees():
 
 
 @pytest.mark.parametrize("factory,ledger", [
-    (make_p1, {"f_evals": 64, "gradf_evals": 21,
-               "h_evals": 169, "gradh_evals": 147}),
-    (make_p2, {"f_evals": 52, "gradf_evals": 17,
-               "h_evals": 67, "gradh_evals": 49}),
+    (make_p1, {"f_evals": 61, "gradf_evals": 20,
+               "h_evals": 167, "gradh_evals": 146}),
+    (make_p2, {"f_evals": 42, "gradf_evals": 14,
+               "h_evals": 62, "gradh_evals": 48}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # restoration takes almost all h and grad-h evaluations; at
@@ -192,10 +195,68 @@ def test_p2_converges_when_restoration_outpaces_r(M, sigma_min):
     res = audit(rep)
     assert res.ok, res.failures
     assert any(rec.resta.contraction < params.r for rec in rep.records)
-    # each call refines at the contraction the previous call achieved
+    # each call refines at the contraction the previous call achieved, and
+    # at r**2 too once the previous record met the optimality test
     for prev, rec in zip(rep.records, rep.records[1:]):
         rho = min(params.r, prev.resta.contraction)
+        if prev.stationarity_residual <= rep.tolerances["eps_opt"]:
+            rho = min(rho, params.r**2)
         assert rec.y_R == (rho * rec.y_k[0], rho * rec.y_k[1])
+
+
+def _params(**kw):
+    return AlgorithmParams.from_dict({**AlgorithmParams.defaults().to_dict(),
+                                      **kw})
+
+
+def test_zero_steps_converge_at_a_looser_curvature_cap():
+    # every deep call keeps the violation above g/(2r): restored below it,
+    # the next call's precision gain outpaced its feasibility gain
+    params = _params(M=2.0, sigma_min=0.5)
+    rep = bira_run(_objective_along_the_normal(), params)
+    assert rep.status == "Converged"
+    assert audit(rep).ok
+
+
+def test_p2_converges_when_the_stall_test_is_loose():
+    # at r_feas = 0.2 the stall test fires past r on a deep call; the call
+    # returns what it restored instead of refining to the exact level
+    params = _params(r_feas=0.2)
+    rep = bira_run(make_p2(params), params)
+    assert rep.status == "Converged"
+    assert audit(rep).ok
+
+
+def _highdim():
+    path = Path(__file__).resolve().parent.parent / "bench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("synth", path)
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    return synth.make_synthetic("highdim0", 100, 5, 1)
+
+
+@pytest.mark.parametrize("factory,deep", [
+    (make_p1, lambda k, n: k == n - 1),
+    (_highdim, lambda k, n: k >= 1),
+], ids=["p1", "highdim"])
+def test_a_deep_call_follows_a_record_that_met_eps_opt(monkeypatch, factory,
+                                                       deep):
+    targets = []
+    real = bira.solver.resta
+
+    def spy(*args, **kwargs):
+        targets.append(kwargs["target"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bira.solver, "resta", spy)
+    rep = bira_run(factory())
+    assert rep.status == "Converged"
+    r = rep.params.r
+    n = len(rep.records)
+    assert targets == [r * r if deep(k, n) else r for k in range(n)]
+    for prev, target in zip(rep.records, targets[1:]):
+        met = prev.stationarity_residual <= rep.tolerances["eps_opt"]
+        assert target == (r * r if met else r)
 
 
 def test_regularization_weight_tracks_the_doubling_schedule():
@@ -331,6 +392,24 @@ def test_a_trace_writes_each_value_once(edit):
     d = json.loads(json.dumps(bira_run(make_p1()).to_dict()))
     edit(d)
     with pytest.raises(SchemaError, match="unknown"):
+        RunReport.from_dict(d)
+
+
+def test_x_next_is_written_only_when_the_step_moved():
+    # schema v7: a zero step leaves x_next equal to x_R, which the trace
+    # already writes in the restoration outcome
+    moved = bira_run(make_p1()).to_dict()
+    assert all("x_next" in rec for rec in moved["records"])
+    rep = bira_run(_objective_along_the_normal())
+    d = json.loads(json.dumps(rep.to_dict()))
+    assert not any("x_next" in rec for rec in d["records"])
+    back = RunReport.from_dict(d)
+    for rec, got in zip(rep.records, back.records):
+        assert got.x_next.tobytes() == rec.x_next.tobytes()
+        assert got.x_next.tobytes() == rec.x_R.tobytes()
+    assert back.final_x.tobytes() == rep.final_x.tobytes()
+    d["trace_version"] = 6
+    with pytest.raises(SchemaError, match="trace version 6 not supported"):
         RunReport.from_dict(d)
 
 

@@ -56,6 +56,15 @@ def test_a_deleted_parameter_is_a_usage_error(tmp_path, capsys, cfg):
     assert next(iter(cfg)) in capsys.readouterr().err
 
 
+def test_no_precision_refinement_is_a_usage_error(tmp_path, capsys):
+    # the restoration caps are multiples of N_prec: at 0 the first descent
+    # test aborted the run (exit 5)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N_prec": 0}))
+    assert main(["run", "--problem", "p1", "--config", str(cfg)]) == 1
+    assert "N_prec" in capsys.readouterr().err
+
+
 def test_uncovered_regularization_exits_before_any_evaluation(
         tmp_path, monkeypatch, capsys):
     # p4's only restoration is trivial, so no curvature factor is ever

@@ -97,6 +97,7 @@ def test_params_validation():
         ("theta_0", 0.0),
         ("eps_prec_bar", -1.0),
         ("N_prec", -1),
+        ("N_prec", 0),
         ("alpha", 0.0),
     ]:
         cfg = dict(base)

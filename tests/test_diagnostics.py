@@ -97,7 +97,7 @@ def test_restoration_step_cap_recomputed():
     params = AlgorithmParams.defaults()
     tc = constants(_pc(L_c=2.0), params)
     g = tc.restoration_grad_bound
-    expect = (g * g * (1.0 - params.r**2)
+    expect = (g * g * (1.0 - params.r**4)
               / (2.0 * params.alpha_R * params.r_feas**2) + 1.0)
     assert tc.restoration_steps_per_level == pytest.approx(expect)
 
@@ -215,7 +215,8 @@ CHECKS = (
     "tangent_model_decrease", "tangent_solve_accuracy",
     "oracle_f_error_bound", "oracle_h_error_bound", "noise_within_budget",
     "restoration_inner_caps", "step_per_infeasibility",
-    "precision_refinement", "ledger_totals", "stopping_test",
+    "precision_refinement", "restoration_tests", "ledger_totals",
+    "stopping_test",
 )
 ANALYTIC_ONLY = {
     "theta_lower_bound", "sigma_cap", "mu_cap", "restored_distance",
@@ -324,6 +325,13 @@ TAMPERS = [
     # a restored call relabelled as one that had nothing to restore
     ("precision_refinement", ("records", 0, "resta", "status"),
      lambda t, tc: "trivial"),
+    # the last call is deep (record 18 met eps_opt), so it refined at
+    # r**2, not r
+    ("precision_refinement", ("records", 19, "resta", "y_R", 0),
+     lambda t, tc: t["params"]["r"] * t["records"][18]["resta"]["y_R"][0]),
+    # a call that claims to have contracted nothing
+    ("restoration_tests", ("records", 5, "resta", "h_xR_yR"),
+     lambda t, tc: t["records"][5]["resta"]["h_xk_yR"]),
     # a run that claims to have evaluated nothing
     ("ledger_totals", ("ledger_totals",),
      lambda t, tc: dict.fromkeys(t["ledger_totals"], 0)),
@@ -356,7 +364,10 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
     bad = RunReport.from_dict(d)
     failed = {c.name: c.detail for c in audit(bad).failures}
     assert check in failed
-    assert failed[check].split(":")[0] in ("iteration 0", "whole run")
+    # the failing row is the edited record's, or a whole-run row
+    edited = path[1] if path[0] == "records" else 0
+    assert failed[check].split(":")[0] in (f"iteration {edited}",
+                                           "whole run")
 
 
 def _failures(trace):
@@ -389,17 +400,17 @@ def test_the_stopping_test_agrees_with_every_status(run):
 
 @pytest.mark.parametrize("edit,where", [
     # the last iteration's residual no longer meets the tolerance
-    (lambda d: d["tolerances"].update(eps_opt=1e-9), "iteration 20"),
-    # a run that met the test at record 20 cannot have run out of budget
-    (lambda d: d.update(status="BudgetExceeded", budget=21), "iteration 20"),
+    (lambda d: d["tolerances"].update(eps_opt=1e-9), "iteration 19"),
+    # a run that met the test at record 19 cannot have run out of budget
+    (lambda d: d.update(status="BudgetExceeded", budget=20), "iteration 19"),
     # a converged run stopped at the first record that met the test
-    (lambda d: d["records"].append(d["records"][-1]), "iteration 20"),
+    (lambda d: d["records"].append(d["records"][-1]), "iteration 19"),
     (lambda d: d.update(records=[]), "whole run"),
 ], ids=["eps_opt", "budget_exceeded_at_its_budget", "record_after_stopping",
         "converged_without_records"])
 def test_the_status_is_replayed(suite_runs, edit, where):
     d = _trace(suite_runs["p1"])
-    assert len(d["records"]) == 21
+    assert len(d["records"]) == 20
     edit(d)
     failed = _failures(d)
     assert failed["stopping_test"].startswith(where + ":")
@@ -435,6 +446,20 @@ def test_a_trivial_call_passes_the_refinement_check(suite_runs):
     assert by_name["precision_refinement"].status == "pass"
     assert by_name["precision_refinement"].detail == (
         "iteration 0: 0.000e+00 within 0.000e+00")
+
+
+def test_the_failing_restoration_test_is_replayed():
+    # p2 at r = 0.25 ends in its second call, whose precision gain outpaced
+    # its feasibility gain; the call did contract by r
+    params = AlgorithmParams.from_dict({
+        **AlgorithmParams.defaults().to_dict(), "r": 0.25})
+    rep = bira_run(problem_by_name("p2", params), params)
+    assert rep.failure_info["kind"] == "precision_outpaced_feasibility"
+    by_name = {c.name: c.status for c in audit(rep).checks}
+    assert by_name["restoration_tests"] == "pass"
+    d = _trace(rep)
+    d["failure_info"]["kind"] = "insufficient_contraction"
+    assert _failures(d)["restoration_tests"].startswith("iteration 1:")
 
 
 def test_restoration_ray_ratio_is_audited(suite_runs):
