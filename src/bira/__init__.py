@@ -19,7 +19,6 @@ from .core import (
     DomainError,
     InsufficientDataError,
     InvariantError,
-    PenaltyState,
     PrecisionLevel,
     ProblemConstants,
     SchemaError,
@@ -72,7 +71,6 @@ __all__ = [
     "InvariantError",
     "IterationBounds",
     "IterationRecord",
-    "PenaltyState",
     "PrecisionLevel",
     "ProblemConstants",
     "RestorationOutcome",

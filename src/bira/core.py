@@ -8,7 +8,6 @@ and ``gh`` the constraint one, and the scalar precision measure is their max.
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Mapping
 
 import numpy as np
 
@@ -221,6 +220,15 @@ def merit_allowance(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     return 0.5 * (1.0 - r) * (h_xR_yR - h_xk_yR + g_yR - g_yk)
 
 
+def merit_test(f_new, h_new, f_ref, h_ref, g, theta, allowance):
+    """The merit test at weight ``theta`` as ``(lhs, rhs)``, which holds iff
+    ``lhs <= rhs``: the merit at ``(f_new, h_new)`` is at most the merit at
+    ``(f_ref, h_ref)`` plus ``allowance`` (see :func:`merit_allowance`),
+    both at precision measure ``g``."""
+    return (merit_phi(f_new, h_new, g, theta),
+            merit_phi(f_ref, h_ref, g, theta) + allowance)
+
+
 def restoration_target(r, met_opt):
     """Fraction of its reference violation a restoration call restores to:
     ``r``, or ``r**2`` once the previous record met the optimality test."""
@@ -267,7 +275,6 @@ _PARAM_POSITIVE = (
     "alpha",
     "sigma_min",
     "mu_min",
-    "beta_c",
 )
 
 
@@ -295,11 +302,9 @@ class AlgorithmParams:
     alpha_R: float = 0.5
     M: float = 4.0
     sigma_min: float = 0.25
-    sigma_max: float = 40.0
     mu_min: float = 1e-3
     mu_max: float = 1e3
     mu_init: float = 1.0
-    beta_c: float = 1.0
     theta_0: float = 0.5
     eps_prec_bar: float = 0.0
     N_prec: int = 2
@@ -318,8 +323,6 @@ class AlgorithmParams:
             raise ConfigurationError(
                 f"M * sigma_min must be >= 1, got {self.M} * {self.sigma_min}"
             )
-        if self.sigma_max < self.sigma_min:
-            raise ConfigurationError("sigma_max must be >= sigma_min")
         if self.mu_max < self.mu_min:
             raise ConfigurationError("mu_max must be >= mu_min")
         if not self.mu_min <= self.mu_init <= self.mu_max:
@@ -365,8 +368,8 @@ _CONSTANT_FIELDS = ("L_f", "L_h", "L_c", "C_f", "C_h", "C_g")
 class ProblemConstants:
     """Smoothness and boundedness constants of a problem.
 
-    ``provenance`` records, per field, whether the value is analytic or a
-    sampled estimate; a plain string applies to every field.
+    ``provenance`` says whether the values are analytic or sampled
+    estimates: ``"analytic"`` or ``"estimated"``.
     """
 
     L_f: float
@@ -375,7 +378,7 @@ class ProblemConstants:
     C_f: float
     C_h: float
     C_g: float
-    provenance: Mapping[str, str] | str = "analytic"
+    provenance: str = "analytic"
 
     def __post_init__(self):
         for name in _CONSTANT_FIELDS:
@@ -385,49 +388,18 @@ class ProblemConstants:
             object.__setattr__(self, name, val)
         if self.C_g < 1.0:
             raise ConfigurationError("C_g must be >= 1")
-        prov = self.provenance
-        if isinstance(prov, str):
-            prov = {name: prov for name in _CONSTANT_FIELDS}
-        else:
-            prov = dict(prov)
-        for name, kind in prov.items():
-            if name not in _CONSTANT_FIELDS:
-                raise ConfigurationError(f"unknown constant field {name!r}")
-            if kind not in ("analytic", "estimated"):
-                raise ConfigurationError(f"bad provenance {kind!r} for {name}")
-        missing = set(_CONSTANT_FIELDS) - set(prov)
-        if missing:
-            raise ConfigurationError(f"provenance missing for {sorted(missing)}")
-        object.__setattr__(self, "provenance", prov)
+        if self.provenance not in ("analytic", "estimated"):
+            raise ConfigurationError(f"bad provenance {self.provenance!r}")
 
     @property
     def analytic(self):
-        return all(v == "analytic" for v in self.provenance.values())
+        return self.provenance == "analytic"
 
     def to_dict(self):
         d = {name: getattr(self, name) for name in _CONSTANT_FIELDS}
-        d["provenance"] = dict(self.provenance)
+        d["provenance"] = self.provenance
         return d
 
     @classmethod
     def from_dict(cls, d):
         return cls(**d)
-
-
-class PenaltyState:
-    """Penalty weight ``theta``; pushes must be nonincreasing."""
-
-    def __init__(self, theta_0):
-        theta_0 = float(theta_0)
-        if not 0.0 < theta_0 < 1.0:
-            raise ConfigurationError("theta_0 must lie in (0, 1)")
-        self.theta = theta_0
-
-    def push(self, theta_new):
-        theta_new = float(theta_new)
-        if not 0.0 < theta_new <= self.theta:
-            raise InvariantError(
-                f"penalty update must stay in (0, {self.theta}], got {theta_new}"
-            )
-        self.theta = theta_new
-        return theta_new

@@ -23,13 +23,20 @@ from .core import (
     InsufficientDataError,
     ProblemConstants,
     merit_allowance,
-    merit_phi,
+    merit_test,
     precision_ratio,
     restoration_target,
     restoration_tests,
 )
 
 DEFAULT_EXTRAS = {"beta": 0.0, "gamma": 0.5, "k_R": 0.0}
+
+#: Fixed constants of the analysis, like the accuracy targets
+#: :data:`~bira.core.DEFAULT_KAPPAS`: ``SIGMA_MAX`` floors the certified cap
+#: on the restoration weight sigma, and ``BETA_C`` is the constant term of
+#: the restored distance factor.  No solver loop reads either.
+SIGMA_MAX = 40.0
+BETA_C = 1.0
 
 #: Fallback cap on restoration descent tests when no certified bound exists.
 FALLBACK_INNER_CAP = 100_000
@@ -60,6 +67,7 @@ class TheoreticalConstants:
     residual_step_factor: float
     residual_square_sum_bound: float
     beta_bar: float
+    r: float
     analytic: bool
     extras: dict = field(default_factory=dict)
 
@@ -87,21 +95,19 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
 
     ``extras`` may override ``beta`` (oracle error scale), ``gamma``
     (merit decrease fraction) and ``k_R`` (projection-map drift bound).
-    Other keys are not read; they are kept in ``extras`` of the result
-    with the contraction ratio ``r``.
+    Other keys are not read; they are kept in ``extras`` of the result.
     """
     pc = problem_constants
     p = params
     kap = DEFAULT_KAPPAS
     ext = dict(DEFAULT_EXTRAS)
     ext.update(extras or {})
-    ext["r"] = p.r
     beta = float(ext["beta"])
     gamma = float(ext["gamma"])
     k_R = float(ext["k_R"])
 
     sigma_sufficient = 2.0 * (pc.L_c + p.M / 2.0 + p.alpha_R)
-    sigma_cap = max(10.0 * sigma_sufficient, p.sigma_max)
+    sigma_cap = max(10.0 * sigma_sufficient, SIGMA_MAX)
     restoration_grad_bound = pc.L_c + p.M + kap["kappa_R"] + sigma_cap
     restoration_steps_per_level = (
         restoration_grad_bound**2 * (1.0 - p.r**4)
@@ -116,7 +122,7 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
         restoration_steps_per_level * sigma_trials_per_step + 1.0
     ) * p.N_prec
     restored_distance_factor = (
-        p.beta_c + restoration_iter_cap * step_per_infeasibility
+        BETA_C + restoration_iter_cap * step_per_infeasibility
     )
     restored_value_factor = pc.L_f * restored_distance_factor + beta
     penalty_floor = min(
@@ -169,6 +175,7 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
         residual_step_factor=residual_step_factor,
         residual_square_sum_bound=residual_square_sum_bound,
         beta_bar=beta_bar,
+        r=p.r,
         analytic=pc.analytic,
         extras=ext,
     )
@@ -196,11 +203,9 @@ def iteration_bounds(tc: TheoreticalConstants, eps_feas, eps_prec, eps_opt):
         if not val > 0.0:
             raise ValueError(f"{name} must be positive")
     cf = tc.infeasibility_sum_bound
-    h_above = math.floor(tc_r(tc) * cf / eps_feas)
+    h_above = math.floor(tc.r * cf / eps_feas)
     g_above = math.floor(cf / eps_prec)
-    infeasible = math.floor(
-        max(tc_r(tc) * cf / eps_feas, tc_r(tc) * cf / eps_prec)
-    )
+    infeasible = math.floor(max(tc.r * cf / eps_feas, tc.r * cf / eps_prec))
     optimality = math.floor(tc.residual_square_sum_bound / eps_opt**2)
     # every iteration past the stopping one trips at least one of the counts
     total = infeasible + g_above + optimality + 1
@@ -217,11 +222,6 @@ def iteration_bounds(tc: TheoreticalConstants, eps_feas, eps_prec, eps_opt):
     )
 
 
-def tc_r(tc: TheoreticalConstants):
-    # the contraction ratio is echoed into extras by constants()
-    return float(tc.extras["r"])
-
-
 def restoration_inner_cap(tc: TheoreticalConstants | None):
     """Cap on restoration descent tests: certified when analytic."""
     if tc is not None and tc.analytic:
@@ -230,8 +230,13 @@ def restoration_inner_cap(tc: TheoreticalConstants | None):
 
 
 def restoration_refine_cap(params: AlgorithmParams):
-    """Cap on the precision refinements of one restoration call."""
-    return 10 * (params.N_prec + 2) + 100
+    """Cap on the precision refinements of one restoration call.
+
+    Refinement ``N_prec + 1`` takes the constraint precision to at most
+    ``eps_prec_bar``, where a stall ends the call instead of refining, so
+    an oracle whose ``refine`` meets its targets never exceeds the cap.
+    """
+    return params.N_prec + 1
 
 
 def leq(lhs, rhs):
@@ -322,13 +327,11 @@ def _verdict(name, gate, rows, analytic):
 
 def _merit_row(rec, r):
     # the accepted step keeps the merit within the restoration's allowance
-    lhs = merit_phi(rec.f_xnext_ynext, rec.h_xnext_ynext, rec.g_yR,
-                    rec.theta_after)
     allowance = merit_allowance(rec.h_xk_yR, rec.h_xR_yR, rec.g_yk,
                                 rec.g_yR, r)
-    rhs = merit_phi(rec.f_xk_yR, rec.h_xk_yR, rec.g_yR,
-                    rec.theta_after) + allowance
-    return _tol(rec.k, lhs, rhs)
+    return _tol(rec.k, *merit_test(
+        rec.f_xnext_ynext, rec.h_xnext_ynext, rec.f_xk_yR, rec.h_xk_yR,
+        rec.g_yR, rec.theta_after, allowance))
 
 
 def _refinement_rows(report):

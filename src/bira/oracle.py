@@ -152,14 +152,12 @@ class InexactProblem(ABC):
         ...
 
     def exact_f(self, x):
+        """Exact objective value at ``x``; ``None`` when there is none."""
         return None
 
     def exact_h(self, x):
+        """Exact constraint vector at ``x``; ``None`` when there is none."""
         return None
-
-    @property
-    def has_exact(self):
-        return self.exact_f(self.box.lower) is not None
 
     def extras(self):
         """Constants-chain extras for this problem (see diagnostics)."""
@@ -275,15 +273,9 @@ class SyntheticProblem(InexactProblem):
         x = as_point(x, self.dim)
         return np.atleast_1d(np.asarray(self._constraint(x), dtype=float))
 
-    @property
-    def has_exact(self):
-        return True
-
     def extras(self):
         out = {
             "beta": 2.0 * max(self.noise_scale_f, self.noise_scale_h),
-            "gamma": 0.5,
-            "k_R": 0.0,
             "noise_scale_f": self.noise_scale_f,
             "noise_scale_h": self.noise_scale_h,
         }
@@ -295,7 +287,7 @@ NOISE_FREQ_F = (3.0, 5.0)
 NOISE_FREQ_H = (2.0, 7.0)
 
 
-def _calibrate_noise(pc_for, params, base_extras):
+def _calibrate_noise(pc_for, params):
     """Fixed point of: scale -> ``beta_bar / 2``, the largest scale the
     chain's error budget allows.
 
@@ -309,9 +301,7 @@ def _calibrate_noise(pc_for, params, base_extras):
     """
     ns = 0.0
     for _ in range(60):
-        ext = dict(base_extras)
-        ext["beta"] = 2.0 * ns
-        tc = derived_constants(pc_for(ns), params, extras=ext)
+        tc = derived_constants(pc_for(ns), params, extras={"beta": 2.0 * ns})
         ns_new = tc.beta_bar / 2.0
         if ns > 0.0 and abs(ns_new - ns) <= 1e-12 * ns:
             return ns_new
@@ -370,8 +360,7 @@ def _p1_family(name, feasibility_offset, start_mode, y0, *, params=None):
             C_g=max(1.0, g0), provenance="analytic",
         )
 
-    extras_base = {"gamma": 0.5, "k_R": 0.0}
-    ns = _calibrate_noise(pc_for, params, extras_base)
+    ns = _calibrate_noise(pc_for, params)
 
     if start_mode == "offset":
         tang = np.array([1.0, -1.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
@@ -384,7 +373,6 @@ def _p1_family(name, feasibility_offset, start_mode, y0, *, params=None):
         1, x0, y0, pc_for(ns),
         noise_scale_f=ns, noise_scale_h=ns, noise_seed=11,
         known_solution=x_sol, infeasible=False,
-        extra_overrides=extras_base,
     )
 
 
@@ -439,14 +427,12 @@ def make_p2(params=None):
             provenance="analytic",
         )
 
-    extras_base = {"gamma": 0.5, "k_R": 0.0}
-    ns = _calibrate_noise(pc_for, params, extras_base)
+    ns = _calibrate_noise(pc_for, params)
     return SyntheticProblem(
         "p2", box, objective, objective_grad, constraint, constraint_jac,
         1, np.array([-1.8, 1.2]), y0, pc_for(ns),
         noise_scale_f=ns, noise_scale_h=ns, noise_seed=23,
         known_solution=None, infeasible=False,
-        extra_overrides=extras_base,
     )
 
 

@@ -145,12 +145,6 @@ def _cert_rows(columns):
     )
 
 
-def _step_ratio(step, denom):
-    if denom > 0.0:
-        return step / denom
-    return 0.0 if step <= 1e-15 else float("inf")
-
-
 def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
           inner_cap=None, contraction=None, target=None):
     """Run the restoration phase from ``(x_k, y_k)``.
@@ -176,8 +170,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     z-steps past ``r h_ref``; it returns ``restored`` (``r`` is met) as
     soon as either guard fires:
 
-    - the stall test (projected gradient at most ``r_feas h_ref``), which
-      past ``r`` neither refines nor restarts;
+    - the stall test (projected gradient at most ``r_feas h_ref``, or an
+      accepted z-step that left z unchanged), which past ``r`` neither
+      refines nor restarts;
     - the floor: the next z-step, predicted to contract by as much as the
       last one did, would take ``||h||`` below ``g_R / (2 r)``.
 
@@ -262,7 +257,40 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             pg_resid = float(
                 np.linalg.norm(project_box(z - grad_c, box) - z)
             )
-            if pg_resid <= params.r_feas * h_ref:
+            # a stall: the projected gradient is small, or the accepted
+            # z-step left z where it was (a zero step passes the descent
+            # test without lowering h, and would repeat until the cap)
+            stalled = pg_resid <= params.r_feas * h_ref
+            if not stalled:
+                G = build_B(J, params.M)
+                sigma = params.sigma_min
+                c_z = constraint_ssq(h_z_vec)
+                while True:
+                    if desc_tests >= cap:
+                        raise AbnormalTermination(
+                            "restoration descent-test cap exceeded",
+                            {"refinements": refinements,
+                             "desc_tests": desc_tests},
+                        )
+                    sigma_hist.append(sigma)
+                    z_trial, cert = solve_restoration_qp(grad_c, G, sigma, z,
+                                                         box)
+                    certs.append({name: getattr(cert, name)
+                                  for name in CERT_FIELDS})
+                    h_trial_vec = problem.eval_h(z_trial, w)
+                    c_trial = constraint_ssq(h_trial_vec)
+                    desc_tests += 1
+                    step = float(np.linalg.norm(z_trial - z))
+                    if c_trial <= c_z - params.alpha_R * step**2:
+                        break
+                    sigma *= 2.0
+                    if sigma > _SIGMA_RUNAWAY:
+                        raise AbnormalTermination(
+                            "restoration regularization runaway",
+                            {"sigma": sigma, "desc_tests": desc_tests},
+                        )
+                stalled = np.array_equal(z_trial, z)
+            if stalled:
                 if past_r:  # stalled past r: r is met, so keep it
                     return finish("restored", z, w, h_z_vec, h_ref)
                 if w.gh <= params.eps_prec_bar:
@@ -270,33 +298,10 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                                   h_ref)
                 break  # refine precision and restart from the outer point
 
-            G = build_B(J, params.M)
-            sigma = params.sigma_min
-            c_z = constraint_ssq(h_z_vec)
-            while True:
-                if desc_tests >= cap:
-                    raise AbnormalTermination(
-                        "restoration descent-test cap exceeded",
-                        {"refinements": refinements, "desc_tests": desc_tests},
-                    )
-                sigma_hist.append(sigma)
-                z_trial, cert = solve_restoration_qp(grad_c, G, sigma, z, box)
-                certs.append({name: getattr(cert, name)
-                              for name in CERT_FIELDS})
-                h_trial_vec = problem.eval_h(z_trial, w)
-                c_trial = constraint_ssq(h_trial_vec)
-                desc_tests += 1
-                step = float(np.linalg.norm(z_trial - z))
-                if c_trial <= c_z - params.alpha_R * step**2:
-                    break
-                sigma *= 2.0
-                if sigma > _SIGMA_RUNAWAY:
-                    raise AbnormalTermination(
-                        "restoration regularization runaway",
-                        {"sigma": sigma, "desc_tests": desc_tests},
-                    )
             z_steps += 1
-            ratio = _step_ratio(step, h_ref)
+            # h_ref > 0: a level whose h_ref is 0 is restored before its
+            # first z-step
+            ratio = step / h_ref
             max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)
             h_last = h_z
             z = z_trial

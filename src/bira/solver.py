@@ -42,14 +42,13 @@ from .core import (
     AlgorithmParams,
     ConfigurationError,
     InvariantError,
-    PenaltyState,
     ProblemConstants,
     SchemaError,
     check_fields,
     check_ledger,
     check_numbers,
     merit_allowance,
-    merit_phi,
+    merit_test,
     number_fields,
     number_list,
     restoration_target,
@@ -61,7 +60,7 @@ from .geometry import TangentSet, project_tangent
 from .qp import build_H, solve_tangent_qp
 from .restoration import RestorationOutcome, resta
 
-TRACE_VERSION = 7
+TRACE_VERSION = 8
 
 
 def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -137,8 +136,8 @@ def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     allowance = merit_allowance(h_xk_yR, h_xR_yR, g_yk, g_yR, r)
 
     def holds(th):
-        lhs = merit_phi(f_xR_yR, h_xR_yR, g_yR, th)
-        rhs = merit_phi(f_xk_yR, h_xk_yR, g_yR, th) + allowance
+        lhs, rhs = merit_test(f_xR_yR, h_xR_yR, f_xk_yR, h_xk_yR, g_yR, th,
+                              allowance)
         return lhs <= rhs
 
     if holds(theta_k):
@@ -428,11 +427,10 @@ class RunReport:
         return cls(**kw)
 
 
-def _oracle_errors(problem, x, y, f_meas, h_vec_meas):
-    if not getattr(problem, "has_exact", False):
-        return None, None
-    f_exact = problem.exact_f(x)
-    h_exact = problem.exact_h(x)
+def _oracle_errors(problem, x, f_meas, h_vec_meas):
+    # bira_run takes any object with the oracle interface, exact or not
+    f_exact = getattr(problem, "exact_f", lambda x: None)(x)
+    h_exact = getattr(problem, "exact_h", lambda x: None)(x)
     if f_exact is None or h_exact is None:
         return None, None
     return (
@@ -489,12 +487,11 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
         )
 
     records = []
-    theta = PenaltyState(params.theta_0)
+    theta = params.theta_0
     x = np.asarray(problem.x0, dtype=float).copy()
     y = problem.y0
     mu_start = params.mu_init
     contraction = None
-    attempt_cap = max(200, tc.tangent_attempt_cap + 5)
 
     led_iter = problem.ledger.snapshot()
     h_vec = problem.eval_h(x, y)
@@ -551,7 +548,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 f_xR_yR = problem.eval_f(x_R, y_R)
 
             theta_next = update_penalty(
-                theta.theta, f_xR_yR, f_xk_yR, out.h_xk_yR, out.h_xR_yR,
+                theta, f_xR_yR, f_xk_yR, out.h_xk_yR, out.h_xR_yR,
                 g_k, g_R, params.r,
             )
 
@@ -564,16 +561,12 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             region = TangentSet(problem.box, problem.eval_grad_h(x_R, y_R),
                                 x_R)
             G = build_H(x_R)
-            merit_ref = merit_phi(f_xk_yR, out.h_xk_yR, g_R, theta_next)
             mu = mu_start
             attempts = 0
+            # mu doubles on every rejected trial, so the runaway ends the
+            # search
             while True:
                 attempts += 1
-                if attempts > attempt_cap:
-                    raise InvariantError(
-                        f"tangent phase exhausted {attempt_cap} attempts at"
-                        f" iteration {k}"
-                    )
                 x_next, cert = solve_tangent_qp(grad_f, G, mu, x_R, region)
                 s_norm = cert.step_norm
 
@@ -587,11 +580,13 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                     h_next_vec = (out.h_vec if stayed
                                   else problem.eval_h(x_next, y_R))
                     h_next = float(np.linalg.norm(h_next_vec))
-                    if (merit_phi(f_next, h_next, g_R, theta_next)
-                            <= merit_ref + allowance):
+                    lhs, rhs = merit_test(f_next, h_next, f_xk_yR,
+                                          out.h_xk_yR, g_R, theta_next,
+                                          allowance)
+                    if lhs <= rhs:
                         break
                 mu *= 2.0
-                if mu > 1e2 * max(tc.mu_cap, params.mu_max):
+                if mu > 1e2 * tc.mu_cap:
                     raise InvariantError(
                         f"regularization runaway at iteration {k}"
                     )
@@ -600,14 +595,14 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             residual = float(np.linalg.norm(proj - x_R))
 
             oracle_f_err, oracle_h_err = _oracle_errors(
-                problem, x, y, f_val, h_vec)
+                problem, x, f_val, h_vec)
 
             records.append(IterationRecord(
                 k=k,
                 x_k=x.copy(),
                 x_next=np.asarray(x_next, dtype=float).copy(),
                 y_k=y.as_tuple(),
-                theta_before=theta.theta,
+                theta_before=theta,
                 theta_after=theta_next,
                 mu_k=mu,
                 ell_count=attempts,
@@ -624,7 +619,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 oracle_h_error=oracle_h_err,
                 ledger_delta=problem.ledger.delta(led_iter),
             ))
-            theta.push(theta_next)
+            theta = theta_next
 
             if (out.h_xR_yR <= eps_feas and g_R <= eps_prec
                     and residual <= eps_opt):

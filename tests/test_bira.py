@@ -227,6 +227,21 @@ def test_p2_converges_when_the_stall_test_is_loose():
     assert audit(rep).ok
 
 
+def test_a_zero_z_step_is_a_stall():
+    # at h ~ 4e-15 sigma doubles until the trial z-step rounds to nothing;
+    # that zero step passes the descent test, and repeated it ran toward
+    # the certified cap of about 1.6e8 descent tests.  As a stall it ends
+    # the call at the exact level instead
+    params = _params(alpha=0.3)
+    rep = bira_run(make_p1(params), params, eps_feas=1e-8, eps_prec=1e-8,
+                   eps_opt=1e-6)
+    assert rep.status == "RestorationFailure"
+    assert rep.failure_info["kind"] == "possible_infeasibility"
+    assert rep.failure_info["iteration"] == 47
+    assert rep.failure_info["resta"]["inner_desc_tests"] < 100
+    assert audit(rep).ok
+
+
 def _highdim():
     path = Path(__file__).resolve().parent.parent / "bench" / "synth.py"
     spec = importlib.util.spec_from_file_location("synth", path)
@@ -308,7 +323,7 @@ def test_trace_round_trip_and_version_guard():
     assert back.final_y == rep.final_y
     assert back.ledger_totals == rep.ledger_totals
 
-    for version in (1, 2, 3, 4, 5, 999):
+    for version in (1, 2, 3, 4, 5, 6, 7, 999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):

@@ -47,8 +47,9 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cfg", [{"N_acce": 2}, {"beta_PDP": 8}],
-                         ids=["N_acce", "beta_PDP"])
+@pytest.mark.parametrize("cfg", [{"N_acce": 2}, {"beta_PDP": 8},
+                                 {"sigma_max": 40}, {"beta_c": 1.0}],
+                         ids=["N_acce", "beta_PDP", "sigma_max", "beta_c"])
 def test_a_deleted_parameter_is_a_usage_error(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -211,8 +212,13 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     (lambda trace: [trace.update(trace_version=5),
                     trace["records"][0].update(y_next=[0.0, 0.0])],
      "trace version 5 not supported"),
+    # a schema-v7 trace still writes the two constants of the analysis
+    (lambda trace: [trace.update(trace_version=7),
+                    trace["params"].update(sigma_max=40.0, beta_c=1.0)],
+     "trace version 7 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
-], ids=["version_3", "version_4", "version_5", "empty_object"])
+], ids=["version_3", "version_4", "version_5", "version_7",
+        "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

@@ -6,8 +6,6 @@ from bira.core import (
     BoxPolytope,
     ConfigurationError,
     ContractError,
-    InvariantError,
-    PenaltyState,
     PrecisionLevel,
     ProblemConstants,
     as_point,
@@ -92,7 +90,6 @@ def test_params_validation():
         ("r", 0.0),
         ("r_feas", 0.6),
         ("M", 0.5),
-        ("sigma_max", 1e-9),
         ("mu_init", 1e9),
         ("theta_0", 0.0),
         ("eps_prec_bar", -1.0),
@@ -109,9 +106,12 @@ def test_params_validation():
 @pytest.mark.parametrize("cfg", [
     {"N_acce": 2},
     {**AlgorithmParams.defaults().to_dict(), "beta_PDP": 8.0},
-], ids=["N_acce", "beta_PDP"])
+    {**AlgorithmParams.defaults().to_dict(), "sigma_max": 40.0},
+    {"beta_c": 1.0},
+], ids=["N_acce", "beta_PDP", "sigma_max", "beta_c"])
 def test_params_refuse_unknown_keys(cfg):
-    # the keys of the deleted lookahead and shortcut paths are unknown now
+    # the keys of the deleted lookahead and shortcut paths, and of the two
+    # constants of the analysis that no run reads, are unknown now
     unknown = (set(cfg) - set(AlgorithmParams.defaults().to_dict())).pop()
     with pytest.raises(ConfigurationError, match=unknown):
         AlgorithmParams.from_dict(cfg)
@@ -142,26 +142,15 @@ def test_problem_constants_provenance():
     est = ProblemConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
                            provenance="estimated")
     assert not est.analytic
-    mixed = ProblemConstants(
-        1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
-        provenance={"L_f": "analytic", "L_h": "analytic", "L_c": "analytic",
-                    "C_f": "estimated", "C_h": "analytic", "C_g": "analytic"},
-    )
-    assert not mixed.analytic
-    back = ProblemConstants.from_dict(mixed.to_dict())
-    assert back == mixed
+    assert ProblemConstants.from_dict(est.to_dict()) == est
+    # one word for all six fields: a per-field map is refused
+    with pytest.raises(ConfigurationError):
+        ProblemConstants(
+            1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+            provenance={"L_f": "analytic", "L_h": "analytic",
+                        "L_c": "analytic", "C_f": "estimated",
+                        "C_h": "analytic", "C_g": "analytic"},
+        )
     with pytest.raises(ConfigurationError):
         ProblemConstants(1.0, 1.0, 1.0, 1.0, 1.0, 0.5)
 
-
-def test_penalty_state_only_shrinks():
-    st = PenaltyState(0.5)
-    assert st.theta == 0.5
-    st.push(0.5)
-    assert st.theta == 0.5
-    st.push(0.3)
-    assert st.theta == 0.3
-    with pytest.raises(InvariantError):
-        st.push(0.31)
-    with pytest.raises(InvariantError):
-        st.push(0.0)

@@ -12,6 +12,7 @@ from bira.core import (
 )
 from bira.diagnostics import (
     FALLBACK_INNER_CAP,
+    SIGMA_MAX,
     audit,
     complexity_fit,
     constants,
@@ -51,13 +52,16 @@ def test_sigma_trial_count_worked_example():
 
 
 def test_sigma_cap_takes_the_larger_of_cap_and_max():
-    params = AlgorithmParams.defaults()
-    tc = constants(_pc(L_c=100.0), params)
-    assert tc.sigma_cap == max(10.0 * tc.sigma_sufficient, params.sigma_max)
-    tc_small = constants(_pc(L_c=1e-3), AlgorithmParams.defaults())
-    assert tc_small.sigma_cap == pytest.approx(
-        max(10.0 * tc_small.sigma_sufficient, params.sigma_max)
-    )
+    tc = constants(_pc(L_c=100.0), AlgorithmParams.defaults())
+    assert tc.sigma_cap == 10.0 * tc.sigma_sufficient > SIGMA_MAX
+    # sigma_sufficient = 2 (1e-3 + 1/2 + 0.1) = 1.202: the fixed floor wins
+    small = AlgorithmParams.from_dict({
+        **AlgorithmParams.defaults().to_dict(), "M": 1.0, "sigma_min": 1.0,
+        "alpha_R": 0.1,
+    })
+    tc_small = constants(_pc(L_c=1e-3), small)
+    assert 10.0 * tc_small.sigma_sufficient < SIGMA_MAX
+    assert tc_small.sigma_cap == SIGMA_MAX
 
 
 def test_penalty_floor_branches():

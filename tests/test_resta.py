@@ -183,6 +183,19 @@ def test_refinement_cascade_honors_the_level_schedule():
     assert out.y_R == PrecisionLevel(0.15, 0.0375)
 
 
+def test_a_refine_that_ignores_its_targets_hits_the_refinement_cap():
+    # refinement N_prec + 1 takes the constraint precision to eps_prec_bar,
+    # where a stall ends the call; only an oracle whose refine returns its
+    # input stalls past it
+    p = _p3_like_with_coarse_start()
+    p.refine = lambda y, gf_target, gh_target: y
+    params = AlgorithmParams.defaults()
+    h0 = p.eval_h(p.x0, p.y0)
+    with pytest.raises(AbnormalTermination, match="refinement cap") as err:
+        resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    assert err.value.summary["refinements"] == params.N_prec + 2
+
+
 def test_pdp_shortcut_rejected_at_default_radius():
     # the shortcut is gone: p1_pdp is p1 under a second name, so its call
     # restores and costs what the call on p1 costs
