@@ -33,7 +33,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields as dataclass_fields
 
 from .core import (
@@ -42,10 +41,11 @@ from .core import (
     ConfigurationError,
     ContractError,
     InvariantError,
-    ProblemConstants,
     SchemaError,
 )
-from .diagnostics import audit, complexity_fit, constants as derived_constants
+from .diagnostics import audit, complexity_fit
+# not called here: bench/run.py's traced run patches it by this name
+from .diagnostics import constants as derived_constants  # noqa: F401
 from .oracle import make_suite, problem_by_name
 from .solver import RunReport, bira_run
 
@@ -144,21 +144,11 @@ def cmd_run(args):
     return _STATUS_EXIT[report.status]
 
 
-def _tc_from_report(report):
-    basis = report.constants_basis
-    pc = ProblemConstants.from_dict(basis["problem_constants"])
-    return derived_constants(pc, report.params, extras=basis["extras"])
-
-
-def audit_report_of(report):
-    return audit(report, tc=_tc_from_report(report))
-
-
 def cmd_audit(args):
     with open(args.trace, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     report = RunReport.from_dict(payload)
-    result = audit_report_of(report)
+    result = audit(report)
     for line in result.lines():
         print(line)
     print(f"audit: {'ok' if result.ok else 'FAILED'} "
@@ -173,7 +163,7 @@ def cmd_suite(args):
     bad = 0
     for problem in make_suite(params):
         report = bira_run(problem, params, **settings)
-        result = audit_report_of(report)
+        result = audit(report)
         expected = EXPECTED_SUITE.get(report.problem_name)
         status_ok = expected is None or report.status == expected
         audit_ok = result.ok
@@ -236,6 +226,10 @@ def cmd_complexity(args):
 
     tasks = [(name, params.to_dict(), eps, budget) for eps in grid]
     if jobs > 1:
+        # imported here: it pulls in multiprocessing, which nothing else
+        # needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:

@@ -115,8 +115,11 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
         + 1.0
     )
     step_per_infeasibility = kap["kappa_phi"] * p.M * pc.C_h
+    # a trial on a kept Jacobian that fails is followed by trials on a
+    # fresh one from 2 sigma_min, so a z-step may take two trials even
+    # when sigma_min is already sufficient
     sigma_trials_per_step = max(
-        1, math.floor(math.log2(sigma_sufficient) - math.log2(p.sigma_min)) + 1
+        2, math.floor(math.log2(sigma_sufficient) - math.log2(p.sigma_min)) + 1
     )
     restoration_iter_cap = (
         restoration_steps_per_level * sigma_trials_per_step + 1.0

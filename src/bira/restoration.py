@@ -11,8 +11,12 @@ precision the schedule allows.
 
 The inner loop is a regularized Gauss-Newton descent on half the squared
 violation norm, restarted from the outer point at each precision level.
-Two comparisons are deliberately shared with the outer algorithm's
-failure test: the success test here compares violation norms with the
+It keeps the Jacobian of a level's first z-step, and the curvature factor
+built from it, across z-steps (a chord method) until a trial on the kept
+Jacobian fails its descent test, a z-step needs more than one trial, or
+the stall test fires; only then is the Jacobian evaluated again.  Two
+comparisons are deliberately shared with the outer algorithm's failure
+test: the success test here compares violation norms with the
 same float expression the outer test uses, so success here can never be
 contradicted there by rounding.
 """
@@ -110,7 +114,9 @@ class RestorationOutcome:
         }
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, n=None):
+        """Rebuild an outcome; ``n``, when given, is the length ``x_R``
+        must have."""
         what = "restoration outcome"
         check_fields(d, _WRITTEN, what)
         check_numbers(d, what, *number_fields(cls))
@@ -118,8 +124,8 @@ class RestorationOutcome:
             raise SchemaError(f"unknown restoration status {d['status']!r}")
         check_ledger(d["ledger_delta"], "restoration ledger")
         kw = dict(d)
-        kw["x_R"] = np.asarray(number_list(d["x_R"], "x_R"), dtype=float)
-        kw["y_R"] = PrecisionLevel(*number_list(d["y_R"], "y_R"))
+        kw["x_R"] = np.asarray(number_list(d["x_R"], "x_R", n), dtype=float)
+        kw["y_R"] = PrecisionLevel(*number_list(d["y_R"], "y_R", 2))
         kw["sigma_history"] = tuple(number_list(d["sigma_history"],
                                                 "sigma_history"))
         kw["certificates"] = _cert_rows(d["certificates"])
@@ -182,6 +188,24 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     contraction ``c' <= r`` that holds once ``q >= 1 / (2 r)``, which is
     ``||h|| >= g_R / (2 r)``.
 
+    Each level evaluates ``J = grad h(z, w)`` and its :func:`build_B`
+    factor at its first z-step and keeps both across z-steps.  The descent
+    test on the measured violation still decides every trial, so a stale
+    J can cost a trial but cannot let a step through that fails the test.
+    J is evaluated again at the current z only when
+
+    - (i) a trial on the kept J fails its descent test: the stall test is
+      redone on the fresh J, and the sigma doubling goes on from that
+      trial, so a z-step takes at most ``max(2, sigma_trials_per_step)``
+      trials (:func:`bira.diagnostics.constants`);
+    - (ii) the stall test fires on the kept J: a stale J can show a small
+      projected gradient, or a zero step, where a fresh one would still
+      descend, so a stall, and with it a refinement or
+      ``possible_infeasibility``, is declared on a fresh J only;
+    - (iii) the accepted z-step needed more than its first trial: the
+      next first trial on the kept J would likely fail too, and cost a
+      trial before the refresh.
+
     The phase never evaluates the objective or its gradient.
     """
     cap = restoration_inner_cap(None) if inner_cap is None else int(inner_cap)
@@ -243,6 +267,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         h_z_vec = h_ref_vec
         h_z = h_ref
         h_last = None  # the violation before the level's latest z-step
+        J = None  # the kept Jacobian; None asks for a fresh one at z
+        sigma = params.sigma_min
+        trials = 0  # descent tests of the current z-step
 
         while True:
             if h_z <= target * h_ref:
@@ -252,7 +279,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             past_r = h_z <= r * h_ref
             if past_r and (h_z / h_last) * h_z < w.g / (2.0 * r):
                 return finish("restored", z, w, h_z_vec, h_ref)
-            J = problem.eval_grad_h(z, w)
+            fresh = J is None
+            if fresh:
+                J, G = problem.eval_grad_h(z, w), None
             grad_c = J.T @ h_z_vec
             pg_resid = float(
                 np.linalg.norm(project_box(z - grad_c, box) - z)
@@ -262,8 +291,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             # test without lowering h, and would repeat until the cap)
             stalled = pg_resid <= params.r_feas * h_ref
             if not stalled:
-                G = build_B(J, params.M)
-                sigma = params.sigma_min
+                if G is None:
+                    G = build_B(J, params.M)
                 c_z = constraint_ssq(h_z_vec)
                 while True:
                     if desc_tests >= cap:
@@ -280,8 +309,10 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                     h_trial_vec = problem.eval_h(z_trial, w)
                     c_trial = constraint_ssq(h_trial_vec)
                     desc_tests += 1
+                    trials += 1
                     step = float(np.linalg.norm(z_trial - z))
-                    if c_trial <= c_z - params.alpha_R * step**2:
+                    passed = c_trial <= c_z - params.alpha_R * step**2
+                    if passed:
                         break
                     sigma *= 2.0
                     if sigma > _SIGMA_RUNAWAY:
@@ -289,8 +320,16 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                             "restoration regularization runaway",
                             {"sigma": sigma, "desc_tests": desc_tests},
                         )
+                    if not fresh:
+                        break
+                if not passed:  # a kept J failed: go on at 2 sigma on a fresh J
+                    J = None
+                    continue
                 stalled = np.array_equal(z_trial, z)
             if stalled:
+                if not fresh:  # a stall is declared on a fresh J only
+                    J = None
+                    continue
                 if past_r:  # stalled past r: r is met, so keep it
                     return finish("restored", z, w, h_z_vec, h_ref)
                 if w.gh <= params.eps_prec_bar:
@@ -307,3 +346,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             z = z_trial
             h_z_vec = h_trial_vec
             h_z = float(np.linalg.norm(h_z_vec))
+            if trials > 1:  # the step needed more than its first trial
+                J = None
+            sigma = params.sigma_min
+            trials = 0

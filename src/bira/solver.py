@@ -44,6 +44,7 @@ from .core import (
     InvariantError,
     ProblemConstants,
     SchemaError,
+    check_count,
     check_fields,
     check_ledger,
     check_numbers,
@@ -57,7 +58,7 @@ from .core import (
 from .diagnostics import constants as derived_constants
 from .diagnostics import restoration_inner_cap
 from .geometry import TangentSet, project_tangent
-from .qp import build_H, solve_tangent_qp
+from .qp import SolveCertificate, build_H, solve_tangent_qp
 from .restoration import RestorationOutcome, resta
 
 TRACE_VERSION = 8
@@ -262,14 +263,20 @@ class IterationRecord:
         """Rebuild a record from its written fields and the :data:`CHAIN`
         fields ``chain`` handed to it."""
         what = "iteration record"
+        if not isinstance(d, dict):
+            raise SchemaError(f"{what} must be a JSON object")
         check_fields(d, _WRITTEN if "x_next" in d else _WRITTEN_AT_X_R, what)
-        names, optional = number_fields(cls)
-        check_numbers(d, what, [n for n in names if n in _WRITTEN], optional)
+        names, optional, counts = number_fields(cls)
+        check_numbers(d, what, [n for n in names if n in _WRITTEN], optional,
+                      counts)
+        check_fields(d["tangent_cert"], SolveCertificate.__dataclass_fields__,
+                     "tangent_cert")
         check_numbers(d["tangent_cert"], "tangent_cert")
         check_ledger(d["ledger_delta"], "ledger_delta")
         kw = dict(d, **chain)
-        kw["resta"] = RestorationOutcome.from_dict(d["resta"])
-        kw["x_next"] = (np.asarray(number_list(d["x_next"], "x_next"),
+        n = len(chain["x_k"])
+        kw["resta"] = RestorationOutcome.from_dict(d["resta"], n)
+        kw["x_next"] = (np.asarray(number_list(d["x_next"], "x_next", n),
                                    dtype=float)
                         if "x_next" in d else kw["resta"].x_R)
         # a call that found possible infeasibility ends the run unrecorded
@@ -369,7 +376,7 @@ class RunReport:
         check_fields(d["params"], AlgorithmParams.__dataclass_fields__,
                      "params")
         check_numbers(d["params"], "params")
-        check_numbers(d, "trace", ("budget",))
+        check_count(d["budget"], "budget")
         check_fields(d["tolerances"], ("eps_feas", "eps_prec", "eps_opt"),
                      "tolerances")
         check_numbers(d["tolerances"], "tolerances")
@@ -383,6 +390,11 @@ class RunReport:
         if (failure is None) == (status == "RestorationFailure"):
             raise SchemaError("failure info must be written exactly when the"
                               " status is RestorationFailure")
+        start = d["start"]
+        check_fields(start, ("x", "y", "f", "h"), "start")
+        check_numbers(start, "start", ("f", "h"))
+        # every point of the run has the start point's length
+        n = len(number_list(start["x"], "start x"))
         if failure is not None:
             check_fields(failure, ("kind", "iteration", "resta"),
                          "failure info")
@@ -392,25 +404,19 @@ class RunReport:
                                        "precision_outpaced_feasibility"):
                 raise SchemaError(
                     f"unknown failure kind {failure['kind']!r}")
-            iteration = failure["iteration"]
-            if not (type(iteration) is int and iteration >= 0):
-                raise SchemaError("failure iteration must be a nonnegative"
-                                  f" integer, got {iteration!r}")
-            out = RestorationOutcome.from_dict(failure["resta"])
+            check_count(failure["iteration"], "failure iteration")
+            out = RestorationOutcome.from_dict(failure["resta"], n)
             if ((out.status == "possible_infeasibility")
                     != (failure["kind"] == "possible_infeasibility")):
                 raise SchemaError(
                     f"failure kind {failure['kind']!r} does not match"
                     f" restoration status {out.status!r}")
-        start = d["start"]
-        check_fields(start, ("x", "y", "f", "h"), "start")
-        check_numbers(start, "start", ("f", "h"))
         if not isinstance(d["records"], list):
             raise SchemaError("trace records must be a JSON list")
         kw = dict(d)
         kw["start"] = {
-            "x": np.asarray(number_list(start["x"], "start x"), dtype=float),
-            "y": tuple(number_list(start["y"], "start y")),
+            "x": np.asarray(start["x"], dtype=float),
+            "y": tuple(number_list(start["y"], "start y", 2)),
             "f": start["f"], "h": start["h"],
         }
         kw["params"] = AlgorithmParams.from_dict(d["params"])
@@ -418,8 +424,10 @@ class RunReport:
                  "f_xk_yk": start["f"], "h_xk_yk": start["h"],
                  "theta_before": float(kw["params"].theta_0)}
         kw["records"] = []
-        for rec in d["records"]:
+        for i, rec in enumerate(d["records"]):
             rec = IterationRecord.from_dict(rec, chain)
+            if rec.k != i:
+                raise SchemaError(f"record {i} is labelled k = {rec.k!r}")
             kw["records"].append(rec)
             chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
         kw["tolerances"] = dict(d["tolerances"])

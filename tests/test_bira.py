@@ -16,8 +16,15 @@ from bira.core import (
     merit_allowance,
     merit_phi,
 )
-from bira.diagnostics import audit
-from bira.oracle import SyntheticProblem, make_p1, make_p2, make_p3, make_p4
+from bira.diagnostics import audit, constants
+from bira.oracle import (
+    SyntheticProblem,
+    make_p1,
+    make_p2,
+    make_p3,
+    make_p4,
+    make_suite,
+)
 from bira.restoration import RestorationOutcome
 from bira.solver import (
     RunReport,
@@ -114,14 +121,15 @@ def test_p1_converges_and_the_audit_agrees():
 
 @pytest.mark.parametrize("factory,ledger", [
     (make_p1, {"f_evals": 61, "gradf_evals": 20,
-               "h_evals": 167, "gradh_evals": 146}),
+               "h_evals": 167, "gradh_evals": 40}),
     (make_p2, {"f_evals": 42, "gradf_evals": 14,
-               "h_evals": 62, "gradh_evals": 48}),
+               "h_evals": 62, "gradh_evals": 28}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
-    # restoration takes almost all h and grad-h evaluations; at
-    # sigma_min = 0.25 a p1 restoration call takes 6 z-steps, and a
-    # tangent trial that fails its descent test is not measured for h.
+    # restoration takes almost all h evaluations; at sigma_min = 0.25 a p1
+    # restoration call takes 6 z-steps on the one Jacobian it evaluates,
+    # so grad h is evaluated once per call plus once per tangent step, and
+    # a tangent trial that fails its descent test is not measured for h.
     # The tangent search starts at a weight the previous step predicted
     # to pass, so every first trial is accepted: one f per iteration, plus
     # f at (x_k, y_R) and at (x_R, y_R), plus the start
@@ -237,7 +245,7 @@ def test_a_zero_z_step_is_a_stall():
                    eps_opt=1e-6)
     assert rep.status == "RestorationFailure"
     assert rep.failure_info["kind"] == "possible_infeasibility"
-    assert rep.failure_info["iteration"] == 47
+    assert rep.failure_info["iteration"] == 48
     assert rep.failure_info["resta"]["inner_desc_tests"] < 100
     assert audit(rep).ok
 
@@ -272,6 +280,41 @@ def test_a_deep_call_follows_a_record_that_met_eps_opt(monkeypatch, factory,
     for prev, target in zip(rep.records, targets[1:]):
         met = prev.stationarity_residual <= rep.tolerances["eps_opt"]
         assert target == (r * r if met else r)
+
+
+@pytest.mark.parametrize("factory", [make_p1, _highdim],
+                         ids=["p1", "highdim"])
+def test_a_restoration_call_keeps_its_one_jacobian(factory):
+    # every z-step passes its first trial, so no call refreshes grad h
+    # after its first z-step
+    rep = bira_run(factory())
+    assert rep.status == "Converged"
+    assert [rec.resta.status for rec in rep.records] == (
+        ["restored"] * len(rep.records))
+    assert all(rec.resta.ledger_delta["gradh_evals"] == 1
+               for rec in rep.records)
+
+
+def test_no_z_step_takes_more_than_the_certified_trials():
+    # a z-step's trials start at sigma_min and double; a kept Jacobian's
+    # failed first trial is followed by trials on a fresh one from
+    # 2 sigma_min, so sigma_min opens every z-step
+    params = AlgorithmParams.defaults()
+    for problem in make_suite(params):
+        rep = bira_run(problem, params)
+        cap = max(2, constants(problem.constants(),
+                               params).sigma_trials_per_step)
+        calls = [rec.resta for rec in rep.records]
+        if rep.failure_info is not None:
+            calls.append(RestorationOutcome.from_dict(
+                rep.failure_info["resta"]))
+        for out in calls:
+            trials = []
+            for sigma in out.sigma_history:
+                if sigma == params.sigma_min:
+                    trials.append(0)
+                trials[-1] += 1
+            assert max(trials, default=0) <= cap, problem.name
 
 
 def test_regularization_weight_tracks_the_doubling_schedule():

@@ -192,6 +192,48 @@ def test_audit_rejects_records_off_the_schema(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.fixture(scope="module")
+def p1_trace(tmp_path_factory):
+    trace = tmp_path_factory.mktemp("p1") / "t.json"
+    assert main(["run", "--problem", "p1", "--out", str(trace)]) == 0
+    return trace.read_text()
+
+
+def _resta(trace, k):
+    return trace["records"][k]["resta"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda trace: trace["records"].__setitem__(1, 5),
+    lambda trace: trace["records"][1]["tangent_cert"].pop("step_norm"),
+    lambda trace: _resta(trace, 1).update(y_R=[0.1, 0.1, 0.1]),
+    lambda trace: trace["start"].update(y=[0.5]),
+    # a one-entry point broadcasts against every other point of the run
+    lambda trace: _resta(trace, 1).update(x_R=_resta(trace, 1)["x_R"][:1]),
+    lambda trace: trace["start"].update(x=trace["start"]["x"][:1]),
+    lambda trace: trace["records"][1].update(k=7),
+    lambda trace: trace.update(budget=-1),
+    lambda trace: trace.update(budget=2.5),
+    lambda trace: trace["records"][1].update(mu_k=True),
+    # an int field of the schema is a count
+    lambda trace: trace["records"][1].update(ell_count=1.5),
+    lambda trace: _resta(trace, 1).update(refinements=-1),
+    lambda trace: trace["records"][1]["ledger_delta"].update(h_evals=2.0),
+], ids=["record_is_a_number", "tangent_cert_missing_step_norm",
+        "y_R_of_three_entries", "start_y_of_one_entry", "x_R_of_one_entry",
+        "start_x_of_one_entry", "record_1_labelled_7", "negative_budget",
+        "fractional_budget", "mu_k_is_a_bool", "fractional_ell_count",
+        "negative_refinements", "fractional_ledger_count"])
+def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit):
+    payload = json.loads(p1_trace)
+    edit(payload)
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     trace = tmp_path / "t.json"
     main(["run", "--problem", "p4", "--out", str(trace)])

@@ -51,6 +51,19 @@ def test_sigma_trial_count_worked_example():
     assert tc.sigma_trials_per_step == 3
 
 
+def test_a_z_step_is_certified_two_trials_when_sigma_min_suffices():
+    # sigma_sufficient = 2 (1e-3 + 1/2 + 0.1) = 1.202 <= sigma_min = 4: the
+    # first trial passes on a fresh Jacobian, but one on a kept Jacobian
+    # may fail and be followed by a trial at 8 on a fresh one
+    params = AlgorithmParams.from_dict({
+        **AlgorithmParams.defaults().to_dict(),
+        "M": 1.0, "alpha_R": 0.1, "sigma_min": 4.0,
+    })
+    tc = constants(_pc(L_c=1e-3), params)
+    assert tc.sigma_sufficient <= params.sigma_min
+    assert tc.sigma_trials_per_step == 2
+
+
 def test_sigma_cap_takes_the_larger_of_cap_and_max():
     tc = constants(_pc(L_c=100.0), AlgorithmParams.defaults())
     assert tc.sigma_cap == 10.0 * tc.sigma_sufficient > SIGMA_MAX
@@ -408,7 +421,8 @@ def test_the_stopping_test_agrees_with_every_status(run):
     # a run that met the test at record 19 cannot have run out of budget
     (lambda d: d.update(status="BudgetExceeded", budget=20), "iteration 19"),
     # a converged run stopped at the first record that met the test
-    (lambda d: d["records"].append(d["records"][-1]), "iteration 19"),
+    (lambda d: d["records"].append({**d["records"][-1], "k": 20}),
+     "iteration 19"),
     (lambda d: d.update(records=[]), "whole run"),
 ], ids=["eps_opt", "budget_exceeded_at_its_budget", "record_after_stopping",
         "converged_without_records"])
@@ -453,17 +467,19 @@ def test_a_trivial_call_passes_the_refinement_check(suite_runs):
 
 
 def test_the_failing_restoration_test_is_replayed():
-    # p2 at r = 0.25 ends in its second call, whose precision gain outpaced
-    # its feasibility gain; the call did contract by r
+    # p2 at r = 0.25 ends in a call whose precision gain outpaced its
+    # feasibility gain; the call did contract by r
     params = AlgorithmParams.from_dict({
         **AlgorithmParams.defaults().to_dict(), "r": 0.25})
     rep = bira_run(problem_by_name("p2", params), params)
     assert rep.failure_info["kind"] == "precision_outpaced_feasibility"
+    assert rep.failure_info["iteration"] == 3
     by_name = {c.name: c.status for c in audit(rep).checks}
     assert by_name["restoration_tests"] == "pass"
     d = _trace(rep)
     d["failure_info"]["kind"] = "insufficient_contraction"
-    assert _failures(d)["restoration_tests"].startswith("iteration 1:")
+    assert _failures(d)["restoration_tests"].startswith(
+        f"iteration {rep.failure_info['iteration']}:")
 
 
 def test_restoration_ray_ratio_is_audited(suite_runs):

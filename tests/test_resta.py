@@ -17,7 +17,7 @@ from bira.oracle import (
     problem_by_name,
 )
 from bira.restoration import RestorationOutcome, resta
-from bira.solver import restoration_failure
+from bira.solver import bira_run, restoration_failure
 
 
 def test_trivial_when_already_feasible_and_exact():
@@ -85,6 +85,12 @@ def test_p1_floor_of_one_eighth_rejects_first_trials():
     assert out.inner_desc_tests == 2 * out.z_steps
     assert out.sigma_history == (0.125, 0.25) * out.z_steps
     assert out.ledger_delta["h_evals"] == 1 + out.inner_desc_tests
+    # a step that needed two trials refreshes the Jacobian for the next
+    assert out.ledger_delta["gradh_evals"] == out.z_steps
+    # so a kept Jacobian costs a whole run no h evaluation
+    rep = bira_run(p, params)
+    assert rep.status == "Converged"
+    assert rep.ledger_totals["h_evals"] == 293
 
 
 def _refine_targets(p):
@@ -144,6 +150,15 @@ def test_p3_detects_likely_infeasibility():
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.status == "possible_infeasibility"
     assert out.refinements == 1
+    # the kept Jacobian's first trial of the second z-step fails, so that
+    # step goes on at 0.5 on a fresh one; it needed three trials, so the
+    # stall is declared on a third, fresh Jacobian at the next z
+    assert out.sigma_history == (0.25, 0.25, 0.5, 1.0)
+    assert out.ledger_delta["gradh_evals"] == 3
+    rep = bira_run(make_p3(), params)
+    assert rep.failure_info["kind"] == "possible_infeasibility"
+    assert rep.ledger_totals == {"f_evals": 1, "gradf_evals": 0,
+                                 "h_evals": 5, "gradh_evals": 3}
     # descent drove the first coordinate toward the infeasible stall
     assert abs(out.x_R[0]) < 0.1
     assert out.x_R[1] == p.x0[1]
