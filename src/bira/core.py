@@ -247,6 +247,16 @@ def merit_test(f_new, h_new, f_ref, h_ref, g, theta, allowance):
             merit_phi(f_ref, h_ref, g, theta) + allowance)
 
 
+def tangent_mu_start(params, mu, f_xR_yR, f_next, step_norm):
+    """Weight the next tangent search starts at, from the accepted trial
+    at weight ``mu``: ``mu/2`` if that step predicts the half passes the
+    descent test, ``f_xR_yR - f_next >= (mu + alpha) step_norm**2``
+    (derived in :mod:`bira.solver`), else ``mu``, clamped to
+    ``[mu_min, mu_max]``."""
+    halve = f_xR_yR - f_next >= (mu + params.alpha) * step_norm**2
+    return min(max(mu / 2.0 if halve else mu, params.mu_min), params.mu_max)
+
+
 def restoration_target(r, met_opt):
     """Fraction of its reference violation a restoration call restores to:
     ``r``, or ``r**2`` once the previous record met the optimality test."""

@@ -27,6 +27,7 @@ from .core import (
     precision_ratio,
     restoration_target,
     restoration_tests,
+    tangent_mu_start,
 )
 
 DEFAULT_EXTRAS = {"beta": 0.0, "gamma": 0.5, "k_R": 0.0}
@@ -390,6 +391,25 @@ def _restoration_test_rows(report):
         yield _exact(failure["iteration"], lhs, rhs)
 
 
+def _tangent_search_rows(report):
+    """The tangent search replayed from each record: the accepted trial
+    passed the descent test, and ``mu_k`` is the search's start doubled
+    once per rejected trial.  The start is ``mu_init`` for record 0, and
+    after that :func:`~bira.core.tangent_mu_start` of the previous
+    record."""
+    params = report.params
+    start = params.mu_init
+    for rec in report.records:
+        yield _exact(rec.k, rec.f_xnext_ynext,
+                     rec.f_xR_yR - params.alpha * rec.step_norm**2)
+        mu = start * 2.0 ** (rec.ell_count - 1)
+        # equal: neither side exceeds the other
+        yield _exact(rec.k, rec.mu_k, mu)
+        yield _exact(rec.k, mu, rec.mu_k)
+        start = tangent_mu_start(params, rec.mu_k, rec.f_xR_yR,
+                                 rec.f_xnext_ynext, rec.step_norm)
+
+
 def _ledger_rows(rec, tc):
     # startup measurements are charged to the first iteration
     first = 1 if rec.k == 0 else 0
@@ -559,6 +579,7 @@ def audit(report, tc=None):
             for rec in recs if rec.resta.max_step_over_h is not None)),
         ("precision_refinement", None, _refinement_rows(report)),
         ("restoration_tests", None, _restoration_test_rows(report)),
+        ("tangent_search", None, _tangent_search_rows(report)),
         ("ledger_totals", None, _ledger_total_rows(report)),
         ("stopping_test", None, _stopping_rows(report)),
     ]

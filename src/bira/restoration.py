@@ -14,11 +14,14 @@ violation norm, restarted from the outer point at each precision level.
 It keeps the Jacobian of a level's first z-step, and the curvature factor
 built from it, across z-steps (a chord method) until a trial on the kept
 Jacobian fails its descent test, a z-step needs more than one trial, or
-the stall test fires; only then is the Jacobian evaluated again.  Two
-comparisons are deliberately shared with the outer algorithm's failure
-test: the success test here compares violation norms with the
-same float expression the outer test uses, so success here can never be
-contradicted there by rounding.
+the stall test fires; only then is the Jacobian evaluated again.  The first
+level starts on the Jacobian the outer loop's tangent phase measured at the
+previous restored point, when it hands one over; it counts as kept, never
+as fresh, because it is stale by the tangent step and by the precision, so
+the same three rules replace it.  Two comparisons are deliberately shared
+with the outer algorithm's failure test: the success test here compares
+violation norms with the same float expression the outer test uses, so
+success here can never be contradicted there by rounding.
 """
 
 from dataclasses import dataclass, field
@@ -152,7 +155,7 @@ def _cert_rows(columns):
 
 
 def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
-          inner_cap=None, contraction=None, target=None):
+          inner_cap=None, contraction=None, target=None, jacobian=None):
     """Run the restoration phase from ``(x_k, y_k)``.
 
     ``h_xk_yk`` is the already-measured violation vector at the outer
@@ -188,8 +191,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     contraction ``c' <= r`` that holds once ``q >= 1 / (2 r)``, which is
     ``||h|| >= g_R / (2 r)``.
 
-    Each level evaluates ``J = grad h(z, w)`` and its :func:`build_B`
-    factor at its first z-step and keeps both across z-steps.  The descent
+    Each level evaluates ``J = grad h(z, w)`` (or, on the first level,
+    takes the handed ``jacobian``, below) and its :func:`build_B` factor
+    at its first z-step and keeps both across z-steps.  The descent
     test on the measured violation still decides every trial, so a stale
     J can cost a trial but cannot let a step through that fails the test.
     J is evaluated again at the current z only when
@@ -205,6 +209,14 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     - (iii) the accepted z-step needed more than its first trial: the
       next first trial on the kept J would likely fail too, and cost a
       trial before the refresh.
+
+    ``jacobian`` is the Jacobian the tangent phase measured at the
+    previous restored point and precision (``None`` on the first call).
+    The first level starts on it in place of a fresh J at ``x_k``, so an
+    outer iteration measures grad h once.  It is kept, never fresh: it
+    lags z by the tangent step and w by this call's refinement, so the
+    rules above refresh it, and a stall is never declared on it.  A level
+    after a refinement starts on a fresh J.
 
     The phase never evaluates the objective or its gradient.
     """
@@ -267,7 +279,10 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         h_z_vec = h_ref_vec
         h_z = h_ref
         h_last = None  # the violation before the level's latest z-step
-        J = None  # the kept Jacobian; None asks for a fresh one at z
+        # the kept Jacobian, the handed one on the first level only; None
+        # asks for a fresh one at z
+        J = jacobian if refinements == 1 else None
+        G = None
         sigma = params.sigma_min
         trials = 0  # descent tests of the current z-step
 

@@ -21,15 +21,21 @@ mu/2 is 2s; if f is quadratic along that ray, the decrease at mu/2 is
 it meets ``alpha |2s|^2`` iff ``D >= (mu + alpha) |s|^2``.  Like
 Levenberg-Marquardt damping, the weight falls only when the accepted step
 earns it; halving it unconditionally paid a rejected first trial on most
-iterations of ``p1`` and ``p2``.
+iterations of ``p1`` and ``p2``.  The rule is written once, in
+:func:`~bira.core.tangent_mu_start`, which the audit's ``tangent_search``
+check replays.
 
 No oracle value is measured twice.  The value and violation measured for
 the accepted point of one iteration are the current-point measurements of
 the next (restoration takes the violation vector, not only its norm); a
 zero tangent step takes f from the penalty update and the violation
 vector from the restoration outcome; and the gradient used by the tangent
-model is the one the stopping test projects.  The per-iteration ledger
-deltas in the records are the proof.
+model is the one the stopping test projects.  The constraint Jacobian is
+measured once per iteration, for the tangent region, and handed to the
+next restoration call as its first kept Jacobian (see
+:func:`~bira.restoration.resta`), which measures its own only when that
+one fails a trial or stalls.  The per-iteration ledger deltas in the
+records are the proof.
 """
 
 import copy
@@ -54,6 +60,7 @@ from .core import (
     number_list,
     restoration_target,
     restoration_tests,
+    tangent_mu_start,
 )
 from .diagnostics import constants as derived_constants
 from .diagnostics import restoration_inner_cap
@@ -500,6 +507,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     y = problem.y0
     mu_start = params.mu_init
     contraction = None
+    jacobian = None
 
     led_iter = problem.ledger.snapshot()
     h_vec = problem.eval_h(x, y)
@@ -518,7 +526,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 bool(records) and records[-1].stationarity_residual <= eps_opt)
             out = resta(problem, x, y, params, h_xk_yk=h_vec,
                         inner_cap=inner_cap, contraction=contraction,
-                        target=target)
+                        target=target, jacobian=jacobian)
             if out.status == "possible_infeasibility":
                 return finish(
                     "RestorationFailure",
@@ -638,11 +646,8 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             f_val = f_next
             h_vec = h_next_vec
             h_norm = h_next
-            # start at mu/2 only if the accepted step predicts it passes
-            # the descent test (derived in the module docstring)
-            halve = f_xR_yR - f_next >= (mu + params.alpha) * s_norm**2
-            mu_start = min(max(mu / 2.0 if halve else mu, params.mu_min),
-                           params.mu_max)
+            jacobian = region.A
+            mu_start = tangent_mu_start(params, mu, f_xR_yR, f_next, s_norm)
     except (AbnormalTermination, InvariantError) as exc:
         exc.summary["iteration"] = k
         raise

@@ -121,15 +121,16 @@ def test_p1_converges_and_the_audit_agrees():
 
 @pytest.mark.parametrize("factory,ledger", [
     (make_p1, {"f_evals": 61, "gradf_evals": 20,
-               "h_evals": 167, "gradh_evals": 40}),
+               "h_evals": 167, "gradh_evals": 21}),
     (make_p2, {"f_evals": 42, "gradf_evals": 14,
-               "h_evals": 62, "gradh_evals": 28}),
+               "h_evals": 62, "gradh_evals": 15}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # restoration takes almost all h evaluations; at sigma_min = 0.25 a p1
-    # restoration call takes 6 z-steps on the one Jacobian it evaluates,
-    # so grad h is evaluated once per call plus once per tangent step, and
-    # a tangent trial that fails its descent test is not measured for h.
+    # restoration call takes 6 z-steps on one Jacobian, and every call after
+    # the first keeps the one the tangent phase measured, so grad h is
+    # evaluated once per iteration plus once for the first call, and a
+    # tangent trial that fails its descent test is not measured for h.
     # The tangent search starts at a weight the previous step predicted
     # to pass, so every first trial is accepted: one f per iteration, plus
     # f at (x_k, y_R) and at (x_R, y_R), plus the start
@@ -245,7 +246,7 @@ def test_a_zero_z_step_is_a_stall():
                    eps_opt=1e-6)
     assert rep.status == "RestorationFailure"
     assert rep.failure_info["kind"] == "possible_infeasibility"
-    assert rep.failure_info["iteration"] == 48
+    assert rep.failure_info["iteration"] == 47
     assert rep.failure_info["resta"]["inner_desc_tests"] < 100
     assert audit(rep).ok
 
@@ -285,14 +286,17 @@ def test_a_deep_call_follows_a_record_that_met_eps_opt(monkeypatch, factory,
 @pytest.mark.parametrize("factory", [make_p1, _highdim],
                          ids=["p1", "highdim"])
 def test_a_restoration_call_keeps_its_one_jacobian(factory):
-    # every z-step passes its first trial, so no call refreshes grad h
-    # after its first z-step
+    # every z-step passes its first trial, so no call refreshes grad h:
+    # the first call evaluates it once, every later call keeps the one the
+    # tangent phase handed it, and each iteration spends that one
     rep = bira_run(factory())
     assert rep.status == "Converged"
     assert [rec.resta.status for rec in rep.records] == (
         ["restored"] * len(rep.records))
-    assert all(rec.resta.ledger_delta["gradh_evals"] == 1
-               for rec in rep.records)
+    assert [rec.resta.ledger_delta["gradh_evals"] for rec in rep.records] == (
+        [1] + [0] * (len(rep.records) - 1))
+    assert [rec.ledger_delta["gradh_evals"] for rec in rep.records] == (
+        [2] + [1] * (len(rep.records) - 1))
 
 
 def test_no_z_step_takes_more_than_the_certified_trials():

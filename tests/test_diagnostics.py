@@ -232,8 +232,8 @@ CHECKS = (
     "tangent_model_decrease", "tangent_solve_accuracy",
     "oracle_f_error_bound", "oracle_h_error_bound", "noise_within_budget",
     "restoration_inner_caps", "step_per_infeasibility",
-    "precision_refinement", "restoration_tests", "ledger_totals",
-    "stopping_test",
+    "precision_refinement", "restoration_tests", "tangent_search",
+    "ledger_totals", "stopping_test",
 )
 ANALYTIC_ONLY = {
     "theta_lower_bound", "sigma_cap", "mu_cap", "restored_distance",
@@ -349,6 +349,14 @@ TAMPERS = [
     # a call that claims to have contracted nothing
     ("restoration_tests", ("records", 5, "resta", "h_xR_yR"),
      lambda t, tc: t["records"][5]["resta"]["h_xk_yR"]),
+    # an accepted tangent step ten times longer than its decrease allows
+    ("tangent_search", ("records", 5, "tangent_cert", "step_norm"),
+     lambda t, tc: 10.0 * t["records"][5]["tangent_cert"]["step_norm"]),
+    # a search that claims a start half the one the schedule gave it
+    ("tangent_search", ("records", 5, "mu_k"),
+     lambda t, tc: t["records"][5]["mu_k"] / 2.0),
+    # a search that claims four rejected trials at the weight it accepted
+    ("tangent_search", ("records", 5, "ell_count"), lambda t, tc: 5),
     # a run that claims to have evaluated nothing
     ("ledger_totals", ("ledger_totals",),
      lambda t, tc: dict.fromkeys(t["ledger_totals"], 0)),

@@ -93,6 +93,58 @@ def test_p1_floor_of_one_eighth_rejects_first_trials():
     assert rep.ledger_totals["h_evals"] == 293
 
 
+def test_a_wrong_handed_jacobian_costs_one_trial():
+    # the handed J counts as kept: its failed first trial takes a fresh J
+    # at the same z, and the doubling goes on there at 2 sigma_min; the
+    # z-step needed two trials, so the next one takes a fresh J too
+    p = make_p1()
+    params = AlgorithmParams.defaults()
+    h0 = p.eval_h(p.x0, p.y0)
+    plain = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    J = p.eval_grad_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, jacobian=-J)
+    assert out.status == "restored"
+    assert out.refinements == 1
+    assert out.sigma_history[:3] == (params.sigma_min, 2 * params.sigma_min,
+                                     params.sigma_min)
+    assert out.inner_desc_tests == out.z_steps + 1
+    assert out.ledger_delta["gradh_evals"] == 2
+    assert out.ledger_delta["h_evals"] == plain.ledger_delta["h_evals"] + 2
+
+
+def test_a_handed_zero_jacobian_is_not_a_stall():
+    # its projected gradient is 0, so the stall test fires on the kept J,
+    # and a fresh one is taken first: the call is the one that was handed
+    # nothing
+    p = make_p1()
+    params = AlgorithmParams.defaults()
+    h0 = p.eval_h(p.x0, p.y0)
+    plain = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    J = np.zeros((p.m, p.dim))
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, jacobian=J)
+    assert out.status == "restored"
+    assert out.to_dict() == plain.to_dict()
+    assert out.ledger_delta["gradh_evals"] == 1
+
+
+def test_a_handed_jacobian_serves_the_first_level_only():
+    # a level after a refinement restarts from the outer point at a new
+    # precision, on a fresh J
+    p = _p3_like_with_coarse_start()
+    params = AlgorithmParams.from_dict({
+        **AlgorithmParams.defaults().to_dict(),
+        "eps_prec_bar": 0.05, "N_prec": 2, "M": 1.0, "sigma_min": 1.0,
+    })
+    h0 = p.eval_h(p.x0, p.y0)
+    plain = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    J = p.eval_grad_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, jacobian=J)
+    assert out.refinements == plain.refinements == 3
+    assert out.sigma_history == plain.sigma_history
+    assert (out.ledger_delta["gradh_evals"]
+            == plain.ledger_delta["gradh_evals"] - 1)
+
+
 def _refine_targets(p):
     targets = []
     inner_refine = p.refine
