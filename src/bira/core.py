@@ -257,20 +257,27 @@ def tangent_mu_start(params, mu, f_xR_yR, f_next, step_norm):
     return min(max(mu / 2.0 if halve else mu, params.mu_min), params.mu_max)
 
 
-def restoration_target(r, met_opt):
-    """Fraction of its reference violation a restoration call restores to:
-    ``r``, or ``r**2`` once the previous record met the optimality test."""
-    return r * r if met_opt else r
+def finishing_goal(met_opt, eps_feas, eps_prec):
+    """Goal ``(eps_feas, eps_prec)`` of a finishing restoration call, the
+    one after a record that met the optimality test; ``None`` for any
+    other call.  Past ``r`` a finishing call refines in stages until
+    :func:`goal_met` holds (see :func:`bira.restoration.resta`)."""
+    return (eps_feas, eps_prec) if met_opt else None
 
 
-def precision_ratio(r, contraction, target):
-    """Ratio a restoration call refines both precision components by:
-    ``min(r, contraction, target)``, where ``contraction`` is the previous
-    restored call's (``None`` on the first call) and ``target`` this call's
-    :func:`restoration_target`."""
-    if contraction is None:
-        return min(r, target)
-    return min(r, contraction, target)
+def goal_met(h_norm, g, goal):
+    """The stopping test's comparisons of violation and precision with the
+    tolerances ``goal = (eps_feas, eps_prec)``."""
+    return h_norm <= goal[0] and g <= goal[1]
+
+
+def precision_ratio(r, contraction, finishing):
+    """Ratio each precision level of a restoration call refines by:
+    ``min(r, contraction)``, and at most ``r**2`` on a finishing call;
+    ``contraction`` is the previous restored call's (``None`` on the first
+    call).  A finishing call's stages refine by ``r**2`` on top."""
+    rho = r if contraction is None else min(r, contraction)
+    return min(rho, r * r) if finishing else rho
 
 
 def restoration_tests(h_xk_yR, h_xR_yR, g_yk, g_yR, r):

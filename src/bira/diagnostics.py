@@ -24,8 +24,8 @@ from .core import (
     ProblemConstants,
     merit_allowance,
     merit_test,
+    finishing_goal,
     precision_ratio,
-    restoration_target,
     restoration_tests,
     tangent_mu_start,
 )
@@ -51,8 +51,26 @@ class TheoreticalConstants:
     sigma_sufficient: float
     sigma_cap: float
     restoration_grad_bound: float
+    #: z-steps of one precision level.  A z-step the stall test lets
+    #: through (projected gradient above ``r_feas h_ref``) is longer than
+    #: ``r_feas h_ref / restoration_grad_bound``, so it lowers half the
+    #: squared violation by more than ``alpha_R`` times that squared, and
+    #: a level ends by ``r**2 h_ref``.  A stage level of a finishing call,
+    #: the z-steps from one stage to the next, is counted with its own
+    #: violation in place of ``h_ref``: past r the stall test compares with
+    #: ``r_feas ||h(z)||``, so every z-step lowers ``||h||**2`` by at least
+    #: the fraction ``2 alpha_R r_feas**2 / restoration_grad_bound**2`` of
+    #: itself, and this many z-steps take ``||h||`` down by at least the
+    #: factor ``exp(-(1 - r**4) / 2)``.  ``restoration_iter_cap`` counts the
+    #: ``N_prec`` precision levels; the stages of a call are capped apart
+    #: (:func:`restoration_stage_cap`).
     restoration_steps_per_level: float
     step_per_infeasibility: float
+    #: Descent tests of one z-step: the sigma doublings from ``sigma_min``
+    #: to ``sigma_sufficient``, and at least 2, because a trial on a kept
+    #: Jacobian that fails is followed by trials on a fresh one from
+    #: ``2 sigma_min``.  A stage keeps the Jacobian and changes only the
+    #: precision, so the z-steps of a stage level are counted the same way.
     sigma_trials_per_step: int
     restoration_iter_cap: float
     restored_distance_factor: float
@@ -243,6 +261,29 @@ def restoration_refine_cap(params: AlgorithmParams):
     return params.N_prec + 1
 
 
+def restoration_stage_cap(r, g, goal):
+    """Cap on the stages of one restoration call whose first level refined
+    the precision measure to ``g``; ``goal`` is the call's
+    :func:`~bira.core.finishing_goal`, and a call without one never stages.
+
+    A stage refines both components by ``r**2``.  The cap counts the
+    stages that take g down to ``min(eps_prec, 2 r eps_feas)``, plus one:
+    there the precision goal holds and the floor ``g / (2 r)`` lies below
+    ``eps_feas``, so a z-step whose contraction is not predicted to beat
+    ``r**2`` needs no further stage to meet the violation goal.  Where one
+    is, :func:`~bira.restoration.resta` ends the call at the cap, above the
+    floor; only a ``refine`` that misses its targets can take it past.
+    """
+    if goal is None:
+        return 0
+    floor = min(goal[1], 2.0 * r * goal[0])
+    stages = 1
+    while g > floor:
+        g *= r * r
+        stages += 1
+    return stages
+
+
 def leq(lhs, rhs):
     """Comparison with a 1e-9 slack relative to the operands, for audit
     bounds that carry rounding.  There is no absolute floor: bounds such as
@@ -338,28 +379,44 @@ def _merit_row(rec, r):
         rec.g_yR, rec.theta_after, allowance))
 
 
-def _refinement_rows(report):
-    """A call that restored refined both precision components by at least
-    the ratio ``bira_run`` asked for, replayed from the records: r, the
-    previous restored call's contraction, and r**2 after a record that met
-    the optimality test.  A trivial call had nothing to restore and
-    returned its input."""
+def _calls(report):
+    """Each record with the precision ratio and the goal ``bira_run``
+    handed its restoration call: the ratio follows the previous restored
+    call's contraction, and the goal is set after a record that met the
+    optimality test."""
     r = report.params.r
+    tol = report.tolerances
     contraction = None
     met_opt = False
     for rec in report.records:
+        goal = finishing_goal(met_opt, tol["eps_feas"], tol["eps_prec"])
+        yield rec, precision_ratio(r, contraction, goal is not None), goal
         if rec.resta.status != "trivial":
-            rho = precision_ratio(r, contraction,
-                                  restoration_target(r, met_opt))
-            yield from (_exact(rec.k, rec.y_R[i], rho * rec.y_k[i])
-                        for i in (0, 1))
             contraction = rec.resta.contraction
-        else:
+        met_opt = rec.stationarity_residual <= tol["eps_opt"]
+
+
+def _refinement_rows(report):
+    """A call that restored refined both precision components by at least
+    the ratio ``bira_run`` asked for, times ``r**2`` per stage, replayed
+    from the records.  Every level refines the objective precision from
+    the call's input, so a finishing call's is replayed exactly, and a
+    stage more or less than recorded fails.  A trivial call had nothing to
+    restore and returned its input."""
+    r = report.params.r
+    for rec, rho, goal in _calls(report):
+        if rec.resta.status == "trivial":
             yield from (
                 _exact(rec.k, rec.h_xk_yk + rec.g_yk, 0.0),
                 _exact(rec.k, _moved(rec.x_R, rec.x_k), 0.0),
                 _exact(rec.k, _moved(rec.y_R, rec.y_k), 0.0))
-        met_opt = rec.stationarity_residual <= report.tolerances["eps_opt"]
+            continue
+        bound = [rho * y for y in rec.y_k]
+        for _ in range(rec.resta.stages):
+            bound = [r * r * b for b in bound]
+        yield from (_exact(rec.k, rec.y_R[i], bound[i]) for i in (0, 1))
+        if goal is not None:
+            yield _exact(rec.k, bound[0], rec.y_R[0])
 
 
 def _moved(new, old):
@@ -571,9 +628,12 @@ def audit(report, tc=None):
             if rec.oracle_h_error is not None and ns_h is not None)),
         ("noise_within_budget", ANALYTIC, [
             _tol(None, tc.extras["beta"], tc.beta_bar)]),
-        ("restoration_inner_caps", None, (row for rec in recs for row in (
+        ("restoration_inner_caps", None, (row for rec, rho, goal in
+                                          _calls(report) for row in (
             _exact(rec.k, rec.resta.inner_desc_tests, inner_cap),
-            _exact(rec.k, rec.resta.refinements, refine_cap)))),
+            _exact(rec.k, rec.resta.refinements, refine_cap),
+            _exact(rec.k, rec.resta.stages, restoration_stage_cap(
+                params.r, rho * rec.g_yk, goal))))),
         ("step_per_infeasibility", ANALYTIC, (
             _tol(rec.k, rec.resta.max_step_over_h, tc.step_per_infeasibility)
             for rec in recs if rec.resta.max_step_over_h is not None)),

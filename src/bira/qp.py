@@ -78,11 +78,13 @@ def build_H(x_R):
     return np.zeros((0, np.asarray(x_R).size))
 
 
-def _solve(g0, G, tau, center, lower, upper, A, project):
+def _solve(g0, G, tau, center, lower, upper, A, project, cauchy_target):
     """Exact minimizer of ``g0.d + (tau/2)||d||^2 + 0.5||G d||^2`` over
     ``{center + d in [lower, upper], A d = 0}``, with its model value,
     stationarity residual, step norm, residual floor and Cauchy ratio.
-    ``project`` maps onto the feasible set."""
+    ``project`` maps onto the feasible set, and ``cauchy_target`` is
+    ``project(center - g0)``, the end of the projected steepest-descent
+    ray."""
 
     def curv(d):
         return tau * d + G.T @ (G @ d)
@@ -101,13 +103,13 @@ def _solve(g0, G, tau, center, lower, upper, A, project):
     val = float(g0 @ d + 0.5 * d @ Qd)
     resid = float(np.linalg.norm(project(x - (g0 + Qd)) - x))
     floor = _CERT_FLOOR * (1.0 + float(np.linalg.norm(g0)))
-    phi = _phi_ratio(_cauchy_decrease(g0, curv, center, project), val)
+    phi = _phi_ratio(_cauchy_decrease(g0, curv, center, cauchy_target), val)
     return x, val, resid, float(np.linalg.norm(d)), floor, phi
 
 
-def _cauchy_decrease(g0, curv, center, project):
-    """Best model value along the projected steepest-descent ray."""
-    target = project(center - g0)
+def _cauchy_decrease(g0, curv, center, target):
+    """Best model value along the projected steepest-descent ray from
+    ``center`` to ``target``."""
     d = target - center
     gd = float(g0 @ d)
     dQd = float(d @ curv(d))
@@ -140,7 +142,7 @@ def solve_restoration_qp(grad_c, G, sigma, z_center, box: BoxPolytope):
 
     z, val, resid, step, floor, phi = _solve(
         g0, G, 2.0 * sigma, z_center, box.lower, box.upper,
-        np.zeros((0, box.dim)), project,
+        np.zeros((0, box.dim)), project, project(z_center - g0),
     )
     ratio = 0.0 if resid <= floor else (resid / step if step > 0.0 else float("inf"))
     cert = SolveCertificate(
@@ -154,10 +156,14 @@ def solve_restoration_qp(grad_c, G, sigma, z_center, box: BoxPolytope):
     return z, cert
 
 
-def solve_tangent_qp(grad_f, G, mu, x_R, region: TangentSet):
+def solve_tangent_qp(grad_f, G, mu, x_R, region: TangentSet, cauchy_target):
     """Minimize ``g.s + 0.5 s.(G^T G + 2 mu I).s`` over the tangent region.
 
-    ``G`` is the factor returned by :func:`build_H`.  Returns ``(x_R + s,
+    ``G`` is the factor returned by :func:`build_H`, and ``cauchy_target``
+    is ``project_tangent(x_R - grad_f, region)``, the end of the projected
+    steepest-descent ray: it does not depend on mu, so ``bira_run``
+    projects it once per tangent region, and its stopping test reads the
+    same projection.  Returns ``(x_R + s,
     certificate)``.  Steps below a resolution threshold are snapped to
     zero: they carry no usable certificate ratio, and the outer stopping
     test is the authority on whether the point is good enough.
@@ -171,7 +177,7 @@ def solve_tangent_qp(grad_f, G, mu, x_R, region: TangentSet):
 
     x, val, resid, step, floor, phi = _solve(
         g0, G, 2.0 * mu, x_R, region.box.lower, region.box.upper, region.A,
-        project,
+        project, as_point(cauchy_target, region.box.dim),
     )
     if step <= _SNAP_REL * (1.0 + float(np.linalg.norm(x_R))):
         x, val, step, phi = x_R.copy(), 0.0, 0.0, 1.0

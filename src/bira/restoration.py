@@ -1,16 +1,20 @@
 """Restoration: drive constraint violation and imprecision down together.
 
 Given the current point and precision, this phase returns a point whose
-measured violation has contracted by the ratio ``r`` (toward ``r**2`` on a
-deep call, see :func:`resta`) and a precision level refined by
-``min(r, c, target)``, where ``c`` is the contraction the previous
+measured violation has contracted by the ratio ``r`` and a precision level
+refined by ``min(r, c)``, where ``c`` is the contraction the previous
 restored call achieved (r on the first call), or else declares that the
 problem looks locally infeasible: the projected gradient of the violation
 measure is small relative to the violation itself even at the tightest
-precision the schedule allows.
+precision the schedule allows.  A finishing call, the one after a record
+that met the optimality test, refines by at most ``r**2`` and goes on past
+``r`` in stages, each refining the precision by ``r**2`` in place, until
+the violation and the precision meet the stopping tolerances (see
+:func:`resta`).
 
 The inner loop is a regularized Gauss-Newton descent on half the squared
-violation norm, restarted from the outer point at each precision level.
+violation norm, restarted from the outer point at each precision level
+and kept in place across the stages of a finishing call.
 It keeps the Jacobian of a level's first z-step, and the curvature factor
 built from it, across z-steps (a chord method) until a trial on the kept
 Jacobian fails its descent test, a z-step needs more than one trial, or
@@ -37,11 +41,16 @@ from .core import (
     check_numbers,
     constraint_ssq,
     infeasibility,
+    goal_met,
     number_fields,
     number_list,
     precision_ratio,
 )
-from .diagnostics import restoration_inner_cap, restoration_refine_cap
+from .diagnostics import (
+    restoration_inner_cap,
+    restoration_refine_cap,
+    restoration_stage_cap,
+)
 from .geometry import project_box
 from .qp import build_B, solve_restoration_qp
 
@@ -74,7 +83,9 @@ class RestorationOutcome:
     only place a trace writes ``y_R``, ``h_xk_yR`` and ``h_xR_yR``; an
     iteration record reads them from here.  ``h_vec`` is the violation
     vector whose norm is ``h_xR_yR``, kept in memory so a zero tangent step
-    need not measure it again; a trace does not write it.
+    need not measure it again; a trace does not write it.  ``refinements``
+    counts the call's precision levels and ``stages`` the in-place
+    refinements of a finishing call (see :func:`resta`).
     """
 
     x_R: np.ndarray
@@ -83,6 +94,7 @@ class RestorationOutcome:
     h_xR_yR: float
     h_xk_yR: float
     refinements: int
+    stages: int
     z_steps: int
     inner_desc_tests: int
     sigma_history: tuple
@@ -105,6 +117,7 @@ class RestorationOutcome:
             "h_xR_yR": self.h_xR_yR,
             "h_xk_yR": self.h_xk_yR,
             "refinements": self.refinements,
+            "stages": self.stages,
             "z_steps": self.z_steps,
             "inner_desc_tests": self.inner_desc_tests,
             "sigma_history": list(self.sigma_history),
@@ -155,48 +168,67 @@ def _cert_rows(columns):
 
 
 def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
-          inner_cap=None, contraction=None, target=None, jacobian=None):
+          inner_cap=None, contraction=None, goal=None, jacobian=None):
     """Run the restoration phase from ``(x_k, y_k)``.
 
     ``h_xk_yk`` is the already-measured violation vector at the outer
     point; the phase does not re-evaluate it, neither on a trivial call nor
     when a refinement returns the level it was given.  ``inner_cap`` bounds
     the number of descent tests across all precision levels; exceeding it,
-    or the refinement cap, raises :class:`AbnormalTermination`.
+    the refinement cap or the stage cap raises
+    :class:`AbnormalTermination`.
 
     ``contraction`` is :attr:`RestorationOutcome.contraction` of the
     previous restored call (``None`` on the first).  Every refinement of
-    this call uses the ratio ``min(r, contraction, target)``, so g shrinks
-    at least as fast as the violation did and the ratio ``q = ||h|| / g``
-    that the outer failure test reads holds steady
-    (see :func:`bira.solver.restoration_failure`).  A contraction of 0 asks
-    for exact evaluations: both targets are 0.
+    this call uses the ratio :func:`~bira.core.precision_ratio`,
+    ``min(r, contraction)``, so g shrinks at least as fast as the violation
+    did and the ratio ``q = ||h|| / g`` that the outer failure test reads
+    holds steady (see :func:`bira.solver.restoration_failure`).  A
+    contraction of 0 asks for exact evaluations: both targets are 0.
 
-    ``target`` is the fraction of the reference violation ``h_ref`` the
-    call restores to: ``r`` by default, ``r**2`` on a deep call, which
-    ``bira_run`` asks for once a record met the optimality test.  A deep
-    call refines at a ratio of at most ``r**2`` and then keeps taking
-    z-steps past ``r h_ref``; it returns ``restored`` (``r`` is met) as
-    soon as either guard fires:
+    ``goal`` is ``None``, or, on a finishing call, the stopping tolerances
+    ``(eps_feas, eps_prec)`` (:func:`~bira.core.finishing_goal`), which
+    ``bira_run`` hands over once a record met the optimality test.  A call
+    without a goal returns ``restored`` as soon as ``||h(z)|| <= r h_ref``.
+    A finishing call refines at a ratio of at most ``r**2`` and, past
+    ``r h_ref``, keeps z and works in stages until ``||h(z)|| <= eps_feas``
+    and ``g <= eps_prec`` (:func:`~bira.core.goal_met`, the stopping test's
+    own comparisons):
 
-    - the stall test (projected gradient at most ``r_feas h_ref``, or an
-      accepted z-step that left z unchanged), which past ``r`` neither
-      refines nor restarts;
-    - the floor: the next z-step, predicted to contract by as much as the
-      last one did, would take ``||h||`` below ``g_R / (2 r)``.
+    - a stage refines both precision components by ``r**2`` in place,
+      re-measures ``h(z, w)`` and goes on with the kept Jacobian.  It is
+      taken where ``||h(z)||`` meets ``eps_feas`` but g does not meet
+      ``eps_prec``, and where the floor guard fires: the next z-step,
+      predicted to contract by as much as the last one did, would take
+      ``||h||`` below ``g / (2 r)``.  Stages are not refinements;
+      :func:`~bira.diagnostics.restoration_stage_cap` bounds them.  A
+      z-step can contract by far more than ``r**2`` (on a linear row by
+      ``|1 - ||J||**2 / (||G||**2 + 2 sigma)|``, near 0 where ``||J||**2``
+      is near ``M + 2 sigma``), so the floor can ask for more stages than
+      the cap: there the call returns ``restored`` above the floor with
+      the goal still open, as a call without a goal would.  A stage the
+      violation goal asks for past the cap means ``refine`` missed its
+      targets, and raises;
+    - past r the stall test compares the projected gradient with
+      ``r_feas ||h(z)||``, not with ``r_feas h_ref``, and a stall returns
+      ``restored`` (r is met) with the goal still open;
+    - on return, ``h(x_k, w)`` is measured once more for ``h_xk_yR`` if a
+      stage refined w.
 
-    The floor is what keeps q balanced.  A deep call that contracts by
-    ``c`` below its refinement ratio lowers q by ``c / rho``, and the next
-    call needs ``(1 - c') q >= ((1 - r) / (2 r)) (1 - rho')``.  For every
-    contraction ``c' <= r`` that holds once ``q >= 1 / (2 r)``, which is
-    ``||h|| >= g_R / (2 r)``.
+    The floor is what keeps q balanced.  A finishing call that contracts
+    by ``c`` below its precision ratio lowers q by ``c / rho``, and the
+    next call needs ``(1 - c') q >= ((1 - r) / (2 r)) (1 - rho')``.  For
+    every contraction ``c' <= r`` that holds once ``q >= 1 / (2 r)``, which
+    is ``||h|| >= g_R / (2 r)``; a stage lowers the floor with g instead of
+    ending the call, so a call that does not end the run still hands that
+    balance on.
 
     Each level evaluates ``J = grad h(z, w)`` (or, on the first level,
     takes the handed ``jacobian``, below) and its :func:`build_B` factor
-    at its first z-step and keeps both across z-steps.  The descent
-    test on the measured violation still decides every trial, so a stale
-    J can cost a trial but cannot let a step through that fails the test.
-    J is evaluated again at the current z only when
+    at its first z-step and keeps both across z-steps and stages.  The
+    descent test on the measured violation still decides every trial, so a
+    stale J can cost a trial but cannot let a step through that fails the
+    test.  J is evaluated again at the current z only when
 
     - (i) a trial on the kept J fails its descent test: the stall test is
       redone on the fresh J, and the sigma doubling goes on from that
@@ -231,6 +263,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     desc_tests = 0
     z_steps = 0
     refinements = 0
+    stages = 0
     max_ratio = None
 
     def finish(status, x_R, y_R, h_xR_vec, h_xk_ref):
@@ -241,6 +274,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             h_xR_yR=float(np.linalg.norm(h_xR_vec)),
             h_xk_yR=float(h_xk_ref),
             refinements=refinements,
+            stages=stages,
             z_steps=z_steps,
             inner_desc_tests=desc_tests,
             sigma_history=tuple(sigma_hist),
@@ -255,8 +289,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         return finish("trivial", x_k, y_k, h_xk_yk, h_xk_yk_norm)
 
     r = params.r
-    target = r if target is None else target
-    rho = precision_ratio(r, contraction, target)
+    rho = precision_ratio(r, contraction, goal is not None)
+    stage_cap = restoration_stage_cap(r, rho * y_k.g, goal)
     w = y_k
     h_ref_vec = h_xk_yk
     while True:
@@ -275,10 +309,12 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         if w != w_prev:  # an unchanged level keeps its measurement at x_k
             h_ref_vec = problem.eval_h(x_k, w)
         h_ref = float(np.linalg.norm(h_ref_vec))
+        w_ref = w  # the precision h_ref was measured at
         z = x_k.copy()
         h_z_vec = h_ref_vec
         h_z = h_ref
         h_last = None  # the violation before the level's latest z-step
+        past_r = False  # r was met at this level: a stall then returns
         # the kept Jacobian, the handed one on the first level only; None
         # asks for a fresh one at z
         J = jacobian if refinements == 1 else None
@@ -287,13 +323,29 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         trials = 0  # descent tests of the current z-step
 
         while True:
-            if h_z <= target * h_ref:
-                return finish("restored", z, w, h_z_vec, h_ref)
-            # past r only on a deep call: stop where the next z-step is
-            # predicted to cross the floor g/(2r)
-            past_r = h_z <= r * h_ref
-            if past_r and (h_z / h_last) * h_z < w.g / (2.0 * r):
-                return finish("restored", z, w, h_z_vec, h_ref)
+            met_r = h_z <= r * h_ref
+            past_r = past_r or met_r
+            if met_r and (goal is None or goal_met(h_z, w.g, goal)):
+                break
+            # past r only on a finishing call, which has a goal: refine in
+            # place where the violation goal is met, or where the next
+            # z-step is predicted to cross the floor g/(2r)
+            if met_r and (h_z <= goal[0] or (
+                    h_last is not None
+                    and (h_z / h_last) * h_z < w.g / (2.0 * r))):
+                if h_z > goal[0] and stages == stage_cap:
+                    break  # no stage left to lower the floor: stop above it
+                stages += 1
+                if stages > stage_cap:
+                    raise AbnormalTermination(
+                        "restoration stage cap exceeded",
+                        {"stages": stages, "desc_tests": desc_tests},
+                    )
+                w_prev, w = w, problem.refine(w, r * r * w.gf, r * r * w.gh)
+                if w != w_prev:
+                    h_z_vec = problem.eval_h(z, w)
+                    h_z = float(np.linalg.norm(h_z_vec))
+                continue
             fresh = J is None
             if fresh:
                 J, G = problem.eval_grad_h(z, w), None
@@ -301,10 +353,11 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             pg_resid = float(
                 np.linalg.norm(project_box(z - grad_c, box) - z)
             )
-            # a stall: the projected gradient is small, or the accepted
-            # z-step left z where it was (a zero step passes the descent
-            # test without lowering h, and would repeat until the cap)
-            stalled = pg_resid <= params.r_feas * h_ref
+            # a stall: the projected gradient is small, relative to h_ref
+            # or, past r, to h(z), or the accepted z-step left z where it
+            # was (a zero step passes the descent test without lowering h,
+            # and would repeat until the cap)
+            stalled = pg_resid <= params.r_feas * (h_z if past_r else h_ref)
             if not stalled:
                 if G is None:
                     G = build_B(J, params.M)
@@ -346,7 +399,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                     J = None
                     continue
                 if past_r:  # stalled past r: r is met, so keep it
-                    return finish("restored", z, w, h_z_vec, h_ref)
+                    break
                 if w.gh <= params.eps_prec_bar:
                     return finish("possible_infeasibility", z, w, h_z_vec,
                                   h_ref)
@@ -365,3 +418,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                 J = None
             sigma = params.sigma_min
             trials = 0
+        if past_r:
+            if w != w_ref:  # a stage refined w: h(x_k) at the returned w
+                h_ref = float(np.linalg.norm(problem.eval_h(x_k, w)))
+            return finish("restored", z, w, h_z_vec, h_ref)

@@ -7,10 +7,13 @@ then searches over the regularization weight for a tangent step passing
 both acceptance tests.  The tangent phase works at the restored precision
 ``y_R`` throughout: its gradient, tangent region and merit reference are
 measured there once, and the accepted point hands ``y_R`` on as the next
-iteration's precision.  Everything measurable about the iteration is
-written into an :class:`IterationRecord`; a finished run returns a
-:class:`RunReport` that serializes losslessly, so audits can replay it
-without touching the problem again.
+iteration's precision.  Once a record meets the optimality test, the next
+restoration call is a finishing call: it is handed the feasibility and
+precision tolerances as its goal (:func:`~bira.core.finishing_goal`), so
+the iteration after it can stop.  Everything measurable about the
+iteration is written into an :class:`IterationRecord`; a finished run
+returns a :class:`RunReport` that serializes losslessly, so audits can
+replay it without touching the problem again.
 
 The search doubles the weight mu from a start that the previous accepted
 step chose: half its weight if that step predicts the half will pass the
@@ -30,7 +33,8 @@ the accepted point of one iteration are the current-point measurements of
 the next (restoration takes the violation vector, not only its norm); a
 zero tangent step takes f from the penalty update and the violation
 vector from the restoration outcome; and the gradient used by the tangent
-model is the one the stopping test projects.  The constraint Jacobian is
+model is the one the stopping test projects, in one projection that is
+also the end of every trial's Cauchy ray.  The constraint Jacobian is
 measured once per iteration, for the tangent region, and handed to the
 next restoration call as its first kept Jacobian (see
 :func:`~bira.restoration.resta`), which measures its own only when that
@@ -54,11 +58,12 @@ from .core import (
     check_fields,
     check_ledger,
     check_numbers,
+    finishing_goal,
+    goal_met,
     merit_allowance,
     merit_test,
     number_fields,
     number_list,
-    restoration_target,
     restoration_tests,
     tangent_mu_start,
 )
@@ -68,7 +73,7 @@ from .geometry import TangentSet, project_tangent
 from .qp import SolveCertificate, build_H, solve_tangent_qp
 from .restoration import RestorationOutcome, resta
 
-TRACE_VERSION = 8
+TRACE_VERSION = 9
 
 
 def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -113,17 +118,20 @@ def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     ``2 sigma / (2 sigma + ||J||^2) > 0``, so there only a box bound
     restores exactly.
 
-    The balance at a deep call.  Once a record met the optimality test the
-    next call restores toward ``r**2`` and refines at
-    ``rho = min(r, c_prev, r**2)``, which may be below ``c_prev``: q then
-    grows by ``c_prev / rho`` and only the call's own contraction c can
-    lower it, by ``c / rho``.  The call stops before a z-step predicted to
-    take ``||h||`` below ``g_yR / (2 r)``, so it hands on
-    ``q >= 1 / (2 r)``, and from there the next call passes this test for
-    every contraction ``c' <= r``: ``(1 - c') q >= (1 - r)/(2 r)
-    >= ((1 - r)/(2 r)) (1 - rho')``.  Restored past that floor, the
-    zero-step problem of the tests at ``(M, sigma_min) = (2, 0.5)`` fails
-    the test at the next call.
+    The balance at a finishing call.  Once a record met the optimality
+    test the next call refines at ``rho = min(r, c_prev, r**2)``, which may
+    be below ``c_prev``, and past ``r`` it refines by ``r**2`` once more per
+    stage: q grows by ``c_prev / rho`` and by ``r**-2`` per stage, and only
+    the call's own contraction c can lower it.  The call stages instead of
+    taking a z-step predicted to take ``||h||`` below ``g / (2 r)`` at the
+    current precision, and a stage only lowers that floor, so it hands on
+    ``q >= 1 / (2 r)`` (up to the prediction); from there the next call
+    passes this test for every contraction ``c' <= r``: ``(1 - c') q >=
+    (1 - r)/(2 r) >= ((1 - r)/(2 r)) (1 - rho')``.  A finishing call that
+    meets its goal passes the stopping test's feasibility and precision
+    comparisons, so the run goes on after it only while the optimality
+    test is open.  Restored past that floor, the zero-step problem of the
+    tests at ``(M, sigma_min) = (2, 0.5)`` fails the test at the next call.
     """
     for kind, lhs, rhs in restoration_tests(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
         if not lhs <= rhs:
@@ -520,13 +528,13 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             if k > 0:
                 led_iter = problem.ledger.snapshot()
 
-            # restore deeper once the optimality comparison has held
-            target = restoration_target(
-                params.r,
-                bool(records) and records[-1].stationarity_residual <= eps_opt)
+            # finish in one call once the optimality comparison has held
+            goal = finishing_goal(
+                bool(records) and records[-1].stationarity_residual <= eps_opt,
+                eps_feas, eps_prec)
             out = resta(problem, x, y, params, h_xk_yk=h_vec,
                         inner_cap=inner_cap, contraction=contraction,
-                        target=target, jacobian=jacobian)
+                        goal=goal, jacobian=jacobian)
             if out.status == "possible_infeasibility":
                 return finish(
                     "RestorationFailure",
@@ -577,13 +585,16 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             region = TangentSet(problem.box, problem.eval_grad_h(x_R, y_R),
                                 x_R)
             G = build_H(x_R)
+            # the Cauchy ray's end and the stopping test's projection
+            proj = project_tangent(x_R - grad_f, region)
             mu = mu_start
             attempts = 0
             # mu doubles on every rejected trial, so the runaway ends the
             # search
             while True:
                 attempts += 1
-                x_next, cert = solve_tangent_qp(grad_f, G, mu, x_R, region)
+                x_next, cert = solve_tangent_qp(grad_f, G, mu, x_R, region,
+                                                proj)
                 s_norm = cert.step_norm
 
                 # a zero step stays at (x_R, y_R), which restoration and
@@ -607,7 +618,6 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                         f"regularization runaway at iteration {k}"
                     )
 
-            proj = project_tangent(x_R - grad_f, region)
             residual = float(np.linalg.norm(proj - x_R))
 
             oracle_f_err, oracle_h_err = _oracle_errors(
@@ -637,7 +647,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             ))
             theta = theta_next
 
-            if (out.h_xR_yR <= eps_feas and g_R <= eps_prec
+            if (goal_met(out.h_xR_yR, g_R, (eps_feas, eps_prec))
                     and residual <= eps_opt):
                 return finish("Converged")
 

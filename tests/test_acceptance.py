@@ -269,7 +269,8 @@ def test_criterion_10_qp_layer_matches_dense_grids():
         g_mat = raw.T * math.sqrt(min(1.0, 1.0 / np.linalg.norm(raw @ raw.T, 2)))
         h_mat = g_mat.T @ g_mat
 
-        x, cert = solve_tangent_qp(grad, g_mat, mu, center, region)
+        x, cert = solve_tangent_qp(grad, g_mat, mu, center, region,
+                                   project_tangent(center - grad, region))
         # the comparisons of the audit's tangent_solve_accuracy, with its
         # 1e-12 rounding floor
         resid, step = cert.stationarity_residual, cert.step_norm

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bira.qp
 import bira.solver
 from bira.core import (
     AlgorithmParams,
@@ -121,9 +122,9 @@ def test_p1_converges_and_the_audit_agrees():
 
 @pytest.mark.parametrize("factory,ledger", [
     (make_p1, {"f_evals": 61, "gradf_evals": 20,
-               "h_evals": 167, "gradh_evals": 21}),
-    (make_p2, {"f_evals": 42, "gradf_evals": 14,
-               "h_evals": 62, "gradh_evals": 15}),
+               "h_evals": 165, "gradh_evals": 21}),
+    (make_p2, {"f_evals": 34, "gradf_evals": 11,
+               "h_evals": 58, "gradh_evals": 12}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # restoration takes almost all h evaluations; at sigma_min = 0.25 a p1
@@ -133,7 +134,8 @@ def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # tangent trial that fails its descent test is not measured for h.
     # The tangent search starts at a weight the previous step predicted
     # to pass, so every first trial is accepted: one f per iteration, plus
-    # f at (x_k, y_R) and at (x_R, y_R), plus the start
+    # f at (x_k, y_R) and at (x_R, y_R), plus the start.  The call after
+    # the record that met eps_opt finishes the run: p2's takes 3 stages
     rep = bira_run(factory())
     assert rep.status == "Converged"
     assert rep.ledger_totals == ledger
@@ -204,13 +206,19 @@ def test_p2_converges_when_restoration_outpaces_r(M, sigma_min):
     res = audit(rep)
     assert res.ok, res.failures
     assert any(rec.resta.contraction < params.r for rec in rep.records)
-    # each call refines at the contraction the previous call achieved, and
-    # at r**2 too once the previous record met the optimality test
+    # each call refines at the contraction the previous call achieved; the
+    # finishing call, after the record that met the optimality test, at
+    # r**2 too, and by r**2 once more per stage
     for prev, rec in zip(rep.records, rep.records[1:]):
         rho = min(params.r, prev.resta.contraction)
         if prev.stationarity_residual <= rep.tolerances["eps_opt"]:
             rho = min(rho, params.r**2)
-        assert rec.y_R == (rho * rec.y_k[0], rho * rec.y_k[1])
+        else:
+            assert rec.resta.stages == 0
+        y_R = (rho * rec.y_k[0], rho * rec.y_k[1])
+        for _ in range(rec.resta.stages):
+            y_R = (params.r**2 * y_R[0], params.r**2 * y_R[1])
+        assert rec.y_R == y_R
 
 
 def _params(**kw):
@@ -219,8 +227,9 @@ def _params(**kw):
 
 
 def test_zero_steps_converge_at_a_looser_curvature_cap():
-    # every deep call keeps the violation above g/(2r): restored below it,
-    # the next call's precision gain outpaced its feasibility gain
+    # every finishing call keeps the violation above g/(2r): restored
+    # below it, the next call's precision gain outpaced its feasibility
+    # gain
     params = _params(M=2.0, sigma_min=0.5)
     rep = bira_run(_objective_along_the_normal(), params)
     assert rep.status == "Converged"
@@ -228,8 +237,9 @@ def test_zero_steps_converge_at_a_looser_curvature_cap():
 
 
 def test_p2_converges_when_the_stall_test_is_loose():
-    # at r_feas = 0.2 the stall test fires past r on a deep call; the call
-    # returns what it restored instead of refining to the exact level
+    # at r_feas = 0.2 the stall test can fire past r on a finishing call;
+    # the call returns what it restored instead of refining to the exact
+    # level
     params = _params(r_feas=0.2)
     rep = bira_run(make_p2(params), params)
     assert rep.status == "Converged"
@@ -259,28 +269,77 @@ def _highdim():
     return synth.make_synthetic("highdim0", 100, 5, 1)
 
 
-@pytest.mark.parametrize("factory,deep", [
+@pytest.mark.parametrize("factory,finishing", [
     (make_p1, lambda k, n: k == n - 1),
     (_highdim, lambda k, n: k >= 1),
 ], ids=["p1", "highdim"])
-def test_a_deep_call_follows_a_record_that_met_eps_opt(monkeypatch, factory,
-                                                       deep):
-    targets = []
+def test_a_finishing_call_follows_a_record_that_met_eps_opt(
+        monkeypatch, factory, finishing):
+    goals = []
     real = bira.solver.resta
 
     def spy(*args, **kwargs):
-        targets.append(kwargs["target"])
+        goals.append(kwargs["goal"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bira.solver, "resta", spy)
     rep = bira_run(factory())
     assert rep.status == "Converged"
-    r = rep.params.r
+    tol = rep.tolerances
     n = len(rep.records)
-    assert targets == [r * r if deep(k, n) else r for k in range(n)]
-    for prev, target in zip(rep.records, targets[1:]):
-        met = prev.stationarity_residual <= rep.tolerances["eps_opt"]
-        assert target == (r * r if met else r)
+    assert goals == [(tol["eps_feas"], tol["eps_prec"]) if finishing(k, n)
+                     else None for k in range(n)]
+
+
+def test_highdim_finishes_in_its_second_record():
+    # record 0 meets eps_opt, so call 1 restores to the tolerances: it keeps
+    # the Jacobian the tangent phase handed it through every z-step and
+    # stage, and the run stops after it
+    rep = bira_run(_highdim())
+    assert rep.status == "Converged"
+    assert len(rep.records) == 2
+    assert rep.records[0].stationarity_residual <= rep.tolerances["eps_opt"]
+    last = rep.records[1].resta
+    assert last.stages > 0
+    assert last.ledger_delta["gradh_evals"] == 0
+    assert audit(rep).ok
+
+
+def test_a_finishing_call_that_does_not_stop_the_run_keeps_the_floor():
+    # p2 at (M, sigma_min) = (8, 1/8): record 5 is a finishing call whose
+    # tangent step leaves the optimality test open, so the run goes on;
+    # the call hands on ||h|| >= g/(2r), and the next call passes the
+    # precision test
+    params = _params(M=8.0, sigma_min=0.125)
+    rep = bira_run(make_p2(params), params)
+    assert rep.status == "Converged"
+    eps_opt = rep.tolerances["eps_opt"]
+    handed_on = [rec for prev, rec in zip(rep.records, rep.records[1:-1])
+                 if prev.stationarity_residual <= eps_opt]
+    assert [rec.k for rec in handed_on] == [5]
+    for rec in handed_on:
+        assert rec.resta.stages > 0
+        assert rec.h_xR_yR >= rec.g_yR / (2.0 * params.r)
+    assert audit(rep).ok
+
+
+@pytest.mark.parametrize("factory", [make_p1, make_p4, _highdim],
+                         ids=["p1", "p4", "highdim"])
+def test_one_tangent_projection_per_trial_and_one_shared(monkeypatch,
+                                                         factory):
+    # the Cauchy ray's end is the stopping test's projection, so an
+    # iteration projects once for both and once per trial's residual
+    calls = []
+    for module in (bira.solver, bira.qp):
+        real = module.project_tangent
+
+        def spy(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "project_tangent", spy)
+    rep = bira_run(factory())
+    assert len(calls) == sum(rec.ell_count + 1 for rec in rep.records)
 
 
 @pytest.mark.parametrize("factory", [make_p1, _highdim],
@@ -370,7 +429,7 @@ def test_trace_round_trip_and_version_guard():
     assert back.final_y == rep.final_y
     assert back.ledger_totals == rep.ledger_totals
 
-    for version in (1, 2, 3, 4, 5, 6, 7, 999):
+    for version in (1, 2, 3, 4, 5, 6, 7, 8, 999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):

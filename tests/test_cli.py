@@ -258,8 +258,12 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     (lambda trace: [trace.update(trace_version=7),
                     trace["params"].update(sigma_max=40.0, beta_c=1.0)],
      "trace version 7 not supported"),
+    # a schema-v8 trace writes no stage count in its restoration outcomes
+    (lambda trace: [trace.update(trace_version=8)]
+     + [rec["resta"].pop("stages") for rec in trace["records"]],
+     "trace version 8 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
-], ids=["version_3", "version_4", "version_5", "version_7",
+], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
         "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):

@@ -334,6 +334,9 @@ TAMPERS = [
     ("restoration_inner_caps",
      ("records", 0, "resta", "inner_desc_tests"),
      lambda t, tc: restoration_inner_cap(tc) + 1),
+    # a call that had no goal claims a stage
+    ("restoration_inner_caps", ("records", 0, "resta", "stages"),
+     lambda t, tc: 1),
     ("step_per_infeasibility", ("records", 0, "resta", "max_step_over_h"),
      lambda t, tc: 10.0 * tc.step_per_infeasibility),
     # a restored call that claims to have left the precision unrefined
@@ -342,10 +345,14 @@ TAMPERS = [
     # a restored call relabelled as one that had nothing to restore
     ("precision_refinement", ("records", 0, "resta", "status"),
      lambda t, tc: "trivial"),
-    # the last call is deep (record 18 met eps_opt), so it refined at
-    # r**2, not r
+    # the last call is finishing (record 18 met eps_opt), so it refined
+    # at r**2, not r
     ("precision_refinement", ("records", 19, "resta", "y_R", 0),
      lambda t, tc: t["params"]["r"] * t["records"][18]["resta"]["y_R"][0]),
+    # the finishing call claims a stage more than it took, so its objective
+    # precision is not the one replayed
+    ("precision_refinement", ("records", 19, "resta", "stages"),
+     lambda t, tc: t["records"][19]["resta"]["stages"] + 1),
     # a call that claims to have contracted nothing
     ("restoration_tests", ("records", 5, "resta", "h_xR_yR"),
      lambda t, tc: t["records"][5]["resta"]["h_xk_yR"]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bira.core import DEFAULT_KAPPAS, BoxPolytope
-from bira.geometry import TangentSet, project_box
+from bira.geometry import TangentSet, project_box, project_tangent
 from bira.qp import (
     build_B,
     build_H,
@@ -17,6 +17,12 @@ def _assert_restoration_targets_met(cert):
     # the comparisons of the audit's restoration_solve_accuracy check
     assert cert.kappa_ratio <= DEFAULT_KAPPAS["kappa_R"]
     assert cert.kappa_phi_ratio <= DEFAULT_KAPPAS["kappa_phi"]
+
+
+def _tangent(grad, G, mu, center, region):
+    # the tangent solve at the Cauchy target bira_run hands it
+    return solve_tangent_qp(grad, G, mu, center, region,
+                            project_tangent(center - grad, region))
 
 
 def _assert_tangent_targets_met(cert):
@@ -66,7 +72,7 @@ def test_tangent_qp_closed_form_on_a_line():
     box = BoxPolytope(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     center = np.array([0.5, -0.5])
     region = TangentSet(box, np.array([[1.0, 1.0]]), center)
-    x, cert = solve_tangent_qp(
+    x, cert = _tangent(
         np.array([1.0, 0.0]), build_H(center), 0.5, center, region,
     )
     np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-8)
@@ -83,7 +89,7 @@ def test_tangent_qp_small_step_against_an_active_bound():
     box = BoxPolytope(-np.ones(3), np.ones(3))
     center = np.array([1.0, 0.2, -0.5])
     region = TangentSet(box, np.array([[1.0, 1.0, 1.0]]), center)
-    x, cert = solve_tangent_qp(
+    x, cert = _tangent(
         np.array([-1.0, 3e-7, 0.0]), build_H(center), 1.0, center, region,
     )
     np.testing.assert_allclose(x - center, [0.0, -7.5e-8, 7.5e-8],
@@ -96,7 +102,7 @@ def test_tangent_qp_snaps_tiny_steps_to_center():
     box = BoxPolytope(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     center = np.array([0.1, -0.1])
     region = TangentSet(box, np.array([[1.0, 1.0]]), center)
-    x, cert = solve_tangent_qp(
+    x, cert = _tangent(
         np.zeros(2), build_H(center), 1.0, center, region,
     )
     np.testing.assert_array_equal(x, center)
@@ -155,7 +161,7 @@ def test_tangent_certificates_recompute_exactly_seeded():
         region = TangentSet(box, A, center)
         g = rng.standard_normal(n)
         mu = float(rng.uniform(0.2, 2.0))
-        x, cert = solve_tangent_qp(g, build_H(center), mu, center, region)
+        x, cert = _tangent(g, build_H(center), mu, center, region)
         if cert.step_norm == 0.0:
             np.testing.assert_array_equal(x, center)
             continue

@@ -16,6 +16,7 @@ from bira.oracle import (
     make_suite,
     problem_by_name,
 )
+from bira.diagnostics import restoration_stage_cap
 from bira.restoration import RestorationOutcome, resta
 from bira.solver import bira_run, restoration_failure
 
@@ -90,7 +91,7 @@ def test_p1_floor_of_one_eighth_rejects_first_trials():
     # so a kept Jacobian costs a whole run no h evaluation
     rep = bira_run(p, params)
     assert rep.status == "Converged"
-    assert rep.ledger_totals["h_evals"] == 293
+    assert rep.ledger_totals["h_evals"] == 289
 
 
 def test_a_wrong_handed_jacobian_costs_one_trial():
@@ -261,6 +262,72 @@ def test_a_refine_that_ignores_its_targets_hits_the_refinement_cap():
     with pytest.raises(AbnormalTermination, match="refinement cap") as err:
         resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert err.value.summary["refinements"] == params.N_prec + 2
+
+
+GOAL = (1e-6, 1e-6)
+
+
+def test_a_finishing_call_measures_h_xk_at_the_returned_precision():
+    # past r the call refines in stages of r**2 until it meets the goal;
+    # the violation at x_k is measured once more, at the final precision
+    p = make_p1()
+    params = AlgorithmParams.defaults()
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, goal=GOAL)
+    assert out.status == "restored"
+    assert out.refinements == 1 and out.stages > 0
+    assert out.y_R == PrecisionLevel(*[0.25 * 0.5 * 0.25**out.stages] * 2)
+    assert out.h_xR_yR <= GOAL[0] and out.y_R.g <= GOAL[1]
+    level = PrecisionLevel(0.125, 0.125)  # the first level's precision
+    assert out.h_xk_yR == float(np.linalg.norm(p.eval_h(p.x0, out.y_R)))
+    assert out.h_xk_yR != float(np.linalg.norm(p.eval_h(p.x0, level)))
+    # h at x_k at the first level and at the end, one per trial and one
+    # per stage
+    assert out.ledger_delta["h_evals"] == (2 + out.inner_desc_tests
+                                           + out.stages)
+    assert out.ledger_delta["gradh_evals"] == 1
+
+
+def test_a_refine_that_ignores_its_targets_hits_the_stage_cap():
+    # near the solution the violation goal holds once r is met, and the
+    # precision goal is never met, so the call stages until the cap; an
+    # oracle that meets its targets reaches eps_prec within the cap
+    p = make_p1()
+    p.refine = lambda y, gf_target, gh_target: y
+    params = AlgorithmParams.defaults()
+    x = p.known_solution + 1e-6
+    h0 = p.eval_h(x, p.y0)
+    assert float(np.linalg.norm(h0)) < GOAL[0]
+    cap = restoration_stage_cap(params.r, params.r**2 * p.y0.g, GOAL)
+    assert cap == 10
+    with pytest.raises(AbnormalTermination, match="stage cap") as err:
+        resta(p, x, p.y0, params, h_xk_yk=h0, goal=GOAL)
+    assert err.value.summary["stages"] == cap + 1
+
+
+def test_a_floor_that_outruns_the_stage_cap_ends_the_call_above_it():
+    # |J|^2 = 4.49 is near M + 2 sigma_min = 4.5: the first z-step
+    # contracts h by about 1e-3, far more than r**2, so the floor guard
+    # asks for more stages than the cap; the call stops at the cap with
+    # the violation goal open and the floor kept, as a call without a goal
+    # would, instead of raising
+    a = np.full(4, 1.06)
+    p = SyntheticProblem(
+        "steep_row", BoxPolytope(-10.0 * np.ones(4), 10.0 * np.ones(4)),
+        objective=lambda x: 0.0, objective_grad=lambda x: np.zeros(4),
+        constraint=lambda x: np.array([float(a @ x) - 1.0]),
+        constraint_jac=lambda x: a[None, :],
+        m=1, x0=np.array([1.0, 0.0, 0.0, 0.0]), y0=PrecisionLevel(0.5, 0.5),
+        problem_constants=make_p1().constants(),
+    )
+    params = AlgorithmParams.defaults()
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, goal=GOAL)
+    assert out.status == "restored"
+    assert out.stages == restoration_stage_cap(
+        params.r, params.r**2 * p.y0.g, GOAL)
+    assert out.h_xR_yR > GOAL[0]
+    assert out.h_xR_yR >= out.y_R.g / (2 * params.r)
 
 
 def test_pdp_shortcut_rejected_at_default_radius():
