@@ -23,7 +23,6 @@ from .core import (
     ProblemConstants,
     SchemaError,
     constraint_ssq,
-    infeasibility,
     merit_phi,
 )
 from .diagnostics import (
@@ -85,7 +84,6 @@ __all__ = [
     "complexity_fit",
     "constants",
     "constraint_ssq",
-    "infeasibility",
     "iteration_bounds",
     "make_p1",
     "make_p2",

@@ -132,6 +132,10 @@ DEFAULT_KAPPAS = {
     "kappa_phi": 10.0,
 }
 
+#: Rounding floor of the subproblem certificates: a model decrease or a
+#: residual this close to zero counts as zero.
+CERT_FLOOR = 1e-12
+
 
 def as_point(x, dim=None):
     """Validate and return ``x`` as a finite 1-D float64 array.
@@ -247,6 +251,14 @@ def merit_test(f_new, h_new, f_ref, h_ref, g, theta, allowance):
             merit_phi(f_ref, h_ref, g, theta) + allowance)
 
 
+def descent_test(new, ref, alpha, step):
+    """The sufficient-decrease test of a trial as ``(lhs, rhs)``, which
+    holds iff ``lhs <= rhs``: the value fell from ``ref`` to ``new`` by at
+    least ``alpha`` times the squared step norm.  The tangent search
+    applies it to f, restoration to half the squared violation."""
+    return new, ref - alpha * step**2
+
+
 def tangent_mu_start(params, mu, f_xR_yR, f_next, step_norm):
     """Weight the next tangent search starts at, from the accepted trial
     at weight ``mu``: ``mu/2`` if that step predicts the half passes the
@@ -296,13 +308,6 @@ def constraint_ssq(h_vec):
     """Half squared norm of the constraint residual vector."""
     h = np.asarray(h_vec, dtype=float)
     return 0.5 * float(np.dot(h, h))
-
-
-def infeasibility(h_norm, g_val):
-    """Combined infeasibility-plus-imprecision measure ``||h|| + g``."""
-    if h_norm < 0.0 or g_val < 0.0:
-        raise ContractError("h_norm and g_val must be nonnegative")
-    return float(h_norm) + float(g_val)
 
 
 _PARAM_POSITIVE = (

@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    CERT_FLOOR,
     DEFAULT_KAPPAS,
     LEDGER_FIELDS,
     AlgorithmParams,
     InsufficientDataError,
     ProblemConstants,
+    descent_test,
     merit_allowance,
     merit_test,
     finishing_goal,
@@ -326,7 +328,6 @@ class AuditReport:
 #: constants; an EXACT check with no rows had no exact values to compare.
 ANALYTIC = "problem constants are estimates"
 EXACT = "no exact values recorded"
-_CERT_FLOOR = 1e-12  # rounding floor of the certificate checks
 
 
 def _tol(k, observed, bound):
@@ -391,36 +392,24 @@ def _calls(report):
     for rec in report.records:
         goal = finishing_goal(met_opt, tol["eps_feas"], tol["eps_prec"])
         yield rec, precision_ratio(r, contraction, goal is not None), goal
-        if rec.resta.status != "trivial":
-            contraction = rec.resta.contraction
+        contraction = rec.resta.contraction
         met_opt = rec.stationarity_residual <= tol["eps_opt"]
 
 
 def _refinement_rows(report):
-    """A call that restored refined both precision components by at least
-    the ratio ``bira_run`` asked for, times ``r**2`` per stage, replayed
-    from the records.  Every level refines the objective precision from
-    the call's input, so a finishing call's is replayed exactly, and a
-    stage more or less than recorded fails.  A trivial call had nothing to
-    restore and returned its input."""
+    """Each call refined both precision components by at least the ratio
+    ``bira_run`` asked for, times ``r**2`` per stage, replayed from the
+    records.  Every level refines the objective precision from the call's
+    input, so a finishing call's is replayed exactly, and a stage more or
+    less than recorded fails."""
     r = report.params.r
     for rec, rho, goal in _calls(report):
-        if rec.resta.status == "trivial":
-            yield from (
-                _exact(rec.k, rec.h_xk_yk + rec.g_yk, 0.0),
-                _exact(rec.k, _moved(rec.x_R, rec.x_k), 0.0),
-                _exact(rec.k, _moved(rec.y_R, rec.y_k), 0.0))
-            continue
         bound = [rho * y for y in rec.y_k]
         for _ in range(rec.resta.stages):
             bound = [r * r * b for b in bound]
         yield from (_exact(rec.k, rec.y_R[i], bound[i]) for i in (0, 1))
         if goal is not None:
             yield _exact(rec.k, bound[0], rec.y_R[0])
-
-
-def _moved(new, old):
-    return float(np.max(np.abs(np.subtract(new, old)), initial=0.0))
 
 
 def _restoration_test_rows(report):
@@ -457,8 +446,8 @@ def _tangent_search_rows(report):
     params = report.params
     start = params.mu_init
     for rec in report.records:
-        yield _exact(rec.k, rec.f_xnext_ynext,
-                     rec.f_xR_yR - params.alpha * rec.step_norm**2)
+        yield _exact(rec.k, *descent_test(rec.f_xnext_ynext, rec.f_xR_yR,
+                                          params.alpha, rec.step_norm))
         mu = start * 2.0 ** (rec.ell_count - 1)
         # equal: neither side exceeds the other
         yield _exact(rec.k, rec.mu_k, mu)
@@ -547,7 +536,7 @@ def audit(report, tc=None):
                        params, extras=basis["extras"])
     kap = DEFAULT_KAPPAS
     recs = report.records
-    rcerts = [(rec.k, c) for rec in recs for c in rec.resta.certificates]
+    rtrials = [(rec.k, t) for rec in recs for t in rec.resta.trials]
     tcerts = [(rec.k, rec.tangent_cert) for rec in recs
               if rec.tangent_cert is not None]
     ns_f = tc.extras.get("noise_scale_f")
@@ -564,8 +553,7 @@ def audit(report, tc=None):
         ("penalty_merit_decrease", None, (
             _merit_row(rec, params.r) for rec in recs)),
         ("sigma_cap", ANALYTIC, (
-            _tol(rec.k, s, tc.sigma_cap)
-            for rec in recs for s in rec.resta.sigma_history)),
+            _tol(k, t["sigma"], tc.sigma_cap) for k, t in rtrials)),
         ("mu_cap", ANALYTIC, (
             _tol(rec.k, rec.mu_k, tc.mu_cap) for rec in recs)),
         ("restored_distance", ANALYTIC, (
@@ -598,23 +586,24 @@ def audit(report, tc=None):
             _exact(rec.k, abs(rec.resta.ledger_delta[key]), 0)
             for rec in recs for key in ("f_evals", "gradf_evals"))),
         ("restoration_model_decrease", None, (
-            _exact(k, c["model_decrease"], _CERT_FLOOR) for k, c in rcerts)),
+            _exact(k, t["model_decrease"], CERT_FLOOR) for k, t in rtrials)),
         # the residual within its step budget, and the ray ratio
         ("restoration_solve_accuracy", None, (
-            row for k, c in rcerts for row in (
-                _exact(k, c["kappa_ratio"], kap["kappa_R"]),
-                _exact(k, c["kappa_phi_ratio"], kap["kappa_phi"])))),
+            row for k, t in rtrials for row in (
+                _exact(k, t["stationarity_residual"],
+                       kap["kappa_R"] * t["step_norm"] + CERT_FLOOR),
+                _exact(k, t["kappa_phi_ratio"], kap["kappa_phi"])))),
         ("tangent_model_decrease", None, (
-            _exact(k, c["model_decrease"], _CERT_FLOOR) for k, c in tcerts)),
+            _exact(k, c["model_decrease"], CERT_FLOOR) for k, c in tcerts)),
         # the residual within both step budgets, and the ray ratio; zero
         # steps and residuals at the floor are exempt
         ("tangent_solve_accuracy", None, (
             row for k, c in tcerts if c["step_norm"] != 0.0
-            and c["stationarity_residual"] > _CERT_FLOOR for row in (
+            and c["stationarity_residual"] > CERT_FLOOR for row in (
                 _exact(k, c["stationarity_residual"],
-                       kap["kappa_T"] * c["step_norm"] ** 2 + _CERT_FLOOR),
+                       kap["kappa_T"] * c["step_norm"] ** 2 + CERT_FLOOR),
                 _exact(k, c["stationarity_residual"],
-                       kap["kappa"] * c["step_norm"] + _CERT_FLOOR),
+                       kap["kappa"] * c["step_norm"] + CERT_FLOOR),
                 _exact(k, c["kappa_phi_ratio"], kap["kappa_phi"])))),
         ("oracle_f_error_bound", EXACT, (
             _exact(rec.k, rec.oracle_f_error,

@@ -7,8 +7,8 @@ box, A (z - center) = 0, v = G (z - center) / sqrt(tau)}``, which
 :func:`~bira.geometry.project_polyhedron` computes exactly, so a solve has
 no iteration, tolerance or cap.  Each solve returns a
 :class:`SolveCertificate` recording the realized model decrease,
-stationarity residual, and the ratios the outer theory budgets for, so
-audits can verify the subproblem contracts after the fact.
+stationarity residual, step norm and Cauchy ratio, so audits can verify
+the subproblem contracts after the fact.
 """
 
 import math
@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import as_point
+from .core import CERT_FLOOR, as_point
 from .geometry import (
     BoxPolytope,
     TangentSet,
@@ -26,26 +26,24 @@ from .geometry import (
 )
 
 _SNAP_REL = 1e-8
-_CERT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class SolveCertificate:
-    """Post-hoc evidence about one subproblem solve.
+    """Post-hoc evidence about one subproblem solve, measured values only.
 
-    ``kappa_ratio`` is the stationarity residual divided by its budgeted
-    reference (step norm for restoration solves, squared step norm for
-    tangent solves); ``kappa_phi_ratio`` compares the best single-ray
-    decrease against the achieved one.  The audit compares both with the
-    fixed targets :data:`~bira.core.DEFAULT_KAPPAS`.  Zero steps carry a
-    zero ratio; the outer stopping test covers them.
+    ``stationarity_residual`` is the projected-gradient residual of the
+    model at the solution, and ``kappa_phi_ratio`` compares the best
+    single-ray decrease against the achieved one.  The audit compares the
+    residual with its step budgets (``kappa_R`` times the step norm for
+    restoration solves; ``kappa_T`` times its square and ``kappa`` times
+    it for tangent solves) and the ratio with ``kappa_phi``, all fixed
+    targets of :data:`~bira.core.DEFAULT_KAPPAS`.
     """
 
     model_decrease: float
     stationarity_residual: float
     step_norm: float
-    tangent_violation: float
-    kappa_ratio: float
     kappa_phi_ratio: float
 
     def to_dict(self):
@@ -81,7 +79,7 @@ def build_H(x_R):
 def _solve(g0, G, tau, center, lower, upper, A, project, cauchy_target):
     """Exact minimizer of ``g0.d + (tau/2)||d||^2 + 0.5||G d||^2`` over
     ``{center + d in [lower, upper], A d = 0}``, with its model value,
-    stationarity residual, step norm, residual floor and Cauchy ratio.
+    stationarity residual, step norm and Cauchy ratio.
     ``project`` maps onto the feasible set, and ``cauchy_target`` is
     ``project(center - g0)``, the end of the projected steepest-descent
     ray."""
@@ -102,9 +100,8 @@ def _solve(g0, G, tau, center, lower, upper, A, project, cauchy_target):
     Qd = curv(d)
     val = float(g0 @ d + 0.5 * d @ Qd)
     resid = float(np.linalg.norm(project(x - (g0 + Qd)) - x))
-    floor = _CERT_FLOOR * (1.0 + float(np.linalg.norm(g0)))
     phi = _phi_ratio(_cauchy_decrease(g0, curv, center, cauchy_target), val)
-    return x, val, resid, float(np.linalg.norm(d)), floor, phi
+    return x, val, resid, float(np.linalg.norm(d)), phi
 
 
 def _cauchy_decrease(g0, curv, center, target):
@@ -121,8 +118,8 @@ def _cauchy_decrease(g0, curv, center, target):
 
 def _phi_ratio(cauchy_val, achieved_val):
     # both values are <= 0; ratio > 1 means the solve fell short of the ray
-    if achieved_val >= -_CERT_FLOOR:
-        return 1.0 if cauchy_val >= -_CERT_FLOOR else float("inf")
+    if achieved_val >= -CERT_FLOOR:
+        return 1.0 if cauchy_val >= -CERT_FLOOR else float("inf")
     return cauchy_val / achieved_val
 
 
@@ -140,20 +137,11 @@ def solve_restoration_qp(grad_c, G, sigma, z_center, box: BoxPolytope):
     def project(p):
         return project_box(p, box)
 
-    z, val, resid, step, floor, phi = _solve(
+    z, val, resid, step, phi = _solve(
         g0, G, 2.0 * sigma, z_center, box.lower, box.upper,
         np.zeros((0, box.dim)), project, project(z_center - g0),
     )
-    ratio = 0.0 if resid <= floor else (resid / step if step > 0.0 else float("inf"))
-    cert = SolveCertificate(
-        model_decrease=val,
-        stationarity_residual=resid,
-        step_norm=step,
-        tangent_violation=0.0,
-        kappa_ratio=ratio,
-        kappa_phi_ratio=phi,
-    )
-    return z, cert
+    return z, SolveCertificate(val, resid, step, phi)
 
 
 def solve_tangent_qp(grad_f, G, mu, x_R, region: TangentSet, cauchy_target):
@@ -165,8 +153,8 @@ def solve_tangent_qp(grad_f, G, mu, x_R, region: TangentSet, cauchy_target):
     projects it once per tangent region, and its stopping test reads the
     same projection.  Returns ``(x_R + s,
     certificate)``.  Steps below a resolution threshold are snapped to
-    zero: they carry no usable certificate ratio, and the outer stopping
-    test is the authority on whether the point is good enough.
+    zero: they carry no step budget for the residual, and the outer
+    stopping test is the authority on whether the point is good enough.
     """
     x_R = as_point(x_R, region.box.dim)
     g0 = as_point(grad_f, region.box.dim)
@@ -175,19 +163,10 @@ def solve_tangent_qp(grad_f, G, mu, x_R, region: TangentSet, cauchy_target):
     def project(p):
         return project_tangent(p, region)
 
-    x, val, resid, step, floor, phi = _solve(
+    x, val, resid, step, phi = _solve(
         g0, G, 2.0 * mu, x_R, region.box.lower, region.box.upper, region.A,
         project, as_point(cauchy_target, region.box.dim),
     )
     if step <= _SNAP_REL * (1.0 + float(np.linalg.norm(x_R))):
         x, val, step, phi = x_R.copy(), 0.0, 0.0, 1.0
-    ratio = resid / step**2 if step > 0.0 and resid > floor else 0.0
-    cert = SolveCertificate(
-        model_decrease=val,
-        stationarity_residual=resid,
-        step_norm=step,
-        tangent_violation=float(np.linalg.norm(region.A @ (x - x_R))),
-        kappa_ratio=ratio,
-        kappa_phi_ratio=phi,
-    )
-    return x, cert
+    return x, SolveCertificate(val, resid, step, phi)

@@ -40,7 +40,7 @@ from .core import (
     check_ledger,
     check_numbers,
     constraint_ssq,
-    infeasibility,
+    descent_test,
     goal_met,
     number_fields,
     number_list,
@@ -52,31 +52,23 @@ from .diagnostics import (
     restoration_stage_cap,
 )
 from .geometry import project_box
-from .qp import build_B, solve_restoration_qp
+from .qp import SolveCertificate, build_B, solve_restoration_qp
 
 _SIGMA_RUNAWAY = 1e9
 
 #: The ways a restoration call ends.
-STATUSES = ("trivial", "restored", "possible_infeasibility")
+STATUSES = ("restored", "possible_infeasibility")
 
-#: The measured fields of a restoration QP certificate.  The restoration
-#: QP has no affine part, so its tangent violation is always zero and is
-#: not recorded.
-CERT_FIELDS = (
-    "model_decrease",
-    "stationarity_residual",
-    "step_norm",
-    "kappa_ratio",
-    "kappa_phi_ratio",
-)
+#: The columns of a restoration outcome's trial table: the weight sigma of
+#: each descent test, then the certificate of its QP solve.
+TRIAL_FIELDS = ("sigma", *SolveCertificate.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
 class RestorationOutcome:
     """What one restoration call did and produced.
 
-    ``status`` is one of :data:`STATUSES`: ``trivial`` (nothing to do:
-    the returned point and precision are the given ones), ``restored``, or
+    ``status`` is one of :data:`STATUSES`: ``restored`` or
     ``possible_infeasibility``.  ``h_xk_yR`` is the violation at the
     outer point re-measured at the returned precision; the outer failure
     tests consume it directly instead of re-evaluating.  The outcome is the
@@ -85,7 +77,10 @@ class RestorationOutcome:
     vector whose norm is ``h_xR_yR``, kept in memory so a zero tangent step
     need not measure it again; a trace does not write it.  ``refinements``
     counts the call's precision levels and ``stages`` the in-place
-    refinements of a finishing call (see :func:`resta`).
+    refinements of a finishing call (see :func:`resta`).  ``trials`` holds
+    one row per descent test, a dict over :data:`TRIAL_FIELDS`: the weight
+    sigma it was solved at and the :class:`~bira.qp.SolveCertificate` of
+    that solve.  A trace writes it as one column per field.
     """
 
     x_R: np.ndarray
@@ -96,9 +91,7 @@ class RestorationOutcome:
     refinements: int
     stages: int
     z_steps: int
-    inner_desc_tests: int
-    sigma_history: tuple
-    certificates: tuple
+    trials: tuple
     max_step_over_h: float | None
     ledger_delta: dict
     h_vec: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -108,6 +101,11 @@ class RestorationOutcome:
         """Achieved ratio ``h_xR_yR / h_xk_yR``; 0 when there was no
         violation to contract."""
         return self.h_xR_yR / self.h_xk_yR if self.h_xk_yR > 0.0 else 0.0
+
+    @property
+    def inner_desc_tests(self):
+        """Descent tests of the call, one per row of ``trials``."""
+        return len(self.trials)
 
     def to_dict(self):
         return {
@@ -119,12 +117,8 @@ class RestorationOutcome:
             "refinements": self.refinements,
             "stages": self.stages,
             "z_steps": self.z_steps,
-            "inner_desc_tests": self.inner_desc_tests,
-            "sigma_history": list(self.sigma_history),
-            "certificates": {
-                name: [c[name] for c in self.certificates]
-                for name in CERT_FIELDS
-            },
+            "trials": {name: [t[name] for t in self.trials]
+                       for name in TRIAL_FIELDS},
             "max_step_over_h": self.max_step_over_h,
             "ledger_delta": dict(self.ledger_delta),
         }
@@ -142,9 +136,7 @@ class RestorationOutcome:
         kw = dict(d)
         kw["x_R"] = np.asarray(number_list(d["x_R"], "x_R", n), dtype=float)
         kw["y_R"] = PrecisionLevel(*number_list(d["y_R"], "y_R", 2))
-        kw["sigma_history"] = tuple(number_list(d["sigma_history"],
-                                                "sigma_history"))
-        kw["certificates"] = _cert_rows(d["certificates"])
+        kw["trials"] = _trial_rows(d["trials"])
         kw["ledger_delta"] = dict(d["ledger_delta"])
         return cls(**kw)
 
@@ -153,17 +145,17 @@ _WRITTEN = tuple(name for name in RestorationOutcome.__dataclass_fields__
                  if name != "h_vec")
 
 
-def _cert_rows(columns):
-    """Transpose certificate columns back into one dict per descent test."""
-    check_fields(columns, CERT_FIELDS, "restoration certificate columns")
-    for name in CERT_FIELDS:
-        number_list(columns[name], f"certificate column {name}")
-    lengths = {len(columns[name]) for name in CERT_FIELDS}
-    if len(lengths) > 1:
-        raise SchemaError("restoration certificate columns differ in length")
+def _trial_rows(columns):
+    """Transpose the trial table's columns back into one dict per descent
+    test."""
+    check_fields(columns, TRIAL_FIELDS, "restoration trial columns")
+    for name in TRIAL_FIELDS:
+        number_list(columns[name], f"trial column {name}")
+    if len({len(columns[name]) for name in TRIAL_FIELDS}) > 1:
+        raise SchemaError("restoration trial columns differ in length")
     return tuple(
-        dict(zip(CERT_FIELDS, row))
-        for row in zip(*(columns[name] for name in CERT_FIELDS))
+        dict(zip(TRIAL_FIELDS, row))
+        for row in zip(*(columns[name] for name in TRIAL_FIELDS))
     )
 
 
@@ -172,8 +164,10 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     """Run the restoration phase from ``(x_k, y_k)``.
 
     ``h_xk_yk`` is the already-measured violation vector at the outer
-    point; the phase does not re-evaluate it, neither on a trivial call nor
-    when a refinement returns the level it was given.  ``inner_cap`` bounds
+    point; the phase does not re-evaluate it when a refinement returns the
+    level it was given.  So a call whose input has ``||h|| + g = 0``
+    refines to that level, meets r at once and returns its input as
+    ``restored`` with no evaluation.  ``inner_cap`` bounds
     the number of descent tests across all precision levels; exceeding it,
     the refinement cap or the stage cap raises
     :class:`AbnormalTermination`.
@@ -258,9 +252,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     x_k = np.asarray(x_k, dtype=float)
     led0 = problem.ledger.snapshot()
 
-    sigma_hist = []
-    certs = []
-    desc_tests = 0
+    table = []  # one row per descent test
     z_steps = 0
     refinements = 0
     stages = 0
@@ -276,17 +268,11 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             refinements=refinements,
             stages=stages,
             z_steps=z_steps,
-            inner_desc_tests=desc_tests,
-            sigma_history=tuple(sigma_hist),
-            certificates=tuple(certs),
+            trials=tuple(table),
             max_step_over_h=max_ratio,
             ledger_delta=problem.ledger.delta(led0),
             h_vec=h_xR_vec,
         )
-
-    h_xk_yk_norm = float(np.linalg.norm(h_xk_yk))
-    if infeasibility(h_xk_yk_norm, y_k.g) == 0.0:
-        return finish("trivial", x_k, y_k, h_xk_yk, h_xk_yk_norm)
 
     r = params.r
     rho = precision_ratio(r, contraction, goal is not None)
@@ -298,7 +284,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         if refinements > refine_cap:
             raise AbnormalTermination(
                 "restoration refinement cap exceeded",
-                {"refinements": refinements, "desc_tests": desc_tests},
+                {"refinements": refinements, "desc_tests": len(table)},
             )
         gf_t = rho * y_k.gf
         if refinements <= params.N_prec:
@@ -339,7 +325,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                 if stages > stage_cap:
                     raise AbnormalTermination(
                         "restoration stage cap exceeded",
-                        {"stages": stages, "desc_tests": desc_tests},
+                        {"stages": stages, "desc_tests": len(table)},
                     )
                 w_prev, w = w, problem.refine(w, r * r * w.gf, r * r * w.gh)
                 if w != w_prev:
@@ -363,30 +349,28 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                     G = build_B(J, params.M)
                 c_z = constraint_ssq(h_z_vec)
                 while True:
-                    if desc_tests >= cap:
+                    if len(table) >= cap:
                         raise AbnormalTermination(
                             "restoration descent-test cap exceeded",
                             {"refinements": refinements,
-                             "desc_tests": desc_tests},
+                             "desc_tests": len(table)},
                         )
-                    sigma_hist.append(sigma)
                     z_trial, cert = solve_restoration_qp(grad_c, G, sigma, z,
                                                          box)
-                    certs.append({name: getattr(cert, name)
-                                  for name in CERT_FIELDS})
+                    table.append({"sigma": sigma, **cert.to_dict()})
                     h_trial_vec = problem.eval_h(z_trial, w)
-                    c_trial = constraint_ssq(h_trial_vec)
-                    desc_tests += 1
                     trials += 1
                     step = float(np.linalg.norm(z_trial - z))
-                    passed = c_trial <= c_z - params.alpha_R * step**2
+                    lhs, rhs = descent_test(constraint_ssq(h_trial_vec), c_z,
+                                            params.alpha_R, step)
+                    passed = lhs <= rhs
                     if passed:
                         break
                     sigma *= 2.0
                     if sigma > _SIGMA_RUNAWAY:
                         raise AbnormalTermination(
                             "restoration regularization runaway",
-                            {"sigma": sigma, "desc_tests": desc_tests},
+                            {"sigma": sigma, "desc_tests": len(table)},
                         )
                     if not fresh:
                         break

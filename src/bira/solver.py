@@ -58,6 +58,7 @@ from .core import (
     check_fields,
     check_ledger,
     check_numbers,
+    descent_test,
     finishing_goal,
     goal_met,
     merit_allowance,
@@ -73,7 +74,7 @@ from .geometry import TangentSet, project_tangent
 from .qp import SolveCertificate, build_H, solve_tangent_qp
 from .restoration import RestorationOutcome, resta
 
-TRACE_VERSION = 9
+TRACE_VERSION = 10
 
 
 def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -295,7 +296,7 @@ class IterationRecord:
                                    dtype=float)
                         if "x_next" in d else kw["resta"].x_R)
         # a call that found possible infeasibility ends the run unrecorded
-        if kw["resta"].status not in ("trivial", "restored"):
+        if kw["resta"].status != "restored":
             raise SchemaError("an iteration record cannot hold restoration"
                               f" status {kw['resta'].status!r}")
         return cls(**kw)
@@ -557,8 +558,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                              "resta": out.to_dict()},
                 )
 
-            if out.status != "trivial":  # a trivial call contracted nothing
-                contraction = out.contraction
+            contraction = out.contraction
             x_R = out.x_R
             same_point = bool(np.array_equal(x_R, x))
             same_prec = y_R == y
@@ -603,7 +603,8 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 f_next = f_xR_yR if stayed else problem.eval_f(x_next, y_R)
                 # h decides only the merit test, so a trial that fails the
                 # descent test is not measured
-                if f_next <= f_xR_yR - params.alpha * s_norm**2:
+                lhs, rhs = descent_test(f_next, f_xR_yR, params.alpha, s_norm)
+                if lhs <= rhs:
                     h_next_vec = (out.h_vec if stayed
                                   else problem.eval_h(x_next, y_R))
                     h_next = float(np.linalg.norm(h_next_vec))

@@ -94,7 +94,10 @@ def test_start_at_the_solution_converges_in_one_cheap_iteration():
     assert len(rep.records) == 1
     rec = rep.records[0]
     assert rec.k == 0
-    assert rec.resta.status == "trivial"
+    # feasible at exact precision: the call returns its input unmeasured
+    assert rec.resta.status == "restored"
+    np.testing.assert_array_equal(rec.x_R, rec.x_k)
+    assert rec.y_R == rec.y_k
     assert rec.ell_count == 1
     assert rec.step_norm == 0.0
     assert rec.stationarity_residual <= 1e-12
@@ -257,7 +260,7 @@ def test_a_zero_z_step_is_a_stall():
     assert rep.status == "RestorationFailure"
     assert rep.failure_info["kind"] == "possible_infeasibility"
     assert rep.failure_info["iteration"] == 47
-    assert rep.failure_info["resta"]["inner_desc_tests"] < 100
+    assert len(rep.failure_info["resta"]["trials"]["sigma"]) < 100
     assert audit(rep).ok
 
 
@@ -373,7 +376,7 @@ def test_no_z_step_takes_more_than_the_certified_trials():
                 rep.failure_info["resta"]))
         for out in calls:
             trials = []
-            for sigma in out.sigma_history:
+            for sigma in (t["sigma"] for t in out.trials):
                 if sigma == params.sigma_min:
                     trials.append(0)
                 trials[-1] += 1
@@ -429,7 +432,7 @@ def test_trace_round_trip_and_version_guard():
     assert back.final_y == rep.final_y
     assert back.ledger_totals == rep.ledger_totals
 
-    for version in (1, 2, 3, 4, 5, 6, 7, 8, 999):
+    for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):
@@ -447,27 +450,30 @@ def test_to_dict_copies_the_constants_basis():
 
 
 def test_restoration_certificates_are_stored_as_columns():
-    rec = bira_run(make_p1()).to_dict()["records"][0]["resta"]
-    columns = rec["certificates"]
+    # one table of trials: each descent test's sigma and the measured
+    # fields of its certificate, one column per field
+    out = bira_run(make_p1()).records[0].resta
+    rec = out.to_dict()
+    columns = rec["trials"]
     assert list(columns) == [
-        "model_decrease", "stationarity_residual", "step_norm",
-        "kappa_ratio", "kappa_phi_ratio",
+        "sigma", "model_decrease", "stationarity_residual", "step_norm",
+        "kappa_phi_ratio",
     ]
-    assert rec["inner_desc_tests"] == len(rec["sigma_history"]) > 0
     for column in columns.values():
-        assert len(column) == rec["inner_desc_tests"]
+        assert len(column) == out.inner_desc_tests > 0
+    assert "inner_desc_tests" not in rec
 
     missing = {k: v for k, v in columns.items() if k != "kappa_phi_ratio"}
-    ragged = {**columns, "kappa_phi_ratio": columns["kappa_phi_ratio"][:-1]}
+    ragged = {**columns, "sigma": columns["sigma"][:-1]}
     for bad in (missing, ragged, [dict(zip(columns, row))
                                   for row in zip(*columns.values())]):
         with pytest.raises(SchemaError):
-            RestorationOutcome.from_dict({**rec, "certificates": bad})
+            RestorationOutcome.from_dict({**rec, "trials": bad})
 
 
 def test_failure_report_round_trips_byte_identical():
     rep = bira_run(make_p3(), budget=50)
-    assert rep.failure_info["resta"]["certificates"]["step_norm"]
+    assert rep.failure_info["resta"]["trials"]["step_norm"]
     text = json.dumps(rep.to_dict())
     back = RunReport.from_dict(json.loads(text))
     assert json.dumps(back.to_dict()) == text

@@ -68,8 +68,9 @@ def test_no_precision_refinement_is_a_usage_error(tmp_path, capsys):
 
 def test_uncovered_regularization_exits_before_any_evaluation(
         tmp_path, monkeypatch, capsys):
-    # p4's only restoration is trivial, so no curvature factor is ever
-    # built: the pairing must be refused at configuration time
+    # p4's only restoration call starts feasible at exact precision and
+    # takes no z-step, so no curvature factor is ever built: the pairing
+    # must be refused at configuration time
     evals = []
     real_h = bira.oracle.InexactProblem.eval_h
 
@@ -157,7 +158,7 @@ def _failure(trace, kind="insufficient_contraction", iteration=1):
                                failure_info=_failure(trace, iteration=1.0)),
     lambda trace: trace["tolerances"].update(eps_opt=0.0),
     lambda trace: trace["tolerances"].pop("eps_feas"),
-    # p4's one record holds a trivial restoration call
+    # p4's one record holds a restoration call that had nothing to restore
     lambda trace: trace["records"][0]["resta"].update(status="pdp"),
     lambda trace: trace["records"][0]["resta"].update(status="bogus"),
     lambda trace: trace["records"][0]["resta"].update(
@@ -219,11 +220,28 @@ def _resta(trace, k):
     lambda trace: trace["records"][1].update(ell_count=1.5),
     lambda trace: _resta(trace, 1).update(refinements=-1),
     lambda trace: trace["records"][1]["ledger_delta"].update(h_evals=2.0),
+    # the status, the per-trial records and the derived certificate
+    # fields of schema v9 and before
+    lambda trace: _resta(trace, 1).update(status="trivial"),
+    lambda trace: _resta(trace, 1).update(inner_desc_tests=0),
+    lambda trace: _resta(trace, 1).update(sigma_history=[0.25]),
+    lambda trace: _resta(trace, 1).update(certificates={}),
+    lambda trace: _resta(trace, 1)["trials"].update(kappa_ratio=[0.0]),
+    lambda trace: trace["records"][1]["tangent_cert"].update(
+        kappa_ratio=0.0),
+    lambda trace: trace["records"][1]["tangent_cert"].update(
+        tangent_violation=0.0),
+    # one trial's sigma dropped
+    lambda trace: _resta(trace, 1)["trials"]["sigma"].pop(),
 ], ids=["record_is_a_number", "tangent_cert_missing_step_norm",
         "y_R_of_three_entries", "start_y_of_one_entry", "x_R_of_one_entry",
         "start_x_of_one_entry", "record_1_labelled_7", "negative_budget",
         "fractional_budget", "mu_k_is_a_bool", "fractional_ell_count",
-        "negative_refinements", "fractional_ledger_count"])
+        "negative_refinements", "fractional_ledger_count",
+        "resta_status_trivial", "resta_with_inner_desc_tests",
+        "resta_with_sigma_history", "resta_with_certificates",
+        "trials_with_kappa_ratio", "tangent_cert_with_kappa_ratio",
+        "tangent_cert_with_tangent_violation", "trials_missing_a_sigma"])
 def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit):
     payload = json.loads(p1_trace)
     edit(payload)
@@ -262,9 +280,14 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     (lambda trace: [trace.update(trace_version=8)]
      + [rec["resta"].pop("stages") for rec in trace["records"]],
      "trace version 8 not supported"),
+    # a schema-v9 trace writes three per-trial records, not one table
+    (lambda trace: [trace.update(trace_version=9)]
+     + [rec["resta"].update(inner_desc_tests=0, sigma_history=[],
+                            certificates={}) for rec in trace["records"]],
+     "trace version 9 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
-        "empty_object"])
+        "version_9", "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

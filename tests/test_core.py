@@ -10,7 +10,7 @@ from bira.core import (
     ProblemConstants,
     as_point,
     constraint_ssq,
-    infeasibility,
+    descent_test,
     merit_phi,
 )
 
@@ -71,8 +71,13 @@ def test_merit_phi_is_the_weighted_sum():
 def test_constraint_ssq_and_infeasibility():
     h = np.array([3.0, 4.0])
     assert constraint_ssq(h) == pytest.approx(12.5)
-    assert infeasibility(5.0, 0.5) == 5.5
-    assert infeasibility(0.0, 0.0) == 0.0
+
+
+def test_descent_test_asks_alpha_times_the_squared_step():
+    # lhs <= rhs holds iff the value fell by at least alpha * step**2
+    assert descent_test(1.5, 2.0, 0.5, 1.0) == (1.5, 1.5)
+    lhs, rhs = descent_test(1.6, 2.0, 0.5, 1.0)
+    assert not lhs <= rhs
 
 
 def test_params_defaults_round_trip():

@@ -201,7 +201,10 @@ def test_audit_catches_tampered_penalty():
 def test_audit_catches_tampered_sigma_history():
     rep = _fresh_report()
     d = rep.to_dict()
-    d["records"][0]["resta"]["sigma_history"] = [1e12]
+    # p4's call took no trial: claim one at sigma = 1e12
+    trials = d["records"][0]["resta"]["trials"]
+    for name, column in trials.items():
+        column.append(1e12 if name == "sigma" else 0.0)
     bad = RunReport.from_dict(d)
     res = audit(bad, tc=_tc_of(bad))
     assert "sigma_cap" in [c.name for c in res.failures]
@@ -290,7 +293,7 @@ TAMPERS = [
     # the first step lowered the merit by about 1.8 at theta = 0.5
     ("penalty_merit_decrease", ("records", 0, "f_xnext_ynext"),
      lambda t, tc: t["records"][0]["f_xnext_ynext"] + 10.0),
-    ("sigma_cap", ("records", 0, "resta", "sigma_history", 0),
+    ("sigma_cap", ("records", 0, "resta", "trials", "sigma", 0),
      lambda t, tc: 10.0 * tc.sigma_cap),
     ("mu_cap", ("records", 0, "mu_k"), lambda t, tc: 10.0 * tc.mu_cap),
     ("restored_distance", ("records", 0, "resta", "x_R", 0),
@@ -313,11 +316,16 @@ TAMPERS = [
     ("restoration_f_free", ("records", 0, "resta", "ledger_delta", "f_evals"),
      lambda t, tc: 1),
     ("restoration_model_decrease",
-     ("records", 0, "resta", "certificates", "model_decrease", 0),
+     ("records", 0, "resta", "trials", "model_decrease", 0),
      lambda t, tc: 1e-9),
+    # a residual far past kappa_R times its step
     ("restoration_solve_accuracy",
-     ("records", 0, "resta", "certificates", "kappa_ratio", 0),
-     lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa_R"]),
+     ("records", 3, "resta", "trials", "stationarity_residual", 0),
+     lambda t, tc: 1e3),
+    # a solve far short of its projected steepest-descent ray
+    ("restoration_solve_accuracy",
+     ("records", 0, "resta", "trials", "kappa_phi_ratio", 0),
+     lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa_phi"]),
     ("tangent_model_decrease", ("records", 0, "tangent_cert", "model_decrease"),
      lambda t, tc: 1e-9),
     ("tangent_solve_accuracy",
@@ -331,9 +339,9 @@ TAMPERS = [
     # ten percent past the budget, far beyond leq's 1e-9 relative slack
     ("noise_within_budget", ("constants_basis", "extras", "beta"),
      lambda t, tc: 1.1 * tc.beta_bar),
-    ("restoration_inner_caps",
-     ("records", 0, "resta", "inner_desc_tests"),
-     lambda t, tc: restoration_inner_cap(tc) + 1),
+    # a call that claims a refinement past N_prec + 1
+    ("restoration_inner_caps", ("records", 0, "resta", "refinements"),
+     lambda t, tc: t["params"]["N_prec"] + 2),
     # a call that had no goal claims a stage
     ("restoration_inner_caps", ("records", 0, "resta", "stages"),
      lambda t, tc: 1),
@@ -342,9 +350,6 @@ TAMPERS = [
     # a restored call that claims to have left the precision unrefined
     ("precision_refinement", ("records", 0, "resta", "y_R", 0),
      lambda t, tc: t["start"]["y"][0]),
-    # a restored call relabelled as one that had nothing to restore
-    ("precision_refinement", ("records", 0, "resta", "status"),
-     lambda t, tc: "trivial"),
     # the last call is finishing (record 18 met eps_opt), so it refined
     # at r**2, not r
     ("precision_refinement", ("records", 19, "resta", "y_R", 0),
@@ -461,20 +466,24 @@ def test_a_relabelled_restoration_failure_is_caught(suite_runs, edit):
 
 
 def test_a_restored_call_relabelled_trivial_is_caught(suite_runs):
-    # a trivial call returns its input, so setting y_R back to the
-    # unrefined y_k does not excuse the label
+    # a call with nothing to restore is a restored call like any other, so
+    # trivial is not a status: the relabelled trace is refused at load
     d = _trace(suite_runs["p1"])
     rec = d["records"][3]["resta"]
     rec["status"] = "trivial"
     rec["y_R"] = d["records"][2]["resta"]["y_R"]
-    assert _failures(d) == {"precision_refinement":
-                            "iteration 3: 3.009e-01 exceeds 0.000e+00"}
+    with pytest.raises(SchemaError, match="restoration status 'trivial'"):
+        RunReport.from_dict(d)
 
 
 def test_a_trivial_call_passes_the_refinement_check(suite_runs):
-    # p4 starts feasible at exact precision: its one call is trivial
+    # p4 starts feasible at exact precision: its one call returns its
+    # input, restored, with no evaluation, and refined 0 to 0
     rep = suite_runs["p4"]
-    assert [rec.resta.status for rec in rep.records] == ["trivial"]
+    assert [rec.resta.status for rec in rep.records] == ["restored"]
+    (rec,) = rep.records
+    assert not any(rec.resta.ledger_delta.values())
+    assert (rec.x_R == rec.x_k).all() and rec.y_R == rec.y_k
     by_name = {c.name: c for c in audit(rep).checks}
     assert by_name["precision_refinement"].status == "pass"
     assert by_name["precision_refinement"].detail == (
@@ -500,7 +509,7 @@ def test_the_failing_restoration_test_is_replayed():
 def test_restoration_ray_ratio_is_audited(suite_runs):
     # a restoration solve far short of its projected steepest-descent ray
     d = _trace(suite_runs["p1"])
-    d["records"][0]["resta"]["certificates"]["kappa_phi_ratio"][0] = 1e6
+    d["records"][0]["resta"]["trials"]["kappa_phi_ratio"][0] = 1e6
     assert _failures(d) == {"restoration_solve_accuracy":
                             "iteration 0: 1.000e+06 exceeds 1.000e+01"}
 

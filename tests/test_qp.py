@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bira.core import DEFAULT_KAPPAS, BoxPolytope
+from bira.core import CERT_FLOOR, DEFAULT_KAPPAS, BoxPolytope
 from bira.geometry import TangentSet, project_box, project_tangent
 from bira.qp import (
     build_B,
@@ -15,7 +15,8 @@ from bira.qp import (
 
 def _assert_restoration_targets_met(cert):
     # the comparisons of the audit's restoration_solve_accuracy check
-    assert cert.kappa_ratio <= DEFAULT_KAPPAS["kappa_R"]
+    assert (cert.stationarity_residual
+            <= DEFAULT_KAPPAS["kappa_R"] * cert.step_norm + CERT_FLOOR)
     assert cert.kappa_phi_ratio <= DEFAULT_KAPPAS["kappa_phi"]
 
 
@@ -27,10 +28,10 @@ def _tangent(grad, G, mu, center, region):
 
 def _assert_tangent_targets_met(cert):
     # the comparisons of the audit's tangent_solve_accuracy check, with
-    # its rounding floor of 1e-12
+    # its rounding floor
     resid, step = cert.stationarity_residual, cert.step_norm
-    assert resid <= DEFAULT_KAPPAS["kappa_T"] * step**2 + 1e-12
-    assert resid <= DEFAULT_KAPPAS["kappa"] * step + 1e-12
+    assert resid <= DEFAULT_KAPPAS["kappa_T"] * step**2 + CERT_FLOOR
+    assert resid <= DEFAULT_KAPPAS["kappa"] * step + CERT_FLOOR
     assert cert.kappa_phi_ratio <= DEFAULT_KAPPAS["kappa_phi"]
 
 
@@ -78,7 +79,7 @@ def test_tangent_qp_closed_form_on_a_line():
     np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-8)
     assert cert.step_norm == pytest.approx(np.sqrt(0.5), abs=1e-8)
     assert cert.model_decrease == pytest.approx(-0.25, abs=1e-8)
-    assert cert.tangent_violation <= 1e-9
+    assert float(np.linalg.norm(region.A @ (x - center))) <= 1e-9
     _assert_tangent_targets_met(cert)
 
 
@@ -108,7 +109,7 @@ def test_tangent_qp_snaps_tiny_steps_to_center():
     np.testing.assert_array_equal(x, center)
     assert cert.step_norm == 0.0
     assert cert.model_decrease == 0.0
-    assert cert.kappa_ratio == 0.0
+    assert cert.kappa_phi_ratio == 1.0
     _assert_tangent_targets_met(cert)
 
 
@@ -135,9 +136,7 @@ def test_restoration_certificates_recompute_exactly_seeded():
         resid = float(np.linalg.norm(project_box(z - gz, box) - z))
         assert abs(resid - cert.stationarity_residual) <= 1e-12
         assert md <= 0.0
-        if cert.step_norm > 1e-9:
-            assert abs(cert.kappa_ratio
-                       - cert.stationarity_residual / cert.step_norm) <= 1e-9
+        _assert_restoration_targets_met(cert)
         # Cauchy-point comparison, recomputed from scratch
         d = project_box(center - g, box) - center
         dQd = float(d @ Q @ d)
@@ -171,10 +170,11 @@ def test_tangent_certificates_recompute_exactly_seeded():
         assert abs(md - cert.model_decrease) <= 1e-12
         assert md <= 0.0
         assert abs(float(np.linalg.norm(s)) - cert.step_norm) <= 1e-12
-        assert (float(np.linalg.norm(A @ s))
-                == pytest.approx(cert.tangent_violation, abs=1e-12))
-        assert abs(cert.kappa_ratio
-                   - cert.stationarity_residual / cert.step_norm**2) <= 1e-9
+        assert float(np.linalg.norm(A @ s)) <= 1e-12
+        gx = g + 2.0 * mu * s
+        resid = float(np.linalg.norm(project_tangent(x - gx, region) - x))
+        assert abs(resid - cert.stationarity_residual) <= 1e-12
+        _assert_tangent_targets_met(cert)
     assert checked >= 15
 
 

@@ -22,6 +22,9 @@ from bira.solver import bira_run, restoration_failure
 
 
 def test_trivial_when_already_feasible_and_exact():
+    # at ||h|| + g = 0 the refinement returns the level it was given and r
+    # is met before any z-step: the call returns its input, restored, and
+    # evaluates nothing
     p = make_p1()
     x = p.known_solution
     y = PrecisionLevel(0.0, 0.0)
@@ -29,12 +32,18 @@ def test_trivial_when_already_feasible_and_exact():
     assert not h0.any()
     before = p.ledger.snapshot()
     out = resta(p, x, y, AlgorithmParams.defaults(), h_xk_yk=h0)
-    assert out.status == "trivial"
+    assert out.status == "restored"
+    assert out.refinements == 1
+    assert out.z_steps == 0 and out.trials == ()
     np.testing.assert_array_equal(out.x_R, x)
     assert out.y_R == y
     assert out.h_xR_yR == 0.0
     assert p.ledger.snapshot() == before
     assert all(v == 0 for v in out.ledger_delta.values())
+
+
+def _sigmas(out):
+    return tuple(t["sigma"] for t in out.trials)
 
 
 def test_p1_z_steps_follow_the_closed_form_contraction():
@@ -58,9 +67,9 @@ def test_p1_z_steps_follow_the_closed_form_contraction():
     assert expected_steps == 6
     assert out.z_steps == expected_steps
     assert out.inner_desc_tests == expected_steps
-    assert all(s == params.sigma_min for s in out.sigma_history)
+    assert all(t["sigma"] == params.sigma_min for t in out.trials)
 
-    steps = [c["step_norm"] for c in out.certificates]
+    steps = [t["step_norm"] for t in out.trials]
     ratios = np.array(steps[1:]) / np.array(steps[:-1])
     np.testing.assert_allclose(ratios, factor, atol=1e-6)
 
@@ -84,7 +93,7 @@ def test_p1_floor_of_one_eighth_rejects_first_trials():
     assert out.status == "restored"
     assert out.z_steps == 6
     assert out.inner_desc_tests == 2 * out.z_steps
-    assert out.sigma_history == (0.125, 0.25) * out.z_steps
+    assert _sigmas(out) == (0.125, 0.25) * out.z_steps
     assert out.ledger_delta["h_evals"] == 1 + out.inner_desc_tests
     # a step that needed two trials refreshes the Jacobian for the next
     assert out.ledger_delta["gradh_evals"] == out.z_steps
@@ -106,8 +115,8 @@ def test_a_wrong_handed_jacobian_costs_one_trial():
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, jacobian=-J)
     assert out.status == "restored"
     assert out.refinements == 1
-    assert out.sigma_history[:3] == (params.sigma_min, 2 * params.sigma_min,
-                                     params.sigma_min)
+    assert _sigmas(out)[:3] == (params.sigma_min, 2 * params.sigma_min,
+                                params.sigma_min)
     assert out.inner_desc_tests == out.z_steps + 1
     assert out.ledger_delta["gradh_evals"] == 2
     assert out.ledger_delta["h_evals"] == plain.ledger_delta["h_evals"] + 2
@@ -141,7 +150,7 @@ def test_a_handed_jacobian_serves_the_first_level_only():
     J = p.eval_grad_h(p.x0, p.y0)
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, jacobian=J)
     assert out.refinements == plain.refinements == 3
-    assert out.sigma_history == plain.sigma_history
+    assert _sigmas(out) == _sigmas(plain)
     assert (out.ledger_delta["gradh_evals"]
             == plain.ledger_delta["gradh_evals"] - 1)
 
@@ -206,7 +215,7 @@ def test_p3_detects_likely_infeasibility():
     # the kept Jacobian's first trial of the second z-step fails, so that
     # step goes on at 0.5 on a fresh one; it needed three trials, so the
     # stall is declared on a third, fresh Jacobian at the next z
-    assert out.sigma_history == (0.25, 0.25, 0.5, 1.0)
+    assert _sigmas(out) == (0.25, 0.25, 0.5, 1.0)
     assert out.ledger_delta["gradh_evals"] == 3
     rep = bira_run(make_p3(), params)
     assert rep.failure_info["kind"] == "possible_infeasibility"
@@ -363,8 +372,8 @@ def test_outcome_round_trip():
     np.testing.assert_array_equal(back.x_R, out.x_R)
     assert back.y_R == out.y_R
     assert back.status == out.status
-    assert back.sigma_history == out.sigma_history
-    assert back.certificates == out.certificates
+    assert back.trials == out.trials
+    assert back.inner_desc_tests == out.inner_desc_tests > 0
     assert back.ledger_delta == out.ledger_delta
 
 
