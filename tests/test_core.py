@@ -69,6 +69,7 @@ def test_merit_phi_is_the_weighted_sum():
 
 
 def test_constraint_ssq_and_infeasibility():
+    # the name is historical: core.infeasibility is gone, the ssq remains
     h = np.array([3.0, 4.0])
     assert constraint_ssq(h) == pytest.approx(12.5)
 

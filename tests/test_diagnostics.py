@@ -199,6 +199,7 @@ def test_audit_catches_tampered_penalty():
 
 
 def test_audit_catches_tampered_sigma_history():
+    # the name is historical: the sigmas are now the trials table's column
     rep = _fresh_report()
     d = rep.to_dict()
     # p4's call took no trial: claim one at sigma = 1e12
@@ -208,6 +209,23 @@ def test_audit_catches_tampered_sigma_history():
     bad = RunReport.from_dict(d)
     res = audit(bad, tc=_tc_of(bad))
     assert "sigma_cap" in [c.name for c in res.failures]
+
+
+def test_audit_catches_descent_tests_past_the_cap():
+    # the analytic cap is far too large to write out, so the constants are
+    # marked estimated and the fallback cap applies: p4's call claims one
+    # descent test more, each a zero-step trial at sigma_min
+    rep = _fresh_report()
+    d = rep.to_dict()
+    d["constants_basis"]["problem_constants"]["provenance"] = "estimated"
+    trials = d["records"][0]["resta"]["trials"]
+    for name, column in trials.items():
+        column.extend([rep.params.sigma_min if name == "sigma" else 0.0]
+                      * (FALLBACK_INNER_CAP + 1))
+    bad = RunReport.from_dict(d)
+    assert bad.records[0].resta.inner_desc_tests == FALLBACK_INNER_CAP + 1
+    failed = {c.name: c.detail for c in audit(bad, tc=_tc_of(bad)).failures}
+    assert failed["restoration_inner_caps"].startswith("iteration 0:")
 
 
 def test_audit_skips_bound_checks_on_estimated_constants():
@@ -477,6 +495,7 @@ def test_a_restored_call_relabelled_trivial_is_caught(suite_runs):
 
 
 def test_a_trivial_call_passes_the_refinement_check(suite_runs):
+    # the name is historical: "trivial" is no longer a status
     # p4 starts feasible at exact precision: its one call returns its
     # input, restored, with no evaluation, and refined 0 to 0
     rep = suite_runs["p4"]

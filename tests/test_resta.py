@@ -22,6 +22,7 @@ from bira.solver import bira_run, restoration_failure
 
 
 def test_trivial_when_already_feasible_and_exact():
+    # the name is historical: "trivial" is no longer a status
     # at ||h|| + g = 0 the refinement returns the level it was given and r
     # is met before any z-step: the call returns its input, restored, and
     # evaluates nothing
