@@ -49,8 +49,9 @@ from .oracle import (
     problem_by_name,
 )
 from .qp import SolveCertificate
-from .restoration import RestorationOutcome, resta
-from .solver import IterationRecord, RunReport, bira_run
+from .restoration import resta
+from .solver import bira_run
+from .trace import IterationRecord, RestorationOutcome, RunReport
 
 __version__ = "0.1.0"
 

@@ -47,7 +47,8 @@ from .diagnostics import audit, complexity_fit
 # not called here: bench/run.py's traced run patches it by this name
 from .diagnostics import constants as derived_constants  # noqa: F401
 from .oracle import make_suite, problem_by_name
-from .solver import RunReport, bira_run
+from .solver import bira_run
+from .trace import read_trace, trace_bytes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,11 +100,6 @@ def split_config(cfg):
     return params, run_part
 
 
-def trace_bytes(report):
-    return (json.dumps(report.to_dict(), sort_keys=True, indent=2)
-            + "\n").encode("utf-8")
-
-
 def _run_settings(args, run_part):
     def pick(name, default):
         val = getattr(args, name, None)
@@ -136,7 +132,7 @@ def cmd_run(args):
     print(f"{report.problem_name}: {report.status} after "
           f"{report.iterations} iteration(s)")
     print(f"  final point: {report.final_x.tolist()}")
-    print(f"  final precision: {list(report.final_y)}")
+    print(f"  final precision: {list(report.final_y.as_tuple())}")
     print(f"  evaluations: {report.ledger_totals}")
     if report.failure_info is not None:
         print(f"  failure: {report.failure_info['kind']}"
@@ -145,10 +141,7 @@ def cmd_run(args):
 
 
 def cmd_audit(args):
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    report = RunReport.from_dict(payload)
-    result = audit(report)
+    result = audit(read_trace(args.trace))
     for line in result.lines():
         print(line)
     print(f"audit: {'ok' if result.ok else 'FAILED'} "

@@ -53,75 +53,6 @@ class SchemaError(ValueError):
 LEDGER_FIELDS = ("f_evals", "gradf_evals", "h_evals", "gradh_evals")
 
 
-def check_fields(payload, fields, what):
-    """Raise :class:`SchemaError` unless ``payload`` has exactly ``fields``."""
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{what} must be a JSON object")
-    if set(payload) != set(fields):
-        raise SchemaError(
-            f"{what} fields differ from the schema:"
-            f" missing {sorted(set(fields) - set(payload))},"
-            f" unknown {sorted(set(payload) - set(fields))}"
-        )
-
-
-def check_numbers(payload, what, names=None, optional=(), counts=()):
-    """Raise :class:`SchemaError` unless ``payload`` is a JSON object whose
-    ``names`` fields (all by default) hold numbers; a field in ``optional``
-    may also be ``None``, and one in ``counts`` must be a nonnegative
-    integer."""
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{what} must be a JSON object")
-    for name in payload if names is None else names:
-        val = payload[name]
-        if name in counts:
-            check_count(val, f"{what} field {name!r}")
-        elif not (_is_number(val) or (val is None and name in optional)):
-            raise SchemaError(f"{what} field {name!r} must be a number,"
-                              f" got {type(val).__name__}")
-
-
-def check_ledger(payload, what):
-    """Raise :class:`SchemaError` unless ``payload`` counts every
-    evaluation kind of :data:`LEDGER_FIELDS`, and only those."""
-    check_fields(payload, LEDGER_FIELDS, what)
-    check_numbers(payload, what, counts=LEDGER_FIELDS)
-
-
-def number_fields(cls):
-    """``(names, optional, counts)`` of the fields of dataclass ``cls``
-    annotated as numbers, for :func:`check_numbers`: the ``int`` fields
-    are counts."""
-    types = {name: f.type for name, f in cls.__dataclass_fields__.items()}
-    return ([name for name, t in types.items()
-             if t in (int, float, float | None)],
-            [name for name, t in types.items() if t == float | None],
-            [name for name, t in types.items() if t is int])
-
-
-def number_list(values, what, length=None):
-    """Return ``values`` unchanged; :class:`SchemaError` unless it is a
-    JSON list of numbers, with ``length`` entries when that is given."""
-    if not (isinstance(values, list) and all(map(_is_number, values))):
-        raise SchemaError(f"{what} must be a list of numbers")
-    if length is not None and len(values) != length:
-        raise SchemaError(f"{what} must have {length} entries,"
-                          f" got {len(values)}")
-    return values
-
-
-def check_count(val, what):
-    """Raise :class:`SchemaError` unless ``val`` is a nonnegative integer."""
-    if not (type(val) is int and val >= 0):
-        raise SchemaError(f"{what} must be a nonnegative integer,"
-                          f" got {val!r}")
-
-
-def _is_number(val):
-    # JSON true and false load as bool, which Python counts as an int
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
 #: Accuracy targets of the two subproblem solves: constants of the
 #: analysis, read by the constants chain and by the audit.  The solves are
 #: exact up to rounding, so their certificates sit far inside them.

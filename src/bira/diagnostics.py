@@ -404,12 +404,13 @@ def _refinement_rows(report):
     less than recorded fails."""
     r = report.params.r
     for rec, rho, goal in _calls(report):
-        bound = [rho * y for y in rec.y_k]
+        bound_f, bound_h = rho * rec.y_k.gf, rho * rec.y_k.gh
         for _ in range(rec.resta.stages):
-            bound = [r * r * b for b in bound]
-        yield from (_exact(rec.k, rec.y_R[i], bound[i]) for i in (0, 1))
+            bound_f, bound_h = r * r * bound_f, r * r * bound_h
+        yield _exact(rec.k, rec.y_R.gf, bound_f)
+        yield _exact(rec.k, rec.y_R.gh, bound_h)
         if goal is not None:
-            yield _exact(rec.k, bound[0], rec.y_R[0])
+            yield _exact(rec.k, bound_f, rec.y_R.gf)
 
 
 def _restoration_test_rows(report):
@@ -428,8 +429,8 @@ def _restoration_test_rows(report):
     if failure is None or failure["kind"] == "possible_infeasibility":
         return
     out = failure["resta"]
-    for kind, lhs, rhs in restoration_tests(out["h_xk_yR"], out["h_xR_yR"],
-                                            max(y_k), max(out["y_R"]), r):
+    for kind, lhs, rhs in restoration_tests(out.h_xk_yR, out.h_xR_yR,
+                                            y_k.g, out.y_R.g, r):
         if kind == failure["kind"]:
             # a lower bound: the test failed
             yield failure["iteration"], not lhs <= rhs, rhs, lhs
@@ -476,7 +477,7 @@ def _ledger_total_rows(report):
         deltas.append({"f_evals": 1, "gradf_evals": 0, "h_evals": 1,
                        "gradh_evals": 0})
     if report.failure_info is not None:
-        deltas.append(report.failure_info["resta"]["ledger_delta"])
+        deltas.append(report.failure_info["resta"].ledger_delta)
     for key in LEDGER_FIELDS:
         spent = sum(d[key] for d in deltas)
         total = report.ledger_totals[key]
@@ -519,26 +520,25 @@ def _stopping_rows(report):
             yield rec.k, not met, 1.0, ratio
 
 
-def audit(report, tc=None):
+def audit(report):
     """Check a recorded run against every auditable invariant.
 
     ``report`` needs ``status``, ``records``, ``failure_info``, ``params``,
     ``constants_basis``, ``ledger_totals``, ``tolerances`` and ``budget``.
-    ``tc`` defaults to the chain recomputed from the report's own constants
+    The constants chain is recomputed from the report's own constants
     basis; the solve targets are always :data:`~bira.core.DEFAULT_KAPPAS`.
     Each check is a name, a gate and a lazy stream of rows ``(iteration,
     ok, observed, bound)``; :func:`_verdict` decides every one of them.
     """
     params = report.params
-    if tc is None:
-        basis = report.constants_basis
-        tc = constants(ProblemConstants.from_dict(basis["problem_constants"]),
-                       params, extras=basis["extras"])
+    basis = report.constants_basis
+    tc = constants(ProblemConstants.from_dict(basis["problem_constants"]),
+                   params, extras=basis["extras"])
     kap = DEFAULT_KAPPAS
     recs = report.records
-    rtrials = [(rec.k, t) for rec in recs for t in rec.resta.trials]
-    tcerts = [(rec.k, rec.tangent_cert) for rec in recs
-              if rec.tangent_cert is not None]
+    rtrials = [(rec.k, sigma, cert) for rec in recs
+               for sigma, cert in rec.resta.trials]
+    tcerts = [(rec.k, rec.tangent_cert) for rec in recs]
     ns_f = tc.extras.get("noise_scale_f")
     ns_h = tc.extras.get("noise_scale_h")
     inner_cap = restoration_inner_cap(tc)
@@ -553,7 +553,7 @@ def audit(report, tc=None):
         ("penalty_merit_decrease", None, (
             _merit_row(rec, params.r) for rec in recs)),
         ("sigma_cap", ANALYTIC, (
-            _tol(k, t["sigma"], tc.sigma_cap) for k, t in rtrials)),
+            _tol(k, sigma, tc.sigma_cap) for k, sigma, _ in rtrials)),
         ("mu_cap", ANALYTIC, (
             _tol(rec.k, rec.mu_k, tc.mu_cap) for rec in recs)),
         ("restored_distance", ANALYTIC, (
@@ -574,10 +574,9 @@ def audit(report, tc=None):
         ("residual_vs_step", ANALYTIC, (
             _tol(rec.k, rec.stationarity_residual,
                  tc.residual_step_factor * rec.step_norm) for rec in recs
-            if rec.step_norm != 0.0 and rec.stationarity_residual is not None)),
+            if rec.step_norm != 0.0)),
         ("residual_summability", ANALYTIC, _summed(
-            (rec.stationarity_residual**2 for rec in recs
-             if rec.stationarity_residual is not None),
+            (rec.stationarity_residual**2 for rec in recs),
             tc.residual_square_sum_bound)),
         ("ledger_caps", ANALYTIC, (
             row for rec in recs
@@ -586,33 +585,33 @@ def audit(report, tc=None):
             _exact(rec.k, abs(rec.resta.ledger_delta[key]), 0)
             for rec in recs for key in ("f_evals", "gradf_evals"))),
         ("restoration_model_decrease", None, (
-            _exact(k, t["model_decrease"], CERT_FLOOR) for k, t in rtrials)),
+            _exact(k, c.model_decrease, CERT_FLOOR) for k, _, c in rtrials)),
         # the residual within its step budget, and the ray ratio
         ("restoration_solve_accuracy", None, (
-            row for k, t in rtrials for row in (
-                _exact(k, t["stationarity_residual"],
-                       kap["kappa_R"] * t["step_norm"] + CERT_FLOOR),
-                _exact(k, t["kappa_phi_ratio"], kap["kappa_phi"])))),
+            row for k, _, c in rtrials for row in (
+                _exact(k, c.stationarity_residual,
+                       kap["kappa_R"] * c.step_norm + CERT_FLOOR),
+                _exact(k, c.kappa_phi_ratio, kap["kappa_phi"])))),
         ("tangent_model_decrease", None, (
-            _exact(k, c["model_decrease"], CERT_FLOOR) for k, c in tcerts)),
+            _exact(k, c.model_decrease, CERT_FLOOR) for k, c in tcerts)),
         # the residual within both step budgets, and the ray ratio; zero
         # steps and residuals at the floor are exempt
         ("tangent_solve_accuracy", None, (
-            row for k, c in tcerts if c["step_norm"] != 0.0
-            and c["stationarity_residual"] > CERT_FLOOR for row in (
-                _exact(k, c["stationarity_residual"],
-                       kap["kappa_T"] * c["step_norm"] ** 2 + CERT_FLOOR),
-                _exact(k, c["stationarity_residual"],
-                       kap["kappa"] * c["step_norm"] + CERT_FLOOR),
-                _exact(k, c["kappa_phi_ratio"], kap["kappa_phi"])))),
+            row for k, c in tcerts if c.step_norm != 0.0
+            and c.stationarity_residual > CERT_FLOOR for row in (
+                _exact(k, c.stationarity_residual,
+                       kap["kappa_T"] * c.step_norm ** 2 + CERT_FLOOR),
+                _exact(k, c.stationarity_residual,
+                       kap["kappa"] * c.step_norm + CERT_FLOOR),
+                _exact(k, c.kappa_phi_ratio, kap["kappa_phi"])))),
         ("oracle_f_error_bound", EXACT, (
             _exact(rec.k, rec.oracle_f_error,
-                   ns_f * rec.y_k[0] + 1e-15 * (1.0 + abs(rec.f_xk_yk)))
+                   ns_f * rec.y_k.gf + 1e-15 * (1.0 + abs(rec.f_xk_yk)))
             for rec in recs
             if rec.oracle_f_error is not None and ns_f is not None)),
         ("oracle_h_error_bound", EXACT, (
             _exact(rec.k, rec.oracle_h_error,
-                   ns_h * rec.y_k[1] + 1e-15 * (1.0 + rec.h_xk_yk))
+                   ns_h * rec.y_k.gh + 1e-15 * (1.0 + rec.h_xk_yk))
             for rec in recs
             if rec.oracle_h_error is not None and ns_h is not None)),
         ("noise_within_budget", ANALYTIC, [

@@ -207,8 +207,7 @@ class SyntheticProblem(InexactProblem):
     def __init__(self, name, box, objective, objective_grad, constraint,
                  constraint_jac, m, x0, y0, problem_constants, *,
                  noise_scale_f=0.0, noise_scale_h=0.0, noise_seed=0,
-                 known_solution=None, infeasible=False,
-                 extra_overrides=None):
+                 known_solution=None, extra_overrides=None):
         super().__init__(name, box, m)
         self._objective = objective
         self._objective_grad = objective_grad
@@ -222,7 +221,6 @@ class SyntheticProblem(InexactProblem):
         self.known_solution = (
             None if known_solution is None else as_point(known_solution, self.dim)
         )
-        self.infeasible = bool(infeasible)
         self._extra_overrides = dict(extra_overrides or {})
         rng = np.random.default_rng(noise_seed)
         self._nf = _SineNoise(self.dim, rng, NOISE_FREQ_F[0], NOISE_FREQ_F[1])
@@ -372,7 +370,7 @@ def _p1_family(name, feasibility_offset, start_mode, y0, *, params=None):
         name, box, objective, objective_grad, constraint, constraint_jac,
         1, x0, y0, pc_for(ns),
         noise_scale_f=ns, noise_scale_h=ns, noise_seed=11,
-        known_solution=x_sol, infeasible=False,
+        known_solution=x_sol,
     )
 
 
@@ -432,7 +430,7 @@ def make_p2(params=None):
         "p2", box, objective, objective_grad, constraint, constraint_jac,
         1, np.array([-1.8, 1.2]), y0, pc_for(ns),
         noise_scale_f=ns, noise_scale_h=ns, noise_seed=23,
-        known_solution=None, infeasible=False,
+        known_solution=None,
     )
 
 
@@ -461,7 +459,7 @@ def make_p3(params=None):
         "p3", box, objective, objective_grad, constraint, constraint_jac,
         1, np.array([0.8, 0.3]), PrecisionLevel(0.0, 0.0), pc,
         noise_scale_f=0.0, noise_scale_h=0.0, noise_seed=31,
-        known_solution=None, infeasible=True,
+        known_solution=None,
     )
 
 

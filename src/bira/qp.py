@@ -12,7 +12,7 @@ the subproblem contracts after the fact.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class SolveCertificate:
     stationarity_residual: float
     step_norm: float
     kappa_phi_ratio: float
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def build_B(J, M):

@@ -28,22 +28,14 @@ violation norms with the same float expression the outer test uses, so
 success here can never be contradicted there by rounding.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import (
     AbnormalTermination,
     PrecisionLevel,
-    SchemaError,
-    check_fields,
-    check_ledger,
-    check_numbers,
     constraint_ssq,
     descent_test,
     goal_met,
-    number_fields,
-    number_list,
     precision_ratio,
 )
 from .diagnostics import (
@@ -52,111 +44,10 @@ from .diagnostics import (
     restoration_stage_cap,
 )
 from .geometry import project_box
-from .qp import SolveCertificate, build_B, solve_restoration_qp
+from .qp import build_B, solve_restoration_qp
+from .trace import RestorationOutcome
 
 _SIGMA_RUNAWAY = 1e9
-
-#: The ways a restoration call ends.
-STATUSES = ("restored", "possible_infeasibility")
-
-#: The columns of a restoration outcome's trial table: the weight sigma of
-#: each descent test, then the certificate of its QP solve.
-TRIAL_FIELDS = ("sigma", *SolveCertificate.__dataclass_fields__)
-
-
-@dataclass(frozen=True)
-class RestorationOutcome:
-    """What one restoration call did and produced.
-
-    ``status`` is one of :data:`STATUSES`: ``restored`` or
-    ``possible_infeasibility``.  ``h_xk_yR`` is the violation at the
-    outer point re-measured at the returned precision; the outer failure
-    tests consume it directly instead of re-evaluating.  The outcome is the
-    only place a trace writes ``y_R``, ``h_xk_yR`` and ``h_xR_yR``; an
-    iteration record reads them from here.  ``h_vec`` is the violation
-    vector whose norm is ``h_xR_yR``, kept in memory so a zero tangent step
-    need not measure it again; a trace does not write it.  ``refinements``
-    counts the call's precision levels and ``stages`` the in-place
-    refinements of a finishing call (see :func:`resta`).  ``trials`` holds
-    one row per descent test, a dict over :data:`TRIAL_FIELDS`: the weight
-    sigma it was solved at and the :class:`~bira.qp.SolveCertificate` of
-    that solve.  A trace writes it as one column per field.
-    """
-
-    x_R: np.ndarray
-    y_R: PrecisionLevel
-    status: str
-    h_xR_yR: float
-    h_xk_yR: float
-    refinements: int
-    stages: int
-    z_steps: int
-    trials: tuple
-    max_step_over_h: float | None
-    ledger_delta: dict
-    h_vec: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def contraction(self):
-        """Achieved ratio ``h_xR_yR / h_xk_yR``; 0 when there was no
-        violation to contract."""
-        return self.h_xR_yR / self.h_xk_yR if self.h_xk_yR > 0.0 else 0.0
-
-    @property
-    def inner_desc_tests(self):
-        """Descent tests of the call, one per row of ``trials``."""
-        return len(self.trials)
-
-    def to_dict(self):
-        return {
-            "x_R": np.asarray(self.x_R).tolist(),
-            "y_R": list(self.y_R.as_tuple()),
-            "status": self.status,
-            "h_xR_yR": self.h_xR_yR,
-            "h_xk_yR": self.h_xk_yR,
-            "refinements": self.refinements,
-            "stages": self.stages,
-            "z_steps": self.z_steps,
-            "trials": {name: [t[name] for t in self.trials]
-                       for name in TRIAL_FIELDS},
-            "max_step_over_h": self.max_step_over_h,
-            "ledger_delta": dict(self.ledger_delta),
-        }
-
-    @classmethod
-    def from_dict(cls, d, n=None):
-        """Rebuild an outcome; ``n``, when given, is the length ``x_R``
-        must have."""
-        what = "restoration outcome"
-        check_fields(d, _WRITTEN, what)
-        check_numbers(d, what, *number_fields(cls))
-        if d["status"] not in STATUSES:
-            raise SchemaError(f"unknown restoration status {d['status']!r}")
-        check_ledger(d["ledger_delta"], "restoration ledger")
-        kw = dict(d)
-        kw["x_R"] = np.asarray(number_list(d["x_R"], "x_R", n), dtype=float)
-        kw["y_R"] = PrecisionLevel(*number_list(d["y_R"], "y_R", 2))
-        kw["trials"] = _trial_rows(d["trials"])
-        kw["ledger_delta"] = dict(d["ledger_delta"])
-        return cls(**kw)
-
-
-_WRITTEN = tuple(name for name in RestorationOutcome.__dataclass_fields__
-                 if name != "h_vec")
-
-
-def _trial_rows(columns):
-    """Transpose the trial table's columns back into one dict per descent
-    test."""
-    check_fields(columns, TRIAL_FIELDS, "restoration trial columns")
-    for name in TRIAL_FIELDS:
-        number_list(columns[name], f"trial column {name}")
-    if len({len(columns[name]) for name in TRIAL_FIELDS}) > 1:
-        raise SchemaError("restoration trial columns differ in length")
-    return tuple(
-        dict(zip(TRIAL_FIELDS, row))
-        for row in zip(*(columns[name] for name in TRIAL_FIELDS))
-    )
 
 
 def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
@@ -252,7 +143,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     x_k = np.asarray(x_k, dtype=float)
     led0 = problem.ledger.snapshot()
 
-    table = []  # one row per descent test
+    table = []  # one (sigma, certificate) pair per descent test
     z_steps = 0
     refinements = 0
     stages = 0
@@ -357,7 +248,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                         )
                     z_trial, cert = solve_restoration_qp(grad_c, G, sigma, z,
                                                          box)
-                    table.append({"sigma": sigma, **cert.to_dict()})
+                    table.append((sigma, cert))
                     h_trial_vec = problem.eval_h(z_trial, w)
                     trials += 1
                     step = float(np.linalg.norm(z_trial - z))

@@ -11,9 +11,9 @@ iteration's precision.  Once a record meets the optimality test, the next
 restoration call is a finishing call: it is handed the feasibility and
 precision tolerances as its goal (:func:`~bira.core.finishing_goal`), so
 the iteration after it can stop.  Everything measurable about the
-iteration is written into an :class:`IterationRecord`; a finished run
-returns a :class:`RunReport` that serializes losslessly, so audits can
-replay it without touching the problem again.
+iteration is written into an :class:`~bira.trace.IterationRecord`; a
+finished run returns a :class:`~bira.trace.RunReport` that serializes
+losslessly, so audits can replay it without touching the problem again.
 
 The search doubles the weight mu from a start that the previous accepted
 step chose: half its weight if that step predicts the half will pass the
@@ -42,9 +42,6 @@ one fails a trial or stalls.  The per-iteration ledger deltas in the
 records are the proof.
 """
 
-import copy
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -52,29 +49,20 @@ from .core import (
     AlgorithmParams,
     ConfigurationError,
     InvariantError,
-    ProblemConstants,
-    SchemaError,
-    check_count,
-    check_fields,
-    check_ledger,
-    check_numbers,
     descent_test,
     finishing_goal,
     goal_met,
     merit_allowance,
     merit_test,
-    number_fields,
-    number_list,
     restoration_tests,
     tangent_mu_start,
 )
 from .diagnostics import constants as derived_constants
 from .diagnostics import restoration_inner_cap
 from .geometry import TangentSet, project_tangent
-from .qp import SolveCertificate, build_H, solve_tangent_qp
-from .restoration import RestorationOutcome, resta
-
-TRACE_VERSION = 10
+from .qp import build_H, solve_tangent_qp
+from .restoration import resta
+from .trace import IterationRecord, RunReport
 
 
 def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -181,276 +169,6 @@ def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
                          " shrink of 1e-9")
 
 
-#: Fields of record k + 1 that repeat the hand-off of record k, each with
-#: the field it repeats: iteration k + 1 starts from the point, precision,
-#: values and weight that iteration k accepted.  A trace does not write
-#: them; :meth:`RunReport.from_dict` rebuilds them from the previous
-#: record, or from the run's ``start`` block for record 0.
-CHAIN = {
-    "x_k": "x_next",
-    "y_k": "y_R",
-    "f_xk_yk": "f_xnext_ynext",
-    "h_xk_yk": "h_xnext_ynext",
-    "theta_before": "theta_after",
-}
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """Everything one outer iteration measured, decided, and spent.
-
-    Fields hold measured facts only; values that follow from them
-    (``x_R``, ``y_R`` and the violations of the restoration outcome, the
-    ``g_*`` precision measures and ``step_norm``) are read-only
-    properties.  The tangent phase works at the restored precision, so
-    the ``*_xnext_ynext`` values are measured at ``y_R``, the precision the
-    next iteration starts from.  The :data:`CHAIN` fields are
-    kept in memory but written once, by the record or start block they
-    repeat, and ``x_next`` is written only when it differs bitwise from
-    ``x_R`` (a tangent step that snapped to zero repeats it).
-    """
-
-    k: int
-    x_k: np.ndarray
-    x_next: np.ndarray
-    y_k: tuple
-    theta_before: float
-    theta_after: float
-    mu_k: float
-    ell_count: int
-    h_xk_yk: float
-    h_xnext_ynext: float
-    f_xk_yk: float
-    f_xk_yR: float
-    f_xR_yR: float
-    f_xnext_ynext: float
-    stationarity_residual: float
-    resta: RestorationOutcome
-    tangent_cert: dict
-    oracle_f_error: float | None
-    oracle_h_error: float | None
-    ledger_delta: dict
-
-    @property
-    def x_R(self):
-        return self.resta.x_R
-
-    @property
-    def y_R(self):
-        return self.resta.y_R.as_tuple()
-
-    @property
-    def h_xk_yR(self):
-        return self.resta.h_xk_yR
-
-    @property
-    def h_xR_yR(self):
-        return self.resta.h_xR_yR
-
-    @property
-    def g_yk(self):
-        return max(self.y_k)
-
-    @property
-    def g_yR(self):
-        return max(self.y_R)
-
-    @property
-    def step_norm(self):
-        return self.tangent_cert["step_norm"]
-
-    def to_dict(self):
-        d = {}
-        for name in _WRITTEN:
-            val = getattr(self, name)
-            if name == "x_next" and val.tobytes() == self.x_R.tobytes():
-                continue  # a zero step: from_dict reads x_next as x_R
-            if isinstance(val, np.ndarray):
-                val = val.tolist()
-            elif isinstance(val, RestorationOutcome):
-                val = val.to_dict()
-            elif isinstance(val, dict):
-                val = dict(val)
-            d[name] = val
-        return d
-
-    @classmethod
-    def from_dict(cls, d, chain):
-        """Rebuild a record from its written fields and the :data:`CHAIN`
-        fields ``chain`` handed to it."""
-        what = "iteration record"
-        if not isinstance(d, dict):
-            raise SchemaError(f"{what} must be a JSON object")
-        check_fields(d, _WRITTEN if "x_next" in d else _WRITTEN_AT_X_R, what)
-        names, optional, counts = number_fields(cls)
-        check_numbers(d, what, [n for n in names if n in _WRITTEN], optional,
-                      counts)
-        check_fields(d["tangent_cert"], SolveCertificate.__dataclass_fields__,
-                     "tangent_cert")
-        check_numbers(d["tangent_cert"], "tangent_cert")
-        check_ledger(d["ledger_delta"], "ledger_delta")
-        kw = dict(d, **chain)
-        n = len(chain["x_k"])
-        kw["resta"] = RestorationOutcome.from_dict(d["resta"], n)
-        kw["x_next"] = (np.asarray(number_list(d["x_next"], "x_next", n),
-                                   dtype=float)
-                        if "x_next" in d else kw["resta"].x_R)
-        # a call that found possible infeasibility ends the run unrecorded
-        if kw["resta"].status != "restored":
-            raise SchemaError("an iteration record cannot hold restoration"
-                              f" status {kw['resta'].status!r}")
-        return cls(**kw)
-
-
-_WRITTEN = tuple(name for name in IterationRecord.__dataclass_fields__
-                 if name not in CHAIN)
-# the fields of a record whose tangent step stayed at x_R
-_WRITTEN_AT_X_R = tuple(name for name in _WRITTEN if name != "x_next")
-
-
-@dataclass
-class RunReport:
-    """Complete, replayable account of one solver run.
-
-    ``start`` holds the point, precision, objective value and violation
-    norm measured before the first iteration; the final point is chosen
-    from the records by the status.
-    """
-
-    status: str
-    problem_name: str
-    records: list
-    failure_info: dict | None
-    start: dict
-    params: AlgorithmParams
-    tolerances: dict
-    constants_basis: dict
-    ledger_totals: dict
-    budget: int
-    trace_version: int = TRACE_VERSION
-
-    @property
-    def iterations(self):
-        return len(self.records)
-
-    def _final(self):
-        if (self.failure_info is not None
-                and self.failure_info["kind"] == "possible_infeasibility"):
-            out = self.failure_info["resta"]
-            return np.asarray(out["x_R"], dtype=float), tuple(out["y_R"])
-        if not self.records:
-            return self.start["x"], self.start["y"]
-        last = self.records[-1]
-        if self.status == "Converged":
-            return last.x_R, last.y_R
-        # out of budget, or a restoration outcome failed its tests: the
-        # run stops at the point the last iteration accepted
-        return last.x_next, last.y_R
-
-    @property
-    def final_x(self):
-        return self._final()[0]
-
-    @property
-    def final_y(self):
-        return self._final()[1]
-
-    def to_dict(self):
-        return {
-            "status": self.status,
-            "problem_name": self.problem_name,
-            "records": [rec.to_dict() for rec in self.records],
-            "failure_info": copy.deepcopy(self.failure_info),
-            "start": {"x": self.start["x"].tolist(),
-                      "y": list(self.start["y"]),
-                      "f": self.start["f"], "h": self.start["h"]},
-            "params": self.params.to_dict(),
-            "tolerances": dict(self.tolerances),
-            "constants_basis": copy.deepcopy(self.constants_basis),
-            "ledger_totals": dict(self.ledger_totals),
-            "budget": self.budget,
-            "trace_version": self.trace_version,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        # the version decides the schema, so it is read before the fields
-        if not isinstance(d, dict):
-            raise SchemaError("trace must be a JSON object")
-        version = d.get("trace_version")
-        if version != TRACE_VERSION:
-            raise SchemaError(f"trace version {version!r} not supported")
-        check_fields(d, cls.__dataclass_fields__, "trace")
-        basis = d["constants_basis"]
-        check_fields(basis, ("problem_constants", "extras"),
-                     "constants basis")
-        check_fields(basis["problem_constants"],
-                     ProblemConstants.__dataclass_fields__, "problem constants")
-        check_numbers(basis["problem_constants"], "problem constants",
-                      *number_fields(ProblemConstants))
-        check_numbers(basis["extras"], "extras")
-        check_fields(d["params"], AlgorithmParams.__dataclass_fields__,
-                     "params")
-        check_numbers(d["params"], "params")
-        check_count(d["budget"], "budget")
-        check_fields(d["tolerances"], ("eps_feas", "eps_prec", "eps_opt"),
-                     "tolerances")
-        check_numbers(d["tolerances"], "tolerances")
-        if not all(tol > 0.0 for tol in d["tolerances"].values()):
-            raise SchemaError("tolerances must be positive")
-        check_ledger(d["ledger_totals"], "ledger totals")
-        status = d["status"]
-        if status not in ("Converged", "BudgetExceeded", "RestorationFailure"):
-            raise SchemaError(f"unknown status {status!r}")
-        failure = d["failure_info"]
-        if (failure is None) == (status == "RestorationFailure"):
-            raise SchemaError("failure info must be written exactly when the"
-                              " status is RestorationFailure")
-        start = d["start"]
-        check_fields(start, ("x", "y", "f", "h"), "start")
-        check_numbers(start, "start", ("f", "h"))
-        # every point of the run has the start point's length
-        n = len(number_list(start["x"], "start x"))
-        if failure is not None:
-            check_fields(failure, ("kind", "iteration", "resta"),
-                         "failure info")
-            # the resta status and the two kinds of restoration_failure
-            if failure["kind"] not in ("possible_infeasibility",
-                                       "insufficient_contraction",
-                                       "precision_outpaced_feasibility"):
-                raise SchemaError(
-                    f"unknown failure kind {failure['kind']!r}")
-            check_count(failure["iteration"], "failure iteration")
-            out = RestorationOutcome.from_dict(failure["resta"], n)
-            if ((out.status == "possible_infeasibility")
-                    != (failure["kind"] == "possible_infeasibility")):
-                raise SchemaError(
-                    f"failure kind {failure['kind']!r} does not match"
-                    f" restoration status {out.status!r}")
-        if not isinstance(d["records"], list):
-            raise SchemaError("trace records must be a JSON list")
-        kw = dict(d)
-        kw["start"] = {
-            "x": np.asarray(start["x"], dtype=float),
-            "y": tuple(number_list(start["y"], "start y", 2)),
-            "f": start["f"], "h": start["h"],
-        }
-        kw["params"] = AlgorithmParams.from_dict(d["params"])
-        chain = {"x_k": kw["start"]["x"], "y_k": kw["start"]["y"],
-                 "f_xk_yk": start["f"], "h_xk_yk": start["h"],
-                 "theta_before": float(kw["params"].theta_0)}
-        kw["records"] = []
-        for i, rec in enumerate(d["records"]):
-            rec = IterationRecord.from_dict(rec, chain)
-            if rec.k != i:
-                raise SchemaError(f"record {i} is labelled k = {rec.k!r}")
-            kw["records"].append(rec)
-            chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
-        kw["tolerances"] = dict(d["tolerances"])
-        kw["ledger_totals"] = dict(d["ledger_totals"])
-        return cls(**kw)
-
-
 def _oracle_errors(problem, x, f_meas, h_vec_meas):
     # bira_run takes any object with the oracle interface, exact or not
     f_exact = getattr(problem, "exact_f", lambda x: None)(x)
@@ -522,7 +240,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     h_vec = problem.eval_h(x, y)
     f_val = problem.eval_f(x, y)
     h_norm = float(np.linalg.norm(h_vec))
-    start = {"x": x.copy(), "y": y.as_tuple(), "f": f_val, "h": h_norm}
+    start = {"x": x.copy(), "y": y, "f": f_val, "h": h_norm}
 
     try:
         for k in range(budget):
@@ -536,26 +254,15 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             out = resta(problem, x, y, params, h_xk_yk=h_vec,
                         inner_cap=inner_cap, contraction=contraction,
                         goal=goal, jacobian=jacobian)
-            if out.status == "possible_infeasibility":
-                return finish(
-                    "RestorationFailure",
-                    failure={
-                        "kind": "possible_infeasibility",
-                        "iteration": k,
-                        "resta": out.to_dict(),
-                    },
-                )
-
             y_R = out.y_R
             g_k, g_R = y.g, y_R.g
-            failed, kind = restoration_failure(
-                out.h_xk_yR, out.h_xR_yR, g_k, g_R, params.r
-            )
-            if failed:
+            kind = (out.status if out.status == "possible_infeasibility"
+                    else restoration_failure(out.h_xk_yR, out.h_xR_yR, g_k,
+                                             g_R, params.r)[1])
+            if kind is not None:
                 return finish(
                     "RestorationFailure",
-                    failure={"kind": kind, "iteration": k,
-                             "resta": out.to_dict()},
+                    failure={"kind": kind, "iteration": k, "resta": out},
                 )
 
             contraction = out.contraction
@@ -628,7 +335,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 k=k,
                 x_k=x.copy(),
                 x_next=np.asarray(x_next, dtype=float).copy(),
-                y_k=y.as_tuple(),
+                y_k=y,
                 theta_before=theta,
                 theta_after=theta_next,
                 mu_k=mu,
@@ -641,7 +348,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 f_xnext_ynext=f_next,
                 stationarity_residual=residual,
                 resta=out,
-                tangent_cert=cert.to_dict(),
+                tangent_cert=cert,
                 oracle_f_error=oracle_f_err,
                 oracle_h_error=oracle_h_err,
                 ledger_delta=problem.ledger.delta(led_iter),

@@ -1,0 +1,482 @@
+"""The run record: what a run measured, in memory and as a JSON trace.
+
+This module alone knows the written format: every record's ``to_dict`` and
+``from_dict``, and every schema check a trace passes on loading.  In memory
+each fact has one type: a :class:`~bira.core.PrecisionLevel`, a
+:class:`~bira.qp.SolveCertificate` or a :class:`RestorationOutcome`.
+"""
+
+import json
+from dataclasses import asdict, astuple, dataclass, field
+
+import numpy as np
+
+from .core import (
+    LEDGER_FIELDS,
+    AlgorithmParams,
+    ContractError,
+    PrecisionLevel,
+    ProblemConstants,
+    SchemaError,
+)
+from .qp import SolveCertificate
+
+TRACE_VERSION = 10
+
+
+def check_fields(payload, fields, what):
+    """Raise :class:`SchemaError` unless ``payload`` has exactly ``fields``."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    if set(payload) != set(fields):
+        raise SchemaError(
+            f"{what} fields differ from the schema:"
+            f" missing {sorted(set(fields) - set(payload))},"
+            f" unknown {sorted(set(payload) - set(fields))}"
+        )
+
+
+def check_numbers(payload, what, names=None, optional=(), counts=()):
+    """Raise :class:`SchemaError` unless ``payload`` is a JSON object whose
+    ``names`` fields (all by default) hold numbers; a field in ``optional``
+    may also be ``None``, and one in ``counts`` must be a nonnegative
+    integer."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    for name in payload if names is None else names:
+        val = payload[name]
+        if name in counts:
+            check_count(val, f"{what} field {name!r}")
+        elif not (_is_number(val) or (val is None and name in optional)):
+            raise SchemaError(f"{what} field {name!r} must be a number,"
+                              f" got {type(val).__name__}")
+
+
+def check_ledger(payload, what):
+    """Raise :class:`SchemaError` unless ``payload`` counts every
+    evaluation kind of :data:`~bira.core.LEDGER_FIELDS`, and only those."""
+    check_fields(payload, LEDGER_FIELDS, what)
+    check_numbers(payload, what, counts=LEDGER_FIELDS)
+
+
+def number_fields(cls):
+    """``(names, optional, counts)`` of the fields of dataclass ``cls``
+    annotated as numbers, for :func:`check_numbers`: the ``int`` fields
+    are counts."""
+    types = {name: f.type for name, f in cls.__dataclass_fields__.items()}
+    return ([name for name, t in types.items()
+             if t in (int, float, float | None)],
+            [name for name, t in types.items() if t == float | None],
+            [name for name, t in types.items() if t is int])
+
+
+def number_list(values, what, length=None):
+    """Return ``values`` unchanged; :class:`SchemaError` unless it is a
+    JSON list of numbers, with ``length`` entries when that is given."""
+    if not (isinstance(values, list) and all(map(_is_number, values))):
+        raise SchemaError(f"{what} must be a list of numbers")
+    if length is not None and len(values) != length:
+        raise SchemaError(f"{what} must have {length} entries,"
+                          f" got {len(values)}")
+    return values
+
+
+def check_count(val, what):
+    """Raise :class:`SchemaError` unless ``val`` is a nonnegative integer."""
+    if not (type(val) is int and val >= 0):
+        raise SchemaError(f"{what} must be a nonnegative integer,"
+                          f" got {val!r}")
+
+
+def _is_number(val):
+    # JSON true and false load as bool, which Python counts as an int
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _level(values, what):
+    """A precision level from its written pair ``[gf, gh]``."""
+    try:
+        return PrecisionLevel(*number_list(values, what, 2))
+    except ContractError as exc:
+        raise SchemaError(f"{what}: {exc}") from None
+
+
+def _written(val):
+    """The JSON form of a value held by a run record."""
+    if isinstance(val, (RestorationOutcome, IterationRecord, AlgorithmParams)):
+        return val.to_dict()
+    if isinstance(val, PrecisionLevel):
+        return list(val.as_tuple())
+    if isinstance(val, SolveCertificate):
+        return asdict(val)
+    if isinstance(val, np.ndarray):
+        return val.tolist()
+    if isinstance(val, dict):
+        return {key: _written(v) for key, v in val.items()}
+    if isinstance(val, list):
+        return [_written(v) for v in val]
+    return val
+
+
+#: The ways a restoration call ends.
+STATUSES = ("restored", "possible_infeasibility")
+
+#: The columns of a restoration outcome's trial table: the weight sigma of
+#: each descent test, then the certificate of its QP solve.
+TRIAL_FIELDS = ("sigma", *SolveCertificate.__dataclass_fields__)
+
+
+@dataclass(frozen=True)
+class RestorationOutcome:
+    """What one restoration call did and produced.
+
+    ``status`` is one of :data:`STATUSES`: ``restored`` or
+    ``possible_infeasibility``.  ``h_xk_yR`` is the violation at the
+    outer point re-measured at the returned precision; the outer failure
+    tests consume it directly instead of re-evaluating.  The outcome is the
+    only place a trace writes ``y_R``, ``h_xk_yR`` and ``h_xR_yR``; an
+    iteration record reads them from here.  ``h_vec`` is the violation
+    vector whose norm is ``h_xR_yR``, kept in memory so a zero tangent step
+    need not measure it again; a trace does not write it.  ``refinements``
+    counts the call's precision levels and ``stages`` the in-place
+    refinements of a finishing call (see :func:`~bira.restoration.resta`).
+    ``trials`` holds one pair ``(sigma, certificate)`` per descent test:
+    the weight it was solved at and the
+    :class:`~bira.qp.SolveCertificate` of that solve.  A trace writes it
+    as one column per field of :data:`TRIAL_FIELDS`.
+    """
+
+    x_R: np.ndarray
+    y_R: PrecisionLevel
+    status: str
+    h_xR_yR: float
+    h_xk_yR: float
+    refinements: int
+    stages: int
+    z_steps: int
+    trials: tuple
+    max_step_over_h: float | None
+    ledger_delta: dict
+    h_vec: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def contraction(self):
+        """Achieved ratio ``h_xR_yR / h_xk_yR``; 0 when there was no
+        violation to contract."""
+        return self.h_xR_yR / self.h_xk_yR if self.h_xk_yR > 0.0 else 0.0
+
+    @property
+    def inner_desc_tests(self):
+        """Descent tests of the call, one per entry of ``trials``."""
+        return len(self.trials)
+
+    def to_dict(self):
+        d = {name: _written(getattr(self, name)) for name in _OUTCOME_WRITTEN}
+        rows = [(sigma, *astuple(cert)) for sigma, cert in self.trials]
+        d["trials"] = {name: [row[i] for row in rows]
+                       for i, name in enumerate(TRIAL_FIELDS)}
+        return d
+
+    @classmethod
+    def from_dict(cls, d, n=None):
+        """Rebuild an outcome; ``n``, when given, is the length ``x_R``
+        must have."""
+        what = "restoration outcome"
+        check_fields(d, _OUTCOME_WRITTEN, what)
+        check_numbers(d, what, *number_fields(cls))
+        if d["status"] not in STATUSES:
+            raise SchemaError(f"unknown restoration status {d['status']!r}")
+        check_ledger(d["ledger_delta"], "restoration ledger")
+        kw = dict(d)
+        kw["x_R"] = np.asarray(number_list(d["x_R"], "x_R", n), dtype=float)
+        kw["y_R"] = _level(d["y_R"], "y_R")
+        kw["trials"] = _trial_rows(d["trials"])
+        kw["ledger_delta"] = dict(d["ledger_delta"])
+        return cls(**kw)
+
+
+_OUTCOME_WRITTEN = tuple(
+    name for name in RestorationOutcome.__dataclass_fields__ if name != "h_vec")
+
+
+def _trial_rows(columns):
+    """Transpose the trial table's columns back into one
+    ``(sigma, certificate)`` pair per descent test."""
+    check_fields(columns, TRIAL_FIELDS, "restoration trial columns")
+    for name in TRIAL_FIELDS:
+        number_list(columns[name], f"trial column {name}")
+    if len({len(columns[name]) for name in TRIAL_FIELDS}) > 1:
+        raise SchemaError("restoration trial columns differ in length")
+    return tuple(
+        (row[0], SolveCertificate(*row[1:]))
+        for row in zip(*(columns[name] for name in TRIAL_FIELDS))
+    )
+
+
+#: Fields of record k + 1 that repeat the hand-off of record k, each with
+#: the field it repeats: iteration k + 1 starts from the point, precision,
+#: values and weight that iteration k accepted.  A trace does not write
+#: them; :meth:`RunReport.from_dict` rebuilds them from the previous
+#: record, or from the run's ``start`` block for record 0.
+CHAIN = {
+    "x_k": "x_next",
+    "y_k": "y_R",
+    "f_xk_yk": "f_xnext_ynext",
+    "h_xk_yk": "h_xnext_ynext",
+    "theta_before": "theta_after",
+}
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    """Everything one outer iteration measured, decided, and spent.
+
+    Fields hold measured facts only; values that follow from them
+    (``x_R``, ``y_R`` and the violations of the restoration outcome, the
+    ``g_*`` precision measures and ``step_norm``) are read-only
+    properties.  The tangent phase works at the restored precision, so
+    the ``*_xnext_ynext`` values are measured at ``y_R``, the precision the
+    next iteration starts from.  ``tangent_cert`` is the certificate of
+    the accepted tangent solve.  The :data:`CHAIN` fields are
+    kept in memory but written once, by the record or start block they
+    repeat, and ``x_next`` is written only when it differs bitwise from
+    ``x_R`` (a tangent step that snapped to zero repeats it).
+    """
+
+    k: int
+    x_k: np.ndarray
+    x_next: np.ndarray
+    y_k: PrecisionLevel
+    theta_before: float
+    theta_after: float
+    mu_k: float
+    ell_count: int
+    h_xk_yk: float
+    h_xnext_ynext: float
+    f_xk_yk: float
+    f_xk_yR: float
+    f_xR_yR: float
+    f_xnext_ynext: float
+    stationarity_residual: float
+    resta: RestorationOutcome
+    tangent_cert: SolveCertificate
+    oracle_f_error: float | None
+    oracle_h_error: float | None
+    ledger_delta: dict
+
+    @property
+    def x_R(self):
+        return self.resta.x_R
+
+    @property
+    def y_R(self):
+        return self.resta.y_R
+
+    @property
+    def h_xk_yR(self):
+        return self.resta.h_xk_yR
+
+    @property
+    def h_xR_yR(self):
+        return self.resta.h_xR_yR
+
+    @property
+    def g_yk(self):
+        return self.y_k.g
+
+    @property
+    def g_yR(self):
+        return self.y_R.g
+
+    @property
+    def step_norm(self):
+        return self.tangent_cert.step_norm
+
+    def to_dict(self):
+        # a zero step writes no x_next: from_dict reads it as x_R
+        moved = self.x_next.tobytes() != self.x_R.tobytes()
+        return {name: _written(getattr(self, name))
+                for name in (_RECORD_WRITTEN if moved else _WRITTEN_AT_X_R)}
+
+    @classmethod
+    def from_dict(cls, d, chain):
+        """Rebuild a record from its written fields and the :data:`CHAIN`
+        fields ``chain`` handed to it."""
+        what = "iteration record"
+        if not isinstance(d, dict):
+            raise SchemaError(f"{what} must be a JSON object")
+        check_fields(d, _RECORD_WRITTEN if "x_next" in d else _WRITTEN_AT_X_R,
+                     what)
+        names, optional, counts = number_fields(cls)
+        check_numbers(d, what, [n for n in names if n in _RECORD_WRITTEN],
+                      optional, counts)
+        cert = d["tangent_cert"]
+        check_fields(cert, SolveCertificate.__dataclass_fields__,
+                     "tangent_cert")
+        check_numbers(cert, "tangent_cert")
+        check_ledger(d["ledger_delta"], "ledger_delta")
+        kw = dict(d, **chain, tangent_cert=SolveCertificate(**cert))
+        n = len(chain["x_k"])
+        kw["resta"] = RestorationOutcome.from_dict(d["resta"], n)
+        kw["x_next"] = (np.asarray(number_list(d["x_next"], "x_next", n),
+                                   dtype=float)
+                        if "x_next" in d else kw["resta"].x_R)
+        # a call that found possible infeasibility ends the run unrecorded
+        if kw["resta"].status != "restored":
+            raise SchemaError("an iteration record cannot hold restoration"
+                              f" status {kw['resta'].status!r}")
+        return cls(**kw)
+
+
+_RECORD_WRITTEN = tuple(name for name in IterationRecord.__dataclass_fields__
+                        if name not in CHAIN)
+# the fields of a record whose tangent step stayed at x_R
+_WRITTEN_AT_X_R = tuple(name for name in _RECORD_WRITTEN if name != "x_next")
+
+
+@dataclass
+class RunReport:
+    """Complete, replayable account of one solver run.
+
+    ``start`` holds the point, precision, objective value and violation
+    norm measured before the first iteration; the final point is chosen
+    from the records by the status.  ``failure_info`` is ``None`` unless
+    the status is ``RestorationFailure``; then it holds the failure
+    ``kind``, the ``iteration`` it happened in and the
+    :class:`RestorationOutcome` of that iteration's call as ``resta``.
+    """
+
+    status: str
+    problem_name: str
+    records: list
+    failure_info: dict | None
+    start: dict
+    params: AlgorithmParams
+    tolerances: dict
+    constants_basis: dict
+    ledger_totals: dict
+    budget: int
+    trace_version: int = TRACE_VERSION
+
+    @property
+    def iterations(self):
+        return len(self.records)
+
+    def _final(self):
+        if (self.failure_info is not None
+                and self.failure_info["kind"] == "possible_infeasibility"):
+            out = self.failure_info["resta"]
+            return out.x_R, out.y_R
+        if not self.records:
+            return self.start["x"], self.start["y"]
+        last = self.records[-1]
+        if self.status == "Converged":
+            return last.x_R, last.y_R
+        # out of budget, or a restoration outcome failed its tests: the
+        # run stops at the point the last iteration accepted
+        return last.x_next, last.y_R
+
+    @property
+    def final_x(self):
+        return self._final()[0]
+
+    @property
+    def final_y(self):
+        """The final :class:`~bira.core.PrecisionLevel`."""
+        return self._final()[1]
+
+    def to_dict(self):
+        return {name: _written(getattr(self, name))
+                for name in self.__dataclass_fields__}
+
+    @classmethod
+    def from_dict(cls, d):
+        # the version decides the schema, so it is read before the fields
+        if not isinstance(d, dict):
+            raise SchemaError("trace must be a JSON object")
+        version = d.get("trace_version")
+        if version != TRACE_VERSION:
+            raise SchemaError(f"trace version {version!r} not supported")
+        check_fields(d, cls.__dataclass_fields__, "trace")
+        basis = d["constants_basis"]
+        check_fields(basis, ("problem_constants", "extras"),
+                     "constants basis")
+        check_fields(basis["problem_constants"],
+                     ProblemConstants.__dataclass_fields__, "problem constants")
+        check_numbers(basis["problem_constants"], "problem constants",
+                      *number_fields(ProblemConstants))
+        check_numbers(basis["extras"], "extras")
+        check_fields(d["params"], AlgorithmParams.__dataclass_fields__,
+                     "params")
+        check_numbers(d["params"], "params")
+        check_count(d["budget"], "budget")
+        check_fields(d["tolerances"], ("eps_feas", "eps_prec", "eps_opt"),
+                     "tolerances")
+        check_numbers(d["tolerances"], "tolerances")
+        if not all(tol > 0.0 for tol in d["tolerances"].values()):
+            raise SchemaError("tolerances must be positive")
+        check_ledger(d["ledger_totals"], "ledger totals")
+        status = d["status"]
+        if status not in ("Converged", "BudgetExceeded", "RestorationFailure"):
+            raise SchemaError(f"unknown status {status!r}")
+        failure = d["failure_info"]
+        if (failure is None) == (status == "RestorationFailure"):
+            raise SchemaError("failure info must be written exactly when the"
+                              " status is RestorationFailure")
+        start = d["start"]
+        check_fields(start, ("x", "y", "f", "h"), "start")
+        check_numbers(start, "start", ("f", "h"))
+        # every point of the run has the start point's length
+        n = len(number_list(start["x"], "start x"))
+        kw = dict(d)
+        if failure is not None:
+            check_fields(failure, ("kind", "iteration", "resta"),
+                         "failure info")
+            # the resta status and the two kinds of restoration_failure
+            if failure["kind"] not in ("possible_infeasibility",
+                                       "insufficient_contraction",
+                                       "precision_outpaced_feasibility"):
+                raise SchemaError(
+                    f"unknown failure kind {failure['kind']!r}")
+            check_count(failure["iteration"], "failure iteration")
+            out = RestorationOutcome.from_dict(failure["resta"], n)
+            if ((out.status == "possible_infeasibility")
+                    != (failure["kind"] == "possible_infeasibility")):
+                raise SchemaError(
+                    f"failure kind {failure['kind']!r} does not match"
+                    f" restoration status {out.status!r}")
+            kw["failure_info"] = {**failure, "resta": out}
+        if not isinstance(d["records"], list):
+            raise SchemaError("trace records must be a JSON list")
+        kw["start"] = {
+            "x": np.asarray(start["x"], dtype=float),
+            "y": _level(start["y"], "start y"),
+            "f": start["f"], "h": start["h"],
+        }
+        kw["params"] = AlgorithmParams.from_dict(d["params"])
+        chain = {"x_k": kw["start"]["x"], "y_k": kw["start"]["y"],
+                 "f_xk_yk": start["f"], "h_xk_yk": start["h"],
+                 "theta_before": float(kw["params"].theta_0)}
+        kw["records"] = []
+        for i, rec in enumerate(d["records"]):
+            rec = IterationRecord.from_dict(rec, chain)
+            if rec.k != i:
+                raise SchemaError(f"record {i} is labelled k = {rec.k!r}")
+            kw["records"].append(rec)
+            chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
+        kw["tolerances"] = dict(d["tolerances"])
+        kw["ledger_totals"] = dict(d["ledger_totals"])
+        return cls(**kw)
+
+
+def trace_bytes(report):
+    """The JSON trace of ``report``: the bytes ``bira run --out`` writes,
+    the same for the same run."""
+    return (json.dumps(report.to_dict(), sort_keys=True, indent=2)
+            + "\n").encode("utf-8")
+
+
+def read_trace(path):
+    """Load the :class:`RunReport` of the JSON trace at ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return RunReport.from_dict(json.load(fh))

@@ -86,7 +86,7 @@ def test_criterion_02_infeasibility_detected(infeasible_run):
     report = infeasible_run
     assert report.status == "RestorationFailure"
     assert report.failure_info["iteration"] <= INFEAS_BUDGET
-    assert report.failure_info["resta"]["status"] == "possible_infeasibility"
+    assert report.failure_info["resta"].status == "possible_infeasibility"
 
 
 def test_criterion_03_penalty_invariants(feasible_runs):
@@ -112,12 +112,12 @@ def test_criterion_04_regularization_caps(feasible_runs, infeasible_run):
     violations = 0
     for name, (report, tc) in feasible_runs.items():
         for rec in report.records:
-            if any(t["sigma"] > tc.sigma_cap for t in rec.resta.trials):
+            if any(sigma > tc.sigma_cap for sigma, _ in rec.resta.trials):
                 violations += 1
             if rec.mu_k > tc.mu_cap:
                 violations += 1
     p3_tc = constants(make_p3().constants(), AlgorithmParams.defaults())
-    for s in infeasible_run.failure_info["resta"]["trials"]["sigma"]:
+    for s, _ in infeasible_run.failure_info["resta"].trials:
         if s > p3_tc.sigma_cap:
             violations += 1
     assert violations == 0

@@ -26,13 +26,8 @@ from bira.oracle import (
     make_p4,
     make_suite,
 )
-from bira.restoration import RestorationOutcome
-from bira.solver import (
-    RunReport,
-    bira_run,
-    restoration_failure,
-    update_penalty,
-)
+from bira.solver import bira_run, restoration_failure, update_penalty
+from bira.trace import RestorationOutcome, RunReport
 
 
 def test_penalty_moves_to_the_largest_workable_weight():
@@ -107,7 +102,7 @@ def test_start_at_the_solution_converges_in_one_cheap_iteration():
     assert rep.ledger_totals == {
         "f_evals": 1, "gradf_evals": 1, "h_evals": 1, "gradh_evals": 1,
     }
-    assert rep.final_y == (0.0, 0.0)
+    assert rep.final_y == PrecisionLevel(0.0, 0.0)
 
 
 def test_p1_converges_and_the_audit_agrees():
@@ -218,10 +213,10 @@ def test_p2_converges_when_restoration_outpaces_r(M, sigma_min):
             rho = min(rho, params.r**2)
         else:
             assert rec.resta.stages == 0
-        y_R = (rho * rec.y_k[0], rho * rec.y_k[1])
+        y_R = (rho * rec.y_k.gf, rho * rec.y_k.gh)
         for _ in range(rec.resta.stages):
             y_R = (params.r**2 * y_R[0], params.r**2 * y_R[1])
-        assert rec.y_R == y_R
+        assert rec.y_R == PrecisionLevel(*y_R)
 
 
 def _params(**kw):
@@ -260,7 +255,7 @@ def test_a_zero_z_step_is_a_stall():
     assert rep.status == "RestorationFailure"
     assert rep.failure_info["kind"] == "possible_infeasibility"
     assert rep.failure_info["iteration"] == 47
-    assert len(rep.failure_info["resta"]["trials"]["sigma"]) < 100
+    assert rep.failure_info["resta"].inner_desc_tests < 100
     assert audit(rep).ok
 
 
@@ -372,11 +367,10 @@ def test_no_z_step_takes_more_than_the_certified_trials():
                                params).sigma_trials_per_step)
         calls = [rec.resta for rec in rep.records]
         if rep.failure_info is not None:
-            calls.append(RestorationOutcome.from_dict(
-                rep.failure_info["resta"]))
+            calls.append(rep.failure_info["resta"])
         for out in calls:
             trials = []
-            for sigma in (t["sigma"] for t in out.trials):
+            for sigma, _ in out.trials:
                 if sigma == params.sigma_min:
                     trials.append(0)
                 trials[-1] += 1
@@ -418,9 +412,9 @@ def test_infeasible_problem_reports_the_restoration_verdict():
     assert rep.records == []
     assert rep.failure_info["kind"] == "possible_infeasibility"
     assert rep.failure_info["iteration"] == 0
-    assert rep.failure_info["resta"]["status"] == "possible_infeasibility"
+    assert rep.failure_info["resta"].status == "possible_infeasibility"
     np.testing.assert_allclose(
-        rep.final_x, rep.failure_info["resta"]["x_R"], atol=0)
+        rep.final_x, rep.failure_info["resta"].x_R, atol=0)
 
 
 def test_trace_round_trip_and_version_guard():
@@ -473,7 +467,7 @@ def test_restoration_certificates_are_stored_as_columns():
 
 def test_failure_report_round_trips_byte_identical():
     rep = bira_run(make_p3(), budget=50)
-    assert rep.failure_info["resta"]["trials"]["step_norm"]
+    assert rep.failure_info["resta"].trials
     text = json.dumps(rep.to_dict())
     back = RunReport.from_dict(json.loads(text))
     assert json.dumps(back.to_dict()) == text
@@ -503,7 +497,7 @@ def test_a_run_without_records_keeps_its_start():
                           "y": list(make_p4().y0.as_tuple()),
                           "f": rep.start["f"], "h": rep.start["h"]}
     assert rep.final_x.tolist() == d["start"]["x"]
-    assert rep.final_y == tuple(d["start"]["y"])
+    assert rep.final_y == PrecisionLevel(*d["start"]["y"])
     assert rep.ledger_totals == {
         "f_evals": 1, "gradf_evals": 0, "h_evals": 1, "gradh_evals": 0}
     assert audit(rep).ok
@@ -548,10 +542,10 @@ def test_derived_record_fields_match_the_solver():
     for rec, got in zip(rep.records, back.records):
         y_R = rec.resta.y_R
         assert rec.x_R is rec.resta.x_R
-        assert rec.y_R == rec.resta.y_R.as_tuple()
+        assert rec.y_R is rec.resta.y_R
         assert (rec.h_xk_yR, rec.h_xR_yR) == (rec.resta.h_xk_yR,
                                               rec.resta.h_xR_yR)
-        assert rec.g_yk == PrecisionLevel(*rec.y_k).g
+        assert rec.g_yk == max(rec.y_k.gf, rec.y_k.gh)
         assert rec.g_yR == rec.resta.y_R.g
         # deterministic oracles: re-measuring reproduces the solver's
         # values, and the tangent phase measured at the restored precision

@@ -233,6 +233,8 @@ def _resta(trace, k):
         tangent_violation=0.0),
     # one trial's sigma dropped
     lambda trace: _resta(trace, 1)["trials"]["sigma"].pop(),
+    lambda trace: trace["start"].update(y=[-0.5, 0.5]),
+    lambda trace: _resta(trace, 1).update(y_R=[0.1, float("nan")]),
 ], ids=["record_is_a_number", "tangent_cert_missing_step_norm",
         "y_R_of_three_entries", "start_y_of_one_entry", "x_R_of_one_entry",
         "start_x_of_one_entry", "record_1_labelled_7", "negative_budget",
@@ -241,7 +243,8 @@ def _resta(trace, k):
         "resta_status_trivial", "resta_with_inner_desc_tests",
         "resta_with_sigma_history", "resta_with_certificates",
         "trials_with_kappa_ratio", "tangent_cert_with_kappa_ratio",
-        "tangent_cert_with_tangent_violation", "trials_missing_a_sigma"])
+        "tangent_cert_with_tangent_violation", "trials_missing_a_sigma",
+        "negative_start_y", "y_R_is_nan"])
 def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit):
     payload = json.loads(p1_trace)
     edit(payload)

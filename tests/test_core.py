@@ -68,8 +68,7 @@ def test_merit_phi_is_the_weighted_sum():
         merit_phi(1.0, -1.0, 0.0, 0.5)
 
 
-def test_constraint_ssq_and_infeasibility():
-    # the name is historical: core.infeasibility is gone, the ssq remains
+def test_constraint_ssq():
     h = np.array([3.0, 4.0])
     assert constraint_ssq(h) == pytest.approx(12.5)
 

@@ -21,7 +21,8 @@ from bira.diagnostics import (
     restoration_inner_cap,
 )
 from bira.oracle import make_p4, problem_by_name
-from bira.solver import RunReport, bira_run
+from bira.solver import bira_run
+from bira.trace import RunReport
 
 
 def _pc(**kw):
@@ -174,15 +175,9 @@ def _fresh_report():
     return bira_run(make_p4())
 
 
-def _tc_of(report):
-    basis = report.constants_basis
-    pc = ProblemConstants.from_dict(basis["problem_constants"])
-    return constants(pc, report.params, extras=basis["extras"])
-
-
 def test_audit_passes_on_clean_run():
     rep = _fresh_report()
-    res = audit(rep, tc=_tc_of(rep))
+    res = audit(rep)
     assert res.ok
     assert res.failures == []
     assert any("PASS" in line for line in res.lines())
@@ -193,13 +188,12 @@ def test_audit_catches_tampered_penalty():
     d = rep.to_dict()
     d["records"][0]["theta_after"] = 0.6
     bad = RunReport.from_dict(d)
-    res = audit(bad, tc=_tc_of(bad))
+    res = audit(bad)
     assert not res.ok
     assert "theta_monotone" in [c.name for c in res.failures]
 
 
-def test_audit_catches_tampered_sigma_history():
-    # the name is historical: the sigmas are now the trials table's column
+def test_audit_catches_a_trial_sigma_past_the_cap():
     rep = _fresh_report()
     d = rep.to_dict()
     # p4's call took no trial: claim one at sigma = 1e12
@@ -207,7 +201,7 @@ def test_audit_catches_tampered_sigma_history():
     for name, column in trials.items():
         column.append(1e12 if name == "sigma" else 0.0)
     bad = RunReport.from_dict(d)
-    res = audit(bad, tc=_tc_of(bad))
+    res = audit(bad)
     assert "sigma_cap" in [c.name for c in res.failures]
 
 
@@ -224,7 +218,7 @@ def test_audit_catches_descent_tests_past_the_cap():
                       * (FALLBACK_INNER_CAP + 1))
     bad = RunReport.from_dict(d)
     assert bad.records[0].resta.inner_desc_tests == FALLBACK_INNER_CAP + 1
-    failed = {c.name: c.detail for c in audit(bad, tc=_tc_of(bad)).failures}
+    failed = {c.name: c.detail for c in audit(bad).failures}
     assert failed["restoration_inner_caps"].startswith("iteration 0:")
 
 
@@ -233,7 +227,7 @@ def test_audit_skips_bound_checks_on_estimated_constants():
     d = rep.to_dict()
     d["constants_basis"]["problem_constants"]["provenance"] = "estimated"
     est = RunReport.from_dict(d)
-    res = audit(est, tc=_tc_of(est))
+    res = audit(est)
     assert res.ok
     by_name = {c.name: c.status for c in res.checks}
     assert by_name["sigma_cap"] == "skipped"
@@ -415,7 +409,9 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
     node = d
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value(d, _tc_of(rep))
+    p1 = problem_by_name("p1")
+    node[path[-1]] = value(d, constants(p1.constants(), rep.params,
+                                        extras=p1.extras()))
     bad = RunReport.from_dict(d)
     failed = {c.name: c.detail for c in audit(bad).failures}
     assert check in failed
@@ -494,8 +490,7 @@ def test_a_restored_call_relabelled_trivial_is_caught(suite_runs):
         RunReport.from_dict(d)
 
 
-def test_a_trivial_call_passes_the_refinement_check(suite_runs):
-    # the name is historical: "trivial" is no longer a status
+def test_an_unmeasured_call_passes_the_refinement_check(suite_runs):
     # p4 starts feasible at exact precision: its one call returns its
     # input, restored, with no evaluation, and refined 0 to 0
     rep = suite_runs["p4"]

@@ -17,12 +17,12 @@ from bira.oracle import (
     problem_by_name,
 )
 from bira.diagnostics import restoration_stage_cap
-from bira.restoration import RestorationOutcome, resta
+from bira.restoration import resta
 from bira.solver import bira_run, restoration_failure
+from bira.trace import RestorationOutcome
 
 
-def test_trivial_when_already_feasible_and_exact():
-    # the name is historical: "trivial" is no longer a status
+def test_a_feasible_exact_start_is_restored_unmeasured():
     # at ||h|| + g = 0 the refinement returns the level it was given and r
     # is met before any z-step: the call returns its input, restored, and
     # evaluates nothing
@@ -44,7 +44,7 @@ def test_trivial_when_already_feasible_and_exact():
 
 
 def _sigmas(out):
-    return tuple(t["sigma"] for t in out.trials)
+    return tuple(sigma for sigma, _ in out.trials)
 
 
 def test_p1_z_steps_follow_the_closed_form_contraction():
@@ -68,9 +68,9 @@ def test_p1_z_steps_follow_the_closed_form_contraction():
     assert expected_steps == 6
     assert out.z_steps == expected_steps
     assert out.inner_desc_tests == expected_steps
-    assert all(t["sigma"] == params.sigma_min for t in out.trials)
+    assert _sigmas(out) == (params.sigma_min,) * expected_steps
 
-    steps = [t["step_norm"] for t in out.trials]
+    steps = [cert.step_norm for _, cert in out.trials]
     ratios = np.array(steps[1:]) / np.array(steps[:-1])
     np.testing.assert_allclose(ratios, factor, atol=1e-6)
 
@@ -238,7 +238,6 @@ def _p3_like_with_coarse_start():
         constraint_jac=lambda x: np.array([[2.0 * x[0], 0.0]]),
         m=1, x0=np.array([0.8, 0.3]), y0=PrecisionLevel(0.3, 0.3),
         problem_constants=make_p3().constants(),
-        infeasible=True,
     )
 
 
