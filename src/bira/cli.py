@@ -22,18 +22,18 @@ Subcommands:
     Sweep the optimality tolerance, record evaluation counts to CSV,
     and print the fitted log-log slope of work against 1/tolerance.
 
-Config files are flat JSON whose keys are the algorithm parameter names
-plus ``problem``, ``eps_feas``, ``eps_prec``, ``eps_opt``, ``budget``,
-``out``, ``jobs``, and ``eps_opt_grid``.  Unknown keys are rejected.
-Command line flags override config values.  All output files are
-deterministic: same inputs, same bytes.
+A ``--config`` file is a flat JSON object of algorithm parameters: its
+keys are the field names of :class:`~bira.core.AlgorithmParams`, and any
+other key is rejected.  Run settings (problem, tolerances, budget, output
+path, workers, tolerance grid) are flags only.  A usage error, from the
+flags or the config, exits 1.  All output files are deterministic: same
+inputs, same bytes.
 """
 
 import argparse
 import csv
 import json
 import sys
-from dataclasses import fields as dataclass_fields
 
 from .core import (
     AlgorithmParams,
@@ -43,7 +43,7 @@ from .core import (
     InvariantError,
     SchemaError,
 )
-from .diagnostics import audit, complexity_fit
+from .diagnostics import audit, complexity_fit, tolerance_grid
 # not called here: bench/run.py's traced run patches it by this name
 from .diagnostics import constants as derived_constants  # noqa: F401
 from .oracle import make_suite, problem_by_name
@@ -70,64 +70,38 @@ EXPECTED_SUITE = {
     "p4": "Converged",
 }
 
-_PARAM_KEYS = tuple(f.name for f in dataclass_fields(AlgorithmParams))
-_RUN_KEYS = ("problem", "eps_feas", "eps_prec", "eps_opt", "budget", "out",
-             "jobs", "eps_opt_grid")
-CONFIG_KEYS = frozenset(_PARAM_KEYS) | frozenset(_RUN_KEYS)
-
 CSV_HEADER = ("eps_opt", "f_evals", "gradf_evals", "h_evals", "gradh_evals",
               "iterations", "status")
 
+# the flags of run and suite that bira_run takes; an absent one keeps
+# bira_run's default
+_RUN_FLAGS = ("eps_feas", "eps_prec", "eps_opt", "budget")
 
-def load_config(path):
+
+def load_params(path):
+    """The algorithm parameters of a ``--config`` file, the defaults for
+    none."""
+    if path is None:
+        return AlgorithmParams.defaults()
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    for key in raw:
-        if key not in CONFIG_KEYS:
-            raise ConfigurationError(f"unknown config key: {key!r}")
-    return raw
+    return AlgorithmParams.from_dict(raw)
 
 
-def split_config(cfg):
-    """Partition a flat config into algorithm params and run settings."""
-    param_part = {k: v for k, v in cfg.items() if k in _PARAM_KEYS}
-    run_part = {k: v for k, v in cfg.items() if k in _RUN_KEYS}
-    params = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(), **param_part,
-    })
-    return params, run_part
-
-
-def _run_settings(args, run_part):
-    def pick(name, default):
-        val = getattr(args, name, None)
-        if val is not None:
-            return val
-        return run_part.get(name, default)
-
-    return {
-        "eps_feas": float(pick("eps_feas", 1e-6)),
-        "eps_prec": float(pick("eps_prec", 1e-6)),
-        "eps_opt": float(pick("eps_opt", 1e-4)),
-        "budget": int(pick("budget", 500)),
-    }
+def _given_flags(args):
+    return {name: getattr(args, name) for name in _RUN_FLAGS
+            if getattr(args, name) is not None}
 
 
 def cmd_run(args):
-    cfg = load_config(args.config) if args.config else {}
-    params, run_part = split_config(cfg)
-    name = args.problem or run_part.get("problem")
-    if not name:
-        raise ConfigurationError("no problem named (flag or config)")
-    settings = _run_settings(args, run_part)
-    problem = problem_by_name(name, params)
-    report = bira_run(problem, params, **settings)
+    params = load_params(args.config)
+    problem = problem_by_name(args.problem, params)
+    report = bira_run(problem, params, **_given_flags(args))
 
-    out_path = args.out or run_part.get("out")
-    if out_path:
-        with open(out_path, "wb") as fh:
+    if args.out:
+        with open(args.out, "wb") as fh:
             fh.write(trace_bytes(report))
     print(f"{report.problem_name}: {report.status} after "
           f"{report.iterations} iteration(s)")
@@ -150,9 +124,8 @@ def cmd_audit(args):
 
 
 def cmd_suite(args):
-    cfg = load_config(args.config) if args.config else {}
-    params, run_part = split_config(cfg)
-    settings = _run_settings(args, run_part)
+    params = load_params(args.config)
+    settings = _given_flags(args)
     bad = 0
     for problem in make_suite(params):
         report = bira_run(problem, params, **settings)
@@ -175,8 +148,7 @@ def cmd_suite(args):
 
 
 def _sweep_one(task):
-    name, params_dict, eps_opt, budget = task
-    params = AlgorithmParams.from_dict(params_dict)
+    name, params, eps_opt, budget = task
     problem = problem_by_name(name, params)
     try:
         report = bira_run(problem, params, eps_feas=1e-3, eps_prec=1e-3,
@@ -200,36 +172,20 @@ def _sweep_one(task):
 
 
 def cmd_complexity(args):
-    cfg = load_config(args.config) if args.config else {}
-    params, run_part = split_config(cfg)
-    name = args.problem or run_part.get("problem") or "p1"
-    grid_raw = args.eps_opt_grid or run_part.get("eps_opt_grid")
-    if grid_raw is None:
-        grid = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
-    elif isinstance(grid_raw, str):
-        grid = [float(tok) for tok in grid_raw.split(",") if tok.strip()]
-    else:
-        grid = [float(v) for v in grid_raw]
-    if not grid or any(not v > 0.0 for v in grid):
-        raise ConfigurationError("eps_opt_grid must be positive values")
-    budget = int(args.budget if args.budget is not None
-                 else run_part.get("budget", 2000))
-    jobs = int(args.jobs if args.jobs is not None
-               else run_part.get("jobs", 1))
-
-    tasks = [(name, params.to_dict(), eps, budget) for eps in grid]
-    if jobs > 1:
+    params = load_params(args.config)
+    tasks = [(args.problem, params, eps, args.budget)
+             for eps in args.eps_opt_grid]
+    if args.jobs > 1:
         # imported here: it pulls in multiprocessing, which nothing else
         # needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(t) for t in tasks]
 
-    out_path = args.out or run_part.get("out") or "complexity.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         writer.writeheader()
         for row in rows:
@@ -240,28 +196,49 @@ def cmd_complexity(args):
     for row, w in zip(rows, work):
         print(f"eps_opt={row['eps_opt']}: {w} evaluations,"
               f" {row['iterations']} iteration(s), {row['status']}")
-    slope, _ = complexity_fit(grid, work)
+    slope, _ = complexity_fit(args.eps_opt_grid, work)
     print(f"fitted slope of log(work) against log(1/eps_opt): {slope:.3f}")
-    print(f"wrote {out_path}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
+def _tolerance_grid(text):
+    """The ``--eps-opt-grid`` flag: comma separated tolerances, refused
+    by :func:`~bira.diagnostics.tolerance_grid`'s rule before any solve."""
+    try:
+        grid = [float(tok) for tok in text.split(",")]
+        tolerance_grid(grid)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return grid
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the restoration-failure code here
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
+def _add_run_flags(parser):
+    parser.add_argument("--config", help="JSON object of algorithm parameters")
+    parser.add_argument("--eps-feas", dest="eps_feas", type=float)
+    parser.add_argument("--eps-prec", dest="eps_prec", type=float)
+    parser.add_argument("--eps-opt", dest="eps_opt", type=float)
+    parser.add_argument("--budget", type=int)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bira",
         description="inexact-restoration solver and run auditor",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="solve one problem")
-    p_run.add_argument("--problem",
+    p_run.add_argument("--problem", required=True,
                        help="problem name (p1..p4; p1_pdp is p1 renamed)")
-    p_run.add_argument("--config", help="flat JSON config file")
     p_run.add_argument("--out", help="write a JSON trace here")
-    p_run.add_argument("--eps-feas", dest="eps_feas", type=float)
-    p_run.add_argument("--eps-prec", dest="eps_prec", type=float)
-    p_run.add_argument("--eps-opt", dest="eps_opt", type=float)
-    p_run.add_argument("--budget", type=int)
+    _add_run_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_audit = sub.add_parser("audit", help="re-check a saved trace")
@@ -269,36 +246,34 @@ def build_parser():
     p_audit.set_defaults(func=cmd_audit)
 
     p_suite = sub.add_parser("suite", help="run the built-in collection")
-    p_suite.add_argument("--config", help="flat JSON config file")
-    p_suite.add_argument("--eps-feas", dest="eps_feas", type=float)
-    p_suite.add_argument("--eps-prec", dest="eps_prec", type=float)
-    p_suite.add_argument("--eps-opt", dest="eps_opt", type=float)
-    p_suite.add_argument("--budget", type=int)
+    _add_run_flags(p_suite)
     p_suite.set_defaults(func=cmd_suite)
 
     p_cx = sub.add_parser("complexity",
                           help="evaluation counts across tolerances")
-    p_cx.add_argument("--problem", help="problem name (default p1)")
-    p_cx.add_argument("--config", help="flat JSON config file")
-    p_cx.add_argument("--out", help="CSV output path")
+    p_cx.add_argument("--problem", default="p1",
+                      help="problem name (default %(default)s)")
+    p_cx.add_argument("--config", help="JSON object of algorithm parameters")
+    p_cx.add_argument("--out", default="complexity.csv",
+                      help="CSV output path (default %(default)s)")
     p_cx.add_argument("--eps-opt-grid", dest="eps_opt_grid",
-                      help="comma separated tolerances")
-    p_cx.add_argument("--budget", type=int)
-    p_cx.add_argument("--jobs", type=int, help="parallel workers")
+                      type=_tolerance_grid, default="1e-1,3e-2,1e-2,3e-3,1e-3",
+                      help="comma separated tolerances (default %(default)s)")
+    p_cx.add_argument("--budget", type=int, default=2000,
+                      help="iteration budget per run (default %(default)s)")
+    p_cx.add_argument("--jobs", type=int, default=1,
+                      help="parallel workers (default %(default)s)")
     p_cx.set_defaults(func=cmd_complexity)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigurationError, ContractError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, ContractError, SchemaError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AbnormalTermination, InvariantError) as exc:

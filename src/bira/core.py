@@ -241,6 +241,12 @@ def constraint_ssq(h_vec):
     return 0.5 * float(np.dot(h, h))
 
 
+def is_number(val):
+    """Whether ``val`` is an int or a float; JSON true and false load as
+    bool, which Python counts as an int, so a bool is not a number."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 _PARAM_POSITIVE = (
     "alpha_R",
     "alpha",
@@ -281,6 +287,11 @@ class AlgorithmParams:
     N_prec: int = 2
 
     def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if not is_number(val):
+                raise ConfigurationError(f"parameter {f.name} must be a"
+                                         f" number, got {type(val).__name__}")
         for name in _PARAM_POSITIVE:
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"parameter {name} must be positive")

@@ -635,19 +635,32 @@ def audit(report):
                              for name, gate, rows in table))
 
 
+def tolerance_grid(eps_values):
+    """The tolerances of a :func:`complexity_fit` as an array.
+
+    :class:`InsufficientDataError` unless they are positive, finite and
+    hold at least three distinct values, so a sweep can be refused before
+    it runs.
+    """
+    eps = np.asarray(eps_values, dtype=float)
+    if not np.all(np.isfinite(eps) & (eps > 0.0)):
+        raise InsufficientDataError("tolerances must be positive and finite")
+    if np.unique(eps).size < 3:
+        raise InsufficientDataError("need at least three distinct tolerances")
+    return eps
+
+
 def complexity_fit(eps_values, work_counts):
     """Log-log slope of work against 1/eps.
 
-    Returns ``(slope, intercept)`` of ``log(work) ~ slope*log(1/eps) + b``.
-    Needs at least three distinct tolerance values.
+    Returns ``(slope, intercept)`` of ``log(work) ~ slope*log(1/eps) + b``,
+    over a :func:`tolerance_grid`.
     """
-    eps = np.asarray(eps_values, dtype=float)
+    eps = tolerance_grid(eps_values)
     work = np.asarray(work_counts, dtype=float)
     if eps.size != work.size:
         raise InsufficientDataError("tolerance and work arrays differ in length")
-    if np.unique(eps).size < 3:
-        raise InsufficientDataError("need at least three distinct tolerances")
-    if np.any(eps <= 0.0) or np.any(work <= 0.0):
-        raise InsufficientDataError("tolerances and work counts must be positive")
+    if np.any(work <= 0.0):
+        raise InsufficientDataError("work counts must be positive")
     slope, intercept = np.polyfit(np.log(1.0 / eps), np.log(work), 1)
     return float(slope), float(intercept)

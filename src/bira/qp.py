@@ -120,11 +120,15 @@ def _phi_ratio(cauchy_val, achieved_val):
     return cauchy_val / achieved_val
 
 
-def solve_restoration_qp(grad_c, G, sigma, z_center, box: BoxPolytope):
+def solve_restoration_qp(grad_c, G, sigma, z_center, box: BoxPolytope,
+                         cauchy_target):
     """Minimize the regularized Gauss-Newton model
     ``g.d + 0.5 d.(G^T G + 2 sigma I).d`` over the box.
 
-    ``G`` is the factor returned by :func:`build_B`.  Returns
+    ``G`` is the factor returned by :func:`build_B`, and ``cauchy_target``
+    is ``project_box(z_center - grad_c, box)``, the end of the projected
+    steepest-descent ray: it does not depend on sigma, so ``resta``
+    projects it once per z-step, for its stall test.  Returns
     ``(z_trial, certificate)``.
     """
     z_center = as_point(z_center, box.dim)
@@ -136,7 +140,7 @@ def solve_restoration_qp(grad_c, G, sigma, z_center, box: BoxPolytope):
 
     z, val, resid, step, phi = _solve(
         g0, G, 2.0 * sigma, z_center, box.lower, box.upper,
-        np.zeros((0, box.dim)), project, project(z_center - g0),
+        np.zeros((0, box.dim)), project, cauchy_target,
     )
     return z, SolveCertificate(val, resid, step, phi)
 

@@ -227,9 +227,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             if fresh:
                 J, G = problem.eval_grad_h(z, w), None
             grad_c = J.T @ h_z_vec
-            pg_resid = float(
-                np.linalg.norm(project_box(z - grad_c, box) - z)
-            )
+            ray_end = project_box(z - grad_c, box)
+            pg_resid = float(np.linalg.norm(ray_end - z))
             # a stall: the projected gradient is small, relative to h_ref
             # or, past r, to h(z), or the accepted z-step left z where it
             # was (a zero step passes the descent test without lowering h,
@@ -247,7 +246,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                              "desc_tests": len(table)},
                         )
                     z_trial, cert = solve_restoration_qp(grad_c, G, sigma, z,
-                                                         box)
+                                                         box, ray_end)
                     table.append((sigma, cert))
                     h_trial_vec = problem.eval_h(z_trial, w)
                     trials += 1

@@ -18,6 +18,7 @@ from .core import (
     PrecisionLevel,
     ProblemConstants,
     SchemaError,
+    is_number,
 )
 from .qp import SolveCertificate
 
@@ -47,7 +48,7 @@ def check_numbers(payload, what, names=None, optional=(), counts=()):
         val = payload[name]
         if name in counts:
             check_count(val, f"{what} field {name!r}")
-        elif not (_is_number(val) or (val is None and name in optional)):
+        elif not (is_number(val) or (val is None and name in optional)):
             raise SchemaError(f"{what} field {name!r} must be a number,"
                               f" got {type(val).__name__}")
 
@@ -73,7 +74,7 @@ def number_fields(cls):
 def number_list(values, what, length=None):
     """Return ``values`` unchanged; :class:`SchemaError` unless it is a
     JSON list of numbers, with ``length`` entries when that is given."""
-    if not (isinstance(values, list) and all(map(_is_number, values))):
+    if not (isinstance(values, list) and all(map(is_number, values))):
         raise SchemaError(f"{what} must be a list of numbers")
     if length is not None and len(values) != length:
         raise SchemaError(f"{what} must have {length} entries,"
@@ -86,11 +87,6 @@ def check_count(val, what):
     if not (type(val) is int and val >= 0):
         raise SchemaError(f"{what} must be a nonnegative integer,"
                           f" got {val!r}")
-
-
-def _is_number(val):
-    # JSON true and false load as bool, which Python counts as an int
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _level(values, what):

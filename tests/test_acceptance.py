@@ -236,7 +236,8 @@ def test_criterion_10_qp_layer_matches_dense_grids():
         center = box.clip(rng.uniform(-0.5, 0.5, 2))
         grad = 2.0 * rng.standard_normal(2)
 
-        z, cert = solve_restoration_qp(grad, g_mat, sigma, center, box)
+        z, cert = solve_restoration_qp(grad, g_mat, sigma, center, box,
+                                       project_box(center - grad, box))
         # the comparisons of the audit's restoration_solve_accuracy
         assert (cert.stationarity_residual
                 <= DEFAULT_KAPPAS["kappa_R"] * cert.step_norm + CERT_FLOOR)

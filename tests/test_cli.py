@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import bira.cli
 import bira.oracle
 import bira.solver
 from bira.cli import CSV_HEADER, main
@@ -48,13 +49,52 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cfg", [{"N_acce": 2}, {"beta_PDP": 8},
-                                 {"sigma_max": 40}, {"beta_c": 1.0}],
-                         ids=["N_acce", "beta_PDP", "sigma_max", "beta_c"])
+                                 {"sigma_max": 40}, {"beta_c": 1.0},
+                                 # run settings are flags only
+                                 {"eps_opt": 1e-3}, {"problem": "p1"}],
+                         ids=["N_acce", "beta_PDP", "sigma_max", "beta_c",
+                              "eps_opt", "problem"])
 def test_a_deleted_parameter_is_a_usage_error(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--problem", "p1", "--config", str(path)]) == 1
     assert next(iter(cfg)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"N_prec": True}, {"r": "0.5"}, {"theta_0": None},
+], ids=["N_prec_is_a_bool", "r_is_a_string", "theta_0_is_null"])
+def test_a_parameter_that_is_not_a_number_is_a_usage_error(tmp_path, capsys,
+                                                           cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--problem", "p1", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert next(iter(cfg)) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "p1", "--budget", "abc"], ["run", "--bogus"],
+    ["run"], [], ["complexity", "--jobs", "two"],
+], ids=["budget_abc", "unknown_flag", "run_without_problem", "no_command",
+        "jobs_two"])
+def test_argparse_usage_errors_exit_1(monkeypatch, capsys, argv):
+    # argparse's own exit code, 2, is the restoration-failure code
+    monkeypatch.setattr(bira.cli, "bira_run", _no_solve)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: bira")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: bira" in capsys.readouterr().out
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a usage error must end the command before a solve")
 
 
 def test_no_precision_refinement_is_a_usage_error(tmp_path, capsys):
@@ -327,6 +367,31 @@ def test_complexity_sweep_writes_the_csv(tmp_path, capsys):
     for line in lines[1:]:
         assert line.endswith("Converged")
     assert "fitted slope" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("grid", ["1e-1,abc", "1e-1,3e-2,3e-2",
+                                  "1e-1,3e-2,-1e-2", "1e-1,3e-2,nan"],
+                         ids=["not_a_number", "two_distinct", "negative",
+                              "nan"])
+def test_complexity_refuses_a_bad_grid_before_any_solve(
+        tmp_path, monkeypatch, capsys, grid):
+    monkeypatch.setattr(bira.cli, "bira_run", _no_solve)
+    out = tmp_path / "cx.csv"
+    assert main(["complexity", "--out", str(out),
+                 "--eps-opt-grid", grid]) == 1
+    assert "--eps-opt-grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_complexity_csv_is_the_same_from_a_process_pool(tmp_path):
+    csvs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"cx{jobs}.csv"
+        assert main(["complexity", "--problem", "p1", "--out", str(out),
+                     "--eps-opt-grid", "1e-1,3e-2,1e-2",
+                     "--jobs", jobs]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -101,6 +101,10 @@ def test_params_validation():
         ("N_prec", -1),
         ("N_prec", 0),
         ("alpha", 0.0),
+        # not numbers; a bool is refused too, as the audit's schema does
+        ("N_prec", True),
+        ("r", "0.5"),
+        ("theta_0", None),
     ]:
         cfg = dict(base)
         cfg[key] = bad

@@ -20,6 +20,12 @@ def _assert_restoration_targets_met(cert):
     assert cert.kappa_phi_ratio <= DEFAULT_KAPPAS["kappa_phi"]
 
 
+def _restoration(grad, G, sigma, center, box):
+    # the restoration solve at the ray end resta hands it
+    return solve_restoration_qp(grad, G, sigma, center, box,
+                                project_box(center - grad, box))
+
+
 def _tangent(grad, G, mu, center, region):
     # the tangent solve at the Cauchy target bira_run hands it
     return solve_tangent_qp(grad, G, mu, center, region,
@@ -49,7 +55,7 @@ def test_build_B_scales_to_norm_cap():
 
 def test_restoration_qp_closed_form_1d():
     box = BoxPolytope(np.array([-10.0]), np.array([10.0]))
-    z, cert = solve_restoration_qp(
+    z, cert = _restoration(
         np.array([1.0]), np.array([[0.0]]), 0.5, np.array([0.0]), box,
     )
     # min of s + 0.5*(2*sigma)*s^2 is at s = -1/(2*sigma)
@@ -60,7 +66,7 @@ def test_restoration_qp_closed_form_1d():
 
 def test_restoration_qp_respects_box():
     box = BoxPolytope(np.array([-0.3]), np.array([10.0]))
-    z, cert = solve_restoration_qp(
+    z, cert = _restoration(
         np.array([1.0]), np.array([[0.0]]), 0.5, np.array([0.0]), box,
     )
     np.testing.assert_allclose(z, [-0.3], atol=1e-12)
@@ -126,7 +132,7 @@ def test_restoration_certificates_recompute_exactly_seeded():
         B = G.T @ G
         sigma = float(rng.uniform(0.2, 4.0))
         center = box.clip(rng.uniform(lo, hi))
-        z, cert = solve_restoration_qp(g, G, sigma, center, box)
+        z, cert = _restoration(g, G, sigma, center, box)
         s = z - center
         Q = B + 2.0 * sigma * np.eye(n)
         md = float(g @ s + 0.5 * s @ Q @ s)
@@ -220,7 +226,7 @@ def test_restoration_qp_matches_exhaustive_kkt_reference():
             sigma = float(rng.uniform(0.1, 2.0))
             center = rng.uniform(lo, hi)
             g = 4.0 * rng.standard_normal(n)
-            z, cert = solve_restoration_qp(g, G, sigma, center, box)
+            z, cert = _restoration(g, G, sigma, center, box)
             Q = G.T @ G + 2.0 * sigma * np.eye(n)
             ref = _box_qp_by_enumeration(g, Q, center, lo, hi)
             np.testing.assert_allclose(z, ref, rtol=0, atol=1e-12)
