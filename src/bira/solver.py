@@ -42,6 +42,8 @@ one fails a trial or stalls.  The per-iteration ledger deltas in the
 records are the proof.
 """
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -192,7 +194,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     infeasibility (or a restoration outcome failing its contraction
     tests); ``BudgetExceeded`` reports running out of iterations.
 
-    A non-positive tolerance or a negative budget raises
+    A tolerance that is not positive and finite or a negative budget raises
     :class:`ConfigurationError`.  An :class:`AbnormalTermination` or
     :class:`InvariantError` raised inside an iteration propagates with the
     outer iteration index added to its summary as ``iteration``.
@@ -200,8 +202,9 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     params = params or AlgorithmParams.defaults()
     for name, val in (("eps_feas", eps_feas), ("eps_prec", eps_prec),
                       ("eps_opt", eps_opt)):
-        if not val > 0.0:
-            raise ConfigurationError(f"{name} must be positive, got {val}")
+        if not 0.0 < val < math.inf:
+            raise ConfigurationError(
+                f"{name} must be positive and finite, got {val}")
     if budget < 0:
         raise ConfigurationError(f"budget must be nonnegative, got {budget}")
 

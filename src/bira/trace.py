@@ -1,13 +1,18 @@
 """The run record: what a run measured, in memory and as a JSON trace.
 
 This module alone knows the written format: every record's ``to_dict`` and
-``from_dict``, and every schema check a trace passes on loading.  In memory
+``from_dict``, the table layout of :func:`write_table` and
+:func:`read_table`, and every schema check a trace passes on loading.  A
+trace writes its iteration records, and each restoration call's trials, as
+tables: one JSON list per field, entry i belonging to row i.  In memory
 each fact has one type: a :class:`~bira.core.PrecisionLevel`, a
 :class:`~bira.qp.SolveCertificate` or a :class:`RestorationOutcome`.
 """
 
+import functools
 import json
-from dataclasses import asdict, astuple, dataclass, field
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +27,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 10
+TRACE_VERSION = 11
 
 
 def check_fields(payload, fields, what):
@@ -60,15 +65,16 @@ def check_ledger(payload, what):
     check_numbers(payload, what, counts=LEDGER_FIELDS)
 
 
+@functools.cache
 def number_fields(cls):
     """``(names, optional, counts)`` of the fields of dataclass ``cls``
     annotated as numbers, for :func:`check_numbers`: the ``int`` fields
     are counts."""
     types = {name: f.type for name, f in cls.__dataclass_fields__.items()}
-    return ([name for name, t in types.items()
-             if t in (int, float, float | None)],
-            [name for name, t in types.items() if t == float | None],
-            [name for name, t in types.items() if t is int])
+    return (tuple(name for name, t in types.items()
+                  if t in (int, float, float | None)),
+            tuple(name for name, t in types.items() if t == float | None),
+            tuple(name for name, t in types.items() if t is int))
 
 
 def number_list(values, what, length=None):
@@ -104,7 +110,7 @@ def _written(val):
     if isinstance(val, PrecisionLevel):
         return list(val.as_tuple())
     if isinstance(val, SolveCertificate):
-        return asdict(val)
+        return {name: getattr(val, name) for name in CERT_FIELDS}
     if isinstance(val, np.ndarray):
         return val.tolist()
     if isinstance(val, dict):
@@ -114,12 +120,54 @@ def _written(val):
     return val
 
 
+def write_table(rows, spec):
+    """Write the row dicts ``rows`` as one table: one JSON list per column
+    of ``spec``, entry i from row i.
+
+    ``spec`` is ``(columns, nested)``; a column named in ``nested`` is
+    itself written as a table, by its own spec."""
+    columns, nested = spec
+    return {name: (write_table([row[name] for row in rows], nested[name])
+                   if name in nested else [row[name] for row in rows])
+            for name in columns}
+
+
+def read_table(table, spec, what):
+    """The row dicts of a table written by :func:`write_table`.
+
+    :class:`SchemaError`, naming the table ``what``, unless every column
+    of ``spec`` is there, and no other, each a list (or a nested table)
+    and all of equal length.  The rows' values are not checked here."""
+    columns, nested = spec
+    check_fields(table, columns, f"{what} table")
+    read = []
+    for name in columns:
+        column = table[name]
+        if name in nested:
+            column = read_table(column, nested[name], f"{what} {name}")
+        elif not isinstance(column, list):
+            raise SchemaError(f"{what} column {name!r} must be a JSON list")
+        read.append(column)
+    if len({len(column) for column in read}) > 1:
+        lengths = {name: len(column) for name, column in zip(columns, read)}
+        raise SchemaError(f"{what} table columns differ in length: {lengths}")
+    return [dict(zip(columns, row)) for row in zip(*read)]
+
+
 #: The ways a restoration call ends.
 STATUSES = ("restored", "possible_infeasibility")
 
+#: The fields of a :class:`~bira.qp.SolveCertificate`.
+CERT_FIELDS = tuple(SolveCertificate.__dataclass_fields__)
+
 #: The columns of a restoration outcome's trial table: the weight sigma of
 #: each descent test, then the certificate of its QP solve.
-TRIAL_FIELDS = ("sigma", *SolveCertificate.__dataclass_fields__)
+TRIAL_FIELDS = ("sigma", *CERT_FIELDS)
+
+#: Table specs for :func:`write_table` and :func:`read_table`.
+LEDGER_TABLE = (LEDGER_FIELDS, {})
+CERT_TABLE = (CERT_FIELDS, {})
+TRIAL_TABLE = (TRIAL_FIELDS, {})
 
 
 @dataclass(frozen=True)
@@ -168,9 +216,9 @@ class RestorationOutcome:
 
     def to_dict(self):
         d = {name: _written(getattr(self, name)) for name in _OUTCOME_WRITTEN}
-        rows = [(sigma, *astuple(cert)) for sigma, cert in self.trials]
-        d["trials"] = {name: [row[i] for row in rows]
-                       for i, name in enumerate(TRIAL_FIELDS)}
+        d["trials"] = write_table(
+            [{"sigma": sigma, **_written(cert)} for sigma, cert in self.trials],
+            TRIAL_TABLE)
         return d
 
     @classmethod
@@ -193,20 +241,16 @@ class RestorationOutcome:
 
 _OUTCOME_WRITTEN = tuple(
     name for name in RestorationOutcome.__dataclass_fields__ if name != "h_vec")
+OUTCOME_TABLE = (_OUTCOME_WRITTEN, {"ledger_delta": LEDGER_TABLE})
 
 
-def _trial_rows(columns):
-    """Transpose the trial table's columns back into one
-    ``(sigma, certificate)`` pair per descent test."""
-    check_fields(columns, TRIAL_FIELDS, "restoration trial columns")
-    for name in TRIAL_FIELDS:
-        number_list(columns[name], f"trial column {name}")
-    if len({len(columns[name]) for name in TRIAL_FIELDS}) > 1:
-        raise SchemaError("restoration trial columns differ in length")
-    return tuple(
-        (row[0], SolveCertificate(*row[1:]))
-        for row in zip(*(columns[name] for name in TRIAL_FIELDS))
-    )
+def _trial_rows(table):
+    """The trial table read back into one ``(sigma, certificate)`` pair per
+    descent test."""
+    rows = read_table(table, TRIAL_TABLE, "restoration trials")
+    for row in rows:
+        check_numbers(row, "restoration trial")
+    return tuple((row.pop("sigma"), SolveCertificate(**row)) for row in rows)
 
 
 #: Fields of record k + 1 that repeat the hand-off of record k, each with
@@ -235,8 +279,10 @@ class IterationRecord:
     next iteration starts from.  ``tangent_cert`` is the certificate of
     the accepted tangent solve.  The :data:`CHAIN` fields are
     kept in memory but written once, by the record or start block they
-    repeat, and ``x_next`` is written only when it differs bitwise from
-    ``x_R`` (a tangent step that snapped to zero repeats it).
+    repeat; ``k`` is not written, since a record's position in the
+    records table is its index; and ``x_next`` is written as ``null``
+    unless it differs bitwise from ``x_R`` (a tangent step that snapped to
+    zero repeats it).
     """
 
     k: int
@@ -289,34 +335,30 @@ class IterationRecord:
         return self.tangent_cert.step_norm
 
     def to_dict(self):
-        # a zero step writes no x_next: from_dict reads it as x_R
-        moved = self.x_next.tobytes() != self.x_R.tobytes()
-        return {name: _written(getattr(self, name))
-                for name in (_RECORD_WRITTEN if moved else _WRITTEN_AT_X_R)}
+        """The record's row of the records table."""
+        d = {name: _written(getattr(self, name)) for name in _RECORD_WRITTEN}
+        # a zero step writes x_next as null: from_dict reads it as x_R
+        if self.x_next.tobytes() == self.x_R.tobytes():
+            d["x_next"] = None
+        return d
 
     @classmethod
-    def from_dict(cls, d, chain):
-        """Rebuild a record from its written fields and the :data:`CHAIN`
-        fields ``chain`` handed to it."""
-        what = "iteration record"
-        if not isinstance(d, dict):
-            raise SchemaError(f"{what} must be a JSON object")
-        check_fields(d, _RECORD_WRITTEN if "x_next" in d else _WRITTEN_AT_X_R,
-                     what)
+    def from_dict(cls, d, chain, k):
+        """Rebuild record ``k`` from its row of the records table and the
+        :data:`CHAIN` fields ``chain`` handed to it."""
+        what = f"iteration record {k}"
         names, optional, counts = number_fields(cls)
         check_numbers(d, what, [n for n in names if n in _RECORD_WRITTEN],
                       optional, counts)
         cert = d["tangent_cert"]
-        check_fields(cert, SolveCertificate.__dataclass_fields__,
-                     "tangent_cert")
         check_numbers(cert, "tangent_cert")
         check_ledger(d["ledger_delta"], "ledger_delta")
-        kw = dict(d, **chain, tangent_cert=SolveCertificate(**cert))
+        kw = dict(d, **chain, k=k, tangent_cert=SolveCertificate(**cert))
         n = len(chain["x_k"])
         kw["resta"] = RestorationOutcome.from_dict(d["resta"], n)
-        kw["x_next"] = (np.asarray(number_list(d["x_next"], "x_next", n),
-                                   dtype=float)
-                        if "x_next" in d else kw["resta"].x_R)
+        kw["x_next"] = (kw["resta"].x_R if d["x_next"] is None
+                        else np.asarray(number_list(d["x_next"], "x_next", n),
+                                        dtype=float))
         # a call that found possible infeasibility ends the run unrecorded
         if kw["resta"].status != "restored":
             raise SchemaError("an iteration record cannot hold restoration"
@@ -325,9 +367,10 @@ class IterationRecord:
 
 
 _RECORD_WRITTEN = tuple(name for name in IterationRecord.__dataclass_fields__
-                        if name not in CHAIN)
-# the fields of a record whose tangent step stayed at x_R
-_WRITTEN_AT_X_R = tuple(name for name in _RECORD_WRITTEN if name != "x_next")
+                        if name not in CHAIN and name != "k")
+RECORD_TABLE = (_RECORD_WRITTEN, {"resta": OUTCOME_TABLE,
+                                  "tangent_cert": CERT_TABLE,
+                                  "ledger_delta": LEDGER_TABLE})
 
 
 @dataclass
@@ -382,8 +425,10 @@ class RunReport:
         return self._final()[1]
 
     def to_dict(self):
-        return {name: _written(getattr(self, name))
-                for name in self.__dataclass_fields__}
+        d = {name: _written(getattr(self, name))
+             for name in self.__dataclass_fields__}
+        d["records"] = write_table(d["records"], RECORD_TABLE)
+        return d
 
     @classmethod
     def from_dict(cls, d):
@@ -409,8 +454,8 @@ class RunReport:
         check_fields(d["tolerances"], ("eps_feas", "eps_prec", "eps_opt"),
                      "tolerances")
         check_numbers(d["tolerances"], "tolerances")
-        if not all(tol > 0.0 for tol in d["tolerances"].values()):
-            raise SchemaError("tolerances must be positive")
+        if not all(0.0 < tol < math.inf for tol in d["tolerances"].values()):
+            raise SchemaError("tolerances must be positive and finite")
         check_ledger(d["ledger_totals"], "ledger totals")
         status = d["status"]
         if status not in ("Converged", "BudgetExceeded", "RestorationFailure"):
@@ -442,8 +487,7 @@ class RunReport:
                     f"failure kind {failure['kind']!r} does not match"
                     f" restoration status {out.status!r}")
             kw["failure_info"] = {**failure, "resta": out}
-        if not isinstance(d["records"], list):
-            raise SchemaError("trace records must be a JSON list")
+        rows = read_table(d["records"], RECORD_TABLE, "records")
         kw["start"] = {
             "x": np.asarray(start["x"], dtype=float),
             "y": _level(start["y"], "start y"),
@@ -454,10 +498,8 @@ class RunReport:
                  "f_xk_yk": start["f"], "h_xk_yk": start["h"],
                  "theta_before": float(kw["params"].theta_0)}
         kw["records"] = []
-        for i, rec in enumerate(d["records"]):
-            rec = IterationRecord.from_dict(rec, chain)
-            if rec.k != i:
-                raise SchemaError(f"record {i} is labelled k = {rec.k!r}")
+        for k, row in enumerate(rows):
+            rec = IterationRecord.from_dict(row, chain, k)
             kw["records"].append(rec)
             chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
         kw["tolerances"] = dict(d["tolerances"])

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 
@@ -50,3 +52,19 @@ def kkt_min_quadratic_box_line(x_f, div, a, b, lower, upper):
         if best_val is None or val < best_val:
             best_val, best_x = val, x
     return best_x, best_val
+
+
+def table_row(table, i):
+    """Row ``i`` of a table as a trace writes it: entry ``i`` of every
+    column, with a nested table's entries gathered into one object."""
+    return {name: table_row(column, i) if isinstance(column, dict)
+            else column[i] for name, column in table.items()}
+
+
+def make_highdim():
+    """The benchmark's first ``highdim`` problem: n = 100, m = 5, seed 1."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("synth", path)
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    return synth.make_synthetic("highdim0", 100, 5, 1)

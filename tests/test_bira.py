@@ -1,9 +1,8 @@
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import make_highdim
 
 import bira.qp
 import bira.solver
@@ -259,17 +258,9 @@ def test_a_zero_z_step_is_a_stall():
     assert audit(rep).ok
 
 
-def _highdim():
-    path = Path(__file__).resolve().parent.parent / "bench" / "synth.py"
-    spec = importlib.util.spec_from_file_location("synth", path)
-    synth = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(synth)
-    return synth.make_synthetic("highdim0", 100, 5, 1)
-
-
 @pytest.mark.parametrize("factory,finishing", [
     (make_p1, lambda k, n: k == n - 1),
-    (_highdim, lambda k, n: k >= 1),
+    (make_highdim, lambda k, n: k >= 1),
 ], ids=["p1", "highdim"])
 def test_a_finishing_call_follows_a_record_that_met_eps_opt(
         monkeypatch, factory, finishing):
@@ -293,7 +284,7 @@ def test_highdim_finishes_in_its_second_record():
     # record 0 meets eps_opt, so call 1 restores to the tolerances: it keeps
     # the Jacobian the tangent phase handed it through every z-step and
     # stage, and the run stops after it
-    rep = bira_run(_highdim())
+    rep = bira_run(make_highdim())
     assert rep.status == "Converged"
     assert len(rep.records) == 2
     assert rep.records[0].stationarity_residual <= rep.tolerances["eps_opt"]
@@ -321,7 +312,7 @@ def test_a_finishing_call_that_does_not_stop_the_run_keeps_the_floor():
     assert audit(rep).ok
 
 
-@pytest.mark.parametrize("factory", [make_p1, make_p4, _highdim],
+@pytest.mark.parametrize("factory", [make_p1, make_p4, make_highdim],
                          ids=["p1", "p4", "highdim"])
 def test_one_tangent_projection_per_trial_and_one_shared(monkeypatch,
                                                          factory):
@@ -340,7 +331,7 @@ def test_one_tangent_projection_per_trial_and_one_shared(monkeypatch,
     assert len(calls) == sum(rec.ell_count + 1 for rec in rep.records)
 
 
-@pytest.mark.parametrize("factory", [make_p1, _highdim],
+@pytest.mark.parametrize("factory", [make_p1, make_highdim],
                          ids=["p1", "highdim"])
 def test_a_restoration_call_keeps_its_one_jacobian(factory):
     # every z-step passes its first trial, so no call refreshes grad h:
@@ -426,7 +417,7 @@ def test_trace_round_trip_and_version_guard():
     assert back.final_y == rep.final_y
     assert back.ledger_totals == rep.ledger_totals
 
-    for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 999):
+    for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):
@@ -504,10 +495,11 @@ def test_a_run_without_records_keeps_its_start():
 
 
 @pytest.mark.parametrize("edit", [
-    lambda d: d["records"][6].update(x_k=d["records"][5]["x_next"]),
-    lambda d: d["records"][0].update(ledger_after=d["ledger_totals"]),
+    lambda d: d["records"].update(x_k=[None] + d["records"]["x_next"][:-1]),
+    lambda d: d["records"].update(
+        ledger_after=[d["ledger_totals"]] * len(d["records"]["mu_k"])),
     lambda d: d.update(final_x=d["start"]["x"]),
-    lambda d: d["records"][0].update(y_next=d["records"][0]["resta"]["y_R"]),
+    lambda d: d["records"].update(y_next=d["records"]["resta"]["y_R"]),
 ], ids=["x_k", "ledger_after", "final_x", "y_next"])
 def test_a_trace_writes_each_value_once(edit):
     d = json.loads(json.dumps(bira_run(make_p1()).to_dict()))
@@ -517,13 +509,13 @@ def test_a_trace_writes_each_value_once(edit):
 
 
 def test_x_next_is_written_only_when_the_step_moved():
-    # schema v7: a zero step leaves x_next equal to x_R, which the trace
-    # already writes in the restoration outcome
+    # a zero step leaves x_next equal to x_R, which the trace already
+    # writes in the restoration outcome, so its x_next entry is null
     moved = bira_run(make_p1()).to_dict()
-    assert all("x_next" in rec for rec in moved["records"])
+    assert None not in moved["records"]["x_next"]
     rep = bira_run(_objective_along_the_normal())
     d = json.loads(json.dumps(rep.to_dict()))
-    assert not any("x_next" in rec for rec in d["records"])
+    assert d["records"]["x_next"] == [None] * len(rep.records)
     back = RunReport.from_dict(d)
     for rec, got in zip(rep.records, back.records):
         assert got.x_next.tobytes() == rec.x_next.tobytes()
@@ -565,7 +557,7 @@ def test_derived_record_fields_match_the_solver():
 
 @pytest.mark.parametrize("kwargs", [
     {"eps_feas": 0.0}, {"eps_prec": -1e-6}, {"eps_opt": float("nan")},
-    {"budget": -1},
+    {"budget": -1}, {"eps_opt": float("inf")},
 ])
 def test_bad_run_inputs_are_configuration_errors(kwargs):
     with pytest.raises(ConfigurationError):

@@ -2,6 +2,7 @@ import csv
 import json
 
 import pytest
+from conftest import table_row
 
 import bira.cli
 import bira.oracle
@@ -150,7 +151,7 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     trace = tmp_path / "t.json"
     main(["run", "--problem", "p4", "--out", str(trace)])
     payload = json.loads(trace.read_text())
-    payload["records"][0]["theta_after"] = 0.6
+    payload["records"]["theta_after"][0] = 0.6
     trace.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["audit", str(trace)]) == 4
@@ -161,14 +162,14 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
 
 def _failure(trace, kind="insufficient_contraction", iteration=1):
     return {"kind": kind, "iteration": iteration,
-            "resta": trace["records"][0]["resta"]}
+            "resta": table_row(trace["records"]["resta"], 0)}
 
 
 @pytest.mark.parametrize("edit", [
-    lambda trace: trace["records"][0].update(g_yk=0.0),
-    lambda trace: trace["records"][0].pop("theta_after"),
+    lambda trace: trace["records"].update(g_yk=[0.0]),
+    lambda trace: trace["records"].pop("theta_after"),
     lambda trace: trace.pop("status"),
-    lambda trace: trace["records"][0]["resta"].pop("z_steps"),
+    lambda trace: trace["records"]["resta"].pop("z_steps"),
     lambda trace: trace["constants_basis"].update(
         kappas={"kappa": 1e3, "kappa_T": 1e9}),
     lambda trace: trace["constants_basis"]["problem_constants"].pop("L_f"),
@@ -181,6 +182,7 @@ def _failure(trace, kind="insufficient_contraction", iteration=1):
     lambda trace: trace["start"].update(x="abc"),
     lambda trace: trace["start"].update(h="abc"),
     lambda trace: trace.update(records=3),
+    lambda trace: trace["records"].update(mu_k=0.5),
     lambda trace: trace["ledger_totals"].pop("h_evals"),
     lambda trace: trace["start"].pop("f"),
     lambda trace: trace.update(status="Bogus"),
@@ -197,29 +199,31 @@ def _failure(trace, kind="insufficient_contraction", iteration=1):
     lambda trace: trace.update(status="RestorationFailure",
                                failure_info=_failure(trace, iteration=1.0)),
     lambda trace: trace["tolerances"].update(eps_opt=0.0),
+    lambda trace: trace["tolerances"].update(eps_opt=float("inf")),
     lambda trace: trace["tolerances"].pop("eps_feas"),
     # p4's one record holds a restoration call that had nothing to restore
-    lambda trace: trace["records"][0]["resta"].update(status="pdp"),
-    lambda trace: trace["records"][0]["resta"].update(status="bogus"),
-    lambda trace: trace["records"][0]["resta"].update(
-        status="possible_infeasibility"),
+    lambda trace: trace["records"]["resta"].update(status=["pdp"]),
+    lambda trace: trace["records"]["resta"].update(status=["bogus"]),
+    lambda trace: trace["records"]["resta"].update(
+        status=["possible_infeasibility"]),
     lambda trace: trace.update(status="RestorationFailure",
                                failure_info=_failure(
                                    trace, kind="possible_infeasibility")),
     lambda trace: trace.update(status="RestorationFailure", failure_info={
-        **_failure(trace), "resta": {**trace["records"][0]["resta"],
+        **_failure(trace), "resta": {**table_row(trace["records"]["resta"], 0),
                                      "status": "possible_infeasibility"}}),
 ], ids=["unknown_field", "missing_field", "missing_status",
         "resta_missing_z_steps", "basis_with_kappas",
         "constants_missing_L_f", "constants_unknown_field",
         "params_unknown_field", "constants_L_f_is_a_string",
         "x_k_is_a_string", "h_xk_yk_is_a_string", "records_is_a_number",
+        "column_is_a_number",
         "ledger_totals_missing_h_evals", "start_missing_f", "unknown_status",
         "failure_without_info", "info_without_failure",
         "unknown_failure_kind", "failure_iteration_is_a_string",
         "negative_failure_iteration", "failure_iteration_is_a_float",
-        "zero_tolerance", "tolerances_missing_eps_feas", "resta_status_pdp",
-        "unknown_resta_status", "record_resta_possible_infeasibility",
+        "zero_tolerance", "infinite_tolerance", "tolerances_missing_eps_feas",
+        "resta_status_pdp", "unknown_resta_status", "record_resta_possible_infeasibility",
         "infeasibility_kind_without_infeasible_resta",
         "infeasible_resta_with_another_kind"])
 def test_audit_rejects_records_off_the_schema(tmp_path, capsys, edit):
@@ -240,44 +244,64 @@ def p1_trace(tmp_path_factory):
     return trace.read_text()
 
 
-def _resta(trace, k):
-    return trace["records"][k]["resta"]
+def _set(table, k, value):
+    """Set entry ``k`` of every column of a written table to ``value``."""
+    for column in table.values():
+        if isinstance(column, dict):
+            _set(column, k, value)
+        else:
+            column[k] = value
+
+
+def _resta(trace, k, **values):
+    """Set record ``k``'s restoration outcome fields to ``values``."""
+    for name, value in values.items():
+        trace["records"]["resta"][name][k] = value
+
+
+def _add_column(table, name, value):
+    """Add a column ``name`` holding ``value`` in every entry."""
+    table[name] = [value] * len(next(iter(table.values())))
 
 
 @pytest.mark.parametrize("edit", [
-    lambda trace: trace["records"].__setitem__(1, 5),
-    lambda trace: trace["records"][1]["tangent_cert"].pop("step_norm"),
-    lambda trace: _resta(trace, 1).update(y_R=[0.1, 0.1, 0.1]),
+    lambda trace: _set(trace["records"], 1, 5),
+    lambda trace: trace["records"]["tangent_cert"].pop("step_norm"),
+    lambda trace: _resta(trace, 1, y_R=[0.1, 0.1, 0.1]),
     lambda trace: trace["start"].update(y=[0.5]),
     # a one-entry point broadcasts against every other point of the run
-    lambda trace: _resta(trace, 1).update(x_R=_resta(trace, 1)["x_R"][:1]),
+    lambda trace: _resta(trace, 1,
+                         x_R=trace["records"]["resta"]["x_R"][1][:1]),
     lambda trace: trace["start"].update(x=trace["start"]["x"][:1]),
-    lambda trace: trace["records"][1].update(k=7),
     lambda trace: trace.update(budget=-1),
     lambda trace: trace.update(budget=2.5),
-    lambda trace: trace["records"][1].update(mu_k=True),
+    lambda trace: trace["records"]["mu_k"].__setitem__(1, True),
     # an int field of the schema is a count
-    lambda trace: trace["records"][1].update(ell_count=1.5),
-    lambda trace: _resta(trace, 1).update(refinements=-1),
-    lambda trace: trace["records"][1]["ledger_delta"].update(h_evals=2.0),
+    lambda trace: trace["records"]["ell_count"].__setitem__(1, 1.5),
+    lambda trace: _resta(trace, 1, refinements=-1),
+    lambda trace: trace["records"]["ledger_delta"]["h_evals"].__setitem__(
+        1, 2.0),
     # the status, the per-trial records and the derived certificate
     # fields of schema v9 and before
-    lambda trace: _resta(trace, 1).update(status="trivial"),
-    lambda trace: _resta(trace, 1).update(inner_desc_tests=0),
-    lambda trace: _resta(trace, 1).update(sigma_history=[0.25]),
-    lambda trace: _resta(trace, 1).update(certificates={}),
-    lambda trace: _resta(trace, 1)["trials"].update(kappa_ratio=[0.0]),
-    lambda trace: trace["records"][1]["tangent_cert"].update(
-        kappa_ratio=0.0),
-    lambda trace: trace["records"][1]["tangent_cert"].update(
-        tangent_violation=0.0),
+    lambda trace: _resta(trace, 1, status="trivial"),
+    lambda trace: _add_column(trace["records"]["resta"], "inner_desc_tests",
+                              0),
+    lambda trace: _add_column(trace["records"]["resta"], "sigma_history",
+                              [0.25]),
+    lambda trace: _add_column(trace["records"]["resta"], "certificates", {}),
+    lambda trace: trace["records"]["resta"]["trials"][1].update(
+        kappa_ratio=[0.0]),
+    lambda trace: _add_column(trace["records"]["tangent_cert"], "kappa_ratio",
+                              0.0),
+    lambda trace: _add_column(trace["records"]["tangent_cert"],
+                              "tangent_violation", 0.0),
     # one trial's sigma dropped
-    lambda trace: _resta(trace, 1)["trials"]["sigma"].pop(),
+    lambda trace: trace["records"]["resta"]["trials"][1]["sigma"].pop(),
     lambda trace: trace["start"].update(y=[-0.5, 0.5]),
-    lambda trace: _resta(trace, 1).update(y_R=[0.1, float("nan")]),
+    lambda trace: _resta(trace, 1, y_R=[0.1, float("nan")]),
 ], ids=["record_is_a_number", "tangent_cert_missing_step_norm",
         "y_R_of_three_entries", "start_y_of_one_entry", "x_R_of_one_entry",
-        "start_x_of_one_entry", "record_1_labelled_7", "negative_budget",
+        "start_x_of_one_entry", "negative_budget",
         "fractional_budget", "mu_k_is_a_bool", "fractional_ell_count",
         "negative_refinements", "fractional_ledger_count",
         "resta_status_trivial", "resta_with_inner_desc_tests",
@@ -293,6 +317,46 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit):
     capsys.readouterr()
     assert main(["audit", str(trace)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("edit,table", [
+    (lambda trace: trace["records"]["mu_k"].pop(), "records"),
+    (lambda trace: trace["records"]["theta_after"].append(0.5), "records"),
+    (lambda trace: trace["records"]["resta"]["z_steps"].pop(),
+     "records resta"),
+    (lambda trace: trace["records"]["tangent_cert"]["step_norm"].append(0.0),
+     "records tangent_cert"),
+    (lambda trace: trace["records"]["ledger_delta"]["h_evals"].pop(),
+     "records ledger_delta"),
+    (lambda trace: trace["records"]["resta"]["ledger_delta"][
+        "f_evals"].append(0), "records resta ledger_delta"),
+    (lambda trace: trace["records"]["resta"]["trials"][1][
+        "kappa_phi_ratio"].append(0.0), "restoration trials"),
+], ids=["records_short", "records_long", "resta_short", "tangent_cert_long",
+        "ledger_delta_short", "resta_ledger_delta_long", "trials_long"])
+def test_audit_rejects_columns_of_unequal_length(tmp_path, capsys, p1_trace,
+                                                 edit, table):
+    payload = json.loads(p1_trace)
+    edit(payload)
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {table} table columns differ in length: ")
+
+
+def test_audit_rejects_a_k_column(tmp_path, capsys, p1_trace):
+    # a record's k is its position in the table, so k is not written
+    payload = json.loads(p1_trace)
+    payload["records"]["k"] = list(range(len(payload["records"]["mu_k"])))
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 1
+    assert capsys.readouterr().err == (
+        "error: records table fields differ from the schema: missing [],"
+        " unknown ['k']\n")
 
 
 def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
@@ -313,24 +377,29 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
      "trace version 4 not supported"),
     # a schema-v5 trace still writes each record's y_next
     (lambda trace: [trace.update(trace_version=5),
-                    trace["records"][0].update(y_next=[0.0, 0.0])],
+                    trace["records"].update(y_next=[[0.0, 0.0]])],
      "trace version 5 not supported"),
     # a schema-v7 trace still writes the two constants of the analysis
     (lambda trace: [trace.update(trace_version=7),
                     trace["params"].update(sigma_max=40.0, beta_c=1.0)],
      "trace version 7 not supported"),
     # a schema-v8 trace writes no stage count in its restoration outcomes
-    (lambda trace: [trace.update(trace_version=8)]
-     + [rec["resta"].pop("stages") for rec in trace["records"]],
+    (lambda trace: [trace.update(trace_version=8),
+                    trace["records"]["resta"].pop("stages")],
      "trace version 8 not supported"),
     # a schema-v9 trace writes three per-trial records, not one table
-    (lambda trace: [trace.update(trace_version=9)]
-     + [rec["resta"].update(inner_desc_tests=0, sigma_history=[],
-                            certificates={}) for rec in trace["records"]],
+    (lambda trace: [trace.update(trace_version=9),
+                    trace["records"]["resta"].update(
+                        inner_desc_tests=[0], sigma_history=[[]],
+                        certificates=[{}])],
      "trace version 9 not supported"),
+    # a schema-v10 trace writes one object per record, labelled k
+    (lambda trace: trace.update(trace_version=10, records=[
+        {"k": 0, **table_row(trace["records"], 0)}]),
+     "trace version 10 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
-        "version_9", "empty_object"])
+        "version_9", "version_10", "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"
@@ -400,6 +469,15 @@ def test_complexity_csv_is_the_same_from_a_process_pool(tmp_path):
 def test_bad_run_inputs_are_usage_errors(argv, capsys):
     assert main(["run", "--problem", "p4", *argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_infinite_tolerances_are_a_usage_error(tmp_path, capsys):
+    trace = tmp_path / "t.json"
+    assert main(["run", "--problem", "p1", "--eps-opt", "inf",
+                 "--eps-feas", "inf", "--eps-prec", "inf",
+                 "--out", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not trace.exists()
 
 
 def _fail_third_resta(monkeypatch, exc):

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from conftest import table_row
 
 from bira.core import (
     DEFAULT_KAPPAS,
@@ -22,7 +23,7 @@ from bira.diagnostics import (
 )
 from bira.oracle import make_p4, problem_by_name
 from bira.solver import bira_run
-from bira.trace import RunReport
+from bira.trace import RECORD_TABLE, RunReport, read_table, write_table
 
 
 def _pc(**kw):
@@ -186,7 +187,7 @@ def test_audit_passes_on_clean_run():
 def test_audit_catches_tampered_penalty():
     rep = _fresh_report()
     d = rep.to_dict()
-    d["records"][0]["theta_after"] = 0.6
+    d["records"]["theta_after"][0] = 0.6
     bad = RunReport.from_dict(d)
     res = audit(bad)
     assert not res.ok
@@ -197,7 +198,7 @@ def test_audit_catches_a_trial_sigma_past_the_cap():
     rep = _fresh_report()
     d = rep.to_dict()
     # p4's call took no trial: claim one at sigma = 1e12
-    trials = d["records"][0]["resta"]["trials"]
+    trials = d["records"]["resta"]["trials"][0]
     for name, column in trials.items():
         column.append(1e12 if name == "sigma" else 0.0)
     bad = RunReport.from_dict(d)
@@ -212,7 +213,7 @@ def test_audit_catches_descent_tests_past_the_cap():
     rep = _fresh_report()
     d = rep.to_dict()
     d["constants_basis"]["problem_constants"]["provenance"] = "estimated"
-    trials = d["records"][0]["resta"]["trials"]
+    trials = d["records"]["resta"]["trials"][0]
     for name, column in trials.items():
         column.extend([rep.params.sigma_min if name == "sigma" else 0.0]
                       * (FALLBACK_INNER_CAP + 1))
@@ -292,6 +293,36 @@ def test_audit_verdicts_on_estimated_constants(suite_runs, name):
     assert _verdicts(RunReport.from_dict(d)) == _expected(name, ANALYTIC_ONLY)
 
 
+def _record(trace, k):
+    return table_row(trace["records"], k)
+
+
+def _with_rows(trace, edit):
+    """The trace's records table with its list of rows edited by ``edit``."""
+    rows = read_table(trace["records"], RECORD_TABLE, "records")
+    return write_table(edit(rows), RECORD_TABLE)
+
+
+def _locate(trace, path):
+    """``(container, key)`` of the value at ``path``.  A path
+    ``("records", k, *fields)`` names record k's value: the records table
+    nests its fields' tables, and entry k of the first column on the way
+    holds the rest of the path."""
+    if path[0] != "records":
+        node = trace
+        for key in path[:-1]:
+            node = node[key]
+        return node, path[-1]
+    k, *fields = path[1:]
+    node = trace["records"]
+    while isinstance(node[fields[0]], dict):
+        node = node[fields.pop(0)]
+    keys = [fields[0], k, *fields[1:]]
+    for key in keys[:-1]:
+        node = node[key]
+    return node, keys[-1]
+
+
 #: One edit per check to a value recorded in a p1 trace: ``(check, path,
 #: new value as a function of the trace and the derived constants)``.
 #: Record 0 starts from the trace's ``start`` block and ``theta_0``.  Most
@@ -304,15 +335,15 @@ TAMPERS = [
      lambda t, tc: tc.penalty_floor / 100.0),
     # the first step lowered the merit by about 1.8 at theta = 0.5
     ("penalty_merit_decrease", ("records", 0, "f_xnext_ynext"),
-     lambda t, tc: t["records"][0]["f_xnext_ynext"] + 10.0),
+     lambda t, tc: _record(t, 0)["f_xnext_ynext"] + 10.0),
     ("sigma_cap", ("records", 0, "resta", "trials", "sigma", 0),
      lambda t, tc: 10.0 * tc.sigma_cap),
     ("mu_cap", ("records", 0, "mu_k"), lambda t, tc: 10.0 * tc.mu_cap),
     ("restored_distance", ("records", 0, "resta", "x_R", 0),
-     lambda t, tc: t["records"][0]["resta"]["x_R"][0] + 10.0
+     lambda t, tc: _record(t, 0)["resta"]["x_R"][0] + 10.0
      * tc.restored_distance_factor * (t["start"]["h"] + max(t["start"]["y"]))),
     ("restored_value_drift", ("records", 0, "f_xR_yR"),
-     lambda t, tc: t["records"][0]["f_xk_yR"] + 10.0
+     lambda t, tc: _record(t, 0)["f_xk_yR"] + 10.0
      * tc.restored_value_factor * (t["start"]["h"] + max(t["start"]["y"]))),
     ("infeasibility_summability", ("records", 0, "resta", "h_xk_yR"),
      lambda t, tc: 10.0 * tc.infeasibility_sum_bound),
@@ -320,7 +351,7 @@ TAMPERS = [
      lambda t, tc: 10.0 * math.sqrt(tc.step_square_sum_bound)),
     ("residual_vs_step", ("records", 0, "stationarity_residual"),
      lambda t, tc: 10.0 * tc.residual_step_factor
-     * t["records"][0]["tangent_cert"]["step_norm"]),
+     * _record(t, 0)["tangent_cert"]["step_norm"]),
     ("residual_summability", ("records", 0, "stationarity_residual"),
      lambda t, tc: 10.0 * math.sqrt(tc.residual_square_sum_bound)),
     ("ledger_caps", ("records", 0, "ledger_delta", "gradh_evals"),
@@ -343,7 +374,7 @@ TAMPERS = [
     ("tangent_solve_accuracy",
      ("records", 0, "tangent_cert", "stationarity_residual"),
      lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa"]
-     * t["records"][0]["tangent_cert"]["step_norm"]),
+     * _record(t, 0)["tangent_cert"]["step_norm"]),
     ("oracle_f_error_bound", ("records", 0, "oracle_f_error"),
      lambda t, tc: 10.0 * tc.extras["noise_scale_f"] * t["start"]["y"][0]),
     ("oracle_h_error_bound", ("records", 0, "oracle_h_error"),
@@ -365,20 +396,20 @@ TAMPERS = [
     # the last call is finishing (record 18 met eps_opt), so it refined
     # at r**2, not r
     ("precision_refinement", ("records", 19, "resta", "y_R", 0),
-     lambda t, tc: t["params"]["r"] * t["records"][18]["resta"]["y_R"][0]),
+     lambda t, tc: t["params"]["r"] * _record(t, 18)["resta"]["y_R"][0]),
     # the finishing call claims a stage more than it took, so its objective
     # precision is not the one replayed
     ("precision_refinement", ("records", 19, "resta", "stages"),
-     lambda t, tc: t["records"][19]["resta"]["stages"] + 1),
+     lambda t, tc: _record(t, 19)["resta"]["stages"] + 1),
     # a call that claims to have contracted nothing
     ("restoration_tests", ("records", 5, "resta", "h_xR_yR"),
-     lambda t, tc: t["records"][5]["resta"]["h_xk_yR"]),
+     lambda t, tc: _record(t, 5)["resta"]["h_xk_yR"]),
     # an accepted tangent step ten times longer than its decrease allows
     ("tangent_search", ("records", 5, "tangent_cert", "step_norm"),
-     lambda t, tc: 10.0 * t["records"][5]["tangent_cert"]["step_norm"]),
+     lambda t, tc: 10.0 * _record(t, 5)["tangent_cert"]["step_norm"]),
     # a search that claims a start half the one the schedule gave it
     ("tangent_search", ("records", 5, "mu_k"),
-     lambda t, tc: t["records"][5]["mu_k"] / 2.0),
+     lambda t, tc: _record(t, 5)["mu_k"] / 2.0),
     # a search that claims four rejected trials at the weight it accepted
     ("tangent_search", ("records", 5, "ell_count"), lambda t, tc: 5),
     # a run that claims to have evaluated nothing
@@ -406,11 +437,9 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
     rep = suite_runs["p1"]
     assert audit(rep).ok
     d = _trace(rep)
-    node = d
-    for key in path[:-1]:
-        node = node[key]
+    node, key = _locate(d, path)
     p1 = problem_by_name("p1")
-    node[path[-1]] = value(d, constants(p1.constants(), rep.params,
+    node[key] = value(d, constants(p1.constants(), rep.params,
                                         extras=p1.extras()))
     bad = RunReport.from_dict(d)
     failed = {c.name: c.detail for c in audit(bad).failures}
@@ -430,11 +459,12 @@ def test_a_truncated_trace_fails_the_ledger_totals(suite_runs):
     # the ten dropped iterations are still in the totals, and the last
     # record left does not meet the stopping test the status claims
     d = _trace(suite_runs["p1"])
-    d["records"] = d["records"][:-10]
+    rows = read_table(d["records"], RECORD_TABLE, "records")[:-10]
+    d["records"] = write_table(rows, RECORD_TABLE)
     failed = _failures(d)
     assert list(failed) == ["ledger_totals", "stopping_test"]
     assert failed["ledger_totals"].startswith("whole run: ")
-    last = len(d["records"]) - 1
+    last = len(rows) - 1
     assert failed["stopping_test"].startswith(f"iteration {last}: ")
 
 
@@ -455,14 +485,15 @@ def test_the_stopping_test_agrees_with_every_status(run):
     # a run that met the test at record 19 cannot have run out of budget
     (lambda d: d.update(status="BudgetExceeded", budget=20), "iteration 19"),
     # a converged run stopped at the first record that met the test
-    (lambda d: d["records"].append({**d["records"][-1], "k": 20}),
-     "iteration 19"),
-    (lambda d: d.update(records=[]), "whole run"),
+    (lambda d: d.update(records=_with_rows(
+        d, lambda rows: rows + rows[-1:])), "iteration 19"),
+    (lambda d: d.update(records=_with_rows(d, lambda rows: [])),
+     "whole run"),
 ], ids=["eps_opt", "budget_exceeded_at_its_budget", "record_after_stopping",
         "converged_without_records"])
 def test_the_status_is_replayed(suite_runs, edit, where):
     d = _trace(suite_runs["p1"])
-    assert len(d["records"]) == 20
+    assert len(d["records"]["mu_k"]) == 20
     edit(d)
     failed = _failures(d)
     assert failed["stopping_test"].startswith(where + ":")
@@ -483,9 +514,9 @@ def test_a_restored_call_relabelled_trivial_is_caught(suite_runs):
     # a call with nothing to restore is a restored call like any other, so
     # trivial is not a status: the relabelled trace is refused at load
     d = _trace(suite_runs["p1"])
-    rec = d["records"][3]["resta"]
-    rec["status"] = "trivial"
-    rec["y_R"] = d["records"][2]["resta"]["y_R"]
+    resta = d["records"]["resta"]
+    resta["status"][3] = "trivial"
+    resta["y_R"][3] = resta["y_R"][2]
     with pytest.raises(SchemaError, match="restoration status 'trivial'"):
         RunReport.from_dict(d)
 
@@ -523,15 +554,15 @@ def test_the_failing_restoration_test_is_replayed():
 def test_restoration_ray_ratio_is_audited(suite_runs):
     # a restoration solve far short of its projected steepest-descent ray
     d = _trace(suite_runs["p1"])
-    d["records"][0]["resta"]["trials"]["kappa_phi_ratio"][0] = 1e6
+    d["records"]["resta"]["trials"][0]["kappa_phi_ratio"][0] = 1e6
     assert _failures(d) == {"restoration_solve_accuracy":
                             "iteration 0: 1.000e+06 exceeds 1.000e+01"}
 
 
 def test_a_trace_cannot_loosen_the_solve_targets(suite_runs):
     d = _trace(suite_runs["p1"])
-    cert = d["records"][0]["tangent_cert"]
-    cert["stationarity_residual"] = 100.0 * cert["step_norm"]
+    cert = d["records"]["tangent_cert"]
+    cert["stationarity_residual"][0] = 100.0 * cert["step_norm"][0]
     assert list(_failures(d)) == ["tangent_solve_accuracy"]
     # targets loose enough to excuse that residual are not part of a trace
     d["constants_basis"]["kappas"] = {"kappa": 1e3, "kappa_T": 1e9}

@@ -1,18 +1,29 @@
-"""Traces saved by ``bira run --out`` before the run record moved into
-:mod:`bira.trace` load into its types and re-dump byte for byte.
+"""Traces saved by ``bira run --out`` load into the record types and
+re-dump byte for byte, and the records table reads back what it wrote.
 
 ``p3_failure.json`` is ``p3``'s restoration failure and ``p2_staged.json``
 a ``p2`` run whose finishing call took stages, both at the default
 parameters and tolerances.
 """
 
+import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import make_highdim
 
 from bira.core import PrecisionLevel, SchemaError
 from bira.qp import SolveCertificate
-from bira.trace import RestorationOutcome, RunReport, read_trace, trace_bytes
+from bira.solver import bira_run
+from bira.trace import (
+    RECORD_TABLE,
+    RestorationOutcome,
+    RunReport,
+    read_trace,
+    trace_bytes,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 SAVED = ["p3_failure.json", "p2_staged.json"]
@@ -55,3 +66,44 @@ def test_a_precision_off_the_quadrant_is_a_schema_error():
     d["start"]["y"] = [-0.5, 0.5]
     with pytest.raises(SchemaError, match="start y"):
         RunReport.from_dict(d)
+
+
+def _columns(table, spec):
+    """Every plain column of a written table, nested tables' included."""
+    names, nested = spec
+    for name in names:
+        if name in nested:
+            yield from _columns(table[name], nested[name])
+        else:
+            yield table[name]
+
+
+def test_a_run_without_records_writes_every_column_empty():
+    payload = json.loads((DATA / "p3_failure.json").read_text())
+    columns = list(_columns(payload["records"], RECORD_TABLE))
+    assert len(columns) > len(RECORD_TABLE[0])
+    assert all(column == [] for column in columns)
+    assert RunReport.from_dict(payload).records == []
+
+
+def test_zero_tangent_steps_round_trip_as_null_x_next():
+    # every tangent step of this problem snaps to zero, so each record's
+    # x_next is its x_R and is written as null
+    rep = bira_run(make_highdim())
+    assert rep.records
+    text = json.dumps(rep.to_dict())
+    d = json.loads(text)
+    assert d["records"]["x_next"] == [None] * len(rep.records)
+    back = RunReport.from_dict(d)
+    assert json.dumps(back.to_dict()) == text
+    for rec, got in zip(rep.records, back.records):
+        assert got.k == rec.k
+        np.testing.assert_array_equal(got.x_next, rec.x_R)
+
+
+def test_an_infinite_tolerance_is_a_schema_error():
+    # json.loads reads Infinity, which no run writes
+    d = json.loads((DATA / "p2_staged.json").read_text())
+    d["tolerances"]["eps_opt"] = math.inf
+    with pytest.raises(SchemaError, match="positive and finite"):
+        RunReport.from_dict(json.loads(json.dumps(d)))
