@@ -52,6 +52,12 @@ class SchemaError(ValueError):
 #: the keys of every ledger snapshot, delta and total in a trace.
 LEDGER_FIELDS = ("f_evals", "gradf_evals", "h_evals", "gradh_evals")
 
+#: The evaluations :func:`~bira.solver.bira_run` makes before iteration 0,
+#: one f and one h at the start point, by ledger kind.  They are charged to
+#: record 0, and to no record when the run stops before finishing one.
+STARTUP_EVALS = {"f_evals": 1, "gradf_evals": 0, "h_evals": 1,
+                 "gradh_evals": 0}
+
 
 #: Accuracy targets of the two subproblem solves: constants of the
 #: analysis, read by the constants chain and by the audit.  The solves are
@@ -200,18 +206,35 @@ def tangent_mu_start(params, mu, f_xR_yR, f_next, step_norm):
     return min(max(mu / 2.0 if halve else mu, params.mu_min), params.mu_max)
 
 
-def finishing_goal(met_opt, eps_feas, eps_prec):
+def valid_tolerance(val):
+    """Whether ``val`` can be a stopping tolerance: positive and finite."""
+    return 0.0 < val < math.inf
+
+
+def finishing_goal(residual, tolerances):
     """Goal ``(eps_feas, eps_prec)`` of a finishing restoration call, the
-    one after a record that met the optimality test; ``None`` for any
-    other call.  Past ``r`` a finishing call refines in stages until
+    one after a record whose stationarity residual ``residual`` met the
+    stopping test's optimality comparison, ``residual <= eps_opt``;
+    ``None`` for any other call, and for the first (``residual`` is
+    ``None``).  Past ``r`` a finishing call refines in stages until
     :func:`goal_met` holds (see :func:`bira.restoration.resta`)."""
-    return (eps_feas, eps_prec) if met_opt else None
+    if residual is None or not residual <= tolerances["eps_opt"]:
+        return None
+    return tolerances["eps_feas"], tolerances["eps_prec"]
 
 
 def goal_met(h_norm, g, goal):
     """The stopping test's comparisons of violation and precision with the
     tolerances ``goal = (eps_feas, eps_prec)``."""
     return h_norm <= goal[0] and g <= goal[1]
+
+
+def stopping_test(h_norm, g, residual, tolerances):
+    """The stopping test of a record with restored violation ``h_norm``,
+    precision measure ``g`` and stationarity residual ``residual``: the
+    record opens a :func:`finishing_goal` and meets it."""
+    goal = finishing_goal(residual, tolerances)
+    return goal is not None and goal_met(h_norm, g, goal)
 
 
 def precision_ratio(r, contraction, finishing):

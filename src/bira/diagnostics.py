@@ -20,16 +20,19 @@ from .core import (
     CERT_FLOOR,
     DEFAULT_KAPPAS,
     LEDGER_FIELDS,
+    STARTUP_EVALS,
     AlgorithmParams,
     InsufficientDataError,
     ProblemConstants,
     descent_test,
+    finishing_goal,
     merit_allowance,
     merit_test,
-    finishing_goal,
     precision_ratio,
     restoration_tests,
+    stopping_test,
     tangent_mu_start,
+    valid_tolerance,
 )
 
 DEFAULT_EXTRAS = {"beta": 0.0, "gamma": 0.5, "k_R": 0.0}
@@ -93,20 +96,12 @@ class TheoreticalConstants:
     extras: dict = field(default_factory=dict)
 
     @property
-    def h_evals_per_iter(self):
-        return self.restoration_iter_cap + self.tangent_attempt_cap + 1
-
-    @property
-    def gradh_evals_per_iter(self):
-        return self.restoration_iter_cap + 2
-
-    @property
-    def f_evals_per_iter(self):
-        return self.tangent_attempt_cap + 3
-
-    @property
-    def gradf_evals_per_iter(self):
-        return 2
+    def evals_per_iter(self):
+        """Cap on the evaluations of one iteration, keyed by
+        :data:`~bira.core.LEDGER_FIELDS`, start-up evaluations aside."""
+        rest, tang = self.restoration_iter_cap, self.tangent_attempt_cap
+        return {"f_evals": tang + 3, "gradf_evals": 2,
+                "h_evals": rest + tang + 1, "gradh_evals": rest + 2}
 
 
 def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
@@ -207,25 +202,24 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
 
 @dataclass(frozen=True)
 class IterationBounds:
-    """Worst-case iteration and evaluation counts for given tolerances."""
+    """Worst-case iteration and evaluation counts for given tolerances;
+    ``max_evals`` is keyed by :data:`~bira.core.LEDGER_FIELDS`."""
 
     h_above_tol_iters: int
     g_above_tol_iters: int
     infeasible_iters: int
     optimality_iters: int
     total_iters: int
-    max_h_evals: float
-    max_gradh_evals: float
-    max_f_evals: float
-    max_gradf_evals: float
+    max_evals: dict
 
 
 def iteration_bounds(tc: TheoreticalConstants, eps_feas, eps_prec, eps_opt):
-    """Iteration-count bounds from the summability constants."""
+    """Iteration-count bounds from the summability constants; a tolerance
+    that is not positive and finite raises :class:`ValueError`."""
     for name, val in (("eps_feas", eps_feas), ("eps_prec", eps_prec),
                       ("eps_opt", eps_opt)):
-        if not val > 0.0:
-            raise ValueError(f"{name} must be positive")
+        if not valid_tolerance(val):
+            raise ValueError(f"{name} must be positive and finite")
     cf = tc.infeasibility_sum_bound
     h_above = math.floor(tc.r * cf / eps_feas)
     g_above = math.floor(cf / eps_prec)
@@ -239,10 +233,8 @@ def iteration_bounds(tc: TheoreticalConstants, eps_feas, eps_prec, eps_opt):
         infeasible_iters=infeasible,
         optimality_iters=optimality,
         total_iters=total,
-        max_h_evals=total * tc.h_evals_per_iter + 1,
-        max_gradh_evals=total * tc.gradh_evals_per_iter,
-        max_f_evals=total * tc.f_evals_per_iter + 1,
-        max_gradf_evals=total * tc.gradf_evals_per_iter,
+        max_evals={key: total * cap + STARTUP_EVALS[key]
+                   for key, cap in tc.evals_per_iter.items()},
     )
 
 
@@ -386,14 +378,13 @@ def _calls(report):
     call's contraction, and the goal is set after a record that met the
     optimality test."""
     r = report.params.r
-    tol = report.tolerances
     contraction = None
-    met_opt = False
+    residual = None
     for rec in report.records:
-        goal = finishing_goal(met_opt, tol["eps_feas"], tol["eps_prec"])
+        goal = finishing_goal(residual, report.tolerances)
         yield rec, precision_ratio(r, contraction, goal is not None), goal
         contraction = rec.resta.contraction
-        met_opt = rec.stationarity_residual <= tol["eps_opt"]
+        residual = rec.stationarity_residual
 
 
 def _refinement_rows(report):
@@ -458,24 +449,21 @@ def _tangent_search_rows(report):
 
 
 def _ledger_rows(rec, tc):
-    # startup measurements are charged to the first iteration
-    first = 1 if rec.k == 0 else 0
-    caps = {"h_evals": tc.h_evals_per_iter + first,
-            "gradh_evals": tc.gradh_evals_per_iter,
-            "f_evals": tc.f_evals_per_iter + first,
-            "gradf_evals": tc.gradf_evals_per_iter}
+    # the start-up evaluations are charged to the first iteration
+    caps = tc.evals_per_iter
+    if rec.k == 0:
+        caps = {key: cap + STARTUP_EVALS[key] for key, cap in caps.items()}
     return [_exact(rec.k, rec.ledger_delta[key], cap)
             for key, cap in caps.items()]
 
 
 def _ledger_total_rows(report):
     # the records' deltas and the failing restoration call's add up to the
-    # run's totals; the start-up f and h are charged to record 0, and to
-    # no record when the run stopped before finishing one
+    # run's totals; the start-up evaluations are in record 0's delta, or in
+    # no record's when the run stopped before finishing one
     deltas = [rec.ledger_delta for rec in report.records]
     if not report.records:
-        deltas.append({"f_evals": 1, "gradf_evals": 0, "h_evals": 1,
-                       "gradh_evals": 0})
+        deltas.append(STARTUP_EVALS)
     if report.failure_info is not None:
         deltas.append(report.failure_info["resta"].ledger_delta)
     for key in LEDGER_FIELDS:
@@ -494,8 +482,8 @@ def _stopping_rows(report):
     stopped in the iteration after its last record, neither meeting the
     test.  A record that must meet it is the row (largest ratio of a
     stopping measure to its tolerance, 1); one that must not is the lower
-    bound (1, that ratio).  The verdict is the exact comparison the solver
-    made.
+    bound (1, that ratio).  The verdict is the solver's own comparison,
+    :func:`~bira.core.stopping_test`.
     """
     tol = report.tolerances
     recs = report.records
@@ -509,11 +497,10 @@ def _stopping_rows(report):
         yield _exact(None, n, stop)
         yield _exact(None, stop, n)
     for i, rec in enumerate(recs):
-        measures = ((rec.h_xR_yR, tol["eps_feas"]),
-                    (rec.g_yR, tol["eps_prec"]),
-                    (rec.stationarity_residual, tol["eps_opt"]))
-        met = all(val <= eps for val, eps in measures)
-        ratio = max(val / eps for val, eps in measures)
+        met = stopping_test(rec.h_xR_yR, rec.g_yR, rec.stationarity_residual,
+                            tol)
+        ratio = max(rec.h_xR_yR / tol["eps_feas"], rec.g_yR / tol["eps_prec"],
+                    rec.stationarity_residual / tol["eps_opt"])
         if report.status == "Converged" and i == n - 1:
             yield rec.k, met, ratio, 1.0
         else:
@@ -643,7 +630,7 @@ def tolerance_grid(eps_values):
     it runs.
     """
     eps = np.asarray(eps_values, dtype=float)
-    if not np.all(np.isfinite(eps) & (eps > 0.0)):
+    if not all(map(valid_tolerance, eps)):
         raise InsufficientDataError("tolerances must be positive and finite")
     if np.unique(eps).size < 3:
         raise InsufficientDataError("need at least three distinct tolerances")

@@ -57,13 +57,6 @@ class TangentSet:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "center", center)
 
-    def contains(self, x, tol=1e-8):
-        x = as_point(x, self.box.dim)
-        if not self.box.contains(x, tol=tol):
-            return False
-        resid = float(np.linalg.norm(self.A @ (x - self.center)))
-        return resid <= tol * (1.0 + float(np.linalg.norm(x)))
-
 
 def project_polyhedron(z, lower, upper, A, center):
     """Euclidean projection of ``z`` onto ``{x : lower <= x <= upper,

@@ -34,24 +34,21 @@ from .diagnostics import constants as derived_constants
 
 
 class EvaluationLedger:
-    """Counts of oracle evaluations by kind."""
-
-    FIELDS = LEDGER_FIELDS
+    """Counts of oracle evaluations by kind, one attribute per
+    :data:`~bira.core.LEDGER_FIELDS` entry."""
 
     def __init__(self):
-        self.f_evals = 0
-        self.gradf_evals = 0
-        self.h_evals = 0
-        self.gradh_evals = 0
+        self.reset()
 
     def snapshot(self):
-        return {name: getattr(self, name) for name in self.FIELDS}
+        return {name: getattr(self, name) for name in LEDGER_FIELDS}
 
     def delta(self, since):
-        return {name: getattr(self, name) - since[name] for name in self.FIELDS}
+        return {name: getattr(self, name) - since[name]
+                for name in LEDGER_FIELDS}
 
     def reset(self):
-        for name in self.FIELDS:
+        for name in LEDGER_FIELDS:
             setattr(self, name, 0)
 
 
@@ -307,6 +304,33 @@ def _calibrate_noise(pc_for, params):
     return ns
 
 
+def _calibrated_constants(params, g0, *, C_f, L_f, C_h, G_h, LJ=0.0):
+    """``(scale, constants)`` of a problem whose exact parts have the
+    bounds given, once the sine noise of :func:`_calibrate_noise`'s scale
+    at precision ``g0`` is added.
+
+    ``C_f`` bounds the exact ``|f|``, ``L_f`` its gradient norm and the
+    gradient's Lipschitz constant, ``C_h`` the exact violation, ``G_h`` the
+    constraint Jacobian and ``LJ`` the Jacobian's Lipschitz constant.  The
+    noise adds ``scale * g0`` times the :class:`_SineNoise` bounds to each.
+    """
+    f_noise = max(sum(NOISE_FREQ_F), sum(NOISE_FREQ_F) ** 2)
+
+    def pc_for(ns):
+        err = ns * g0
+        grad_h = G_h + err * sum(NOISE_FREQ_H)
+        lip_J = LJ + err * sum(NOISE_FREQ_H) ** 2
+        sup_h = C_h + err
+        return ProblemConstants(
+            L_f=L_f + err * f_noise, L_h=max(grad_h, lip_J),
+            L_c=grad_h**2 + sup_h * lip_J, C_f=C_f + err, C_h=sup_h,
+            C_g=max(1.0, g0), provenance="analytic",
+        )
+
+    ns = _calibrate_noise(pc_for, params)
+    return ns, pc_for(ns)
+
+
 def _p1_family(name, feasibility_offset, start_mode, y0, *, params=None):
     """Quadratic objective, one scaled linear constraint, dimension 5."""
     params = params or AlgorithmParams.defaults()
@@ -337,28 +361,12 @@ def _p1_family(name, feasibility_offset, start_mode, y0, *, params=None):
     def constraint_jac(x):
         return (scale * a)[None, :]
 
-    g0 = y0.g
     coord_span = np.maximum(10.0 - x_f, x_f + 10.0)
     sup_dist = float(np.linalg.norm(coord_span))
     sup_lin = 10.0 * math.sqrt(n) + abs(b)
-
-    def pc_for(ns):
-        f_noise_bound = max(sum(NOISE_FREQ_F), sum(NOISE_FREQ_F) ** 2)
-        gh_noise_grad = sum(NOISE_FREQ_H)
-        gh_noise_hess = sum(NOISE_FREQ_H) ** 2
-        C_f = sup_dist**2 / 20.0 + ns * g0
-        L_f = max(sup_dist / 10.0, 0.1) + ns * g0 * f_noise_bound
-        C_h = scale * sup_lin + ns * g0
-        G_h = scale + ns * g0 * gh_noise_grad
-        LJ = ns * g0 * gh_noise_hess
-        L_h = max(G_h, LJ)
-        L_c = G_h**2 + C_h * LJ
-        return ProblemConstants(
-            L_f=L_f, L_h=L_h, L_c=L_c, C_f=C_f, C_h=C_h,
-            C_g=max(1.0, g0), provenance="analytic",
-        )
-
-    ns = _calibrate_noise(pc_for, params)
+    ns, pc = _calibrated_constants(
+        params, y0.g, C_f=sup_dist**2 / 20.0, L_f=max(sup_dist / 10.0, 0.1),
+        C_h=scale * sup_lin, G_h=scale)
 
     if start_mode == "offset":
         tang = np.array([1.0, -1.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
@@ -368,7 +376,7 @@ def _p1_family(name, feasibility_offset, start_mode, y0, *, params=None):
 
     return SyntheticProblem(
         name, box, objective, objective_grad, constraint, constraint_jac,
-        1, x0, y0, pc_for(ns),
+        1, x0, y0, pc,
         noise_scale_f=ns, noise_scale_h=ns, noise_seed=11,
         known_solution=x_sol,
     )
@@ -391,7 +399,6 @@ def make_p2(params=None):
     params = params or AlgorithmParams.defaults()
     box = BoxPolytope(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
     y0 = PrecisionLevel(0.5, 0.5)
-    g0 = y0.g
 
     def objective(x):
         return (100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2) / 1000.0
@@ -409,26 +416,11 @@ def make_p2(params=None):
     def constraint_jac(x):
         return np.array([[x[0] / 2.0, x[1] / 2.0]])
 
-    def pc_for(ns):
-        noise_f_bound = max(sum(NOISE_FREQ_F), sum(NOISE_FREQ_F) ** 2)
-        noise_h_grad = sum(NOISE_FREQ_H)
-        noise_h_hess = sum(NOISE_FREQ_H) ** 2
-        C_f = 3.609 + ns * g0
-        L_f = 5.75 + ns * g0 * noise_f_bound
-        C_h = 1.75 + ns * g0
-        G_h = math.sqrt(2.0) + ns * g0 * noise_h_grad
-        LJ = 0.5 + ns * g0 * noise_h_hess
-        L_h = max(G_h, LJ)
-        L_c = G_h**2 + C_h * LJ
-        return ProblemConstants(
-            L_f=L_f, L_h=L_h, L_c=L_c, C_f=C_f, C_h=C_h, C_g=1.0,
-            provenance="analytic",
-        )
-
-    ns = _calibrate_noise(pc_for, params)
+    ns, pc = _calibrated_constants(params, y0.g, C_f=3.609, L_f=5.75,
+                                   C_h=1.75, G_h=math.sqrt(2.0), LJ=0.5)
     return SyntheticProblem(
         "p2", box, objective, objective_grad, constraint, constraint_jac,
-        1, np.array([-1.8, 1.2]), y0, pc_for(ns),
+        1, np.array([-1.8, 1.2]), y0, pc,
         noise_scale_f=ns, noise_scale_h=ns, noise_seed=23,
         known_solution=None,
     )

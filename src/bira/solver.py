@@ -42,8 +42,6 @@ one fails a trial or stalls.  The per-iteration ledger deltas in the
 records are the proof.
 """
 
-import math
-
 import numpy as np
 
 from .core import (
@@ -53,11 +51,12 @@ from .core import (
     InvariantError,
     descent_test,
     finishing_goal,
-    goal_met,
     merit_allowance,
     merit_test,
     restoration_tests,
+    stopping_test,
     tangent_mu_start,
+    valid_tolerance,
 )
 from .diagnostics import constants as derived_constants
 from .diagnostics import restoration_inner_cap
@@ -200,9 +199,10 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     outer iteration index added to its summary as ``iteration``.
     """
     params = params or AlgorithmParams.defaults()
-    for name, val in (("eps_feas", eps_feas), ("eps_prec", eps_prec),
-                      ("eps_opt", eps_opt)):
-        if not 0.0 < val < math.inf:
+    tolerances = {"eps_feas": eps_feas, "eps_prec": eps_prec,
+                  "eps_opt": eps_opt}
+    for name, val in tolerances.items():
+        if not valid_tolerance(val):
             raise ConfigurationError(
                 f"{name} must be positive and finite, got {val}")
     if budget < 0:
@@ -214,8 +214,6 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     tc = derived_constants(pc, params, extras=extras)
     inner_cap = restoration_inner_cap(tc)
     basis = {"problem_constants": pc.to_dict(), "extras": tc.extras}
-    tolerances = {"eps_feas": eps_feas, "eps_prec": eps_prec,
-                  "eps_opt": eps_opt}
 
     def finish(status, failure=None):
         return RunReport(
@@ -252,8 +250,8 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
 
             # finish in one call once the optimality comparison has held
             goal = finishing_goal(
-                bool(records) and records[-1].stationarity_residual <= eps_opt,
-                eps_feas, eps_prec)
+                records[-1].stationarity_residual if records else None,
+                tolerances)
             out = resta(problem, x, y, params, h_xk_yk=h_vec,
                         inner_cap=inner_cap, contraction=contraction,
                         goal=goal, jacobian=jacobian)
@@ -358,8 +356,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             ))
             theta = theta_next
 
-            if (goal_met(out.h_xR_yR, g_R, (eps_feas, eps_prec))
-                    and residual <= eps_opt):
+            if stopping_test(out.h_xR_yR, g_R, residual, tolerances):
                 return finish("Converged")
 
             x = np.asarray(x_next, dtype=float)

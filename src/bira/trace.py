@@ -9,9 +9,9 @@ each fact has one type: a :class:`~bira.core.PrecisionLevel`, a
 :class:`~bira.qp.SolveCertificate` or a :class:`RestorationOutcome`.
 """
 
+import contextlib
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +24,7 @@ from .core import (
     ProblemConstants,
     SchemaError,
     is_number,
+    valid_tolerance,
 )
 from .qp import SolveCertificate
 
@@ -86,6 +87,16 @@ def number_list(values, what, length=None):
         raise SchemaError(f"{what} must have {length} entries,"
                           f" got {len(values)}")
     return values
+
+
+@contextlib.contextmanager
+def _within(what):
+    """Prefix ``what`` to a :class:`SchemaError` raised inside, so an error
+    in a nested part of a trace names the part that holds it."""
+    try:
+        yield
+    except SchemaError as exc:
+        raise SchemaError(f"{what}: {exc}") from None
 
 
 def check_count(val, what):
@@ -350,15 +361,16 @@ class IterationRecord:
         names, optional, counts = number_fields(cls)
         check_numbers(d, what, [n for n in names if n in _RECORD_WRITTEN],
                       optional, counts)
-        cert = d["tangent_cert"]
-        check_numbers(cert, "tangent_cert")
-        check_ledger(d["ledger_delta"], "ledger_delta")
-        kw = dict(d, **chain, k=k, tangent_cert=SolveCertificate(**cert))
-        n = len(chain["x_k"])
-        kw["resta"] = RestorationOutcome.from_dict(d["resta"], n)
-        kw["x_next"] = (kw["resta"].x_R if d["x_next"] is None
-                        else np.asarray(number_list(d["x_next"], "x_next", n),
-                                        dtype=float))
+        with _within(what):
+            cert = d["tangent_cert"]
+            check_numbers(cert, "tangent_cert")
+            check_ledger(d["ledger_delta"], "ledger_delta")
+            kw = dict(d, **chain, k=k, tangent_cert=SolveCertificate(**cert))
+            n = len(chain["x_k"])
+            kw["resta"] = RestorationOutcome.from_dict(d["resta"], n)
+            kw["x_next"] = (kw["resta"].x_R if d["x_next"] is None
+                            else np.asarray(number_list(d["x_next"], "x_next",
+                                                        n), dtype=float))
         # a call that found possible infeasibility ends the run unrecorded
         if kw["resta"].status != "restored":
             raise SchemaError("an iteration record cannot hold restoration"
@@ -454,7 +466,7 @@ class RunReport:
         check_fields(d["tolerances"], ("eps_feas", "eps_prec", "eps_opt"),
                      "tolerances")
         check_numbers(d["tolerances"], "tolerances")
-        if not all(0.0 < tol < math.inf for tol in d["tolerances"].values()):
+        if not all(map(valid_tolerance, d["tolerances"].values())):
             raise SchemaError("tolerances must be positive and finite")
         check_ledger(d["ledger_totals"], "ledger totals")
         status = d["status"]
@@ -480,7 +492,8 @@ class RunReport:
                 raise SchemaError(
                     f"unknown failure kind {failure['kind']!r}")
             check_count(failure["iteration"], "failure iteration")
-            out = RestorationOutcome.from_dict(failure["resta"], n)
+            with _within("failure info"):
+                out = RestorationOutcome.from_dict(failure["resta"], n)
             if ((out.status == "possible_infeasibility")
                     != (failure["kind"] == "possible_infeasibility")):
                 raise SchemaError(

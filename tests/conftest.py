@@ -61,10 +61,15 @@ def table_row(table, i):
             else column[i] for name, column in table.items()}
 
 
-def make_highdim():
-    """The benchmark's first ``highdim`` problem: n = 100, m = 5, seed 1."""
+def load_synth():
+    """The benchmark's synthetic problem family, ``bench/synth.py``."""
     path = Path(__file__).resolve().parent.parent / "bench" / "synth.py"
     spec = importlib.util.spec_from_file_location("synth", path)
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    return synth.make_synthetic("highdim0", 100, 5, 1)
+    return synth
+
+
+def make_highdim():
+    """The benchmark's first ``highdim`` problem: n = 100, m = 5, seed 1."""
+    return load_synth().make_synthetic("highdim0", 100, 5, 1)

@@ -7,6 +7,7 @@ from conftest import make_highdim
 import bira.qp
 import bira.solver
 from bira.core import (
+    STARTUP_EVALS,
     AlgorithmParams,
     BoxPolytope,
     ConfigurationError,
@@ -491,6 +492,8 @@ def test_a_run_without_records_keeps_its_start():
     assert rep.final_y == PrecisionLevel(*d["start"]["y"])
     assert rep.ledger_totals == {
         "f_evals": 1, "gradf_evals": 0, "h_evals": 1, "gradh_evals": 0}
+    # the start-up charge the audit and the theory chain read
+    assert rep.ledger_totals == STARTUP_EVALS
     assert audit(rep).ok
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 from conftest import table_row
@@ -9,6 +10,9 @@ import bira.oracle
 import bira.solver
 from bira.cli import CSV_HEADER, main
 from bira.core import AbnormalTermination, InvariantError
+
+#: Golden outputs: the default ``complexity`` CSV and the ``suite`` stdout.
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_run_writes_a_trace_and_exits_clean(tmp_path, capsys):
@@ -299,6 +303,8 @@ def _add_column(table, name, value):
     lambda trace: trace["records"]["resta"]["trials"][1]["sigma"].pop(),
     lambda trace: trace["start"].update(y=[-0.5, 0.5]),
     lambda trace: _resta(trace, 1, y_R=[0.1, float("nan")]),
+    lambda trace: trace["records"]["tangent_cert"]["step_norm"].__setitem__(
+        1, "0.5"),
 ], ids=["record_is_a_number", "tangent_cert_missing_step_norm",
         "y_R_of_three_entries", "start_y_of_one_entry", "x_R_of_one_entry",
         "start_x_of_one_entry", "negative_budget",
@@ -308,15 +314,22 @@ def _add_column(table, name, value):
         "resta_with_sigma_history", "resta_with_certificates",
         "trials_with_kappa_ratio", "tangent_cert_with_kappa_ratio",
         "tangent_cert_with_tangent_violation", "trials_missing_a_sigma",
-        "negative_start_y", "y_R_is_nan"])
-def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit):
+        "negative_start_y", "y_R_is_nan", "tangent_cert_step_norm_is_text"])
+def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
+                                         request):
     payload = json.loads(p1_trace)
     edit(payload)
     trace = tmp_path / "t.json"
     trace.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["audit", str(trace)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    # a bad value inside a record's nested parts names the record
+    if request.node.callspec.id in ("negative_refinements",
+                                    "fractional_ledger_count",
+                                    "tangent_cert_step_norm_is_text"):
+        assert err.startswith("error: iteration record 1: "), err
 
 
 @pytest.mark.parametrize("edit,table", [
@@ -330,8 +343,10 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit):
      "records ledger_delta"),
     (lambda trace: trace["records"]["resta"]["ledger_delta"][
         "f_evals"].append(0), "records resta ledger_delta"),
+    # a table inside record 1 is named with the record
     (lambda trace: trace["records"]["resta"]["trials"][1][
-        "kappa_phi_ratio"].append(0.0), "restoration trials"),
+        "kappa_phi_ratio"].append(0.0),
+     "iteration record 1: restoration trials"),
 ], ids=["records_short", "records_long", "resta_short", "tangent_cert_long",
         "ledger_delta_short", "resta_ledger_delta_long", "trials_long"])
 def test_audit_rejects_columns_of_unequal_length(tmp_path, capsys, p1_trace,
@@ -423,6 +438,18 @@ def test_suite_runs_everything_and_audits(capsys):
         assert f"{name}:" in got
     assert "[ok]" in got
     assert "[FAIL]" not in got
+
+
+def test_suite_prints_its_golden_output(capsys):
+    assert main(["suite"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (DATA / "suite.txt").read_bytes()
+
+
+def test_default_complexity_writes_its_golden_csv(tmp_path, capsys):
+    out = tmp_path / "complexity.csv"
+    assert main(["complexity", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "complexity.csv").read_bytes()
 
 
 def test_complexity_sweep_writes_the_csv(tmp_path, capsys):

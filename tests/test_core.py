@@ -11,7 +11,9 @@ from bira.core import (
     as_point,
     constraint_ssq,
     descent_test,
+    finishing_goal,
     merit_phi,
+    stopping_test,
 )
 
 
@@ -163,3 +165,22 @@ def test_problem_constants_provenance():
     with pytest.raises(ConfigurationError):
         ProblemConstants(1.0, 1.0, 1.0, 1.0, 1.0, 0.5)
 
+
+TOL = {"eps_feas": 1e-6, "eps_prec": 1e-5, "eps_opt": 1e-4}
+
+
+def test_a_finishing_goal_opens_once_the_optimality_comparison_holds():
+    assert finishing_goal(None, TOL) is None
+    assert finishing_goal(2e-4, TOL) is None
+    assert finishing_goal(1e-4, TOL) == (1e-6, 1e-5)
+
+
+@pytest.mark.parametrize("h_norm,g,residual,met", [
+    (1e-6, 1e-5, 1e-4, True),
+    (2e-6, 1e-5, 1e-4, False),
+    (1e-6, 2e-5, 1e-4, False),
+    (1e-6, 1e-5, 2e-4, False),
+], ids=["all_met", "violation_open", "precision_open", "optimality_open"])
+def test_the_stopping_test_needs_all_three_comparisons(h_norm, g, residual,
+                                                       met):
+    assert stopping_test(h_norm, g, residual, TOL) is met

@@ -6,6 +6,8 @@ from conftest import table_row
 
 from bira.core import (
     DEFAULT_KAPPAS,
+    LEDGER_FIELDS,
+    STARTUP_EVALS,
     AlgorithmParams,
     InsufficientDataError,
     ProblemConstants,
@@ -134,8 +136,13 @@ def test_iteration_bounds_floors():
     )
     assert nb.total_iters == (nb.infeasible_iters + nb.g_above_tol_iters
                               + nb.optimality_iters + 1)
-    with pytest.raises(ValueError):
-        iteration_bounds(tc, 0.0, 1e-3, 1e-3)
+    assert tuple(nb.max_evals) == LEDGER_FIELDS
+    for key, cap in tc.evals_per_iter.items():
+        assert nb.max_evals[key] == nb.total_iters * cap + STARTUP_EVALS[key]
+    for eps in ((0.0, 1e-3, 1e-3), (math.inf, 1e-3, 1e-3),
+                (1e-3, math.inf, 1e-3), (1e-3, 1e-3, math.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            iteration_bounds(tc, *eps)
 
 
 def test_inner_cap_falls_back_without_analytic_constants():
@@ -355,7 +362,7 @@ TAMPERS = [
     ("residual_summability", ("records", 0, "stationarity_residual"),
      lambda t, tc: 10.0 * math.sqrt(tc.residual_square_sum_bound)),
     ("ledger_caps", ("records", 0, "ledger_delta", "gradh_evals"),
-     lambda t, tc: math.floor(tc.gradh_evals_per_iter) + 1),
+     lambda t, tc: math.floor(tc.evals_per_iter["gradh_evals"]) + 1),
     ("restoration_f_free", ("records", 0, "resta", "ledger_delta", "f_evals"),
      lambda t, tc: 1),
     ("restoration_model_decrease",

@@ -1,0 +1,195 @@
+"""The robustness grid, pinned.
+
+Every registered problem and one synthetic problem run at eight parameter
+sets and two tolerance sets, budget 200: 80 runs.  Each run is pinned by
+its status, failure kind, iteration count and the names of its failing
+audit checks, and the grid by its ledger totals.  A pinned failure is a
+row of the table, not a skip, so a change that moves any run on any
+parameter set shows here, row by row.
+"""
+
+from collections import Counter
+
+import pytest
+from conftest import load_synth
+
+from bira.core import LEDGER_FIELDS, AlgorithmParams
+from bira.diagnostics import audit
+from bira.oracle import problem_by_name
+from bira.solver import bira_run
+
+PARAMS = {
+    "defaults": {},
+    "alpha=0.3": {"alpha": 0.3},
+    "M=2,sigma_min=0.5": {"M": 2.0, "sigma_min": 0.5},
+    "M=8,sigma_min=0.125": {"M": 8.0, "sigma_min": 0.125},
+    "r=0.7": {"r": 0.7},
+    "r=0.3": {"r": 0.3},
+    "r_feas=0.2": {"r_feas": 0.2},
+    "sigma_min=1": {"sigma_min": 1.0},
+}
+TOLERANCES = {
+    "default": {},
+    "tight": {"eps_feas": 1e-8, "eps_prec": 1e-8, "eps_opt": 1e-6},
+}
+BUDGET = 200
+
+CONV, FAIL = "Converged", "RestorationFailure"
+INFEAS = "possible_infeasibility"
+OUTPACED = "precision_outpaced_feasibility"
+
+#: Per parameter set, one row per run: the problem, the tolerance set, the
+#: status, the failure kind and the number of iteration records.  p3 is
+#: infeasible.  The six other failures are of feasible problems: the tight
+#: p1 runs at alpha = 0.3 and r = 0.3 drive h to the rounding floor, p2 at
+#: r = 0.3 fails its second test, and p1 at r_feas = 0.2 stalls at once.
+GRID = {
+    "defaults": [
+        ("p1", "default", CONV, None, 20),
+        ("p1", "tight", CONV, None, 28),
+        ("p2", "default", CONV, None, 11),
+        ("p2", "tight", CONV, None, 17),
+        ("p3", "default", FAIL, INFEAS, 0),
+        ("p3", "tight", FAIL, INFEAS, 0),
+        ("p4", "default", CONV, None, 1),
+        ("p4", "tight", CONV, None, 1),
+        ("syn", "default", CONV, None, 11),
+        ("syn", "tight", CONV, None, 22),
+    ],
+    "alpha=0.3": [
+        ("p1", "default", CONV, None, 39),
+        ("p1", "tight", FAIL, INFEAS, 47),
+        ("p2", "default", CONV, None, 14),
+        ("p2", "tight", CONV, None, 19),
+        ("p3", "default", FAIL, INFEAS, 0),
+        ("p3", "tight", FAIL, INFEAS, 0),
+        ("p4", "default", CONV, None, 1),
+        ("p4", "tight", CONV, None, 1),
+        ("syn", "default", CONV, None, 11),
+        ("syn", "tight", CONV, None, 19),
+    ],
+    "M=2,sigma_min=0.5": [
+        ("p1", "default", CONV, None, 20),
+        ("p1", "tight", CONV, None, 28),
+        ("p2", "default", CONV, None, 11),
+        ("p2", "tight", CONV, None, 16),
+        ("p3", "default", FAIL, INFEAS, 0),
+        ("p3", "tight", FAIL, INFEAS, 0),
+        ("p4", "default", CONV, None, 1),
+        ("p4", "tight", CONV, None, 1),
+        ("syn", "default", CONV, None, 11),
+        ("syn", "tight", CONV, None, 22),
+    ],
+    "M=8,sigma_min=0.125": [
+        ("p1", "default", CONV, None, 20),
+        ("p1", "tight", CONV, None, 28),
+        ("p2", "default", CONV, None, 9),
+        ("p2", "tight", CONV, None, 16),
+        ("p3", "default", FAIL, INFEAS, 0),
+        ("p3", "tight", FAIL, INFEAS, 0),
+        ("p4", "default", CONV, None, 1),
+        ("p4", "tight", CONV, None, 1),
+        ("syn", "default", CONV, None, 11),
+        ("syn", "tight", CONV, None, 22),
+    ],
+    "r=0.7": [
+        ("p1", "default", CONV, None, 20),
+        ("p1", "tight", CONV, None, 29),
+        ("p2", "default", CONV, None, 17),
+        ("p2", "tight", CONV, None, 29),
+        ("p3", "default", FAIL, INFEAS, 1),
+        ("p3", "tight", FAIL, INFEAS, 1),
+        ("p4", "default", CONV, None, 1),
+        ("p4", "tight", CONV, None, 1),
+        ("syn", "default", CONV, None, 18),
+        ("syn", "tight", CONV, None, 40),
+    ],
+    "r=0.3": [
+        ("p1", "default", CONV, None, 19),
+        ("p1", "tight", FAIL, INFEAS, 26),
+        ("p2", "default", FAIL, OUTPACED, 2),
+        ("p2", "tight", FAIL, OUTPACED, 2),
+        ("p3", "default", FAIL, INFEAS, 0),
+        ("p3", "tight", FAIL, INFEAS, 0),
+        ("p4", "default", CONV, None, 1),
+        ("p4", "tight", CONV, None, 1),
+        ("syn", "default", CONV, None, 8),
+        ("syn", "tight", CONV, None, 11),
+    ],
+    "r_feas=0.2": [
+        ("p1", "default", FAIL, INFEAS, 0),
+        ("p1", "tight", FAIL, INFEAS, 0),
+        ("p2", "default", CONV, None, 11),
+        ("p2", "tight", CONV, None, 17),
+        ("p3", "default", FAIL, INFEAS, 0),
+        ("p3", "tight", FAIL, INFEAS, 0),
+        ("p4", "default", CONV, None, 1),
+        ("p4", "tight", CONV, None, 1),
+        ("syn", "default", CONV, None, 11),
+        ("syn", "tight", CONV, None, 22),
+    ],
+    "sigma_min=1": [
+        ("p1", "default", CONV, None, 20),
+        ("p1", "tight", CONV, None, 28),
+        ("p2", "default", CONV, None, 12),
+        ("p2", "tight", CONV, None, 19),
+        ("p3", "default", FAIL, INFEAS, 0),
+        ("p3", "tight", FAIL, INFEAS, 0),
+        ("p4", "default", CONV, None, 1),
+        ("p4", "tight", CONV, None, 1),
+        ("syn", "default", CONV, None, 11),
+        ("syn", "tight", CONV, None, 23),
+    ],
+}
+
+#: The failing audit checks of a run; every other run audits clean.
+#: ``bench/synth.py`` calibrates its noise at the default parameters, so at
+#: (M, sigma_min) = (8, 1/8) and at r = 0.7 the synthetic problem's noise
+#: exceeds the budget of the run's own parameters.
+FAILING = {
+    ("M=8,sigma_min=0.125", "syn", "default"): ["noise_within_budget"],
+    ("M=8,sigma_min=0.125", "syn", "tight"): ["noise_within_budget"],
+    ("r=0.7", "syn", "default"): ["noise_within_budget"],
+    ("r=0.7", "syn", "tight"): ["noise_within_budget"],
+}
+
+LEDGER_TOTALS = {"f_evals": 2779, "gradf_evals": 885, "h_evals": 8123,
+                 "gradh_evals": 1526}
+
+ROWS = [(label, *row) for label, rows in GRID.items() for row in rows]
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """Every run of the grid, ``(report, audit)`` by ``(parameter set,
+    problem, tolerance set)``."""
+    synth = load_synth()
+    runs = {}
+    for label, name, tol, *_ in ROWS:
+        params = AlgorithmParams(**PARAMS[label])
+        problem = (synth.make_synthetic("syn", 30, 6, 5, base=2,
+                                        row_scale=0.5, n_active=3)
+                   if name == "syn" else problem_by_name(name, params))
+        report = bira_run(problem, params, budget=BUDGET, **TOLERANCES[tol])
+        runs[label, name, tol] = report, audit(report)
+    return runs
+
+
+@pytest.mark.parametrize("label,name,tol,status,kind,iterations", ROWS,
+                         ids=["-".join(row[:3]) for row in ROWS])
+def test_grid_run(grid, label, name, tol, status, kind, iterations):
+    report, result = grid[label, name, tol]
+    failure = report.failure_info
+    assert report.status == status
+    assert (failure and failure["kind"]) == kind
+    assert report.iterations == iterations
+    assert ([check.name for check in result.failures]
+            == FAILING.get((label, name, tol), []))
+
+
+def test_grid_totals(grid):
+    reports = [report for report, _ in grid.values()]
+    assert Counter(report.status for report in reports) == {CONV: 58,
+                                                            FAIL: 22}
+    assert {key: sum(report.ledger_totals[key] for report in reports)
+            for key in LEDGER_FIELDS} == LEDGER_TOTALS
