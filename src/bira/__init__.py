@@ -45,7 +45,6 @@ from .oracle import (
     make_p2,
     make_p3,
     make_p4,
-    make_suite,
     problem_by_name,
 )
 from .qp import SolveCertificate
@@ -90,7 +89,6 @@ __all__ = [
     "make_p2",
     "make_p3",
     "make_p4",
-    "make_suite",
     "merit_phi",
     "problem_by_name",
     "resta",

@@ -52,6 +52,15 @@ class SchemaError(ValueError):
 #: the keys of every ledger snapshot, delta and total in a trace.
 LEDGER_FIELDS = ("f_evals", "gradf_evals", "h_evals", "gradh_evals")
 
+#: How :func:`~bira.solver.bira_run` ends, and how a restoration call ends.
+RUN_STATUSES = ("Converged", "RestorationFailure", "BudgetExceeded")
+RESTORATION_STATUSES = ("restored", "possible_infeasibility")
+
+#: Why a run ends in ``RestorationFailure``: its restoration call found
+#: possible infeasibility, or the outcome failed a :func:`restoration_tests`.
+FAILURE_KINDS = (RESTORATION_STATUSES[1], "insufficient_contraction",
+                 "precision_outpaced_feasibility")
+
 #: The evaluations :func:`~bira.solver.bira_run` makes before iteration 0,
 #: one f and one h at the start point, by ledger kind.  They are charged to
 #: record 0, and to no record when the run stops before finishing one.
@@ -252,8 +261,8 @@ def restoration_tests(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     contracted by ``r``, and the precision gain did not outpace the
     feasibility gain (see :func:`bira.solver.restoration_failure`)."""
     return (
-        ("insufficient_contraction", h_xR_yR, r * h_xk_yR),
-        ("precision_outpaced_feasibility",
+        (FAILURE_KINDS[1], h_xR_yR, r * h_xk_yR),
+        (FAILURE_KINDS[2],
          ((1.0 - r) / (2.0 * r)) * (g_yk - g_yR), h_xk_yR - h_xR_yR),
     )
 

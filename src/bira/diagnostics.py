@@ -11,6 +11,7 @@ pass/fail/skipped per check.  Bound checks that would be meaningless with
 estimated problem constants are reported as skipped, never as passes.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ from .core import (
     LEDGER_FIELDS,
     STARTUP_EVALS,
     AlgorithmParams,
+    ConfigurationError,
     InsufficientDataError,
     ProblemConstants,
     descent_test,
@@ -104,6 +106,11 @@ class TheoreticalConstants:
                 "h_evals": rest + tang + 1, "gradh_evals": rest + 2}
 
 
+#: The quantities :func:`constants` derives, in the order it computes them.
+_DERIVED = tuple(name for name in TheoreticalConstants.__dataclass_fields__
+                 if name not in ("r", "analytic", "extras"))
+
+
 def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
               *, extras=None):
     """Compute the full derived-constant chain, at the solve targets
@@ -112,6 +119,10 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     ``extras`` may override ``beta`` (oracle error scale), ``gamma``
     (merit decrease fraction) and ``k_R`` (projection-map drift bound).
     Other keys are not read; they are kept in ``extras`` of the result.
+    :class:`ConfigurationError` refuses an extra out of its range
+    (``beta >= 0``, ``0 < gamma < 1``, ``k_R >= 0``), and names the first
+    derived quantity that is not finite, overflowing or dividing by zero on
+    the way included.
     """
     pc = problem_constants
     p = params
@@ -121,83 +132,77 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     beta = float(ext["beta"])
     gamma = float(ext["gamma"])
     k_R = float(ext["k_R"])
+    if not beta >= 0.0:
+        raise ConfigurationError(f"extra beta must be >= 0, got {beta}")
+    if not 0.0 < gamma < 1.0:
+        raise ConfigurationError(
+            f"extra gamma must lie in (0, 1), got {gamma}")
+    if not k_R >= 0.0:
+        raise ConfigurationError(f"extra k_R must be >= 0, got {k_R}")
 
-    sigma_sufficient = 2.0 * (pc.L_c + p.M / 2.0 + p.alpha_R)
-    sigma_cap = max(10.0 * sigma_sufficient, SIGMA_MAX)
-    restoration_grad_bound = pc.L_c + p.M + kap["kappa_R"] + sigma_cap
-    restoration_steps_per_level = (
-        restoration_grad_bound**2 * (1.0 - p.r**4)
-        / (2.0 * p.alpha_R * p.r_feas**2)
-        + 1.0
-    )
-    step_per_infeasibility = kap["kappa_phi"] * p.M * pc.C_h
-    # a trial on a kept Jacobian that fails is followed by trials on a
-    # fresh one from 2 sigma_min, so a z-step may take two trials even
-    # when sigma_min is already sufficient
-    sigma_trials_per_step = max(
-        2, math.floor(math.log2(sigma_sufficient) - math.log2(p.sigma_min)) + 1
-    )
-    restoration_iter_cap = (
-        restoration_steps_per_level * sigma_trials_per_step + 1.0
-    ) * p.N_prec
-    restored_distance_factor = (
-        BETA_C + restoration_iter_cap * step_per_infeasibility
-    )
-    restored_value_factor = pc.L_f * restored_distance_factor + beta
-    penalty_floor = min(
-        p.theta_0,
-        1.0
-        / (
-            (2.0 / (1.0 + p.r))
-            * (pc.L_f * restored_distance_factor / (1.0 - p.r) + 1.0)
-        ),
-    )
-    alpha_effective = max(
-        p.alpha,
-        ((1.0 - penalty_floor) / penalty_floor) * (kap["kappa_T"] + pc.L_h),
-    )
-    mu_sufficient = p.M + alpha_effective + pc.L_f
-    tangent_attempt_cap = (
-        max(math.floor(math.log2(mu_sufficient) - math.log2(p.mu_min)), 0)
-        + 1
-    )
-    mu_cap = max(10.0 * mu_sufficient, p.mu_max)
-    penalty_ratio_bound = pc.C_h / penalty_floor
-    infeasibility_sum_bound = (
-        2.0 / (gamma * (1.0 - p.r) ** 2)
-    ) * (k_R * (2.0 * pc.C_f + pc.C_h) + penalty_ratio_bound + pc.C_h + pc.C_g)
-    step_square_sum_bound = (1.0 / p.alpha) * (
-        (restored_value_factor + beta) * infeasibility_sum_bound + 2.0 * pc.C_f
-    )
-    residual_step_factor = p.M + kap["kappa"] + 2.0 * mu_cap + 2.0
-    residual_square_sum_bound = residual_step_factor**2 * step_square_sum_bound
-    beta_bar = penalty_floor * (1.0 - gamma) * (1.0 - p.r) ** 2 / 2.0
-
+    with contextlib.suppress(ArithmeticError):
+        sigma_sufficient = 2.0 * (pc.L_c + p.M / 2.0 + p.alpha_R)
+        sigma_cap = max(10.0 * sigma_sufficient, SIGMA_MAX)
+        restoration_grad_bound = pc.L_c + p.M + kap["kappa_R"] + sigma_cap
+        restoration_steps_per_level = (
+            restoration_grad_bound**2 * (1.0 - p.r**4)
+            / (2.0 * p.alpha_R * p.r_feas**2)
+            + 1.0
+        )
+        step_per_infeasibility = kap["kappa_phi"] * p.M * pc.C_h
+        # a trial on a kept Jacobian that fails is followed by trials on a
+        # fresh one from 2 sigma_min, so a z-step may take two trials even
+        # when sigma_min is already sufficient
+        sigma_trials_per_step = max(2, math.floor(
+            math.log2(sigma_sufficient) - math.log2(p.sigma_min)) + 1)
+        restoration_iter_cap = (
+            restoration_steps_per_level * sigma_trials_per_step + 1.0
+        ) * p.N_prec
+        restored_distance_factor = (
+            BETA_C + restoration_iter_cap * step_per_infeasibility
+        )
+        restored_value_factor = pc.L_f * restored_distance_factor + beta
+        penalty_floor = min(
+            p.theta_0,
+            1.0
+            / (
+                (2.0 / (1.0 + p.r))
+                * (pc.L_f * restored_distance_factor / (1.0 - p.r) + 1.0)
+            ),
+        )
+        alpha_effective = max(
+            p.alpha,
+            ((1.0 - penalty_floor) / penalty_floor)
+            * (kap["kappa_T"] + pc.L_h),
+        )
+        mu_sufficient = p.M + alpha_effective + pc.L_f
+        tangent_attempt_cap = (
+            max(math.floor(math.log2(mu_sufficient) - math.log2(p.mu_min)), 0)
+            + 1
+        )
+        mu_cap = max(10.0 * mu_sufficient, p.mu_max)
+        penalty_ratio_bound = pc.C_h / penalty_floor
+        infeasibility_sum_bound = (2.0 / (gamma * (1.0 - p.r) ** 2)) * (
+            k_R * (2.0 * pc.C_f + pc.C_h) + penalty_ratio_bound + pc.C_h
+            + pc.C_g)
+        step_square_sum_bound = (1.0 / p.alpha) * (
+            (restored_value_factor + beta) * infeasibility_sum_bound
+            + 2.0 * pc.C_f)
+        residual_step_factor = p.M + kap["kappa"] + 2.0 * mu_cap + 2.0
+        residual_square_sum_bound = (residual_step_factor**2
+                                     * step_square_sum_bound)
+        beta_bar = penalty_floor * (1.0 - gamma) * (1.0 - p.r) ** 2 / 2.0
+    # the chain computes the quantities in the order of _DERIVED, so the
+    # first one missing or not finite is where it broke down
+    derived = locals()
+    for name in _DERIVED:
+        if name not in derived or not math.isfinite(derived[name]):
+            raise ConfigurationError(
+                f"derived constant {name} is not finite: the problem"
+                " constants, parameters or extras are out of range")
     return TheoreticalConstants(
-        sigma_sufficient=sigma_sufficient,
-        sigma_cap=sigma_cap,
-        restoration_grad_bound=restoration_grad_bound,
-        restoration_steps_per_level=restoration_steps_per_level,
-        step_per_infeasibility=step_per_infeasibility,
-        sigma_trials_per_step=sigma_trials_per_step,
-        restoration_iter_cap=restoration_iter_cap,
-        restored_distance_factor=restored_distance_factor,
-        restored_value_factor=restored_value_factor,
-        penalty_floor=penalty_floor,
-        alpha_effective=alpha_effective,
-        mu_sufficient=mu_sufficient,
-        tangent_attempt_cap=tangent_attempt_cap,
-        mu_cap=mu_cap,
-        penalty_ratio_bound=penalty_ratio_bound,
-        infeasibility_sum_bound=infeasibility_sum_bound,
-        step_square_sum_bound=step_square_sum_bound,
-        residual_step_factor=residual_step_factor,
-        residual_square_sum_bound=residual_square_sum_bound,
-        beta_bar=beta_bar,
-        r=p.r,
-        analytic=pc.analytic,
-        extras=ext,
-    )
+        **{name: derived[name] for name in _DERIVED},
+        r=p.r, analytic=pc.analytic, extras=ext)
 
 
 @dataclass(frozen=True)

@@ -331,8 +331,9 @@ def _calibrated_constants(params, g0, *, C_f, L_f, C_h, G_h, LJ=0.0):
     return ns, pc_for(ns)
 
 
-def _p1_family(name, feasibility_offset, start_mode, y0, *, params=None):
-    """Quadratic objective, one scaled linear constraint, dimension 5."""
+def _p1_family(name, y0, *, at_solution=False, params=None):
+    """Quadratic objective, one scaled linear constraint, dimension 5; the
+    start is off the constraint, or at the solution if ``at_solution``."""
     params = params or AlgorithmParams.defaults()
     n = 5
     box = BoxPolytope(-10.0 * np.ones(n), 10.0 * np.ones(n))
@@ -340,13 +341,10 @@ def _p1_family(name, feasibility_offset, start_mode, y0, *, params=None):
     a = np.ones(n) / math.sqrt(n)
     scale = 0.25
 
-    if feasibility_offset is None:
-        # right-hand side chosen so the start point sits on the constraint
-        x_sol = x_f + 2.0 * a
-        b = float(a @ x_sol)
-    else:
-        b = float(a @ x_f) + feasibility_offset
-        x_sol = x_f + feasibility_offset * a
+    # the constraint plane lies two units from x_f along its unit normal a,
+    # so the plane's nearest point to x_f minimizes f on it
+    x_sol = x_f + 2.0 * a
+    b = float(a @ x_sol)
 
     def objective(x):
         d = x - x_f
@@ -368,11 +366,8 @@ def _p1_family(name, feasibility_offset, start_mode, y0, *, params=None):
         params, y0.g, C_f=sup_dist**2 / 20.0, L_f=max(sup_dist / 10.0, 0.1),
         C_h=scale * sup_lin, G_h=scale)
 
-    if start_mode == "offset":
-        tang = np.array([1.0, -1.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
-        x0 = x_f + 10.0 * a + 3.0 * tang
-    else:
-        x0 = x_sol.copy()
+    tang = np.array([1.0, -1.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
+    x0 = x_sol.copy() if at_solution else x_f + 10.0 * a + 3.0 * tang
 
     return SyntheticProblem(
         name, box, objective, objective_grad, constraint, constraint_jac,
@@ -384,13 +379,12 @@ def _p1_family(name, feasibility_offset, start_mode, y0, *, params=None):
 
 def make_p1(params=None):
     """Feasible start two units off the constraint, quadratic objective."""
-    return _p1_family("p1", 2.0, "offset", PrecisionLevel(0.5, 0.5),
-                      params=params)
+    return _p1_family("p1", PrecisionLevel(0.5, 0.5), params=params)
 
 
 def make_p4(params=None):
     """Starts exactly at the solution with exact precision: converges at once."""
-    return _p1_family("p4", None, "solution", PrecisionLevel(0.0, 0.0),
+    return _p1_family("p4", PrecisionLevel(0.0, 0.0), at_solution=True,
                       params=params)
 
 
@@ -462,7 +456,7 @@ _REGISTRY = {
     "p4": make_p4,
     # p1 under a second name, until the benchmark's problem list drops it
     "p1_pdp": lambda params=None: _p1_family(
-        "p1_pdp", 2.0, "offset", PrecisionLevel(0.5, 0.5), params=params),
+        "p1_pdp", PrecisionLevel(0.5, 0.5), params=params),
 }
 
 
@@ -474,8 +468,3 @@ def problem_by_name(name, params=None):
             f"unknown problem {name!r}; choose from {sorted(_REGISTRY)}"
         ) from None
     return factory(params=params)
-
-
-def make_suite(params=None):
-    """The four standard benchmark problems, in run order."""
-    return [make_p1(params), make_p2(params), make_p3(params), make_p4(params)]

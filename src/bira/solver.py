@@ -45,6 +45,7 @@ records are the proof.
 import numpy as np
 
 from .core import (
+    FAILURE_KINDS,
     AbnormalTermination,
     AlgorithmParams,
     ConfigurationError,
@@ -66,12 +67,15 @@ from .restoration import resta
 from .trace import IterationRecord, RunReport
 
 
-def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
-    """The two declare-failure tests applied to a restoration outcome.
+def restoration_failure(status, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
+    """The failure kind of a restoration outcome with ``status``, or
+    ``None`` when the run goes on.
 
-    Returns ``(failed, kind)``.  The first test rejects insufficient
-    contraction of the violation; the second rejects a precision gain
-    that outpaces the feasibility gain by more than the fixed ratio.
+    ``possible_infeasibility`` is its own kind; a restored outcome fails
+    with the first of the two declare-failure tests it does not pass.  The
+    first rejects insufficient contraction of the violation; the second
+    rejects a precision gain that outpaces the feasibility gain by more
+    than the fixed ratio.
 
     What the second test protects.  Write ``dh = h_xk_yR - h_xR_yR`` and
     ``dg = g_yk - g_yR``.  :func:`update_penalty` needs a weight theta with
@@ -123,10 +127,12 @@ def restoration_failure(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     test is open.  Restored past that floor, the zero-step problem of the
     tests at ``(M, sigma_min) = (2, 0.5)`` fails the test at the next call.
     """
+    if status in FAILURE_KINDS:
+        return status
     for kind, lhs, rhs in restoration_tests(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
         if not lhs <= rhs:
-            return True, kind
-    return False, None
+            return kind
+    return None
 
 
 def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -171,27 +177,25 @@ def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
 
 
 def _oracle_errors(problem, x, f_meas, h_vec_meas):
-    # bira_run takes any object with the oracle interface, exact or not
-    f_exact = getattr(problem, "exact_f", lambda x: None)(x)
-    h_exact = getattr(problem, "exact_h", lambda x: None)(x)
+    f_exact = problem.exact_f(x)
+    h_exact = problem.exact_h(x)
     if f_exact is None or h_exact is None:
         return None, None
-    return (
-        abs(f_meas - f_exact),
-        float(np.linalg.norm(h_vec_meas - h_exact)),
-    )
+    return abs(f_meas - f_exact), float(np.linalg.norm(h_vec_meas - h_exact))
 
 
 def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
              eps_opt=1e-4, budget=500):
-    """Solve ``problem`` to the given tolerances.
+    """Solve ``problem``, an :class:`~bira.oracle.InexactProblem` that sets
+    ``x0`` and ``y0``, to the given tolerances.
 
     Stops with status ``Converged`` when, at an accepted iteration, the
     restored violation, the restored and carried precision measures, and
     the projected-gradient residual on the tangent region are all within
-    tolerance.  ``RestorationFailure`` reports likely local
-    infeasibility (or a restoration outcome failing its contraction
-    tests); ``BudgetExceeded`` reports running out of iterations.
+    tolerance.  ``RestorationFailure`` reports the kind
+    :func:`restoration_failure` gives: likely local infeasibility, or a
+    restoration outcome failing its contraction tests; ``BudgetExceeded``
+    reports running out of iterations.
 
     A tolerance that is not positive and finite or a negative budget raises
     :class:`ConfigurationError`.  An :class:`AbnormalTermination` or
@@ -210,15 +214,14 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
 
     led_run = problem.ledger.snapshot()
     pc = problem.constants()
-    extras = dict(getattr(problem, "extras", dict)() or {})
-    tc = derived_constants(pc, params, extras=extras)
+    tc = derived_constants(pc, params, extras=problem.extras())
     inner_cap = restoration_inner_cap(tc)
     basis = {"problem_constants": pc.to_dict(), "extras": tc.extras}
 
     def finish(status, failure=None):
         return RunReport(
             status=status,
-            problem_name=getattr(problem, "name", "unnamed"),
+            problem_name=problem.name,
             records=records,
             failure_info=failure,
             start=start,
@@ -257,9 +260,8 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                         goal=goal, jacobian=jacobian)
             y_R = out.y_R
             g_k, g_R = y.g, y_R.g
-            kind = (out.status if out.status == "possible_infeasibility"
-                    else restoration_failure(out.h_xk_yR, out.h_xR_yR, g_k,
-                                             g_R, params.r)[1])
+            kind = restoration_failure(out.status, out.h_xk_yR, out.h_xR_yR,
+                                       g_k, g_R, params.r)
             if kind is not None:
                 return finish(
                     "RestorationFailure",

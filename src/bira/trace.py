@@ -17,7 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    FAILURE_KINDS,
     LEDGER_FIELDS,
+    RESTORATION_STATUSES,
+    RUN_STATUSES,
     AlgorithmParams,
     ContractError,
     PrecisionLevel,
@@ -165,9 +168,6 @@ def read_table(table, spec, what):
     return [dict(zip(columns, row)) for row in zip(*read)]
 
 
-#: The ways a restoration call ends.
-STATUSES = ("restored", "possible_infeasibility")
-
 #: The fields of a :class:`~bira.qp.SolveCertificate`.
 CERT_FIELDS = tuple(SolveCertificate.__dataclass_fields__)
 
@@ -185,10 +185,10 @@ TRIAL_TABLE = (TRIAL_FIELDS, {})
 class RestorationOutcome:
     """What one restoration call did and produced.
 
-    ``status`` is one of :data:`STATUSES`: ``restored`` or
-    ``possible_infeasibility``.  ``h_xk_yR`` is the violation at the
-    outer point re-measured at the returned precision; the outer failure
-    tests consume it directly instead of re-evaluating.  The outcome is the
+    ``status`` is one of :data:`~bira.core.RESTORATION_STATUSES`.
+    ``h_xk_yR`` is the violation at the outer point re-measured at the
+    returned precision; the outer failure tests consume it directly
+    instead of re-evaluating.  The outcome is the
     only place a trace writes ``y_R``, ``h_xk_yR`` and ``h_xR_yR``; an
     iteration record reads them from here.  ``h_vec`` is the violation
     vector whose norm is ``h_xR_yR``, kept in memory so a zero tangent step
@@ -239,7 +239,7 @@ class RestorationOutcome:
         what = "restoration outcome"
         check_fields(d, _OUTCOME_WRITTEN, what)
         check_numbers(d, what, *number_fields(cls))
-        if d["status"] not in STATUSES:
+        if d["status"] not in RESTORATION_STATUSES:
             raise SchemaError(f"unknown restoration status {d['status']!r}")
         check_ledger(d["ledger_delta"], "restoration ledger")
         kw = dict(d)
@@ -395,6 +395,8 @@ class RunReport:
     the status is ``RestorationFailure``; then it holds the failure
     ``kind``, the ``iteration`` it happened in and the
     :class:`RestorationOutcome` of that iteration's call as ``resta``.
+    The status and kind are entries of :data:`~bira.core.RUN_STATUSES` and
+    :data:`~bira.core.FAILURE_KINDS`.
     """
 
     status: str
@@ -470,7 +472,7 @@ class RunReport:
             raise SchemaError("tolerances must be positive and finite")
         check_ledger(d["ledger_totals"], "ledger totals")
         status = d["status"]
-        if status not in ("Converged", "BudgetExceeded", "RestorationFailure"):
+        if status not in RUN_STATUSES:
             raise SchemaError(f"unknown status {status!r}")
         failure = d["failure_info"]
         if (failure is None) == (status == "RestorationFailure"):
@@ -485,10 +487,7 @@ class RunReport:
         if failure is not None:
             check_fields(failure, ("kind", "iteration", "resta"),
                          "failure info")
-            # the resta status and the two kinds of restoration_failure
-            if failure["kind"] not in ("possible_infeasibility",
-                                       "insufficient_contraction",
-                                       "precision_outpaced_feasibility"):
+            if failure["kind"] not in FAILURE_KINDS:
                 raise SchemaError(
                     f"unknown failure kind {failure['kind']!r}")
             check_count(failure["iteration"], "failure iteration")

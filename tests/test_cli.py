@@ -9,7 +9,7 @@ import bira.cli
 import bira.oracle
 import bira.solver
 from bira.cli import CSV_HEADER, main
-from bira.core import AbnormalTermination, InvariantError
+from bira.core import RUN_STATUSES, AbnormalTermination, InvariantError
 
 #: Golden outputs: the default ``complexity`` CSV and the ``suite`` stdout.
 DATA = Path(__file__).resolve().parent / "data"
@@ -39,6 +39,11 @@ def test_infeasible_problem_exit_code(tmp_path, capsys):
     assert "RestorationFailure" in capsys.readouterr().out
     assert json.loads(trace.read_text())["failure_info"]["kind"] == (
         "possible_infeasibility")
+
+
+def test_every_run_status_has_its_exit_code():
+    assert set(bira.cli._STATUS_EXIT) == set(RUN_STATUSES)
+    assert set(bira.cli.EXPECTED_SUITE.values()) <= set(RUN_STATUSES)
 
 
 def test_budget_exit_code(capsys):
@@ -129,6 +134,21 @@ def test_uncovered_regularization_exits_before_any_evaluation(
     assert main(["run", "--problem", "p4", "--config", str(cfg)]) == 1
     assert "M * sigma_min must be >= 1" in capsys.readouterr().err
     assert evals == []
+
+
+@pytest.mark.parametrize("cfg,named", [
+    # alpha_R * r_feas**2 underflows to 0
+    ({"r_feas": 1e-300}, "restoration_steps_per_level"),
+    ({"alpha_R": 1e-300}, "restored_distance_factor"),
+], ids=["r_feas", "alpha_R"])
+def test_a_config_the_constants_chain_cannot_take_is_a_usage_error(
+        tmp_path, capsys, cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--problem", "p1", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: derived constant {named} is not finite")
+    assert "Traceback" not in err
 
 
 def test_malformed_config_is_a_usage_error(tmp_path, capsys):
@@ -425,6 +445,32 @@ def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
     capsys.readouterr()
     assert main(["audit", str(trace)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("part,name,value,message", [
+    ("extras", "gamma", 0, "extra gamma must lie in (0, 1)"),
+    ("extras", "gamma", 1, "extra gamma must lie in (0, 1)"),
+    ("extras", "beta", -1, "extra beta must be >= 0"),
+    ("extras", "k_R", -1, "extra k_R must be >= 0"),
+    ("problem_constants", "L_c", 1e308,
+     "derived constant sigma_sufficient is not finite"),
+    ("problem_constants", "L_f", 1e308,
+     "derived constant restored_value_factor is not finite"),
+    ("problem_constants", "C_h", 1e308,
+     "derived constant step_per_infeasibility is not finite"),
+], ids=["gamma_0", "gamma_1", "beta_negative", "k_R_negative", "L_c_huge",
+        "L_f_huge", "C_h_huge"])
+def test_audit_refuses_a_constants_basis_the_chain_cannot_take(
+        tmp_path, capsys, p1_trace, part, name, value, message):
+    payload = json.loads(p1_trace)
+    payload["constants_basis"][part][name] = value
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
 
 
 def test_audit_missing_file_is_an_io_error(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import kkt_min_quadratic_box_line
 
+from bira.cli import EXPECTED_SUITE
 from bira.core import (
     AlgorithmParams,
     BoxPolytope,
@@ -17,7 +18,6 @@ from bira.oracle import (
     make_p1,
     make_p2,
     make_p4,
-    make_suite,
     problem_by_name,
 )
 from bira.solver import bira_run
@@ -66,7 +66,7 @@ def _interior_points(rng, problem, count, margin=1e-3):
 def test_gradients_match_central_differences():
     rng = np.random.default_rng(17)
     step = 1e-5
-    for p in make_suite():
+    for p in map(problem_by_name, EXPECTED_SUITE):
         y = p.y0 if p.y0.g > 0 else PrecisionLevel(0.0, 0.0)
         for x in _interior_points(rng, p, 20, margin=2 * step):
             g = p.eval_grad_f(x, y)
@@ -83,7 +83,7 @@ def test_gradients_match_central_differences():
 def test_zero_precision_is_bitwise_exact():
     rng = np.random.default_rng(23)
     y0 = PrecisionLevel(0.0, 0.0)
-    for p in make_suite():
+    for p in map(problem_by_name, EXPECTED_SUITE):
         if p.exact_f(p.x0) is None:
             continue
         for x in _interior_points(rng, p, 25):
@@ -95,7 +95,7 @@ def test_noise_respects_advertised_bound():
     rng = np.random.default_rng(29)
     levels = [PrecisionLevel(0.5, 0.5), PrecisionLevel(0.07, 0.3),
               PrecisionLevel(1.0, 0.0)]
-    for p in make_suite():
+    for p in map(problem_by_name, EXPECTED_SUITE):
         if p.exact_f(p.x0) is None:
             continue
         ns_f = p.extras().get("noise_scale_f", 0.0)

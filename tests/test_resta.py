@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bira.cli import EXPECTED_SUITE
 from bira.core import (
     AbnormalTermination,
     AlgorithmParams,
@@ -13,7 +14,6 @@ from bira.oracle import (
     SyntheticProblem,
     make_p1,
     make_p3,
-    make_suite,
     problem_by_name,
 )
 from bira.diagnostics import restoration_stage_cap
@@ -75,10 +75,9 @@ def test_p1_z_steps_follow_the_closed_form_contraction():
     np.testing.assert_allclose(ratios, factor, atol=1e-6)
 
     assert out.h_xR_yR <= params.r * out.h_xk_yR
-    failed, kind = restoration_failure(
-        out.h_xk_yR, out.h_xR_yR, p.y0.g, out.y_R.g, params.r
-    )
-    assert not failed and kind is None
+    assert restoration_failure(
+        out.status, out.h_xk_yR, out.h_xR_yR, p.y0.g, out.y_R.g, params.r
+    ) is None
 
 
 def test_p1_floor_of_one_eighth_rejects_first_trials():
@@ -196,7 +195,7 @@ def test_contraction_of_nothing_to_contract_is_zero():
 
 def test_restoration_never_touches_the_objective():
     params = AlgorithmParams.defaults()
-    for p in make_suite():
+    for p in map(problem_by_name, EXPECTED_SUITE):
         h0 = p.eval_h(p.x0, p.y0)
         try:
             out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)

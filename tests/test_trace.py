@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 from conftest import make_highdim
 
-from bira.core import PrecisionLevel, SchemaError
+from bira.core import (
+    FAILURE_KINDS,
+    RESTORATION_STATUSES,
+    RUN_STATUSES,
+    PrecisionLevel,
+    SchemaError,
+)
 from bira.qp import SolveCertificate
 from bira.solver import bira_run
 from bira.trace import (
@@ -59,6 +65,47 @@ def test_the_saved_traces_are_the_cases_they_stand_for():
     staged = read_trace(DATA / "p2_staged.json")
     assert staged.status == "Converged"
     assert staged.records[-1].resta.stages > 0
+
+
+def _round_trips(d):
+    """Whether the trace payload ``d`` loads and writes itself back."""
+    return RunReport.from_dict(d).to_dict() == d
+
+
+@pytest.mark.parametrize("status", RUN_STATUSES)
+def test_every_run_status_round_trips(status):
+    name = ("p3_failure.json" if status == "RestorationFailure"
+            else "p2_staged.json")
+    d = json.loads((DATA / name).read_text())
+    d["status"] = status
+    assert _round_trips(d)
+    d["status"] = "Bogus"
+    with pytest.raises(SchemaError, match="unknown status"):
+        RunReport.from_dict(d)
+
+
+@pytest.mark.parametrize("status", RESTORATION_STATUSES)
+def test_every_restoration_status_round_trips(status):
+    d = json.loads((DATA / "p3_failure.json").read_text())
+    out = d["failure_info"]["resta"]
+    out["status"] = status
+    assert RestorationOutcome.from_dict(out).to_dict() == out
+    out["status"] = "Bogus"
+    with pytest.raises(SchemaError, match="unknown restoration status"):
+        RestorationOutcome.from_dict(out)
+
+
+@pytest.mark.parametrize("kind", FAILURE_KINDS)
+def test_every_failure_kind_round_trips(kind):
+    # a call's status is its failure kind when that is a restoration status
+    status = kind if kind in RESTORATION_STATUSES else RESTORATION_STATUSES[0]
+    d = json.loads((DATA / "p3_failure.json").read_text())
+    d["failure_info"]["kind"] = kind
+    d["failure_info"]["resta"]["status"] = status
+    assert _round_trips(d)
+    d["failure_info"]["kind"] = "Bogus"
+    with pytest.raises(SchemaError, match="unknown failure kind"):
+        RunReport.from_dict(d)
 
 
 def test_a_precision_off_the_quadrant_is_a_schema_error():
