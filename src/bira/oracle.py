@@ -55,12 +55,16 @@ class EvaluationLedger:
 class InexactProblem(ABC):
     """Base class for problems evaluated through a precision-controlled oracle.
 
-    Subclasses implement the underscore hooks; the public ``eval_*``
-    wrappers validate the point, charge the ledger, dispatch, and raise
-    :class:`ContractError` on a result of the wrong shape or with a
-    non-finite entry.  The wrappers are the only sanctioned way to
+    Subclasses implement the underscore hooks and set the start of a run,
+    the point ``x0`` and the :class:`PrecisionLevel` ``y0``; the public
+    ``eval_*`` wrappers validate the point, charge the ledger, dispatch,
+    and raise :class:`ContractError` on a result of the wrong shape or with
+    a non-finite entry.  The wrappers are the only sanctioned way to
     evaluate: everything that goes through them is counted.
     """
+
+    x0 = None
+    y0 = None
 
     def __init__(self, name, box: BoxPolytope, m):
         self.name = name

@@ -197,8 +197,9 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     restoration outcome failing its contraction tests; ``BudgetExceeded``
     reports running out of iterations.
 
-    A tolerance that is not positive and finite or a negative budget raises
-    :class:`ConfigurationError`.  An :class:`AbnormalTermination` or
+    A tolerance that is not positive and finite, a negative budget or a
+    problem that sets no ``x0`` or ``y0`` raises :class:`ConfigurationError`
+    before any evaluation.  An :class:`AbnormalTermination` or
     :class:`InvariantError` raised inside an iteration propagates with the
     outer iteration index added to its summary as ``iteration``.
     """
@@ -211,6 +212,10 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 f"{name} must be positive and finite, got {val}")
     if budget < 0:
         raise ConfigurationError(f"budget must be nonnegative, got {budget}")
+    for name in ("x0", "y0"):
+        if getattr(problem, name) is None:
+            raise ConfigurationError(
+                f"problem {problem.name} sets no start {name}")
 
     led_run = problem.ledger.snapshot()
     pc = problem.constants()

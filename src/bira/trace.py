@@ -2,13 +2,18 @@
 
 This module alone knows the written format: every record's ``to_dict`` and
 ``from_dict``, the table layout of :func:`write_table` and
-:func:`read_table`, and every schema check a trace passes on loading.  A
+:func:`read_table`, the point codec :func:`write_vector` and
+:func:`read_vector`, and every schema check a trace passes on loading.  A
 trace writes its iteration records, and each restoration call's trials, as
-tables: one JSON list per field, entry i belonging to row i.  In memory
-each fact has one type: a :class:`~bira.core.PrecisionLevel`, a
+tables: one JSON list per field, entry i belonging to row i.  Each point
+(``start.x``, every ``x_R`` and ``x_next``) is one string, the base64 of
+its little-endian float64 bytes, which holds its bits exactly in about half
+the characters of decimal text; every scalar stays a JSON number.  In
+memory each fact has one type: a :class:`~bira.core.PrecisionLevel`, a
 :class:`~bira.qp.SolveCertificate` or a :class:`RestorationOutcome`.
 """
 
+import base64
 import contextlib
 import functools
 import json
@@ -31,7 +36,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 11
+TRACE_VERSION = 12
 
 
 def check_fields(payload, fields, what):
@@ -92,6 +97,38 @@ def number_list(values, what, length=None):
     return values
 
 
+def write_vector(x):
+    """The written form of the point ``x``: base64 (RFC 4648) of its
+    little-endian float64 bytes, read back by :func:`read_vector`."""
+    return base64.b64encode(np.asarray(x, dtype="<f8").tobytes()).decode(
+        "ascii")
+
+
+def read_vector(text, what, length=None):
+    """The point written by :func:`write_vector` as ``text``.
+
+    :class:`SchemaError`, naming ``what``, unless ``text`` is a string of
+    valid base64 holding whole float64 coordinates, all finite, and
+    ``length`` of them when that is given."""
+    if not isinstance(text, str):
+        raise SchemaError(f"{what} must be a base64 string of float64 bytes,"
+                          f" got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:
+        raise SchemaError(f"{what} is not valid base64") from None
+    if len(raw) % 8:
+        raise SchemaError(f"{what} holds {len(raw)} bytes, not whole float64"
+                          " coordinates")
+    # astype copies: the array frombuffer returns is read-only
+    x = np.frombuffer(raw, dtype="<f8").astype(float)
+    if length is not None and len(x) != length:
+        raise SchemaError(f"{what} must have {length} entries, got {len(x)}")
+    if not np.isfinite(x).all():
+        raise SchemaError(f"{what} must be finite")
+    return x
+
+
 @contextlib.contextmanager
 def _within(what):
     """Prefix ``what`` to a :class:`SchemaError` raised inside, so an error
@@ -126,7 +163,7 @@ def _written(val):
     if isinstance(val, SolveCertificate):
         return {name: getattr(val, name) for name in CERT_FIELDS}
     if isinstance(val, np.ndarray):
-        return val.tolist()
+        return write_vector(val)
     if isinstance(val, dict):
         return {key: _written(v) for key, v in val.items()}
     if isinstance(val, list):
@@ -243,7 +280,7 @@ class RestorationOutcome:
             raise SchemaError(f"unknown restoration status {d['status']!r}")
         check_ledger(d["ledger_delta"], "restoration ledger")
         kw = dict(d)
-        kw["x_R"] = np.asarray(number_list(d["x_R"], "x_R", n), dtype=float)
+        kw["x_R"] = read_vector(d["x_R"], "x_R", n)
         kw["y_R"] = _level(d["y_R"], "y_R")
         kw["trials"] = _trial_rows(d["trials"])
         kw["ledger_delta"] = dict(d["ledger_delta"])
@@ -293,7 +330,8 @@ class IterationRecord:
     repeat; ``k`` is not written, since a record's position in the
     records table is its index; and ``x_next`` is written as ``null``
     unless it differs bitwise from ``x_R`` (a tangent step that snapped to
-    zero repeats it).
+    zero repeats it).  ``x_next``, like every point of a trace, is written
+    by :func:`write_vector` and read back bit for bit.
     """
 
     k: int
@@ -369,8 +407,7 @@ class IterationRecord:
             n = len(chain["x_k"])
             kw["resta"] = RestorationOutcome.from_dict(d["resta"], n)
             kw["x_next"] = (kw["resta"].x_R if d["x_next"] is None
-                            else np.asarray(number_list(d["x_next"], "x_next",
-                                                        n), dtype=float))
+                            else read_vector(d["x_next"], "x_next", n))
         # a call that found possible infeasibility ends the run unrecorded
         if kw["resta"].status != "restored":
             raise SchemaError("an iteration record cannot hold restoration"
@@ -481,8 +518,9 @@ class RunReport:
         start = d["start"]
         check_fields(start, ("x", "y", "f", "h"), "start")
         check_numbers(start, "start", ("f", "h"))
+        x0 = read_vector(start["x"], "start x")
         # every point of the run has the start point's length
-        n = len(number_list(start["x"], "start x"))
+        n = len(x0)
         kw = dict(d)
         if failure is not None:
             check_fields(failure, ("kind", "iteration", "resta"),
@@ -501,7 +539,7 @@ class RunReport:
             kw["failure_info"] = {**failure, "resta": out}
         rows = read_table(d["records"], RECORD_TABLE, "records")
         kw["start"] = {
-            "x": np.asarray(start["x"], dtype=float),
+            "x": x0,
             "y": _level(start["y"], "start y"),
             "f": start["f"], "h": start["h"],
         }

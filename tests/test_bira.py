@@ -21,6 +21,7 @@ from bira.core import (
 )
 from bira.diagnostics import audit, constants
 from bira.oracle import (
+    InexactProblem,
     SyntheticProblem,
     make_p1,
     make_p2,
@@ -29,7 +30,7 @@ from bira.oracle import (
     problem_by_name,
 )
 from bira.solver import bira_run, restoration_failure, update_penalty
-from bira.trace import RestorationOutcome, RunReport
+from bira.trace import RestorationOutcome, RunReport, write_vector
 
 
 def test_penalty_moves_to_the_largest_workable_weight():
@@ -426,7 +427,7 @@ def test_trace_round_trip_and_version_guard():
     assert back.final_y == rep.final_y
     assert back.ledger_totals == rep.ledger_totals
 
-    for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 999):
+    for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):
@@ -493,10 +494,10 @@ def test_a_run_without_records_keeps_its_start():
     assert rep.status == "BudgetExceeded"
     assert rep.records == []
     d = rep.to_dict()
-    assert d["start"] == {"x": list(make_p4().x0),
+    assert d["start"] == {"x": write_vector(make_p4().x0),
                           "y": list(make_p4().y0.as_tuple()),
                           "f": rep.start["f"], "h": rep.start["h"]}
-    assert rep.final_x.tolist() == d["start"]["x"]
+    assert write_vector(rep.final_x) == d["start"]["x"]
     assert rep.final_y == PrecisionLevel(*d["start"]["y"])
     assert rep.ledger_totals == {
         "f_evals": 1, "gradf_evals": 0, "h_evals": 1, "gradh_evals": 0}
@@ -573,6 +574,49 @@ def test_derived_record_fields_match_the_solver():
 def test_bad_run_inputs_are_configuration_errors(kwargs):
     with pytest.raises(ConfigurationError):
         bira_run(make_p4(), **kwargs)
+
+
+class _NoStart(InexactProblem):
+    """Every hook of a problem, but no start point or precision."""
+
+    constants_calls = 0
+
+    def __init__(self):
+        super().__init__("nostart", BoxPolytope(-np.ones(2), np.ones(2)), 1)
+
+    def _f(self, x, y):
+        return float(x @ x)
+
+    def _grad_f(self, x, y):
+        return 2.0 * x
+
+    def _h(self, x, y):
+        return np.array([x.sum()])
+
+    def _grad_h(self, x, y):
+        return np.ones((1, 2))
+
+    def _refine(self, y, gf_target, gh_target):
+        return PrecisionLevel(gf_target, gh_target)
+
+    def constants(self):
+        self.constants_calls += 1
+        return make_p4().constants()
+
+
+@pytest.mark.parametrize("start", [{}, {"x0": np.zeros(2)},
+                                   {"y0": PrecisionLevel(0.5, 0.5)}],
+                         ids=["neither", "no_y0", "no_x0"])
+def test_a_problem_without_a_start_is_a_configuration_error(start):
+    problem = _NoStart()
+    vars(problem).update(start)
+    missing = "x0" if "x0" not in start else "y0"
+    with pytest.raises(ConfigurationError,
+                       match=f"problem nostart sets no start {missing}"):
+        bira_run(problem)
+    # refused before the constants chain and before any evaluation
+    assert problem.constants_calls == 0
+    assert problem.ledger.snapshot() == dict.fromkeys(STARTUP_EVALS, 0)
 
 
 def test_repeated_runs_are_bitwise_identical():

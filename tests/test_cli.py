@@ -10,6 +10,7 @@ import bira.oracle
 import bira.solver
 from bira.cli import CSV_HEADER, main
 from bira.core import RUN_STATUSES, AbnormalTermination, InvariantError
+from bira.trace import read_vector, write_vector
 
 #: Golden outputs: the default ``complexity`` CSV and the ``suite`` stdout.
 DATA = Path(__file__).resolve().parent / "data"
@@ -283,6 +284,11 @@ def _resta(trace, k, **values):
         trace["records"]["resta"][name][k] = value
 
 
+def _first(point):
+    """The written point ``point`` cut to its first coordinate."""
+    return write_vector(read_vector(point, "point")[:1])
+
+
 def _add_column(table, name, value):
     """Add a column ``name`` holding ``value`` in every entry."""
     table[name] = [value] * len(next(iter(table.values())))
@@ -295,8 +301,8 @@ def _add_column(table, name, value):
     lambda trace: trace["start"].update(y=[0.5]),
     # a one-entry point broadcasts against every other point of the run
     lambda trace: _resta(trace, 1,
-                         x_R=trace["records"]["resta"]["x_R"][1][:1]),
-    lambda trace: trace["start"].update(x=trace["start"]["x"][:1]),
+                         x_R=_first(trace["records"]["resta"]["x_R"][1])),
+    lambda trace: trace["start"].update(x=_first(trace["start"]["x"])),
     lambda trace: trace.update(budget=-1),
     lambda trace: trace.update(budget=2.5),
     lambda trace: trace["records"]["mu_k"].__setitem__(1, True),
@@ -432,9 +438,13 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     (lambda trace: trace.update(trace_version=10, records=[
         {"k": 0, **table_row(trace["records"], 0)}]),
      "trace version 10 not supported"),
+    # a schema-v11 trace writes each point as a list of numbers
+    (lambda trace: trace.update(trace_version=11, start={
+        **trace["start"], "x": read_vector(trace["start"]["x"], "x").tolist()}),
+     "trace version 11 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
-        "version_9", "version_10", "empty_object"])
+        "version_9", "version_10", "version_11", "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

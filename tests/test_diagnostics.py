@@ -25,7 +25,14 @@ from bira.diagnostics import (
 )
 from bira.oracle import make_p4, problem_by_name
 from bira.solver import bira_run
-from bira.trace import RECORD_TABLE, RunReport, read_table, write_table
+from bira.trace import (
+    RECORD_TABLE,
+    RunReport,
+    read_table,
+    read_vector,
+    write_table,
+    write_vector,
+)
 
 
 def _pc(**kw):
@@ -304,6 +311,14 @@ def _record(trace, k):
     return table_row(trace["records"], k)
 
 
+def _shifted(point, shift):
+    """The written point ``point`` with ``shift`` added to its first
+    coordinate."""
+    x = read_vector(point, "point")
+    x[0] += shift
+    return write_vector(x)
+
+
 def _with_rows(trace, edit):
     """The trace's records table with its list of rows edited by ``edit``."""
     rows = read_table(trace["records"], RECORD_TABLE, "records")
@@ -346,9 +361,9 @@ TAMPERS = [
     ("sigma_cap", ("records", 0, "resta", "trials", "sigma", 0),
      lambda t, tc: 10.0 * tc.sigma_cap),
     ("mu_cap", ("records", 0, "mu_k"), lambda t, tc: 10.0 * tc.mu_cap),
-    ("restored_distance", ("records", 0, "resta", "x_R", 0),
-     lambda t, tc: _record(t, 0)["resta"]["x_R"][0] + 10.0
-     * tc.restored_distance_factor * (t["start"]["h"] + max(t["start"]["y"]))),
+    ("restored_distance", ("records", 0, "resta", "x_R"),
+     lambda t, tc: _shifted(_record(t, 0)["resta"]["x_R"], 10.0
+     * tc.restored_distance_factor * (t["start"]["h"] + max(t["start"]["y"])))),
     ("restored_value_drift", ("records", 0, "f_xR_yR"),
      lambda t, tc: _record(t, 0)["f_xk_yR"] + 10.0
      * tc.restored_value_factor * (t["start"]["h"] + max(t["start"]["y"]))),

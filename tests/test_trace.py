@@ -1,11 +1,13 @@
 """Traces saved by ``bira run --out`` load into the record types and
-re-dump byte for byte, and the records table reads back what it wrote.
+re-dump byte for byte, the records table reads back what it wrote, and
+every point reads back bit for bit or is refused.
 
 ``p3_failure.json`` is ``p3``'s restoration failure and ``p2_staged.json``
 a ``p2`` run whose finishing call took stages, both at the default
 parameters and tolerances.
 """
 
+import base64
 import json
 import math
 from pathlib import Path
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from conftest import make_highdim
 
+from bira.cli import main
 from bira.core import (
     FAILURE_KINDS,
     RESTORATION_STATUSES,
@@ -28,7 +31,9 @@ from bira.trace import (
     RestorationOutcome,
     RunReport,
     read_trace,
+    read_vector,
     trace_bytes,
+    write_vector,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -154,3 +159,78 @@ def test_an_infinite_tolerance_is_a_schema_error():
     d["tolerances"]["eps_opt"] = math.inf
     with pytest.raises(SchemaError, match="positive and finite"):
         RunReport.from_dict(json.loads(json.dumps(d)))
+
+
+@pytest.mark.parametrize("x", [
+    np.array([-0.0]),
+    np.array([5e-324]),
+    np.array([1.7e308]),
+    np.random.default_rng(0).standard_normal(100),
+], ids=["negative_zero", "subnormal", "near_max", "n_100"])
+def test_a_point_round_trips_bit_for_bit(x):
+    back = read_vector(write_vector(x), "x", len(x))
+    assert back.tobytes() == x.tobytes()
+    # a copy, not the read-only view of the decoded bytes
+    back[0] = 1.0
+
+
+def _with_first(n, value):
+    """A written point of ``n`` coordinates, the first of them ``value``."""
+    x = np.ones(n)
+    x[0] = value
+    return write_vector(x)
+
+
+#: Written points a trace refuses, each as a function of the run's n, with
+#: the refusal's message after the field's name.
+BAD_POINTS = [
+    (lambda n: 5, "must be a base64 string of float64 bytes, got int"),
+    # schema v11 wrote each point as a list of numbers
+    (lambda n: [1.0] * n, "must be a base64 string of float64 bytes, got list"),
+    # a decoder that skips characters outside the alphabet reads this one
+    (lambda n: "@@@@" + write_vector(np.ones(n)), "is not valid base64"),
+    (lambda n: write_vector(np.ones(n)).rstrip("="), "is not valid base64"),
+    (lambda n: base64.b64encode(bytes(8 * n - 4)).decode("ascii"),
+     "holds .* bytes, not whole float64 coordinates"),
+    (lambda n: write_vector(np.ones(n + 1)), "must have .* entries, got"),
+    (lambda n: _with_first(n, math.inf), "must be finite"),
+    (lambda n: _with_first(n, math.nan), "must be finite"),
+]
+BAD_POINT_IDS = ["number", "v11_list", "bad_character", "no_padding",
+                 "partial_coordinate", "wrong_length", "inf", "nan"]
+
+
+#: Every point field of a trace: ``(saved trace, edit, the field's name as
+#: a refusal gives it)``.
+POINT_FIELDS = [
+    ("p2_staged.json", lambda d, v: d["start"].update(x=v), "start x"),
+    ("p2_staged.json",
+     lambda d, v: d["records"]["resta"]["x_R"].__setitem__(1, v),
+     "iteration record 1: x_R"),
+    ("p2_staged.json", lambda d, v: d["records"]["x_next"].__setitem__(1, v),
+     "iteration record 1: x_next"),
+    ("p3_failure.json", lambda d, v: d["failure_info"]["resta"].update(x_R=v),
+     "failure info: x_R"),
+]
+
+
+@pytest.mark.parametrize("saved,put,field", POINT_FIELDS,
+                         ids=["start_x", "x_R", "x_next", "failure_x_R"])
+@pytest.mark.parametrize("bad,message", BAD_POINTS, ids=BAD_POINT_IDS)
+def test_a_bad_point_is_refused_naming_its_field(tmp_path, capsys, saved, put,
+                                                 field, bad, message):
+    d = json.loads((DATA / saved).read_text())
+    put(d, bad(len(read_vector(d["start"]["x"], "start x"))))
+    # the start point sets n, so a start of another length is refused at
+    # the first point after it
+    if field == "start x" and message.startswith("must have"):
+        field = "iteration record 0: x_R"
+    with pytest.raises(SchemaError, match=f"^{field} {message}"):
+        RunReport.from_dict(d)
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ")
+    assert "Traceback" not in err
