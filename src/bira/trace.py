@@ -1,23 +1,31 @@
 """The run record: what a run measured, in memory and as a JSON trace.
 
 This module alone knows the written format: every record's ``to_dict`` and
-``from_dict``, the table layout of :func:`write_table` and
-:func:`read_table`, the point codec :func:`write_vector` and
+``from_dict``, the table layouts (:class:`Table`) of :func:`write_table`
+and :func:`read_table`, the float64 codec :func:`write_vector` and
 :func:`read_vector`, and every schema check a trace passes on loading.  A
 trace writes its iteration records, and each restoration call's trials, as
 tables: one JSON list per field, entry i belonging to row i.  Each point
 (``start.x``, every ``x_R`` and ``x_next``) is one string, the base64 of
 its little-endian float64 bytes, which holds its bits exactly in about half
-the characters of decimal text; every scalar stays a JSON number.  In
-memory each fact has one type: a :class:`~bira.core.PrecisionLevel`, a
-:class:`~bira.qp.SolveCertificate` or a :class:`RestorationOutcome`.
+the characters of decimal text.  So is each certificate column: a
+:class:`~bira.qp.SolveCertificate` field is packed once over the rows of
+its table, and the records write the trials of every restoration call as
+one table, packed over all of them in record order, whose ``sigma`` column
+keeps one list per record.  Every scalar, ``sigma`` among them, stays a
+JSON number.  In memory each fact has one type: a
+:class:`~bira.core.PrecisionLevel`, a :class:`~bira.qp.SolveCertificate`
+or a :class:`RestorationOutcome`.
 """
 
 import base64
 import contextlib
 import functools
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +44,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 12
+TRACE_VERSION = 13
 
 
 def check_fields(payload, fields, what):
@@ -98,18 +106,20 @@ def number_list(values, what, length=None):
 
 
 def write_vector(x):
-    """The written form of the point ``x``: base64 (RFC 4648) of its
-    little-endian float64 bytes, read back by :func:`read_vector`."""
+    """The written form of the point or float column ``x``: base64 (RFC
+    4648) of its little-endian float64 bytes, read back by
+    :func:`read_vector`."""
     return base64.b64encode(np.asarray(x, dtype="<f8").tobytes()).decode(
         "ascii")
 
 
-def read_vector(text, what, length=None):
-    """The point written by :func:`write_vector` as ``text``.
+def read_vector(text, what, length=None, finite=True):
+    """The point or float column written by :func:`write_vector` as
+    ``text``.
 
     :class:`SchemaError`, naming ``what``, unless ``text`` is a string of
-    valid base64 holding whole float64 coordinates, all finite, and
-    ``length`` of them when that is given."""
+    valid base64 holding whole float64 coordinates, all finite unless
+    ``finite`` is false, and ``length`` of them when that is given."""
     if not isinstance(text, str):
         raise SchemaError(f"{what} must be a base64 string of float64 bytes,"
                           f" got {type(text).__name__}")
@@ -124,7 +134,7 @@ def read_vector(text, what, length=None):
     x = np.frombuffer(raw, dtype="<f8").astype(float)
     if length is not None and len(x) != length:
         raise SchemaError(f"{what} must have {length} entries, got {len(x)}")
-    if not np.isfinite(x).all():
+    if finite and not np.isfinite(x).all():
         raise SchemaError(f"{what} must be finite")
     return x
 
@@ -171,38 +181,111 @@ def _written(val):
     return val
 
 
-def write_table(rows, spec):
-    """Write the row dicts ``rows`` as one table: one JSON list per column
-    of ``spec``, entry i from row i.
+class Table(NamedTuple):
+    """The layout of a written table.
 
-    ``spec`` is ``(columns, nested)``; a column named in ``nested`` is
-    itself written as a table, by its own spec."""
-    columns, nested = spec
-    return {name: (write_table([row[name] for row in rows], nested[name])
-                   if name in nested else [row[name] for row in rows])
-            for name in columns}
+    ``columns`` are its columns in order.  ``nested`` maps a column to the
+    layout of the table it is written as.  A column in ``packed`` holds
+    floats and is written as one :func:`write_vector` string of its
+    entries.  A nested column in ``grouped`` holds a list of rows in each
+    entry: it is written as one table of all of them in order, whose
+    columns that are not packed keep one list per entry."""
+
+    columns: tuple
+    nested: dict = {}
+    packed: tuple = ()
+    grouped: tuple = ()
+
+
+def write_table(rows, spec):
+    """Write the row dicts ``rows`` as one table laid out by the
+    :class:`Table` ``spec``: one JSON list per column, entry i from row
+    i, or one string for a packed column."""
+    table = {}
+    for name in spec.columns:
+        column = [row[name] for row in rows]
+        if name in spec.grouped:
+            sub = spec.nested[name]
+            counts = list(map(len, column))
+            column = write_table(list(itertools.chain.from_iterable(column)),
+                                 sub)
+            for col in sub.columns:
+                if col not in sub.packed:
+                    column[col] = _regroup(column[col], counts)
+        elif name in spec.nested:
+            column = write_table(column, spec.nested[name])
+        elif name in spec.packed:
+            column = write_vector(column)
+        table[name] = column
+    return table
 
 
 def read_table(table, spec, what):
     """The row dicts of a table written by :func:`write_table`.
 
     :class:`SchemaError`, naming the table ``what``, unless every column
-    of ``spec`` is there, and no other, each a list (or a nested table)
-    and all of equal length.  The rows' values are not checked here."""
-    columns, nested = spec
-    check_fields(table, columns, f"{what} table")
+    of ``spec`` is there, and no other, each a list (a nested table, or a
+    packed string read by :func:`read_vector`) and all of equal length.
+    The rows' values are not checked here, except that a packed column
+    holds whole float64 values."""
+    check_fields(table, spec.columns, f"{what} table")
     read = []
-    for name in columns:
+    for name in spec.columns:
         column = table[name]
-        if name in nested:
-            column = read_table(column, nested[name], f"{what} {name}")
+        if name in spec.grouped:
+            column = _read_groups(column, spec.nested[name], f"{what} {name}")
+        elif name in spec.nested:
+            column = read_table(column, spec.nested[name], f"{what} {name}")
+        elif name in spec.packed:
+            column = read_vector(column, f"{what} column {name!r}",
+                                 finite=False).tolist()
         elif not isinstance(column, list):
             raise SchemaError(f"{what} column {name!r} must be a JSON list")
         read.append(column)
     if len({len(column) for column in read}) > 1:
-        lengths = {name: len(column) for name, column in zip(columns, read)}
+        lengths = {name: len(column) for name, column in zip(spec.columns,
+                                                             read)}
         raise SchemaError(f"{what} table columns differ in length: {lengths}")
-    return [dict(zip(columns, row)) for row in zip(*read)]
+    return [dict(zip(spec.columns, row)) for row in zip(*read)]
+
+
+def _read_groups(table, spec, what):
+    """The rows of a grouped table, one list of rows per entry of the
+    column that holds it, as the lists of its unpacked columns count
+    them."""
+    check_fields(table, spec.columns, f"{what} table")
+    plain = [name for name in spec.columns if name not in spec.packed]
+    for name in plain:
+        if not (isinstance(table[name], list)
+                and all(isinstance(group, list) for group in table[name])):
+            raise SchemaError(f"{what} column {name!r} must be a JSON list"
+                              " of lists, one per row")
+    counts = {tuple(map(len, table[name])) for name in plain}
+    if len(counts) != 1:
+        raise SchemaError(f"{what} columns {plain} group their entries"
+                          " differently")
+    flat = {**table, **{name: list(itertools.chain.from_iterable(table[name]))
+                        for name in plain}}
+    return _regroup(read_table(flat, spec, what), counts.pop())
+
+
+def _regroup(values, counts):
+    """``values`` cut into consecutive lists of ``counts`` entries."""
+    ends = itertools.accumulate(counts)
+    return [values[end - count:end] for count, end in zip(counts, ends)]
+
+
+def check_certificate(row, what):
+    """Raise :class:`SchemaError` unless no value of the certificate row
+    ``row`` (a trial's ``sigma`` with it) is NaN, and all are finite but
+    ``kappa_phi_ratio``: ``qp._phi_ratio`` writes +inf there for a solve
+    that decreased nothing where its ray could, and the audit's
+    ``kappa_phi`` row judges it.  The values are numbers: a packed column
+    reads back as floats, and :func:`_trial` checks ``sigma`` first."""
+    for name, val in row.items():
+        if not math.isfinite(val) and (math.isnan(val)
+                                       or name != "kappa_phi_ratio"):
+            raise SchemaError(f"{what} field {name!r} must not be {val!r}")
 
 
 #: The fields of a :class:`~bira.qp.SolveCertificate`.
@@ -212,10 +295,10 @@ CERT_FIELDS = tuple(SolveCertificate.__dataclass_fields__)
 #: each descent test, then the certificate of its QP solve.
 TRIAL_FIELDS = ("sigma", *CERT_FIELDS)
 
-#: Table specs for :func:`write_table` and :func:`read_table`.
-LEDGER_TABLE = (LEDGER_FIELDS, {})
-CERT_TABLE = (CERT_FIELDS, {})
-TRIAL_TABLE = (TRIAL_FIELDS, {})
+#: Layouts for :func:`write_table` and :func:`read_table`.
+LEDGER_TABLE = Table(LEDGER_FIELDS)
+CERT_TABLE = Table(CERT_FIELDS, packed=CERT_FIELDS)
+TRIAL_TABLE = Table(TRIAL_FIELDS, packed=CERT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -235,7 +318,10 @@ class RestorationOutcome:
     ``trials`` holds one pair ``(sigma, certificate)`` per descent test:
     the weight it was solved at and the
     :class:`~bira.qp.SolveCertificate` of that solve.  A trace writes it
-    as one column per field of :data:`TRIAL_FIELDS`.
+    as a table of :data:`TRIAL_FIELDS`: ``sigma`` a list of numbers, each
+    certificate field one :func:`write_vector` string.  The records of a
+    run write the trials of all their calls as one such table, whose
+    ``sigma`` holds one list per record (:data:`OUTCOME_TABLE`).
     """
 
     x_R: np.ndarray
@@ -262,19 +348,33 @@ class RestorationOutcome:
         """Descent tests of the call, one per entry of ``trials``."""
         return len(self.trials)
 
-    def to_dict(self):
+    def row(self):
+        """The outcome's row of an outcome table: each written field, with
+        ``trials`` one row per descent test."""
         d = {name: _written(getattr(self, name)) for name in _OUTCOME_WRITTEN}
-        d["trials"] = write_table(
-            [{"sigma": sigma, **_written(cert)} for sigma, cert in self.trials],
-            TRIAL_TABLE)
+        d["trials"] = [{"sigma": sigma, **_written(cert)}
+                       for sigma, cert in self.trials]
+        return d
+
+    def to_dict(self):
+        d = self.row()
+        d["trials"] = write_table(d["trials"], TRIAL_TABLE)
         return d
 
     @classmethod
     def from_dict(cls, d, n=None):
         """Rebuild an outcome; ``n``, when given, is the length ``x_R``
         must have."""
+        check_fields(d, _OUTCOME_WRITTEN, "restoration outcome")
+        return cls.from_row(
+            {**d, "trials": read_table(d["trials"], TRIAL_TABLE,
+                                       "restoration trials")}, n)
+
+    @classmethod
+    def from_row(cls, d, n=None):
+        """Rebuild an outcome from its row of an outcome table, as
+        :meth:`row` writes it and :func:`read_table` reads it."""
         what = "restoration outcome"
-        check_fields(d, _OUTCOME_WRITTEN, what)
         check_numbers(d, what, *number_fields(cls))
         if d["status"] not in RESTORATION_STATUSES:
             raise SchemaError(f"unknown restoration status {d['status']!r}")
@@ -282,23 +382,23 @@ class RestorationOutcome:
         kw = dict(d)
         kw["x_R"] = read_vector(d["x_R"], "x_R", n)
         kw["y_R"] = _level(d["y_R"], "y_R")
-        kw["trials"] = _trial_rows(d["trials"])
+        kw["trials"] = tuple(map(_trial, d["trials"]))
         kw["ledger_delta"] = dict(d["ledger_delta"])
         return cls(**kw)
 
 
 _OUTCOME_WRITTEN = tuple(
     name for name in RestorationOutcome.__dataclass_fields__ if name != "h_vec")
-OUTCOME_TABLE = (_OUTCOME_WRITTEN, {"ledger_delta": LEDGER_TABLE})
+OUTCOME_TABLE = Table(_OUTCOME_WRITTEN, {"ledger_delta": LEDGER_TABLE,
+                                         "trials": TRIAL_TABLE},
+                      grouped=("trials",))
 
 
-def _trial_rows(table):
-    """The trial table read back into one ``(sigma, certificate)`` pair per
-    descent test."""
-    rows = read_table(table, TRIAL_TABLE, "restoration trials")
-    for row in rows:
-        check_numbers(row, "restoration trial")
-    return tuple((row.pop("sigma"), SolveCertificate(**row)) for row in rows)
+def _trial(row):
+    """The ``(sigma, certificate)`` pair of a row of a trial table."""
+    check_numbers(row, "restoration trial", ("sigma",))
+    check_certificate(row, "restoration trial")
+    return row.pop("sigma"), SolveCertificate(**row)
 
 
 #: Fields of record k + 1 that repeat the hand-off of record k, each with
@@ -385,7 +485,9 @@ class IterationRecord:
 
     def to_dict(self):
         """The record's row of the records table."""
-        d = {name: _written(getattr(self, name)) for name in _RECORD_WRITTEN}
+        d = {name: _written(getattr(self, name)) for name in _RECORD_WRITTEN
+             if name != "resta"}
+        d["resta"] = self.resta.row()
         # a zero step writes x_next as null: from_dict reads it as x_R
         if self.x_next.tobytes() == self.x_R.tobytes():
             d["x_next"] = None
@@ -401,11 +503,11 @@ class IterationRecord:
                       optional, counts)
         with _within(what):
             cert = d["tangent_cert"]
-            check_numbers(cert, "tangent_cert")
+            check_certificate(cert, "tangent_cert")
             check_ledger(d["ledger_delta"], "ledger_delta")
             kw = dict(d, **chain, k=k, tangent_cert=SolveCertificate(**cert))
             n = len(chain["x_k"])
-            kw["resta"] = RestorationOutcome.from_dict(d["resta"], n)
+            kw["resta"] = RestorationOutcome.from_row(d["resta"], n)
             kw["x_next"] = (kw["resta"].x_R if d["x_next"] is None
                             else read_vector(d["x_next"], "x_next", n))
         # a call that found possible infeasibility ends the run unrecorded
@@ -417,9 +519,9 @@ class IterationRecord:
 
 _RECORD_WRITTEN = tuple(name for name in IterationRecord.__dataclass_fields__
                         if name not in CHAIN and name != "k")
-RECORD_TABLE = (_RECORD_WRITTEN, {"resta": OUTCOME_TABLE,
-                                  "tangent_cert": CERT_TABLE,
-                                  "ledger_delta": LEDGER_TABLE})
+RECORD_TABLE = Table(_RECORD_WRITTEN, {"resta": OUTCOME_TABLE,
+                                       "tangent_cert": CERT_TABLE,
+                                       "ledger_delta": LEDGER_TABLE})
 
 
 @dataclass
@@ -521,6 +623,8 @@ class RunReport:
         x0 = read_vector(start["x"], "start x")
         # every point of the run has the start point's length
         n = len(x0)
+        if n == 0:
+            raise SchemaError("start x must have at least one coordinate")
         kw = dict(d)
         if failure is not None:
             check_fields(failure, ("kind", "iteration", "resta"),

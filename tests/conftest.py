@@ -4,6 +4,14 @@ from pathlib import Path
 
 import numpy as np
 
+from bira.trace import (
+    CERT_FIELDS,
+    RECORD_TABLE,
+    read_table,
+    read_vector,
+    write_vector,
+)
+
 
 def kkt_min_quadratic_box_line(x_f, div, a, b, lower, upper):
     """Brute-force KKT enumeration for a separable quadratic on a slice.
@@ -54,11 +62,58 @@ def kkt_min_quadratic_box_line(x_f, div, a, b, lower, upper):
     return best_x, best_val
 
 
-def table_row(table, i):
-    """Row ``i`` of a table as a trace writes it: entry ``i`` of every
-    column, with a nested table's entries gathered into one object."""
-    return {name: table_row(column, i) if isinstance(column, dict)
-            else column[i] for name, column in table.items()}
+def record_row(trace, k):
+    """Record ``k`` of a written trace as one row: entry ``k`` of every
+    column, a nested table's gathered into one object, the record's
+    restoration trials one row each, and every certificate value
+    decoded."""
+    return read_table(trace["records"], RECORD_TABLE, "records")[k]
+
+
+def _unpack(table):
+    for name in CERT_FIELDS:
+        table[name] = read_vector(table[name], name, finite=False).tolist()
+
+
+def _pack(table):
+    for name in CERT_FIELDS:
+        table[name] = write_vector(table[name])
+
+
+def edit_certificates(d, edit):
+    """Call ``edit(d)`` on the written trace or restoration outcome ``d``
+    with its certificate columns decoded into lists of floats, laid out as
+    schema v12 wrote them: record k's trials are entry k of
+    ``records.resta.trials``, one table per record.  The columns are
+    packed again afterwards, so an edit of a certificate value, or of a
+    column's length, keeps its intent."""
+    if "trials" in d:
+        tables = [d["trials"]]
+    else:
+        failure = d["failure_info"]
+        tables = [d["records"]["tangent_cert"]]
+        tables += [failure["resta"]["trials"]] if failure else []
+        resta = d["records"]["resta"]
+        trials = resta["trials"]
+        _unpack(trials)
+        per_record, start = [], 0
+        for sigma in trials["sigma"]:
+            end = start + len(sigma)
+            per_record.append({"sigma": sigma, **{
+                name: trials[name][start:end] for name in CERT_FIELDS}})
+            start = end
+        resta["trials"] = per_record
+    for table in tables:
+        _unpack(table)
+    edit(d)
+    if "trials" not in d:
+        per_record = resta["trials"]
+        resta["trials"] = {"sigma": [t["sigma"] for t in per_record], **{
+            name: [v for t in per_record for v in t[name]]
+            for name in CERT_FIELDS}}
+        tables.append(resta["trials"])
+    for table in tables:
+        _pack(table)
 
 
 def load_synth():

@@ -1,8 +1,9 @@
+import copy
 import json
 
 import numpy as np
 import pytest
-from conftest import make_highdim
+from conftest import edit_certificates, make_highdim
 
 import bira.qp
 import bira.solver
@@ -30,7 +31,7 @@ from bira.oracle import (
     problem_by_name,
 )
 from bira.solver import bira_run, restoration_failure, update_penalty
-from bira.trace import RestorationOutcome, RunReport, write_vector
+from bira.trace import RestorationOutcome, RunReport, read_vector, write_vector
 
 
 def test_penalty_moves_to_the_largest_workable_weight():
@@ -445,8 +446,8 @@ def test_to_dict_copies_the_constants_basis():
 
 
 def test_restoration_certificates_are_stored_as_columns():
-    # one table of trials: each descent test's sigma and the measured
-    # fields of its certificate, one column per field
+    # one table of trials: each descent test's sigma, and the measured
+    # fields of its certificate, each field one packed column
     out = bira_run(make_p1()).records[0].resta
     rec = out.to_dict()
     columns = rec["trials"]
@@ -454,14 +455,22 @@ def test_restoration_certificates_are_stored_as_columns():
         "sigma", "model_decrease", "stationarity_residual", "step_norm",
         "kappa_phi_ratio",
     ]
-    for column in columns.values():
-        assert len(column) == out.inner_desc_tests > 0
+    assert columns["sigma"] == [sigma for sigma, _ in out.trials]
+    for name in list(columns)[1:]:
+        got = read_vector(columns[name], name, out.inner_desc_tests)
+        want = np.array([getattr(cert, name) for _, cert in out.trials])
+        assert got.tobytes() == want.tobytes()
+    assert out.inner_desc_tests > 0
     assert "inner_desc_tests" not in rec
 
     missing = {k: v for k, v in columns.items() if k != "kappa_phi_ratio"}
     ragged = {**columns, "sigma": columns["sigma"][:-1]}
-    for bad in (missing, ragged, [dict(zip(columns, row))
-                                  for row in zip(*columns.values())]):
+    # the rows of schema v9, one object per trial
+    rows = []
+    edit_certificates(copy.deepcopy(rec), lambda d: rows.extend(
+        dict(zip(d["trials"], row)) for row in zip(*d["trials"].values())))
+    assert len(rows) == out.inner_desc_tests
+    for bad in (missing, ragged, rows):
         with pytest.raises(SchemaError):
             RestorationOutcome.from_dict({**rec, "trials": bad})
 

@@ -1,16 +1,17 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
-from conftest import table_row
+from conftest import edit_certificates, record_row
 
 import bira.cli
 import bira.oracle
 import bira.solver
 from bira.cli import CSV_HEADER, main
 from bira.core import RUN_STATUSES, AbnormalTermination, InvariantError
-from bira.trace import read_vector, write_vector
+from bira.trace import RestorationOutcome, read_vector, write_vector
 
 #: Golden outputs: the default ``complexity`` CSV and the ``suite`` stdout.
 DATA = Path(__file__).resolve().parent / "data"
@@ -185,9 +186,13 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     assert "theta_monotone" in got
 
 
+def _outcome(trace, k):
+    """Record ``k``'s restoration outcome as a failure info writes it."""
+    return RestorationOutcome.from_row(record_row(trace, k)["resta"]).to_dict()
+
+
 def _failure(trace, kind="insufficient_contraction", iteration=1):
-    return {"kind": kind, "iteration": iteration,
-            "resta": table_row(trace["records"]["resta"], 0)}
+    return {"kind": kind, "iteration": iteration, "resta": _outcome(trace, 0)}
 
 
 @pytest.mark.parametrize("edit", [
@@ -235,7 +240,7 @@ def _failure(trace, kind="insufficient_contraction", iteration=1):
                                failure_info=_failure(
                                    trace, kind="possible_infeasibility")),
     lambda trace: trace.update(status="RestorationFailure", failure_info={
-        **_failure(trace), "resta": {**table_row(trace["records"]["resta"], 0),
+        **_failure(trace), "resta": {**_outcome(trace, 0),
                                      "status": "possible_infeasibility"}}),
 ], ids=["unknown_field", "missing_field", "missing_status",
         "resta_missing_z_steps", "basis_with_kappas",
@@ -270,10 +275,13 @@ def p1_trace(tmp_path_factory):
 
 
 def _set(table, k, value):
-    """Set entry ``k`` of every column of a written table to ``value``."""
-    for column in table.values():
+    """Set entry ``k`` of every column of a written table to ``value``; a
+    packed column has no entry to index, so it is replaced by ``value``."""
+    for name, column in table.items():
         if isinstance(column, dict):
             _set(column, k, value)
+        elif isinstance(column, str):
+            table[name] = value
         else:
             column[k] = value
 
@@ -292,6 +300,12 @@ def _first(point):
 def _add_column(table, name, value):
     """Add a column ``name`` holding ``value`` in every entry."""
     table[name] = [value] * len(next(iter(table.values())))
+
+
+def _add_packed(table, name):
+    """Add a packed column ``name`` of the length of the table's packed
+    ``step_norm``."""
+    table[name] = table["step_norm"]
 
 
 @pytest.mark.parametrize("edit", [
@@ -319,18 +333,20 @@ def _add_column(table, name, value):
     lambda trace: _add_column(trace["records"]["resta"], "sigma_history",
                               [0.25]),
     lambda trace: _add_column(trace["records"]["resta"], "certificates", {}),
-    lambda trace: trace["records"]["resta"]["trials"][1].update(
-        kappa_ratio=[0.0]),
-    lambda trace: _add_column(trace["records"]["tangent_cert"], "kappa_ratio",
-                              0.0),
-    lambda trace: _add_column(trace["records"]["tangent_cert"],
-                              "tangent_violation", 0.0),
+    lambda trace: _add_packed(trace["records"]["resta"]["trials"],
+                              "kappa_ratio"),
+    lambda trace: _add_packed(trace["records"]["tangent_cert"], "kappa_ratio"),
+    lambda trace: _add_packed(trace["records"]["tangent_cert"],
+                              "tangent_violation"),
     # one trial's sigma dropped
-    lambda trace: trace["records"]["resta"]["trials"][1]["sigma"].pop(),
+    lambda trace: trace["records"]["resta"]["trials"]["sigma"][1].pop(),
     lambda trace: trace["start"].update(y=[-0.5, 0.5]),
     lambda trace: _resta(trace, 1, y_R=[0.1, float("nan")]),
-    lambda trace: trace["records"]["tangent_cert"]["step_norm"].__setitem__(
-        1, "0.5"),
+    # a packed column holds float64 bytes, so text stands for the column
+    lambda trace: trace["records"]["tangent_cert"].update(step_norm="0.5"),
+    lambda trace: edit_certificates(
+        trace, lambda t: t["records"]["tangent_cert"]["step_norm"].__setitem__(
+            1, math.nan)),
 ], ids=["record_is_a_number", "tangent_cert_missing_step_norm",
         "y_R_of_three_entries", "start_y_of_one_entry", "x_R_of_one_entry",
         "start_x_of_one_entry", "negative_budget",
@@ -340,7 +356,8 @@ def _add_column(table, name, value):
         "resta_with_sigma_history", "resta_with_certificates",
         "trials_with_kappa_ratio", "tangent_cert_with_kappa_ratio",
         "tangent_cert_with_tangent_violation", "trials_missing_a_sigma",
-        "negative_start_y", "y_R_is_nan", "tangent_cert_step_norm_is_text"])
+        "negative_start_y", "y_R_is_nan", "tangent_cert_step_norm_is_text",
+        "tangent_cert_step_norm_is_nan"])
 def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
                                          request):
     payload = json.loads(p1_trace)
@@ -351,11 +368,17 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
     assert main(["audit", str(trace)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    # a bad value inside a record's nested parts names the record
-    if request.node.callspec.id in ("negative_refinements",
-                                    "fractional_ledger_count",
-                                    "tangent_cert_step_norm_is_text"):
-        assert err.startswith("error: iteration record 1: "), err
+    # a bad value inside a record's nested parts names the record, and a
+    # packed column, which holds every record's values, names its table
+    prefix = {
+        "negative_refinements": "error: iteration record 1: ",
+        "fractional_ledger_count": "error: iteration record 1: ",
+        "tangent_cert_step_norm_is_text":
+            "error: records tangent_cert column 'step_norm' ",
+        "tangent_cert_step_norm_is_nan":
+            "error: iteration record 1: tangent_cert field 'step_norm' ",
+    }.get(request.node.callspec.id, "error:")
+    assert err.startswith(prefix), err
 
 
 @pytest.mark.parametrize("edit,table", [
@@ -363,16 +386,19 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
     (lambda trace: trace["records"]["theta_after"].append(0.5), "records"),
     (lambda trace: trace["records"]["resta"]["z_steps"].pop(),
      "records resta"),
-    (lambda trace: trace["records"]["tangent_cert"]["step_norm"].append(0.0),
+    (lambda trace: edit_certificates(
+        trace,
+        lambda t: t["records"]["tangent_cert"]["step_norm"].append(0.0)),
      "records tangent_cert"),
     (lambda trace: trace["records"]["ledger_delta"]["h_evals"].pop(),
      "records ledger_delta"),
     (lambda trace: trace["records"]["resta"]["ledger_delta"][
         "f_evals"].append(0), "records resta ledger_delta"),
-    # a table inside record 1 is named with the record
-    (lambda trace: trace["records"]["resta"]["trials"][1][
-        "kappa_phi_ratio"].append(0.0),
-     "iteration record 1: restoration trials"),
+    # the trials of every record are one table, packed over all of them
+    (lambda trace: edit_certificates(
+        trace, lambda t: t["records"]["resta"]["trials"][1][
+            "kappa_phi_ratio"].append(0.0)),
+     "records resta trials"),
 ], ids=["records_short", "records_long", "resta_short", "tangent_cert_long",
         "ledger_delta_short", "resta_ledger_delta_long", "trials_long"])
 def test_audit_rejects_columns_of_unequal_length(tmp_path, capsys, p1_trace,
@@ -436,15 +462,20 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
      "trace version 9 not supported"),
     # a schema-v10 trace writes one object per record, labelled k
     (lambda trace: trace.update(trace_version=10, records=[
-        {"k": 0, **table_row(trace["records"], 0)}]),
+        {"k": 0, **record_row(trace, 0)}]),
      "trace version 10 not supported"),
     # a schema-v11 trace writes each point as a list of numbers
     (lambda trace: trace.update(trace_version=11, start={
         **trace["start"], "x": read_vector(trace["start"]["x"], "x").tolist()}),
      "trace version 11 not supported"),
+    # a schema-v12 trace writes each certificate column as a list of numbers
+    (lambda trace: [trace.update(trace_version=12),
+                    trace["records"]["tangent_cert"].update(step_norm=[0.0])],
+     "trace version 12 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
-        "version_9", "version_10", "version_11", "empty_object"])
+        "version_9", "version_10", "version_11", "version_12",
+        "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from conftest import table_row
+from conftest import edit_certificates, record_row
 
 from bira.core import (
     DEFAULT_KAPPAS,
@@ -208,13 +208,19 @@ def test_audit_catches_tampered_penalty():
     assert "theta_monotone" in [c.name for c in res.failures]
 
 
+def _claim_trials(d, sigma, count):
+    """Append ``count`` zero-step trials at ``sigma`` to record 0's call."""
+    def edit(t):
+        for name, column in t["records"]["resta"]["trials"][0].items():
+            column.extend([sigma if name == "sigma" else 0.0] * count)
+    edit_certificates(d, edit)
+
+
 def test_audit_catches_a_trial_sigma_past_the_cap():
     rep = _fresh_report()
     d = rep.to_dict()
     # p4's call took no trial: claim one at sigma = 1e12
-    trials = d["records"]["resta"]["trials"][0]
-    for name, column in trials.items():
-        column.append(1e12 if name == "sigma" else 0.0)
+    _claim_trials(d, 1e12, 1)
     bad = RunReport.from_dict(d)
     res = audit(bad)
     assert "sigma_cap" in [c.name for c in res.failures]
@@ -227,10 +233,7 @@ def test_audit_catches_descent_tests_past_the_cap():
     rep = _fresh_report()
     d = rep.to_dict()
     d["constants_basis"]["problem_constants"]["provenance"] = "estimated"
-    trials = d["records"]["resta"]["trials"][0]
-    for name, column in trials.items():
-        column.extend([rep.params.sigma_min if name == "sigma" else 0.0]
-                      * (FALLBACK_INNER_CAP + 1))
+    _claim_trials(d, rep.params.sigma_min, FALLBACK_INNER_CAP + 1)
     bad = RunReport.from_dict(d)
     assert bad.records[0].resta.inner_desc_tests == FALLBACK_INNER_CAP + 1
     failed = {c.name: c.detail for c in audit(bad).failures}
@@ -307,10 +310,6 @@ def test_audit_verdicts_on_estimated_constants(suite_runs, name):
     assert _verdicts(RunReport.from_dict(d)) == _expected(name, ANALYTIC_ONLY)
 
 
-def _record(trace, k):
-    return table_row(trace["records"], k)
-
-
 def _shifted(point, shift):
     """The written point ``point`` with ``shift`` added to its first
     coordinate."""
@@ -326,7 +325,8 @@ def _with_rows(trace, edit):
 
 
 def _locate(trace, path):
-    """``(container, key)`` of the value at ``path``.  A path
+    """``(container, key)`` of the value at ``path``, in a trace whose
+    certificate columns :func:`edit_certificates` decoded.  A path
     ``("records", k, *fields)`` names record k's value: the records table
     nests its fields' tables, and entry k of the first column on the way
     holds the rest of the path."""
@@ -357,15 +357,15 @@ TAMPERS = [
      lambda t, tc: tc.penalty_floor / 100.0),
     # the first step lowered the merit by about 1.8 at theta = 0.5
     ("penalty_merit_decrease", ("records", 0, "f_xnext_ynext"),
-     lambda t, tc: _record(t, 0)["f_xnext_ynext"] + 10.0),
+     lambda t, tc: record_row(t, 0)["f_xnext_ynext"] + 10.0),
     ("sigma_cap", ("records", 0, "resta", "trials", "sigma", 0),
      lambda t, tc: 10.0 * tc.sigma_cap),
     ("mu_cap", ("records", 0, "mu_k"), lambda t, tc: 10.0 * tc.mu_cap),
     ("restored_distance", ("records", 0, "resta", "x_R"),
-     lambda t, tc: _shifted(_record(t, 0)["resta"]["x_R"], 10.0
+     lambda t, tc: _shifted(record_row(t, 0)["resta"]["x_R"], 10.0
      * tc.restored_distance_factor * (t["start"]["h"] + max(t["start"]["y"])))),
     ("restored_value_drift", ("records", 0, "f_xR_yR"),
-     lambda t, tc: _record(t, 0)["f_xk_yR"] + 10.0
+     lambda t, tc: record_row(t, 0)["f_xk_yR"] + 10.0
      * tc.restored_value_factor * (t["start"]["h"] + max(t["start"]["y"]))),
     ("infeasibility_summability", ("records", 0, "resta", "h_xk_yR"),
      lambda t, tc: 10.0 * tc.infeasibility_sum_bound),
@@ -373,7 +373,7 @@ TAMPERS = [
      lambda t, tc: 10.0 * math.sqrt(tc.step_square_sum_bound)),
     ("residual_vs_step", ("records", 0, "stationarity_residual"),
      lambda t, tc: 10.0 * tc.residual_step_factor
-     * _record(t, 0)["tangent_cert"]["step_norm"]),
+     * record_row(t, 0)["tangent_cert"]["step_norm"]),
     ("residual_summability", ("records", 0, "stationarity_residual"),
      lambda t, tc: 10.0 * math.sqrt(tc.residual_square_sum_bound)),
     ("ledger_caps", ("records", 0, "ledger_delta", "gradh_evals"),
@@ -396,7 +396,7 @@ TAMPERS = [
     ("tangent_solve_accuracy",
      ("records", 0, "tangent_cert", "stationarity_residual"),
      lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa"]
-     * _record(t, 0)["tangent_cert"]["step_norm"]),
+     * record_row(t, 0)["tangent_cert"]["step_norm"]),
     ("oracle_f_error_bound", ("records", 0, "oracle_f_error"),
      lambda t, tc: 10.0 * tc.extras["noise_scale_f"] * t["start"]["y"][0]),
     ("oracle_h_error_bound", ("records", 0, "oracle_h_error"),
@@ -418,20 +418,20 @@ TAMPERS = [
     # the last call is finishing (record 18 met eps_opt), so it refined
     # at r**2, not r
     ("precision_refinement", ("records", 19, "resta", "y_R", 0),
-     lambda t, tc: t["params"]["r"] * _record(t, 18)["resta"]["y_R"][0]),
+     lambda t, tc: t["params"]["r"] * record_row(t, 18)["resta"]["y_R"][0]),
     # the finishing call claims a stage more than it took, so its objective
     # precision is not the one replayed
     ("precision_refinement", ("records", 19, "resta", "stages"),
-     lambda t, tc: _record(t, 19)["resta"]["stages"] + 1),
+     lambda t, tc: record_row(t, 19)["resta"]["stages"] + 1),
     # a call that claims to have contracted nothing
     ("restoration_tests", ("records", 5, "resta", "h_xR_yR"),
-     lambda t, tc: _record(t, 5)["resta"]["h_xk_yR"]),
+     lambda t, tc: record_row(t, 5)["resta"]["h_xk_yR"]),
     # an accepted tangent step ten times longer than its decrease allows
     ("tangent_search", ("records", 5, "tangent_cert", "step_norm"),
-     lambda t, tc: 10.0 * _record(t, 5)["tangent_cert"]["step_norm"]),
+     lambda t, tc: 10.0 * record_row(t, 5)["tangent_cert"]["step_norm"]),
     # a search that claims a start half the one the schedule gave it
     ("tangent_search", ("records", 5, "mu_k"),
-     lambda t, tc: _record(t, 5)["mu_k"] / 2.0),
+     lambda t, tc: record_row(t, 5)["mu_k"] / 2.0),
     # a search that claims four rejected trials at the weight it accepted
     ("tangent_search", ("records", 5, "ell_count"), lambda t, tc: 5),
     # a run that claims to have evaluated nothing
@@ -459,10 +459,13 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
     rep = suite_runs["p1"]
     assert audit(rep).ok
     d = _trace(rep)
-    node, key = _locate(d, path)
     p1 = problem_by_name("p1")
-    node[key] = value(d, constants(p1.constants(), rep.params,
-                                        extras=p1.extras()))
+    new = value(d, constants(p1.constants(), rep.params, extras=p1.extras()))
+
+    def put(t):
+        node, key = _locate(t, path)
+        node[key] = new
+    edit_certificates(d, put)
     bad = RunReport.from_dict(d)
     failed = {c.name: c.detail for c in audit(bad).failures}
     assert check in failed
@@ -576,15 +579,19 @@ def test_the_failing_restoration_test_is_replayed():
 def test_restoration_ray_ratio_is_audited(suite_runs):
     # a restoration solve far short of its projected steepest-descent ray
     d = _trace(suite_runs["p1"])
-    d["records"]["resta"]["trials"][0]["kappa_phi_ratio"][0] = 1e6
+    edit_certificates(d, lambda t: t["records"]["resta"]["trials"][0][
+        "kappa_phi_ratio"].__setitem__(0, 1e6))
     assert _failures(d) == {"restoration_solve_accuracy":
                             "iteration 0: 1.000e+06 exceeds 1.000e+01"}
 
 
 def test_a_trace_cannot_loosen_the_solve_targets(suite_runs):
     d = _trace(suite_runs["p1"])
-    cert = d["records"]["tangent_cert"]
-    cert["stationarity_residual"][0] = 100.0 * cert["step_norm"][0]
+
+    def edit(t):
+        cert = t["records"]["tangent_cert"]
+        cert["stationarity_residual"][0] = 100.0 * cert["step_norm"][0]
+    edit_certificates(d, edit)
     assert list(_failures(d)) == ["tangent_solve_accuracy"]
     # targets loose enough to excuse that residual are not part of a trace
     d["constants_basis"]["kappas"] = {"kappa": 1e3, "kappa_T": 1e9}

@@ -1,6 +1,6 @@
 """Traces saved by ``bira run --out`` load into the record types and
 re-dump byte for byte, the records table reads back what it wrote, and
-every point reads back bit for bit or is refused.
+every point and certificate column reads back bit for bit or is refused.
 
 ``p3_failure.json`` is ``p3``'s restoration failure and ``p2_staged.json``
 a ``p2`` run whose finishing call took stages, both at the default
@@ -8,15 +8,17 @@ parameters and tolerances.
 """
 
 import base64
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_highdim
+from conftest import edit_certificates, make_highdim
 
-from bira.cli import main
+from bira.cli import EXIT_BUDGET, main
 from bira.core import (
     FAILURE_KINDS,
     RESTORATION_STATUSES,
@@ -27,6 +29,7 @@ from bira.core import (
 from bira.qp import SolveCertificate
 from bira.solver import bira_run
 from bira.trace import (
+    CERT_FIELDS,
     RECORD_TABLE,
     RestorationOutcome,
     RunReport,
@@ -121,11 +124,11 @@ def test_a_precision_off_the_quadrant_is_a_schema_error():
 
 
 def _columns(table, spec):
-    """Every plain column of a written table, nested tables' included."""
-    names, nested = spec
-    for name in names:
-        if name in nested:
-            yield from _columns(table[name], nested[name])
+    """Every column of a written table that is not a table itself, nested
+    tables' included: a list, or the string of a packed column."""
+    for name in spec.columns:
+        if name in spec.nested:
+            yield from _columns(table[name], spec.nested[name])
         else:
             yield table[name]
 
@@ -133,8 +136,8 @@ def _columns(table, spec):
 def test_a_run_without_records_writes_every_column_empty():
     payload = json.loads((DATA / "p3_failure.json").read_text())
     columns = list(_columns(payload["records"], RECORD_TABLE))
-    assert len(columns) > len(RECORD_TABLE[0])
-    assert all(column == [] for column in columns)
+    assert len(columns) > len(RECORD_TABLE.columns)
+    assert all(column in ([], "") for column in columns)
     assert RunReport.from_dict(payload).records == []
 
 
@@ -234,3 +237,154 @@ def test_a_bad_point_is_refused_naming_its_field(tmp_path, capsys, saved, put,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} ")
     assert "Traceback" not in err
+
+
+def test_an_empty_start_point_is_refused(tmp_path, capsys):
+    # a run without records takes n from the start point alone
+    trace = tmp_path / "t.json"
+    assert main(["run", "--problem", "p4", "--budget", "0",
+                 "--out", str(trace)]) == EXIT_BUDGET
+    d = json.loads(trace.read_text())
+    d["start"]["x"] = ""
+    with pytest.raises(SchemaError, match="^start x must have at least one"):
+        RunReport.from_dict(d)
+    trace.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 1
+    assert capsys.readouterr().err == (
+        "error: start x must have at least one coordinate\n")
+
+
+def _through_json(report):
+    """``(written text, report loaded back from it)``."""
+    text = json.dumps(report.to_dict())
+    return text, RunReport.from_dict(json.loads(text))
+
+
+def _bits(certs):
+    return [np.array([getattr(c, name) for name in CERT_FIELDS]).tobytes()
+            for c in certs]
+
+
+def test_certificate_columns_round_trip_bit_for_bit():
+    # +inf is the ratio qp._phi_ratio writes for a solve that decreased
+    # nothing where its ray could
+    edge = SolveCertificate(-0.0, 5e-324, 1.7e308, math.inf)
+    rep = read_trace(DATA / "p2_staged.json")
+    rec = rep.records[1]
+    trials = ((0.25, edge), *rec.resta.trials)
+    rep.records[1] = dataclasses.replace(
+        rec, tangent_cert=edge,
+        resta=dataclasses.replace(rec.resta, trials=trials))
+    text, back = _through_json(rep)
+    assert json.dumps(back.to_dict()) == text
+    assert _bits([back.records[1].tangent_cert]) == _bits([edge])
+    got = back.records[1].resta.trials
+    assert [sigma for sigma, _ in got] == [sigma for sigma, _ in trials]
+    assert _bits(cert for _, cert in got) == _bits(cert for _, cert in trials)
+
+
+def test_records_with_zero_one_and_many_trials_round_trip():
+    rep = read_trace(DATA / "p2_staged.json")
+    rec = rep.records[0]
+    rep.records[0] = dataclasses.replace(
+        rec, resta=dataclasses.replace(rec.resta, trials=()))
+    counts = [rec.resta.inner_desc_tests for rec in rep.records]
+    assert counts[0] == 0 and 1 in counts and max(counts) > 1
+    text, back = _through_json(rep)
+    assert json.dumps(back.to_dict()) == text
+    sigma = json.loads(text)["records"]["resta"]["trials"]["sigma"]
+    assert list(map(len, sigma)) == counts
+    for rec, got in zip(rep.records, back.records):
+        assert _bits(c for _, c in got.resta.trials) == _bits(
+            c for _, c in rec.resta.trials)
+        assert got.resta.trials == rec.resta.trials
+
+
+#: Every certificate table of a trace: ``(saved trace, path to the table,
+#: its name in a refusal of a column, a function that sets one value of
+#: record 1, or of the failing call, in the decoded trace, and that value's
+#: name in its refusal)``.
+CERT_TABLES = [
+    ("p2_staged.json", ("records", "tangent_cert"), "records tangent_cert",
+     lambda t, name, v: t["records"]["tangent_cert"][name].__setitem__(1, v),
+     "iteration record 1: tangent_cert"),
+    ("p2_staged.json", ("records", "resta", "trials"), "records resta trials",
+     lambda t, name, v: t["records"]["resta"]["trials"][1][name].__setitem__(
+         0, v),
+     "iteration record 1: restoration trial"),
+    ("p3_failure.json", ("failure_info", "resta", "trials"),
+     "failure info: restoration trials",
+     lambda t, name, v: t["failure_info"]["resta"]["trials"][name].__setitem__(
+         0, v),
+     "failure info: restoration trial"),
+]
+CERT_TABLE_IDS = ["tangent_cert", "trials", "failure_trials"]
+
+
+def _refused(tmp_path, capsys, d, message):
+    """Assert that the trace payload ``d`` is refused with ``message``, in
+    process and by ``bira audit``."""
+    with pytest.raises(SchemaError, match=f"^{message}"):
+        RunReport.from_dict(d)
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(f"error: {message}", err), err
+    assert "Traceback" not in err
+
+
+#: Packed columns a trace refuses, each as a function of the column's
+#: values, with the refusal's message after the table's name.
+BAD_COLUMNS = [
+    # schema v12 wrote each column as a list of numbers
+    (lambda v: v.tolist(), "column 'step_norm' must be a base64 string of"
+     " float64 bytes, got list"),
+    (lambda v: "@@@@" + write_vector(v), "column 'step_norm' is not valid"
+     " base64"),
+    (lambda v: write_vector(v) + "A", "column 'step_norm' is not valid"
+     " base64"),
+    (lambda v: write_vector(v)[:-4], "column 'step_norm' holds .* bytes,"
+     " not whole float64 coordinates"),
+    # the number of sigma entries, or of records, sets a column's length
+    (lambda v: write_vector(v[:-1]),
+     "table columns differ in length: .*'step_norm'"),
+]
+BAD_COLUMN_IDS = ["v12_list", "bad_character", "bad_length", "partial_value",
+                  "one_value_short"]
+
+
+@pytest.mark.parametrize("saved,path,table,_put,_where", CERT_TABLES,
+                         ids=CERT_TABLE_IDS)
+@pytest.mark.parametrize("bad,message", BAD_COLUMNS, ids=BAD_COLUMN_IDS)
+def test_a_bad_packed_column_is_refused_naming_it(tmp_path, capsys, saved,
+                                                  path, table, _put, _where,
+                                                  bad, message):
+    d = json.loads((DATA / saved).read_text())
+    node = d
+    for key in path:
+        node = node[key]
+    node["step_norm"] = bad(read_vector(node["step_norm"], "step_norm"))
+    _refused(tmp_path, capsys, d, f"{table} {message}")
+
+
+#: Values a certificate refuses: ``(field, value)``.  NaN is refused in
+#: every field, infinity in every field but ``kappa_phi_ratio``.
+BAD_VALUES = [(name, math.nan) for name in CERT_FIELDS] + [
+    (name, value) for name in CERT_FIELDS if name != "kappa_phi_ratio"
+    for value in (math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("saved,_path,_table,put,where", CERT_TABLES,
+                         ids=CERT_TABLE_IDS)
+@pytest.mark.parametrize("name,value", BAD_VALUES,
+                         ids=[f"{name}_{value}" for name, value in BAD_VALUES])
+def test_a_bad_certificate_value_is_refused_naming_it(tmp_path, capsys, saved,
+                                                      _path, _table, put,
+                                                      where, name, value):
+    d = json.loads((DATA / saved).read_text())
+    edit_certificates(d, lambda t: put(t, name, value))
+    _refused(tmp_path, capsys, d,
+             f"{where} field '{name}' must not be {value!r}")
