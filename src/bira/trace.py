@@ -1,21 +1,26 @@
 """The run record: what a run measured, in memory and as a JSON trace.
 
-This module alone knows the written format: every record's ``to_dict`` and
-``from_dict``, the table layouts (:class:`Table`) of :func:`write_table`
-and :func:`read_table`, the float64 codec :func:`write_vector` and
-:func:`read_vector`, and every schema check a trace passes on loading.  A
-trace writes its iteration records, and each restoration call's trials, as
-tables: one JSON list per field, entry i belonging to row i.  Each point
-(``start.x``, every ``x_R`` and ``x_next``) is one string, the base64 of
-its little-endian float64 bytes, which holds its bits exactly in about half
-the characters of decimal text.  So is each certificate column: a
-:class:`~bira.qp.SolveCertificate` field is packed once over the rows of
-its table, and the records write the trials of every restoration call as
-one table, packed over all of them in record order, whose ``sigma`` column
-keeps one list per record.  Every scalar, ``sigma`` among them, stays a
-JSON number.  In memory each fact has one type: a
-:class:`~bira.core.PrecisionLevel`, a :class:`~bira.qp.SolveCertificate`
-or a :class:`RestorationOutcome`.
+This module alone knows the written format: every record's ``row``,
+``from_row``, ``to_dict`` and ``from_dict``, the table layouts
+(:class:`Table`) of :func:`write_table` and :func:`read_table`, the float64
+codec :func:`write_vector` and :func:`read_vector`, and every schema check
+a trace passes on loading.  A trace writes its iteration records, and each
+restoration call's trials, as tables: one column per field, entry i
+belonging to row i.  Each point (``start.x``, every ``x_R`` and
+``x_next``) is one string, the base64 of its little-endian float64 bytes,
+which holds its bits exactly in about half the characters of decimal text.
+So is every float column of a table, packed once over its rows: each
+record scalar, each field of ``y_R`` and each
+:class:`~bira.qp.SolveCertificate` field.  A nullable column writes a null
+as the quiet NaN, and no other NaN, nor an infinity outside
+``kappa_phi_ratio``, loads.  The records write the trials of every
+restoration call as one table, packed over all of them in record order,
+whose ``sigma`` column keeps one JSON list per record; those lists'
+lengths split the packed columns back into records.  Counts, statuses,
+ledgers and ``sigma`` stay JSON, and so do the numbers of the ``start``
+block and of a lone restoration outcome (``failure_info``).  In
+memory each fact has one type: a :class:`~bira.core.PrecisionLevel`, a
+:class:`~bira.qp.SolveCertificate` or a :class:`RestorationOutcome`.
 """
 
 import base64
@@ -44,7 +49,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 13
+TRACE_VERSION = 14
 
 
 def check_fields(payload, fields, what):
@@ -59,18 +64,23 @@ def check_fields(payload, fields, what):
         )
 
 
-def check_numbers(payload, what, names=None, optional=(), counts=()):
+def check_numbers(payload, what, names=None, optional=(), counts=(),
+                  finite=False):
     """Raise :class:`SchemaError` unless ``payload`` is a JSON object whose
-    ``names`` fields (all by default) hold numbers; a field in ``optional``
-    may also be ``None``, and one in ``counts`` must be a nonnegative
-    integer."""
+    ``names`` fields (all by default) hold numbers, finite ones when
+    ``finite`` is true; a field in ``optional`` may also be ``None``, and
+    one in ``counts`` must be a nonnegative integer."""
     if not isinstance(payload, dict):
         raise SchemaError(f"{what} must be a JSON object")
     for name in payload if names is None else names:
         val = payload[name]
         if name in counts:
             check_count(val, f"{what} field {name!r}")
-        elif not (is_number(val) or (val is None and name in optional)):
+        elif is_number(val):
+            if finite and not math.isfinite(val):
+                raise SchemaError(f"{what} field {name!r} must be finite,"
+                                  f" got {val!r}")
+        elif not (val is None and name in optional):
             raise SchemaError(f"{what} field {name!r} must be a number,"
                               f" got {type(val).__name__}")
 
@@ -164,37 +174,23 @@ def _level(values, what):
         raise SchemaError(f"{what}: {exc}") from None
 
 
-def _written(val):
-    """The JSON form of a value held by a run record."""
-    if isinstance(val, (RestorationOutcome, IterationRecord, AlgorithmParams)):
-        return val.to_dict()
-    if isinstance(val, PrecisionLevel):
-        return list(val.as_tuple())
-    if isinstance(val, SolveCertificate):
-        return {name: getattr(val, name) for name in CERT_FIELDS}
-    if isinstance(val, np.ndarray):
-        return write_vector(val)
-    if isinstance(val, dict):
-        return {key: _written(v) for key, v in val.items()}
-    if isinstance(val, list):
-        return [_written(v) for v in val]
-    return val
-
-
 class Table(NamedTuple):
     """The layout of a written table.
 
     ``columns`` are its columns in order.  ``nested`` maps a column to the
     layout of the table it is written as.  A column in ``packed`` holds
     floats and is written as one :func:`write_vector` string of its
-    entries.  A nested column in ``grouped`` holds a list of rows in each
-    entry: it is written as one table of all of them in order, whose
-    columns that are not packed keep one list per entry."""
+    entries; one in ``nullable`` as well may hold ``None``, written as the
+    quiet NaN and read back as ``None``.  A nested column in ``grouped``
+    holds a list of rows in each entry: it is written as one table of all
+    of them in order, whose columns that are not packed keep one list per
+    entry."""
 
     columns: tuple
     nested: dict = {}
     packed: tuple = ()
     grouped: tuple = ()
+    nullable: tuple = ()
 
 
 def write_table(rows, spec):
@@ -215,6 +211,8 @@ def write_table(rows, spec):
         elif name in spec.nested:
             column = write_table(column, spec.nested[name])
         elif name in spec.packed:
+            if name in spec.nullable:
+                column = [math.nan if val is None else val for val in column]
             column = write_vector(column)
         table[name] = column
     return table
@@ -227,7 +225,9 @@ def read_table(table, spec, what):
     of ``spec`` is there, and no other, each a list (a nested table, or a
     packed string read by :func:`read_vector`) and all of equal length.
     The rows' values are not checked here, except that a packed column
-    holds whole float64 values."""
+    holds whole float64 values: a NaN of a nullable column reads as
+    ``None``, and any other non-finite value is left to the row's
+    reader."""
     check_fields(table, spec.columns, f"{what} table")
     read = []
     for name in spec.columns:
@@ -239,6 +239,8 @@ def read_table(table, spec, what):
         elif name in spec.packed:
             column = read_vector(column, f"{what} column {name!r}",
                                  finite=False).tolist()
+            if name in spec.nullable:
+                column = [None if math.isnan(val) else val for val in column]
         elif not isinstance(column, list):
             raise SchemaError(f"{what} column {name!r} must be a JSON list")
         read.append(column)
@@ -291,14 +293,34 @@ def check_certificate(row, what):
 #: The fields of a :class:`~bira.qp.SolveCertificate`.
 CERT_FIELDS = tuple(SolveCertificate.__dataclass_fields__)
 
+#: The fields of a :class:`~bira.core.PrecisionLevel`.
+LEVEL_FIELDS = tuple(PrecisionLevel.__dataclass_fields__)
+
 #: The columns of a restoration outcome's trial table: the weight sigma of
 #: each descent test, then the certificate of its QP solve.
 TRIAL_FIELDS = ("sigma", *CERT_FIELDS)
 
 #: Layouts for :func:`write_table` and :func:`read_table`.
 LEDGER_TABLE = Table(LEDGER_FIELDS)
+LEVEL_TABLE = Table(LEVEL_FIELDS, packed=LEVEL_FIELDS)
 CERT_TABLE = Table(CERT_FIELDS, packed=CERT_FIELDS)
 TRIAL_TABLE = Table(TRIAL_FIELDS, packed=CERT_FIELDS)
+
+
+def _cert_row(cert):
+    """The row of a certificate table that holds ``cert``."""
+    return {name: getattr(cert, name) for name in CERT_FIELDS}
+
+
+def _record_table(cls, columns, nested, **layout):
+    """The layout of a table of ``cls`` rows with ``columns``: every float
+    field among them packed, and nullable when ``cls`` annotates it
+    ``float | None``."""
+    names, optional, counts = number_fields(cls)
+    return Table(columns, nested,
+                 packed=tuple(name for name in names
+                              if name in columns and name not in counts),
+                 nullable=optional, **layout)
 
 
 @dataclass(frozen=True)
@@ -321,7 +343,9 @@ class RestorationOutcome:
     as a table of :data:`TRIAL_FIELDS`: ``sigma`` a list of numbers, each
     certificate field one :func:`write_vector` string.  The records of a
     run write the trials of all their calls as one such table, whose
-    ``sigma`` holds one list per record (:data:`OUTCOME_TABLE`).
+    ``sigma`` holds one list per record, and every float field, ``y_R``'s
+    two among them, as a packed column (:data:`OUTCOME_TABLE`).  A lone
+    outcome (:meth:`to_dict`) is its row, with its scalars JSON numbers.
     """
 
     x_R: np.ndarray
@@ -350,15 +374,19 @@ class RestorationOutcome:
 
     def row(self):
         """The outcome's row of an outcome table: each written field, with
+        ``x_R`` written, ``y_R`` a row of :data:`LEVEL_TABLE` and
         ``trials`` one row per descent test."""
-        d = {name: _written(getattr(self, name)) for name in _OUTCOME_WRITTEN}
-        d["trials"] = [{"sigma": sigma, **_written(cert)}
+        d = {name: getattr(self, name) for name in _OUTCOME_WRITTEN}
+        d["x_R"] = write_vector(self.x_R)
+        d["y_R"] = {"gf": self.y_R.gf, "gh": self.y_R.gh}
+        d["trials"] = [{"sigma": sigma, **_cert_row(cert)}
                        for sigma, cert in self.trials]
         return d
 
     def to_dict(self):
         d = self.row()
         d["trials"] = write_table(d["trials"], TRIAL_TABLE)
+        d["ledger_delta"] = dict(self.ledger_delta)
         return d
 
     @classmethod
@@ -375,13 +403,14 @@ class RestorationOutcome:
         """Rebuild an outcome from its row of an outcome table, as
         :meth:`row` writes it and :func:`read_table` reads it."""
         what = "restoration outcome"
-        check_numbers(d, what, *number_fields(cls))
+        check_numbers(d, what, *number_fields(cls), finite=True)
         if d["status"] not in RESTORATION_STATUSES:
             raise SchemaError(f"unknown restoration status {d['status']!r}")
         check_ledger(d["ledger_delta"], "restoration ledger")
         kw = dict(d)
         kw["x_R"] = read_vector(d["x_R"], "x_R", n)
-        kw["y_R"] = _level(d["y_R"], "y_R")
+        check_fields(d["y_R"], LEVEL_FIELDS, "y_R")
+        kw["y_R"] = _level([d["y_R"][name] for name in LEVEL_FIELDS], "y_R")
         kw["trials"] = tuple(map(_trial, d["trials"]))
         kw["ledger_delta"] = dict(d["ledger_delta"])
         return cls(**kw)
@@ -389,9 +418,10 @@ class RestorationOutcome:
 
 _OUTCOME_WRITTEN = tuple(
     name for name in RestorationOutcome.__dataclass_fields__ if name != "h_vec")
-OUTCOME_TABLE = Table(_OUTCOME_WRITTEN, {"ledger_delta": LEDGER_TABLE,
-                                         "trials": TRIAL_TABLE},
-                      grouped=("trials",))
+OUTCOME_TABLE = _record_table(
+    RestorationOutcome, _OUTCOME_WRITTEN,
+    {"y_R": LEVEL_TABLE, "ledger_delta": LEDGER_TABLE, "trials": TRIAL_TABLE},
+    grouped=("trials",))
 
 
 def _trial(row):
@@ -431,7 +461,9 @@ class IterationRecord:
     records table is its index; and ``x_next`` is written as ``null``
     unless it differs bitwise from ``x_R`` (a tangent step that snapped to
     zero repeats it).  ``x_next``, like every point of a trace, is written
-    by :func:`write_vector` and read back bit for bit.
+    by :func:`write_vector` and read back bit for bit, and so is each
+    float field, as one packed column of :data:`RECORD_TABLE` (a ``None``
+    oracle error as the quiet NaN).
     """
 
     k: int
@@ -483,24 +515,22 @@ class IterationRecord:
     def step_norm(self):
         return self.tangent_cert.step_norm
 
-    def to_dict(self):
+    def row(self):
         """The record's row of the records table."""
-        d = {name: _written(getattr(self, name)) for name in _RECORD_WRITTEN
-             if name != "resta"}
+        d = {name: getattr(self, name) for name in _RECORD_WRITTEN}
         d["resta"] = self.resta.row()
-        # a zero step writes x_next as null: from_dict reads it as x_R
-        if self.x_next.tobytes() == self.x_R.tobytes():
-            d["x_next"] = None
+        d["tangent_cert"] = _cert_row(self.tangent_cert)
+        # a zero step writes x_next as null: from_row reads it as x_R
+        d["x_next"] = (None if self.x_next.tobytes() == self.x_R.tobytes()
+                       else write_vector(self.x_next))
         return d
 
     @classmethod
-    def from_dict(cls, d, chain, k):
+    def from_row(cls, d, chain, k):
         """Rebuild record ``k`` from its row of the records table and the
         :data:`CHAIN` fields ``chain`` handed to it."""
         what = f"iteration record {k}"
-        names, optional, counts = number_fields(cls)
-        check_numbers(d, what, [n for n in names if n in _RECORD_WRITTEN],
-                      optional, counts)
+        check_numbers(d, what, *_RECORD_NUMBERS, finite=True)
         with _within(what):
             cert = d["tangent_cert"]
             check_certificate(cert, "tangent_cert")
@@ -519,9 +549,14 @@ class IterationRecord:
 
 _RECORD_WRITTEN = tuple(name for name in IterationRecord.__dataclass_fields__
                         if name not in CHAIN and name != "k")
-RECORD_TABLE = Table(_RECORD_WRITTEN, {"resta": OUTCOME_TABLE,
-                                       "tangent_cert": CERT_TABLE,
-                                       "ledger_delta": LEDGER_TABLE})
+#: ``(names, optional, counts)`` of the written number fields of a record.
+_RECORD_NUMBERS = tuple(
+    tuple(name for name in names if name in _RECORD_WRITTEN)
+    for names in number_fields(IterationRecord))
+RECORD_TABLE = _record_table(
+    IterationRecord, _RECORD_WRITTEN,
+    {"resta": OUTCOME_TABLE, "tangent_cert": CERT_TABLE,
+     "ledger_delta": LEDGER_TABLE})
 
 
 @dataclass
@@ -578,9 +613,21 @@ class RunReport:
         return self._final()[1]
 
     def to_dict(self):
-        d = {name: _written(getattr(self, name))
-             for name in self.__dataclass_fields__}
-        d["records"] = write_table(d["records"], RECORD_TABLE)
+        d = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        d["records"] = write_table([rec.row() for rec in self.records],
+                                   RECORD_TABLE)
+        if self.failure_info is not None:
+            d["failure_info"] = {**self.failure_info,
+                                 "resta": self.failure_info["resta"].to_dict()}
+        start = self.start
+        d["start"] = {"x": write_vector(start["x"]),
+                      "y": list(start["y"].as_tuple()),
+                      "f": start["f"], "h": start["h"]}
+        d["params"] = self.params.to_dict()
+        d["tolerances"] = dict(self.tolerances)
+        d["constants_basis"] = {key: dict(val) for key, val
+                                in self.constants_basis.items()}
+        d["ledger_totals"] = dict(self.ledger_totals)
         return d
 
     @classmethod
@@ -599,7 +646,7 @@ class RunReport:
                      ProblemConstants.__dataclass_fields__, "problem constants")
         check_numbers(basis["problem_constants"], "problem constants",
                       *number_fields(ProblemConstants))
-        check_numbers(basis["extras"], "extras")
+        check_numbers(basis["extras"], "extras", finite=True)
         check_fields(d["params"], AlgorithmParams.__dataclass_fields__,
                      "params")
         check_numbers(d["params"], "params")
@@ -619,7 +666,7 @@ class RunReport:
                               " status is RestorationFailure")
         start = d["start"]
         check_fields(start, ("x", "y", "f", "h"), "start")
-        check_numbers(start, "start", ("f", "h"))
+        check_numbers(start, "start", ("f", "h"), finite=True)
         x0 = read_vector(start["x"], "start x")
         # every point of the run has the start point's length
         n = len(x0)
@@ -653,7 +700,7 @@ class RunReport:
                  "theta_before": float(kw["params"].theta_0)}
         kw["records"] = []
         for k, row in enumerate(rows):
-            rec = IterationRecord.from_dict(row, chain, k)
+            rec = IterationRecord.from_row(row, chain, k)
             kw["records"].append(rec)
             chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
         kw["tolerances"] = dict(d["tolerances"])

@@ -7,6 +7,7 @@ import numpy as np
 from bira.trace import (
     CERT_FIELDS,
     RECORD_TABLE,
+    TRIAL_TABLE,
     read_table,
     read_vector,
     write_vector,
@@ -65,55 +66,60 @@ def kkt_min_quadratic_box_line(x_f, div, a, b, lower, upper):
 def record_row(trace, k):
     """Record ``k`` of a written trace as one row: entry ``k`` of every
     column, a nested table's gathered into one object, the record's
-    restoration trials one row each, and every certificate value
-    decoded."""
+    restoration trials one row each, and every packed value decoded."""
     return read_table(trace["records"], RECORD_TABLE, "records")[k]
 
 
-def _unpack(table):
-    for name in CERT_FIELDS:
-        table[name] = read_vector(table[name], name, finite=False).tolist()
+def _unpack(table, spec):
+    for name in spec.columns:
+        if name in spec.nested:
+            _unpack(table[name], spec.nested[name])
+        elif name in spec.packed:
+            table[name] = read_vector(table[name], name, finite=False).tolist()
 
 
-def _pack(table):
-    for name in CERT_FIELDS:
-        table[name] = write_vector(table[name])
+def _pack(table, spec):
+    for name in spec.columns:
+        if name in spec.nested:
+            _pack(table[name], spec.nested[name])
+        elif name in spec.packed:
+            table[name] = write_vector(table[name])
 
 
-def edit_certificates(d, edit):
+def edit_packed(d, edit):
     """Call ``edit(d)`` on the written trace or restoration outcome ``d``
-    with its certificate columns decoded into lists of floats, laid out as
-    schema v12 wrote them: record k's trials are entry k of
+    with every packed column decoded into a list of floats (a null of a
+    nullable column is NaN), and the records' trials laid out as schema
+    v12 wrote them: record k's trials are entry k of
     ``records.resta.trials``, one table per record.  The columns are
-    packed again afterwards, so an edit of a certificate value, or of a
+    packed again afterwards, so an edit of a packed value, or of a
     column's length, keeps its intent."""
     if "trials" in d:
-        tables = [d["trials"]]
-    else:
-        failure = d["failure_info"]
-        tables = [d["records"]["tangent_cert"]]
-        tables += [failure["resta"]["trials"]] if failure else []
-        resta = d["records"]["resta"]
-        trials = resta["trials"]
-        _unpack(trials)
-        per_record, start = [], 0
-        for sigma in trials["sigma"]:
-            end = start + len(sigma)
-            per_record.append({"sigma": sigma, **{
-                name: trials[name][start:end] for name in CERT_FIELDS}})
-            start = end
-        resta["trials"] = per_record
-    for table in tables:
-        _unpack(table)
+        _unpack(d["trials"], TRIAL_TABLE)
+        edit(d)
+        _pack(d["trials"], TRIAL_TABLE)
+        return
+    failure = d["failure_info"]
+    if failure:
+        _unpack(failure["resta"]["trials"], TRIAL_TABLE)
+    _unpack(d["records"], RECORD_TABLE)
+    resta = d["records"]["resta"]
+    trials = resta["trials"]
+    per_record, start = [], 0
+    for sigma in trials["sigma"]:
+        end = start + len(sigma)
+        per_record.append({"sigma": sigma, **{
+            name: trials[name][start:end] for name in CERT_FIELDS}})
+        start = end
+    resta["trials"] = per_record
     edit(d)
-    if "trials" not in d:
-        per_record = resta["trials"]
-        resta["trials"] = {"sigma": [t["sigma"] for t in per_record], **{
-            name: [v for t in per_record for v in t[name]]
-            for name in CERT_FIELDS}}
-        tables.append(resta["trials"])
-    for table in tables:
-        _pack(table)
+    per_record = resta["trials"]
+    resta["trials"] = {"sigma": [t["sigma"] for t in per_record], **{
+        name: [v for t in per_record for v in t[name]]
+        for name in CERT_FIELDS}}
+    _pack(d["records"], RECORD_TABLE)
+    if failure:
+        _pack(failure["resta"]["trials"], TRIAL_TABLE)
 
 
 def load_synth():

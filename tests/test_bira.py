@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import edit_certificates, make_highdim
+from conftest import edit_packed, make_highdim
 
 import bira.qp
 import bira.solver
@@ -467,7 +467,7 @@ def test_restoration_certificates_are_stored_as_columns():
     ragged = {**columns, "sigma": columns["sigma"][:-1]}
     # the rows of schema v9, one object per trial
     rows = []
-    edit_certificates(copy.deepcopy(rec), lambda d: rows.extend(
+    edit_packed(copy.deepcopy(rec), lambda d: rows.extend(
         dict(zip(d["trials"], row)) for row in zip(*d["trials"].values())))
     assert len(rows) == out.inner_desc_tests
     for bad in (missing, ragged, rows):
@@ -518,7 +518,7 @@ def test_a_run_without_records_keeps_its_start():
 @pytest.mark.parametrize("edit", [
     lambda d: d["records"].update(x_k=[None] + d["records"]["x_next"][:-1]),
     lambda d: d["records"].update(
-        ledger_after=[d["ledger_totals"]] * len(d["records"]["mu_k"])),
+        ledger_after=[d["ledger_totals"]] * len(d["records"]["ell_count"])),
     lambda d: d.update(final_x=d["start"]["x"]),
     lambda d: d["records"].update(y_next=d["records"]["resta"]["y_R"]),
 ], ids=["x_k", "ledger_after", "final_x", "y_next"])

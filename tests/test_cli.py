@@ -4,7 +4,7 @@ import math
 from pathlib import Path
 
 import pytest
-from conftest import edit_certificates, record_row
+from conftest import edit_packed, record_row
 
 import bira.cli
 import bira.oracle
@@ -177,7 +177,8 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     trace = tmp_path / "t.json"
     main(["run", "--problem", "p4", "--out", str(trace)])
     payload = json.loads(trace.read_text())
-    payload["records"]["theta_after"][0] = 0.6
+    edit_packed(payload,
+                lambda t: t["records"]["theta_after"].__setitem__(0, 0.6))
     trace.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["audit", str(trace)]) == 4
@@ -311,7 +312,9 @@ def _add_packed(table, name):
 @pytest.mark.parametrize("edit", [
     lambda trace: _set(trace["records"], 1, 5),
     lambda trace: trace["records"]["tangent_cert"].pop("step_norm"),
-    lambda trace: _resta(trace, 1, y_R=[0.1, 0.1, 0.1]),
+    # y_R's packed columns are its components, so a third is a column
+    lambda trace: trace["records"]["resta"]["y_R"].update(
+        g=trace["records"]["resta"]["y_R"]["gh"]),
     lambda trace: trace["start"].update(y=[0.5]),
     # a one-entry point broadcasts against every other point of the run
     lambda trace: _resta(trace, 1,
@@ -319,7 +322,10 @@ def _add_packed(table, name):
     lambda trace: trace["start"].update(x=_first(trace["start"]["x"])),
     lambda trace: trace.update(budget=-1),
     lambda trace: trace.update(budget=2.5),
-    lambda trace: trace["records"]["mu_k"].__setitem__(1, True),
+    # a packed float column is one string
+    lambda trace: trace["records"].update(mu_k=True),
+    # a count stays a JSON number, and JSON true is not one
+    lambda trace: trace["records"]["ell_count"].__setitem__(1, True),
     # an int field of the schema is a count
     lambda trace: trace["records"]["ell_count"].__setitem__(1, 1.5),
     lambda trace: _resta(trace, 1, refinements=-1),
@@ -341,16 +347,19 @@ def _add_packed(table, name):
     # one trial's sigma dropped
     lambda trace: trace["records"]["resta"]["trials"]["sigma"][1].pop(),
     lambda trace: trace["start"].update(y=[-0.5, 0.5]),
-    lambda trace: _resta(trace, 1, y_R=[0.1, float("nan")]),
+    lambda trace: edit_packed(
+        trace, lambda t: t["records"]["resta"]["y_R"]["gh"].__setitem__(
+            1, math.nan)),
     # a packed column holds float64 bytes, so text stands for the column
     lambda trace: trace["records"]["tangent_cert"].update(step_norm="0.5"),
-    lambda trace: edit_certificates(
+    lambda trace: edit_packed(
         trace, lambda t: t["records"]["tangent_cert"]["step_norm"].__setitem__(
             1, math.nan)),
 ], ids=["record_is_a_number", "tangent_cert_missing_step_norm",
         "y_R_of_three_entries", "start_y_of_one_entry", "x_R_of_one_entry",
         "start_x_of_one_entry", "negative_budget",
-        "fractional_budget", "mu_k_is_a_bool", "fractional_ell_count",
+        "fractional_budget", "mu_k_is_a_bool", "ell_count_is_a_bool",
+        "fractional_ell_count",
         "negative_refinements", "fractional_ledger_count",
         "resta_status_trivial", "resta_with_inner_desc_tests",
         "resta_with_sigma_history", "resta_with_certificates",
@@ -377,16 +386,25 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
             "error: records tangent_cert column 'step_norm' ",
         "tangent_cert_step_norm_is_nan":
             "error: iteration record 1: tangent_cert field 'step_norm' ",
+        "y_R_of_three_entries":
+            "error: records resta y_R table fields differ from the schema",
+        "ell_count_is_a_bool": "error: iteration record 1 field 'ell_count' ",
+        "mu_k_is_a_bool": "error: records column 'mu_k' must be a base64"
+            " string of float64 bytes, got bool",
+        "y_R_is_nan": "error: iteration record 1: y_R: ",
     }.get(request.node.callspec.id, "error:")
     assert err.startswith(prefix), err
 
 
 @pytest.mark.parametrize("edit,table", [
-    (lambda trace: trace["records"]["mu_k"].pop(), "records"),
-    (lambda trace: trace["records"]["theta_after"].append(0.5), "records"),
+    (lambda trace: edit_packed(trace, lambda t: t["records"]["mu_k"].pop()),
+     "records"),
+    (lambda trace: edit_packed(
+        trace, lambda t: t["records"]["theta_after"].append(0.5)),
+     "records"),
     (lambda trace: trace["records"]["resta"]["z_steps"].pop(),
      "records resta"),
-    (lambda trace: edit_certificates(
+    (lambda trace: edit_packed(
         trace,
         lambda t: t["records"]["tangent_cert"]["step_norm"].append(0.0)),
      "records tangent_cert"),
@@ -395,7 +413,7 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
     (lambda trace: trace["records"]["resta"]["ledger_delta"][
         "f_evals"].append(0), "records resta ledger_delta"),
     # the trials of every record are one table, packed over all of them
-    (lambda trace: edit_certificates(
+    (lambda trace: edit_packed(
         trace, lambda t: t["records"]["resta"]["trials"][1][
             "kappa_phi_ratio"].append(0.0)),
      "records resta trials"),
@@ -416,7 +434,8 @@ def test_audit_rejects_columns_of_unequal_length(tmp_path, capsys, p1_trace,
 def test_audit_rejects_a_k_column(tmp_path, capsys, p1_trace):
     # a record's k is its position in the table, so k is not written
     payload = json.loads(p1_trace)
-    payload["records"]["k"] = list(range(len(payload["records"]["mu_k"])))
+    payload["records"]["k"] = list(range(len(
+        payload["records"]["ell_count"])))
     trace = tmp_path / "t.json"
     trace.write_text(json.dumps(payload))
     capsys.readouterr()
@@ -472,10 +491,14 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     (lambda trace: [trace.update(trace_version=12),
                     trace["records"]["tangent_cert"].update(step_norm=[0.0])],
      "trace version 12 not supported"),
+    # a schema-v13 trace writes each record scalar as a JSON number
+    (lambda trace: [trace.update(trace_version=13),
+                    trace["records"].update(mu_k=[0.5])],
+     "trace version 13 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
         "version_9", "version_10", "version_11", "version_12",
-        "empty_object"])
+        "version_13", "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from conftest import edit_certificates, record_row
+from conftest import edit_packed, record_row
 
 from bira.core import (
     DEFAULT_KAPPAS,
@@ -201,7 +201,7 @@ def test_audit_passes_on_clean_run():
 def test_audit_catches_tampered_penalty():
     rep = _fresh_report()
     d = rep.to_dict()
-    d["records"]["theta_after"][0] = 0.6
+    edit_packed(d, lambda t: t["records"]["theta_after"].__setitem__(0, 0.6))
     bad = RunReport.from_dict(d)
     res = audit(bad)
     assert not res.ok
@@ -213,7 +213,7 @@ def _claim_trials(d, sigma, count):
     def edit(t):
         for name, column in t["records"]["resta"]["trials"][0].items():
             column.extend([sigma if name == "sigma" else 0.0] * count)
-    edit_certificates(d, edit)
+    edit_packed(d, edit)
 
 
 def test_audit_catches_a_trial_sigma_past_the_cap():
@@ -326,7 +326,7 @@ def _with_rows(trace, edit):
 
 def _locate(trace, path):
     """``(container, key)`` of the value at ``path``, in a trace whose
-    certificate columns :func:`edit_certificates` decoded.  A path
+    packed columns :func:`edit_packed` decoded.  A path
     ``("records", k, *fields)`` names record k's value: the records table
     nests its fields' tables, and entry k of the first column on the way
     holds the rest of the path."""
@@ -413,12 +413,12 @@ TAMPERS = [
     ("step_per_infeasibility", ("records", 0, "resta", "max_step_over_h"),
      lambda t, tc: 10.0 * tc.step_per_infeasibility),
     # a restored call that claims to have left the precision unrefined
-    ("precision_refinement", ("records", 0, "resta", "y_R", 0),
+    ("precision_refinement", ("records", 0, "resta", "y_R", "gf"),
      lambda t, tc: t["start"]["y"][0]),
     # the last call is finishing (record 18 met eps_opt), so it refined
     # at r**2, not r
-    ("precision_refinement", ("records", 19, "resta", "y_R", 0),
-     lambda t, tc: t["params"]["r"] * record_row(t, 18)["resta"]["y_R"][0]),
+    ("precision_refinement", ("records", 19, "resta", "y_R", "gf"),
+     lambda t, tc: t["params"]["r"] * record_row(t, 18)["resta"]["y_R"]["gf"]),
     # the finishing call claims a stage more than it took, so its objective
     # precision is not the one replayed
     ("precision_refinement", ("records", 19, "resta", "stages"),
@@ -465,7 +465,7 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
     def put(t):
         node, key = _locate(t, path)
         node[key] = new
-    edit_certificates(d, put)
+    edit_packed(d, put)
     bad = RunReport.from_dict(d)
     failed = {c.name: c.detail for c in audit(bad).failures}
     assert check in failed
@@ -518,7 +518,7 @@ def test_the_stopping_test_agrees_with_every_status(run):
         "converged_without_records"])
 def test_the_status_is_replayed(suite_runs, edit, where):
     d = _trace(suite_runs["p1"])
-    assert len(d["records"]["mu_k"]) == 20
+    assert len(d["records"]["ell_count"]) == 20
     edit(d)
     failed = _failures(d)
     assert failed["stopping_test"].startswith(where + ":")
@@ -539,9 +539,13 @@ def test_a_restored_call_relabelled_trivial_is_caught(suite_runs):
     # a call with nothing to restore is a restored call like any other, so
     # trivial is not a status: the relabelled trace is refused at load
     d = _trace(suite_runs["p1"])
-    resta = d["records"]["resta"]
-    resta["status"][3] = "trivial"
-    resta["y_R"][3] = resta["y_R"][2]
+
+    def edit(t):
+        resta = t["records"]["resta"]
+        resta["status"][3] = "trivial"
+        for column in resta["y_R"].values():
+            column[3] = column[2]
+    edit_packed(d, edit)
     with pytest.raises(SchemaError, match="restoration status 'trivial'"):
         RunReport.from_dict(d)
 
@@ -579,7 +583,7 @@ def test_the_failing_restoration_test_is_replayed():
 def test_restoration_ray_ratio_is_audited(suite_runs):
     # a restoration solve far short of its projected steepest-descent ray
     d = _trace(suite_runs["p1"])
-    edit_certificates(d, lambda t: t["records"]["resta"]["trials"][0][
+    edit_packed(d, lambda t: t["records"]["resta"]["trials"][0][
         "kappa_phi_ratio"].__setitem__(0, 1e6))
     assert _failures(d) == {"restoration_solve_accuracy":
                             "iteration 0: 1.000e+06 exceeds 1.000e+01"}
@@ -591,7 +595,7 @@ def test_a_trace_cannot_loosen_the_solve_targets(suite_runs):
     def edit(t):
         cert = t["records"]["tangent_cert"]
         cert["stationarity_residual"][0] = 100.0 * cert["step_norm"][0]
-    edit_certificates(d, edit)
+    edit_packed(d, edit)
     assert list(_failures(d)) == ["tangent_solve_accuracy"]
     # targets loose enough to excuse that residual are not part of a trace
     d["constants_basis"]["kappas"] = {"kappa": 1e3, "kappa_T": 1e9}

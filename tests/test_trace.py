@@ -1,6 +1,7 @@
 """Traces saved by ``bira run --out`` load into the record types and
-re-dump byte for byte, the records table reads back what it wrote, and
-every point and certificate column reads back bit for bit or is refused.
+re-dump byte for byte, the records table reads back what it wrote, every
+point and packed float column reads back bit for bit or is refused, and
+no non-finite value loads where a run cannot write one.
 
 ``p3_failure.json`` is ``p3``'s restoration failure and ``p2_staged.json``
 a ``p2`` run whose finishing call took stages, both at the default
@@ -16,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import edit_certificates, make_highdim
+from conftest import edit_packed, make_highdim
 
 from bira.cli import EXIT_BUDGET, main
+from bira.oracle import problem_by_name
 from bira.core import (
     FAILURE_KINDS,
     RESTORATION_STATUSES,
@@ -385,6 +387,150 @@ def test_a_bad_certificate_value_is_refused_naming_it(tmp_path, capsys, saved,
                                                       _path, _table, put,
                                                       where, name, value):
     d = json.loads((DATA / saved).read_text())
-    edit_certificates(d, lambda t: put(t, name, value))
+    edit_packed(d, lambda t: put(t, name, value))
     _refused(tmp_path, capsys, d,
              f"{where} field '{name}' must not be {value!r}")
+
+
+#: Non-finite values a run never writes, each refused with a message that
+#: names its field, and the record for a record's value: ``(saved trace,
+#: edit of the decoded trace, refusal)``.  Each edit audited clean, exit
+#: 0, while the record scalars were JSON numbers.
+NON_FINITE = [
+    ("p2_staged.json",
+     lambda t: t["records"]["stationarity_residual"].__setitem__(3, math.inf),
+     "iteration record 3 field 'stationarity_residual' must be finite,"
+     " got inf"),
+    ("p2_staged.json",
+     lambda t: t["records"]["h_xnext_ynext"].__setitem__(3, math.inf),
+     "iteration record 3 field 'h_xnext_ynext' must be finite, got inf"),
+    ("p2_staged.json",
+     lambda t: t["records"]["resta"]["max_step_over_h"].__setitem__(
+         3, math.inf),
+     "iteration record 3: restoration outcome field 'max_step_over_h' must"
+     " be finite, got inf"),
+    ("p2_staged.json", lambda t: t["start"].update(f=math.inf),
+     "start field 'f' must be finite, got inf"),
+    ("p2_staged.json", lambda t: t["start"].update(h=math.inf),
+     "start field 'h' must be finite, got inf"),
+    # a NaN is a null only in a nullable column
+    ("p2_staged.json", lambda t: t["records"]["mu_k"].__setitem__(3, math.nan),
+     "iteration record 3 field 'mu_k' must be finite, got nan"),
+    ("p2_staged.json",
+     lambda t: t["records"]["oracle_f_error"].__setitem__(3, -math.inf),
+     "iteration record 3 field 'oracle_f_error' must be finite, got -inf"),
+    ("p3_failure.json",
+     lambda t: t["failure_info"]["resta"].update(h_xR_yR=math.inf),
+     "failure info: restoration outcome field 'h_xR_yR' must be finite,"
+     " got inf"),
+    # an infinite noise scale made the oracle error bound infinite
+    ("p2_staged.json",
+     lambda t: t["constants_basis"]["extras"].update(noise_scale_f=math.inf),
+     "extras field 'noise_scale_f' must be finite, got inf"),
+]
+NON_FINITE_IDS = ["stationarity_residual", "h_xnext_ynext", "max_step_over_h",
+                  "start_f", "start_h", "mu_k_nan", "oracle_f_error",
+                  "failure_h_xR_yR", "extras_noise_scale_f"]
+
+
+@pytest.mark.parametrize("saved,edit,message", NON_FINITE, ids=NON_FINITE_IDS)
+def test_a_non_finite_value_is_refused_naming_it(tmp_path, capsys, saved,
+                                                 edit, message):
+    d = json.loads((DATA / saved).read_text())
+    edit_packed(d, edit)
+    _refused(tmp_path, capsys, d, message)
+
+
+def test_scalar_columns_round_trip_bit_for_bit():
+    rep = read_trace(DATA / "p2_staged.json")
+    rec = rep.records[1]
+    rep.records[1] = dataclasses.replace(
+        rec, mu_k=-0.0, f_xk_yR=5e-324,
+        resta=dataclasses.replace(rec.resta, h_xk_yR=5e-324,
+                                  y_R=PrecisionLevel(-0.0, 5e-324)))
+    text, back = _through_json(rep)
+    assert json.dumps(back.to_dict()) == text
+    got = back.records[1]
+    values = [got.mu_k, got.f_xk_yR, got.h_xk_yR, got.y_R.gf, got.y_R.gh]
+    assert np.array(values).tobytes() == np.array(
+        [-0.0, 5e-324, 5e-324, -0.0, 5e-324]).tobytes()
+
+
+#: The bytes of the quiet NaN that writes a null: little-endian float64
+#: 0x7ff8000000000000.
+NULL_BYTES = bytes(6) + b"\xf8\x7f"
+
+
+def _without_exact_values():
+    """``p1`` with no exact objective, so its records measure no oracle
+    error."""
+    problem = problem_by_name("p1")
+    problem.exact_f = lambda x: None
+    return problem
+
+
+@pytest.mark.parametrize("problem,path", [
+    (lambda: problem_by_name("p4"), ("resta", "max_step_over_h")),
+    (_without_exact_values, ("oracle_f_error",)),
+    (_without_exact_values, ("oracle_h_error",)),
+], ids=["max_step_over_h", "oracle_f_error", "oracle_h_error"])
+def test_a_null_round_trips_as_the_quiet_nan(problem, path):
+    rep = bira_run(problem())
+    assert rep.records
+    text, back = _through_json(rep)
+    assert json.dumps(back.to_dict()) == text
+    column = json.loads(text)["records"]
+    for key in path:
+        column = column[key]
+    assert base64.b64decode(column) == NULL_BYTES * len(rep.records)
+    for rec in back.records:
+        holder = rec.resta if path[0] == "resta" else rec
+        assert getattr(holder, path[-1]) is None
+
+
+@pytest.mark.parametrize("saved,edit,where", [
+    ("p2_staged.json",
+     lambda t: t["records"]["resta"]["y_R"]["gh"].__setitem__(1, -0.5),
+     "iteration record 1"),
+    ("p3_failure.json",
+     lambda t: t["failure_info"]["resta"]["y_R"].update(gh=-0.5),
+     "failure info"),
+], ids=["record", "failure_info"])
+def test_a_negative_restored_precision_is_a_schema_error(tmp_path, capsys,
+                                                         saved, edit, where):
+    # PrecisionLevel raises ContractError; the reader reports it as the
+    # schema error it is
+    d = json.loads((DATA / saved).read_text())
+    edit_packed(d, edit)
+    _refused(tmp_path, capsys, d,
+             f"{where}: y_R: precision components must be nonnegative")
+
+
+def test_a_lone_outcome_writes_its_precision_as_a_row():
+    # the failing call's y_R is a row of the records' y_R table, so the
+    # pair form of start.y is refused there
+    d = json.loads((DATA / "p3_failure.json").read_text())
+    out = d["failure_info"]["resta"]
+    assert RestorationOutcome.from_dict(out).to_dict() == out
+    out["y_R"] = [out["y_R"]["gf"], out["y_R"]["gh"]]
+    with pytest.raises(SchemaError,
+                       match="^failure info: y_R must be a JSON object"):
+        RunReport.from_dict(d)
+
+
+#: The size of each default run's trace: ``(bytes of json.dumps, as the
+#: benchmark counts them, bytes of the file bira run --out writes)``.  A
+#: change of the schema shows here as a named diff.
+TRACE_SIZES = {
+    "p1": (15055, 20148),
+    "p2": (6530, 9193),
+    "p3": (2313, 3114),
+    "p4": (2009, 2828),
+}
+
+
+@pytest.mark.parametrize("name", TRACE_SIZES)
+def test_a_default_trace_keeps_its_size(name):
+    rep = bira_run(problem_by_name(name))
+    assert (len(json.dumps(rep.to_dict()).encode("utf-8")),
+            len(trace_bytes(rep))) == TRACE_SIZES[name]
