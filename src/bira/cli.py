@@ -10,8 +10,10 @@ Subcommands:
 
 ``audit``
     Re-check a saved trace against every recorded invariant and the
-    worst-case constants it was run under.  Exit 0 when clean, 4 when
-    any check fails.
+    worst-case constants it was run under.  A trace of a registered
+    problem is also checked against that problem, rebuilt with the trace's
+    parameters: every measured value within its oracle error bound.  Exit
+    0 when clean, 4 when any check fails.
 
 ``suite``
     Run the built-in problem collection, audit each run, and compare
@@ -47,7 +49,7 @@ from .core import (
 from .diagnostics import audit, complexity_fit, tolerance_grid
 # not called here: bench/run.py's traced run patches it by this name
 from .diagnostics import constants as derived_constants  # noqa: F401
-from .oracle import problem_by_name
+from .oracle import PROBLEM_NAMES, problem_by_name
 from .solver import bira_run
 from .trace import read_trace, trace_bytes
 
@@ -116,7 +118,10 @@ def cmd_run(args):
 
 
 def cmd_audit(args):
-    result = audit(read_trace(args.trace))
+    report = read_trace(args.trace)
+    problem = (problem_by_name(report.problem_name, report.params)
+               if report.problem_name in PROBLEM_NAMES else None)
+    result = audit(report, problem)
     for line in result.lines():
         print(line)
     print(f"audit: {'ok' if result.ok else 'FAILED'} "
@@ -129,8 +134,9 @@ def cmd_suite(args):
     settings = _given_flags(args)
     bad = 0
     for name, expected in EXPECTED_SUITE.items():
-        report = bira_run(problem_by_name(name, params), params, **settings)
-        result = audit(report)
+        problem = problem_by_name(name, params)
+        report = bira_run(problem, params, **settings)
+        result = audit(report, problem)
         status_ok = report.status == expected
         audit_ok = result.ok
         mark = "ok" if (status_ok and audit_ok) else "FAIL"

@@ -205,6 +205,47 @@ def descent_test(new, ref, alpha, step):
     return new, ref - alpha * step**2
 
 
+def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
+    """Largest penalty weight (capped by the current one) for which the
+    restored point improves the merit by the guaranteed fraction.
+
+    Raises :class:`InvariantError` if no weight in ``(0, theta_k]`` works;
+    the restoration failure tests make that impossible for outcomes they
+    let through.
+    """
+    dh = h_xR_yR - h_xk_yR
+    df = f_xR_yR - f_xk_yR
+    allowance = merit_allowance(h_xk_yR, h_xR_yR, g_yk, g_yR, r)
+
+    def holds(th):
+        lhs, rhs = merit_test(f_xR_yR, h_xR_yR, f_xk_yR, h_xk_yR, g_yR, th,
+                              allowance)
+        return lhs <= rhs
+
+    if holds(theta_k):
+        return theta_k
+    denom = df - dh
+    if denom <= 0.0:
+        raise InvariantError(
+            "penalty update has nonpositive curvature; restoration tests"
+            " should have rejected this outcome"
+        )
+    theta_eq = min((allowance - dh) / denom, theta_k)
+    if not theta_eq > 0.0:
+        raise InvariantError("penalty update left no positive weight")
+    # the rounding of merit_phi scales with |f| + ||h|| + g, not with the
+    # gap denom * theta that a shrink of theta opens, so a few ULPs may not
+    # clear it: shrink by a doubling relative step, up to 1e-9
+    shrink = 0.0
+    while shrink <= 1e-9:
+        theta_new = theta_eq * (1.0 - shrink)
+        if holds(theta_new):
+            return theta_new
+        shrink = max(2.0 * shrink, 2.0**-52)
+    raise InvariantError("penalty update failed to verify within a relative"
+                         " shrink of 1e-9")
+
+
 def tangent_mu_start(params, mu, f_xR_yR, f_next, step_norm):
     """Weight the next tangent search starts at, from the accepted trial
     at weight ``mu``: ``mu/2`` if that step predicts the half passes the

@@ -33,7 +33,6 @@ from .core import (
     precision_ratio,
     restoration_tests,
     stopping_test,
-    tangent_mu_start,
     valid_tolerance,
 )
 
@@ -322,9 +321,10 @@ class AuditReport:
 
 #: Gates: a check is skipped, never passed, when its gate holds (``None``
 #: never does).  ANALYTIC bounds are certified only for analytic problem
-#: constants; an EXACT check with no rows had no exact values to compare.
+#: constants; an EXACT check with no rows had no exact values to compare:
+#: the problem has none, or no noise scale to bound its errors by.
 ANALYTIC = "problem constants are estimates"
-EXACT = "no exact values recorded"
+EXACT = "no exact values to compare"
 
 
 def _tol(k, observed, bound):
@@ -436,21 +436,70 @@ def _restoration_test_rows(report):
 
 def _tangent_search_rows(report):
     """The tangent search replayed from each record: the accepted trial
-    passed the descent test, and ``mu_k`` is the search's start doubled
-    once per rejected trial.  The start is ``mu_init`` for record 0, and
-    after that :func:`~bira.core.tangent_mu_start` of the previous
-    record."""
-    params = report.params
-    start = params.mu_init
+    passed the descent test, and the record's f-evaluations are those its
+    search and the values before it took.  That is one per trial but a
+    zero step, which takes f from the penalty update; one for f at the
+    restored precision and one at the restored point, each where it
+    differs from the current one; and the start-up evaluation in record
+    0.  The weights ``mu_k`` follow from ``ell_count``
+    (:data:`~bira.trace.DERIVED`), so the f-evaluations are what tie the
+    count of trials to the run."""
+    alpha = report.params.alpha
     for rec in report.records:
         yield _exact(rec.k, *descent_test(rec.f_xnext_ynext, rec.f_xR_yR,
-                                          params.alpha, rec.step_norm))
-        mu = start * 2.0 ** (rec.ell_count - 1)
+                                          alpha, rec.step_norm))
+        spent = ((STARTUP_EVALS["f_evals"] if rec.k == 0 else 0)
+                 + (rec.y_R != rec.y_k)
+                 + (not np.array_equal(rec.x_R, rec.x_k))
+                 + rec.ell_count - (rec.step_norm == 0.0))
+        f_evals = rec.ledger_delta["f_evals"]
         # equal: neither side exceeds the other
-        yield _exact(rec.k, rec.mu_k, mu)
-        yield _exact(rec.k, mu, rec.mu_k)
-        start = tangent_mu_start(params, rec.mu_k, rec.f_xR_yR,
-                                 rec.f_xnext_ynext, rec.step_norm)
+        yield _exact(rec.k, f_evals, spent)
+        yield _exact(rec.k, spent, f_evals)
+
+
+def _measurements(report):
+    """Each value the run measured, with the point and precision it was
+    measured at: ``(iteration, x, y, f, h)``, ``f`` ``None`` where only
+    the violation norm ``h`` was measured.  The start is charged to
+    iteration 0, and a record's current values are the previous record's
+    accepted ones, so each value appears once."""
+    start = report.start
+    yield 0, start["x"], start["y"], start["f"], start["h"]
+    for rec in report.records:
+        yield rec.k, rec.x_k, rec.y_R, rec.f_xk_yR, rec.h_xk_yR
+        yield rec.k, rec.x_R, rec.y_R, rec.f_xR_yR, rec.h_xR_yR
+        yield rec.k, rec.x_next, rec.y_R, rec.f_xnext_ynext, rec.h_xnext_ynext
+    failure = report.failure_info
+    if failure is not None:
+        out = failure["resta"]
+        x_k = report.records[-1].x_next if report.records else start["x"]
+        yield failure["iteration"], x_k, out.y_R, None, out.h_xk_yR
+        yield failure["iteration"], out.x_R, out.y_R, None, out.h_xR_yR
+
+
+def _oracle_error_rows(report, problem):
+    """``(f rows, h rows)``: every value the run measured against
+    ``problem``'s exact one, within the noise scale times the precision
+    component it was measured at, plus a rounding term: at the calibrated
+    scale the noise bound can sit below one ULP of the value.  A violation
+    norm is compared by the triangle inequality, ``| ||h|| - ||h_exact|| |
+    <= ||h - h_exact||``.  A kind has no rows when the problem has no
+    exact values or no noise scale of that kind."""
+    extras = problem.extras()
+    ns_f = extras.get("noise_scale_f")
+    ns_h = extras.get("noise_scale_h")
+    f_rows, h_rows = [], []
+    for k, x, y, f, h in _measurements(report):
+        exact = None if f is None or ns_f is None else problem.exact_f(x)
+        if exact is not None:
+            f_rows.append(_exact(k, abs(f - exact),
+                                 ns_f * y.gf + 1e-15 * (1.0 + abs(f))))
+        exact = None if ns_h is None else problem.exact_h(x)
+        if exact is not None:
+            h_rows.append(_exact(k, abs(h - float(np.linalg.norm(exact))),
+                                 ns_h * y.gh + 1e-15 * (1.0 + h)))
+    return f_rows, h_rows
 
 
 def _ledger_rows(rec, tc):
@@ -512,15 +561,20 @@ def _stopping_rows(report):
             yield rec.k, not met, 1.0, ratio
 
 
-def audit(report):
+def audit(report, problem=None):
     """Check a recorded run against every auditable invariant.
 
-    ``report`` needs ``status``, ``records``, ``failure_info``, ``params``,
-    ``constants_basis``, ``ledger_totals``, ``tolerances`` and ``budget``.
-    The constants chain is recomputed from the report's own constants
-    basis; the solve targets are always :data:`~bira.core.DEFAULT_KAPPAS`.
-    Each check is a name, a gate and a lazy stream of rows ``(iteration,
-    ok, observed, bound)``; :func:`_verdict` decides every one of them.
+    ``report`` needs ``status``, ``records``, ``failure_info``, ``start``,
+    ``params``, ``constants_basis``, ``ledger_totals``, ``tolerances`` and
+    ``budget``.  The constants chain is recomputed from the report's own
+    constants basis; the solve targets are always
+    :data:`~bira.core.DEFAULT_KAPPAS`.  Given the ``problem`` the run
+    solved, the audit also lists ``oracle_f_error_bound`` and
+    ``oracle_h_error_bound``, which compare every measured value with the
+    problem's exact one (:func:`_oracle_error_rows`); from the trace alone
+    it lists neither.  Each check is a name, a gate and a lazy stream of
+    rows ``(iteration, ok, observed, bound)``; :func:`_verdict` decides
+    every one of them.
     """
     params = report.params
     basis = report.constants_basis
@@ -531,15 +585,14 @@ def audit(report):
     rtrials = [(rec.k, sigma, cert) for rec in recs
                for sigma, cert in rec.resta.trials]
     tcerts = [(rec.k, rec.tangent_cert) for rec in recs]
-    ns_f = tc.extras.get("noise_scale_f")
-    ns_h = tc.extras.get("noise_scale_h")
     inner_cap = restoration_inner_cap(tc)
     refine_cap = restoration_refine_cap(params)
+    oracle = [] if problem is None else [
+        (name, EXACT, rows) for name, rows in zip(
+            ("oracle_f_error_bound", "oracle_h_error_bound"),
+            _oracle_error_rows(report, problem))]
     # a lower bound is a row with the floor as observed and the value as bound
     table = [
-        ("theta_monotone", None, (row for rec in recs for row in (
-            _exact(rec.k, rec.theta_after, rec.theta_before + 1e-15),
-            (rec.k, 0.0 < rec.theta_after, 0.0, rec.theta_after)))),
         ("theta_lower_bound", ANALYTIC, (
             _tol(rec.k, tc.penalty_floor, rec.theta_after) for rec in recs)),
         ("penalty_merit_decrease", None, (
@@ -596,16 +649,7 @@ def audit(report):
                 _exact(k, c.stationarity_residual,
                        kap["kappa"] * c.step_norm + CERT_FLOOR),
                 _exact(k, c.kappa_phi_ratio, kap["kappa_phi"])))),
-        ("oracle_f_error_bound", EXACT, (
-            _exact(rec.k, rec.oracle_f_error,
-                   ns_f * rec.y_k.gf + 1e-15 * (1.0 + abs(rec.f_xk_yk)))
-            for rec in recs
-            if rec.oracle_f_error is not None and ns_f is not None)),
-        ("oracle_h_error_bound", EXACT, (
-            _exact(rec.k, rec.oracle_h_error,
-                   ns_h * rec.y_k.gh + 1e-15 * (1.0 + rec.h_xk_yk))
-            for rec in recs
-            if rec.oracle_h_error is not None and ns_h is not None)),
+        *oracle,
         ("noise_within_budget", ANALYTIC, [
             _tol(None, tc.extras["beta"], tc.beta_bar)]),
         ("restoration_inner_caps", None, (row for rec, rho, goal in

@@ -464,6 +464,10 @@ _REGISTRY = {
 }
 
 
+#: The names :func:`problem_by_name` builds.
+PROBLEM_NAMES = tuple(_REGISTRY)
+
+
 def problem_by_name(name, params=None):
     try:
         factory = _REGISTRY[name]

@@ -13,7 +13,8 @@ precision tolerances as its goal (:func:`~bira.core.finishing_goal`), so
 the iteration after it can stop.  Everything measurable about the
 iteration is written into an :class:`~bira.trace.IterationRecord`; a
 finished run returns a :class:`~bira.trace.RunReport` that serializes
-losslessly, so audits can replay it without touching the problem again.
+losslessly, so audits can replay it without touching the problem again;
+only the oracle error rows of :func:`~bira.diagnostics.audit` need it.
 
 The search doubles the weight mu from a start that the previous accepted
 step chose: half its weight if that step predicts the half will pass the
@@ -25,8 +26,8 @@ it meets ``alpha |2s|^2`` iff ``D >= (mu + alpha) |s|^2``.  Like
 Levenberg-Marquardt damping, the weight falls only when the accepted step
 earns it; halving it unconditionally paid a rejected first trial on most
 iterations of ``p1`` and ``p2``.  The rule is written once, in
-:func:`~bira.core.tangent_mu_start`, which the audit's ``tangent_search``
-check replays.
+:func:`~bira.core.tangent_mu_start`, which the trace reader replays to
+rebuild each record's ``mu_k``.
 
 No oracle value is measured twice.  The value and violation measured for
 the accepted point of one iteration are the current-point measurements of
@@ -57,6 +58,7 @@ from .core import (
     restoration_tests,
     stopping_test,
     tangent_mu_start,
+    update_penalty,
     valid_tolerance,
 )
 from .diagnostics import constants as derived_constants
@@ -78,7 +80,8 @@ def restoration_failure(status, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     than the fixed ratio.
 
     What the second test protects.  Write ``dh = h_xk_yR - h_xR_yR`` and
-    ``dg = g_yk - g_yR``.  :func:`update_penalty` needs a weight theta with
+    ``dg = g_yk - g_yR``.  :func:`~bira.core.update_penalty` needs a weight
+    theta with
     ``theta (f_xR_yR - f_xk_yR) <= (1 - theta) dh - ((1 - r)/2)(dh + dg)``.
     When ``dh >= ((1 - r)/(2 r)) dg`` the right side is at least
     ``((1 - r)/2 - theta) dh``, so every theta up to
@@ -135,55 +138,6 @@ def restoration_failure(status, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     return None
 
 
-def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
-    """Largest penalty weight (capped by the current one) for which the
-    restored point improves the merit by the guaranteed fraction.
-
-    Raises :class:`InvariantError` if no weight in ``(0, theta_k]`` works;
-    the restoration failure tests make that impossible for outcomes they
-    let through.
-    """
-    dh = h_xR_yR - h_xk_yR
-    df = f_xR_yR - f_xk_yR
-    allowance = merit_allowance(h_xk_yR, h_xR_yR, g_yk, g_yR, r)
-
-    def holds(th):
-        lhs, rhs = merit_test(f_xR_yR, h_xR_yR, f_xk_yR, h_xk_yR, g_yR, th,
-                              allowance)
-        return lhs <= rhs
-
-    if holds(theta_k):
-        return theta_k
-    denom = df - dh
-    if denom <= 0.0:
-        raise InvariantError(
-            "penalty update has nonpositive curvature; restoration tests"
-            " should have rejected this outcome"
-        )
-    theta_eq = min((allowance - dh) / denom, theta_k)
-    if not theta_eq > 0.0:
-        raise InvariantError("penalty update left no positive weight")
-    # the rounding of merit_phi scales with |f| + ||h|| + g, not with the
-    # gap denom * theta that a shrink of theta opens, so a few ULPs may not
-    # clear it: shrink by a doubling relative step, up to 1e-9
-    shrink = 0.0
-    while shrink <= 1e-9:
-        theta_new = theta_eq * (1.0 - shrink)
-        if holds(theta_new):
-            return theta_new
-        shrink = max(2.0 * shrink, 2.0**-52)
-    raise InvariantError("penalty update failed to verify within a relative"
-                         " shrink of 1e-9")
-
-
-def _oracle_errors(problem, x, f_meas, h_vec_meas):
-    f_exact = problem.exact_f(x)
-    h_exact = problem.exact_h(x)
-    if f_exact is None or h_exact is None:
-        return None, None
-    return abs(f_meas - f_exact), float(np.linalg.norm(h_vec_meas - h_exact))
-
-
 def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
              eps_opt=1e-4, budget=500):
     """Solve ``problem``, an :class:`~bira.oracle.InexactProblem` that sets
@@ -195,7 +149,8 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     tolerance.  ``RestorationFailure`` reports the kind
     :func:`restoration_failure` gives: likely local infeasibility, or a
     restoration outcome failing its contraction tests; ``BudgetExceeded``
-    reports running out of iterations.
+    reports running out of iterations.  The run evaluates ``problem`` only
+    through its ledgered oracle; it never calls ``exact_f`` or ``exact_h``.
 
     A tolerance that is not positive and finite, a negative budget or a
     problem that sets no ``x0`` or ``y0`` raises :class:`ConfigurationError`
@@ -336,9 +291,6 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
 
             residual = float(np.linalg.norm(proj - x_R))
 
-            oracle_f_err, oracle_h_err = _oracle_errors(
-                problem, x, f_val, h_vec)
-
             records.append(IterationRecord(
                 k=k,
                 x_k=x.copy(),
@@ -357,8 +309,6 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 stationarity_residual=residual,
                 resta=out,
                 tangent_cert=cert,
-                oracle_f_error=oracle_f_err,
-                oracle_h_error=oracle_h_err,
                 ledger_delta=problem.ledger.delta(led_iter),
             ))
             theta = theta_next

@@ -4,23 +4,30 @@ This module alone knows the written format: every record's ``row``,
 ``from_row``, ``to_dict`` and ``from_dict``, the table layouts
 (:class:`Table`) of :func:`write_table` and :func:`read_table`, the float64
 codec :func:`write_vector` and :func:`read_vector`, and every schema check
-a trace passes on loading.  A trace writes its iteration records, and each
-restoration call's trials, as tables: one column per field, entry i
-belonging to row i.  Each point (``start.x``, every ``x_R`` and
-``x_next``) is one string, the base64 of its little-endian float64 bytes,
-which holds its bits exactly in about half the characters of decimal text.
-So is every float column of a table, packed once over its rows: each
-record scalar, each field of ``y_R`` and each
-:class:`~bira.qp.SolveCertificate` field.  A nullable column writes a null
-as the quiet NaN, and no other NaN, nor an infinity outside
-``kappa_phi_ratio``, loads.  The records write the trials of every
-restoration call as one table, packed over all of them in record order,
-whose ``sigma`` column keeps one JSON list per record; those lists'
-lengths split the packed columns back into records.  Counts, statuses,
-ledgers and ``sigma`` stay JSON, and so do the numbers of the ``start``
-block and of a lone restoration outcome (``failure_info``).  In
-memory each fact has one type: a :class:`~bira.core.PrecisionLevel`, a
-:class:`~bira.qp.SolveCertificate` or a :class:`RestorationOutcome`.
+a trace passes on loading.  A trace writes what a run measured and
+decided, and nothing that follows from it: the :data:`CHAIN` fields are
+written once, by the record or start block they repeat, and the
+:data:`DERIVED` fields not at all, because loading replays them bit for
+bit.  It writes its iteration records, and each restoration call's
+trials, as tables: one column per field, entry i belonging to row i.
+Each point (``start.x``, every ``x_R`` and ``x_next``) is one string, the
+base64 of its little-endian float64 bytes, which holds its bits exactly in
+about half the characters of decimal text.  So is every float column of a
+table, packed once over its rows: each record scalar, each field of
+``y_R`` and each :class:`~bira.qp.SolveCertificate` field.  A nullable
+column writes a null as the quiet NaN, and no other NaN, nor an infinity
+outside ``kappa_phi_ratio``, loads; :func:`read_table` tests each column
+once, a packed one as an array, and the rows are checked value by value
+only when a column fails, so that the refusal names its record.  The records
+write the trials of every restoration call as one table, packed over all
+of them in record order, whose ``sigma`` column keeps one JSON list per
+record; those lists' lengths split the packed columns back into records.
+Counts, statuses, ledgers and ``sigma`` stay JSON, and so do the numbers
+of the ``start`` block and of a lone restoration outcome
+(``failure_info``), the one outcome that writes its status: every
+recorded call is ``restored``.  In memory each fact has one type: a
+:class:`~bira.core.PrecisionLevel`, a :class:`~bira.qp.SolveCertificate`
+or a :class:`RestorationOutcome`.
 """
 
 import base64
@@ -41,15 +48,18 @@ from .core import (
     RUN_STATUSES,
     AlgorithmParams,
     ContractError,
+    InvariantError,
     PrecisionLevel,
     ProblemConstants,
     SchemaError,
     is_number,
+    tangent_mu_start,
+    update_penalty,
     valid_tolerance,
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 14
+TRACE_VERSION = 15
 
 
 def check_fields(payload, fields, what):
@@ -180,17 +190,42 @@ class Table(NamedTuple):
     ``columns`` are its columns in order.  ``nested`` maps a column to the
     layout of the table it is written as.  A column in ``packed`` holds
     floats and is written as one :func:`write_vector` string of its
-    entries; one in ``nullable`` as well may hold ``None``, written as the
-    quiet NaN and read back as ``None``.  A nested column in ``grouped``
-    holds a list of rows in each entry: it is written as one table of all
-    of them in order, whose columns that are not packed keep one list per
-    entry."""
+    entries, which must be finite, except that one in ``nullable`` may
+    hold ``None``, written as the quiet NaN and read back as ``None``, and
+    one in ``unbounded`` an infinity; those of one in ``nonnegative`` must
+    also be at least 0.  Any other column is one JSON list: one in
+    ``counts`` holds nonnegative integers, and one in ``numbers`` JSON
+    numbers.  A nested column in ``grouped`` holds a list of rows in each
+    entry: it is written as one table of all of them in order, whose
+    columns that are not packed keep one list per entry."""
 
     columns: tuple
     nested: dict = {}
     packed: tuple = ()
     grouped: tuple = ()
     nullable: tuple = ()
+    unbounded: tuple = ()
+    nonnegative: tuple = ()
+    counts: tuple = ()
+    numbers: tuple = ()
+
+    def holds(self, name, values):
+        """Whether the column ``name``, read as ``values`` (an array for a
+        packed column, else a list), holds only the values the layout
+        allows there."""
+        if name in self.counts:
+            return all(type(val) is int and val >= 0 for val in values)
+        if name in self.numbers:
+            return all(map(is_number, values))
+        if name not in self.packed:
+            return True
+        if name in self.nullable:
+            ok = not np.isinf(values).any()
+        elif name in self.unbounded:
+            ok = not np.isnan(values).any()
+        else:
+            ok = bool(np.isfinite(values).all())
+        return ok and not (name in self.nonnegative and (values < 0.0).any())
 
 
 def write_table(rows, spec):
@@ -219,42 +254,55 @@ def write_table(rows, spec):
 
 
 def read_table(table, spec, what):
-    """The row dicts of a table written by :func:`write_table`.
+    """``(rows, clean)``: the row dicts of a table written by
+    :func:`write_table`, and whether every column, nested tables'
+    included, holds only the values its layout allows
+    (:meth:`Table.holds`), tested once per column, a packed one as an
+    array.
 
     :class:`SchemaError`, naming the table ``what``, unless every column
     of ``spec`` is there, and no other, each a list (a nested table, or a
     packed string read by :func:`read_vector`) and all of equal length.
-    The rows' values are not checked here, except that a packed column
-    holds whole float64 values: a NaN of a nullable column reads as
-    ``None``, and any other non-finite value is left to the row's
-    reader."""
+    A packed column must hold whole float64 values, and a NaN of a
+    nullable column reads as ``None``.  The rows' values are not checked
+    here: a reader checks the rows of a table that is not ``clean`` value
+    by value, so that its refusal names the row."""
     check_fields(table, spec.columns, f"{what} table")
     read = []
+    clean = True
     for name in spec.columns:
         column = table[name]
+        ok = True
         if name in spec.grouped:
-            column = _read_groups(column, spec.nested[name], f"{what} {name}")
+            column, ok = _read_groups(column, spec.nested[name],
+                                      f"{what} {name}")
         elif name in spec.nested:
-            column = read_table(column, spec.nested[name], f"{what} {name}")
+            column, ok = read_table(column, spec.nested[name],
+                                    f"{what} {name}")
         elif name in spec.packed:
-            column = read_vector(column, f"{what} column {name!r}",
-                                 finite=False).tolist()
+            values = read_vector(column, f"{what} column {name!r}",
+                                 finite=False)
+            ok = spec.holds(name, values)
+            column = values.tolist()
             if name in spec.nullable:
                 column = [None if math.isnan(val) else val for val in column]
         elif not isinstance(column, list):
             raise SchemaError(f"{what} column {name!r} must be a JSON list")
+        else:
+            ok = spec.holds(name, column)
+        clean = clean and ok
         read.append(column)
     if len({len(column) for column in read}) > 1:
         lengths = {name: len(column) for name, column in zip(spec.columns,
                                                              read)}
         raise SchemaError(f"{what} table columns differ in length: {lengths}")
-    return [dict(zip(spec.columns, row)) for row in zip(*read)]
+    return [dict(zip(spec.columns, row)) for row in zip(*read)], clean
 
 
 def _read_groups(table, spec, what):
-    """The rows of a grouped table, one list of rows per entry of the
-    column that holds it, as the lists of its unpacked columns count
-    them."""
+    """``(groups, clean)``: the rows of a grouped table, one list of rows
+    per entry of the column that holds it, as the lists of its unpacked
+    columns count them, and the ``clean`` of :func:`read_table`."""
     check_fields(table, spec.columns, f"{what} table")
     plain = [name for name in spec.columns if name not in spec.packed]
     for name in plain:
@@ -268,7 +316,8 @@ def _read_groups(table, spec, what):
                           " differently")
     flat = {**table, **{name: list(itertools.chain.from_iterable(table[name]))
                         for name in plain}}
-    return _regroup(read_table(flat, spec, what), counts.pop())
+    rows, clean = read_table(flat, spec, what)
+    return _regroup(rows, counts.pop()), clean
 
 
 def _regroup(values, counts):
@@ -286,7 +335,7 @@ def check_certificate(row, what):
     reads back as floats, and :func:`_trial` checks ``sigma`` first."""
     for name, val in row.items():
         if not math.isfinite(val) and (math.isnan(val)
-                                       or name != "kappa_phi_ratio"):
+                                       or name not in CERT_TABLE.unbounded):
             raise SchemaError(f"{what} field {name!r} must not be {val!r}")
 
 
@@ -301,10 +350,12 @@ LEVEL_FIELDS = tuple(PrecisionLevel.__dataclass_fields__)
 TRIAL_FIELDS = ("sigma", *CERT_FIELDS)
 
 #: Layouts for :func:`write_table` and :func:`read_table`.
-LEDGER_TABLE = Table(LEDGER_FIELDS)
-LEVEL_TABLE = Table(LEVEL_FIELDS, packed=LEVEL_FIELDS)
-CERT_TABLE = Table(CERT_FIELDS, packed=CERT_FIELDS)
-TRIAL_TABLE = Table(TRIAL_FIELDS, packed=CERT_FIELDS)
+LEDGER_TABLE = Table(LEDGER_FIELDS, counts=LEDGER_FIELDS)
+LEVEL_TABLE = Table(LEVEL_FIELDS, packed=LEVEL_FIELDS,
+                    nonnegative=LEVEL_FIELDS)
+CERT_TABLE = Table(CERT_FIELDS, packed=CERT_FIELDS,
+                   unbounded=("kappa_phi_ratio",))
+TRIAL_TABLE = CERT_TABLE._replace(columns=TRIAL_FIELDS, numbers=("sigma",))
 
 
 def _cert_row(cert):
@@ -315,12 +366,14 @@ def _cert_row(cert):
 def _record_table(cls, columns, nested, **layout):
     """The layout of a table of ``cls`` rows with ``columns``: every float
     field among them packed, and nullable when ``cls`` annotates it
-    ``float | None``."""
+    ``float | None``, and every ``int`` field a count."""
     names, optional, counts = number_fields(cls)
     return Table(columns, nested,
                  packed=tuple(name for name in names
                               if name in columns and name not in counts),
-                 nullable=optional, **layout)
+                 nullable=optional,
+                 counts=tuple(name for name in counts if name in columns),
+                 **layout)
 
 
 @dataclass(frozen=True)
@@ -373,10 +426,10 @@ class RestorationOutcome:
         return len(self.trials)
 
     def row(self):
-        """The outcome's row of an outcome table: each written field, with
-        ``x_R`` written, ``y_R`` a row of :data:`LEVEL_TABLE` and
-        ``trials`` one row per descent test."""
-        d = {name: getattr(self, name) for name in _OUTCOME_WRITTEN}
+        """The outcome's row of the records' outcome table: each written
+        field but ``status``, with ``x_R`` written, ``y_R`` a row of
+        :data:`LEVEL_TABLE` and ``trials`` one row per descent test."""
+        d = {name: getattr(self, name) for name in _OUTCOME_COLUMNS}
         d["x_R"] = write_vector(self.x_R)
         d["y_R"] = {"gf": self.y_R.gf, "gh": self.y_R.gh}
         d["trials"] = [{"sigma": sigma, **_cert_row(cert)}
@@ -385,6 +438,7 @@ class RestorationOutcome:
 
     def to_dict(self):
         d = self.row()
+        d["status"] = self.status
         d["trials"] = write_table(d["trials"], TRIAL_TABLE)
         d["ledger_delta"] = dict(self.ledger_delta)
         return d
@@ -393,41 +447,52 @@ class RestorationOutcome:
     def from_dict(cls, d, n=None):
         """Rebuild an outcome; ``n``, when given, is the length ``x_R``
         must have."""
-        check_fields(d, _OUTCOME_WRITTEN, "restoration outcome")
-        return cls.from_row(
-            {**d, "trials": read_table(d["trials"], TRIAL_TABLE,
-                                       "restoration trials")}, n)
-
-    @classmethod
-    def from_row(cls, d, n=None):
-        """Rebuild an outcome from its row of an outcome table, as
-        :meth:`row` writes it and :func:`read_table` reads it."""
-        what = "restoration outcome"
-        check_numbers(d, what, *number_fields(cls), finite=True)
+        check_fields(d, ("status", *_OUTCOME_COLUMNS), "restoration outcome")
         if d["status"] not in RESTORATION_STATUSES:
             raise SchemaError(f"unknown restoration status {d['status']!r}")
-        check_ledger(d["ledger_delta"], "restoration ledger")
-        kw = dict(d)
+        trials, _ = read_table(d["trials"], TRIAL_TABLE, "restoration trials")
+        return cls.from_row({**d, "trials": trials}, n, status=d["status"])
+
+    @classmethod
+    def from_row(cls, d, n=None, *, status="restored", checked=False):
+        """Rebuild an outcome with ``status`` from its row of an outcome
+        table, as :meth:`row` writes it and :func:`read_table` reads it.
+
+        ``checked`` says that the row comes from a table every column of
+        which passed its test in :func:`read_table`, so that no value of
+        it needs a check of its own."""
+        if checked:
+            y_R = PrecisionLevel(**d["y_R"])
+        else:
+            check_numbers(d, "restoration outcome", *number_fields(cls),
+                          finite=True)
+            check_ledger(d["ledger_delta"], "restoration ledger")
+            check_fields(d["y_R"], LEVEL_FIELDS, "y_R")
+            y_R = _level([d["y_R"][name] for name in LEVEL_FIELDS], "y_R")
+        kw = dict(d, status=status, y_R=y_R)
         kw["x_R"] = read_vector(d["x_R"], "x_R", n)
-        check_fields(d["y_R"], LEVEL_FIELDS, "y_R")
-        kw["y_R"] = _level([d["y_R"][name] for name in LEVEL_FIELDS], "y_R")
-        kw["trials"] = tuple(map(_trial, d["trials"]))
+        kw["trials"] = tuple(_trial(row, checked) for row in d["trials"])
         kw["ledger_delta"] = dict(d["ledger_delta"])
         return cls(**kw)
 
 
-_OUTCOME_WRITTEN = tuple(
-    name for name in RestorationOutcome.__dataclass_fields__ if name != "h_vec")
+#: The columns of the records' outcome table: every field a lone outcome
+#: writes but its status.
+_OUTCOME_COLUMNS = tuple(
+    name for name in RestorationOutcome.__dataclass_fields__
+    if name not in ("h_vec", "status"))
 OUTCOME_TABLE = _record_table(
-    RestorationOutcome, _OUTCOME_WRITTEN,
+    RestorationOutcome, _OUTCOME_COLUMNS,
     {"y_R": LEVEL_TABLE, "ledger_delta": LEDGER_TABLE, "trials": TRIAL_TABLE},
     grouped=("trials",))
 
 
-def _trial(row):
-    """The ``(sigma, certificate)`` pair of a row of a trial table."""
-    check_numbers(row, "restoration trial", ("sigma",))
-    check_certificate(row, "restoration trial")
+def _trial(row, checked=False):
+    """The ``(sigma, certificate)`` pair of a row of a trial table;
+    ``checked`` as for :meth:`RestorationOutcome.from_row`."""
+    if not checked:
+        check_numbers(row, "restoration trial", ("sigma",))
+        check_certificate(row, "restoration trial")
     return row.pop("sigma"), SolveCertificate(**row)
 
 
@@ -444,26 +509,35 @@ CHAIN = {
     "theta_before": "theta_after",
 }
 
+#: Fields of a record that follow bit for bit from fields a trace writes,
+#: so it does not write them: :meth:`IterationRecord.from_row` replays
+#: ``mu_k`` as the weight the tangent search started from doubled once per
+#: rejected trial, and ``theta_after`` as
+#: :func:`~bira.core.update_penalty` of ``theta_before`` and the record's
+#: restoration values, as :func:`~bira.solver.bira_run` computed them.
+DERIVED = ("mu_k", "theta_after")
+
 
 @dataclass(frozen=True)
 class IterationRecord:
     """Everything one outer iteration measured, decided, and spent.
 
-    Fields hold measured facts only; values that follow from them
-    (``x_R``, ``y_R`` and the violations of the restoration outcome, the
-    ``g_*`` precision measures and ``step_norm``) are read-only
-    properties.  The tangent phase works at the restored precision, so
-    the ``*_xnext_ynext`` values are measured at ``y_R``, the precision the
-    next iteration starts from.  ``tangent_cert`` is the certificate of
-    the accepted tangent solve.  The :data:`CHAIN` fields are
-    kept in memory but written once, by the record or start block they
-    repeat; ``k`` is not written, since a record's position in the
-    records table is its index; and ``x_next`` is written as ``null``
-    unless it differs bitwise from ``x_R`` (a tangent step that snapped to
-    zero repeats it).  ``x_next``, like every point of a trace, is written
-    by :func:`write_vector` and read back bit for bit, and so is each
-    float field, as one packed column of :data:`RECORD_TABLE` (a ``None``
-    oracle error as the quiet NaN).
+    Fields hold measured facts and the weights the iteration chose; values
+    that follow from them (``x_R``, ``y_R`` and the violations of the
+    restoration outcome, the ``g_*`` precision measures and
+    ``step_norm``) are read-only properties.  The tangent phase works at
+    the restored precision, so the ``*_xnext_ynext`` values are measured
+    at ``y_R``, the precision the next iteration starts from.
+    ``tangent_cert`` is the certificate of the accepted tangent solve.
+    The :data:`CHAIN` fields are kept in memory but written once, by the
+    record or start block they repeat, and the :data:`DERIVED` fields are
+    kept in memory but not written; ``k`` is not written, since a record's
+    position in the records table is its index; and ``x_next`` is written
+    as ``null`` unless it differs bitwise from ``x_R`` (a tangent step
+    that snapped to zero repeats it).  ``x_next``, like every point of a
+    trace, is written by :func:`write_vector` and read back bit for bit,
+    and so is each float field, as one packed column of
+    :data:`RECORD_TABLE`.
     """
 
     k: int
@@ -483,8 +557,6 @@ class IterationRecord:
     stationarity_residual: float
     resta: RestorationOutcome
     tangent_cert: SolveCertificate
-    oracle_f_error: float | None
-    oracle_h_error: float | None
     ledger_delta: dict
 
     @property
@@ -526,29 +598,53 @@ class IterationRecord:
         return d
 
     @classmethod
-    def from_row(cls, d, chain, k):
-        """Rebuild record ``k`` from its row of the records table and the
-        :data:`CHAIN` fields ``chain`` handed to it."""
+    def from_row(cls, d, chain, k, params, mu_start, checked=False):
+        """Rebuild record ``k`` from its row of the records table, the
+        :data:`CHAIN` fields ``chain`` handed to it and the weight
+        ``mu_start`` its tangent search started from, replaying the
+        :data:`DERIVED` fields under the run's ``params``; ``checked`` as
+        for :meth:`RestorationOutcome.from_row`.
+
+        :class:`SchemaError`, naming the record, for an ``ell_count``
+        below 1 or one that doubles ``mu_start`` past the float range, and
+        for values under which the penalty update finds no weight."""
         what = f"iteration record {k}"
-        check_numbers(d, what, *_RECORD_NUMBERS, finite=True)
+        if not checked:
+            check_numbers(d, what, *_RECORD_NUMBERS, finite=True)
+        ell = d["ell_count"]
+        if ell < 1:
+            raise SchemaError(f"{what} field 'ell_count' must be at least 1,"
+                              f" got {ell}")
         with _within(what):
             cert = d["tangent_cert"]
-            check_certificate(cert, "tangent_cert")
-            check_ledger(d["ledger_delta"], "ledger_delta")
+            if not checked:
+                check_certificate(cert, "tangent_cert")
+                check_ledger(d["ledger_delta"], "ledger_delta")
             kw = dict(d, **chain, k=k, tangent_cert=SolveCertificate(**cert))
             n = len(chain["x_k"])
-            kw["resta"] = RestorationOutcome.from_row(d["resta"], n)
-            kw["x_next"] = (kw["resta"].x_R if d["x_next"] is None
+            out = kw["resta"] = RestorationOutcome.from_row(d["resta"], n,
+                                                            checked=checked)
+            kw["x_next"] = (out.x_R if d["x_next"] is None
                             else read_vector(d["x_next"], "x_next", n))
-        # a call that found possible infeasibility ends the run unrecorded
-        if kw["resta"].status != "restored":
-            raise SchemaError("an iteration record cannot hold restoration"
-                              f" status {kw['resta'].status!r}")
+            try:
+                kw["mu_k"] = math.ldexp(mu_start, ell - 1)
+            except OverflowError:
+                raise SchemaError(f"ell_count {ell} doubles the tangent"
+                                  " weight past the float range") from None
+            try:
+                kw["theta_after"] = update_penalty(
+                    chain["theta_before"], d["f_xR_yR"], d["f_xk_yR"],
+                    out.h_xk_yR, out.h_xR_yR, chain["y_k"].g, out.y_R.g,
+                    params.r)
+            except (ContractError, InvariantError) as exc:
+                raise SchemaError("the replayed penalty update finds no"
+                                  f" weight: {exc}") from None
         return cls(**kw)
 
 
 _RECORD_WRITTEN = tuple(name for name in IterationRecord.__dataclass_fields__
-                        if name not in CHAIN and name != "k")
+                        if name not in CHAIN and name not in DERIVED
+                        and name != "k")
 #: ``(names, optional, counts)`` of the written number fields of a record.
 _RECORD_NUMBERS = tuple(
     tuple(name for name in names if name in _RECORD_WRITTEN)
@@ -688,21 +784,31 @@ class RunReport:
                     f"failure kind {failure['kind']!r} does not match"
                     f" restoration status {out.status!r}")
             kw["failure_info"] = {**failure, "resta": out}
-        rows = read_table(d["records"], RECORD_TABLE, "records")
+        rows, clean = read_table(d["records"], RECORD_TABLE, "records")
         kw["start"] = {
             "x": x0,
             "y": _level(start["y"], "start y"),
             "f": start["f"], "h": start["h"],
         }
-        kw["params"] = AlgorithmParams.from_dict(d["params"])
+        params = kw["params"] = AlgorithmParams.from_dict(d["params"])
         chain = {"x_k": kw["start"]["x"], "y_k": kw["start"]["y"],
                  "f_xk_yk": start["f"], "h_xk_yk": start["h"],
-                 "theta_before": float(kw["params"].theta_0)}
+                 "theta_before": params.theta_0}
+        mu_start = params.mu_init
         kw["records"] = []
         for k, row in enumerate(rows):
-            rec = IterationRecord.from_row(row, chain, k)
+            rec = IterationRecord.from_row(row, chain, k, params, mu_start,
+                                           clean)
             kw["records"].append(rec)
             chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
+            try:
+                mu_start = tangent_mu_start(params, rec.mu_k, rec.f_xR_yR,
+                                            rec.f_xnext_ynext, rec.step_norm)
+            except OverflowError:
+                raise SchemaError(
+                    f"iteration record {k}: tangent step norm"
+                    f" {rec.step_norm!r} squares past the float range"
+                ) from None
         kw["tolerances"] = dict(d["tolerances"])
         kw["ledger_totals"] = dict(d["ledger_totals"])
         return cls(**kw)

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib.util
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from bira.trace import (
     CERT_FIELDS,
     RECORD_TABLE,
     TRIAL_TABLE,
+    RunReport,
     read_table,
     read_vector,
     write_vector,
@@ -67,7 +70,7 @@ def record_row(trace, k):
     """Record ``k`` of a written trace as one row: entry ``k`` of every
     column, a nested table's gathered into one object, the record's
     restoration trials one row each, and every packed value decoded."""
-    return read_table(trace["records"], RECORD_TABLE, "records")[k]
+    return read_table(trace["records"], RECORD_TABLE, "records")[0][k]
 
 
 def _unpack(table, spec):
@@ -120,6 +123,37 @@ def edit_packed(d, edit):
     _pack(d["records"], RECORD_TABLE)
     if failure:
         _pack(failure["resta"]["trials"], TRIAL_TABLE)
+
+
+def _same(a, b):
+    """Whether ``a`` and ``b`` are equal field for field, every float and
+    array bit for bit; a dataclass field that does not take part in its
+    equality is skipped."""
+    if isinstance(a, np.ndarray) or isinstance(a, float):
+        a, b = np.asarray(a), np.asarray(b)
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a) if f.compare)
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_same(a[key], b[key]) for key in a))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(map(_same, a, b)))
+    return type(a) is type(b) and a == b
+
+
+def assert_reloads_equal(report):
+    """Assert that ``report`` loads back from its written JSON trace equal
+    to itself, field for field: the fields a trace does not write
+    included, and every float bit for bit."""
+    text = json.dumps(report.to_dict())
+    back = RunReport.from_dict(json.loads(text))
+    assert _same(back, report), report.problem_name
+    assert json.dumps(back.to_dict()) == text
 
 
 def load_synth():

@@ -428,7 +428,7 @@ def test_trace_round_trip_and_version_guard():
     assert back.final_y == rep.final_y
     assert back.ledger_totals == rep.ledger_totals
 
-    for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 999):
+    for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):
@@ -568,10 +568,13 @@ def test_derived_record_fields_match_the_solver():
         assert rec.h_xnext_ynext == float(
             np.linalg.norm(fresh.eval_h(rec.x_next, y_R)))
         assert rec.step_norm == float(np.linalg.norm(rec.x_next - rec.x_R))
-        # the reloaded chain fields are the solver's, bit for bit
+        # the reloaded chain and replayed fields are the solver's, bit for
+        # bit
         assert got.x_k.tobytes() == rec.x_k.tobytes()
         assert (got.y_k, got.f_xk_yk, got.h_xk_yk, got.theta_before) == (
             rec.y_k, rec.f_xk_yk, rec.h_xk_yk, rec.theta_before)
+        assert np.array([got.mu_k, got.theta_after]).tobytes() == np.array(
+            [rec.mu_k, rec.theta_after]).tobytes()
     assert back.final_x.tobytes() == rep.final_x.tobytes()
     assert back.final_y == rep.final_y
 
@@ -626,6 +629,18 @@ def test_a_problem_without_a_start_is_a_configuration_error(start):
     # refused before the constants chain and before any evaluation
     assert problem.constants_calls == 0
     assert problem.ledger.snapshot() == dict.fromkeys(STARTUP_EVALS, 0)
+
+
+def test_a_run_makes_no_exact_evaluation():
+    # exact values are the audit's, given the problem: a problem whose
+    # exact_f and exact_h raise solves as before
+    def refuse(x):
+        raise AssertionError("bira_run called an exact oracle")
+
+    problem = make_p1()
+    problem.exact_f = problem.exact_h = refuse
+    got = bira_run(problem).to_dict()
+    assert json.dumps(got) == json.dumps(bira_run(make_p1()).to_dict())
 
 
 def test_repeated_runs_are_bitwise_identical():

@@ -177,14 +177,36 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     trace = tmp_path / "t.json"
     main(["run", "--problem", "p4", "--out", str(trace)])
     payload = json.loads(trace.read_text())
+    # the accepted point claims an objective 10 above the one it started at
     edit_packed(payload,
-                lambda t: t["records"]["theta_after"].__setitem__(0, 0.6))
+                lambda t: t["records"]["f_xnext_ynext"].__setitem__(0, 10.0))
     trace.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["audit", str(trace)]) == 4
     got = capsys.readouterr().out
     assert "audit: FAILED" in got
-    assert "theta_monotone" in got
+    assert "penalty_merit_decrease" in got
+
+
+def test_audit_checks_a_registered_problem_s_values_against_it(
+        tmp_path, capsys, p1_trace):
+    # record 3's objective at its restored point, 1e-3 off: the penalty
+    # update replays it, so only the problem's exact value can tell
+    payload = json.loads(p1_trace)
+    edit_packed(payload, lambda t: t["records"]["f_xR_yR"].__setitem__(
+        3, t["records"]["f_xR_yR"][3] + 1e-3))
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 4
+    got = capsys.readouterr().out
+    assert "oracle_f_error_bound        FAIL  (iteration 3: " in got
+    # a problem the command line does not build is audited from the trace
+    # alone, which lists no oracle error row
+    payload["problem_name"] = "unregistered"
+    trace.write_text(json.dumps(payload))
+    assert main(["audit", str(trace)]) == 0
+    assert "oracle_" not in capsys.readouterr().out
 
 
 def _outcome(trace, k):
@@ -198,7 +220,7 @@ def _failure(trace, kind="insufficient_contraction", iteration=1):
 
 @pytest.mark.parametrize("edit", [
     lambda trace: trace["records"].update(g_yk=[0.0]),
-    lambda trace: trace["records"].pop("theta_after"),
+    lambda trace: trace["records"].pop("f_xR_yR"),
     lambda trace: trace.pop("status"),
     lambda trace: trace["records"]["resta"].pop("z_steps"),
     lambda trace: trace["constants_basis"].update(
@@ -213,7 +235,7 @@ def _failure(trace, kind="insufficient_contraction", iteration=1):
     lambda trace: trace["start"].update(x="abc"),
     lambda trace: trace["start"].update(h="abc"),
     lambda trace: trace.update(records=3),
-    lambda trace: trace["records"].update(mu_k=0.5),
+    lambda trace: trace["records"].update(f_xR_yR=0.5),
     lambda trace: trace["ledger_totals"].pop("h_evals"),
     lambda trace: trace["start"].pop("f"),
     lambda trace: trace.update(status="Bogus"),
@@ -232,7 +254,7 @@ def _failure(trace, kind="insufficient_contraction", iteration=1):
     lambda trace: trace["tolerances"].update(eps_opt=0.0),
     lambda trace: trace["tolerances"].update(eps_opt=float("inf")),
     lambda trace: trace["tolerances"].pop("eps_feas"),
-    # p4's one record holds a restoration call that had nothing to restore
+    # every recorded call is restored, so the records write no status
     lambda trace: trace["records"]["resta"].update(status=["pdp"]),
     lambda trace: trace["records"]["resta"].update(status=["bogus"]),
     lambda trace: trace["records"]["resta"].update(
@@ -323,6 +345,9 @@ def _add_packed(table, name):
     lambda trace: trace.update(budget=-1),
     lambda trace: trace.update(budget=2.5),
     # a packed float column is one string
+    lambda trace: trace["records"].update(f_xR_yR=True),
+    # the tangent weight follows from ell_count, so schema v14's column is
+    # not written
     lambda trace: trace["records"].update(mu_k=True),
     # a count stays a JSON number, and JSON true is not one
     lambda trace: trace["records"]["ell_count"].__setitem__(1, True),
@@ -331,9 +356,9 @@ def _add_packed(table, name):
     lambda trace: _resta(trace, 1, refinements=-1),
     lambda trace: trace["records"]["ledger_delta"]["h_evals"].__setitem__(
         1, 2.0),
-    # the status, the per-trial records and the derived certificate
-    # fields of schema v9 and before
-    lambda trace: _resta(trace, 1, status="trivial"),
+    # the per-trial records and the derived certificate fields of schema
+    # v9 and before, and the status of schema v14 and before
+    lambda trace: _add_column(trace["records"]["resta"], "status", "trivial"),
     lambda trace: _add_column(trace["records"]["resta"], "inner_desc_tests",
                               0),
     lambda trace: _add_column(trace["records"]["resta"], "sigma_history",
@@ -358,7 +383,8 @@ def _add_packed(table, name):
 ], ids=["record_is_a_number", "tangent_cert_missing_step_norm",
         "y_R_of_three_entries", "start_y_of_one_entry", "x_R_of_one_entry",
         "start_x_of_one_entry", "negative_budget",
-        "fractional_budget", "mu_k_is_a_bool", "ell_count_is_a_bool",
+        "fractional_budget", "f_xR_yR_is_a_bool", "mu_k_is_a_bool",
+        "ell_count_is_a_bool",
         "fractional_ell_count",
         "negative_refinements", "fractional_ledger_count",
         "resta_status_trivial", "resta_with_inner_desc_tests",
@@ -389,18 +415,21 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
         "y_R_of_three_entries":
             "error: records resta y_R table fields differ from the schema",
         "ell_count_is_a_bool": "error: iteration record 1 field 'ell_count' ",
-        "mu_k_is_a_bool": "error: records column 'mu_k' must be a base64"
-            " string of float64 bytes, got bool",
+        "f_xR_yR_is_a_bool": "error: records column 'f_xR_yR' must be a"
+            " base64 string of float64 bytes, got bool",
+        "mu_k_is_a_bool": "error: records table fields differ from the"
+            " schema: missing [], unknown ['mu_k']",
         "y_R_is_nan": "error: iteration record 1: y_R: ",
     }.get(request.node.callspec.id, "error:")
     assert err.startswith(prefix), err
 
 
 @pytest.mark.parametrize("edit,table", [
-    (lambda trace: edit_packed(trace, lambda t: t["records"]["mu_k"].pop()),
+    (lambda trace: edit_packed(trace,
+                               lambda t: t["records"]["f_xR_yR"].pop()),
      "records"),
     (lambda trace: edit_packed(
-        trace, lambda t: t["records"]["theta_after"].append(0.5)),
+        trace, lambda t: t["records"]["f_xk_yR"].append(0.5)),
      "records"),
     (lambda trace: trace["records"]["resta"]["z_steps"].pop(),
      "records resta"),
@@ -495,10 +524,16 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     (lambda trace: [trace.update(trace_version=13),
                     trace["records"].update(mu_k=[0.5])],
      "trace version 13 not supported"),
+    # a schema-v14 trace writes each record's tangent weight and oracle
+    # errors, and each recorded call's status
+    (lambda trace: [trace.update(trace_version=14),
+                    trace["records"].update(mu_k=write_vector([0.5])),
+                    trace["records"]["resta"].update(status=["restored"])],
+     "trace version 14 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
         "version_9", "version_10", "version_11", "version_12",
-        "version_13", "empty_object"])
+        "version_13", "version_14", "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

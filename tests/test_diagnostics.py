@@ -199,13 +199,16 @@ def test_audit_passes_on_clean_run():
 
 
 def test_audit_catches_tampered_penalty():
+    # the penalty weight is replayed from the values it was chosen by: p4's
+    # one call restored nothing, so an objective raised by 10 at its
+    # restored point leaves no positive weight
     rep = _fresh_report()
     d = rep.to_dict()
-    edit_packed(d, lambda t: t["records"]["theta_after"].__setitem__(0, 0.6))
-    bad = RunReport.from_dict(d)
-    res = audit(bad)
-    assert not res.ok
-    assert "theta_monotone" in [c.name for c in res.failures]
+    edit_packed(d, lambda t: t["records"]["f_xR_yR"].__setitem__(
+        0, t["records"]["f_xR_yR"][0] + 10.0))
+    with pytest.raises(SchemaError, match="^iteration record 0: the replayed"
+                       " penalty update finds no weight"):
+        RunReport.from_dict(d)
 
 
 def _claim_trials(d, sigma, count):
@@ -250,14 +253,15 @@ def test_audit_skips_bound_checks_on_estimated_constants():
     by_name = {c.name: c.status for c in res.checks}
     assert by_name["sigma_cap"] == "skipped"
     assert by_name["infeasibility_summability"] == "skipped"
-    assert by_name["theta_monotone"] == "pass"
+    assert by_name["penalty_merit_decrease"] == "pass"
     assert by_name["restoration_f_free"] == "pass"
 
 
-#: The audit's checks, in report order, and those it skips on estimated
-#: problem constants.
+#: The audit's checks given the problem, in report order, and those it
+#: skips on estimated problem constants; from the trace alone it lists no
+#: ORACLE check.
 CHECKS = (
-    "theta_monotone", "theta_lower_bound", "penalty_merit_decrease",
+    "theta_lower_bound", "penalty_merit_decrease",
     "sigma_cap", "mu_cap", "restored_distance", "restored_value_drift",
     "infeasibility_summability", "step_summability", "residual_vs_step",
     "residual_summability", "ledger_caps", "restoration_f_free",
@@ -274,8 +278,7 @@ ANALYTIC_ONLY = {
     "residual_vs_step", "residual_summability", "ledger_caps",
     "noise_within_budget", "step_per_infeasibility",
 }
-# p3 stops in its first restoration, before any oracle error is recorded
-NO_EXACT_VALUES = {"p3": {"oracle_f_error_bound", "oracle_h_error_bound"}}
+ORACLE = ("oracle_f_error_bound", "oracle_h_error_bound")
 
 
 @pytest.fixture(scope="module")
@@ -289,25 +292,50 @@ def _trace(report):
     return json.loads(json.dumps(report.to_dict()))
 
 
-def _verdicts(report):
-    return [(c.name, c.status) for c in audit(report).checks]
+def _verdicts(report, problem=None):
+    return [(c.name, c.status) for c in audit(report, problem).checks]
 
 
-def _expected(name, skipped=frozenset()):
-    skipped = skipped | NO_EXACT_VALUES.get(name, set())
-    return [(c, "skipped" if c in skipped else "pass") for c in CHECKS]
+def _expected(skipped=frozenset(), given_problem=True):
+    return [(c, "skipped" if c in skipped else "pass") for c in CHECKS
+            if given_problem or c not in ORACLE]
 
 
 @pytest.mark.parametrize("name", ["p1", "p1_pdp", "p2", "p3", "p4"])
 def test_audit_verdicts_of_the_suite_runs(suite_runs, name):
-    assert _verdicts(suite_runs[name]) == _expected(name)
+    assert _verdicts(suite_runs[name], problem_by_name(name)) == _expected()
 
 
 @pytest.mark.parametrize("name", ["p1", "p1_pdp", "p2", "p3", "p4"])
 def test_audit_verdicts_on_estimated_constants(suite_runs, name):
+    # from the trace alone, as the benchmark audits: no check is skipped
+    # but the analytic bounds
     d = _trace(suite_runs[name])
+    assert _verdicts(RunReport.from_dict(d)) == _expected(given_problem=False)
     d["constants_basis"]["problem_constants"]["provenance"] = "estimated"
-    assert _verdicts(RunReport.from_dict(d)) == _expected(name, ANALYTIC_ONLY)
+    assert _verdicts(RunReport.from_dict(d)) == _expected(
+        ANALYTIC_ONLY, given_problem=False)
+
+
+def test_a_problem_without_exact_values_skips_the_oracle_checks(suite_runs):
+    problem = problem_by_name("p1")
+    problem.exact_f = problem.exact_h = lambda x: None
+    by_name = dict(_verdicts(suite_runs["p1"], problem))
+    assert [by_name[name] for name in ORACLE] == ["skipped", "skipped"]
+
+
+def test_every_measured_value_is_checked_against_the_problem(suite_runs):
+    # p3 records nothing, but measured f and h at its start and h at both
+    # ends of its failing call
+    rep = suite_runs["p3"]
+    checks = {c.name: c for c in audit(rep, problem_by_name("p3")).checks}
+    assert [checks[name].status for name in ORACLE] == ["pass", "pass"]
+    d = _trace(rep)
+    d["failure_info"]["resta"]["h_xR_yR"] += 1e-3
+    failed = {c.name: c.detail for c in audit(
+        RunReport.from_dict(d), problem_by_name("p3")).failures}
+    assert list(failed) == ["oracle_h_error_bound"]
+    assert failed["oracle_h_error_bound"].startswith("iteration 0: 1.000e-03")
 
 
 def _shifted(point, shift):
@@ -320,7 +348,7 @@ def _shifted(point, shift):
 
 def _with_rows(trace, edit):
     """The trace's records table with its list of rows edited by ``edit``."""
-    rows = read_table(trace["records"], RECORD_TABLE, "records")
+    rows, _ = read_table(trace["records"], RECORD_TABLE, "records")
     return write_table(edit(rows), RECORD_TABLE)
 
 
@@ -349,18 +377,23 @@ def _locate(trace, path):
 #: new value as a function of the trace and the derived constants)``.
 #: Record 0 starts from the trace's ``start`` block and ``theta_0``.  Most
 #: edits go ten times past their bound; the chain's bounds on p1 reach 1e8
-#: to 1e42, so some edits are that large.
+#: to 1e42, so some edits are that large.  A field the trace does not write
+#: (:data:`~bira.trace.DERIVED`) is edited through the field it follows
+#: from.
 TAMPERS = [
-    ("theta_monotone", ("records", 0, "theta_after"),
-     lambda t, tc: t["params"]["theta_0"] + 1e-3),
-    ("theta_lower_bound", ("records", 0, "theta_after"),
-     lambda t, tc: tc.penalty_floor / 100.0),
+    # a restored objective so far above the current one that the replayed
+    # penalty weight falls a hundred times below its floor
+    ("theta_lower_bound", ("records", 0, "f_xR_yR"),
+     lambda t, tc: record_row(t, 0)["f_xk_yR"] + 100.0 / tc.penalty_floor),
     # the first step lowered the merit by about 1.8 at theta = 0.5
     ("penalty_merit_decrease", ("records", 0, "f_xnext_ynext"),
      lambda t, tc: record_row(t, 0)["f_xnext_ynext"] + 10.0),
     ("sigma_cap", ("records", 0, "resta", "trials", "sigma", 0),
      lambda t, tc: 10.0 * tc.sigma_cap),
-    ("mu_cap", ("records", 0, "mu_k"), lambda t, tc: 10.0 * tc.mu_cap),
+    # a search that doubled mu_init past ten times the cap
+    ("mu_cap", ("records", 0, "ell_count"),
+     lambda t, tc: math.ceil(math.log2(10.0 * tc.mu_cap
+                                       / t["params"]["mu_init"])) + 1),
     ("restored_distance", ("records", 0, "resta", "x_R"),
      lambda t, tc: _shifted(record_row(t, 0)["resta"]["x_R"], 10.0
      * tc.restored_distance_factor * (t["start"]["h"] + max(t["start"]["y"])))),
@@ -397,10 +430,13 @@ TAMPERS = [
      ("records", 0, "tangent_cert", "stationarity_residual"),
      lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa"]
      * record_row(t, 0)["tangent_cert"]["step_norm"]),
-    ("oracle_f_error_bound", ("records", 0, "oracle_f_error"),
-     lambda t, tc: 10.0 * tc.extras["noise_scale_f"] * t["start"]["y"][0]),
-    ("oracle_h_error_bound", ("records", 0, "oracle_h_error"),
-     lambda t, tc: 10.0 * tc.extras["noise_scale_h"] * t["start"]["y"][1]),
+    # the start's values ten noise bounds off the problem's exact ones
+    ("oracle_f_error_bound", ("start", "f"),
+     lambda t, tc: t["start"]["f"]
+     + 10.0 * tc.extras["noise_scale_f"] * t["start"]["y"][0]),
+    ("oracle_h_error_bound", ("start", "h"),
+     lambda t, tc: t["start"]["h"]
+     + 10.0 * tc.extras["noise_scale_h"] * t["start"]["y"][1]),
     # ten percent past the budget, far beyond leq's 1e-9 relative slack
     ("noise_within_budget", ("constants_basis", "extras", "beta"),
      lambda t, tc: 1.1 * tc.beta_bar),
@@ -429,10 +465,7 @@ TAMPERS = [
     # an accepted tangent step ten times longer than its decrease allows
     ("tangent_search", ("records", 5, "tangent_cert", "step_norm"),
      lambda t, tc: 10.0 * record_row(t, 5)["tangent_cert"]["step_norm"]),
-    # a search that claims a start half the one the schedule gave it
-    ("tangent_search", ("records", 5, "mu_k"),
-     lambda t, tc: record_row(t, 5)["mu_k"] / 2.0),
-    # a search that claims four rejected trials at the weight it accepted
+    # a search that claims four rejected trials it did not evaluate
     ("tangent_search", ("records", 5, "ell_count"), lambda t, tc: 5),
     # a run that claims to have evaluated nothing
     ("ledger_totals", ("ledger_totals",),
@@ -467,7 +500,7 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
         node[key] = new
     edit_packed(d, put)
     bad = RunReport.from_dict(d)
-    failed = {c.name: c.detail for c in audit(bad).failures}
+    failed = {c.name: c.detail for c in audit(bad, p1).failures}
     assert check in failed
     # the failing row is the edited record's, or a whole-run row
     edited = path[1] if path[0] == "records" else 0
@@ -484,7 +517,7 @@ def test_a_truncated_trace_fails_the_ledger_totals(suite_runs):
     # the ten dropped iterations are still in the totals, and the last
     # record left does not meet the stopping test the status claims
     d = _trace(suite_runs["p1"])
-    rows = read_table(d["records"], RECORD_TABLE, "records")[:-10]
+    rows = read_table(d["records"], RECORD_TABLE, "records")[0][:-10]
     d["records"] = write_table(rows, RECORD_TABLE)
     failed = _failures(d)
     assert list(failed) == ["ledger_totals", "stopping_test"]
@@ -535,17 +568,16 @@ def test_a_relabelled_restoration_failure_is_caught(suite_runs, edit):
     assert "stopping_test" in _failures(d)
 
 
-def test_a_restored_call_relabelled_trivial_is_caught(suite_runs):
+def test_a_restored_call_relabelled_trivial_is_caught():
     # a call with nothing to restore is a restored call like any other, so
-    # trivial is not a status: the relabelled trace is refused at load
-    d = _trace(suite_runs["p1"])
-
-    def edit(t):
-        resta = t["records"]["resta"]
-        resta["status"][3] = "trivial"
-        for column in resta["y_R"].values():
-            column[3] = column[2]
-    edit_packed(d, edit)
+    # trivial is not a status: the relabelled trace is refused at load.  A
+    # recorded call writes no status, so the one relabelled is the failing
+    # call of p2 at r = 0.25, restored but outpacing its feasibility gain
+    params = AlgorithmParams.from_dict({
+        **AlgorithmParams.defaults().to_dict(), "r": 0.25})
+    d = _trace(bira_run(problem_by_name("p2", params), params))
+    assert d["failure_info"]["resta"]["status"] == "restored"
+    d["failure_info"]["resta"]["status"] = "trivial"
     with pytest.raises(SchemaError, match="restoration status 'trivial'"):
         RunReport.from_dict(d)
 

@@ -3,7 +3,8 @@
 Every registered problem and one synthetic problem run at eight parameter
 sets and two tolerance sets, budget 200: 80 runs.  Each run is pinned by
 its status, failure kind, iteration count and the names of its failing
-audit checks, and the grid by its ledger totals.  A pinned failure is a
+audit checks, audited against its problem, and the grid by its ledger
+totals.  Every run reloads from its trace equal to itself.  A pinned failure is a
 row of the table, not a skip, so a change that moves any run on any
 parameter set shows here, row by row.
 """
@@ -11,7 +12,7 @@ parameter set shows here, row by row.
 from collections import Counter
 
 import pytest
-from conftest import load_synth
+from conftest import assert_reloads_equal, load_synth
 
 from bira.core import LEDGER_FIELDS, AlgorithmParams
 from bira.diagnostics import audit
@@ -171,7 +172,7 @@ def grid():
                                         row_scale=0.5, n_active=3)
                    if name == "syn" else problem_by_name(name, params))
         report = bira_run(problem, params, budget=BUDGET, **TOLERANCES[tol])
-        runs[label, name, tol] = report, audit(report)
+        runs[label, name, tol] = report, audit(report, problem)
     return runs
 
 
@@ -185,6 +186,7 @@ def test_grid_run(grid, label, name, tol, status, kind, iterations):
     assert report.iterations == iterations
     assert ([check.name for check in result.failures]
             == FAILING.get((label, name, tol), []))
+    assert_reloads_equal(report)
 
 
 def test_grid_totals(grid):
