@@ -336,22 +336,24 @@ class AlgorithmParams:
     ``sigma_min`` is the floor of the restoration regularization weight and
     ``M`` the cap on the Gauss-Newton curvature ``||J J^T||``; the
     restoration analysis needs ``M * sigma_min >= 1``, checked here.  The
-    defaults ``(M, sigma_min) = (4, 0.25)`` sit on that edge.  A z-step at
-    weight sigma contracts a linear violation by
+    defaults ``(alpha_R, sigma_min, M) = (1/8, 1/16, 16)`` sit on that edge.
+    A z-step at weight sigma contracts a linear violation by
     ``2 sigma / (2 sigma + ||J||^2)``, and on a linear row the restoration
     descent test accepts that step iff ``||J||^2 + 4 sigma >= 2 alpha_R``.
-    On ``p1`` (``||J||^2 = 1/16``) that is sigma >= 0.234, so 0.25 is the
-    smallest power-of-two floor whose first trial passes, and a restoration
-    call takes 6 z-steps (23 at sigma_min = 1).  A floor of 1/8 fails the
-    test and pays a second trial per z-step.
+    With ``alpha_R = 2 sigma_min`` that holds at sigma_min for every row
+    with ``||J||^2 <= M``, so the first trial passes whatever the scale of
+    the row: on ``p1`` (``||J||^2 = 1/16``) a z-step contracts by 2/3 and a
+    restoration call takes 2 z-steps (6 at sigma_min = 1/4, 23 at 1).  At
+    ``alpha_R = 1/2`` a floor of 1/8 fails the test on ``p1`` and pays a
+    second trial per z-step.
     """
 
     r: float = 0.5
     r_feas: float = 0.05
     alpha: float = 0.1
-    alpha_R: float = 0.5
-    M: float = 4.0
-    sigma_min: float = 0.25
+    alpha_R: float = 0.125
+    M: float = 16.0
+    sigma_min: float = 0.0625
     mu_min: float = 1e-3
     mu_max: float = 1e3
     mu_init: float = 1.0

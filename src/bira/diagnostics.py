@@ -38,12 +38,10 @@ from .core import (
 
 DEFAULT_EXTRAS = {"beta": 0.0, "gamma": 0.5, "k_R": 0.0}
 
-#: Fixed constants of the analysis, like the accuracy targets
+#: Fixed constant of the analysis, like the accuracy targets
 #: :data:`~bira.core.DEFAULT_KAPPAS`: ``SIGMA_MAX`` floors the certified cap
-#: on the restoration weight sigma, and ``BETA_C`` is the constant term of
-#: the restored distance factor.  No solver loop reads either.
+#: on the restoration weight sigma.  No solver loop reads it.
 SIGMA_MAX = 40.0
-BETA_C = 1.0
 
 #: Fallback cap on restoration descent tests when no certified bound exists.
 FALLBACK_INNER_CAP = 100_000
@@ -52,7 +50,30 @@ FALLBACK_INNER_CAP = 100_000
 @dataclass(frozen=True)
 class TheoreticalConstants:
     """Derived worst-case quantities; all are certified only when
-    ``analytic`` is true."""
+    ``analytic`` is true.
+
+    ``restored_distance_factor`` bounds ``||x_R - x_k||`` by a multiple of
+    ``h_xk_yk + g_yk``, from the restoration's own descent test.  Every
+    level of a call restarts at ``x_k``, so only the z-steps ``d`` of the
+    last level lead to ``x_R``.  Each accepted one lowers half the squared
+    measured violation by at least ``alpha_R ||d||**2``, so
+    ``2 alpha_R sum ||d||**2`` is at most what the squared violation falls
+    over the level.  The level starts at ``s = ||h(x_k, w)||`` and only a
+    stage's re-measurement at the refined ``w'`` can raise it, by at most
+    ``delta = err(w) + err(w')``, where ``err(w) <= (beta / 2) w.g`` bounds
+    an evaluation's error.  With ``e_j`` the violation that ends segment
+    ``j`` and ``D = sum delta_j``, the fall sums to at most ``s**2 +
+    sum delta_j (2 e_j + delta_j) <= (s + D)**2``, because ``e_j <= s +
+    sum_{i<j} delta_i``.  The level's precision and each stage's are at
+    most ``g_yk`` and ``r**2`` times the one before, so ``s <= h_xk_yk +
+    beta g_yk`` and ``D <= beta g_yk / (1 - r**2)``, and ``s + D <= (1 +
+    beta (2 - r**2) / (1 - r**2)) (h_xk_yk + g_yk)``.  A call takes at
+    most :func:`restoration_inner_cap` descent tests, so at most that many
+    z-steps ``N``, and Cauchy-Schwarz gives ``||x_R - x_k|| <= sum ||d|| <=
+    sqrt(N sum ||d||**2)``: the factor is ``sqrt(N / (2 alpha_R)) (1 +
+    beta (2 - r**2) / (1 - r**2))``.  It does not depend on the
+    tolerances.
+    """
 
     sigma_sufficient: float
     sigma_cap: float
@@ -115,6 +136,11 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     """Compute the full derived-constant chain, at the solve targets
     :data:`~bira.core.DEFAULT_KAPPAS`.
 
+    The restored distance factor, which sets the penalty floor and with it
+    the noise budget ``beta_bar``, comes from the restoration's own descent
+    test and its cap on descent tests (see :class:`TheoreticalConstants`),
+    so it does not depend on the tolerances.
+
     ``extras`` may override ``beta`` (oracle error scale), ``gamma``
     (merit decrease fraction) and ``k_R`` (projection-map drift bound).
     Other keys are not read; they are kept in ``extras`` of the result.
@@ -157,9 +183,9 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
         restoration_iter_cap = (
             restoration_steps_per_level * sigma_trials_per_step + 1.0
         ) * p.N_prec
-        restored_distance_factor = (
-            BETA_C + restoration_iter_cap * step_per_infeasibility
-        )
+        restored_distance_factor = math.sqrt(
+            _inner_cap(restoration_iter_cap) / (2.0 * p.alpha_R)) * (
+            1.0 + beta * (2.0 - p.r**2) / (1.0 - p.r**2))
         restored_value_factor = pc.L_f * restored_distance_factor + beta
         penalty_floor = min(
             p.theta_0,
@@ -242,10 +268,14 @@ def iteration_bounds(tc: TheoreticalConstants, eps_feas, eps_prec, eps_opt):
     )
 
 
+def _inner_cap(restoration_iter_cap):
+    return math.ceil(10.0 * restoration_iter_cap)
+
+
 def restoration_inner_cap(tc: TheoreticalConstants | None):
     """Cap on restoration descent tests: certified when analytic."""
     if tc is not None and tc.analytic:
-        return int(math.ceil(10.0 * tc.restoration_iter_cap))
+        return _inner_cap(tc.restoration_iter_cap)
     return FALLBACK_INNER_CAP
 
 
@@ -285,7 +315,11 @@ def restoration_stage_cap(r, g, goal):
 def leq(lhs, rhs):
     """Comparison with a 1e-9 slack relative to the operands, for audit
     bounds that carry rounding.  There is no absolute floor: bounds such as
-    the noise budget or the penalty floor are far below 1e-9."""
+    the noise budget or the penalty floor are far below 1e-9.  An infinite
+    ``lhs``, a sum of squares that overflowed, gets no slack, which would
+    be infinite too."""
+    if math.isinf(lhs):
+        return lhs <= rhs
     return lhs <= rhs + 1e-9 * max(abs(lhs), abs(rhs))
 
 
@@ -390,6 +424,26 @@ def _calls(report):
         yield rec, precision_ratio(r, contraction, goal is not None), goal
         contraction = rec.resta.contraction
         residual = rec.stationarity_residual
+
+
+def _z_step_trial_rows(report, sigma_min, cap):
+    """Each z-step of every restoration call, the failing one included,
+    took at most ``cap`` descent tests.  A z-step's first trial is at
+    ``sigma_min`` and the ones after it double sigma, so a call's trial
+    table splits into z-steps where sigma is back at ``sigma_min``."""
+    calls = [(rec.k, rec.resta) for rec in report.records]
+    failure = report.failure_info
+    if failure is not None:
+        calls.append((failure["iteration"], failure["resta"]))
+    for k, out in calls:
+        trials = 0
+        for sigma, _ in out.trials:
+            if sigma == sigma_min and trials:
+                yield _exact(k, trials, cap)
+                trials = 0
+            trials += 1
+        if trials:
+            yield _exact(k, trials, cap)
 
 
 def _refinement_rows(report):
@@ -599,6 +653,8 @@ def audit(report, problem=None):
             _merit_row(rec, params.r) for rec in recs)),
         ("sigma_cap", ANALYTIC, (
             _tol(k, sigma, tc.sigma_cap) for k, sigma, _ in rtrials)),
+        ("z_step_trials", ANALYTIC, _z_step_trial_rows(
+            report, params.sigma_min, tc.sigma_trials_per_step)),
         ("mu_cap", ANALYTIC, (
             _tol(rec.k, rec.mu_k, tc.mu_cap) for rec in recs)),
         ("restored_distance", ANALYTIC, (

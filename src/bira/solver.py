@@ -100,9 +100,9 @@ def restoration_failure(status, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     the linearized constraints, so the next call starts near ``h = c
     h_xk_yR`` at ``g = rho g_yk``: each call multiplies q by ``c / rho``.
     At a fixed ``rho = r`` a restoration faster than r shrinks q every call
-    until the test trips (``p2`` at ``(M, sigma_min) = (4, 0.25)``: q
-    from 1.84 to 0.46 in nine iterations at c near 0.44; tied, it settles
-    at 1.73).  :func:`~bira.restoration.resta` refines at
+    until the test trips (``p2`` at ``(alpha_R, M, sigma_min) = (1/2, 4,
+    1/4)``: q from 1.84 to 0.46 in nine iterations at c near 0.44; tied,
+    it settles at 1.73).  :func:`~bira.restoration.resta` refines at
     ``rho = min(r, c_prev)``, the contraction the previous restored call
     achieved, so the factors telescope: after call k, q is ``q_0 c_k / r``.
     It depends on the latest contraction only, and at a steady contraction c

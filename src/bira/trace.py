@@ -799,6 +799,14 @@ class RunReport:
         for k, row in enumerate(rows):
             rec = IterationRecord.from_row(row, chain, k, params, mu_start,
                                            clean)
+            try:
+                # the audit's residual_summability squares the residual
+                rec.stationarity_residual ** 2
+            except OverflowError:
+                raise SchemaError(
+                    f"iteration record {k} field 'stationarity_residual'"
+                    f" {rec.stationarity_residual!r} squares past the float"
+                    " range") from None
             kw["records"].append(rec)
             chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
             try:

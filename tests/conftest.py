@@ -16,6 +16,12 @@ from bira.trace import (
     write_vector,
 )
 
+#: The restoration parameters ``(alpha_R, sigma_min, M) = (1/2, 1/4, 4)``:
+#: at ``alpha_R = 1/2``, 1/4 is the smallest power-of-two floor whose first
+#: trial passes on p1's row (``||J||**2 = 1/16``), and ``M = 1 /
+#: sigma_min``.  A test that pins a run at that point passes them.
+EDGE_RESTORATION = {"alpha_R": 0.5, "sigma_min": 0.25, "M": 4.0}
+
 
 def kkt_min_quadratic_box_line(x_f, div, a, b, lower, upper):
     """Brute-force KKT enumeration for a separable quadratic on a slice.

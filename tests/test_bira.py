@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import edit_packed, make_highdim
+from conftest import EDGE_RESTORATION, edit_packed, make_highdim
 
 import bira.qp
 import bira.solver
@@ -128,21 +128,22 @@ def test_p1_converges_and_the_audit_agrees():
 
 
 @pytest.mark.parametrize("factory,ledger", [
-    (make_p1, {"f_evals": 61, "gradf_evals": 20,
-               "h_evals": 165, "gradh_evals": 21}),
-    (make_p2, {"f_evals": 34, "gradf_evals": 11,
-               "h_evals": 58, "gradh_evals": 12}),
+    (make_p1, {"f_evals": 58, "gradf_evals": 19,
+               "h_evals": 77, "gradh_evals": 20}),
+    (make_p2, {"f_evals": 28, "gradf_evals": 9,
+               "h_evals": 36, "gradh_evals": 10}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
-    # restoration takes almost all h evaluations; at sigma_min = 0.25 a p1
-    # restoration call takes 6 z-steps on one Jacobian, and every call after
+    # restoration takes almost all h evaluations; at sigma_min = 1/16 a p1
+    # restoration call takes 2 z-steps on one Jacobian, and every call after
     # the first keeps the one the tangent phase measured, so grad h is
     # evaluated once per iteration plus once for the first call, and a
     # tangent trial that fails its descent test is not measured for h.
     # The tangent search starts at a weight the previous step predicted
     # to pass, so every first trial is accepted: one f per iteration, plus
     # f at (x_k, y_R) and at (x_R, y_R), plus the start.  The call after
-    # the record that met eps_opt finishes the run: p2's takes 3 stages
+    # the record that met eps_opt finishes the run: p2's takes 3 stages, and
+    # p1's last record meets every tolerance before any call has a goal
     rep = bira_run(factory())
     assert rep.status == "Converged"
     assert rep.ledger_totals == ledger
@@ -182,7 +183,12 @@ def test_nothing_is_measured_twice(factory):
                          y.as_tuple()))
             return method(x, y)
         setattr(problem, kind, logged)
-    rep = bira_run(problem)
+    # at the defaults the zero-step problem's first call contracts h by
+    # 1/9 but g by 1/2, and a call without a goal has no floor guard, so
+    # the second call fails the precision test
+    params = (_params(**EDGE_RESTORATION)
+              if factory is _objective_along_the_normal else None)
+    rep = bira_run(problem, params)
     assert sum(rep.ledger_totals.values()) == len(seen)
     assert len(set(seen)) == len(seen)
     if factory is _objective_along_the_normal:
@@ -263,17 +269,24 @@ def test_a_zero_z_step_is_a_stall():
                    eps_opt=1e-6)
     assert rep.status == "RestorationFailure"
     assert rep.failure_info["kind"] == "possible_infeasibility"
-    assert rep.failure_info["iteration"] == 47
+    assert rep.failure_info["iteration"] == 43
     assert rep.failure_info["resta"].inner_desc_tests < 100
     assert audit(rep).ok
 
 
-@pytest.mark.parametrize("factory,finishing", [
-    (make_p1, lambda k, n: k == n - 1),
-    (make_highdim, lambda k, n: k >= 1),
+def _run_p1_at_the_edge():
+    # at the defaults p1's last record meets every tolerance before any
+    # call has a goal
+    params = _params(**EDGE_RESTORATION)
+    return bira_run(make_p1(params), params)
+
+
+@pytest.mark.parametrize("run,finishing", [
+    (_run_p1_at_the_edge, lambda k, n: k == n - 1),
+    (lambda: bira_run(make_highdim()), lambda k, n: k >= 1),
 ], ids=["p1", "highdim"])
 def test_a_finishing_call_follows_a_record_that_met_eps_opt(
-        monkeypatch, factory, finishing):
+        monkeypatch, run, finishing):
     goals = []
     real = bira.solver.resta
 
@@ -282,7 +295,7 @@ def test_a_finishing_call_follows_a_record_that_met_eps_opt(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bira.solver, "resta", spy)
-    rep = bira_run(factory())
+    rep = run()
     assert rep.status == "Converged"
     tol = rep.tolerances
     n = len(rep.records)
@@ -305,11 +318,11 @@ def test_highdim_finishes_in_its_second_record():
 
 
 def test_a_finishing_call_that_does_not_stop_the_run_keeps_the_floor():
-    # p2 at (M, sigma_min) = (8, 1/8): record 5 is a finishing call whose
-    # tangent step leaves the optimality test open, so the run goes on;
-    # the call hands on ||h|| >= g/(2r), and the next call passes the
-    # precision test
-    params = _params(M=8.0, sigma_min=0.125)
+    # p2 at (alpha_R, M, sigma_min) = (1/2, 8, 1/8): record 5 is a
+    # finishing call whose tangent step leaves the optimality test open, so
+    # the run goes on; the call hands on ||h|| >= g/(2r), and the next call
+    # passes the precision test
+    params = _params(alpha_R=0.5, M=8.0, sigma_min=0.125)
     rep = bira_run(make_p2(params), params)
     assert rep.status == "Converged"
     eps_opt = rep.tolerances["eps_opt"]

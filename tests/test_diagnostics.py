@@ -107,6 +107,17 @@ def test_penalty_floor_branches():
     assert tc2.penalty_floor == pytest.approx(expect / 2.0)
 
 
+def test_restored_distance_factor_worked_example():
+    # sqrt(N / (2 alpha_R)) over the descent tests N of a call, times the
+    # noise's rise 1 + beta (2 - r**2) / (1 - r**2), which is 7/3 at r = 1/2
+    params = AlgorithmParams.defaults()
+    tc = constants(_pc(), params, extras={"beta": 0.03})
+    n = restoration_inner_cap(tc)
+    assert params.r == 0.5
+    assert tc.restored_distance_factor == pytest.approx(
+        math.sqrt(n / (2.0 * params.alpha_R)) * (1.0 + 0.03 * 7.0 / 3.0))
+
+
 def test_mu_cap_grows_with_precision_carry_allowance():
     base = AlgorithmParams.defaults()
     tc = constants(_pc(), base)
@@ -172,6 +183,20 @@ def test_leq_uses_relative_slack():
     assert leq(1.0 + 1e-12, 1.0)
     assert leq(0.0, 0.0)
     assert not leq(1e-300, 0.0)
+    # an overflowed sum gets no slack, which would be infinite too
+    assert not leq(math.inf, 1e300)
+    assert leq(math.inf, math.inf)
+
+
+def test_a_sum_of_squares_that_overflows_fails_its_bound(suite_runs):
+    # two residuals whose squares are finite but whose sum is not
+    d = _trace(suite_runs["p2"])
+
+    def edit(t):
+        t["records"]["stationarity_residual"][2:4] = [1.3e154] * 2
+    edit_packed(d, edit)
+    failed = _failures(d)
+    assert failed["residual_summability"].startswith("whole run: inf exceeds")
 
 
 def test_complexity_fit_recovers_power_law():
@@ -262,9 +287,10 @@ def test_audit_skips_bound_checks_on_estimated_constants():
 #: ORACLE check.
 CHECKS = (
     "theta_lower_bound", "penalty_merit_decrease",
-    "sigma_cap", "mu_cap", "restored_distance", "restored_value_drift",
-    "infeasibility_summability", "step_summability", "residual_vs_step",
-    "residual_summability", "ledger_caps", "restoration_f_free",
+    "sigma_cap", "z_step_trials", "mu_cap", "restored_distance",
+    "restored_value_drift", "infeasibility_summability", "step_summability",
+    "residual_vs_step", "residual_summability", "ledger_caps",
+    "restoration_f_free",
     "restoration_model_decrease", "restoration_solve_accuracy",
     "tangent_model_decrease", "tangent_solve_accuracy",
     "oracle_f_error_bound", "oracle_h_error_bound", "noise_within_budget",
@@ -273,10 +299,10 @@ CHECKS = (
     "ledger_totals", "stopping_test",
 )
 ANALYTIC_ONLY = {
-    "theta_lower_bound", "sigma_cap", "mu_cap", "restored_distance",
-    "restored_value_drift", "infeasibility_summability", "step_summability",
-    "residual_vs_step", "residual_summability", "ledger_caps",
-    "noise_within_budget", "step_per_infeasibility",
+    "theta_lower_bound", "sigma_cap", "z_step_trials", "mu_cap",
+    "restored_distance", "restored_value_drift", "infeasibility_summability",
+    "step_summability", "residual_vs_step", "residual_summability",
+    "ledger_caps", "noise_within_budget", "step_per_infeasibility",
 }
 ORACLE = ("oracle_f_error_bound", "oracle_h_error_bound")
 
@@ -373,6 +399,17 @@ def _locate(trace, path):
     return node, keys[-1]
 
 
+def _one_long_z_step(trace, trials):
+    """Record 0's trial table as :func:`edit_packed` lays it out, replaced
+    by one z-step of ``trials`` copies of its first trial at sigma
+    ``sigma_min``, ``2 sigma_min``, and so on."""
+    first = record_row(trace, 0)["resta"]["trials"][0]
+    sigma_min = trace["params"]["sigma_min"]
+    return {name: ([sigma_min * 2.0**i for i in range(trials)]
+                   if name == "sigma" else [value] * trials)
+            for name, value in first.items()}
+
+
 #: One edit per check to a value recorded in a p1 trace: ``(check, path,
 #: new value as a function of the trace and the derived constants)``.
 #: Record 0 starts from the trace's ``start`` block and ``theta_0``.  Most
@@ -390,6 +427,10 @@ TAMPERS = [
      lambda t, tc: record_row(t, 0)["f_xnext_ynext"] + 10.0),
     ("sigma_cap", ("records", 0, "resta", "trials", "sigma", 0),
      lambda t, tc: 10.0 * tc.sigma_cap),
+    # record 0's call claims one z-step of a trial more than the count,
+    # doubling sigma from sigma_min, each trial a copy of its first
+    ("z_step_trials", ("records", 0, "resta", "trials"),
+     lambda t, tc: _one_long_z_step(t, tc.sigma_trials_per_step + 1)),
     # a search that doubled mu_init past ten times the cap
     ("mu_cap", ("records", 0, "ell_count"),
      lambda t, tc: math.ceil(math.log2(10.0 * tc.mu_cap
@@ -451,14 +492,14 @@ TAMPERS = [
     # a restored call that claims to have left the precision unrefined
     ("precision_refinement", ("records", 0, "resta", "y_R", "gf"),
      lambda t, tc: t["start"]["y"][0]),
-    # the last call is finishing (record 18 met eps_opt), so it refined
-    # at r**2, not r
-    ("precision_refinement", ("records", 19, "resta", "y_R", "gf"),
-     lambda t, tc: t["params"]["r"] * record_row(t, 18)["resta"]["y_R"]["gf"]),
-    # the finishing call claims a stage more than it took, so its objective
-    # precision is not the one replayed
-    ("precision_refinement", ("records", 19, "resta", "stages"),
-     lambda t, tc: record_row(t, 19)["resta"]["stages"] + 1),
+    # the call before the last contracted by about 4/9, below r, so the
+    # last call refined at that ratio, not at r
+    ("precision_refinement", ("records", 18, "resta", "y_R", "gf"),
+     lambda t, tc: t["params"]["r"] * record_row(t, 17)["resta"]["y_R"]["gf"]),
+    # the last call claims a stage more than it took, so its precision is
+    # not the one replayed
+    ("precision_refinement", ("records", 18, "resta", "stages"),
+     lambda t, tc: record_row(t, 18)["resta"]["stages"] + 1),
     # a call that claims to have contracted nothing
     ("restoration_tests", ("records", 5, "resta", "h_xR_yR"),
      lambda t, tc: record_row(t, 5)["resta"]["h_xk_yR"]),
@@ -539,19 +580,19 @@ def test_the_stopping_test_agrees_with_every_status(run):
 
 @pytest.mark.parametrize("edit,where", [
     # the last iteration's residual no longer meets the tolerance
-    (lambda d: d["tolerances"].update(eps_opt=1e-9), "iteration 19"),
-    # a run that met the test at record 19 cannot have run out of budget
-    (lambda d: d.update(status="BudgetExceeded", budget=20), "iteration 19"),
+    (lambda d: d["tolerances"].update(eps_opt=1e-9), "iteration 18"),
+    # a run that met the test at record 18 cannot have run out of budget
+    (lambda d: d.update(status="BudgetExceeded", budget=19), "iteration 18"),
     # a converged run stopped at the first record that met the test
     (lambda d: d.update(records=_with_rows(
-        d, lambda rows: rows + rows[-1:])), "iteration 19"),
+        d, lambda rows: rows + rows[-1:])), "iteration 18"),
     (lambda d: d.update(records=_with_rows(d, lambda rows: [])),
      "whole run"),
 ], ids=["eps_opt", "budget_exceeded_at_its_budget", "record_after_stopping",
         "converged_without_records"])
 def test_the_status_is_replayed(suite_runs, edit, where):
     d = _trace(suite_runs["p1"])
-    assert len(d["records"]["ell_count"]) == 20
+    assert len(d["records"]["ell_count"]) == 19
     edit(d)
     failed = _failures(d)
     assert failed["stopping_test"].startswith(where + ":")
@@ -603,7 +644,7 @@ def test_the_failing_restoration_test_is_replayed():
         **AlgorithmParams.defaults().to_dict(), "r": 0.25})
     rep = bira_run(problem_by_name("p2", params), params)
     assert rep.failure_info["kind"] == "precision_outpaced_feasibility"
-    assert rep.failure_info["iteration"] == 3
+    assert rep.failure_info["iteration"] == 1
     by_name = {c.name: c.status for c in audit(rep).checks}
     assert by_name["restoration_tests"] == "pass"
     d = _trace(rep)

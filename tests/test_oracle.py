@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import kkt_min_quadratic_box_line
+from conftest import kkt_min_quadratic_box_line, load_synth
 
 from bira.cli import EXPECTED_SUITE
 from bira.core import (
@@ -221,6 +221,33 @@ def test_calibrated_noise_stays_within_budget():
         assert extras["beta"] > 0.0
 
 
+#: Noise scales that the restored-distance factor ``1 +
+#: restoration_iter_cap * step_per_infeasibility`` certified at
+#: ``(alpha_R, sigma_min, M) = (1/2, 1/4, 4)``.  The factor from the
+#: restoration's descent test is far tighter, so the calibration at the
+#: defaults must certify at least as much noise.
+NOISE_FLOORS = {"p1": 1.178e-12, "p1_pdp": 1.178e-12, "p2": 4.183e-13,
+                "p4": 1.178e-12}
+SYNTHETIC_NOISE_FLOOR = 1.2e-14
+#: ``(base, n, m, row_scale, n_active)`` of the benchmark's synthetic
+#: problems and of the grid's
+SYNTHETIC = [(0, 100, 5, 0.25, 0), (1, 100, 20, 0.25, 0),
+             *((base, 50, 20, 1.0, 4) for base in range(4)),
+             (2, 30, 6, 0.5, 3)]
+
+
+def test_calibrated_noise_scales_keep_their_floors():
+    for name, floor in NOISE_FLOORS.items():
+        p = problem_by_name(name)
+        assert min(p.noise_scale_f, p.noise_scale_h) >= floor, name
+    synth = load_synth()
+    for base, n, m, row_scale, n_active in SYNTHETIC:
+        p = synth.make_synthetic("syn", n, m, 1, base=base,
+                                 row_scale=row_scale, n_active=n_active)
+        assert min(p.noise_scale_f, p.noise_scale_h) >= (
+            SYNTHETIC_NOISE_FLOOR), (base, n, m)
+
+
 def test_recorded_error_scale_is_twice_the_noise_scale():
     # no floor: an exact problem records zero
     for name in ("p1", "p1_pdp", "p2", "p3", "p4"):
@@ -235,7 +262,7 @@ def _tiny_budget_problem(noise_scale):
     noise budget below 5e-13."""
     x_f = np.array([0.5, -0.25])
     a = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    pc = ProblemConstants(L_f=10.0, L_h=1.0, L_c=1.0, C_f=1.0, C_h=100.0,
+    pc = ProblemConstants(L_f=1e6, L_h=1.0, L_c=1.0, C_f=1.0, C_h=100.0,
                           C_g=1.0)
     return SyntheticProblem(
         "tiny_budget", BoxPolytope(-np.ones(2), np.ones(2)),

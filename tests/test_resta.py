@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import EDGE_RESTORATION
 
 from bira.cli import EXPECTED_SUITE
 from bira.core import (
@@ -48,8 +49,9 @@ def _sigmas(out):
 
 
 def test_p1_z_steps_follow_the_closed_form_contraction():
-    p = make_p1()
-    params = AlgorithmParams.defaults()
+    params = AlgorithmParams.from_dict({
+        **AlgorithmParams.defaults().to_dict(), **EDGE_RESTORATION})
+    p = make_p1(params)
     h0 = p.eval_h(p.x0, p.y0)
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.status == "restored"
@@ -84,7 +86,8 @@ def test_p1_floor_of_one_eighth_rejects_first_trials():
     # |J|^2 + 4/8 < 2*alpha_R: every z-step pays a rejected trial at 1/8
     # before the doubled weight 1/4 passes, and then contracts as above
     params = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(), "M": 8.0, "sigma_min": 0.125,
+        **AlgorithmParams.defaults().to_dict(), **EDGE_RESTORATION,
+        "M": 8.0, "sigma_min": 0.125,
     })
     assert 0.0625 + 4 * params.sigma_min < 2 * params.alpha_R
     p = make_p1(params)
@@ -101,6 +104,45 @@ def test_p1_floor_of_one_eighth_rejects_first_trials():
     rep = bira_run(p, params)
     assert rep.status == "Converged"
     assert rep.ledger_totals["h_evals"] == 289
+
+
+def _linear_row(norm_J_sq):
+    """h(x) = a.x - 1 with ||a||**2 = ``norm_J_sq``, exact, from x = 0."""
+    a = np.array([np.sqrt(norm_J_sq), 0.0])
+    return SyntheticProblem(
+        "row", BoxPolytope(-10.0 * np.ones(2), 10.0 * np.ones(2)),
+        objective=lambda x: 0.0, objective_grad=lambda x: np.zeros(2),
+        constraint=lambda x: np.array([float(a @ x) - 1.0]),
+        constraint_jac=lambda x: a[None, :],
+        m=1, x0=np.zeros(2), y0=PrecisionLevel(0.0, 0.0),
+        problem_constants=make_p1().constants(),
+    )
+
+
+@pytest.mark.parametrize("exponent", range(-8, 5))
+def test_every_first_trial_passes_on_a_linear_row(exponent):
+    # at alpha_R = 2 sigma_min the descent test on a linear row, which
+    # holds iff ||J||**2 + 4 sigma >= 2 alpha_R, passes at sigma_min for
+    # every ||J||**2 up to M: each z-step takes one trial and contracts h
+    # by 2 sigma_min / (2 sigma_min + ||J||**2).  On the weakest rows the
+    # stall test ends the call before r; the z-steps it took still do
+    params = AlgorithmParams.defaults()
+    norm_J_sq = 2.0**exponent
+    assert norm_J_sq <= params.M
+    p = _linear_row(norm_J_sq)
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    assert out.z_steps >= 1
+    assert out.inner_desc_tests == out.z_steps
+    assert _sigmas(out) == (params.sigma_min,) * out.z_steps
+    two_sigma = 2.0 * params.sigma_min
+    factor = two_sigma / (two_sigma + norm_J_sq)
+    # a step is the violation times ||J|| / (||J||**2 + 2 sigma)
+    steps = np.array([cert.step_norm for _, cert in out.trials])
+    expected = (np.sqrt(norm_J_sq) / (norm_J_sq + two_sigma)
+                * factor ** np.arange(out.z_steps))
+    np.testing.assert_allclose(steps, expected, rtol=1e-12)
+    assert out.h_xR_yR == pytest.approx(factor ** out.z_steps, rel=1e-12)
 
 
 def test_a_wrong_handed_jacobian_costs_one_trial():
@@ -213,14 +255,15 @@ def test_p3_detects_likely_infeasibility():
     assert out.status == "possible_infeasibility"
     assert out.refinements == 1
     # the kept Jacobian's first trial of the second z-step fails, so that
-    # step goes on at 0.5 on a fresh one; it needed three trials, so the
-    # stall is declared on a third, fresh Jacobian at the next z
-    assert _sigmas(out) == (0.25, 0.25, 0.5, 1.0)
+    # step goes on at 1/8 on a fresh one and passes at 1; it needed five
+    # trials, so the stall is declared on a third, fresh Jacobian at the
+    # next z
+    assert _sigmas(out) == (0.0625, 0.0625, 0.125, 0.25, 0.5, 1.0)
     assert out.ledger_delta["gradh_evals"] == 3
     rep = bira_run(make_p3(), params)
     assert rep.failure_info["kind"] == "possible_infeasibility"
     assert rep.ledger_totals == {"f_evals": 1, "gradf_evals": 0,
-                                 "h_evals": 5, "gradh_evals": 3}
+                                 "h_evals": 7, "gradh_evals": 3}
     # descent drove the first coordinate toward the infeasible stall
     assert abs(out.x_R[0]) < 0.1
     assert out.x_R[1] == p.x0[1]
@@ -359,8 +402,8 @@ def test_tiny_inner_cap_terminates_abnormally():
     h0 = p.eval_h(p.x0, p.y0)
     with pytest.raises(AbnormalTermination) as err:
         resta(p, p.x0, p.y0, AlgorithmParams.defaults(),
-              h_xk_yk=h0, inner_cap=3)
-    assert err.value.summary["desc_tests"] == 3
+              h_xk_yk=h0, inner_cap=1)
+    assert err.value.summary["desc_tests"] == 1
 
 
 def test_outcome_round_trip():

@@ -486,6 +486,17 @@ def test_a_record_that_cannot_be_replayed_is_refused_naming_it(
     _refused(tmp_path, capsys, d, message)
 
 
+def test_a_residual_the_audit_cannot_square_is_refused_naming_it(
+        tmp_path, capsys):
+    # residual_summability squares every stationarity residual
+    d = json.loads((DATA / "p2_staged.json").read_text())
+    edit_packed(d, lambda t: t["records"]["stationarity_residual"]
+                .__setitem__(3, 1e200))
+    _refused(tmp_path, capsys, d,
+             "iteration record 3 field 'stationarity_residual' 1e\\+200"
+             " squares past the float range")
+
+
 def test_scalar_columns_round_trip_bit_for_bit():
     # the last record's values: none of them feeds a replayed field
     rep = read_trace(DATA / "p2_staged.json")
@@ -559,10 +570,10 @@ def test_a_lone_outcome_writes_its_precision_as_a_row():
 #: benchmark counts them, bytes of the file bira run --out writes)``.  A
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
-    "p1": (13864, 18767),
-    "p2": (5831, 8376),
-    "p3": (2224, 3003),
-    "p4": (1862, 2643),
+    "p1": (9434, 13167),
+    "p2": (4455, 6508),
+    "p3": (2325, 3124),
+    "p4": (1868, 2649),
 }
 
 
