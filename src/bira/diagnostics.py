@@ -82,9 +82,9 @@ class TheoreticalConstants:
     #: through (projected gradient above ``r_feas h_ref``) is longer than
     #: ``r_feas h_ref / restoration_grad_bound``, so it lowers half the
     #: squared violation by more than ``alpha_R`` times that squared, and
-    #: a level ends by ``r**2 h_ref``.  A stage level of a finishing call,
-    #: the z-steps from one stage to the next, is counted with its own
-    #: violation in place of ``h_ref``: past r the stall test compares with
+    #: a level ends by ``r**2 h_ref``.  A stage level, the z-steps from one
+    #: stage to the next, is counted with its own violation in place of
+    #: ``h_ref``: past r the stall test compares with
     #: ``r_feas ||h(z)||``, so every z-step lowers ``||h||**2`` by at least
     #: the fraction ``2 alpha_R r_feas**2 / restoration_grad_bound**2`` of
     #: itself, and this many z-steps take ``||h||`` down by at least the
@@ -289,21 +289,37 @@ def restoration_refine_cap(params: AlgorithmParams):
     return params.N_prec + 1
 
 
-def restoration_stage_cap(r, g, goal):
+def restoration_stage_cap(params: AlgorithmParams, g, goal):
     """Cap on the stages of one restoration call whose first level refined
     the precision measure to ``g``; ``goal`` is the call's
-    :func:`~bira.core.finishing_goal`, and a call without one never stages.
+    :func:`~bira.core.finishing_goal`.
 
-    A stage refines both components by ``r**2``.  The cap counts the
-    stages that take g down to ``min(eps_prec, 2 r eps_feas)``, plus one:
-    there the precision goal holds and the floor ``g / (2 r)`` lies below
-    ``eps_feas``, so a z-step whose contraction is not predicted to beat
-    ``r**2`` needs no further stage to meet the violation goal.  Where one
-    is, :func:`~bira.restoration.resta` ends the call at the cap, above the
-    floor; only a ``refine`` that misses its targets can take it past.
+    A stage refines both components by ``r**2``.  On a finishing call the
+    cap counts the stages that take g down to ``min(eps_prec, 2 r
+    eps_feas)``, plus one: there the precision goal holds and the floor
+    ``g / (2 r)`` lies below ``eps_feas``, so a z-step whose contraction is
+    not predicted to beat ``r**2`` needs no further stage to meet the
+    violation goal.  Where one is, :func:`~bira.restoration.resta` ends the
+    call at the cap, above the floor; only a ``refine`` that misses its
+    targets can take it past.
+
+    A call without a goal stages only once r is met, while ``||h||`` lies
+    below its floor ``(1 - min(r, c)) g / (2 r)``.  Handed ``q = ||h|| / g
+    >= (1 - rho) / (2 r)`` by the call before, it leaves ``q c / rho``, and
+    ``s`` stages restore the floor once ``r**(2 s) <= c (1 - r) / r``.  A
+    damped z-step on a linear row with ``||J||**2 <= M`` contracts by at
+    least ``c_min = 2 sigma_min / (2 sigma_min + M)``, and the call ends at
+    the z-step that meets r, so ``c >= r c_min``: the cap counts the stages
+    that take ``r**(2 s)`` down to ``(1 - r) c_min``.
     """
+    r = params.r
     if goal is None:
-        return 0
+        gap = (1.0 - r) * 2.0 * params.sigma_min / (
+            2.0 * params.sigma_min + params.M)
+        stages = 0
+        while r ** (2 * stages) > gap:
+            stages += 1
+        return stages
     floor = min(goal[1], 2.0 * r * goal[0])
     stages = 1
     while g > floor:
@@ -450,17 +466,16 @@ def _refinement_rows(report):
     """Each call refined both precision components by at least the ratio
     ``bira_run`` asked for, times ``r**2`` per stage, replayed from the
     records.  Every level refines the objective precision from the call's
-    input, so a finishing call's is replayed exactly, and a stage more or
-    less than recorded fails."""
+    input, so it is replayed exactly, and a stage more or less than
+    recorded fails, on a call with a goal or without one."""
     r = report.params.r
-    for rec, rho, goal in _calls(report):
+    for rec, rho, _ in _calls(report):
         bound_f, bound_h = rho * rec.y_k.gf, rho * rec.y_k.gh
         for _ in range(rec.resta.stages):
             bound_f, bound_h = r * r * bound_f, r * r * bound_h
         yield _exact(rec.k, rec.y_R.gf, bound_f)
         yield _exact(rec.k, rec.y_R.gh, bound_h)
-        if goal is not None:
-            yield _exact(rec.k, bound_f, rec.y_R.gf)
+        yield _exact(rec.k, bound_f, rec.y_R.gf)
 
 
 def _restoration_test_rows(report):
@@ -713,7 +728,7 @@ def audit(report, problem=None):
             _exact(rec.k, rec.resta.inner_desc_tests, inner_cap),
             _exact(rec.k, rec.resta.refinements, refine_cap),
             _exact(rec.k, rec.resta.stages, restoration_stage_cap(
-                params.r, rho * rec.g_yk, goal))))),
+                params, rho * rec.g_yk, goal))))),
         ("step_per_infeasibility", ANALYTIC, (
             _tol(rec.k, rec.resta.max_step_over_h, tc.step_per_infeasibility)
             for rec in recs if rec.resta.max_step_over_h is not None)),

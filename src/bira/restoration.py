@@ -9,8 +9,9 @@ measure is small relative to the violation itself even at the tightest
 precision the schedule allows.  A finishing call, the one after a record
 that met the optimality test, refines by at most ``r**2`` and goes on past
 ``r`` in stages, each refining the precision by ``r**2`` in place, until
-the violation and the precision meet the stopping tolerances (see
-:func:`resta`).
+the violation and the precision meet the stopping tolerances.  A call
+without a goal stages too, where the violation it restored lies below the
+floor the next call's precision test needs (see :func:`resta`).
 
 The inner loop is a regularized Gauss-Newton descent on half the squared
 violation norm, restarted from the outer point at each precision level
@@ -74,8 +75,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     ``goal`` is ``None``, or, on a finishing call, the stopping tolerances
     ``(eps_feas, eps_prec)`` (:func:`~bira.core.finishing_goal`), which
     ``bira_run`` hands over once a record met the optimality test.  A call
-    without a goal returns ``restored`` as soon as ``||h(z)|| <= r h_ref``.
-    A finishing call refines at a ratio of at most ``r**2`` and, past
+    without a goal returns ``restored`` as soon as ``||h(z)|| <= r h_ref``,
+    unless ``||h(z)||`` lies below its floor (below).  A finishing call refines at a ratio of at most ``r**2`` and, past
     ``r h_ref``, keeps z and works in stages until ``||h(z)|| <= eps_feas``
     and ``g <= eps_prec`` (:func:`~bira.core.goal_met`, the stopping test's
     own comparisons):
@@ -107,6 +108,18 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     is ``||h|| >= g_R / (2 r)``; a stage lowers the floor with g instead of
     ending the call, so a call that does not end the run still hands that
     balance on.
+
+    A call without a goal has a floor too.  The next call refines at
+    ``rho' = min(r, c)``, so it passes that test for every ``c' <= r`` once
+    ``q >= (1 - rho') / (2 r)``.  The z-step that meets r can contract by
+    far more than this call's ratio (the unit row ``(1/2, 1/2, 1/2,
+    1/2)`` by 1/9 at the defaults, against ``r = 1/2``).  So where
+    ``||h(z)||`` lies below ``(1 - min(r, c)) g / (2 r)``, with ``c =
+    ||h(z)|| / h_ref``, the call stages as a finishing call does, while
+    the stage cap lasts and while this call's own test ``((1 - r) / (2 r))
+    (g_yk - r**2 g) <= h_ref - ||h(z)||`` still holds after the stage.  A
+    stage that would fail this call's test is not taken: the call returns
+    below its floor, and the next call's test decides.
 
     Each level evaluates ``J = grad h(z, w)`` (or, on the first level,
     takes the handed ``jacobian``, below) and its :func:`build_B` factor
@@ -167,7 +180,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
 
     r = params.r
     rho = precision_ratio(r, contraction, goal is not None)
-    stage_cap = restoration_stage_cap(r, rho * y_k.g, goal)
+    stage_cap = restoration_stage_cap(params, rho * y_k.g, goal)
     w = y_k
     h_ref_vec = h_xk_yk
     while True:
@@ -202,16 +215,30 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         while True:
             met_r = h_z <= r * h_ref
             past_r = past_r or met_r
-            if met_r and (goal is None or goal_met(h_z, w.g, goal)):
+            if met_r and goal is None:
+                # without a goal, refine in place while ||h|| lies below
+                # the floor (1 - min(r, c)) g / (2 r) the next call's
+                # precision test needs, and while this call's own test
+                # still holds after the stage
+                stage = (
+                    stages < stage_cap and 0.0 < h_z
+                    and h_z < (1.0 - min(r, h_z / h_ref)) * w.g / (2.0 * r)
+                    and ((1.0 - r) / (2.0 * r)) * (y_k.g - r * r * w.g)
+                    <= h_ref - h_z)
+                if not stage:
+                    break
+            elif met_r and goal_met(h_z, w.g, goal):
                 break
-            # past r only on a finishing call, which has a goal: refine in
-            # place where the violation goal is met, or where the next
-            # z-step is predicted to cross the floor g/(2r)
-            if met_r and (h_z <= goal[0] or (
+            else:
+                # past r on a finishing call: refine in place where the
+                # violation goal is met, or where the next z-step is
+                # predicted to cross the floor g/(2r)
+                stage = met_r and (h_z <= goal[0] or (
                     h_last is not None
-                    and (h_z / h_last) * h_z < w.g / (2.0 * r))):
-                if h_z > goal[0] and stages == stage_cap:
+                    and (h_z / h_last) * h_z < w.g / (2.0 * r)))
+                if stage and h_z > goal[0] and stages == stage_cap:
                     break  # no stage left to lower the floor: stop above it
+            if stage:
                 stages += 1
                 if stages > stage_cap:
                     raise AbnormalTermination(

@@ -129,6 +129,14 @@ def restoration_failure(status, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     comparisons, so the run goes on after it only while the optimality
     test is open.  Restored past that floor, the zero-step problem of the
     tests at ``(M, sigma_min) = (2, 0.5)`` fails the test at the next call.
+
+    The balance at a call without a goal.  The contraction of the z-step
+    that meets r is not known when the call picks its ratio, and can be far
+    below it (the unit row of the tests: 1/9 against ``rho = r = 1/2`` at
+    the defaults), so q falls by ``c / rho``.  Such a call stages below
+    ``(1 - min(r, c)) g / (2 r)``, the floor the next call's test needs at
+    ``rho' = min(r, c)``, unless the stage would fail its own test (see
+    :func:`~bira.restoration.resta`).
     """
     if status in FAILURE_KINDS:
         return status

@@ -61,6 +61,9 @@ from .qp import SolveCertificate
 
 TRACE_VERSION = 15
 
+#: The largest magnitude whose square stays within the float range.
+SQUARE_MAX = math.sqrt(np.finfo(float).max)
+
 
 def check_fields(payload, fields, what):
     """Raise :class:`SchemaError` unless ``payload`` has exactly ``fields``."""
@@ -75,11 +78,12 @@ def check_fields(payload, fields, what):
 
 
 def check_numbers(payload, what, names=None, optional=(), counts=(),
-                  finite=False):
+                  finite=False, squared=()):
     """Raise :class:`SchemaError` unless ``payload`` is a JSON object whose
     ``names`` fields (all by default) hold numbers, finite ones when
-    ``finite`` is true; a field in ``optional`` may also be ``None``, and
-    one in ``counts`` must be a nonnegative integer."""
+    ``finite`` is true; a field in ``optional`` may also be ``None``, one
+    in ``counts`` must be a nonnegative integer, and one in ``squared``
+    at most :data:`SQUARE_MAX` in magnitude."""
     if not isinstance(payload, dict):
         raise SchemaError(f"{what} must be a JSON object")
     for name in payload if names is None else names:
@@ -90,6 +94,9 @@ def check_numbers(payload, what, names=None, optional=(), counts=(),
             if finite and not math.isfinite(val):
                 raise SchemaError(f"{what} field {name!r} must be finite,"
                                   f" got {val!r}")
+            if name in squared and abs(val) > SQUARE_MAX:
+                raise SchemaError(f"{what} field {name!r} {val!r} squares"
+                                  " past the float range")
         elif not (val is None and name in optional):
             raise SchemaError(f"{what} field {name!r} must be a number,"
                               f" got {type(val).__name__}")
@@ -193,7 +200,8 @@ class Table(NamedTuple):
     entries, which must be finite, except that one in ``nullable`` may
     hold ``None``, written as the quiet NaN and read back as ``None``, and
     one in ``unbounded`` an infinity; those of one in ``nonnegative`` must
-    also be at least 0.  Any other column is one JSON list: one in
+    also be at least 0, and those of one in ``squared``, which the audit
+    squares, at most :data:`SQUARE_MAX` in magnitude.  Any other column is one JSON list: one in
     ``counts`` holds nonnegative integers, and one in ``numbers`` JSON
     numbers.  A nested column in ``grouped`` holds a list of rows in each
     entry: it is written as one table of all of them in order, whose
@@ -206,6 +214,7 @@ class Table(NamedTuple):
     nullable: tuple = ()
     unbounded: tuple = ()
     nonnegative: tuple = ()
+    squared: tuple = ()
     counts: tuple = ()
     numbers: tuple = ()
 
@@ -225,7 +234,9 @@ class Table(NamedTuple):
             ok = not np.isnan(values).any()
         else:
             ok = bool(np.isfinite(values).all())
-        return ok and not (name in self.nonnegative and (values < 0.0).any())
+        return ok and not (
+            name in self.nonnegative and (values < 0.0).any()
+            or name in self.squared and (np.abs(values) > SQUARE_MAX).any())
 
 
 def write_table(rows, spec):
@@ -388,8 +399,8 @@ class RestorationOutcome:
     iteration record reads them from here.  ``h_vec`` is the violation
     vector whose norm is ``h_xR_yR``, kept in memory so a zero tangent step
     need not measure it again; a trace does not write it.  ``refinements``
-    counts the call's precision levels and ``stages`` the in-place
-    refinements of a finishing call (see :func:`~bira.restoration.resta`).
+    counts the call's precision levels and ``stages`` its in-place
+    refinements past r (see :func:`~bira.restoration.resta`).
     ``trials`` holds one pair ``(sigma, certificate)`` per descent test:
     the weight it was solved at and the
     :class:`~bira.qp.SolveCertificate` of that solve.  A trace writes it
@@ -610,7 +621,8 @@ class IterationRecord:
         for values under which the penalty update finds no weight."""
         what = f"iteration record {k}"
         if not checked:
-            check_numbers(d, what, *_RECORD_NUMBERS, finite=True)
+            check_numbers(d, what, *_RECORD_NUMBERS, finite=True,
+                          squared=RECORD_TABLE.squared)
         ell = d["ell_count"]
         if ell < 1:
             raise SchemaError(f"{what} field 'ell_count' must be at least 1,"
@@ -652,7 +664,9 @@ _RECORD_NUMBERS = tuple(
 RECORD_TABLE = _record_table(
     IterationRecord, _RECORD_WRITTEN,
     {"resta": OUTCOME_TABLE, "tangent_cert": CERT_TABLE,
-     "ledger_delta": LEDGER_TABLE})
+     "ledger_delta": LEDGER_TABLE},
+    # the audit's residual_summability squares the residual
+    squared=("stationarity_residual",))
 
 
 @dataclass
@@ -799,14 +813,6 @@ class RunReport:
         for k, row in enumerate(rows):
             rec = IterationRecord.from_row(row, chain, k, params, mu_start,
                                            clean)
-            try:
-                # the audit's residual_summability squares the residual
-                rec.stationarity_residual ** 2
-            except OverflowError:
-                raise SchemaError(
-                    f"iteration record {k} field 'stationarity_residual'"
-                    f" {rec.stationarity_residual!r} squares past the float"
-                    " range") from None
             kw["records"].append(rec)
             chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
             try:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+from bira.core import BoxPolytope, PrecisionLevel
+from bira.oracle import SyntheticProblem, make_p1
 from bira.trace import (
     CERT_FIELDS,
     RECORD_TABLE,
@@ -174,3 +176,24 @@ def load_synth():
 def make_highdim():
     """The benchmark's first ``highdim`` problem: n = 100, m = 5, seed 1."""
     return load_synth().make_synthetic("highdim0", 100, 5, 1)
+
+
+def make_unit_row(params=None):
+    """f = (a.x)^2 / 2 subject to a.x = 1 with the unit row a = (1/2, 1/2,
+    1/2, 1/2): the gradient of f stays in the range of J^T, so at inexact
+    precision only noise is left after the tangent projection and every
+    tangent step snaps to zero.  It takes p1's constants and noise scales
+    at ``params``."""
+    n = 4
+    a = np.ones(n) / 2.0
+    p1 = make_p1(params)
+    return SyntheticProblem(
+        "unit_row", BoxPolytope(-10.0 * np.ones(n), 10.0 * np.ones(n)),
+        objective=lambda x: 0.5 * float(a @ x) ** 2,
+        objective_grad=lambda x: float(a @ x) * a,
+        constraint=lambda x: np.array([float(a @ x) - 1.0]),
+        constraint_jac=lambda x: a[None, :],
+        m=1, x0=np.array([2.0, 1.0, 0.0, 1.0]), y0=PrecisionLevel(0.5, 0.5),
+        problem_constants=p1.constants(),
+        noise_scale_f=p1.noise_scale_f, noise_scale_h=p1.noise_scale_h,
+    )

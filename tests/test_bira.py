@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import EDGE_RESTORATION, edit_packed, make_highdim
+from conftest import EDGE_RESTORATION, edit_packed, make_highdim, make_unit_row
 
 import bira.qp
 import bira.solver
@@ -23,7 +23,6 @@ from bira.core import (
 from bira.diagnostics import audit, constants
 from bira.oracle import (
     InexactProblem,
-    SyntheticProblem,
     make_p1,
     make_p2,
     make_p3,
@@ -150,27 +149,8 @@ def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     assert all(rec.ell_count == 1 for rec in rep.records)
 
 
-def _objective_along_the_normal():
-    """f = (a.x)^2 / 2 subject to a.x = 1: the gradient of f stays in the
-    range of J^T, so at inexact precision only noise is left after the
-    tangent projection and every tangent step snaps to zero."""
-    n = 4
-    a = np.ones(n) / 2.0
-    p1 = make_p1()
-    return SyntheticProblem(
-        "normal", BoxPolytope(-10.0 * np.ones(n), 10.0 * np.ones(n)),
-        objective=lambda x: 0.5 * float(a @ x) ** 2,
-        objective_grad=lambda x: float(a @ x) * a,
-        constraint=lambda x: np.array([float(a @ x) - 1.0]),
-        constraint_jac=lambda x: a[None, :],
-        m=1, x0=np.array([2.0, 1.0, 0.0, 1.0]), y0=PrecisionLevel(0.5, 0.5),
-        problem_constants=p1.constants(),
-        noise_scale_f=p1.noise_scale_f, noise_scale_h=p1.noise_scale_h,
-    )
-
-
 @pytest.mark.parametrize("factory", [
-    make_p1, make_p2, make_p3, make_p4, _objective_along_the_normal,
+    make_p1, make_p2, make_p3, make_p4, make_unit_row,
 ], ids=["p1", "p2", "p3", "p4", "zero_steps"])
 def test_nothing_is_measured_twice(factory):
     # shadow the eval_* methods, as the benchmark's counter does, and log
@@ -183,15 +163,10 @@ def test_nothing_is_measured_twice(factory):
                          y.as_tuple()))
             return method(x, y)
         setattr(problem, kind, logged)
-    # at the defaults the zero-step problem's first call contracts h by
-    # 1/9 but g by 1/2, and a call without a goal has no floor guard, so
-    # the second call fails the precision test
-    params = (_params(**EDGE_RESTORATION)
-              if factory is _objective_along_the_normal else None)
-    rep = bira_run(problem, params)
+    rep = bira_run(problem)
     assert sum(rep.ledger_totals.values()) == len(seen)
     assert len(set(seen)) == len(seen)
-    if factory is _objective_along_the_normal:
+    if factory is make_unit_row:
         assert rep.status == "Converged"
         assert len(rep.records) > 1
         assert all(rec.step_norm == 0.0 for rec in rep.records)
@@ -244,7 +219,7 @@ def test_zero_steps_converge_at_a_looser_curvature_cap():
     # below it, the next call's precision gain outpaced its feasibility
     # gain
     params = _params(M=2.0, sigma_min=0.5)
-    rep = bira_run(_objective_along_the_normal(), params)
+    rep = bira_run(make_unit_row(), params)
     assert rep.status == "Converged"
     assert audit(rep).ok
 
@@ -547,7 +522,7 @@ def test_x_next_is_written_only_when_the_step_moved():
     # writes in the restoration outcome, so its x_next entry is null
     moved = bira_run(make_p1()).to_dict()
     assert None not in moved["records"]["x_next"]
-    rep = bira_run(_objective_along_the_normal())
+    rep = bira_run(make_unit_row())
     d = json.loads(json.dumps(rep.to_dict()))
     assert d["records"]["x_next"] == [None] * len(rep.records)
     back = RunReport.from_dict(d)

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from conftest import edit_packed, record_row
+from conftest import edit_packed, make_unit_row, record_row
 
 from bira.core import (
     DEFAULT_KAPPAS,
@@ -22,6 +22,7 @@ from bira.diagnostics import (
     iteration_bounds,
     leq,
     restoration_inner_cap,
+    restoration_stage_cap,
 )
 from bira.oracle import make_p4, problem_by_name
 from bira.solver import bira_run
@@ -484,9 +485,10 @@ TAMPERS = [
     # a call that claims a refinement past N_prec + 1
     ("restoration_inner_caps", ("records", 0, "resta", "refinements"),
      lambda t, tc: t["params"]["N_prec"] + 2),
-    # a call that had no goal claims a stage
+    # a call without a goal claims a stage past its cap
     ("restoration_inner_caps", ("records", 0, "resta", "stages"),
-     lambda t, tc: 1),
+     lambda t, tc: restoration_stage_cap(
+         AlgorithmParams.from_dict(t["params"]), 0.0, None) + 1),
     ("step_per_infeasibility", ("records", 0, "resta", "max_step_over_h"),
      lambda t, tc: 10.0 * tc.step_per_infeasibility),
     # a restored call that claims to have left the precision unrefined
@@ -613,14 +615,27 @@ def test_a_restored_call_relabelled_trivial_is_caught():
     # a call with nothing to restore is a restored call like any other, so
     # trivial is not a status: the relabelled trace is refused at load.  A
     # recorded call writes no status, so the one relabelled is the failing
-    # call of p2 at r = 0.25, restored but outpacing its feasibility gain
+    # call of p2 at r = 0.2, restored but outpacing its feasibility gain
     params = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(), "r": 0.25})
+        **AlgorithmParams.defaults().to_dict(), "r": 0.2})
     d = _trace(bira_run(problem_by_name("p2", params), params))
     assert d["failure_info"]["resta"]["status"] == "restored"
     d["failure_info"]["resta"]["status"] = "trivial"
     with pytest.raises(SchemaError, match="restoration status 'trivial'"):
         RunReport.from_dict(d)
+
+
+def test_a_stage_dropped_from_a_call_without_a_goal_is_caught():
+    # the unit row's first call stages once below its floor; a trace that
+    # drops the stage claims a precision the replay does not reach
+    problem = make_unit_row()
+    rep = bira_run(problem)
+    assert rep.records[0].resta.stages == 1
+    assert audit(rep, problem).ok
+    d = _trace(rep)
+    d["records"]["resta"]["stages"][0] = 0
+    assert _failures(d) == {
+        "precision_refinement": "iteration 0: 2.500e-01 exceeds 6.250e-02"}
 
 
 def test_an_unmeasured_call_passes_the_refinement_check(suite_runs):
@@ -638,10 +653,10 @@ def test_an_unmeasured_call_passes_the_refinement_check(suite_runs):
 
 
 def test_the_failing_restoration_test_is_replayed():
-    # p2 at r = 0.25 ends in a call whose precision gain outpaced its
+    # p2 at r = 0.2 ends in a call whose precision gain outpaced its
     # feasibility gain; the call did contract by r
     params = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(), "r": 0.25})
+        **AlgorithmParams.defaults().to_dict(), "r": 0.2})
     rep = bira_run(problem_by_name("p2", params), params)
     assert rep.failure_info["kind"] == "precision_outpaced_feasibility"
     assert rep.failure_info["iteration"] == 1

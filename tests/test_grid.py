@@ -1,7 +1,10 @@
 """The robustness grid, pinned.
 
-Every registered problem and one synthetic problem run at eight parameter
-sets and two tolerance sets, budget 200: 80 runs.  Each run is pinned by
+Every registered problem, the unit-row problem of ``conftest`` and one
+synthetic problem run at nine parameter sets and two tolerance sets,
+budget 200: 108 runs.  A parameter set applies on top of the defaults;
+``edge`` is the restoration point ``(alpha_R, sigma_min, M) = (1/2, 1/4,
+4)``.  Each run is pinned by
 its status, failure kind, iteration count and the names of its failing
 audit checks, audited against its problem, and the grid by its ledger
 totals.  Every run reloads from its trace equal to itself.  A pinned failure is a
@@ -12,7 +15,12 @@ parameter set shows here, row by row.
 from collections import Counter
 
 import pytest
-from conftest import assert_reloads_equal, load_synth
+from conftest import (
+    EDGE_RESTORATION,
+    assert_reloads_equal,
+    load_synth,
+    make_unit_row,
+)
 
 from bira.core import LEDGER_FIELDS, AlgorithmParams
 from bira.diagnostics import audit
@@ -21,6 +29,7 @@ from bira.solver import bira_run
 
 PARAMS = {
     "defaults": {},
+    "edge": EDGE_RESTORATION,
     "alpha=0.3": {"alpha": 0.3},
     "M=2,sigma_min=0.5": {"M": 2.0, "sigma_min": 0.5},
     "M=8,sigma_min=0.125": {"M": 8.0, "sigma_min": 0.125},
@@ -37,13 +46,12 @@ BUDGET = 200
 
 CONV, FAIL = "Converged", "RestorationFailure"
 INFEAS = "possible_infeasibility"
-OUTPACED = "precision_outpaced_feasibility"
 
 #: Per parameter set, one row per run: the problem, the tolerance set, the
 #: status, the failure kind and the number of iteration records.  p3 is
-#: infeasible.  The five other failures are of feasible problems: the tight
-#: p1 run at alpha = 0.3 drives h to the rounding floor, p2 at r = 0.3
-#: fails its second test, and p1 at r_feas = 0.2 stalls at once.
+#: infeasible.  The three other failures are of feasible problems: the
+#: tight p1 run at alpha = 0.3 drives h to the rounding floor, and p1 at
+#: r_feas = 0.2 stalls at once.
 GRID = {
     "defaults": [
         ("p1", "default", CONV, None, 19),
@@ -56,6 +64,22 @@ GRID = {
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 9),
         ("syn", "tight", CONV, None, 20),
+        ("unit_row", "default", CONV, None, 2),
+        ("unit_row", "tight", CONV, None, 2),
+    ],
+    "edge": [
+        ("p1", "default", CONV, None, 20),
+        ("p1", "tight", CONV, None, 28),
+        ("p2", "default", CONV, None, 11),
+        ("p2", "tight", CONV, None, 17),
+        ("p3", "default", FAIL, INFEAS, 0),
+        ("p3", "tight", FAIL, INFEAS, 0),
+        ("p4", "default", CONV, None, 1),
+        ("p4", "tight", CONV, None, 1),
+        ("syn", "default", CONV, None, 11),
+        ("syn", "tight", CONV, None, 21),
+        ("unit_row", "default", CONV, None, 2),
+        ("unit_row", "tight", CONV, None, 2),
     ],
     "alpha=0.3": [
         ("p1", "default", CONV, None, 39),
@@ -68,6 +92,8 @@ GRID = {
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 9),
         ("syn", "tight", CONV, None, 20),
+        ("unit_row", "default", CONV, None, 2),
+        ("unit_row", "tight", CONV, None, 2),
     ],
     "M=2,sigma_min=0.5": [
         ("p1", "default", CONV, None, 20),
@@ -80,6 +106,8 @@ GRID = {
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 11),
         ("syn", "tight", CONV, None, 25),
+        ("unit_row", "default", CONV, None, 2),
+        ("unit_row", "tight", CONV, None, 2),
     ],
     "M=8,sigma_min=0.125": [
         ("p1", "default", CONV, None, 19),
@@ -92,6 +120,8 @@ GRID = {
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 9),
         ("syn", "tight", CONV, None, 18),
+        ("unit_row", "default", CONV, None, 2),
+        ("unit_row", "tight", CONV, None, 2),
     ],
     "r=0.7": [
         ("p1", "default", CONV, None, 20),
@@ -104,18 +134,22 @@ GRID = {
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 9),
         ("syn", "tight", CONV, None, 19),
+        ("unit_row", "default", CONV, None, 3),
+        ("unit_row", "tight", CONV, None, 2),
     ],
     "r=0.3": [
         ("p1", "default", CONV, None, 19),
         ("p1", "tight", CONV, None, 28),
-        ("p2", "default", FAIL, OUTPACED, 3),
-        ("p2", "tight", FAIL, OUTPACED, 3),
+        ("p2", "default", CONV, None, 8),
+        ("p2", "tight", CONV, None, 11),
         ("p3", "default", FAIL, INFEAS, 0),
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 6),
         ("syn", "tight", CONV, None, 9),
+        ("unit_row", "default", CONV, None, 2),
+        ("unit_row", "tight", CONV, None, 2),
     ],
     "r_feas=0.2": [
         ("p1", "default", FAIL, INFEAS, 0),
@@ -128,6 +162,8 @@ GRID = {
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 9),
         ("syn", "tight", CONV, None, 20),
+        ("unit_row", "default", CONV, None, 2),
+        ("unit_row", "tight", CONV, None, 2),
     ],
     "sigma_min=1": [
         ("p1", "default", CONV, None, 20),
@@ -140,6 +176,8 @@ GRID = {
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 11),
         ("syn", "tight", CONV, None, 22),
+        ("unit_row", "default", CONV, None, 2),
+        ("unit_row", "tight", CONV, None, 2),
     ],
 }
 
@@ -152,8 +190,8 @@ FAILING = {
     ("r=0.7", "syn", "tight"): ["noise_within_budget"],
 }
 
-LEDGER_TOTALS = {"f_evals": 2515, "gradf_evals": 801, "h_evals": 5589,
-                 "gradh_evals": 914}
+LEDGER_TOTALS = {"f_evals": 2998, "gradf_evals": 961, "h_evals": 6895,
+                 "gradh_evals": 1104}
 
 ROWS = [(label, *row) for label, rows in GRID.items() for row in rows]
 
@@ -166,9 +204,13 @@ def grid():
     runs = {}
     for label, name, tol, *_ in ROWS:
         params = AlgorithmParams(**PARAMS[label])
-        problem = (synth.make_synthetic("syn", 30, 6, 5, base=2,
-                                        row_scale=0.5, n_active=3)
-                   if name == "syn" else problem_by_name(name, params))
+        if name == "syn":
+            problem = synth.make_synthetic("syn", 30, 6, 5, base=2,
+                                           row_scale=0.5, n_active=3)
+        elif name == "unit_row":
+            problem = make_unit_row(params)
+        else:
+            problem = problem_by_name(name, params)
         report = bira_run(problem, params, budget=BUDGET, **TOLERANCES[tol])
         runs[label, name, tol] = report, audit(report, problem)
     return runs
@@ -189,7 +231,7 @@ def test_grid_run(grid, label, name, tol, status, kind, iterations):
 
 def test_grid_totals(grid):
     reports = [report for report, _ in grid.values()]
-    assert Counter(report.status for report in reports) == {CONV: 59,
+    assert Counter(report.status for report in reports) == {CONV: 87,
                                                             FAIL: 21}
     assert {key: sum(report.ledger_totals[key] for report in reports)
             for key in LEDGER_FIELDS} == LEDGER_TOTALS

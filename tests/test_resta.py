@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import EDGE_RESTORATION
+from conftest import EDGE_RESTORATION, make_unit_row
 
 from bira.cli import EXPECTED_SUITE
 from bira.core import (
@@ -349,7 +349,7 @@ def test_a_refine_that_ignores_its_targets_hits_the_stage_cap():
     x = p.known_solution + 1e-6
     h0 = p.eval_h(x, p.y0)
     assert float(np.linalg.norm(h0)) < GOAL[0]
-    cap = restoration_stage_cap(params.r, params.r**2 * p.y0.g, GOAL)
+    cap = restoration_stage_cap(params, params.r**2 * p.y0.g, GOAL)
     assert cap == 10
     with pytest.raises(AbnormalTermination, match="stage cap") as err:
         resta(p, x, p.y0, params, h_xk_yk=h0, goal=GOAL)
@@ -376,9 +376,43 @@ def test_a_floor_that_outruns_the_stage_cap_ends_the_call_above_it():
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, goal=GOAL)
     assert out.status == "restored"
     assert out.stages == restoration_stage_cap(
-        params.r, params.r**2 * p.y0.g, GOAL)
+        params, params.r**2 * p.y0.g, GOAL)
     assert out.h_xR_yR > GOAL[0]
     assert out.h_xR_yR >= out.y_R.g / (2 * params.r)
+
+
+def test_a_call_without_a_goal_stages_up_to_its_floor():
+    # at the defaults one z-step contracts the unit row by 1/9, far below
+    # the ratio r = 1/2 the first call refines g by; returned there, ||h||
+    # would lie below (1 - c) g / (2 r), the floor the next call's
+    # precision test needs.  One stage refines g by r**2 more, and this
+    # call's own test still holds
+    params = AlgorithmParams.defaults()
+    p = make_unit_row()
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    assert (out.status, out.z_steps, out.stages) == ("restored", 1, 1)
+    r = params.r
+    assert out.contraction == pytest.approx(1 / 9, rel=1e-6)
+    assert out.y_R == PrecisionLevel(r**3 * p.y0.gf, r**3 * p.y0.gh)
+    assert out.h_xR_yR >= (1 - out.contraction) * out.y_R.g / (2 * r)
+    assert out.h_xR_yR < (1 - out.contraction) * r * p.y0.g / (2 * r)
+    assert restoration_failure(out.status, out.h_xk_yR, out.h_xR_yR,
+                               p.y0.g, out.y_R.g, r) is None
+
+
+@pytest.mark.parametrize("point,cap", [({}, 5), (EDGE_RESTORATION, 3)],
+                         ids=["defaults", "edge"])
+def test_the_stage_cap_of_a_call_without_a_goal(point, cap):
+    # the stages that make up the least contraction of a call that meets
+    # r on a linear row, r (2 sigma_min / (2 sigma_min + M)), against
+    # the precision ratio r
+    params = AlgorithmParams.from_dict({
+        **AlgorithmParams.defaults().to_dict(), **point})
+    r = params.r
+    gap = (1 - r) * 2 * params.sigma_min / (2 * params.sigma_min + params.M)
+    assert restoration_stage_cap(params, 1.0, None) == cap
+    assert r ** (2 * cap) <= gap < r ** (2 * cap - 2)
 
 
 def test_pdp_shortcut_rejected_at_default_radius():

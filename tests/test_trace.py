@@ -33,6 +33,7 @@ from bira.solver import bira_run
 from bira.trace import (
     CERT_FIELDS,
     RECORD_TABLE,
+    SQUARE_MAX,
     RestorationOutcome,
     RunReport,
     read_trace,
@@ -495,6 +496,24 @@ def test_a_residual_the_audit_cannot_square_is_refused_naming_it(
     _refused(tmp_path, capsys, d,
              "iteration record 3 field 'stationarity_residual' 1e\\+200"
              " squares past the float range")
+
+
+def test_the_residual_bound_is_the_largest_square_root_in_range():
+    # the column test and the per-record message share SQUARE_MAX: the
+    # residual at the bound loads and squares to a finite float, the next
+    # float up is refused
+    assert math.isfinite(SQUARE_MAX ** 2)
+    for val, ok in ((SQUARE_MAX, True),
+                    (float(np.nextafter(SQUARE_MAX, math.inf)), False)):
+        d = json.loads((DATA / "p2_staged.json").read_text())
+        edit_packed(d, lambda t, val=val: t["records"][
+            "stationarity_residual"].__setitem__(3, val))
+        if ok:
+            back = RunReport.from_dict(d)
+            assert back.records[3].stationarity_residual == val
+        else:
+            with pytest.raises(SchemaError, match="squares past"):
+                RunReport.from_dict(d)
 
 
 def test_scalar_columns_round_trip_bit_for_bit():
