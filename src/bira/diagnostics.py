@@ -708,8 +708,12 @@ def audit(report, problem=None):
                 _exact(k, c.stationarity_residual,
                        kap["kappa_R"] * c.step_norm + CERT_FLOOR),
                 _exact(k, c.kappa_phi_ratio, kap["kappa_phi"])))),
+        # with no tangent curvature the model at the projected step s is at
+        # most -mu ||s||^2 (:func:`~bira.core.tangent_mu_start` reads it)
         ("tangent_model_decrease", None, (
-            _exact(k, c.model_decrease, CERT_FLOOR) for k, c in tcerts)),
+            _exact(rec.k, rec.tangent_cert.model_decrease,
+                   CERT_FLOOR - rec.mu_k * rec.step_norm**2)
+            for rec in recs)),
         # the residual within both step budgets, and the ray ratio; zero
         # steps and residuals at the floor are exempt
         ("tangent_solve_accuracy", None, (

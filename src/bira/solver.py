@@ -17,17 +17,19 @@ losslessly, so audits can replay it without touching the problem again;
 only the oracle error rows of :func:`~bira.diagnostics.audit` need it.
 
 The search doubles the weight mu from a start that the previous accepted
-step chose: half its weight if that step predicts the half will pass the
-descent test, its weight otherwise.  With no tangent curvature the trial
-at mu is ``s = -Pg/(2 mu)``, so ``g.s = -2 mu |s|^2`` and the trial at
-mu/2 is 2s; if f is quadratic along that ray, the decrease at mu/2 is
-``4 D - 4 mu |s|^2`` with ``D = f_xR_yR - f_next`` the decrease at mu, and
-it meets ``alpha |2s|^2`` iff ``D >= (mu + alpha) |s|^2``.  Like
-Levenberg-Marquardt damping, the weight falls only when the accepted step
-earns it; halving it unconditionally paid a rejected first trial on most
-iterations of ``p1`` and ``p2``.  The rule is written once, in
-:func:`~bira.core.tangent_mu_start`, which the trace reader replays to
-rebuild each record's ``mu_k``.
+step predicts will pass the descent test.  With no tangent curvature the
+model decrease at mu is ``g.s + mu |s|^2``, so the certificate gives
+``a = -g.s``, and ``D = f_xR_yR - f_next`` gives ``b = (a - D)/|s|^2``,
+half the curvature of f along s.  When no bound cut the step,
+``a = 2 mu |s|^2`` and the trial at weight m is ``(mu/m) s``; if f is
+quadratic along that ray it passes iff ``2 m >= alpha + b``, and the next
+search starts a margin above that edge, never above mu (Nocedal & Wright
+§3.5, initial step length).  After a clipped or zero step it starts at
+mu/2 if ``D >= (mu + alpha) |s|^2``, the test of the half along 2s, else
+at mu.  On ``p1`` the weight then settles at 0.0825 instead of the power
+of two 0.125, and the run takes 12 records, not 19.  The rule is written
+once, in :func:`~bira.core.tangent_mu_start`, which the trace reader
+replays to rebuild each record's ``mu_k``.
 
 No oracle value is measured twice.  The value and violation measured for
 the accepted point of one iteration are the current-point measurements of
@@ -330,7 +332,8 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             h_vec = h_next_vec
             h_norm = h_next
             jacobian = region.A
-            mu_start = tangent_mu_start(params, mu, f_xR_yR, f_next, s_norm)
+            mu_start = tangent_mu_start(params, mu, f_xR_yR, f_next, s_norm,
+                                        cert.model_decrease)
     except (AbnormalTermination, InvariantError) as exc:
         exc.summary["iteration"] = k
         raise

@@ -59,7 +59,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 15
+TRACE_VERSION = 16
 
 #: The largest magnitude whose square stays within the float range.
 SQUARE_MAX = math.sqrt(np.finfo(float).max)
@@ -816,8 +816,9 @@ class RunReport:
             kw["records"].append(rec)
             chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
             try:
-                mu_start = tangent_mu_start(params, rec.mu_k, rec.f_xR_yR,
-                                            rec.f_xnext_ynext, rec.step_norm)
+                mu_start = tangent_mu_start(
+                    params, rec.mu_k, rec.f_xR_yR, rec.f_xnext_ynext,
+                    rec.step_norm, rec.tangent_cert.model_decrease)
             except OverflowError:
                 raise SchemaError(
                     f"iteration record {k}: tangent step norm"

@@ -127,10 +127,10 @@ def test_p1_converges_and_the_audit_agrees():
 
 
 @pytest.mark.parametrize("factory,ledger", [
-    (make_p1, {"f_evals": 58, "gradf_evals": 19,
-               "h_evals": 77, "gradh_evals": 20}),
+    (make_p1, {"f_evals": 37, "gradf_evals": 12,
+               "h_evals": 65, "gradh_evals": 13}),
     (make_p2, {"f_evals": 28, "gradf_evals": 9,
-               "h_evals": 36, "gradh_evals": 10}),
+               "h_evals": 40, "gradh_evals": 10}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # restoration takes almost all h evaluations; at sigma_min = 1/16 a p1
@@ -141,8 +141,8 @@ def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # The tangent search starts at a weight the previous step predicted
     # to pass, so every first trial is accepted: one f per iteration, plus
     # f at (x_k, y_R) and at (x_R, y_R), plus the start.  The call after
-    # the record that met eps_opt finishes the run: p2's takes 3 stages, and
-    # p1's last record meets every tolerance before any call has a goal
+    # the record that met eps_opt is a finishing call: p1's takes 3 stages
+    # and ends the run, p2's takes 5 and the run goes on for two records
     rep = bira_run(factory())
     assert rep.status == "Converged"
     assert rep.ledger_totals == ledger
@@ -234,17 +234,20 @@ def test_p2_converges_when_the_stall_test_is_loose():
     assert audit(rep).ok
 
 
-def test_a_zero_z_step_is_a_stall():
-    # at h ~ 4e-15 sigma doubles until the trial z-step rounds to nothing;
-    # that zero step passes the descent test, and repeated it ran toward
-    # the certified cap of about 1.6e8 descent tests.  As a stall it ends
-    # the call at the exact level instead
-    params = _params(alpha=0.3)
-    rep = bira_run(make_p1(params), params, eps_feas=1e-8, eps_prec=1e-8,
-                   eps_opt=1e-6)
+def test_a_zero_z_step_is_a_stall(monkeypatch):
+    # p1 at alpha = 1/2 drives h to about 5e-16 while the optimality
+    # comparison lags; there sigma doubles until the trial z-step rounds to
+    # nothing.  That zero step passes the descent test, and repeated it
+    # runs toward the certified cap of about 9.7e9 descent tests; a cap of
+    # 1000 makes such a regression fail fast.  As a stall it ends the call
+    # at the exact level instead
+    monkeypatch.setattr(bira.solver, "restoration_inner_cap", lambda tc: 1000)
+    params = _params(alpha=0.5)
+    rep = bira_run(make_p1(params), params)
     assert rep.status == "RestorationFailure"
     assert rep.failure_info["kind"] == "possible_infeasibility"
-    assert rep.failure_info["iteration"] == 43
+    assert rep.failure_info["iteration"] == 44
+    assert rep.failure_info["resta"].h_xk_yR < 1e-15
     assert rep.failure_info["resta"].inner_desc_tests < 100
     assert audit(rep).ok
 
@@ -293,17 +296,16 @@ def test_highdim_finishes_in_its_second_record():
 
 
 def test_a_finishing_call_that_does_not_stop_the_run_keeps_the_floor():
-    # p2 at (alpha_R, M, sigma_min) = (1/2, 8, 1/8): record 5 is a
-    # finishing call whose tangent step leaves the optimality test open, so
-    # the run goes on; the call hands on ||h|| >= g/(2r), and the next call
-    # passes the precision test
-    params = _params(alpha_R=0.5, M=8.0, sigma_min=0.125)
+    # p2 at the defaults: record 6 is a finishing call whose tangent step
+    # leaves the optimality test open, so the run goes on; the call hands
+    # on ||h|| >= g/(2r), and the next call passes the precision test
+    params = AlgorithmParams.defaults()
     rep = bira_run(make_p2(params), params)
     assert rep.status == "Converged"
     eps_opt = rep.tolerances["eps_opt"]
     handed_on = [rec for prev, rec in zip(rep.records, rep.records[1:-1])
                  if prev.stationarity_residual <= eps_opt]
-    assert [rec.k for rec in handed_on] == [5]
+    assert [rec.k for rec in handed_on] == [6]
     for rec in handed_on:
         assert rec.resta.stages > 0
         assert rec.h_xR_yR >= rec.g_yR / (2.0 * params.r)
@@ -368,25 +370,28 @@ def test_no_z_step_takes_more_than_the_certified_trials():
 
 
 def test_regularization_weight_tracks_the_doubling_schedule():
-    # each search starts at half the previous weight only when the
-    # previous accepted step predicts that half passes its descent test
+    # each search starts where the previous accepted step predicts the
+    # descent test passes, and doubles once per rejected trial.  p1 has no
+    # active bound, so every step is unclipped: -g.s, read off the record
+    # as mu ||s||^2 - model_decrease, is 2 mu ||s||^2, and the trial at
+    # weight m is (mu/m) s.  f is quadratic, so with b the half curvature
+    # of f along s the descent test holds iff 2 m >= alpha + b, and the
+    # next search starts 10% above that edge, never above mu
     params = AlgorithmParams.defaults()
     rep = bira_run(make_p1())
-    prev = None
-    predictions = set()
-    for rec in rep.records:
-        if prev is None:
-            start = params.mu_init
-        else:
-            decrease = prev.f_xR_yR - prev.f_xnext_ynext
-            halve = decrease >= (prev.mu_k + params.alpha) * prev.step_norm**2
-            predictions.add(halve)
-            mu = prev.mu_k / 2.0 if halve else prev.mu_k
-            start = min(max(mu, params.mu_min), params.mu_max)
-        assert rec.mu_k == start * 2.0 ** (rec.ell_count - 1)
-        prev = rec
-    # p1 halves from mu_init = 1 to 0.125, then holds it
-    assert predictions == {True, False}
+    assert rep.records[0].mu_k == params.mu_init
+    for prev, rec in zip(rep.records, rep.records[1:]):
+        mu, s2 = prev.mu_k, prev.step_norm**2
+        minus_gs = mu * s2 - prev.tangent_cert.model_decrease
+        assert minus_gs == pytest.approx(2.0 * mu * s2, rel=1e-6)
+        b = (minus_gs - (prev.f_xR_yR - prev.f_xnext_ynext)) / s2
+        start = min(max(1.1 * (params.alpha + b) / 2.0, params.mu_min), mu)
+        assert rec.mu_k == pytest.approx(start * 2.0 ** (rec.ell_count - 1),
+                                         rel=1e-12)
+        # every first trial passes
+        assert rec.ell_count == 1
+    # p1's f is ||x - x_f||^2 / 20, so b is 1/20 along every step
+    assert rep.records[-1].mu_k == pytest.approx(1.1 * (0.1 + 0.05) / 2.0)
 
 
 def test_budget_exhaustion_is_reported_not_raised():
@@ -416,7 +421,8 @@ def test_trace_round_trip_and_version_guard():
     assert back.final_y == rep.final_y
     assert back.ledger_totals == rep.ledger_totals
 
-    for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 999):
+    for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+                    999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):

@@ -530,10 +530,14 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
                     trace["records"].update(mu_k=write_vector([0.5])),
                     trace["records"]["resta"].update(status=["restored"])],
      "trace version 14 not supported"),
+    # a schema-v15 trace writes the same fields, but its tangent weights
+    # replay by the halving rule, not the one each step predicts
+    (lambda trace: trace.update(trace_version=15),
+     "trace version 15 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
         "version_9", "version_10", "version_11", "version_12",
-        "version_13", "version_14", "empty_object"])
+        "version_13", "version_14", "version_15", "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

@@ -14,7 +14,10 @@ from bira.core import (
     finishing_goal,
     merit_phi,
     stopping_test,
+    tangent_mu_start,
 )
+from bira.geometry import TangentSet, project_tangent
+from bira.qp import build_H, solve_tangent_qp
 
 
 def test_as_point_accepts_lists_and_pins_dtype():
@@ -184,3 +187,83 @@ def test_a_finishing_goal_opens_once_the_optimality_comparison_holds():
 def test_the_stopping_test_needs_all_three_comparisons(h_norm, g, residual,
                                                        met):
     assert stopping_test(h_norm, g, residual, TOL) is met
+
+
+def _tangent_step(mu, box_upper=10.0, curvature=0.3):
+    """The tangent step at weight ``mu`` of ``f(x) = c.x + curvature
+    ||x||^2`` from ``x_R = 0``, on the plane ``x_0 + x_1 + x_2 = 0`` cut by
+    the box ``[-10, box_upper]^3``: ``(D, certificate, f)``, ``D`` the
+    decrease of f along the step."""
+    c = np.array([1.0, -2.0, 0.5])
+
+    def f(x):
+        return float(c @ x + curvature * (x @ x))
+
+    x_R = np.zeros(3)
+    region = TangentSet(BoxPolytope(-10.0 * np.ones(3),
+                                    box_upper * np.ones(3)),
+                        np.ones((1, 3)), x_R)
+    proj = project_tangent(x_R - c, region)
+    x_next, cert = solve_tangent_qp(c, build_H(x_R), mu, x_R, region, proj)
+    return f(x_R) - f(x_next), cert, f
+
+
+def _doubling_start(params, mu, decrease, step_norm):
+    """The start after a clipped or zero step, restated: ``mu/2`` if the
+    step predicts the half passes the descent test, else ``mu``."""
+    halve = decrease >= (mu + params.alpha) * step_norm**2
+    return min(max(mu / 2.0 if halve else mu, params.mu_min), params.mu_max)
+
+
+def test_an_unclipped_step_predicts_the_weight_that_passes():
+    # f is quadratic with half curvature b = 0.3 along every direction, so
+    # a trial at weight m passes the descent test iff 2 m >= alpha + b;
+    # the rule starts 10% above that edge, and the trial there passes
+    params = AlgorithmParams.defaults()
+    decrease, cert, f = _tangent_step(2.0)
+    start = tangent_mu_start(params, 2.0, 0.0, -decrease, cert.step_norm,
+                             cert.model_decrease)
+    assert start == pytest.approx(1.1 * (params.alpha + 0.3) / 2.0)
+    decrease, cert, _ = _tangent_step(start)
+    lhs, rhs = descent_test(-decrease, 0.0, params.alpha, cert.step_norm)
+    assert lhs <= rhs
+    # the rule never starts above the weight that passed
+    decrease, cert, _ = _tangent_step(0.2)
+    assert tangent_mu_start(params, 0.2, 0.0, -decrease, cert.step_norm,
+                            cert.model_decrease) == 0.2
+
+
+def test_a_concave_direction_starts_at_mu_min():
+    # with alpha + b <= 0 every weight passes the descent test
+    params = AlgorithmParams.defaults()
+    decrease, cert, _ = _tangent_step(2.0, curvature=-0.2)
+    assert tangent_mu_start(params, 2.0, 0.0, -decrease, cert.step_norm,
+                            cert.model_decrease) == params.mu_min
+
+
+@pytest.mark.parametrize("mu", [0.5, 4.0])
+def test_a_clipped_step_keeps_the_doubling_rule(mu):
+    # the bound x <= 0.1 cuts the step, so -g.s exceeds 2 mu ||s||^2 and
+    # the start is the doubling rule's, bit for bit: the step's own
+    # decrease predicts the half passes, half of (mu + alpha) ||s||^2 does
+    # not
+    params = AlgorithmParams.defaults()
+    decrease, cert, _ = _tangent_step(mu, box_upper=0.1)
+    s2 = cert.step_norm**2
+    assert mu * s2 - cert.model_decrease > 2.0 * mu * s2 * (1.0 + 1e-3)
+    for d, want in ((decrease, mu / 2.0), ((mu + params.alpha) * s2 / 2.0, mu)):
+        start = tangent_mu_start(params, mu, 0.0, -d, cert.step_norm,
+                                 cert.model_decrease)
+        assert start == _doubling_start(params, mu, d, cert.step_norm) == want
+
+
+@pytest.mark.parametrize("step_norm", [0.0, 5e-324])
+def test_a_zero_or_underflowing_step_keeps_the_doubling_rule(step_norm):
+    # a zero step, or one whose square underflows to 0: no curvature can
+    # be read off it, and a decrease of 0 predicts the half passes
+    params = AlgorithmParams.defaults()
+    for decrease in (0.0, -1e-3):
+        assert tangent_mu_start(params, 0.5, 1.0, 1.0 - decrease, step_norm,
+                                0.0) == _doubling_start(params, 0.5,
+                                                        decrease, step_norm)
+    assert tangent_mu_start(params, 0.5, 1.0, 1.0, step_norm, 0.0) == 0.25

@@ -468,6 +468,10 @@ TAMPERS = [
      lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa_phi"]),
     ("tangent_model_decrease", ("records", 0, "tangent_cert", "model_decrease"),
      lambda t, tc: 1e-9),
+    # halfway to 0: still a decrease, but less than the -mu ||s||^2 a
+    # projected step guarantees
+    ("tangent_model_decrease", ("records", 3, "tangent_cert", "model_decrease"),
+     lambda t, tc: 0.5 * record_row(t, 3)["tangent_cert"]["model_decrease"]),
     ("tangent_solve_accuracy",
      ("records", 0, "tangent_cert", "stationarity_residual"),
      lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa"]
@@ -494,14 +498,14 @@ TAMPERS = [
     # a restored call that claims to have left the precision unrefined
     ("precision_refinement", ("records", 0, "resta", "y_R", "gf"),
      lambda t, tc: t["start"]["y"][0]),
-    # the call before the last contracted by about 4/9, below r, so the
-    # last call refined at that ratio, not at r
-    ("precision_refinement", ("records", 18, "resta", "y_R", "gf"),
-     lambda t, tc: t["params"]["r"] * record_row(t, 17)["resta"]["y_R"]["gf"]),
-    # the last call claims a stage more than it took, so its precision is
-    # not the one replayed
-    ("precision_refinement", ("records", 18, "resta", "stages"),
-     lambda t, tc: record_row(t, 18)["resta"]["stages"] + 1),
+    # record 9's call contracted by about 4/9, below r, so record 10's
+    # call refined at that ratio, not at r
+    ("precision_refinement", ("records", 10, "resta", "y_R", "gf"),
+     lambda t, tc: t["params"]["r"] * record_row(t, 9)["resta"]["y_R"]["gf"]),
+    # the last call, a finishing one, claims a stage more than it took, so
+    # its precision is not the one replayed
+    ("precision_refinement", ("records", 11, "resta", "stages"),
+     lambda t, tc: record_row(t, 11)["resta"]["stages"] + 1),
     # a call that claims to have contracted nothing
     ("restoration_tests", ("records", 5, "resta", "h_xR_yR"),
      lambda t, tc: record_row(t, 5)["resta"]["h_xk_yR"]),
@@ -582,19 +586,19 @@ def test_the_stopping_test_agrees_with_every_status(run):
 
 @pytest.mark.parametrize("edit,where", [
     # the last iteration's residual no longer meets the tolerance
-    (lambda d: d["tolerances"].update(eps_opt=1e-9), "iteration 18"),
-    # a run that met the test at record 18 cannot have run out of budget
-    (lambda d: d.update(status="BudgetExceeded", budget=19), "iteration 18"),
+    (lambda d: d["tolerances"].update(eps_opt=1e-9), "iteration 11"),
+    # a run that met the test at record 11 cannot have run out of budget
+    (lambda d: d.update(status="BudgetExceeded", budget=12), "iteration 11"),
     # a converged run stopped at the first record that met the test
     (lambda d: d.update(records=_with_rows(
-        d, lambda rows: rows + rows[-1:])), "iteration 18"),
+        d, lambda rows: rows + rows[-1:])), "iteration 11"),
     (lambda d: d.update(records=_with_rows(d, lambda rows: [])),
      "whole run"),
 ], ids=["eps_opt", "budget_exceeded_at_its_budget", "record_after_stopping",
         "converged_without_records"])
 def test_the_status_is_replayed(suite_runs, edit, where):
     d = _trace(suite_runs["p1"])
-    assert len(d["records"]["ell_count"]) == 19
+    assert len(d["records"]["ell_count"]) == 12
     edit(d)
     failed = _failures(d)
     assert failed["stopping_test"].startswith(where + ":")

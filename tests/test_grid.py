@@ -49,13 +49,12 @@ INFEAS = "possible_infeasibility"
 
 #: Per parameter set, one row per run: the problem, the tolerance set, the
 #: status, the failure kind and the number of iteration records.  p3 is
-#: infeasible.  The three other failures are of feasible problems: the
-#: tight p1 run at alpha = 0.3 drives h to the rounding floor, and p1 at
+#: infeasible.  The two other failures are of a feasible problem: p1 at
 #: r_feas = 0.2 stalls at once.
 GRID = {
     "defaults": [
-        ("p1", "default", CONV, None, 19),
-        ("p1", "tight", CONV, None, 28),
+        ("p1", "default", CONV, None, 12),
+        ("p1", "tight", CONV, None, 17),
         ("p2", "default", CONV, None, 9),
         ("p2", "tight", CONV, None, 13),
         ("p3", "default", FAIL, INFEAS, 0),
@@ -63,29 +62,29 @@ GRID = {
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 9),
-        ("syn", "tight", CONV, None, 20),
+        ("syn", "tight", CONV, None, 21),
         ("unit_row", "default", CONV, None, 2),
         ("unit_row", "tight", CONV, None, 2),
     ],
     "edge": [
-        ("p1", "default", CONV, None, 20),
-        ("p1", "tight", CONV, None, 28),
+        ("p1", "default", CONV, None, 12),
+        ("p1", "tight", CONV, None, 17),
         ("p2", "default", CONV, None, 11),
-        ("p2", "tight", CONV, None, 17),
+        ("p2", "tight", CONV, None, 16),
         ("p3", "default", FAIL, INFEAS, 0),
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 11),
-        ("syn", "tight", CONV, None, 21),
+        ("syn", "tight", CONV, None, 25),
         ("unit_row", "default", CONV, None, 2),
         ("unit_row", "tight", CONV, None, 2),
     ],
     "alpha=0.3": [
-        ("p1", "default", CONV, None, 39),
-        ("p1", "tight", FAIL, INFEAS, 43),
-        ("p2", "default", CONV, None, 12),
-        ("p2", "tight", CONV, None, 17),
+        ("p1", "default", CONV, None, 29),
+        ("p1", "tight", CONV, None, 44),
+        ("p2", "default", CONV, None, 9),
+        ("p2", "tight", CONV, None, 14),
         ("p3", "default", FAIL, INFEAS, 0),
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
@@ -96,8 +95,8 @@ GRID = {
         ("unit_row", "tight", CONV, None, 2),
     ],
     "M=2,sigma_min=0.5": [
-        ("p1", "default", CONV, None, 20),
-        ("p1", "tight", CONV, None, 28),
+        ("p1", "default", CONV, None, 12),
+        ("p1", "tight", CONV, None, 17),
         ("p2", "default", CONV, None, 11),
         ("p2", "tight", CONV, None, 16),
         ("p3", "default", FAIL, INFEAS, 0),
@@ -110,8 +109,8 @@ GRID = {
         ("unit_row", "tight", CONV, None, 2),
     ],
     "M=8,sigma_min=0.125": [
-        ("p1", "default", CONV, None, 19),
-        ("p1", "tight", CONV, None, 28),
+        ("p1", "default", CONV, None, 12),
+        ("p1", "tight", CONV, None, 17),
         ("p2", "default", CONV, None, 12),
         ("p2", "tight", CONV, None, 18),
         ("p3", "default", FAIL, INFEAS, 0),
@@ -124,8 +123,8 @@ GRID = {
         ("unit_row", "tight", CONV, None, 2),
     ],
     "r=0.7": [
-        ("p1", "default", CONV, None, 20),
-        ("p1", "tight", CONV, None, 29),
+        ("p1", "default", CONV, None, 12),
+        ("p1", "tight", CONV, None, 17),
         ("p2", "default", CONV, None, 9),
         ("p2", "tight", CONV, None, 13),
         ("p3", "default", FAIL, INFEAS, 1),
@@ -133,15 +132,15 @@ GRID = {
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 9),
-        ("syn", "tight", CONV, None, 19),
+        ("syn", "tight", CONV, None, 23),
         ("unit_row", "default", CONV, None, 3),
         ("unit_row", "tight", CONV, None, 2),
     ],
     "r=0.3": [
-        ("p1", "default", CONV, None, 19),
-        ("p1", "tight", CONV, None, 28),
-        ("p2", "default", CONV, None, 8),
-        ("p2", "tight", CONV, None, 11),
+        ("p1", "default", CONV, None, 12),
+        ("p1", "tight", CONV, None, 16),
+        ("p2", "default", CONV, None, 9),
+        ("p2", "tight", CONV, None, 14),
         ("p3", "default", FAIL, INFEAS, 0),
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
@@ -161,13 +160,13 @@ GRID = {
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
         ("syn", "default", CONV, None, 9),
-        ("syn", "tight", CONV, None, 20),
+        ("syn", "tight", CONV, None, 21),
         ("unit_row", "default", CONV, None, 2),
         ("unit_row", "tight", CONV, None, 2),
     ],
     "sigma_min=1": [
-        ("p1", "default", CONV, None, 20),
-        ("p1", "tight", CONV, None, 28),
+        ("p1", "default", CONV, None, 12),
+        ("p1", "tight", CONV, None, 17),
         ("p2", "default", CONV, None, 12),
         ("p2", "tight", CONV, None, 19),
         ("p3", "default", FAIL, INFEAS, 0),
@@ -190,8 +189,8 @@ FAILING = {
     ("r=0.7", "syn", "tight"): ["noise_within_budget"],
 }
 
-LEDGER_TOTALS = {"f_evals": 2998, "gradf_evals": 961, "h_evals": 6895,
-                 "gradh_evals": 1104}
+LEDGER_TOTALS = {"f_evals": 2620, "gradf_evals": 827, "h_evals": 6533,
+                 "gradh_evals": 966}
 
 ROWS = [(label, *row) for label, rows in GRID.items() for row in rows]
 
@@ -231,7 +230,7 @@ def test_grid_run(grid, label, name, tol, status, kind, iterations):
 
 def test_grid_totals(grid):
     reports = [report for report, _ in grid.values()]
-    assert Counter(report.status for report in reports) == {CONV: 87,
-                                                            FAIL: 21}
+    assert Counter(report.status for report in reports) == {CONV: 88,
+                                                            FAIL: 20}
     assert {key: sum(report.ledger_totals[key] for report in reports)
             for key in LEDGER_FIELDS} == LEDGER_TOTALS

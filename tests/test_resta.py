@@ -103,7 +103,7 @@ def test_p1_floor_of_one_eighth_rejects_first_trials():
     # so a kept Jacobian costs a whole run no h evaluation
     rep = bira_run(p, params)
     assert rep.status == "Converged"
-    assert rep.ledger_totals["h_evals"] == 289
+    assert rep.ledger_totals["h_evals"] == 277
 
 
 def _linear_row(norm_J_sq):

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 from conftest import assert_reloads_equal, edit_packed, make_highdim
 
-from bira.cli import EXIT_BUDGET, main
+from bira.cli import EXIT_AUDIT, EXIT_BUDGET, main
+from bira.diagnostics import audit
 from bira.oracle import problem_by_name
 from bira.core import (
     FAILURE_KINDS,
@@ -75,7 +76,10 @@ def test_the_saved_traces_are_the_cases_they_stand_for():
     assert failure.failure_info["kind"] == "possible_infeasibility"
     staged = read_trace(DATA / "p2_staged.json")
     assert staged.status == "Converged"
-    assert staged.records[-1].resta.stages > 0
+    eps_opt = staged.tolerances["eps_opt"]
+    finishing = [rec for prev, rec in zip(staged.records, staged.records[1:])
+                 if prev.stationarity_residual <= eps_opt]
+    assert finishing[0].resta.stages > 0
 
 
 def _round_trips(d):
@@ -487,6 +491,39 @@ def test_a_record_that_cannot_be_replayed_is_refused_naming_it(
     _refused(tmp_path, capsys, d, message)
 
 
+#: Tangent certificate values at the edges of the arithmetic of the
+#: replayed search start (:func:`~bira.core.tangent_mu_start`), each
+#: written into record 3 of the p2 trace: a step norm whose square
+#: underflows to 0, and model decreases at both ends of the float range.
+#: Each loads and fails the audit row that bounds it, or, for a decrease
+#: far past its bound, the next record's, whose replayed weight it moved.
+EDGE_CERTIFICATES = [
+    ("step_norm", 5e-324, "residual_vs_step", 3),
+    ("model_decrease", 1e308, "tangent_model_decrease", 3),
+    ("model_decrease", -1e308, "tangent_model_decrease", 4),
+]
+
+
+@pytest.mark.parametrize("field,value,check,where", EDGE_CERTIFICATES,
+                         ids=["step_norm_underflow", "model_decrease_max",
+                              "model_decrease_min"])
+def test_an_edge_certificate_value_loads_and_fails_its_audit(
+        tmp_path, capsys, field, value, check, where):
+    d = json.loads((DATA / "p2_staged.json").read_text())
+    edit_packed(d, lambda t: t["records"]["tangent_cert"][field]
+                .__setitem__(3, value))
+    back = RunReport.from_dict(d)
+    assert getattr(back.records[3].tangent_cert, field) == value
+    failed = {c.name: c.detail for c in audit(back).failures}
+    assert list(failed) == [check]
+    assert failed[check].startswith(f"iteration {where}:")
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == EXIT_AUDIT
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_a_residual_the_audit_cannot_square_is_refused_naming_it(
         tmp_path, capsys):
     # residual_summability squares every stationarity residual
@@ -589,8 +626,8 @@ def test_a_lone_outcome_writes_its_precision_as_a_row():
 #: benchmark counts them, bytes of the file bira run --out writes)``.  A
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
-    "p1": (9434, 13167),
-    "p2": (4455, 6508),
+    "p1": (7155, 9898),
+    "p2": (4551, 6628),
     "p3": (2325, 3124),
     "p4": (1868, 2649),
 }
