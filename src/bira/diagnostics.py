@@ -88,7 +88,15 @@ class TheoreticalConstants:
     #: ``r_feas ||h(z)||``, so every z-step lowers ``||h||**2`` by at least
     #: the fraction ``2 alpha_R r_feas**2 / restoration_grad_bound**2`` of
     #: itself, and this many z-steps take ``||h||`` down by at least the
-    #: factor ``exp(-(1 - r**4) / 2)``.  ``restoration_iter_cap`` counts the
+    #: factor ``exp(-(1 - r**4) / 2)``.  A level that starts on the face
+    #: of ``x_k`` and leaves it for the box (:func:`bira.restoration.resta`)
+    #: has a face segment and a box segment.  A face is a box, and its
+    #: stall test compares the face's projected gradient with the same
+    #: bound, so each z-step of either segment lowers half the squared
+    #: violation by the same least amount, and the two segments share the
+    #: level's fall: the count holds for the level as a whole, and with it
+    #: ``restoration_iter_cap``, :func:`restoration_inner_cap` and
+    #: ``restored_distance_factor``.  ``restoration_iter_cap`` counts the
     #: ``N_prec`` precision levels; the stages of a call are capped apart
     #: (:func:`restoration_stage_cap`).
     restoration_steps_per_level: float

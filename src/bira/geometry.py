@@ -62,7 +62,9 @@ def project_polyhedron(z, lower, upper, A, center):
     """Euclidean projection of ``z`` onto ``{x : lower <= x <= upper,
     A (x - center) = 0}``, exact up to rounding.
 
-    Bounds may be infinite; ``center`` must belong to the set.  Primal
+    Bounds may be infinite, and equal: a coordinate with ``lower ==
+    upper`` is held from the start and never released.  ``center`` must
+    belong to the set.  Primal
     active-set method (Nocedal & Wright, *Numerical Optimization*, 16.5)
     from the center: each pass projects ``z`` onto the affine set with the
     held bounds fixed.  A step that would cross a bound stops at the first
@@ -71,7 +73,8 @@ def project_polyhedron(z, lower, upper, A, center):
     passes raise :class:`InvariantError`.
     """
     x = np.array(center, dtype=float)
-    held = np.zeros(z.size, dtype=bool)
+    fixed = lower == upper  # held from the start, with a multiplier of
+    held = fixed.copy()     # either sign, so never released
     released = None
     for _ in range(10 * (z.size + 1)):
         free = ~held
@@ -101,7 +104,7 @@ def project_polyhedron(z, lower, upper, A, center):
         lam, *_ = np.linalg.lstsq(A_free @ A_free.T, A_free @ (z - x)[free],
                                   rcond=None)
         nu = (x - z + A.T @ lam) * np.where(x == lower, 1.0, -1.0)
-        nu[free] = np.inf
+        nu[free | fixed] = np.inf
         i = int(np.argmin(nu))
         if nu[i] >= 0.0:
             return x

@@ -61,8 +61,8 @@ GRID = {
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
-        ("syn", "default", CONV, None, 9),
-        ("syn", "tight", CONV, None, 21),
+        ("syn", "default", CONV, None, 3),
+        ("syn", "tight", CONV, None, 3),
         ("unit_row", "default", CONV, None, 2),
         ("unit_row", "tight", CONV, None, 2),
     ],
@@ -75,8 +75,8 @@ GRID = {
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
-        ("syn", "default", CONV, None, 11),
-        ("syn", "tight", CONV, None, 25),
+        ("syn", "default", CONV, None, 3),
+        ("syn", "tight", CONV, None, 3),
         ("unit_row", "default", CONV, None, 2),
         ("unit_row", "tight", CONV, None, 2),
     ],
@@ -89,8 +89,8 @@ GRID = {
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
-        ("syn", "default", CONV, None, 9),
-        ("syn", "tight", CONV, None, 20),
+        ("syn", "default", CONV, None, 3),
+        ("syn", "tight", CONV, None, 3),
         ("unit_row", "default", CONV, None, 2),
         ("unit_row", "tight", CONV, None, 2),
     ],
@@ -103,8 +103,8 @@ GRID = {
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
-        ("syn", "default", CONV, None, 11),
-        ("syn", "tight", CONV, None, 25),
+        ("syn", "default", CONV, None, 3),
+        ("syn", "tight", CONV, None, 3),
         ("unit_row", "default", CONV, None, 2),
         ("unit_row", "tight", CONV, None, 2),
     ],
@@ -117,8 +117,8 @@ GRID = {
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
-        ("syn", "default", CONV, None, 9),
-        ("syn", "tight", CONV, None, 18),
+        ("syn", "default", CONV, None, 3),
+        ("syn", "tight", CONV, None, 3),
         ("unit_row", "default", CONV, None, 2),
         ("unit_row", "tight", CONV, None, 2),
     ],
@@ -131,8 +131,8 @@ GRID = {
         ("p3", "tight", FAIL, INFEAS, 1),
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
-        ("syn", "default", CONV, None, 9),
-        ("syn", "tight", CONV, None, 23),
+        ("syn", "default", CONV, None, 3),
+        ("syn", "tight", CONV, None, 3),
         ("unit_row", "default", CONV, None, 3),
         ("unit_row", "tight", CONV, None, 2),
     ],
@@ -145,8 +145,8 @@ GRID = {
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
-        ("syn", "default", CONV, None, 6),
-        ("syn", "tight", CONV, None, 9),
+        ("syn", "default", CONV, None, 3),
+        ("syn", "tight", CONV, None, 3),
         ("unit_row", "default", CONV, None, 2),
         ("unit_row", "tight", CONV, None, 2),
     ],
@@ -159,8 +159,8 @@ GRID = {
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
-        ("syn", "default", CONV, None, 9),
-        ("syn", "tight", CONV, None, 21),
+        ("syn", "default", CONV, None, 3),
+        ("syn", "tight", CONV, None, 3),
         ("unit_row", "default", CONV, None, 2),
         ("unit_row", "tight", CONV, None, 2),
     ],
@@ -173,8 +173,8 @@ GRID = {
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
         ("p4", "tight", CONV, None, 1),
-        ("syn", "default", CONV, None, 11),
-        ("syn", "tight", CONV, None, 22),
+        ("syn", "default", CONV, None, 3),
+        ("syn", "tight", CONV, None, 3),
         ("unit_row", "default", CONV, None, 2),
         ("unit_row", "tight", CONV, None, 2),
     ],
@@ -189,8 +189,8 @@ FAILING = {
     ("r=0.7", "syn", "tight"): ["noise_within_budget"],
 }
 
-LEDGER_TOTALS = {"f_evals": 2620, "gradf_evals": 827, "h_evals": 6533,
-                 "gradh_evals": 966}
+LEDGER_TOTALS = {"f_evals": 1827, "gradf_evals": 613, "h_evals": 6252,
+                 "gradh_evals": 752}
 
 ROWS = [(label, *row) for label, rows in GRID.items() for row in rows]
 

@@ -231,3 +231,27 @@ def test_restoration_qp_matches_exhaustive_kkt_reference():
             ref = _box_qp_by_enumeration(g, Q, center, lo, hi)
             np.testing.assert_allclose(z, ref, rtol=0, atol=1e-12)
             _assert_restoration_targets_met(cert)
+
+
+def test_a_restoration_solve_on_a_face_holds_its_fixed_coordinates():
+    # a face of the box fixes some coordinates (lower == upper); their
+    # multipliers may take either sign, so the solve equals the solve
+    # with those coordinates left out, and meets its targets
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        center = rng.uniform(-1.0, 1.0, n)
+        fixed = rng.random(n) < 0.4
+        fixed[-1] = False
+        center[fixed] = rng.choice([-1.0, 1.0], int(fixed.sum()))
+        face = BoxPolytope(np.where(fixed, center, -1.0),
+                           np.where(fixed, center, 1.0))
+        G, grad = rng.normal(size=(m, n)), 3.0 * rng.normal(size=n)
+        z, cert = _restoration(grad, G, 0.25, center, face)
+        free = ~fixed
+        z_free, _ = _restoration(grad[free], G[:, free], 0.25, center[free],
+                                 BoxPolytope(-np.ones(free.sum()),
+                                             np.ones(free.sum())))
+        np.testing.assert_array_equal(z[fixed], center[fixed])
+        np.testing.assert_allclose(z[free], z_free, atol=1e-12)
+        _assert_restoration_targets_met(cert)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from conftest import EDGE_RESTORATION, make_unit_row
 
+from bira import restoration
 from bira.cli import EXPECTED_SUITE
 from bira.core import (
+    LEDGER_FIELDS,
     AbnormalTermination,
     AlgorithmParams,
     BoxPolytope,
@@ -467,3 +469,107 @@ def test_refinement_cascade_keeps_the_tied_ratio():
     assert out.status == "possible_infeasibility"
     assert targets == [(0.075, 0.075), (0.075, 0.01875)]
     assert out.y_R == PrecisionLevel(0.075, 0.01875)
+
+
+def _face_row(a):
+    """f = 0.05 ||x||**2 subject to a.x = 3 on [0, 5] x [-1, 1] x [-5, 5]
+    from x0 = (0, 1, 1/2), on its first two bounds.  p1's constants and
+    noise scales."""
+    a = np.asarray(a, dtype=float)
+    p1 = make_p1()
+    return SyntheticProblem(
+        "face_row", BoxPolytope(np.array([0.0, -1.0, -5.0]),
+                                np.array([5.0, 1.0, 5.0])),
+        objective=lambda x: 0.05 * float(x @ x),
+        objective_grad=lambda x: 0.1 * x,
+        constraint=lambda x: np.array([float(a @ x) - 3.0]),
+        constraint_jac=lambda x: a[None, :],
+        m=1, x0=np.array([0.0, 1.0, 0.5]), y0=PrecisionLevel(0.5, 0.5),
+        problem_constants=p1.constants(),
+        noise_scale_f=p1.noise_scale_f, noise_scale_h=p1.noise_scale_h,
+    )
+
+
+def _ledger(report):
+    return tuple(report.ledger_totals[key] for key in LEDGER_FIELDS)
+
+
+@pytest.mark.parametrize("ratio", [restoration.FACE_RELEASE_RATIO, -np.inf],
+                         ids=["ratio", "stall_only"])
+def test_a_face_without_descent_is_left_at_no_cost(monkeypatch, ratio):
+    # a = (1, 1, 0): the face of x0 holds x_1 and x_2, and the row has
+    # no component on x_3, so the face's projected gradient is at noise
+    # level.  The ratio rule leaves the face before the stall test; with
+    # the rule off (no residual is at most -inf times another) the face
+    # stalls on the fresh J and the call goes on from there on the box.
+    # Either way the run is the one restoring on the whole box: 9 records
+    monkeypatch.setattr(restoration, "FACE_RELEASE_RATIO", ratio)
+    params = AlgorithmParams.defaults()
+    p = _face_row((1.0, 1.0, 0.0))
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    assert out.status == "restored"
+    assert out.ledger_delta["gradh_evals"] == 1
+    rep = bira_run(_face_row((1.0, 1.0, 0.0)), params)
+    assert (rep.status, rep.iterations, _ledger(rep)) == (
+        "Converged", 9, (28, 9, 30, 10))
+
+
+@pytest.mark.parametrize("ratio,records,ledger", [
+    (restoration.FACE_RELEASE_RATIO, 9, (28, 9, 30, 10)),
+    (-np.inf, 12, (37, 12, 43, 14)),
+], ids=["ratio", "stall_only"])
+def test_a_slow_face_is_left_by_the_ratio_rule(monkeypatch, ratio, records,
+                                              ledger):
+    # a = (1, 1, 0.1): the face's projected gradient is a tenth of the
+    # box's, and the ratio rule leaves it at once, as the whole box would
+    # restore.  On a stall alone the face's z-steps drive x_3 to its bound
+    # 5 before the face stalls, far from the solution (1.98, 1, 0.198),
+    # and the run takes 3 more records
+    monkeypatch.setattr(restoration, "FACE_RELEASE_RATIO", ratio)
+    rep = bira_run(_face_row((1.0, 1.0, 0.1)), AlgorithmParams.defaults())
+    assert (rep.status, rep.iterations, _ledger(rep)) == (
+        "Converged", records, ledger)
+
+
+def test_a_call_that_restores_on_the_face_keeps_its_held_coordinates():
+    # a = (1, 1, 1): the face's projected gradient (on x_3) is more than
+    # half the box's, so the call restores on the face, and its x_R keeps
+    # x_1 = 0 and x_2 = 1 bit for bit
+    params = AlgorithmParams.defaults()
+    p = _face_row((1.0, 1.0, 1.0))
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    assert out.status == "restored" and out.refinements == 1
+    assert out.x_R[:2].tobytes() == p.x0[:2].tobytes()
+    assert out.x_R[2] > p.x0[2]
+    assert out.h_xR_yR <= params.r * out.h_xk_yR
+
+
+def test_a_held_bound_off_the_solution_costs_a_record():
+    # the same row: x_1 = 0 is held but not active at the solution (1, 1,
+    # 1), so the first restored point moves x_3 alone, to 11/6, past the
+    # solution, and the tangent steps take one record more than restoring
+    # on the whole box (9 records, 28/9/30/10)
+    rep = bira_run(_face_row((1.0, 1.0, 1.0)), AlgorithmParams.defaults())
+    assert (rep.status, rep.iterations, _ledger(rep)) == (
+        "Converged", 10, (31, 10, 33, 11))
+
+
+def test_an_infeasible_row_on_a_held_bound_ends_on_the_box():
+    # a = (0, 1, 0.01), a.x = 3, is infeasible for x_2 <= 1.  The row
+    # pushes x_2 into its held bound, so the face and the box have the
+    # same projected gradient, below r_feas ||h||: each level stalls on
+    # the face, leaves it on the same fresh J and stalls on the box,
+    # where it refines and, at g_h = 0, declares possible_infeasibility
+    # at iteration 0, as restoring on the whole box does
+    params = AlgorithmParams.defaults()
+    p = _face_row((0.0, 1.0, 0.01))
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    assert out.status == "possible_infeasibility"
+    assert out.refinements == out.ledger_delta["gradh_evals"] == 3
+    assert out.z_steps == 0
+    rep = bira_run(_face_row((0.0, 1.0, 0.01)), params)
+    assert rep.failure_info["kind"] == "possible_infeasibility"
+    assert (rep.iterations, _ledger(rep)) == (0, (1, 0, 4, 3))
