@@ -174,12 +174,14 @@ def cmd_complexity(args):
     params = load_params(args.config)
     tasks = [(args.problem, params, eps, args.budget)
              for eps in args.eps_opt_grid]
-    if args.jobs > 1:
+    # a worker past one per tolerance would have nothing to run
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
         # imported here: it pulls in multiprocessing, which nothing else
         # needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(t) for t in tasks]
@@ -209,6 +211,18 @@ def _tolerance_grid(text):
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return grid
+
+
+def _jobs(text):
+    """The ``--jobs`` flag: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,8 +273,9 @@ def build_parser():
                       help="comma separated tolerances (default %(default)s)")
     p_cx.add_argument("--budget", type=int, default=2000,
                       help="iteration budget per run (default %(default)s)")
-    p_cx.add_argument("--jobs", type=int, default=1,
-                      help="parallel workers (default %(default)s)")
+    p_cx.add_argument("--jobs", type=_jobs, default=1,
+                      help="parallel workers, at most one per tolerance"
+                      " (default %(default)s)")
     p_cx.set_defaults(func=cmd_complexity)
 
     return parser

@@ -518,17 +518,19 @@ def _tangent_search_rows(report):
     zero step, which takes f from the penalty update; one for f at the
     restored precision and one at the restored point, each where it
     differs from the current one; and the start-up evaluation in record
-    0.  The weights ``mu_k`` follow from ``ell_count``
+    0.  A record that stopped the run measured no f but the start-up one.
+    The weights ``mu_k`` follow from ``ell_count``
     (:data:`~bira.trace.DERIVED`), so the f-evaluations are what tie the
     count of trials to the run."""
     alpha = report.params.alpha
     for rec in report.records:
-        yield _exact(rec.k, *descent_test(rec.f_xnext_ynext, rec.f_xR_yR,
-                                          alpha, rec.step_norm))
-        spent = ((STARTUP_EVALS["f_evals"] if rec.k == 0 else 0)
-                 + (rec.y_R != rec.y_k)
-                 + (not np.array_equal(rec.x_R, rec.x_k))
-                 + rec.ell_count - (rec.step_norm == 0.0))
+        spent = STARTUP_EVALS["f_evals"] if rec.k == 0 else 0
+        if not rec.stopped:
+            yield _exact(rec.k, *descent_test(rec.f_xnext_ynext, rec.f_xR_yR,
+                                              alpha, rec.step_norm))
+            spent += ((rec.y_R != rec.y_k)
+                      + (not np.array_equal(rec.x_R, rec.x_k))
+                      + rec.ell_count - (rec.step_norm == 0.0))
         f_evals = rec.ledger_delta["f_evals"]
         # equal: neither side exceeds the other
         yield _exact(rec.k, f_evals, spent)
@@ -540,13 +542,16 @@ def _measurements(report):
     measured at: ``(iteration, x, y, f, h)``, ``f`` ``None`` where only
     the violation norm ``h`` was measured.  The start is charged to
     iteration 0, and a record's current values are the previous record's
-    accepted ones, so each value appears once."""
+    accepted ones, so each value appears once.  A record that stopped the
+    run measured only its restoration's violations."""
     start = report.start
     yield 0, start["x"], start["y"], start["f"], start["h"]
     for rec in report.records:
         yield rec.k, rec.x_k, rec.y_R, rec.f_xk_yR, rec.h_xk_yR
         yield rec.k, rec.x_R, rec.y_R, rec.f_xR_yR, rec.h_xR_yR
-        yield rec.k, rec.x_next, rec.y_R, rec.f_xnext_ynext, rec.h_xnext_ynext
+        if not rec.stopped:
+            yield (rec.k, rec.x_next, rec.y_R, rec.f_xnext_ynext,
+                   rec.h_xnext_ynext)
     failure = report.failure_info
     if failure is not None:
         out = failure["resta"]
@@ -652,16 +657,30 @@ def audit(report, problem=None):
     it lists neither.  Each check is a name, a gate and a lazy stream of
     rows ``(iteration, ok, observed, bound)``; :func:`_verdict` decides
     every one of them.
+
+    The tangent and penalty checks read the records that searched a
+    tangent step; the record that stopped a run searched none
+    (:attr:`~bira.trace.IterationRecord.stopped`).  ``tangent_model_floor``
+    bounds each tangent model from below: with no tangent curvature it is
+    ``g.s + mu ||s||**2 >= -||g|| ||s||``, and the problem constant ``L_f``
+    bounds the norm of the measured gradient g, noise included.  Every
+    built-in problem and the benchmark's synthetic ones add to the exact
+    gradient's bound the noise's gradient bound at the starting
+    precision, which a run only refines
+    (:func:`~bira.oracle._calibrated_constants`), so ``L_f ||s||`` bounds
+    ``-model_decrease``.  It is the one lower bound on the model decrease
+    of the last record that searched, which no replayed start reads.
     """
     params = report.params
     basis = report.constants_basis
-    tc = constants(ProblemConstants.from_dict(basis["problem_constants"]),
-                   params, extras=basis["extras"])
+    pc = ProblemConstants.from_dict(basis["problem_constants"])
+    tc = constants(pc, params, extras=basis["extras"])
     kap = DEFAULT_KAPPAS
     recs = report.records
+    searched = [rec for rec in recs if not rec.stopped]
     rtrials = [(rec.k, sigma, cert) for rec in recs
                for sigma, cert in rec.resta.trials]
-    tcerts = [(rec.k, rec.tangent_cert) for rec in recs]
+    tcerts = [(rec.k, rec.tangent_cert) for rec in searched]
     inner_cap = restoration_inner_cap(tc)
     refine_cap = restoration_refine_cap(params)
     oracle = [] if problem is None else [
@@ -671,15 +690,16 @@ def audit(report, problem=None):
     # a lower bound is a row with the floor as observed and the value as bound
     table = [
         ("theta_lower_bound", ANALYTIC, (
-            _tol(rec.k, tc.penalty_floor, rec.theta_after) for rec in recs)),
+            _tol(rec.k, tc.penalty_floor, rec.theta_after)
+            for rec in searched)),
         ("penalty_merit_decrease", None, (
-            _merit_row(rec, params.r) for rec in recs)),
+            _merit_row(rec, params.r) for rec in searched)),
         ("sigma_cap", ANALYTIC, (
             _tol(k, sigma, tc.sigma_cap) for k, sigma, _ in rtrials)),
         ("z_step_trials", ANALYTIC, _z_step_trial_rows(
             report, params.sigma_min, tc.sigma_trials_per_step)),
         ("mu_cap", ANALYTIC, (
-            _tol(rec.k, rec.mu_k, tc.mu_cap) for rec in recs)),
+            _tol(rec.k, rec.mu_k, tc.mu_cap) for rec in searched)),
         ("restored_distance", ANALYTIC, (
             _tol(rec.k, float(np.linalg.norm(rec.x_R - rec.x_k)),
                  tc.restored_distance_factor * (rec.h_xk_yk + rec.g_yk))
@@ -687,7 +707,7 @@ def audit(report, problem=None):
         ("restored_value_drift", ANALYTIC, (
             _tol(rec.k, abs(rec.f_xR_yR - rec.f_xk_yR),
                  tc.restored_value_factor * (rec.h_xk_yk + rec.g_yk))
-            for rec in recs)),
+            for rec in searched)),
         # violation at the current point measured at restored precision
         ("infeasibility_summability", ANALYTIC, _summed(
             (rec.h_xk_yR + rec.g_yk for rec in recs),
@@ -721,7 +741,11 @@ def audit(report, problem=None):
         ("tangent_model_decrease", None, (
             _exact(rec.k, rec.tangent_cert.model_decrease,
                    CERT_FLOOR - rec.mu_k * rec.step_norm**2)
-            for rec in recs)),
+            for rec in searched)),
+        # the model at s is at least -L_f ||s|| (see above)
+        ("tangent_model_floor", ANALYTIC, (
+            _tol(k, -c.model_decrease, pc.L_f * c.step_norm)
+            for k, c in tcerts)),
         # the residual within both step budgets, and the ray ratio; zero
         # steps and residuals at the floor are exempt
         ("tangent_solve_accuracy", None, (

@@ -1,16 +1,26 @@
-"""Outer loop: restore, update the penalty weight, take a tangent step.
+"""Outer loop: restore, test for a stop, update the penalty weight, take a
+tangent step.
 
-Each iteration runs the restoration phase, applies the two restoration
-failure tests, rebalances the penalty weight so the merit function is
-guaranteed to decrease by a fixed fraction of the restoration gain, and
-then searches over the regularization weight for a tangent step passing
-both acceptance tests.  The tangent phase works at the restored precision
-``y_R`` throughout: its gradient, tangent region and merit reference are
-measured there once, and the accepted point hands ``y_R`` on as the next
-iteration's precision.  Once a record meets the optimality test, the next
-restoration call is a finishing call: it is handed the feasibility and
-precision tolerances as its goal (:func:`~bira.core.finishing_goal`), so
-the iteration after it can stop.  Everything measurable about the
+Each iteration runs the restoration phase and applies the two restoration
+failure tests.  It then measures the gradients of f and h at the restored
+point and projects the steepest-descent step onto the tangent region,
+which is all the stopping test needs: a record that meets it ends the run
+at its restored point ``x_R``, the answer a ``Converged`` run returns,
+and searches no tangent step (its ``ell_count`` is 0).  The penalty weight
+only makes the merit function fall along a tangent step, so only an
+iteration that goes on measures f at the current and the restored point,
+rebalances the weight so the merit function is guaranteed to decrease by
+a fixed fraction of the restoration gain, and searches over the
+regularization weight for a tangent step passing both acceptance tests.
+Oracle values are functions of the point and the precision, so measuring
+the gradients before f leaves every value a record measures as it was.
+The tangent phase works at the restored precision ``y_R`` throughout: its
+gradient, tangent region and merit reference are measured there once, and
+the accepted point hands ``y_R`` on as the next iteration's precision.
+Once a record meets the optimality test, the next restoration call is a
+finishing call: it is handed the feasibility and precision tolerances as
+its goal (:func:`~bira.core.finishing_goal`), so the iteration after it
+can stop.  Everything measurable about the
 iteration is written into an :class:`~bira.trace.IterationRecord`; a
 finished run returns a :class:`~bira.trace.RunReport` that serializes
 losslessly, so audits can replay it without touching the problem again;
@@ -153,10 +163,11 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     """Solve ``problem``, an :class:`~bira.oracle.InexactProblem` that sets
     ``x0`` and ``y0``, to the given tolerances.
 
-    Stops with status ``Converged`` when, at an accepted iteration, the
-    restored violation, the restored and carried precision measures, and
-    the projected-gradient residual on the tangent region are all within
-    tolerance.  ``RestorationFailure`` reports the kind
+    Stops with status ``Converged`` when, at a restored point, the
+    restored violation, the restored precision measure and the
+    projected-gradient residual on the tangent region are all within
+    tolerance (:func:`~bira.core.stopping_test`); that record takes no
+    tangent step.  ``RestorationFailure`` reports the kind
     :func:`restoration_failure` gives: likely local infeasibility, or a
     restoration outcome failing its contraction tests; ``BudgetExceeded``
     reports running out of iterations.  The run evaluates ``problem`` only
@@ -240,6 +251,28 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
 
             contraction = out.contraction
             x_R = out.x_R
+            # the tangent model and region at y_R; the projection is the
+            # Cauchy ray's end and the stopping test's residual
+            grad_f = problem.eval_grad_f(x_R, y_R)
+            region = TangentSet(problem.box, problem.eval_grad_h(x_R, y_R),
+                                x_R)
+            proj = project_tangent(x_R - grad_f, region)
+            residual = float(np.linalg.norm(proj - x_R))
+
+            if stopping_test(out.h_xR_yR, g_R, residual, tolerances):
+                # the run returns x_R, so it takes no tangent step and
+                # needs no penalty weight for one
+                records.append(IterationRecord(
+                    k=k, x_k=x.copy(), x_next=None, y_k=y,
+                    theta_before=theta, theta_after=theta, mu_k=None,
+                    ell_count=0, h_xk_yk=h_norm, h_xnext_ynext=None,
+                    f_xk_yk=f_val, f_xk_yR=None, f_xR_yR=None,
+                    f_xnext_ynext=None, stationarity_residual=residual,
+                    resta=out, tangent_cert=None,
+                    ledger_delta=problem.ledger.delta(led_iter),
+                ))
+                return finish("Converged")
+
             same_point = bool(np.array_equal(x_R, x))
             same_prec = y_R == y
             if same_prec:
@@ -259,14 +292,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             allowance = merit_allowance(
                 out.h_xk_yR, out.h_xR_yR, g_k, g_R, params.r
             )
-
-            # the tangent model, region and merit reference, all at y_R
-            grad_f = problem.eval_grad_f(x_R, y_R)
-            region = TangentSet(problem.box, problem.eval_grad_h(x_R, y_R),
-                                x_R)
             G = build_H(x_R)
-            # the Cauchy ray's end and the stopping test's projection
-            proj = project_tangent(x_R - grad_f, region)
             mu = mu_start
             attempts = 0
             # mu doubles on every rejected trial, so the runaway ends the
@@ -299,8 +325,6 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                         f"regularization runaway at iteration {k}"
                     )
 
-            residual = float(np.linalg.norm(proj - x_R))
-
             records.append(IterationRecord(
                 k=k,
                 x_k=x.copy(),
@@ -322,9 +346,6 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 ledger_delta=problem.ledger.delta(led_iter),
             ))
             theta = theta_next
-
-            if stopping_test(out.h_xR_yR, g_R, residual, tolerances):
-                return finish("Converged")
 
             x = np.asarray(x_next, dtype=float)
             y = y_R

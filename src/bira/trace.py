@@ -59,7 +59,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 16
+TRACE_VERSION = 17
 
 #: The largest magnitude whose square stays within the float range.
 SQUARE_MAX = math.sqrt(np.finfo(float).max)
@@ -228,13 +228,12 @@ class Table(NamedTuple):
             return all(map(is_number, values))
         if name not in self.packed:
             return True
+        allowed = np.isfinite(values)
         if name in self.nullable:
-            ok = not np.isinf(values).any()
-        elif name in self.unbounded:
-            ok = not np.isnan(values).any()
-        else:
-            ok = bool(np.isfinite(values).all())
-        return ok and not (
+            allowed |= np.isnan(values)
+        if name in self.unbounded:
+            allowed |= np.isinf(values)
+        return bool(allowed.all()) and not (
             name in self.nonnegative and (values < 0.0).any()
             or name in self.squared and (np.abs(values) > SQUARE_MAX).any())
 
@@ -367,6 +366,9 @@ LEVEL_TABLE = Table(LEVEL_FIELDS, packed=LEVEL_FIELDS,
 CERT_TABLE = Table(CERT_FIELDS, packed=CERT_FIELDS,
                    unbounded=("kappa_phi_ratio",))
 TRIAL_TABLE = CERT_TABLE._replace(columns=TRIAL_FIELDS, numbers=("sigma",))
+#: The records' tangent certificates: a record that stopped the run wrote
+#: none, so each of its fields is null there.
+TANGENT_CERT_TABLE = CERT_TABLE._replace(nullable=CERT_FIELDS)
 
 
 def _cert_row(cert):
@@ -525,8 +527,17 @@ CHAIN = {
 #: ``mu_k`` as the weight the tangent search started from doubled once per
 #: rejected trial, and ``theta_after`` as
 #: :func:`~bira.core.update_penalty` of ``theta_before`` and the record's
-#: restoration values, as :func:`~bira.solver.bira_run` computed them.
+#: restoration values, as :func:`~bira.solver.bira_run` computed them.  A
+#: record that stopped the run (:attr:`IterationRecord.stopped`) updated no
+#: weight: ``theta_after`` replays as ``theta_before`` and ``mu_k`` as
+#: ``None``.
 DERIVED = ("mu_k", "theta_after")
+
+#: Fields of a record that only its tangent search and the penalty update
+#: before it measure, so a record that stopped the run holds ``None`` in
+#: each, and every other record a value.
+SEARCH_FIELDS = ("x_next", "f_xk_yR", "f_xR_yR", "f_xnext_ynext",
+                 "h_xnext_ynext", "tangent_cert")
 
 
 @dataclass(frozen=True)
@@ -540,6 +551,10 @@ class IterationRecord:
     the restored precision, so the ``*_xnext_ynext`` values are measured
     at ``y_R``, the precision the next iteration starts from.
     ``tangent_cert`` is the certificate of the accepted tangent solve.
+    A record whose stationarity residual passed the stopping test
+    (:attr:`stopped`) ends the run at ``x_R``: it searched no tangent step,
+    so ``ell_count`` is 0 and its :data:`SEARCH_FIELDS` are ``None``, and
+    only the last record of a run may be one.
     The :data:`CHAIN` fields are kept in memory but written once, by the
     record or start block they repeat, and the :data:`DERIVED` fields are
     kept in memory but not written; ``k`` is not written, since a record's
@@ -553,22 +568,28 @@ class IterationRecord:
 
     k: int
     x_k: np.ndarray
-    x_next: np.ndarray
+    x_next: np.ndarray | None
     y_k: PrecisionLevel
     theta_before: float
     theta_after: float
-    mu_k: float
+    mu_k: float | None
     ell_count: int
     h_xk_yk: float
-    h_xnext_ynext: float
+    h_xnext_ynext: float | None
     f_xk_yk: float
-    f_xk_yR: float
-    f_xR_yR: float
-    f_xnext_ynext: float
+    f_xk_yR: float | None
+    f_xR_yR: float | None
+    f_xnext_ynext: float | None
     stationarity_residual: float
     resta: RestorationOutcome
-    tangent_cert: SolveCertificate
+    tangent_cert: SolveCertificate | None
     ledger_delta: dict
+
+    @property
+    def stopped(self):
+        """Whether the run stopped at this record's restored point, before
+        a tangent search."""
+        return self.ell_count == 0
 
     @property
     def x_R(self):
@@ -596,12 +617,17 @@ class IterationRecord:
 
     @property
     def step_norm(self):
-        return self.tangent_cert.step_norm
+        """The accepted tangent step's norm; 0 where the run stopped."""
+        return 0.0 if self.stopped else self.tangent_cert.step_norm
 
     def row(self):
         """The record's row of the records table."""
         d = {name: getattr(self, name) for name in _RECORD_WRITTEN}
         d["resta"] = self.resta.row()
+        if self.stopped:
+            d["tangent_cert"] = dict.fromkeys(CERT_FIELDS)
+            d["x_next"] = None
+            return d
         d["tangent_cert"] = _cert_row(self.tangent_cert)
         # a zero step writes x_next as null: from_row reads it as x_R
         d["x_next"] = (None if self.x_next.tobytes() == self.x_R.tobytes()
@@ -609,35 +635,60 @@ class IterationRecord:
         return d
 
     @classmethod
-    def from_row(cls, d, chain, k, params, mu_start, checked=False):
+    def from_row(cls, d, chain, k, params, mu_start, checked=False,
+                 last=True):
         """Rebuild record ``k`` from its row of the records table, the
         :data:`CHAIN` fields ``chain`` handed to it and the weight
         ``mu_start`` its tangent search started from, replaying the
         :data:`DERIVED` fields under the run's ``params``; ``checked`` as
-        for :meth:`RestorationOutcome.from_row`.
+        for :meth:`RestorationOutcome.from_row`, and ``last`` whether
+        nothing of the run follows the record.
 
-        :class:`SchemaError`, naming the record, for an ``ell_count``
-        below 1 or one that doubles ``mu_start`` past the float range, and
-        for values under which the penalty update finds no weight."""
+        :class:`SchemaError`, naming the record, for an ``ell_count`` of 0
+        where the record is not ``last``, or one that doubles ``mu_start``
+        past the float range, for values under which the penalty update
+        finds no weight, and for :data:`SEARCH_FIELDS` that are null where
+        ``ell_count`` is not 0, or not null where it is (a null ``x_next``
+        of a record that searched is ``x_R``)."""
         what = f"iteration record {k}"
         if not checked:
             check_numbers(d, what, *_RECORD_NUMBERS, finite=True,
                           squared=RECORD_TABLE.squared)
-        ell = d["ell_count"]
-        if ell < 1:
-            raise SchemaError(f"{what} field 'ell_count' must be at least 1,"
-                              f" got {ell}")
+        stopped = d["ell_count"] == 0
+        if stopped and not last:
+            raise SchemaError(f"{what} field 'ell_count' is 0, but the run"
+                              " goes on after it: only its last step may"
+                              " stop it")
+        cert = d["tangent_cert"]
+        # a nullable column reads NaN as None: only a stopped record, which
+        # writes no tangent step, may hold one
+        nulls = [(f"{what} field {name!r}", d[name], "be finite, got nan")
+                 for name in SEARCH_FIELDS[1:-1]]
+        nulls += [(f"{what}: tangent_cert field {name!r}", val, "not be nan")
+                  for name, val in cert.items()]
+        if stopped:
+            nulls.append((f"{what} field 'x_next'", d["x_next"], None))
+        for name, val, rule in nulls:
+            if stopped and val is not None:
+                raise SchemaError(f"{name} must be null: ell_count 0 says"
+                                  " the run stopped at x_R")
+            if not stopped and val is None:
+                raise SchemaError(f"{name} must {rule}")
         with _within(what):
-            cert = d["tangent_cert"]
             if not checked:
-                check_certificate(cert, "tangent_cert")
                 check_ledger(d["ledger_delta"], "ledger_delta")
-            kw = dict(d, **chain, k=k, tangent_cert=SolveCertificate(**cert))
             n = len(chain["x_k"])
+            kw = dict(d, **chain, k=k, tangent_cert=None, mu_k=None)
             out = kw["resta"] = RestorationOutcome.from_row(d["resta"], n,
                                                             checked=checked)
+            if stopped:
+                return cls(**kw, theta_after=chain["theta_before"])
+            if not checked:
+                check_certificate(cert, "tangent_cert")
+            kw["tangent_cert"] = SolveCertificate(**cert)
             kw["x_next"] = (out.x_R if d["x_next"] is None
                             else read_vector(d["x_next"], "x_next", n))
+            ell = d["ell_count"]
             try:
                 kw["mu_k"] = math.ldexp(mu_start, ell - 1)
             except OverflowError:
@@ -663,7 +714,7 @@ _RECORD_NUMBERS = tuple(
     for names in number_fields(IterationRecord))
 RECORD_TABLE = _record_table(
     IterationRecord, _RECORD_WRITTEN,
-    {"resta": OUTCOME_TABLE, "tangent_cert": CERT_TABLE,
+    {"resta": OUTCOME_TABLE, "tangent_cert": TANGENT_CERT_TABLE,
      "ledger_delta": LEDGER_TABLE},
     # the audit's residual_summability squares the residual
     squared=("stationarity_residual",))
@@ -707,7 +758,8 @@ class RunReport:
         if not self.records:
             return self.start["x"], self.start["y"]
         last = self.records[-1]
-        if self.status == "Converged":
+        # a record that stopped the run took no step past x_R
+        if self.status == "Converged" or last.stopped:
             return last.x_R, last.y_R
         # out of budget, or a restoration outcome failed its tests: the
         # run stops at the point the last iteration accepted
@@ -811,9 +863,15 @@ class RunReport:
         mu_start = params.mu_init
         kw["records"] = []
         for k, row in enumerate(rows):
-            rec = IterationRecord.from_row(row, chain, k, params, mu_start,
-                                           clean)
+            # nothing follows the record that stopped the run: no record,
+            # and no failing restoration call
+            rec = IterationRecord.from_row(
+                row, chain, k, params, mu_start, clean,
+                last=k == len(rows) - 1 and failure is None)
             kw["records"].append(rec)
+            if rec.stopped:
+                # the last record: from_row refuses a stopped one before it
+                break
             chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
             try:
                 mu_start = tangent_mu_start(

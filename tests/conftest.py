@@ -2,11 +2,12 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from bira.core import BoxPolytope, PrecisionLevel
+from bira.core import LEDGER_FIELDS, STARTUP_EVALS, BoxPolytope, PrecisionLevel
 from bira.oracle import SyntheticProblem, make_p1
 from bira.trace import (
     CERT_FIELDS,
@@ -162,6 +163,39 @@ def assert_reloads_equal(report):
     back = RunReport.from_dict(json.loads(text))
     assert _same(back, report), report.problem_name
     assert json.dumps(back.to_dict()) == text
+
+
+def assert_stops_at_its_restored_point(report):
+    """Assert that the converged run ``report`` stopped at its last
+    record's restored point: that record alone searched no tangent step,
+    and it spent past its restoration call only the gradients at x_R,
+    plus the start-up evaluations on record 0."""
+    assert report.status == "Converged"
+    *searched, last = report.records
+    assert all(rec.ell_count > 0 for rec in searched)
+    assert last.stopped and last.ell_count == 0
+    spent = {key: last.ledger_delta[key] - last.resta.ledger_delta[key]
+             for key in LEDGER_FIELDS}
+    gradients = {"f_evals": 0, "gradf_evals": 1, "h_evals": 0,
+                 "gradh_evals": 1}
+    startup = STARTUP_EVALS if last.k == 0 else {}
+    assert spent == {key: gradients[key] + startup.get(key, 0)
+                     for key in LEDGER_FIELDS}
+    assert report.final_x.tobytes() == last.x_R.tobytes()
+
+
+def load_bench_run(monkeypatch):
+    """The benchmark's runner script, ``bench/run.py``, as a module.
+    Importing it pins BLAS threads and extends ``sys.path``; ``monkeypatch``
+    undoes both."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
 
 
 def load_synth():

@@ -93,7 +93,8 @@ def test_criterion_03_penalty_invariants(feasible_runs):
     for name, (report, tc) in feasible_runs.items():
         r = report.params.r
         thetas = [report.params.theta_0]
-        for rec in report.records:
+        # the record that stopped the run updated no weight
+        for rec in (rec for rec in report.records if not rec.stopped):
             assert rec.theta_after <= thetas[-1] + 0.0, name
             thetas.append(rec.theta_after)
             assert rec.theta_after >= tc.penalty_floor, name
@@ -114,7 +115,7 @@ def test_criterion_04_regularization_caps(feasible_runs, infeasible_run):
         for rec in report.records:
             if any(sigma > tc.sigma_cap for sigma, _ in rec.resta.trials):
                 violations += 1
-            if rec.mu_k > tc.mu_cap:
+            if not rec.stopped and rec.mu_k > tc.mu_cap:
                 violations += 1
     p3_tc = constants(make_p3().constants(), AlgorithmParams.defaults())
     for s, _ in infeasible_run.failure_info["resta"].trials:

@@ -3,7 +3,14 @@ import json
 
 import numpy as np
 import pytest
-from conftest import EDGE_RESTORATION, edit_packed, make_highdim, make_unit_row
+from conftest import (
+    EDGE_RESTORATION,
+    assert_stops_at_its_restored_point,
+    edit_packed,
+    load_bench_run,
+    make_highdim,
+    make_unit_row,
+)
 
 import bira.qp
 import bira.solver
@@ -101,12 +108,13 @@ def test_start_at_the_solution_converges_in_one_cheap_iteration():
     assert rec.resta.status == "restored"
     np.testing.assert_array_equal(rec.x_R, rec.x_k)
     assert rec.y_R == rec.y_k
-    assert rec.ell_count == 1
-    assert rec.step_norm == 0.0
+    # the record meets the stopping test, so it searches no tangent step
+    assert rec.stopped and rec.ell_count == 0
+    assert rec.step_norm == 0.0 and rec.tangent_cert is None
     assert rec.stationarity_residual <= 1e-12
     assert rec.theta_after == rec.theta_before == 0.5
-    # zero step at unchanged precision reuses every value measured at the
-    # start: restoration hands its h vector to the tangent phase
+    # the stopping test needs only the gradients at the restored point,
+    # which is the start: every other value is the start's
     assert rep.ledger_totals == {
         "f_evals": 1, "gradf_evals": 1, "h_evals": 1, "gradh_evals": 1,
     }
@@ -127,10 +135,10 @@ def test_p1_converges_and_the_audit_agrees():
 
 
 @pytest.mark.parametrize("factory,ledger", [
-    (make_p1, {"f_evals": 37, "gradf_evals": 12,
-               "h_evals": 65, "gradh_evals": 13}),
-    (make_p2, {"f_evals": 28, "gradf_evals": 9,
-               "h_evals": 40, "gradh_evals": 10}),
+    (make_p1, {"f_evals": 34, "gradf_evals": 12,
+               "h_evals": 64, "gradh_evals": 13}),
+    (make_p2, {"f_evals": 25, "gradf_evals": 9,
+               "h_evals": 39, "gradh_evals": 10}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # restoration takes almost all h evaluations; at sigma_min = 1/16 a p1
@@ -142,11 +150,14 @@ def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # to pass, so every first trial is accepted: one f per iteration, plus
     # f at (x_k, y_R) and at (x_R, y_R), plus the start.  The call after
     # the record that met eps_opt is a finishing call: p1's takes 3 stages
-    # and ends the run, p2's takes 5 and the run goes on for two records
+    # and ends the run, p2's takes 5 and the run goes on for two records.
+    # The last record stops at its restored point: it measures no f, and
+    # h only in its restoration call
     rep = bira_run(factory())
     assert rep.status == "Converged"
     assert rep.ledger_totals == ledger
-    assert all(rec.ell_count == 1 for rec in rep.records)
+    assert [rec.ell_count for rec in rep.records] == (
+        [1] * (rep.iterations - 1) + [0])
 
 
 @pytest.mark.parametrize("factory", [
@@ -171,6 +182,25 @@ def test_nothing_is_measured_twice(factory):
         assert len(rep.records) > 1
         assert all(rec.step_norm == 0.0 for rec in rep.records)
         assert all(rec.g_yR > 0.0 for rec in rep.records)
+
+
+@pytest.mark.parametrize("name", [name for name, status
+                                  in EXPECTED_SUITE.items()
+                                  if status == "Converged"] + ["p1_pdp"])
+def test_a_suite_run_stops_at_its_restored_point(name):
+    assert_stops_at_its_restored_point(bira_run(problem_by_name(name)))
+
+
+@pytest.mark.parametrize("workload", ["paper", "highdim", "active"])
+def test_a_workload_run_stops_at_its_restored_point(monkeypatch, workload):
+    # the benchmark's own problem lists at seed 1
+    run = load_bench_run(monkeypatch)
+    for problem, status in run.build_problems(run.import_package(), workload,
+                                              1):
+        report = bira_run(problem)
+        assert report.status == status
+        if status == "Converged":
+            assert_stops_at_its_restored_point(report)
 
 
 def test_a_run_counts_only_its_own_evaluations():
@@ -379,8 +409,11 @@ def test_regularization_weight_tracks_the_doubling_schedule():
     # next search starts 10% above that edge, never above mu
     params = AlgorithmParams.defaults()
     rep = bira_run(make_p1())
-    assert rep.records[0].mu_k == params.mu_init
-    for prev, rec in zip(rep.records, rep.records[1:]):
+    # the last record stopped the run and searched nothing
+    assert rep.records[-1].stopped and rep.records[-1].mu_k is None
+    searched = rep.records[:-1]
+    assert searched[0].mu_k == params.mu_init
+    for prev, rec in zip(searched, searched[1:]):
         mu, s2 = prev.mu_k, prev.step_norm**2
         minus_gs = mu * s2 - prev.tangent_cert.model_decrease
         assert minus_gs == pytest.approx(2.0 * mu * s2, rel=1e-6)
@@ -391,7 +424,7 @@ def test_regularization_weight_tracks_the_doubling_schedule():
         # every first trial passes
         assert rec.ell_count == 1
     # p1's f is ||x - x_f||^2 / 20, so b is 1/20 along every step
-    assert rep.records[-1].mu_k == pytest.approx(1.1 * (0.1 + 0.05) / 2.0)
+    assert searched[-1].mu_k == pytest.approx(1.1 * (0.1 + 0.05) / 2.0)
 
 
 def test_budget_exhaustion_is_reported_not_raised():
@@ -525,14 +558,17 @@ def test_a_trace_writes_each_value_once(edit):
 
 def test_x_next_is_written_only_when_the_step_moved():
     # a zero step leaves x_next equal to x_R, which the trace already
-    # writes in the restoration outcome, so its x_next entry is null
+    # writes in the restoration outcome, so its x_next entry is null, and
+    # so is that of the record that stopped the run, which took no step
     moved = bira_run(make_p1()).to_dict()
-    assert None not in moved["records"]["x_next"]
+    assert moved["records"]["x_next"][-1] is None
+    assert None not in moved["records"]["x_next"][:-1]
     rep = bira_run(make_unit_row())
     d = json.loads(json.dumps(rep.to_dict()))
     assert d["records"]["x_next"] == [None] * len(rep.records)
     back = RunReport.from_dict(d)
-    for rec, got in zip(rep.records, back.records):
+    assert rep.records[-1].stopped and back.records[-1].x_next is None
+    for rec, got in zip(rep.records[:-1], back.records):
         assert got.x_next.tobytes() == rec.x_next.tobytes()
         assert got.x_next.tobytes() == rec.x_R.tobytes()
     assert back.final_x.tobytes() == rep.final_x.tobytes()
@@ -556,19 +592,25 @@ def test_derived_record_fields_match_the_solver():
         assert rec.g_yR == rec.resta.y_R.g
         # deterministic oracles: re-measuring reproduces the solver's
         # values, and the tangent phase measured at the restored precision
-        assert rec.f_xk_yR == fresh.eval_f(rec.x_k, y_R)
         assert rec.h_xk_yR == float(np.linalg.norm(fresh.eval_h(rec.x_k, y_R)))
-        assert rec.f_xnext_ynext == fresh.eval_f(rec.x_next, y_R)
-        assert rec.h_xnext_ynext == float(
-            np.linalg.norm(fresh.eval_h(rec.x_next, y_R)))
-        assert rec.step_norm == float(np.linalg.norm(rec.x_next - rec.x_R))
+        if rec.stopped:
+            assert rec.k == len(rep.records) - 1
+            assert got.mu_k is rec.mu_k is None
+            assert got.theta_after == rec.theta_after == rec.theta_before
+        else:
+            assert rec.f_xk_yR == fresh.eval_f(rec.x_k, y_R)
+            assert rec.f_xnext_ynext == fresh.eval_f(rec.x_next, y_R)
+            assert rec.h_xnext_ynext == float(
+                np.linalg.norm(fresh.eval_h(rec.x_next, y_R)))
+            assert rec.step_norm == float(np.linalg.norm(rec.x_next
+                                                         - rec.x_R))
+            assert np.array([got.mu_k, got.theta_after]).tobytes() == (
+                np.array([rec.mu_k, rec.theta_after]).tobytes())
         # the reloaded chain and replayed fields are the solver's, bit for
         # bit
         assert got.x_k.tobytes() == rec.x_k.tobytes()
         assert (got.y_k, got.f_xk_yk, got.h_xk_yk, got.theta_before) == (
             rec.y_k, rec.f_xk_yk, rec.h_xk_yk, rec.theta_before)
-        assert np.array([got.mu_k, got.theta_after]).tobytes() == np.array(
-            [rec.mu_k, rec.theta_after]).tobytes()
     assert back.final_x.tobytes() == rep.final_x.tobytes()
     assert back.final_y == rep.final_y
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -175,7 +176,7 @@ def test_audit_accepts_an_untouched_trace(tmp_path, capsys):
 
 def test_audit_flags_a_tampered_trace(tmp_path, capsys):
     trace = tmp_path / "t.json"
-    main(["run", "--problem", "p4", "--out", str(trace)])
+    main(["run", "--problem", "p1", "--out", str(trace)])
     payload = json.loads(trace.read_text())
     # the accepted point claims an objective 10 above the one it started at
     edit_packed(payload,
@@ -626,6 +627,47 @@ def test_complexity_refuses_a_bad_grid_before_any_solve(
                  "--eps-opt-grid", grid]) == 1
     assert "--eps-opt-grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_complexity_refuses_a_worker_count_below_one(
+        tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.setattr(bira.cli, "bira_run", _no_solve)
+    out = tmp_path / "cx.csv"
+    assert main(["complexity", "--out", str(out), "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records the workers asked
+    for and maps in this process, so the test starts no process."""
+
+    asked = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_complexity_asks_for_at_most_one_worker_per_tolerance(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "asked", [])
+    out = tmp_path / "cx.csv"
+    assert main(["complexity", "--problem", "p1", "--out", str(out),
+                 "--eps-opt-grid", "1e-1,3e-2,1e-2", "--jobs", "64"]) == 0
+    assert _InProcessPool.asked == [3]
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_complexity_csv_is_the_same_from_a_process_pool(tmp_path):

@@ -226,9 +226,11 @@ def test_audit_passes_on_clean_run():
 
 def test_audit_catches_tampered_penalty():
     # the penalty weight is replayed from the values it was chosen by: p4's
-    # one call restored nothing, so an objective raised by 10 at its
-    # restored point leaves no positive weight
-    rep = _fresh_report()
+    # first call restored nothing, so an objective raised by 10 at its
+    # restored point leaves no positive weight.  Below p4's residual of one
+    # rounding error the record searches a tangent step instead of stopping
+    rep = bira_run(make_p4(), eps_opt=1e-300, budget=1)
+    assert not rep.records[0].stopped
     d = rep.to_dict()
     edit_packed(d, lambda t: t["records"]["f_xR_yR"].__setitem__(
         0, t["records"]["f_xR_yR"][0] + 10.0))
@@ -293,7 +295,7 @@ CHECKS = (
     "residual_vs_step", "residual_summability", "ledger_caps",
     "restoration_f_free",
     "restoration_model_decrease", "restoration_solve_accuracy",
-    "tangent_model_decrease", "tangent_solve_accuracy",
+    "tangent_model_decrease", "tangent_model_floor", "tangent_solve_accuracy",
     "oracle_f_error_bound", "oracle_h_error_bound", "noise_within_budget",
     "restoration_inner_caps", "step_per_infeasibility",
     "precision_refinement", "restoration_tests", "tangent_search",
@@ -304,6 +306,7 @@ ANALYTIC_ONLY = {
     "restored_distance", "restored_value_drift", "infeasibility_summability",
     "step_summability", "residual_vs_step", "residual_summability",
     "ledger_caps", "noise_within_budget", "step_per_infeasibility",
+    "tangent_model_floor",
 }
 ORACLE = ("oracle_f_error_bound", "oracle_h_error_bound")
 
@@ -377,6 +380,17 @@ def _with_rows(trace, edit):
     """The trace's records table with its list of rows edited by ``edit``."""
     rows, _ = read_table(trace["records"], RECORD_TABLE, "records")
     return write_table(edit(rows), RECORD_TABLE)
+
+
+def _tolerances_met_at(trace, k):
+    """The trace's tolerances, scaled up just enough that record ``k``
+    meets the stopping test."""
+    rec = RunReport.from_dict(trace).records[k]
+    tol = trace["tolerances"]
+    scale = (1.0 + 1e-9) * max(rec.h_xR_yR / tol["eps_feas"],
+                               rec.g_yR / tol["eps_prec"],
+                               rec.stationarity_residual / tol["eps_opt"])
+    return {name: scale * val for name, val in tol.items()}
 
 
 def _locate(trace, path):
@@ -472,6 +486,11 @@ TAMPERS = [
     # projected step guarantees
     ("tangent_model_decrease", ("records", 3, "tangent_cert", "model_decrease"),
      lambda t, tc: 0.5 * record_row(t, 3)["tangent_cert"]["model_decrease"]),
+    # record 10, the last that searched: no replayed start reads its model,
+    # so only the floor -L_f ||s|| bounds it from below
+    ("tangent_model_floor", ("records", 10, "tangent_cert", "model_decrease"),
+     lambda t, tc: -10.0 * t["constants_basis"]["problem_constants"]["L_f"]
+     * record_row(t, 10)["tangent_cert"]["step_norm"]),
     ("tangent_solve_accuracy",
      ("records", 0, "tangent_cert", "stationarity_residual"),
      lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa"]
@@ -589,9 +608,10 @@ def test_the_stopping_test_agrees_with_every_status(run):
     (lambda d: d["tolerances"].update(eps_opt=1e-9), "iteration 11"),
     # a run that met the test at record 11 cannot have run out of budget
     (lambda d: d.update(status="BudgetExceeded", budget=12), "iteration 11"),
-    # a converged run stopped at the first record that met the test
-    (lambda d: d.update(records=_with_rows(
-        d, lambda rows: rows + rows[-1:])), "iteration 11"),
+    # a converged run stopped at the first record that met the test: at
+    # tolerances record 10 meets, record 11 came after stopping
+    (lambda d: d["tolerances"].update(_tolerances_met_at(d, 10)),
+     "iteration 10"),
     (lambda d: d.update(records=_with_rows(d, lambda rows: [])),
      "whole run"),
 ], ids=["eps_opt", "budget_exceeded_at_its_budget", "record_after_stopping",

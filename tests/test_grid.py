@@ -18,6 +18,7 @@ import pytest
 from conftest import (
     EDGE_RESTORATION,
     assert_reloads_equal,
+    assert_stops_at_its_restored_point,
     load_synth,
     make_unit_row,
 )
@@ -189,7 +190,7 @@ FAILING = {
     ("r=0.7", "syn", "tight"): ["noise_within_budget"],
 }
 
-LEDGER_TOTALS = {"f_evals": 1827, "gradf_evals": 613, "h_evals": 6252,
+LEDGER_TOTALS = {"f_evals": 1652, "gradf_evals": 613, "h_evals": 6217,
                  "gradh_evals": 752}
 
 ROWS = [(label, *row) for label, rows in GRID.items() for row in rows]
@@ -226,6 +227,8 @@ def test_grid_run(grid, label, name, tol, status, kind, iterations):
     assert ([check.name for check in result.failures]
             == FAILING.get((label, name, tol), []))
     assert_reloads_equal(report)
+    if status == CONV:
+        assert_stops_at_its_restored_point(report)
 
 
 def test_grid_totals(grid):

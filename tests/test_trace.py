@@ -37,9 +37,11 @@ from bira.trace import (
     SQUARE_MAX,
     RestorationOutcome,
     RunReport,
+    read_table,
     read_trace,
     read_vector,
     trace_bytes,
+    write_table,
     write_vector,
 )
 
@@ -64,7 +66,7 @@ def test_a_saved_trace_loads_each_fact_as_its_one_type(name):
     levels += [y for rec in report.records for y in (rec.y_k, rec.y_R)]
     levels += [out.y_R for out in outcomes]
     assert all(isinstance(y, PrecisionLevel) for y in levels)
-    certs = [rec.tangent_cert for rec in report.records]
+    certs = [rec.tangent_cert for rec in report.records if not rec.stopped]
     certs += [cert for out in outcomes for _, cert in out.trials]
     assert certs
     assert all(isinstance(cert, SolveCertificate) for cert in certs)
@@ -150,15 +152,17 @@ def test_a_run_without_records_writes_every_column_empty():
 
 def test_zero_tangent_steps_round_trip_as_null_x_next():
     # every tangent step of this problem snaps to zero, so each record's
-    # x_next is its x_R and is written as null
+    # x_next is its x_R and is written as null; the last record stopped
+    # the run, took no step and has no x_next
     rep = bira_run(make_highdim())
-    assert rep.records
+    assert len(rep.records) > 1 and rep.records[-1].stopped
     text = json.dumps(rep.to_dict())
     d = json.loads(text)
     assert d["records"]["x_next"] == [None] * len(rep.records)
     back = RunReport.from_dict(d)
     assert json.dumps(back.to_dict()) == text
-    for rec, got in zip(rep.records, back.records):
+    assert back.records[-1].x_next is None
+    for rec, got in zip(rep.records[:-1], back.records):
         assert got.k == rec.k
         np.testing.assert_array_equal(got.x_next, rec.x_R)
     assert_reloads_equal(rep)
@@ -376,7 +380,9 @@ def test_a_bad_packed_column_is_refused_naming_it(tmp_path, capsys, saved,
     node = d
     for key in path:
         node = node[key]
-    node["step_norm"] = bad(read_vector(node["step_norm"], "step_norm"))
+    # a stopped record writes a null step norm, the quiet NaN
+    node["step_norm"] = bad(read_vector(node["step_norm"], "step_norm",
+                                        finite=False))
     _refused(tmp_path, capsys, d, f"{table} {message}")
 
 
@@ -467,7 +473,8 @@ def _restored_nothing_and_raised_f(t):
 #: refusal)``.
 UNREPLAYABLE = [
     (lambda t: t["records"]["ell_count"].__setitem__(3, 0),
-     "iteration record 3 field 'ell_count' must be at least 1, got 0"),
+     "iteration record 3 field 'ell_count' is 0, but the run goes on after"
+     " it"),
     (lambda t: t["records"]["ell_count"].__setitem__(3, 2000),
      "iteration record 3: ell_count 2000 doubles the tangent weight past"
      " the float range"),
@@ -491,32 +498,82 @@ def test_a_record_that_cannot_be_replayed_is_refused_naming_it(
     _refused(tmp_path, capsys, d, message)
 
 
+def _moved(d, edit):
+    """The trace ``d`` with its list of record rows edited by ``edit``."""
+    rows, _ = read_table(d["records"], RECORD_TABLE, "records")
+    d["records"] = write_table(edit(rows), RECORD_TABLE)
+    return d
+
+
+@pytest.mark.parametrize("edit,where", [
+    # the stopped record moved to position 3
+    (lambda d: _moved(d, lambda rows: rows[:3] + rows[-1:] + rows[3:-1]), 3),
+    # a restoration failure after the record that stopped the run
+    (lambda d: d.update(status="RestorationFailure", failure_info=json.loads(
+        (DATA / "p3_failure.json").read_text())["failure_info"]), 8),
+], ids=["moved_before_the_last_record", "followed_by_a_failure"])
+def test_only_the_last_step_of_a_run_may_stop_it(tmp_path, capsys, edit,
+                                                 where):
+    d = json.loads((DATA / "p2_staged.json").read_text())
+    assert d["records"]["ell_count"][-1] == 0
+    edit(d)
+    _refused(tmp_path, capsys, d, f"iteration record {where} field"
+             " 'ell_count' is 0, but the run goes on after it")
+
+
+def test_a_stopped_run_relabelled_out_of_budget_fails_its_stopping_test(
+        tmp_path, capsys):
+    # the relabelled trace loads, and its final point is still the last
+    # restored point: the stopped record took no step past it
+    d = json.loads((DATA / "p2_staged.json").read_text())
+    d["status"] = "BudgetExceeded"
+    back = RunReport.from_dict(d)
+    assert back.final_x.tobytes() == back.records[-1].x_R.tobytes()
+    assert "stopping_test" in [c.name for c in audit(back).failures]
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == EXIT_AUDIT
+    got = capsys.readouterr()
+    assert re.search("^stopping_test +FAIL", got.out, re.M)
+    assert "Traceback" not in got.err
+
+
 #: Tangent certificate values at the edges of the arithmetic of the
 #: replayed search start (:func:`~bira.core.tangent_mu_start`), each
-#: written into record 3 of the p2 trace: a step norm whose square
+#: written into a record of the p2 trace: a step norm whose square
 #: underflows to 0, and model decreases at both ends of the float range.
-#: Each loads and fails the audit row that bounds it, or, for a decrease
-#: far past its bound, the next record's, whose replayed weight it moved.
+#: Each loads and fails the audit rows that bound it, and, for a decrease
+#: far past its bound, the next record's, whose replayed weight it moved:
+#: ``(field, value, record, {failing check: iteration of its row})``.
+#: The model's floor, -L_f times the step norm, bounds a decrease that no
+#: replayed start reads: that of record 7, the last to search a step.
 EDGE_CERTIFICATES = [
-    ("step_norm", 5e-324, "residual_vs_step", 3),
-    ("model_decrease", 1e308, "tangent_model_decrease", 3),
-    ("model_decrease", -1e308, "tangent_model_decrease", 4),
+    ("step_norm", 5e-324, 3,
+     {"residual_vs_step": 3, "tangent_model_floor": 3}),
+    ("model_decrease", 1e308, 3, {"tangent_model_decrease": 3}),
+    ("model_decrease", -1e308, 3,
+     {"tangent_model_decrease": 4, "tangent_model_floor": 3}),
+    ("model_decrease", -1e308, 7, {"tangent_model_floor": 7}),
 ]
 
 
-@pytest.mark.parametrize("field,value,check,where", EDGE_CERTIFICATES,
+@pytest.mark.parametrize("field,value,record,failing", EDGE_CERTIFICATES,
                          ids=["step_norm_underflow", "model_decrease_max",
-                              "model_decrease_min"])
+                              "model_decrease_min",
+                              "model_decrease_min_of_the_last_search"])
 def test_an_edge_certificate_value_loads_and_fails_its_audit(
-        tmp_path, capsys, field, value, check, where):
+        tmp_path, capsys, field, value, record, failing):
     d = json.loads((DATA / "p2_staged.json").read_text())
     edit_packed(d, lambda t: t["records"]["tangent_cert"][field]
-                .__setitem__(3, value))
+                .__setitem__(record, value))
     back = RunReport.from_dict(d)
-    assert getattr(back.records[3].tangent_cert, field) == value
+    assert back.records[record + 1].stopped == (record == 7)
+    assert getattr(back.records[record].tangent_cert, field) == value
     failed = {c.name: c.detail for c in audit(back).failures}
-    assert list(failed) == [check]
-    assert failed[check].startswith(f"iteration {where}:")
+    assert list(failed) == list(failing)
+    for check, where in failing.items():
+        assert failed[check].startswith(f"iteration {where}:")
     trace = tmp_path / "t.json"
     trace.write_text(json.dumps(d))
     capsys.readouterr()
@@ -554,17 +611,21 @@ def test_the_residual_bound_is_the_largest_square_root_in_range():
 
 
 def test_scalar_columns_round_trip_bit_for_bit():
-    # the last record's values: none of them feeds a replayed field
+    # the last record's values, and the value the record before it hands
+    # on: none of them feeds a replayed field, since the last record
+    # stopped the run
     rep = read_trace(DATA / "p2_staged.json")
     rec = rep.records[-1]
     rep.records[-1] = dataclasses.replace(
-        rec, stationarity_residual=-0.0, f_xnext_ynext=5e-324,
+        rec, stationarity_residual=-0.0,
         resta=dataclasses.replace(rec.resta, max_step_over_h=5e-324,
                                   y_R=PrecisionLevel(-0.0, 5e-324)))
+    rep.records[-2] = dataclasses.replace(rep.records[-2],
+                                          f_xnext_ynext=5e-324)
     text, back = _through_json(rep)
     assert json.dumps(back.to_dict()) == text
     got = back.records[-1]
-    values = [got.stationarity_residual, got.f_xnext_ynext,
+    values = [got.stationarity_residual, back.records[-2].f_xnext_ynext,
               got.resta.max_step_over_h, got.y_R.gf, got.y_R.gh]
     assert np.array(values).tobytes() == np.array(
         [-0.0, 5e-324, 5e-324, -0.0, 5e-324]).tobytes()
@@ -626,8 +687,8 @@ def test_a_lone_outcome_writes_its_precision_as_a_row():
 #: benchmark counts them, bytes of the file bira run --out writes)``.  A
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
-    "p1": (7155, 9898),
-    "p2": (4551, 6628),
+    "p1": (7101, 9844),
+    "p2": (4529, 6606),
     "p3": (2325, 3124),
     "p4": (1868, 2649),
 }
