@@ -16,12 +16,12 @@ about half the characters of decimal text.  So is every float column of a
 table, packed once over its rows: each record scalar, each field of
 ``y_R`` and each :class:`~bira.qp.SolveCertificate` field.  A nullable
 column writes a null as the quiet NaN, and no other NaN, nor an infinity
-outside ``kappa_phi_ratio``, loads; :func:`read_table` tests each column
-once, a packed one as an array, and the rows are checked value by value
-only when a column fails, so that the refusal names its record.  The records
-write the trials of every restoration call as one table, packed over all
-of them in record order, whose ``sigma`` column keeps one JSON list per
-record; those lists' lengths split the packed columns back into records.
+outside ``kappa_phi_ratio``, loads: :func:`read_table` tests each column
+once against the rules of its :class:`Table`, and its refusal names the
+first offending record and field.  The records write the trials of every
+restoration call as one table, packed over all of them in record order,
+whose ``sigma`` column keeps one JSON list per record; those lists'
+lengths split the packed columns back into records.
 Counts, statuses, ledgers and ``sigma`` stay JSON, and so do the numbers
 of the ``start`` block and of a lone restoration outcome
 (``failure_info``), the one outcome that writes its status: every
@@ -31,6 +31,7 @@ or a :class:`RestorationOutcome`.
 """
 
 import base64
+import bisect
 import contextlib
 import functools
 import itertools
@@ -78,12 +79,13 @@ def check_fields(payload, fields, what):
 
 
 def check_numbers(payload, what, names=None, optional=(), counts=(),
-                  finite=False, squared=()):
+                  finite=False):
     """Raise :class:`SchemaError` unless ``payload`` is a JSON object whose
     ``names`` fields (all by default) hold numbers, finite ones when
-    ``finite`` is true; a field in ``optional`` may also be ``None``, one
-    in ``counts`` must be a nonnegative integer, and one in ``squared``
-    at most :data:`SQUARE_MAX` in magnitude."""
+    ``finite`` is true; a field in ``optional`` may also be ``None``, and
+    one in ``counts`` must be a nonnegative integer.  For the objects of a
+    trace that are not tables; a table's values are tested by
+    :meth:`Table.check`."""
     if not isinstance(payload, dict):
         raise SchemaError(f"{what} must be a JSON object")
     for name in payload if names is None else names:
@@ -92,11 +94,8 @@ def check_numbers(payload, what, names=None, optional=(), counts=(),
             check_count(val, f"{what} field {name!r}")
         elif is_number(val):
             if finite and not math.isfinite(val):
-                raise SchemaError(f"{what} field {name!r} must be finite,"
-                                  f" got {val!r}")
-            if name in squared and abs(val) > SQUARE_MAX:
-                raise SchemaError(f"{what} field {name!r} {val!r} squares"
-                                  " past the float range")
+                raise SchemaError(f"{what} field {name!r} must not be"
+                                  f" {val!r}")
         elif not (val is None and name in optional):
             raise SchemaError(f"{what} field {name!r} must be a number,"
                               f" got {type(val).__name__}")
@@ -119,17 +118,6 @@ def number_fields(cls):
                   if t in (int, float, float | None)),
             tuple(name for name, t in types.items() if t == float | None),
             tuple(name for name, t in types.items() if t is int))
-
-
-def number_list(values, what, length=None):
-    """Return ``values`` unchanged; :class:`SchemaError` unless it is a
-    JSON list of numbers, with ``length`` entries when that is given."""
-    if not (isinstance(values, list) and all(map(is_number, values))):
-        raise SchemaError(f"{what} must be a list of numbers")
-    if length is not None and len(values) != length:
-        raise SchemaError(f"{what} must have {length} entries,"
-                          f" got {len(values)}")
-    return values
 
 
 def write_vector(x):
@@ -185,27 +173,32 @@ def check_count(val, what):
 
 def _level(values, what):
     """A precision level from its written pair ``[gf, gh]``."""
+    if not (isinstance(values, list) and len(values) == 2
+            and all(map(is_number, values))):
+        raise SchemaError(f"{what} must be a list of two numbers")
     try:
-        return PrecisionLevel(*number_list(values, what, 2))
+        return PrecisionLevel(*values)
     except ContractError as exc:
         raise SchemaError(f"{what}: {exc}") from None
 
 
 class Table(NamedTuple):
-    """The layout of a written table.
+    """The layout of a written table, and the one place the rules of its
+    values live (:meth:`check`).
 
-    ``columns`` are its columns in order.  ``nested`` maps a column to the
-    layout of the table it is written as.  A column in ``packed`` holds
-    floats and is written as one :func:`write_vector` string of its
-    entries, which must be finite, except that one in ``nullable`` may
-    hold ``None``, written as the quiet NaN and read back as ``None``, and
-    one in ``unbounded`` an infinity; those of one in ``nonnegative`` must
-    also be at least 0, and those of one in ``squared``, which the audit
-    squares, at most :data:`SQUARE_MAX` in magnitude.  Any other column is one JSON list: one in
-    ``counts`` holds nonnegative integers, and one in ``numbers`` JSON
-    numbers.  A nested column in ``grouped`` holds a list of rows in each
-    entry: it is written as one table of all of them in order, whose
-    columns that are not packed keep one list per entry."""
+    ``columns`` are its columns in order, and ``row`` the name a refusal
+    gives one of its rows.  ``nested`` maps a column to the layout of the
+    table it is written as.  A column in ``packed`` holds floats, written
+    as one :func:`write_vector` string, and one in ``numbers`` JSON
+    numbers.  Those must be finite, except in a column in ``nullable``,
+    which may hold ``None`` (the quiet NaN when packed), or ``unbounded``,
+    which may hold an infinity; in one in ``nonnegative`` at least 0, and
+    in one in ``squared``, which the audit squares, at most
+    :data:`SQUARE_MAX` in magnitude.  Any other column is one JSON list,
+    and one in ``counts`` holds nonnegative integers.  A nested column in
+    ``grouped`` holds a list of rows in each entry: it is written as one
+    table of all of them in order, whose columns that are not packed keep
+    one list per entry."""
 
     columns: tuple
     nested: dict = {}
@@ -217,25 +210,53 @@ class Table(NamedTuple):
     squared: tuple = ()
     counts: tuple = ()
     numbers: tuple = ()
+    row: str = ""
 
-    def holds(self, name, values):
-        """Whether the column ``name``, read as ``values`` (an array for a
-        packed column, else a list), holds only the values the layout
-        allows there."""
+    def check(self, name, values, record):
+        """Raise :class:`SchemaError` at the first entry of the column
+        ``name``, read as ``values`` (an array if packed, else a list),
+        that the layout forbids, naming the record ``record(i)`` of its
+        row i, when given, the rows' name ``row`` and the field."""
         if name in self.counts:
-            return all(type(val) is int and val >= 0 for val in values)
-        if name in self.numbers:
-            return all(map(is_number, values))
-        if name not in self.packed:
-            return True
-        allowed = np.isfinite(values)
-        if name in self.nullable:
-            allowed |= np.isnan(values)
+            for i, val in enumerate(values):
+                if not (type(val) is int and val >= 0):
+                    self._refuse(record, i, name, "must be a nonnegative"
+                                 f" integer, got {val!r}")
+            return
+        if name not in self.packed and name not in self.numbers:
+            return
+        if isinstance(values, np.ndarray):
+            ok = np.isfinite(values)
+            if name in self.nullable:
+                ok |= np.isnan(values)
+        else:
+            nullable = name in self.nullable
+            for i, val in enumerate(values):
+                if not (is_number(val) or val is None and nullable):
+                    self._refuse(record, i, name, "must be a number, got"
+                                 f" {type(val).__name__}")
+            # 0, which every rule allows, stands in for a JSON null
+            values = np.array([0.0 if val is None else val for val in values],
+                              dtype=float)
+            ok = np.isfinite(values)
         if name in self.unbounded:
-            allowed |= np.isinf(values)
-        return bool(allowed.all()) and not (
-            name in self.nonnegative and (values < 0.0).any()
-            or name in self.squared and (np.abs(values) > SQUARE_MAX).any())
+            ok |= np.isinf(values)
+        if name in self.nonnegative:
+            ok &= ~(values < 0.0)
+        if name in self.squared:
+            ok &= ~(np.abs(values) > SQUARE_MAX)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            val = float(values[i])
+            self._refuse(record, i, name, f"must not be {val!r}"
+                         if not math.isfinite(val)
+                         else f"must be nonnegative, got {val!r}"
+                         if val < 0.0 and name in self.nonnegative
+                         else f"{val!r} squares past the float range")
+
+    def _refuse(self, record, i, name, why):
+        where = filter(None, (record and record(i), self.row))
+        raise SchemaError(f"{': '.join(where)} field {name!r} {why}")
 
 
 def write_table(rows, spec):
@@ -263,56 +284,50 @@ def write_table(rows, spec):
     return table
 
 
-def read_table(table, spec, what):
-    """``(rows, clean)``: the row dicts of a table written by
-    :func:`write_table`, and whether every column, nested tables'
-    included, holds only the values its layout allows
-    (:meth:`Table.holds`), tested once per column, a packed one as an
-    array.
+def read_table(table, spec, what, record=None):
+    """The row dicts of a table written by :func:`write_table`.
 
     :class:`SchemaError`, naming the table ``what``, unless every column
     of ``spec`` is there, and no other, each a list (a nested table, or a
     packed string read by :func:`read_vector`) and all of equal length.
     A packed column must hold whole float64 values, and a NaN of a
-    nullable column reads as ``None``.  The rows' values are not checked
-    here: a reader checks the rows of a table that is not ``clean`` value
-    by value, so that its refusal names the row."""
+    nullable column reads as ``None``.  Each column, nested tables'
+    included, is tested once by :meth:`Table.check`, whose refusal names
+    the record ``record(i)`` (when given) of row i, the table and the
+    field of the first value the layout forbids: the first in column
+    order, nested tables' columns in their place, not the lowest record."""
     check_fields(table, spec.columns, f"{what} table")
-    read = []
-    clean = True
+    read = {}
     for name in spec.columns:
-        column = table[name]
-        ok = True
+        column = values = table[name]
         if name in spec.grouped:
-            column, ok = _read_groups(column, spec.nested[name],
-                                      f"{what} {name}")
+            column = _read_groups(column, spec.nested[name],
+                                  f"{what} {name}", record)
         elif name in spec.nested:
-            column, ok = read_table(column, spec.nested[name],
-                                    f"{what} {name}")
+            column = read_table(column, spec.nested[name], f"{what} {name}",
+                                record)
         elif name in spec.packed:
             values = read_vector(column, f"{what} column {name!r}",
                                  finite=False)
-            ok = spec.holds(name, values)
             column = values.tolist()
             if name in spec.nullable:
                 column = [None if math.isnan(val) else val for val in column]
         elif not isinstance(column, list):
             raise SchemaError(f"{what} column {name!r} must be a JSON list")
-        else:
-            ok = spec.holds(name, column)
-        clean = clean and ok
-        read.append(column)
-    if len({len(column) for column in read}) > 1:
-        lengths = {name: len(column) for name, column in zip(spec.columns,
-                                                             read)}
-        raise SchemaError(f"{what} table columns differ in length: {lengths}")
-    return [dict(zip(spec.columns, row)) for row in zip(*read)], clean
+        read[name] = column
+        if len(column) != len(read[spec.columns[0]]):
+            lengths = {name: len(column) for name, column in read.items()}
+            raise SchemaError(f"{what} table columns differ in length:"
+                              f" {lengths}")
+        if name not in spec.nested:
+            spec.check(name, values, record)
+    return [dict(zip(read, row)) for row in zip(*read.values())]
 
 
-def _read_groups(table, spec, what):
-    """``(groups, clean)``: the rows of a grouped table, one list of rows
-    per entry of the column that holds it, as the lists of its unpacked
-    columns count them, and the ``clean`` of :func:`read_table`."""
+def _read_groups(table, spec, what, record):
+    """The rows of a grouped table, one list of rows per entry of the
+    column that holds it, as the lists of its unpacked columns count
+    them; ``record`` as for :func:`read_table`, by that entry."""
     check_fields(table, spec.columns, f"{what} table")
     plain = [name for name in spec.columns if name not in spec.packed]
     for name in plain:
@@ -324,29 +339,38 @@ def _read_groups(table, spec, what):
     if len(counts) != 1:
         raise SchemaError(f"{what} columns {plain} group their entries"
                           " differently")
+    counts = counts.pop()
+    ends = list(itertools.accumulate(counts))
     flat = {**table, **{name: list(itertools.chain.from_iterable(table[name]))
                         for name in plain}}
-    rows, clean = read_table(flat, spec, what)
-    return _regroup(rows, counts.pop()), clean
+    rows = read_table(flat, spec, what, record and (
+        lambda i: record(bisect.bisect_right(ends, i))))
+    return _regroup(rows, counts)
+
+
+def read_row(row, spec):
+    """The lone row ``row`` of a table laid out by ``spec``, written as
+    its own JSON object (a nested row an object, a grouped column the
+    table of its rows, every other value JSON), checked as
+    :func:`read_table` checks a table; :class:`SchemaError` names the row
+    ``spec.row``."""
+    check_fields(row, spec.columns, spec.row)
+    read = dict(row)
+    for name in spec.columns:
+        if name in spec.grouped:
+            read[name] = read_table(row[name], spec.nested[name],
+                                    f"{spec.row} {name}")
+        elif name in spec.nested:
+            read[name] = read_row(row[name], spec.nested[name])
+        else:
+            spec.check(name, [row[name]], None)
+    return read
 
 
 def _regroup(values, counts):
     """``values`` cut into consecutive lists of ``counts`` entries."""
     ends = itertools.accumulate(counts)
     return [values[end - count:end] for count, end in zip(counts, ends)]
-
-
-def check_certificate(row, what):
-    """Raise :class:`SchemaError` unless no value of the certificate row
-    ``row`` (a trial's ``sigma`` with it) is NaN, and all are finite but
-    ``kappa_phi_ratio``: ``qp._phi_ratio`` writes +inf there for a solve
-    that decreased nothing where its ray could, and the audit's
-    ``kappa_phi`` row judges it.  The values are numbers: a packed column
-    reads back as floats, and :func:`_trial` checks ``sigma`` first."""
-    for name, val in row.items():
-        if not math.isfinite(val) and (math.isnan(val)
-                                       or name not in CERT_TABLE.unbounded):
-            raise SchemaError(f"{what} field {name!r} must not be {val!r}")
 
 
 #: The fields of a :class:`~bira.qp.SolveCertificate`.
@@ -360,15 +384,20 @@ LEVEL_FIELDS = tuple(PrecisionLevel.__dataclass_fields__)
 TRIAL_FIELDS = ("sigma", *CERT_FIELDS)
 
 #: Layouts for :func:`write_table` and :func:`read_table`.
-LEDGER_TABLE = Table(LEDGER_FIELDS, counts=LEDGER_FIELDS)
+LEDGER_TABLE = Table(LEDGER_FIELDS, counts=LEDGER_FIELDS, row="ledger_delta")
 LEVEL_TABLE = Table(LEVEL_FIELDS, packed=LEVEL_FIELDS,
-                    nonnegative=LEVEL_FIELDS)
+                    nonnegative=LEVEL_FIELDS, row="y_R")
+#: ``qp._phi_ratio`` writes +inf as ``kappa_phi_ratio`` for a solve that
+#: decreased nothing where its ray could, and the audit's ``kappa_phi``
+#: row judges it.
 CERT_TABLE = Table(CERT_FIELDS, packed=CERT_FIELDS,
                    unbounded=("kappa_phi_ratio",))
-TRIAL_TABLE = CERT_TABLE._replace(columns=TRIAL_FIELDS, numbers=("sigma",))
+TRIAL_TABLE = CERT_TABLE._replace(columns=TRIAL_FIELDS, numbers=("sigma",),
+                                  row="restoration trial")
 #: The records' tangent certificates: a record that stopped the run wrote
 #: none, so each of its fields is null there.
-TANGENT_CERT_TABLE = CERT_TABLE._replace(nullable=CERT_FIELDS)
+TANGENT_CERT_TABLE = CERT_TABLE._replace(nullable=CERT_FIELDS,
+                                         row="tangent_cert")
 
 
 def _cert_row(cert):
@@ -411,7 +440,8 @@ class RestorationOutcome:
     run write the trials of all their calls as one such table, whose
     ``sigma`` holds one list per record, and every float field, ``y_R``'s
     two among them, as a packed column (:data:`OUTCOME_TABLE`).  A lone
-    outcome (:meth:`to_dict`) is its row, with its scalars JSON numbers.
+    outcome (:meth:`to_dict`) is its row, with its scalars JSON numbers,
+    read by :func:`read_row` under the same layout.
     """
 
     x_R: np.ndarray
@@ -463,29 +493,19 @@ class RestorationOutcome:
         check_fields(d, ("status", *_OUTCOME_COLUMNS), "restoration outcome")
         if d["status"] not in RESTORATION_STATUSES:
             raise SchemaError(f"unknown restoration status {d['status']!r}")
-        trials, _ = read_table(d["trials"], TRIAL_TABLE, "restoration trials")
-        return cls.from_row({**d, "trials": trials}, n, status=d["status"])
+        row = read_row({name: d[name] for name in _OUTCOME_COLUMNS},
+                       OUTCOME_TABLE)
+        return cls.from_row(row, n, status=d["status"])
 
     @classmethod
-    def from_row(cls, d, n=None, *, status="restored", checked=False):
+    def from_row(cls, d, n=None, *, status="restored"):
         """Rebuild an outcome with ``status`` from its row of an outcome
-        table, as :meth:`row` writes it and :func:`read_table` reads it.
-
-        ``checked`` says that the row comes from a table every column of
-        which passed its test in :func:`read_table`, so that no value of
-        it needs a check of its own."""
-        if checked:
-            y_R = PrecisionLevel(**d["y_R"])
-        else:
-            check_numbers(d, "restoration outcome", *number_fields(cls),
-                          finite=True)
-            check_ledger(d["ledger_delta"], "restoration ledger")
-            check_fields(d["y_R"], LEVEL_FIELDS, "y_R")
-            y_R = _level([d["y_R"][name] for name in LEVEL_FIELDS], "y_R")
-        kw = dict(d, status=status, y_R=y_R)
+        table, as :meth:`row` writes it and :func:`read_table` or
+        :func:`read_row` reads it, its values checked there."""
+        kw = dict(d, status=status, y_R=PrecisionLevel(**d["y_R"]))
         kw["x_R"] = read_vector(d["x_R"], "x_R", n)
-        kw["trials"] = tuple(_trial(row, checked) for row in d["trials"])
-        kw["ledger_delta"] = dict(d["ledger_delta"])
+        kw["trials"] = tuple((row.pop("sigma"), SolveCertificate(**row))
+                             for row in d["trials"])
         return cls(**kw)
 
 
@@ -496,17 +516,9 @@ _OUTCOME_COLUMNS = tuple(
     if name not in ("h_vec", "status"))
 OUTCOME_TABLE = _record_table(
     RestorationOutcome, _OUTCOME_COLUMNS,
-    {"y_R": LEVEL_TABLE, "ledger_delta": LEDGER_TABLE, "trials": TRIAL_TABLE},
-    grouped=("trials",))
-
-
-def _trial(row, checked=False):
-    """The ``(sigma, certificate)`` pair of a row of a trial table;
-    ``checked`` as for :meth:`RestorationOutcome.from_row`."""
-    if not checked:
-        check_numbers(row, "restoration trial", ("sigma",))
-        check_certificate(row, "restoration trial")
-    return row.pop("sigma"), SolveCertificate(**row)
+    {"y_R": LEVEL_TABLE, "trials": TRIAL_TABLE,
+     "ledger_delta": LEDGER_TABLE._replace(row="restoration ledger")},
+    grouped=("trials",), row="restoration outcome")
 
 
 #: Fields of record k + 1 that repeat the hand-off of record k, each with
@@ -635,14 +647,12 @@ class IterationRecord:
         return d
 
     @classmethod
-    def from_row(cls, d, chain, k, params, mu_start, checked=False,
-                 last=True):
-        """Rebuild record ``k`` from its row of the records table, the
-        :data:`CHAIN` fields ``chain`` handed to it and the weight
-        ``mu_start`` its tangent search started from, replaying the
-        :data:`DERIVED` fields under the run's ``params``; ``checked`` as
-        for :meth:`RestorationOutcome.from_row`, and ``last`` whether
-        nothing of the run follows the record.
+    def from_row(cls, d, chain, k, params, mu_start, last=True):
+        """Rebuild record ``k`` from its row of the records table, as
+        :func:`read_table` reads it, the :data:`CHAIN` fields ``chain``
+        handed to it and the weight ``mu_start`` its tangent search started
+        from, replaying the :data:`DERIVED` fields under the run's
+        ``params``; ``last`` says whether nothing of the run follows it.
 
         :class:`SchemaError`, naming the record, for an ``ell_count`` of 0
         where the record is not ``last``, or one that doubles ``mu_start``
@@ -651,9 +661,6 @@ class IterationRecord:
         ``ell_count`` is not 0, or not null where it is (a null ``x_next``
         of a record that searched is ``x_R``)."""
         what = f"iteration record {k}"
-        if not checked:
-            check_numbers(d, what, *_RECORD_NUMBERS, finite=True,
-                          squared=RECORD_TABLE.squared)
         stopped = d["ell_count"] == 0
         if stopped and not last:
             raise SchemaError(f"{what} field 'ell_count' is 0, but the run"
@@ -662,29 +669,23 @@ class IterationRecord:
         cert = d["tangent_cert"]
         # a nullable column reads NaN as None: only a stopped record, which
         # writes no tangent step, may hold one
-        nulls = [(f"{what} field {name!r}", d[name], "be finite, got nan")
+        nulls = [(f"{what} field {name!r}", d[name])
                  for name in SEARCH_FIELDS[1:-1]]
-        nulls += [(f"{what}: tangent_cert field {name!r}", val, "not be nan")
+        nulls += [(f"{what}: tangent_cert field {name!r}", val)
                   for name, val in cert.items()]
         if stopped:
-            nulls.append((f"{what} field 'x_next'", d["x_next"], None))
-        for name, val, rule in nulls:
-            if stopped and val is not None:
-                raise SchemaError(f"{name} must be null: ell_count 0 says"
-                                  " the run stopped at x_R")
-            if not stopped and val is None:
-                raise SchemaError(f"{name} must {rule}")
+            nulls.append((f"{what} field 'x_next'", d["x_next"]))
+        for name, val in nulls:
+            if (val is None) != stopped:
+                raise SchemaError(f"{name} must be null: ell_count 0 says the"
+                                  " run stopped at x_R" if stopped
+                                  else f"{name} must not be nan")
         with _within(what):
-            if not checked:
-                check_ledger(d["ledger_delta"], "ledger_delta")
             n = len(chain["x_k"])
             kw = dict(d, **chain, k=k, tangent_cert=None, mu_k=None)
-            out = kw["resta"] = RestorationOutcome.from_row(d["resta"], n,
-                                                            checked=checked)
+            out = kw["resta"] = RestorationOutcome.from_row(d["resta"], n)
             if stopped:
                 return cls(**kw, theta_after=chain["theta_before"])
-            if not checked:
-                check_certificate(cert, "tangent_cert")
             kw["tangent_cert"] = SolveCertificate(**cert)
             kw["x_next"] = (out.x_R if d["x_next"] is None
                             else read_vector(d["x_next"], "x_next", n))
@@ -708,10 +709,6 @@ class IterationRecord:
 _RECORD_WRITTEN = tuple(name for name in IterationRecord.__dataclass_fields__
                         if name not in CHAIN and name not in DERIVED
                         and name != "k")
-#: ``(names, optional, counts)`` of the written number fields of a record.
-_RECORD_NUMBERS = tuple(
-    tuple(name for name in names if name in _RECORD_WRITTEN)
-    for names in number_fields(IterationRecord))
 RECORD_TABLE = _record_table(
     IterationRecord, _RECORD_WRITTEN,
     {"resta": OUTCOME_TABLE, "tangent_cert": TANGENT_CERT_TABLE,
@@ -850,7 +847,8 @@ class RunReport:
                     f"failure kind {failure['kind']!r} does not match"
                     f" restoration status {out.status!r}")
             kw["failure_info"] = {**failure, "resta": out}
-        rows, clean = read_table(d["records"], RECORD_TABLE, "records")
+        rows = read_table(d["records"], RECORD_TABLE, "records",
+                          "iteration record {}".format)
         kw["start"] = {
             "x": x0,
             "y": _level(start["y"], "start y"),
@@ -866,7 +864,7 @@ class RunReport:
             # nothing follows the record that stopped the run: no record,
             # and no failing restoration call
             rec = IterationRecord.from_row(
-                row, chain, k, params, mu_start, clean,
+                row, chain, k, params, mu_start,
                 last=k == len(rows) - 1 and failure is None)
             kw["records"].append(rec)
             if rec.stopped:

@@ -7,8 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from bira.core import LEDGER_FIELDS, STARTUP_EVALS, BoxPolytope, PrecisionLevel
-from bira.oracle import SyntheticProblem, make_p1
+from bira.core import (
+    LEDGER_FIELDS,
+    STARTUP_EVALS,
+    AlgorithmParams,
+    BoxPolytope,
+    PrecisionLevel,
+)
+from bira.oracle import SyntheticProblem, _calibrated_constants
 from bira.trace import (
     CERT_FIELDS,
     RECORD_TABLE,
@@ -79,7 +85,7 @@ def record_row(trace, k):
     """Record ``k`` of a written trace as one row: entry ``k`` of every
     column, a nested table's gathered into one object, the record's
     restoration trials one row each, and every packed value decoded."""
-    return read_table(trace["records"], RECORD_TABLE, "records")[0][k]
+    return read_table(trace["records"], RECORD_TABLE, "records")[k]
 
 
 def _unpack(table, spec):
@@ -216,18 +222,25 @@ def make_unit_row(params=None):
     """f = (a.x)^2 / 2 subject to a.x = 1 with the unit row a = (1/2, 1/2,
     1/2, 1/2): the gradient of f stays in the range of J^T, so at inexact
     precision only noise is left after the tangent projection and every
-    tangent step snaps to zero.  It takes p1's constants and noise scales
-    at ``params``."""
+    tangent step snaps to zero.
+
+    Its constants are its own, over its box [-10, 10]^4, where a.x lies in
+    [-20, 20] and ||a|| = 1: |f| <= 200; ||grad f|| = |a.x| <= 20, and grad
+    f is 1-Lipschitz (its Hessian a a^T has norm 1); |h| <= 21; and
+    ||grad h|| = 1, with a constant Jacobian.  Its noise is calibrated to
+    them at ``params``."""
     n = 4
     a = np.ones(n) / 2.0
-    p1 = make_p1(params)
+    y0 = PrecisionLevel(0.5, 0.5)
+    ns, pc = _calibrated_constants(params or AlgorithmParams.defaults(),
+                                   y0.g, C_f=200.0, L_f=20.0, C_h=21.0,
+                                   G_h=1.0)
     return SyntheticProblem(
         "unit_row", BoxPolytope(-10.0 * np.ones(n), 10.0 * np.ones(n)),
         objective=lambda x: 0.5 * float(a @ x) ** 2,
         objective_grad=lambda x: float(a @ x) * a,
         constraint=lambda x: np.array([float(a @ x) - 1.0]),
         constraint_jac=lambda x: a[None, :],
-        m=1, x0=np.array([2.0, 1.0, 0.0, 1.0]), y0=PrecisionLevel(0.5, 0.5),
-        problem_constants=p1.constants(),
-        noise_scale_f=p1.noise_scale_f, noise_scale_h=p1.noise_scale_h,
+        m=1, x0=np.array([2.0, 1.0, 0.0, 1.0]), y0=y0,
+        problem_constants=pc, noise_scale_f=ns, noise_scale_h=ns,
     )

@@ -420,7 +420,8 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
             " base64 string of float64 bytes, got bool",
         "mu_k_is_a_bool": "error: records table fields differ from the"
             " schema: missing [], unknown ['mu_k']",
-        "y_R_is_nan": "error: iteration record 1: y_R: ",
+        "y_R_is_nan":
+            "error: iteration record 1: y_R field 'gh' must not be nan\n",
     }.get(request.node.callspec.id, "error:")
     assert err.startswith(prefix), err
 

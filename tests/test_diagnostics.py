@@ -378,7 +378,7 @@ def _shifted(point, shift):
 
 def _with_rows(trace, edit):
     """The trace's records table with its list of rows edited by ``edit``."""
-    rows, _ = read_table(trace["records"], RECORD_TABLE, "records")
+    rows = read_table(trace["records"], RECORD_TABLE, "records")
     return write_table(edit(rows), RECORD_TABLE)
 
 
@@ -583,7 +583,7 @@ def test_a_truncated_trace_fails_the_ledger_totals(suite_runs):
     # the ten dropped iterations are still in the totals, and the last
     # record left does not meet the stopping test the status claims
     d = _trace(suite_runs["p1"])
-    rows = read_table(d["records"], RECORD_TABLE, "records")[0][:-10]
+    rows = read_table(d["records"], RECORD_TABLE, "records")[:-10]
     d["records"] = write_table(rows, RECORD_TABLE)
     failed = _failures(d)
     assert list(failed) == ["ledger_totals", "stopping_test"]

@@ -190,7 +190,7 @@ FAILING = {
     ("r=0.7", "syn", "tight"): ["noise_within_budget"],
 }
 
-LEDGER_TOTALS = {"f_evals": 1652, "gradf_evals": 613, "h_evals": 6217,
+LEDGER_TOTALS = {"f_evals": 1648, "gradf_evals": 613, "h_evals": 6213,
                  "gradh_evals": 752}
 
 ROWS = [(label, *row) for label, rows in GRID.items() for row in rows]

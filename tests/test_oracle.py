@@ -1,7 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import kkt_min_quadratic_box_line, load_synth
+from conftest import (
+    kkt_min_quadratic_box_line,
+    load_synth,
+    make_highdim,
+    make_unit_row,
+)
 
 from bira.cli import EXPECTED_SUITE
 from bira.core import (
@@ -14,6 +21,7 @@ from bira.core import (
 )
 from bira.diagnostics import audit, constants
 from bira.oracle import (
+    PROBLEM_NAMES,
     SyntheticProblem,
     make_p1,
     make_p2,
@@ -299,3 +307,45 @@ def test_p1_pdp_is_p1_under_a_second_name():
     assert twin.ledger_totals == p1.ledger_totals
     assert np.array_equal(twin.final_x, p1.final_x)
     assert twin.constants_basis == p1.constants_basis
+
+
+def _samples(box, rng):
+    """Points of ``box``: every corner, or 64 seeded ones past six
+    coordinates, then 64 seeded points inside it."""
+    n = len(box.lower)
+    signs = (np.array(list(itertools.product((0, 1), repeat=n))) if n <= 6
+             else rng.integers(0, 2, size=(64, n)))
+    corners = np.where(signs, box.upper, box.lower)
+    inside = box.lower + rng.random((64, n)) * (box.upper - box.lower)
+    return np.vstack([corners, inside])
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda name=name: problem_by_name(name) for name in PROBLEM_NAMES),
+    make_unit_row, make_highdim,
+], ids=[*PROBLEM_NAMES, "unit_row", "highdim"])
+def test_a_problem_keeps_within_its_analytic_constants(make):
+    # a sample is not a proof, but a constant that does not bound the
+    # problem on its box shows at a corner or between two sampled points;
+    # the noise is largest at the start precision, which runs only refine
+    problem = make()
+    pc, y = problem.constants(), problem.y0
+    x = _samples(problem.box, np.random.default_rng(0))
+    f = np.array([problem.eval_f(p, y) for p in x])
+    g = np.array([problem.eval_grad_f(p, y) for p in x])
+    h = np.array([problem.eval_h(p, y) for p in x])
+    J = np.array([problem.eval_grad_h(p, y) for p in x])
+    slack = 1.0 + 1e-9
+    assert np.abs(f).max() <= pc.C_f * slack
+    assert np.linalg.norm(g, axis=1).max() <= pc.L_f * slack
+    assert np.linalg.norm(h, axis=1).max() <= pc.C_h * slack
+    assert np.linalg.norm(J, ord=2, axis=(1, 2)).max() <= pc.L_h * slack
+    # Lipschitz constants, on consecutive pairs of the sample: of grad f,
+    # of h and of its Jacobian, and of J^T h, the gradient of ||h||^2 / 2
+    dist = np.linalg.norm(np.diff(x, axis=0), axis=1) * slack
+    grad_c = np.einsum("kmn,km->kn", J, h)
+    for values, bound in ((g, pc.L_f), (h, pc.L_h), (grad_c, pc.L_c)):
+        step = np.linalg.norm(np.diff(values, axis=0), axis=1)
+        assert (step <= bound * dist).all()
+    step = np.linalg.norm(np.diff(J, axis=0), ord=2, axis=(1, 2))
+    assert (step <= pc.L_h * dist).all()

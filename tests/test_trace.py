@@ -33,6 +33,7 @@ from bira.qp import SolveCertificate
 from bira.solver import bira_run
 from bira.trace import (
     CERT_FIELDS,
+    OUTCOME_TABLE,
     RECORD_TABLE,
     SQUARE_MAX,
     RestorationOutcome,
@@ -328,7 +329,7 @@ CERT_TABLES = [
          0, v),
      "iteration record 1: restoration trial"),
     ("p3_failure.json", ("failure_info", "resta", "trials"),
-     "failure info: restoration trials",
+     "failure info: restoration outcome trials",
      lambda t, name, v: t["failure_info"]["resta"]["trials"][name].__setitem__(
          0, v),
      "failure info: restoration trial"),
@@ -413,37 +414,35 @@ def test_a_bad_certificate_value_is_refused_naming_it(tmp_path, capsys, saved,
 NON_FINITE = [
     ("p2_staged.json",
      lambda t: t["records"]["stationarity_residual"].__setitem__(3, math.inf),
-     "iteration record 3 field 'stationarity_residual' must be finite,"
-     " got inf"),
+     "iteration record 3 field 'stationarity_residual' must not be inf"),
     ("p2_staged.json",
      lambda t: t["records"]["h_xnext_ynext"].__setitem__(3, math.inf),
-     "iteration record 3 field 'h_xnext_ynext' must be finite, got inf"),
+     "iteration record 3 field 'h_xnext_ynext' must not be inf"),
     ("p2_staged.json",
      lambda t: t["records"]["resta"]["max_step_over_h"].__setitem__(
          3, math.inf),
      "iteration record 3: restoration outcome field 'max_step_over_h' must"
-     " be finite, got inf"),
+     " not be inf"),
     ("p2_staged.json", lambda t: t["start"].update(f=math.inf),
-     "start field 'f' must be finite, got inf"),
+     "start field 'f' must not be inf"),
     ("p2_staged.json", lambda t: t["start"].update(h=math.inf),
-     "start field 'h' must be finite, got inf"),
+     "start field 'h' must not be inf"),
     # a NaN is a null only in a nullable column
     ("p2_staged.json",
      lambda t: t["records"]["f_xR_yR"].__setitem__(3, math.nan),
-     "iteration record 3 field 'f_xR_yR' must be finite, got nan"),
+     "iteration record 3 field 'f_xR_yR' must not be nan"),
     ("p2_staged.json",
      lambda t: t["records"]["resta"]["max_step_over_h"].__setitem__(
          3, -math.inf),
      "iteration record 3: restoration outcome field 'max_step_over_h' must"
-     " be finite, got -inf"),
+     " not be -inf"),
     ("p3_failure.json",
      lambda t: t["failure_info"]["resta"].update(h_xR_yR=math.inf),
-     "failure info: restoration outcome field 'h_xR_yR' must be finite,"
-     " got inf"),
+     "failure info: restoration outcome field 'h_xR_yR' must not be inf"),
     # an infinite noise scale made the oracle error bound infinite
     ("p2_staged.json",
      lambda t: t["constants_basis"]["extras"].update(noise_scale_f=math.inf),
-     "extras field 'noise_scale_f' must be finite, got inf"),
+     "extras field 'noise_scale_f' must not be inf"),
 ]
 NON_FINITE_IDS = ["stationarity_residual", "h_xnext_ynext", "max_step_over_h",
                   "start_f", "start_h", "f_xR_yR_nan",
@@ -457,6 +456,113 @@ def test_a_non_finite_value_is_refused_naming_it(tmp_path, capsys, saved,
     d = json.loads((DATA / saved).read_text())
     edit_packed(d, edit)
     _refused(tmp_path, capsys, d, message)
+
+
+def _cells(spec, path=(), grouped=False):
+    """``(path, layout, column, grouped)`` of every column of a table laid
+    out by ``spec`` that is not a nested table, nested tables' included:
+    the path of the nested table that holds it, and whether that table
+    is, or lies in, a grouped column."""
+    for name in spec.columns:
+        if name in spec.nested:
+            yield from _cells(spec.nested[name], (*path, name),
+                              grouped or name in spec.grouped)
+        else:
+            yield path, spec, name, grouped
+
+
+def _forbidden(spec, name, lone=False):
+    """One value of each rule the layout ``spec`` declares for its column
+    ``name`` that breaks it, with the refusal after the field's name:
+    ``[(value, refusal)]``.  ``lone`` is for the row of a lone outcome,
+    whose floats are JSON numbers and whose nulls JSON null."""
+    if name in spec.counts:
+        return [(-1, "must be a nonnegative integer, got -1"),
+                (1.5, "must be a nonnegative integer, got 1.5")]
+    if name not in spec.packed + spec.numbers:
+        return []
+    bad = []
+    if name not in spec.unbounded:
+        bad += [(math.inf, "must not be inf"), (-math.inf, "must not be -inf")]
+    if lone or name not in spec.nullable:
+        bad.append((math.nan, "must not be nan"))
+    if name in spec.nonnegative:
+        bad.append((-1.0, "must be nonnegative, got -1.0"))
+    if name in spec.squared:
+        bad.append((1e200, "1e+200 squares past the float range"))
+    if lone or name in spec.numbers:
+        bad.append(("x", "must be a number, got str"))
+    return bad
+
+
+def _cases(spec, lone=False):
+    """``(path, column, grouped, value, row name, refusal)`` of every
+    forbidden value of every column of a table laid out by ``spec``; a
+    lone outcome writes its trials as a table, not as JSON numbers."""
+    return [(path, name, grouped, value, sub.row, refusal)
+            for path, sub, name, grouped in _cells(spec)
+            for value, refusal in _forbidden(sub, name, lone and not grouped)]
+
+
+def _case_ids(cases):
+    return [".".join((*path, f"{name}={value!r}"))
+            for path, name, _, value, _, _ in cases]
+
+
+def _put(table, spec, name, k, value, grouped=False):
+    """Write ``value`` as row ``k``'s entry of column ``name`` of the
+    written table ``table`` laid out by ``spec``; in a ``grouped`` table,
+    as the first of record ``k``'s rows."""
+    if name not in spec.packed:
+        column = table[name][k] if grouped else table[name]
+        column[0 if grouped else k] = value
+        return
+    if grouped:
+        plain = next(col for col in spec.columns if col not in spec.packed)
+        k = sum(map(len, table[plain][:k]))
+    column = read_vector(table[name], name, finite=False)
+    column[k] = value
+    table[name] = write_vector(column)
+
+
+def _nested(node, spec, path):
+    """The part of ``node``, laid out by ``spec``, at ``path``, and its
+    layout."""
+    for key in path:
+        node, spec = node[key], spec.nested[key]
+    return node, spec
+
+
+RECORD_CASES = _cases(RECORD_TABLE)
+LONE_CASES = _cases(OUTCOME_TABLE, lone=True)
+
+
+@pytest.mark.parametrize("path,name,grouped,value,row,refusal", RECORD_CASES,
+                         ids=_case_ids(RECORD_CASES))
+def test_every_record_column_refuses_each_value_its_layout_forbids(
+        tmp_path, capsys, path, name, grouped, value, row, refusal):
+    # walks RECORD_TABLE itself, so a new column is covered by its layout
+    d = json.loads((DATA / "p2_staged.json").read_text())
+    _put(*_nested(d["records"], RECORD_TABLE, path), name, 2, value, grouped)
+    where = ": ".join(filter(None, ("iteration record 2", row)))
+    _refused(tmp_path, capsys, d,
+             re.escape(f"{where} field '{name}' {refusal}"))
+
+
+@pytest.mark.parametrize("path,name,grouped,value,row,refusal", LONE_CASES,
+                         ids=_case_ids(LONE_CASES))
+def test_every_field_of_the_failing_call_refuses_each_value_it_forbids(
+        tmp_path, capsys, path, name, grouped, value, row, refusal):
+    # the lone outcome is the one row of a table of OUTCOME_TABLE's
+    # layout, its floats JSON numbers, and its trials one table
+    d = json.loads((DATA / "p3_failure.json").read_text())
+    node, spec = _nested(d["failure_info"]["resta"], OUTCOME_TABLE, path)
+    if grouped:
+        _put(node, spec, name, 0, value)
+    else:
+        node[name] = value
+    _refused(tmp_path, capsys, d,
+             re.escape(f"failure info: {row} field '{name}' {refusal}"))
 
 
 def _restored_nothing_and_raised_f(t):
@@ -500,7 +606,7 @@ def test_a_record_that_cannot_be_replayed_is_refused_naming_it(
 
 def _moved(d, edit):
     """The trace ``d`` with its list of record rows edited by ``edit``."""
-    rows, _ = read_table(d["records"], RECORD_TABLE, "records")
+    rows = read_table(d["records"], RECORD_TABLE, "records")
     d["records"] = write_table(edit(rows), RECORD_TABLE)
     return d
 
@@ -668,7 +774,7 @@ def test_a_negative_restored_precision_is_a_schema_error(tmp_path, capsys,
     d = json.loads((DATA / saved).read_text())
     edit_packed(d, edit)
     _refused(tmp_path, capsys, d,
-             f"{where}: y_R: precision components must be nonnegative")
+             f"{where}: y_R field 'gh' must be nonnegative, got -0.5")
 
 
 def test_a_lone_outcome_writes_its_precision_as_a_row():
