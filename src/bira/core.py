@@ -12,6 +12,10 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 
+#: The largest magnitude a float holds.
+FLOAT_MAX = float(np.finfo(float).max)
+
+
 class ConfigurationError(ValueError):
     """Invalid parameter or configuration input."""
 
@@ -251,10 +255,11 @@ def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
 #: quadratic along the step, so the rounding of f and any change of the
 #: curvature along the longer step decide it.  The factor leaves the test
 #: a slack of ``(factor - 1)(alpha + b) ||s'||^2``.  On the five paper
-#: problems the f-evaluations are 131, 101, 104, 116 and 134 at factors
-#: 1, 1.05, 1.1, 1.25 and 1.5: at 1 the first trials fail on the edge, and
+#: problems the f-evaluations are 111, 89, 95, 107 and 125 at factors
+#: 1, 1.05, 1.1, 1.25 and 1.5 (1,735, 1,587, 1,638, 1,761 and 1,956 over
+#: the 108 runs of the grid): at 1 the first trials fail on the edge, and
 #: above 1.1 the steps get shorter.  1.1 doubles the slack of 1.05 for
-#: 3 more f-evaluations there, and 10 more over the 108 runs of the grid.
+#: 6 more f-evaluations there, and 51 more over the grid.
 TANGENT_MU_MARGIN = 1.1
 
 #: Relative rounding of the unclipped-step test ``a = 2 mu ||s||^2``.  A
@@ -278,10 +283,16 @@ def tangent_mu_start(params, mu, f_xR_yR, f_next, step_norm, model_decrease):
     when no bound cut the step.  Then the trial at weight m is
     ``(mu/m) s``, and with ``b = (a - D)/||s||^2``, half the curvature of f
     along s, it passes the descent test iff ``2 m >= alpha + b``: the start
-    is :data:`TANGENT_MU_MARGIN` times ``(alpha + b)/2``, clamped to
-    ``[mu_min, mu]`` (``mu_min`` where ``alpha + b <= 0``).  After a
-    clipped step, a zero step or one whose square underflows, the start is
-    ``mu/2`` if the step predicts the half passes,
+    is :data:`TANGENT_MU_MARGIN` times ``(alpha + b)/2``, but no lower than
+    the Newton weight b, clamped to ``[mu_min, mu]`` (``mu_min`` where
+    ``alpha + b <= 0``).  The trial at b ends at the minimizer of f's
+    quadratic along s, so the floor keeps a search from starting past the
+    one-dimensional minimizer it has measured (the safeguarded initial
+    step of Nocedal & Wright §3.5 and Moré & Thuente 1994); it binds only
+    where ``b > 1.1 alpha/0.9 > alpha``, and a start at b passes the
+    descent test whenever ``b >= alpha``, since then ``2 b >= alpha + b``.
+    After a clipped step, a zero step or one whose square underflows, the
+    start is ``mu/2`` if the step predicts the half passes,
     ``D >= (mu + alpha) ||s||^2``, else ``mu``.  Either start is clamped
     to ``[mu_min, mu_max]``.
     """
@@ -290,7 +301,7 @@ def tangent_mu_start(params, mu, f_xR_yR, f_next, step_norm, model_decrease):
     a = mu_s2 - model_decrease
     if s2 > 0.0 and abs(a - 2.0 * mu_s2) <= UNCLIPPED_RTOL * 2.0 * mu_s2:
         b = (a - (f_xR_yR - f_next)) / s2
-        start = min(TANGENT_MU_MARGIN * (params.alpha + b) / 2.0, mu)
+        start = min(max(TANGENT_MU_MARGIN * (params.alpha + b) / 2.0, b), mu)
     else:
         halve = f_xR_yR - f_next >= (mu + params.alpha) * s2
         start = mu / 2.0 if halve else mu
@@ -355,10 +366,25 @@ def constraint_ssq(h_vec):
     return 0.5 * float(np.dot(h, h))
 
 
+def past_float_range(val):
+    """Whether ``val`` is an int that no float holds: JSON digits such as
+    ``10**400`` load as one, and converting it raises ``OverflowError``."""
+    return type(val) is int and not -FLOAT_MAX <= val <= FLOAT_MAX
+
+
 def is_number(val):
-    """Whether ``val`` is an int or a float; JSON true and false load as
-    bool, which Python counts as an int, so a bool is not a number."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """Whether ``val`` is an int or a float that float arithmetic takes;
+    JSON true and false load as bool, which Python counts as an int, so a
+    bool is not a number, and neither is an int past the float range."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and not past_float_range(val))
+
+
+def type_name(val):
+    """The name a refusal gives the type of ``val``, which is not a
+    number: an int is one past the float range."""
+    return ("int past the float range" if past_float_range(val)
+            else type(val).__name__)
 
 
 _PARAM_POSITIVE = (
@@ -407,7 +433,7 @@ class AlgorithmParams:
             val = getattr(self, f.name)
             if not is_number(val):
                 raise ConfigurationError(f"parameter {f.name} must be a"
-                                         f" number, got {type(val).__name__}")
+                                         f" number, got {type_name(val)}")
         for name in _PARAM_POSITIVE:
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"parameter {name} must be positive")

@@ -33,13 +33,19 @@ model decrease at mu is ``g.s + mu |s|^2``, so the certificate gives
 half the curvature of f along s.  When no bound cut the step,
 ``a = 2 mu |s|^2`` and the trial at weight m is ``(mu/m) s``; if f is
 quadratic along that ray it passes iff ``2 m >= alpha + b``, and the next
-search starts a margin above that edge, never above mu (Nocedal & Wright
-§3.5, initial step length).  After a clipped or zero step it starts at
+search starts a margin above that edge, but no lower than b, never above
+mu (Nocedal & Wright §3.5, initial step length; Moré & Thuente 1994).
+The trial at b ends at the minimizer of f's quadratic along s, and it
+passes whenever ``b >= alpha``; the floor binds only where
+``b > 1.1 alpha/0.9``.  After a clipped or zero step it starts at
 mu/2 if ``D >= (mu + alpha) |s|^2``, the test of the half along 2s, else
 at mu.  On ``p1`` the weight then settles at 0.0825 instead of the power
-of two 0.125, and the run takes 12 records, not 19.  The rule is written
-once, in :func:`~bira.core.tangent_mu_start`, which the trace reader
-replays to rebuild each record's ``mu_k``.
+of two 0.125, and the run takes 12 records, not 19.  On ``p2``, whose
+curved constraint makes b exceed the margin, the floor stops the steps
+overshooting: consecutive steps no longer point in opposite directions,
+and the stationarity residual falls at every record from record 2 on.
+The rule is written once, in :func:`~bira.core.tangent_mu_start`, which
+the trace reader replays to rebuild each record's ``mu_k``.
 
 No oracle value is measured twice.  The value and violation measured for
 the accepted point of one iteration are the current-point measurements of

@@ -44,6 +44,7 @@ import numpy as np
 
 from .core import (
     FAILURE_KINDS,
+    FLOAT_MAX,
     LEDGER_FIELDS,
     RESTORATION_STATUSES,
     RUN_STATUSES,
@@ -54,16 +55,18 @@ from .core import (
     ProblemConstants,
     SchemaError,
     is_number,
+    past_float_range,
     tangent_mu_start,
+    type_name,
     update_penalty,
     valid_tolerance,
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 17
+TRACE_VERSION = 18
 
 #: The largest magnitude whose square stays within the float range.
-SQUARE_MAX = math.sqrt(np.finfo(float).max)
+SQUARE_MAX = math.sqrt(FLOAT_MAX)
 
 
 def check_fields(payload, fields, what):
@@ -98,7 +101,7 @@ def check_numbers(payload, what, names=None, optional=(), counts=(),
                                   f" {val!r}")
         elif not (val is None and name in optional):
             raise SchemaError(f"{what} field {name!r} must be a number,"
-                              f" got {type(val).__name__}")
+                              f" got {type_name(val)}")
 
 
 def check_ledger(payload, what):
@@ -164,11 +167,21 @@ def _within(what):
         raise SchemaError(f"{what}: {exc}") from None
 
 
+def is_count(val):
+    """Whether ``val`` is a nonnegative integer that a float holds."""
+    return type(val) is int and val >= 0 and not past_float_range(val)
+
+
+def not_count(val):
+    """Why :func:`is_count` refuses ``val``, for a refusal message."""
+    shown = type_name(val) if past_float_range(val) else repr(val)
+    return f"must be a nonnegative integer, got {shown}"
+
+
 def check_count(val, what):
-    """Raise :class:`SchemaError` unless ``val`` is a nonnegative integer."""
-    if not (type(val) is int and val >= 0):
-        raise SchemaError(f"{what} must be a nonnegative integer,"
-                          f" got {val!r}")
+    """Raise :class:`SchemaError` unless :func:`is_count` holds."""
+    if not is_count(val):
+        raise SchemaError(f"{what} {not_count(val)}")
 
 
 def _level(values, what):
@@ -219,9 +232,8 @@ class Table(NamedTuple):
         row i, when given, the rows' name ``row`` and the field."""
         if name in self.counts:
             for i, val in enumerate(values):
-                if not (type(val) is int and val >= 0):
-                    self._refuse(record, i, name, "must be a nonnegative"
-                                 f" integer, got {val!r}")
+                if not is_count(val):
+                    self._refuse(record, i, name, not_count(val))
             return
         if name not in self.packed and name not in self.numbers:
             return
@@ -234,7 +246,7 @@ class Table(NamedTuple):
             for i, val in enumerate(values):
                 if not (is_number(val) or val is None and nullable):
                     self._refuse(record, i, name, "must be a number, got"
-                                 f" {type(val).__name__}")
+                                 f" {type_name(val)}")
             # 0, which every rule allows, stands in for a JSON null
             values = np.array([0.0 if val is None else val for val in values],
                               dtype=float)

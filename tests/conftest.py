@@ -244,3 +244,32 @@ def make_unit_row(params=None):
         m=1, x0=np.array([2.0, 1.0, 0.0, 1.0]), y0=y0,
         problem_constants=pc, noise_scale_f=ns, noise_scale_h=ns,
     )
+
+
+def make_face_row(a, params=None):
+    """f = 0.05 ||x||^2 subject to a.x = 3 on [0, 5] x [-1, 1] x [-5, 5]
+    from x0 = (0, 1, 1/2), on its first two bounds.
+
+    Its constants are its own, over its box, where ||x||^2 <= 51: |f| <=
+    2.55; ||grad f|| = 0.1 ||x|| <= 0.1 sqrt(51), and grad f is
+    0.1-Lipschitz; |h| is largest at a corner; and ||grad h|| = ||a||,
+    with a constant Jacobian.  Its noise is calibrated to them at
+    ``params``."""
+    a = np.asarray(a, dtype=float)
+    box = BoxPolytope(np.array([0.0, -1.0, -5.0]), np.array([5.0, 1.0, 5.0]))
+    ends = np.stack([a * box.lower, a * box.upper])
+    y0 = PrecisionLevel(0.5, 0.5)
+    ns, pc = _calibrated_constants(
+        params or AlgorithmParams.defaults(), y0.g, C_f=2.55,
+        L_f=0.1 * np.sqrt(51.0),
+        C_h=max(3.0 - ends.min(axis=0).sum(), ends.max(axis=0).sum() - 3.0),
+        G_h=float(np.linalg.norm(a)))
+    return SyntheticProblem(
+        "face_row", box,
+        objective=lambda x: 0.05 * float(x @ x),
+        objective_grad=lambda x: 0.1 * x,
+        constraint=lambda x: np.array([float(a @ x) - 3.0]),
+        constraint_jac=lambda x: a[None, :],
+        m=1, x0=np.array([0.0, 1.0, 0.5]), y0=y0,
+        problem_constants=pc, noise_scale_f=ns, noise_scale_h=ns,
+    )

@@ -18,6 +18,8 @@ from bira.cli import EXPECTED_SUITE
 from bira.core import (
     FAILURE_KINDS,
     STARTUP_EVALS,
+    TANGENT_MU_MARGIN,
+    UNCLIPPED_RTOL,
     AlgorithmParams,
     BoxPolytope,
     ConfigurationError,
@@ -138,7 +140,7 @@ def test_p1_converges_and_the_audit_agrees():
     (make_p1, {"f_evals": 34, "gradf_evals": 12,
                "h_evals": 64, "gradh_evals": 13}),
     (make_p2, {"f_evals": 25, "gradf_evals": 9,
-               "h_evals": 39, "gradh_evals": 10}),
+               "h_evals": 35, "gradh_evals": 10}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # restoration takes almost all h evaluations; at sigma_min = 1/16 a p1
@@ -149,8 +151,8 @@ def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # The tangent search starts at a weight the previous step predicted
     # to pass, so every first trial is accepted: one f per iteration, plus
     # f at (x_k, y_R) and at (x_R, y_R), plus the start.  The call after
-    # the record that met eps_opt is a finishing call: p1's takes 3 stages
-    # and ends the run, p2's takes 5 and the run goes on for two records.
+    # the record that met eps_opt is a finishing call: p1's and p2's each
+    # take 3 stages and end the run.
     # The last record stops at its restored point: it measures no f, and
     # h only in its restoration call
     rep = bira_run(factory())
@@ -325,20 +327,63 @@ def test_highdim_finishes_in_its_second_record():
     assert audit(rep).ok
 
 
-def test_a_finishing_call_that_does_not_stop_the_run_keeps_the_floor():
-    # p2 at the defaults: record 6 is a finishing call whose tangent step
-    # leaves the optimality test open, so the run goes on; the call hands
-    # on ||h|| >= g/(2r), and the next call passes the precision test
-    params = AlgorithmParams.defaults()
-    rep = bira_run(make_p2(params), params)
+def _margin_start(params, mu, f_xR_yR, f_next, step_norm, model_decrease):
+    """:func:`~bira.core.tangent_mu_start` without the floor at the Newton
+    weight ``b``: an unclipped step starts at the margin alone,
+    ``1.1 (alpha + b)/2``, which is below ``b`` whenever
+    ``b > 1.1 alpha/0.9``."""
+    s2 = step_norm**2
+    a = mu * s2 - model_decrease
+    decrease = f_xR_yR - f_next
+    if s2 > 0.0 and abs(a - 2.0 * mu * s2) <= UNCLIPPED_RTOL * 2.0 * mu * s2:
+        start = min(TANGENT_MU_MARGIN * (params.alpha + (a - decrease) / s2)
+                    / 2.0, mu)
+    else:
+        start = mu / 2.0 if decrease >= (mu + params.alpha) * s2 else mu
+    return min(max(start, params.mu_min), params.mu_max)
+
+
+@pytest.mark.parametrize("make,params,margin_start,k,stages", [
+    (make_p2, {}, True, 6, 5),
+    (make_unit_row, {"r": 0.7}, False, 1, 15),
+], ids=["p2_margin_start", "unit_row_r=0.7"])
+def test_a_finishing_call_that_does_not_stop_the_run_keeps_the_floor(
+        monkeypatch, make, params, margin_start, k, stages):
+    # p2 at the defaults, its searches started at the margin alone: each
+    # step overshoots the minimizer along it, and record 6 is a finishing
+    # call whose tangent step leaves the optimality test open.  The unit
+    # row at r = 0.7: record 1's finishing call stops at its stage cap with
+    # ||h|| above eps_feas.  Either way the run goes on; the call hands on
+    # ||h|| >= g/(2r), and the next call passes the precision test
+    if margin_start:
+        monkeypatch.setattr(bira.solver, "tangent_mu_start", _margin_start)
+    params = AlgorithmParams(**params)
+    rep = bira_run(make(params), params)
     assert rep.status == "Converged"
     eps_opt = rep.tolerances["eps_opt"]
     handed_on = [rec for prev, rec in zip(rep.records, rep.records[1:-1])
                  if prev.stationarity_residual <= eps_opt]
-    assert [rec.k for rec in handed_on] == [6]
+    assert [rec.k for rec in handed_on] == [k]
     for rec in handed_on:
-        assert rec.resta.stages > 0
+        assert rec.resta.stages == stages
         assert rec.h_xR_yR >= rec.g_yR / (2.0 * params.r)
+    assert audit(rep).ok
+
+
+def test_p2_steps_on_without_zigzag():
+    # each search starts no lower than the Newton weight, so no step
+    # passes the minimizer along it: from record 2 on, consecutive tangent
+    # steps point the same way and the stationarity residual falls at
+    # every record; the one finishing call is the last record's
+    rep = bira_run(make_p2())
+    assert rep.status == "Converged"
+    records = rep.records[2:]
+    residuals = [rec.stationarity_residual for rec in records]
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
+    steps = [rec.x_next - rec.x_R for rec in records if not rec.stopped]
+    assert len(steps) == len(records) - 1
+    assert all(s @ t > 0.0 for s, t in zip(steps, steps[1:]))
+    assert [rec.k for rec in rep.records if rec.resta.stages > 0] == [8]
     assert audit(rep).ok
 
 

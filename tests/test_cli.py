@@ -75,8 +75,9 @@ def test_a_deleted_parameter_is_a_usage_error(tmp_path, capsys, cfg):
 
 
 @pytest.mark.parametrize("cfg", [
-    {"N_prec": True}, {"r": "0.5"}, {"theta_0": None},
-], ids=["N_prec_is_a_bool", "r_is_a_string", "theta_0_is_null"])
+    {"N_prec": True}, {"r": "0.5"}, {"theta_0": None}, {"M": 10**400},
+], ids=["N_prec_is_a_bool", "r_is_a_string", "theta_0_is_null",
+        "M_past_the_float_range"])
 def test_a_parameter_that_is_not_a_number_is_a_usage_error(tmp_path, capsys,
                                                            cfg):
     path = tmp_path / "cfg.json"

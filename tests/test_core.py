@@ -215,22 +215,34 @@ def _doubling_start(params, mu, decrease, step_norm):
     return min(max(mu / 2.0 if halve else mu, params.mu_min), params.mu_max)
 
 
-def test_an_unclipped_step_predicts_the_weight_that_passes():
-    # f is quadratic with half curvature b = 0.3 along every direction, so
-    # a trial at weight m passes the descent test iff 2 m >= alpha + b;
-    # the rule starts 10% above that edge, and the trial there passes
+@pytest.mark.parametrize("curvature,newton", [(0.05, False), (0.3, True)],
+                         ids=["margin", "newton_weight"])
+def test_an_unclipped_step_predicts_the_weight_that_passes(curvature,
+                                                           newton):
+    # f is quadratic with half curvature b along every direction, so a
+    # trial at weight m passes the descent test iff 2 m >= alpha + b; the
+    # rule starts 10% above that edge, but no lower than b, where the step
+    # ends at the minimizer of f along it: with alpha = 0.1 the floor
+    # binds for b > 1.1 alpha/0.9, and b = 0.3 >= alpha passes there
     params = AlgorithmParams.defaults()
-    decrease, cert, f = _tangent_step(2.0)
+    decrease, cert, f = _tangent_step(2.0, curvature=curvature)
     start = tangent_mu_start(params, 2.0, 0.0, -decrease, cert.step_norm,
                              cert.model_decrease)
-    assert start == pytest.approx(1.1 * (params.alpha + 0.3) / 2.0)
-    decrease, cert, _ = _tangent_step(start)
+    margin = 1.1 * (params.alpha + curvature) / 2.0
+    assert start == pytest.approx(curvature if newton else margin)
+    assert (margin < curvature) is newton
+    decrease, cert, _ = _tangent_step(start, curvature=curvature)
     lhs, rhs = descent_test(-decrease, 0.0, params.alpha, cert.step_norm)
     assert lhs <= rhs
+    if newton:
+        # a start at b decreases f more than one on either side of it
+        for m in (0.9 * start, 1.1 * start):
+            assert _tangent_step(m, curvature=curvature)[0] < decrease
     # the rule never starts above the weight that passed
-    decrease, cert, _ = _tangent_step(0.2)
-    assert tangent_mu_start(params, 0.2, 0.0, -decrease, cert.step_norm,
-                            cert.model_decrease) == 0.2
+    below = 0.95 * start
+    decrease, cert, _ = _tangent_step(below, curvature=curvature)
+    assert tangent_mu_start(params, below, 0.0, -decrease, cert.step_norm,
+                            cert.model_decrease) == below
 
 
 def test_a_concave_direction_starts_at_mu_min():

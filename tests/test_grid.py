@@ -71,7 +71,7 @@ GRID = {
         ("p1", "default", CONV, None, 12),
         ("p1", "tight", CONV, None, 17),
         ("p2", "default", CONV, None, 11),
-        ("p2", "tight", CONV, None, 16),
+        ("p2", "tight", CONV, None, 17),
         ("p3", "default", FAIL, INFEAS, 0),
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
@@ -98,8 +98,8 @@ GRID = {
     "M=2,sigma_min=0.5": [
         ("p1", "default", CONV, None, 12),
         ("p1", "tight", CONV, None, 17),
-        ("p2", "default", CONV, None, 11),
-        ("p2", "tight", CONV, None, 16),
+        ("p2", "default", CONV, None, 12),
+        ("p2", "tight", CONV, None, 17),
         ("p3", "default", FAIL, INFEAS, 0),
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
@@ -113,7 +113,7 @@ GRID = {
         ("p1", "default", CONV, None, 12),
         ("p1", "tight", CONV, None, 17),
         ("p2", "default", CONV, None, 12),
-        ("p2", "tight", CONV, None, 18),
+        ("p2", "tight", CONV, None, 19),
         ("p3", "default", FAIL, INFEAS, 0),
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
@@ -140,8 +140,8 @@ GRID = {
     "r=0.3": [
         ("p1", "default", CONV, None, 12),
         ("p1", "tight", CONV, None, 16),
-        ("p2", "default", CONV, None, 9),
-        ("p2", "tight", CONV, None, 14),
+        ("p2", "default", CONV, None, 7),
+        ("p2", "tight", CONV, None, 9),
         ("p3", "default", FAIL, INFEAS, 0),
         ("p3", "tight", FAIL, INFEAS, 0),
         ("p4", "default", CONV, None, 1),
@@ -168,7 +168,7 @@ GRID = {
     "sigma_min=1": [
         ("p1", "default", CONV, None, 12),
         ("p1", "tight", CONV, None, 17),
-        ("p2", "default", CONV, None, 12),
+        ("p2", "default", CONV, None, 13),
         ("p2", "tight", CONV, None, 19),
         ("p3", "default", FAIL, INFEAS, 0),
         ("p3", "tight", FAIL, INFEAS, 0),
@@ -190,8 +190,8 @@ FAILING = {
     ("r=0.7", "syn", "tight"): ["noise_within_budget"],
 }
 
-LEDGER_TOTALS = {"f_evals": 1648, "gradf_evals": 613, "h_evals": 6213,
-                 "gradh_evals": 752}
+LEDGER_TOTALS = {"f_evals": 1638, "gradf_evals": 611, "h_evals": 6169,
+                 "gradh_evals": 750}
 
 ROWS = [(label, *row) for label, rows in GRID.items() for row in rows]
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     kkt_min_quadratic_box_line,
     load_synth,
+    make_face_row,
     make_highdim,
     make_unit_row,
 )
@@ -320,10 +321,17 @@ def _samples(box, rng):
     return np.vstack([corners, inside])
 
 
+#: The rows ``a`` of the face-row problems the tests run.
+FACE_ROWS = [(1.0, 1.0, 0.0), (1.0, 1.0, 0.1), (1.0, 1.0, 1.0),
+             (0.0, 1.0, 0.01)]
+
+
 @pytest.mark.parametrize("make", [
     *(lambda name=name: problem_by_name(name) for name in PROBLEM_NAMES),
     make_unit_row, make_highdim,
-], ids=[*PROBLEM_NAMES, "unit_row", "highdim"])
+    *(lambda a=a: make_face_row(a) for a in FACE_ROWS),
+], ids=[*PROBLEM_NAMES, "unit_row", "highdim",
+        *("face_row=" + ",".join(map(str, a)) for a in FACE_ROWS)])
 def test_a_problem_keeps_within_its_analytic_constants(make):
     # a sample is not a proof, but a constant that does not bound the
     # problem on its box shows at a corner or between two sampled points;

@@ -458,6 +458,39 @@ def test_a_non_finite_value_is_refused_naming_it(tmp_path, capsys, saved,
     _refused(tmp_path, capsys, d, message)
 
 
+#: The JSON numbers of a trace outside its tables, each written as an int
+#: that no float holds: ``(path to the value, refusal)``.
+PAST_THE_FLOAT_RANGE = [
+    (("start", "f"), "start field 'f' must be a number"),
+    (("start", "h"), "start field 'h' must be a number"),
+    (("start", "y", 0), "start y must be a list of two numbers"),
+    (("constants_basis", "extras", "noise_scale_f"),
+     "extras field 'noise_scale_f' must be a number"),
+    (("constants_basis", "problem_constants", "L_f"),
+     "problem constants field 'L_f' must be a number"),
+    (("params", "M"), "params field 'M' must be a number"),
+    (("tolerances", "eps_opt"), "tolerances field 'eps_opt' must be a number"),
+    (("ledger_totals", "h_evals"),
+     "ledger totals field 'h_evals' must be a nonnegative integer"),
+    (("budget",), "budget must be a nonnegative integer"),
+]
+
+
+@pytest.mark.parametrize("path,message", PAST_THE_FLOAT_RANGE,
+                         ids=[".".join(map(str, path))
+                              for path, _ in PAST_THE_FLOAT_RANGE])
+def test_an_integer_past_the_float_range_is_refused_naming_it(
+        tmp_path, capsys, path, message):
+    # float(10**400) raises OverflowError: the trace is refused before any
+    # check converts it
+    d = json.loads((DATA / "p2_staged.json").read_text())
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 10**400
+    _refused(tmp_path, capsys, d, re.escape(message))
+
+
 def _cells(spec, path=(), grouped=False):
     """``(path, layout, column, grouped)`` of every column of a table laid
     out by ``spec`` that is not a nested table, nested tables' included:
@@ -478,7 +511,9 @@ def _forbidden(spec, name, lone=False):
     whose floats are JSON numbers and whose nulls JSON null."""
     if name in spec.counts:
         return [(-1, "must be a nonnegative integer, got -1"),
-                (1.5, "must be a nonnegative integer, got 1.5")]
+                (1.5, "must be a nonnegative integer, got 1.5"),
+                (10**400, "must be a nonnegative integer, got int past the"
+                 " float range")]
     if name not in spec.packed + spec.numbers:
         return []
     bad = []
@@ -491,7 +526,8 @@ def _forbidden(spec, name, lone=False):
     if name in spec.squared:
         bad.append((1e200, "1e+200 squares past the float range"))
     if lone or name in spec.numbers:
-        bad.append(("x", "must be a number, got str"))
+        bad += [("x", "must be a number, got str"),
+                (10**400, "must be a number, got int past the float range")]
     return bad
 
 
@@ -505,7 +541,8 @@ def _cases(spec, lone=False):
 
 
 def _case_ids(cases):
-    return [".".join((*path, f"{name}={value!r}"))
+    return [".".join((*path, f"{name}="
+                      + ("10**400" if value == 10**400 else repr(value))))
             for path, name, _, value, _, _ in cases]
 
 
@@ -794,7 +831,7 @@ def test_a_lone_outcome_writes_its_precision_as_a_row():
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
     "p1": (7101, 9844),
-    "p2": (4529, 6606),
+    "p2": (4433, 6486),
     "p3": (2325, 3124),
     "p4": (1868, 2649),
 }
