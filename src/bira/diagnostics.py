@@ -475,11 +475,15 @@ def _refinement_rows(report):
     ``bira_run`` asked for, times ``r**2`` per stage, replayed from the
     records.  Every level refines the objective precision from the call's
     input, so it is replayed exactly, and a stage more or less than
-    recorded fails, on a call with a goal or without one."""
-    r = report.params.r
-    for rec, rho, _ in _calls(report):
+    recorded fails, on a call with a goal or without one.  The replay
+    stops at :func:`restoration_stage_cap`, which a claim of more stages
+    fails in ``restoration_inner_caps``."""
+    params = report.params
+    r = params.r
+    for rec, rho, goal in _calls(report):
         bound_f, bound_h = rho * rec.y_k.gf, rho * rec.y_k.gh
-        for _ in range(rec.resta.stages):
+        cap = restoration_stage_cap(params, rho * rec.g_yk, goal)
+        for _ in range(min(rec.resta.stages, cap)):
             bound_f, bound_h = r * r * bound_f, r * r * bound_h
         yield _exact(rec.k, rec.y_R.gf, bound_f)
         yield _exact(rec.k, rec.y_R.gh, bound_h)

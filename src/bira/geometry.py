@@ -80,9 +80,10 @@ def project_polyhedron(z, lower, upper, A, center):
         free = ~held
         A_free = A[:, free]
         y = x.copy()
-        # with no more free coordinates than independent rows, the held
-        # bounds pin the point and a projection would only add rounding
-        if free.sum() > A.shape[0] or free.sum() > np.linalg.matrix_rank(A):
+        # with no more free coordinates than independent rows on them, the
+        # held bounds pin the point and a projection would only add rounding
+        if (free.sum() > A.shape[0]
+                or free.sum() > np.linalg.matrix_rank(A_free)):
             y[free] = project_affine(z[free], A_free, A_free @ x[free])
         p = y - x
         with np.errstate(divide="ignore", invalid="ignore"):

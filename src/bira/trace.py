@@ -1,7 +1,7 @@
 """The run record: what a run measured, in memory and as a JSON trace.
 
-This module alone knows the written format: every record's ``row``,
-``from_row``, ``to_dict`` and ``from_dict``, the table layouts
+This module alone knows the written format: every record's ``row`` and
+``from_row``, the report's ``to_dict`` and ``from_dict``, the table layouts
 (:class:`Table`) of :func:`write_table` and :func:`read_table`, the float64
 codec :func:`write_vector` and :func:`read_vector`, and every schema check
 a trace passes on loading.  A trace writes what a run measured and
@@ -21,11 +21,10 @@ once against the rules of its :class:`Table`, and its refusal names the
 first offending record and field.  The records write the trials of every
 restoration call as one table, packed over all of them in record order,
 whose ``sigma`` column keeps one JSON list per record; those lists'
-lengths split the packed columns back into records.
-Counts, statuses, ledgers and ``sigma`` stay JSON, and so do the numbers
-of the ``start`` block and of a lone restoration outcome
-(``failure_info``), the one outcome that writes its status: every
-recorded call is ``restored``.  In memory each fact has one type: a
+lengths split the packed columns back into records, and a run's failing
+call is written as a one-row table of the same layout.  Counts, ledgers
+and ``sigma`` stay JSON, and so do the numbers of the ``start`` block.
+In memory each fact has one type: a
 :class:`~bira.core.PrecisionLevel`, a :class:`~bira.qp.SolveCertificate`
 or a :class:`RestorationOutcome`.
 """
@@ -46,7 +45,6 @@ from .core import (
     FAILURE_KINDS,
     FLOAT_MAX,
     LEDGER_FIELDS,
-    RESTORATION_STATUSES,
     RUN_STATUSES,
     AlgorithmParams,
     ContractError,
@@ -63,7 +61,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 18
+TRACE_VERSION = 19
 
 #: The largest magnitude whose square stays within the float range.
 SQUARE_MAX = math.sqrt(FLOAT_MAX)
@@ -203,11 +201,11 @@ class Table(NamedTuple):
     gives one of its rows.  ``nested`` maps a column to the layout of the
     table it is written as.  A column in ``packed`` holds floats, written
     as one :func:`write_vector` string, and one in ``numbers`` JSON
-    numbers.  Those must be finite, except in a column in ``nullable``,
-    which may hold ``None`` (the quiet NaN when packed), or ``unbounded``,
-    which may hold an infinity; in one in ``nonnegative`` at least 0, and
-    in one in ``squared``, which the audit squares, at most
-    :data:`SQUARE_MAX` in magnitude.  Any other column is one JSON list,
+    numbers.  Those must be finite, except in a packed column in
+    ``nullable``, which writes ``None`` as the quiet NaN, or one in
+    ``unbounded``, which may hold an infinity; in one in ``nonnegative``
+    at least 0, and in one in ``squared``, which the audit squares, at
+    most :data:`SQUARE_MAX` in magnitude.  Any other column is one JSON list,
     and one in ``counts`` holds nonnegative integers.  A nested column in
     ``grouped`` holds a list of rows in each entry: it is written as one
     table of all of them in order, whose columns that are not packed keep
@@ -237,20 +235,15 @@ class Table(NamedTuple):
             return
         if name not in self.packed and name not in self.numbers:
             return
-        if isinstance(values, np.ndarray):
-            ok = np.isfinite(values)
-            if name in self.nullable:
-                ok |= np.isnan(values)
-        else:
-            nullable = name in self.nullable
+        if not isinstance(values, np.ndarray):
             for i, val in enumerate(values):
-                if not (is_number(val) or val is None and nullable):
+                if not is_number(val):
                     self._refuse(record, i, name, "must be a number, got"
                                  f" {type_name(val)}")
-            # 0, which every rule allows, stands in for a JSON null
-            values = np.array([0.0 if val is None else val for val in values],
-                              dtype=float)
-            ok = np.isfinite(values)
+            values = np.array(values, dtype=float)
+        ok = np.isfinite(values)
+        if name in self.nullable:
+            ok |= np.isnan(values)
         if name in self.unbounded:
             ok |= np.isinf(values)
         if name in self.nonnegative:
@@ -360,25 +353,6 @@ def _read_groups(table, spec, what, record):
     return _regroup(rows, counts)
 
 
-def read_row(row, spec):
-    """The lone row ``row`` of a table laid out by ``spec``, written as
-    its own JSON object (a nested row an object, a grouped column the
-    table of its rows, every other value JSON), checked as
-    :func:`read_table` checks a table; :class:`SchemaError` names the row
-    ``spec.row``."""
-    check_fields(row, spec.columns, spec.row)
-    read = dict(row)
-    for name in spec.columns:
-        if name in spec.grouped:
-            read[name] = read_table(row[name], spec.nested[name],
-                                    f"{spec.row} {name}")
-        elif name in spec.nested:
-            read[name] = read_row(row[name], spec.nested[name])
-        else:
-            spec.check(name, [row[name]], None)
-    return read
-
-
 def _regroup(values, counts):
     """``values`` cut into consecutive lists of ``counts`` entries."""
     ends = itertools.accumulate(counts)
@@ -451,9 +425,8 @@ class RestorationOutcome:
     certificate field one :func:`write_vector` string.  The records of a
     run write the trials of all their calls as one such table, whose
     ``sigma`` holds one list per record, and every float field, ``y_R``'s
-    two among them, as a packed column (:data:`OUTCOME_TABLE`).  A lone
-    outcome (:meth:`to_dict`) is its row, with its scalars JSON numbers,
-    read by :func:`read_row` under the same layout.
+    two among them, as a packed column (:data:`OUTCOME_TABLE`).  No trace
+    writes ``status``: a recorded call is ``restored``.
     """
 
     x_R: np.ndarray
@@ -491,29 +464,12 @@ class RestorationOutcome:
                        for sigma, cert in self.trials]
         return d
 
-    def to_dict(self):
-        d = self.row()
-        d["status"] = self.status
-        d["trials"] = write_table(d["trials"], TRIAL_TABLE)
-        d["ledger_delta"] = dict(self.ledger_delta)
-        return d
-
-    @classmethod
-    def from_dict(cls, d, n=None):
-        """Rebuild an outcome; ``n``, when given, is the length ``x_R``
-        must have."""
-        check_fields(d, ("status", *_OUTCOME_COLUMNS), "restoration outcome")
-        if d["status"] not in RESTORATION_STATUSES:
-            raise SchemaError(f"unknown restoration status {d['status']!r}")
-        row = read_row({name: d[name] for name in _OUTCOME_COLUMNS},
-                       OUTCOME_TABLE)
-        return cls.from_row(row, n, status=d["status"])
-
     @classmethod
     def from_row(cls, d, n=None, *, status="restored"):
         """Rebuild an outcome with ``status`` from its row of an outcome
-        table, as :meth:`row` writes it and :func:`read_table` or
-        :func:`read_row` reads it, its values checked there."""
+        table, as :meth:`row` writes it and :func:`read_table` reads it,
+        its values checked there; ``n``, when given, is the length ``x_R``
+        must have."""
         kw = dict(d, status=status, y_R=PrecisionLevel(**d["y_R"]))
         kw["x_R"] = read_vector(d["x_R"], "x_R", n)
         kw["trials"] = tuple((row.pop("sigma"), SolveCertificate(**row))
@@ -521,8 +477,8 @@ class RestorationOutcome:
         return cls(**kw)
 
 
-#: The columns of the records' outcome table: every field a lone outcome
-#: writes but its status.
+#: The columns of an outcome table: every field of an outcome but its
+#: status and the violation vector.
 _OUTCOME_COLUMNS = tuple(
     name for name in RestorationOutcome.__dataclass_fields__
     if name not in ("h_vec", "status"))
@@ -740,7 +696,10 @@ class RunReport:
     ``kind``, the ``iteration`` it happened in and the
     :class:`RestorationOutcome` of that iteration's call as ``resta``.
     The status and kind are entries of :data:`~bira.core.RUN_STATUSES` and
-    :data:`~bira.core.FAILURE_KINDS`.
+    :data:`~bira.core.FAILURE_KINDS`.  A trace writes the kind and the
+    call, as a one-row table of :data:`OUTCOME_TABLE`: the iteration is the
+    number of records, and the call's status ``possible_infeasibility``
+    exactly when the kind is.
     """
 
     status: str
@@ -788,8 +747,10 @@ class RunReport:
         d["records"] = write_table([rec.row() for rec in self.records],
                                    RECORD_TABLE)
         if self.failure_info is not None:
-            d["failure_info"] = {**self.failure_info,
-                                 "resta": self.failure_info["resta"].to_dict()}
+            d["failure_info"] = {
+                "kind": self.failure_info["kind"],
+                "resta": write_table([self.failure_info["resta"].row()],
+                                     OUTCOME_TABLE)}
         start = self.start
         d["start"] = {"x": write_vector(start["x"]),
                       "y": list(start["y"].as_tuple()),
@@ -845,22 +806,25 @@ class RunReport:
             raise SchemaError("start x must have at least one coordinate")
         kw = dict(d)
         if failure is not None:
-            check_fields(failure, ("kind", "iteration", "resta"),
-                         "failure info")
-            if failure["kind"] not in FAILURE_KINDS:
-                raise SchemaError(
-                    f"unknown failure kind {failure['kind']!r}")
-            check_count(failure["iteration"], "failure iteration")
+            check_fields(failure, ("kind", "resta"), "failure info")
+            kind = failure["kind"]
+            if kind not in FAILURE_KINDS:
+                raise SchemaError(f"unknown failure kind {kind!r}")
             with _within("failure info"):
-                out = RestorationOutcome.from_dict(failure["resta"], n)
-            if ((out.status == "possible_infeasibility")
-                    != (failure["kind"] == "possible_infeasibility")):
-                raise SchemaError(
-                    f"failure kind {failure['kind']!r} does not match"
-                    f" restoration status {out.status!r}")
-            kw["failure_info"] = {**failure, "resta": out}
+                rows = read_table(failure["resta"], OUTCOME_TABLE,
+                                  "restoration outcome")
+                if len(rows) != 1:
+                    raise SchemaError("restoration outcome table must hold"
+                                      f" one row, got {len(rows)}")
+                status = (kind if kind == "possible_infeasibility"
+                          else "restored")
+                out = RestorationOutcome.from_row(rows[0], n, status=status)
         rows = read_table(d["records"], RECORD_TABLE, "records",
                           "iteration record {}".format)
+        if failure is not None:
+            # the failing call is the iteration after the last record
+            kw["failure_info"] = {"kind": kind, "iteration": len(rows),
+                                  "resta": out}
         kw["start"] = {
             "x": x0,
             "y": _level(start["y"], "start y"),

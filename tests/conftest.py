@@ -17,8 +17,8 @@ from bira.core import (
 from bira.oracle import SyntheticProblem, _calibrated_constants
 from bira.trace import (
     CERT_FIELDS,
+    OUTCOME_TABLE,
     RECORD_TABLE,
-    TRIAL_TABLE,
     RunReport,
     read_table,
     read_vector,
@@ -105,21 +105,16 @@ def _pack(table, spec):
 
 
 def edit_packed(d, edit):
-    """Call ``edit(d)`` on the written trace or restoration outcome ``d``
-    with every packed column decoded into a list of floats (a null of a
-    nullable column is NaN), and the records' trials laid out as schema
-    v12 wrote them: record k's trials are entry k of
-    ``records.resta.trials``, one table per record.  The columns are
-    packed again afterwards, so an edit of a packed value, or of a
-    column's length, keeps its intent."""
-    if "trials" in d:
-        _unpack(d["trials"], TRIAL_TABLE)
-        edit(d)
-        _pack(d["trials"], TRIAL_TABLE)
-        return
+    """Call ``edit(d)`` on the written trace ``d`` with every packed column
+    decoded into a list of floats (a null of a nullable column is NaN),
+    and the records' trials laid out as schema v12 wrote them: record k's
+    trials are entry k of ``records.resta.trials``, one table per record.
+    The failing call's one-row table keeps its trials as one table.  The
+    columns are packed again afterwards, so an edit of a packed value, or
+    of a column's length, keeps its intent."""
     failure = d["failure_info"]
     if failure:
-        _unpack(failure["resta"]["trials"], TRIAL_TABLE)
+        _unpack(failure["resta"], OUTCOME_TABLE)
     _unpack(d["records"], RECORD_TABLE)
     resta = d["records"]["resta"]
     trials = resta["trials"]
@@ -137,7 +132,7 @@ def edit_packed(d, edit):
         for name in CERT_FIELDS}}
     _pack(d["records"], RECORD_TABLE)
     if failure:
-        _pack(failure["resta"]["trials"], TRIAL_TABLE)
+        _pack(failure["resta"], OUTCOME_TABLE)
 
 
 def _same(a, b):

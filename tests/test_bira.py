@@ -1,12 +1,11 @@
-import copy
 import json
 
 import numpy as np
 import pytest
 from conftest import (
     EDGE_RESTORATION,
+    assert_reloads_equal,
     assert_stops_at_its_restored_point,
-    edit_packed,
     load_bench_run,
     make_highdim,
     make_unit_row,
@@ -32,6 +31,8 @@ from bira.core import (
 from bira.diagnostics import audit, constants
 from bira.oracle import (
     InexactProblem,
+    SyntheticProblem,
+    _calibrated_constants,
     make_p1,
     make_p2,
     make_p3,
@@ -39,7 +40,14 @@ from bira.oracle import (
     problem_by_name,
 )
 from bira.solver import bira_run, restoration_failure, update_penalty
-from bira.trace import RestorationOutcome, RunReport, read_vector, write_vector
+from bira.trace import (
+    OUTCOME_TABLE,
+    RunReport,
+    read_table,
+    read_vector,
+    write_table,
+    write_vector,
+)
 
 
 def test_penalty_moves_to_the_largest_workable_weight():
@@ -266,6 +274,30 @@ def test_p2_converges_when_the_stall_test_is_loose():
     assert audit(rep).ok
 
 
+def test_a_fixed_coordinate_leaves_the_others_free():
+    # f = |x - (0, 1, 2)|^2 / 2 subject to x_0 = 0 and x_1 = 1 on
+    # [0, 0] x [-5, 5]^2, from the feasible (0, 1, -3) at exact precision:
+    # the two rows pin x_0 and x_1, and x_2 moves to 2.  Its constants are
+    # its own, over its box, where |x - (0, 1, 2)|^2 <= 85
+    target = np.array([0.0, 1.0, 2.0])
+    _, pc = _calibrated_constants(AlgorithmParams.defaults(), 0.0, C_f=42.5,
+                                  L_f=np.sqrt(85.0), C_h=6.0, G_h=1.0)
+    problem = SyntheticProblem(
+        "fixed_coordinate",
+        BoxPolytope(np.array([0.0, -5.0, -5.0]), np.array([0.0, 5.0, 5.0])),
+        objective=lambda x: 0.5 * float((x - target) @ (x - target)),
+        objective_grad=lambda x: x - target,
+        constraint=lambda x: np.array([x[0], x[1] - 1.0]),
+        constraint_jac=lambda x: np.eye(3)[:2],
+        m=2, x0=np.array([0.0, 1.0, -3.0]), y0=PrecisionLevel(0.0, 0.0),
+        problem_constants=pc)
+    rep = bira_run(problem)
+    assert rep.status == "Converged"
+    assert len(rep.records) == 3
+    np.testing.assert_allclose(rep.final_x, target, atol=1e-8)
+    assert audit(rep, problem).ok
+
+
 def test_a_zero_z_step_is_a_stall(monkeypatch):
     # p1 at alpha = 1/2 drives h to about 5e-16 while the optimality
     # comparison lags; there sigma doubles until the trial z-step rounds to
@@ -278,10 +310,14 @@ def test_a_zero_z_step_is_a_stall(monkeypatch):
     rep = bira_run(make_p1(params), params)
     assert rep.status == "RestorationFailure"
     assert rep.failure_info["kind"] == "possible_infeasibility"
-    assert rep.failure_info["iteration"] == 44
+    assert rep.failure_info["iteration"] == 44 == len(rep.records)
     assert rep.failure_info["resta"].h_xk_yR < 1e-15
     assert rep.failure_info["resta"].inner_desc_tests < 100
     assert audit(rep).ok
+    # a trace writes no failing iteration: it reloads as the record count
+    back = RunReport.from_dict(json.loads(json.dumps(rep.to_dict())))
+    assert back.failure_info["iteration"] == 44
+    assert_reloads_equal(rep)
 
 
 def _run_p1_at_the_edge():
@@ -521,13 +557,13 @@ def test_restoration_certificates_are_stored_as_columns():
     # one table of trials: each descent test's sigma, and the measured
     # fields of its certificate, each field one packed column
     out = bira_run(make_p1()).records[0].resta
-    rec = out.to_dict()
+    rec = write_table([out.row()], OUTCOME_TABLE)
     columns = rec["trials"]
     assert list(columns) == [
         "sigma", "model_decrease", "stationarity_residual", "step_norm",
         "kappa_phi_ratio",
     ]
-    assert columns["sigma"] == [sigma for sigma, _ in out.trials]
+    assert columns["sigma"] == [[sigma for sigma, _ in out.trials]]
     for name in list(columns)[1:]:
         got = read_vector(columns[name], name, out.inner_desc_tests)
         want = np.array([getattr(cert, name) for _, cert in out.trials])
@@ -536,15 +572,14 @@ def test_restoration_certificates_are_stored_as_columns():
     assert "inner_desc_tests" not in rec
 
     missing = {k: v for k, v in columns.items() if k != "kappa_phi_ratio"}
-    ragged = {**columns, "sigma": columns["sigma"][:-1]}
+    ragged = {**columns, "sigma": [columns["sigma"][0][:-1]]}
     # the rows of schema v9, one object per trial
-    rows = []
-    edit_packed(copy.deepcopy(rec), lambda d: rows.extend(
-        dict(zip(d["trials"], row)) for row in zip(*d["trials"].values())))
+    rows = out.row()["trials"]
     assert len(rows) == out.inner_desc_tests
     for bad in (missing, ragged, rows):
-        with pytest.raises(SchemaError):
-            RestorationOutcome.from_dict({**rec, "trials": bad})
+        with pytest.raises(SchemaError, match="^restoration outcome trials"):
+            read_table({**rec, "trials": bad}, OUTCOME_TABLE,
+                       "restoration outcome")
 
 
 def test_failure_report_round_trips_byte_identical():

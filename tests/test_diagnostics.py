@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -361,7 +362,8 @@ def test_every_measured_value_is_checked_against_the_problem(suite_runs):
     checks = {c.name: c for c in audit(rep, problem_by_name("p3")).checks}
     assert [checks[name].status for name in ORACLE] == ["pass", "pass"]
     d = _trace(rep)
-    d["failure_info"]["resta"]["h_xR_yR"] += 1e-3
+    edit_packed(d, lambda t: t["failure_info"]["resta"]["h_xR_yR"].__setitem__(
+        0, t["failure_info"]["resta"]["h_xR_yR"][0] + 1e-3))
     failed = {c.name: c.detail for c in audit(
         RunReport.from_dict(d), problem_by_name("p3")).failures}
     assert list(failed) == ["oracle_h_error_bound"]
@@ -625,27 +627,29 @@ def test_the_status_is_replayed(suite_runs, edit, where):
 
 
 @pytest.mark.parametrize("edit", [
-    # restoration failed in the iteration after the last record
-    lambda d: d["failure_info"].update(iteration=1),
-    lambda d: d.update(status="BudgetExceeded", failure_info=None),
+    # restoration failed in the iteration after the last record; a trace
+    # derives it from the records, so only a report in memory can differ
+    lambda rep: rep.failure_info.update(iteration=1),
+    lambda rep: vars(rep).update(status="BudgetExceeded", failure_info=None),
 ], ids=["failure_iteration", "relabelled_budget_exceeded"])
 def test_a_relabelled_restoration_failure_is_caught(suite_runs, edit):
-    d = _trace(suite_runs["p3"])
-    edit(d)
-    assert "stopping_test" in _failures(d)
+    rep = RunReport.from_dict(_trace(suite_runs["p3"]))
+    edit(rep)
+    assert "stopping_test" in [c.name for c in audit(rep).failures]
 
 
 def test_a_restored_call_relabelled_trivial_is_caught():
     # a call with nothing to restore is a restored call like any other, so
-    # trivial is not a status: the relabelled trace is refused at load.  A
-    # recorded call writes no status, so the one relabelled is the failing
-    # call of p2 at r = 0.2, restored but outpacing its feasibility gain
+    # trivial is neither a status nor a failure kind: the relabelled trace
+    # is refused at load.  No call writes its status, so the one relabelled
+    # is the failure of p2 at r = 0.2, whose call restored but outpaced its
+    # feasibility gain
     params = AlgorithmParams.from_dict({
         **AlgorithmParams.defaults().to_dict(), "r": 0.2})
     d = _trace(bira_run(problem_by_name("p2", params), params))
-    assert d["failure_info"]["resta"]["status"] == "restored"
-    d["failure_info"]["resta"]["status"] = "trivial"
-    with pytest.raises(SchemaError, match="restoration status 'trivial'"):
+    assert d["failure_info"]["kind"] == "precision_outpaced_feasibility"
+    d["failure_info"]["kind"] = "trivial"
+    with pytest.raises(SchemaError, match="unknown failure kind 'trivial'"):
         RunReport.from_dict(d)
 
 
@@ -660,6 +664,20 @@ def test_a_stage_dropped_from_a_call_without_a_goal_is_caught():
     d["records"]["resta"]["stages"][0] = 0
     assert _failures(d) == {
         "precision_refinement": "iteration 0: 2.500e-01 exceeds 6.250e-02"}
+
+
+def test_a_stage_count_past_its_cap_is_replayed_to_the_cap(suite_runs):
+    # a replay of 2**64 stages would not end; it stops at the call's cap,
+    # which the claim fails, and the precision it claims is not reached
+    rep = RunReport.from_dict(_trace(suite_runs["p2"]))
+    rec = rep.records[3]
+    rep.records[3] = dataclasses.replace(
+        rec, resta=dataclasses.replace(rec.resta, stages=2**64))
+    failed = {c.name: c.detail for c in audit(rep).failures}
+    assert list(failed) == ["restoration_inner_caps", "precision_refinement"]
+    assert failed["restoration_inner_caps"].startswith(
+        "iteration 3: 1.845e+19 exceeds")
+    assert failed["precision_refinement"].startswith("iteration 3:")
 
 
 def test_an_unmeasured_call_passes_the_refinement_check(suite_runs):

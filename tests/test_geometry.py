@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import kkt_min_quadratic_box_line
 
 from bira.core import BoxPolytope
 from bira.geometry import (
@@ -54,6 +55,47 @@ def test_project_tangent_corner_case():
     x = project_tangent(np.array([2.0, -1.0]), region)
     np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-12)
     assert _in_region(x, region)
+
+
+def test_project_tangent_with_a_fixed_coordinate():
+    # the row pins the fixed coordinate, which leaves the free one
+    # unconstrained: the projection moves it, although the row has full
+    # rank over all the columns
+    box = BoxPolytope(np.array([0.0, -1.0]), np.array([0.0, 1.0]))
+    region = TangentSet(box, np.array([[1.0, 0.0]]), np.zeros(2))
+    x = project_tangent(np.array([0.0, 0.5]), region)
+    np.testing.assert_array_equal(x, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_project_tangent_with_fixed_coordinates_seeded(seed):
+    # the coordinates with lower == upper stay put, and the rest is the
+    # projection onto the row restricted to them, or the box alone where
+    # the row has no entry on them: the case a rank test over every
+    # column took for a pinned point
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        lower, upper = -1.0 - rng.random(n), 1.0 + rng.random(n)
+        fixed = rng.random(n) < 0.4
+        fixed[rng.integers(n)] = True
+        free = ~fixed
+        lower[fixed] = upper[fixed] = rng.uniform(-1.0, 1.0, fixed.sum())
+        a = rng.standard_normal(n)
+        if rng.random() < 0.5:
+            a[free] = 0.0
+        center = rng.uniform(lower, upper)
+        region = TangentSet(BoxPolytope(lower, upper), a[None, :], center)
+        z = rng.standard_normal(n) * 3.0
+        want = center.copy()
+        if a[free].any():
+            want[free], _ = kkt_min_quadratic_box_line(
+                z[free], 1.0, a[free], float(a[free] @ center[free]),
+                lower[free], upper[free])
+        else:
+            want[free] = np.clip(z[free], lower[free], upper[free])
+        np.testing.assert_allclose(project_tangent(z, region), want,
+                                   atol=1e-9)
 
 
 @pytest.mark.parametrize("direction, z, solution", [

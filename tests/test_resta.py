@@ -22,7 +22,12 @@ from bira.oracle import (
 from bira.diagnostics import restoration_stage_cap
 from bira.restoration import resta
 from bira.solver import bira_run, restoration_failure
-from bira.trace import RestorationOutcome
+from bira.trace import (
+    OUTCOME_TABLE,
+    RestorationOutcome,
+    read_table,
+    write_table,
+)
 
 
 def test_a_feasible_exact_start_is_restored_unmeasured():
@@ -177,7 +182,7 @@ def test_a_handed_zero_jacobian_is_not_a_stall():
     J = np.zeros((p.m, p.dim))
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, jacobian=J)
     assert out.status == "restored"
-    assert out.to_dict() == plain.to_dict()
+    assert out.row() == plain.row()
     assert out.ledger_delta["gradh_evals"] == 1
 
 
@@ -446,7 +451,10 @@ def test_outcome_round_trip():
     p = make_p1()
     h0 = p.eval_h(p.x0, p.y0)
     out = resta(p, p.x0, p.y0, AlgorithmParams.defaults(), h_xk_yk=h0)
-    back = RestorationOutcome.from_dict(out.to_dict())
+    # the one row of an outcome table, as a failing call is written
+    (row,) = read_table(write_table([out.row()], OUTCOME_TABLE),
+                        OUTCOME_TABLE, "restoration outcome")
+    back = RestorationOutcome.from_row(row)
     np.testing.assert_array_equal(back.x_R, out.x_R)
     assert back.y_R == out.y_R
     assert back.status == out.status

@@ -26,6 +26,7 @@ from bira.core import (
     FAILURE_KINDS,
     RESTORATION_STATUSES,
     RUN_STATUSES,
+    AlgorithmParams,
     PrecisionLevel,
     SchemaError,
 )
@@ -104,26 +105,64 @@ def test_every_run_status_round_trips(status):
 
 @pytest.mark.parametrize("status", RESTORATION_STATUSES)
 def test_every_restoration_status_round_trips(status):
+    # the failing call writes no status: it is its failure kind when that
+    # is a restoration status, and restored otherwise
+    kind = status if status in FAILURE_KINDS else FAILURE_KINDS[1]
     d = json.loads((DATA / "p3_failure.json").read_text())
-    out = d["failure_info"]["resta"]
-    out["status"] = status
-    assert RestorationOutcome.from_dict(out).to_dict() == out
-    out["status"] = "Bogus"
-    with pytest.raises(SchemaError, match="unknown restoration status"):
-        RestorationOutcome.from_dict(out)
+    d["failure_info"]["kind"] = kind
+    assert RunReport.from_dict(d).failure_info["resta"].status == status
+    assert _round_trips(d)
+    # schema v18 wrote the status into the failing call
+    d["failure_info"]["resta"]["status"] = [status]
+    with pytest.raises(SchemaError, match="^failure info: restoration outcome"
+                       r" table fields differ .* unknown \['status'\]"):
+        RunReport.from_dict(d)
 
 
 @pytest.mark.parametrize("kind", FAILURE_KINDS)
 def test_every_failure_kind_round_trips(kind):
-    # a call's status is its failure kind when that is a restoration status
-    status = kind if kind in RESTORATION_STATUSES else RESTORATION_STATUSES[0]
+    # the failing call is the iteration after the last record
     d = json.loads((DATA / "p3_failure.json").read_text())
     d["failure_info"]["kind"] = kind
-    d["failure_info"]["resta"]["status"] = status
+    back = RunReport.from_dict(d)
+    assert back.failure_info["kind"] == kind
+    assert back.failure_info["iteration"] == len(back.records) == 0
     assert _round_trips(d)
     d["failure_info"]["kind"] = "Bogus"
     with pytest.raises(SchemaError, match="unknown failure kind"):
         RunReport.from_dict(d)
+
+
+def test_a_failure_after_records_reloads_its_iteration():
+    # p2 at r = 0.2 fails in iteration 1, after one record; the trace
+    # writes the kind and the call, and the iteration is the record count
+    params = AlgorithmParams.from_dict({
+        **AlgorithmParams.defaults().to_dict(), "r": 0.2})
+    rep = bira_run(problem_by_name("p2", params), params)
+    assert rep.failure_info["kind"] == "precision_outpaced_feasibility"
+    assert rep.failure_info["iteration"] == len(rep.records) == 1
+    d = json.loads(json.dumps(rep.to_dict()))
+    assert list(d["failure_info"]) == ["kind", "resta"]
+    assert RunReport.from_dict(d).failure_info["iteration"] == 1
+    assert_reloads_equal(rep)
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+def test_a_failing_call_of_other_than_one_row_is_refused(tmp_path, capsys,
+                                                         rows):
+    d = json.loads((DATA / "p3_failure.json").read_text())
+    out = read_trace(DATA / "p3_failure.json").failure_info["resta"]
+    d["failure_info"]["resta"] = write_table([out.row()] * rows,
+                                             OUTCOME_TABLE)
+    _refused(tmp_path, capsys, d, "failure info: restoration outcome table"
+             f" must hold one row, got {rows}")
+
+
+def test_a_v18_failure_with_its_iteration_is_refused(tmp_path, capsys):
+    d = json.loads((DATA / "p3_failure.json").read_text())
+    d["failure_info"]["iteration"] = 0
+    _refused(tmp_path, capsys, d, "failure info fields differ from the"
+             r" schema: missing \[\], unknown \['iteration'\]")
 
 
 def test_a_precision_off_the_quadrant_is_a_schema_error():
@@ -225,7 +264,8 @@ POINT_FIELDS = [
      "iteration record 1: x_R"),
     ("p2_staged.json", lambda d, v: d["records"]["x_next"].__setitem__(1, v),
      "iteration record 1: x_next"),
-    ("p3_failure.json", lambda d, v: d["failure_info"]["resta"].update(x_R=v),
+    ("p3_failure.json",
+     lambda d, v: d["failure_info"]["resta"]["x_R"].__setitem__(0, v),
      "failure info: x_R"),
 ]
 
@@ -437,7 +477,7 @@ NON_FINITE = [
      "iteration record 3: restoration outcome field 'max_step_over_h' must"
      " not be -inf"),
     ("p3_failure.json",
-     lambda t: t["failure_info"]["resta"].update(h_xR_yR=math.inf),
+     lambda t: t["failure_info"]["resta"]["h_xR_yR"].__setitem__(0, math.inf),
      "failure info: restoration outcome field 'h_xR_yR' must not be inf"),
     # an infinite noise scale made the oracle error bound infinite
     ("p2_staged.json",
@@ -504,11 +544,10 @@ def _cells(spec, path=(), grouped=False):
             yield path, spec, name, grouped
 
 
-def _forbidden(spec, name, lone=False):
+def _forbidden(spec, name):
     """One value of each rule the layout ``spec`` declares for its column
     ``name`` that breaks it, with the refusal after the field's name:
-    ``[(value, refusal)]``.  ``lone`` is for the row of a lone outcome,
-    whose floats are JSON numbers and whose nulls JSON null."""
+    ``[(value, refusal)]``."""
     if name in spec.counts:
         return [(-1, "must be a nonnegative integer, got -1"),
                 (1.5, "must be a nonnegative integer, got 1.5"),
@@ -519,25 +558,24 @@ def _forbidden(spec, name, lone=False):
     bad = []
     if name not in spec.unbounded:
         bad += [(math.inf, "must not be inf"), (-math.inf, "must not be -inf")]
-    if lone or name not in spec.nullable:
+    if name not in spec.nullable:
         bad.append((math.nan, "must not be nan"))
     if name in spec.nonnegative:
         bad.append((-1.0, "must be nonnegative, got -1.0"))
     if name in spec.squared:
         bad.append((1e200, "1e+200 squares past the float range"))
-    if lone or name in spec.numbers:
+    if name in spec.numbers:
         bad += [("x", "must be a number, got str"),
                 (10**400, "must be a number, got int past the float range")]
     return bad
 
 
-def _cases(spec, lone=False):
+def _cases(spec):
     """``(path, column, grouped, value, row name, refusal)`` of every
-    forbidden value of every column of a table laid out by ``spec``; a
-    lone outcome writes its trials as a table, not as JSON numbers."""
+    forbidden value of every column of a table laid out by ``spec``."""
     return [(path, name, grouped, value, sub.row, refusal)
             for path, sub, name, grouped in _cells(spec)
-            for value, refusal in _forbidden(sub, name, lone and not grouped)]
+            for value, refusal in _forbidden(sub, name)]
 
 
 def _case_ids(cases):
@@ -571,7 +609,7 @@ def _nested(node, spec, path):
 
 
 RECORD_CASES = _cases(RECORD_TABLE)
-LONE_CASES = _cases(OUTCOME_TABLE, lone=True)
+LONE_CASES = _cases(OUTCOME_TABLE)
 
 
 @pytest.mark.parametrize("path,name,grouped,value,row,refusal", RECORD_CASES,
@@ -590,16 +628,31 @@ def test_every_record_column_refuses_each_value_its_layout_forbids(
                          ids=_case_ids(LONE_CASES))
 def test_every_field_of_the_failing_call_refuses_each_value_it_forbids(
         tmp_path, capsys, path, name, grouped, value, row, refusal):
-    # the lone outcome is the one row of a table of OUTCOME_TABLE's
-    # layout, its floats JSON numbers, and its trials one table
+    # the failing call is the one row of a table of OUTCOME_TABLE's layout
     d = json.loads((DATA / "p3_failure.json").read_text())
-    node, spec = _nested(d["failure_info"]["resta"], OUTCOME_TABLE, path)
-    if grouped:
-        _put(node, spec, name, 0, value)
-    else:
-        node[name] = value
+    _put(*_nested(d["failure_info"]["resta"], OUTCOME_TABLE, path), name, 0,
+         value, grouped)
     _refused(tmp_path, capsys, d,
              re.escape(f"failure info: {row} field '{name}' {refusal}"))
+
+
+LONE_PACKED = [(path, name) for path, spec, name, grouped
+               in _cells(OUTCOME_TABLE) if name in spec.packed and not grouped]
+
+
+@pytest.mark.parametrize("path,name", LONE_PACKED,
+                         ids=[".".join((*path, name))
+                              for path, name in LONE_PACKED])
+def test_a_json_number_in_a_float_column_of_the_failing_call_is_refused(
+        tmp_path, capsys, path, name):
+    # schema v18 wrote the failing call's floats as JSON numbers
+    d = json.loads((DATA / "p3_failure.json").read_text())
+    node, _ = _nested(d["failure_info"]["resta"], OUTCOME_TABLE, path)
+    node[name] = 1.0
+    table = " ".join(("restoration outcome", *path))
+    _refused(tmp_path, capsys, d, re.escape(
+        f"failure info: {table} column '{name}' must be a base64 string of"
+        " float64 bytes, got float"))
 
 
 def _restored_nothing_and_raised_f(t):
@@ -801,7 +854,7 @@ def test_a_null_round_trips_as_the_quiet_nan(problem, path):
      lambda t: t["records"]["resta"]["y_R"]["gh"].__setitem__(1, -0.5),
      "iteration record 1"),
     ("p3_failure.json",
-     lambda t: t["failure_info"]["resta"]["y_R"].update(gh=-0.5),
+     lambda t: t["failure_info"]["resta"]["y_R"]["gh"].__setitem__(0, -0.5),
      "failure info"),
 ], ids=["record", "failure_info"])
 def test_a_negative_restored_precision_is_a_schema_error(tmp_path, capsys,
@@ -814,25 +867,13 @@ def test_a_negative_restored_precision_is_a_schema_error(tmp_path, capsys,
              f"{where}: y_R field 'gh' must be nonnegative, got -0.5")
 
 
-def test_a_lone_outcome_writes_its_precision_as_a_row():
-    # the failing call's y_R is a row of the records' y_R table, so the
-    # pair form of start.y is refused there
-    d = json.loads((DATA / "p3_failure.json").read_text())
-    out = d["failure_info"]["resta"]
-    assert RestorationOutcome.from_dict(out).to_dict() == out
-    out["y_R"] = [out["y_R"]["gf"], out["y_R"]["gh"]]
-    with pytest.raises(SchemaError,
-                       match="^failure info: y_R must be a JSON object"):
-        RunReport.from_dict(d)
-
-
 #: The size of each default run's trace: ``(bytes of json.dumps, as the
 #: benchmark counts them, bytes of the file bira run --out writes)``.  A
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
     "p1": (7101, 9844),
     "p2": (4433, 6486),
-    "p3": (2325, 3124),
+    "p3": (2302, 3269),
     "p4": (1868, 2649),
 }
 
