@@ -113,7 +113,7 @@ def cmd_run(args):
     print(f"  evaluations: {report.ledger_totals}")
     if report.failure_info is not None:
         print(f"  failure: {report.failure_info['kind']}"
-              f" at iteration {report.failure_info['iteration']}")
+              f" at iteration {report.iterations}")
     return _STATUS_EXIT[report.status]
 
 
@@ -197,6 +197,9 @@ def cmd_complexity(args):
         print(f"eps_opt={row['eps_opt']}: {w} evaluations,"
               f" {row['iterations']} iteration(s), {row['status']}")
     slope, _ = complexity_fit(args.eps_opt_grid, work)
+    # a flat sweep fits a slope a rounding below zero: adding 0.0 to the
+    # rounded -0.0 prints it as 0.000
+    slope = round(slope, 3) + 0.0
     print(f"fitted slope of log(work) against log(1/eps_opt): {slope:.3f}")
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -254,12 +254,17 @@ def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
 #: ``(alpha + b)/2`` meets the descent test with equality when f is
 #: quadratic along the step, so the rounding of f and any change of the
 #: curvature along the longer step decide it.  The factor leaves the test
-#: a slack of ``(factor - 1)(alpha + b) ||s'||^2``.  On the five paper
-#: problems the f-evaluations are 111, 89, 95, 107 and 125 at factors
-#: 1, 1.05, 1.1, 1.25 and 1.5 (1,735, 1,587, 1,638, 1,761 and 1,956 over
-#: the 108 runs of the grid): at 1 the first trials fail on the edge, and
-#: above 1.1 the steps get shorter.  1.1 doubles the slack of 1.05 for
-#: 6 more f-evaluations there, and 51 more over the grid.
+#: a slack of ``(factor - 1)(alpha + b) ||s'||^2``.  It decides the start
+#: only where the floor at the Newton weight does not bind, where
+#: ``b <= factor alpha/(2 - factor)``, 0.024 at the default
+#: ``alpha = 0.02``: the floor sets every unclipped start on ``p1``
+#: (``b = 1/20``, as on the synthetic family) and on ``p2``.  On the five
+#: paper problems the f-evaluations are 47 at factors 1, 1.05, 1.1 and
+#: 1.25, and 59 at 1.5 (1,235, 1,188, 1,200, 1,221 and 1,380 over the 108
+#: runs of the grid, whose ``alpha = 0.3`` set leaves ``p1`` to the
+#: margin): at 1 the first trials fail on the edge, and above 1.1 the
+#: steps get shorter.  1.1 doubles the slack of 1.05 for no more
+#: f-evaluations there, and 12 more over the grid.
 TANGENT_MU_MARGIN = 1.1
 
 #: Relative rounding of the unclipped-step test ``a = 2 mu ||s||^2``.  A
@@ -413,11 +418,30 @@ class AlgorithmParams:
     restoration call takes 2 z-steps (6 at sigma_min = 1/4, 23 at 1).  At
     ``alpha_R = 1/2`` a floor of 1/8 fails the test on ``p1`` and pays a
     second trial per z-step.
+
+    ``alpha`` is the tangent descent constant.  A trial at the Newton
+    weight b, half of f's curvature along the step, ends at the minimizer
+    of f along it, and the search starts there only where
+    ``b > 1.1 alpha/0.9`` (see :func:`tangent_mu_start`); the sufficient
+    decrease constant is small so that this step is accepted (Nocedal &
+    Wright §3.1).  ``p1`` and the synthetic family have ``b = 1/20``: at
+    ``alpha = 0.1`` their searches start at the margin instead, and
+    ``p1`` takes 12 records; at 0.02 one step from record 1 reaches the
+    minimizer and ``p1`` stops in 4.  On the five paper problems the
+    counts are the same for every alpha in [0.001, 0.04] (f 47, grad f
+    18, h 147, grad h 24, 18 records), and rise from 0.045 on (f 59 at
+    0.045, 65 at 0.05, 95 at 0.1); 0.02 keeps a factor 2 below
+    ``0.9/1.1 * 1/20``.  Of the derived constants (see
+    :func:`bira.diagnostics.constants`) ``step_square_sum_bound``, and
+    the residual bound built on it, grow as ``1/alpha``: on ``p1`` it is
+    3.3e15 at 0.02 (6.5e14 at 0.1), against an observed sum of squared
+    steps of 8.1 (3.6 at 0.1).  ``alpha_effective``, ``mu_cap``,
+    ``beta_bar`` and so the calibrated noise do not move.
     """
 
     r: float = 0.5
     r_feas: float = 0.05
-    alpha: float = 0.1
+    alpha: float = 0.02
     alpha_R: float = 0.125
     M: float = 16.0
     sigma_min: float = 0.0625

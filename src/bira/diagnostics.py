@@ -458,7 +458,7 @@ def _z_step_trial_rows(report, sigma_min, cap):
     calls = [(rec.k, rec.resta) for rec in report.records]
     failure = report.failure_info
     if failure is not None:
-        calls.append((failure["iteration"], failure["resta"]))
+        calls.append((len(report.records), failure["resta"]))
     for k, out in calls:
         trials = 0
         for sigma, _ in out.trials:
@@ -506,13 +506,14 @@ def _restoration_test_rows(report):
     if failure is None or failure["kind"] == "possible_infeasibility":
         return
     out = failure["resta"]
+    k = len(report.records)
     for kind, lhs, rhs in restoration_tests(out.h_xk_yR, out.h_xR_yR,
                                             y_k.g, out.y_R.g, r):
         if kind == failure["kind"]:
             # a lower bound: the test failed
-            yield failure["iteration"], not lhs <= rhs, rhs, lhs
+            yield k, not lhs <= rhs, rhs, lhs
             return
-        yield _exact(failure["iteration"], lhs, rhs)
+        yield _exact(k, lhs, rhs)
 
 
 def _tangent_search_rows(report):
@@ -560,8 +561,9 @@ def _measurements(report):
     if failure is not None:
         out = failure["resta"]
         x_k = report.records[-1].x_next if report.records else start["x"]
-        yield failure["iteration"], x_k, out.y_R, None, out.h_xk_yR
-        yield failure["iteration"], out.x_R, out.y_R, None, out.h_xR_yR
+        k = len(report.records)
+        yield k, x_k, out.y_R, None, out.h_xk_yR
+        yield k, out.x_R, out.y_R, None, out.h_xR_yR
 
 
 def _oracle_error_rows(report, problem):
@@ -617,25 +619,23 @@ def _ledger_total_rows(report):
 def _stopping_rows(report):
     """Replay the stopping test of ``bira_run`` against the status.
 
-    A converged run meets the test at its last record and nowhere before;
-    a run out of budget wrote ``budget`` records, and a restoration failure
-    stopped in the iteration after its last record, neither meeting the
-    test.  A record that must meet it is the row (largest ratio of a
-    stopping measure to its tolerance, 1); one that must not is the lower
-    bound (1, that ratio).  The verdict is the solver's own comparison,
-    :func:`~bira.core.stopping_test`.
+    A converged run meets the test at its last record and nowhere before,
+    and a run out of budget wrote ``budget`` records; neither it nor a
+    restoration failure, whose failing call is the iteration after its
+    last record, meets the test at any record.  A record that must meet
+    it is the row (largest ratio of a stopping measure to its tolerance,
+    1); one that must not is the lower bound (1, that ratio).  The verdict
+    is the solver's own comparison, :func:`~bira.core.stopping_test`.
     """
     tol = report.tolerances
     recs = report.records
     n = len(recs)
     if report.status == "Converged":
         yield _exact(None, 1, n)
-    else:
-        stop = (report.budget if report.status == "BudgetExceeded"
-                else report.failure_info["iteration"])
+    elif report.status == "BudgetExceeded":
         # equal: neither side exceeds the other
-        yield _exact(None, n, stop)
-        yield _exact(None, stop, n)
+        yield _exact(None, n, report.budget)
+        yield _exact(None, report.budget, n)
     for i, rec in enumerate(recs):
         met = stopping_test(rec.h_xR_yR, rec.g_yR, rec.stationarity_residual,
                             tol)

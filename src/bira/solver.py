@@ -39,9 +39,12 @@ The trial at b ends at the minimizer of f's quadratic along s, and it
 passes whenever ``b >= alpha``; the floor binds only where
 ``b > 1.1 alpha/0.9``.  After a clipped or zero step it starts at
 mu/2 if ``D >= (mu + alpha) |s|^2``, the test of the half along 2s, else
-at mu.  On ``p1`` the weight then settles at 0.0825 instead of the power
-of two 0.125, and the run takes 12 records, not 19.  On ``p2``, whose
-curved constraint makes b exceed the margin, the floor stops the steps
+at mu.  At the default ``alpha = 0.02`` the floor binds on ``p1``, where
+``b = 1/20``: each search from record 1 on starts at b and passes at
+its first trial, one step reaches the minimizer of p1's quadratic on its
+line, and the run stops in 4 records (12 at ``alpha = 0.1``, where the
+weight settles at the margin, 0.0825).  On ``p2``, whose curved
+constraint makes b exceed the margin, the floor stops the steps
 overshooting: consecutive steps no longer point in opposite directions,
 and the stationarity residual falls at every record from record 2 on.
 The rule is written once, in :func:`~bira.core.tangent_mu_start`, which
@@ -252,7 +255,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             if kind is not None:
                 return finish(
                     "RestorationFailure",
-                    failure={"kind": kind, "iteration": k, "resta": out},
+                    failure={"kind": kind, "resta": out},
                 )
 
             contraction = out.contraction

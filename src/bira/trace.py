@@ -693,13 +693,13 @@ class RunReport:
     norm measured before the first iteration; the final point is chosen
     from the records by the status.  ``failure_info`` is ``None`` unless
     the status is ``RestorationFailure``; then it holds the failure
-    ``kind``, the ``iteration`` it happened in and the
-    :class:`RestorationOutcome` of that iteration's call as ``resta``.
-    The status and kind are entries of :data:`~bira.core.RUN_STATUSES` and
-    :data:`~bira.core.FAILURE_KINDS`.  A trace writes the kind and the
-    call, as a one-row table of :data:`OUTCOME_TABLE`: the iteration is the
-    number of records, and the call's status ``possible_infeasibility``
-    exactly when the kind is.
+    ``kind`` and the :class:`RestorationOutcome` of the failing call as
+    ``resta``.  That call is the iteration after the last record, so its
+    index is the number of records.  The status and kind are entries of
+    :data:`~bira.core.RUN_STATUSES` and :data:`~bira.core.FAILURE_KINDS`.
+    A trace writes the kind and the call, as a one-row table of
+    :data:`OUTCOME_TABLE`, and the call's status is
+    ``possible_infeasibility`` exactly when the kind is.
     """
 
     status: str
@@ -822,9 +822,7 @@ class RunReport:
         rows = read_table(d["records"], RECORD_TABLE, "records",
                           "iteration record {}".format)
         if failure is not None:
-            # the failing call is the iteration after the last record
-            kw["failure_info"] = {"kind": kind, "iteration": len(rows),
-                                  "resta": out}
+            kw["failure_info"] = {"kind": kind, "resta": out}
         kw["start"] = {
             "x": x0,
             "y": _level(start["y"], "start y"),

@@ -85,7 +85,7 @@ def test_criterion_01_convergence_to_tolerance(feasible_runs):
 def test_criterion_02_infeasibility_detected(infeasible_run):
     report = infeasible_run
     assert report.status == "RestorationFailure"
-    assert report.failure_info["iteration"] <= INFEAS_BUDGET
+    assert len(report.records) <= INFEAS_BUDGET
     assert report.failure_info["resta"].status == "possible_infeasibility"
 
 

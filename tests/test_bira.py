@@ -7,6 +7,7 @@ from conftest import (
     assert_reloads_equal,
     assert_stops_at_its_restored_point,
     load_bench_run,
+    load_synth,
     make_highdim,
     make_unit_row,
 )
@@ -145,8 +146,8 @@ def test_p1_converges_and_the_audit_agrees():
 
 
 @pytest.mark.parametrize("factory,ledger", [
-    (make_p1, {"f_evals": 34, "gradf_evals": 12,
-               "h_evals": 64, "gradh_evals": 13}),
+    (make_p1, {"f_evals": 10, "gradf_evals": 4,
+               "h_evals": 52, "gradh_evals": 5}),
     (make_p2, {"f_evals": 25, "gradf_evals": 9,
                "h_evals": 35, "gradh_evals": 10}),
 ], ids=["p1", "p2"])
@@ -159,8 +160,8 @@ def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # The tangent search starts at a weight the previous step predicted
     # to pass, so every first trial is accepted: one f per iteration, plus
     # f at (x_k, y_R) and at (x_R, y_R), plus the start.  The call after
-    # the record that met eps_opt is a finishing call: p1's and p2's each
-    # take 3 stages and end the run.
+    # the record that met eps_opt is a finishing call and ends the run:
+    # p1's takes 7 stages, p2's 3.
     # The last record stops at its restored point: it measures no f, and
     # h only in its restoration call
     rep = bira_run(factory())
@@ -310,13 +311,13 @@ def test_a_zero_z_step_is_a_stall(monkeypatch):
     rep = bira_run(make_p1(params), params)
     assert rep.status == "RestorationFailure"
     assert rep.failure_info["kind"] == "possible_infeasibility"
-    assert rep.failure_info["iteration"] == 44 == len(rep.records)
+    assert len(rep.records) == 44
     assert rep.failure_info["resta"].h_xk_yR < 1e-15
     assert rep.failure_info["resta"].inner_desc_tests < 100
     assert audit(rep).ok
-    # a trace writes no failing iteration: it reloads as the record count
+    # the failing iteration is the record count, in memory and reloaded
     back = RunReport.from_dict(json.loads(json.dumps(rep.to_dict())))
-    assert back.failure_info["iteration"] == 44
+    assert len(back.records) == 44
     assert_reloads_equal(rep)
 
 
@@ -380,12 +381,12 @@ def _margin_start(params, mu, f_xR_yR, f_next, step_norm, model_decrease):
 
 
 @pytest.mark.parametrize("make,params,margin_start,k,stages", [
-    (make_p2, {}, True, 6, 5),
+    (make_p2, {"alpha": 0.1}, True, 6, 5),
     (make_unit_row, {"r": 0.7}, False, 1, 15),
 ], ids=["p2_margin_start", "unit_row_r=0.7"])
 def test_a_finishing_call_that_does_not_stop_the_run_keeps_the_floor(
         monkeypatch, make, params, margin_start, k, stages):
-    # p2 at the defaults, its searches started at the margin alone: each
+    # p2 at alpha = 0.1, its searches started at the margin alone: each
     # step overshoots the minimizer along it, and record 6 is a finishing
     # call whose tangent step leaves the optimality test open.  The unit
     # row at r = 0.7: record 1's finishing call stops at its stage cap with
@@ -487,9 +488,11 @@ def test_regularization_weight_tracks_the_doubling_schedule():
     # as mu ||s||^2 - model_decrease, is 2 mu ||s||^2, and the trial at
     # weight m is (mu/m) s.  f is quadratic, so with b the half curvature
     # of f along s the descent test holds iff 2 m >= alpha + b, and the
-    # next search starts 10% above that edge, never above mu
-    params = AlgorithmParams.defaults()
-    rep = bira_run(make_p1())
+    # next search starts 10% above that edge, never above mu.  At
+    # alpha = 0.1 that edge lies above the Newton weight b = 1/20, so the
+    # floor at b never binds
+    params = AlgorithmParams(alpha=0.1)
+    rep = bira_run(make_p1(params), params)
     # the last record stopped the run and searched nothing
     assert rep.records[-1].stopped and rep.records[-1].mu_k is None
     searched = rep.records[:-1]
@@ -508,6 +511,37 @@ def test_regularization_weight_tracks_the_doubling_schedule():
     assert searched[-1].mu_k == pytest.approx(1.1 * (0.1 + 0.05) / 2.0)
 
 
+def test_p1_searches_start_at_the_newton_weight_and_pass():
+    # at the default alpha, p1's half curvature b = 1/20 along every step
+    # lies above 1.1 (alpha + b)/2, so each search after the first starts
+    # on the floor of tangent_mu_start, at the minimizer of f along the
+    # step, and its first trial passes.  One such step solves p1's
+    # quadratic on a line: record 2 meets eps_opt, and record 3 stops
+    params = AlgorithmParams.defaults()
+    problem = make_p1()
+    rep = bira_run(problem)
+    assert rep.status == "Converged" and rep.iterations == 4
+    assert audit(rep, problem).ok
+    searched = rep.records[:-1]
+    assert [rec.ell_count for rec in searched] == [1, 1, 1]
+    for prev, rec in zip(searched, searched[1:]):
+        mu, s2 = prev.mu_k, prev.step_norm**2
+        a = mu * s2 - prev.tangent_cert.model_decrease
+        b = (a - (prev.f_xR_yR - prev.f_xnext_ynext)) / s2
+        assert b == pytest.approx(0.05)
+        assert TANGENT_MU_MARGIN * (params.alpha + b) / 2.0 < b
+        assert rec.mu_k == min(b, mu)
+
+
+def test_the_default_alpha_keeps_the_newton_floor_binding():
+    # the floor b binds where TANGENT_MU_MARGIN (alpha + b)/2 < b, that is
+    # alpha < (0.9/1.1) b.  b is 1/20 on p1, f = ||x - x_f||^2 / 20, and
+    # w/2 on the synthetic family, f = w/2 ||x - c||^2
+    alpha = AlgorithmParams.defaults().alpha
+    for b in (0.05, load_synth().OBJECTIVE_WEIGHT / 2.0):
+        assert alpha < (2.0 / TANGENT_MU_MARGIN - 1.0) * b
+
+
 def test_budget_exhaustion_is_reported_not_raised():
     rep = bira_run(make_p1(), budget=3)
     assert rep.status == "BudgetExceeded"
@@ -520,7 +554,6 @@ def test_infeasible_problem_reports_the_restoration_verdict():
     assert rep.status == "RestorationFailure"
     assert rep.records == []
     assert rep.failure_info["kind"] == "possible_infeasibility"
-    assert rep.failure_info["iteration"] == 0
     assert rep.failure_info["resta"].status == "possible_infeasibility"
     np.testing.assert_allclose(
         rep.final_x, rep.failure_info["resta"].x_R, atol=0)

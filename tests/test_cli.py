@@ -195,17 +195,17 @@ def test_audit_flags_a_tampered_trace(tmp_path, capsys):
 
 def test_audit_checks_a_registered_problem_s_values_against_it(
         tmp_path, capsys, p1_trace):
-    # record 3's objective at its restored point, 1e-3 off: the penalty
+    # record 2's objective at its restored point, 1e-3 off: the penalty
     # update replays it, so only the problem's exact value can tell
     payload = json.loads(p1_trace)
     edit_packed(payload, lambda t: t["records"]["f_xR_yR"].__setitem__(
-        3, t["records"]["f_xR_yR"][3] + 1e-3))
+        2, t["records"]["f_xR_yR"][2] + 1e-3))
     trace = tmp_path / "t.json"
     trace.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["audit", str(trace)]) == 4
     got = capsys.readouterr().out
-    assert "oracle_f_error_bound        FAIL  (iteration 3: " in got
+    assert "oracle_f_error_bound        FAIL  (iteration 2: " in got
     # a problem the command line does not build is audited from the trace
     # alone, which lists no oracle error row
     payload["problem_name"] = "unregistered"
@@ -606,6 +606,10 @@ def test_default_complexity_writes_its_golden_csv(tmp_path, capsys):
     out = tmp_path / "complexity.csv"
     assert main(["complexity", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "complexity.csv").read_bytes()
+    # p1 stops in 4 records at every eps_opt: the fit is flat, and its
+    # slope a rounding below zero prints without a sign
+    assert ("fitted slope of log(work) against log(1/eps_opt): 0.000\n"
+            in capsys.readouterr().out)
 
 
 def test_complexity_sweep_writes_the_csv(tmp_path, capsys):

@@ -215,16 +215,19 @@ def _doubling_start(params, mu, decrease, step_norm):
     return min(max(mu / 2.0 if halve else mu, params.mu_min), params.mu_max)
 
 
-@pytest.mark.parametrize("curvature,newton", [(0.05, False), (0.3, True)],
-                         ids=["margin", "newton_weight"])
-def test_an_unclipped_step_predicts_the_weight_that_passes(curvature,
+@pytest.mark.parametrize("curvature,params,newton", [
+    (0.05, {"alpha": 0.1}, False),
+    (0.3, {}, True),
+], ids=["margin", "newton_weight"])
+def test_an_unclipped_step_predicts_the_weight_that_passes(curvature, params,
                                                            newton):
     # f is quadratic with half curvature b along every direction, so a
     # trial at weight m passes the descent test iff 2 m >= alpha + b; the
     # rule starts 10% above that edge, but no lower than b, where the step
-    # ends at the minimizer of f along it: with alpha = 0.1 the floor
-    # binds for b > 1.1 alpha/0.9, and b = 0.3 >= alpha passes there
-    params = AlgorithmParams.defaults()
+    # ends at the minimizer of f along it: the floor binds for
+    # b > 1.1 alpha/0.9, ~0.024 at the default alpha = 0.02 and ~0.12 at
+    # alpha = 0.1, and b >= alpha passes there
+    params = AlgorithmParams(**params)
     decrease, cert, f = _tangent_step(2.0, curvature=curvature)
     start = tangent_mu_start(params, 2.0, 0.0, -decrease, cert.step_norm,
                              cert.model_decrease)

@@ -486,13 +486,13 @@ TAMPERS = [
      lambda t, tc: 1e-9),
     # halfway to 0: still a decrease, but less than the -mu ||s||^2 a
     # projected step guarantees
-    ("tangent_model_decrease", ("records", 3, "tangent_cert", "model_decrease"),
-     lambda t, tc: 0.5 * record_row(t, 3)["tangent_cert"]["model_decrease"]),
-    # record 10, the last that searched: no replayed start reads its model,
+    ("tangent_model_decrease", ("records", 1, "tangent_cert", "model_decrease"),
+     lambda t, tc: 0.5 * record_row(t, 1)["tangent_cert"]["model_decrease"]),
+    # record 2, the last that searched: no replayed start reads its model,
     # so only the floor -L_f ||s|| bounds it from below
-    ("tangent_model_floor", ("records", 10, "tangent_cert", "model_decrease"),
+    ("tangent_model_floor", ("records", 2, "tangent_cert", "model_decrease"),
      lambda t, tc: -10.0 * t["constants_basis"]["problem_constants"]["L_f"]
-     * record_row(t, 10)["tangent_cert"]["step_norm"]),
+     * record_row(t, 2)["tangent_cert"]["step_norm"]),
     ("tangent_solve_accuracy",
      ("records", 0, "tangent_cert", "stationarity_residual"),
      lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa"]
@@ -519,22 +519,22 @@ TAMPERS = [
     # a restored call that claims to have left the precision unrefined
     ("precision_refinement", ("records", 0, "resta", "y_R", "gf"),
      lambda t, tc: t["start"]["y"][0]),
-    # record 9's call contracted by about 4/9, below r, so record 10's
+    # record 0's call contracted by about 4/9, below r, so record 1's
     # call refined at that ratio, not at r
-    ("precision_refinement", ("records", 10, "resta", "y_R", "gf"),
-     lambda t, tc: t["params"]["r"] * record_row(t, 9)["resta"]["y_R"]["gf"]),
+    ("precision_refinement", ("records", 1, "resta", "y_R", "gf"),
+     lambda t, tc: t["params"]["r"] * record_row(t, 0)["resta"]["y_R"]["gf"]),
     # the last call, a finishing one, claims a stage more than it took, so
     # its precision is not the one replayed
-    ("precision_refinement", ("records", 11, "resta", "stages"),
-     lambda t, tc: record_row(t, 11)["resta"]["stages"] + 1),
+    ("precision_refinement", ("records", 3, "resta", "stages"),
+     lambda t, tc: record_row(t, 3)["resta"]["stages"] + 1),
     # a call that claims to have contracted nothing
-    ("restoration_tests", ("records", 5, "resta", "h_xR_yR"),
-     lambda t, tc: record_row(t, 5)["resta"]["h_xk_yR"]),
+    ("restoration_tests", ("records", 2, "resta", "h_xR_yR"),
+     lambda t, tc: record_row(t, 2)["resta"]["h_xk_yR"]),
     # an accepted tangent step ten times longer than its decrease allows
-    ("tangent_search", ("records", 5, "tangent_cert", "step_norm"),
-     lambda t, tc: 10.0 * record_row(t, 5)["tangent_cert"]["step_norm"]),
+    ("tangent_search", ("records", 1, "tangent_cert", "step_norm"),
+     lambda t, tc: 10.0 * record_row(t, 1)["tangent_cert"]["step_norm"]),
     # a search that claims four rejected trials it did not evaluate
-    ("tangent_search", ("records", 5, "ell_count"), lambda t, tc: 5),
+    ("tangent_search", ("records", 1, "ell_count"), lambda t, tc: 5),
     # a run that claims to have evaluated nothing
     ("ledger_totals", ("ledger_totals",),
      lambda t, tc: dict.fromkeys(t["ledger_totals"], 0)),
@@ -582,10 +582,10 @@ def _failures(trace):
 
 
 def test_a_truncated_trace_fails_the_ledger_totals(suite_runs):
-    # the ten dropped iterations are still in the totals, and the last
+    # the two dropped iterations are still in the totals, and the last
     # record left does not meet the stopping test the status claims
     d = _trace(suite_runs["p1"])
-    rows = read_table(d["records"], RECORD_TABLE, "records")[:-10]
+    rows = read_table(d["records"], RECORD_TABLE, "records")[:-2]
     d["records"] = write_table(rows, RECORD_TABLE)
     failed = _failures(d)
     assert list(failed) == ["ledger_totals", "stopping_test"]
@@ -607,31 +607,28 @@ def test_the_stopping_test_agrees_with_every_status(run):
 
 @pytest.mark.parametrize("edit,where", [
     # the last iteration's residual no longer meets the tolerance
-    (lambda d: d["tolerances"].update(eps_opt=1e-9), "iteration 11"),
-    # a run that met the test at record 11 cannot have run out of budget
-    (lambda d: d.update(status="BudgetExceeded", budget=12), "iteration 11"),
+    (lambda d: d["tolerances"].update(eps_opt=1e-9), "iteration 3"),
+    # a run that met the test at record 3 cannot have run out of budget
+    (lambda d: d.update(status="BudgetExceeded", budget=4), "iteration 3"),
     # a converged run stopped at the first record that met the test: at
-    # tolerances record 10 meets, record 11 came after stopping
-    (lambda d: d["tolerances"].update(_tolerances_met_at(d, 10)),
-     "iteration 10"),
+    # tolerances record 2 meets, record 3 came after stopping
+    (lambda d: d["tolerances"].update(_tolerances_met_at(d, 2)),
+     "iteration 2"),
     (lambda d: d.update(records=_with_rows(d, lambda rows: [])),
      "whole run"),
 ], ids=["eps_opt", "budget_exceeded_at_its_budget", "record_after_stopping",
         "converged_without_records"])
 def test_the_status_is_replayed(suite_runs, edit, where):
     d = _trace(suite_runs["p1"])
-    assert len(d["records"]["ell_count"]) == 12
+    assert len(d["records"]["ell_count"]) == 4
     edit(d)
     failed = _failures(d)
     assert failed["stopping_test"].startswith(where + ":")
 
 
 @pytest.mark.parametrize("edit", [
-    # restoration failed in the iteration after the last record; a trace
-    # derives it from the records, so only a report in memory can differ
-    lambda rep: rep.failure_info.update(iteration=1),
     lambda rep: vars(rep).update(status="BudgetExceeded", failure_info=None),
-], ids=["failure_iteration", "relabelled_budget_exceeded"])
+], ids=["relabelled_budget_exceeded"])
 def test_a_relabelled_restoration_failure_is_caught(suite_runs, edit):
     rep = RunReport.from_dict(_trace(suite_runs["p3"]))
     edit(rep)
@@ -701,13 +698,13 @@ def test_the_failing_restoration_test_is_replayed():
         **AlgorithmParams.defaults().to_dict(), "r": 0.2})
     rep = bira_run(problem_by_name("p2", params), params)
     assert rep.failure_info["kind"] == "precision_outpaced_feasibility"
-    assert rep.failure_info["iteration"] == 1
+    assert len(rep.records) == 1
     by_name = {c.name: c.status for c in audit(rep).checks}
     assert by_name["restoration_tests"] == "pass"
     d = _trace(rep)
     d["failure_info"]["kind"] = "insufficient_contraction"
     assert _failures(d)["restoration_tests"].startswith(
-        f"iteration {rep.failure_info['iteration']}:")
+        f"iteration {len(rep.records)}:")
 
 
 def test_restoration_ray_ratio_is_audited(suite_runs):

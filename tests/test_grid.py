@@ -54,8 +54,8 @@ INFEAS = "possible_infeasibility"
 #: r_feas = 0.2 stalls at once.
 GRID = {
     "defaults": [
-        ("p1", "default", CONV, None, 12),
-        ("p1", "tight", CONV, None, 17),
+        ("p1", "default", CONV, None, 4),
+        ("p1", "tight", CONV, None, 4),
         ("p2", "default", CONV, None, 9),
         ("p2", "tight", CONV, None, 13),
         ("p3", "default", FAIL, INFEAS, 0),
@@ -68,8 +68,8 @@ GRID = {
         ("unit_row", "tight", CONV, None, 2),
     ],
     "edge": [
-        ("p1", "default", CONV, None, 12),
-        ("p1", "tight", CONV, None, 17),
+        ("p1", "default", CONV, None, 4),
+        ("p1", "tight", CONV, None, 4),
         ("p2", "default", CONV, None, 11),
         ("p2", "tight", CONV, None, 17),
         ("p3", "default", FAIL, INFEAS, 0),
@@ -96,8 +96,8 @@ GRID = {
         ("unit_row", "tight", CONV, None, 2),
     ],
     "M=2,sigma_min=0.5": [
-        ("p1", "default", CONV, None, 12),
-        ("p1", "tight", CONV, None, 17),
+        ("p1", "default", CONV, None, 4),
+        ("p1", "tight", CONV, None, 4),
         ("p2", "default", CONV, None, 12),
         ("p2", "tight", CONV, None, 17),
         ("p3", "default", FAIL, INFEAS, 0),
@@ -110,8 +110,8 @@ GRID = {
         ("unit_row", "tight", CONV, None, 2),
     ],
     "M=8,sigma_min=0.125": [
-        ("p1", "default", CONV, None, 12),
-        ("p1", "tight", CONV, None, 17),
+        ("p1", "default", CONV, None, 4),
+        ("p1", "tight", CONV, None, 4),
         ("p2", "default", CONV, None, 12),
         ("p2", "tight", CONV, None, 19),
         ("p3", "default", FAIL, INFEAS, 0),
@@ -124,8 +124,8 @@ GRID = {
         ("unit_row", "tight", CONV, None, 2),
     ],
     "r=0.7": [
-        ("p1", "default", CONV, None, 12),
-        ("p1", "tight", CONV, None, 17),
+        ("p1", "default", CONV, None, 4),
+        ("p1", "tight", CONV, None, 4),
         ("p2", "default", CONV, None, 9),
         ("p2", "tight", CONV, None, 13),
         ("p3", "default", FAIL, INFEAS, 1),
@@ -138,8 +138,8 @@ GRID = {
         ("unit_row", "tight", CONV, None, 2),
     ],
     "r=0.3": [
-        ("p1", "default", CONV, None, 12),
-        ("p1", "tight", CONV, None, 16),
+        ("p1", "default", CONV, None, 4),
+        ("p1", "tight", CONV, None, 4),
         ("p2", "default", CONV, None, 7),
         ("p2", "tight", CONV, None, 9),
         ("p3", "default", FAIL, INFEAS, 0),
@@ -166,8 +166,8 @@ GRID = {
         ("unit_row", "tight", CONV, None, 2),
     ],
     "sigma_min=1": [
-        ("p1", "default", CONV, None, 12),
-        ("p1", "tight", CONV, None, 17),
+        ("p1", "default", CONV, None, 4),
+        ("p1", "tight", CONV, None, 4),
         ("p2", "default", CONV, None, 13),
         ("p2", "tight", CONV, None, 19),
         ("p3", "default", FAIL, INFEAS, 0),
@@ -190,8 +190,8 @@ FAILING = {
     ("r=0.7", "syn", "tight"): ["noise_within_budget"],
 }
 
-LEDGER_TOTALS = {"f_evals": 1638, "gradf_evals": 611, "h_evals": 6169,
-                 "gradh_evals": 750}
+LEDGER_TOTALS = {"f_evals": 1200, "gradf_evals": 465, "h_evals": 5961,
+                 "gradh_evals": 604}
 
 ROWS = [(label, *row) for label, rows in GRID.items() for row in rows]
 

@@ -5,7 +5,8 @@ no non-finite value loads where a run cannot write one.
 
 ``p3_failure.json`` is ``p3``'s restoration failure and ``p2_staged.json``
 a ``p2`` run whose finishing call took stages, both at the default
-parameters and tolerances.
+tolerances and at the default parameters of their time, with
+``alpha = 0.1``.
 """
 
 import base64
@@ -74,6 +75,16 @@ def test_a_saved_trace_loads_each_fact_as_its_one_type(name):
     assert all(isinstance(cert, SolveCertificate) for cert in certs)
 
 
+@pytest.mark.parametrize("name", SAVED)
+def test_a_saved_trace_at_a_former_default_audits_clean(name):
+    # the audit replays each search's start with the alpha the trace
+    # writes, not the default of the reading code
+    report = read_trace(DATA / name)
+    assert report.params.alpha == 0.1 != AlgorithmParams.defaults().alpha
+    problem = problem_by_name(report.problem_name, report.params)
+    assert audit(report, problem).ok
+
+
 def test_the_saved_traces_are_the_cases_they_stand_for():
     failure = read_trace(DATA / "p3_failure.json")
     assert failure.status == "RestorationFailure"
@@ -126,7 +137,8 @@ def test_every_failure_kind_round_trips(kind):
     d["failure_info"]["kind"] = kind
     back = RunReport.from_dict(d)
     assert back.failure_info["kind"] == kind
-    assert back.failure_info["iteration"] == len(back.records) == 0
+    assert list(back.failure_info) == ["kind", "resta"]
+    assert len(back.records) == 0
     assert _round_trips(d)
     d["failure_info"]["kind"] = "Bogus"
     with pytest.raises(SchemaError, match="unknown failure kind"):
@@ -134,16 +146,18 @@ def test_every_failure_kind_round_trips(kind):
 
 
 def test_a_failure_after_records_reloads_its_iteration():
-    # p2 at r = 0.2 fails in iteration 1, after one record; the trace
-    # writes the kind and the call, and the iteration is the record count
+    # p2 at r = 0.2 fails in iteration 1, after one record; the report and
+    # the trace hold the kind and the call, and the iteration is the
+    # record count
     params = AlgorithmParams.from_dict({
         **AlgorithmParams.defaults().to_dict(), "r": 0.2})
     rep = bira_run(problem_by_name("p2", params), params)
     assert rep.failure_info["kind"] == "precision_outpaced_feasibility"
-    assert rep.failure_info["iteration"] == len(rep.records) == 1
+    assert list(rep.failure_info) == ["kind", "resta"]
+    assert len(rep.records) == 1
     d = json.loads(json.dumps(rep.to_dict()))
     assert list(d["failure_info"]) == ["kind", "resta"]
-    assert RunReport.from_dict(d).failure_info["iteration"] == 1
+    assert len(RunReport.from_dict(d).records) == 1
     assert_reloads_equal(rep)
 
 
@@ -871,10 +885,10 @@ def test_a_negative_restored_precision_is_a_schema_error(tmp_path, capsys,
 #: benchmark counts them, bytes of the file bira run --out writes)``.  A
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
-    "p1": (7101, 9844),
-    "p2": (4433, 6486),
-    "p3": (2302, 3269),
-    "p4": (1868, 2649),
+    "p1": (4660, 6299),
+    "p2": (4434, 6487),
+    "p3": (2303, 3270),
+    "p4": (1869, 2650),
 }
 
 
