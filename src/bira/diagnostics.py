@@ -436,30 +436,36 @@ def _merit_row(rec, r):
 
 
 def _calls(report):
-    """Each record with the precision ratio and the goal ``bira_run``
-    handed its restoration call: the ratio follows the previous restored
-    call's contraction, and the goal is set after a record that met the
-    optimality test."""
-    r = report.params.r
-    contraction = None
-    residual = None
-    for rec in report.records:
+    """Every restoration call of the run as ``(k, x_k, y_k, h_xk_yk,
+    outcome, rho, stage_cap)``: its iteration, start and outcome, the
+    precision ratio ``bira_run`` handed it, which follows the previous
+    call's contraction and the goal a record that met the optimality test
+    sets, and its :func:`restoration_stage_cap`.  One call per record,
+    then the failing call of a ``RestorationFailure``, which starts where
+    the last record's step ended (at the start block if none did)."""
+    params, start, recs = report.params, report.start, report.records
+    outs = [rec.resta for rec in recs]
+    if report.failure_info is not None:
+        outs.append(report.failure_info["resta"])
+    x_k, y_k, h_xk_yk = start["x"], start["y"], start["h"]
+    contraction = residual = None
+    for k, out in enumerate(outs):
         goal = finishing_goal(residual, report.tolerances)
-        yield rec, precision_ratio(r, contraction, goal is not None), goal
-        contraction = rec.resta.contraction
-        residual = rec.stationarity_residual
+        rho = precision_ratio(params.r, contraction, goal is not None)
+        yield (k, x_k, y_k, h_xk_yk, out, rho,
+               restoration_stage_cap(params, rho * y_k.g, goal))
+        if k < len(recs):
+            rec = recs[k]
+            x_k, y_k, h_xk_yk = rec.x_next, rec.y_R, rec.h_xnext_ynext
+            contraction, residual = out.contraction, rec.stationarity_residual
 
 
-def _z_step_trial_rows(report, sigma_min, cap):
-    """Each z-step of every restoration call, the failing one included,
-    took at most ``cap`` descent tests.  A z-step's first trial is at
-    ``sigma_min`` and the ones after it double sigma, so a call's trial
-    table splits into z-steps where sigma is back at ``sigma_min``."""
-    calls = [(rec.k, rec.resta) for rec in report.records]
-    failure = report.failure_info
-    if failure is not None:
-        calls.append((len(report.records), failure["resta"]))
-    for k, out in calls:
+def _z_step_trial_rows(outs, sigma_min, cap):
+    """Each z-step of every call ``(k, outcome)`` took at most ``cap``
+    descent tests.  A z-step's first trial is at ``sigma_min`` and the
+    ones after it double sigma, so a call's trial table splits into
+    z-steps where sigma is back at ``sigma_min``."""
+    for k, out in outs:
         trials = 0
         for sigma, _ in out.trials:
             if sigma == sigma_min and trials:
@@ -470,50 +476,40 @@ def _z_step_trial_rows(report, sigma_min, cap):
             yield _exact(k, trials, cap)
 
 
-def _refinement_rows(report):
-    """Each call refined both precision components by at least the ratio
-    ``bira_run`` asked for, times ``r**2`` per stage, replayed from the
-    records.  Every level refines the objective precision from the call's
-    input, so it is replayed exactly, and a stage more or less than
-    recorded fails, on a call with a goal or without one.  The replay
-    stops at :func:`restoration_stage_cap`, which a claim of more stages
-    fails in ``restoration_inner_caps``."""
-    params = report.params
-    r = params.r
-    for rec, rho, goal in _calls(report):
-        bound_f, bound_h = rho * rec.y_k.gf, rho * rec.y_k.gh
-        cap = restoration_stage_cap(params, rho * rec.g_yk, goal)
-        for _ in range(min(rec.resta.stages, cap)):
+def _refinement_rows(calls, r):
+    """Each of the :func:`_calls` refined both precision components by at
+    least the ratio ``bira_run`` handed it, times ``r**2`` per stage.
+    Every level refines the objective precision from the call's input, so
+    it is replayed exactly, and a stage more or less than recorded fails,
+    on a call with a goal or without one.  The replay stops at the call's
+    stage cap, which a claim of more stages fails in
+    ``restoration_inner_caps``."""
+    for k, _, y_k, _, out, rho, stage_cap in calls:
+        bound_f, bound_h = rho * y_k.gf, rho * y_k.gh
+        for _ in range(min(out.stages, stage_cap)):
             bound_f, bound_h = r * r * bound_f, r * r * bound_h
-        yield _exact(rec.k, rec.y_R.gf, bound_f)
-        yield _exact(rec.k, rec.y_R.gh, bound_h)
-        yield _exact(rec.k, bound_f, rec.y_R.gf)
+        yield _exact(k, out.y_R.gf, bound_f)
+        yield _exact(k, out.y_R.gh, bound_h)
+        yield _exact(k, bound_f, out.y_R.gf)
 
 
-def _restoration_test_rows(report):
-    """Both restoration failure tests, recomputed from each record's
-    outcome: every recorded call passed them, and a call that ended the run
-    with one of their kinds failed that test and passed the ones before
-    it."""
-    r = report.params.r
-    y_k = report.start["y"]
-    for rec in report.records:
-        for _, lhs, rhs in restoration_tests(rec.h_xk_yR, rec.h_xR_yR,
-                                             rec.g_yk, rec.g_yR, r):
-            yield _exact(rec.k, lhs, rhs)
-        y_k = rec.y_R
-    failure = report.failure_info
-    if failure is None or failure["kind"] == "possible_infeasibility":
-        return
-    out = failure["resta"]
-    k = len(report.records)
-    for kind, lhs, rhs in restoration_tests(out.h_xk_yR, out.h_xR_yR,
-                                            y_k.g, out.y_R.g, r):
-        if kind == failure["kind"]:
-            # a lower bound: the test failed
-            yield k, not lhs <= rhs, rhs, lhs
+def _restoration_test_rows(report, calls):
+    """Both restoration failure tests, recomputed from each of the
+    :func:`_calls`: every recorded call passed them, and a call that ended
+    the run with one of their kinds failed that test and passed the ones
+    before it."""
+    for k, _, y_k, _, out, _, _ in calls:
+        kind = None if k < len(report.records) else report.failure_info["kind"]
+        if kind == "possible_infeasibility":
             return
-        yield _exact(k, lhs, rhs)
+        for test, lhs, rhs in restoration_tests(out.h_xk_yR, out.h_xR_yR,
+                                                y_k.g, out.y_R.g,
+                                                report.params.r):
+            if test == kind:
+                # a lower bound: the test failed
+                yield k, not lhs <= rhs, rhs, lhs
+                return
+            yield _exact(k, lhs, rhs)
 
 
 def _tangent_search_rows(report):
@@ -542,31 +538,27 @@ def _tangent_search_rows(report):
         yield _exact(rec.k, spent, f_evals)
 
 
-def _measurements(report):
+def _measurements(report, calls):
     """Each value the run measured, with the point and precision it was
     measured at: ``(iteration, x, y, f, h)``, ``f`` ``None`` where only
     the violation norm ``h`` was measured.  The start is charged to
     iteration 0, and a record's current values are the previous record's
     accepted ones, so each value appears once.  A record that stopped the
-    run measured only its restoration's violations."""
+    run, and the failing call, measured only their restoration's
+    violations."""
     start = report.start
     yield 0, start["x"], start["y"], start["f"], start["h"]
-    for rec in report.records:
-        yield rec.k, rec.x_k, rec.y_R, rec.f_xk_yR, rec.h_xk_yR
-        yield rec.k, rec.x_R, rec.y_R, rec.f_xR_yR, rec.h_xR_yR
-        if not rec.stopped:
-            yield (rec.k, rec.x_next, rec.y_R, rec.f_xnext_ynext,
+    # the failing call has no record
+    for (k, x_k, _, _, out, _, _), rec in zip(calls, [*report.records, None]):
+        f_k, f_R = (rec.f_xk_yR, rec.f_xR_yR) if rec else (None, None)
+        yield k, x_k, out.y_R, f_k, out.h_xk_yR
+        yield k, out.x_R, out.y_R, f_R, out.h_xR_yR
+        if rec and not rec.stopped:
+            yield (k, rec.x_next, rec.y_R, rec.f_xnext_ynext,
                    rec.h_xnext_ynext)
-    failure = report.failure_info
-    if failure is not None:
-        out = failure["resta"]
-        x_k = report.records[-1].x_next if report.records else start["x"]
-        k = len(report.records)
-        yield k, x_k, out.y_R, None, out.h_xk_yR
-        yield k, out.x_R, out.y_R, None, out.h_xR_yR
 
 
-def _oracle_error_rows(report, problem):
+def _oracle_error_rows(report, calls, problem):
     """``(f rows, h rows)``: every value the run measured against
     ``problem``'s exact one, within the noise scale times the precision
     component it was measured at, plus a rounding term: at the calibrated
@@ -578,7 +570,7 @@ def _oracle_error_rows(report, problem):
     ns_f = extras.get("noise_scale_f")
     ns_h = extras.get("noise_scale_h")
     f_rows, h_rows = [], []
-    for k, x, y, f, h in _measurements(report):
+    for k, x, y, f, h in _measurements(report, calls):
         exact = None if f is None or ns_f is None else problem.exact_f(x)
         if exact is not None:
             f_rows.append(_exact(k, abs(f - exact),
@@ -662,9 +654,12 @@ def audit(report, problem=None):
     rows ``(iteration, ok, observed, bound)``; :func:`_verdict` decides
     every one of them.
 
-    The tangent and penalty checks read the records that searched a
-    tangent step; the record that stopped a run searched none
-    (:attr:`~bira.trace.IterationRecord.stopped`).  ``tangent_model_floor``
+    The audit reads a run through three walks.  Every restoration check
+    reads every restoration call, the failing one included
+    (:func:`_calls`); the tangent and penalty checks read the records
+    that searched a tangent step, which the record that stopped a run did
+    not (:attr:`~bira.trace.IterationRecord.stopped`); the other checks
+    read all records.  ``tangent_model_floor``
     bounds each tangent model from below: with no tangent curvature it is
     ``g.s + mu ||s||**2 >= -||g|| ||s||``, and the problem constant ``L_f``
     bounds the norm of the measured gradient g, noise included.  Every
@@ -682,15 +677,17 @@ def audit(report, problem=None):
     kap = DEFAULT_KAPPAS
     recs = report.records
     searched = [rec for rec in recs if not rec.stopped]
-    rtrials = [(rec.k, sigma, cert) for rec in recs
-               for sigma, cert in rec.resta.trials]
+    calls = list(_calls(report))
+    outs = [(k, out) for k, _, _, _, out, _, _ in calls]
+    rtrials = [(k, sigma, cert) for k, out in outs
+               for sigma, cert in out.trials]
     tcerts = [(rec.k, rec.tangent_cert) for rec in searched]
     inner_cap = restoration_inner_cap(tc)
     refine_cap = restoration_refine_cap(params)
     oracle = [] if problem is None else [
         (name, EXACT, rows) for name, rows in zip(
             ("oracle_f_error_bound", "oracle_h_error_bound"),
-            _oracle_error_rows(report, problem))]
+            _oracle_error_rows(report, calls, problem))]
     # a lower bound is a row with the floor as observed and the value as bound
     table = [
         ("theta_lower_bound", ANALYTIC, (
@@ -701,13 +698,13 @@ def audit(report, problem=None):
         ("sigma_cap", ANALYTIC, (
             _tol(k, sigma, tc.sigma_cap) for k, sigma, _ in rtrials)),
         ("z_step_trials", ANALYTIC, _z_step_trial_rows(
-            report, params.sigma_min, tc.sigma_trials_per_step)),
+            outs, params.sigma_min, tc.sigma_trials_per_step)),
         ("mu_cap", ANALYTIC, (
             _tol(rec.k, rec.mu_k, tc.mu_cap) for rec in searched)),
         ("restored_distance", ANALYTIC, (
-            _tol(rec.k, float(np.linalg.norm(rec.x_R - rec.x_k)),
-                 tc.restored_distance_factor * (rec.h_xk_yk + rec.g_yk))
-            for rec in recs)),
+            _tol(k, float(np.linalg.norm(out.x_R - x_k)),
+                 tc.restored_distance_factor * (h_xk_yk + y_k.g))
+            for k, x_k, y_k, h_xk_yk, out, _, _ in calls)),
         ("restored_value_drift", ANALYTIC, (
             _tol(rec.k, abs(rec.f_xR_yR - rec.f_xk_yR),
                  tc.restored_value_factor * (rec.h_xk_yk + rec.g_yk))
@@ -730,8 +727,8 @@ def audit(report, problem=None):
             row for rec in recs
             for row in _ledger_rows(rec, tc))),
         ("restoration_f_free", None, (
-            _exact(rec.k, abs(rec.resta.ledger_delta[key]), 0)
-            for rec in recs for key in ("f_evals", "gradf_evals"))),
+            _exact(k, abs(out.ledger_delta[key]), 0)
+            for k, out in outs for key in ("f_evals", "gradf_evals"))),
         ("restoration_model_decrease", None, (
             _exact(k, c.model_decrease, CERT_FLOOR) for k, _, c in rtrials)),
         # the residual within its step budget, and the ray ratio
@@ -763,17 +760,16 @@ def audit(report, problem=None):
         *oracle,
         ("noise_within_budget", ANALYTIC, [
             _tol(None, tc.extras["beta"], tc.beta_bar)]),
-        ("restoration_inner_caps", None, (row for rec, rho, goal in
-                                          _calls(report) for row in (
-            _exact(rec.k, rec.resta.inner_desc_tests, inner_cap),
-            _exact(rec.k, rec.resta.refinements, refine_cap),
-            _exact(rec.k, rec.resta.stages, restoration_stage_cap(
-                params, rho * rec.g_yk, goal))))),
+        ("restoration_inner_caps", None, (
+            row for k, _, _, _, out, _, stage_cap in calls for row in (
+                _exact(k, out.inner_desc_tests, inner_cap),
+                _exact(k, out.refinements, refine_cap),
+                _exact(k, out.stages, stage_cap)))),
         ("step_per_infeasibility", ANALYTIC, (
-            _tol(rec.k, rec.resta.max_step_over_h, tc.step_per_infeasibility)
-            for rec in recs if rec.resta.max_step_over_h is not None)),
-        ("precision_refinement", None, _refinement_rows(report)),
-        ("restoration_tests", None, _restoration_test_rows(report)),
+            _tol(k, out.max_step_over_h, tc.step_per_infeasibility)
+            for k, out in outs if out.max_step_over_h is not None)),
+        ("precision_refinement", None, _refinement_rows(calls, params.r)),
+        ("restoration_tests", None, _restoration_test_rows(report, calls)),
         ("tangent_search", None, _tangent_search_rows(report)),
         ("ledger_totals", None, _ledger_total_rows(report)),
         ("stopping_test", None, _stopping_rows(report)),

@@ -79,14 +79,12 @@ def check_fields(payload, fields, what):
         )
 
 
-def check_numbers(payload, what, names=None, optional=(), counts=(),
-                  finite=False):
+def check_numbers(payload, what, names=None, counts=(), finite=False):
     """Raise :class:`SchemaError` unless ``payload`` is a JSON object whose
     ``names`` fields (all by default) hold numbers, finite ones when
-    ``finite`` is true; a field in ``optional`` may also be ``None``, and
-    one in ``counts`` must be a nonnegative integer.  For the objects of a
-    trace that are not tables; a table's values are tested by
-    :meth:`Table.check`."""
+    ``finite`` is true; one in ``counts`` must be a nonnegative integer.
+    For the objects of a trace that are not tables; a table's values are
+    tested by :meth:`Table.check`."""
     if not isinstance(payload, dict):
         raise SchemaError(f"{what} must be a JSON object")
     for name in payload if names is None else names:
@@ -97,7 +95,7 @@ def check_numbers(payload, what, names=None, optional=(), counts=(),
             if finite and not math.isfinite(val):
                 raise SchemaError(f"{what} field {name!r} must not be"
                                   f" {val!r}")
-        elif not (val is None and name in optional):
+        else:
             raise SchemaError(f"{what} field {name!r} must be a number,"
                               f" got {type_name(val)}")
 
@@ -112,8 +110,8 @@ def check_ledger(payload, what):
 @functools.cache
 def number_fields(cls):
     """``(names, optional, counts)`` of the fields of dataclass ``cls``
-    annotated as numbers, for :func:`check_numbers`: the ``int`` fields
-    are counts."""
+    annotated as numbers, for :func:`check_numbers` and the table layouts:
+    the ``float | None`` fields are optional, the ``int`` fields counts."""
     types = {name: f.type for name, f in cls.__dataclass_fields__.items()}
     return (tuple(name for name, t in types.items()
                   if t in (int, float, float | None)),
@@ -381,8 +379,10 @@ CERT_TABLE = Table(CERT_FIELDS, packed=CERT_FIELDS,
 TRIAL_TABLE = CERT_TABLE._replace(columns=TRIAL_FIELDS, numbers=("sigma",),
                                   row="restoration trial")
 #: The records' tangent certificates: a record that stopped the run wrote
-#: none, so each of its fields is null there.
+#: none, so each of its fields is null there.  The audit and the replayed
+#: search start square the step norm.
 TANGENT_CERT_TABLE = CERT_TABLE._replace(nullable=CERT_FIELDS,
+                                         squared=("step_norm",),
                                          row="tangent_cert")
 
 
@@ -777,7 +777,7 @@ class RunReport:
         check_fields(basis["problem_constants"],
                      ProblemConstants.__dataclass_fields__, "problem constants")
         check_numbers(basis["problem_constants"], "problem constants",
-                      *number_fields(ProblemConstants))
+                      number_fields(ProblemConstants)[0])
         check_numbers(basis["extras"], "extras", finite=True)
         check_fields(d["params"], AlgorithmParams.__dataclass_fields__,
                      "params")
@@ -845,15 +845,9 @@ class RunReport:
                 # the last record: from_row refuses a stopped one before it
                 break
             chain = {name: getattr(rec, src) for name, src in CHAIN.items()}
-            try:
-                mu_start = tangent_mu_start(
-                    params, rec.mu_k, rec.f_xR_yR, rec.f_xnext_ynext,
-                    rec.step_norm, rec.tangent_cert.model_decrease)
-            except OverflowError:
-                raise SchemaError(
-                    f"iteration record {k}: tangent step norm"
-                    f" {rec.step_norm!r} squares past the float range"
-                ) from None
+            mu_start = tangent_mu_start(
+                params, rec.mu_k, rec.f_xR_yR, rec.f_xnext_ynext,
+                rec.step_norm, rec.tangent_cert.model_decrease)
         kw["tolerances"] = dict(d["tolerances"])
         kw["ledger_totals"] = dict(d["ledger_totals"])
         return cls(**kw)

@@ -156,12 +156,16 @@ def test_criterion_06_iteration_count_bounds():
 
 
 def test_criterion_07_work_grows_at_most_quadratically():
+    # on p2, whose tangent phase takes more than one step, work grows as
+    # eps_opt falls (30, 30, 42, 47 and 47 evaluations): a flat sweep, as
+    # on p1, which stops in 4 records at every eps_opt, shows nothing
     works = []
     for eps in SLOPE_GRID:
-        report = bira_run(make_p1(), eps_feas=COUNT_EPS, eps_prec=COUNT_EPS,
+        report = bira_run(make_p2(), eps_feas=COUNT_EPS, eps_prec=COUNT_EPS,
                           eps_opt=eps, budget=2000)
         assert report.status == "Converged", eps
         works.append(float(sum(report.ledger_totals.values())))
+    assert works[-1] > works[0]
     slope, _ = complexity_fit(SLOPE_GRID, works)
     assert slope <= SLOPE_LIMIT
 

@@ -581,6 +581,56 @@ def _failures(trace):
             for c in audit(RunReport.from_dict(trace)).failures}
 
 
+def _set(column, value):
+    """An edit that writes ``value`` into entry 0 of the failing call's
+    ``column``, a path through its decoded one-row table."""
+    *path, name = column.split(".")
+
+    def edit(call):
+        for key in path:
+            call = call[key]
+        call[name][0] = value
+    return edit
+
+
+#: One edit of each restoration value of p3's failing call, the only call
+#: of its run, which starts at exact precision and ends in a possible
+#: infeasibility: ``(edit of the decoded one-row table, checks that
+#: fail)``.  The trial table holds one z-step at sigma_min = 1/16 and one
+#: that doubles sigma to 1, so a sigma edited in the last trial keeps the
+#: split into z-steps.
+FAILING_CALL_TAMPERS = {
+    "refinements": (_set("refinements", 50), ["restoration_inner_caps"]),
+    "stages": (_set("stages", 40), ["restoration_inner_caps"]),
+    "trial_sigma": (lambda call: call["trials"]["sigma"][0].__setitem__(
+        -1, 1e8), ["sigma_cap"]),
+    "trial_residuals": (lambda call: call["trials"].update(
+        stationarity_residual=[1e3] * len(call["trials"]["sigma"][0])),
+        ["restoration_solve_accuracy"]),
+    "trial_model_decrease": (_set("trials.model_decrease", 1.0),
+                             ["restoration_model_decrease"]),
+    "y_R.gf": (_set("y_R.gf", 0.1), ["precision_refinement"]),
+    "max_step_over_h": (_set("max_step_over_h", 1e6),
+                        ["step_per_infeasibility"]),
+    "f_evals": (_set("ledger_delta.f_evals", 3),
+                ["restoration_f_free", "ledger_totals"]),
+}
+
+
+@pytest.mark.parametrize("edit,checks", FAILING_CALL_TAMPERS.values(),
+                         ids=FAILING_CALL_TAMPERS)
+def test_every_restoration_check_reads_the_failing_call(suite_runs, edit,
+                                                       checks):
+    rep = suite_runs["p3"]
+    assert not rep.records and audit(rep).ok
+    d = _trace(rep)
+    edit_packed(d, lambda t: edit(t["failure_info"]["resta"]))
+    failed = _failures(d)
+    assert list(failed) == checks
+    for check in checks:
+        assert failed[check].split(":")[0] in ("iteration 0", "whole run")
+
+
 def test_a_truncated_trace_fails_the_ledger_totals(suite_runs):
     # the two dropped iterations are still in the totals, and the last
     # record left does not meet the stopping test the status claims

@@ -680,7 +680,8 @@ def _restored_nothing_and_raised_f(t):
 #: Records whose replayed fields (:data:`~bira.trace.DERIVED`) cannot be
 #: rebuilt, or whose values the replay cannot take, each refused with a
 #: message that names the record: ``(edit of the decoded p2 trace,
-#: refusal)``.
+#: refusal)``.  A step norm whose square overflows is refused by its
+#: column's ``squared`` rule before any replay.
 UNREPLAYABLE = [
     (lambda t: t["records"]["ell_count"].__setitem__(3, 0),
      "iteration record 3 field 'ell_count' is 0, but the run goes on after"
@@ -693,8 +694,8 @@ UNREPLAYABLE = [
      " penalty update left no positive weight"),
     (lambda t: t["records"]["tangent_cert"]["step_norm"].__setitem__(
         3, 1e300),
-     "iteration record 3: tangent step norm 1e\\+300 squares past the float"
-     " range"),
+     "iteration record 3: tangent_cert field 'step_norm' 1e\\+300 squares"
+     " past the float range"),
 ]
 UNREPLAYABLE_IDS = ["ell_count_zero", "ell_count_past_the_float_range",
                     "no_penalty_weight", "step_norm_squared_past_the_range"]
