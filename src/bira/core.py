@@ -336,6 +336,16 @@ def goal_met(h_norm, g, goal):
     return h_norm <= goal[0] and g <= goal[1]
 
 
+def held(h_norm, g, r, tolerances):
+    """Whether a restoration call holds its input: the violation
+    ``h_norm`` and the precision measure ``g`` it starts from already meet
+    the feasibility and precision tolerances by the ratio ``r``, so it
+    returns that input, refines nothing and skips the failure tests (see
+    :func:`bira.solver.restoration_failure`)."""
+    return (h_norm <= r * tolerances["eps_feas"]
+            and g <= r * tolerances["eps_prec"])
+
+
 def stopping_test(h_norm, g, residual, tolerances):
     """The stopping test of a record with restored violation ``h_norm``,
     precision measure ``g`` and stationarity residual ``residual``: the
@@ -408,16 +418,26 @@ class AlgorithmParams:
     ``sigma_min`` is the floor of the restoration regularization weight and
     ``M`` the cap on the Gauss-Newton curvature ``||J J^T||``; the
     restoration analysis needs ``M * sigma_min >= 1``, checked here.  The
-    defaults ``(alpha_R, sigma_min, M) = (1/8, 1/16, 16)`` sit on that edge.
-    A z-step at weight sigma contracts a linear violation by
-    ``2 sigma / (2 sigma + ||J||^2)``, and on a linear row the restoration
-    descent test accepts that step iff ``||J||^2 + 4 sigma >= 2 alpha_R``.
-    With ``alpha_R = 2 sigma_min`` that holds at sigma_min for every row
-    with ``||J||^2 <= M``, so the first trial passes whatever the scale of
-    the row: on ``p1`` (``||J||^2 = 1/16``) a z-step contracts by 2/3 and a
-    restoration call takes 2 z-steps (6 at sigma_min = 1/4, 23 at 1).  At
-    ``alpha_R = 1/2`` a floor of 1/8 fails the test on ``p1`` and pays a
-    second trial per z-step.
+    defaults ``(alpha_R, sigma_min, M) = (1/128, 1/64, 64)`` sit on that
+    edge.  A z-step at weight sigma contracts a linear violation by
+    ``2 sigma / (2 sigma + ||J||^2)``.  A trial passes the descent test
+    at ``alpha_R`` and the ratio test of :mod:`bira.restoration`, whose
+    constant ``eta = 1/4`` makes the defaults ``alpha_R = 2 eta
+    sigma_min``: there the ratio test implies the descent test.  On a
+    linear row the Gauss-Newton model is exact, so the ratio test passes
+    at every sigma, and the descent test, which holds iff ``||J||^2 + 4
+    sigma >= 2 alpha_R``, passes at sigma_min: the first trial passes
+    whatever the scale of the row, up to ``||J||^2 = M``.  On ``p1``
+    (``||J||^2 = 1/16``) a z-step contracts by 1/3, and a restoration call
+    takes 1 z-step (2 at sigma_min = 1/16, where a z-step contracts by
+    2/3; 6 at 1/4; 23 at 1).  ``p1`` then pays 30 h evaluations, 52 at
+    the earlier defaults ``(1/8, 1/16, 16)``.  At ``alpha_R = 1/2`` a
+    floor of 1/8 fails the descent test on ``p1`` and pays a second trial
+    per z-step.  The smaller ``alpha_R`` raises
+    ``restored_distance_factor`` (see :func:`bira.diagnostics.constants`)
+    and so lowers the noise budget ``beta_bar``, to which every
+    registered problem calibrates its noise: on ``p1`` 6.5e-10, against
+    4.7e-8 at the earlier defaults.
 
     ``alpha`` is the tangent descent constant.  A trial at the Newton
     weight b, half of f's curvature along the step, ends at the minimizer
@@ -428,13 +448,13 @@ class AlgorithmParams:
     ``alpha = 0.1`` their searches start at the margin instead, and
     ``p1`` takes 12 records; at 0.02 one step from record 1 reaches the
     minimizer and ``p1`` stops in 4.  On the five paper problems the
-    counts are the same for every alpha in [0.001, 0.04] (f 47, grad f
-    18, h 147, grad h 24, 18 records), and rise from 0.045 on (f 59 at
-    0.045, 65 at 0.05, 95 at 0.1); 0.02 keeps a factor 2 below
+    counts are the same for every alpha in [0.001, 0.04] (f 39, grad f
+    16, h 92, grad h 22, 16 records), and rise from 0.045 on (f 53 at
+    0.045, 59 at 0.05, 89 at 0.1); 0.02 keeps a factor 2 below
     ``0.9/1.1 * 1/20``.  Of the derived constants (see
     :func:`bira.diagnostics.constants`) ``step_square_sum_bound``, and
     the residual bound built on it, grow as ``1/alpha``: on ``p1`` it is
-    3.3e15 at 0.02 (6.5e14 at 0.1), against an observed sum of squared
+    1.7e19 at 0.02 (3.4e18 at 0.1), against an observed sum of squared
     steps of 8.1 (3.6 at 0.1).  ``alpha_effective``, ``mu_cap``,
     ``beta_bar`` and so the calibrated noise do not move.
     """
@@ -442,9 +462,9 @@ class AlgorithmParams:
     r: float = 0.5
     r_feas: float = 0.05
     alpha: float = 0.02
-    alpha_R: float = 0.125
-    M: float = 16.0
-    sigma_min: float = 0.0625
+    alpha_R: float = 0.0078125
+    M: float = 64.0
+    sigma_min: float = 0.015625
     mu_min: float = 1e-3
     mu_max: float = 1e3
     mu_init: float = 1.0

@@ -28,6 +28,7 @@ from .core import (
     ProblemConstants,
     descent_test,
     finishing_goal,
+    held,
     merit_allowance,
     merit_test,
     precision_ratio,
@@ -73,6 +74,20 @@ class TheoreticalConstants:
     sqrt(N sum ||d||**2)``: the factor is ``sqrt(N / (2 alpha_R)) (1 +
     beta (2 - r**2) / (1 - r**2))``.  It does not depend on the
     tolerances.
+
+    :func:`~bira.restoration.resta` accepts a trial only where it also
+    passes the ratio test ``c(z) - c(z + d) >= eta pred``, with ``eta =``
+    :data:`~bira.restoration.ACCEPTANCE_RATIO` and ``pred`` the fall of
+    the Gauss-Newton model.  The exact restoration QP gives ``pred >= 2
+    sigma ||d||**2 >= 2 sigma_min ||d||**2``, so at ``alpha_R = 2 eta
+    sigma_min`` (the defaults, ``1/128 = 2 (1/4) (1/64)``) the ratio test
+    implies the descent test.  Either way every accepted z-step passes the
+    descent test at ``alpha_R``.  Nor does the ratio test add trials past
+    ``sigma_sufficient``: ``L_c`` bounds the curvature of ``c``, so
+    ``c(z + d) <= c(z) - pred + (L_c / 2) ||d||**2``, and the test holds
+    once ``2 (1 - eta) sigma >= L_c / 2``, which ``sigma_sufficient >= 2
+    L_c`` meets for every ``eta <= 7/8``.  So every constant, cap and
+    audit row here that reads ``alpha_R`` holds with the ratio test.
     """
 
     sigma_sufficient: float
@@ -302,34 +317,46 @@ def restoration_stage_cap(params: AlgorithmParams, g, goal):
     the precision measure to ``g``; ``goal`` is the call's
     :func:`~bira.core.finishing_goal`.
 
-    A stage refines both components by ``r**2``.  On a finishing call the
-    cap counts the stages that take g down to ``min(eps_prec, 2 r
-    eps_feas)``, plus one: there the precision goal holds and the floor
-    ``g / (2 r)`` lies below ``eps_feas``, so a z-step whose contraction is
-    not predicted to beat ``r**2`` needs no further stage to meet the
-    violation goal.  Where one is, :func:`~bira.restoration.resta` ends the
-    call at the cap, above the floor; only a ``refine`` that misses its
-    targets can take it past.
+    A stage refines both components by ``r**2``.  Both branches count the
+    stages ``s`` that take ``r**(2 s)`` down to ``(1 - r) c_min``, where
+    ``c_min = 2 sigma_min / (2 sigma_min + M)`` is the least contraction of
+    a damped z-step on a linear row with ``||J||**2 <= M``.
 
     A call without a goal stages only once r is met, while ``||h||`` lies
     below its floor ``(1 - min(r, c)) g / (2 r)``.  Handed ``q = ||h|| / g
     >= (1 - rho) / (2 r)`` by the call before, it leaves ``q c / rho``, and
-    ``s`` stages restore the floor once ``r**(2 s) <= c (1 - r) / r``.  A
-    damped z-step on a linear row with ``||J||**2 <= M`` contracts by at
-    least ``c_min = 2 sigma_min / (2 sigma_min + M)``, and the call ends at
-    the z-step that meets r, so ``c >= r c_min``: the cap counts the stages
-    that take ``r**(2 s)`` down to ``(1 - r) c_min``.
+    ``s`` stages restore the floor once ``r**(2 s) <= c (1 - r) / r``.  The
+    call ends at the z-step that meets r, so ``c >= r c_min``, and the
+    count above is its cap.
+
+    On a finishing call the cap adds to that count the stages that take g
+    down to ``min(eps_prec, 2 r eps_feas)``, plus one: there the precision
+    goal holds and the floor ``g / (2 r)`` lies below ``eps_feas``.  While
+    the violation goal is open, ``||h|| > eps_feas``, the floor guard
+    predicts the next violation at no less than ``c_min eps_feas``, and
+    the ``s`` stages more take the floor below ``r**(2 s) eps_feas <=
+    c_min eps_feas``: no z-step whose contraction factor is at least
+    ``c_min`` is predicted to cross it.  Every stage lowers g by ``r**2``,
+    whatever asked for it, so the count holds in any order.  Where a
+    z-step's factor falls below ``c_min`` (a row with ``||J||**2`` above M,
+    where :func:`~bira.qp.build_B` scales the curvature),
+    :func:`~bira.restoration.resta` ends the call at the cap, above the
+    floor; only a ``refine`` that misses its targets can take it past.
+    Without the ``s`` stages a finishing call whose z-steps contract by a
+    factor far below ``r**2`` reached the cap just above ``eps_feas``, and
+    its run paid one more record (``active1`` of the benchmark at seed 1,
+    whose finishing call stopped at ``||h|| = 1.08e-6``).
     """
     r = params.r
+    gap = (1.0 - r) * 2.0 * params.sigma_min / (
+        2.0 * params.sigma_min + params.M)
+    stages = 0
+    while r ** (2 * stages) > gap:
+        stages += 1
     if goal is None:
-        gap = (1.0 - r) * 2.0 * params.sigma_min / (
-            2.0 * params.sigma_min + params.M)
-        stages = 0
-        while r ** (2 * stages) > gap:
-            stages += 1
         return stages
     floor = min(goal[1], 2.0 * r * goal[0])
-    stages = 1
+    stages += 1
     while g > floor:
         g *= r * r
         stages += 1
@@ -437,12 +464,14 @@ def _merit_row(rec, r):
 
 def _calls(report):
     """Every restoration call of the run as ``(k, x_k, y_k, h_xk_yk,
-    outcome, rho, stage_cap)``: its iteration, start and outcome, the
-    precision ratio ``bira_run`` handed it, which follows the previous
+    outcome, rho, stage_cap, held)``: its iteration, start and outcome,
+    the precision ratio ``bira_run`` handed it, which follows the previous
     call's contraction and the goal a record that met the optimality test
-    sets, and its :func:`restoration_stage_cap`.  One call per record,
-    then the failing call of a ``RestorationFailure``, which starts where
-    the last record's step ended (at the start block if none did)."""
+    sets, its :func:`restoration_stage_cap`, and whether
+    :func:`~bira.core.held` kept its input, and with it the contraction
+    before it.  One call per record, then the failing call of a
+    ``RestorationFailure``, which starts where the last record's step
+    ended (at the start block if none did)."""
     params, start, recs = report.params, report.start, report.records
     outs = [rec.resta for rec in recs]
     if report.failure_info is not None:
@@ -452,12 +481,15 @@ def _calls(report):
     for k, out in enumerate(outs):
         goal = finishing_goal(residual, report.tolerances)
         rho = precision_ratio(params.r, contraction, goal is not None)
+        kept = held(h_xk_yk, y_k.g, params.r, report.tolerances)
         yield (k, x_k, y_k, h_xk_yk, out, rho,
-               restoration_stage_cap(params, rho * y_k.g, goal))
+               restoration_stage_cap(params, rho * y_k.g, goal), kept)
         if k < len(recs):
             rec = recs[k]
             x_k, y_k, h_xk_yk = rec.x_next, rec.y_R, rec.h_xnext_ynext
-            contraction, residual = out.contraction, rec.stationarity_residual
+            residual = rec.stationarity_residual
+            if not kept:
+                contraction = out.contraction
 
 
 def _z_step_trial_rows(outs, sigma_min, cap):
@@ -483,8 +515,13 @@ def _refinement_rows(calls, r):
     it is replayed exactly, and a stage more or less than recorded fails,
     on a call with a goal or without one.  The replay stops at the call's
     stage cap, which a claim of more stages fails in
-    ``restoration_inner_caps``."""
-    for k, _, y_k, _, out, rho, stage_cap in calls:
+    ``restoration_inner_caps``.  A held call has no level and no stage,
+    and returns its input precision exactly."""
+    for k, _, y_k, _, out, rho, stage_cap, kept in calls:
+        if kept:
+            yield _exact(k, out.refinements + out.stages, 0)
+            yield _exact(k, y_k.gh, out.y_R.gh)
+            rho, stage_cap = 1.0, 0
         bound_f, bound_h = rho * y_k.gf, rho * y_k.gh
         for _ in range(min(out.stages, stage_cap)):
             bound_f, bound_h = r * r * bound_f, r * r * bound_h
@@ -497,9 +534,12 @@ def _restoration_test_rows(report, calls):
     """Both restoration failure tests, recomputed from each of the
     :func:`_calls`: every recorded call passed them, and a call that ended
     the run with one of their kinds failed that test and passed the ones
-    before it."""
-    for k, _, y_k, _, out, _, _ in calls:
+    before it.  A held call skips them, so it cannot end a run."""
+    for k, _, y_k, _, out, _, _, kept in calls:
         kind = None if k < len(report.records) else report.failure_info["kind"]
+        if kept:
+            yield _exact(k, kind is not None, False)
+            continue
         if kind == "possible_infeasibility":
             return
         for test, lhs, rhs in restoration_tests(out.h_xk_yR, out.h_xR_yR,
@@ -549,7 +589,7 @@ def _measurements(report, calls):
     start = report.start
     yield 0, start["x"], start["y"], start["f"], start["h"]
     # the failing call has no record
-    for (k, x_k, _, _, out, _, _), rec in zip(calls, [*report.records, None]):
+    for (k, x_k, _, _, out, *_), rec in zip(calls, [*report.records, None]):
         f_k, f_R = (rec.f_xk_yR, rec.f_xR_yR) if rec else (None, None)
         yield k, x_k, out.y_R, f_k, out.h_xk_yR
         yield k, out.x_R, out.y_R, f_R, out.h_xR_yR
@@ -678,7 +718,7 @@ def audit(report, problem=None):
     recs = report.records
     searched = [rec for rec in recs if not rec.stopped]
     calls = list(_calls(report))
-    outs = [(k, out) for k, _, _, _, out, _, _ in calls]
+    outs = [(k, out) for k, _, _, _, out, *_ in calls]
     rtrials = [(k, sigma, cert) for k, out in outs
                for sigma, cert in out.trials]
     tcerts = [(rec.k, rec.tangent_cert) for rec in searched]
@@ -704,7 +744,7 @@ def audit(report, problem=None):
         ("restored_distance", ANALYTIC, (
             _tol(k, float(np.linalg.norm(out.x_R - x_k)),
                  tc.restored_distance_factor * (h_xk_yk + y_k.g))
-            for k, x_k, y_k, h_xk_yk, out, _, _ in calls)),
+            for k, x_k, y_k, h_xk_yk, out, *_ in calls)),
         ("restored_value_drift", ANALYTIC, (
             _tol(rec.k, abs(rec.f_xR_yR - rec.f_xk_yR),
                  tc.restored_value_factor * (rec.h_xk_yk + rec.g_yk))
@@ -760,11 +800,13 @@ def audit(report, problem=None):
         *oracle,
         ("noise_within_budget", ANALYTIC, [
             _tol(None, tc.extras["beta"], tc.beta_bar)]),
+        # each z-step is a passing trial
         ("restoration_inner_caps", None, (
-            row for k, _, _, _, out, _, stage_cap in calls for row in (
+            row for k, _, _, _, out, _, stage_cap, _ in calls for row in (
                 _exact(k, out.inner_desc_tests, inner_cap),
                 _exact(k, out.refinements, refine_cap),
-                _exact(k, out.stages, stage_cap)))),
+                _exact(k, out.stages, stage_cap),
+                _exact(k, out.z_steps, out.inner_desc_tests)))),
         ("step_per_infeasibility", ANALYTIC, (
             _tol(k, out.max_step_over_h, tc.step_per_infeasibility)
             for k, out in outs if out.max_step_over_h is not None)),

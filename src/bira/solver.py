@@ -74,6 +74,7 @@ from .core import (
     InvariantError,
     descent_test,
     finishing_goal,
+    held,
     merit_allowance,
     merit_test,
     restoration_tests,
@@ -86,7 +87,7 @@ from .diagnostics import constants as derived_constants
 from .diagnostics import restoration_inner_cap
 from .geometry import TangentSet, project_tangent
 from .qp import build_H, solve_tangent_qp
-from .restoration import resta
+from .restoration import hold, resta
 from .trace import IterationRecord, RunReport
 
 
@@ -153,11 +154,28 @@ def restoration_failure(status, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
 
     The balance at a call without a goal.  The contraction of the z-step
     that meets r is not known when the call picks its ratio, and can be far
-    below it (the unit row of the tests: 1/9 against ``rho = r = 1/2`` at
+    below it (the unit row of the tests: 1/33 against ``rho = r = 1/2`` at
     the defaults), so q falls by ``c / rho``.  Such a call stages below
     ``(1 - min(r, c)) g / (2 r)``, the floor the next call's test needs at
     ``rho' = min(r, c)``, unless the stage would fail its own test (see
     :func:`~bira.restoration.resta`).
+
+    The hold.  A call whose input already meets the feasibility and
+    precision tolerances by r, ``||h_k|| <= r eps_feas`` and ``g_k <= r
+    eps_prec`` (:func:`~bira.core.held`), is held: :func:`bira_run`
+    returns its input as a restored outcome, ``x_R = x_k`` and ``y_R =
+    y_k`` with no trial and no evaluation, skips both tests and keeps the
+    contraction of the last call before it.  A held call has ``dh = dg =
+    0``, so its merit allowance is 0; ``f_xR_yR = f_xk_yR``, so the merit
+    inequality holds with equality at every theta and the weight stays.
+    Nothing is lost by skipping the tests: the stopping test's
+    feasibility and precision comparisons already hold at ``x_k``, and
+    the tangent step goes on from there.  Without the hold every call
+    must contract the violation by r, so a run whose optimality test lags
+    drives h and g to the rounding floor, where no z-step contracts: ``p1``
+    at ``alpha = 1/2`` ended ``possible_infeasibility``, and at ``alpha =
+    0.3`` with tolerances 1e-8 ``precision_outpaced_feasibility``, both
+    feasible.
     """
     if status in FAILURE_KINDS:
         return status
@@ -179,7 +197,9 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     tangent step.  ``RestorationFailure`` reports the kind
     :func:`restoration_failure` gives: likely local infeasibility, or a
     restoration outcome failing its contraction tests; ``BudgetExceeded``
-    reports running out of iterations.  The run evaluates ``problem`` only
+    reports running out of iterations.  A restoration call whose input
+    already meets ``eps_feas`` and ``eps_prec`` by the ratio r is held
+    (see :func:`restoration_failure`).  The run evaluates ``problem`` only
     through its ledgered oracle; it never calls ``exact_f`` or ``exact_h``.
 
     A tolerance that is not positive and finite, a negative budget or a
@@ -245,20 +265,25 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             goal = finishing_goal(
                 records[-1].stationarity_residual if records else None,
                 tolerances)
-            out = resta(problem, x, y, params, h_xk_yk=h_vec,
-                        inner_cap=inner_cap, contraction=contraction,
-                        goal=goal, jacobian=jacobian)
+            if held(h_norm, y.g, params.r, tolerances):
+                # the input meets the tolerances by r: it is kept, with
+                # the contraction before it
+                out = hold(x, y, h_vec)
+            else:
+                out = resta(problem, x, y, params, h_xk_yk=h_vec,
+                            inner_cap=inner_cap, contraction=contraction,
+                            goal=goal, jacobian=jacobian)
+                kind = restoration_failure(out.status, out.h_xk_yR,
+                                           out.h_xR_yR, y.g, out.y_R.g,
+                                           params.r)
+                if kind is not None:
+                    return finish(
+                        "RestorationFailure",
+                        failure={"kind": kind, "resta": out},
+                    )
+                contraction = out.contraction
             y_R = out.y_R
             g_k, g_R = y.g, y_R.g
-            kind = restoration_failure(out.status, out.h_xk_yR, out.h_xR_yR,
-                                       g_k, g_R, params.r)
-            if kind is not None:
-                return finish(
-                    "RestorationFailure",
-                    failure={"kind": kind, "resta": out},
-                )
-
-            contraction = out.contraction
             x_R = out.x_R
             # the tangent model and region at y_R; the projection is the
             # Cauchy ray's end and the stopping test's residual

@@ -12,6 +12,7 @@ from conftest import (
     make_unit_row,
 )
 
+import bira.diagnostics
 import bira.qp
 import bira.solver
 from bira.cli import EXPECTED_SUITE
@@ -19,13 +20,13 @@ from bira.core import (
     FAILURE_KINDS,
     STARTUP_EVALS,
     TANGENT_MU_MARGIN,
-    UNCLIPPED_RTOL,
     AlgorithmParams,
     BoxPolytope,
     ConfigurationError,
     InvariantError,
     PrecisionLevel,
     SchemaError,
+    held,
     merit_allowance,
     merit_phi,
 )
@@ -40,6 +41,7 @@ from bira.oracle import (
     make_p4,
     problem_by_name,
 )
+from bira.restoration import resta
 from bira.solver import bira_run, restoration_failure, update_penalty
 from bira.trace import (
     OUTCOME_TABLE,
@@ -146,22 +148,24 @@ def test_p1_converges_and_the_audit_agrees():
 
 
 @pytest.mark.parametrize("factory,ledger", [
-    (make_p1, {"f_evals": 10, "gradf_evals": 4,
-               "h_evals": 52, "gradh_evals": 5}),
-    (make_p2, {"f_evals": 25, "gradf_evals": 9,
-               "h_evals": 35, "gradh_evals": 10}),
+    (make_p1, {"f_evals": 9, "gradf_evals": 4,
+               "h_evals": 30, "gradh_evals": 5}),
+    (make_p2, {"f_evals": 19, "gradf_evals": 7,
+               "h_evals": 23, "gradh_evals": 8}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
-    # restoration takes almost all h evaluations; at sigma_min = 1/16 a p1
-    # restoration call takes 2 z-steps on one Jacobian, and every call after
-    # the first keeps the one the tangent phase measured, so grad h is
-    # evaluated once per iteration plus once for the first call, and a
-    # tangent trial that fails its descent test is not measured for h.
+    # restoration takes almost all h evaluations; at sigma_min = 1/64 a
+    # z-step on p1's row contracts by 1/3, so a p1 call without a goal
+    # takes 1 z-step, and every call after the first keeps the Jacobian the
+    # tangent phase measured, so grad h is evaluated once per iteration
+    # plus once for the first call, and a tangent trial that fails its
+    # descent test is not measured for h.
     # The tangent search starts at a weight the previous step predicted
     # to pass, so every first trial is accepted: one f per iteration, plus
-    # f at (x_k, y_R) and at (x_R, y_R), plus the start.  The call after
-    # the record that met eps_opt is a finishing call and ends the run:
-    # p1's takes 7 stages, p2's 3.
+    # f at (x_k, y_R) and at (x_R, y_R), each where it moved, plus the
+    # start.  The call after the record that met eps_opt is a finishing
+    # call and ends the run: p1's takes 8 stages, p2's meets both
+    # tolerances at its first z-step.
     # The last record stops at its restored point: it measures no f, and
     # h only in its restoration call
     rep = bira_run(factory())
@@ -212,6 +216,20 @@ def test_a_workload_run_stops_at_its_restored_point(monkeypatch, workload):
         assert report.status == status
         if status == "Converged":
             assert_stops_at_its_restored_point(report)
+
+
+def test_every_active_run_finishes_in_its_third_record(monkeypatch):
+    # record 1 meets eps_opt on each of the four active problems at seed 1,
+    # and record 2's finishing call meets both tolerances within its stage
+    # cap.  A cap without the stages for the least contraction c_min
+    # stopped active1's finishing call at ||h|| = 1.08e-6, above eps_feas,
+    # and that run paid a fourth record
+    run = load_bench_run(monkeypatch)
+    for problem, _ in run.build_problems(run.import_package(), "active", 1):
+        report = bira_run(problem)
+        assert report.status == "Converged"
+        assert report.iterations == 3
+        assert report.records[1].stationarity_residual <= 1e-4
 
 
 def test_a_run_counts_only_its_own_evaluations():
@@ -299,25 +317,52 @@ def test_a_fixed_coordinate_leaves_the_others_free():
     assert audit(rep, problem).ok
 
 
-def test_a_zero_z_step_is_a_stall(monkeypatch):
-    # p1 at alpha = 1/2 drives h to about 5e-16 while the optimality
-    # comparison lags; there sigma doubles until the trial z-step rounds to
-    # nothing.  That zero step passes the descent test, and repeated it
-    # runs toward the certified cap of about 9.7e9 descent tests; a cap of
-    # 1000 makes such a regression fail fast.  As a stall it ends the call
-    # at the exact level instead
-    monkeypatch.setattr(bira.solver, "restoration_inner_cap", lambda tc: 1000)
+def test_a_zero_z_step_is_a_stall():
+    # p1 at exact precision a few ULPs off its solution: h is one rounding
+    # unit and no trial lowers it, so sigma doubles until the trial z-step
+    # rounds to nothing.  That zero step passes the descent and ratio tests
+    # and, repeated, would run toward the certified cap of descent tests; a
+    # cap of 1000 makes such a regression fail fast.  As a stall on a fresh
+    # J at the exact level it ends the call
+    problem = make_p1()
+    x = problem.known_solution + np.array([-3, 4, 2, -6, -1]) * np.spacing(
+        problem.known_solution)
+    y = PrecisionLevel(0.0, 0.0)
+    h = problem.eval_h(x, y)
+    assert abs(h[0]) == 2.0**-53
+    out = resta(problem, x, y, AlgorithmParams(), h_xk_yk=h, inner_cap=1000)
+    assert out.status == "possible_infeasibility"
+    assert out.z_steps == 0
+    assert [sigma for sigma, _ in out.trials] == [2.0**k for k in range(-6, 1)]
+    assert out.trials[-1][1].step_norm == 0.0
+    assert out.x_R.tobytes() == x.tobytes()
+    assert out.h_xR_yR == abs(h[0])
+
+
+def test_a_call_that_meets_the_tolerances_by_r_is_held():
+    # p1 at alpha = 1/2: from record 14 on every call starts within r of
+    # both tolerances while the optimality comparison lags, and is held: it
+    # returns its input with no level, trial or evaluation, skips the
+    # failure tests, and keeps the contraction before it.  Without the
+    # hold each call must still contract h by r, down to the rounding
+    # floor, where the run ends possible_infeasibility
     params = _params(alpha=0.5)
     rep = bira_run(make_p1(params), params)
-    assert rep.status == "RestorationFailure"
-    assert rep.failure_info["kind"] == "possible_infeasibility"
-    assert len(rep.records) == 44
-    assert rep.failure_info["resta"].h_xk_yR < 1e-15
-    assert rep.failure_info["resta"].inner_desc_tests < 100
-    assert audit(rep).ok
-    # the failing iteration is the record count, in memory and reloaded
-    back = RunReport.from_dict(json.loads(json.dumps(rep.to_dict())))
-    assert len(back.records) == 44
+    assert rep.status == "Converged"
+    assert len(rep.records) == 47
+    tol = rep.tolerances
+    kept = [rec for rec in rep.records
+            if held(rec.h_xk_yk, rec.y_k.g, params.r, tol)]
+    assert [rec.k for rec in kept] == list(range(14, 47))
+    for rec in kept:
+        out = rec.resta
+        assert (out.refinements, out.stages, out.z_steps, out.trials) == (
+            0, 0, 0, ())
+        assert out.x_R.tobytes() == rec.x_k.tobytes()
+        assert out.y_R == rec.y_k and out.h_xR_yR == rec.h_xk_yk
+        assert not any(out.ledger_delta.values())
+    assert not any(rec.resta.refinements == 0 for rec in rep.records[:14])
+    assert audit(rep, make_p1(params)).ok
     assert_reloads_equal(rep)
 
 
@@ -364,46 +409,49 @@ def test_highdim_finishes_in_its_second_record():
     assert audit(rep).ok
 
 
-def _margin_start(params, mu, f_xR_yR, f_next, step_norm, model_decrease):
-    """:func:`~bira.core.tangent_mu_start` without the floor at the Newton
-    weight ``b``: an unclipped step starts at the margin alone,
-    ``1.1 (alpha + b)/2``, which is below ``b`` whenever
-    ``b > 1.1 alpha/0.9``."""
-    s2 = step_norm**2
-    a = mu * s2 - model_decrease
-    decrease = f_xR_yR - f_next
-    if s2 > 0.0 and abs(a - 2.0 * mu * s2) <= UNCLIPPED_RTOL * 2.0 * mu * s2:
-        start = min(TANGENT_MU_MARGIN * (params.alpha + (a - decrease) / s2)
-                    / 2.0, mu)
-    else:
-        start = mu / 2.0 if decrease >= (mu + params.alpha) * s2 else mu
-    return min(max(start, params.mu_min), params.mu_max)
+def _goal_on_every_call(residual, tolerances):
+    """:func:`~bira.core.finishing_goal` that hands every call after the
+    first the stopping tolerances as its goal, whatever the residual: a
+    finishing call whose record does not meet the optimality test."""
+    if residual is None:
+        return None
+    return tolerances["eps_feas"], tolerances["eps_prec"]
 
 
-@pytest.mark.parametrize("make,params,margin_start,k,stages", [
-    (make_p2, {"alpha": 0.1}, True, 6, 5),
-    (make_unit_row, {"r": 0.7}, False, 1, 15),
-], ids=["p2_margin_start", "unit_row_r=0.7"])
+@pytest.mark.parametrize("make,ks,stages", [
+    (make_p2, [1, 2], [8, 0]),
+    (make_p1, [1], [9]),
+], ids=["p2", "p1"])
 def test_a_finishing_call_that_does_not_stop_the_run_keeps_the_floor(
-        monkeypatch, make, params, margin_start, k, stages):
-    # p2 at alpha = 0.1, its searches started at the margin alone: each
-    # step overshoots the minimizer along it, and record 6 is a finishing
-    # call whose tangent step leaves the optimality test open.  The unit
-    # row at r = 0.7: record 1's finishing call stops at its stage cap with
-    # ||h|| above eps_feas.  Either way the run goes on; the call hands on
-    # ||h|| >= g/(2r), and the next call passes the precision test
-    if margin_start:
-        monkeypatch.setattr(bira.solver, "tangent_mu_start", _margin_start)
-    params = AlgorithmParams(**params)
+        monkeypatch, make, ks, stages):
+    # every call after the first is a finishing call, in the run and in its
+    # audit, while the stopping test still asks for eps_opt: the calls
+    # before the last do not stop the run.  Each hands on ||h|| >= g/(2r),
+    # and the next call passes the precision test
+    for module in (bira.solver, bira.diagnostics):
+        monkeypatch.setattr(module, "finishing_goal", _goal_on_every_call)
+    params = AlgorithmParams()
     rep = bira_run(make(params), params)
     assert rep.status == "Converged"
-    eps_opt = rep.tolerances["eps_opt"]
-    handed_on = [rec for prev, rec in zip(rep.records, rep.records[1:-1])
-                 if prev.stationarity_residual <= eps_opt]
-    assert [rec.k for rec in handed_on] == [k]
+    handed_on = rep.records[1:-1]
+    assert [rec.k for rec in handed_on] == ks
+    assert [rec.resta.stages for rec in handed_on] == stages
     for rec in handed_on:
-        assert rec.resta.stages == stages
         assert rec.h_xR_yR >= rec.g_yR / (2.0 * params.r)
+    assert audit(rep).ok
+
+
+def test_the_unit_row_at_r_0_7_finishes_in_its_second_record():
+    # record 0 meets eps_opt, and a z-step on the row (||J||**2 = 1)
+    # contracts by 1/33 at sigma_min = 1/64, so record 1's finishing call
+    # meets both tolerances within its stage cap and the run stops there
+    params = AlgorithmParams(r=0.7)
+    rep = bira_run(make_unit_row(params), params)
+    assert rep.status == "Converged"
+    assert len(rep.records) == 2
+    last = rep.records[1]
+    assert last.resta.stages == 10
+    assert last.h_xR_yR <= rep.tolerances["eps_feas"]
     assert audit(rep).ok
 
 
@@ -420,7 +468,7 @@ def test_p2_steps_on_without_zigzag():
     steps = [rec.x_next - rec.x_R for rec in records if not rec.stopped]
     assert len(steps) == len(records) - 1
     assert all(s @ t > 0.0 for s, t in zip(steps, steps[1:]))
-    assert [rec.k for rec in rep.records if rec.resta.stages > 0] == [8]
+    assert [rec.k for rec in rep.records if rec.resta.stages > 0] == [0]
     assert audit(rep).ok
 
 
@@ -673,7 +721,7 @@ def test_x_next_is_written_only_when_the_step_moved():
     # a zero step leaves x_next equal to x_R, which the trace already
     # writes in the restoration outcome, so its x_next entry is null, and
     # so is that of the record that stopped the run, which took no step
-    moved = bira_run(make_p1()).to_dict()
+    moved = bira_run(make_p2()).to_dict()
     assert moved["records"]["x_next"][-1] is None
     assert None not in moved["records"]["x_next"][:-1]
     rep = bira_run(make_unit_row())

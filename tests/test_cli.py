@@ -144,9 +144,11 @@ def test_uncovered_regularization_exits_before_any_evaluation(
 
 
 @pytest.mark.parametrize("cfg,named", [
-    # alpha_R * r_feas**2 underflows to 0
+    # alpha_R * r_feas**2 underflows to 0; at alpha_R = 1e-300 the steps
+    # per level stay finite, and their product with the trials per step
+    # overflows
     ({"r_feas": 1e-300}, "restoration_steps_per_level"),
-    ({"alpha_R": 1e-300}, "restored_distance_factor"),
+    ({"alpha_R": 1e-300}, "restoration_iter_cap"),
 ], ids=["r_feas", "alpha_R"])
 def test_a_config_the_constants_chain_cannot_take_is_a_usage_error(
         tmp_path, capsys, cfg, named):

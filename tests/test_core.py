@@ -12,6 +12,7 @@ from bira.core import (
     constraint_ssq,
     descent_test,
     finishing_goal,
+    held,
     merit_phi,
     stopping_test,
     tangent_mu_start,
@@ -187,6 +188,18 @@ def test_a_finishing_goal_opens_once_the_optimality_comparison_holds():
 def test_the_stopping_test_needs_all_three_comparisons(h_norm, g, residual,
                                                        met):
     assert stopping_test(h_norm, g, residual, TOL) is met
+
+
+@pytest.mark.parametrize("h_norm,g,kept", [
+    (5e-7, 5e-6, True),
+    (0.0, 0.0, True),
+    (6e-7, 5e-6, False),
+    (5e-7, 6e-6, False),
+], ids=["both_met_by_r", "exact", "violation_open", "precision_open"])
+def test_a_call_is_held_where_its_input_meets_the_tolerances_by_r(
+        h_norm, g, kept):
+    # r = 1/2 of eps_feas = 1e-6 and eps_prec = 1e-5; eps_opt plays no part
+    assert held(h_norm, g, 0.5, TOL) is kept
 
 
 def _tangent_step(mu, box_upper=10.0, curvature=0.3):

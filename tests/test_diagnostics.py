@@ -488,11 +488,11 @@ TAMPERS = [
     # projected step guarantees
     ("tangent_model_decrease", ("records", 1, "tangent_cert", "model_decrease"),
      lambda t, tc: 0.5 * record_row(t, 1)["tangent_cert"]["model_decrease"]),
-    # record 2, the last that searched: no replayed start reads its model,
-    # so only the floor -L_f ||s|| bounds it from below
-    ("tangent_model_floor", ("records", 2, "tangent_cert", "model_decrease"),
+    # record 1, the last whose step moved (record 2's is zero): ten times
+    # past the floor -L_f ||s||
+    ("tangent_model_floor", ("records", 1, "tangent_cert", "model_decrease"),
      lambda t, tc: -10.0 * t["constants_basis"]["problem_constants"]["L_f"]
-     * record_row(t, 2)["tangent_cert"]["step_norm"]),
+     * record_row(t, 1)["tangent_cert"]["step_norm"]),
     ("tangent_solve_accuracy",
      ("records", 0, "tangent_cert", "stationarity_residual"),
      lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa"]
@@ -514,12 +514,15 @@ TAMPERS = [
     ("restoration_inner_caps", ("records", 0, "resta", "stages"),
      lambda t, tc: restoration_stage_cap(
          AlgorithmParams.from_dict(t["params"]), 0.0, None) + 1),
+    # a call that claims more z-steps than it had passing trials
+    ("restoration_inner_caps", ("records", 0, "resta", "z_steps"),
+     lambda t, tc: 10**6),
     ("step_per_infeasibility", ("records", 0, "resta", "max_step_over_h"),
      lambda t, tc: 10.0 * tc.step_per_infeasibility),
     # a restored call that claims to have left the precision unrefined
     ("precision_refinement", ("records", 0, "resta", "y_R", "gf"),
      lambda t, tc: t["start"]["y"][0]),
-    # record 0's call contracted by about 4/9, below r, so record 1's
+    # record 0's call contracted by about 1/3, below r, so record 1's
     # call refined at that ratio, not at r
     ("precision_refinement", ("records", 1, "resta", "y_R", "gf"),
      lambda t, tc: t["params"]["r"] * record_row(t, 0)["resta"]["y_R"]["gf"]),
@@ -656,8 +659,8 @@ def test_the_stopping_test_agrees_with_every_status(run):
 
 
 @pytest.mark.parametrize("edit,where", [
-    # the last iteration's residual no longer meets the tolerance
-    (lambda d: d["tolerances"].update(eps_opt=1e-9), "iteration 3"),
+    # the last iteration's residual, 8e-10, no longer meets the tolerance
+    (lambda d: d["tolerances"].update(eps_opt=1e-10), "iteration 3"),
     # a run that met the test at record 3 cannot have run out of budget
     (lambda d: d.update(status="BudgetExceeded", budget=4), "iteration 3"),
     # a converged run stopped at the first record that met the test: at
@@ -701,16 +704,62 @@ def test_a_restored_call_relabelled_trivial_is_caught():
 
 
 def test_a_stage_dropped_from_a_call_without_a_goal_is_caught():
-    # the unit row's first call stages once below its floor; a trace that
-    # drops the stage claims a precision the replay does not reach
+    # the unit row's first call stages twice below its floor; a trace that
+    # drops a stage claims a precision the replay does not reach
     problem = make_unit_row()
     rep = bira_run(problem)
-    assert rep.records[0].resta.stages == 1
+    assert rep.records[0].resta.stages == 2
     assert audit(rep, problem).ok
     d = _trace(rep)
-    d["records"]["resta"]["stages"][0] = 0
+    d["records"]["resta"]["stages"][0] = 1
     assert _failures(d) == {
-        "precision_refinement": "iteration 0: 2.500e-01 exceeds 6.250e-02"}
+        "precision_refinement": "iteration 0: 6.250e-02 exceeds 1.562e-02"}
+
+
+def _held_run():
+    # p1 at alpha = 1/2 holds every call from record 14 on
+    params = AlgorithmParams(alpha=0.5)
+    rep = bira_run(problem_by_name("p1", params), params)
+    assert rep.records[20].resta.refinements == 0
+    assert audit(rep).ok
+    return _trace(rep)
+
+
+def _edit_record(k, *path):
+    def edit(d, value):
+        def put(t):
+            node = t["records"]["resta"]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]][k] = value(node[path[-1]][k])
+        edit_packed(d, put)
+    return edit
+
+
+@pytest.mark.parametrize("edit,value", [
+    # a held call claims a level it did not refine at
+    (_edit_record(20, "refinements"), lambda v: 1),
+    (_edit_record(20, "stages"), lambda v: 1),
+    # or a precision it did not keep
+    (_edit_record(20, "y_R", "gh"), lambda v: v / 2),
+    (_edit_record(20, "y_R", "gf"), lambda v: v / 2),
+], ids=["refinements", "stages", "gh", "gf"])
+def test_a_held_call_is_replayed(edit, value):
+    d = _held_run()
+    edit(d, value)
+    failed = _failures(d)
+    assert "precision_refinement" in failed
+    assert failed["precision_refinement"].startswith("iteration 20:")
+
+
+def test_a_failing_call_that_the_replay_holds_is_caught(suite_runs):
+    # tolerances that p3's start meets by r: the replay holds its one
+    # call, which returns its input and cannot end the run
+    d = _trace(suite_runs["p3"])
+    d["tolerances"].update(eps_feas=1e3, eps_prec=1e3)
+    failed = _failures(d)
+    assert failed["restoration_tests"].startswith("iteration 0:")
+    assert failed["precision_refinement"].startswith("iteration 0:")
 
 
 def test_a_stage_count_past_its_cap_is_replayed_to_the_cap(suite_runs):

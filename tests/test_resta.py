@@ -113,6 +113,21 @@ def test_p1_floor_of_one_eighth_rejects_first_trials():
     assert rep.ledger_totals["h_evals"] == 265
 
 
+def test_a_z_step_on_p1s_row_contracts_by_a_third():
+    # p1's row has ||J||**2 = 1/16: at sigma_min = 1/64 a z-step contracts
+    # h by (1/32) / (1/32 + 1/16) = 1/3, past r = 1/2, so the first call
+    # meets r at its first z-step, on one trial
+    params = AlgorithmParams.defaults()
+    p = make_p1(params)
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    assert (out.status, out.z_steps, out.inner_desc_tests) == (
+        "restored", 1, 1)
+    two_sigma = 2.0 * params.sigma_min
+    assert two_sigma / (two_sigma + 0.0625) == pytest.approx(1 / 3)
+    assert out.contraction == pytest.approx(1 / 3, rel=1e-9)
+
+
 def _linear_row(norm_J_sq):
     """h(x) = a.x - 1 with ||a||**2 = ``norm_J_sq``, exact, from x = 0."""
     a = np.array([np.sqrt(norm_J_sq), 0.0])
@@ -128,10 +143,11 @@ def _linear_row(norm_J_sq):
 
 @pytest.mark.parametrize("exponent", range(-8, 5))
 def test_every_first_trial_passes_on_a_linear_row(exponent):
-    # at alpha_R = 2 sigma_min the descent test on a linear row, which
-    # holds iff ||J||**2 + 4 sigma >= 2 alpha_R, passes at sigma_min for
-    # every ||J||**2 up to M: each z-step takes one trial and contracts h
-    # by 2 sigma_min / (2 sigma_min + ||J||**2).  On the weakest rows the
+    # the descent test on a linear row, which holds iff ||J||**2 + 4 sigma
+    # >= 2 alpha_R, passes at sigma_min for every row at alpha_R <= 2
+    # sigma_min, and the Gauss-Newton model of a linear row is exact, so
+    # the ratio test passes too: each z-step takes one trial and contracts
+    # h by 2 sigma_min / (2 sigma_min + ||J||**2).  On the weakest rows the
     # stall test ends the call before r; the z-steps it took still do
     params = AlgorithmParams.defaults()
     norm_J_sq = 2.0**exponent
@@ -154,8 +170,8 @@ def test_every_first_trial_passes_on_a_linear_row(exponent):
 
 def test_a_wrong_handed_jacobian_costs_one_trial():
     # the handed J counts as kept: its failed first trial takes a fresh J
-    # at the same z, and the doubling goes on there at 2 sigma_min; the
-    # z-step needed two trials, so the next one takes a fresh J too
+    # at the same z, and the doubling goes on there at 2 sigma_min, where
+    # the one z-step meets r
     p = make_p1()
     params = AlgorithmParams.defaults()
     h0 = p.eval_h(p.x0, p.y0)
@@ -164,11 +180,10 @@ def test_a_wrong_handed_jacobian_costs_one_trial():
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, jacobian=-J)
     assert out.status == "restored"
     assert out.refinements == 1
-    assert _sigmas(out)[:3] == (params.sigma_min, 2 * params.sigma_min,
-                                params.sigma_min)
-    assert out.inner_desc_tests == out.z_steps + 1
-    assert out.ledger_delta["gradh_evals"] == 2
-    assert out.ledger_delta["h_evals"] == plain.ledger_delta["h_evals"] + 2
+    assert _sigmas(out) == (params.sigma_min, 2 * params.sigma_min)
+    assert out.inner_desc_tests == out.z_steps + 1 == 2
+    assert out.ledger_delta["gradh_evals"] == 1
+    assert out.ledger_delta["h_evals"] == plain.ledger_delta["h_evals"] + 1
 
 
 def test_a_handed_zero_jacobian_is_not_a_stall():
@@ -262,19 +277,41 @@ def test_p3_detects_likely_infeasibility():
     assert out.status == "possible_infeasibility"
     assert out.refinements == 1
     # the kept Jacobian's first trial of the second z-step fails, so that
-    # step goes on at 1/8 on a fresh one and passes at 1; it needed five
+    # step goes on at 1/32 on a fresh one and passes at 1; it needed seven
     # trials, so the stall is declared on a third, fresh Jacobian at the
-    # next z
-    assert _sigmas(out) == (0.0625, 0.0625, 0.125, 0.25, 0.5, 1.0)
+    # next z.  The trials at 1/32 and 1/16 end on the same bound, x_1 = 1,
+    # so the second is not measured
+    assert _sigmas(out) == tuple(2.0**k for k in (-6, -6, -5, -4, -3, -2,
+                                                  -1, 0))
+    assert out.ledger_delta["h_evals"] == 7
     assert out.ledger_delta["gradh_evals"] == 3
     rep = bira_run(make_p3(), params)
     assert rep.failure_info["kind"] == "possible_infeasibility"
     assert rep.ledger_totals == {"f_evals": 1, "gradf_evals": 0,
-                                 "h_evals": 7, "gradh_evals": 3}
+                                 "h_evals": 8, "gradh_evals": 3}
     # descent drove the first coordinate toward the infeasible stall
     assert abs(out.x_R[0]) < 0.1
     assert out.x_R[1] == p.x0[1]
     assert out.h_xR_yR > 0.9
+
+
+def test_the_ratio_test_rejects_p3s_zigzag(monkeypatch):
+    # the trial at sigma = 1/2 of p3's second z-step, from x_1 = -0.21 to
+    # 0.16, passes the descent test, but h falls by less than a quarter of
+    # what its Gauss-Newton model predicts: the ratio test rejects it, and
+    # the trial at 1 ends near the stall at x_1 = 0.  Without the ratio
+    # test that trial is accepted, and the z-steps zigzag across x_1 = 0
+    # at every weight up to 1/2
+    p = make_p3()
+    params = AlgorithmParams.defaults()
+    h0 = p.eval_h(p.x0, p.y0)
+    out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    assert out.z_steps == 2 and _sigmas(out)[-2:] == (0.5, 1.0)
+    monkeypatch.setattr(restoration, "ACCEPTANCE_RATIO", 0.0)
+    zigzag = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
+    assert _sigmas(zigzag)[6:8] == (0.5, params.sigma_min)
+    assert zigzag.z_steps > 10
+    assert zigzag.ledger_delta["h_evals"] > 5 * out.ledger_delta["h_evals"]
 
 
 def _p3_like_with_coarse_start():
@@ -357,19 +394,20 @@ def test_a_refine_that_ignores_its_targets_hits_the_stage_cap():
     h0 = p.eval_h(x, p.y0)
     assert float(np.linalg.norm(h0)) < GOAL[0]
     cap = restoration_stage_cap(params, params.r**2 * p.y0.g, GOAL)
-    assert cap == 10
+    assert cap == 17
     with pytest.raises(AbnormalTermination, match="stage cap") as err:
         resta(p, x, p.y0, params, h_xk_yk=h0, goal=GOAL)
     assert err.value.summary["stages"] == cap + 1
 
 
 def test_a_floor_that_outruns_the_stage_cap_ends_the_call_above_it():
-    # |J|^2 = 4.49 is near M + 2 sigma_min = 4.5: the first z-step
-    # contracts h by about 1e-3, far more than r**2, so the floor guard
-    # asks for more stages than the cap; the call stops at the cap with
-    # the violation goal open and the floor kept, as a call without a goal
-    # would, instead of raising
-    a = np.full(4, 1.06)
+    # |J|^2 lies 1e-6 below M + 2 sigma_min = 64.03125, where the scaled
+    # Gauss-Newton step is exact: the first z-step contracts h by about
+    # 1e-6, far more than r**2, so the floor guard asks for more stages
+    # than the cap; the call stops at the cap with the violation goal open
+    # and the floor kept, as a call without a goal would, instead of
+    # raising
+    a = np.full(4, np.sqrt(64.03125 * (1.0 - 1e-6) / 4.0))
     p = SyntheticProblem(
         "steep_row", BoxPolytope(-10.0 * np.ones(4), 10.0 * np.ones(4)),
         objective=lambda x: 0.0, objective_grad=lambda x: np.zeros(4),
@@ -389,26 +427,26 @@ def test_a_floor_that_outruns_the_stage_cap_ends_the_call_above_it():
 
 
 def test_a_call_without_a_goal_stages_up_to_its_floor():
-    # at the defaults one z-step contracts the unit row by 1/9, far below
+    # at the defaults one z-step contracts the unit row by 1/33, far below
     # the ratio r = 1/2 the first call refines g by; returned there, ||h||
     # would lie below (1 - c) g / (2 r), the floor the next call's
-    # precision test needs.  One stage refines g by r**2 more, and this
-    # call's own test still holds
+    # precision test needs.  Two stages refine g by r**4 more, one would
+    # not be enough, and this call's own test still holds
     params = AlgorithmParams.defaults()
     p = make_unit_row()
     h0 = p.eval_h(p.x0, p.y0)
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
-    assert (out.status, out.z_steps, out.stages) == ("restored", 1, 1)
+    assert (out.status, out.z_steps, out.stages) == ("restored", 1, 2)
     r = params.r
-    assert out.contraction == pytest.approx(1 / 9, rel=1e-6)
-    assert out.y_R == PrecisionLevel(r**3 * p.y0.gf, r**3 * p.y0.gh)
+    assert out.contraction == pytest.approx(1 / 33, rel=1e-6)
+    assert out.y_R == PrecisionLevel(r**5 * p.y0.gf, r**5 * p.y0.gh)
     assert out.h_xR_yR >= (1 - out.contraction) * out.y_R.g / (2 * r)
-    assert out.h_xR_yR < (1 - out.contraction) * r * p.y0.g / (2 * r)
+    assert out.h_xR_yR < (1 - out.contraction) * r**3 * p.y0.g / (2 * r)
     assert restoration_failure(out.status, out.h_xk_yR, out.h_xR_yR,
                                p.y0.g, out.y_R.g, r) is None
 
 
-@pytest.mark.parametrize("point,cap", [({}, 5), (EDGE_RESTORATION, 3)],
+@pytest.mark.parametrize("point,cap", [({}, 7), (EDGE_RESTORATION, 3)],
                          ids=["defaults", "edge"])
 def test_the_stage_cap_of_a_call_without_a_goal(point, cap):
     # the stages that make up the least contraction of a call that meets
@@ -439,7 +477,7 @@ def test_pdp_shortcut_rejected_at_default_radius():
 
 
 def test_tiny_inner_cap_terminates_abnormally():
-    p = make_p1()
+    p = make_p3()
     h0 = p.eval_h(p.x0, p.y0)
     with pytest.raises(AbnormalTermination) as err:
         resta(p, p.x0, p.y0, AlgorithmParams.defaults(),
@@ -501,12 +539,12 @@ def test_a_face_without_descent_is_left_at_no_cost(monkeypatch, ratio):
     assert out.ledger_delta["gradh_evals"] == 1
     rep = bira_run(make_face_row((1.0, 1.0, 0.0)), params)
     assert (rep.status, rep.iterations, _ledger(rep)) == (
-        "Converged", 4, (10, 4, 22, 5))
+        "Converged", 4, (9, 4, 18, 5))
 
 
 @pytest.mark.parametrize("ratio,records,ledger", [
-    (restoration.FACE_RELEASE_RATIO, 4, (10, 4, 22, 5)),
-    (-np.inf, 4, (10, 4, 26, 6)),
+    (restoration.FACE_RELEASE_RATIO, 4, (9, 4, 18, 5)),
+    (-np.inf, 4, (9, 4, 19, 6)),
 ], ids=["ratio", "stall_only"])
 def test_a_slow_face_is_left_by_the_ratio_rule(monkeypatch, ratio, records,
                                               ledger):
@@ -514,7 +552,7 @@ def test_a_slow_face_is_left_by_the_ratio_rule(monkeypatch, ratio, records,
     # box's, and the ratio rule leaves it at once, as the whole box would
     # restore.  On a stall alone the face's z-steps drive x_3 to its bound
     # 5 before the face stalls, far from the solution (1.98, 1, 0.198):
-    # the run pays 4 more h evaluations and one more Jacobian, though the
+    # the run pays 1 more h evaluation and one more Jacobian, though the
     # tangent steps, each at the minimizer along it, keep its 4 records
     monkeypatch.setattr(restoration, "FACE_RELEASE_RATIO", ratio)
     rep = bira_run(make_face_row((1.0, 1.0, 0.1)), AlgorithmParams.defaults())
@@ -540,13 +578,15 @@ def test_a_held_bound_off_the_solution_costs_a_record():
     # the same row: x_1 = 0 is held but not active at the solution (1, 1,
     # 1), so the first restored point moves x_3 alone, to 11/6, past the
     # solution.  At alpha = 0.1 the tangent steps then take one record
-    # more than restoring on the whole box (9 records, 25/9/29/10); at the
+    # more than restoring on the whole box (9 records, 17/9/20/10); at the
     # default alpha each step ends at the minimizer along it, and both
-    # runs take 4 records
+    # runs take 4 records.  From record 4 on each call starts within r of
+    # both tolerances and is held; without the hold each must still
+    # contract h by r, and the run ends precision_outpaced_feasibility
     params = AlgorithmParams(alpha=0.1)
     rep = bira_run(make_face_row((1.0, 1.0, 1.0), params), params)
     assert (rep.status, rep.iterations, _ledger(rep)) == (
-        "Converged", 10, (28, 10, 32, 11))
+        "Converged", 10, (18, 10, 21, 11))
 
 
 def test_an_infeasible_row_on_a_held_bound_ends_on_the_box():

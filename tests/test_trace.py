@@ -886,10 +886,10 @@ def test_a_negative_restored_precision_is_a_schema_error(tmp_path, capsys,
 #: benchmark counts them, bytes of the file bira run --out writes)``.  A
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
-    "p1": (4660, 6299),
-    "p2": (4434, 6487),
-    "p3": (2303, 3270),
-    "p4": (1869, 2650),
+    "p1": (3528, 4903),
+    "p2": (3686, 5391),
+    "p3": (2426, 3417),
+    "p4": (1875, 2656),
 }
 
 
