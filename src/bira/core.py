@@ -205,8 +205,18 @@ def descent_test(new, ref, alpha, step):
     """The sufficient-decrease test of a trial as ``(lhs, rhs)``, which
     holds iff ``lhs <= rhs``: the value fell from ``ref`` to ``new`` by at
     least ``alpha`` times the squared step norm.  The tangent search
-    applies it to f, restoration to half the squared violation."""
+    applies it to f, and the audit's ``tangent_search`` replays it."""
     return new, ref - alpha * step**2
+
+
+#: The Levenberg-Marquardt acceptance ratio eta of restoration (Moré 1978;
+#: Nocedal & Wright §10.3; see :mod:`bira.restoration`).  The ratio test
+#: at eta certifies the descent constant ``2 eta sigma_min``
+#: (:class:`bira.diagnostics.TheoreticalConstants`).  On ``p3`` it rejects
+#: the trials that zigzag across the stall at ``x_1 = 0``: at 0, where any
+#: fall of h passes, that run pays 228 h and 49 grad h evaluations, at 1/4
+#: 8 and 3.  At 1/2 every workload count is the same as at 1/4.
+ACCEPTANCE_RATIO = 0.25
 
 
 def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
@@ -403,7 +413,6 @@ def type_name(val):
 
 
 _PARAM_POSITIVE = (
-    "alpha_R",
     "alpha",
     "sigma_min",
     "mu_min",
@@ -417,27 +426,23 @@ class AlgorithmParams:
     The attribute names double as the flat keys of the CLI config format.
     ``sigma_min`` is the floor of the restoration regularization weight and
     ``M`` the cap on the Gauss-Newton curvature ``||J J^T||``; the
-    restoration analysis needs ``M * sigma_min >= 1``, checked here.  The
-    defaults ``(alpha_R, sigma_min, M) = (1/128, 1/64, 64)`` sit on that
-    edge.  A z-step at weight sigma contracts a linear violation by
-    ``2 sigma / (2 sigma + ||J||^2)``.  A trial passes the descent test
-    at ``alpha_R`` and the ratio test of :mod:`bira.restoration`, whose
-    constant ``eta = 1/4`` makes the defaults ``alpha_R = 2 eta
-    sigma_min``: there the ratio test implies the descent test.  On a
-    linear row the Gauss-Newton model is exact, so the ratio test passes
-    at every sigma, and the descent test, which holds iff ``||J||^2 + 4
-    sigma >= 2 alpha_R``, passes at sigma_min: the first trial passes
-    whatever the scale of the row, up to ``||J||^2 = M``.  On ``p1``
-    (``||J||^2 = 1/16``) a z-step contracts by 1/3, and a restoration call
-    takes 1 z-step (2 at sigma_min = 1/16, where a z-step contracts by
-    2/3; 6 at 1/4; 23 at 1).  ``p1`` then pays 30 h evaluations, 52 at
-    the earlier defaults ``(1/8, 1/16, 16)``.  At ``alpha_R = 1/2`` a
-    floor of 1/8 fails the descent test on ``p1`` and pays a second trial
-    per z-step.  The smaller ``alpha_R`` raises
-    ``restored_distance_factor`` (see :func:`bira.diagnostics.constants`)
-    and so lowers the noise budget ``beta_bar``, to which every
-    registered problem calibrates its noise: on ``p1`` 6.5e-10, against
-    4.7e-8 at the earlier defaults.
+    restoration analysis needs ``M * sigma_min >= 1``, checked here, and
+    the defaults ``(sigma_min, M) = (1/64, 64)`` sit on that edge.  A
+    restoration trial is accepted on the ratio test of
+    :mod:`bira.restoration` alone; the ratio test at ``eta`` certifies the
+    descent constant ``2 eta sigma_min`` (1/128 at the defaults), which is
+    derived, not a parameter (:data:`ACCEPTANCE_RATIO`).  A z-step at
+    weight sigma contracts a linear violation by ``2 sigma / (2 sigma +
+    ||J||^2)``, and on a linear row the Gauss-Newton model is exact, so
+    the first trial at sigma_min passes whatever the scale of the row.
+    On ``p1`` (``||J||^2 = 1/16``) a z-step contracts by 1/3, and a
+    restoration call takes 1 z-step (2 at sigma_min = 1/16, where a
+    z-step contracts by 2/3; 6 at 1/4; 23 at 1).  ``p1`` then pays 30 h
+    evaluations, 52 at the earlier ``(sigma_min, M) = (1/16, 16)``.  The
+    smaller descent constant raises ``restored_distance_factor`` (see
+    :func:`bira.diagnostics.constants`) and so lowers the noise budget
+    ``beta_bar``, to which every registered problem calibrates its noise:
+    on ``p1`` 6.5e-10, against 1.2e-8 at ``(1/16, 16)``.
 
     ``alpha`` is the tangent descent constant.  A trial at the Newton
     weight b, half of f's curvature along the step, ends at the minimizer
@@ -462,7 +467,6 @@ class AlgorithmParams:
     r: float = 0.5
     r_feas: float = 0.05
     alpha: float = 0.02
-    alpha_R: float = 0.0078125
     M: float = 64.0
     sigma_min: float = 0.015625
     mu_min: float = 1e-3
@@ -500,7 +504,7 @@ class AlgorithmParams:
         if self.eps_prec_bar < 0.0:
             raise ConfigurationError("eps_prec_bar must be nonnegative")
         # restoration_iter_cap is a multiple of N_prec, so 0 would leave a
-        # restoration call no descent test at all
+        # restoration call no trial at all
         if not (isinstance(self.N_prec, int) and self.N_prec >= 1):
             raise ConfigurationError("N_prec must be a positive integer")
         for f in fields(self):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ACCEPTANCE_RATIO,
     CERT_FLOOR,
     DEFAULT_KAPPAS,
     LEDGER_FIELDS,
@@ -44,7 +45,7 @@ DEFAULT_EXTRAS = {"beta": 0.0, "gamma": 0.5, "k_R": 0.0}
 #: on the restoration weight sigma.  No solver loop reads it.
 SIGMA_MAX = 40.0
 
-#: Fallback cap on restoration descent tests when no certified bound exists.
+#: Fallback cap on restoration trials when no certified bound exists.
 FALLBACK_INNER_CAP = 100_000
 
 
@@ -53,43 +54,42 @@ class TheoreticalConstants:
     """Derived worst-case quantities; all are certified only when
     ``analytic`` is true.
 
-    ``restored_distance_factor`` bounds ``||x_R - x_k||`` by a multiple of
-    ``h_xk_yk + g_yk``, from the restoration's own descent test.  Every
-    level of a call restarts at ``x_k``, so only the z-steps ``d`` of the
-    last level lead to ``x_R``.  Each accepted one lowers half the squared
-    measured violation by at least ``alpha_R ||d||**2``, so
-    ``2 alpha_R sum ||d||**2`` is at most what the squared violation falls
-    over the level.  The level starts at ``s = ||h(x_k, w)||`` and only a
-    stage's re-measurement at the refined ``w'`` can raise it, by at most
-    ``delta = err(w) + err(w')``, where ``err(w) <= (beta / 2) w.g`` bounds
-    an evaluation's error.  With ``e_j`` the violation that ends segment
-    ``j`` and ``D = sum delta_j``, the fall sums to at most ``s**2 +
-    sum delta_j (2 e_j + delta_j) <= (s + D)**2``, because ``e_j <= s +
-    sum_{i<j} delta_i``.  The level's precision and each stage's are at
-    most ``g_yk`` and ``r**2`` times the one before, so ``s <= h_xk_yk +
-    beta g_yk`` and ``D <= beta g_yk / (1 - r**2)``, and ``s + D <= (1 +
-    beta (2 - r**2) / (1 - r**2)) (h_xk_yk + g_yk)``.  A call takes at
-    most :func:`restoration_inner_cap` descent tests, so at most that many
-    z-steps ``N``, and Cauchy-Schwarz gives ``||x_R - x_k|| <= sum ||d|| <=
-    sqrt(N sum ||d||**2)``: the factor is ``sqrt(N / (2 alpha_R)) (1 +
-    beta (2 - r**2) / (1 - r**2))``.  It does not depend on the
-    tolerances.
+    ``alpha_R`` is the descent constant of restoration, ``2 eta
+    sigma_min`` with ``eta =`` :data:`~bira.core.ACCEPTANCE_RATIO`: the
+    ratio test at eta certifies it.  :func:`~bira.restoration.resta`
+    accepts a z-step ``d`` only where ``c(z) - c(z + d) >= eta pred``,
+    with ``c = ||h||**2 / 2`` and ``pred`` the fall of the Gauss-Newton
+    model, and the exact restoration QP gives ``pred >= 2 sigma ||d||**2
+    >= 2 sigma_min ||d||**2``, so every accepted z-step lowers ``c`` by at
+    least ``alpha_R ||d||**2`` (1/128 at the defaults).  Nor does the
+    ratio test add trials past ``sigma_sufficient``: ``L_c`` bounds the
+    curvature of ``c``, so ``c(z + d) <= c(z) - pred + (L_c / 2)
+    ||d||**2``, and the test holds once ``2 (1 - eta) sigma >= L_c / 2``,
+    which ``sigma_sufficient >= 2 L_c`` meets for every ``eta <= 7/8``.
 
-    :func:`~bira.restoration.resta` accepts a trial only where it also
-    passes the ratio test ``c(z) - c(z + d) >= eta pred``, with ``eta =``
-    :data:`~bira.restoration.ACCEPTANCE_RATIO` and ``pred`` the fall of
-    the Gauss-Newton model.  The exact restoration QP gives ``pred >= 2
-    sigma ||d||**2 >= 2 sigma_min ||d||**2``, so at ``alpha_R = 2 eta
-    sigma_min`` (the defaults, ``1/128 = 2 (1/4) (1/64)``) the ratio test
-    implies the descent test.  Either way every accepted z-step passes the
-    descent test at ``alpha_R``.  Nor does the ratio test add trials past
-    ``sigma_sufficient``: ``L_c`` bounds the curvature of ``c``, so
-    ``c(z + d) <= c(z) - pred + (L_c / 2) ||d||**2``, and the test holds
-    once ``2 (1 - eta) sigma >= L_c / 2``, which ``sigma_sufficient >= 2
-    L_c`` meets for every ``eta <= 7/8``.  So every constant, cap and
-    audit row here that reads ``alpha_R`` holds with the ratio test.
+    ``restored_distance_factor`` bounds ``||x_R - x_k||`` by a multiple of
+    ``h_xk_yk + g_yk``.  Every level of a call restarts at ``x_k``, so
+    only the z-steps ``d`` of the last level lead to ``x_R``.  Each
+    accepted one lowers half the squared measured violation by at least
+    ``alpha_R ||d||**2``, so ``2 alpha_R sum ||d||**2`` is at most what
+    the squared violation falls over the level.  The level starts at ``s
+    = ||h(x_k, w)||`` and only a stage's re-measurement at the refined
+    ``w'`` can raise it, by at most ``delta = err(w) + err(w')``, where
+    ``err(w) <= (beta / 2) w.g`` bounds an evaluation's error.  With
+    ``e_j`` the violation that ends segment ``j`` and ``D = sum
+    delta_j``, the fall sums to at most ``s**2 + sum delta_j (2 e_j +
+    delta_j) <= (s + D)**2``, because ``e_j <= s + sum_{i<j} delta_i``.
+    The level's precision and each stage's are at most ``g_yk`` and
+    ``r**2`` times the one before, so ``s <= h_xk_yk + beta g_yk`` and
+    ``D <= beta g_yk / (1 - r**2)``, and ``s + D <= (1 + beta (2 - r**2) /
+    (1 - r**2)) (h_xk_yk + g_yk)``.  A call takes at most
+    :func:`restoration_inner_cap` trials, so at most that many z-steps
+    ``N``, and Cauchy-Schwarz gives ``||x_R - x_k|| <= sum ||d|| <= sqrt(N
+    sum ||d||**2)``: the factor is ``sqrt(N / (2 alpha_R)) (1 + beta (2 -
+    r**2) / (1 - r**2))``.  It does not depend on the tolerances.
     """
 
+    alpha_R: float
     sigma_sufficient: float
     sigma_cap: float
     restoration_grad_bound: float
@@ -160,9 +160,10 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     :data:`~bira.core.DEFAULT_KAPPAS`.
 
     The restored distance factor, which sets the penalty floor and with it
-    the noise budget ``beta_bar``, comes from the restoration's own descent
-    test and its cap on descent tests (see :class:`TheoreticalConstants`),
-    so it does not depend on the tolerances.
+    the noise budget ``beta_bar``, comes from the descent constant the
+    restoration's ratio test certifies and its cap on trials (see
+    :class:`TheoreticalConstants`), so it does not depend on the
+    tolerances.
 
     ``extras`` may override ``beta`` (oracle error scale), ``gamma``
     (merit decrease fraction) and ``k_R`` (projection-map drift bound).
@@ -189,12 +190,13 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
         raise ConfigurationError(f"extra k_R must be >= 0, got {k_R}")
 
     with contextlib.suppress(ArithmeticError):
-        sigma_sufficient = 2.0 * (pc.L_c + p.M / 2.0 + p.alpha_R)
+        alpha_R = 2.0 * ACCEPTANCE_RATIO * p.sigma_min
+        sigma_sufficient = 2.0 * (pc.L_c + p.M / 2.0 + alpha_R)
         sigma_cap = max(10.0 * sigma_sufficient, SIGMA_MAX)
         restoration_grad_bound = pc.L_c + p.M + kap["kappa_R"] + sigma_cap
         restoration_steps_per_level = (
             restoration_grad_bound**2 * (1.0 - p.r**4)
-            / (2.0 * p.alpha_R * p.r_feas**2)
+            / (2.0 * alpha_R * p.r_feas**2)
             + 1.0
         )
         step_per_infeasibility = kap["kappa_phi"] * p.M * pc.C_h
@@ -207,7 +209,7 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
             restoration_steps_per_level * sigma_trials_per_step + 1.0
         ) * p.N_prec
         restored_distance_factor = math.sqrt(
-            _inner_cap(restoration_iter_cap) / (2.0 * p.alpha_R)) * (
+            _inner_cap(restoration_iter_cap) / (2.0 * alpha_R)) * (
             1.0 + beta * (2.0 - p.r**2) / (1.0 - p.r**2))
         restored_value_factor = pc.L_f * restored_distance_factor + beta
         penalty_floor = min(
@@ -296,7 +298,7 @@ def _inner_cap(restoration_iter_cap):
 
 
 def restoration_inner_cap(tc: TheoreticalConstants | None):
-    """Cap on restoration descent tests: certified when analytic."""
+    """Cap on restoration trials: certified when analytic."""
     if tc is not None and tc.analytic:
         return _inner_cap(tc.restoration_iter_cap)
     return FALLBACK_INNER_CAP
@@ -494,7 +496,7 @@ def _calls(report):
 
 def _z_step_trial_rows(outs, sigma_min, cap):
     """Each z-step of every call ``(k, outcome)`` took at most ``cap``
-    descent tests.  A z-step's first trial is at ``sigma_min`` and the
+    trials.  A z-step's first trial is at ``sigma_min`` and the
     ones after it double sigma, so a call's trial table splits into
     z-steps where sigma is back at ``sigma_min``."""
     for k, out in outs:

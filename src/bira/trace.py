@@ -61,7 +61,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 19
+TRACE_VERSION = 20
 
 #: The largest magnitude whose square stays within the float range.
 SQUARE_MAX = math.sqrt(FLOAT_MAX)
@@ -364,7 +364,7 @@ CERT_FIELDS = tuple(SolveCertificate.__dataclass_fields__)
 LEVEL_FIELDS = tuple(PrecisionLevel.__dataclass_fields__)
 
 #: The columns of a restoration outcome's trial table: the weight sigma of
-#: each descent test, then the certificate of its QP solve.
+#: each trial, then the certificate of its QP solve.
 TRIAL_FIELDS = ("sigma", *CERT_FIELDS)
 
 #: Layouts for :func:`write_table` and :func:`read_table`.
@@ -418,7 +418,7 @@ class RestorationOutcome:
     need not measure it again; a trace does not write it.  ``refinements``
     counts the call's precision levels and ``stages`` its in-place
     refinements past r (see :func:`~bira.restoration.resta`).
-    ``trials`` holds one pair ``(sigma, certificate)`` per descent test:
+    ``trials`` holds one pair ``(sigma, certificate)`` per trial:
     the weight it was solved at and the
     :class:`~bira.qp.SolveCertificate` of that solve.  A trace writes it
     as a table of :data:`TRIAL_FIELDS`: ``sigma`` a list of numbers, each
@@ -456,7 +456,7 @@ class RestorationOutcome:
     def row(self):
         """The outcome's row of the records' outcome table: each written
         field but ``status``, with ``x_R`` written, ``y_R`` a row of
-        :data:`LEVEL_TABLE` and ``trials`` one row per descent test."""
+        :data:`LEVEL_TABLE` and ``trials`` one row per trial."""
         d = {name: getattr(self, name) for name in _OUTCOME_COLUMNS}
         d["x_R"] = write_vector(self.x_R)
         d["y_R"] = {"gf": self.y_R.gf, "gh": self.y_R.gh}

@@ -25,11 +25,12 @@ from bira.trace import (
     write_vector,
 )
 
-#: The restoration parameters ``(alpha_R, sigma_min, M) = (1/2, 1/4, 4)``:
-#: at ``alpha_R = 1/2``, 1/4 is the smallest power-of-two floor whose first
-#: trial passes on p1's row (``||J||**2 = 1/16``), and ``M = 1 /
-#: sigma_min``.  A test that pins a run at that point passes them.
-EDGE_RESTORATION = {"alpha_R": 0.5, "sigma_min": 0.25, "M": 4.0}
+#: The restoration parameters ``(sigma_min, M) = (1/4, 4)``, on the edge
+#: ``M sigma_min = 1`` that :class:`AlgorithmParams` admits: the derived
+#: descent constant is ``2 eta sigma_min = 1/8``, and a z-step on p1's row
+#: (``||J||**2 = 1/16``) contracts by 8/9.  A test that pins a run at that
+#: point passes them.
+EDGE_RESTORATION = {"sigma_min": 0.25, "M": 4.0}
 
 
 def kkt_min_quadratic_box_line(x_f, div, a, b, lower, upper):

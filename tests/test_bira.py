@@ -320,8 +320,8 @@ def test_a_fixed_coordinate_leaves_the_others_free():
 def test_a_zero_z_step_is_a_stall():
     # p1 at exact precision a few ULPs off its solution: h is one rounding
     # unit and no trial lowers it, so sigma doubles until the trial z-step
-    # rounds to nothing.  That zero step passes the descent and ratio tests
-    # and, repeated, would run toward the certified cap of descent tests; a
+    # rounds to nothing.  That zero step passes the ratio test and,
+    # repeated, would run toward the certified cap of trials; a
     # cap of 1000 makes such a regression fail fast.  As a stall on a fresh
     # J at the exact level it ends the call
     problem = make_p1()
@@ -617,7 +617,7 @@ def test_trace_round_trip_and_version_guard():
     assert back.ledger_totals == rep.ledger_totals
 
     for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-                    999):
+                    16, 17, 18, 19, 999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):
@@ -635,7 +635,7 @@ def test_to_dict_copies_the_constants_basis():
 
 
 def test_restoration_certificates_are_stored_as_columns():
-    # one table of trials: each descent test's sigma, and the measured
+    # one table of trials: each trial's sigma, and the measured
     # fields of its certificate, each field one packed column
     out = bira_run(make_p1()).records[0].resta
     rec = write_table([out.row()], OUTCOME_TABLE)

@@ -66,15 +66,27 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("cfg", [{"N_acce": 2}, {"beta_PDP": 8},
                                  {"sigma_max": 40}, {"beta_c": 1.0},
+                                 # derived from sigma_min
+                                 {"alpha_R": 0.0078125},
                                  # run settings are flags only
                                  {"eps_opt": 1e-3}, {"problem": "p1"}],
                          ids=["N_acce", "beta_PDP", "sigma_max", "beta_c",
-                              "eps_opt", "problem"])
-def test_a_deleted_parameter_is_a_usage_error(tmp_path, capsys, cfg):
+                              "alpha_R", "eps_opt", "problem"])
+def test_a_deleted_parameter_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                              cfg):
+    evals = []
+    real_h = bira.oracle.InexactProblem.eval_h
+
+    def counting_eval_h(self, x, y):
+        evals.append(None)
+        return real_h(self, x, y)
+
+    monkeypatch.setattr(bira.oracle.InexactProblem, "eval_h", counting_eval_h)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--problem", "p1", "--config", str(path)]) == 1
     assert next(iter(cfg)) in capsys.readouterr().err
+    assert evals == []
 
 
 @pytest.mark.parametrize("cfg", [
@@ -144,12 +156,12 @@ def test_uncovered_regularization_exits_before_any_evaluation(
 
 
 @pytest.mark.parametrize("cfg,named", [
-    # alpha_R * r_feas**2 underflows to 0; at alpha_R = 1e-300 the steps
-    # per level stay finite, and their product with the trials per step
-    # overflows
+    # alpha_R * r_feas**2 underflows to 0; at sigma_min = 2**-335 and
+    # M = 2**335 the steps per level stay finite, and their product with
+    # the trials per step overflows
     ({"r_feas": 1e-300}, "restoration_steps_per_level"),
-    ({"alpha_R": 1e-300}, "restoration_iter_cap"),
-], ids=["r_feas", "alpha_R"])
+    ({"sigma_min": 2.0**-335, "M": 2.0**335}, "restoration_iter_cap"),
+], ids=["r_feas", "sigma_min"])
 def test_a_config_the_constants_chain_cannot_take_is_a_usage_error(
         tmp_path, capsys, cfg, named):
     path = tmp_path / "cfg.json"
@@ -543,10 +555,16 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     # replay by the halving rule, not the one each step predicts
     (lambda trace: trace.update(trace_version=15),
      "trace version 15 not supported"),
+    # a schema-v19 trace writes the restoration's descent constant alpha_R
+    # in its params
+    (lambda trace: [trace.update(trace_version=19),
+                    trace["params"].update(alpha_R=0.0078125)],
+     "trace version 19 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
         "version_9", "version_10", "version_11", "version_12",
-        "version_13", "version_14", "version_15", "empty_object"])
+        "version_13", "version_14", "version_15", "version_19",
+        "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

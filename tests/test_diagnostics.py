@@ -6,6 +6,7 @@ import pytest
 from conftest import edit_packed, make_unit_row, record_row
 
 from bira.core import (
+    ACCEPTANCE_RATIO,
     DEFAULT_KAPPAS,
     LEDGER_FIELDS,
     STARTUP_EVALS,
@@ -44,19 +45,19 @@ def _pc(**kw):
 
 
 def test_sigma_sufficient_worked_example():
-    # twice (curvature bound + half the scaled-model cap + descent margin)
+    # twice (curvature bound + half the scaled-model cap + descent margin),
+    # where the descent margin is 2 eta sigma_min = 1/2
     params = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(), "M": 1.0, "alpha_R": 0.5,
-        "sigma_min": 1.0,
+        **AlgorithmParams.defaults().to_dict(), "M": 1.0, "sigma_min": 1.0,
     })
     tc = constants(_pc(L_c=1.0), params)
+    assert tc.alpha_R == 0.5
     assert tc.sigma_sufficient == pytest.approx(4.0)
 
 
 def test_sigma_trial_count_worked_example():
     params = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(),
-        "M": 1.0, "alpha_R": 0.5, "sigma_min": 1.0,
+        **AlgorithmParams.defaults().to_dict(), "M": 1.0, "sigma_min": 1.0,
     })
     tc = constants(_pc(L_c=1.0), params)
     assert tc.sigma_sufficient == pytest.approx(4.0)
@@ -64,26 +65,25 @@ def test_sigma_trial_count_worked_example():
     assert tc.sigma_trials_per_step == 3
 
 
-def test_a_z_step_is_certified_two_trials_when_sigma_min_suffices():
-    # sigma_sufficient = 2 (1e-3 + 1/2 + 0.1) = 1.202 <= sigma_min = 4: the
-    # first trial passes on a fresh Jacobian, but one on a kept Jacobian
-    # may fail and be followed by a trial at 8 on a fresh one
+def test_a_z_step_is_certified_two_trials_when_one_doubling_suffices():
+    # sigma_sufficient = 2 (1e-3 + 1/2 + 2) = 5.002 <= 2 sigma_min = 8: the
+    # second trial passes on a fresh Jacobian, and a trial on a kept
+    # Jacobian that fails is followed by the trial at 8 on a fresh one, so
+    # the count is 2 either way
     params = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(),
-        "M": 1.0, "alpha_R": 0.1, "sigma_min": 4.0,
+        **AlgorithmParams.defaults().to_dict(), "M": 1.0, "sigma_min": 4.0,
     })
     tc = constants(_pc(L_c=1e-3), params)
-    assert tc.sigma_sufficient <= params.sigma_min
+    assert tc.sigma_sufficient <= 2.0 * params.sigma_min
     assert tc.sigma_trials_per_step == 2
 
 
 def test_sigma_cap_takes_the_larger_of_cap_and_max():
     tc = constants(_pc(L_c=100.0), AlgorithmParams.defaults())
     assert tc.sigma_cap == 10.0 * tc.sigma_sufficient > SIGMA_MAX
-    # sigma_sufficient = 2 (1e-3 + 1/2 + 0.1) = 1.202: the fixed floor wins
+    # sigma_sufficient = 2 (1e-3 + 1/2 + 1/2) = 2.002: the fixed floor wins
     small = AlgorithmParams.from_dict({
         **AlgorithmParams.defaults().to_dict(), "M": 1.0, "sigma_min": 1.0,
-        "alpha_R": 0.1,
     })
     tc_small = constants(_pc(L_c=1e-3), small)
     assert 10.0 * tc_small.sigma_sufficient < SIGMA_MAX
@@ -110,14 +110,16 @@ def test_penalty_floor_branches():
 
 
 def test_restored_distance_factor_worked_example():
-    # sqrt(N / (2 alpha_R)) over the descent tests N of a call, times the
-    # noise's rise 1 + beta (2 - r**2) / (1 - r**2), which is 7/3 at r = 1/2
+    # sqrt(N / (2 alpha_R)) over the trials N of a call, times the noise's
+    # rise 1 + beta (2 - r**2) / (1 - r**2), which is 7/3 at r = 1/2; the
+    # ratio test certifies alpha_R = 2 eta sigma_min, 1/128 at the defaults
     params = AlgorithmParams.defaults()
     tc = constants(_pc(), params, extras={"beta": 0.03})
     n = restoration_inner_cap(tc)
     assert params.r == 0.5
+    assert tc.alpha_R == 2.0 * ACCEPTANCE_RATIO * params.sigma_min == 1 / 128
     assert tc.restored_distance_factor == pytest.approx(
-        math.sqrt(n / (2.0 * params.alpha_R)) * (1.0 + 0.03 * 7.0 / 3.0))
+        math.sqrt(n / (2.0 * tc.alpha_R)) * (1.0 + 0.03 * 7.0 / 3.0))
 
 
 def test_mu_cap_grows_with_precision_carry_allowance():
@@ -139,7 +141,7 @@ def test_restoration_step_cap_recomputed():
     tc = constants(_pc(L_c=2.0), params)
     g = tc.restoration_grad_bound
     expect = (g * g * (1.0 - params.r**4)
-              / (2.0 * params.alpha_R * params.r_feas**2) + 1.0)
+              / (2.0 * tc.alpha_R * params.r_feas**2) + 1.0)
     assert tc.restoration_steps_per_level == pytest.approx(expect)
 
 
@@ -261,7 +263,7 @@ def test_audit_catches_a_trial_sigma_past_the_cap():
 def test_audit_catches_descent_tests_past_the_cap():
     # the analytic cap is far too large to write out, so the constants are
     # marked estimated and the fallback cap applies: p4's call claims one
-    # descent test more, each a zero-step trial at sigma_min
+    # trial more than the cap, each a zero-step trial at sigma_min
     rep = _fresh_report()
     d = rep.to_dict()
     d["constants_basis"]["problem_constants"]["provenance"] = "estimated"

@@ -232,9 +232,10 @@ def test_calibrated_noise_stays_within_budget():
 
 #: Noise scales that the restored-distance factor ``1 +
 #: restoration_iter_cap * step_per_infeasibility`` certified at
-#: ``(alpha_R, sigma_min, M) = (1/2, 1/4, 4)``.  The factor from the
-#: restoration's descent test is far tighter, so the calibration at the
-#: defaults must certify at least as much noise.
+#: ``(sigma_min, M) = (1/4, 4)`` with a descent constant of 1/2.  The
+#: factor from the descent constant the ratio test certifies is far
+#: tighter, so the calibration at the defaults must certify at least as
+#: much noise.
 NOISE_FLOORS = {"p1": 1.178e-12, "p1_pdp": 1.178e-12, "p2": 4.183e-13,
                 "p4": 1.178e-12}
 SYNTHETIC_NOISE_FLOOR = 1.2e-14

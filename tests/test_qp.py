@@ -255,3 +255,33 @@ def test_a_restoration_solve_on_a_face_holds_its_fixed_coordinates():
         np.testing.assert_array_equal(z[fixed], center[fixed])
         np.testing.assert_allclose(z[free], z_free, atol=1e-12)
         _assert_restoration_targets_met(cert)
+
+
+def test_the_restoration_model_falls_by_twice_sigma_the_squared_step():
+    # the exact minimizer d of g.d + 0.5 d.(B + 2 sigma I).d over a box
+    # that holds 0 has (g + (B + 2 sigma I) d).d <= 0, so the fall of the
+    # unregularized model, pred = sigma ||d||**2 - model_decrease, is at
+    # least 2 sigma ||d||**2: the ratio test at eta certifies the descent
+    # constant 2 eta sigma_min.  Faces fix some coordinates, and a large
+    # gradient at a small sigma clips the step at a bound
+    rng = np.random.default_rng(3)
+    clipped = 0
+    on_face = 0
+    for _ in range(400):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        center = rng.uniform(-1.0, 1.0, n)
+        fixed = rng.random(n) < 0.3
+        center[fixed] = rng.choice([-1.0, 1.0], int(fixed.sum()))
+        box = BoxPolytope(np.where(fixed, center, -1.0),
+                          np.where(fixed, center, 1.0))
+        G = build_B(2.0 ** rng.uniform(-4.0, 4.0) * rng.normal(size=(m, n)),
+                    64.0)
+        grad = 2.0 ** rng.uniform(-4.0, 4.0) * rng.normal(size=n)
+        sigma = 2.0 ** float(rng.integers(-6, 4))
+        z, cert = _restoration(grad, G, sigma, center, box)
+        two_sigma_d2 = 2.0 * sigma * cert.step_norm**2
+        pred = sigma * cert.step_norm**2 - cert.model_decrease
+        assert pred >= two_sigma_d2 - 1e-12 * (pred + two_sigma_d2)
+        clipped += bool(np.any(~fixed & ((z == -1.0) | (z == 1.0))))
+        on_face += bool(fixed.any())
+    assert clipped >= 100 and on_face >= 100

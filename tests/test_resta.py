@@ -67,11 +67,10 @@ def test_p1_z_steps_follow_the_closed_form_contraction():
 
     # one gradient step per z-step at the floor regularization weight:
     # measured violation contracts by 2*sigma/(2*sigma + |J|^2) each step,
-    # and on a linear row the descent test accepts weight sigma iff
-    # |J|^2 + 4*sigma >= 2*alpha_R, so the first trial at 0.25 passes
+    # and on a linear row the Gauss-Newton model is exact, so the ratio
+    # test passes at every weight and the first trial at 0.25 passes
     norm_J_sq = 0.0625
     assert params.sigma_min == 0.25
-    assert norm_J_sq + 4 * params.sigma_min >= 2 * params.alpha_R
     factor = (2 * params.sigma_min) / (2 * params.sigma_min + norm_J_sq)
     expected_steps = int(np.ceil(np.log(params.r) / np.log(factor)))
     assert expected_steps == 6
@@ -89,28 +88,29 @@ def test_p1_z_steps_follow_the_closed_form_contraction():
     ) is None
 
 
-def test_p1_floor_of_one_eighth_rejects_first_trials():
-    # |J|^2 + 4/8 < 2*alpha_R: every z-step pays a rejected trial at 1/8
-    # before the doubled weight 1/4 passes, and then contracts as above
+def test_p1_floor_of_one_eighth_takes_every_first_trial():
+    # at (sigma_min, M) = (1/8, 8) the ratio test passes every first trial
+    # on p1's linear row: each z-step contracts h by (1/4) / (1/4 + 1/16)
+    # = 4/5 on one trial and the kept Jacobian, so r = 1/2 takes 4 z-steps
     params = AlgorithmParams.from_dict({
         **AlgorithmParams.defaults().to_dict(), **EDGE_RESTORATION,
         "M": 8.0, "sigma_min": 0.125,
     })
-    assert 0.0625 + 4 * params.sigma_min < 2 * params.alpha_R
     p = make_p1(params)
     h0 = p.eval_h(p.x0, p.y0)
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.status == "restored"
-    assert out.z_steps == 6
-    assert out.inner_desc_tests == 2 * out.z_steps
-    assert _sigmas(out) == (0.125, 0.25) * out.z_steps
+    assert out.z_steps == out.inner_desc_tests == 4
+    assert _sigmas(out) == (0.125,) * out.z_steps
+    steps = [cert.step_norm for _, cert in out.trials]
+    np.testing.assert_allclose(np.array(steps[1:]) / np.array(steps[:-1]),
+                               0.8, atol=1e-6)
     assert out.ledger_delta["h_evals"] == 1 + out.inner_desc_tests
-    # a step that needed two trials refreshes the Jacobian for the next
-    assert out.ledger_delta["gradh_evals"] == out.z_steps
-    # so a kept Jacobian costs a whole run no h evaluation
+    assert out.ledger_delta["gradh_evals"] == 1
     rep = bira_run(p, params)
     assert rep.status == "Converged"
-    assert rep.ledger_totals["h_evals"] == 265
+    assert rep.ledger_totals == {"f_evals": 10, "gradf_evals": 4,
+                                 "h_evals": 82, "gradh_evals": 5}
 
 
 def test_a_z_step_on_p1s_row_contracts_by_a_third():
@@ -143,10 +143,8 @@ def _linear_row(norm_J_sq):
 
 @pytest.mark.parametrize("exponent", range(-8, 5))
 def test_every_first_trial_passes_on_a_linear_row(exponent):
-    # the descent test on a linear row, which holds iff ||J||**2 + 4 sigma
-    # >= 2 alpha_R, passes at sigma_min for every row at alpha_R <= 2
-    # sigma_min, and the Gauss-Newton model of a linear row is exact, so
-    # the ratio test passes too: each z-step takes one trial and contracts
+    # the Gauss-Newton model of a linear row is exact, so the ratio test
+    # passes at every weight: each z-step takes one trial and contracts
     # h by 2 sigma_min / (2 sigma_min + ||J||**2).  On the weakest rows the
     # stall test ends the call before r; the z-steps it took still do
     params = AlgorithmParams.defaults()
@@ -297,11 +295,11 @@ def test_p3_detects_likely_infeasibility():
 
 def test_the_ratio_test_rejects_p3s_zigzag(monkeypatch):
     # the trial at sigma = 1/2 of p3's second z-step, from x_1 = -0.21 to
-    # 0.16, passes the descent test, but h falls by less than a quarter of
-    # what its Gauss-Newton model predicts: the ratio test rejects it, and
-    # the trial at 1 ends near the stall at x_1 = 0.  Without the ratio
-    # test that trial is accepted, and the z-steps zigzag across x_1 = 0
-    # at every weight up to 1/2
+    # 0.16, lowers h, but by less than a quarter of what its Gauss-Newton
+    # model predicts: the ratio test rejects it, and the trial at 1 ends
+    # near the stall at x_1 = 0.  At a ratio of 0, where any fall of h
+    # passes, that trial is accepted, and the z-steps zigzag across
+    # x_1 = 0 at every weight up to 1/2
     p = make_p3()
     params = AlgorithmParams.defaults()
     h0 = p.eval_h(p.x0, p.y0)

@@ -5,8 +5,8 @@ no non-finite value loads where a run cannot write one.
 
 ``p3_failure.json`` is ``p3``'s restoration failure and ``p2_staged.json``
 a ``p2`` run whose finishing call took stages, both at the default
-tolerances and at the default parameters of their time, with
-``alpha = 0.1``.
+tolerances and at the former defaults ``alpha = 0.1``, ``sigma_min =
+1/16`` and ``M = 16``.
 """
 
 import base64
@@ -886,10 +886,10 @@ def test_a_negative_restored_precision_is_a_schema_error(tmp_path, capsys,
 #: benchmark counts them, bytes of the file bira run --out writes)``.  A
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
-    "p1": (3528, 4903),
-    "p2": (3686, 5391),
-    "p3": (2426, 3417),
-    "p4": (1875, 2656),
+    "p1": (3506, 4877),
+    "p2": (3664, 5365),
+    "p3": (2404, 3391),
+    "p4": (1853, 2630),
 }
 
 
