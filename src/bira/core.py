@@ -74,7 +74,12 @@ STARTUP_EVALS = {"f_evals": 1, "gradf_evals": 0, "h_evals": 1,
 
 #: Accuracy targets of the two subproblem solves: constants of the
 #: analysis, read by the constants chain and by the audit.  The solves are
-#: exact up to rounding, so their certificates sit far inside them.
+#: exact up to rounding, so their residuals sit far inside ``kappa_R``,
+#: ``kappa_T`` and ``kappa``.  ``kappa_phi``, the Cauchy-decrease factor
+#: of an inexact solve, is met by construction: an exact minimizer is
+#: never worse than any point of the projected steepest-descent segment.
+#: No trace writes it and no audit row compares with it; the constants
+#: chain reads it for ``step_per_infeasibility``.
 DEFAULT_KAPPAS = {
     "kappa_R": 10.0,
     "kappa_T": 10.0,

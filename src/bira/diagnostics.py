@@ -116,7 +116,7 @@ class TheoreticalConstants:
     #: (:func:`restoration_stage_cap`).
     restoration_steps_per_level: float
     step_per_infeasibility: float
-    #: Descent tests of one z-step: the sigma doublings from ``sigma_min``
+    #: Trials of one z-step: the sigma doublings from ``sigma_min``
     #: to ``sigma_sufficient``, and at least 2, because a trial on a kept
     #: Jacobian that fails is followed by trials on a fresh one from
     #: ``2 sigma_min``.  A stage keeps the Jacobian and changes only the
@@ -430,14 +430,18 @@ def _summed(terms, bound):
 
 
 def _verdict(name, gate, rows, analytic):
-    """Decide one check from its rows ``(iteration, ok, observed, bound)``.
+    """Decide one check from its rows ``(where, ok, observed, bound)``.
 
     The first failing row fails the check and is its detail; otherwise the
     check passes with the row closest to its bound as the detail.  A check
     with no rows passes, unless its gate is EXACT.
     """
     def text(row, verb):
-        where = "whole run" if row[0] is None else f"iteration {row[0]}"
+        where = row[0]  # an iteration, None or a field name
+        if where is None:
+            where = "whole run"
+        elif not isinstance(where, str):
+            where = f"iteration {where}"
         return f"{where}: {row[2]:.3e} {verb} {row[3]:.3e}"
 
     if gate == ANALYTIC and not analytic:
@@ -624,6 +628,28 @@ def _oracle_error_rows(report, calls, problem):
     return f_rows, h_rows
 
 
+def _basis_rows(basis, problem):
+    """The trace's constants basis against ``problem``'s own: each field
+    of ``problem_constants`` against :meth:`problem.constants`, the
+    provenance as 1 where analytic, and each of ``extras`` against
+    :data:`DEFAULT_EXTRAS` updated by :meth:`problem.extras`, as
+    ``bira_run`` writes them.  Each pair is equal, neither side exceeding
+    the other, and each row is named by its field; a field one side lacks
+    reads NaN, which no comparison passes."""
+    def value(val):
+        if val is None:
+            return math.nan
+        return float(val == "analytic") if isinstance(val, str) else val
+
+    for part, own in (("problem_constants", problem.constants().to_dict()),
+                      ("extras", {**DEFAULT_EXTRAS, **problem.extras()})):
+        written = basis[part]
+        for key in dict.fromkeys([*own, *written]):
+            a, b = value(written.get(key)), value(own.get(key))
+            yield _exact(f"{part}.{key}", a, b)
+            yield _exact(f"{part}.{key}", b, a)
+
+
 def _ledger_rows(rec, tc):
     # the start-up evaluations are charged to the first iteration
     caps = tc.evals_per_iter
@@ -689,12 +715,15 @@ def audit(report, problem=None):
     ``budget``.  The constants chain is recomputed from the report's own
     constants basis; the solve targets are always
     :data:`~bira.core.DEFAULT_KAPPAS`.  Given the ``problem`` the run
-    solved, the audit also lists ``oracle_f_error_bound`` and
-    ``oracle_h_error_bound``, which compare every measured value with the
-    problem's exact one (:func:`_oracle_error_rows`); from the trace alone
-    it lists neither.  Each check is a name, a gate and a lazy stream of
-    rows ``(iteration, ok, observed, bound)``; :func:`_verdict` decides
-    every one of them.
+    solved, the audit also lists ``constants_basis``, which compares that
+    basis with the problem's own (:func:`_basis_rows`), and
+    ``oracle_f_error_bound`` and ``oracle_h_error_bound``, which compare
+    every measured value with the problem's exact one
+    (:func:`_oracle_error_rows`); from the trace alone it lists none of
+    them.  Each check is a name, a gate and a lazy stream of rows
+    ``(where, ok, observed, bound)``, where ``where`` is an iteration,
+    ``None`` for the whole run, or the name of a field; :func:`_verdict`
+    decides every one of them.
 
     The audit reads a run through three walks.  Every restoration check
     reads every restoration call, the failing one included
@@ -727,6 +756,7 @@ def audit(report, problem=None):
     inner_cap = restoration_inner_cap(tc)
     refine_cap = restoration_refine_cap(params)
     oracle = [] if problem is None else [
+        ("constants_basis", None, _basis_rows(basis, problem))] + [
         (name, EXACT, rows) for name, rows in zip(
             ("oracle_f_error_bound", "oracle_h_error_bound"),
             _oracle_error_rows(report, calls, problem))]
@@ -773,12 +803,11 @@ def audit(report, problem=None):
             for k, out in outs for key in ("f_evals", "gradf_evals"))),
         ("restoration_model_decrease", None, (
             _exact(k, c.model_decrease, CERT_FLOOR) for k, _, c in rtrials)),
-        # the residual within its step budget, and the ray ratio
+        # the residual within its step budget
         ("restoration_solve_accuracy", None, (
-            row for k, _, c in rtrials for row in (
-                _exact(k, c.stationarity_residual,
-                       kap["kappa_R"] * c.step_norm + CERT_FLOOR),
-                _exact(k, c.kappa_phi_ratio, kap["kappa_phi"])))),
+            _exact(k, c.stationarity_residual,
+                   kap["kappa_R"] * c.step_norm + CERT_FLOOR)
+            for k, _, c in rtrials)),
         # with no tangent curvature the model at the projected step s is at
         # most -mu ||s||^2 (:func:`~bira.core.tangent_mu_start` reads it)
         ("tangent_model_decrease", None, (
@@ -789,16 +818,15 @@ def audit(report, problem=None):
         ("tangent_model_floor", ANALYTIC, (
             _tol(k, -c.model_decrease, pc.L_f * c.step_norm)
             for k, c in tcerts)),
-        # the residual within both step budgets, and the ray ratio; zero
-        # steps and residuals at the floor are exempt
+        # the residual within both step budgets; zero steps and residuals
+        # at the floor are exempt
         ("tangent_solve_accuracy", None, (
             row for k, c in tcerts if c.step_norm != 0.0
             and c.stationarity_residual > CERT_FLOOR for row in (
                 _exact(k, c.stationarity_residual,
                        kap["kappa_T"] * c.step_norm ** 2 + CERT_FLOOR),
                 _exact(k, c.stationarity_residual,
-                       kap["kappa"] * c.step_norm + CERT_FLOOR),
-                _exact(k, c.kappa_phi_ratio, kap["kappa_phi"])))),
+                       kap["kappa"] * c.step_norm + CERT_FLOOR)))),
         *oracle,
         ("noise_within_budget", ANALYTIC, [
             _tol(None, tc.extras["beta"], tc.beta_bar)]),

@@ -208,8 +208,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
 
     Each level starts on the face of ``x_k`` (:func:`face_of`): the box
     with every coordinate where ``x_k`` sits exactly at a bound held
-    there.  The restoration QP, the ray end and the stall test use the
-    face, and a face is a box, so every certificate holds as on the box.
+    there.  The restoration QP and the stall test use the face, and a
+    face is a box, so every certificate holds as on the box.
     A level leaves the face, and works on the whole box for the rest of
     the level, where
 
@@ -274,7 +274,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         if refinements > refine_cap:
             raise AbnormalTermination(
                 "restoration refinement cap exceeded",
-                {"refinements": refinements, "desc_tests": len(table)},
+                {"refinements": refinements, "trials": len(table)},
             )
         gf_t = rho * y_k.gf
         if refinements <= params.N_prec:
@@ -333,7 +333,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                 if stages > stage_cap:
                     raise AbnormalTermination(
                         "restoration stage cap exceeded",
-                        {"stages": stages, "desc_tests": len(table)},
+                        {"stages": stages, "trials": len(table)},
                     )
                 w_prev, w = w, problem.refine(w, r * r * w.gf, r * r * w.gh)
                 if w != w_prev:
@@ -343,13 +343,13 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             if J is None:
                 J, G, fresh = problem.eval_grad_h(z, w), None, True
             grad_c = J.T @ h_z_vec
-            ray_end = project_box(z - grad_c, region)
-            pg_resid = float(np.linalg.norm(ray_end - z))
+            pg_resid = float(np.linalg.norm(
+                project_box(z - grad_c, region) - z))
             if region is not box:
-                box_end = project_box(z - grad_c, box)
-                box_resid = float(np.linalg.norm(box_end - z))
+                box_resid = float(np.linalg.norm(
+                    project_box(z - grad_c, box) - z))
                 if pg_resid <= FACE_RELEASE_RATIO * box_resid:
-                    region, ray_end, pg_resid = box, box_end, box_resid
+                    region, pg_resid = box, box_resid
             # a stall: the projected gradient is small, relative to h_ref
             # or, past r, to h(z), or the accepted z-step left z where it
             # was (a zero step passes the ratio test without lowering h,
@@ -363,12 +363,12 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                 while True:
                     if len(table) >= cap:
                         raise AbnormalTermination(
-                            "restoration descent-test cap exceeded",
+                            "restoration trial cap exceeded",
                             {"refinements": refinements,
-                             "desc_tests": len(table)},
+                             "trials": len(table)},
                         )
                     z_trial, cert = solve_restoration_qp(grad_c, G, sigma, z,
-                                                         region, ray_end)
+                                                         region)
                     table.append((sigma, cert))
                     trials += 1
                     # a bound can clip a trial to the point the one before
@@ -387,7 +387,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                     if sigma > _SIGMA_RUNAWAY:
                         raise AbnormalTermination(
                             "restoration regularization runaway",
-                            {"sigma": sigma, "desc_tests": len(table)},
+                            {"sigma": sigma, "trials": len(table)},
                         )
                     if not fresh:
                         break

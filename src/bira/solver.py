@@ -55,8 +55,7 @@ the accepted point of one iteration are the current-point measurements of
 the next (restoration takes the violation vector, not only its norm); a
 zero tangent step takes f from the penalty update and the violation
 vector from the restoration outcome; and the gradient used by the tangent
-model is the one the stopping test projects, in one projection that is
-also the end of every trial's Cauchy ray.  The constraint Jacobian is
+model is the one the stopping test projects.  The constraint Jacobian is
 measured once per iteration, for the tangent region, and handed to the
 next restoration call as its first kept Jacobian (see
 :func:`~bira.restoration.resta`), which measures its own only when that
@@ -285,13 +284,13 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             y_R = out.y_R
             g_k, g_R = y.g, y_R.g
             x_R = out.x_R
-            # the tangent model and region at y_R; the projection is the
-            # Cauchy ray's end and the stopping test's residual
+            # the tangent model and region at y_R, and the stopping test's
+            # residual
             grad_f = problem.eval_grad_f(x_R, y_R)
             region = TangentSet(problem.box, problem.eval_grad_h(x_R, y_R),
                                 x_R)
-            proj = project_tangent(x_R - grad_f, region)
-            residual = float(np.linalg.norm(proj - x_R))
+            residual = float(np.linalg.norm(
+                project_tangent(x_R - grad_f, region) - x_R))
 
             if stopping_test(out.h_xR_yR, g_R, residual, tolerances):
                 # the run returns x_R, so it takes no tangent step and
@@ -333,8 +332,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
             # search
             while True:
                 attempts += 1
-                x_next, cert = solve_tangent_qp(grad_f, G, mu, x_R, region,
-                                                proj)
+                x_next, cert = solve_tangent_qp(grad_f, G, mu, x_R, region)
                 s_norm = cert.step_norm
 
                 # a zero step stays at (x_R, y_R), which restoration and

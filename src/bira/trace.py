@@ -15,10 +15,10 @@ base64 of its little-endian float64 bytes, which holds its bits exactly in
 about half the characters of decimal text.  So is every float column of a
 table, packed once over its rows: each record scalar, each field of
 ``y_R`` and each :class:`~bira.qp.SolveCertificate` field.  A nullable
-column writes a null as the quiet NaN, and no other NaN, nor an infinity
-outside ``kappa_phi_ratio``, loads: :func:`read_table` tests each column
-once against the rules of its :class:`Table`, and its refusal names the
-first offending record and field.  The records write the trials of every
+column writes a null as the quiet NaN, and no other NaN, nor any
+infinity, loads: :func:`read_table` tests each column once against the
+rules of its :class:`Table`, and its refusal names the first offending
+record and field.  The records write the trials of every
 restoration call as one table, packed over all of them in record order,
 whose ``sigma`` column keeps one JSON list per record; those lists'
 lengths split the packed columns back into records, and a run's failing
@@ -61,7 +61,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 20
+TRACE_VERSION = 21
 
 #: The largest magnitude whose square stays within the float range.
 SQUARE_MAX = math.sqrt(FLOAT_MAX)
@@ -200,21 +200,19 @@ class Table(NamedTuple):
     table it is written as.  A column in ``packed`` holds floats, written
     as one :func:`write_vector` string, and one in ``numbers`` JSON
     numbers.  Those must be finite, except in a packed column in
-    ``nullable``, which writes ``None`` as the quiet NaN, or one in
-    ``unbounded``, which may hold an infinity; in one in ``nonnegative``
-    at least 0, and in one in ``squared``, which the audit squares, at
-    most :data:`SQUARE_MAX` in magnitude.  Any other column is one JSON list,
-    and one in ``counts`` holds nonnegative integers.  A nested column in
-    ``grouped`` holds a list of rows in each entry: it is written as one
-    table of all of them in order, whose columns that are not packed keep
-    one list per entry."""
+    ``nullable``, which writes ``None`` as the quiet NaN; in one in
+    ``nonnegative`` at least 0, and in one in ``squared``, which the audit
+    squares, at most :data:`SQUARE_MAX` in magnitude.  Any other column is
+    one JSON list, and one in ``counts`` holds nonnegative integers.  A
+    nested column in ``grouped`` holds a list of rows in each entry: it is
+    written as one table of all of them in order, whose columns that are
+    not packed keep one list per entry."""
 
     columns: tuple
     nested: dict = {}
     packed: tuple = ()
     grouped: tuple = ()
     nullable: tuple = ()
-    unbounded: tuple = ()
     nonnegative: tuple = ()
     squared: tuple = ()
     counts: tuple = ()
@@ -242,8 +240,6 @@ class Table(NamedTuple):
         ok = np.isfinite(values)
         if name in self.nullable:
             ok |= np.isnan(values)
-        if name in self.unbounded:
-            ok |= np.isinf(values)
         if name in self.nonnegative:
             ok &= ~(values < 0.0)
         if name in self.squared:
@@ -371,11 +367,7 @@ TRIAL_FIELDS = ("sigma", *CERT_FIELDS)
 LEDGER_TABLE = Table(LEDGER_FIELDS, counts=LEDGER_FIELDS, row="ledger_delta")
 LEVEL_TABLE = Table(LEVEL_FIELDS, packed=LEVEL_FIELDS,
                     nonnegative=LEVEL_FIELDS, row="y_R")
-#: ``qp._phi_ratio`` writes +inf as ``kappa_phi_ratio`` for a solve that
-#: decreased nothing where its ray could, and the audit's ``kappa_phi``
-#: row judges it.
-CERT_TABLE = Table(CERT_FIELDS, packed=CERT_FIELDS,
-                   unbounded=("kappa_phi_ratio",))
+CERT_TABLE = Table(CERT_FIELDS, packed=CERT_FIELDS)
 TRIAL_TABLE = CERT_TABLE._replace(columns=TRIAL_FIELDS, numbers=("sigma",),
                                   row="restoration trial")
 #: The records' tangent certificates: a record that stopped the run wrote
@@ -450,7 +442,8 @@ class RestorationOutcome:
 
     @property
     def inner_desc_tests(self):
-        """Descent tests of the call, one per entry of ``trials``."""
+        """Trials of the call, each one ratio test, one per entry of
+        ``trials``; the name is the one ``bench/run.py`` reads."""
         return len(self.trials)
 
     def row(self):

@@ -386,6 +386,10 @@ def _add_packed(table, name):
     lambda trace: _add_column(trace["records"]["resta"], "certificates", {}),
     lambda trace: _add_packed(trace["records"]["resta"]["trials"],
                               "kappa_ratio"),
+    # the Cauchy ratio of schema v20 and before: an exact solve meets it
+    # by construction, so no trace writes it
+    lambda trace: _add_packed(trace["records"]["resta"]["trials"],
+                              "kappa_phi_ratio"),
     lambda trace: _add_packed(trace["records"]["tangent_cert"], "kappa_ratio"),
     lambda trace: _add_packed(trace["records"]["tangent_cert"],
                               "tangent_violation"),
@@ -409,7 +413,8 @@ def _add_packed(table, name):
         "negative_refinements", "fractional_ledger_count",
         "resta_status_trivial", "resta_with_inner_desc_tests",
         "resta_with_sigma_history", "resta_with_certificates",
-        "trials_with_kappa_ratio", "tangent_cert_with_kappa_ratio",
+        "trials_with_kappa_ratio", "trials_with_kappa_phi_ratio",
+        "tangent_cert_with_kappa_ratio",
         "tangent_cert_with_tangent_violation", "trials_missing_a_sigma",
         "negative_start_y", "y_R_is_nan", "tangent_cert_step_norm_is_text",
         "tangent_cert_step_norm_is_nan"])
@@ -441,6 +446,9 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
             " schema: missing [], unknown ['mu_k']",
         "y_R_is_nan":
             "error: iteration record 1: y_R field 'gh' must not be nan\n",
+        "trials_with_kappa_phi_ratio":
+            "error: records resta trials table fields differ from the"
+            " schema: missing [], unknown ['kappa_phi_ratio']\n",
     }.get(request.node.callspec.id, "error:")
     assert err.startswith(prefix), err
 
@@ -465,7 +473,7 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
     # the trials of every record are one table, packed over all of them
     (lambda trace: edit_packed(
         trace, lambda t: t["records"]["resta"]["trials"][1][
-            "kappa_phi_ratio"].append(0.0)),
+            "step_norm"].append(0.0)),
      "records resta trials"),
 ], ids=["records_short", "records_long", "resta_short", "tangent_cert_long",
         "ledger_delta_short", "resta_ledger_delta_long", "trials_long"])
@@ -560,11 +568,18 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     (lambda trace: [trace.update(trace_version=19),
                     trace["params"].update(alpha_R=0.0078125)],
      "trace version 19 not supported"),
+    # a schema-v20 trace writes each trial's Cauchy ratio
+    (lambda trace: [trace.update(trace_version=20),
+                    _add_packed(trace["records"]["resta"]["trials"],
+                                "kappa_phi_ratio"),
+                    _add_packed(trace["records"]["tangent_cert"],
+                                "kappa_phi_ratio")],
+     "trace version 20 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
         "version_9", "version_10", "version_11", "version_12",
         "version_13", "version_14", "version_15", "version_19",
-        "empty_object"])
+        "version_20", "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"
@@ -743,7 +758,7 @@ def _fail_third_resta(monkeypatch, exc):
 
 
 @pytest.mark.parametrize("exc", [
-    AbnormalTermination("restoration descent-test cap exceeded"),
+    AbnormalTermination("restoration trial cap exceeded"),
     InvariantError("penalty update left no positive weight"),
 ])
 def test_complexity_sweep_reports_abnormal_runs(tmp_path, monkeypatch, exc):
@@ -769,8 +784,8 @@ def test_non_finite_oracle_output_is_a_usage_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["run", "--problem", "p1"], ["suite"]])
 @pytest.mark.parametrize("exc", [
-    AbnormalTermination("restoration descent-test cap exceeded",
-                        {"desc_tests": 7}),
+    AbnormalTermination("restoration trial cap exceeded",
+                        {"trials": 7}),
     InvariantError("penalty update left no positive weight"),
 ])
 def test_run_and_suite_report_abnormal_runs(monkeypatch, capsys, exc, argv):

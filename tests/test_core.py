@@ -17,7 +17,7 @@ from bira.core import (
     stopping_test,
     tangent_mu_start,
 )
-from bira.geometry import TangentSet, project_tangent
+from bira.geometry import TangentSet
 from bira.qp import build_H, solve_tangent_qp
 
 
@@ -216,8 +216,7 @@ def _tangent_step(mu, box_upper=10.0, curvature=0.3):
     region = TangentSet(BoxPolytope(-10.0 * np.ones(3),
                                     box_upper * np.ones(3)),
                         np.ones((1, 3)), x_R)
-    proj = project_tangent(x_R - c, region)
-    x_next, cert = solve_tangent_qp(c, build_H(x_R), mu, x_R, region, proj)
+    x_next, cert = solve_tangent_qp(c, build_H(x_R), mu, x_R, region)
     return f(x_R) - f(x_next), cert, f
 
 

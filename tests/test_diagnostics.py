@@ -260,7 +260,7 @@ def test_audit_catches_a_trial_sigma_past_the_cap():
     assert "sigma_cap" in [c.name for c in res.failures]
 
 
-def test_audit_catches_descent_tests_past_the_cap():
+def test_audit_catches_trials_past_the_cap():
     # the analytic cap is far too large to write out, so the constants are
     # marked estimated and the fallback cap applies: p4's call claims one
     # trial more than the cap, each a zero-step trial at sigma_min
@@ -290,7 +290,7 @@ def test_audit_skips_bound_checks_on_estimated_constants():
 
 #: The audit's checks given the problem, in report order, and those it
 #: skips on estimated problem constants; from the trace alone it lists no
-#: ORACLE check.
+#: GIVEN_PROBLEM check.
 CHECKS = (
     "theta_lower_bound", "penalty_merit_decrease",
     "sigma_cap", "z_step_trials", "mu_cap", "restored_distance",
@@ -299,7 +299,8 @@ CHECKS = (
     "restoration_f_free",
     "restoration_model_decrease", "restoration_solve_accuracy",
     "tangent_model_decrease", "tangent_model_floor", "tangent_solve_accuracy",
-    "oracle_f_error_bound", "oracle_h_error_bound", "noise_within_budget",
+    "constants_basis", "oracle_f_error_bound", "oracle_h_error_bound",
+    "noise_within_budget",
     "restoration_inner_caps", "step_per_infeasibility",
     "precision_refinement", "restoration_tests", "tangent_search",
     "ledger_totals", "stopping_test",
@@ -312,6 +313,7 @@ ANALYTIC_ONLY = {
     "tangent_model_floor",
 }
 ORACLE = ("oracle_f_error_bound", "oracle_h_error_bound")
+GIVEN_PROBLEM = ("constants_basis", *ORACLE)
 
 
 @pytest.fixture(scope="module")
@@ -331,7 +333,7 @@ def _verdicts(report, problem=None):
 
 def _expected(skipped=frozenset(), given_problem=True):
     return [(c, "skipped" if c in skipped else "pass") for c in CHECKS
-            if given_problem or c not in ORACLE]
+            if given_problem or c not in GIVEN_PROBLEM]
 
 
 @pytest.mark.parametrize("name", ["p1", "p1_pdp", "p2", "p3", "p4"])
@@ -480,10 +482,6 @@ TAMPERS = [
     ("restoration_solve_accuracy",
      ("records", 3, "resta", "trials", "stationarity_residual", 0),
      lambda t, tc: 1e3),
-    # a solve far short of its projected steepest-descent ray
-    ("restoration_solve_accuracy",
-     ("records", 0, "resta", "trials", "kappa_phi_ratio", 0),
-     lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa_phi"]),
     ("tangent_model_decrease", ("records", 0, "tangent_cert", "model_decrease"),
      lambda t, tc: 1e-9),
     # halfway to 0: still a decrease, but less than the -mu ||s||^2 a
@@ -499,6 +497,9 @@ TAMPERS = [
      ("records", 0, "tangent_cert", "stationarity_residual"),
      lambda t, tc: 10.0 * DEFAULT_KAPPAS["kappa"]
      * record_row(t, 0)["tangent_cert"]["step_norm"]),
+    # a problem constant a thousandth off the problem's own
+    ("constants_basis", ("constants_basis", "problem_constants", "L_h"),
+     lambda t, tc: 1.001 * t["constants_basis"]["problem_constants"]["L_h"]),
     # the start's values ten noise bounds off the problem's exact ones
     ("oracle_f_error_bound", ("start", "f"),
      lambda t, tc: t["start"]["f"]
@@ -575,10 +576,11 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
     bad = RunReport.from_dict(d)
     failed = {c.name: c.detail for c in audit(bad, p1).failures}
     assert check in failed
-    # the failing row is the edited record's, or a whole-run row
+    # the failing row is the edited record's, a whole-run row, or the
+    # edited field's
     edited = path[1] if path[0] == "records" else 0
-    assert failed[check].split(":")[0] in (f"iteration {edited}",
-                                           "whole run")
+    assert failed[check].split(":")[0] in (
+        f"iteration {edited}", "whole run", ".".join(map(str, path[1:])))
 
 
 def _failures(trace):
@@ -808,13 +810,37 @@ def test_the_failing_restoration_test_is_replayed():
         f"iteration {len(rep.records)}:")
 
 
-def test_restoration_ray_ratio_is_audited(suite_runs):
-    # a restoration solve far short of its projected steepest-descent ray
-    d = _trace(suite_runs["p1"])
-    edit_packed(d, lambda t: t["records"]["resta"]["trials"][0][
-        "kappa_phi_ratio"].__setitem__(0, 1e6))
-    assert _failures(d) == {"restoration_solve_accuracy":
-                            "iteration 0: 1.000e+06 exceeds 1.000e+01"}
+#: Edits of the constants basis that no bound notices: each field a
+#: thousandth off (k_R, which is 0, set to 1e-3), a noise scale dropped,
+#: and the provenance relabelled, which skips every analytic bound.
+BASIS_EDITS = [
+    *((part, key, lambda v: 1.001 * v) for part, key in (
+        ("problem_constants", "L_h"), ("problem_constants", "C_f"),
+        ("problem_constants", "C_h"), ("problem_constants", "C_g"),
+        ("extras", "noise_scale_f"), ("extras", "noise_scale_h"))),
+    ("extras", "k_R", lambda v: 1e-3),
+    ("extras", "noise_scale_h", None),
+    ("problem_constants", "provenance", lambda v: "estimated"),
+]
+
+
+@pytest.mark.parametrize("name", ["p1", "p2"])
+def test_the_constants_basis_is_the_problems_own(suite_runs, name):
+    # from the trace alone each edit audits clean; given the problem, the
+    # basis is compared with the one bira_run wrote, field by field
+    rep, problem = suite_runs[name], problem_by_name(name)
+    for part, key, edit in BASIS_EDITS:
+        d = _trace(rep)
+        written = d["constants_basis"][part]
+        if edit is None:
+            del written[key]
+        else:
+            written[key] = edit(written[key])
+        bad = RunReport.from_dict(d)
+        assert audit(bad).ok
+        failed = {c.name: c.detail for c in audit(bad, problem).failures}
+        assert list(failed) == ["constants_basis"]
+        assert failed["constants_basis"].startswith(f"{part}.{key}: ")
 
 
 def test_a_trace_cannot_loosen_the_solve_targets(suite_runs):

@@ -480,7 +480,8 @@ def test_tiny_inner_cap_terminates_abnormally():
     with pytest.raises(AbnormalTermination) as err:
         resta(p, p.x0, p.y0, AlgorithmParams.defaults(),
               h_xk_yk=h0, inner_cap=1)
-    assert err.value.summary["desc_tests"] == 1
+    assert err.value.args[0] == "restoration trial cap exceeded"
+    assert err.value.summary["trials"] == 1
 
 
 def test_outcome_round_trip():
