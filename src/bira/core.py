@@ -282,6 +282,17 @@ def update_penalty(theta_k, f_xR_yR, f_xk_yR, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
 #: f-evaluations there, and 12 more over the grid.
 TANGENT_MU_MARGIN = 1.1
 
+#: Fixed constants of the analysis, like :data:`ACCEPTANCE_RATIO`.  Every
+#: tangent search starts in ``[MU_MIN, MU_MAX]`` (:func:`tangent_mu_start`),
+#: the first at ``MU_INIT``, and the penalty weight starts at ``THETA_0``.
+#: The constants chain (:func:`bira.diagnostics.constants`) reads
+#: ``MU_MIN`` in the cap on a search's trials, ``MU_MAX`` in the cap on mu
+#: and ``THETA_0`` in the penalty floor.
+MU_MIN = 1e-3
+MU_MAX = 1e3
+MU_INIT = 1.0
+THETA_0 = 0.5
+
 #: Relative rounding of the unclipped-step test ``a = 2 mu ||s||^2``.  A
 #: bound that cuts the step opens a gap ``2 mu w.s >= 0``, with ``w`` the
 #: projection residual; without one the gap is rounding of ``g.s`` and of
@@ -304,7 +315,7 @@ def tangent_mu_start(params, mu, f_xR_yR, f_next, step_norm, model_decrease):
     ``(mu/m) s``, and with ``b = (a - D)/||s||^2``, half the curvature of f
     along s, it passes the descent test iff ``2 m >= alpha + b``: the start
     is :data:`TANGENT_MU_MARGIN` times ``(alpha + b)/2``, but no lower than
-    the Newton weight b, clamped to ``[mu_min, mu]`` (``mu_min`` where
+    the Newton weight b, clamped to ``[MU_MIN, mu]`` (:data:`MU_MIN` where
     ``alpha + b <= 0``).  The trial at b ends at the minimizer of f's
     quadratic along s, so the floor keeps a search from starting past the
     one-dimensional minimizer it has measured (the safeguarded initial
@@ -314,7 +325,7 @@ def tangent_mu_start(params, mu, f_xR_yR, f_next, step_norm, model_decrease):
     After a clipped step, a zero step or one whose square underflows, the
     start is ``mu/2`` if the step predicts the half passes,
     ``D >= (mu + alpha) ||s||^2``, else ``mu``.  Either start is clamped
-    to ``[mu_min, mu_max]``.
+    to ``[MU_MIN, MU_MAX]``.
     """
     s2 = step_norm**2
     mu_s2 = mu * s2
@@ -325,7 +336,7 @@ def tangent_mu_start(params, mu, f_xR_yR, f_next, step_norm, model_decrease):
     else:
         halve = f_xR_yR - f_next >= (mu + params.alpha) * s2
         start = mu / 2.0 if halve else mu
-    return min(max(start, params.mu_min), params.mu_max)
+    return min(max(start, MU_MIN), MU_MAX)
 
 
 def valid_tolerance(val):
@@ -420,7 +431,6 @@ def type_name(val):
 _PARAM_POSITIVE = (
     "alpha",
     "sigma_min",
-    "mu_min",
 )
 
 
@@ -443,11 +453,10 @@ class AlgorithmParams:
     On ``p1`` (``||J||^2 = 1/16``) a z-step contracts by 1/3, and a
     restoration call takes 1 z-step (2 at sigma_min = 1/16, where a
     z-step contracts by 2/3; 6 at 1/4; 23 at 1).  ``p1`` then pays 30 h
-    evaluations, 52 at the earlier ``(sigma_min, M) = (1/16, 16)``.  The
-    smaller descent constant raises ``restored_distance_factor`` (see
-    :func:`bira.diagnostics.constants`) and so lowers the noise budget
-    ``beta_bar``, to which every registered problem calibrates its noise:
-    on ``p1`` 6.5e-10, against 1.2e-8 at ``(1/16, 16)``.
+    evaluations.  A small descent constant raises
+    ``restored_distance_factor`` (see :func:`bira.diagnostics.constants`)
+    and so lowers the noise budget ``beta_bar``, to which every registered
+    problem calibrates its noise: 6.5e-10 on ``p1``.
 
     ``alpha`` is the tangent descent constant.  A trial at the Newton
     weight b, half of f's curvature along the step, ends at the minimizer
@@ -467,6 +476,10 @@ class AlgorithmParams:
     1.7e19 at 0.02 (3.4e18 at 0.1), against an observed sum of squared
     steps of 8.1 (3.6 at 0.1).  ``alpha_effective``, ``mu_cap``,
     ``beta_bar`` and so the calibrated noise do not move.
+
+    The range and start of the tangent weight and the first penalty weight
+    are constants of the analysis, not parameters: :data:`MU_MIN`,
+    :data:`MU_MAX`, :data:`MU_INIT` and :data:`THETA_0`.
     """
 
     r: float = 0.5
@@ -474,10 +487,6 @@ class AlgorithmParams:
     alpha: float = 0.02
     M: float = 64.0
     sigma_min: float = 0.015625
-    mu_min: float = 1e-3
-    mu_max: float = 1e3
-    mu_init: float = 1.0
-    theta_0: float = 0.5
     eps_prec_bar: float = 0.0
     N_prec: int = 2
 
@@ -500,12 +509,6 @@ class AlgorithmParams:
             raise ConfigurationError(
                 f"M * sigma_min must be >= 1, got {self.M} * {self.sigma_min}"
             )
-        if self.mu_max < self.mu_min:
-            raise ConfigurationError("mu_max must be >= mu_min")
-        if not self.mu_min <= self.mu_init <= self.mu_max:
-            raise ConfigurationError("mu_init must lie in [mu_min, mu_max]")
-        if not 0.0 < self.theta_0 < 1.0:
-            raise ConfigurationError("theta_0 must lie in (0, 1)")
         if self.eps_prec_bar < 0.0:
             raise ConfigurationError("eps_prec_bar must be nonnegative")
         # restoration_iter_cap is a multiple of N_prec, so 0 would leave a

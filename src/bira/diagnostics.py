@@ -22,7 +22,10 @@ from .core import (
     CERT_FLOOR,
     DEFAULT_KAPPAS,
     LEDGER_FIELDS,
+    MU_MAX,
+    MU_MIN,
     STARTUP_EVALS,
+    THETA_0,
     AlgorithmParams,
     ConfigurationError,
     InsufficientDataError,
@@ -104,16 +107,16 @@ class TheoreticalConstants:
     #: the fraction ``2 alpha_R r_feas**2 / restoration_grad_bound**2`` of
     #: itself, and this many z-steps take ``||h||`` down by at least the
     #: factor ``exp(-(1 - r**4) / 2)``.  A level that starts on the face
-    #: of ``x_k`` and leaves it for the box (:func:`bira.restoration.resta`)
-    #: has a face segment and a box segment.  A face is a box, and its
-    #: stall test compares the face's projected gradient with the same
-    #: bound, so each z-step of either segment lowers half the squared
-    #: violation by the same least amount, and the two segments share the
-    #: level's fall: the count holds for the level as a whole, and with it
-    #: ``restoration_iter_cap``, :func:`restoration_inner_cap` and
-    #: ``restored_distance_factor``.  ``restoration_iter_cap`` counts the
-    #: ``N_prec`` precision levels; the stages of a call are capped apart
-    #: (:func:`restoration_stage_cap`).
+    #: of ``x_k`` and leaves it for the box once the face stalls
+    #: (:func:`bira.restoration.resta`) has a face segment and a box
+    #: segment.  A face is a box, and its stall test compares the face's
+    #: projected gradient with the same bound, so each z-step of either
+    #: segment lowers half the squared violation by the same least amount,
+    #: and the two segments share the level's fall: the count holds for
+    #: the level as a whole, and with it ``restoration_iter_cap``,
+    #: :func:`restoration_inner_cap` and ``restored_distance_factor``.
+    #: ``restoration_iter_cap`` counts the ``N_prec`` precision levels; the
+    #: stages of a call are capped apart (:func:`restoration_stage_cap`).
     restoration_steps_per_level: float
     step_per_infeasibility: float
     #: Trials of one z-step: the sigma doublings from ``sigma_min``
@@ -213,7 +216,7 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
             1.0 + beta * (2.0 - p.r**2) / (1.0 - p.r**2))
         restored_value_factor = pc.L_f * restored_distance_factor + beta
         penalty_floor = min(
-            p.theta_0,
+            THETA_0,
             1.0
             / (
                 (2.0 / (1.0 + p.r))
@@ -227,10 +230,10 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
         )
         mu_sufficient = p.M + alpha_effective + pc.L_f
         tangent_attempt_cap = (
-            max(math.floor(math.log2(mu_sufficient) - math.log2(p.mu_min)), 0)
+            max(math.floor(math.log2(mu_sufficient) - math.log2(MU_MIN)), 0)
             + 1
         )
-        mu_cap = max(10.0 * mu_sufficient, p.mu_max)
+        mu_cap = max(10.0 * mu_sufficient, MU_MAX)
         penalty_ratio_bound = pc.C_h / penalty_floor
         infeasibility_sum_bound = (2.0 / (gamma * (1.0 - p.r) ** 2)) * (
             k_R * (2.0 * pc.C_f + pc.C_h) + penalty_ratio_bound + pc.C_h

@@ -30,12 +30,11 @@ restoration QP is solved exactly, so ``pred >= 2 sigma ||d||**2``, and
 every bound the constants chain derives from sufficient decrease holds.
 Each level starts on the face of the box that the outer point lies on,
 the box with every bound the point sits at held fixed, and leaves it for
-the whole box, for the rest of the level, once the face's projected
-gradient is small next to the box's or the face stalls, as box-constrained
-active-set methods do (Moré & Toraldo 1991; GENCAN, Birgin & Martínez
-2002).  So a restoration does not undo the bounds the last tangent step
-reached unless the violation needs it, and a stall that ends a level
-always rests on the whole box.
+the whole box, for the rest of the level, once the face stalls, as
+box-constrained active-set methods do (Moré & Toraldo 1991; GENCAN,
+Birgin & Martínez 2002).  So a restoration does not undo the bounds the
+last tangent step reached unless the violation needs it, and a stall that
+ends a level always rests on the whole box.
 It keeps the Jacobian of a level's first z-step, and the curvature factor
 built from it, across z-steps (a chord method) until a trial on the kept
 Jacobian fails its ratio test, a z-step needs more than one trial, or
@@ -71,21 +70,6 @@ from .qp import build_B, solve_restoration_qp
 from .trace import RestorationOutcome
 
 _SIGMA_RUNAWAY = 1e9
-
-#: A level leaves the face of ``x_k`` for the whole box once the face's
-#: projected gradient of the violation measure is at most this fraction
-#: of the box's: the bounds the face holds then carry the larger part of
-#: the descent, and z-steps on the face would be short (GENCAN, Birgin &
-#: Martínez 2002, leaves a face on the same comparison).  With the rule
-#: off, every workload run (``paper``, ``highdim`` and ``active`` at seeds
-#: 1, 4 and 7) and every grid run writes the same trace.  On ``active`` at
-#: seed 1 the evaluations (f, grad f, h, grad h) and records are (24, 12,
-#: 69, 16, 12) at 1/2 and with the rule off, (27, 13, 73, 17, 13) at 0.9
-#: and (54, 21, 73, 25, 21) at 0.99.  On the row ``(1, 1, 0.1)`` of
-#: ``tests/test_resta.py``, whose face descends slowly until a bound
-#: stops it, both runs take 4 records, and the run without the rule pays
-#: one more h and one more grad h evaluation.
-FACE_RELEASE_RATIO = 0.5
 
 
 def face_of(box, x):
@@ -211,16 +195,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     there.  The restoration QP and the stall test use the face, and a
     face is a box, so every certificate holds as on the box.
     A level leaves the face, and works on the whole box for the rest of
-    the level, where
-
-    - the face's projected gradient ``pg_resid`` is at most
-      :data:`FACE_RELEASE_RATIO` times the box's, both measured at the
-      same z and J: the held bounds carry the larger part of the descent;
-    - or the face's stall test fires on a fresh J: the face has no more
-      descent to give.
-
-    Leaving the face keeps J, its freshness and sigma, so it costs no
-    evaluation.  A stall ends a level (a refinement,
+    the level, once the face's stall test fires on a fresh J: the face has
+    no more descent to give.  Leaving the face keeps J, its freshness and
+    sigma, so it costs no evaluation.  A stall ends a level (a refinement,
     ``possible_infeasibility`` or, past r, the return) only on the whole
     box.  Where ``x_k`` is on no bound the face is ``problem.box`` itself,
     and the call is the plain call on the box.
@@ -345,11 +322,6 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             grad_c = J.T @ h_z_vec
             pg_resid = float(np.linalg.norm(
                 project_box(z - grad_c, region) - z))
-            if region is not box:
-                box_resid = float(np.linalg.norm(
-                    project_box(z - grad_c, box) - z))
-                if pg_resid <= FACE_RELEASE_RATIO * box_resid:
-                    region, pg_resid = box, box_resid
             # a stall: the projected gradient is small, relative to h_ref
             # or, past r, to h(z), or the accepted z-step left z where it
             # was (a zero step passes the ratio test without lowering h,

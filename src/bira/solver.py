@@ -67,6 +67,8 @@ import numpy as np
 
 from .core import (
     FAILURE_KINDS,
+    MU_INIT,
+    THETA_0,
     AbnormalTermination,
     AlgorithmParams,
     ConfigurationError,
@@ -242,10 +244,10 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
         )
 
     records = []
-    theta = params.theta_0
+    theta = THETA_0
     x = np.asarray(problem.x0, dtype=float).copy()
     y = problem.y0
-    mu_start = params.mu_init
+    mu_start = MU_INIT
     contraction = None
     jacobian = None
 

@@ -45,7 +45,9 @@ from .core import (
     FAILURE_KINDS,
     FLOAT_MAX,
     LEDGER_FIELDS,
+    MU_INIT,
     RUN_STATUSES,
+    THETA_0,
     AlgorithmParams,
     ContractError,
     InvariantError,
@@ -61,7 +63,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 21
+TRACE_VERSION = 22
 
 #: The largest magnitude whose square stays within the float range.
 SQUARE_MAX = math.sqrt(FLOAT_MAX)
@@ -824,8 +826,8 @@ class RunReport:
         params = kw["params"] = AlgorithmParams.from_dict(d["params"])
         chain = {"x_k": kw["start"]["x"], "y_k": kw["start"]["y"],
                  "f_xk_yk": start["f"], "h_xk_yk": start["h"],
-                 "theta_before": params.theta_0}
-        mu_start = params.mu_init
+                 "theta_before": THETA_0}
+        mu_start = MU_INIT
         kw["records"] = []
         for k, row in enumerate(rows):
             # nothing follows the record that stopped the run: no record,

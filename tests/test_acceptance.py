@@ -16,6 +16,7 @@ from conftest import kkt_min_quadratic_box_line
 from bira.core import (
     CERT_FLOOR,
     DEFAULT_KAPPAS,
+    THETA_0,
     AlgorithmParams,
     BoxPolytope,
     PrecisionLevel,
@@ -92,7 +93,7 @@ def test_criterion_02_infeasibility_detected(infeasible_run):
 def test_criterion_03_penalty_invariants(feasible_runs):
     for name, (report, tc) in feasible_runs.items():
         r = report.params.r
-        thetas = [report.params.theta_0]
+        thetas = [THETA_0]
         # the record that stopped the run updated no weight
         for rec in (rec for rec in report.records if not rec.stopped):
             assert rec.theta_after <= thetas[-1] + 0.0, name

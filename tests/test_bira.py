@@ -18,6 +18,8 @@ import bira.solver
 from bira.cli import EXPECTED_SUITE
 from bira.core import (
     FAILURE_KINDS,
+    MU_INIT,
+    MU_MIN,
     STARTUP_EVALS,
     TANGENT_MU_MARGIN,
     AlgorithmParams,
@@ -544,13 +546,13 @@ def test_regularization_weight_tracks_the_doubling_schedule():
     # the last record stopped the run and searched nothing
     assert rep.records[-1].stopped and rep.records[-1].mu_k is None
     searched = rep.records[:-1]
-    assert searched[0].mu_k == params.mu_init
+    assert searched[0].mu_k == MU_INIT
     for prev, rec in zip(searched, searched[1:]):
         mu, s2 = prev.mu_k, prev.step_norm**2
         minus_gs = mu * s2 - prev.tangent_cert.model_decrease
         assert minus_gs == pytest.approx(2.0 * mu * s2, rel=1e-6)
         b = (minus_gs - (prev.f_xR_yR - prev.f_xnext_ynext)) / s2
-        start = min(max(1.1 * (params.alpha + b) / 2.0, params.mu_min), mu)
+        start = min(max(1.1 * (params.alpha + b) / 2.0, MU_MIN), mu)
         assert rec.mu_k == pytest.approx(start * 2.0 ** (rec.ell_count - 1),
                                          rel=1e-12)
         # every first trial passes
@@ -617,7 +619,7 @@ def test_trace_round_trip_and_version_guard():
     assert back.ledger_totals == rep.ledger_totals
 
     for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-                    16, 17, 18, 19, 20, 999):
+                    16, 17, 18, 19, 20, 21, 999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):

@@ -68,10 +68,14 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
                                  {"sigma_max": 40}, {"beta_c": 1.0},
                                  # derived from sigma_min
                                  {"alpha_R": 0.0078125},
+                                 # constants of the analysis
+                                 {"mu_min": 1e-3}, {"mu_max": 1e3},
+                                 {"mu_init": 1.0}, {"theta_0": 0.5},
                                  # run settings are flags only
                                  {"eps_opt": 1e-3}, {"problem": "p1"}],
                          ids=["N_acce", "beta_PDP", "sigma_max", "beta_c",
-                              "alpha_R", "eps_opt", "problem"])
+                              "alpha_R", "mu_min", "mu_max", "mu_init",
+                              "theta_0", "eps_opt", "problem"])
 def test_a_deleted_parameter_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                               cfg):
     evals = []
@@ -90,8 +94,8 @@ def test_a_deleted_parameter_is_a_usage_error(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("cfg", [
-    {"N_prec": True}, {"r": "0.5"}, {"theta_0": None}, {"M": 10**400},
-], ids=["N_prec_is_a_bool", "r_is_a_string", "theta_0_is_null",
+    {"N_prec": True}, {"r": "0.5"}, {"r_feas": None}, {"M": 10**400},
+], ids=["N_prec_is_a_bool", "r_is_a_string", "r_feas_is_null",
         "M_past_the_float_range"])
 def test_a_parameter_that_is_not_a_number_is_a_usage_error(tmp_path, capsys,
                                                            cfg):
@@ -575,11 +579,17 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
                     _add_packed(trace["records"]["tangent_cert"],
                                 "kappa_phi_ratio")],
      "trace version 20 not supported"),
+    # a schema-v21 trace writes the tangent weights' range and start and the
+    # first penalty weight in its params
+    (lambda trace: [trace.update(trace_version=21),
+                    trace["params"].update(mu_min=1e-3, mu_max=1e3,
+                                           mu_init=1.0, theta_0=0.5)],
+     "trace version 21 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
         "version_9", "version_10", "version_11", "version_12",
         "version_13", "version_14", "version_15", "version_19",
-        "version_20", "empty_object"])
+        "version_20", "version_21", "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from bira.core import (
+    MU_INIT,
+    MU_MAX,
+    MU_MIN,
+    THETA_0,
     AlgorithmParams,
     BoxPolytope,
     ConfigurationError,
@@ -91,7 +95,8 @@ def test_params_defaults_round_trip():
     q = AlgorithmParams.from_dict(p.to_dict())
     assert p == q
     assert 0.0 < p.r_feas < p.r < 1.0
-    assert p.mu_min <= p.mu_init <= p.mu_max
+    assert MU_MIN <= MU_INIT <= MU_MAX
+    assert 0.0 < THETA_0 < 1.0
 
 
 def test_params_validation():
@@ -101,8 +106,6 @@ def test_params_validation():
         ("r", 0.0),
         ("r_feas", 0.6),
         ("M", 0.5),
-        ("mu_init", 1e9),
-        ("theta_0", 0.0),
         ("eps_prec_bar", -1.0),
         ("N_prec", -1),
         ("N_prec", 0),
@@ -110,7 +113,7 @@ def test_params_validation():
         # not numbers; a bool is refused too, as the audit's schema does
         ("N_prec", True),
         ("r", "0.5"),
-        ("theta_0", None),
+        ("r_feas", None),
     ]:
         cfg = dict(base)
         cfg[key] = bad
@@ -224,7 +227,7 @@ def _doubling_start(params, mu, decrease, step_norm):
     """The start after a clipped or zero step, restated: ``mu/2`` if the
     step predicts the half passes the descent test, else ``mu``."""
     halve = decrease >= (mu + params.alpha) * step_norm**2
-    return min(max(mu / 2.0 if halve else mu, params.mu_min), params.mu_max)
+    return min(max(mu / 2.0 if halve else mu, MU_MIN), MU_MAX)
 
 
 @pytest.mark.parametrize("curvature,params,newton", [
@@ -265,7 +268,7 @@ def test_a_concave_direction_starts_at_mu_min():
     params = AlgorithmParams.defaults()
     decrease, cert, _ = _tangent_step(2.0, curvature=-0.2)
     assert tangent_mu_start(params, 2.0, 0.0, -decrease, cert.step_norm,
-                            cert.model_decrease) == params.mu_min
+                            cert.model_decrease) == MU_MIN
 
 
 @pytest.mark.parametrize("mu", [0.5, 4.0])

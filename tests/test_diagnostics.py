@@ -9,7 +9,10 @@ from bira.core import (
     ACCEPTANCE_RATIO,
     DEFAULT_KAPPAS,
     LEDGER_FIELDS,
+    MU_INIT,
+    MU_MAX,
     STARTUP_EVALS,
+    THETA_0,
     AlgorithmParams,
     InsufficientDataError,
     ProblemConstants,
@@ -91,22 +94,19 @@ def test_sigma_cap_takes_the_larger_of_cap_and_max():
 
 
 def test_penalty_floor_branches():
-    wide = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(), "theta_0": 0.99,
-    })
-    tc = constants(_pc(), wide)
-    r = wide.r
+    params = AlgorithmParams.defaults()
+    tc = constants(_pc(), params)
+    r = params.r
     expect = 1.0 / ((2.0 / (1.0 + r))
                     * (1.0 * tc.restored_distance_factor / (1.0 - r) + 1.0))
     assert tc.penalty_floor == pytest.approx(expect)
-    assert tc.penalty_floor < 0.99
+    assert tc.penalty_floor < THETA_0
 
-    # a starting weight below the analytic floor becomes the floor itself
-    tiny = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(), "theta_0": expect / 2.0,
-    })
-    tc2 = constants(_pc(), tiny)
-    assert tc2.penalty_floor == pytest.approx(expect / 2.0)
+    # with no Lipschitz constant on f the analytic floor is (1 + r)/2 =
+    # 0.75, above the starting weight, which becomes the floor itself
+    tc2 = constants(_pc(L_f=0.0), params)
+    assert (1.0 + r) / 2.0 > THETA_0
+    assert tc2.penalty_floor == THETA_0
 
 
 def test_restored_distance_factor_worked_example():
@@ -125,7 +125,7 @@ def test_restored_distance_factor_worked_example():
 def test_mu_cap_grows_with_precision_carry_allowance():
     base = AlgorithmParams.defaults()
     tc = constants(_pc(), base)
-    assert tc.mu_cap == max(10.0 * tc.mu_sufficient, base.mu_max)
+    assert tc.mu_cap == max(10.0 * tc.mu_sufficient, MU_MAX)
 
 
 def test_beta_bar_formula():
@@ -433,7 +433,7 @@ def _one_long_z_step(trace, trials):
 
 #: One edit per check to a value recorded in a p1 trace: ``(check, path,
 #: new value as a function of the trace and the derived constants)``.
-#: Record 0 starts from the trace's ``start`` block and ``theta_0``.  Most
+#: Record 0 starts from the trace's ``start`` block and ``THETA_0``.  Most
 #: edits go ten times past their bound; the chain's bounds on p1 reach 1e8
 #: to 1e42, so some edits are that large.  A field the trace does not write
 #: (:data:`~bira.trace.DERIVED`) is edited through the field it follows
@@ -452,10 +452,9 @@ TAMPERS = [
     # doubling sigma from sigma_min, each trial a copy of its first
     ("z_step_trials", ("records", 0, "resta", "trials"),
      lambda t, tc: _one_long_z_step(t, tc.sigma_trials_per_step + 1)),
-    # a search that doubled mu_init past ten times the cap
+    # a search that doubled MU_INIT past ten times the cap
     ("mu_cap", ("records", 0, "ell_count"),
-     lambda t, tc: math.ceil(math.log2(10.0 * tc.mu_cap
-                                       / t["params"]["mu_init"])) + 1),
+     lambda t, tc: math.ceil(math.log2(10.0 * tc.mu_cap / MU_INIT)) + 1),
     ("restored_distance", ("records", 0, "resta", "x_R"),
      lambda t, tc: _shifted(record_row(t, 0)["resta"]["x_R"], 10.0
      * tc.restored_distance_factor * (t["start"]["h"] + max(t["start"]["y"])))),

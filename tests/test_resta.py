@@ -520,16 +520,12 @@ def _ledger(report):
     return tuple(report.ledger_totals[key] for key in LEDGER_FIELDS)
 
 
-@pytest.mark.parametrize("ratio", [restoration.FACE_RELEASE_RATIO, -np.inf],
-                         ids=["ratio", "stall_only"])
-def test_a_face_without_descent_is_left_at_no_cost(monkeypatch, ratio):
+def test_a_face_without_descent_is_left_at_no_cost():
     # a = (1, 1, 0): the face of x0 holds x_1 and x_2, and the row has
     # no component on x_3, so the face's projected gradient is at noise
-    # level.  The ratio rule leaves the face before the stall test; with
-    # the rule off (no residual is at most -inf times another) the face
-    # stalls on the fresh J and the call goes on from there on the box.
-    # Either way the run is the one restoring on the whole box: 4 records
-    monkeypatch.setattr(restoration, "FACE_RELEASE_RATIO", ratio)
+    # level.  The face stalls on the fresh J, and the call goes on from
+    # there on the box with no more Jacobian: the run is the one restoring
+    # on the whole box, 4 records
     params = AlgorithmParams.defaults()
     p = make_face_row((1.0, 1.0, 0.0))
     h0 = p.eval_h(p.x0, p.y0)
@@ -541,28 +537,22 @@ def test_a_face_without_descent_is_left_at_no_cost(monkeypatch, ratio):
         "Converged", 4, (9, 4, 18, 5))
 
 
-@pytest.mark.parametrize("ratio,records,ledger", [
-    (restoration.FACE_RELEASE_RATIO, 4, (9, 4, 18, 5)),
-    (-np.inf, 4, (9, 4, 19, 6)),
-], ids=["ratio", "stall_only"])
-def test_a_slow_face_is_left_by_the_ratio_rule(monkeypatch, ratio, records,
-                                              ledger):
+def test_a_slow_face_is_left_when_it_stalls():
     # a = (1, 1, 0.1): the face's projected gradient is a tenth of the
-    # box's, and the ratio rule leaves it at once, as the whole box would
-    # restore.  On a stall alone the face's z-steps drive x_3 to its bound
-    # 5 before the face stalls, far from the solution (1.98, 1, 0.198):
-    # the run pays 1 more h evaluation and one more Jacobian, though the
-    # tangent steps, each at the minimizer along it, keep its 4 records
-    monkeypatch.setattr(restoration, "FACE_RELEASE_RATIO", ratio)
+    # box's.  The face's z-steps drive x_3 to its bound 5 before the face
+    # stalls, far from the solution (1.98, 1, 0.198): the run pays 1 more
+    # h evaluation and one more Jacobian than restoring on the whole box
+    # (9, 4, 18, 5), though the tangent steps, each at the minimizer
+    # along it, keep its 4 records
     rep = bira_run(make_face_row((1.0, 1.0, 0.1)), AlgorithmParams.defaults())
     assert (rep.status, rep.iterations, _ledger(rep)) == (
-        "Converged", records, ledger)
+        "Converged", 4, (9, 4, 19, 6))
 
 
 def test_a_call_that_restores_on_the_face_keeps_its_held_coordinates():
-    # a = (1, 1, 1): the face's projected gradient (on x_3) is more than
-    # half the box's, so the call restores on the face, and its x_R keeps
-    # x_1 = 0 and x_2 = 1 bit for bit
+    # a = (1, 1, 1): the face's projected gradient (on x_3) does not
+    # stall, so the call restores on the face, and its x_R keeps x_1 = 0
+    # and x_2 = 1 bit for bit
     params = AlgorithmParams.defaults()
     p = make_face_row((1.0, 1.0, 1.0))
     h0 = p.eval_h(p.x0, p.y0)

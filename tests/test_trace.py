@@ -897,10 +897,10 @@ def test_a_negative_restored_precision_is_a_schema_error(tmp_path, capsys,
 #: benchmark counts them, bytes of the file bira run --out writes)``.  A
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
-    "p1": (3264, 4621),
-    "p2": (3466, 5153),
-    "p3": (2247, 3212),
-    "p4": (1795, 2558),
+    "p1": (3197, 4538),
+    "p2": (3399, 5070),
+    "p3": (2180, 3129),
+    "p4": (1728, 2475),
 }
 
 
