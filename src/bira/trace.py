@@ -8,8 +8,13 @@ a trace passes on loading.  A trace writes what a run measured and
 decided, and nothing that follows from it: the :data:`CHAIN` fields are
 written once, by the record or start block they repeat, and the
 :data:`DERIVED` fields not at all, because loading replays them bit for
-bit.  It writes its iteration records, and each restoration call's
-trials, as tables: one column per field, entry i belonging to row i.
+bit.  It writes three flat tables, joined by position, each one column
+per field, entry i belonging to row i: ``records``, one row per iteration
+record; ``calls``, one row per restoration call, row k record k's call and
+the failing call of a ``RestorationFailure`` the last row, whose count
+``trials`` says how many trials the call took; and ``trials``, the trials
+of every call in order, each with its weight written as its doubling count
+j, ``sigma = sigma_min * 2**j``.
 Each point (``start.x``, every ``x_R`` and ``x_next``) is one string, the
 base64 of its little-endian float64 bytes, which holds its bits exactly in
 about half the characters of decimal text.  So is every float column of a
@@ -18,15 +23,10 @@ table, packed once over its rows: each record scalar, each field of
 column writes a null as the quiet NaN, and no other NaN, nor any
 infinity, loads: :func:`read_table` tests each column once against the
 rules of its :class:`Table`, and its refusal names the first offending
-record and field.  The records write the trials of every
-restoration call as one table, packed over all of them in record order,
-whose ``sigma`` column keeps one JSON list per record; those lists'
-lengths split the packed columns back into records, and a run's failing
-call is written as a one-row table of the same layout.  Counts, ledgers
-and ``sigma`` stay JSON, and so do the numbers of the ``start`` block.
-In memory each fact has one type: a
-:class:`~bira.core.PrecisionLevel`, a :class:`~bira.qp.SolveCertificate`
-or a :class:`RestorationOutcome`.
+record (or ``failure info``) and field.  Counts and ledgers stay JSON, and
+so do the numbers of the ``start`` block.  In memory each fact has one
+type: a :class:`~bira.core.PrecisionLevel`, a
+:class:`~bira.qp.SolveCertificate` or a :class:`RestorationOutcome`.
 """
 
 import base64
@@ -63,7 +63,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 22
+TRACE_VERSION = 23
 
 #: The largest magnitude whose square stays within the float range.
 SQUARE_MAX = math.sqrt(FLOAT_MAX)
@@ -200,25 +200,19 @@ class Table(NamedTuple):
     ``columns`` are its columns in order, and ``row`` the name a refusal
     gives one of its rows.  ``nested`` maps a column to the layout of the
     table it is written as.  A column in ``packed`` holds floats, written
-    as one :func:`write_vector` string, and one in ``numbers`` JSON
-    numbers.  Those must be finite, except in a packed column in
-    ``nullable``, which writes ``None`` as the quiet NaN; in one in
+    as one :func:`write_vector` string.  Those must be finite, except in
+    one in ``nullable``, which writes ``None`` as the quiet NaN; in one in
     ``nonnegative`` at least 0, and in one in ``squared``, which the audit
     squares, at most :data:`SQUARE_MAX` in magnitude.  Any other column is
-    one JSON list, and one in ``counts`` holds nonnegative integers.  A
-    nested column in ``grouped`` holds a list of rows in each entry: it is
-    written as one table of all of them in order, whose columns that are
-    not packed keep one list per entry."""
+    one JSON list, and one in ``counts`` holds nonnegative integers."""
 
     columns: tuple
     nested: dict = {}
     packed: tuple = ()
-    grouped: tuple = ()
     nullable: tuple = ()
     nonnegative: tuple = ()
     squared: tuple = ()
     counts: tuple = ()
-    numbers: tuple = ()
     row: str = ""
 
     def check(self, name, values, record):
@@ -231,14 +225,8 @@ class Table(NamedTuple):
                 if not is_count(val):
                     self._refuse(record, i, name, not_count(val))
             return
-        if name not in self.packed and name not in self.numbers:
+        if name not in self.packed:
             return
-        if not isinstance(values, np.ndarray):
-            for i, val in enumerate(values):
-                if not is_number(val):
-                    self._refuse(record, i, name, "must be a number, got"
-                                 f" {type_name(val)}")
-            values = np.array(values, dtype=float)
         ok = np.isfinite(values)
         if name in self.nullable:
             ok |= np.isnan(values)
@@ -267,15 +255,7 @@ def write_table(rows, spec):
     table = {}
     for name in spec.columns:
         column = [row[name] for row in rows]
-        if name in spec.grouped:
-            sub = spec.nested[name]
-            counts = list(map(len, column))
-            column = write_table(list(itertools.chain.from_iterable(column)),
-                                 sub)
-            for col in sub.columns:
-                if col not in sub.packed:
-                    column[col] = _regroup(column[col], counts)
-        elif name in spec.nested:
+        if name in spec.nested:
             column = write_table(column, spec.nested[name])
         elif name in spec.packed:
             if name in spec.nullable:
@@ -294,17 +274,15 @@ def read_table(table, spec, what, record=None):
     A packed column must hold whole float64 values, and a NaN of a
     nullable column reads as ``None``.  Each column, nested tables'
     included, is tested once by :meth:`Table.check`, whose refusal names
-    the record ``record(i)`` (when given) of row i, the table and the
-    field of the first value the layout forbids: the first in column
-    order, nested tables' columns in their place, not the lowest record."""
+    the record ``record(i)`` (when given, and not ``None``) of row i, the
+    table and the field of the first value the layout forbids: the first
+    in column order, nested tables' columns in their place, not the lowest
+    record."""
     check_fields(table, spec.columns, f"{what} table")
     read = {}
     for name in spec.columns:
         column = values = table[name]
-        if name in spec.grouped:
-            column = _read_groups(column, spec.nested[name],
-                                  f"{what} {name}", record)
-        elif name in spec.nested:
+        if name in spec.nested:
             column = read_table(column, spec.nested[name], f"{what} {name}",
                                 record)
         elif name in spec.packed:
@@ -325,52 +303,22 @@ def read_table(table, spec, what, record=None):
     return [dict(zip(read, row)) for row in zip(*read.values())]
 
 
-def _read_groups(table, spec, what, record):
-    """The rows of a grouped table, one list of rows per entry of the
-    column that holds it, as the lists of its unpacked columns count
-    them; ``record`` as for :func:`read_table`, by that entry."""
-    check_fields(table, spec.columns, f"{what} table")
-    plain = [name for name in spec.columns if name not in spec.packed]
-    for name in plain:
-        if not (isinstance(table[name], list)
-                and all(isinstance(group, list) for group in table[name])):
-            raise SchemaError(f"{what} column {name!r} must be a JSON list"
-                              " of lists, one per row")
-    counts = {tuple(map(len, table[name])) for name in plain}
-    if len(counts) != 1:
-        raise SchemaError(f"{what} columns {plain} group their entries"
-                          " differently")
-    counts = counts.pop()
-    ends = list(itertools.accumulate(counts))
-    flat = {**table, **{name: list(itertools.chain.from_iterable(table[name]))
-                        for name in plain}}
-    rows = read_table(flat, spec, what, record and (
-        lambda i: record(bisect.bisect_right(ends, i))))
-    return _regroup(rows, counts)
-
-
-def _regroup(values, counts):
-    """``values`` cut into consecutive lists of ``counts`` entries."""
-    ends = itertools.accumulate(counts)
-    return [values[end - count:end] for count, end in zip(counts, ends)]
-
-
 #: The fields of a :class:`~bira.qp.SolveCertificate`.
 CERT_FIELDS = tuple(SolveCertificate.__dataclass_fields__)
 
 #: The fields of a :class:`~bira.core.PrecisionLevel`.
 LEVEL_FIELDS = tuple(PrecisionLevel.__dataclass_fields__)
 
-#: The columns of a restoration outcome's trial table: the weight sigma of
-#: each trial, then the certificate of its QP solve.
-TRIAL_FIELDS = ("sigma", *CERT_FIELDS)
+#: The columns of the trials table: the doubling count j of each trial's
+#: weight ``sigma_min * 2**j``, then the certificate of its QP solve.
+TRIAL_FIELDS = ("doublings", *CERT_FIELDS)
 
 #: Layouts for :func:`write_table` and :func:`read_table`.
 LEDGER_TABLE = Table(LEDGER_FIELDS, counts=LEDGER_FIELDS, row="ledger_delta")
 LEVEL_TABLE = Table(LEVEL_FIELDS, packed=LEVEL_FIELDS,
                     nonnegative=LEVEL_FIELDS, row="y_R")
 CERT_TABLE = Table(CERT_FIELDS, packed=CERT_FIELDS)
-TRIAL_TABLE = CERT_TABLE._replace(columns=TRIAL_FIELDS, numbers=("sigma",),
+TRIAL_TABLE = CERT_TABLE._replace(columns=TRIAL_FIELDS, counts=("doublings",),
                                   row="restoration trial")
 #: The records' tangent certificates: a record that stopped the run wrote
 #: none, so each of its fields is null there.  The audit and the replayed
@@ -385,16 +333,17 @@ def _cert_row(cert):
     return {name: getattr(cert, name) for name in CERT_FIELDS}
 
 
-def _record_table(cls, columns, nested, **layout):
+def _record_table(cls, columns, nested, counts=(), **layout):
     """The layout of a table of ``cls`` rows with ``columns``: every float
     field among them packed, and nullable when ``cls`` annotates it
-    ``float | None``, and every ``int`` field a count."""
-    names, optional, counts = number_fields(cls)
+    ``float | None``, and every ``int`` field a count, as are ``counts``."""
+    names, optional, ints = number_fields(cls)
     return Table(columns, nested,
                  packed=tuple(name for name in names
-                              if name in columns and name not in counts),
+                              if name in columns and name not in ints),
                  nullable=optional,
-                 counts=tuple(name for name in counts if name in columns),
+                 counts=tuple(name for name in ints if name in columns)
+                 + counts,
                  **layout)
 
 
@@ -412,15 +361,14 @@ class RestorationOutcome:
     need not measure it again; a trace does not write it.  ``refinements``
     counts the call's precision levels and ``stages`` its in-place
     refinements past r (see :func:`~bira.restoration.resta`).
-    ``trials`` holds one pair ``(sigma, certificate)`` per trial:
-    the weight it was solved at and the
-    :class:`~bira.qp.SolveCertificate` of that solve.  A trace writes it
-    as a table of :data:`TRIAL_FIELDS`: ``sigma`` a list of numbers, each
-    certificate field one :func:`write_vector` string.  The records of a
-    run write the trials of all their calls as one such table, whose
-    ``sigma`` holds one list per record, and every float field, ``y_R``'s
-    two among them, as a packed column (:data:`OUTCOME_TABLE`).  No trace
-    writes ``status``: a recorded call is ``restored``.
+    ``trials`` holds one pair ``(j, certificate)`` per trial: the
+    doubling count of the weight ``sigma_min * 2**j`` it was solved at
+    and the :class:`~bira.qp.SolveCertificate` of that solve.  A trace
+    writes the outcome as a row of :data:`CALL_TABLE`, with ``trials``
+    its count of trials, and the trials themselves as rows of
+    :data:`TRIAL_TABLE`: ``doublings`` a count, each certificate field
+    packed.  No trace writes ``status``: a recorded call is
+    ``restored``.
     """
 
     x_R: np.ndarray
@@ -449,39 +397,38 @@ class RestorationOutcome:
         return len(self.trials)
 
     def row(self):
-        """The outcome's row of the records' outcome table: each written
-        field but ``status``, with ``x_R`` written, ``y_R`` a row of
-        :data:`LEVEL_TABLE` and ``trials`` one row per trial."""
-        d = {name: getattr(self, name) for name in _OUTCOME_COLUMNS}
+        """The outcome's row of the calls table: each written field but
+        ``status``, with ``x_R`` written, ``y_R`` a row of
+        :data:`LEVEL_TABLE` and ``trials`` counted."""
+        d = {name: getattr(self, name) for name in _CALL_COLUMNS}
         d["x_R"] = write_vector(self.x_R)
         d["y_R"] = {"gf": self.y_R.gf, "gh": self.y_R.gh}
-        d["trials"] = [{"sigma": sigma, **_cert_row(cert)}
-                       for sigma, cert in self.trials]
+        d["trials"] = len(self.trials)
         return d
 
     @classmethod
-    def from_row(cls, d, n=None, *, status="restored"):
-        """Rebuild an outcome with ``status`` from its row of an outcome
-        table, as :meth:`row` writes it and :func:`read_table` reads it,
-        its values checked there; ``n``, when given, is the length ``x_R``
-        must have."""
+    def from_row(cls, d, trials, n=None, *, status="restored"):
+        """Rebuild an outcome with ``status`` from its row ``d`` of the
+        calls table and its rows ``trials`` of the trials table, as
+        :func:`read_table` reads them, their values checked there; ``n``,
+        when given, is the length ``x_R`` must have."""
         kw = dict(d, status=status, y_R=PrecisionLevel(**d["y_R"]))
         kw["x_R"] = read_vector(d["x_R"], "x_R", n)
-        kw["trials"] = tuple((row.pop("sigma"), SolveCertificate(**row))
-                             for row in d["trials"])
+        kw["trials"] = tuple((row.pop("doublings"), SolveCertificate(**row))
+                             for row in trials)
         return cls(**kw)
 
 
-#: The columns of an outcome table: every field of an outcome but its
+#: The columns of the calls table: every field of an outcome but its
 #: status and the violation vector.
-_OUTCOME_COLUMNS = tuple(
+_CALL_COLUMNS = tuple(
     name for name in RestorationOutcome.__dataclass_fields__
     if name not in ("h_vec", "status"))
-OUTCOME_TABLE = _record_table(
-    RestorationOutcome, _OUTCOME_COLUMNS,
-    {"y_R": LEVEL_TABLE, "trials": TRIAL_TABLE,
+CALL_TABLE = _record_table(
+    RestorationOutcome, _CALL_COLUMNS,
+    {"y_R": LEVEL_TABLE,
      "ledger_delta": LEDGER_TABLE._replace(row="restoration ledger")},
-    grouped=("trials",), row="restoration outcome")
+    counts=("trials",), row="restoration outcome")
 
 
 #: Fields of record k + 1 that repeat the hand-off of record k, each with
@@ -598,7 +545,6 @@ class IterationRecord:
     def row(self):
         """The record's row of the records table."""
         d = {name: getattr(self, name) for name in _RECORD_WRITTEN}
-        d["resta"] = self.resta.row()
         if self.stopped:
             d["tangent_cert"] = dict.fromkeys(CERT_FIELDS)
             d["x_next"] = None
@@ -610,12 +556,13 @@ class IterationRecord:
         return d
 
     @classmethod
-    def from_row(cls, d, chain, k, params, mu_start, last=True):
+    def from_row(cls, d, resta, chain, k, params, mu_start, last=True):
         """Rebuild record ``k`` from its row of the records table, as
-        :func:`read_table` reads it, the :data:`CHAIN` fields ``chain``
-        handed to it and the weight ``mu_start`` its tangent search started
-        from, replaying the :data:`DERIVED` fields under the run's
-        ``params``; ``last`` says whether nothing of the run follows it.
+        :func:`read_table` reads it, its restoration outcome ``resta``, the
+        :data:`CHAIN` fields ``chain`` handed to it and the weight
+        ``mu_start`` its tangent search started from, replaying the
+        :data:`DERIVED` fields under the run's ``params``; ``last`` says
+        whether nothing of the run follows it.
 
         :class:`SchemaError`, naming the record, for an ``ell_count`` of 0
         where the record is not ``last``, or one that doubles ``mu_start``
@@ -645,12 +592,12 @@ class IterationRecord:
                                   else f"{name} must not be nan")
         with _within(what):
             n = len(chain["x_k"])
-            kw = dict(d, **chain, k=k, tangent_cert=None, mu_k=None)
-            out = kw["resta"] = RestorationOutcome.from_row(d["resta"], n)
+            kw = dict(d, **chain, k=k, resta=resta, tangent_cert=None,
+                      mu_k=None)
             if stopped:
                 return cls(**kw, theta_after=chain["theta_before"])
             kw["tangent_cert"] = SolveCertificate(**cert)
-            kw["x_next"] = (out.x_R if d["x_next"] is None
+            kw["x_next"] = (resta.x_R if d["x_next"] is None
                             else read_vector(d["x_next"], "x_next", n))
             ell = d["ell_count"]
             try:
@@ -661,7 +608,7 @@ class IterationRecord:
             try:
                 kw["theta_after"] = update_penalty(
                     chain["theta_before"], d["f_xR_yR"], d["f_xk_yR"],
-                    out.h_xk_yR, out.h_xR_yR, chain["y_k"].g, out.y_R.g,
+                    resta.h_xk_yR, resta.h_xR_yR, chain["y_k"].g, resta.y_R.g,
                     params.r)
             except (ContractError, InvariantError) as exc:
                 raise SchemaError("the replayed penalty update finds no"
@@ -671,11 +618,10 @@ class IterationRecord:
 
 _RECORD_WRITTEN = tuple(name for name in IterationRecord.__dataclass_fields__
                         if name not in CHAIN and name not in DERIVED
-                        and name != "k")
+                        and name not in ("k", "resta"))
 RECORD_TABLE = _record_table(
     IterationRecord, _RECORD_WRITTEN,
-    {"resta": OUTCOME_TABLE, "tangent_cert": TANGENT_CERT_TABLE,
-     "ledger_delta": LEDGER_TABLE},
+    {"tangent_cert": TANGENT_CERT_TABLE, "ledger_delta": LEDGER_TABLE},
     # the audit's residual_summability squares the residual
     squared=("stationarity_residual",))
 
@@ -692,8 +638,8 @@ class RunReport:
     ``resta``.  That call is the iteration after the last record, so its
     index is the number of records.  The status and kind are entries of
     :data:`~bira.core.RUN_STATUSES` and :data:`~bira.core.FAILURE_KINDS`.
-    A trace writes the kind and the call, as a one-row table of
-    :data:`OUTCOME_TABLE`, and the call's status is
+    A trace writes ``failure_info`` as ``{"kind"}`` and the call as the
+    last row of the calls table, and the call's status is
     ``possible_infeasibility`` exactly when the kind is.
     """
 
@@ -741,11 +687,14 @@ class RunReport:
         d = {name: getattr(self, name) for name in self.__dataclass_fields__}
         d["records"] = write_table([rec.row() for rec in self.records],
                                    RECORD_TABLE)
+        outs = [rec.resta for rec in self.records]
         if self.failure_info is not None:
-            d["failure_info"] = {
-                "kind": self.failure_info["kind"],
-                "resta": write_table([self.failure_info["resta"].row()],
-                                     OUTCOME_TABLE)}
+            outs.append(self.failure_info["resta"])
+            d["failure_info"] = {"kind": self.failure_info["kind"]}
+        d["calls"] = write_table([out.row() for out in outs], CALL_TABLE)
+        d["trials"] = write_table(
+            [{"doublings": j, **_cert_row(cert)}
+             for out in outs for j, cert in out.trials], TRIAL_TABLE)
         start = self.start
         d["start"] = {"x": write_vector(start["x"]),
                       "y": list(start["y"].as_tuple()),
@@ -765,7 +714,8 @@ class RunReport:
         version = d.get("trace_version")
         if version != TRACE_VERSION:
             raise SchemaError(f"trace version {version!r} not supported")
-        check_fields(d, cls.__dataclass_fields__, "trace")
+        check_fields(d, (*cls.__dataclass_fields__, "calls", "trials"),
+                     "trace")
         basis = d["constants_basis"]
         check_fields(basis, ("problem_constants", "extras"),
                      "constants basis")
@@ -799,25 +749,48 @@ class RunReport:
         n = len(x0)
         if n == 0:
             raise SchemaError("start x must have at least one coordinate")
-        kw = dict(d)
+        kw = {name: d[name] for name in cls.__dataclass_fields__}
+        kind = None
         if failure is not None:
-            check_fields(failure, ("kind", "resta"), "failure info")
+            check_fields(failure, ("kind",), "failure info")
             kind = failure["kind"]
             if kind not in FAILURE_KINDS:
                 raise SchemaError(f"unknown failure kind {kind!r}")
-            with _within("failure info"):
-                rows = read_table(failure["resta"], OUTCOME_TABLE,
-                                  "restoration outcome")
-                if len(rows) != 1:
-                    raise SchemaError("restoration outcome table must hold"
-                                      f" one row, got {len(rows)}")
-                status = (kind if kind == "possible_infeasibility"
-                          else "restored")
-                out = RestorationOutcome.from_row(rows[0], n, status=status)
         rows = read_table(d["records"], RECORD_TABLE, "records",
                           "iteration record {}".format)
+        # the calls table holds record k's call in row k, then the failing
+        # call; a row past them names no record
+        want = len(rows) + (failure is not None)
+
+        def call(k):
+            return (f"iteration record {k}" if k < len(rows)
+                    else "failure info" if k < want else None)
+
+        calls = read_table(d["calls"], CALL_TABLE, "calls", call)
+        if len(calls) != want:
+            raise SchemaError(
+                f"calls table must hold one row per record"
+                f"{' and the failing call' if failure else ''}, {want},"
+                f" got {len(calls)}")
+        # call k's trials are rows ends[k] to ends[k + 1] of the trials table
+        ends = list(itertools.accumulate((row["trials"] for row in calls),
+                                         initial=0))
+        trials = read_table(d["trials"], TRIAL_TABLE, "trials",
+                            lambda i: call(bisect.bisect_right(ends, i) - 1))
+        if len(trials) != ends[-1]:
+            raise SchemaError(f"calls column 'trials' counts {ends[-1]}"
+                              " trials, but the trials table holds"
+                              f" {len(trials)} rows")
+        outs = []
+        for k, row in enumerate(calls):
+            # the failing call's status is its kind where that is one
+            status = ("possible_infeasibility" if k == len(rows)
+                      and kind == "possible_infeasibility" else "restored")
+            with _within(call(k)):
+                outs.append(RestorationOutcome.from_row(
+                    row, trials[ends[k]:ends[k + 1]], n, status=status))
         if failure is not None:
-            kw["failure_info"] = {"kind": kind, "resta": out}
+            kw["failure_info"] = {"kind": kind, "resta": outs[-1]}
         kw["start"] = {
             "x": x0,
             "y": _level(start["y"], "start y"),
@@ -833,7 +806,7 @@ class RunReport:
             # nothing follows the record that stopped the run: no record,
             # and no failing restoration call
             rec = IterationRecord.from_row(
-                row, chain, k, params, mu_start,
+                row, outs[k], chain, k, params, mu_start,
                 last=k == len(rows) - 1 and failure is None)
             kw["records"].append(rec)
             if rec.stopped:

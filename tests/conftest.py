@@ -16,14 +16,17 @@ from bira.core import (
 )
 from bira.oracle import SyntheticProblem, _calibrated_constants
 from bira.trace import (
-    CERT_FIELDS,
-    OUTCOME_TABLE,
+    CALL_TABLE,
     RECORD_TABLE,
+    TRIAL_TABLE,
     RunReport,
     read_table,
     read_vector,
     write_vector,
 )
+
+#: The tables of a written trace and their layouts.
+TABLES = {"records": RECORD_TABLE, "calls": CALL_TABLE, "trials": TRIAL_TABLE}
 
 #: The restoration parameters ``(sigma_min, M) = (1/4, 4)``, on the edge
 #: ``M sigma_min = 1`` that :class:`AlgorithmParams` admits: the derived
@@ -84,9 +87,23 @@ def kkt_min_quadratic_box_line(x_f, div, a, b, lower, upper):
 
 def record_row(trace, k):
     """Record ``k`` of a written trace as one row: entry ``k`` of every
-    column, a nested table's gathered into one object, the record's
-    restoration trials one row each, and every packed value decoded."""
+    column, a nested table's gathered into one object, and every packed
+    value decoded; its restoration call is row ``k`` of the calls table
+    (:func:`call_row`)."""
     return read_table(trace["records"], RECORD_TABLE, "records")[k]
+
+
+def call_row(trace, k):
+    """Row ``k`` of a written trace's calls table, read as
+    :func:`record_row` reads a record: record ``k``'s restoration call, or
+    the failing call where ``k`` is the record count."""
+    return read_table(trace["calls"], CALL_TABLE, "calls")[k]
+
+
+def first_trial(trace, k):
+    """The row of the trials table that holds the first trial of call
+    ``k``: the trials of the calls before it."""
+    return sum(trace["calls"]["trials"][:k])
 
 
 def _unpack(table, spec):
@@ -107,33 +124,14 @@ def _pack(table, spec):
 
 def edit_packed(d, edit):
     """Call ``edit(d)`` on the written trace ``d`` with every packed column
-    decoded into a list of floats (a null of a nullable column is NaN),
-    and the records' trials laid out as schema v12 wrote them: record k's
-    trials are entry k of ``records.resta.trials``, one table per record.
-    The failing call's one-row table keeps its trials as one table.  The
-    columns are packed again afterwards, so an edit of a packed value, or
-    of a column's length, keeps its intent."""
-    failure = d["failure_info"]
-    if failure:
-        _unpack(failure["resta"], OUTCOME_TABLE)
-    _unpack(d["records"], RECORD_TABLE)
-    resta = d["records"]["resta"]
-    trials = resta["trials"]
-    per_record, start = [], 0
-    for sigma in trials["sigma"]:
-        end = start + len(sigma)
-        per_record.append({"sigma": sigma, **{
-            name: trials[name][start:end] for name in CERT_FIELDS}})
-        start = end
-    resta["trials"] = per_record
+    of its three tables decoded into a list of floats (a null of a
+    nullable column is NaN), and pack the columns again afterwards, so an
+    edit of a packed value, or of a column's length, keeps its intent."""
+    for name, spec in TABLES.items():
+        _unpack(d[name], spec)
     edit(d)
-    per_record = resta["trials"]
-    resta["trials"] = {"sigma": [t["sigma"] for t in per_record], **{
-        name: [v for t in per_record for v in t[name]]
-        for name in CERT_FIELDS}}
-    _pack(d["records"], RECORD_TABLE)
-    if failure:
-        _pack(failure["resta"], OUTCOME_TABLE)
+    for name, spec in TABLES.items():
+        _pack(d[name], spec)
 
 
 def _same(a, b):

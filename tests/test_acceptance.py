@@ -111,16 +111,20 @@ def test_criterion_03_penalty_invariants(feasible_runs):
 
 
 def test_criterion_04_regularization_caps(feasible_runs, infeasible_run):
+    # a trial's weight is sigma_min doubled j times
     violations = 0
     for name, (report, tc) in feasible_runs.items():
+        sigma_min = report.params.sigma_min
         for rec in report.records:
-            if any(sigma > tc.sigma_cap for sigma, _ in rec.resta.trials):
+            if any(math.ldexp(sigma_min, j) > tc.sigma_cap
+                   for j, _ in rec.resta.trials):
                 violations += 1
             if not rec.stopped and rec.mu_k > tc.mu_cap:
                 violations += 1
-    p3_tc = constants(make_p3().constants(), AlgorithmParams.defaults())
-    for s, _ in infeasible_run.failure_info["resta"].trials:
-        if s > p3_tc.sigma_cap:
+    params = AlgorithmParams.defaults()
+    p3_tc = constants(make_p3().constants(), params)
+    for j, _ in infeasible_run.failure_info["resta"].trials:
+        if math.ldexp(params.sigma_min, j) > p3_tc.sigma_cap:
             violations += 1
     assert violations == 0
 

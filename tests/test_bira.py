@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -45,14 +46,7 @@ from bira.oracle import (
 )
 from bira.restoration import resta
 from bira.solver import bira_run, restoration_failure, update_penalty
-from bira.trace import (
-    OUTCOME_TABLE,
-    RunReport,
-    read_table,
-    read_vector,
-    write_table,
-    write_vector,
-)
+from bira.trace import RunReport, read_vector, write_vector
 
 
 def test_penalty_moves_to_the_largest_workable_weight():
@@ -335,7 +329,7 @@ def test_a_zero_z_step_is_a_stall():
     out = resta(problem, x, y, AlgorithmParams(), h_xk_yk=h, inner_cap=1000)
     assert out.status == "possible_infeasibility"
     assert out.z_steps == 0
-    assert [sigma for sigma, _ in out.trials] == [2.0**k for k in range(-6, 1)]
+    assert [j for j, _ in out.trials] == list(range(7))
     assert out.trials[-1][1].step_norm == 0.0
     assert out.x_R.tobytes() == x.tobytes()
     assert out.h_xR_yR == abs(h[0])
@@ -524,8 +518,8 @@ def test_no_z_step_takes_more_than_the_certified_trials():
             calls.append(rep.failure_info["resta"])
         for out in calls:
             trials = []
-            for sigma, _ in out.trials:
-                if sigma == params.sigma_min:
+            for j, _ in out.trials:
+                if j == 0:
                     trials.append(0)
                 trials[-1] += 1
             assert max(trials, default=0) <= cap, problem.name
@@ -619,7 +613,7 @@ def test_trace_round_trip_and_version_guard():
     assert back.ledger_totals == rep.ledger_totals
 
     for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-                    16, 17, 18, 19, 20, 21, 999):
+                    16, 17, 18, 19, 20, 21, 22, 999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):
@@ -637,31 +631,33 @@ def test_to_dict_copies_the_constants_basis():
 
 
 def test_restoration_certificates_are_stored_as_columns():
-    # one table of trials: each trial's sigma, and the measured
-    # fields of its certificate, each field one packed column
-    out = bira_run(make_p1()).records[0].resta
-    rec = write_table([out.row()], OUTCOME_TABLE)
-    columns = rec["trials"]
+    # one table of trials: each trial's doubling count, and the measured
+    # fields of its certificate, each field one packed column; record 0's
+    # call holds the first of them
+    rep = bira_run(make_p1())
+    out = rep.records[0].resta
+    d = rep.to_dict()
+    columns = d["trials"]
     assert list(columns) == [
-        "sigma", "model_decrease", "stationarity_residual", "step_norm",
+        "doublings", "model_decrease", "stationarity_residual", "step_norm",
     ]
-    assert columns["sigma"] == [[sigma for sigma, _ in out.trials]]
+    n = out.inner_desc_tests
+    assert n > 0 and d["calls"]["trials"][0] == n
+    assert columns["doublings"][:n] == [j for j, _ in out.trials]
     for name in list(columns)[1:]:
-        got = read_vector(columns[name], name, out.inner_desc_tests)
+        got = read_vector(columns[name], name)[:n]
         want = np.array([getattr(cert, name) for _, cert in out.trials])
         assert got.tobytes() == want.tobytes()
-    assert out.inner_desc_tests > 0
-    assert "inner_desc_tests" not in rec
+    assert "inner_desc_tests" not in d["calls"]
 
     missing = {k: v for k, v in columns.items() if k != "step_norm"}
-    ragged = {**columns, "sigma": [columns["sigma"][0][:-1]]}
+    ragged = {**columns, "doublings": columns["doublings"][:-1]}
     # the rows of schema v9, one object per trial
-    rows = out.row()["trials"]
-    assert len(rows) == out.inner_desc_tests
+    rows = [{"doublings": j, **dataclasses.asdict(cert)}
+            for j, cert in out.trials]
     for bad in (missing, ragged, rows):
-        with pytest.raises(SchemaError, match="^restoration outcome trials"):
-            read_table({**rec, "trials": bad}, OUTCOME_TABLE,
-                       "restoration outcome")
+        with pytest.raises(SchemaError, match="^trials table"):
+            RunReport.from_dict({**d, "trials": bad})
 
 
 def test_failure_report_round_trips_byte_identical():
@@ -709,7 +705,7 @@ def test_a_run_without_records_keeps_its_start():
     lambda d: d["records"].update(
         ledger_after=[d["ledger_totals"]] * len(d["records"]["ell_count"])),
     lambda d: d.update(final_x=d["start"]["x"]),
-    lambda d: d["records"].update(y_next=d["records"]["resta"]["y_R"]),
+    lambda d: d["records"].update(y_next=d["calls"]["y_R"]),
 ], ids=["x_k", "ledger_after", "final_x", "y_next"])
 def test_a_trace_writes_each_value_once(edit):
     d = json.loads(json.dumps(bira_run(make_p1()).to_dict()))
@@ -805,9 +801,6 @@ class _NoStart(InexactProblem):
 
     def _grad_h(self, x, y):
         return np.ones((1, 2))
-
-    def _refine(self, y, gf_target, gh_target):
-        return PrecisionLevel(gf_target, gh_target)
 
     def constants(self):
         self.constants_calls += 1

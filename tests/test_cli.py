@@ -15,7 +15,7 @@ import bira.oracle
 import bira.solver
 from bira.cli import CSV_HEADER, main
 from bira.core import RUN_STATUSES, AbnormalTermination, InvariantError
-from bira.trace import OUTCOME_TABLE, read_vector, write_table, write_vector
+from bira.trace import read_vector, write_vector
 
 #: Golden outputs: the default ``complexity`` CSV and the ``suite`` stdout.
 DATA = Path(__file__).resolve().parent / "data"
@@ -237,7 +237,7 @@ def test_audit_of_a_huge_stage_count_ends(tmp_path):
     # fails; a run in a child process turns a replay of 2**64 stages into
     # a timeout rather than a hung suite
     payload = json.loads((DATA / "p2_staged.json").read_text())
-    payload["records"]["resta"]["stages"][3] = 2**64
+    payload["calls"]["stages"][3] = 2**64
     trace = tmp_path / "t.json"
     trace.write_text(json.dumps(payload))
     src = str(Path(bira.cli.__file__).resolve().parents[1])
@@ -248,19 +248,11 @@ def test_audit_of_a_huge_stage_count_ends(tmp_path):
     assert "restoration_inner_caps      FAIL  (iteration 3: " in got.stdout
 
 
-def _failure(trace, kind="insufficient_contraction"):
-    """A failure info whose failing call is record 0's restoration call,
-    written as a failure info writes it: the one row of an outcome
-    table."""
-    return {"kind": kind, "resta": write_table(
-        [record_row(trace, 0)["resta"]], OUTCOME_TABLE)}
-
-
 @pytest.mark.parametrize("edit", [
     lambda trace: trace["records"].update(g_yk=[0.0]),
     lambda trace: trace["records"].pop("f_xR_yR"),
     lambda trace: trace.pop("status"),
-    lambda trace: trace["records"]["resta"].pop("z_steps"),
+    lambda trace: trace["calls"].pop("z_steps"),
     lambda trace: trace["constants_basis"].update(
         kappas={"kappa": 1e3, "kappa_T": 1e9}),
     lambda trace: trace["constants_basis"]["problem_constants"].pop("L_f"),
@@ -278,19 +270,18 @@ def _failure(trace, kind="insufficient_contraction"):
     lambda trace: trace["start"].pop("f"),
     lambda trace: trace.update(status="Bogus"),
     lambda trace: trace.update(status="RestorationFailure"),
-    # p4 converges, so a failure record needs a restoration outcome copied
-    # from its one iteration
-    lambda trace: trace.update(failure_info=_failure(trace)),
+    # p4 converges, so its calls table holds no failing call
+    lambda trace: trace.update(
+        failure_info={"kind": "insufficient_contraction"}),
     lambda trace: trace.update(status="RestorationFailure",
-                               failure_info=_failure(trace, kind=7)),
+                               failure_info={"kind": 7}),
     lambda trace: trace["tolerances"].update(eps_opt=0.0),
     lambda trace: trace["tolerances"].update(eps_opt=float("inf")),
     lambda trace: trace["tolerances"].pop("eps_feas"),
     # every recorded call is restored, so the records write no status
-    lambda trace: trace["records"]["resta"].update(status=["pdp"]),
-    lambda trace: trace["records"]["resta"].update(status=["bogus"]),
-    lambda trace: trace["records"]["resta"].update(
-        status=["possible_infeasibility"]),
+    lambda trace: trace["calls"].update(status=["pdp"]),
+    lambda trace: trace["calls"].update(status=["bogus"]),
+    lambda trace: trace["calls"].update(status=["possible_infeasibility"]),
 ], ids=["unknown_field", "missing_field", "missing_status",
         "resta_missing_z_steps", "basis_with_kappas",
         "constants_missing_L_f", "constants_unknown_field",
@@ -336,7 +327,7 @@ def _set(table, k, value):
 def _resta(trace, k, **values):
     """Set record ``k``'s restoration outcome fields to ``values``."""
     for name, value in values.items():
-        trace["records"]["resta"][name][k] = value
+        trace["calls"][name][k] = value
 
 
 def _first(point):
@@ -359,12 +350,11 @@ def _add_packed(table, name):
     lambda trace: _set(trace["records"], 1, 5),
     lambda trace: trace["records"]["tangent_cert"].pop("step_norm"),
     # y_R's packed columns are its components, so a third is a column
-    lambda trace: trace["records"]["resta"]["y_R"].update(
-        g=trace["records"]["resta"]["y_R"]["gh"]),
+    lambda trace: trace["calls"]["y_R"].update(
+        g=trace["calls"]["y_R"]["gh"]),
     lambda trace: trace["start"].update(y=[0.5]),
     # a one-entry point broadcasts against every other point of the run
-    lambda trace: _resta(trace, 1,
-                         x_R=_first(trace["records"]["resta"]["x_R"][1])),
+    lambda trace: _resta(trace, 1, x_R=_first(trace["calls"]["x_R"][1])),
     lambda trace: trace["start"].update(x=_first(trace["start"]["x"])),
     lambda trace: trace.update(budget=-1),
     lambda trace: trace.update(budget=2.5),
@@ -382,27 +372,22 @@ def _add_packed(table, name):
         1, 2.0),
     # the per-trial records and the derived certificate fields of schema
     # v9 and before, and the status of schema v14 and before
-    lambda trace: _add_column(trace["records"]["resta"], "status", "trivial"),
-    lambda trace: _add_column(trace["records"]["resta"], "inner_desc_tests",
-                              0),
-    lambda trace: _add_column(trace["records"]["resta"], "sigma_history",
-                              [0.25]),
-    lambda trace: _add_column(trace["records"]["resta"], "certificates", {}),
-    lambda trace: _add_packed(trace["records"]["resta"]["trials"],
-                              "kappa_ratio"),
+    lambda trace: _add_column(trace["calls"], "status", "trivial"),
+    lambda trace: _add_column(trace["calls"], "inner_desc_tests", 0),
+    lambda trace: _add_column(trace["calls"], "sigma_history", [0.25]),
+    lambda trace: _add_column(trace["calls"], "certificates", {}),
+    lambda trace: _add_packed(trace["trials"], "kappa_ratio"),
     # the Cauchy ratio of schema v20 and before: an exact solve meets it
     # by construction, so no trace writes it
-    lambda trace: _add_packed(trace["records"]["resta"]["trials"],
-                              "kappa_phi_ratio"),
+    lambda trace: _add_packed(trace["trials"], "kappa_phi_ratio"),
     lambda trace: _add_packed(trace["records"]["tangent_cert"], "kappa_ratio"),
     lambda trace: _add_packed(trace["records"]["tangent_cert"],
                               "tangent_violation"),
-    # one trial's sigma dropped
-    lambda trace: trace["records"]["resta"]["trials"]["sigma"][1].pop(),
+    # one trial's doubling count dropped
+    lambda trace: trace["trials"]["doublings"].pop(),
     lambda trace: trace["start"].update(y=[-0.5, 0.5]),
     lambda trace: edit_packed(
-        trace, lambda t: t["records"]["resta"]["y_R"]["gh"].__setitem__(
-            1, math.nan)),
+        trace, lambda t: t["calls"]["y_R"]["gh"].__setitem__(1, math.nan)),
     # a packed column holds float64 bytes, so text stands for the column
     lambda trace: trace["records"]["tangent_cert"].update(step_norm="0.5"),
     lambda trace: edit_packed(
@@ -419,7 +404,8 @@ def _add_packed(table, name):
         "resta_with_sigma_history", "resta_with_certificates",
         "trials_with_kappa_ratio", "trials_with_kappa_phi_ratio",
         "tangent_cert_with_kappa_ratio",
-        "tangent_cert_with_tangent_violation", "trials_missing_a_sigma",
+        "tangent_cert_with_tangent_violation",
+        "trials_missing_a_doubling_count",
         "negative_start_y", "y_R_is_nan", "tangent_cert_step_norm_is_text",
         "tangent_cert_step_norm_is_nan"])
 def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
@@ -442,7 +428,7 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
         "tangent_cert_step_norm_is_nan":
             "error: iteration record 1: tangent_cert field 'step_norm' ",
         "y_R_of_three_entries":
-            "error: records resta y_R table fields differ from the schema",
+            "error: calls y_R table fields differ from the schema",
         "ell_count_is_a_bool": "error: iteration record 1 field 'ell_count' ",
         "f_xR_yR_is_a_bool": "error: records column 'f_xR_yR' must be a"
             " base64 string of float64 bytes, got bool",
@@ -451,8 +437,10 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
         "y_R_is_nan":
             "error: iteration record 1: y_R field 'gh' must not be nan\n",
         "trials_with_kappa_phi_ratio":
-            "error: records resta trials table fields differ from the"
-            " schema: missing [], unknown ['kappa_phi_ratio']\n",
+            "error: trials table fields differ from the schema: missing [],"
+            " unknown ['kappa_phi_ratio']\n",
+        "trials_missing_a_doubling_count":
+            "error: trials table columns differ in length: ",
     }.get(request.node.callspec.id, "error:")
     assert err.startswith(prefix), err
 
@@ -464,21 +452,19 @@ def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
     (lambda trace: edit_packed(
         trace, lambda t: t["records"]["f_xk_yR"].append(0.5)),
      "records"),
-    (lambda trace: trace["records"]["resta"]["z_steps"].pop(),
-     "records resta"),
+    (lambda trace: trace["calls"]["z_steps"].pop(), "calls"),
     (lambda trace: edit_packed(
         trace,
         lambda t: t["records"]["tangent_cert"]["step_norm"].append(0.0)),
      "records tangent_cert"),
     (lambda trace: trace["records"]["ledger_delta"]["h_evals"].pop(),
      "records ledger_delta"),
-    (lambda trace: trace["records"]["resta"]["ledger_delta"][
-        "f_evals"].append(0), "records resta ledger_delta"),
-    # the trials of every record are one table, packed over all of them
+    (lambda trace: trace["calls"]["ledger_delta"]["f_evals"].append(0),
+     "calls ledger_delta"),
+    # the trials of every call are one table, packed over all of them
     (lambda trace: edit_packed(
-        trace, lambda t: t["records"]["resta"]["trials"][1][
-            "step_norm"].append(0.0)),
-     "records resta trials"),
+        trace, lambda t: t["trials"]["step_norm"].append(0.0)),
+     "trials"),
 ], ids=["records_short", "records_long", "resta_short", "tangent_cert_long",
         "ledger_delta_short", "resta_ledger_delta_long", "trials_long"])
 def test_audit_rejects_columns_of_unequal_length(tmp_path, capsys, p1_trace,
@@ -533,11 +519,11 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
      "trace version 7 not supported"),
     # a schema-v8 trace writes no stage count in its restoration outcomes
     (lambda trace: [trace.update(trace_version=8),
-                    trace["records"]["resta"].pop("stages")],
+                    trace["calls"].pop("stages")],
      "trace version 8 not supported"),
     # a schema-v9 trace writes three per-trial records, not one table
     (lambda trace: [trace.update(trace_version=9),
-                    trace["records"]["resta"].update(
+                    trace["calls"].update(
                         inner_desc_tests=[0], sigma_history=[[]],
                         certificates=[{}])],
      "trace version 9 not supported"),
@@ -561,7 +547,7 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
     # errors, and each recorded call's status
     (lambda trace: [trace.update(trace_version=14),
                     trace["records"].update(mu_k=write_vector([0.5])),
-                    trace["records"]["resta"].update(status=["restored"])],
+                    trace["calls"].update(status=["restored"])],
      "trace version 14 not supported"),
     # a schema-v15 trace writes the same fields, but its tangent weights
     # replay by the halving rule, not the one each step predicts
@@ -574,8 +560,7 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
      "trace version 19 not supported"),
     # a schema-v20 trace writes each trial's Cauchy ratio
     (lambda trace: [trace.update(trace_version=20),
-                    _add_packed(trace["records"]["resta"]["trials"],
-                                "kappa_phi_ratio"),
+                    _add_packed(trace["trials"], "kappa_phi_ratio"),
                     _add_packed(trace["records"]["tangent_cert"],
                                 "kappa_phi_ratio")],
      "trace version 20 not supported"),
@@ -585,11 +570,18 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
                     trace["params"].update(mu_min=1e-3, mu_max=1e3,
                                            mu_init=1.0, theta_0=0.5)],
      "trace version 21 not supported"),
+    # a schema-v22 trace nests each record's call, and the call's trials
+    # with their weights, in the records table
+    (lambda trace: [trace.update(trace_version=22),
+                    trace["records"].update(resta=trace.pop("calls")),
+                    trace["records"]["resta"].update(
+                        trials=trace.pop("trials"))],
+     "trace version 22 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
         "version_9", "version_10", "version_11", "version_12",
         "version_13", "version_14", "version_15", "version_19",
-        "version_20", "version_21", "empty_object"])
+        "version_20", "version_21", "version_22", "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"

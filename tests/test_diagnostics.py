@@ -3,7 +3,14 @@ import json
 import math
 
 import pytest
-from conftest import edit_packed, make_unit_row, record_row
+from conftest import (
+    TABLES,
+    call_row,
+    edit_packed,
+    first_trial,
+    make_unit_row,
+    record_row,
+)
 
 from bira.core import (
     ACCEPTANCE_RATIO,
@@ -31,14 +38,7 @@ from bira.diagnostics import (
 )
 from bira.oracle import make_p4, problem_by_name
 from bira.solver import bira_run
-from bira.trace import (
-    RECORD_TABLE,
-    RunReport,
-    read_table,
-    read_vector,
-    write_table,
-    write_vector,
-)
+from bira.trace import RunReport, read_vector, write_vector
 
 
 def _pc(**kw):
@@ -242,22 +242,51 @@ def test_audit_catches_tampered_penalty():
         RunReport.from_dict(d)
 
 
-def _claim_trials(d, sigma, count):
-    """Append ``count`` zero-step trials at ``sigma`` to record 0's call."""
+def _claim_trials(d, doublings):
+    """Append zero-step trials with the doubling counts ``doublings`` to
+    record 0's call."""
     def edit(t):
-        for name, column in t["records"]["resta"]["trials"][0].items():
-            column.extend([sigma if name == "sigma" else 0.0] * count)
+        end = t["calls"]["trials"][0]
+        for name, column in t["trials"].items():
+            column[end:end] = (list(doublings) if name == "doublings"
+                               else [0.0] * len(doublings))
+        t["calls"]["trials"][0] += len(doublings)
     edit_packed(d, edit)
 
 
 def test_audit_catches_a_trial_sigma_past_the_cap():
     rep = _fresh_report()
     d = rep.to_dict()
-    # p4's call took no trial: claim one at sigma = 1e12
-    _claim_trials(d, 1e12, 1)
+    # p4's call took no trial: claim one at sigma = 2**-6 * 2**50, about
+    # 1.8e13
+    _claim_trials(d, [50])
     bad = RunReport.from_dict(d)
     res = audit(bad)
     assert "sigma_cap" in [c.name for c in res.failures]
+
+
+def test_a_doubling_count_past_the_float_range_fails_the_sigma_cap():
+    # sigma_min * 2**2000 overflows: the audit reads it as infinite
+    d = _fresh_report().to_dict()
+    _claim_trials(d, [2000])
+    failed = _failures(d)
+    assert failed["sigma_cap"].startswith("iteration 0: inf exceeds")
+
+
+def test_audit_catches_a_z_step_past_its_trial_count(suite_runs):
+    # record 0's call claims one more z-step, whose trials climb the
+    # ladder from sigma_min one doubling at a time, one trial past the
+    # count
+    rep = suite_runs["p1"]
+    p1 = problem_by_name("p1")
+    cap = constants(p1.constants(), rep.params,
+                    extras=p1.extras()).sigma_trials_per_step
+    d = _trace(rep)
+    _claim_trials(d, range(cap + 1))
+    failed = {c.name: c.detail
+              for c in audit(RunReport.from_dict(d), p1).failures}
+    assert failed["z_step_trials"] == (
+        f"iteration 0: {cap + 1:.3e} exceeds {cap:.3e}")
 
 
 def test_audit_catches_trials_past_the_cap():
@@ -267,7 +296,7 @@ def test_audit_catches_trials_past_the_cap():
     rep = _fresh_report()
     d = rep.to_dict()
     d["constants_basis"]["problem_constants"]["provenance"] = "estimated"
-    _claim_trials(d, rep.params.sigma_min, FALLBACK_INNER_CAP + 1)
+    _claim_trials(d, [0] * (FALLBACK_INNER_CAP + 1))
     bad = RunReport.from_dict(d)
     assert bad.records[0].resta.inner_desc_tests == FALLBACK_INNER_CAP + 1
     failed = {c.name: c.detail for c in audit(bad).failures}
@@ -366,8 +395,8 @@ def test_every_measured_value_is_checked_against_the_problem(suite_runs):
     checks = {c.name: c for c in audit(rep, problem_by_name("p3")).checks}
     assert [checks[name].status for name in ORACLE] == ["pass", "pass"]
     d = _trace(rep)
-    edit_packed(d, lambda t: t["failure_info"]["resta"]["h_xR_yR"].__setitem__(
-        0, t["failure_info"]["resta"]["h_xR_yR"][0] + 1e-3))
+    edit_packed(d, lambda t: t["calls"]["h_xR_yR"].__setitem__(
+        -1, t["calls"]["h_xR_yR"][-1] + 1e-3))
     failed = {c.name: c.detail for c in audit(
         RunReport.from_dict(d), problem_by_name("p3")).failures}
     assert list(failed) == ["oracle_h_error_bound"]
@@ -382,10 +411,11 @@ def _shifted(point, shift):
     return write_vector(x)
 
 
-def _with_rows(trace, edit):
-    """The trace's records table with its list of rows edited by ``edit``."""
-    rows = read_table(trace["records"], RECORD_TABLE, "records")
-    return write_table(edit(rows), RECORD_TABLE)
+def _cut(trace, keep):
+    """The trace with its records, and their calls, cut to ``keep``."""
+    rep = RunReport.from_dict(trace)
+    rep.records = rep.records[:keep]
+    return rep.to_dict()
 
 
 def _tolerances_met_at(trace, k):
@@ -401,34 +431,26 @@ def _tolerances_met_at(trace, k):
 
 def _locate(trace, path):
     """``(container, key)`` of the value at ``path``, in a trace whose
-    packed columns :func:`edit_packed` decoded.  A path
-    ``("records", k, *fields)`` names record k's value: the records table
-    nests its fields' tables, and entry k of the first column on the way
-    holds the rest of the path."""
-    if path[0] != "records":
+    packed columns :func:`edit_packed` decoded.  A path ``(table, k,
+    *fields)`` names the value of record k in the records table, of its
+    call in the calls table, and of its call's first trial in the trials
+    table: a table nests its fields' tables, and entry k of the first
+    column on the way holds the rest of the path."""
+    if path[0] not in TABLES:
         node = trace
         for key in path[:-1]:
             node = node[key]
         return node, path[-1]
     k, *fields = path[1:]
-    node = trace["records"]
+    if path[0] == "trials":
+        k = first_trial(trace, k)
+    node = trace[path[0]]
     while isinstance(node[fields[0]], dict):
         node = node[fields.pop(0)]
     keys = [fields[0], k, *fields[1:]]
     for key in keys[:-1]:
         node = node[key]
     return node, keys[-1]
-
-
-def _one_long_z_step(trace, trials):
-    """Record 0's trial table as :func:`edit_packed` lays it out, replaced
-    by one z-step of ``trials`` copies of its first trial at sigma
-    ``sigma_min``, ``2 sigma_min``, and so on."""
-    first = record_row(trace, 0)["resta"]["trials"][0]
-    sigma_min = trace["params"]["sigma_min"]
-    return {name: ([sigma_min * 2.0**i for i in range(trials)]
-                   if name == "sigma" else [value] * trials)
-            for name, value in first.items()}
 
 
 #: One edit per check to a value recorded in a p1 trace: ``(check, path,
@@ -446,22 +468,24 @@ TAMPERS = [
     # the first step lowered the merit by about 1.8 at theta = 0.5
     ("penalty_merit_decrease", ("records", 0, "f_xnext_ynext"),
      lambda t, tc: record_row(t, 0)["f_xnext_ynext"] + 10.0),
-    ("sigma_cap", ("records", 0, "resta", "trials", "sigma", 0),
-     lambda t, tc: 10.0 * tc.sigma_cap),
-    # record 0's call claims one z-step of a trial more than the count,
-    # doubling sigma from sigma_min, each trial a copy of its first
-    ("z_step_trials", ("records", 0, "resta", "trials"),
-     lambda t, tc: _one_long_z_step(t, tc.sigma_trials_per_step + 1)),
+    # record 0's first trial at ten times the cap, written as the doublings
+    # from sigma_min that reach it
+    ("sigma_cap", ("trials", 0, "doublings"),
+     lambda t, tc: math.ceil(math.log2(
+         10.0 * tc.sigma_cap / t["params"]["sigma_min"]))),
+    # record 0's first trial two doublings up: a call's first trial is at
+    # sigma_min
+    ("z_step_trials", ("trials", 0, "doublings"), lambda t, tc: 2),
     # a search that doubled MU_INIT past ten times the cap
     ("mu_cap", ("records", 0, "ell_count"),
      lambda t, tc: math.ceil(math.log2(10.0 * tc.mu_cap / MU_INIT)) + 1),
-    ("restored_distance", ("records", 0, "resta", "x_R"),
-     lambda t, tc: _shifted(record_row(t, 0)["resta"]["x_R"], 10.0
+    ("restored_distance", ("calls", 0, "x_R"),
+     lambda t, tc: _shifted(call_row(t, 0)["x_R"], 10.0
      * tc.restored_distance_factor * (t["start"]["h"] + max(t["start"]["y"])))),
     ("restored_value_drift", ("records", 0, "f_xR_yR"),
      lambda t, tc: record_row(t, 0)["f_xk_yR"] + 10.0
      * tc.restored_value_factor * (t["start"]["h"] + max(t["start"]["y"]))),
-    ("infeasibility_summability", ("records", 0, "resta", "h_xk_yR"),
+    ("infeasibility_summability", ("calls", 0, "h_xk_yR"),
      lambda t, tc: 10.0 * tc.infeasibility_sum_bound),
     ("step_summability", ("records", 0, "tangent_cert", "step_norm"),
      lambda t, tc: 10.0 * math.sqrt(tc.step_square_sum_bound)),
@@ -472,14 +496,12 @@ TAMPERS = [
      lambda t, tc: 10.0 * math.sqrt(tc.residual_square_sum_bound)),
     ("ledger_caps", ("records", 0, "ledger_delta", "gradh_evals"),
      lambda t, tc: math.floor(tc.evals_per_iter["gradh_evals"]) + 1),
-    ("restoration_f_free", ("records", 0, "resta", "ledger_delta", "f_evals"),
+    ("restoration_f_free", ("calls", 0, "ledger_delta", "f_evals"),
      lambda t, tc: 1),
-    ("restoration_model_decrease",
-     ("records", 0, "resta", "trials", "model_decrease", 0),
+    ("restoration_model_decrease", ("trials", 0, "model_decrease"),
      lambda t, tc: 1e-9),
     # a residual far past kappa_R times its step
-    ("restoration_solve_accuracy",
-     ("records", 3, "resta", "trials", "stationarity_residual", 0),
+    ("restoration_solve_accuracy", ("trials", 3, "stationarity_residual"),
      lambda t, tc: 1e3),
     ("tangent_model_decrease", ("records", 0, "tangent_cert", "model_decrease"),
      lambda t, tc: 1e-9),
@@ -510,31 +532,31 @@ TAMPERS = [
     ("noise_within_budget", ("constants_basis", "extras", "beta"),
      lambda t, tc: 1.1 * tc.beta_bar),
     # a call that claims a refinement past N_prec + 1
-    ("restoration_inner_caps", ("records", 0, "resta", "refinements"),
+    ("restoration_inner_caps", ("calls", 0, "refinements"),
      lambda t, tc: t["params"]["N_prec"] + 2),
     # a call without a goal claims a stage past its cap
-    ("restoration_inner_caps", ("records", 0, "resta", "stages"),
+    ("restoration_inner_caps", ("calls", 0, "stages"),
      lambda t, tc: restoration_stage_cap(
          AlgorithmParams.from_dict(t["params"]), 0.0, None) + 1),
     # a call that claims more z-steps than it had passing trials
-    ("restoration_inner_caps", ("records", 0, "resta", "z_steps"),
+    ("restoration_inner_caps", ("calls", 0, "z_steps"),
      lambda t, tc: 10**6),
-    ("step_per_infeasibility", ("records", 0, "resta", "max_step_over_h"),
+    ("step_per_infeasibility", ("calls", 0, "max_step_over_h"),
      lambda t, tc: 10.0 * tc.step_per_infeasibility),
     # a restored call that claims to have left the precision unrefined
-    ("precision_refinement", ("records", 0, "resta", "y_R", "gf"),
+    ("precision_refinement", ("calls", 0, "y_R", "gf"),
      lambda t, tc: t["start"]["y"][0]),
     # record 0's call contracted by about 1/3, below r, so record 1's
     # call refined at that ratio, not at r
-    ("precision_refinement", ("records", 1, "resta", "y_R", "gf"),
-     lambda t, tc: t["params"]["r"] * record_row(t, 0)["resta"]["y_R"]["gf"]),
+    ("precision_refinement", ("calls", 1, "y_R", "gf"),
+     lambda t, tc: t["params"]["r"] * call_row(t, 0)["y_R"]["gf"]),
     # the last call, a finishing one, claims a stage more than it took, so
     # its precision is not the one replayed
-    ("precision_refinement", ("records", 3, "resta", "stages"),
-     lambda t, tc: record_row(t, 3)["resta"]["stages"] + 1),
+    ("precision_refinement", ("calls", 3, "stages"),
+     lambda t, tc: call_row(t, 3)["stages"] + 1),
     # a call that claims to have contracted nothing
-    ("restoration_tests", ("records", 2, "resta", "h_xR_yR"),
-     lambda t, tc: record_row(t, 2)["resta"]["h_xk_yR"]),
+    ("restoration_tests", ("calls", 2, "h_xR_yR"),
+     lambda t, tc: call_row(t, 2)["h_xk_yR"]),
     # an accepted tangent step ten times longer than its decrease allows
     ("tangent_search", ("records", 1, "tangent_cert", "step_norm"),
      lambda t, tc: 10.0 * record_row(t, 1)["tangent_cert"]["step_norm"]),
@@ -577,7 +599,7 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
     assert check in failed
     # the failing row is the edited record's, a whole-run row, or the
     # edited field's
-    edited = path[1] if path[0] == "records" else 0
+    edited = path[1] if path[0] in TABLES else 0
     assert failed[check].split(":")[0] in (
         f"iteration {edited}", "whole run", ".".join(map(str, path[1:])))
 
@@ -587,33 +609,34 @@ def _failures(trace):
             for c in audit(RunReport.from_dict(trace)).failures}
 
 
-def _set(column, value):
-    """An edit that writes ``value`` into entry 0 of the failing call's
-    ``column``, a path through its decoded one-row table."""
+def _set(column, value, table="calls"):
+    """An edit that writes ``value`` into the last entry of ``column`` of
+    a decoded ``table``, a path through its nested tables: the failing
+    call's, the last row of the calls table, or its last trial's."""
     *path, name = column.split(".")
 
-    def edit(call):
+    def edit(t):
+        node = t[table]
         for key in path:
-            call = call[key]
-        call[name][0] = value
+            node = node[key]
+        node[name][-1] = value
     return edit
 
 
 #: One edit of each restoration value of p3's failing call, the only call
 #: of its run, which starts at exact precision and ends in a possible
-#: infeasibility: ``(edit of the decoded one-row table, checks that
-#: fail)``.  The trial table holds one z-step at sigma_min = 1/16 and one
-#: that doubles sigma to 1, so a sigma edited in the last trial keeps the
-#: split into z-steps.
+#: infeasibility: ``(edit of the decoded trace, checks that fail)``.  The
+#: trials climb from sigma_min to 1, six doublings; the last one edited to
+#: 40 doublings passes the cap on sigma and leaves the ladder.
 FAILING_CALL_TAMPERS = {
     "refinements": (_set("refinements", 50), ["restoration_inner_caps"]),
     "stages": (_set("stages", 40), ["restoration_inner_caps"]),
-    "trial_sigma": (lambda call: call["trials"]["sigma"][0].__setitem__(
-        -1, 1e8), ["sigma_cap"]),
-    "trial_residuals": (lambda call: call["trials"].update(
-        stationarity_residual=[1e3] * len(call["trials"]["sigma"][0])),
+    "trial_sigma": (_set("doublings", 40, "trials"),
+                    ["sigma_cap", "z_step_trials"]),
+    "trial_residuals": (lambda t: t["trials"].update(
+        stationarity_residual=[1e3] * len(t["trials"]["doublings"])),
         ["restoration_solve_accuracy"]),
-    "trial_model_decrease": (_set("trials.model_decrease", 1.0),
+    "trial_model_decrease": (_set("model_decrease", 1.0, "trials"),
                              ["restoration_model_decrease"]),
     "y_R.gf": (_set("y_R.gf", 0.1), ["precision_refinement"]),
     "max_step_over_h": (_set("max_step_over_h", 1e6),
@@ -630,7 +653,7 @@ def test_every_restoration_check_reads_the_failing_call(suite_runs, edit,
     rep = suite_runs["p3"]
     assert not rep.records and audit(rep).ok
     d = _trace(rep)
-    edit_packed(d, lambda t: edit(t["failure_info"]["resta"]))
+    edit_packed(d, edit)
     failed = _failures(d)
     assert list(failed) == checks
     for check in checks:
@@ -640,13 +663,11 @@ def test_every_restoration_check_reads_the_failing_call(suite_runs, edit,
 def test_a_truncated_trace_fails_the_ledger_totals(suite_runs):
     # the two dropped iterations are still in the totals, and the last
     # record left does not meet the stopping test the status claims
-    d = _trace(suite_runs["p1"])
-    rows = read_table(d["records"], RECORD_TABLE, "records")[:-2]
-    d["records"] = write_table(rows, RECORD_TABLE)
+    d = _cut(_trace(suite_runs["p1"]), -2)
     failed = _failures(d)
     assert list(failed) == ["ledger_totals", "stopping_test"]
     assert failed["ledger_totals"].startswith("whole run: ")
-    last = len(rows) - 1
+    last = len(d["records"]["ell_count"]) - 1
     assert failed["stopping_test"].startswith(f"iteration {last}: ")
 
 
@@ -670,7 +691,7 @@ def test_the_stopping_test_agrees_with_every_status(run):
     # tolerances record 2 meets, record 3 came after stopping
     (lambda d: d["tolerances"].update(_tolerances_met_at(d, 2)),
      "iteration 2"),
-    (lambda d: d.update(records=_with_rows(d, lambda rows: [])),
+    (lambda d: d.update(_cut(d, 0)),
      "whole run"),
 ], ids=["eps_opt", "budget_exceeded_at_its_budget", "record_after_stopping",
         "converged_without_records"])
@@ -714,7 +735,7 @@ def test_a_stage_dropped_from_a_call_without_a_goal_is_caught():
     assert rep.records[0].resta.stages == 2
     assert audit(rep, problem).ok
     d = _trace(rep)
-    d["records"]["resta"]["stages"][0] = 1
+    d["calls"]["stages"][0] = 1
     assert _failures(d) == {
         "precision_refinement": "iteration 0: 6.250e-02 exceeds 1.562e-02"}
 
@@ -731,7 +752,7 @@ def _held_run():
 def _edit_record(k, *path):
     def edit(d, value):
         def put(t):
-            node = t["records"]["resta"]
+            node = t["calls"]
             for key in path[:-1]:
                 node = node[key]
             node[path[-1]][k] = value(node[path[-1]][k])

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,8 @@ from bira.diagnostics import restoration_stage_cap
 from bira.restoration import resta
 from bira.solver import bira_run, restoration_failure
 from bira.trace import (
-    OUTCOME_TABLE,
+    CALL_TABLE,
+    TRIAL_TABLE,
     RestorationOutcome,
     read_table,
     write_table,
@@ -51,8 +52,9 @@ def test_a_feasible_exact_start_is_restored_unmeasured():
     assert all(v == 0 for v in out.ledger_delta.values())
 
 
-def _sigmas(out):
-    return tuple(sigma for sigma, _ in out.trials)
+def _doublings(out):
+    """Each trial's doubling count j: its weight is sigma_min * 2**j."""
+    return tuple(j for j, _ in out.trials)
 
 
 def test_p1_z_steps_follow_the_closed_form_contraction():
@@ -76,7 +78,7 @@ def test_p1_z_steps_follow_the_closed_form_contraction():
     assert expected_steps == 6
     assert out.z_steps == expected_steps
     assert out.inner_desc_tests == expected_steps
-    assert _sigmas(out) == (params.sigma_min,) * expected_steps
+    assert _doublings(out) == (0,) * expected_steps
 
     steps = [cert.step_norm for _, cert in out.trials]
     ratios = np.array(steps[1:]) / np.array(steps[:-1])
@@ -101,7 +103,7 @@ def test_p1_floor_of_one_eighth_takes_every_first_trial():
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.status == "restored"
     assert out.z_steps == out.inner_desc_tests == 4
-    assert _sigmas(out) == (0.125,) * out.z_steps
+    assert _doublings(out) == (0,) * out.z_steps
     steps = [cert.step_norm for _, cert in out.trials]
     np.testing.assert_allclose(np.array(steps[1:]) / np.array(steps[:-1]),
                                0.8, atol=1e-6)
@@ -155,7 +157,7 @@ def test_every_first_trial_passes_on_a_linear_row(exponent):
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
     assert out.z_steps >= 1
     assert out.inner_desc_tests == out.z_steps
-    assert _sigmas(out) == (params.sigma_min,) * out.z_steps
+    assert _doublings(out) == (0,) * out.z_steps
     two_sigma = 2.0 * params.sigma_min
     factor = two_sigma / (two_sigma + norm_J_sq)
     # a step is the violation times ||J|| / (||J||**2 + 2 sigma)
@@ -178,7 +180,7 @@ def test_a_wrong_handed_jacobian_costs_one_trial():
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, jacobian=-J)
     assert out.status == "restored"
     assert out.refinements == 1
-    assert _sigmas(out) == (params.sigma_min, 2 * params.sigma_min)
+    assert _doublings(out) == (0, 1)
     assert out.inner_desc_tests == out.z_steps + 1 == 2
     assert out.ledger_delta["gradh_evals"] == 1
     assert out.ledger_delta["h_evals"] == plain.ledger_delta["h_evals"] + 1
@@ -212,7 +214,7 @@ def test_a_handed_jacobian_serves_the_first_level_only():
     J = p.eval_grad_h(p.x0, p.y0)
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, jacobian=J)
     assert out.refinements == plain.refinements == 3
-    assert _sigmas(out) == _sigmas(plain)
+    assert _doublings(out) == _doublings(plain)
     assert (out.ledger_delta["gradh_evals"]
             == plain.ledger_delta["gradh_evals"] - 1)
 
@@ -279,8 +281,7 @@ def test_p3_detects_likely_infeasibility():
     # trials, so the stall is declared on a third, fresh Jacobian at the
     # next z.  The trials at 1/32 and 1/16 end on the same bound, x_1 = 1,
     # so the second is not measured
-    assert _sigmas(out) == tuple(2.0**k for k in (-6, -6, -5, -4, -3, -2,
-                                                  -1, 0))
+    assert _doublings(out) == (0, 0, 1, 2, 3, 4, 5, 6)
     assert out.ledger_delta["h_evals"] == 7
     assert out.ledger_delta["gradh_evals"] == 3
     rep = bira_run(make_p3(), params)
@@ -304,10 +305,10 @@ def test_the_ratio_test_rejects_p3s_zigzag(monkeypatch):
     params = AlgorithmParams.defaults()
     h0 = p.eval_h(p.x0, p.y0)
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
-    assert out.z_steps == 2 and _sigmas(out)[-2:] == (0.5, 1.0)
+    assert out.z_steps == 2 and _doublings(out)[-2:] == (5, 6)
     monkeypatch.setattr(restoration, "ACCEPTANCE_RATIO", 0.0)
     zigzag = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
-    assert _sigmas(zigzag)[6:8] == (0.5, params.sigma_min)
+    assert _doublings(zigzag)[6:8] == (5, 0)
     assert zigzag.z_steps > 10
     assert zigzag.ledger_delta["h_evals"] > 5 * out.ledger_delta["h_evals"]
 
@@ -488,10 +489,13 @@ def test_outcome_round_trip():
     p = make_p1()
     h0 = p.eval_h(p.x0, p.y0)
     out = resta(p, p.x0, p.y0, AlgorithmParams.defaults(), h_xk_yk=h0)
-    # the one row of an outcome table, as a failing call is written
-    (row,) = read_table(write_table([out.row()], OUTCOME_TABLE),
-                        OUTCOME_TABLE, "restoration outcome")
-    back = RestorationOutcome.from_row(row)
+    # its row of the calls table, and its rows of the trials table
+    (row,) = read_table(write_table([out.row()], CALL_TABLE), CALL_TABLE,
+                        "calls")
+    trials = [{"doublings": j, **asdict(cert)} for j, cert in out.trials]
+    trials = read_table(write_table(trials, TRIAL_TABLE), TRIAL_TABLE,
+                        "trials")
+    back = RestorationOutcome.from_row(row, trials)
     np.testing.assert_array_equal(back.x_R, out.x_R)
     assert back.y_R == out.y_R
     assert back.status == out.status

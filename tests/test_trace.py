@@ -18,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_reloads_equal, edit_packed, make_highdim
+from conftest import (
+    TABLES,
+    assert_reloads_equal,
+    edit_packed,
+    first_trial,
+    make_highdim,
+)
 
 from bira.cli import EXIT_AUDIT, EXIT_BUDGET, main
 from bira.diagnostics import audit
@@ -34,8 +40,8 @@ from bira.core import (
 from bira.qp import SolveCertificate
 from bira.solver import bira_run
 from bira.trace import (
+    CALL_TABLE,
     CERT_FIELDS,
-    OUTCOME_TABLE,
     RECORD_TABLE,
     SQUARE_MAX,
     RestorationOutcome,
@@ -124,9 +130,9 @@ def test_every_restoration_status_round_trips(status):
     assert RunReport.from_dict(d).failure_info["resta"].status == status
     assert _round_trips(d)
     # schema v18 wrote the status into the failing call
-    d["failure_info"]["resta"]["status"] = [status]
-    with pytest.raises(SchemaError, match="^failure info: restoration outcome"
-                       r" table fields differ .* unknown \['status'\]"):
+    d["calls"]["status"] = [status]
+    with pytest.raises(SchemaError, match="^calls table fields differ .*"
+                       r" unknown \['status'\]"):
         RunReport.from_dict(d)
 
 
@@ -156,27 +162,60 @@ def test_a_failure_after_records_reloads_its_iteration():
     assert list(rep.failure_info) == ["kind", "resta"]
     assert len(rep.records) == 1
     d = json.loads(json.dumps(rep.to_dict()))
-    assert list(d["failure_info"]) == ["kind", "resta"]
+    assert list(d["failure_info"]) == ["kind"]
+    assert len(d["calls"]["z_steps"]) == 2
     assert len(RunReport.from_dict(d).records) == 1
     assert_reloads_equal(rep)
 
 
-@pytest.mark.parametrize("rows", [0, 2])
-def test_a_failing_call_of_other_than_one_row_is_refused(tmp_path, capsys,
-                                                         rows):
-    d = json.loads((DATA / "p3_failure.json").read_text())
-    out = read_trace(DATA / "p3_failure.json").failure_info["resta"]
-    d["failure_info"]["resta"] = write_table([out.row()] * rows,
-                                             OUTCOME_TABLE)
-    _refused(tmp_path, capsys, d, "failure info: restoration outcome table"
-             f" must hold one row, got {rows}")
+@pytest.mark.parametrize("saved,rows", [
+    ("p2_staged.json", "one row per record, 9"),
+    ("p3_failure.json", "one row per record and the failing call, 1"),
+], ids=["records", "failing_call"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_calls_table_of_other_than_one_row_per_call_is_refused(
+        tmp_path, capsys, saved, rows, extra):
+    d = json.loads((DATA / saved).read_text())
+    calls = read_table(d["calls"], CALL_TABLE, "calls")
+    calls = calls[:-1] if extra < 0 else calls + calls[-1:]
+    d["calls"] = write_table(calls, CALL_TABLE)
+    _refused(tmp_path, capsys, d,
+             f"calls table must hold {rows}, got {len(calls)}")
 
 
-def test_a_v18_failure_with_its_iteration_is_refused(tmp_path, capsys):
+@pytest.mark.parametrize("saved", SAVED)
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_trial_counts_that_do_not_sum_to_the_trials_rows_are_refused(
+        tmp_path, capsys, saved, extra):
+    d = json.loads((DATA / saved).read_text())
+    d["calls"]["trials"][-1] += extra
+    total = sum(d["calls"]["trials"])
+    _refused(tmp_path, capsys, d, f"calls column 'trials' counts {total}"
+             f" trials, but the trials table holds {total - extra} rows")
+
+
+@pytest.mark.parametrize("saved,where", [
+    ("p2_staged.json", "iteration record 0"),
+    ("p3_failure.json", "failure info"),
+], ids=["record", "failure_info"])
+def test_a_v22_sigma_in_the_doublings_column_is_refused(tmp_path, capsys,
+                                                      saved, where):
+    # schema v22 wrote each trial's weight, sigma_min at a z-step's first
+    d = json.loads((DATA / saved).read_text())
+    d["trials"]["doublings"][0] = d["params"]["sigma_min"]
+    _refused(tmp_path, capsys, d, re.escape(
+        f"{where}: restoration trial field 'doublings' must be a nonnegative"
+        f" integer, got {d['params']['sigma_min']!r}"))
+
+
+@pytest.mark.parametrize("field", ["iteration", "resta"])
+def test_a_v22_failure_with_its_call_is_refused(tmp_path, capsys, field):
+    # schema v18 wrote the failing call's iteration, and schema v22 the
+    # call itself, as a one-row table
     d = json.loads((DATA / "p3_failure.json").read_text())
-    d["failure_info"]["iteration"] = 0
+    d["failure_info"][field] = d["calls"] if field == "resta" else 0
     _refused(tmp_path, capsys, d, "failure info fields differ from the"
-             r" schema: missing \[\], unknown \['iteration'\]")
+             rf" schema: missing \[\], unknown \['{field}'\]")
 
 
 def test_a_precision_off_the_quadrant_is_a_schema_error():
@@ -273,13 +312,11 @@ BAD_POINT_IDS = ["number", "v11_list", "bad_character", "no_padding",
 #: a refusal gives it)``.
 POINT_FIELDS = [
     ("p2_staged.json", lambda d, v: d["start"].update(x=v), "start x"),
-    ("p2_staged.json",
-     lambda d, v: d["records"]["resta"]["x_R"].__setitem__(1, v),
+    ("p2_staged.json", lambda d, v: d["calls"]["x_R"].__setitem__(1, v),
      "iteration record 1: x_R"),
     ("p2_staged.json", lambda d, v: d["records"]["x_next"].__setitem__(1, v),
      "iteration record 1: x_next"),
-    ("p3_failure.json",
-     lambda d, v: d["failure_info"]["resta"]["x_R"].__setitem__(0, v),
+    ("p3_failure.json", lambda d, v: d["calls"]["x_R"].__setitem__(-1, v),
      "failure info: x_R"),
 ]
 
@@ -339,7 +376,7 @@ def test_certificate_columns_round_trip_bit_for_bit():
     edge = SolveCertificate(1.7e308, 5e-324, -0.0)
     rep = read_trace(DATA / "p2_staged.json")
     rec = rep.records[1]
-    trials = ((0.25, edge), *rec.resta.trials)
+    trials = ((3, edge), *rec.resta.trials)
     rep.records[1] = dataclasses.replace(
         rec, tangent_cert=edge,
         resta=dataclasses.replace(rec.resta, trials=trials))
@@ -347,7 +384,7 @@ def test_certificate_columns_round_trip_bit_for_bit():
     assert json.dumps(back.to_dict()) == text
     assert _bits([back.records[1].tangent_cert]) == _bits([edge])
     got = back.records[1].resta.trials
-    assert [sigma for sigma, _ in got] == [sigma for sigma, _ in trials]
+    assert [j for j, _ in got] == [j for j, _ in trials]
     assert _bits(cert for _, cert in got) == _bits(cert for _, cert in trials)
 
 
@@ -360,8 +397,7 @@ def test_records_with_zero_one_and_many_trials_round_trip():
     assert counts[0] == 0 and 1 in counts and max(counts) > 1
     text, back = _through_json(rep)
     assert json.dumps(back.to_dict()) == text
-    sigma = json.loads(text)["records"]["resta"]["trials"]["sigma"]
-    assert list(map(len, sigma)) == counts
+    assert json.loads(text)["calls"]["trials"] == counts
     for rec, got in zip(rep.records, back.records):
         assert _bits(c for _, c in got.resta.trials) == _bits(
             c for _, c in rec.resta.trials)
@@ -376,14 +412,11 @@ CERT_TABLES = [
     ("p2_staged.json", ("records", "tangent_cert"), "records tangent_cert",
      lambda t, name, v: t["records"]["tangent_cert"][name].__setitem__(1, v),
      "iteration record 1: tangent_cert"),
-    ("p2_staged.json", ("records", "resta", "trials"), "records resta trials",
-     lambda t, name, v: t["records"]["resta"]["trials"][1][name].__setitem__(
-         0, v),
+    ("p2_staged.json", ("trials",), "trials",
+     lambda t, name, v: t["trials"][name].__setitem__(first_trial(t, 1), v),
      "iteration record 1: restoration trial"),
-    ("p3_failure.json", ("failure_info", "resta", "trials"),
-     "failure info: restoration outcome trials",
-     lambda t, name, v: t["failure_info"]["resta"]["trials"][name].__setitem__(
-         0, v),
+    ("p3_failure.json", ("trials",), "trials",
+     lambda t, name, v: t["trials"][name].__setitem__(-1, v),
      "failure info: restoration trial"),
 ]
 CERT_TABLE_IDS = ["tangent_cert", "trials", "failure_trials"]
@@ -415,7 +448,7 @@ BAD_COLUMNS = [
      " base64"),
     (lambda v: write_vector(v)[:-4], "column 'step_norm' holds .* bytes,"
      " not whole float64 coordinates"),
-    # the number of sigma entries, or of records, sets a column's length
+    # the doubling counts, or the records, set a column's length
     (lambda v: write_vector(v[:-1]),
      "table columns differ in length: .*'step_norm'"),
 ]
@@ -486,8 +519,7 @@ NON_FINITE = [
      lambda t: t["records"]["h_xnext_ynext"].__setitem__(3, math.inf),
      "iteration record 3 field 'h_xnext_ynext' must not be inf"),
     ("p2_staged.json",
-     lambda t: t["records"]["resta"]["max_step_over_h"].__setitem__(
-         3, math.inf),
+     lambda t: t["calls"]["max_step_over_h"].__setitem__(3, math.inf),
      "iteration record 3: restoration outcome field 'max_step_over_h' must"
      " not be inf"),
     ("p2_staged.json", lambda t: t["start"].update(f=math.inf),
@@ -499,12 +531,11 @@ NON_FINITE = [
      lambda t: t["records"]["f_xR_yR"].__setitem__(3, math.nan),
      "iteration record 3 field 'f_xR_yR' must not be nan"),
     ("p2_staged.json",
-     lambda t: t["records"]["resta"]["max_step_over_h"].__setitem__(
-         3, -math.inf),
+     lambda t: t["calls"]["max_step_over_h"].__setitem__(3, -math.inf),
      "iteration record 3: restoration outcome field 'max_step_over_h' must"
      " not be -inf"),
     ("p3_failure.json",
-     lambda t: t["failure_info"]["resta"]["h_xR_yR"].__setitem__(0, math.inf),
+     lambda t: t["calls"]["h_xR_yR"].__setitem__(-1, math.inf),
      "failure info: restoration outcome field 'h_xR_yR' must not be inf"),
     # an infinite noise scale made the oracle error bound infinite
     ("p2_staged.json",
@@ -558,17 +589,15 @@ def test_an_integer_past_the_float_range_is_refused_naming_it(
     _refused(tmp_path, capsys, d, re.escape(message))
 
 
-def _cells(spec, path=(), grouped=False):
-    """``(path, layout, column, grouped)`` of every column of a table laid
-    out by ``spec`` that is not a nested table, nested tables' included:
-    the path of the nested table that holds it, and whether that table
-    is, or lies in, a grouped column."""
+def _cells(spec, path=()):
+    """``(path, layout, column)`` of every column of a table laid out by
+    ``spec`` that is not a nested table, nested tables' included: the path
+    of the nested table that holds it."""
     for name in spec.columns:
         if name in spec.nested:
-            yield from _cells(spec.nested[name], (*path, name),
-                              grouped or name in spec.grouped)
+            yield from _cells(spec.nested[name], (*path, name))
         else:
-            yield path, spec, name, grouped
+            yield path, spec, name
 
 
 def _forbidden(spec, name):
@@ -580,7 +609,7 @@ def _forbidden(spec, name):
                 (1.5, "must be a nonnegative integer, got 1.5"),
                 (10**400, "must be a nonnegative integer, got int past the"
                  " float range")]
-    if name not in spec.packed + spec.numbers:
+    if name not in spec.packed:
         return []
     bad = [(math.inf, "must not be inf"), (-math.inf, "must not be -inf")]
     if name not in spec.nullable:
@@ -589,102 +618,92 @@ def _forbidden(spec, name):
         bad.append((-1.0, "must be nonnegative, got -1.0"))
     if name in spec.squared:
         bad.append((1e200, "1e+200 squares past the float range"))
-    if name in spec.numbers:
-        bad += [("x", "must be a number, got str"),
-                (10**400, "must be a number, got int past the float range")]
     return bad
 
 
-def _cases(spec):
-    """``(path, column, grouped, value, row name, refusal)`` of every
-    forbidden value of every column of a table laid out by ``spec``."""
-    return [(path, name, grouped, value, sub.row, refusal)
-            for path, sub, name, grouped in _cells(spec)
-            for value, refusal in _forbidden(sub, name)]
+#: ``(table, path, column, value, row name, refusal)`` of every forbidden
+#: value of every column of the three tables of a trace.
+CASES = [(table, path, name, value, sub.row, refusal)
+         for table, spec in TABLES.items()
+         for path, sub, name in _cells(spec)
+         for value, refusal in _forbidden(sub, name)]
+CALL_CASES = [case for case in CASES if case[0] != "records"]
 
 
 def _case_ids(cases):
-    return [".".join((*path, f"{name}="
+    return [".".join((table, *path, f"{name}="
                       + ("10**400" if value == 10**400 else repr(value))))
-            for path, name, _, value, _, _ in cases]
+            for table, path, name, value, _, _ in cases]
 
 
-def _put(table, spec, name, k, value, grouped=False):
-    """Write ``value`` as row ``k``'s entry of column ``name`` of the
-    written table ``table`` laid out by ``spec``; in a ``grouped`` table,
-    as the first of record ``k``'s rows."""
-    if name not in spec.packed:
-        column = table[name][k] if grouped else table[name]
-        column[0 if grouped else k] = value
-        return
-    if grouped:
-        plain = next(col for col in spec.columns if col not in spec.packed)
-        k = sum(map(len, table[plain][:k]))
-    column = read_vector(table[name], name, finite=False)
-    column[k] = value
-    table[name] = write_vector(column)
-
-
-def _nested(node, spec, path):
-    """The part of ``node``, laid out by ``spec``, at ``path``, and its
-    layout."""
+def _put(d, table, path, name, k, value):
+    """Write ``value`` as the entry of column ``name``, at ``path`` in the
+    written ``table`` of the trace ``d``, that belongs to call ``k``: row
+    ``k`` of the records or calls table, or the first trial of call ``k``
+    in the trials table (the last trial where ``k`` is -1)."""
+    node, spec = d[table], TABLES[table]
     for key in path:
         node, spec = node[key], spec.nested[key]
-    return node, spec
+    if table == "trials" and k >= 0:
+        k = first_trial(d, k)
+    if name not in spec.packed:
+        node[name][k] = value
+        return
+    column = read_vector(node[name], name, finite=False)
+    column[k] = value
+    node[name] = write_vector(column)
 
 
-RECORD_CASES = _cases(RECORD_TABLE)
-LONE_CASES = _cases(OUTCOME_TABLE)
-
-
-@pytest.mark.parametrize("path,name,grouped,value,row,refusal", RECORD_CASES,
-                         ids=_case_ids(RECORD_CASES))
+@pytest.mark.parametrize("table,path,name,value,row,refusal", CASES,
+                         ids=_case_ids(CASES))
 def test_every_record_column_refuses_each_value_its_layout_forbids(
-        tmp_path, capsys, path, name, grouped, value, row, refusal):
-    # walks RECORD_TABLE itself, so a new column is covered by its layout
+        tmp_path, capsys, table, path, name, value, row, refusal):
+    # walks the layouts themselves, so a new column is covered
     d = json.loads((DATA / "p2_staged.json").read_text())
-    _put(*_nested(d["records"], RECORD_TABLE, path), name, 2, value, grouped)
+    _put(d, table, path, name, 2, value)
     where = ": ".join(filter(None, ("iteration record 2", row)))
     _refused(tmp_path, capsys, d,
              re.escape(f"{where} field '{name}' {refusal}"))
 
 
-@pytest.mark.parametrize("path,name,grouped,value,row,refusal", LONE_CASES,
-                         ids=_case_ids(LONE_CASES))
+@pytest.mark.parametrize("table,path,name,value,row,refusal", CALL_CASES,
+                         ids=_case_ids(CALL_CASES))
 def test_every_field_of_the_failing_call_refuses_each_value_it_forbids(
-        tmp_path, capsys, path, name, grouped, value, row, refusal):
-    # the failing call is the one row of a table of OUTCOME_TABLE's layout
+        tmp_path, capsys, table, path, name, value, row, refusal):
+    # the failing call is the last row of the calls table, and its trials
+    # the last rows of the trials table
     d = json.loads((DATA / "p3_failure.json").read_text())
-    _put(*_nested(d["failure_info"]["resta"], OUTCOME_TABLE, path), name, 0,
-         value, grouped)
+    _put(d, table, path, name, -1, value)
     _refused(tmp_path, capsys, d,
              re.escape(f"failure info: {row} field '{name}' {refusal}"))
 
 
-LONE_PACKED = [(path, name) for path, spec, name, grouped
-               in _cells(OUTCOME_TABLE) if name in spec.packed and not grouped]
+CALL_PACKED = [(table, path, name) for table in ("calls", "trials")
+               for path, spec, name in _cells(TABLES[table])
+               if name in spec.packed]
 
 
-@pytest.mark.parametrize("path,name", LONE_PACKED,
-                         ids=[".".join((*path, name))
-                              for path, name in LONE_PACKED])
+@pytest.mark.parametrize("table,path,name", CALL_PACKED,
+                         ids=[".".join((table, *path, name))
+                              for table, path, name in CALL_PACKED])
 def test_a_json_number_in_a_float_column_of_the_failing_call_is_refused(
-        tmp_path, capsys, path, name):
+        tmp_path, capsys, table, path, name):
     # schema v18 wrote the failing call's floats as JSON numbers
     d = json.loads((DATA / "p3_failure.json").read_text())
-    node, _ = _nested(d["failure_info"]["resta"], OUTCOME_TABLE, path)
+    node = d[table]
+    for key in path:
+        node = node[key]
     node[name] = 1.0
-    table = " ".join(("restoration outcome", *path))
     _refused(tmp_path, capsys, d, re.escape(
-        f"failure info: {table} column '{name}' must be a base64 string of"
-        " float64 bytes, got float"))
+        f"{' '.join((table, *path))} column '{name}' must be a base64 string"
+        " of float64 bytes, got float"))
 
 
 def _restored_nothing_and_raised_f(t):
     """Record 3 claims a call that left its violation as it was and raised
     the objective by 1: no penalty weight lowers the merit then."""
-    resta = t["records"]["resta"]
-    resta["h_xR_yR"][3] = resta["h_xk_yR"][3]
+    calls = t["calls"]
+    calls["h_xR_yR"][3] = calls["h_xk_yR"][3]
     t["records"]["f_xR_yR"][3] = t["records"]["f_xk_yR"][3] + 1.0
 
 
@@ -727,12 +746,22 @@ def _moved(d, edit):
     return d
 
 
+def _followed_by_p3s_failure(d):
+    """The trace ``d`` ended by p3's failing call, its last call row and
+    trials appended to the calls and trials tables."""
+    p3 = json.loads((DATA / "p3_failure.json").read_text())
+    d.update(status="RestorationFailure", failure_info=p3["failure_info"])
+    for table in ("calls", "trials"):
+        spec = TABLES[table]
+        d[table] = write_table(read_table(d[table], spec, table)
+                               + read_table(p3[table], spec, table), spec)
+
+
 @pytest.mark.parametrize("edit,where", [
     # the stopped record moved to position 3
     (lambda d: _moved(d, lambda rows: rows[:3] + rows[-1:] + rows[3:-1]), 3),
     # a restoration failure after the record that stopped the run
-    (lambda d: d.update(status="RestorationFailure", failure_info=json.loads(
-        (DATA / "p3_failure.json").read_text())["failure_info"]), 8),
+    (_followed_by_p3s_failure, 8),
 ], ids=["moved_before_the_last_record", "followed_by_a_failure"])
 def test_only_the_last_step_of_a_run_may_stop_it(tmp_path, capsys, edit,
                                                  where):
@@ -859,28 +888,28 @@ NULL_BYTES = bytes(6) + b"\xf8\x7f"
 
 
 @pytest.mark.parametrize("problem,path", [
-    (lambda: problem_by_name("p4"), ("resta", "max_step_over_h")),
+    (lambda: problem_by_name("p4"), ("calls", "max_step_over_h")),
 ], ids=["max_step_over_h"])
 def test_a_null_round_trips_as_the_quiet_nan(problem, path):
     rep = bira_run(problem())
     assert rep.records
     text, back = _through_json(rep)
     assert json.dumps(back.to_dict()) == text
-    column = json.loads(text)["records"]
+    column = json.loads(text)
     for key in path:
         column = column[key]
     assert base64.b64decode(column) == NULL_BYTES * len(rep.records)
     for rec in back.records:
-        holder = rec.resta if path[0] == "resta" else rec
+        holder = rec.resta if path[0] == "calls" else rec
         assert getattr(holder, path[-1]) is None
 
 
 @pytest.mark.parametrize("saved,edit,where", [
     ("p2_staged.json",
-     lambda t: t["records"]["resta"]["y_R"]["gh"].__setitem__(1, -0.5),
+     lambda t: t["calls"]["y_R"]["gh"].__setitem__(1, -0.5),
      "iteration record 1"),
     ("p3_failure.json",
-     lambda t: t["failure_info"]["resta"]["y_R"]["gh"].__setitem__(0, -0.5),
+     lambda t: t["calls"]["y_R"]["gh"].__setitem__(-1, -0.5),
      "failure info"),
 ], ids=["record", "failure_info"])
 def test_a_negative_restored_precision_is_a_schema_error(tmp_path, capsys,
@@ -897,10 +926,10 @@ def test_a_negative_restored_precision_is_a_schema_error(tmp_path, capsys,
 #: benchmark counts them, bytes of the file bira run --out writes)``.  A
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
-    "p1": (3197, 4538),
-    "p2": (3399, 5070),
-    "p3": (2180, 3129),
-    "p4": (1728, 2475),
+    "p1": (3120, 4177),
+    "p2": (3373, 4706),
+    "p3": (1830, 2453),
+    "p4": (1745, 2394),
 }
 
 
