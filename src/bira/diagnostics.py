@@ -73,15 +73,22 @@ class TheoreticalConstants:
     ``restored_distance_factor`` bounds ``||x_R - x_k||`` by a multiple of
     ``h_xk_yk + g_yk``.  Every level of a call restarts at ``x_k``, so
     only the z-steps ``d`` of the last level lead to ``x_R``.  Each
-    accepted one lowers half the squared measured violation by at least
-    ``alpha_R ||d||**2``, so ``2 alpha_R sum ||d||**2`` is at most what
-    the squared violation falls over the level.  The level starts at ``s
-    = ||h(x_k, w)||`` and only a stage's re-measurement at the refined
-    ``w'`` can raise it, by at most ``delta = err(w) + err(w')``, where
-    ``err(w) <= (beta / 2) w.g`` bounds an evaluation's error.  With
-    ``e_j`` the violation that ends segment ``j`` and ``D = sum
-    delta_j``, the fall sums to at most ``s**2 + sum delta_j (2 e_j +
-    delta_j) <= (s + D)**2``, because ``e_j <= s + sum_{i<j} delta_i``.
+    accepted one lowers half the squared violation at the current
+    precision by at least ``alpha_R ||d||**2``, so ``2 alpha_R sum
+    ||d||**2`` is at most what the squared violation falls over the
+    level.  After a stage the ratio test reads the violation of the level
+    before, less the allowance below, a lower bound of the violation at
+    the refined ``w'``, so the fall still holds at ``w'`` whether or not
+    ``h(z, w')`` is measured (see :func:`~bira.restoration.reference_ssq`).
+    The level starts at ``s = ||h(x_k, w)||`` and only a measurement
+    after a stage can raise it: the violation of ``z`` at ``w'`` lies
+    within ``delta = err(w_h) + err(w')`` of the one held, measured at the
+    coarser ``w_h``, where ``err(w) <= (beta / 2) w.g`` bounds an
+    evaluation's error, and each level is the ``w_h`` or the ``w'`` of at
+    most two such measurements.  With ``e_j`` the violation that ends
+    segment ``j`` and ``D = sum delta_j``, the fall sums to at most
+    ``s**2 + sum delta_j (2 e_j + delta_j) <= (s + D)**2``, because
+    ``e_j <= s + sum_{i<j} delta_i``.
     The level's precision and each stage's are at most ``g_yk`` and
     ``r**2`` times the one before, so ``s <= h_xk_yk + beta g_yk`` and
     ``D <= beta g_yk / (1 - r**2)``, and ``s + D <= (1 + beta (2 - r**2) /
@@ -482,12 +489,9 @@ def _calls(report):
     ``RestorationFailure``, which starts where the last record's step
     ended (at the start block if none did)."""
     params, start, recs = report.params, report.start, report.records
-    outs = [rec.resta for rec in recs]
-    if report.failure_info is not None:
-        outs.append(report.failure_info["resta"])
     x_k, y_k, h_xk_yk = start["x"], start["y"], start["h"]
     contraction = residual = None
-    for k, out in enumerate(outs):
+    for k, out in enumerate(report.calls):
         goal = finishing_goal(residual, report.tolerances)
         rho = precision_ratio(params.r, contraction, goal is not None)
         kept = held(h_xk_yk, y_k.g, params.r, report.tolerances)
@@ -503,22 +507,31 @@ def _calls(report):
 
 def _z_step_trial_rows(outs, cap):
     """Each z-step of every call ``(k, outcome)`` took at most ``cap``
-    trials, and every trial climbed the doubling ladder: a call's first
-    trial is at ``sigma_min``, j = 0 doublings up, and each later one at
-    most one doubling above the trial before it (a failed trial doubles
-    sigma; a z-step that moved, or a new level, resets it to
-    ``sigma_min``; a zero step or leaving the face keeps it).  So a
-    call's trials split into z-steps where j is back at 0."""
+    trials.  A call's trials split into z-steps where j is back at 0 (see
+    :func:`_ladder_rows`)."""
     for k, out in outs:
-        trials, prev = 0, -1
+        trials = 0
         for j, _ in out.trials:
-            yield _exact(k, j, prev + 1)
             if j == 0 and trials:
                 yield _exact(k, trials, cap)
                 trials = 0
-            trials, prev = trials + 1, j
+            trials += 1
         if trials:
             yield _exact(k, trials, cap)
+
+
+def _ladder_rows(outs):
+    """Every trial of every call ``(k, outcome)`` climbed the doubling
+    ladder: a call's first trial is at ``sigma_min``, j = 0 doublings up,
+    and each later one at most one doubling above the trial before it (a
+    failed trial doubles sigma; a z-step that moved, or a new level,
+    resets it to ``sigma_min``; a zero step or leaving the face keeps
+    it)."""
+    for k, out in outs:
+        prev = -1
+        for j, _ in out.trials:
+            yield _exact(k, j, prev + 1)
+            prev = j
 
 
 def _sigma(sigma_min, j):
@@ -683,7 +696,7 @@ def _ledger_total_rows(report):
     if not report.records:
         deltas.append(STARTUP_EVALS)
     if report.failure_info is not None:
-        deltas.append(report.failure_info["resta"].ledger_delta)
+        deltas.append(report.calls[-1].ledger_delta)
     for key in LEDGER_FIELDS:
         spent = sum(d[key] for d in deltas)
         total = report.ledger_totals[key]
@@ -787,6 +800,7 @@ def audit(report, problem=None):
             for k, j, _ in rtrials)),
         ("z_step_trials", ANALYTIC, _z_step_trial_rows(
             outs, tc.sigma_trials_per_step)),
+        ("doubling_ladder", None, _ladder_rows(outs)),
         ("mu_cap", ANALYTIC, (
             _tol(rec.k, rec.mu_k, tc.mu_cap) for rec in searched)),
         ("restored_distance", ANALYTIC, (

@@ -8,10 +8,11 @@ problem looks locally infeasible: the projected gradient of the violation
 measure is small relative to the violation itself even at the tightest
 precision the schedule allows.  A finishing call, the one after a record
 that met the optimality test, refines by at most ``r**2`` and goes on past
-``r`` in stages, each refining the precision by ``r**2`` in place, until
-the violation and the precision meet the stopping tolerances.  A call
-without a goal stages too, where the violation it restored lies below the
-floor the next call's precision test needs (see :func:`resta`).
+``r`` in stages, each refining the precision by ``r**2`` in place and
+measuring nothing, until the violation and the precision meet the
+stopping tolerances.  A call without a goal stages too, where the
+violation it restored lies below the floor the next call's precision test
+needs (see :func:`resta`).
 
 The inner loop is a regularized Gauss-Newton descent on half the squared
 violation norm, restarted from the outer point at each precision level
@@ -28,6 +29,14 @@ a curved row it rejects a step whose fall lags its model.  The ratio
 test at eta certifies the descent constant ``2 eta sigma_min``: the
 restoration QP is solved exactly, so ``pred >= 2 sigma ||d||**2``, and
 every bound the constants chain derives from sufficient decrease holds.
+After a stage, ``c(z)`` at the refined level is not measured: the
+inexact-evaluation model (Krejić & Martínez 2016) puts each measurement
+within ``(beta / 2) g`` of the exact value, so the value of the coarser
+level less ``(beta / 2) (g + g')`` bounds it from below
+(:func:`reference_ssq`), and a trial that passes the test against that
+bound passes it at the refined level.  z is measured at the refined level
+only where a trial fails against the bound, and where the call would end
+on a value of a coarser level.
 Each level starts on the face of the box that the outer point lies on,
 the box with every bound the point sits at held fixed, and leaves it for
 the whole box, for the rest of the level, once the face stalls, as
@@ -63,6 +72,7 @@ from .core import (
     precision_ratio,
 )
 from .diagnostics import (
+    DEFAULT_EXTRAS,
     restoration_inner_cap,
     restoration_refine_cap,
     restoration_stage_cap,
@@ -97,6 +107,24 @@ def hold(x_k, y_k: PrecisionLevel, h_xk_yk):
         h_vec=h_xk_yk)
 
 
+def reference_ssq(h_vec, w_h, w, beta):
+    """The reference of a ratio test at level ``w``: a lower bound of half
+    the squared violation ``c`` at ``w`` of a point whose violation
+    ``h_vec`` was measured at level ``w_h``.
+
+    Each measurement lies within ``(beta / 2) g`` of the exact value, so
+    the norms of two levels' measurements of one point lie at most
+    ``delta = (beta / 2) (w_h.g + w.g)`` apart, and ``c`` at ``w`` is at
+    least ``(max(0, ||h_vec|| - delta))**2 / 2``.  Where ``w_h == w`` or
+    ``delta = 0`` it is ``c`` of ``h_vec`` itself.
+    """
+    delta = 0.0 if w_h == w else 0.5 * beta * (w_h.g + w.g)
+    if delta == 0.0:
+        return constraint_ssq(h_vec)
+    low = max(0.0, float(np.linalg.norm(h_vec)) - delta)
+    return 0.5 * low * low
+
+
 def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
           inner_cap=None, contraction=None, goal=None, jacobian=None):
     """Run the restoration phase from ``(x_k, y_k)``.
@@ -122,13 +150,15 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     ``(eps_feas, eps_prec)`` (:func:`~bira.core.finishing_goal`), which
     ``bira_run`` hands over once a record met the optimality test.  A call
     without a goal returns ``restored`` as soon as ``||h(z)|| <= r h_ref``,
-    unless ``||h(z)||`` lies below its floor (below).  A finishing call refines at a ratio of at most ``r**2`` and, past
-    ``r h_ref``, keeps z and works in stages until ``||h(z)|| <= eps_feas``
-    and ``g <= eps_prec`` (:func:`~bira.core.goal_met`, the stopping test's
-    own comparisons):
+    unless ``||h(z)||`` lies below its floor (below).  A finishing call
+    refines at a ratio of at most ``r**2`` and, past ``r h_ref``, keeps z
+    and works in stages until ``||h(z)|| <= eps_feas`` and ``g <=
+    eps_prec`` (:func:`~bira.core.goal_met`, the stopping test's own
+    comparisons):
 
     - a stage refines both precision components by ``r**2`` in place,
-      re-measures ``h(z, w)`` and goes on with the kept Jacobian.  It is
+      measures nothing and goes on with the kept Jacobian and with
+      ``h(z)`` of the level it was measured at, ``w_h``.  It is
       taken where ``||h(z)||`` meets ``eps_feas`` but g does not meet
       ``eps_prec``, and where the floor guard fires: the next z-step,
       predicted to contract by as much as the last one did, would take
@@ -145,8 +175,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     - past r the stall test compares the projected gradient with
       ``r_feas ||h(z)||``, not with ``r_feas h_ref``, and a stall returns
       ``restored`` (r is met) with the goal still open;
-    - on return, ``h(x_k, w)`` is measured once more for ``h_xk_yR`` if a
-      stage refined w.
+    - on return, ``h(x_k, w)`` is measured once more for ``h_xk_yR`` if
+      a stage refined w.
 
     The floor is what keeps q balanced.  A finishing call that contracts
     by ``c`` below its precision ratio lowers q by ``c / rho``, and the
@@ -169,8 +199,20 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     below its floor, and the next call's test decides.
 
     A trial is accepted where it passes the ratio test of the module
-    docstring, on the measured violation.  A bound can clip two trials of
-    one z-step to the same point; the second then has the first one's
+    docstring, on the measured violation.  After a stage the reference
+    ``c(z)`` is the lower bound :func:`reference_ssq` draws from the value
+    of the level ``w_h`` with the problem's error scale ``beta``
+    (``extras["beta"]``, 0 where the problem names none): a trial that
+    passes on it passes at w, and a trial that fails on it is decided on
+    ``h(z, w)``, measured then and kept for the rest of the level.  The
+    floor prediction, the stage tests, the stall test and the restoration
+    QP read the held value: they predict, and the ratio test decides.  No
+    value of a coarser level ends the call: where, on such a value, the
+    goal is met, no further stage is taken, or the stall test fires past
+    r, z is measured at w and every test decides again, so
+    ``h_xR_yR`` is always a value measured at ``y_R``.  With ``beta = 0``
+    the bound is ``c(z)`` of the held value.  A bound can clip two trials
+    of one z-step to the same point; the second then has the first one's
     step, model fall and verdict, and fails without an evaluation.
 
     Each level evaluates ``J = grad h(z, w)`` (or, on the first level,
@@ -243,6 +285,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             h_vec=h_xR_vec,
         )
 
+    # the problem's error scale, the constants chain's: an evaluation at
+    # precision measure g lies within (beta / 2) g of the exact value
+    beta = float({**DEFAULT_EXTRAS, **problem.extras()}["beta"])
     r = params.r
     rho = precision_ratio(r, contraction, goal is not None)
     stage_cap = restoration_stage_cap(params, rho * y_k.g, goal)
@@ -268,6 +313,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         z = x_k.copy()
         h_z_vec = h_ref_vec
         h_z = h_ref
+        w_h = w  # the precision h_z_vec was measured at; a stage refines w
         h_last = None  # the violation before the level's latest z-step
         past_r = False  # r was met at this level: a stall then returns
         # the kept Jacobian, the handed one on the first level only; None
@@ -281,10 +327,14 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
         j = 0  # the doublings of sigma from sigma_min
         trials = 0  # trials of the current z-step
 
+        stalled_r = False  # past r, the stall test fired on the whole box
         while True:
             met_r = h_z <= r * h_ref
             past_r = past_r or met_r
-            if met_r and goal is None:
+            stage = False
+            if stalled_r:
+                stop = True
+            elif met_r and goal is None:
                 # without a goal, refine in place while ||h|| lies below
                 # the floor (1 - min(r, c)) g / (2 r) the next call's
                 # precision test needs, and while this call's own test
@@ -294,10 +344,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                     and h_z < (1.0 - min(r, h_z / h_ref)) * w.g / (2.0 * r)
                     and ((1.0 - r) / (2.0 * r)) * (y_k.g - r * r * w.g)
                     <= h_ref - h_z)
-                if not stage:
-                    break
+                stop = not stage
             elif met_r and goal_met(h_z, w.g, goal):
-                break
+                stop = True
             else:
                 # past r on a finishing call: refine in place where the
                 # violation goal is met, or where the next z-step is
@@ -305,8 +354,17 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                 stage = met_r and (h_z <= goal[0] or (
                     h_last is not None
                     and (h_z / h_last) * h_z < w.g / (2.0 * r)))
-                if stage and h_z > goal[0] and stages == stage_cap:
-                    break  # no stage left to lower the floor: stop above it
+                # no stage left to lower the floor: stop above it
+                stop = stage and h_z > goal[0] and stages == stage_cap
+            if stop:
+                if w_h == w:
+                    break
+                # a value of a coarser level ends nothing: measure z at w,
+                # and the tests above and the stall test decide again
+                h_z_vec, w_h = problem.eval_h(z, w), w
+                h_z = float(np.linalg.norm(h_z_vec))
+                stalled_r = False
+                continue
             if stage:
                 stages += 1
                 if stages > stage_cap:
@@ -314,10 +372,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                         "restoration stage cap exceeded",
                         {"stages": stages, "trials": len(table)},
                     )
-                w_prev, w = w, problem.refine(w, r * r * w.gf, r * r * w.gh)
-                if w != w_prev:
-                    h_z_vec = problem.eval_h(z, w)
-                    h_z = float(np.linalg.norm(h_z_vec))
+                w = problem.refine(w, r * r * w.gf, r * r * w.gh)
                 continue
             if J is None:
                 J, G, fresh = problem.eval_grad_h(z, w), None, True
@@ -332,7 +387,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             if not stalled:
                 if G is None:
                     G = build_B(J, params.M)
-                c_z = constraint_ssq(h_z_vec)
+                # after a stage, h_z_vec is of the coarser level w_h
+                c_z = reference_ssq(h_z_vec, w_h, w, beta)
                 z_failed = None
                 while True:
                     if len(table) >= cap:
@@ -352,8 +408,15 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                     if not np.array_equal(z_trial, z_failed):
                         h_trial_vec = problem.eval_h(z_trial, w)
                         pred = sigma * cert.step_norm**2 - cert.model_decrease
-                        passed = (c_z - constraint_ssq(h_trial_vec)
-                                  >= ACCEPTANCE_RATIO * pred)
+                        c_trial = constraint_ssq(h_trial_vec)
+                        passed = c_z - c_trial >= ACCEPTANCE_RATIO * pred
+                        if not passed and w_h != w:
+                            # failed against the coarser level's value less
+                            # its allowance: decide on z measured at w
+                            h_z_vec, w_h = problem.eval_h(z, w), w
+                            h_z = float(np.linalg.norm(h_z_vec))
+                            c_z = constraint_ssq(h_z_vec)
+                            passed = c_z - c_trial >= ACCEPTANCE_RATIO * pred
                     if passed:
                         break
                     z_failed = z_trial
@@ -378,7 +441,8 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                     region = box
                     continue
                 if past_r:  # stalled past r: r is met, so keep it
-                    break
+                    stalled_r = True
+                    continue
                 if w.gh <= params.eps_prec_bar:
                     return finish("possible_infeasibility", z, w, h_z_vec,
                                   h_ref)
@@ -391,7 +455,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             max_ratio = ratio if max_ratio is None else max(max_ratio, ratio)
             h_last = h_z
             z = z_trial
-            h_z_vec = h_trial_vec
+            h_z_vec, w_h = h_trial_vec, w
             h_z = float(np.linalg.norm(h_z_vec))
             fresh = False
             if trials > 1:  # the step needed more than its first trial

@@ -352,10 +352,15 @@ class RestorationOutcome:
     """What one restoration call did and produced.
 
     ``status`` is one of :data:`~bira.core.RESTORATION_STATUSES`.
-    ``h_xk_yR`` is the violation at the outer point re-measured at the
-    returned precision; the outer failure tests consume it directly
-    instead of re-evaluating.  The outcome is the
-    only place a trace writes ``y_R``, ``h_xk_yR`` and ``h_xR_yR``; an
+    ``h_xk_yR`` is the violation at the outer point measured at the
+    returned precision: at the start of the call's last level, or once
+    more on return where a stage refined the precision since.
+    ``h_xR_yR`` is the violation at ``x_R`` measured at ``y_R``: a stage
+    measures nothing, so a call whose held value is of a level before its
+    stages measures ``x_R`` again, and decides again, before it returns.
+    The outer failure tests consume both directly instead of
+    re-evaluating.  The outcome is
+    the only place a trace writes ``y_R``, ``h_xk_yR`` and ``h_xR_yR``; an
     iteration record reads them from here.  ``h_vec`` is the violation
     vector whose norm is ``h_xR_yR``, kept in memory so a zero tangent step
     need not measure it again; a trace does not write it.  ``refinements``
@@ -659,6 +664,15 @@ class RunReport:
     def iterations(self):
         return len(self.records)
 
+    @property
+    def calls(self):
+        """The run's restoration calls in the order of the calls table:
+        each record's, then the failing call of a ``RestorationFailure``."""
+        outs = [rec.resta for rec in self.records]
+        if self.failure_info is not None:
+            outs.append(self.failure_info["resta"])
+        return outs
+
     def _final(self):
         if (self.failure_info is not None
                 and self.failure_info["kind"] == "possible_infeasibility"):
@@ -687,9 +701,8 @@ class RunReport:
         d = {name: getattr(self, name) for name in self.__dataclass_fields__}
         d["records"] = write_table([rec.row() for rec in self.records],
                                    RECORD_TABLE)
-        outs = [rec.resta for rec in self.records]
+        outs = self.calls
         if self.failure_info is not None:
-            outs.append(self.failure_info["resta"])
             d["failure_info"] = {"kind": self.failure_info["kind"]}
         d["calls"] = write_table([out.row() for out in outs], CALL_TABLE)
         d["trials"] = write_table(

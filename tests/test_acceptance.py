@@ -115,17 +115,19 @@ def test_criterion_04_regularization_caps(feasible_runs, infeasible_run):
     violations = 0
     for name, (report, tc) in feasible_runs.items():
         sigma_min = report.params.sigma_min
-        for rec in report.records:
+        for out in report.calls:
             if any(math.ldexp(sigma_min, j) > tc.sigma_cap
-                   for j, _ in rec.resta.trials):
+                   for j, _ in out.trials):
                 violations += 1
+        for rec in report.records:
             if not rec.stopped and rec.mu_k > tc.mu_cap:
                 violations += 1
     params = AlgorithmParams.defaults()
     p3_tc = constants(make_p3().constants(), params)
-    for j, _ in infeasible_run.failure_info["resta"].trials:
-        if math.ldexp(params.sigma_min, j) > p3_tc.sigma_cap:
-            violations += 1
+    for out in infeasible_run.calls:
+        for j, _ in out.trials:
+            if math.ldexp(params.sigma_min, j) > p3_tc.sigma_cap:
+                violations += 1
     assert violations == 0
 
 

@@ -242,16 +242,16 @@ def test_audit_catches_tampered_penalty():
         RunReport.from_dict(d)
 
 
-def _claim_trials(d, doublings):
-    """Append zero-step trials with the doubling counts ``doublings`` to
-    record 0's call."""
+def _claim_trials(doublings):
+    """An edit of a decoded trace that appends zero-step trials with the
+    doubling counts ``doublings`` to record 0's call."""
     def edit(t):
         end = t["calls"]["trials"][0]
         for name, column in t["trials"].items():
             column[end:end] = (list(doublings) if name == "doublings"
                                else [0.0] * len(doublings))
         t["calls"]["trials"][0] += len(doublings)
-    edit_packed(d, edit)
+    return edit
 
 
 def test_audit_catches_a_trial_sigma_past_the_cap():
@@ -259,7 +259,7 @@ def test_audit_catches_a_trial_sigma_past_the_cap():
     d = rep.to_dict()
     # p4's call took no trial: claim one at sigma = 2**-6 * 2**50, about
     # 1.8e13
-    _claim_trials(d, [50])
+    edit_packed(d, _claim_trials([50]))
     bad = RunReport.from_dict(d)
     res = audit(bad)
     assert "sigma_cap" in [c.name for c in res.failures]
@@ -268,25 +268,23 @@ def test_audit_catches_a_trial_sigma_past_the_cap():
 def test_a_doubling_count_past_the_float_range_fails_the_sigma_cap():
     # sigma_min * 2**2000 overflows: the audit reads it as infinite
     d = _fresh_report().to_dict()
-    _claim_trials(d, [2000])
+    edit_packed(d, _claim_trials([2000]))
     failed = _failures(d)
     assert failed["sigma_cap"].startswith("iteration 0: inf exceeds")
 
 
-def test_audit_catches_a_z_step_past_its_trial_count(suite_runs):
-    # record 0's call claims one more z-step, whose trials climb the
-    # ladder from sigma_min one doubling at a time, one trial past the
-    # count
+def test_the_z_step_verdict_reports_its_nearest_count(suite_runs):
+    # every call's first trial sits on the ladder's bound, j = 0; in a
+    # check of their own those rows leave z_step_trials' detail to the
+    # count of trials nearest sigma_trials_per_step
     rep = suite_runs["p1"]
     p1 = problem_by_name("p1")
     cap = constants(p1.constants(), rep.params,
                     extras=p1.extras()).sigma_trials_per_step
-    d = _trace(rep)
-    _claim_trials(d, range(cap + 1))
-    failed = {c.name: c.detail
-              for c in audit(RunReport.from_dict(d), p1).failures}
-    assert failed["z_step_trials"] == (
-        f"iteration 0: {cap + 1:.3e} exceeds {cap:.3e}")
+    details = {c.name: c.detail for c in audit(rep, p1).checks}
+    assert details["z_step_trials"] == f"iteration 0: {1:.3e} within {cap:.3e}"
+    assert details["doubling_ladder"] == (
+        "iteration 0: 0.000e+00 within 0.000e+00")
 
 
 def test_audit_catches_trials_past_the_cap():
@@ -296,7 +294,7 @@ def test_audit_catches_trials_past_the_cap():
     rep = _fresh_report()
     d = rep.to_dict()
     d["constants_basis"]["problem_constants"]["provenance"] = "estimated"
-    _claim_trials(d, [0] * (FALLBACK_INNER_CAP + 1))
+    edit_packed(d, _claim_trials([0] * (FALLBACK_INNER_CAP + 1)))
     bad = RunReport.from_dict(d)
     assert bad.records[0].resta.inner_desc_tests == FALLBACK_INNER_CAP + 1
     failed = {c.name: c.detail for c in audit(bad).failures}
@@ -322,8 +320,9 @@ def test_audit_skips_bound_checks_on_estimated_constants():
 #: GIVEN_PROBLEM check.
 CHECKS = (
     "theta_lower_bound", "penalty_merit_decrease",
-    "sigma_cap", "z_step_trials", "mu_cap", "restored_distance",
-    "restored_value_drift", "infeasibility_summability", "step_summability",
+    "sigma_cap", "z_step_trials", "doubling_ladder", "mu_cap",
+    "restored_distance", "restored_value_drift",
+    "infeasibility_summability", "step_summability",
     "residual_vs_step", "residual_summability", "ledger_caps",
     "restoration_f_free",
     "restoration_model_decrease", "restoration_solve_accuracy",
@@ -454,7 +453,9 @@ def _locate(trace, path):
 
 
 #: One edit per check to a value recorded in a p1 trace: ``(check, path,
-#: new value as a function of the trace and the derived constants)``.
+#: new value as a function of the trace and the derived constants)``.  A
+#: new value that is a function is an edit of the decoded trace, for a
+#: claim that needs more than the value at ``path``.
 #: Record 0 starts from the trace's ``start`` block and ``THETA_0``.  Most
 #: edits go ten times past their bound; the chain's bounds on p1 reach 1e8
 #: to 1e42, so some edits are that large.  A field the trace does not write
@@ -473,9 +474,13 @@ TAMPERS = [
     ("sigma_cap", ("trials", 0, "doublings"),
      lambda t, tc: math.ceil(math.log2(
          10.0 * tc.sigma_cap / t["params"]["sigma_min"]))),
+    # record 0's call claims one more z-step, its trials climbing the
+    # ladder one doubling at a time, one trial past the count
+    ("z_step_trials", ("calls", 0, "trials"),
+     lambda t, tc: _claim_trials(range(tc.sigma_trials_per_step + 1))),
     # record 0's first trial two doublings up: a call's first trial is at
     # sigma_min
-    ("z_step_trials", ("trials", 0, "doublings"), lambda t, tc: 2),
+    ("doubling_ladder", ("trials", 0, "doublings"), lambda t, tc: 2),
     # a search that doubled MU_INIT past ten times the cap
     ("mu_cap", ("records", 0, "ell_count"),
      lambda t, tc: math.ceil(math.log2(10.0 * tc.mu_cap / MU_INIT)) + 1),
@@ -588,9 +593,13 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
     assert audit(rep).ok
     d = _trace(rep)
     p1 = problem_by_name("p1")
-    new = value(d, constants(p1.constants(), rep.params, extras=p1.extras()))
+    tc = constants(p1.constants(), rep.params, extras=p1.extras())
+    new = value(d, tc)
 
     def put(t):
+        if callable(new):
+            new(t)
+            return
         node, key = _locate(t, path)
         node[key] = new
     edit_packed(d, put)
@@ -602,6 +611,10 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
     edited = path[1] if path[0] in TABLES else 0
     assert failed[check].split(":")[0] in (
         f"iteration {edited}", "whole run", ".".join(map(str, path[1:])))
+    if check == "z_step_trials":  # the claimed z-step, one trial past
+        cap = tc.sigma_trials_per_step
+        assert failed[check] == (
+            f"iteration 0: {cap + 1:.3e} exceeds {cap:.3e}")
 
 
 def _failures(trace):
@@ -627,12 +640,13 @@ def _set(column, value, table="calls"):
 #: of its run, which starts at exact precision and ends in a possible
 #: infeasibility: ``(edit of the decoded trace, checks that fail)``.  The
 #: trials climb from sigma_min to 1, six doublings; the last one edited to
-#: 40 doublings passes the cap on sigma and leaves the ladder.
+#: 40 doublings passes the cap on sigma and leaves the ladder, though its
+#: z-step keeps its count of trials.
 FAILING_CALL_TAMPERS = {
     "refinements": (_set("refinements", 50), ["restoration_inner_caps"]),
     "stages": (_set("stages", 40), ["restoration_inner_caps"]),
     "trial_sigma": (_set("doublings", 40, "trials"),
-                    ["sigma_cap", "z_step_trials"]),
+                    ["sigma_cap", "doubling_ladder"]),
     "trial_residuals": (lambda t: t["trials"].update(
         stationarity_residual=[1e3] * len(t["trials"]["doublings"])),
         ["restoration_solve_accuracy"]),

@@ -66,9 +66,7 @@ def test_a_saved_trace_re_dumps_byte_for_byte(name):
 @pytest.mark.parametrize("name", SAVED)
 def test_a_saved_trace_loads_each_fact_as_its_one_type(name):
     report = read_trace(DATA / name)
-    outcomes = [rec.resta for rec in report.records]
-    if report.failure_info is not None:
-        outcomes.append(report.failure_info["resta"])
+    outcomes = report.calls
     assert outcomes
     assert all(isinstance(out, RestorationOutcome) for out in outcomes)
     levels = [report.start["y"], report.final_y]
