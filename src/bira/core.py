@@ -401,6 +401,30 @@ def restoration_tests(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     )
 
 
+def reference_norm(h_norm, w_h, w, beta):
+    """A lower bound at level ``w`` of the violation norm of a point
+    measured as ``h_norm`` at level ``w_h``: ``max(0, h_norm - delta)``.
+
+    Each measurement lies within ``(beta / 2) g`` of the exact value
+    (Krejić & Martínez 2016), so two levels' measurements of one point lie
+    at most ``delta = (beta / 2) (w_h.g + w.g)`` apart; ``delta = 0``
+    where ``w_h == w``.  :func:`~bira.restoration.resta` returns the bound
+    of the outer point's value at ``y_k`` as ``h_xk_yR``, and the audit's
+    ``restoration_tests`` replays it."""
+    delta = 0.0 if w_h == w else 0.5 * beta * (w_h.g + w.g)
+    return max(0.0, h_norm - delta)
+
+
+def outer_reference(h_xk, y_k, w, beta):
+    """``h_xk_yR`` of a restoration call from ``(x_k, y_k)`` that returns
+    level ``w``: :func:`reference_norm` of the outer point's violation norm
+    ``h_xk`` measured at ``y_k``, or ``None`` where that bound is 0 at a
+    level other than ``y_k``.  There the allowance swallows the value, and
+    the call measures ``h(x_k, w)`` instead."""
+    h = reference_norm(h_xk, y_k, w, beta)
+    return None if h == 0.0 and w != y_k else h
+
+
 def constraint_ssq(h_vec):
     """Half squared norm of the constraint residual vector."""
     h = np.asarray(h_vec, dtype=float)

@@ -35,6 +35,7 @@ from .core import (
     held,
     merit_allowance,
     merit_test,
+    outer_reference,
     precision_ratio,
     restoration_tests,
     stopping_test,
@@ -80,13 +81,14 @@ class TheoreticalConstants:
     before, less the allowance below, a lower bound of the violation at
     the refined ``w'``, so the fall still holds at ``w'`` whether or not
     ``h(z, w')`` is measured (see :func:`~bira.restoration.reference_ssq`).
-    The level starts at ``s = ||h(x_k, w)||`` and only a measurement
-    after a stage can raise it: the violation of ``z`` at ``w'`` lies
-    within ``delta = err(w_h) + err(w')`` of the one held, measured at the
-    coarser ``w_h``, where ``err(w) <= (beta / 2) w.g`` bounds an
-    evaluation's error, and each level is the ``w_h`` or the ``w'`` of at
-    most two such measurements.  With ``e_j`` the violation that ends
-    segment ``j`` and ``D = sum delta_j``, the fall sums to at most
+    The level starts at ``s``, the value ``h_xk_yk`` it holds or ``x_k``
+    measured at ``w``, within ``(beta / 2) (g_yk + w.g)`` of it, and only
+    a measurement after a stage can raise it: the violation of ``z`` at
+    ``w'`` lies within ``delta = err(w_h) + err(w')`` of the one held,
+    measured at the coarser ``w_h``, where ``err(w) <= (beta / 2) w.g``
+    bounds an evaluation's error, and each level is the ``w_h`` or the
+    ``w'`` of at most two such measurements.  With ``e_j`` the violation
+    that ends segment ``j`` and ``D = sum delta_j``, the fall sums to at most
     ``s**2 + sum delta_j (2 e_j + delta_j) <= (s + D)**2``, because
     ``e_j <= s + sum_{i<j} delta_i``.
     The level's precision and each stage's are at most ``g_yk`` and
@@ -565,12 +567,21 @@ def _refinement_rows(calls, r):
         yield _exact(k, bound_f, out.y_R.gf)
 
 
-def _restoration_test_rows(report, calls):
+def _restoration_test_rows(report, calls, beta):
     """Both restoration failure tests, recomputed from each of the
     :func:`_calls`: every recorded call passed them, and a call that ended
     the run with one of their kinds failed that test and passed the ones
-    before it.  A held call skips them, so it cannot end a run."""
-    for k, _, y_k, _, out, _, _, kept in calls:
+    before it.  A held call skips them, so it cannot end a run.  Their
+    reference ``h_xk_yR`` is replayed exactly: the bound
+    :func:`~bira.core.outer_reference` draws at the run's error scale
+    ``beta`` from the value at ``y_k``, where it gives one; elsewhere the
+    call measured it, and the oracle rows check it."""
+    for k, _, y_k, h_xk_yk, out, _, _, kept in calls:
+        ref = outer_reference(h_xk_yk, y_k, out.y_R, beta)
+        if ref is not None:
+            # equal: neither side exceeds the other
+            yield _exact(k, out.h_xk_yR, ref)
+            yield _exact(k, ref, out.h_xk_yR)
         kind = None if k < len(report.records) else report.failure_info["kind"]
         if kept:
             yield _exact(k, kind is not None, False)
@@ -613,27 +624,31 @@ def _tangent_search_rows(report):
         yield _exact(rec.k, spent, f_evals)
 
 
-def _measurements(report, calls):
+def _measurements(report, calls, beta):
     """Each value the run measured, with the point and precision it was
     measured at: ``(iteration, x, y, f, h)``, ``f`` ``None`` where only
-    the violation norm ``h`` was measured.  The start is charged to
-    iteration 0, and a record's current values are the previous record's
-    accepted ones, so each value appears once.  A record that stopped the
-    run, and the failing call, measured only their restoration's
-    violations."""
+    the violation norm ``h`` was measured, ``h`` ``None`` where only f
+    was.  The start is charged to iteration 0, and a record's current
+    values are the previous record's accepted ones, so each value appears
+    once.  A record that stopped the run, and the failing call, measured
+    only their restoration's violations.  A call's ``h_xk_yR`` is a
+    measurement only where :func:`~bira.core.outer_reference` gives no
+    bound."""
     start = report.start
     yield 0, start["x"], start["y"], start["f"], start["h"]
     # the failing call has no record
-    for (k, x_k, _, _, out, *_), rec in zip(calls, [*report.records, None]):
+    for (k, x_k, y_k, h_xk_yk, out, *_), rec in zip(
+            calls, [*report.records, None]):
         f_k, f_R = (rec.f_xk_yR, rec.f_xR_yR) if rec else (None, None)
-        yield k, x_k, out.y_R, f_k, out.h_xk_yR
+        bound = outer_reference(h_xk_yk, y_k, out.y_R, beta)
+        yield k, x_k, out.y_R, f_k, out.h_xk_yR if bound is None else None
         yield k, out.x_R, out.y_R, f_R, out.h_xR_yR
         if rec and not rec.stopped:
             yield (k, rec.x_next, rec.y_R, rec.f_xnext_ynext,
                    rec.h_xnext_ynext)
 
 
-def _oracle_error_rows(report, calls, problem):
+def _oracle_error_rows(report, calls, problem, beta):
     """``(f rows, h rows)``: every value the run measured against
     ``problem``'s exact one, within the noise scale times the precision
     component it was measured at, plus a rounding term: at the calibrated
@@ -645,12 +660,12 @@ def _oracle_error_rows(report, calls, problem):
     ns_f = extras.get("noise_scale_f")
     ns_h = extras.get("noise_scale_h")
     f_rows, h_rows = [], []
-    for k, x, y, f, h in _measurements(report, calls):
+    for k, x, y, f, h in _measurements(report, calls, beta):
         exact = None if f is None or ns_f is None else problem.exact_f(x)
         if exact is not None:
             f_rows.append(_exact(k, abs(f - exact),
                                  ns_f * y.gf + 1e-15 * (1.0 + abs(f))))
-        exact = None if ns_h is None else problem.exact_h(x)
+        exact = None if h is None or ns_h is None else problem.exact_h(x)
         if exact is not None:
             h_rows.append(_exact(k, abs(h - float(np.linalg.norm(exact))),
                                  ns_h * y.gh + 1e-15 * (1.0 + h)))
@@ -787,7 +802,7 @@ def audit(report, problem=None):
         ("constants_basis", None, _basis_rows(basis, problem))] + [
         (name, EXACT, rows) for name, rows in zip(
             ("oracle_f_error_bound", "oracle_h_error_bound"),
-            _oracle_error_rows(report, calls, problem))]
+            _oracle_error_rows(report, calls, problem, tc.extras["beta"]))]
     # a lower bound is a row with the floor as observed and the value as bound
     table = [
         ("theta_lower_bound", ANALYTIC, (
@@ -811,7 +826,7 @@ def audit(report, problem=None):
             _tol(rec.k, abs(rec.f_xR_yR - rec.f_xk_yR),
                  tc.restored_value_factor * (rec.h_xk_yk + rec.g_yk))
             for rec in searched)),
-        # violation at the current point measured at restored precision
+        # violation at the current point at restored precision, bounded
         ("infeasibility_summability", ANALYTIC, _summed(
             (rec.h_xk_yR + rec.g_yk for rec in recs),
             tc.infeasibility_sum_bound)),
@@ -871,7 +886,8 @@ def audit(report, problem=None):
             _tol(k, out.max_step_over_h, tc.step_per_infeasibility)
             for k, out in outs if out.max_step_over_h is not None)),
         ("precision_refinement", None, _refinement_rows(calls, params.r)),
-        ("restoration_tests", None, _restoration_test_rows(report, calls)),
+        ("restoration_tests", None,
+         _restoration_test_rows(report, calls, tc.extras["beta"])),
         ("tangent_search", None, _tangent_search_rows(report)),
         ("ledger_totals", None, _ledger_total_rows(report)),
         ("stopping_test", None, _stopping_rows(report)),

@@ -29,14 +29,17 @@ a curved row it rejects a step whose fall lags its model.  The ratio
 test at eta certifies the descent constant ``2 eta sigma_min``: the
 restoration QP is solved exactly, so ``pred >= 2 sigma ||d||**2``, and
 every bound the constants chain derives from sufficient decrease holds.
-After a stage, ``c(z)`` at the refined level is not measured: the
-inexact-evaluation model (Krejić & Martínez 2016) puts each measurement
-within ``(beta / 2) g`` of the exact value, so the value of the coarser
-level less ``(beta / 2) (g + g')`` bounds it from below
-(:func:`reference_ssq`), and a trial that passes the test against that
-bound passes it at the refined level.  z is measured at the refined level
-only where a trial fails against the bound, and where the call would end
-on a value of a coarser level.
+No level measures the outer point up front, and a stage measures
+nothing: the inexact-evaluation model (Krejić & Martínez 2016) puts each
+measurement within ``(beta / 2) g`` of the exact value, so a value of a
+coarser level less ``(beta / 2) (g + g')`` bounds the value at the
+refined level from below (:func:`~bira.core.reference_norm`,
+:func:`reference_ssq`), and a trial that passes the test against that
+bound passes it at the refined level.  The bound of the outer loop's
+``h(x_k, y_k)`` is each level's reference and the call's ``h_xk_yR``.  A
+point is measured at the refined level only where a trial fails against
+the bound, where a stall would end the level, and where the call would
+end on a value of a coarser level.
 Each level starts on the face of the box that the outer point lies on,
 the box with every bound the point sits at held fixed, and leaves it for
 the whole box, for the rest of the level, once the face stalls, as
@@ -69,7 +72,9 @@ from .core import (
     PrecisionLevel,
     constraint_ssq,
     goal_met,
+    outer_reference,
     precision_ratio,
+    reference_norm,
 )
 from .diagnostics import (
     DEFAULT_EXTRAS,
@@ -82,6 +87,9 @@ from .qp import build_B, solve_restoration_qp
 from .trace import RestorationOutcome
 
 _SIGMA_RUNAWAY = 1e9
+# a violation within this much of ||J|| ||z||, the rounding of J z, is a
+# stall (see :func:`resta`)
+_ROUNDING = float(np.finfo(float).eps)
 
 
 def face_of(box, x):
@@ -110,18 +118,13 @@ def hold(x_k, y_k: PrecisionLevel, h_xk_yk):
 def reference_ssq(h_vec, w_h, w, beta):
     """The reference of a ratio test at level ``w``: a lower bound of half
     the squared violation ``c`` at ``w`` of a point whose violation
-    ``h_vec`` was measured at level ``w_h``.
-
-    Each measurement lies within ``(beta / 2) g`` of the exact value, so
-    the norms of two levels' measurements of one point lie at most
-    ``delta = (beta / 2) (w_h.g + w.g)`` apart, and ``c`` at ``w`` is at
-    least ``(max(0, ||h_vec|| - delta))**2 / 2``.  Where ``w_h == w`` or
-    ``delta = 0`` it is ``c`` of ``h_vec`` itself.
+    ``h_vec`` was measured at level ``w_h``, half the square of
+    :func:`~bira.core.reference_norm`.  Where ``w_h == w`` or ``beta = 0``
+    it is ``c`` of ``h_vec`` itself.
     """
-    delta = 0.0 if w_h == w else 0.5 * beta * (w_h.g + w.g)
-    if delta == 0.0:
+    if w_h == w or beta == 0.0:
         return constraint_ssq(h_vec)
-    low = max(0.0, float(np.linalg.norm(h_vec)) - delta)
+    low = reference_norm(float(np.linalg.norm(h_vec)), w_h, w, beta)
     return 0.5 * low * low
 
 
@@ -130,12 +133,22 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     """Run the restoration phase from ``(x_k, y_k)``.
 
     ``h_xk_yk`` is the already-measured violation vector at the outer
-    point; the phase does not re-evaluate it when a refinement returns the
-    level it was given.  So a call whose input has ``||h|| + g = 0``
-    refines to that level, meets r at once and returns its input as
-    ``restored`` with no evaluation.  ``inner_cap`` bounds
-    the number of trials across all precision levels; exceeding it,
-    the refinement cap or the stage cap raises
+    point, and the call bounds ``x_k``'s violation from it instead of
+    measuring it again: at level w, ``h_ref`` is the bound
+    ``max(0, ||h_xk_yk|| - (beta / 2) (g_yk + g_w))`` of
+    :func:`~bira.core.outer_reference` (``||h_xk_yk||`` itself where
+    ``w = y_k``), the reference of every r test, stage test and stall test
+    of the level, and ``h_xk_yR`` of the outcome at ``w = y_R``.  Only
+    where that bound is 0 at a refined level, an allowance that swallows
+    the value, is ``x_k`` measured at w as the reference, at the level's
+    start and once more on return if a stage refined w and left no bound.
+    Each level's z starts at ``x_k`` holding ``h_xk_yk`` as a value of
+    level ``y_k``, so ``x_k`` is measured at w only where a trial, a stall
+    or an exit decides on it, as any held value is (below).  So a call
+    whose input has ``||h|| + g = 0`` refines to that level, meets r at
+    once and returns its input as ``restored`` with no evaluation.
+    ``inner_cap`` bounds the number of trials across all precision levels;
+    exceeding it, the refinement cap or the stage cap raises
     :class:`AbnormalTermination`.
 
     ``contraction`` is :attr:`RestorationOutcome.contraction` of the
@@ -175,8 +188,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     - past r the stall test compares the projected gradient with
       ``r_feas ||h(z)||``, not with ``r_feas h_ref``, and a stall returns
       ``restored`` (r is met) with the goal still open;
-    - on return, ``h(x_k, w)`` is measured once more for ``h_xk_yR`` if
-      a stage refined w.
+    - a stage takes ``h_ref`` to the bound at the refined w, which only
+      rises as w is refined, so ``h_xk_yR`` is the bound at ``y_R``
+      (where that bound is still 0, ``h_ref`` keeps its measurement).
 
     The floor is what keeps q balanced.  A finishing call that contracts
     by ``c`` below its precision ratio lowers q by ``c / rho``, and the
@@ -199,21 +213,30 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     below its floor, and the next call's test decides.
 
     A trial is accepted where it passes the ratio test of the module
-    docstring, on the measured violation.  After a stage the reference
-    ``c(z)`` is the lower bound :func:`reference_ssq` draws from the value
-    of the level ``w_h`` with the problem's error scale ``beta``
-    (``extras["beta"]``, 0 where the problem names none): a trial that
-    passes on it passes at w, and a trial that fails on it is decided on
+    docstring, on the measured violation.  Where z holds a value of a
+    coarser level ``w_h``, x_k's value at ``y_k`` at a level's start or
+    z's after a stage, the reference ``c(z)`` is the lower bound
+    :func:`reference_ssq` draws from it with the problem's error scale
+    ``beta`` (``extras["beta"]``, 0 where the problem names none): a trial
+    that passes on it passes at w, and a trial that fails on it is decided on
     ``h(z, w)``, measured then and kept for the rest of the level.  The
     floor prediction, the stage tests, the stall test and the restoration
     QP read the held value: they predict, and the ratio test decides.  No
-    value of a coarser level ends the call: where, on such a value, the
-    goal is met, no further stage is taken, or the stall test fires past
-    r, z is measured at w and every test decides again, so
-    ``h_xR_yR`` is always a value measured at ``y_R``.  With ``beta = 0``
+    value of a coarser level ends a level or the call: where, on such a
+    value, the goal is met, no further stage is taken, or a stall would
+    refine, declare ``possible_infeasibility`` or return past r, z is
+    measured at w and every test decides again, so ``h_xR_yR`` is always
+    a value measured at ``y_R``.  With ``beta = 0``
     the bound is ``c(z)`` of the held value.  A bound can clip two trials
     of one z-step to the same point; the second then has the first one's
     step, model fall and verdict, and fails without an evaluation.
+
+    The stall test also fires where ``||h(z)||`` lies within the rounding
+    of ``J z``, ``eps ||J|| ||z||``: no step can lower a violation that
+    size, so the ratio test would reject every trial until sigma runs
+    away.  The level then refines, or declares ``possible_infeasibility``
+    at the tightest precision, as on any stall; a finer level measures the
+    violation afresh.
 
     Each level evaluates ``J = grad h(z, w)`` (or, on the first level,
     takes the handed ``jacobian``, below) and its :func:`build_B` factor
@@ -288,11 +311,16 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     # the problem's error scale, the constants chain's: an evaluation at
     # precision measure g lies within (beta / 2) g of the exact value
     beta = float({**DEFAULT_EXTRAS, **problem.extras()}["beta"])
+    h_xk = float(np.linalg.norm(h_xk_yk))
+
+    def measured(x, w):  # h(x, w) with its level and norm
+        h_vec = problem.eval_h(x, w)
+        return h_vec, w, float(np.linalg.norm(h_vec))
+
     r = params.r
     rho = precision_ratio(r, contraction, goal is not None)
     stage_cap = restoration_stage_cap(params, rho * y_k.g, goal)
     w = y_k
-    h_ref_vec = h_xk_yk
     while True:
         refinements += 1
         if refinements > refine_cap:
@@ -305,15 +333,16 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             gh_t = rho * w.gh
         else:
             gh_t = min(params.eps_prec_bar, rho * w.gh)
-        w_prev, w = w, problem.refine(w, gf_t, gh_t)
-        if w != w_prev:  # an unchanged level keeps its measurement at x_k
-            h_ref_vec = problem.eval_h(x_k, w)
-        h_ref = float(np.linalg.norm(h_ref_vec))
-        w_ref = w  # the precision h_ref was measured at
+        w = problem.refine(w, gf_t, gh_t)
         z = x_k.copy()
-        h_z_vec = h_ref_vec
-        h_z = h_ref
-        w_h = w  # the precision h_z_vec was measured at; a stage refines w
+        # z holds the value at y_k the outer loop measured; w_h is the
+        # precision h_z_vec was measured at, and a stage refines w
+        h_z_vec, w_h, h_z = h_xk_yk, y_k, h_xk
+        h_ref = outer_reference(h_xk, y_k, w, beta)
+        w_xk = None  # the level of x_k's measurement where h_ref is one
+        if h_ref is None:  # no bound at w: x_k measured there
+            h_z_vec, w_h, h_z = measured(x_k, w)
+            h_ref, w_xk = h_z, w
         h_last = None  # the violation before the level's latest z-step
         past_r = False  # r was met at this level: a stall then returns
         # the kept Jacobian, the handed one on the first level only; None
@@ -361,9 +390,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                     break
                 # a value of a coarser level ends nothing: measure z at w,
                 # and the tests above and the stall test decide again
-                h_z_vec, w_h = problem.eval_h(z, w), w
-                h_z = float(np.linalg.norm(h_z_vec))
-                stalled_r = False
+                h_z_vec, w_h, h_z = measured(z, w)
                 continue
             if stage:
                 stages += 1
@@ -373,6 +400,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                         {"stages": stages, "trials": len(table)},
                     )
                 w = problem.refine(w, r * r * w.gf, r * r * w.gh)
+                bound = outer_reference(h_xk, y_k, w, beta)
+                if bound is not None:
+                    h_ref = bound
                 continue
             if J is None:
                 J, G, fresh = problem.eval_grad_h(z, w), None, True
@@ -380,14 +410,17 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             pg_resid = float(np.linalg.norm(
                 project_box(z - grad_c, region) - z))
             # a stall: the projected gradient is small, relative to h_ref
-            # or, past r, to h(z), or the accepted z-step left z where it
-            # was (a zero step passes the ratio test without lowering h,
-            # and would repeat until the cap)
-            stalled = pg_resid <= params.r_feas * (h_z if past_r else h_ref)
+            # or, past r, to h(z), or h(z) lies within the rounding of J z,
+            # where no step can lower it, or the accepted z-step left z
+            # where it was (a zero step passes the ratio test without
+            # lowering h, and would repeat until the cap)
+            stalled = (
+                pg_resid <= params.r_feas * (h_z if past_r else h_ref)
+                or h_z <= _ROUNDING * np.linalg.norm(J) * np.linalg.norm(z))
             if not stalled:
                 if G is None:
                     G = build_B(J, params.M)
-                # after a stage, h_z_vec is of the coarser level w_h
+                # a held value of a coarser level w_h gives its bound
                 c_z = reference_ssq(h_z_vec, w_h, w, beta)
                 z_failed = None
                 while True:
@@ -411,10 +444,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                         c_trial = constraint_ssq(h_trial_vec)
                         passed = c_z - c_trial >= ACCEPTANCE_RATIO * pred
                         if not passed and w_h != w:
-                            # failed against the coarser level's value less
-                            # its allowance: decide on z measured at w
-                            h_z_vec, w_h = problem.eval_h(z, w), w
-                            h_z = float(np.linalg.norm(h_z_vec))
+                            # failed against the bound: decide on z
+                            # measured at w
+                            h_z_vec, w_h, h_z = measured(z, w)
                             c_z = constraint_ssq(h_z_vec)
                             passed = c_z - c_trial >= ACCEPTANCE_RATIO * pred
                     if passed:
@@ -440,6 +472,9 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                 if region is not box:  # and on the whole box only
                     region = box
                     continue
+                if w_h != w:  # and on a value measured at w only
+                    h_z_vec, w_h, h_z = measured(z, w)
+                    continue
                 if past_r:  # stalled past r: r is met, so keep it
                     stalled_r = True
                     continue
@@ -463,6 +498,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             j = 0
             trials = 0
         if past_r:
-            if w != w_ref:  # a stage refined w: h(x_k) at the returned w
+            if outer_reference(h_xk, y_k, w, beta) is None and w != w_xk:
+                # no bound at the returned w: h(x_k) measured there
                 h_ref = float(np.linalg.norm(problem.eval_h(x_k, w)))
             return finish("restored", z, w, h_z_vec, h_ref)

@@ -52,7 +52,12 @@ the trace reader replays to rebuild each record's ``mu_k``.
 
 No oracle value is measured twice.  The value and violation measured for
 the accepted point of one iteration are the current-point measurements of
-the next (restoration takes the violation vector, not only its norm); a
+the next (restoration takes the violation vector, not only its norm);
+restoration does not measure the current point's violation again at the
+restored precision, but bounds it from below by the value at ``y_k`` less
+the error allowance (:func:`~bira.core.outer_reference`), and that bound
+is the ``h_xk_yR`` every later test reads (see
+:func:`restoration_failure`); a
 zero tangent step takes f from the penalty update and the violation
 vector from the restoration outcome; and the gradient used by the tangent
 model is the one the stopping test projects.  The constraint Jacobian is
@@ -160,6 +165,20 @@ def restoration_failure(status, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     ``(1 - min(r, c)) g / (2 r)``, the floor the next call's test needs at
     ``rho' = min(r, c)``, unless the stage would fail its own test (see
     :func:`~bira.restoration.resta`).
+
+    Tests on a bound of ``h_xk_yR``.  A call returns as ``h_xk_yR`` a
+    lower bound of the violation at ``x_k`` at ``y_R``: the value at
+    ``y_k`` less the error allowance (:func:`~bira.core.outer_reference`;
+    a measurement only where that bound is 0).  Each test that reads it
+    stays sound on the bound, in its order.  Both tests here only get
+    harder to pass as ``h_xk_yR`` falls: ``r h_xk_yR`` and ``h_xk_yR -
+    h_xR_yR`` both fall with it.  The merit test's right side, ``theta
+    f_xk_yR + (1 - theta)(h_xk_yR + g) + ((1 - r)/2)(h_xR_yR - h_xk_yR -
+    dg)``, rises in ``h_xk_yR`` with slope ``(1 + r)/2 - theta > 0``, as
+    ``theta <= THETA_0 = 1/2``.  So wherever the problem's ``beta`` bounds
+    its errors, the measured value lies above the bound, and a weight of
+    :func:`~bira.core.update_penalty` and a tangent step that pass the
+    merit test on the bound pass it on the measured value too.
 
     The hold.  A call whose input already meets the feasibility and
     precision tolerances by r, ``||h_k|| <= r eps_feas`` and ``g_k <= r

@@ -63,7 +63,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 23
+TRACE_VERSION = 24
 
 #: The largest magnitude whose square stays within the float range.
 SQUARE_MAX = math.sqrt(FLOAT_MAX)
@@ -352,9 +352,10 @@ class RestorationOutcome:
     """What one restoration call did and produced.
 
     ``status`` is one of :data:`~bira.core.RESTORATION_STATUSES`.
-    ``h_xk_yR`` is the violation at the outer point measured at the
-    returned precision: at the start of the call's last level, or once
-    more on return where a stage refined the precision since.
+    ``h_xk_yR`` is the violation at the outer point at the returned
+    precision as the call bounds it: :func:`~bira.core.outer_reference`
+    of ``h_xk_yk``, with no evaluation, or, where that gives no bound, its
+    value measured at ``y_R``.
     ``h_xR_yR`` is the violation at ``x_R`` measured at ``y_R``: a stage
     measures nothing, so a call whose held value is of a level before its
     stages measures ``x_R`` again, and decides again, before it returns.

@@ -32,6 +32,7 @@ from bira.core import (
     held,
     merit_allowance,
     merit_phi,
+    outer_reference,
 )
 from bira.diagnostics import audit, constants
 from bira.oracle import (
@@ -44,6 +45,7 @@ from bira.oracle import (
     make_p4,
     problem_by_name,
 )
+from bira import restoration
 from bira.restoration import resta
 from bira.solver import bira_run, restoration_failure, update_penalty
 from bira.trace import RunReport, read_vector, write_vector
@@ -145,9 +147,9 @@ def test_p1_converges_and_the_audit_agrees():
 
 @pytest.mark.parametrize("factory,ledger", [
     (make_p1, {"f_evals": 9, "gradf_evals": 4,
-               "h_evals": 22, "gradh_evals": 5}),
+               "h_evals": 17, "gradh_evals": 5}),
     (make_p2, {"f_evals": 19, "gradf_evals": 7,
-               "h_evals": 23, "gradh_evals": 8}),
+               "h_evals": 15, "gradh_evals": 8}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # restoration takes almost all h evaluations; at sigma_min = 1/64 a
@@ -155,7 +157,9 @@ def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # takes 1 z-step, and every call after the first keeps the Jacobian the
     # tangent phase measured, so grad h is evaluated once per iteration
     # plus once for the first call, and a tangent trial that fails its
-    # descent test is not measured for h.
+    # descent test is not measured for h.  A call measures h at its
+    # trials and at no other point: each first trial passes against the
+    # bound of the outer point's value, so the outer point is not measured.
     # The tangent search starts at a weight the previous step predicted
     # to pass, so every first trial is accepted: one f per iteration, plus
     # f at (x_k, y_R) and at (x_R, y_R), each where it moved, plus the
@@ -313,26 +317,30 @@ def test_a_fixed_coordinate_leaves_the_others_free():
     assert audit(rep, problem).ok
 
 
-def test_a_zero_z_step_is_a_stall():
+def test_a_zero_z_step_is_a_stall(monkeypatch):
     # p1 at exact precision a few ULPs off its solution: h is one rounding
-    # unit and no trial lowers it, so sigma doubles until the trial z-step
-    # rounds to nothing.  That zero step passes the ratio test and,
-    # repeated, would run toward the certified cap of trials; a
-    # cap of 1000 makes such a regression fail fast.  As a stall on a fresh
-    # J at the exact level it ends the call
+    # unit, within the rounding of J z, so the stall test fires before any
+    # trial.  Without that test no trial lowers h, and sigma doubles until
+    # the trial z-step rounds to nothing.  That zero step passes the ratio
+    # test and, repeated, would run toward the certified cap of trials; a
+    # cap of 1000 makes such a regression fail fast.  Either stall, on a
+    # fresh J at the exact level, ends the call
     problem = make_p1()
     x = problem.known_solution + np.array([-3, 4, 2, -6, -1]) * np.spacing(
         problem.known_solution)
     y = PrecisionLevel(0.0, 0.0)
     h = problem.eval_h(x, y)
     assert abs(h[0]) == 2.0**-53
-    out = resta(problem, x, y, AlgorithmParams(), h_xk_yk=h, inner_cap=1000)
-    assert out.status == "possible_infeasibility"
-    assert out.z_steps == 0
-    assert [j for j, _ in out.trials] == list(range(7))
+    for trials in ((), tuple(range(7))):
+        out = resta(problem, x, y, AlgorithmParams(), h_xk_yk=h,
+                    inner_cap=1000)
+        assert out.status == "possible_infeasibility"
+        assert out.z_steps == 0
+        assert tuple(j for j, _ in out.trials) == trials
+        assert out.x_R.tobytes() == x.tobytes()
+        assert out.h_xR_yR == abs(h[0])
+        monkeypatch.setattr(restoration, "_ROUNDING", 0.0)
     assert out.trials[-1][1].step_norm == 0.0
-    assert out.x_R.tobytes() == x.tobytes()
-    assert out.h_xR_yR == abs(h[0])
 
 
 def test_a_call_that_meets_the_tolerances_by_r_is_held():
@@ -610,7 +618,7 @@ def test_trace_round_trip_and_version_guard():
     assert back.ledger_totals == rep.ledger_totals
 
     for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
-                    16, 17, 18, 19, 20, 21, 22, 999):
+                    16, 17, 18, 19, 20, 21, 22, 23, 999):
         bad = json.loads(json.dumps(payload))
         bad["trace_version"] = version
         with pytest.raises(SchemaError):
@@ -746,8 +754,12 @@ def test_derived_record_fields_match_the_solver():
         assert rec.g_yk == max(rec.y_k.gf, rec.y_k.gh)
         assert rec.g_yR == rec.resta.y_R.g
         # deterministic oracles: re-measuring reproduces the solver's
-        # values, and the tangent phase measured at the restored precision
-        assert rec.h_xk_yR == float(np.linalg.norm(fresh.eval_h(rec.x_k, y_R)))
+        # values, and the tangent phase measured at the restored precision;
+        # h_xk_yR is the bound at y_R of h_xk_yk, below its measurement
+        assert rec.h_xk_yR == outer_reference(rec.h_xk_yk, rec.y_k, y_R,
+                                              fresh.extras()["beta"])
+        assert rec.h_xk_yR <= float(
+            np.linalg.norm(fresh.eval_h(rec.x_k, y_R)))
         if rec.stopped:
             assert rec.k == len(rep.records) - 1
             assert got.mu_k is rec.mu_k is None

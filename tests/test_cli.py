@@ -577,11 +577,16 @@ def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
                     trace["records"]["resta"].update(
                         trials=trace.pop("trials"))],
      "trace version 22 not supported"),
+    # a schema-v23 trace writes each call's h_xk_yR as a measurement, not
+    # as the bound of h_xk_yk the audit replays
+    (lambda trace: trace.update(trace_version=23),
+     "trace version 23 not supported"),
     (lambda trace: trace.clear(), "trace version None not supported"),
 ], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
         "version_9", "version_10", "version_11", "version_12",
         "version_13", "version_14", "version_15", "version_19",
-        "version_20", "version_21", "version_22", "empty_object"])
+        "version_20", "version_21", "version_22", "version_23",
+        "empty_object"])
 def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
                                                      message):
     trace = tmp_path / "t.json"
@@ -617,6 +622,21 @@ def test_audit_refuses_a_constants_basis_the_chain_cannot_take(
     assert main(["audit", str(trace)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+def test_audit_replays_h_xk_yR_at_the_default_beta_where_the_trace_has_none(
+        tmp_path, capsys, p1_trace):
+    # the bound of h_xk_yk at beta = 0 is h_xk_yk itself, above the
+    # recorded bound: a failing check, not a KeyError
+    payload = json.loads(p1_trace)
+    del payload["constants_basis"]["extras"]["beta"]
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["audit", str(trace)]) == 4
+    out, err = capsys.readouterr()
+    assert "restoration_tests           FAIL  (iteration 0: " in out
     assert "Traceback" not in err
 
 

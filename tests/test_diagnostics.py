@@ -562,6 +562,9 @@ TAMPERS = [
     # a call that claims to have contracted nothing
     ("restoration_tests", ("calls", 2, "h_xR_yR"),
      lambda t, tc: call_row(t, 2)["h_xk_yR"]),
+    # a reference a thousandth off the bound of h_xk_yk it replays
+    ("restoration_tests", ("calls", 2, "h_xk_yR"),
+     lambda t, tc: 1.001 * call_row(t, 2)["h_xk_yR"]),
     # an accepted tangent step ten times longer than its decrease allows
     ("tangent_search", ("records", 1, "tangent_cert", "step_norm"),
      lambda t, tc: 10.0 * record_row(t, 1)["tangent_cert"]["step_norm"]),
@@ -587,8 +590,17 @@ def test_every_check_has_a_tampering_case():
     assert {name for name, _, _ in TAMPERS} == set(CHECKS)
 
 
-@pytest.mark.parametrize("check,path,value", TAMPERS, ids=TAMPER_IDS)
-def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
+#: Each case audited given the problem, and, where its check does not need
+#: the problem, from the trace alone.
+TAMPER_RUNS = [pytest.param(*case, given, id=name + suffix)
+               for case, name in zip(TAMPERS, TAMPER_IDS)
+               for given, suffix in ((True, ""), (False, "-trace_alone"))
+               if given or case[0] not in GIVEN_PROBLEM]
+
+
+@pytest.mark.parametrize("check,path,value,given", TAMPER_RUNS)
+def test_audit_catches_one_tampered_value(suite_runs, check, path, value,
+                                          given):
     rep = suite_runs["p1"]
     assert audit(rep).ok
     d = _trace(rep)
@@ -604,7 +616,8 @@ def test_audit_catches_one_tampered_value(suite_runs, check, path, value):
         node[key] = new
     edit_packed(d, put)
     bad = RunReport.from_dict(d)
-    failed = {c.name: c.detail for c in audit(bad, p1).failures}
+    failed = {c.name: c.detail
+              for c in audit(bad, p1 if given else None).failures}
     assert check in failed
     # the failing row is the edited record's, a whole-run row, or the
     # edited field's

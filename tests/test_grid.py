@@ -188,7 +188,7 @@ FAILING = {
     ("r=0.7", "syn", "tight"): ["noise_within_budget"],
 }
 
-LEDGER_TOTALS = {"f_evals": 1057, "gradf_evals": 447, "h_evals": 4933,
+LEDGER_TOTALS = {"f_evals": 1057, "gradf_evals": 447, "h_evals": 4460,
                  "gradh_evals": 575}
 
 ROWS = [(label, *row) for label, rows in GRID.items() for row in rows]

@@ -17,6 +17,8 @@ from bira.core import (
     AlgorithmParams,
     BoxPolytope,
     PrecisionLevel,
+    outer_reference,
+    reference_norm,
     restoration_tests,
 )
 from bira.oracle import (
@@ -114,12 +116,14 @@ def test_p1_floor_of_one_eighth_takes_every_first_trial():
     steps = [cert.step_norm for _, cert in out.trials]
     np.testing.assert_allclose(np.array(steps[1:]) / np.array(steps[:-1]),
                                0.8, atol=1e-6)
-    assert out.ledger_delta["h_evals"] == 1 + out.inner_desc_tests
+    # one h per trial: every first trial passes against the bound of x_k's
+    # value at y_k, so x_k is not measured
+    assert out.ledger_delta["h_evals"] == out.inner_desc_tests
     assert out.ledger_delta["gradh_evals"] == 1
     rep = bira_run(p, params)
     assert rep.status == "Converged"
     assert rep.ledger_totals == {"f_evals": 10, "gradf_evals": 4,
-                                 "h_evals": 75, "gradh_evals": 5}
+                                 "h_evals": 70, "gradh_evals": 5}
 
 
 def test_a_z_step_on_p1s_row_contracts_by_a_third():
@@ -176,9 +180,12 @@ def test_every_first_trial_passes_on_a_linear_row(exponent):
 
 
 def test_a_wrong_handed_jacobian_costs_one_trial():
-    # the handed J counts as kept: its failed first trial takes a fresh J
-    # at the same z, and the doubling goes on there at 2 sigma_min, where
-    # the one z-step meets r
+    # the handed J counts as kept: its failed first trial, which failed
+    # against the bound of x_k's value at y_k, measures x_k and takes a
+    # fresh J at the same z, and the doubling goes on there at 2 sigma_min.
+    # On p1's row that z-step contracts by r itself, which misses r times
+    # h_ref, the bound, below the measured value by the allowance: one
+    # more z-step at sigma_min meets r
     p = make_p1()
     params = AlgorithmParams.defaults()
     h0 = p.eval_h(p.x0, p.y0)
@@ -187,10 +194,12 @@ def test_a_wrong_handed_jacobian_costs_one_trial():
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, jacobian=-J)
     assert out.status == "restored"
     assert out.refinements == 1
-    assert _doublings(out) == (0, 1)
-    assert out.inner_desc_tests == out.z_steps + 1 == 2
-    assert out.ledger_delta["gradh_evals"] == 1
-    assert out.ledger_delta["h_evals"] == plain.ledger_delta["h_evals"] + 1
+    assert _doublings(out) == (0, 1, 0)
+    assert out.inner_desc_tests == out.z_steps + 1 == 3
+    # the z-step that took two trials refreshes J at the next z
+    assert out.ledger_delta["gradh_evals"] == 2
+    # the two trials more, and x_k
+    assert out.ledger_delta["h_evals"] == plain.ledger_delta["h_evals"] + 3
 
 
 def test_a_handed_zero_jacobian_is_not_a_stall():
@@ -368,9 +377,10 @@ def test_a_refine_that_ignores_its_targets_hits_the_refinement_cap():
 GOAL = (1e-6, 1e-6)
 
 
-def test_a_finishing_call_measures_h_xk_at_the_returned_precision():
+def test_a_finishing_call_bounds_h_xk_at_the_returned_precision():
     # past r the call refines in stages of r**2 until it meets the goal;
-    # the violation at x_k is measured once more, at the final precision
+    # the violation at x_k is not measured: h_xk_yR is the bound at y_R of
+    # its value at y_k, below the value measured there
     p = make_p1()
     params = AlgorithmParams.defaults()
     h0 = p.eval_h(p.x0, p.y0)
@@ -379,12 +389,13 @@ def test_a_finishing_call_measures_h_xk_at_the_returned_precision():
     assert out.refinements == 1 and out.stages > 0
     assert out.y_R == PrecisionLevel(*[0.25 * 0.5 * 0.25**out.stages] * 2)
     assert out.h_xR_yR <= GOAL[0] and out.y_R.g <= GOAL[1]
-    level = PrecisionLevel(0.125, 0.125)  # the first level's precision
-    assert out.h_xk_yR == float(np.linalg.norm(p.eval_h(p.x0, out.y_R)))
-    assert out.h_xk_yR != float(np.linalg.norm(p.eval_h(p.x0, level)))
-    # h at x_k at the first level and at the end and one per trial; a
-    # stage measures nothing, and the last trial measured z at y_R
-    assert out.ledger_delta["h_evals"] == 2 + out.inner_desc_tests
+    beta = p.extras()["beta"]
+    assert out.h_xk_yR == reference_norm(float(np.linalg.norm(h0)), p.y0,
+                                         out.y_R, beta)
+    assert 0.0 < out.h_xk_yR < float(np.linalg.norm(p.eval_h(p.x0, out.y_R)))
+    # one h per trial: a stage measures nothing, and the last trial
+    # measured z at y_R
+    assert out.ledger_delta["h_evals"] == out.inner_desc_tests
     assert out.ledger_delta["gradh_evals"] == 1
 
 
@@ -404,18 +415,14 @@ def _log_h(monkeypatch, problem):
     return log, real
 
 
-def _assert_measured_once(x_k, out, calls, eval_h):
-    # a point is measured a second time only where it is x_k at a new
-    # level (a level start or the return), or where it is measured again
-    # at y_R with nothing but x_k at y_R after it, just before the return
-    x_k = np.asarray(x_k, dtype=float).tobytes()
+def _assert_measured_once(out, calls, eval_h):
+    # a point is measured a second time only where it is x_R measured
+    # again at y_R, the call's last measurement, just before the return
     assert len(set(calls)) == len(calls)
     seen = set()
     for i, (x, y) in enumerate(calls):
         if x in seen:
-            on_return = y == out.y_R and all(
-                later == (x_k, out.y_R) for later in calls[i + 1:])
-            assert x == x_k or on_return, (i, y)
+            assert (x, y, i) == (out.x_R.tobytes(), out.y_R, len(calls) - 1)
         seen.add(x)
     # every returned violation was measured at y_R
     assert out.h_xR_yR == float(np.linalg.norm(eval_h(out.x_R, out.y_R)))
@@ -426,7 +433,8 @@ def _assert_measured_once(x_k, out, calls, eval_h):
 def test_a_call_measures_each_point_once(monkeypatch, factory):
     # a stage refines w and measures nothing: the trial after it tests
     # against the value of the coarser level, less the error allowance,
-    # and a value of a coarser level is measured again only on its way out
+    # and a value of a coarser level is measured again only on its way out.
+    # x_k is measured only where a trial, a stall or an exit decides on it
     problem = factory()
     log, eval_h = _log_h(monkeypatch, problem)
     real_resta = solver.resta
@@ -443,15 +451,15 @@ def test_a_call_measures_each_point_once(monkeypatch, factory):
     rep = bira_run(problem)
     assert rep.status == "Converged"
     assert sum(out.stages for _, out, _ in calls) > 0
-    for x_k, out, measured in calls:
-        _assert_measured_once(x_k, out, measured, eval_h)
+    for _, out, measured in calls:
+        _assert_measured_once(out, measured, eval_h)
 
 
 def test_a_stale_violation_is_measured_again_on_return(monkeypatch):
     # one z-step from near the solution meets eps_feas; the call then
     # stages until g meets eps_prec, and the violation it holds is of the
-    # level before those stages: it measures z at y_R before it returns,
-    # then x_k at y_R for h_xk_yR
+    # level before those stages: it measures z at y_R before it returns.
+    # x_k is never measured: its trial passed against the bound
     p = make_p1()
     params = AlgorithmParams.defaults()
     x = p.known_solution + 1e-6
@@ -461,10 +469,10 @@ def test_a_stale_violation_is_measured_again_on_return(monkeypatch):
     out = resta(p, x, p.y0, params, h_xk_yk=h0, goal=GOAL)
     assert (out.status, out.z_steps, out.stages) == ("restored", 1, 9)
     assert out.h_xR_yR <= GOAL[0] and out.y_R.g <= GOAL[1]
-    x_R, x_k = out.x_R.tobytes(), x.tobytes()
+    x_R = out.x_R.tobytes()
     assert [(pt, y == out.y_R) for pt, y in log[0]] == [
-        (x_k, False), (x_R, False), (x_R, True), (x_k, True)]
-    _assert_measured_once(x, out, log[0], eval_h)
+        (x_R, False), (x_R, True)]
+    _assert_measured_once(out, log[0], eval_h)
 
 
 class _BiasedRow(SyntheticProblem):
@@ -513,6 +521,41 @@ def test_a_stale_violation_that_cannot_decide_is_measured(x0, stages,
     assert out.h_xR_yR == float(np.linalg.norm(p.eval_h(out.x_R, out.y_R)))
 
 
+def test_a_violation_at_the_rounding_level_is_a_stall(monkeypatch):
+    # from x_k = (1.00001, 0) at g = 0.1 the row reads h_xk_yk = 9e-5, less
+    # than the allowance (beta / 2) (0.1 + 0.01) of the level the
+    # contraction 0.1 refines to: the bound is 0, so the level measures x_k
+    # at w, and reads 6.6e-17, the rounding of 1.00001 - 1 less the bias.
+    # No trial can lower a violation within the rounding of J z: the stall
+    # test takes it, and the level refines, where sigma once doubled to
+    # the runaway.  At g_h = 1e-3 x_k reads 9e-6, and one z-step restores
+    # it; the outer test then ends the run on the precision it took
+    p = make_biased_row((1.00001, 0.0))
+    y_k = PrecisionLevel(0.1, 0.1)
+    h0 = p.eval_h(p.x0, y_k)
+    log, eval_h = _log_h(monkeypatch, p)
+    log[0] = []
+    params = AlgorithmParams.defaults()
+    out = resta(p, p.x0, y_k, params, h_xk_yk=h0, contraction=0.1)
+    assert (out.status, out.refinements, out.z_steps) == ("restored", 2, 1)
+    assert _doublings(out) == (0,)
+    assert out.ledger_delta["gradh_evals"] == 2
+    # x_k at each level, then the trial
+    x_k, first = p.x0.tobytes(), log[0][0][1]
+    assert [(pt, y) for pt, y in log[0]] == [
+        (x_k, first), (x_k, out.y_R), (out.x_R.tobytes(), out.y_R)]
+    assert first.g == pytest.approx(0.01) and out.y_R.gh == pytest.approx(
+        1e-3)
+    assert float(np.linalg.norm(eval_h(p.x0, first))) < 1e-16
+    # no bound at y_R: h_xk_yR is x_k measured there
+    assert outer_reference(float(np.linalg.norm(h0)), y_k, out.y_R,
+                           _BiasedRow.BETA) is None
+    assert out.h_xk_yR == float(np.linalg.norm(eval_h(p.x0, out.y_R)))
+    assert restoration_failure(out.status, out.h_xk_yR, out.h_xR_yR, y_k.g,
+                               out.y_R.g, params.r) == (
+        "precision_outpaced_feasibility")
+
+
 def test_a_call_without_a_goal_ends_on_a_measured_violation(monkeypatch):
     # from x_1 = 1.001 at g = 1e-3 the one z-step lands below the floor
     # the next call's test needs, so the call stages three times on the
@@ -527,10 +570,10 @@ def test_a_call_without_a_goal_ends_on_a_measured_violation(monkeypatch):
     params = AlgorithmParams.defaults()
     out = resta(p, p.x0, y_k, params, h_xk_yk=h0)
     assert (out.status, out.stages, out.z_steps) == ("restored", 3, 1)
-    x_R, x_k = out.x_R.tobytes(), p.x0.tobytes()
+    x_R = out.x_R.tobytes()
     assert [(pt, y == out.y_R) for pt, y in log[0]] == [
-        (x_k, False), (x_R, False), (x_R, True), (x_k, True)]
-    _assert_measured_once(p.x0, out, log[0], eval_h)
+        (x_R, False), (x_R, True)]
+    _assert_measured_once(out, log[0], eval_h)
     for _, lhs, rhs in restoration_tests(out.h_xk_yR, out.h_xR_yR, y_k.g,
                                          out.y_R.g, params.r):
         assert lhs <= rhs
@@ -692,7 +735,7 @@ def test_a_face_without_descent_is_left_at_no_cost():
     assert out.ledger_delta["gradh_evals"] == 1
     rep = bira_run(make_face_row((1.0, 1.0, 0.0)), params)
     assert (rep.status, rep.iterations, _ledger(rep)) == (
-        "Converged", 4, (9, 4, 15, 5))
+        "Converged", 4, (9, 4, 9, 5))
 
 
 def test_a_slow_face_is_left_when_it_stalls():
@@ -700,11 +743,11 @@ def test_a_slow_face_is_left_when_it_stalls():
     # box's.  The face's z-steps drive x_3 to its bound 5 before the face
     # stalls, far from the solution (1.98, 1, 0.198): the run pays 1 more
     # h evaluation and one more Jacobian than restoring on the whole box
-    # (9, 4, 15, 5), though the tangent steps, each at the minimizer
+    # (9, 4, 9, 5), though the tangent steps, each at the minimizer
     # along it, keep its 4 records
     rep = bira_run(make_face_row((1.0, 1.0, 0.1)), AlgorithmParams.defaults())
     assert (rep.status, rep.iterations, _ledger(rep)) == (
-        "Converged", 4, (9, 4, 16, 6))
+        "Converged", 4, (9, 4, 10, 6))
 
 
 def test_a_call_that_restores_on_the_face_keeps_its_held_coordinates():
@@ -725,7 +768,7 @@ def test_a_held_bound_off_the_solution_costs_a_record():
     # the same row: x_1 = 0 is held but not active at the solution (1, 1,
     # 1), so the first restored point moves x_3 alone, to 11/6, past the
     # solution.  At alpha = 0.1 the tangent steps then take one record
-    # more than restoring on the whole box (9 records, 17/9/19/10); at the
+    # more than restoring on the whole box (9 records); at the
     # default alpha each step ends at the minimizer along it, and both
     # runs take 4 records.  From record 4 on each call starts within r of
     # both tolerances and is held; without the hold each must still
@@ -733,7 +776,7 @@ def test_a_held_bound_off_the_solution_costs_a_record():
     params = AlgorithmParams(alpha=0.1)
     rep = bira_run(make_face_row((1.0, 1.0, 1.0), params), params)
     assert (rep.status, rep.iterations, _ledger(rep)) == (
-        "Converged", 10, (18, 10, 20, 11))
+        "Converged", 10, (18, 10, 15, 11))
 
 
 def test_an_infeasible_row_on_a_held_bound_ends_on_the_box():
