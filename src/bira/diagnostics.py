@@ -553,7 +553,8 @@ def _refinement_rows(calls, r):
     on a call with a goal or without one.  The replay stops at the call's
     stage cap, which a claim of more stages fails in
     ``restoration_inner_caps``.  A held call has no level and no stage,
-    and returns its input precision exactly."""
+    and returns its input precision exactly; any other call counts its
+    first level before it refines, so it has at least one."""
     for k, _, y_k, _, out, rho, stage_cap, kept in calls:
         if kept:
             yield _exact(k, out.refinements + out.stages, 0)
@@ -565,6 +566,8 @@ def _refinement_rows(calls, r):
         yield _exact(k, out.y_R.gf, bound_f)
         yield _exact(k, out.y_R.gh, bound_h)
         yield _exact(k, bound_f, out.y_R.gf)
+        if not kept:
+            yield _exact(k, 1, out.refinements)
 
 
 def _restoration_test_rows(report, calls, beta):
@@ -723,22 +726,23 @@ def _ledger_total_rows(report):
 def _stopping_rows(report):
     """Replay the stopping test of ``bira_run`` against the status.
 
-    A converged run meets the test at its last record and nowhere before,
-    and a run out of budget wrote ``budget`` records; neither it nor a
-    restoration failure, whose failing call is the iteration after its
-    last record, meets the test at any record.  A record that must meet
-    it is the row (largest ratio of a stopping measure to its tolerance,
-    1); one that must not is the lower bound (1, that ratio).  The verdict
-    is the solver's own comparison, :func:`~bira.core.stopping_test`.
+    Every run spent at most ``budget`` iterations: its records, and the
+    failing call of a restoration failure, which is the iteration after
+    its last record.  A converged run meets the test at its last record
+    and nowhere before, and a run out of budget wrote ``budget`` records;
+    neither it nor a restoration failure meets the test at any record.  A
+    record that must meet it is the row (largest ratio of a stopping
+    measure to its tolerance, 1); one that must not is the lower bound (1,
+    that ratio).  The verdict is the solver's own comparison,
+    :func:`~bira.core.stopping_test`.
     """
     tol = report.tolerances
     recs = report.records
     n = len(recs)
+    yield _exact(None, n + (report.failure_info is not None), report.budget)
     if report.status == "Converged":
         yield _exact(None, 1, n)
     elif report.status == "BudgetExceeded":
-        # equal: neither side exceeds the other
-        yield _exact(None, n, report.budget)
         yield _exact(None, report.budget, n)
     for i, rec in enumerate(recs):
         met = stopping_test(rec.h_xR_yR, rec.g_yR, rec.stationarity_residual,

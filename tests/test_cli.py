@@ -1,21 +1,19 @@
 import concurrent.futures
 import csv
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from conftest import edit_packed, record_row
+from conftest import edit_packed
 
 import bira.cli
 import bira.oracle
 import bira.solver
 from bira.cli import CSV_HEADER, main
 from bira.core import RUN_STATUSES, AbnormalTermination, InvariantError
-from bira.trace import read_vector, write_vector
 
 #: Golden outputs: the default ``complexity`` CSV and the ``suite`` stdout.
 DATA = Path(__file__).resolve().parent / "data"
@@ -188,9 +186,14 @@ def test_unknown_problem_is_a_usage_error(capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_audit_accepts_an_untouched_trace(tmp_path, capsys):
+@pytest.mark.parametrize("cfg", [{}, {"sigma_min": 0.0625, "M": 16}],
+                         ids=["defaults", "former_restoration_defaults"])
+def test_audit_accepts_an_untouched_trace(tmp_path, capsys, cfg):
     trace = tmp_path / "t.json"
-    main(["run", "--problem", "p1", "--out", str(trace)])
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["run", "--problem", "p1", "--config", str(config),
+                 "--out", str(trace)]) == 0
     capsys.readouterr()
     assert main(["audit", str(trace)]) == 0
     assert "audit: ok" in capsys.readouterr().out
@@ -248,355 +251,11 @@ def test_audit_of_a_huge_stage_count_ends(tmp_path):
     assert "restoration_inner_caps      FAIL  (iteration 3: " in got.stdout
 
 
-@pytest.mark.parametrize("edit", [
-    lambda trace: trace["records"].update(g_yk=[0.0]),
-    lambda trace: trace["records"].pop("f_xR_yR"),
-    lambda trace: trace.pop("status"),
-    lambda trace: trace["calls"].pop("z_steps"),
-    lambda trace: trace["constants_basis"].update(
-        kappas={"kappa": 1e3, "kappa_T": 1e9}),
-    lambda trace: trace["constants_basis"]["problem_constants"].pop("L_f"),
-    lambda trace: trace["constants_basis"]["problem_constants"].update(
-        L_g=1.0),
-    lambda trace: trace["params"].update(bogus=1.0),
-    lambda trace: trace["constants_basis"]["problem_constants"].update(
-        L_f="abc"),
-    # record 0's x_k and h_xk_yk are written once, in the start block
-    lambda trace: trace["start"].update(x="abc"),
-    lambda trace: trace["start"].update(h="abc"),
-    lambda trace: trace.update(records=3),
-    lambda trace: trace["records"].update(f_xR_yR=0.5),
-    lambda trace: trace["ledger_totals"].pop("h_evals"),
-    lambda trace: trace["start"].pop("f"),
-    lambda trace: trace.update(status="Bogus"),
-    lambda trace: trace.update(status="RestorationFailure"),
-    # p4 converges, so its calls table holds no failing call
-    lambda trace: trace.update(
-        failure_info={"kind": "insufficient_contraction"}),
-    lambda trace: trace.update(status="RestorationFailure",
-                               failure_info={"kind": 7}),
-    lambda trace: trace["tolerances"].update(eps_opt=0.0),
-    lambda trace: trace["tolerances"].update(eps_opt=float("inf")),
-    lambda trace: trace["tolerances"].pop("eps_feas"),
-    # every recorded call is restored, so the records write no status
-    lambda trace: trace["calls"].update(status=["pdp"]),
-    lambda trace: trace["calls"].update(status=["bogus"]),
-    lambda trace: trace["calls"].update(status=["possible_infeasibility"]),
-], ids=["unknown_field", "missing_field", "missing_status",
-        "resta_missing_z_steps", "basis_with_kappas",
-        "constants_missing_L_f", "constants_unknown_field",
-        "params_unknown_field", "constants_L_f_is_a_string",
-        "x_k_is_a_string", "h_xk_yk_is_a_string", "records_is_a_number",
-        "column_is_a_number",
-        "ledger_totals_missing_h_evals", "start_missing_f", "unknown_status",
-        "failure_without_info", "info_without_failure",
-        "unknown_failure_kind", "zero_tolerance", "infinite_tolerance",
-        "tolerances_missing_eps_feas",
-        "resta_status_pdp", "unknown_resta_status",
-        "record_resta_possible_infeasibility"])
-def test_audit_rejects_records_off_the_schema(tmp_path, capsys, edit):
-    trace = tmp_path / "t.json"
-    main(["run", "--problem", "p4", "--out", str(trace)])
-    payload = json.loads(trace.read_text())
-    edit(payload)
-    trace.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["audit", str(trace)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-
-
 @pytest.fixture(scope="module")
 def p1_trace(tmp_path_factory):
     trace = tmp_path_factory.mktemp("p1") / "t.json"
     assert main(["run", "--problem", "p1", "--out", str(trace)]) == 0
     return trace.read_text()
-
-
-def _set(table, k, value):
-    """Set entry ``k`` of every column of a written table to ``value``; a
-    packed column has no entry to index, so it is replaced by ``value``."""
-    for name, column in table.items():
-        if isinstance(column, dict):
-            _set(column, k, value)
-        elif isinstance(column, str):
-            table[name] = value
-        else:
-            column[k] = value
-
-
-def _resta(trace, k, **values):
-    """Set record ``k``'s restoration outcome fields to ``values``."""
-    for name, value in values.items():
-        trace["calls"][name][k] = value
-
-
-def _first(point):
-    """The written point ``point`` cut to its first coordinate."""
-    return write_vector(read_vector(point, "point")[:1])
-
-
-def _add_column(table, name, value):
-    """Add a column ``name`` holding ``value`` in every entry."""
-    table[name] = [value] * len(next(iter(table.values())))
-
-
-def _add_packed(table, name):
-    """Add a packed column ``name`` of the length of the table's packed
-    ``step_norm``."""
-    table[name] = table["step_norm"]
-
-
-@pytest.mark.parametrize("edit", [
-    lambda trace: _set(trace["records"], 1, 5),
-    lambda trace: trace["records"]["tangent_cert"].pop("step_norm"),
-    # y_R's packed columns are its components, so a third is a column
-    lambda trace: trace["calls"]["y_R"].update(
-        g=trace["calls"]["y_R"]["gh"]),
-    lambda trace: trace["start"].update(y=[0.5]),
-    # a one-entry point broadcasts against every other point of the run
-    lambda trace: _resta(trace, 1, x_R=_first(trace["calls"]["x_R"][1])),
-    lambda trace: trace["start"].update(x=_first(trace["start"]["x"])),
-    lambda trace: trace.update(budget=-1),
-    lambda trace: trace.update(budget=2.5),
-    # a packed float column is one string
-    lambda trace: trace["records"].update(f_xR_yR=True),
-    # the tangent weight follows from ell_count, so schema v14's column is
-    # not written
-    lambda trace: trace["records"].update(mu_k=True),
-    # a count stays a JSON number, and JSON true is not one
-    lambda trace: trace["records"]["ell_count"].__setitem__(1, True),
-    # an int field of the schema is a count
-    lambda trace: trace["records"]["ell_count"].__setitem__(1, 1.5),
-    lambda trace: _resta(trace, 1, refinements=-1),
-    lambda trace: trace["records"]["ledger_delta"]["h_evals"].__setitem__(
-        1, 2.0),
-    # the per-trial records and the derived certificate fields of schema
-    # v9 and before, and the status of schema v14 and before
-    lambda trace: _add_column(trace["calls"], "status", "trivial"),
-    lambda trace: _add_column(trace["calls"], "inner_desc_tests", 0),
-    lambda trace: _add_column(trace["calls"], "sigma_history", [0.25]),
-    lambda trace: _add_column(trace["calls"], "certificates", {}),
-    lambda trace: _add_packed(trace["trials"], "kappa_ratio"),
-    # the Cauchy ratio of schema v20 and before: an exact solve meets it
-    # by construction, so no trace writes it
-    lambda trace: _add_packed(trace["trials"], "kappa_phi_ratio"),
-    lambda trace: _add_packed(trace["records"]["tangent_cert"], "kappa_ratio"),
-    lambda trace: _add_packed(trace["records"]["tangent_cert"],
-                              "tangent_violation"),
-    # one trial's doubling count dropped
-    lambda trace: trace["trials"]["doublings"].pop(),
-    lambda trace: trace["start"].update(y=[-0.5, 0.5]),
-    lambda trace: edit_packed(
-        trace, lambda t: t["calls"]["y_R"]["gh"].__setitem__(1, math.nan)),
-    # a packed column holds float64 bytes, so text stands for the column
-    lambda trace: trace["records"]["tangent_cert"].update(step_norm="0.5"),
-    lambda trace: edit_packed(
-        trace, lambda t: t["records"]["tangent_cert"]["step_norm"].__setitem__(
-            1, math.nan)),
-], ids=["record_is_a_number", "tangent_cert_missing_step_norm",
-        "y_R_of_three_entries", "start_y_of_one_entry", "x_R_of_one_entry",
-        "start_x_of_one_entry", "negative_budget",
-        "fractional_budget", "f_xR_yR_is_a_bool", "mu_k_is_a_bool",
-        "ell_count_is_a_bool",
-        "fractional_ell_count",
-        "negative_refinements", "fractional_ledger_count",
-        "resta_status_trivial", "resta_with_inner_desc_tests",
-        "resta_with_sigma_history", "resta_with_certificates",
-        "trials_with_kappa_ratio", "trials_with_kappa_phi_ratio",
-        "tangent_cert_with_kappa_ratio",
-        "tangent_cert_with_tangent_violation",
-        "trials_missing_a_doubling_count",
-        "negative_start_y", "y_R_is_nan", "tangent_cert_step_norm_is_text",
-        "tangent_cert_step_norm_is_nan"])
-def test_audit_rejects_a_malformed_trace(tmp_path, capsys, p1_trace, edit,
-                                         request):
-    payload = json.loads(p1_trace)
-    edit(payload)
-    trace = tmp_path / "t.json"
-    trace.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["audit", str(trace)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    # a bad value inside a record's nested parts names the record, and a
-    # packed column, which holds every record's values, names its table
-    prefix = {
-        "negative_refinements": "error: iteration record 1: ",
-        "fractional_ledger_count": "error: iteration record 1: ",
-        "tangent_cert_step_norm_is_text":
-            "error: records tangent_cert column 'step_norm' ",
-        "tangent_cert_step_norm_is_nan":
-            "error: iteration record 1: tangent_cert field 'step_norm' ",
-        "y_R_of_three_entries":
-            "error: calls y_R table fields differ from the schema",
-        "ell_count_is_a_bool": "error: iteration record 1 field 'ell_count' ",
-        "f_xR_yR_is_a_bool": "error: records column 'f_xR_yR' must be a"
-            " base64 string of float64 bytes, got bool",
-        "mu_k_is_a_bool": "error: records table fields differ from the"
-            " schema: missing [], unknown ['mu_k']",
-        "y_R_is_nan":
-            "error: iteration record 1: y_R field 'gh' must not be nan\n",
-        "trials_with_kappa_phi_ratio":
-            "error: trials table fields differ from the schema: missing [],"
-            " unknown ['kappa_phi_ratio']\n",
-        "trials_missing_a_doubling_count":
-            "error: trials table columns differ in length: ",
-    }.get(request.node.callspec.id, "error:")
-    assert err.startswith(prefix), err
-
-
-@pytest.mark.parametrize("edit,table", [
-    (lambda trace: edit_packed(trace,
-                               lambda t: t["records"]["f_xR_yR"].pop()),
-     "records"),
-    (lambda trace: edit_packed(
-        trace, lambda t: t["records"]["f_xk_yR"].append(0.5)),
-     "records"),
-    (lambda trace: trace["calls"]["z_steps"].pop(), "calls"),
-    (lambda trace: edit_packed(
-        trace,
-        lambda t: t["records"]["tangent_cert"]["step_norm"].append(0.0)),
-     "records tangent_cert"),
-    (lambda trace: trace["records"]["ledger_delta"]["h_evals"].pop(),
-     "records ledger_delta"),
-    (lambda trace: trace["calls"]["ledger_delta"]["f_evals"].append(0),
-     "calls ledger_delta"),
-    # the trials of every call are one table, packed over all of them
-    (lambda trace: edit_packed(
-        trace, lambda t: t["trials"]["step_norm"].append(0.0)),
-     "trials"),
-], ids=["records_short", "records_long", "resta_short", "tangent_cert_long",
-        "ledger_delta_short", "resta_ledger_delta_long", "trials_long"])
-def test_audit_rejects_columns_of_unequal_length(tmp_path, capsys, p1_trace,
-                                                 edit, table):
-    payload = json.loads(p1_trace)
-    edit(payload)
-    trace = tmp_path / "t.json"
-    trace.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["audit", str(trace)]) == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: {table} table columns differ in length: ")
-
-
-def test_audit_rejects_a_k_column(tmp_path, capsys, p1_trace):
-    # a record's k is its position in the table, so k is not written
-    payload = json.loads(p1_trace)
-    payload["records"]["k"] = list(range(len(
-        payload["records"]["ell_count"])))
-    trace = tmp_path / "t.json"
-    trace.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["audit", str(trace)]) == 1
-    assert capsys.readouterr().err == (
-        "error: records table fields differ from the schema: missing [],"
-        " unknown ['k']\n")
-
-
-def test_audit_rejects_a_trace_that_is_not_an_object(tmp_path, capsys):
-    trace = tmp_path / "t.json"
-    main(["run", "--problem", "p4", "--out", str(trace)])
-    trace.write_text(json.dumps([json.loads(trace.read_text())]))
-    capsys.readouterr()
-    assert main(["audit", str(trace)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-
-
-@pytest.mark.parametrize("edit,message", [
-    # a schema-v3 trace still carries the dropped curvature_mode field
-    (lambda trace: trace.update(trace_version=3, curvature_mode="zero"),
-     "trace version 3 not supported"),
-    # a schema-v4 trace still writes the chain fields and the final point
-    (lambda trace: trace.update(trace_version=4, final_x=[0.0, 0.0]),
-     "trace version 4 not supported"),
-    # a schema-v5 trace still writes each record's y_next
-    (lambda trace: [trace.update(trace_version=5),
-                    trace["records"].update(y_next=[[0.0, 0.0]])],
-     "trace version 5 not supported"),
-    # a schema-v7 trace still writes the two constants of the analysis
-    (lambda trace: [trace.update(trace_version=7),
-                    trace["params"].update(sigma_max=40.0, beta_c=1.0)],
-     "trace version 7 not supported"),
-    # a schema-v8 trace writes no stage count in its restoration outcomes
-    (lambda trace: [trace.update(trace_version=8),
-                    trace["calls"].pop("stages")],
-     "trace version 8 not supported"),
-    # a schema-v9 trace writes three per-trial records, not one table
-    (lambda trace: [trace.update(trace_version=9),
-                    trace["calls"].update(
-                        inner_desc_tests=[0], sigma_history=[[]],
-                        certificates=[{}])],
-     "trace version 9 not supported"),
-    # a schema-v10 trace writes one object per record, labelled k
-    (lambda trace: trace.update(trace_version=10, records=[
-        {"k": 0, **record_row(trace, 0)}]),
-     "trace version 10 not supported"),
-    # a schema-v11 trace writes each point as a list of numbers
-    (lambda trace: trace.update(trace_version=11, start={
-        **trace["start"], "x": read_vector(trace["start"]["x"], "x").tolist()}),
-     "trace version 11 not supported"),
-    # a schema-v12 trace writes each certificate column as a list of numbers
-    (lambda trace: [trace.update(trace_version=12),
-                    trace["records"]["tangent_cert"].update(step_norm=[0.0])],
-     "trace version 12 not supported"),
-    # a schema-v13 trace writes each record scalar as a JSON number
-    (lambda trace: [trace.update(trace_version=13),
-                    trace["records"].update(mu_k=[0.5])],
-     "trace version 13 not supported"),
-    # a schema-v14 trace writes each record's tangent weight and oracle
-    # errors, and each recorded call's status
-    (lambda trace: [trace.update(trace_version=14),
-                    trace["records"].update(mu_k=write_vector([0.5])),
-                    trace["calls"].update(status=["restored"])],
-     "trace version 14 not supported"),
-    # a schema-v15 trace writes the same fields, but its tangent weights
-    # replay by the halving rule, not the one each step predicts
-    (lambda trace: trace.update(trace_version=15),
-     "trace version 15 not supported"),
-    # a schema-v19 trace writes the restoration's descent constant alpha_R
-    # in its params
-    (lambda trace: [trace.update(trace_version=19),
-                    trace["params"].update(alpha_R=0.0078125)],
-     "trace version 19 not supported"),
-    # a schema-v20 trace writes each trial's Cauchy ratio
-    (lambda trace: [trace.update(trace_version=20),
-                    _add_packed(trace["trials"], "kappa_phi_ratio"),
-                    _add_packed(trace["records"]["tangent_cert"],
-                                "kappa_phi_ratio")],
-     "trace version 20 not supported"),
-    # a schema-v21 trace writes the tangent weights' range and start and the
-    # first penalty weight in its params
-    (lambda trace: [trace.update(trace_version=21),
-                    trace["params"].update(mu_min=1e-3, mu_max=1e3,
-                                           mu_init=1.0, theta_0=0.5)],
-     "trace version 21 not supported"),
-    # a schema-v22 trace nests each record's call, and the call's trials
-    # with their weights, in the records table
-    (lambda trace: [trace.update(trace_version=22),
-                    trace["records"].update(resta=trace.pop("calls")),
-                    trace["records"]["resta"].update(
-                        trials=trace.pop("trials"))],
-     "trace version 22 not supported"),
-    # a schema-v23 trace writes each call's h_xk_yR as a measurement, not
-    # as the bound of h_xk_yk the audit replays
-    (lambda trace: trace.update(trace_version=23),
-     "trace version 23 not supported"),
-    (lambda trace: trace.clear(), "trace version None not supported"),
-], ids=["version_3", "version_4", "version_5", "version_7", "version_8",
-        "version_9", "version_10", "version_11", "version_12",
-        "version_13", "version_14", "version_15", "version_19",
-        "version_20", "version_21", "version_22", "version_23",
-        "empty_object"])
-def test_audit_checks_the_version_before_the_fields(tmp_path, capsys, edit,
-                                                     message):
-    trace = tmp_path / "t.json"
-    main(["run", "--problem", "p4", "--out", str(trace)])
-    payload = json.loads(trace.read_text())
-    edit(payload)
-    trace.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["audit", str(trace)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("part,name,value,message", [

@@ -720,8 +720,10 @@ def test_the_stopping_test_agrees_with_every_status(run):
      "iteration 2"),
     (lambda d: d.update(_cut(d, 0)),
      "whole run"),
+    # four records cannot fit a budget of three iterations
+    (lambda d: d.update(budget=3), "whole run"),
 ], ids=["eps_opt", "budget_exceeded_at_its_budget", "record_after_stopping",
-        "converged_without_records"])
+        "converged_without_records", "budget_below_its_records"])
 def test_the_status_is_replayed(suite_runs, edit, where):
     d = _trace(suite_runs["p1"])
     assert len(d["records"]["ell_count"]) == 4
@@ -732,26 +734,13 @@ def test_the_status_is_replayed(suite_runs, edit, where):
 
 @pytest.mark.parametrize("edit", [
     lambda rep: vars(rep).update(status="BudgetExceeded", failure_info=None),
-], ids=["relabelled_budget_exceeded"])
+    # at budget 0 the run makes no call, so its failing call cannot be
+    lambda rep: vars(rep).update(budget=0),
+], ids=["relabelled_budget_exceeded", "failing_call_past_the_budget"])
 def test_a_relabelled_restoration_failure_is_caught(suite_runs, edit):
     rep = RunReport.from_dict(_trace(suite_runs["p3"]))
     edit(rep)
     assert "stopping_test" in [c.name for c in audit(rep).failures]
-
-
-def test_a_restored_call_relabelled_trivial_is_caught():
-    # a call with nothing to restore is a restored call like any other, so
-    # trivial is neither a status nor a failure kind: the relabelled trace
-    # is refused at load.  No call writes its status, so the one relabelled
-    # is the failure of p2 at r = 0.2, whose call restored but outpaced its
-    # feasibility gain
-    params = AlgorithmParams.from_dict({
-        **AlgorithmParams.defaults().to_dict(), "r": 0.2})
-    d = _trace(bira_run(problem_by_name("p2", params), params))
-    assert d["failure_info"]["kind"] == "precision_outpaced_feasibility"
-    d["failure_info"]["kind"] = "trivial"
-    with pytest.raises(SchemaError, match="unknown failure kind 'trivial'"):
-        RunReport.from_dict(d)
 
 
 def test_a_stage_dropped_from_a_call_without_a_goal_is_caught():
