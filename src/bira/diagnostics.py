@@ -109,13 +109,21 @@ class TheoreticalConstants:
     #: through (projected gradient above ``r_feas h_ref``) is longer than
     #: ``r_feas h_ref / restoration_grad_bound``, so it lowers half the
     #: squared violation by more than ``alpha_R`` times that squared, and
-    #: a level ends by ``r**2 h_ref``.  A stage level, the z-steps from one
-    #: stage to the next, is counted with its own violation in place of
-    #: ``h_ref``: past r the stall test compares with
-    #: ``r_feas ||h(z)||``, so every z-step lowers ``||h||**2`` by at least
-    #: the fraction ``2 alpha_R r_feas**2 / restoration_grad_bound**2`` of
-    #: itself, and this many z-steps take ``||h||`` down by at least the
-    #: factor ``exp(-(1 - r**4) / 2)``.  A level that starts on the face
+    #: a level ends by ``r**2 h_ref``.  Past r a finishing call takes its
+    #: z-steps at one level until a stage, and those are counted with their
+    #: own violation in place of ``h_ref``: past r the stall test compares
+    #: with ``r_feas ||h(z)||``, so every z-step lowers ``||h||**2`` by at
+    #: least the fraction ``2 alpha_R r_feas**2 /
+    #: restoration_grad_bound**2`` of itself, and each run of this many
+    #: z-steps takes ``||h||`` down by at least the factor ``exp(-(1 -
+    #: r**4) / 2)``.  Such a call stages only once the goal is met, is
+    #: predicted to be met by the next z-step or the error allowance
+    #: outgrows a z-step's gain, so between stages it may take this count
+    #: up to ``2 ln(r h_ref / eps_feas) / (1 - r**4)`` times over (38 at
+    #: ``r h_ref = 1/2``, ``eps_feas = 1e-8`` and ``r = 1/2``), against
+    #: the ``10 N_prec sigma_trials_per_step`` such counts
+    #: :func:`restoration_inner_cap` holds (260 for ``p1`` at the
+    #: defaults).  A level that starts on the face
     #: of ``x_k`` and leaves it for the box once the face stalls
     #: (:func:`bira.restoration.resta`) has a face segment and a box
     #: segment.  A face is a box, and its stall test compares the face's
@@ -346,20 +354,25 @@ def restoration_stage_cap(params: AlgorithmParams, g, goal):
     On a finishing call the cap adds to that count the stages that take g
     down to ``min(eps_prec, 2 r eps_feas)``, plus one: there the precision
     goal holds and the floor ``g / (2 r)`` lies below ``eps_feas``.  While
-    the violation goal is open, ``||h|| > eps_feas``, the floor guard
-    predicts the next violation at no less than ``c_min eps_feas``, and
-    the ``s`` stages more take the floor below ``r**(2 s) eps_feas <=
-    c_min eps_feas``: no z-step whose contraction factor is at least
-    ``c_min`` is predicted to cross it.  Every stage lowers g by ``r**2``,
-    whatever asked for it, so the count holds in any order.  Where a
-    z-step's factor falls below ``c_min`` (a row with ``||J||**2`` above M,
-    where :func:`~bira.qp.build_B` scales the curvature),
-    :func:`~bira.restoration.resta` ends the call at the cap, above the
-    floor; only a ``refine`` that misses its targets can take it past.
-    Without the ``s`` stages a finishing call whose z-steps contract by a
-    factor far below ``r**2`` reached the cap just above ``eps_feas``, and
-    its run paid one more record (``active1`` of the benchmark at seed 1,
-    whose finishing call stopped at ``||h|| = 1.08e-6``).
+    the violation goal is open, ``||h|| > eps_feas``,
+    :func:`~bira.restoration.resta` stages ahead of the z-step predicted
+    to meet it until ``g <= min(eps_prec, 2 r pred)``, where ``pred = c
+    ||h||`` for the last z-step's contraction factor ``c``.  Where ``c >=
+    c_min``, ``pred > c_min eps_feas``, and the ``s`` stages more take g
+    below ``r**(2 s) min(eps_prec, 2 r eps_feas) <= min(eps_prec, 2 r
+    c_min eps_feas)``.  Every stage lowers g by ``r**2``, whatever asked
+    for it (the goal, the predicted z-step, the level's error allowance or
+    a stall below the floor), so the count holds in any order.  Where a
+    z-step's factor falls below ``c_min`` (a row with ``||J||**2`` above
+    M, where :func:`~bira.qp.build_B` scales the curvature), or the error
+    allowance asks for more, ``resta`` ends the call at the cap, where
+    ``g / (2 r)`` lies below ``eps_feas`` and so below ``||h||``; only a
+    ``refine`` that misses its targets can take it past.  Without the
+    ``s`` stages a finishing call whose z-steps contract by a factor far
+    below ``r**2`` reached the cap just above ``eps_feas``, and its run
+    paid one more record (``active1`` of the benchmark at seed 1, whose
+    finishing call stopped at ``||h|| = 1.08e-6`` when a stage was taken
+    ahead of every z-step predicted to cross the floor).
     """
     r = params.r
     gap = (1.0 - r) * 2.0 * params.sigma_min / (
@@ -611,20 +624,38 @@ def _tangent_search_rows(report):
     0.  A record that stopped the run measured no f but the start-up one.
     The weights ``mu_k`` follow from ``ell_count``
     (:data:`~bira.trace.DERIVED`), so the f-evaluations are what tie the
-    count of trials to the run."""
+    count of trials to the run.
+
+    The record's h and grad h counts past its restoration call's are the
+    search's too: one grad h, the tangent region's Jacobian at ``(x_R,
+    y_R)``, a stopped record's too, and one h per trial that passed the
+    descent test and moved, so at least one where the accepted trial moved
+    and at most ``ell_count`` less a zero accepted step, the start-up h
+    aside.  These tie each call's h and grad h counts to its record's."""
     alpha = report.params.alpha
     for rec in report.records:
         spent = STARTUP_EVALS["f_evals"] if rec.k == 0 else 0
+        h_least = h_most = 0
         if not rec.stopped:
             yield _exact(rec.k, *descent_test(rec.f_xnext_ynext, rec.f_xR_yR,
                                               alpha, rec.step_norm))
+            moved = rec.step_norm != 0.0
             spent += ((rec.y_R != rec.y_k)
                       + (not np.array_equal(rec.x_R, rec.x_k))
-                      + rec.ell_count - (rec.step_norm == 0.0))
+                      + rec.ell_count - (not moved))
+            h_least, h_most = int(moved), rec.ell_count - (not moved)
         f_evals = rec.ledger_delta["f_evals"]
         # equal: neither side exceeds the other
         yield _exact(rec.k, f_evals, spent)
         yield _exact(rec.k, spent, f_evals)
+        led, call = rec.ledger_delta, rec.resta.ledger_delta
+        h_evals = led["h_evals"] - call["h_evals"] - (
+            STARTUP_EVALS["h_evals"] if rec.k == 0 else 0)
+        gradh_evals = led["gradh_evals"] - call["gradh_evals"]
+        yield _exact(rec.k, h_least, h_evals)
+        yield _exact(rec.k, h_evals, h_most)
+        yield _exact(rec.k, gradh_evals, 1)
+        yield _exact(rec.k, 1, gradh_evals)
 
 
 def _measurements(report, calls, beta):

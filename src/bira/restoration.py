@@ -8,11 +8,14 @@ problem looks locally infeasible: the projected gradient of the violation
 measure is small relative to the violation itself even at the tightest
 precision the schedule allows.  A finishing call, the one after a record
 that met the optimality test, refines by at most ``r**2`` and goes on past
-``r`` in stages, each refining the precision by ``r**2`` in place and
-measuring nothing, until the violation and the precision meet the
-stopping tolerances.  A call without a goal stages too, where the
-violation it restored lies below the floor the next call's precision test
-needs (see :func:`resta`).
+``r`` until the violation and the precision meet the stopping tolerances.
+Its z-steps are measured at the level it starts on; it refines in stages,
+each refining the precision by ``r**2`` in place and measuring nothing,
+only where a test needs the finer level: the violation goal is met, the
+next z-step is predicted to meet it, or the level's error allowance is no
+longer small against what a z-step gains.  A call without a goal stages
+too, where the violation it restored lies below the floor the next call's
+precision test needs (see :func:`resta`).
 
 The inner loop is a regularized Gauss-Newton descent on half the squared
 violation norm, restarted from the outer point at each precision level
@@ -171,23 +174,40 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
 
     - a stage refines both precision components by ``r**2`` in place,
       measures nothing and goes on with the kept Jacobian and with
-      ``h(z)`` of the level it was measured at, ``w_h``.  It is
-      taken where ``||h(z)||`` meets ``eps_feas`` but g does not meet
-      ``eps_prec``, and where the floor guard fires: the next z-step,
-      predicted to contract by as much as the last one did, would take
-      ``||h||`` below ``g / (2 r)``.  Stages are not refinements;
-      :func:`~bira.diagnostics.restoration_stage_cap` bounds them.  A
-      z-step can contract by far more than ``r**2`` (on a linear row by
-      ``|1 - ||J||**2 / (||G||**2 + 2 sigma)|``, near 0 where ``||J||**2``
-      is near ``M + 2 sigma``, below the least contraction the cap counts
-      for), so the floor can ask for more stages than the cap: there the
-      call returns ``restored`` above the floor with the goal still open,
-      as a call without a goal would.  A stage the
-      violation goal asks for past the cap means ``refine`` missed its
-      targets, and raises;
+      ``h(z)`` of the level it was measured at, ``w_h``.  Stages are not
+      refinements; :func:`~bira.diagnostics.restoration_stage_cap` bounds
+      them.  With ``pred = (||h(z)|| / h_last) ||h(z)||``, the violation
+      the next z-step is predicted to leave if it contracts by as much as
+      the last one did, a stage is taken
+
+      - (i) where ``||h(z)|| <= eps_feas`` but ``g > eps_prec``;
+      - (ii) ahead of the z-step predicted to meet the violation goal:
+        while ``pred <= eps_feas`` and ``g > min(eps_prec, 2 r pred)``.
+        That z-step's trial is then measured at ``y_R`` and is the call's
+        exit measurement, and ``pred >= g / (2 r)`` puts the violation it
+        leaves on the floor (below), up to the prediction;
+      - (iii) where the level's error allowance is no longer small against
+        what the next z-step gains: ``(beta / 2) g > r**2 (||h(z)|| -
+        pred)``.  There a z-step decided on the coarse level's noise may
+        have to be redone at the finer one.
+
+      Elsewhere the z-steps are measured at the level the call is on,
+      however far ``||h||`` falls below ``g / (2 r)`` on the way.  Past a
+      z-step whose contraction factor is at least ``c_min``, ``pred >
+      c_min eps_feas``, so arm (ii) stops by ``min(eps_prec, 2 r c_min
+      eps_feas)``, within the cap.  A z-step can contract by far more (on
+      a linear row by ``|1 - ||J||**2 / (||G||**2 + 2 sigma)|``, near 0
+      where ``||J||**2`` is near ``M + 2 sigma``), and one that contracts
+      by a factor near 1 gains little, so arm (ii) or (iii) can ask for
+      more stages than the cap: there the call returns ``restored`` with
+      the goal still open, where the cap's count has taken ``g / (2 r)``
+      below ``eps_feas`` and so below ``||h||``.  A stage arm (i) asks for
+      past the cap means ``refine`` missed its targets, and raises;
     - past r the stall test compares the projected gradient with
       ``r_feas ||h(z)||``, not with ``r_feas h_ref``, and a stall returns
-      ``restored`` (r is met) with the goal still open;
+      ``restored`` (r is met) with the goal still open.  Where ``||h(z)||``
+      then lies below ``g / (2 r)`` the call stages first, while the stage
+      cap lasts, and z is measured at the refined level and decides again;
     - a stage takes ``h_ref`` to the bound at the refined w, which only
       rises as w is refined, so ``h_xk_yR`` is the bound at ``y_R``
       (where that bound is still 0, ``h_ref`` keeps its measurement).
@@ -196,9 +216,11 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     by ``c`` below its precision ratio lowers q by ``c / rho``, and the
     next call needs ``(1 - c') q >= ((1 - r) / (2 r)) (1 - rho')``.  For
     every contraction ``c' <= r`` that holds once ``q >= 1 / (2 r)``, which
-    is ``||h|| >= g_R / (2 r)``; a stage lowers the floor with g instead of
-    ending the call, so a call that does not end the run still hands that
-    balance on.
+    is ``||h|| >= g_R / (2 r)``.  A finishing call that returns with its
+    goal open, at the stage cap or on a stall, hands that balance on; one
+    that meets its goal does as well where its last z-step contracted as
+    arm (ii) predicted.  The floor protects only the next call's test, so
+    no z-step before the last needs the precision it asks for.
 
     A call without a goal has a floor too.  The next call refines at
     ``rho' = min(r, c)``, so it passes that test for every ``c' <= r`` once
@@ -220,7 +242,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     ``beta`` (``extras["beta"]``, 0 where the problem names none): a trial
     that passes on it passes at w, and a trial that fails on it is decided on
     ``h(z, w)``, measured then and kept for the rest of the level.  The
-    floor prediction, the stage tests, the stall test and the restoration
+    prediction ``pred``, the stage tests, the stall test and the restoration
     QP read the held value: they predict, and the ratio test decides.  No
     value of a coarser level ends a level or the call: where, on such a
     value, the goal is met, no further stage is taken, or a stall would
@@ -362,7 +384,12 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             past_r = past_r or met_r
             stage = False
             if stalled_r:
-                stop = True
+                # a finishing call that ends with its goal open hands on
+                # the floor g/(2r): below it, stage to it first
+                stage = (goal is not None and stages < stage_cap
+                         and not goal_met(h_z, w.g, goal)
+                         and h_z < w.g / (2.0 * r))
+                stop = not stage
             elif met_r and goal is None:
                 # without a goal, refine in place while ||h|| lies below
                 # the floor (1 - min(r, c)) g / (2 r) the next call's
@@ -377,13 +404,17 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             elif met_r and goal_met(h_z, w.g, goal):
                 stop = True
             else:
-                # past r on a finishing call: refine in place where the
-                # violation goal is met, or where the next z-step is
-                # predicted to cross the floor g/(2r)
-                stage = met_r and (h_z <= goal[0] or (
-                    h_last is not None
-                    and (h_z / h_last) * h_z < w.g / (2.0 * r)))
-                # no stage left to lower the floor: stop above it
+                # past r on a finishing call: refine in place where (i)
+                # the violation goal is met, (ii) ahead of the z-step
+                # predicted to meet it, or (iii) where the level's error
+                # allowance is no longer small against what the next
+                # z-step gains
+                pred = None if h_last is None else (h_z / h_last) * h_z
+                stage = met_r and (h_z <= goal[0] or pred is not None and (
+                    pred <= goal[0] and w.g > min(goal[1], 2.0 * r * pred)
+                    or 0.5 * beta * w.g > r * r * (h_z - pred)))
+                # no stage left: the cap took g/(2r) below eps_feas, so
+                # the call stops above the floor
                 stop = stage and h_z > goal[0] and stages == stage_cap
             if stop:
                 if w_h == w:

@@ -147,16 +147,22 @@ def restoration_failure(status, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     test the next call refines at ``rho = min(r, c_prev, r**2)``, which may
     be below ``c_prev``, and past ``r`` it refines by ``r**2`` once more per
     stage: q grows by ``c_prev / rho`` and by ``r**-2`` per stage, and only
-    the call's own contraction c can lower it.  The call stages instead of
-    taking a z-step predicted to take ``||h||`` below ``g / (2 r)`` at the
-    current precision, and a stage only lowers that floor, so it hands on
-    ``q >= 1 / (2 r)`` (up to the prediction); from there the next call
-    passes this test for every contraction ``c' <= r``: ``(1 - c') q >=
-    (1 - r)/(2 r) >= ((1 - r)/(2 r)) (1 - rho')``.  A finishing call that
-    meets its goal passes the stopping test's feasibility and precision
-    comparisons, so the run goes on after it only while the optimality
-    test is open.  Restored past that floor, the zero-step problem of the
-    tests at ``(M, sigma_min) = (2, 0.5)`` fails the test at the next call.
+    the call's own contraction c can lower it.  Its z-steps are measured at
+    the level it starts on, where ``||h||`` may fall far below ``g / (2
+    r)``: only the violation it returns is handed on.  Ahead of the z-step
+    predicted to meet ``eps_feas`` it stages to ``g <= 2 r pred``, so
+    that z-step leaves ``q >= 1 / (2 r)`` (up to the prediction); a call
+    that returns with its goal open hands on the same, at the stage cap,
+    where ``g / (2 r)`` lies below ``eps_feas``, and on a stall, where it
+    stages to the floor first (see :func:`~bira.restoration.resta`).  From
+    there the next call passes this test for every contraction ``c' <=
+    r``: ``(1 - c') q >= (1 - r)/(2 r) >= ((1 - r)/(2 r)) (1 - rho')``.  A
+    finishing call that meets its goal passes the stopping test's
+    feasibility and precision comparisons, so the run goes on after it
+    only while the optimality test is open.  The zero-step problem of the
+    tests at ``(M, sigma_min) = (2, 0.5)`` measures 17 of its finishing
+    call's 18 z-steps at the call's first level, and the last one, after
+    8 stages, meets both tolerances at ``q = 1``.
 
     The balance at a call without a goal.  The contraction of the z-step
     that meets r is not known when the call picks its ratio, and can be far

@@ -274,12 +274,15 @@ def _params(**kw):
 
 
 def test_zero_steps_converge_at_a_looser_curvature_cap():
-    # every finishing call keeps the violation above g/(2r): restored
-    # below it, the next call's precision gain outpaced its feasibility
-    # gain
+    # a z-step contracts the unit row by 1/2: the finishing call takes 17
+    # of its 18 at its first level, and stages ahead of the last, which
+    # meets both tolerances on the floor g/(2r)
     params = _params(M=2.0, sigma_min=0.5)
     rep = bira_run(make_unit_row(), params)
     assert rep.status == "Converged"
+    out = rep.calls[-1]
+    assert (out.z_steps, out.stages) == (18, 8)
+    assert out.h_xR_yR >= out.y_R.g / (2 * params.r)
     assert audit(rep).ok
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     EDGE_RESTORATION,
+    load_synth,
     make_face_row,
     make_highdim,
     make_unit_row,
@@ -13,6 +14,7 @@ from bira import restoration, solver
 from bira.cli import EXPECTED_SUITE
 from bira.core import (
     LEDGER_FIELDS,
+    STARTUP_EVALS,
     AbnormalTermination,
     AlgorithmParams,
     BoxPolytope,
@@ -475,6 +477,103 @@ def test_a_stale_violation_is_measured_again_on_return(monkeypatch):
     _assert_measured_once(out, log[0], eval_h)
 
 
+def _call_blocks(report, log):
+    """Each restoration call's share of ``log``, every h measurement of
+    the run in order: a call measures first in its iteration, and the
+    start-up h comes before the first call."""
+    blocks, start = [], STARTUP_EVALS["h_evals"]
+    for out, rec in zip(report.calls, [*report.records, None]):
+        blocks.append(log[start:start + out.ledger_delta["h_evals"]])
+        if rec is not None:
+            start += rec.ledger_delta["h_evals"] - (
+                STARTUP_EVALS["h_evals"] if rec.k == 0 else 0)
+    return blocks
+
+
+def test_p1s_finishing_call_measures_at_its_first_level(monkeypatch):
+    # the finishing call's z-steps are measured at the level it starts
+    # on, ten of its eleven trials, down to ||h|| = 1.25e-6.  The next
+    # z-step is predicted to meet eps_feas, so eight stages, which measure
+    # nothing, take g to min(eps_prec, 2 r pred) ahead of it, and its
+    # trial is the call's measurement at y_R: the same stages, z-steps and
+    # y_R as when each z-step was measured at the level the floor needed
+    p = make_p1()
+    log, _ = _log_h(monkeypatch, p)
+    log[0] = []
+    rep = bira_run(p)
+    assert rep.status == "Converged"
+    out = rep.calls[-1]
+    assert (out.stages, out.z_steps, out.inner_desc_tests) == (8, 11, 11)
+    levels = [y for _, y in _call_blocks(rep, log[0])[-1]]
+    first = levels[0]
+    assert levels == [first] * 10 + [out.y_R]
+    r2 = rep.params.r ** 2
+    assert out.y_R == PrecisionLevel(r2**8 * first.gf, r2**8 * first.gh)
+    assert out.y_R.g == pytest.approx(1.0596381296960883e-07, rel=1e-12)
+
+
+def test_a_finishing_call_stages_where_the_error_allowance_outgrows_a_z_step(
+        monkeypatch):
+    # p1 at (M, sigma_min) = (2, 1/2) with tolerances 1e-8: a z-step
+    # contracts by about 0.94, and p1's beta is 5.9e-7, so at the first
+    # level the error allowance (beta / 2) g grows past r**2 times what the
+    # next z-step gains while that z-step is predicted to stay above
+    # eps_feas.  There the call stages, at three levels in turn, and the
+    # finer level takes the z-steps after each.  Without those stages the
+    # z-steps taken on the coarse level's noise had to be redone at the
+    # finer one, and the run measured h 327 times
+    params = AlgorithmParams(M=2.0, sigma_min=0.5)
+    p = make_p1(params)
+    log, eval_h = _log_h(monkeypatch, p)
+    log[0] = []
+    rep = bira_run(p, params, eps_feas=1e-8, eps_prec=1e-8, eps_opt=1e-6)
+    assert rep.status == "Converged"
+    assert rep.ledger_totals["h_evals"] == 320
+    out = rep.calls[-1]
+    trials = [(y, float(np.linalg.norm(eval_h(np.frombuffer(x), y))))
+              for x, y in _call_blocks(rep, log[0])[-1]]
+    assert len(trials) == out.z_steps == out.inner_desc_tests
+    # a stage between two trials, the z-step before it predicted not to
+    # meet eps_feas: neither the goal nor the z-step ahead of it asked
+    beta, r, eps_feas = p.extras()["beta"], params.r, 1e-8
+    allowance = []
+    for (_, h_last), (y, h), (y_next, _) in zip(trials, trials[1:],
+                                                trials[2:]):
+        pred = (h / h_last) * h
+        if y_next != y and pred > eps_feas:
+            assert 0.5 * beta * y.g > r * r * (h - pred)
+            allowance.append(y)
+    assert allowance == [trials[0][0]] + [
+        PrecisionLevel(r**(2 * s) * trials[0][0].gf,
+                       r**(2 * s) * trials[0][0].gh) for s in (1, 2)]
+
+
+def test_a_finishing_call_that_stalls_below_its_floor_stages_to_it(
+        monkeypatch):
+    # draw 203 of the synthetic sweep (tests/test_sweep.py), rows of scale
+    # 0.05 on which the stall test fires on a feasible problem.  Its
+    # finishing call stalls past r at ||h|| = 4.6e-6, above eps_feas but
+    # far below the floor g / (2 r) of the level it measured at.  It
+    # stages to the floor, measures z once at y_R, and hands on ||h|| >=
+    # g / (2 r) with its goal open; the next call declares
+    # possible_infeasibility, as the sweep pins
+    p = load_synth().make_synthetic("syn5", 5, 2, 93255, base=935782,
+                                    row_scale=0.05, n_active=3)
+    log, _ = _log_h(monkeypatch, p)
+    log[0] = []
+    rep = bira_run(p)
+    assert (rep.status, rep.failure_info["kind"]) == (
+        "RestorationFailure", "possible_infeasibility")
+    out, r = rep.calls[1], rep.params.r
+    assert (out.status, out.stages, out.z_steps) == ("restored", 5, 8)
+    assert out.h_xR_yR > rep.tolerances["eps_feas"]
+    assert out.y_R.g / (2 * r) <= out.h_xR_yR < out.y_R.g / (2 * r**3)
+    measured = _call_blocks(rep, log[0])[1]
+    first = measured[0][1]
+    assert [y for _, y in measured] == [first] * 8 + [out.y_R]
+    assert measured[-2][0] == measured[-1][0] == out.x_R.tobytes()
+
+
 class _BiasedRow(SyntheticProblem):
     """The row ``x_1 + x_2 = 1`` measured ``(beta / 2) gh`` low at every
     level, the largest error its ``beta`` admits, all on one side."""
@@ -502,7 +601,8 @@ def test_a_stale_violation_that_cannot_decide_is_measured(x0, stages,
                                                           z_steps):
     # the first z-step lands where the coarse level reads h near 0, but
     # after the stages the finer level reads it higher by up to beta g.
-    # At x0 = (1.001, 0) the floor guard stages, and the next trial fails
+    # At x0 = (1.001, 0) the call stages ahead of the z-step predicted to
+    # meet eps_feas, and that z-step's first trial fails
     # against the stale value less the allowance: z is measured at w and
     # the trial passes on that (without it no trial can pass, and sigma
     # doubles to the runaway).  At x0 = (1.0001, 0) the stale value meets
@@ -599,10 +699,10 @@ def test_a_refine_that_ignores_its_targets_hits_the_stage_cap():
 def test_a_floor_that_outruns_the_stage_cap_ends_the_call_above_it():
     # |J|^2 lies 1e-6 below M + 2 sigma_min = 64.03125, where the scaled
     # Gauss-Newton step is exact: the first z-step contracts h by about
-    # 1e-6, far more than r**2, so the floor guard asks for more stages
-    # than the cap; the call stops at the cap with the violation goal open
-    # and the floor kept, as a call without a goal would, instead of
-    # raising
+    # 1e-6, far more than r**2, and the next z-step, predicted to meet
+    # eps_feas at 3e-12, asks for g <= 2 r pred, more stages than the
+    # cap; the call stops at the cap with the violation goal open and the
+    # floor kept, as a call without a goal would, instead of raising
     a = np.full(4, np.sqrt(64.03125 * (1.0 - 1e-6) / 4.0))
     p = SyntheticProblem(
         "steep_row", BoxPolytope(-10.0 * np.ones(4), 10.0 * np.ones(4)),

@@ -122,8 +122,9 @@ OUTCOMES = {
             "clean": 1},
         "records.ledger_delta.f_evals": {"tangent_search ledger_totals": 13},
         "records.ledger_delta.gradf_evals": {"ledger_totals": 14},
-        "records.ledger_delta.h_evals": {"ledger_totals": 14},
-        "records.ledger_delta.gradh_evals": {"ledger_totals": 14},
+        "records.ledger_delta.h_evals": {"tangent_search ledger_totals": 14},
+        "records.ledger_delta.gradh_evals": {
+            "tangent_search ledger_totals": 14},
         "start.x": {"oracle_f_error_bound oracle_h_error_bound": 2},
         "start.y": {
             "precision_refinement restoration_tests": 1,
@@ -183,8 +184,8 @@ OUTCOMES = {
         "calls.max_step_over_h": {"clean": 7},
         "calls.ledger_delta.f_evals": {"restoration_f_free": 7},
         "calls.ledger_delta.gradf_evals": {"restoration_f_free": 7},
-        "calls.ledger_delta.h_evals": {"clean": 14},
-        "calls.ledger_delta.gradh_evals": {"clean": 8},
+        "calls.ledger_delta.h_evals": {"tangent_search": 14},
+        "calls.ledger_delta.gradh_evals": {"tangent_search": 8},
         "trials.doublings": {"doubling_ladder": 7},
         "trials.model_decrease": {"clean": 7},
         "trials.stationarity_residual": {"no-op": 5, "clean": 2},
