@@ -389,6 +389,26 @@ def precision_ratio(r, contraction, finishing):
     return min(rho, r * r) if finishing else rho
 
 
+#: Precision levels of a restoration call at its ratio (:func:`level_targets`).
+N_PREC = 2
+
+
+def level_targets(y_k, w, rho, level):
+    """Targets ``(gf, gh)`` of level ``level`` (from 1) of a restoration
+    call from ``y_k`` at ratio ``rho``, after level ``w`` (``y_k`` before
+    level 1): gf is ``rho`` times ``y_k``'s, and gh ``rho`` times ``w``'s
+    up to level :data:`N_PREC`, then 0, exact constraints.
+    :func:`~bira.restoration.resta` refines by it and the audit replays
+    it."""
+    return rho * y_k.gf, (rho * w.gh if level <= N_PREC else 0.0)
+
+
+def stage_targets(w, r):
+    """Targets ``(gf, gh)`` of a stage at level ``w``: ``r**2`` times
+    each."""
+    return r * r * w.gf, r * r * w.gh
+
+
 def restoration_tests(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     """The two comparisons a restoration outcome must pass, each as
     ``(kind, lhs, rhs)`` that holds iff ``lhs <= rhs``: the violation
@@ -511,8 +531,6 @@ class AlgorithmParams:
     alpha: float = 0.02
     M: float = 64.0
     sigma_min: float = 0.015625
-    eps_prec_bar: float = 0.0
-    N_prec: int = 2
 
     def __post_init__(self):
         for f in fields(self):
@@ -520,6 +538,9 @@ class AlgorithmParams:
             if not is_number(val):
                 raise ConfigurationError(f"parameter {f.name} must be a"
                                          f" number, got {type_name(val)}")
+            if not math.isfinite(val):
+                raise ConfigurationError(f"parameter {f.name} must be finite")
+            object.__setattr__(self, f.name, float(val))
         for name in _PARAM_POSITIVE:
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"parameter {name} must be positive")
@@ -533,19 +554,6 @@ class AlgorithmParams:
             raise ConfigurationError(
                 f"M * sigma_min must be >= 1, got {self.M} * {self.sigma_min}"
             )
-        if self.eps_prec_bar < 0.0:
-            raise ConfigurationError("eps_prec_bar must be nonnegative")
-        # restoration_iter_cap is a multiple of N_prec, so 0 would leave a
-        # restoration call no trial at all
-        if not (isinstance(self.N_prec, int) and self.N_prec >= 1):
-            raise ConfigurationError("N_prec must be a positive integer")
-        for f in fields(self):
-            if f.type is float:
-                val = float(getattr(self, f.name))
-                if not math.isfinite(val):
-                    raise ConfigurationError(
-                        f"parameter {f.name} must be finite")
-                object.__setattr__(self, f.name, val)
 
     @classmethod
     def defaults(cls):

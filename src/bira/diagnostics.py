@@ -24,20 +24,24 @@ from .core import (
     LEDGER_FIELDS,
     MU_MAX,
     MU_MIN,
+    N_PREC,
     STARTUP_EVALS,
     THETA_0,
     AlgorithmParams,
     ConfigurationError,
     InsufficientDataError,
+    PrecisionLevel,
     ProblemConstants,
     descent_test,
     finishing_goal,
     held,
+    level_targets,
     merit_allowance,
     merit_test,
     outer_reference,
     precision_ratio,
     restoration_tests,
+    stage_targets,
     stopping_test,
     valid_tolerance,
 )
@@ -51,6 +55,10 @@ SIGMA_MAX = 40.0
 
 #: Fallback cap on restoration trials when no certified bound exists.
 FALLBACK_INNER_CAP = 100_000
+
+#: Cap on the precision levels of one restoration call: a stall at the last,
+#: exact constraints (:func:`~bira.core.level_targets`), declares instead.
+RESTORATION_REFINE_CAP = N_PREC + 1
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,7 @@ class TheoreticalConstants:
     #: outgrows a z-step's gain, so between stages it may take this count
     #: up to ``2 ln(r h_ref / eps_feas) / (1 - r**4)`` times over (38 at
     #: ``r h_ref = 1/2``, ``eps_feas = 1e-8`` and ``r = 1/2``), against
-    #: the ``10 N_prec sigma_trials_per_step`` such counts
+    #: the ``10 N_PREC sigma_trials_per_step`` such counts
     #: :func:`restoration_inner_cap` holds (260 for ``p1`` at the
     #: defaults).  A level that starts on the face
     #: of ``x_k`` and leaves it for the box once the face stalls
@@ -132,8 +140,9 @@ class TheoreticalConstants:
     #: and the two segments share the level's fall: the count holds for
     #: the level as a whole, and with it ``restoration_iter_cap``,
     #: :func:`restoration_inner_cap` and ``restored_distance_factor``.
-    #: ``restoration_iter_cap`` counts the ``N_prec`` precision levels; the
-    #: stages of a call are capped apart (:func:`restoration_stage_cap`).
+    #: ``restoration_iter_cap`` counts :data:`~bira.core.N_PREC` precision
+    #: levels; the stages of a call are capped apart
+    #: (:func:`restoration_stage_cap`).
     restoration_steps_per_level: float
     step_per_infeasibility: float
     #: Trials of one z-step: the sigma doublings from ``sigma_min``
@@ -227,7 +236,7 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
             math.log2(sigma_sufficient) - math.log2(p.sigma_min)) + 1)
         restoration_iter_cap = (
             restoration_steps_per_level * sigma_trials_per_step + 1.0
-        ) * p.N_prec
+        ) * N_PREC
         restored_distance_factor = math.sqrt(
             _inner_cap(restoration_iter_cap) / (2.0 * alpha_R)) * (
             1.0 + beta * (2.0 - p.r**2) / (1.0 - p.r**2))
@@ -322,16 +331,6 @@ def restoration_inner_cap(tc: TheoreticalConstants | None):
     if tc is not None and tc.analytic:
         return _inner_cap(tc.restoration_iter_cap)
     return FALLBACK_INNER_CAP
-
-
-def restoration_refine_cap(params: AlgorithmParams):
-    """Cap on the precision refinements of one restoration call.
-
-    Refinement ``N_prec + 1`` takes the constraint precision to at most
-    ``eps_prec_bar``, where a stall ends the call instead of refining, so
-    an oracle whose ``refine`` meets its targets never exceeds the cap.
-    """
-    return params.N_prec + 1
 
 
 def restoration_stage_cap(params: AlgorithmParams, g, goal):
@@ -559,28 +558,30 @@ def _sigma(sigma_min, j):
 
 
 def _refinement_rows(calls, r):
-    """Each of the :func:`_calls` refined both precision components by at
-    least the ratio ``bira_run`` handed it, times ``r**2`` per stage.
-    Every level refines the objective precision from the call's input, so
-    it is replayed exactly, and a stage more or less than recorded fails,
-    on a call with a goal or without one.  The replay stops at the call's
-    stage cap, which a claim of more stages fails in
-    ``restoration_inner_caps``.  A held call has no level and no stage,
-    and returns its input precision exactly; any other call counts its
-    first level before it refines, so it has at least one."""
+    """Each of the :func:`_calls` returned exactly the ``y_R`` that its
+    recorded levels (:func:`~bira.core.level_targets`, at the ratio
+    ``bira_run`` handed it) and stages (:func:`~bira.core.stage_targets`)
+    reach, up to the caps ``restoration_inner_caps`` checks.  A stall
+    refines only at inexact constraints, so each level before the last
+    has ``gh > 0``.  A held call has no level and no stage; any other call
+    counts its first level, so it has at least one."""
     for k, _, y_k, _, out, rho, stage_cap, kept in calls:
         if kept:
             yield _exact(k, out.refinements + out.stages, 0)
-            yield _exact(k, y_k.gh, out.y_R.gh)
-            rho, stage_cap = 1.0, 0
-        bound_f, bound_h = rho * y_k.gf, rho * y_k.gh
-        for _ in range(min(out.stages, stage_cap)):
-            bound_f, bound_h = r * r * bound_f, r * r * bound_h
-        yield _exact(k, out.y_R.gf, bound_f)
-        yield _exact(k, out.y_R.gh, bound_h)
-        yield _exact(k, bound_f, out.y_R.gf)
-        if not kept:
+        else:
             yield _exact(k, 1, out.refinements)
+        w = y_k
+        for level in range(
+                1, min(out.refinements, RESTORATION_REFINE_CAP) + 1):
+            if level > 1:  # a lower bound, strict
+                yield k, w.gh > 0.0, 0.0, w.gh
+            w = PrecisionLevel(*level_targets(y_k, w, rho, level))
+        for _ in range(min(out.stages, stage_cap)):
+            w = PrecisionLevel(*stage_targets(w, r))
+        # equal: neither side exceeds the other
+        for got, want in zip(out.y_R.as_tuple(), w.as_tuple()):
+            yield _exact(k, got, want)
+            yield _exact(k, want, got)
 
 
 def _restoration_test_rows(report, calls, beta):
@@ -832,7 +833,6 @@ def audit(report, problem=None):
     rtrials = [(k, j, cert) for k, out in outs for j, cert in out.trials]
     tcerts = [(rec.k, rec.tangent_cert) for rec in searched]
     inner_cap = restoration_inner_cap(tc)
-    refine_cap = restoration_refine_cap(params)
     oracle = [] if problem is None else [
         ("constants_basis", None, _basis_rows(basis, problem))] + [
         (name, EXACT, rows) for name, rows in zip(
@@ -914,7 +914,7 @@ def audit(report, problem=None):
         ("restoration_inner_caps", None, (
             row for k, _, _, _, out, _, stage_cap, _ in calls for row in (
                 _exact(k, out.inner_desc_tests, inner_cap),
-                _exact(k, out.refinements, refine_cap),
+                _exact(k, out.refinements, RESTORATION_REFINE_CAP),
                 _exact(k, out.stages, stage_cap),
                 _exact(k, out.z_steps, out.inner_desc_tests)))),
         ("step_per_infeasibility", ANALYTIC, (

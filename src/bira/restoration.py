@@ -5,17 +5,18 @@ measured violation has contracted by the ratio ``r`` and a precision level
 refined by ``min(r, c)``, where ``c`` is the contraction the previous
 restored call achieved (r on the first call), or else declares that the
 problem looks locally infeasible: the projected gradient of the violation
-measure is small relative to the violation itself even at the tightest
-precision the schedule allows.  A finishing call, the one after a record
-that met the optimality test, refines by at most ``r**2`` and goes on past
-``r`` until the violation and the precision meet the stopping tolerances.
-Its z-steps are measured at the level it starts on; it refines in stages,
-each refining the precision by ``r**2`` in place and measuring nothing,
-only where a test needs the finer level: the violation goal is met, the
-next z-step is predicted to meet it, or the level's error allowance is no
-longer small against what a z-step gains.  A call without a goal stages
-too, where the violation it restored lies below the floor the next call's
-precision test needs (see :func:`resta`).
+measure is small relative to the violation itself even where the
+constraints are evaluated exactly, the last level of the schedule
+(:func:`~bira.core.level_targets`).  A finishing call, the one after a
+record that met the optimality test, refines by at most ``r**2`` and goes
+on past ``r`` until the violation and the precision meet the stopping
+tolerances.  Its z-steps are measured at the level it starts on; it refines
+in stages, each refining the precision by ``r**2`` in place and measuring
+nothing, only where a test needs the finer level: the violation goal is
+met, the next z-step is predicted to meet it, or the level's error
+allowance is no longer small against what a z-step gains.  A call without a
+goal stages too, where the violation it restored lies below the floor the
+next call's precision test needs (see :func:`resta`).
 
 The inner loop is a regularized Gauss-Newton descent on half the squared
 violation norm, restarted from the outer point at each precision level
@@ -75,14 +76,17 @@ from .core import (
     PrecisionLevel,
     constraint_ssq,
     goal_met,
+    level_targets,
     outer_reference,
     precision_ratio,
     reference_norm,
+    restoration_tests,
+    stage_targets,
 )
 from .diagnostics import (
     DEFAULT_EXTRAS,
+    RESTORATION_REFINE_CAP,
     restoration_inner_cap,
-    restoration_refine_cap,
     restoration_stage_cap,
 )
 from .geometry import project_box
@@ -153,6 +157,10 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     ``inner_cap`` bounds the number of trials across all precision levels;
     exceeding it, the refinement cap or the stage cap raises
     :class:`AbnormalTermination`.
+
+    A stall refines to the next level of
+    :func:`~bira.core.level_targets`, and at its last, exact constraints
+    (``gh = 0``), declares ``possible_infeasibility`` instead.
 
     ``contraction`` is :attr:`RestorationOutcome.contraction` of the
     previous restored call (``None`` on the first).  Every refinement of
@@ -229,10 +237,11 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     1/2)`` by 1/33 at the defaults, against ``r = 1/2``).  So where
     ``||h(z)||`` lies below ``(1 - min(r, c)) g / (2 r)``, with ``c =
     ||h(z)|| / h_ref``, the call stages as a finishing call does, while
-    the stage cap lasts and while this call's own test ``((1 - r) / (2 r))
-    (g_yk - r**2 g) <= h_ref - ||h(z)||`` still holds after the stage.  A
-    stage that would fail this call's test is not taken: the call returns
-    below its floor, and the next call's test decides.
+    the stage cap lasts and while this call's own
+    :func:`~bira.core.restoration_tests` still hold after the stage, at
+    ``g_yR = r**2 g``.  A stage that would fail this call's test is not
+    taken: the call returns below its floor, and the next call's test
+    decides.
 
     A trial is accepted where it passes the ratio test of the module
     docstring, on the measured violation.  Where z holds a value of a
@@ -302,7 +311,6 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     The phase never evaluates the objective or its gradient.
     """
     cap = restoration_inner_cap(None) if inner_cap is None else int(inner_cap)
-    refine_cap = restoration_refine_cap(params)
     box = problem.box
     x_k = np.asarray(x_k, dtype=float)
     face = face_of(box, x_k)
@@ -345,17 +353,12 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     w = y_k
     while True:
         refinements += 1
-        if refinements > refine_cap:
+        if refinements > RESTORATION_REFINE_CAP:
             raise AbnormalTermination(
                 "restoration refinement cap exceeded",
                 {"refinements": refinements, "trials": len(table)},
             )
-        gf_t = rho * y_k.gf
-        if refinements <= params.N_prec:
-            gh_t = rho * w.gh
-        else:
-            gh_t = min(params.eps_prec_bar, rho * w.gh)
-        w = problem.refine(w, gf_t, gh_t)
+        w = problem.refine(w, *level_targets(y_k, w, rho, refinements))
         z = x_k.copy()
         # z holds the value at y_k the outer loop measured; w_h is the
         # precision h_z_vec was measured at, and a stage refines w
@@ -393,13 +396,14 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
             elif met_r and goal is None:
                 # without a goal, refine in place while ||h|| lies below
                 # the floor (1 - min(r, c)) g / (2 r) the next call's
-                # precision test needs, and while this call's own test
-                # still holds after the stage
+                # precision test needs, and while this call's own
+                # restoration tests, met_r among them, still hold after the
+                # stage
                 stage = (
                     stages < stage_cap and 0.0 < h_z
                     and h_z < (1.0 - min(r, h_z / h_ref)) * w.g / (2.0 * r)
-                    and ((1.0 - r) / (2.0 * r)) * (y_k.g - r * r * w.g)
-                    <= h_ref - h_z)
+                    and all(lhs <= rhs for _, lhs, rhs in restoration_tests(
+                        h_ref, h_z, y_k.g, r * r * w.g, r)))
                 stop = not stage
             elif met_r and goal_met(h_z, w.g, goal):
                 stop = True
@@ -430,7 +434,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                         "restoration stage cap exceeded",
                         {"stages": stages, "trials": len(table)},
                     )
-                w = problem.refine(w, r * r * w.gf, r * r * w.gh)
+                w = problem.refine(w, *stage_targets(w, r))
                 bound = outer_reference(h_xk, y_k, w, beta)
                 if bound is not None:
                     h_ref = bound
@@ -509,7 +513,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
                 if past_r:  # stalled past r: r is met, so keep it
                     stalled_r = True
                     continue
-                if w.gh <= params.eps_prec_bar:
+                if w.gh == 0.0:  # a stall at exact constraints
                     return finish("possible_infeasibility", z, w, h_z_vec,
                                   h_ref)
                 break  # refine precision and restart from the outer point

@@ -63,7 +63,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 24
+TRACE_VERSION = 25
 
 #: The largest magnitude whose square stays within the float range.
 SQUARE_MAX = math.sqrt(FLOAT_MAX)

@@ -69,11 +69,14 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
                                  # constants of the analysis
                                  {"mu_min": 1e-3}, {"mu_max": 1e3},
                                  {"mu_init": 1.0}, {"theta_0": 0.5},
+                                 # the precision schedule, core.N_PREC
+                                 {"N_prec": 2}, {"eps_prec_bar": 0.0},
                                  # run settings are flags only
                                  {"eps_opt": 1e-3}, {"problem": "p1"}],
                          ids=["N_acce", "beta_PDP", "sigma_max", "beta_c",
                               "alpha_R", "mu_min", "mu_max", "mu_init",
-                              "theta_0", "eps_opt", "problem"])
+                              "theta_0", "N_prec", "eps_prec_bar", "eps_opt",
+                              "problem"])
 def test_a_deleted_parameter_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                               cfg):
     evals = []
@@ -92,8 +95,8 @@ def test_a_deleted_parameter_is_a_usage_error(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("cfg", [
-    {"N_prec": True}, {"r": "0.5"}, {"r_feas": None}, {"M": 10**400},
-], ids=["N_prec_is_a_bool", "r_is_a_string", "r_feas_is_null",
+    {"alpha": True}, {"r": "0.5"}, {"r_feas": None}, {"M": 10**400},
+], ids=["alpha_is_a_bool", "r_is_a_string", "r_feas_is_null",
         "M_past_the_float_range"])
 def test_a_parameter_that_is_not_a_number_is_a_usage_error(tmp_path, capsys,
                                                            cfg):
@@ -126,15 +129,6 @@ def test_help_exits_0(capsys):
 
 def _no_solve(*args, **kwargs):
     raise AssertionError("a usage error must end the command before a solve")
-
-
-def test_no_precision_refinement_is_a_usage_error(tmp_path, capsys):
-    # the restoration caps are multiples of N_prec: at 0 the first descent
-    # test aborted the run (exit 5)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"N_prec": 0}))
-    assert main(["run", "--problem", "p1", "--config", str(cfg)]) == 1
-    assert "N_prec" in capsys.readouterr().err
 
 
 def test_uncovered_regularization_exits_before_any_evaluation(

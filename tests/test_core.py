@@ -106,12 +106,9 @@ def test_params_validation():
         ("r", 0.0),
         ("r_feas", 0.6),
         ("M", 0.5),
-        ("eps_prec_bar", -1.0),
-        ("N_prec", -1),
-        ("N_prec", 0),
         ("alpha", 0.0),
         # not numbers; a bool is refused too, as the audit's schema does
-        ("N_prec", True),
+        ("alpha", True),
         ("r", "0.5"),
         ("r_feas", None),
     ]:

@@ -18,6 +18,7 @@ from bira.core import (
     LEDGER_FIELDS,
     MU_INIT,
     MU_MAX,
+    N_PREC,
     STARTUP_EVALS,
     THETA_0,
     AlgorithmParams,
@@ -536,9 +537,9 @@ TAMPERS = [
     # ten percent past the budget, far beyond leq's 1e-9 relative slack
     ("noise_within_budget", ("constants_basis", "extras", "beta"),
      lambda t, tc: 1.1 * tc.beta_bar),
-    # a call that claims a refinement past N_prec + 1
+    # a call that claims a refinement past N_PREC + 1
     ("restoration_inner_caps", ("calls", 0, "refinements"),
-     lambda t, tc: t["params"]["N_prec"] + 2),
+     lambda t, tc: N_PREC + 2),
     # a call without a goal claims a stage past its cap
     ("restoration_inner_caps", ("calls", 0, "stages"),
      lambda t, tc: restoration_stage_cap(
@@ -656,7 +657,8 @@ def _set(column, value, table="calls"):
 #: 40 doublings passes the cap on sigma and leaves the ladder, though its
 #: z-step keeps its count of trials.
 FAILING_CALL_TAMPERS = {
-    "refinements": (_set("refinements", 50), ["restoration_inner_caps"]),
+    "refinements": (_set("refinements", 50),
+                    ["restoration_inner_caps", "precision_refinement"]),
     "stages": (_set("stages", 40), ["restoration_inner_caps"]),
     "trial_sigma": (_set("doublings", 40, "trials"),
                     ["sigma_cap", "doubling_ladder"]),

@@ -14,6 +14,7 @@ from bira import restoration, solver
 from bira.cli import EXPECTED_SUITE
 from bira.core import (
     LEDGER_FIELDS,
+    N_PREC,
     STARTUP_EVALS,
     AbnormalTermination,
     AlgorithmParams,
@@ -225,7 +226,7 @@ def test_a_handed_jacobian_serves_the_first_level_only():
     p = _p3_like_with_coarse_start()
     params = AlgorithmParams.from_dict({
         **AlgorithmParams.defaults().to_dict(),
-        "eps_prec_bar": 0.05, "N_prec": 2, "M": 1.0, "sigma_min": 1.0,
+        "M": 1.0, "sigma_min": 1.0,
     })
     h0 = p.eval_h(p.x0, p.y0)
     plain = resta(p, p.x0, p.y0, params, h_xk_yk=h0)
@@ -233,8 +234,8 @@ def test_a_handed_jacobian_serves_the_first_level_only():
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, jacobian=J)
     assert out.refinements == plain.refinements == 3
     assert _doublings(out) == _doublings(plain)
-    assert (out.ledger_delta["gradh_evals"]
-            == plain.ledger_delta["gradh_evals"] - 1)
+    assert (out.ledger_delta["gradh_evals"],
+            plain.ledger_delta["gradh_evals"]) == (8, 9)
 
 
 def _refine_targets(p):
@@ -347,10 +348,10 @@ def _p3_like_with_coarse_start():
 def test_refinement_cascade_honors_the_level_schedule():
     p = _p3_like_with_coarse_start()
     # at (M, sigma_min) = (1, 1) restoration stalls slowly enough to reach
-    # the eps_prec_bar clamp on its third level
+    # the exact constraints of its third level
     params = AlgorithmParams.from_dict({
         **AlgorithmParams.defaults().to_dict(),
-        "eps_prec_bar": 0.05, "N_prec": 2, "M": 1.0, "sigma_min": 1.0,
+        "M": 1.0, "sigma_min": 1.0,
     })
     targets = _refine_targets(p)
     h0 = p.eval_h(p.x0, p.y0)
@@ -358,22 +359,23 @@ def test_refinement_cascade_honors_the_level_schedule():
     assert out.status == "possible_infeasibility"
     assert out.refinements == 3
     # objective-precision target stays anchored at the outer level while
-    # constraint precision halves, then clamps into the certified band
-    assert targets == [(0.15, 0.15), (0.15, 0.075), (0.15, 0.0375)]
-    assert out.y_R == PrecisionLevel(0.15, 0.0375)
+    # constraint precision halves for N_PREC levels, then turns exact
+    assert N_PREC == 2
+    assert targets == [(0.15, 0.15), (0.15, 0.075), (0.15, 0.0)]
+    assert out.y_R == PrecisionLevel(0.15, 0.0)
 
 
 def test_a_refine_that_ignores_its_targets_hits_the_refinement_cap():
-    # refinement N_prec + 1 takes the constraint precision to eps_prec_bar,
-    # where a stall ends the call; only an oracle whose refine returns its
-    # input stalls past it
+    # refinement N_PREC + 1 asks for exact constraints, where a stall ends
+    # the call; only an oracle whose refine returns its input stalls past
+    # it
     p = _p3_like_with_coarse_start()
     p.refine = lambda y, gf_target, gh_target: y
     params = AlgorithmParams.defaults()
     h0 = p.eval_h(p.x0, p.y0)
     with pytest.raises(AbnormalTermination, match="refinement cap") as err:
         resta(p, p.x0, p.y0, params, h_xk_yk=h0)
-    assert err.value.summary["refinements"] == params.N_prec + 2
+    assert err.value.summary["refinements"] == N_PREC + 2
 
 
 GOAL = (1e-6, 1e-6)
@@ -807,14 +809,14 @@ def test_refinement_cascade_keeps_the_tied_ratio():
     p = _p3_like_with_coarse_start()
     params = AlgorithmParams.from_dict({
         **AlgorithmParams.defaults().to_dict(),
-        "eps_prec_bar": 0.05, "N_prec": 2, "M": 1.0, "sigma_min": 1.0,
+        "M": 1.0, "sigma_min": 1.0,
     })
     targets = _refine_targets(p)
     h0 = p.eval_h(p.x0, p.y0)
     out = resta(p, p.x0, p.y0, params, h_xk_yk=h0, contraction=0.25)
     assert out.status == "possible_infeasibility"
-    assert targets == [(0.075, 0.075), (0.075, 0.01875)]
-    assert out.y_R == PrecisionLevel(0.075, 0.01875)
+    assert targets == [(0.075, 0.075), (0.075, 0.01875), (0.075, 0.0)]
+    assert out.y_R == PrecisionLevel(0.075, 0.0)
 
 
 def _ledger(report):

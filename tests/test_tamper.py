@@ -126,9 +126,7 @@ OUTCOMES = {
         "records.ledger_delta.gradh_evals": {
             "tangent_search ledger_totals": 14},
         "start.x": {"oracle_f_error_bound oracle_h_error_bound": 2},
-        "start.y": {
-            "precision_refinement restoration_tests": 1,
-            "restoration_tests": 1},
+        "start.y": {"precision_refinement restoration_tests": 2},
         "start.f": {"oracle_f_error_bound": 1},
         "start.h": {"oracle_h_error_bound restoration_tests": 1},
         "params.r": {
@@ -137,11 +135,6 @@ OUTCOMES = {
         "params.alpha": {"clean": 1},
         "params.M": {"constants_basis noise_within_budget": 1},
         "params.sigma_min": {"constants_basis": 1},
-        "params.eps_prec_bar": {"no-op": 1},
-        "params.N_prec": {
-            "constants_basis oracle_f_error_bound oracle_h_error_bound "
-            "noise_within_budget": 1,
-            "constants_basis": 1},
         "tolerances.eps_feas": {"clean": 1},
         "tolerances.eps_prec": {"clean": 1},
         "tolerances.eps_opt": {"clean": 1},
@@ -177,7 +170,7 @@ OUTCOMES = {
         "calls.h_xk_yR": {
             "precision_refinement restoration_tests": 6,
             "restoration_tests": 1},
-        "calls.refinements": {"precision_refinement": 7, "clean": 7},
+        "calls.refinements": {"precision_refinement": 14},
         "calls.stages": {"precision_refinement": 8},
         "calls.z_steps": {"restoration_inner_caps": 7, "clean": 7},
         "calls.trials": {"refused": 14},
@@ -208,8 +201,6 @@ OUTCOMES = {
         "params.alpha": {"clean": 1},
         "params.M": {"clean": 1},
         "params.sigma_min": {"clean": 1},
-        "params.eps_prec_bar": {"no-op": 1},
-        "params.N_prec": {"clean": 2},
         "tolerances.eps_feas": {"clean": 1},
         "tolerances.eps_prec": {"clean": 1},
         "tolerances.eps_opt": {"clean": 1},
@@ -235,7 +226,7 @@ OUTCOMES = {
         "calls.y_R.gh": {"no-op": 1},
         "calls.h_xR_yR": {"oracle_h_error_bound": 1},
         "calls.h_xk_yR": {"restoration_tests": 1},
-        "calls.refinements": {"precision_refinement": 1, "clean": 1},
+        "calls.refinements": {"precision_refinement": 2},
         "calls.stages": {"clean": 1},
         "calls.z_steps": {"clean": 2},
         "calls.trials": {"refused": 2},
