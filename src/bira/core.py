@@ -67,7 +67,8 @@ FAILURE_KINDS = (RESTORATION_STATUSES[1], "insufficient_contraction",
 
 #: The evaluations :func:`~bira.solver.bira_run` makes before iteration 0,
 #: one f and one h at the start point, by ledger kind.  They are charged to
-#: record 0, and to no record when the run stops before finishing one.
+#: no record: the run's totals are these plus the records' deltas and the
+#: failing restoration call's.
 STARTUP_EVALS = {"f_evals": 1, "gradf_evals": 0, "h_evals": 1,
                  "gradh_evals": 0}
 

@@ -13,7 +13,7 @@ estimated problem constants are reported as skipped, never as passes.
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,12 +46,13 @@ from .core import (
     valid_tolerance,
 )
 
-DEFAULT_EXTRAS = {"beta": 0.0, "gamma": 0.5, "k_R": 0.0}
-
-#: Fixed constant of the analysis, like the accuracy targets
+#: Fixed constants of the analysis, like the accuracy targets
 #: :data:`~bira.core.DEFAULT_KAPPAS`: ``SIGMA_MAX`` floors the certified cap
-#: on the restoration weight sigma.  No solver loop reads it.
+#: on the restoration weight sigma, and ``GAMMA`` is the fraction of the
+#: merit decrease the summability bounds count on.  No solver loop reads
+#: either.
 SIGMA_MAX = 40.0
+GAMMA = 0.5
 
 #: Fallback cap on restoration trials when no certified bound exists.
 FALLBACK_INNER_CAP = 100_000
@@ -167,7 +168,7 @@ class TheoreticalConstants:
     beta_bar: float
     r: float
     analytic: bool
-    extras: dict = field(default_factory=dict)
+    beta: float
 
     @property
     def evals_per_iter(self):
@@ -180,7 +181,13 @@ class TheoreticalConstants:
 
 #: The quantities :func:`constants` derives, in the order it computes them.
 _DERIVED = tuple(name for name in TheoreticalConstants.__dataclass_fields__
-                 if name not in ("r", "analytic", "extras"))
+                 if name not in ("r", "analytic", "beta"))
+
+
+def oracle_beta(extras):
+    """The oracle error scale ``beta`` an extras dict names, 0 where it
+    names none."""
+    return float((extras or {}).get("beta", 0.0))
 
 
 def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
@@ -194,29 +201,18 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     :class:`TheoreticalConstants`), so it does not depend on the
     tolerances.
 
-    ``extras`` may override ``beta`` (oracle error scale), ``gamma``
-    (merit decrease fraction) and ``k_R`` (projection-map drift bound).
-    Other keys are not read; they are kept in ``extras`` of the result.
-    :class:`ConfigurationError` refuses an extra out of its range
-    (``beta >= 0``, ``0 < gamma < 1``, ``k_R >= 0``), and names the first
-    derived quantity that is not finite, overflowing or dividing by zero on
-    the way included.
+    Of ``extras`` only ``beta``, the oracle error scale, is read
+    (:func:`oracle_beta`); the result keeps it as ``beta``.
+    :class:`ConfigurationError` refuses a negative ``beta``, and names the
+    first derived quantity that is not finite, overflowing or dividing by
+    zero on the way included.
     """
     pc = problem_constants
     p = params
     kap = DEFAULT_KAPPAS
-    ext = dict(DEFAULT_EXTRAS)
-    ext.update(extras or {})
-    beta = float(ext["beta"])
-    gamma = float(ext["gamma"])
-    k_R = float(ext["k_R"])
+    beta = oracle_beta(extras)
     if not beta >= 0.0:
         raise ConfigurationError(f"extra beta must be >= 0, got {beta}")
-    if not 0.0 < gamma < 1.0:
-        raise ConfigurationError(
-            f"extra gamma must lie in (0, 1), got {gamma}")
-    if not k_R >= 0.0:
-        raise ConfigurationError(f"extra k_R must be >= 0, got {k_R}")
 
     with contextlib.suppress(ArithmeticError):
         alpha_R = 2.0 * ACCEPTANCE_RATIO * p.sigma_min
@@ -261,16 +257,15 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
         )
         mu_cap = max(10.0 * mu_sufficient, MU_MAX)
         penalty_ratio_bound = pc.C_h / penalty_floor
-        infeasibility_sum_bound = (2.0 / (gamma * (1.0 - p.r) ** 2)) * (
-            k_R * (2.0 * pc.C_f + pc.C_h) + penalty_ratio_bound + pc.C_h
-            + pc.C_g)
+        infeasibility_sum_bound = (2.0 / (GAMMA * (1.0 - p.r) ** 2)) * (
+            penalty_ratio_bound + pc.C_h + pc.C_g)
         step_square_sum_bound = (1.0 / p.alpha) * (
             (restored_value_factor + beta) * infeasibility_sum_bound
             + 2.0 * pc.C_f)
         residual_step_factor = p.M + kap["kappa"] + 2.0 * mu_cap + 2.0
         residual_square_sum_bound = (residual_step_factor**2
                                      * step_square_sum_bound)
-        beta_bar = penalty_floor * (1.0 - gamma) * (1.0 - p.r) ** 2 / 2.0
+        beta_bar = penalty_floor * (1.0 - GAMMA) * (1.0 - p.r) ** 2 / 2.0
     # the chain computes the quantities in the order of _DERIVED, so the
     # first one missing or not finite is where it broke down
     derived = locals()
@@ -278,10 +273,10 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
         if name not in derived or not math.isfinite(derived[name]):
             raise ConfigurationError(
                 f"derived constant {name} is not finite: the problem"
-                " constants, parameters or extras are out of range")
+                " constants, parameters or beta are out of range")
     return TheoreticalConstants(
         **{name: derived[name] for name in _DERIVED},
-        r=p.r, analytic=pc.analytic, extras=ext)
+        r=p.r, analytic=pc.analytic, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -621,9 +616,8 @@ def _tangent_search_rows(report):
     search and the values before it took.  That is one per trial but a
     zero step, which takes f from the penalty update; one for f at the
     restored precision and one at the restored point, each where it
-    differs from the current one; and the start-up evaluation in record
-    0.  A record that stopped the run measured no f but the start-up one.
-    The weights ``mu_k`` follow from ``ell_count``
+    differs from the current one.  A record that stopped the run measured
+    no f.  The weights ``mu_k`` follow from ``ell_count``
     (:data:`~bira.trace.DERIVED`), so the f-evaluations are what tie the
     count of trials to the run.
 
@@ -631,27 +625,25 @@ def _tangent_search_rows(report):
     search's too: one grad h, the tangent region's Jacobian at ``(x_R,
     y_R)``, a stopped record's too, and one h per trial that passed the
     descent test and moved, so at least one where the accepted trial moved
-    and at most ``ell_count`` less a zero accepted step, the start-up h
-    aside.  These tie each call's h and grad h counts to its record's."""
+    and at most ``ell_count`` less a zero accepted step.  These tie each
+    call's h and grad h counts to its record's."""
     alpha = report.params.alpha
     for rec in report.records:
-        spent = STARTUP_EVALS["f_evals"] if rec.k == 0 else 0
-        h_least = h_most = 0
+        spent = h_least = h_most = 0
         if not rec.stopped:
             yield _exact(rec.k, *descent_test(rec.f_xnext_ynext, rec.f_xR_yR,
                                               alpha, rec.step_norm))
             moved = rec.step_norm != 0.0
-            spent += ((rec.y_R != rec.y_k)
-                      + (not np.array_equal(rec.x_R, rec.x_k))
-                      + rec.ell_count - (not moved))
+            spent = ((rec.y_R != rec.y_k)
+                     + (not np.array_equal(rec.x_R, rec.x_k))
+                     + rec.ell_count - (not moved))
             h_least, h_most = int(moved), rec.ell_count - (not moved)
         f_evals = rec.ledger_delta["f_evals"]
         # equal: neither side exceeds the other
         yield _exact(rec.k, f_evals, spent)
         yield _exact(rec.k, spent, f_evals)
         led, call = rec.ledger_delta, rec.resta.ledger_delta
-        h_evals = led["h_evals"] - call["h_evals"] - (
-            STARTUP_EVALS["h_evals"] if rec.k == 0 else 0)
+        h_evals = led["h_evals"] - call["h_evals"]
         gradh_evals = led["gradh_evals"] - call["gradh_evals"]
         yield _exact(rec.k, h_least, h_evals)
         yield _exact(rec.k, h_evals, h_most)
@@ -708,43 +700,34 @@ def _oracle_error_rows(report, calls, problem, beta):
 
 
 def _basis_rows(basis, problem):
-    """The trace's constants basis against ``problem``'s own: each field
-    of ``problem_constants`` against :meth:`problem.constants`, the
-    provenance as 1 where analytic, and each of ``extras`` against
-    :data:`DEFAULT_EXTRAS` updated by :meth:`problem.extras`, as
-    ``bira_run`` writes them.  Each pair is equal, neither side exceeding
-    the other, and each row is named by its field; a field one side lacks
-    reads NaN, which no comparison passes."""
+    """The trace's constants basis against ``problem``'s own, as
+    ``bira_run`` writes it: each field of ``problem_constants`` against
+    :meth:`problem.constants`, the provenance as 1 where analytic, and
+    ``beta`` against the :func:`oracle_beta` of :meth:`problem.extras`.
+    Each pair is equal, neither side exceeding the other, and each row is
+    named by its field."""
     def value(val):
-        if val is None:
-            return math.nan
         return float(val == "analytic") if isinstance(val, str) else val
 
-    for part, own in (("problem_constants", problem.constants().to_dict()),
-                      ("extras", {**DEFAULT_EXTRAS, **problem.extras()})):
-        written = basis[part]
-        for key in dict.fromkeys([*own, *written]):
-            a, b = value(written.get(key)), value(own.get(key))
-            yield _exact(f"{part}.{key}", a, b)
-            yield _exact(f"{part}.{key}", b, a)
+    written = basis["problem_constants"]
+    pairs = [(f"problem_constants.{key}", written[key], own)
+             for key, own in problem.constants().to_dict().items()]
+    pairs.append(("beta", basis["beta"], oracle_beta(problem.extras())))
+    for where, a, b in pairs:
+        a, b = value(a), value(b)
+        yield _exact(where, a, b)
+        yield _exact(where, b, a)
 
 
 def _ledger_rows(rec, tc):
-    # the start-up evaluations are charged to the first iteration
-    caps = tc.evals_per_iter
-    if rec.k == 0:
-        caps = {key: cap + STARTUP_EVALS[key] for key, cap in caps.items()}
     return [_exact(rec.k, rec.ledger_delta[key], cap)
-            for key, cap in caps.items()]
+            for key, cap in tc.evals_per_iter.items()]
 
 
 def _ledger_total_rows(report):
-    # the records' deltas and the failing restoration call's add up to the
-    # run's totals; the start-up evaluations are in record 0's delta, or in
-    # no record's when the run stopped before finishing one
-    deltas = [rec.ledger_delta for rec in report.records]
-    if not report.records:
-        deltas.append(STARTUP_EVALS)
+    # the start-up evaluations, the records' deltas and the failing
+    # restoration call's add up to the run's totals
+    deltas = [STARTUP_EVALS, *(rec.ledger_delta for rec in report.records)]
     if report.failure_info is not None:
         deltas.append(report.calls[-1].ledger_delta)
     for key in LEDGER_FIELDS:
@@ -824,7 +807,7 @@ def audit(report, problem=None):
     params = report.params
     basis = report.constants_basis
     pc = ProblemConstants.from_dict(basis["problem_constants"])
-    tc = constants(pc, params, extras=basis["extras"])
+    tc = constants(pc, params, extras={"beta": basis["beta"]})
     kap = DEFAULT_KAPPAS
     recs = report.records
     searched = [rec for rec in recs if not rec.stopped]
@@ -837,7 +820,7 @@ def audit(report, problem=None):
         ("constants_basis", None, _basis_rows(basis, problem))] + [
         (name, EXACT, rows) for name, rows in zip(
             ("oracle_f_error_bound", "oracle_h_error_bound"),
-            _oracle_error_rows(report, calls, problem, tc.extras["beta"]))]
+            _oracle_error_rows(report, calls, problem, tc.beta))]
     # a lower bound is a row with the floor as observed and the value as bound
     table = [
         ("theta_lower_bound", ANALYTIC, (
@@ -909,7 +892,7 @@ def audit(report, problem=None):
                        kap["kappa"] * c.step_norm + CERT_FLOOR)))),
         *oracle,
         ("noise_within_budget", ANALYTIC, [
-            _tol(None, tc.extras["beta"], tc.beta_bar)]),
+            _tol(None, tc.beta, tc.beta_bar)]),
         # each z-step is a passing trial
         ("restoration_inner_caps", None, (
             row for k, _, _, _, out, _, stage_cap, _ in calls for row in (
@@ -922,7 +905,7 @@ def audit(report, problem=None):
             for k, out in outs if out.max_step_over_h is not None)),
         ("precision_refinement", None, _refinement_rows(calls, params.r)),
         ("restoration_tests", None,
-         _restoration_test_rows(report, calls, tc.extras["beta"])),
+         _restoration_test_rows(report, calls, tc.beta)),
         ("tangent_search", None, _tangent_search_rows(report)),
         ("ledger_totals", None, _ledger_total_rows(report)),
         ("stopping_test", None, _stopping_rows(report)),

@@ -155,7 +155,10 @@ class InexactProblem(ABC):
         return None
 
     def extras(self):
-        """Constants-chain extras for this problem (see diagnostics)."""
+        """Oracle constants of this problem: the error scale ``beta``, the
+        one the constants chain reads (see
+        :func:`~bira.diagnostics.oracle_beta`), and the noise scales the
+        audit's oracle-error rows read."""
         return {}
 
 

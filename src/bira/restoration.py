@@ -84,8 +84,8 @@ from .core import (
     stage_targets,
 )
 from .diagnostics import (
-    DEFAULT_EXTRAS,
     RESTORATION_REFINE_CAP,
+    oracle_beta,
     restoration_inner_cap,
     restoration_stage_cap,
 )
@@ -248,7 +248,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
     coarser level ``w_h``, x_k's value at ``y_k`` at a level's start or
     z's after a stage, the reference ``c(z)`` is the lower bound
     :func:`reference_ssq` draws from it with the problem's error scale
-    ``beta`` (``extras["beta"]``, 0 where the problem names none): a trial
+    ``beta`` (:func:`~bira.diagnostics.oracle_beta`): a trial
     that passes on it passes at w, and a trial that fails on it is decided on
     ``h(z, w)``, measured then and kept for the rest of the level.  The
     prediction ``pred``, the stage tests, the stall test and the restoration
@@ -340,7 +340,7 @@ def resta(problem, x_k, y_k: PrecisionLevel, params, *, h_xk_yk,
 
     # the problem's error scale, the constants chain's: an evaluation at
     # precision measure g lies within (beta / 2) g of the exact value
-    beta = float({**DEFAULT_EXTRAS, **problem.extras()}["beta"])
+    beta = oracle_beta(problem.extras())
     h_xk = float(np.linalg.norm(h_xk_yk))
 
     def measured(x, w):  # h(x, w) with its level and norm

@@ -252,7 +252,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     pc = problem.constants()
     tc = derived_constants(pc, params, extras=problem.extras())
     inner_cap = restoration_inner_cap(tc)
-    basis = {"problem_constants": pc.to_dict(), "extras": tc.extras}
+    basis = {"problem_constants": pc.to_dict(), "beta": tc.beta}
 
     def finish(status, failure=None):
         return RunReport(
@@ -276,7 +276,6 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
     contraction = None
     jacobian = None
 
-    led_iter = problem.ledger.snapshot()
     h_vec = problem.eval_h(x, y)
     f_val = problem.eval_f(x, y)
     h_norm = float(np.linalg.norm(h_vec))
@@ -284,8 +283,7 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
 
     try:
         for k in range(budget):
-            if k > 0:
-                led_iter = problem.ledger.snapshot()
+            led_iter = problem.ledger.snapshot()
 
             # finish in one call once the optimality comparison has held
             goal = finishing_goal(

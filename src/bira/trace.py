@@ -63,7 +63,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 25
+TRACE_VERSION = 26
 
 #: The largest magnitude whose square stays within the float range.
 SQUARE_MAX = math.sqrt(FLOAT_MAX)
@@ -715,8 +715,10 @@ class RunReport:
                       "f": start["f"], "h": start["h"]}
         d["params"] = self.params.to_dict()
         d["tolerances"] = dict(self.tolerances)
-        d["constants_basis"] = {key: dict(val) for key, val
-                                in self.constants_basis.items()}
+        basis = self.constants_basis
+        d["constants_basis"] = {
+            "problem_constants": dict(basis["problem_constants"]),
+            "beta": basis["beta"]}
         d["ledger_totals"] = dict(self.ledger_totals)
         return d
 
@@ -731,13 +733,13 @@ class RunReport:
         check_fields(d, (*cls.__dataclass_fields__, "calls", "trials"),
                      "trace")
         basis = d["constants_basis"]
-        check_fields(basis, ("problem_constants", "extras"),
+        check_fields(basis, ("problem_constants", "beta"),
                      "constants basis")
         check_fields(basis["problem_constants"],
                      ProblemConstants.__dataclass_fields__, "problem constants")
         check_numbers(basis["problem_constants"], "problem constants",
                       number_fields(ProblemConstants)[0])
-        check_numbers(basis["extras"], "extras", finite=True)
+        check_numbers(basis, "constants basis", ("beta",), finite=True)
         check_fields(d["params"], AlgorithmParams.__dataclass_fields__,
                      "params")
         check_numbers(d["params"], "params")

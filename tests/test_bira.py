@@ -633,9 +633,9 @@ def test_to_dict_copies_the_constants_basis():
     before = audit(rep).checks
     d = rep.to_dict()
     d["constants_basis"]["problem_constants"]["provenance"] = "estimated"
-    d["constants_basis"]["extras"]["beta"] = 1.0
+    d["constants_basis"]["beta"] = 1.0
     assert audit(rep).checks == before
-    assert rep.constants_basis["extras"]["beta"] < 1.0
+    assert rep.constants_basis["beta"] < 1.0
 
 
 def test_restoration_certificates_are_stored_as_columns():

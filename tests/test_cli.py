@@ -252,23 +252,17 @@ def p1_trace(tmp_path_factory):
     return trace.read_text()
 
 
-@pytest.mark.parametrize("part,name,value,message", [
-    ("extras", "gamma", 0, "extra gamma must lie in (0, 1)"),
-    ("extras", "gamma", 1, "extra gamma must lie in (0, 1)"),
-    ("extras", "beta", -1, "extra beta must be >= 0"),
-    ("extras", "k_R", -1, "extra k_R must be >= 0"),
-    ("problem_constants", "L_c", 1e308,
-     "derived constant sigma_sufficient is not finite"),
-    ("problem_constants", "L_f", 1e308,
-     "derived constant restored_value_factor is not finite"),
-    ("problem_constants", "C_h", 1e308,
-     "derived constant step_per_infeasibility is not finite"),
-], ids=["gamma_0", "gamma_1", "beta_negative", "k_R_negative", "L_c_huge",
-        "L_f_huge", "C_h_huge"])
+@pytest.mark.parametrize("name,value,message", [
+    ("beta", -1, "extra beta must be >= 0"),
+    ("L_c", 1e308, "derived constant sigma_sufficient is not finite"),
+    ("L_f", 1e308, "derived constant restored_value_factor is not finite"),
+    ("C_h", 1e308, "derived constant step_per_infeasibility is not finite"),
+], ids=["beta_negative", "L_c_huge", "L_f_huge", "C_h_huge"])
 def test_audit_refuses_a_constants_basis_the_chain_cannot_take(
-        tmp_path, capsys, p1_trace, part, name, value, message):
+        tmp_path, capsys, p1_trace, name, value, message):
     payload = json.loads(p1_trace)
-    payload["constants_basis"][part][name] = value
+    basis = payload["constants_basis"]
+    (basis if name == "beta" else basis["problem_constants"])[name] = value
     trace = tmp_path / "t.json"
     trace.write_text(json.dumps(payload))
     capsys.readouterr()
@@ -278,18 +272,19 @@ def test_audit_refuses_a_constants_basis_the_chain_cannot_take(
     assert "Traceback" not in err
 
 
-def test_audit_replays_h_xk_yR_at_the_default_beta_where_the_trace_has_none(
-        tmp_path, capsys, p1_trace):
-    # the bound of h_xk_yk at beta = 0 is h_xk_yk itself, above the
-    # recorded bound: a failing check, not a KeyError
+def test_audit_refuses_a_constants_basis_without_beta(tmp_path, capsys,
+                                                      p1_trace):
+    # beta sets the bound of h_xk_yk that restoration drew its reference
+    # from, so a basis without it is malformed, not read at a default
     payload = json.loads(p1_trace)
-    del payload["constants_basis"]["extras"]["beta"]
+    del payload["constants_basis"]["beta"]
     trace = tmp_path / "t.json"
     trace.write_text(json.dumps(payload))
     capsys.readouterr()
-    assert main(["audit", str(trace)]) == 4
-    out, err = capsys.readouterr()
-    assert "restoration_tests           FAIL  (iteration 0: " in out
+    assert main(["audit", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: constants basis fields differ from the"
+                          " schema: missing ['beta'], unknown []")
     assert "Traceback" not in err
 
 

@@ -8,6 +8,7 @@ from conftest import (
     call_row,
     edit_packed,
     first_trial,
+    load_synth,
     make_unit_row,
     record_row,
 )
@@ -28,6 +29,7 @@ from bira.core import (
 )
 from bira.diagnostics import (
     FALLBACK_INNER_CAP,
+    GAMMA,
     SIGMA_MAX,
     audit,
     complexity_fit,
@@ -131,10 +133,22 @@ def test_mu_cap_grows_with_precision_carry_allowance():
 
 def test_beta_bar_formula():
     params = AlgorithmParams.defaults()
-    tc = constants(_pc(), params, extras={"gamma": 0.25})
+    tc = constants(_pc(), params)
     r = params.r
-    expect = tc.penalty_floor * (1.0 - 0.25) * (1.0 - r) ** 2 / 2.0
+    expect = tc.penalty_floor * (1.0 - GAMMA) * (1.0 - r) ** 2 / 2.0
     assert tc.beta_bar == pytest.approx(expect)
+
+
+@pytest.mark.parametrize("extras", [
+    {"gamma": 0.25}, {"gamma": 2.0}, {"k_R": 4.0}, {"k_R": -1.0},
+    {"n_pdp": 2, "noise_scale_f": 1.0}])
+def test_the_chain_reads_only_beta_of_its_extras(extras):
+    # beta is the one extra the analysis takes; gamma is the constant
+    # GAMMA, and no other key moves a derived quantity or is refused
+    params = AlgorithmParams.defaults()
+    assert (constants(_pc(), params, extras={**extras, "beta": 0.03})
+            == constants(_pc(), params, extras={"beta": 0.03}))
+    assert constants(_pc(), params, extras=extras) == constants(_pc(), params)
 
 
 def test_restoration_step_cap_recomputed():
@@ -530,12 +544,12 @@ TAMPERS = [
     # the start's values ten noise bounds off the problem's exact ones
     ("oracle_f_error_bound", ("start", "f"),
      lambda t, tc: t["start"]["f"]
-     + 10.0 * tc.extras["noise_scale_f"] * t["start"]["y"][0]),
+     + 10.0 * problem_by_name("p1").noise_scale_f * t["start"]["y"][0]),
     ("oracle_h_error_bound", ("start", "h"),
      lambda t, tc: t["start"]["h"]
-     + 10.0 * tc.extras["noise_scale_h"] * t["start"]["y"][1]),
+     + 10.0 * problem_by_name("p1").noise_scale_h * t["start"]["y"][1]),
     # ten percent past the budget, far beyond leq's 1e-9 relative slack
-    ("noise_within_budget", ("constants_basis", "extras", "beta"),
+    ("noise_within_budget", ("constants_basis", "beta"),
      lambda t, tc: 1.1 * tc.beta_bar),
     # a call that claims a refinement past N_PREC + 1
     ("restoration_inner_caps", ("calls", 0, "refinements"),
@@ -848,17 +862,12 @@ def test_the_failing_restoration_test_is_replayed():
         f"iteration {len(rep.records)}:")
 
 
-#: Edits of the constants basis that no bound notices: each field a
-#: thousandth off (k_R, which is 0, set to 1e-3), a noise scale dropped,
-#: and the provenance relabelled, which skips every analytic bound.
+#: Edits of the problem constants that no bound notices: each field a
+#: thousandth off, and the provenance relabelled, which skips every
+#: analytic bound.
 BASIS_EDITS = [
-    *((part, key, lambda v: 1.001 * v) for part, key in (
-        ("problem_constants", "L_h"), ("problem_constants", "C_f"),
-        ("problem_constants", "C_h"), ("problem_constants", "C_g"),
-        ("extras", "noise_scale_f"), ("extras", "noise_scale_h"))),
-    ("extras", "k_R", lambda v: 1e-3),
-    ("extras", "noise_scale_h", None),
-    ("problem_constants", "provenance", lambda v: "estimated"),
+    *((key, lambda v: 1.001 * v) for key in ("L_h", "C_f", "C_h", "C_g")),
+    ("provenance", lambda v: "estimated"),
 ]
 
 
@@ -867,18 +876,26 @@ def test_the_constants_basis_is_the_problems_own(suite_runs, name):
     # from the trace alone each edit audits clean; given the problem, the
     # basis is compared with the one bira_run wrote, field by field
     rep, problem = suite_runs[name], problem_by_name(name)
-    for part, key, edit in BASIS_EDITS:
+    for key, edit in BASIS_EDITS:
         d = _trace(rep)
-        written = d["constants_basis"][part]
-        if edit is None:
-            del written[key]
-        else:
-            written[key] = edit(written[key])
+        written = d["constants_basis"]["problem_constants"]
+        written[key] = edit(written[key])
         bad = RunReport.from_dict(d)
         assert audit(bad).ok
         failed = {c.name: c.detail for c in audit(bad, problem).failures}
         assert list(failed) == ["constants_basis"]
-        assert failed["constants_basis"].startswith(f"{part}.{key}: ")
+        assert failed["constants_basis"].startswith(
+            f"problem_constants.{key}: ")
+
+
+def test_a_synthetic_basis_holds_the_problem_constants_and_beta():
+    # a synthetic draw names gamma, k_R and n_pdp among its extras; its
+    # trace writes none of them
+    problem = load_synth().make_synthetic("syn", 10, 2, 1)
+    assert {"gamma", "k_R", "n_pdp"} <= set(problem.extras())
+    basis = bira_run(problem).to_dict()["constants_basis"]
+    assert basis == {"problem_constants": problem.constants().to_dict(),
+                     "beta": problem.extras()["beta"]}
 
 
 def test_a_trace_cannot_loosen_the_solve_targets(suite_runs):

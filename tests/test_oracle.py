@@ -282,7 +282,6 @@ def _tiny_budget_problem(noise_scale):
         lambda x: (0.25 * a)[None, :],
         1, np.array([-0.5, -0.5]), PrecisionLevel(0.05, 0.05), pc,
         noise_scale_f=noise_scale, noise_scale_h=noise_scale,
-        extra_overrides={"gamma": 0.5, "k_R": 0.0},
     )
 
 

@@ -487,8 +487,7 @@ def _call_blocks(report, log):
     for out, rec in zip(report.calls, [*report.records, None]):
         blocks.append(log[start:start + out.ledger_delta["h_evals"]])
         if rec is not None:
-            start += rec.ledger_delta["h_evals"] - (
-                STARTUP_EVALS["h_evals"] if rec.k == 0 else 0)
+            start += rec.ledger_delta["h_evals"]
     return blocks
 
 

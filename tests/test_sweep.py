@@ -57,7 +57,8 @@ REFERENCE_TOL = 5e-3
 #: How many restoration calls double sigma past ``sigma_min`` and refine
 #: more than once, and how many records take a second tangent trial:
 #: paths the workloads and the grid never reach.  The 37 refinements are
-#: the false declarations, each on a second level.
+#: the false declarations, each of which takes all 3 precision levels and
+#: declares at gh = 0.
 RARE_PATHS = {"sigma_doubled": 0, "refined_again": 37, "second_tangent": 1}
 
 #: The evaluations of the whole sweep, by ledger kind.

@@ -146,13 +146,8 @@ OUTCOMES = {
         "constants_basis.problem_constants.C_f": {"constants_basis": 1},
         "constants_basis.problem_constants.C_h": {"constants_basis": 1},
         "constants_basis.problem_constants.C_g": {"constants_basis": 1},
-        "constants_basis.extras.beta": {
+        "constants_basis.beta": {
             "constants_basis noise_within_budget restoration_tests": 1},
-        "constants_basis.extras.gamma": {
-            "constants_basis noise_within_budget": 1},
-        "constants_basis.extras.k_R": {"no-op": 1},
-        "constants_basis.extras.noise_scale_f": {"constants_basis": 1},
-        "constants_basis.extras.noise_scale_h": {"constants_basis": 1},
         "ledger_totals.f_evals": {"ledger_totals": 2},
         "ledger_totals.gradf_evals": {"ledger_totals": 2},
         "ledger_totals.h_evals": {"ledger_totals": 2},
@@ -210,11 +205,7 @@ OUTCOMES = {
         "constants_basis.problem_constants.C_f": {"constants_basis": 1},
         "constants_basis.problem_constants.C_h": {"constants_basis": 1},
         "constants_basis.problem_constants.C_g": {"constants_basis": 1},
-        "constants_basis.extras.beta": {"no-op": 1},
-        "constants_basis.extras.gamma": {"constants_basis": 1},
-        "constants_basis.extras.k_R": {"no-op": 1},
-        "constants_basis.extras.noise_scale_f": {"no-op": 1},
-        "constants_basis.extras.noise_scale_h": {"no-op": 1},
+        "constants_basis.beta": {"no-op": 1},
         "ledger_totals.f_evals": {"ledger_totals": 2},
         "ledger_totals.gradf_evals": {"ledger_totals": 1},
         "ledger_totals.h_evals": {"ledger_totals": 2},

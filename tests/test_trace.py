@@ -461,9 +461,9 @@ NON_FINITE = [
      "start field 'f' must not be inf"),
     (lambda t: t["start"].update(h=math.inf),
      "start field 'h' must not be inf"),
-    # an infinite noise scale made the oracle error bound infinite
-    (lambda t: t["constants_basis"]["extras"].update(noise_scale_f=math.inf),
-     "extras field 'noise_scale_f' must not be inf"),
+    # an infinite error scale makes every bound it enters infinite
+    (lambda t: t["constants_basis"].update(beta=math.inf),
+     "constants basis field 'beta' must not be inf"),
     # a NaN is the null of a nullable column, which a record that searched
     # a tangent step does not write
     (lambda t: t["records"]["f_xR_yR"].__setitem__(3, math.nan),
@@ -473,7 +473,7 @@ NON_FINITE = [
        f"iteration record 3: tangent_cert field '{name}' must not be nan")
       for name in CERT_FIELDS),
 ]
-NON_FINITE_IDS = ["start_f", "start_h", "extras_noise_scale_f",
+NON_FINITE_IDS = ["start_f", "start_h", "basis_beta",
                   "f_xR_yR_nan", *(f"{name}_nan" for name in CERT_FIELDS)]
 
 
@@ -497,8 +497,8 @@ BAD_JSON = [
     (("start", "y", 0), 10**400, "start y must be a list of two numbers"),
     (("start", "y"), [-0.5, 0.5],
      "start y: precision components must be nonnegative"),
-    (("constants_basis", "extras", "noise_scale_f"), 10**400,
-     "extras field 'noise_scale_f' must be a number"),
+    (("constants_basis", "beta"), 10**400,
+     "constants basis field 'beta' must be a number"),
     (("constants_basis", "problem_constants", "L_f"), 10**400,
      "problem constants field 'L_f' must be a number"),
     (("params", "M"), 10**400, "params field 'M' must be a number"),
@@ -955,10 +955,10 @@ def test_a_null_round_trips_as_the_quiet_nan(problem, path):
 #: benchmark counts them, bytes of the file bira run --out writes)``.  A
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
-    "p1": (3086, 4135),
-    "p2": (3339, 4664),
-    "p3": (1796, 2411),
-    "p4": (1711, 2352),
+    "p1": (2970, 3983),
+    "p2": (3221, 4510),
+    "p3": (1714, 2293),
+    "p4": (1593, 2198),
 }
 
 
