@@ -422,18 +422,26 @@ def restoration_tests(h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     )
 
 
-def reference_norm(h_norm, w_h, w, beta):
-    """A lower bound at level ``w`` of the violation norm of a point
-    measured as ``h_norm`` at level ``w_h``: ``max(0, h_norm - delta)``.
+def reference_value(val, w_v, w, beta):
+    """A lower bound at level ``w`` of an oracle value of a point measured
+    as ``val`` at level ``w_v``: ``val - delta``.
 
     Each measurement lies within ``(beta / 2) g`` of the exact value
     (Krejić & Martínez 2016), so two levels' measurements of one point lie
-    at most ``delta = (beta / 2) (w_h.g + w.g)`` apart; ``delta = 0``
-    where ``w_h == w``.  :func:`~bira.restoration.resta` returns the bound
-    of the outer point's value at ``y_k`` as ``h_xk_yR``, and the audit's
+    at most ``delta = (beta / 2) (w_v.g + w.g)`` apart; ``delta = 0``
+    where ``w_v == w``.  :func:`~bira.solver.bira_run` takes the bound of
+    f at the current point as ``f_xk_yR``, and a trace replays it."""
+    delta = 0.0 if w_v == w else 0.5 * beta * (w_v.g + w.g)
+    return val - delta
+
+
+def reference_norm(h_norm, w_h, w, beta):
+    """A lower bound at level ``w`` of the violation norm of a point
+    measured as ``h_norm`` at level ``w_h``: :func:`reference_value`, and
+    at least 0.  :func:`~bira.restoration.resta` returns the bound of the
+    outer point's value at ``y_k`` as ``h_xk_yR``, and the audit's
     ``restoration_tests`` replays it."""
-    delta = 0.0 if w_h == w else 0.5 * beta * (w_h.g + w.g)
-    return max(0.0, h_norm - delta)
+    return max(0.0, reference_value(h_norm, w_h, w, beta))
 
 
 def outer_reference(h_xk, y_k, w, beta):

@@ -199,7 +199,16 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
     the noise budget ``beta_bar``, comes from the descent constant the
     restoration's ratio test certifies and its cap on trials (see
     :class:`TheoreticalConstants`), so it does not depend on the
-    tolerances.
+    tolerances.  ``restored_value_factor`` bounds ``|f_xR_yR - f_xk_yR|``,
+    the drift the audit's ``restored_value_drift`` checks, by a multiple of
+    ``h_xk_yk + g_yk``.  ``f_xR_yR`` is measured, within ``(beta / 2)
+    g_yR`` of the exact value, and ``f_xk_yR`` is the bound of the value
+    measured at ``y_k``, within ``(beta / 2) g_yk`` of the exact value,
+    less ``(beta / 2) (g_yk + g_yR)`` (:func:`~bira.core.reference_value`),
+    so the drift is at most ``L_f ||x_R - x_k|| + beta (g_yk + g_yR)``.
+    Restoration only refines, ``g_yR <= g_yk``, and the restored distance
+    factor bounds ``||x_R - x_k||``: the factor is ``L_f
+    restored_distance_factor + 2 beta``.
 
     Of ``extras`` only ``beta``, the oracle error scale, is read
     (:func:`oracle_beta`); the result keeps it as ``beta``.
@@ -236,7 +245,7 @@ def constants(problem_constants: ProblemConstants, params: AlgorithmParams,
         restored_distance_factor = math.sqrt(
             _inner_cap(restoration_iter_cap) / (2.0 * alpha_R)) * (
             1.0 + beta * (2.0 - p.r**2) / (1.0 - p.r**2))
-        restored_value_factor = pc.L_f * restored_distance_factor + beta
+        restored_value_factor = pc.L_f * restored_distance_factor + 2.0 * beta
         penalty_floor = min(
             THETA_0,
             1.0
@@ -614,10 +623,11 @@ def _tangent_search_rows(report):
     """The tangent search replayed from each record: the accepted trial
     passed the descent test, and the record's f-evaluations are those its
     search and the values before it took.  That is one per trial but a
-    zero step, which takes f from the penalty update; one for f at the
-    restored precision and one at the restored point, each where it
-    differs from the current one.  A record that stopped the run measured
-    no f.  The weights ``mu_k`` follow from ``ell_count``
+    zero step, which takes f from the penalty update, and one for f at the
+    restored point and precision where either differs from the current
+    one; f at the current point at the restored precision is a bound, not
+    a measurement.  A record that stopped the run measured no f.  The
+    weights ``mu_k`` follow from ``ell_count``
     (:data:`~bira.trace.DERIVED`), so the f-evaluations are what tie the
     count of trials to the run.
 
@@ -634,8 +644,8 @@ def _tangent_search_rows(report):
             yield _exact(rec.k, *descent_test(rec.f_xnext_ynext, rec.f_xR_yR,
                                               alpha, rec.step_norm))
             moved = rec.step_norm != 0.0
-            spent = ((rec.y_R != rec.y_k)
-                     + (not np.array_equal(rec.x_R, rec.x_k))
+            spent = ((rec.y_R != rec.y_k
+                      or not np.array_equal(rec.x_R, rec.x_k))
                      + rec.ell_count - (not moved))
             h_least, h_most = int(moved), rec.ell_count - (not moved)
         f_evals = rec.ledger_delta["f_evals"]
@@ -660,15 +670,17 @@ def _measurements(report, calls, beta):
     once.  A record that stopped the run, and the failing call, measured
     only their restoration's violations.  A call's ``h_xk_yR`` is a
     measurement only where :func:`~bira.core.outer_reference` gives no
-    bound."""
+    bound, and a record's ``f_xk_yR`` never is: it is the bound of
+    ``f_xk_yk`` (:data:`~bira.trace.DERIVED`)."""
     start = report.start
     yield 0, start["x"], start["y"], start["f"], start["h"]
     # the failing call has no record
     for (k, x_k, y_k, h_xk_yk, out, *_), rec in zip(
             calls, [*report.records, None]):
-        f_k, f_R = (rec.f_xk_yR, rec.f_xR_yR) if rec else (None, None)
         bound = outer_reference(h_xk_yk, y_k, out.y_R, beta)
-        yield k, x_k, out.y_R, f_k, out.h_xk_yR if bound is None else None
+        if bound is None:
+            yield k, x_k, out.y_R, None, out.h_xk_yR
+        f_R = None if rec is None else rec.f_xR_yR
         yield k, out.x_R, out.y_R, f_R, out.h_xR_yR
         if rec and not rec.stopped:
             yield (k, rec.x_next, rec.y_R, rec.f_xnext_ynext,

@@ -8,10 +8,10 @@ which is all the stopping test needs: a record that meets it ends the run
 at its restored point ``x_R``, the answer a ``Converged`` run returns,
 and searches no tangent step (its ``ell_count`` is 0).  The penalty weight
 only makes the merit function fall along a tangent step, so only an
-iteration that goes on measures f at the current and the restored point,
-rebalances the weight so the merit function is guaranteed to decrease by
-a fixed fraction of the restoration gain, and searches over the
-regularization weight for a tangent step passing both acceptance tests.
+iteration that goes on measures f at the restored point, rebalances the
+weight so the merit function is guaranteed to decrease by a fixed
+fraction of the restoration gain, and searches over the regularization
+weight for a tangent step passing both acceptance tests.
 Oracle values are functions of the point and the precision, so measuring
 the gradients before f leaves every value a record measures as it was.
 The tangent phase works at the restored precision ``y_R`` throughout: its
@@ -57,8 +57,11 @@ restoration does not measure the current point's violation again at the
 restored precision, but bounds it from below by the value at ``y_k`` less
 the error allowance (:func:`~bira.core.outer_reference`), and that bound
 is the ``h_xk_yR`` every later test reads (see
-:func:`restoration_failure`); a
-zero tangent step takes f from the penalty update and the violation
+:func:`restoration_failure`); f at the current point is not measured at
+the restored precision either, but bounded the same way from its value
+at ``y_k`` (:func:`~bira.core.reference_value`), and that bound is the
+``f_xk_yR`` the penalty update and the merit test read; a zero tangent
+step takes f from the penalty update and the violation
 vector from the restoration outcome; and the gradient used by the tangent
 model is the one the stopping test projects.  The constraint Jacobian is
 measured once per iteration, for the tangent region, and handed to the
@@ -83,6 +86,7 @@ from .core import (
     held,
     merit_allowance,
     merit_test,
+    reference_value,
     restoration_tests,
     stopping_test,
     tangent_mu_start,
@@ -172,19 +176,28 @@ def restoration_failure(status, h_xk_yR, h_xR_yR, g_yk, g_yR, r):
     ``rho' = min(r, c)``, unless the stage would fail its own test (see
     :func:`~bira.restoration.resta`).
 
-    Tests on a bound of ``h_xk_yR``.  A call returns as ``h_xk_yR`` a
-    lower bound of the violation at ``x_k`` at ``y_R``: the value at
-    ``y_k`` less the error allowance (:func:`~bira.core.outer_reference`;
-    a measurement only where that bound is 0).  Each test that reads it
-    stays sound on the bound, in its order.  Both tests here only get
-    harder to pass as ``h_xk_yR`` falls: ``r h_xk_yR`` and ``h_xk_yR -
-    h_xR_yR`` both fall with it.  The merit test's right side, ``theta
-    f_xk_yR + (1 - theta)(h_xk_yR + g) + ((1 - r)/2)(h_xR_yR - h_xk_yR -
-    dg)``, rises in ``h_xk_yR`` with slope ``(1 + r)/2 - theta > 0``, as
-    ``theta <= THETA_0 = 1/2``.  So wherever the problem's ``beta`` bounds
-    its errors, the measured value lies above the bound, and a weight of
+    Tests on bounds of ``h_xk_yR`` and ``f_xk_yR``.  A call returns as
+    ``h_xk_yR`` a lower bound of the violation at ``x_k`` at ``y_R``: the
+    value at ``y_k`` less the error allowance
+    (:func:`~bira.core.outer_reference`; a measurement only where that
+    bound is 0).  :func:`bira_run` takes ``f_xk_yR`` the same way, as the
+    value at ``y_k`` less the allowance
+    (:func:`~bira.core.reference_value`), and never measures it; f may
+    have either sign, so that bound is never clamped.  Each test that
+    reads them stays sound on the bounds, in its order.  Both tests here
+    only get harder to pass as ``h_xk_yR`` falls: ``r h_xk_yR`` and
+    ``h_xk_yR - h_xR_yR`` both fall with it.  The merit test's right side,
+    ``theta f_xk_yR + (1 - theta)(h_xk_yR + g) + ((1 - r)/2)(h_xR_yR -
+    h_xk_yR - dg)``, rises in ``h_xk_yR`` with slope ``(1 + r)/2 - theta >
+    0``, as ``theta <= THETA_0 = 1/2``, and in ``f_xk_yR`` with slope
+    ``theta > 0``; the penalty update's ``df = f_xR_yR - f_xk_yR`` rises
+    as ``f_xk_yR`` falls, so it asks for a smaller weight.  The problem's
+    ``beta`` is ``2 max(noise_scale_f, noise_scale_h)``, so an f error of
+    at most ``noise_scale_f gf`` is within ``(beta / 2) g`` as a violation
+    error is.  So wherever ``beta`` bounds the errors, each measured value
+    lies above its bound, and a weight of
     :func:`~bira.core.update_penalty` and a tangent step that pass the
-    merit test on the bound pass it on the measured value too.
+    merit test on the bounds pass it on the measured values too.
 
     The hold.  A call whose input already meets the feasibility and
     precision tolerances by r, ``||h_k|| <= r eps_feas`` and ``g_k <= r
@@ -331,14 +344,11 @@ def bira_run(problem, params=None, *, eps_feas=1e-6, eps_prec=1e-6,
                 ))
                 return finish("Converged")
 
-            same_point = bool(np.array_equal(x_R, x))
-            same_prec = y_R == y
-            if same_prec:
-                f_xk_yR = f_val
-            else:
-                f_xk_yR = problem.eval_f(x, y_R)
-            if same_point:
-                f_xR_yR = f_xk_yR
+            # f at x_k at y_R is bounded from its value at y_k, not
+            # measured; only a held call returns (x_k, y_k) itself
+            f_xk_yR = reference_value(f_val, y, y_R, tc.beta)
+            if y_R == y and np.array_equal(x_R, x):
+                f_xR_yR = f_val
             else:
                 f_xR_yR = problem.eval_f(x_R, y_R)
 

@@ -56,6 +56,7 @@ from .core import (
     SchemaError,
     is_number,
     past_float_range,
+    reference_value,
     tangent_mu_start,
     type_name,
     update_penalty,
@@ -63,7 +64,7 @@ from .core import (
 )
 from .qp import SolveCertificate
 
-TRACE_VERSION = 26
+TRACE_VERSION = 27
 
 #: The largest magnitude whose square stays within the float range.
 SQUARE_MAX = math.sqrt(FLOAT_MAX)
@@ -453,16 +454,17 @@ CHAIN = {
 #: Fields of a record that follow bit for bit from fields a trace writes,
 #: so it does not write them: :meth:`IterationRecord.from_row` replays
 #: ``mu_k`` as the weight the tangent search started from doubled once per
-#: rejected trial, and ``theta_after`` as
-#: :func:`~bira.core.update_penalty` of ``theta_before`` and the record's
-#: restoration values, as :func:`~bira.solver.bira_run` computed them.  A
-#: record that stopped the run (:attr:`IterationRecord.stopped`) updated no
-#: weight: ``theta_after`` replays as ``theta_before`` and ``mu_k`` as
-#: ``None``.
-DERIVED = ("mu_k", "theta_after")
+#: rejected trial, ``f_xk_yR`` as :func:`~bira.core.reference_value` of
+#: ``f_xk_yk`` from ``y_k`` to ``y_R`` at the basis's ``beta``, and
+#: ``theta_after`` as :func:`~bira.core.update_penalty` of
+#: ``theta_before`` and the record's restoration values, as
+#: :func:`~bira.solver.bira_run` computed them.  A record that stopped the
+#: run (:attr:`IterationRecord.stopped`) updated no weight: ``theta_after``
+#: replays as ``theta_before``, and ``mu_k`` and ``f_xk_yR`` as ``None``.
+DERIVED = ("mu_k", "f_xk_yR", "theta_after")
 
 #: Fields of a record that only its tangent search and the penalty update
-#: before it measure, so a record that stopped the run holds ``None`` in
+#: before it read, so a record that stopped the run holds ``None`` in
 #: each, and every other record a value.
 SEARCH_FIELDS = ("x_next", "f_xk_yR", "f_xR_yR", "f_xnext_ynext",
                  "h_xnext_ynext", "tangent_cert")
@@ -562,13 +564,15 @@ class IterationRecord:
         return d
 
     @classmethod
-    def from_row(cls, d, resta, chain, k, params, mu_start, last=True):
+    def from_row(cls, d, resta, chain, k, params, beta, mu_start,
+                 last=True):
         """Rebuild record ``k`` from its row of the records table, as
         :func:`read_table` reads it, its restoration outcome ``resta``, the
         :data:`CHAIN` fields ``chain`` handed to it and the weight
         ``mu_start`` its tangent search started from, replaying the
-        :data:`DERIVED` fields under the run's ``params``; ``last`` says
-        whether nothing of the run follows it.
+        :data:`DERIVED` fields under the run's ``params`` and oracle error
+        scale ``beta``; ``last`` says whether nothing of the run follows
+        it.
 
         :class:`SchemaError`, naming the record, for an ``ell_count`` of 0
         where the record is not ``last``, or one that doubles ``mu_start``
@@ -586,7 +590,7 @@ class IterationRecord:
         # a nullable column reads NaN as None: only a stopped record, which
         # writes no tangent step, may hold one
         nulls = [(f"{what} field {name!r}", d[name])
-                 for name in SEARCH_FIELDS[1:-1]]
+                 for name in SEARCH_FIELDS[1:-1] if name not in DERIVED]
         nulls += [(f"{what}: tangent_cert field {name!r}", val)
                   for name, val in cert.items()]
         if stopped:
@@ -599,7 +603,7 @@ class IterationRecord:
         with _within(what):
             n = len(chain["x_k"])
             kw = dict(d, **chain, k=k, resta=resta, tangent_cert=None,
-                      mu_k=None)
+                      mu_k=None, f_xk_yR=None)
             if stopped:
                 return cls(**kw, theta_after=chain["theta_before"])
             kw["tangent_cert"] = SolveCertificate(**cert)
@@ -611,9 +615,11 @@ class IterationRecord:
             except OverflowError:
                 raise SchemaError(f"ell_count {ell} doubles the tangent"
                                   " weight past the float range") from None
+            kw["f_xk_yR"] = reference_value(chain["f_xk_yk"], chain["y_k"],
+                                            resta.y_R, beta)
             try:
                 kw["theta_after"] = update_penalty(
-                    chain["theta_before"], d["f_xR_yR"], d["f_xk_yR"],
+                    chain["theta_before"], d["f_xR_yR"], kw["f_xk_yR"],
                     resta.h_xk_yR, resta.h_xR_yR, chain["y_k"].g, resta.y_R.g,
                     params.r)
             except (ContractError, InvariantError) as exc:
@@ -822,7 +828,7 @@ class RunReport:
             # nothing follows the record that stopped the run: no record,
             # and no failing restoration call
             rec = IterationRecord.from_row(
-                row, outs[k], chain, k, params, mu_start,
+                row, outs[k], chain, k, params, basis["beta"], mu_start,
                 last=k == len(rows) - 1 and failure is None)
             kw["records"].append(rec)
             if rec.stopped:

@@ -33,6 +33,7 @@ from bira.core import (
     merit_allowance,
     merit_phi,
     outer_reference,
+    reference_value,
 )
 from bira.diagnostics import audit, constants
 from bira.oracle import (
@@ -146,9 +147,9 @@ def test_p1_converges_and_the_audit_agrees():
 
 
 @pytest.mark.parametrize("factory,ledger", [
-    (make_p1, {"f_evals": 9, "gradf_evals": 4,
+    (make_p1, {"f_evals": 6, "gradf_evals": 4,
                "h_evals": 17, "gradh_evals": 5}),
-    (make_p2, {"f_evals": 19, "gradf_evals": 7,
+    (make_p2, {"f_evals": 13, "gradf_evals": 7,
                "h_evals": 15, "gradh_evals": 8}),
 ], ids=["p1", "p2"])
 def test_suite_ledgers_at_the_default_parameters(factory, ledger):
@@ -162,10 +163,11 @@ def test_suite_ledgers_at_the_default_parameters(factory, ledger):
     # bound of the outer point's value, so the outer point is not measured.
     # The tangent search starts at a weight the previous step predicted
     # to pass, so every first trial is accepted: one f per iteration, plus
-    # f at (x_k, y_R) and at (x_R, y_R), each where it moved, plus the
-    # start.  The call after the record that met eps_opt is a finishing
-    # call and ends the run: p1's takes 8 stages, p2's meets both
-    # tolerances at its first z-step.
+    # f at (x_R, y_R) where the point or the precision moved, plus the
+    # start; f at (x_k, y_R) is the bound of its value at y_k.  The call
+    # after the record that met eps_opt is a finishing call and ends the
+    # run: p1's takes 8 stages, p2's meets both tolerances at its first
+    # z-step.
     # The last record stops at its restored point: it measures no f, and
     # h only in its restoration call
     rep = bira_run(factory())
@@ -758,24 +760,30 @@ def test_derived_record_fields_match_the_solver():
         assert rec.g_yR == rec.resta.y_R.g
         # deterministic oracles: re-measuring reproduces the solver's
         # values, and the tangent phase measured at the restored precision;
-        # h_xk_yR is the bound at y_R of h_xk_yk, below its measurement
+        # h_xk_yR and f_xk_yR are the bounds at y_R of the values at y_k,
+        # below their measurements
+        beta = fresh.extras()["beta"]
         assert rec.h_xk_yR == outer_reference(rec.h_xk_yk, rec.y_k, y_R,
-                                              fresh.extras()["beta"])
+                                              beta)
         assert rec.h_xk_yR <= float(
             np.linalg.norm(fresh.eval_h(rec.x_k, y_R)))
         if rec.stopped:
             assert rec.k == len(rep.records) - 1
             assert got.mu_k is rec.mu_k is None
+            assert got.f_xk_yR is rec.f_xk_yR is None
             assert got.theta_after == rec.theta_after == rec.theta_before
         else:
-            assert rec.f_xk_yR == fresh.eval_f(rec.x_k, y_R)
+            assert rec.f_xk_yR == reference_value(rec.f_xk_yk, rec.y_k, y_R,
+                                                  beta)
+            assert rec.f_xk_yR <= fresh.eval_f(rec.x_k, y_R)
             assert rec.f_xnext_ynext == fresh.eval_f(rec.x_next, y_R)
             assert rec.h_xnext_ynext == float(
                 np.linalg.norm(fresh.eval_h(rec.x_next, y_R)))
             assert rec.step_norm == float(np.linalg.norm(rec.x_next
                                                          - rec.x_R))
-            assert np.array([got.mu_k, got.theta_after]).tobytes() == (
-                np.array([rec.mu_k, rec.theta_after]).tobytes())
+            assert np.array([got.mu_k, got.f_xk_yR,
+                             got.theta_after]).tobytes() == np.array(
+                [rec.mu_k, rec.f_xk_yR, rec.theta_after]).tobytes()
         # the reloaded chain and replayed fields are the solver's, bit for
         # bit
         assert got.x_k.tobytes() == rec.x_k.tobytes()

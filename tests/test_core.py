@@ -18,6 +18,8 @@ from bira.core import (
     finishing_goal,
     held,
     merit_phi,
+    reference_norm,
+    reference_value,
     stopping_test,
     tangent_mu_start,
 )
@@ -88,6 +90,21 @@ def test_descent_test_asks_alpha_times_the_squared_step():
     assert descent_test(1.5, 2.0, 0.5, 1.0) == (1.5, 1.5)
     lhs, rhs = descent_test(1.6, 2.0, 0.5, 1.0)
     assert not lhs <= rhs
+
+
+@pytest.mark.parametrize("val", [3.0, 0.25, 0.0, -0.25, -3.0])
+def test_a_reference_value_is_the_value_less_the_allowance_between_levels(
+        val):
+    # beta = 1: a value at w_v lies within (1/2) w_v.g of the exact one,
+    # and one at w within (1/2) w.g, so the bound at w is val less their sum
+    w_v, w = PrecisionLevel(0.5, 0.25), PrecisionLevel(0.125, 0.0625)
+    assert reference_value(val, w_v, w_v, 1.0) == val
+    assert reference_value(val, w_v, w, 1.0) == val - 0.5 * (0.5 + 0.125)
+    assert reference_value(val, w_v, w, 0.0) == val
+    # a violation norm is a value clamped at 0
+    for level in (w_v, w):
+        assert reference_norm(val, w_v, level, 1.0) == max(
+            0.0, reference_value(val, w_v, level, 1.0))
 
 
 def test_params_defaults_round_trip():

@@ -480,7 +480,8 @@ TAMPERS = [
     # a restored objective so far above the current one that the replayed
     # penalty weight falls a hundred times below its floor
     ("theta_lower_bound", ("records", 0, "f_xR_yR"),
-     lambda t, tc: record_row(t, 0)["f_xk_yR"] + 100.0 / tc.penalty_floor),
+     lambda t, tc: RunReport.from_dict(t).records[0].f_xk_yR
+     + 100.0 / tc.penalty_floor),
     # the first step lowered the merit by about 1.8 at theta = 0.5
     ("penalty_merit_decrease", ("records", 0, "f_xnext_ynext"),
      lambda t, tc: record_row(t, 0)["f_xnext_ynext"] + 10.0),
@@ -503,7 +504,7 @@ TAMPERS = [
      lambda t, tc: _shifted(call_row(t, 0)["x_R"], 10.0
      * tc.restored_distance_factor * (t["start"]["h"] + max(t["start"]["y"])))),
     ("restored_value_drift", ("records", 0, "f_xR_yR"),
-     lambda t, tc: record_row(t, 0)["f_xk_yR"] + 10.0
+     lambda t, tc: RunReport.from_dict(t).records[0].f_xk_yR + 10.0
      * tc.restored_value_factor * (t["start"]["h"] + max(t["start"]["y"]))),
     ("infeasibility_summability", ("calls", 0, "h_xk_yR"),
      lambda t, tc: 10.0 * tc.infeasibility_sum_bound),
@@ -792,17 +793,24 @@ def _edit_record(k, *path):
     return edit
 
 
-@pytest.mark.parametrize("edit,value", [
+@pytest.mark.parametrize("edit,value,refused", [
     # a held call claims a level it did not refine at
-    (_edit_record(20, "refinements"), lambda v: 1),
-    (_edit_record(20, "stages"), lambda v: 1),
-    # or a precision it did not keep
-    (_edit_record(20, "y_R", "gh"), lambda v: v / 2),
-    (_edit_record(20, "y_R", "gf"), lambda v: v / 2),
+    (_edit_record(20, "refinements"), lambda v: 1, False),
+    (_edit_record(20, "stages"), lambda v: 1, False),
+    # or a precision it did not keep: the replayed f_xk_yR falls by the
+    # allowance to that level below f_xR_yR, the value at y_k, and no
+    # penalty weight lowers the merit then
+    (_edit_record(20, "y_R", "gh"), lambda v: v / 2, True),
+    (_edit_record(20, "y_R", "gf"), lambda v: v / 2, True),
 ], ids=["refinements", "stages", "gh", "gf"])
-def test_a_held_call_is_replayed(edit, value):
+def test_a_held_call_is_replayed(edit, value, refused):
     d = _held_run()
     edit(d, value)
+    if refused:
+        with pytest.raises(SchemaError, match="^iteration record 20: the"
+                           " replayed penalty update finds no weight"):
+            RunReport.from_dict(d)
+        return
     failed = _failures(d)
     assert "precision_refinement" in failed
     assert failed["precision_refinement"].startswith("iteration 20:")

@@ -62,7 +62,7 @@ REFERENCE_TOL = 5e-3
 RARE_PATHS = {"sigma_doubled": 0, "refined_again": 37, "second_tangent": 1}
 
 #: The evaluations of the whole sweep, by ledger kind.
-LEDGER_TOTALS = {"f_evals": 1161, "gradf_evals": 585, "h_evals": 3301,
+LEDGER_TOTALS = {"f_evals": 779, "gradf_evals": 585, "h_evals": 3301,
                  "gradh_evals": 1013}
 
 

@@ -104,7 +104,6 @@ OUTCOMES = {
         "records.h_xnext_ynext": {
             "no-op": 1,
             "oracle_h_error_bound restoration_tests": 6},
-        "records.f_xk_yR": {"no-op": 1, "oracle_f_error_bound": 6},
         "records.f_xR_yR": {"no-op": 1, "oracle_f_error_bound": 6},
         "records.f_xnext_ynext": {
             "no-op": 1,

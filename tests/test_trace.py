@@ -23,6 +23,7 @@ from conftest import (
     assert_reloads_equal,
     edit_packed,
     first_trial,
+    make_face_row,
     make_highdim,
 )
 
@@ -760,10 +761,11 @@ def test_a_json_number_in_a_packed_column_is_refused(tmp_path, capsys, table,
 
 def _restored_nothing_and_raised_f(t):
     """Record 3 claims a call that left its violation as it was and raised
-    the objective by 1: no penalty weight lowers the merit then."""
+    the objective by at least 1 over the value at ``y_k``, which bounds
+    ``f_xk_yR`` from above: no penalty weight lowers the merit then."""
     calls = t["calls"]
     calls["h_xR_yR"][3] = calls["h_xk_yR"][3]
-    t["records"]["f_xR_yR"][3] = t["records"]["f_xk_yR"][3] + 1.0
+    t["records"]["f_xR_yR"][3] = t["records"]["f_xnext_ynext"][2] + 1.0
 
 
 #: Records whose replayed fields (:data:`~bira.trace.DERIVED`) cannot be
@@ -783,7 +785,7 @@ UNREPLAYABLE = [
      " penalty update left no positive weight"),
     # the record that stopped the run claims a search it wrote no value of
     (lambda t: t["records"]["ell_count"].__setitem__(8, 1),
-     "iteration record 8 field 'f_xk_yR' must not be nan"),
+     "iteration record 8 field 'f_xR_yR' must not be nan"),
 ]
 UNREPLAYABLE_IDS = ["ell_count_zero", "ell_count_past_the_float_range",
                     "no_penalty_weight", "stopped_record_claims_a_search"]
@@ -795,6 +797,24 @@ def test_a_record_that_cannot_be_replayed_is_refused_naming_it(
     d = json.loads((DATA / "p2_staged.json").read_text())
     edit_packed(d, edit)
     _refused(tmp_path, capsys, d, message)
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5, 1.001, 2.0])
+def test_an_edited_beta_replays_another_f_bound_and_weight(factor):
+    # f_xk_yR is the bound of f_xk_yk at the basis's beta, and theta_after
+    # reads it: on the face row, which refines at every call and lowers
+    # the weight at records 1 and 2, another beta replays both anew
+    rep = bira_run(make_face_row((1.0, 1.0, 0.0)))
+    d = json.loads(json.dumps(rep.to_dict()))
+    d["constants_basis"]["beta"] *= factor
+    back = RunReport.from_dict(d)
+    searched = rep.records[:-1]
+    assert all(rec.y_R != rec.y_k for rec in searched)
+    assert [rec.k for rec in searched
+            if rec.theta_after < rec.theta_before] == [1, 2]
+    for rec, got in zip(searched, back.records):
+        assert got.f_xk_yR != rec.f_xk_yR
+        assert (got.theta_after != rec.theta_after) == (rec.k in (1, 2))
 
 
 def _moved(d, edit):
@@ -955,10 +975,10 @@ def test_a_null_round_trips_as_the_quiet_nan(problem, path):
 #: benchmark counts them, bytes of the file bira run --out writes)``.  A
 #: change of the schema shows here as a named diff.
 TRACE_SIZES = {
-    "p1": (2970, 3983),
-    "p2": (3221, 4510),
-    "p3": (1714, 2293),
-    "p4": (1593, 2198),
+    "p1": (2911, 3920),
+    "p2": (3130, 4415),
+    "p3": (1699, 2274),
+    "p4": (1566, 2167),
 }
 
 
